@@ -12,9 +12,6 @@ package bench_test
 //     after a pass, so the raw/compacted pair shows what decoding
 //     compressed pages (and, on hybrid, scanning merged segments)
 //     costs or saves on the read path.
-//
-// Run with -benchtime=1x in CI as a smoke test; the bench-regression
-// job gates them against a merge-base baseline built in-job.
 
 import (
 	"context"

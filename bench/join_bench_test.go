@@ -14,9 +14,6 @@ package bench_test
 //   - BenchmarkGroupBy: the streaming bounded-hash Groups terminal vs
 //     gathering rows and folding after the fact — the baseline the
 //     grouped path replaces.
-//
-// Run with -benchtime=1x in CI as a smoke test; the bench-regression
-// job gates them against a merge-base baseline built in-job.
 
 import (
 	"fmt"

@@ -5,8 +5,8 @@ package bench_test
 // retained baseline). The predicate is broad — every wave matches — so
 // the work fans out one goroutine per frozen segment; the pscans/op
 // metric shows whether the parallel path actually engaged (it declines
-// to 0 when the resolved pool size is 1, e.g. GOMAXPROCS=1 with no
-// DECIBEL_SCAN_WORKERS override).
+// to 0 when the resolved pool size is 1, e.g. GOMAXPROCS=1 without
+// WithScanWorkers).
 //
 // The loader differs from loadSegmentBench because parallel fan-out
 // requires *frozen* wave segments, and the two segment-per-branch
@@ -23,9 +23,6 @@ package bench_test
 //   - BenchmarkParallelScanRows: full row emission through the
 //     buffered unit merge, the worst case for parallel overhead.
 //   - BenchmarkParallelDiff: dev-vs-master diff spanning every wave.
-//
-// Run with -benchtime=1x in CI as a smoke test; the bench-regression
-// job gates them against a merge-base baseline built in-job.
 
 import (
 	"context"

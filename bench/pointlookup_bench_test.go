@@ -8,9 +8,6 @@ package bench_test
 // scan baseline pays realistic multi-segment cost. version-first has
 // no head pk index and serves both modes by scanning; its rows exist
 // for cross-engine comparison.
-//
-// Run with -benchtime=1x in CI as a smoke test; the bench-regression
-// job gates them against a merge-base baseline built in-job.
 
 import (
 	"context"

@@ -1,27 +1,14 @@
 package bench_test
 
-// Multi-branch query benchmarks (paper Table 1 shapes) over the
-// facade's query builder, measuring the engine-level pushdown paths
-// against the pre-builder execution strategies:
-//
-//   - BenchmarkMultiBranchScan compares the single-pass bitmap-union
-//     HEAD() scan (mode=pushdown) against one independent rescan per
-//     branch merged by primary key (mode=rescan), on every engine.
-//   - BenchmarkQueryShapes runs the four query shapes — single-version
-//     scan, positive diff, version join, HEAD scan — through the
-//     builder at a fixed predicate selectivity.
-//
-// Run with -benchtime=1x in CI as a smoke test so the pushdown paths
-// are exercised on every change.
+// BenchmarkQueryShapes runs the paper's four query shapes (Table 1) —
+// single-version scan, positive diff, version join, HEAD scan — through
+// the facade's query builder at a fixed predicate selectivity.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"decibel"
-	iquery "decibel/internal/query"
-	"decibel/internal/record"
 )
 
 const (
@@ -87,54 +74,6 @@ func loadQueryBench(tb testing.TB, engine string) *decibel.DB {
 	return db
 }
 
-// headsPlan is the benchmark's HEAD() scan with a non-selective
-// predicate, the shape of the paper's Query 4.
-func headsPlan() iquery.Plan {
-	return iquery.Plan{
-		Table:    "r",
-		AllHeads: true,
-		AtSeq:    -1,
-		Where:    iquery.Col("v").Ge(0),
-	}
-}
-
-// BenchmarkMultiBranchScan measures the multi-branch HEAD() scan both
-// ways the executor can run it: as one engine pass over the union of
-// the branch bitmaps (pushdown) and as one independent rescan per
-// branch merged by primary key (rescan) — the strategy every
-// multi-branch query paid before the builder existed.
-func BenchmarkMultiBranchScan(b *testing.B) {
-	for _, engine := range []string{"tf", "vf", "hy"} {
-		db := loadQueryBench(b, engine)
-		for _, mode := range []string{"pushdown", "rescan"} {
-			b.Run(fmt.Sprintf("%s/%s", engine, mode), func(b *testing.B) {
-				ctx := context.Background()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c, err := headsPlan().Compile(db.Database)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rows := 0
-					scan := c.ScanMulti
-					if mode == "rescan" {
-						scan = c.ScanMultiRescan
-					}
-					if err := scan(ctx, func(*record.Record, *decibel.Bitmap) bool {
-						rows++
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
-					if rows == 0 {
-						b.Fatal("empty scan")
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkQueryShapes drives the four paper query shapes through the
 // public builder on the hybrid engine (the paper's headline scheme).
 func BenchmarkQueryShapes(b *testing.B) {
@@ -163,7 +102,8 @@ func BenchmarkQueryShapes(b *testing.B) {
 	})
 	b.Run("join", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pairs, qErr := db.Query("r").Where(pred).Join("b1", "b2")
+			pairs, qErr := db.Query("r").On("b1").Where(pred).
+				JoinOn(db.Query("r").On("b2"), decibel.On("id", "id")).Tuples()
 			n := 0
 			for range pairs {
 				n++

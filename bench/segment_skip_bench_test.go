@@ -1,22 +1,11 @@
 package bench_test
 
-// Zone-map benchmarks: segment skipping for selective Where scans and
-// predicate pushdown for Diff, each against its retained baseline.
-//
-//   - BenchmarkSegmentSkipWhere runs a selective range predicate over a
-//     table whose live set spans many segments with disjoint value
-//     ranges, pruned (zone maps on) vs noprune (the retained baseline
-//     path, Plan.NoPrune). The segs/op and skips/op metrics come from
-//     the shared segment-scan counters, so the report shows the pruned
-//     mode reading fewer segments, not just running faster.
-//   - BenchmarkDiffPushdown diffs two branches whose differences span
-//     every segment, with a predicate selecting one segment's range:
-//     pushdown (predicate + pruning inside the engine diff loop) vs
-//     postfilter (the pre-pushdown strategy: materialize every
-//     differing record, filter above the engine).
-//
-// Run with -benchtime=1x in CI as a smoke test; the bench-regression
-// job gates them against a merge-base baseline built in-job.
+// Zone-map benchmark: BenchmarkSegmentSkipWhere runs a selective range
+// predicate over a table whose live set spans many segments with
+// disjoint value ranges, pruned (zone maps on) vs noprune (the reference
+// path, Plan.NoPrune). The segs/op and skips/op metrics come from the
+// shared segment-scan counters, so the report shows the pruned mode
+// reading fewer segments, not just running faster.
 
 import (
 	"context"
@@ -163,52 +152,4 @@ func loadDiffBench(tb testing.TB, engine string, opts ...decibel.Option) *decibe
 		tb.Fatal(err)
 	}
 	return db
-}
-
-func BenchmarkDiffPushdown(b *testing.B) {
-	for _, engine := range []string{"tf", "vf", "hy"} {
-		db := loadDiffBench(b, engine)
-		for _, mode := range []string{"pushdown", "postfilter"} {
-			b.Run(fmt.Sprintf("%s/%s", engine, mode), func(b *testing.B) {
-				ctx := context.Background()
-				lo := int64(skipWaves/2) * skipStride
-				plan := iquery.Plan{
-					Table:    "s",
-					Branches: []string{"dev", decibel.Master},
-					AtSeq:    -1,
-					Where:    iquery.Col("v").Ge(lo).And(iquery.Col("v").Lt(lo + skipStride)),
-				}
-				// Warm the buffer pool so mode ordering cannot skew the
-				// comparison with cold reads.
-				warm, err := plan.Compile(db.Database)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := warm.DiffPostFilter(ctx, func(*record.Record) bool { return true }); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c, err := plan.Compile(db.Database)
-					if err != nil {
-						b.Fatal(err)
-					}
-					rows := 0
-					count := func(*record.Record) bool { rows++; return true }
-					if mode == "pushdown" {
-						err = c.Diff(ctx, count)
-					} else {
-						err = c.DiffPostFilter(ctx, count)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rows != skipWaveRows/10 {
-						b.Fatalf("diff rows = %d, want %d", rows, skipWaveRows/10)
-					}
-				}
-			})
-		}
-	}
 }

@@ -15,9 +15,6 @@ package bench_test
 //   - BenchmarkVFResolve/mergediff: the post-merge diff shape — a
 //     master assembled by repeated merges, a dev branch updating a
 //     slice of every wave, positive diff between the two heads.
-//
-// Run with -benchtime=1x in CI as a smoke test; the bench-regression
-// job gates the warm modes like every other query benchmark.
 
 import (
 	"context"

@@ -14,6 +14,8 @@ package decibel_test
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -24,7 +26,6 @@ import (
 	"decibel"
 	"decibel/bench"
 	"decibel/gitstore"
-	"decibel/query"
 )
 
 // engines under comparison, in the paper's order (short registry
@@ -32,7 +33,11 @@ import (
 var engines = []string{"vf", "tf", "hy"}
 
 // benchOpts is the storage tuning every benchmark engine runs with.
-func benchOpts() bench.Options { return bench.Options{PageSize: 64 << 10, PoolPages: 256} }
+// Scans are pinned to one goroutine: the paper's experiments compare
+// the schemes' storage costs, not how well a scan parallelizes.
+func benchOpts() bench.Options {
+	return bench.Options{PageSize: 64 << 10, PoolPages: 256, ScanWorkers: 1}
+}
 
 // benchConfig mirrors the paper's knobs at reduced scale: 256-byte
 // records of 4-byte columns, 20% updates, commits every 1/5 of a
@@ -104,14 +109,50 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
+// benchDB wraps a benchmark dataset in the facade, so the experiments
+// run the paper's queries through the same builder applications use.
+func benchDB(d *bench.Dataset) *decibel.DB { return &decibel.DB{Database: d.DB} }
+
+// branchName resolves one of the dataset's branch handles to its name.
+func branchName(b *testing.B, d *bench.Dataset, id decibel.BranchID) string {
+	b.Helper()
+	br, ok := d.DB.Graph().Branch(id)
+	if !ok {
+		b.Fatalf("no branch %d", id)
+	}
+	return br.Name
+}
+
+// drain runs a row iterator to completion and returns the row count.
+func drain[T any](b *testing.B, rows iter.Seq[T], errf func() error) int {
+	b.Helper()
+	n := 0
+	for range rows {
+		n++
+	}
+	if err := errf(); err != nil {
+		b.Fatal(err)
+	}
+	return n
+}
+
 // scanBranch runs Query 1 and returns the records scanned.
 func scanBranch(b *testing.B, d *bench.Dataset, br decibel.BranchID) int {
 	b.Helper()
+	rows, errf := benchDB(d).Query("r").On(branchName(b, d, br)).Rows()
+	return drain(b, rows, errf)
+}
+
+// scanHeads runs Query 4 under a predicate and returns the records
+// scanned.
+func scanHeads(b *testing.B, d *bench.Dataset, where decibel.Expr) int {
+	b.Helper()
 	n := 0
-	if err := query.SingleVersionScan(d.Table, br, query.True, func(*decibel.Record) bool {
+	rows, errf := benchDB(d).Query("r").Heads().Where(where).Annotated()
+	for range rows {
 		n++
-		return true
-	}); err != nil {
+	}
+	if err := errf(); err != nil {
 		b.Fatal(err)
 	}
 	return n
@@ -154,13 +195,7 @@ func BenchmarkFigure6b(b *testing.B) {
 					d := getDataset(b, e, cfg)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						n := 0
-						if err := query.HeadScan(d.DB.Graph(), d.Table, query.True, func(query.HeadRecord) bool {
-							n++
-							return true
-						}); err != nil {
-							b.Fatal(err)
-						}
+						scanHeads(b, d, decibel.MatchAll())
 					}
 				})
 			}
@@ -268,15 +303,11 @@ func BenchmarkFigure8(b *testing.B) {
 				d := getDataset(b, e, cfg)
 				r := rand.New(rand.NewSource(7))
 				x, y := figure8Pair(d, r)
+				q, xn, yn := benchDB(d).Query("r"), branchName(b, d, x), branchName(b, d, y)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					n := 0
-					if err := query.PositiveDiff(d.Table, x, y, func(*decibel.Record) bool {
-						n++
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
+					rows, errf := q.Diff(xn, yn)
+					drain(b, rows, errf)
 				}
 			})
 		}
@@ -296,16 +327,14 @@ func BenchmarkFigure9(b *testing.B) {
 				d := getDataset(b, e, cfg)
 				r := rand.New(rand.NewSource(7))
 				x, y := figure8Pair(d, r)
-				pred := query.ColumnMod(1, 2, 0) // ~50% selectivity
+				// c1 is uniform over int32: ~50% selectivity on the left.
+				db := benchDB(d)
+				q := db.Query("r").On(branchName(b, d, x)).Where(decibel.Col("c1").Lt(0)).
+					JoinOn(db.Query("r").On(branchName(b, d, y)), decibel.On("id", "id"))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					n := 0
-					if err := query.VersionJoin(d.Table, x, y, pred, func(query.JoinedPair) bool {
-						n++
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
+					rows, errf := q.Tuples()
+					drain(b, rows, errf)
 				}
 			})
 		}
@@ -323,17 +352,11 @@ func BenchmarkFigure10(b *testing.B) {
 		for _, e := range engines {
 			b.Run(fmt.Sprintf("%s/%s", e, strategy), func(b *testing.B) {
 				d := getDataset(b, e, cfg)
-				pred := query.ColumnMod(1, 10, 0) // non-selective: drops ~10%... keeps 10%? rem 0 keeps ~10%
-				pred = query.Not(pred)            // keep ~90%: "very non-selective"
+				// c1 is uniform over int32: keep ~90%, "very non-selective".
+				pred := decibel.Col("c1").Ge(math.MinInt32 + (1<<32)/10)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					n := 0
-					if err := query.HeadScan(d.DB.Graph(), d.Table, pred, func(query.HeadRecord) bool {
-						n++
-						return true
-					}); err != nil {
-						b.Fatal(err)
-					}
+					scanHeads(b, d, pred)
 				}
 			})
 		}
@@ -730,13 +753,7 @@ func BenchmarkAblationBitmapLayout(b *testing.B) {
 			defer d.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n := 0
-				if err := query.HeadScan(d.DB.Graph(), d.Table, query.True, func(query.HeadRecord) bool {
-					n++
-					return true
-				}); err != nil {
-					b.Fatal(err)
-				}
+				scanHeads(b, d, decibel.MatchAll())
 			}
 		})
 	}

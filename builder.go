@@ -354,43 +354,11 @@ func (q *Query) DiffContext(ctx context.Context, a, b string) (iter.Seq[*Record]
 	return seq, func() error { return scanErr }
 }
 
-// Join runs the primary-key version join of Query 3 between two branch
-// heads: pairs (left record, right record) sharing a primary key,
-// where the left record satisfies Where. Select applies to both sides.
-// Like Diff, Join provides the two versions itself. Pairs emit in
-// ascending primary-key order.
-//
-// Deprecated: Join is the fixed two-branch configuration of the
-// general join node and is retained for compatibility. Compose joins
-// with JoinOn and decibel.On, and consume them with Tuples:
-//
-//	db.Query("t").On("master").
-//		JoinOn(db.Query("t").On("branch"), decibel.On("id", "id")).
-//		Tuples()
-func (q *Query) Join(left, right string) (iter.Seq2[*Record, *Record], func() error) {
-	return q.JoinContext(context.Background(), left, right)
-}
-
-// JoinContext is Join bounded by a context.
-//
-// Deprecated: see Join; use JoinOn with TuplesContext.
-func (q *Query) JoinContext(ctx context.Context, left, right string) (iter.Seq2[*Record, *Record], func() error) {
-	c, err := q.pairCompile(left, right)
-	if err != nil {
-		return errSeq2[*Record, *Record](err)
-	}
-	var scanErr error
-	seq := func(yield func(*Record, *Record) bool) {
-		scanErr = c.Join(ctx, func(p iquery.JoinedPair) bool { return yield(p.Left, p.Right) })
-	}
-	return seq, func() error { return scanErr }
-}
-
 // pairCompile compiles the plan with the two given branches as its
 // scan set, rejecting queries that also configured On or Heads.
 func (q *Query) pairCompile(a, b string) (*iquery.Compiled, error) {
 	if len(q.plan.Branches) > 0 || q.plan.AllHeads {
-		return nil, fmt.Errorf("%w: Diff/Join name their versions directly; do not combine with On or Heads", ErrBadQuery)
+		return nil, fmt.Errorf("%w: Diff names its versions directly; do not combine with On or Heads", ErrBadQuery)
 	}
 	plan := q.plan
 	plan.Branches = []string{a, b}

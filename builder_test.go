@@ -10,6 +10,7 @@ package decibel_test
 import (
 	"context"
 	"errors"
+	"iter"
 	"slices"
 	"sort"
 	"testing"
@@ -176,9 +177,13 @@ func TestQueryBuilderDiffAndJoin(t *testing.T) {
 			}
 
 			// Version join master ⋈ dev: shared keys 1..9.
-			pairs, jErr := db.Query("products").Join("master", "dev")
+			join := func(left *decibel.Query) (iter.Seq[decibel.JoinTuple], func() error) {
+				return left.On("master").JoinOn(db.Query("products").On("dev"), decibel.On("id", "id")).Tuples()
+			}
+			pairs, jErr := join(db.Query("products"))
 			n := 0
-			for l, r := range pairs {
+			for p := range pairs {
+				l, r := p[0], p[1]
 				if l.PK() != r.PK() {
 					t.Fatalf("join key mismatch: %d vs %d", l.PK(), r.PK())
 				}
@@ -197,8 +202,7 @@ func TestQueryBuilderDiffAndJoin(t *testing.T) {
 			}
 
 			// Join with a selective left predicate.
-			pairs, jErr = db.Query("products").
-				Where(decibel.Col("qty").Eq(5)).Join("master", "dev")
+			pairs, jErr = join(db.Query("products").Where(decibel.Col("qty").Eq(5)))
 			n = 0
 			for range pairs {
 				n++

@@ -15,6 +15,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"iter"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -24,7 +26,6 @@ import (
 	"decibel"
 	"decibel/bench"
 	"decibel/gitstore"
-	"decibel/query"
 )
 
 // engines under comparison, in the paper's order (short registry
@@ -40,7 +41,11 @@ var (
 	flagRecord     = flag.Int("record-bytes", 256, "record size in bytes")
 )
 
-func opts() bench.Options { return bench.Options{PageSize: 64 << 10, PoolPages: 256} }
+// opts pins scans to one goroutine: the paper's experiments compare
+// the schemes' storage costs, not how well a scan parallelizes.
+func opts() bench.Options {
+	return bench.Options{PageSize: 64 << 10, PoolPages: 256, ScanWorkers: 1}
+}
 
 func cfgFor(s bench.Strategy, branches, perBranch int) bench.Config {
 	cfg := bench.DefaultConfig(s)
@@ -72,17 +77,42 @@ func check(err error) {
 	}
 }
 
-func timeScan(d *bench.Dataset, b decibel.BranchID) (time.Duration, int) {
+// query starts a builder query over the benchmark table.
+func query(d *bench.Dataset) *decibel.Query {
+	return (&decibel.DB{Database: d.DB}).Query("r")
+}
+
+// Predicates of chosen selectivity over c1, which the generator fills
+// uniformly over int32: half the rows, and nine in ten ("a very
+// non-selective predicate", Query 4).
+var (
+	predHalf = decibel.Col("c1").Lt(0)
+	predMost = decibel.Col("c1").Ge(math.MinInt32 + (1<<32)/10)
+)
+
+// timeRows times draining a row iterator and counts its rows.
+func timeRows[T any](rows iter.Seq[T], errf func() error) (time.Duration, int) {
 	t0 := time.Now()
 	n := 0
-	check(query.SingleVersionScan(d.Table, b, query.True, func(*decibel.Record) bool { n++; return true }))
+	for range rows {
+		n++
+	}
+	check(errf())
 	return time.Since(t0), n
 }
 
-func timeHeads(d *bench.Dataset) (time.Duration, int) {
+func timeScan(d *bench.Dataset, b *decibel.Branch) (time.Duration, int) {
+	return timeRows(query(d).On(b.Name).Rows())
+}
+
+func timeHeads(d *bench.Dataset, where decibel.Expr) (time.Duration, int) {
 	t0 := time.Now()
 	n := 0
-	check(query.HeadScan(d.DB.Graph(), d.Table, query.True, func(query.HeadRecord) bool { n++; return true }))
+	rows, errf := query(d).Heads().Where(where).Annotated()
+	for range rows {
+		n++
+	}
+	check(errf())
 	return time.Since(t0), n
 }
 
@@ -97,8 +127,8 @@ func fig6a() {
 			d, done := load(e, cfg)
 			r := rand.New(rand.NewSource(7))
 			child := d.RandomChild(r)
-			timeScan(d, child.ID) // warm
-			el, n := timeScan(d, child.ID)
+			timeScan(d, child) // warm
+			el, n := timeScan(d, child)
 			fmt.Printf("%-8s %-10d %-12s %-10d\n", e, bs, el.Round(time.Microsecond), n)
 			done()
 		}
@@ -113,8 +143,8 @@ func fig6b() {
 			cfg := cfgFor(s, bs, *flagTotal/bs)
 			for _, e := range engines {
 				d, done := load(e, cfg)
-				timeHeads(d)
-				el, n := timeHeads(d)
+				timeHeads(d, decibel.MatchAll())
+				el, n := timeHeads(d, decibel.MatchAll())
 				fmt.Printf("%-8s %-6s %-10d %-12s %-10d\n", e, s, bs, el.Round(time.Microsecond), n)
 				done()
 			}
@@ -147,35 +177,35 @@ func fig7() {
 	}
 }
 
-func pickTarget(d *bench.Dataset, target string, r *rand.Rand) decibel.BranchID {
+func pickTarget(d *bench.Dataset, target string, r *rand.Rand) *decibel.Branch {
 	switch target {
 	case "tail":
-		return d.TailBranch().ID
+		return d.TailBranch()
 	case "child":
-		return d.RandomChild(r).ID
+		return d.RandomChild(r)
 	case "young":
-		return d.YoungestActive().ID
+		return d.YoungestActive()
 	case "old":
-		return d.OldestActive().ID
+		return d.OldestActive()
 	case "dev":
-		return d.RandomDev(r).ID
+		return d.RandomDev(r)
 	case "feature":
-		return d.RandomFeature(r).ID
+		return d.RandomFeature(r)
 	default:
-		return d.Mainline.ID
+		return d.Mainline
 	}
 }
 
-func pair(d *bench.Dataset, r *rand.Rand) (decibel.BranchID, decibel.BranchID) {
+func pair(d *bench.Dataset, r *rand.Rand) (*decibel.Branch, *decibel.Branch) {
 	switch d.Cfg.Strategy {
 	case bench.Deep:
-		return d.TailBranch().ID, d.Branches[len(d.Branches)-2].ID
+		return d.TailBranch(), d.Branches[len(d.Branches)-2]
 	case bench.Flat:
-		return d.RandomChild(r).ID, d.Mainline.ID
+		return d.RandomChild(r), d.Mainline
 	case bench.Science:
-		return d.OldestActive().ID, d.Mainline.ID
+		return d.OldestActive(), d.Mainline
 	default:
-		return d.Mainline.ID, d.RandomDev(r).ID
+		return d.Mainline, d.RandomDev(r)
 	}
 }
 
@@ -188,12 +218,7 @@ func fig8() {
 			d, done := load(e, cfg)
 			r := rand.New(rand.NewSource(7))
 			a, b := pair(d, r)
-			run := func() (time.Duration, int) {
-				t0 := time.Now()
-				n := 0
-				check(query.PositiveDiff(d.Table, a, b, func(*decibel.Record) bool { n++; return true }))
-				return time.Since(t0), n
-			}
+			run := func() (time.Duration, int) { return timeRows(query(d).Diff(a.Name, b.Name)) }
 			run()
 			el, n := run()
 			fmt.Printf("%-8s %-6s %-12s %-10d\n", e, s, el.Round(time.Microsecond), n)
@@ -211,12 +236,10 @@ func fig9() {
 			d, done := load(e, cfg)
 			r := rand.New(rand.NewSource(7))
 			a, b := pair(d, r)
-			pred := query.ColumnMod(1, 2, 0)
+			db := &decibel.DB{Database: d.DB} // both legs must share one handle
 			run := func() (time.Duration, int) {
-				t0 := time.Now()
-				n := 0
-				check(query.VersionJoin(d.Table, a, b, pred, func(query.JoinedPair) bool { n++; return true }))
-				return time.Since(t0), n
+				return timeRows(db.Query("r").On(a.Name).Where(predHalf).
+					JoinOn(db.Query("r").On(b.Name), decibel.On("id", "id")).Tuples())
 			}
 			run()
 			el, n := run()
@@ -233,13 +256,7 @@ func fig10() {
 		cfg := cfgFor(s, *flagNBranches, *flagPerBranch)
 		for _, e := range engines {
 			d, done := load(e, cfg)
-			pred := query.Not(query.ColumnMod(1, 10, 0))
-			run := func() (time.Duration, int) {
-				t0 := time.Now()
-				n := 0
-				check(query.HeadScan(d.DB.Graph(), d.Table, pred, func(query.HeadRecord) bool { n++; return true }))
-				return time.Since(t0), n
-			}
+			run := func() (time.Duration, int) { return timeHeads(d, predMost) }
 			run()
 			el, n := run()
 			fmt.Printf("%-8s %-6s %-12s %-10d\n", e, s, el.Round(time.Microsecond), n)
@@ -256,21 +273,21 @@ func fig11() {
 			cfg := cfgFor(s, 10, *flagPerBranch)
 			d, done := load(e, cfg)
 			r := rand.New(rand.NewSource(7))
-			var b decibel.BranchID
+			var b *decibel.Branch
 			switch s {
 			case bench.Deep:
-				b = d.TailBranch().ID
+				b = d.TailBranch()
 			case bench.Flat:
-				b = d.RandomChild(r).ID
+				b = d.RandomChild(r)
 			case bench.Science:
-				b = d.YoungestActive().ID
+				b = d.YoungestActive()
 			default:
-				b = d.Mainline.ID
+				b = d.Mainline
 			}
 			st0, _ := d.DB.Stats()
 			timeScan(d, b)
 			pre, _ := timeScan(d, b)
-			check(d.TableWiseUpdate(b))
+			check(d.TableWiseUpdate(b.ID))
 			st1, _ := d.DB.Stats()
 			timeScan(d, b)
 			post, _ := timeScan(d, b)

@@ -45,7 +45,7 @@
 //
 // The packages under internal/ are the engine-facing SPI and may change
 // freely; everything a consumer needs is re-exported here and in the
-// decibel/bench, decibel/query and decibel/gitstore companion packages.
+// decibel/bench and decibel/gitstore companion packages.
 package decibel
 
 import (

@@ -277,10 +277,12 @@ func ExampleDB_Query() {
 	}
 
 	// Q3: join the two versions of the discounted product.
-	pairs, jErr := db.Query("products").
+	pairs, jErr := db.Query("products").On("master").
 		Where(decibel.Col("id").Eq(2)).
-		Join("master", "dev")
-	for left, right := range pairs {
+		JoinOn(db.Query("products").On("dev"), decibel.On("id", "id")).
+		Tuples()
+	for pair := range pairs {
+		left, right := pair[0], pair[1]
 		fmt.Printf("pk=%d master=%.2f dev=%.2f\n", left.PK(), left.GetFloat64(1), right.GetFloat64(1))
 	}
 	if err := jErr(); err != nil {

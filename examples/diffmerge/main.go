@@ -102,10 +102,12 @@ func run(engine string) {
 	fmt.Printf("Q2  records in v01 but not v02                  -> pks %v\n", diffPKs)
 
 	// Query 3: join v01 x v02 where name = 'Sam'.
-	pairs, joinErr := db.Query("people").
+	pairs, joinErr := db.Query("people").On("master").
 		Where(decibel.Col("name").Eq(sam)).
-		Join("master", "v02")
-	for left, right := range pairs {
+		JoinOn(db.Query("people").On("v02"), decibel.On("id", "id")).
+		Tuples()
+	for pair := range pairs {
+		left, right := pair[0], pair[1]
 		fmt.Printf("Q3  join row: pk=%d age %d -> %d\n", left.PK(), left.Get(2), right.Get(2))
 	}
 	if err := joinErr(); err != nil {

@@ -11,7 +11,6 @@ import (
 	"os"
 
 	"decibel"
-	"decibel/query"
 )
 
 func main() {
@@ -34,8 +33,7 @@ func main() {
 	if _, err := db.CreateTable("events", schema); err != nil {
 		log.Fatal(err)
 	}
-	master, _, err := db.Init("event stream")
-	if err != nil {
+	if _, _, err := db.Init("event stream"); err != nil {
 		log.Fatal(err)
 	}
 	events, _ := db.Table("events")
@@ -66,8 +64,7 @@ func main() {
 	// The analyst branches from the snapshot; ingestion continues on
 	// mainline concurrently. Branching from a historical commit (rather
 	// than a head) goes through the ID-based core API.
-	analysis, err := db.Database.Branch("score-cleaning", snapshot.ID)
-	if err != nil {
+	if _, err := db.Database.Branch("score-cleaning", snapshot.ID); err != nil {
 		log.Fatal(err)
 	}
 	ingest("day-2 data", 1001, 2000)
@@ -102,16 +99,18 @@ func main() {
 
 	// The analysis branch still has exactly the day-1 population, with
 	// the cleaning applied; mainline has moved on.
-	nAnalysis, _ := query.Count(events, analysis.ID, query.True)
-	nMainline, _ := query.Count(events, master.ID, query.True)
-	maxAnalysis, _ := query.Sum(events, analysis.ID, 2, func(r *decibel.Record) bool { return r.Get(2) > 50 })
+	nAnalysis, _ := db.Query("events").On("score-cleaning").Count()
+	nMainline, _ := db.Query("events").On("master").Count()
+	stillHigh, _ := db.Query("events").On("score-cleaning").Where(decibel.Col("score").Gt(50)).Count()
 	fmt.Printf("analysis branch: %d events (day-1 only), capped %d outliers, scores>50 remaining: %d\n",
-		nAnalysis, len(outliers), maxAnalysis)
+		nAnalysis, len(outliers), stillHigh)
 	fmt.Printf("mainline:        %d events (ingestion kept going)\n", nMainline)
 
 	// A second experiment forks from the same snapshot to try a
 	// different strategy — cheap, because branches share storage.
-	alt, _ := db.Database.Branch("score-dropping", snapshot.ID)
+	if _, err := db.Database.Branch("score-dropping", snapshot.ID); err != nil {
+		log.Fatal(err)
+	}
 	if _, err := db.Commit("score-dropping", func(tx *decibel.Tx) error {
 		tx.SetMessage("dropped outliers instead")
 		for _, pk := range outliers {
@@ -123,7 +122,7 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
-	nAlt, _ := query.Count(events, alt.ID, query.True)
+	nAlt, _ := db.Query("events").On("score-dropping").Count()
 	fmt.Printf("alt strategy:    %d events after dropping outliers\n", nAlt)
 
 	// Reproducibility: re-read the exact day-1 snapshot at any time.

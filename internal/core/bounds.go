@@ -39,10 +39,7 @@ type Bound struct {
 // this call.
 func (sp *ScanSpec) SetBounds(bs []Bound) {
 	sp.bounds = bs
-	sp.visPhys = nil
-	if sp.hist != nil {
-		sp.visPhys = sp.hist.VisiblePhys(sp.epoch)
-	}
+	sp.visPhys = sp.hist.VisiblePhys(sp.epoch)
 }
 
 // Bounds returns the spec's attached bounds (nil when pruning is
@@ -97,20 +94,17 @@ func (sp *ScanSpec) skipSegment(z *store.ZoneMap, physCols int) bool {
 	}
 	for i := range sp.bounds {
 		b := &sp.bounds[i]
-		phys := b.Col
-		if sp.visPhys != nil {
-			if b.Col >= len(sp.visPhys) {
-				continue
-			}
-			phys = sp.visPhys[b.Col]
+		if b.Col >= len(sp.visPhys) {
+			continue
 		}
+		phys := sp.visPhys[b.Col]
 		if phys < 0 {
 			continue
 		}
 		if phys >= physCols {
 			// The segment predates the column: every record reads back
 			// the declared default, so the default decides membership.
-			if sp.hist != nil && b.excludesEncoded(sp.hist.DefaultBytes(phys)) {
+			if b.excludesEncoded(sp.hist.DefaultBytes(phys)) {
 				return true
 			}
 			continue

@@ -6,22 +6,11 @@ import (
 	"decibel/internal/compact"
 )
 
-// Compactor is the optional engine capability behind background
-// compaction: a pass that merges runs of small frozen segments, drops
-// tombstoned rows no read can reach, and re-encodes frozen segments
-// into compressed pages — all under the engine's own catalog-swap
-// crash-safety protocol. All three built-in engines implement it
-// (tuple-first and version-first compress only; their layouts pin
-// physical slot numbering).
-type Compactor interface {
-	CompactSegments(opt compact.Options) (compact.Stats, error)
-}
-
-// Compact runs one compaction pass over every relation whose engine
-// supports it, returning the aggregated stats. With compaction off it
-// is a no-op; a pass error returns the stats accumulated so far.
-// Completed passes that changed anything feed the process-wide expvar
-// counters.
+// Compact runs one compaction pass over every relation
+// (Engine.CompactSegments), returning the aggregated stats. With
+// compaction off it is a no-op; a pass error returns the stats
+// accumulated so far. Completed passes that changed anything feed the
+// process-wide expvar counters.
 func (db *Database) Compact() (compact.Stats, error) {
 	var agg compact.Stats
 	if db.opt.Compaction.Mode == compact.ModeOff {
@@ -32,11 +21,7 @@ func (db *Database) Compact() (compact.Stats, error) {
 	}
 	defer db.endOp()
 	for _, t := range db.Tables() {
-		c, ok := t.engine.(Compactor)
-		if !ok {
-			continue
-		}
-		st, err := c.CompactSegments(db.opt.Compaction)
+		st, err := t.engine.CompactSegments(db.opt.Compaction)
 		agg.Add(st)
 		if err != nil {
 			return agg, err

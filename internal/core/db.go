@@ -770,28 +770,15 @@ func (t *Table) MaxBranchEpoch(branches []vgraph.BranchID) int {
 	return max
 }
 
-// SegmentStatser is the optional engine capability behind per-segment
-// diagnostics: engines built on the shared segment store report each
-// segment's row count, schema-version id and zone map.
-type SegmentStatser interface {
-	SegmentStats() []store.SegmentStat
-}
-
 // SegmentStats returns per-segment summaries — row counts, schema
-// version ids and zone maps — when the engine exposes them (all three
-// built-in engines do); nil otherwise. This is what the CLI's
-// `stats <table>` renders.
-func (t *Table) SegmentStats() []store.SegmentStat {
-	if ss, ok := t.engine.(SegmentStatser); ok {
-		return ss.SegmentStats()
-	}
-	return nil
-}
+// version ids and zone maps. This is what the CLI's `stats <table>`
+// renders.
+func (t *Table) SegmentStats() []store.SegmentStat { return t.engine.SegmentStats() }
 
-// PassSpec returns the cached match-all, project-nothing scan spec for
+// passSpec returns the cached match-all, project-nothing scan spec for
 // one schema epoch. Specs without predicate or projection are
 // stateless, so one instance serves every scan at the same version.
-func (t *Table) PassSpec(epoch int) *ScanSpec {
+func (t *Table) passSpec(epoch int) *ScanSpec {
 	if sp, ok := t.passSpecs.Load(epoch); ok {
 		return sp.(*ScanSpec)
 	}
@@ -801,6 +788,26 @@ func (t *Table) PassSpec(epoch int) *ScanSpec {
 	}
 	sp, _ := t.passSpecs.LoadOrStore(epoch, spec)
 	return sp.(*ScanSpec)
+}
+
+// scanAll runs a plain scan — every live record of the request, whole —
+// through the scan driver, sequentially. Records emit under the schema
+// of the addressed version: the commit's stamped epoch, else the newest
+// head epoch among the request's branches (rows from branches still on
+// older versions widen with defaults).
+func (t *Table) scanAll(ctx context.Context, req ScanRequest, fn UnitFunc) error {
+	var epoch int
+	switch req.Kind {
+	case ScanKindCommit:
+		epoch = req.Commit.SchemaVer
+	case ScanKindMulti:
+		epoch = t.MaxBranchEpoch(req.Branches)
+	case ScanKindDiff:
+		epoch = max(t.BranchEpoch(req.A), t.BranchEpoch(req.B))
+	default:
+		epoch = t.BranchEpoch(req.Branch)
+	}
+	return t.ScanUnitsContext(ctx, req, t.passSpec(epoch), fn, nil)
 }
 
 // checkWrite validates that a record's schema may be written to the
@@ -851,6 +858,23 @@ func (t *Table) Delete(branch vgraph.BranchID, pk int64) error {
 	return t.engine.Delete(branch, pk)
 }
 
+// InsertBatch upserts a batch of records into a branch head in one
+// engine call, amortizing the engine's per-record locking. On error, a
+// prefix of the batch may have been applied — like single Inserts,
+// batches become atomic only at commit.
+func (t *Table) InsertBatch(branch vgraph.BranchID, recs []*record.Record) error {
+	if err := t.db.beginOp(); err != nil {
+		return err
+	}
+	defer t.db.endOp()
+	for _, rec := range recs {
+		if err := t.checkWrite(branch, rec.Schema()); err != nil {
+			return err
+		}
+	}
+	return t.engine.InsertBatch(branch, recs)
+}
+
 // Scan emits the records live in a branch head (Query 1).
 func (t *Table) Scan(branch vgraph.BranchID, fn ScanFunc) error {
 	return t.ScanContext(context.Background(), branch, fn)
@@ -859,14 +883,8 @@ func (t *Table) Scan(branch vgraph.BranchID, fn ScanFunc) error {
 // ScanContext is Scan bounded by a context: the scan stops within one
 // record of ctx being canceled and returns ctx.Err().
 func (t *Table) ScanContext(ctx context.Context, branch vgraph.BranchID, fn ScanFunc) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	if err := t.engine.ScanBranch(branch, ctxScanFunc(ctx, fn)); err != nil {
-		return err
-	}
-	return ctx.Err()
+	return t.scanAll(ctx, ScanRequest{Kind: ScanKindBranch, Branch: branch},
+		func(rec *record.Record, _ UnitAux) bool { return fn(rec) })
 }
 
 // ScanCommit emits the records of a committed version (checkout read).
@@ -876,14 +894,8 @@ func (t *Table) ScanCommit(c *vgraph.Commit, fn ScanFunc) error {
 
 // ScanCommitContext is ScanCommit bounded by a context.
 func (t *Table) ScanCommitContext(ctx context.Context, c *vgraph.Commit, fn ScanFunc) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	if err := t.engine.ScanCommit(c, ctxScanFunc(ctx, fn)); err != nil {
-		return err
-	}
-	return ctx.Err()
+	return t.scanAll(ctx, ScanRequest{Kind: ScanKindCommit, Commit: c},
+		func(rec *record.Record, _ UnitAux) bool { return fn(rec) })
 }
 
 // ScanMulti emits records live in any of the branches with membership
@@ -894,14 +906,8 @@ func (t *Table) ScanMulti(branches []vgraph.BranchID, fn MultiScanFunc) error {
 
 // ScanMultiContext is ScanMulti bounded by a context.
 func (t *Table) ScanMultiContext(ctx context.Context, branches []vgraph.BranchID, fn MultiScanFunc) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	if err := t.engine.ScanMulti(branches, ctxWrap2(ctx, fn)); err != nil {
-		return err
-	}
-	return ctx.Err()
+	return t.scanAll(ctx, ScanRequest{Kind: ScanKindMulti, Branches: branches},
+		func(rec *record.Record, aux UnitAux) bool { return fn(rec, aux.Member) })
 }
 
 // ScanDiff streams the symmetric difference of two branch heads
@@ -912,35 +918,6 @@ func (t *Table) ScanDiff(a, b vgraph.BranchID, fn DiffFunc) error {
 
 // ScanDiffContext is ScanDiff bounded by a context.
 func (t *Table) ScanDiffContext(ctx context.Context, a, b vgraph.BranchID, fn DiffFunc) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	if err := t.engine.Diff(a, b, ctxWrap2(ctx, fn)); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// ctxScanFunc wraps a ScanFunc so the engine stops scanning as soon as
-// ctx is canceled; contexts that can never be canceled pass fn through
-// untouched.
-func ctxScanFunc(ctx context.Context, fn ScanFunc) ScanFunc {
-	if ctx.Done() == nil {
-		return fn
-	}
-	return func(rec *record.Record) bool {
-		return ctx.Err() == nil && fn(rec)
-	}
-}
-
-// ctxWrap2 is ctxScanFunc for the two-argument callback shapes
-// (MultiScanFunc, DiffFunc).
-func ctxWrap2[A, B any](ctx context.Context, fn func(A, B) bool) func(A, B) bool {
-	if ctx.Done() == nil {
-		return fn
-	}
-	return func(a A, b B) bool {
-		return ctx.Err() == nil && fn(a, b)
-	}
+	return t.scanAll(ctx, ScanRequest{Kind: ScanKindDiff, A: a, B: b},
+		func(rec *record.Record, aux UnitAux) bool { return fn(rec, aux.InA) })
 }

@@ -2,8 +2,8 @@
 // facade (Section 2.2), the storage Engine contract that the
 // tuple-first, version-first, and hybrid schemes implement (Section 3),
 // and the versioned operations — branch, commit, checkout, diff, merge,
-// and the single- and multi-branch scans the benchmark queries build
-// on.
+// and the one scan driver every single- and multi-branch read runs
+// through.
 package core
 
 import (
@@ -11,6 +11,7 @@ import (
 	"decibel/internal/compact"
 	"decibel/internal/heap"
 	"decibel/internal/record"
+	"decibel/internal/store"
 	"decibel/internal/vgraph"
 )
 
@@ -115,19 +116,6 @@ func (env *Env) BranchEpoch(b vgraph.BranchID) int {
 	return c.SchemaVer
 }
 
-// MaxBranchEpoch returns the newest head schema epoch among the given
-// branches: multi-branch scans and diffs emit under it, filling
-// defaults for rows from branches still on older versions.
-func (env *Env) MaxBranchEpoch(bs []vgraph.BranchID) int {
-	max := 0
-	for _, b := range bs {
-		if e := env.BranchEpoch(b); e > max {
-			max = e
-		}
-	}
-	return max
-}
-
 // Options tunes storage behaviour. The zero value gives sensible
 // defaults (4 MB pages, branch-oriented bitmaps).
 type Options struct {
@@ -136,13 +124,12 @@ type Options struct {
 	CommitFanout  int  // commit-log composite layer fanout (0 = default)
 	TupleOriented bool // tuple-first: use the tuple-oriented bitmap matrix
 	Fsync         bool // fsync on commit (off for benchmarks, like the paper's load phase)
-	ScanWorkers   int  // parallel scan pool size (0 = DECIBEL_SCAN_WORKERS env or GOMAXPROCS; 1 disables)
+	ScanWorkers   int  // parallel scan pool size (0 = GOMAXPROCS; 1 disables)
 
 	// VFLineageCache bounds the version-first lineage/live-set cache by
-	// resident key count: >0 sets the budget, 0 takes the
-	// DECIBEL_VF_CACHE environment variable (else the engine default),
-	// and <0 disables the cache (every resolution takes the full
-	// lineage walk). Only the version-first engine consults it.
+	// resident key count: >0 sets the budget, 0 takes the engine
+	// default, and <0 disables the cache (every resolution takes the
+	// full lineage walk). Only the version-first engine consults it.
 	VFLineageCache int
 
 	// Compaction configures the background compaction subsystem; the
@@ -161,9 +148,11 @@ type Factory func(env *Env) (Engine, error)
 // sequence numbers and LCAs.
 //
 // Write operations address branch heads ("it is expected that most
-// operations will occur on the heads of the branches"); reads address
-// either branch heads (ScanBranch, ScanMulti, Diff) or any committed
-// version (ScanCommit).
+// operations will occur on the heads of the branches"). Reads go
+// through exactly two methods: PartitionScan, which maps the requested
+// versions to stored record copies — the one thing the three schemes
+// differ in — and LookupPK, which resolves one key without a walk.
+// Every loop above them lives in this package (scan.go).
 type Engine interface {
 	// Kind returns the scheme name: "tuple-first", "version-first" or
 	// "hybrid".
@@ -186,25 +175,33 @@ type Engine interface {
 	// on each update).
 	Insert(branch vgraph.BranchID, rec *record.Record) error
 
+	// InsertBatch is Insert for a batch under one acquisition of the
+	// engine's lock. On error a prefix of the batch may have been
+	// applied.
+	InsertBatch(branch vgraph.BranchID, recs []*record.Record) error
+
 	// Delete removes the record with the given primary key from the
 	// branch head. Deleting an absent key is a no-op returning nil.
 	Delete(branch vgraph.BranchID, pk int64) error
 
-	// ScanBranch emits every record live in the branch head (Query 1).
-	ScanBranch(branch vgraph.BranchID, fn ScanFunc) error
+	// PartitionScan splits a scan into units in scan order — one per
+	// segment holding records of the request — snapshotting under the
+	// engine lock whatever decides liveness (bitmaps, checkouts,
+	// resolved lineages), so each unit then runs without further
+	// coordination. The returned release func must be called exactly
+	// once after the last unit finishes: it unpins the segments the
+	// partition references, which is what lets a concurrent compaction
+	// retire replaced segment files only after every in-flight reader
+	// drains. release is non-nil whenever err is nil.
+	PartitionScan(req ScanRequest) ([]ScanUnit, func(), error)
 
-	// ScanCommit emits every record live in the given committed
-	// version; this is how a checked-out historical version is read.
-	ScanCommit(c *vgraph.Commit, fn ScanFunc) error
-
-	// ScanMulti emits every record live in at least one of the branch
-	// heads, annotated with its membership (Query 4).
-	ScanMulti(branches []vgraph.BranchID, fn MultiScanFunc) error
-
-	// Diff streams the symmetric difference of two branch heads
-	// (Query 2): records live in a but not b (inA=true) and records
-	// live in b but not a (inA=false).
-	Diff(a, b vgraph.BranchID, fn DiffFunc) error
+	// LookupPK resolves one primary key against a branch head without
+	// a segment walk. It returns a private copy of the stored buffer of
+	// the key's live record and the physical column count it is laid
+	// out under; a nil buf means the key is not live in the branch.
+	// ok=false means the engine cannot answer from an index (the branch
+	// has none, say) and the caller must scan.
+	LookupPK(branch vgraph.BranchID, pk int64) (buf []byte, physCols int, ok bool, err error)
 
 	// Merge merges the head of branch other into branch into. mc is the
 	// already-created merge commit (its Parents are the two heads, its
@@ -215,6 +212,18 @@ type Engine interface {
 
 	// Stats reports the storage footprint.
 	Stats() (Stats, error)
+
+	// SegmentStats reports each segment's row count, schema-version id
+	// and zone map, for diagnostics.
+	SegmentStats() []store.SegmentStat
+
+	// CompactSegments runs one compaction pass: merge runs of small
+	// frozen segments and drop rows no read can reach where the layout
+	// allows it (hybrid only — tuple-first and version-first pin
+	// physical slot numbering), and re-encode frozen segments into
+	// compressed pages, all under the crash-safe swap of
+	// store.SwapCompressed.
+	CompactSegments(opt compact.Options) (compact.Stats, error)
 
 	// Flush writes buffered state to disk without closing.
 	Flush() error

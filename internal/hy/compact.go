@@ -4,16 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 
 	"decibel/internal/bitmap"
 	"decibel/internal/compact"
-	"decibel/internal/core"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
 )
-
-var _ core.Compactor = (*Engine)(nil)
 
 // segFilePath returns the data file of a segment under the given
 // encoding: seg<id>.dat for heap files (the legacy name, so existing
@@ -25,7 +22,7 @@ func (e *Engine) segFilePath(id segID, enc string) string {
 	return e.segPath(id)
 }
 
-// CompactSegments implements core.Compactor for the hybrid scheme, the
+// CompactSegments implements core.Engine for the hybrid scheme, the
 // only engine whose layout permits physical merging: liveness lives in
 // per-(segment, branch) bitmaps and per-(branch, segment) commit logs,
 // both of which can be remapped to new slots, so runs of small frozen
@@ -105,12 +102,10 @@ func (e *Engine) findRunLocked(opt compact.Options) []*hseg {
 // union of the members' seq-s snapshots with slots remapped — which
 // preserves every historical checkout bit-for-bit.
 //
-// Crash safety: the merged data file and the rewritten logs are
-// written and fsynced first (FailAfterTemp aborts here, leaving them
-// as orphans the next open sweeps), the catalog rename commits the
-// swap, and only then are the replaced files unlinked (FailBeforeUnlink
-// returns first, leaving old-file orphans) — data files deferred until
-// their pinned readers drain.
+// Crash safety is store.Swap's protocol: the merged data file and the
+// rewritten logs are written and fsynced first, the catalog rename
+// commits the swap, and only then are the replaced files unlinked —
+// data files deferred until their pinned readers drain.
 func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.Stats) error {
 	inRun := make(map[segID]bool, len(run))
 	for _, s := range run {
@@ -183,10 +178,8 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 		os.Remove(newPath)
 		return err
 	}
-	abortSeg := func() {
-		ns.File.Close()
-		os.Remove(newPath)
-	}
+	sw := store.NewSwap(opt)
+	sw.Add(ns.File.Close, newPath)
 
 	// Rewrite each branch's member logs into one log against the merged
 	// segment. Member logs for one branch all end at the branch's last
@@ -219,21 +212,15 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 		ranges[k.Branch] = r
 	}
 	newLogs := make(map[vgraph.BranchID]*bitmap.CommitLog, len(ranges))
-	abortLogs := func() {
-		for b, l := range newLogs {
-			l.Close()
-			os.Remove(e.logPath(logKey{Branch: b, Seg: newID}))
-		}
-	}
 	for b, r := range ranges {
 		path := e.logPath(logKey{Branch: b, Seg: newID})
 		os.Remove(path) // debris from an earlier crashed merge
 		nl, err := bitmap.OpenCommitLog(path, e.env.Opt.CommitFanout)
 		if err != nil {
-			abortLogs()
-			abortSeg()
+			sw.Abort()
 			return err
 		}
+		sw.Add(nl.Close, path)
 		newLogs[b] = nl
 		for seq := r.start; seq < r.end; seq++ {
 			union := bitmap.New(0)
@@ -245,8 +232,7 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 				}
 				l, err := e.openLog(k)
 				if err != nil {
-					abortLogs()
-					abortSeg()
+					sw.Abort()
 					return err
 				}
 				if seq-start >= l.NumCommits() {
@@ -254,8 +240,7 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 				}
 				bm, err := l.Checkout(seq - start)
 				if err != nil {
-					abortLogs()
-					abortSeg()
+					sw.Abort()
 					return err
 				}
 				var ferr error
@@ -269,33 +254,20 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 					return true
 				})
 				if ferr != nil {
-					abortLogs()
-					abortSeg()
+					sw.Abort()
 					return ferr
 				}
 			}
 			if _, err := nl.Append(union); err != nil {
-				abortLogs()
-				abortSeg()
+				sw.Abort()
 				return err
 			}
 		}
 		if err := nl.Sync(); err != nil {
-			abortLogs()
-			abortSeg()
+			sw.Abort()
 			return err
 		}
 	}
-	if opt.FailPoint == compact.FailAfterTemp {
-		// Simulate a crash after the new files hit disk but before the
-		// catalog swap: merged file and rewritten logs stay as orphans.
-		for _, l := range newLogs {
-			l.Close()
-		}
-		ns.File.Close()
-		return compact.FailPointErr(opt.FailPoint)
-	}
-
 	// Build the merged in-memory segment: local bitmaps remapped, one
 	// entry for every branch any member tracked (even if now empty) so
 	// the commit path keeps appending to the rewritten log.
@@ -319,50 +291,54 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 	// Swap copy-on-write — in-flight scans hold the old slice — with the
 	// merged segment at the run's first position, then persist: the
 	// catalog rename is the commit point. On persist failure everything
-	// reverts and the new files are removed.
-	prevSegs := e.segs
-	segs := make([]*hseg, 0, len(e.segs)-len(run)+1)
-	for _, s := range e.segs {
-		if inRun[s.id] {
-			if s == run[0] {
-				segs = append(segs, nhs)
-			}
-			continue
-		}
-		segs = append(segs, s)
-	}
-	e.segs = segs
-	e.byID[newID] = nhs
-	for _, s := range run {
-		delete(e.byID, s.id)
-	}
-	prevNext := e.nextID
-	e.nextID = newID + 1
+	// reverts.
 	removedSeq := make(map[logKey]int)
-	for k, start := range e.startSeq {
-		if inRun[k.Seg] {
-			removedSeq[k] = start
-			delete(e.startSeq, k)
+	err = sw.Commit(func() error {
+		prevSegs := e.segs
+		segs := make([]*hseg, 0, len(e.segs)-len(run)+1)
+		for _, s := range e.segs {
+			if inRun[s.id] {
+				if s == run[0] {
+					segs = append(segs, nhs)
+				}
+				continue
+			}
+			segs = append(segs, s)
 		}
-	}
-	for b, r := range ranges {
-		e.startSeq[logKey{Branch: b, Seg: newID}] = r.start
-	}
-	if err := e.persistLocked(); err != nil {
-		e.segs = prevSegs
-		delete(e.byID, newID)
+		e.segs = segs
+		e.byID[newID] = nhs
 		for _, s := range run {
-			e.byID[s.id] = s
+			delete(e.byID, s.id)
 		}
-		e.nextID = prevNext
-		for b := range ranges {
-			delete(e.startSeq, logKey{Branch: b, Seg: newID})
+		prevNext := e.nextID
+		e.nextID = newID + 1
+		for k, start := range e.startSeq {
+			if inRun[k.Seg] {
+				removedSeq[k] = start
+				delete(e.startSeq, k)
+			}
 		}
-		for k, start := range removedSeq {
-			e.startSeq[k] = start
+		for b, r := range ranges {
+			e.startSeq[logKey{Branch: b, Seg: newID}] = r.start
 		}
-		abortLogs()
-		abortSeg()
+		err := e.persistLocked()
+		if err != nil {
+			e.segs = prevSegs
+			delete(e.byID, newID)
+			for _, s := range run {
+				e.byID[s.id] = s
+			}
+			e.nextID = prevNext
+			for b := range ranges {
+				delete(e.startSeq, logKey{Branch: b, Seg: newID})
+			}
+			for k, start := range removedSeq {
+				e.startSeq[k] = start
+			}
+		}
+		return err
+	})
+	if err != nil {
 		return err
 	}
 
@@ -406,18 +382,14 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 	st.TombstonesDropped += dropped
 	st.PagesCompressed += int64(w.Pages())
 	st.BytesReclaimed += oldBytes - ns.File.DiskBytes()
-	if opt.FailPoint == compact.FailBeforeUnlink {
-		// Simulate a crash after the catalog swap but before the old
-		// files are unlinked; the next open sweeps them.
-		return compact.FailPointErr(opt.FailPoint)
-	}
-	for _, s := range run {
-		s.Segment.RetireAndRemove(e.segFilePath(s.id, s.Encoding))
-	}
-	for _, k := range oldLogs {
-		os.Remove(e.logPath(k))
-	}
-	return nil
+	return sw.Retire(func() {
+		for _, s := range run {
+			s.Segment.RetireAndRemove(e.segFilePath(s.id, s.Encoding))
+		}
+		for _, k := range oldLogs {
+			os.Remove(e.logPath(k))
+		}
+	})
 }
 
 // compressLocked re-encodes every remaining frozen heap segment (heads
@@ -429,103 +401,51 @@ func (e *Engine) compressLocked(opt compact.Options, st *compact.Stats) error {
 	for _, id := range e.headSeg {
 		heads[id] = true
 	}
-	type repl struct {
-		old     *hseg
-		ns      *store.Segment
-		pages   int
-		oldDisk int64
-	}
-	var repls []repl
-	abort := func() {
-		for _, r := range repls {
-			r.ns.File.Close()
-			os.Remove(r.ns.File.Path())
-		}
-	}
+	var cands []store.Candidate
+	var olds []*hseg
 	for _, s := range e.segs {
 		n := s.File.Count()
 		if !s.Frozen || heads[s.id] || s.Encoding == store.EncDCZ || n == 0 {
 			continue
 		}
-		ns, pages, err := e.st.CompressSegment(s.Segment, e.segFilePath(s.id, store.EncDCZ), n)
+		cands = append(cands, store.Candidate{
+			Seg: s.Segment, Path: e.segFilePath(s.id, s.Encoding),
+			NewPath: e.segFilePath(s.id, store.EncDCZ), Count: n,
+		})
+		olds = append(olds, s)
+	}
+	return e.st.SwapCompressed(cands, opt, st, func(news []*store.Segment) error {
+		prev := e.segs
+		segs := append([]*hseg(nil), prev...)
+		for k, old := range olds {
+			nh := &hseg{Segment: news[k], id: old.id, owner: old.owner, local: old.local}
+			segs[slices.Index(segs, old)] = nh
+			e.byID[old.id] = nh
+		}
+		e.segs = segs
+		err := e.persistLocked()
 		if err != nil {
-			abort()
-			return err
-		}
-		repls = append(repls, repl{old: s, ns: ns, pages: pages, oldDisk: s.File.DiskBytes()})
-	}
-	if len(repls) == 0 {
-		return nil
-	}
-	if opt.FailPoint == compact.FailAfterTemp {
-		for _, r := range repls {
-			r.ns.File.Close()
-		}
-		return compact.FailPointErr(opt.FailPoint)
-	}
-	prev := e.segs
-	segs := append([]*hseg(nil), e.segs...)
-	for _, r := range repls {
-		nh := &hseg{Segment: r.ns, id: r.old.id, owner: r.old.owner, local: r.old.local}
-		for i, s := range segs {
-			if s == r.old {
-				segs[i] = nh
-				break
+			e.segs = prev
+			for _, old := range olds {
+				e.byID[old.id] = old
 			}
 		}
-		e.byID[r.old.id] = nh
-	}
-	e.segs = segs
-	if err := e.persistLocked(); err != nil {
-		e.segs = prev
-		for _, r := range repls {
-			e.byID[r.old.id] = r.old
-		}
-		abort()
 		return err
-	}
-	for _, r := range repls {
-		st.SegmentsCompressed++
-		st.PagesCompressed += int64(r.pages)
-		st.BytesReclaimed += r.oldDisk - r.ns.File.DiskBytes()
-	}
-	if opt.FailPoint == compact.FailBeforeUnlink {
-		return compact.FailPointErr(opt.FailPoint)
-	}
-	for _, r := range repls {
-		r.old.Segment.RetireAndRemove(e.segFilePath(r.old.id, r.old.Encoding))
-	}
-	return nil
+	})
 }
 
-// sweepOrphans removes files the catalog does not reference — the
-// debris of a compaction (or crash) that wrote replacement files
-// without committing, or committed without unlinking: segment data
-// files not named by any catalog entry, commit logs of segment ids the
-// catalog no longer knows, and stale catalog temp files. Called at the
-// end of recover, when the referenced set is known.
+// sweepOrphans removes files the catalog does not reference (see
+// store.SweepOrphans) and, beyond the data files, the commit logs of
+// segment ids the catalog no longer knows. Called at the end of
+// recover, when the referenced set is known.
 func (e *Engine) sweepOrphans() {
-	keep := make(map[string]bool, len(e.segs))
-	for _, s := range e.segs {
-		keep[filepath.Base(s.File.Path())] = true
+	live := make([]*store.Segment, len(e.segs))
+	for i, s := range e.segs {
+		live[i] = s.Segment
 	}
-	ents, err := os.ReadDir(e.env.Dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || keep[name] {
-			continue
-		}
-		dataFile := strings.HasPrefix(name, "seg") &&
-			(strings.HasSuffix(name, ".dat") || strings.HasSuffix(name, ".dcz"))
-		if dataFile || strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(e.env.Dir, name))
-		}
-	}
+	store.SweepOrphans(e.env.Dir, live, "seg", ".dat")
 	logDir := filepath.Join(e.env.Dir, "commits")
-	ents, err = os.ReadDir(logDir)
+	ents, err := os.ReadDir(logDir)
 	if err != nil {
 		return
 	}

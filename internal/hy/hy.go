@@ -472,8 +472,8 @@ func (e *Engine) Insert(branch vgraph.BranchID, rec *record.Record) error {
 	return e.insertLocked(branch, rec)
 }
 
-// InsertBatch implements core.BatchInserter: one lock acquisition for
-// the whole batch.
+// InsertBatch implements core.Engine: one lock acquisition for the
+// whole batch.
 func (e *Engine) InsertBatch(branch vgraph.BranchID, recs []*record.Record) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -562,36 +562,8 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	return nil
 }
 
-// ScanBranch implements core.Engine (Query 1). Unlike tuple-first,
-// only segments with records live in the branch are read (the global
-// branch-segment relation).
-func (e *Engine) ScanBranch(branch vgraph.BranchID, fn core.ScanFunc) error {
-	return e.ScanBranchPushdown(branch, e.passSpec(e.env.BranchEpoch(branch)), fn)
-}
-
-// ScanCommit implements core.Engine.
-func (e *Engine) ScanCommit(c *vgraph.Commit, fn core.ScanFunc) error {
-	return e.ScanCommitPushdown(c, e.passSpec(c.SchemaVer), fn)
-}
-
-// ScanMulti implements core.Engine (Query 4): the global
-// branch-segment relation selects the segments containing records live
-// in any scanned branch; each is scanned once with membership computed
-// from its small local bitmaps.
-func (e *Engine) ScanMulti(branches []vgraph.BranchID, fn core.MultiScanFunc) error {
-	return e.ScanMultiPushdown(branches, e.passSpec(e.env.MaxBranchEpoch(branches)), fn)
-}
-
-// Diff implements core.Engine (Query 2): per-segment bitmap XORs over
-// only the segments live in either branch. It shares the pushdown diff
-// loop through a match-all spec emitting under the newer of the two
-// heads' schemas.
-func (e *Engine) Diff(a, b vgraph.BranchID, fn core.DiffFunc) error {
-	return e.ScanDiffPushdown(a, b, e.passSpec(e.env.MaxBranchEpoch([]vgraph.BranchID{a, b})), fn)
-}
-
-// SegmentStats implements core.SegmentStatser: one summary per
-// segment, zone maps included.
+// SegmentStats implements core.Engine: one summary per segment, zone
+// maps included.
 func (e *Engine) SegmentStats() []store.SegmentStat {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -221,7 +221,13 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 	}
 	// The record is now visible in master without copying it.
 	n := 0
-	e.ScanBranch(master.ID, func(r *record.Record) bool { n++; return true })
+	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindBranch, Branch: master.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := core.NewScanSpecAt(e.hist, 0, nil, nil)
+	core.RunUnitsSequential(units, spec, func(*record.Record, core.UnitAux) bool { n++; return true })
+	release()
 	if n != 1 {
 		t.Fatalf("master sees %d records", n)
 	}

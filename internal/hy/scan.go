@@ -1,0 +1,154 @@
+package hy
+
+import (
+	"decibel/internal/bitmap"
+	"decibel/internal/core"
+	"decibel/internal/store"
+	"decibel/internal/vgraph"
+)
+
+// The read SPI (core.Engine.PartitionScan and LookupPK). Hybrid keeps
+// per-(segment, branch) bitmaps, so every scan shape partitions into
+// one unit per segment whose walk is the segment's live-page scan under
+// a bitmap snapshotted at partition time: the branch's local bitmap, a
+// checkout, the XOR of two branches', or — for a multi-branch scan —
+// the OR of the requested branches' local bitmaps, so each qualifying
+// segment is read once for all of them. Segments with no live record in
+// any requested branch never become units (the global branch-segment
+// relation of Section 3.4); the scan driver in core prunes the rest by
+// zone map and evaluates the spec on the raw page buffer.
+
+// LookupPK implements core.Engine: the per-branch pk index maps the key
+// to its live (segment, slot) position.
+func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64) ([]byte, int, bool, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	idx, ok := e.pk[branch]
+	if !ok {
+		return nil, 0, false, nil
+	}
+	p := idx.live(pk)
+	if p == deletedPos {
+		return nil, 0, true, nil
+	}
+	s := e.byID[p.Seg]
+	buf := make([]byte, s.Schema.RecordSize())
+	if err := s.File.Read(p.Slot, buf); err != nil {
+		return nil, 0, false, err
+	}
+	return buf, s.Cols, true, nil
+}
+
+// pinGroup tracks the segments a partition references: each is pinned
+// under the engine lock at partition time, and the release func hands
+// the pins back once the scan's units have all finished, letting a
+// concurrent compaction retire replaced files only after every
+// in-flight reader drains.
+type pinGroup struct {
+	pinned []*store.Segment
+}
+
+func (g *pinGroup) release() {
+	for _, sg := range g.pinned {
+		sg.Unpin()
+	}
+}
+
+// unit pins one segment and builds its scan unit: a live-page walk
+// under bm, which was snapshotted under the engine lock.
+func (g *pinGroup) unit(s *hseg, bm *bitmap.Bitmap, aux func(slot int64) (core.UnitAux, bool)) core.ScanUnit {
+	s.Segment.Pin()
+	g.pinned = append(g.pinned, s.Segment)
+	return core.ScanUnit{
+		Frozen:   s.Frozen,
+		Zone:     s.Zone(),
+		PhysCols: s.Cols,
+		Aux:      aux,
+		Walk: func(_ *core.ScanSpec, visit func(slot int64, buf []byte) bool) error {
+			return s.File.ScanLive(bm, func(slot int64, buf []byte) bool {
+				return !bm.Get(int(slot)) || visit(slot, buf)
+			})
+		},
+	}
+}
+
+// PartitionScan implements core.Engine: one unit per segment holding
+// live records of the request, in segment-table order, with all shared
+// state (bitmaps, checkout snapshots) captured under the engine lock.
+// Every segment a unit references is pinned until release is called.
+func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	g := &pinGroup{}
+	var units []core.ScanUnit
+	switch req.Kind {
+	case core.ScanKindBranch:
+		segs := e.branchSegmentsLocked(req.Branch)
+		units = make([]core.ScanUnit, 0, len(segs))
+		for _, s := range segs {
+			units = append(units, g.unit(s, s.local[req.Branch].Clone(), nil))
+		}
+
+	case core.ScanKindCommit:
+		snap, err := e.checkoutLocked(req.Commit.Branch, req.Commit.Seq)
+		if err != nil {
+			return nil, nil, err
+		}
+		// Segment-table order, like every other shape (ids alone no
+		// longer encode it after a compaction merge).
+		units = make([]core.ScanUnit, 0, len(snap))
+		for _, s := range e.segs {
+			if bm, ok := snap[s.id]; ok {
+				units = append(units, g.unit(s, bm, nil))
+			}
+		}
+
+	case core.ScanKindDiff:
+		for _, s := range e.segs {
+			colA, okA := s.local[req.A]
+			colB, okB := s.local[req.B]
+			if !okA && !okB {
+				continue
+			}
+			if colA == nil {
+				colA = bitmap.New(0)
+			}
+			if colB == nil {
+				colB = bitmap.New(0)
+			}
+			x := bitmap.Xor(colA, colB)
+			if !x.Any() {
+				continue
+			}
+			inA := colA.Clone()
+			units = append(units, g.unit(s, x, func(slot int64) (core.UnitAux, bool) {
+				return core.UnitAux{InA: inA.Get(int(slot))}, true
+			}))
+		}
+
+	case core.ScanKindMulti:
+		for _, s := range e.segs {
+			cols := make([]*bitmap.Bitmap, len(req.Branches))
+			union := bitmap.New(0)
+			for i, b := range req.Branches {
+				if bm, ok := s.local[b]; ok && bm.Any() {
+					cols[i] = bm.Clone()
+					union.Or(cols[i])
+				}
+			}
+			if !union.Any() {
+				continue
+			}
+			// member is per-unit scratch: each parallel worker owns its
+			// unit's bitmap, and consumers clone what they retain.
+			member := bitmap.New(len(req.Branches))
+			units = append(units, g.unit(s, union, func(slot int64) (core.UnitAux, bool) {
+				for i, col := range cols {
+					member.SetTo(i, col != nil && col.Get(int(slot)))
+				}
+				return core.UnitAux{Member: member}, true
+			}))
+		}
+	}
+	return units, g.release, nil
+}

@@ -23,10 +23,8 @@ import (
 	"fmt"
 	"math"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
-	"decibel/internal/vgraph"
 )
 
 // AggSpec names one grouped aggregate: the fold kind and, for every
@@ -177,6 +175,8 @@ func (g *groupFold) observe(pick func(rel int) *record.Record) {
 		g.m[key] = acc
 		g.order = append(g.order, key)
 	}
+	// aggPart.add, spelled out: it is too big to inline, and this loop
+	// runs once per aggregate per row.
 	for i, a := range g.aggs {
 		p := &acc.parts[i]
 		p.n++
@@ -372,38 +372,21 @@ func (c *Compiled) GroupScan(ctx context.Context, aggs []AggSpec, fn func(*Group
 		acols[i].col = out.ColumnIndex(c.schema.Column(acols[i].col).Name)
 	}
 
+	// One fold, two drivers: in order straight into the total, or one
+	// fold per pooled unit merged in unit order — first-arrival emission
+	// order is preserved exactly either way.
 	fold := newGroupFold(keys, acols)
-	var req core.ScanRequest
-	var ids []vgraph.BranchID
-	if c.plan.AllHeads || len(c.branches) > 1 {
-		ids = make([]vgraph.BranchID, len(c.branches))
-		for i, b := range c.branches {
-			ids[i] = b.ID
-		}
-		req = core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids}
-	} else if c.commit != nil {
-		req = core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}
-	} else {
-		req = core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}
-	}
-	if handled, perr := c.tryParallelGroups(ctx, req, spec, fold); handled || perr != nil {
-		if perr != nil {
-			return perr
-		}
-	} else {
-		acc := func(rec *record.Record) bool { fold.add(rec); return true }
-		if ids != nil {
-			err = c.table.ScanMultiPushdownContext(ctx, ids, spec, func(rec *record.Record, _ *bitmap.Bitmap) bool {
-				return acc(rec)
-			})
-		} else if c.commit != nil {
-			err = c.table.ScanCommitPushdownContext(ctx, c.commit, spec, acc)
-		} else {
-			err = c.table.ScanPushdownContext(ctx, c.branches[0].ID, spec, acc)
-		}
-		if err != nil {
-			return err
-		}
+	err = c.run(ctx, c.request(c.shape()), spec,
+		func(rec *record.Record, _ core.UnitAux) bool { fold.add(rec); return true },
+		func(int, int) core.UnitSink {
+			p := fold.fresh()
+			return core.UnitSink{
+				Fn:    func(rec *record.Record, _ core.UnitAux) bool { p.add(rec); return true },
+				Flush: func() bool { fold.mergeFrom(p); return true },
+			}
+		})
+	if err != nil {
+		return err
 	}
 	fold.emit(fn)
 	return nil

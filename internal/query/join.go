@@ -188,24 +188,14 @@ func (jp *joinPlan) estimate() {
 // zone maps the relation's pruning bounds cannot exclude. It reads the
 // same partitioned-scan zone maps the ordered visitor uses, without
 // scanning a page; units without a zone (mutable heads on some
-// engines) contribute nothing, and engines that cannot partition at
-// all answer a pessimistic unknown. Estimates are heuristic — segment
-// rows overcount branch-live rows — which is all greedy ordering
-// needs: the result is identical in any order.
+// engines) contribute nothing, and a failed partition answers a
+// pessimistic unknown. Estimates are heuristic — segment rows overcount
+// branch-live rows — which is all greedy ordering needs: the result is
+// identical in any order.
 func (c *Compiled) estimateRows() int64 {
-	const unknown = int64(1) << 40
-	var req core.ScanRequest
-	if c.commit != nil {
-		req = core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}
-	} else {
-		req = core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}
-	}
-	units, release, ok, err := c.table.PartitionUnits(req)
-	if !ok {
-		return unknown
-	}
+	units, release, _, err := c.table.PartitionUnits(c.request(c.shape()))
 	if err != nil {
-		return unknown
+		return 1 << 40
 	}
 	defer release()
 	spec := c.execSpec()

@@ -38,7 +38,6 @@ import (
 	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
-	"decibel/internal/vgraph"
 )
 
 // orderedSkips counts scan units the ordered visitor skipped — by zone
@@ -58,66 +57,35 @@ func CountOrderedSkips() int64 { return orderedSkips.Load() }
 
 // EmitRows runs the plan's row terminal — the single-version scan, or
 // the multi-branch scan when the plan names several branches — with
-// OrderBy/Limit applied. OrderBy+Limit plans try the order-aware unit
-// visit first; everything else (and engines without partitioned scans)
-// takes the EmitOrdered gather above the plain scan.
+// OrderBy/Limit applied. OrderBy+Limit plans take the order-aware unit
+// visit (except a point-pk head read, which the index fast path serves
+// better); everything else takes the EmitOrdered gather above the plain
+// scan.
 func (c *Compiled) EmitRows(ctx context.Context, fn core.ScanFunc) error {
-	multi := c.plan.AllHeads || len(c.plan.Branches) > 1
-	if req, ok := c.orderedRowsRequest(multi); ok {
-		if handled, err := c.tryOrderedVisit(ctx, req, nil, fn); handled {
-			return err
+	kind := c.shape()
+	if c.orderedVisitApplies() {
+		if _, point := c.pointPK(); !point || kind != core.ScanKindBranch {
+			return c.orderedVisit(ctx, c.request(kind), nil, fn)
 		}
 	}
 	return c.EmitOrdered(func(f core.ScanFunc) error {
-		if multi {
+		if kind == core.ScanKindMulti {
 			return c.ScanMulti(ctx, func(rec *record.Record, _ *bitmap.Bitmap) bool { return f(rec) })
 		}
 		return c.Scan(ctx, f)
 	}, fn)
 }
 
-// orderedRowsRequest builds the partition request of the plan's row
-// shape, reporting ok=false when the plan should not (or cannot) take
-// the ordered visit: no OrderBy+Limit, a baseline flag, a shape the
-// plain path must validate (multi at a commit), or a point-pk read the
-// index fast path serves better.
-func (c *Compiled) orderedRowsRequest(multi bool) (core.ScanRequest, bool) {
-	if !c.orderedVisitApplies() {
-		return core.ScanRequest{}, false
-	}
-	if multi {
-		if c.commit != nil {
-			return core.ScanRequest{}, false // ScanMulti rejects At(); let it
-		}
-		ids := make([]vgraph.BranchID, len(c.branches))
-		for i, b := range c.branches {
-			ids[i] = b.ID
-		}
-		return core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids}, true
-	}
-	if c.commit != nil {
-		return core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}, true
-	}
-	if _, pk := c.pointPK(); pk {
-		return core.ScanRequest{}, false
-	}
-	return core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}, true
-}
-
 // EmitDiffRows runs the plan's positive-diff terminal with
-// OrderBy/Limit applied, trying the order-aware unit visit first (the
-// diff partition's B-side units run but their rows fail the keep
-// filter, exactly as in the pushdown diff loop).
+// OrderBy/Limit applied, as the order-aware unit visit when it applies
+// (the diff partition's B-side units run but their rows fail the keep
+// filter, exactly as in the plain diff).
 func (c *Compiled) EmitDiffRows(ctx context.Context, fn core.ScanFunc) error {
 	if c.orderedVisitApplies() {
 		if err := c.pair(); err != nil {
 			return err
 		}
-		req := core.ScanRequest{Kind: core.ScanKindDiff, A: c.branches[0].ID, B: c.branches[1].ID}
-		keep := func(aux core.UnitAux) bool { return aux.InA }
-		if handled, err := c.tryOrderedVisit(ctx, req, keep, fn); handled {
-			return err
-		}
+		return c.orderedVisit(ctx, c.request(core.ScanKindDiff), keepInA, fn)
 	}
 	return c.EmitOrdered(func(f core.ScanFunc) error { return c.Diff(ctx, f) }, fn)
 }
@@ -283,6 +251,9 @@ type visitRec struct {
 type visitHeap struct {
 	recs []visitRec
 	cmp  func(a, b visitRec) int
+	// unit, seq: the arrival coordinate of the next row delivered (kept
+	// here so the visitor's callback captures one object).
+	unit, seq int
 }
 
 func (h *visitHeap) Len() int           { return len(h.recs) }
@@ -296,16 +267,12 @@ func (h *visitHeap) Pop() any {
 	return r
 }
 
-// tryOrderedVisit drives one OrderBy+Limit row terminal as an
-// order-aware unit walk. handled=false means the engine cannot
-// partition this scan and the caller must take the gather path.
-func (c *Compiled) tryOrderedVisit(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, fn core.ScanFunc) (bool, error) {
-	units, release, ok, err := c.table.PartitionUnits(req)
-	if !ok {
-		return false, nil
-	}
+// orderedVisit drives one OrderBy+Limit row terminal as an order-aware
+// unit walk.
+func (c *Compiled) orderedVisit(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, fn core.ScanFunc) error {
+	units, release, _, err := c.table.PartitionUnits(req)
 	if err != nil {
-		return true, err
+		return err
 	}
 	defer release()
 
@@ -350,51 +317,48 @@ func (c *Compiled) tryOrderedVisit(ctx context.Context, req core.ScanRequest, ke
 	}
 	worse := boundWorse(ctype, desc, c.orderIdx)
 	h := &visitHeap{cmp: vcmp}
-	spec := c.execSpec()
+	// One runner serves every visited unit.
+	runner := core.NewUnitRunner(ctx, c.execSpec(), func(rec *record.Record, aux core.UnitAux) bool {
+		if keep != nil && !keep(aux) {
+			return true
+		}
+		r := visitRec{rec: rec, unit: h.unit, seq: h.seq}
+		h.seq++
+		if h.Len() < limit {
+			r.rec = rec.Clone()
+			heap.Push(h, r)
+		} else if vcmp(r, h.recs[0]) < 0 {
+			r.rec = rec.Clone()
+			h.recs[0] = r
+			heap.Fix(h, 0)
+		}
+		return true
+	})
 	skipped := 0
 	for _, v := range visits {
 		if err := ctx.Err(); err != nil {
-			return true, err
+			return err
 		}
 		if v.empty || (v.bounded && h.Len() == limit && worse(v.bound, h.recs[0].rec)) {
 			skipped++
 			continue
 		}
-		seq := 0
-		err := units[v.idx].Run(spec, func(rec *record.Record, aux core.UnitAux) bool {
-			if ctx.Err() != nil {
-				return false
-			}
-			if keep != nil && !keep(aux) {
-				return true
-			}
-			r := visitRec{rec: rec, unit: v.idx, seq: seq}
-			seq++
-			if h.Len() < limit {
-				r.rec = rec.Clone()
-				heap.Push(h, r)
-			} else if vcmp(r, h.recs[0]) < 0 {
-				r.rec = rec.Clone()
-				h.recs[0] = r
-				heap.Fix(h, 0)
-			}
-			return true
-		})
-		if err != nil {
-			return true, err
+		h.unit, h.seq = v.idx, 0
+		if err := runner.Run(&units[v.idx]); err != nil {
+			return err
 		}
 	}
 	if skipped > 0 {
 		orderedSkips.Add(int64(skipped))
 	}
 	if err := ctx.Err(); err != nil {
-		return true, err
+		return err
 	}
 	sort.Slice(h.recs, func(i, j int) bool { return vcmp(h.recs[i], h.recs[j]) < 0 })
 	for _, r := range h.recs {
 		if !fn(r.rec) {
-			return true, nil
+			return nil
 		}
 	}
-	return true, nil
+	return nil
 }

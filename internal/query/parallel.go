@@ -1,11 +1,9 @@
 package query
 
-// Parallel execution of the plan's scan shapes. Each row-emitting
-// terminal (Scan, ScanMulti, Diff) and Aggregate first offers its scan
-// to the database's parallel executor (core.Table.ParallelScanContext)
-// and falls back to the sequential pushdown path when the executor
-// declines — engine without the capability, pool of one, fewer than
-// two frozen segments, or the plan's NoParallel flag.
+// Pool-mode sinks for the plan's scan shapes. Every terminal runs its
+// scan through Compiled.run; when core's driver fans the frozen units
+// out on the scan pool it asks for one sink per unit, and this file
+// builds them.
 //
 // Row shapes buffer each unit's output (records cloned on the worker)
 // and flush the buffers in unit order, reproducing the sequential
@@ -107,63 +105,75 @@ func (b *unitBuf) flush(emit func(bufRow) bool) bool {
 	return true
 }
 
-// rowSink builds the per-unit sink factory of a row-emitting shape.
-// keep filters on the unit annotation before buffering (the diff
-// terminal's side selection — trims must count only kept rows);
-// saveMember clones the membership bitmap alongside the record.
-func (c *Compiled) rowSink(keep func(core.UnitAux) bool, saveMember bool, emit func(bufRow) bool) func(unit, total int) core.UnitSink {
-	limit := c.plan.Limit
-	var cmp func(a, b *record.Record) int
-	if c.Ordered() {
-		cmp = c.orderCmp()
+// runRows runs a row-emitting shape (branch, commit, multi or diff).
+// keep filters on the unit annotation before a row counts — the diff
+// terminal's side selection; unit trims must count only kept rows.
+// In pool mode each unit buffers clones of its kept rows and replays
+// them through emit at flush — with their membership (the multi shape)
+// but not their diff side, which keep has already consumed.
+func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, emit core.UnitFunc) error {
+	fn := emit
+	if keep != nil {
+		fn = func(rec *record.Record, aux core.UnitAux) bool { return !keep(aux) || emit(rec, aux) }
 	}
-	return func(int, int) core.UnitSink {
-		b := &unitBuf{limit: limit, cmp: cmp}
+	return c.run(ctx, req, c.execSpec(), fn, func(int, int) core.UnitSink {
+		b := &unitBuf{limit: c.plan.Limit}
+		if c.Ordered() {
+			b.cmp = c.orderCmp()
+		}
 		return core.UnitSink{
 			Fn: func(rec *record.Record, aux core.UnitAux) bool {
 				if keep != nil && !keep(aux) {
 					return true
 				}
 				row := bufRow{rec: rec.Clone()}
-				if saveMember && aux.Member != nil {
+				if aux.Member != nil {
 					row.member = aux.Member.Clone()
 				}
 				return b.add(row)
 			},
-			Flush: func() bool { return b.flush(emit) },
+			// The ctx guard keeps the flush phase (the only part that
+			// outlives the workers) stopping within one record of
+			// cancellation; the driver then surfaces ctx.Err().
+			Flush: func() bool {
+				return b.flush(func(row bufRow) bool {
+					return ctx.Err() == nil && emit(row.rec, core.UnitAux{Member: row.member})
+				})
+			},
 		}
-	}
+	})
 }
 
-// tryParallelRows offers a plain row scan (branch, commit or diff —
-// keep selects the diff side) to the parallel executor.
-func (c *Compiled) tryParallelRows(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, fn core.ScanFunc) (bool, error) {
-	if c.plan.NoParallel {
-		return false, nil
-	}
-	// The ctx guard keeps the flush phase (the only part that outlives
-	// the workers) stopping within one record of cancellation, like the
-	// sequential wrappers; ParallelScanContext then surfaces ctx.Err().
-	return c.table.ParallelScanContext(ctx, req, c.execSpec(),
-		c.rowSink(keep, false, func(row bufRow) bool { return ctx.Err() == nil && fn(row.rec) }))
-}
-
-// tryParallelMulti offers the annotated multi-branch scan to the
-// parallel executor.
-func (c *Compiled) tryParallelMulti(ctx context.Context, req core.ScanRequest, fn core.MultiScanFunc) (bool, error) {
-	if c.plan.NoParallel {
-		return false, nil
-	}
-	return c.table.ParallelScanContext(ctx, req, c.execSpec(),
-		c.rowSink(nil, true, func(row bufRow) bool { return ctx.Err() == nil && fn(row.rec, row.member) }))
-}
-
-// aggPart is one unit's partial aggregate.
+// aggPart is one partial aggregate: a whole sequential scan's, or one
+// pooled unit's.
 type aggPart struct {
 	n          int
 	isum       int64
 	fsum       float64
 	fmin, fmax float64
+}
+
+// add folds one record's value of column a into the partial.
+func (p *aggPart) add(a groupAggCol, rec *record.Record) {
+	p.n++
+	if a.kind == AggCount {
+		return
+	}
+	var v float64
+	if a.isFloat {
+		v = rec.GetFloat64(a.col)
+		p.fsum += v
+	} else {
+		i := rec.Get(a.col)
+		p.isum += i
+		v = float64(i)
+	}
+	if p.n == 1 || v < p.fmin {
+		p.fmin = v
+	}
+	if p.n == 1 || v > p.fmax {
+		p.fmax = v
+	}
 }
 
 // merge folds a later unit's partial into the running total.
@@ -184,64 +194,4 @@ func (t *aggPart) merge(p *aggPart) {
 	if p.fmax > t.fmax {
 		t.fmax = p.fmax
 	}
-}
-
-// tryParallelGroups offers a grouped aggregation to the parallel
-// executor: one groupFold per unit, merged into total in unit order —
-// first-arrival emission order is preserved exactly (see group.go).
-func (c *Compiled) tryParallelGroups(ctx context.Context, req core.ScanRequest, spec *core.ScanSpec, total *groupFold) (bool, error) {
-	if c.plan.NoParallel {
-		return false, nil
-	}
-	sink := func(int, int) core.UnitSink {
-		p := total.fresh()
-		return core.UnitSink{
-			Fn:    func(rec *record.Record, _ core.UnitAux) bool { p.add(rec); return true },
-			Flush: func() bool { total.mergeFrom(p); return true },
-		}
-	}
-	return c.table.ParallelScanContext(ctx, req, spec, sink)
-}
-
-// tryParallelAggregate offers an aggregate scan to the parallel
-// executor: per-unit partials, no record cloning, merged in unit
-// order on the caller's goroutine.
-func (c *Compiled) tryParallelAggregate(ctx context.Context, req core.ScanRequest, spec *core.ScanSpec, kind AggKind, ci int, isFloat bool) (*aggPart, bool, error) {
-	if c.plan.NoParallel {
-		return nil, false, nil
-	}
-	total := &aggPart{}
-	sink := func(int, int) core.UnitSink {
-		p := &aggPart{}
-		return core.UnitSink{
-			Fn: func(rec *record.Record, _ core.UnitAux) bool {
-				p.n++
-				if kind == AggCount {
-					return true
-				}
-				var v float64
-				if isFloat {
-					v = rec.GetFloat64(ci)
-					p.fsum += v
-				} else {
-					i := rec.Get(ci)
-					p.isum += i
-					v = float64(i)
-				}
-				if p.n == 1 || v < p.fmin {
-					p.fmin = v
-				}
-				if p.n == 1 || v > p.fmax {
-					p.fmax = v
-				}
-				return true
-			},
-			Flush: func() bool { total.merge(p); return true },
-		}
-	}
-	handled, err := c.table.ParallelScanContext(ctx, req, spec, sink)
-	if !handled || err != nil {
-		return nil, handled, err
-	}
-	return total, true, nil
 }

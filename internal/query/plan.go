@@ -5,15 +5,13 @@ package query
 // purely declarative — table, branches, version, predicate, projection
 // — and compiling it against a Database resolves every name through
 // the catalog and version graph, compiles the typed predicate to its
-// raw form, and packages both into the core.ScanSpec the storage
-// engines execute through the PushdownScanner capability (with a
-// generic post-filter fallback for engines that lack it).
+// raw form, and packages both into the core.ScanSpec that core's scan
+// driver evaluates on every record the engine's scan units walk.
 
 import (
 	"context"
 	"fmt"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/vgraph"
@@ -274,12 +272,57 @@ func (c *Compiled) pair() error {
 	return nil
 }
 
+// shape returns the scan kind the plan's addressing implies: several
+// branches (or Heads) read as one multi-branch scan, a pinned commit as
+// a historical scan, otherwise the branch head.
+func (c *Compiled) shape() core.ScanKind {
+	switch {
+	case c.plan.AllHeads || len(c.branches) > 1:
+		return core.ScanKindMulti
+	case c.commit != nil:
+		return core.ScanKindCommit
+	}
+	return core.ScanKindBranch
+}
+
+// request builds the engine partition request of the given kind from
+// the plan's resolved addressing — the one place a plan becomes a
+// core.ScanRequest.
+func (c *Compiled) request(kind core.ScanKind) core.ScanRequest {
+	req := core.ScanRequest{Kind: kind}
+	switch kind {
+	case core.ScanKindBranch:
+		req.Branch = c.branches[0].ID
+	case core.ScanKindCommit:
+		req.Commit = c.commit
+	case core.ScanKindMulti:
+		req.Branches = make([]vgraph.BranchID, len(c.branches))
+		for i, b := range c.branches {
+			req.Branches[i] = b.ID
+		}
+	case core.ScanKindDiff:
+		req.A, req.B = c.branches[0].ID, c.branches[1].ID
+	}
+	return req
+}
+
+// run executes one scan through core's driver: fn receives the records
+// when the units run in order on this goroutine, the sinks when the
+// driver fans frozen units out on the scan pool (never, under the
+// plan's NoParallel).
+func (c *Compiled) run(ctx context.Context, req core.ScanRequest, spec *core.ScanSpec, fn core.UnitFunc, sink func(unit, total int) core.UnitSink) error {
+	if c.plan.NoParallel {
+		sink = nil
+	}
+	return c.table.ScanUnitsContext(ctx, req, spec, fn, sink)
+}
+
 // Scan executes a single-version scan (Query 1): the branch head, or
 // the checked-out commit when the plan has AtSeq/AtCommit. A head scan
 // whose predicate pins the primary key to one value is served from the
 // engine's pk index (a point lookup) instead of a segment scan when
-// the engine has the capability; the full predicate and projection
-// still run on the looked-up record, so the result is identical.
+// the engine can; the full predicate and projection still run on the
+// looked-up record, so the result is identical.
 func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.rowShape("Rows"); err != nil {
 		return err
@@ -287,32 +330,21 @@ func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.single(); err != nil {
 		return err
 	}
-	if c.commit != nil {
-		req := core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}
-		if handled, err := c.tryParallelRows(ctx, req, nil, fn); handled {
-			return err
-		}
-		return c.table.ScanCommitPushdownContext(ctx, c.commit, c.execSpec(), fn)
-	}
-	if pk, ok := c.pointPK(); ok {
-		served, err := c.table.LookupPKPushdownContext(ctx, c.branches[0].ID, pk, c.execSpec(), fn)
+	if pk, ok := c.pointPK(); ok && c.commit == nil {
+		served, err := c.table.LookupPKContext(ctx, c.branches[0].ID, pk, c.execSpec(), fn)
 		if served || err != nil {
 			return err
 		}
 	}
-	req := core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}
-	if handled, err := c.tryParallelRows(ctx, req, nil, fn); handled {
-		return err
-	}
-	return c.table.ScanPushdownContext(ctx, c.branches[0].ID, c.execSpec(), fn)
+	return c.runRows(ctx, c.request(c.shape()), nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
 // pointPK reports whether the extracted bounds pin the primary key
 // (column 0, always Int64) to exactly one value — the planner's signal
 // that the scan is a point lookup. Bounds are conservative, so a point
-// bound never excludes a matching record; the engines re-run the full
-// predicate on the record the index yields. NoPrune plans extract no
-// bounds and keep the scan path (the benchmark baseline).
+// bound never excludes a matching record; the full predicate re-runs on
+// the record the index yields. NoPrune plans extract no bounds and keep
+// the scan path (the benchmark baseline).
 func (c *Compiled) pointPK() (int64, bool) {
 	for i := range c.bounds {
 		b := &c.bounds[i]
@@ -333,65 +365,13 @@ func (c *Compiled) ScanMulti(ctx context.Context, fn core.MultiScanFunc) error {
 	if c.commit != nil {
 		return fmt.Errorf("%w: At() cannot combine with a multi-branch scan", core.ErrBadQuery)
 	}
-	ids := make([]vgraph.BranchID, len(c.branches))
-	for i, b := range c.branches {
-		ids[i] = b.ID
-	}
-	if handled, err := c.tryParallelMulti(ctx, core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids}, fn); handled {
-		return err
-	}
-	return c.table.ScanMultiPushdownContext(ctx, ids, c.execSpec(), fn)
-}
-
-// ScanMultiRescan executes the same multi-branch scan as ScanMulti the
-// pre-pushdown way: one independent rescan per branch, merged by
-// primary key in memory. It exists as the measurable baseline for the
-// pushdown benchmarks and for engines whose ScanMulti is unavailable.
-func (c *Compiled) ScanMultiRescan(ctx context.Context, fn core.MultiScanFunc) error {
-	if c.commit != nil {
-		return fmt.Errorf("%w: At() cannot combine with a multi-branch scan", core.ErrBadQuery)
-	}
-	type entry struct {
-		rec    *record.Record
-		member *bitmap.Bitmap
-	}
-	// Merge by record contents, not primary key: an updated key is live
-	// as different copies in different branches and each copy keeps its
-	// own membership, matching what the engines' single-pass ScanMulti
-	// emits.
-	merged := make(map[string]*entry)
-	order := make([]string, 0)
-	for i, b := range c.branches {
-		// Each rescan clones the spec so it owns a fresh projection
-		// scratch (part of the per-branch rescan overhead).
-		err := c.table.ScanPushdownContext(ctx, b.ID, c.execSpec(), func(rec *record.Record) bool {
-			key := string(rec.Bytes())
-			en := merged[key]
-			if en == nil {
-				en = &entry{rec: rec.Clone(), member: bitmap.New(len(c.branches))}
-				merged[key] = en
-				order = append(order, key)
-			}
-			en.member.Set(i)
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for _, key := range order {
-		en := merged[key]
-		if !fn(en.rec, en.member) {
-			return nil
-		}
-	}
-	return nil
+	return c.runRows(ctx, c.request(core.ScanKindMulti), nil,
+		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) })
 }
 
 // Diff executes a positive diff (Query 2): records live in
 // Branches()[0] but not Branches()[1], with predicate, projection and
-// zone-map pruning pushed into the engine's diff loop (engines without
-// the DiffScanner capability post-filter above their plain Diff).
+// zone-map pruning applied inside the diff's scan units.
 func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.rowShape("Diff"); err != nil {
 		return err
@@ -399,106 +379,12 @@ func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.pair(); err != nil {
 		return err
 	}
-	req := core.ScanRequest{Kind: core.ScanKindDiff, A: c.branches[0].ID, B: c.branches[1].ID}
-	if handled, err := c.tryParallelRows(ctx, req, func(aux core.UnitAux) bool { return aux.InA }, fn); handled {
-		return err
-	}
-	return c.table.ScanDiffPushdownContext(ctx, c.branches[0].ID, c.branches[1].ID, c.execSpec(),
-		func(rec *record.Record, inA bool) bool {
-			if !inA {
-				return true
-			}
-			return fn(rec)
-		})
+	return c.runRows(ctx, c.request(core.ScanKindDiff), keepInA,
+		func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
-// DiffPostFilter executes the same positive diff as Diff the
-// pre-pushdown way: the engine's plain Diff materializes every
-// differing record and the spec is applied above it. It exists as the
-// measurable baseline for the diff-pushdown benchmarks.
-func (c *Compiled) DiffPostFilter(ctx context.Context, fn core.ScanFunc) error {
-	if err := c.pair(); err != nil {
-		return err
-	}
-	spec := c.execSpec()
-	var ferr error
-	err := c.table.ScanDiffContext(ctx, c.branches[0].ID, c.branches[1].ID, func(rec *record.Record, inA bool) bool {
-		if !inA {
-			return true
-		}
-		out, err := spec.Apply(rec.Bytes())
-		if err != nil {
-			ferr = err
-			return false
-		}
-		if out == nil {
-			return true
-		}
-		return fn(out)
-	})
-	if err == nil {
-		err = ferr
-	}
-	return err
-}
-
-// Join executes a primary-key version join (Query 3) between the two
-// branch heads: pairs of records sharing a primary key, the left
-// satisfying the predicate. The projection applies to both sides.
-//
-// Since the relational-algebra generalization this is one
-// configuration of the general join node: the same table's two branch
-// heads as relations 0 and 1, joined on the primary key, with the
-// predicate pushed into the left leg only (the historical Query 3
-// semantics). Pairs emit in ascending primary-key order — the
-// canonical tuple order of the general node.
-func (c *Compiled) Join(ctx context.Context, fn func(JoinedPair) bool) error {
-	if err := c.rowShape("Join"); err != nil {
-		return err
-	}
-	if err := c.pair(); err != nil {
-		return err
-	}
-	if err := c.noOrdering("Join"); err != nil {
-		return err
-	}
-	left, err := c.branchLeg(0, true)
-	if err != nil {
-		return err
-	}
-	right, err := c.branchLeg(1, false)
-	if err != nil {
-		return err
-	}
-	jp := &joinPlan{
-		rels:  []*Compiled{left, right},
-		edges: []joinEdge{{left: 0, leftCol: 0, right: 1, rightCol: 0}},
-	}
-	jp.estimate()
-	return jp.run(ctx, c.plan.NoReorder, func(tup JoinTuple) bool {
-		return fn(JoinedPair{Left: tup[0], Right: tup[1]})
-	})
-}
-
-// branchLeg derives a single-branch relation from a pair-compiled
-// plan: branch i of the pair, keeping the compiled predicate and
-// bounds only when keepPred is set (the version join's left side).
-func (c *Compiled) branchLeg(i int, keepPred bool) (*Compiled, error) {
-	leg := *c
-	leg.plan.Branches = []string{c.branches[i].Name}
-	leg.plan.Joins = nil
-	leg.branches = c.branches[i : i+1]
-	if !keepPred {
-		leg.pred = nil
-		leg.bounds = nil
-		proto, err := core.NewScanSpecAt(c.table.History(), c.epoch, nil, c.cols)
-		if err != nil {
-			return nil, err
-		}
-		leg.proto = proto
-	}
-	return &leg, nil
-}
+// keepInA selects the positive side of a diff partition.
+func keepInA(aux core.UnitAux) bool { return aux.InA }
 
 // AggKind selects an aggregate terminal.
 type AggKind uint8
@@ -560,67 +446,23 @@ func (c *Compiled) Aggregate(ctx context.Context, kind AggKind, col string) (flo
 		return 0, err
 	}
 	spec.SetBounds(c.bounds)
-	var req core.ScanRequest
-	var ids []vgraph.BranchID
-	if c.plan.AllHeads || len(c.branches) > 1 {
-		ids = make([]vgraph.BranchID, len(c.branches))
-		for i, b := range c.branches {
-			ids[i] = b.ID
-		}
-		req = core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids}
-	} else if c.commit != nil {
-		req = core.ScanRequest{Kind: core.ScanKindCommit, Commit: c.commit}
-	} else {
-		req = core.ScanRequest{Kind: core.ScanKindBranch, Branch: c.branches[0].ID}
+	// One fold, two drivers: in order straight into the total, or one
+	// partial per pooled unit merged in unit order.
+	ac := groupAggCol{kind: kind, col: ci, isFloat: isFloat}
+	var total aggPart
+	err = c.run(ctx, c.request(c.shape()), spec,
+		func(rec *record.Record, _ core.UnitAux) bool { total.add(ac, rec); return true },
+		func(int, int) core.UnitSink {
+			p := &aggPart{}
+			return core.UnitSink{
+				Fn:    func(rec *record.Record, _ core.UnitAux) bool { p.add(ac, rec); return true },
+				Flush: func() bool { total.merge(p); return true },
+			}
+		})
+	if err != nil {
+		return 0, err
 	}
-	var (
-		n    int
-		isum int64
-		fsum float64
-		fmin float64
-		fmax float64
-	)
-	if total, handled, perr := c.tryParallelAggregate(ctx, req, spec, kind, ci, isFloat); handled || perr != nil {
-		if perr != nil {
-			return 0, perr
-		}
-		n, isum, fsum, fmin, fmax = total.n, total.isum, total.fsum, total.fmin, total.fmax
-	} else {
-		acc := func(rec *record.Record) bool {
-			n++
-			if kind == AggCount {
-				return true
-			}
-			var v float64
-			if isFloat {
-				v = rec.GetFloat64(ci)
-				fsum += v
-			} else {
-				i := rec.Get(ci)
-				isum += i
-				v = float64(i)
-			}
-			if n == 1 || v < fmin {
-				fmin = v
-			}
-			if n == 1 || v > fmax {
-				fmax = v
-			}
-			return true
-		}
-		if ids != nil {
-			err = c.table.ScanMultiPushdownContext(ctx, ids, spec, func(rec *record.Record, _ *bitmap.Bitmap) bool {
-				return acc(rec)
-			})
-		} else if c.commit != nil {
-			err = c.table.ScanCommitPushdownContext(ctx, c.commit, spec, acc)
-		} else {
-			err = c.table.ScanPushdownContext(ctx, c.branches[0].ID, spec, acc)
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
+	n, isum, fsum, fmin, fmax := total.n, total.isum, total.fsum, total.fmin, total.fmax
 	switch kind {
 	case AggCount:
 		return float64(n), nil

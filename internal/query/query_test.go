@@ -1,9 +1,15 @@
 package query
 
+// The paper's four benchmark queries (Table 1) on every engine, through
+// Plan/Compiled, over one small fixture whose answers are known by
+// construction.
+
 import (
+	"context"
 	"sort"
 	"testing"
 
+	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/record"
@@ -66,26 +72,42 @@ func factories() map[string]core.Factory {
 	}
 }
 
+// compile compiles a head plan over the fixture table.
+func compile(t *testing.T, db *core.Database, where Expr, branches ...string) *Compiled {
+	t.Helper()
+	c, err := Plan{Table: "r", Branches: branches, AtSeq: -1, Where: where}.Compile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestQ1SingleVersionScan(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
-			_, tbl, master, dev := fixture(t, f)
-			n, err := Count(tbl, master.ID, True)
-			if err != nil || n != 10 {
-				t.Fatalf("master count = %d (%v)", n, err)
+			db, _, _, _ := fixture(t, f)
+			count := func(branch string, where Expr) int {
+				n, err := compile(t, db, where, branch).Aggregate(context.Background(), AggCount, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return int(n)
 			}
-			n, _ = Count(tbl, dev.ID, True)
-			if n != 10 { // 10 - deleted + added
+			if n := count("master", Expr{}); n != 10 {
+				t.Fatalf("master count = %d", n)
+			}
+			if n := count("dev", Expr{}); n != 10 { // 10 - deleted + added
 				t.Fatalf("dev count = %d", n)
 			}
-			// Predicate pushdown.
-			n, _ = Count(tbl, dev.ID, ColumnEquals(1, 33))
-			if n != 1 {
+			if n := count("dev", Col("v").Eq(33)); n != 1 {
 				t.Fatalf("pred count = %d", n)
 			}
-			n, _ = Count(tbl, master.ID, ColumnLess(1, 6))
-			if n != 5 {
+			if n := count("master", Col("v").Lt(6)); n != 5 {
 				t.Fatalf("less count = %d", n)
+			}
+			s, err := compile(t, db, Expr{}, "master").Aggregate(context.Background(), AggSum, "v")
+			if err != nil || s != 55 {
+				t.Fatalf("sum = %v (%v)", s, err)
 			}
 		})
 	}
@@ -94,28 +116,25 @@ func TestQ1SingleVersionScan(t *testing.T) {
 func TestQ2PositiveDiff(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
-			_, tbl, master, dev := fixture(t, f)
-			// dev-not-master: updated 3 (new copy), added 11.
-			var pks []int64
-			err := PositiveDiff(tbl, dev.ID, master.ID, func(r *record.Record) bool {
-				pks = append(pks, r.PK())
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
+			db, _, _, _ := fixture(t, f)
+			diff := func(a, b string) []int64 {
+				var pks []int64
+				err := compile(t, db, Expr{}, a, b).Diff(context.Background(), func(r *record.Record) bool {
+					pks = append(pks, r.PK())
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sort.Slice(pks, func(i, j int) bool { return pks[i] < pks[j] })
+				return pks
 			}
-			sort.Slice(pks, func(i, j int) bool { return pks[i] < pks[j] })
-			if len(pks) != 2 || pks[0] != 3 || pks[1] != 11 {
+			// dev-not-master: updated 3 (new copy), added 11.
+			if pks := diff("dev", "master"); len(pks) != 2 || pks[0] != 3 || pks[1] != 11 {
 				t.Fatalf("dev-not-master = %v", pks)
 			}
 			// master-not-dev: old copy of 3, deleted 10.
-			pks = nil
-			PositiveDiff(tbl, master.ID, dev.ID, func(r *record.Record) bool {
-				pks = append(pks, r.PK())
-				return true
-			})
-			sort.Slice(pks, func(i, j int) bool { return pks[i] < pks[j] })
-			if len(pks) != 2 || pks[0] != 3 || pks[1] != 10 {
+			if pks := diff("master", "dev"); len(pks) != 2 || pks[0] != 3 || pks[1] != 10 {
 				t.Fatalf("master-not-dev = %v", pks)
 			}
 		})
@@ -125,29 +144,38 @@ func TestQ2PositiveDiff(t *testing.T) {
 func TestQ3VersionJoin(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
-			_, tbl, master, dev := fixture(t, f)
-			// Join all shared keys: 1..9 (10 deleted in dev, 11 absent in master).
-			n := 0
-			err := VersionJoin(tbl, master.ID, dev.ID, True, func(p JoinedPair) bool {
-				if p.Left.PK() != p.Right.PK() {
-					t.Fatalf("join key mismatch: %d vs %d", p.Left.PK(), p.Right.PK())
+			db, _, _, _ := fixture(t, f)
+			// master ⋈ dev on the primary key, the predicate on the left.
+			join := func(where Expr) int {
+				c, err := Plan{Table: "r", Branches: []string{"master"}, AtSeq: -1, Where: where,
+					Joins: []JoinLeg{{
+						Plan:    Plan{Table: "r", Branches: []string{"dev"}, AtSeq: -1},
+						LeftCol: "id", RightCol: "id",
+					}}}.Compile(db)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if p.Left.PK() == 3 && (p.Left.Get(1) != 3 || p.Right.Get(1) != 33) {
-					t.Fatalf("versions swapped: %v %v", p.Left, p.Right)
+				n := 0
+				err = c.JoinTuples(context.Background(), func(p JoinTuple) bool {
+					if p[0].PK() != p[1].PK() {
+						t.Fatalf("join key mismatch: %d vs %d", p[0].PK(), p[1].PK())
+					}
+					if p[0].PK() == 3 && (p[0].Get(1) != 3 || p[1].Get(1) != 33) {
+						t.Fatalf("versions swapped: %v %v", p[0], p[1])
+					}
+					n++
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				n++
-				return true
-			})
-			if err != nil {
-				t.Fatal(err)
+				return n
 			}
-			if n != 9 {
+			// All shared keys: 1..9 (10 deleted in dev, 11 absent in master).
+			if n := join(Expr{}); n != 9 {
 				t.Fatalf("join rows = %d, want 9", n)
 			}
-			// Selective predicate on the left side.
-			n = 0
-			VersionJoin(tbl, master.ID, dev.ID, ColumnEquals(1, 5), func(JoinedPair) bool { n++; return true })
-			if n != 1 {
+			if n := join(Col("v").Eq(5)); n != 1 {
 				t.Fatalf("selective join rows = %d", n)
 			}
 		})
@@ -157,62 +185,34 @@ func TestQ3VersionJoin(t *testing.T) {
 func TestQ4HeadScan(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
-			db, tbl, master, dev := fixture(t, f)
-			perBranch := map[vgraph.BranchID]int{}
+			db, _, _, _ := fixture(t, f)
+			c, err := Plan{Table: "r", AllHeads: true, AtSeq: -1}.Compile(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perBranch := map[string]int{}
 			rows := 0
-			err := HeadScan(db.Graph(), tbl, True, func(hr HeadRecord) bool {
+			err = c.ScanMulti(context.Background(), func(_ *record.Record, member *bitmap.Bitmap) bool {
 				rows++
-				if len(hr.Branches) == 0 {
+				if !member.Any() {
 					t.Fatal("record with no active branches")
 				}
-				for _, b := range hr.Branches {
-					perBranch[b]++
-				}
+				member.ForEach(func(i int) bool {
+					perBranch[c.Branches()[i].Name]++
+					return true
+				})
 				return true
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if perBranch[master.ID] != 10 || perBranch[dev.ID] != 10 {
+			if perBranch["master"] != 10 || perBranch["dev"] != 10 {
 				t.Fatalf("per-branch counts = %v", perBranch)
 			}
 			// Shared records are emitted once with multiple branches, so the
 			// number of distinct rows is below the sum of branch counts.
 			if rows >= 20 {
 				t.Fatalf("rows = %d, expected sharing", rows)
-			}
-		})
-	}
-}
-
-func TestPredicateCombinators(t *testing.T) {
-	s := schema()
-	r5 := rec(s, 5, 50)
-	if !And(ColumnEquals(1, 50), ColumnLess(0, 6))(r5) {
-		t.Fatal("and failed")
-	}
-	if Or(ColumnEquals(1, 1), ColumnEquals(1, 2))(r5) {
-		t.Fatal("or matched wrongly")
-	}
-	if Not(True)(r5) {
-		t.Fatal("not true matched")
-	}
-	if !ColumnMod(0, 5, 0)(r5) {
-		t.Fatal("mod failed")
-	}
-	rNeg := rec(s, -3, 0)
-	if !ColumnMod(0, 5, 2)(rNeg) { // -3 mod 5 = 2
-		t.Fatal("negative mod failed")
-	}
-}
-
-func TestSum(t *testing.T) {
-	for name, f := range factories() {
-		t.Run(name, func(t *testing.T) {
-			_, tbl, master, _ := fixture(t, f)
-			s, err := Sum(tbl, master.ID, 1, True)
-			if err != nil || s != 55 {
-				t.Fatalf("sum = %d (%v)", s, err)
 			}
 		})
 	}

@@ -199,17 +199,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 			return true
 		})
 	case isDiff:
-		err = c.EmitOrdered(func(fn core.ScanFunc) error { return c.Diff(ctx, fn) },
-			func(rec *record.Record) bool {
-				resp.Rows = append(resp.Rows, rowOf(rec))
-				return true
-			})
+		err = c.EmitDiffRows(ctx, func(rec *record.Record) bool {
+			resp.Rows = append(resp.Rows, rowOf(rec))
+			return true
+		})
 	default:
-		err = c.EmitOrdered(func(fn core.ScanFunc) error { return c.Scan(ctx, fn) },
-			func(rec *record.Record) bool {
-				resp.Rows = append(resp.Rows, rowOf(rec))
-				return true
-			})
+		err = c.EmitRows(ctx, func(rec *record.Record) bool {
+			resp.Rows = append(resp.Rows, rowOf(rec))
+			return true
+		})
 	}
 	if err != nil {
 		return err

@@ -233,24 +233,3 @@ func (o offsetBitmap) NextSet(i int) int {
 	}
 	return n - int(o.base)
 }
-
-// scanExtents walks every extent in global slot order, handing fn the
-// per-extent segment plus base. Returning false stops the walk. The
-// extent slice is snapshotted under e.mu: a concurrent insert may
-// rotate (append) a new extent mid-scan, and published extents are
-// immutable, so the snapshot stays consistent.
-func (e *Engine) scanExtents(fn func(x *extent) (cont bool, err error)) error {
-	e.mu.Lock()
-	exts := e.exts
-	e.mu.Unlock()
-	for _, x := range exts {
-		cont, err := fn(x)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			return nil
-		}
-	}
-	return nil
-}

@@ -230,7 +230,7 @@ func (e *Engine) Insert(branch vgraph.BranchID, rec *record.Record) error {
 	return e.insertLocked(branch, rec)
 }
 
-// InsertBatch implements core.BatchInserter: one lock acquisition and
+// InsertBatch implements core.Engine: one lock acquisition and
 // one branch-index lookup for the whole batch.
 func (e *Engine) InsertBatch(branch vgraph.BranchID, recs []*record.Record) error {
 	e.mu.Lock()
@@ -283,38 +283,6 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	e.idx.clear(old, branch)
 	idx.set(pk, -1)
 	return nil
-}
-
-// ScanBranch implements core.Engine (Query 1). Pages with no live
-// records are skipped, but with interleaved loading a branch's tuples
-// are "fragmented across the shared heap file", so most pages contain
-// at least one and the scan degrades to reading the whole heap — the
-// tuple-first cost the paper measures. After a table-wise update
-// clusters a branch's records, the skip becomes effective (Section
-// 5.5).
-func (e *Engine) ScanBranch(branch vgraph.BranchID, fn core.ScanFunc) error {
-	return e.ScanBranchPushdown(branch, e.passSpec(e.env.BranchEpoch(branch)), fn)
-}
-
-// ScanCommit implements core.Engine: checkout the commit's bitmap from
-// the history file, then scan.
-func (e *Engine) ScanCommit(c *vgraph.Commit, fn core.ScanFunc) error {
-	return e.ScanCommitPushdown(c, e.passSpec(c.SchemaVer), fn)
-}
-
-// ScanMulti implements core.Engine (Query 4): one pass over the heap
-// file, emitting each live tuple annotated with the branches it is
-// active in.
-func (e *Engine) ScanMulti(branches []vgraph.BranchID, fn core.MultiScanFunc) error {
-	return e.ScanMultiPushdown(branches, e.passSpec(e.env.MaxBranchEpoch(branches)), fn)
-}
-
-// Diff implements core.Engine (Query 2): "we simply XOR bitmaps
-// together and emit records on the appropriate output iterator". It
-// shares the pushdown diff loop through a match-all spec emitting
-// under the newer of the two heads' schemas.
-func (e *Engine) Diff(a, b vgraph.BranchID, fn core.DiffFunc) error {
-	return e.ScanDiffPushdown(a, b, e.passSpec(e.env.MaxBranchEpoch([]vgraph.BranchID{a, b})), fn)
 }
 
 // Merge implements core.Engine following Section 3.2: the LCA commit's
@@ -516,8 +484,8 @@ func (e *Engine) resolveConflict(pk, slotA, slotB, lcaSlot int64, into vgraph.Br
 	return apply(res.Record, false)
 }
 
-// SegmentStats implements core.SegmentStatser: one summary per
-// extent, zone maps included.
+// SegmentStats implements core.Engine: one summary per extent, zone
+// maps included.
 func (e *Engine) SegmentStats() []store.SegmentStat {
 	e.mu.Lock()
 	defer e.mu.Unlock()

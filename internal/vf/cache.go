@@ -3,8 +3,6 @@ package vf
 import (
 	"encoding/binary"
 	"expvar"
-	"os"
-	"strconv"
 	"sync/atomic"
 
 	"decibel/internal/bitmap"
@@ -74,25 +72,10 @@ func CacheCounters() (hits, misses, evictions, deltaResolves int64) {
 const DefaultCacheBudget = 1 << 18
 
 // resolveCacheBudget picks the cache bound: a positive
-// Options.VFLineageCache wins; a negative one disables the cache; zero
-// falls through to the DECIBEL_VF_CACHE environment variable ("off",
-// "0" or a negative number disable; a positive number is the budget)
-// and then to DefaultCacheBudget.
+// Options.VFLineageCache is the budget, a negative one disables the
+// cache, zero takes DefaultCacheBudget.
 func resolveCacheBudget(opt core.Options) int {
 	n := opt.VFLineageCache
-	if n == 0 {
-		if s := os.Getenv("DECIBEL_VF_CACHE"); s != "" {
-			if s == "off" {
-				return 0
-			}
-			if v, err := strconv.Atoi(s); err == nil {
-				n = v
-				if v <= 0 {
-					return 0
-				}
-			}
-		}
-	}
 	if n < 0 {
 		return 0
 	}

@@ -2,19 +2,10 @@ package vf
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"strings"
 
 	"decibel/internal/compact"
-	"decibel/internal/core"
 	"decibel/internal/store"
-	"decibel/internal/vgraph"
-)
-
-var (
-	_ core.Compactor       = (*Engine)(nil)
-	_ core.PKLookupScanner = (*Engine)(nil)
 )
 
 // segFilePath returns the data file of a segment under the given
@@ -59,20 +50,15 @@ func (e *Engine) safeCountsLocked() map[segID]int64 {
 	return safe
 }
 
-// CompactSegments implements core.Compactor for the version-first
-// scheme. Segment files ARE the version history here — a parent
-// segment's byte ranges are addressed by child branch points and
-// commit offsets — so slots can never be renumbered and physical
-// merging is off the table; the pass is compression-only. A segment
-// qualifies when it is no branch's head (it will never take another
-// append), every row in it is committed (count == safe count) and it
-// is not already compressed.
-//
-// Crash safety: the replacement .dcz files are written and fsynced
-// first (a crash here leaves orphans the next open sweeps), then the
-// catalog is rewritten with the new encoding tags — the tmp+rename in
-// persistLocked is the commit point — and only then are the old .dat
-// files unlinked, each deferred until its last pinned reader drains.
+// CompactSegments implements core.Engine for the version-first scheme.
+// Segment files ARE the version history here — a parent segment's byte
+// ranges are addressed by child branch points and commit offsets — so
+// slots can never be renumbered and physical merging is off the table;
+// the pass is compression-only, under store.SwapCompressed's crash-safe
+// protocol (the tmp+rename in persistLocked is its commit point). A
+// segment qualifies when it is no branch's head (it will never take
+// another append), every row in it is committed (count == safe count)
+// and it is not already compressed.
 func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
 	opt = opt.Defaults()
 	var st compact.Stats
@@ -84,158 +70,54 @@ func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
 
 	heads := e.headsLocked()
 	safe := e.safeCountsLocked()
-	type repl struct {
-		old     *segment
-		ns      *store.Segment
-		pages   int
-		oldDisk int64
-	}
-	var repls []repl
-	abort := func() {
-		for _, r := range repls {
-			r.ns.File.Close()
-			os.Remove(r.ns.File.Path())
-		}
-	}
+	var cands []store.Candidate
+	var olds []*segment
 	for _, s := range e.segs {
 		n := s.File.Count()
 		if heads[s.id] || s.Encoding == store.EncDCZ || n == 0 || n != safe[s.id] {
 			continue
 		}
-		ns, pages, err := e.st.CompressSegment(s.Segment, e.segFilePath(s.id, store.EncDCZ), n)
-		if err != nil {
-			abort()
-			return st, err
+		cands = append(cands, store.Candidate{
+			Seg: s.Segment, Path: e.segFilePath(s.id, s.Encoding),
+			NewPath: e.segFilePath(s.id, store.EncDCZ), Count: n,
+		})
+		olds = append(olds, s)
+	}
+	err := e.st.SwapCompressed(cands, opt, &st, func(news []*store.Segment) error {
+		prev := e.segs
+		segs := append([]*segment(nil), prev...)
+		for k, old := range olds {
+			segs[old.id] = &segment{
+				Segment: news[k], id: old.id, branch: old.branch,
+				hasLink: old.hasLink, link: old.link, overrides: old.overrides,
+			}
 		}
-		repls = append(repls, repl{old: s, ns: ns, pages: pages, oldDisk: s.File.DiskBytes()})
-	}
-	if len(repls) == 0 {
-		return st, nil
-	}
-	if opt.FailPoint == compact.FailAfterTemp {
-		// Simulate a crash after the new files hit disk but before the
-		// catalog swap: the .dcz files stay behind as orphans.
-		for _, r := range repls {
-			r.ns.File.Close()
+		e.segs = segs
+		if err := e.persistLocked(); err != nil {
+			e.segs = prev
+			return err
 		}
-		return st, compact.FailPointErr(opt.FailPoint)
-	}
-
-	// Swap copy-on-write: in-flight scans snapshotted the old slice
-	// header (and pinned the segments they read), so the table itself
-	// must not be mutated in place.
-	segs := append([]*segment(nil), e.segs...)
-	for _, r := range repls {
-		old := r.old
-		segs[old.id] = &segment{
-			Segment: r.ns, id: old.id, branch: old.branch,
-			hasLink: old.hasLink, link: old.link, overrides: old.overrides,
+		// Compression preserves slot numbering, so cached resolutions
+		// pointing into replaced segments would stay readable; drop the
+		// entries rooted at them anyway so the cache's validity never
+		// depends on the re-encoder's internals. Interval tables keyed on
+		// the replaced segments are dropped for the same reason.
+		for _, old := range olds {
+			e.invalidateResolvedLocked(old.id)
+			e.invalidateSeg(old.id)
 		}
-	}
-	prev := e.segs
-	e.segs = segs
-	if err := e.persistLocked(); err != nil {
-		e.segs = prev
-		abort()
-		return st, err
-	}
-	// Compression preserves slot numbering, so cached resolutions
-	// pointing into replaced segments would stay readable; drop the
-	// entries rooted at them anyway so the cache's validity never
-	// depends on the re-encoder's internals. Interval tables keyed on
-	// the replaced segments are dropped for the same reason.
-	for _, r := range repls {
-		e.invalidateResolvedLocked(r.old.id)
-		e.invalidateSeg(r.old.id)
-	}
-	for _, r := range repls {
-		st.SegmentsCompressed++
-		st.PagesCompressed += int64(r.pages)
-		st.BytesReclaimed += r.oldDisk - r.ns.File.DiskBytes()
-	}
-	if opt.FailPoint == compact.FailBeforeUnlink {
-		// Simulate a crash after the catalog swap but before the old
-		// files are unlinked; the next open sweeps them.
-		return st, compact.FailPointErr(opt.FailPoint)
-	}
-	for _, r := range repls {
-		r.old.Segment.RetireAndRemove(e.segFilePath(r.old.id, r.old.Encoding))
-	}
-	return st, nil
+		return nil
+	})
+	return st, err
 }
 
 // sweepOrphans removes segment data files the catalog does not
-// reference — the debris of a compaction (or crash) that wrote
-// replacement files without committing, or committed without
-// unlinking — plus stale catalog temp files. Called at the end of
-// recover, when the referenced set is known.
+// reference (see store.SweepOrphans). Called at the end of recover,
+// when the referenced set is known.
 func (e *Engine) sweepOrphans() {
-	keep := make(map[string]bool, len(e.segs))
-	for _, s := range e.segs {
-		keep[filepath.Base(s.File.Path())] = true
+	live := make([]*store.Segment, len(e.segs))
+	for i, s := range e.segs {
+		live[i] = s.Segment
 	}
-	ents, err := os.ReadDir(e.env.Dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || keep[name] {
-			continue
-		}
-		dataFile := strings.HasPrefix(name, "seg") &&
-			(strings.HasSuffix(name, ".dat") || strings.HasSuffix(name, ".dcz"))
-		if dataFile || strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(e.env.Dir, name))
-		}
-	}
-}
-
-// LookupPKPushdown implements core.PKLookupScanner: a branch-head read
-// of one primary key. Version-first has no per-branch key index — the
-// paper's scheme resolves liveness from the segment lineage — so the
-// lookup resolves the branch's live set (cached per frozen interval)
-// and reads the single record copy the key maps to; the spec's full
-// predicate and projection run on it, so the result is identical to
-// the scan it replaces.
-func (e *Engine) LookupPKPushdown(branch vgraph.BranchID, pk int64, spec *core.ScanSpec, fn core.ScanFunc) (bool, error) {
-	e.mu.Lock()
-	s, cut, err := e.headLocked(branch)
-	if err != nil {
-		e.mu.Unlock()
-		return false, nil // unknown branch: let the scan path report it
-	}
-	live, err := e.resolveLive(pos{Seg: s.id, Slot: cut})
-	if err != nil {
-		e.mu.Unlock()
-		return false, err
-	}
-	p, ok := live[pk]
-	if !ok {
-		e.mu.Unlock()
-		return true, nil // served: the key is not live in this branch
-	}
-	seg := e.segs[p.Seg]
-	buf := make([]byte, seg.Schema.RecordSize())
-	if err := seg.File.Read(p.Slot, buf); err != nil {
-		e.mu.Unlock()
-		return false, err
-	}
-	prep, err := spec.Prep(seg.Cols)
-	if err != nil {
-		e.mu.Unlock()
-		return false, err
-	}
-	if prep != nil {
-		buf = prep(buf)
-	}
-	rec, err := spec.Apply(buf)
-	e.mu.Unlock()
-	if err != nil {
-		return false, err
-	}
-	if rec != nil {
-		fn(rec)
-	}
-	return true, nil
+	store.SweepOrphans(e.env.Dir, live, "seg", ".dat")
 }

@@ -99,9 +99,8 @@ type Engine struct {
 	// sets keyed by exact position; lineMemo memoizes rawLineage;
 	// deltas is the per-segment log of per-commit RLE slot deltas with
 	// deltaTail the highest slot each segment's log covers. All nil/empty
-	// when the cache is disabled (Options.VFLineageCache < 0 or
-	// DECIBEL_VF_CACHE=off), which forces every resolution onto the
-	// full-walk baseline path.
+	// when the cache is disabled (Options.VFLineageCache < 0), which
+	// forces every resolution onto the full-walk baseline path.
 	// pcache is the scan-plan tier above lcache: grouped, sorted,
 	// scan-ready forms keyed by the exact resolved position vector.
 	lcache    *liveCache
@@ -389,80 +388,8 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	return nil
 }
 
-// emit reads the live set's record copies segment by segment in slot
-// order (the second, sequential pass of the paper's scanner) and feeds
-// fn the raw stored buffer, its segment (whose Cols identify the
-// schema version the bytes are encoded under) and its position. A
-// non-nil skip is consulted once per segment before any of its pages
-// are read — the zone-map pruning hook.
-func (e *Engine) emit(live map[int64]pos, skip func(*segment) bool, fn func(buf []byte, seg *segment, at pos) bool) error {
-	bySeg := make(map[segID][]int64)
-	for _, p := range live {
-		bySeg[p.Seg] = append(bySeg[p.Seg], p.Slot)
-	}
-	ids := make([]segID, 0, len(bySeg))
-	for id := range bySeg {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// Snapshot the segment table under the lock: a concurrent insert
-	// may rotate the branch head (appending a segment) mid-emit, and
-	// published segments are immutable, so the snapshot stays
-	// consistent for the ids the live set references.
-	e.mu.Lock()
-	segs := e.segs
-	e.mu.Unlock()
-	for _, id := range ids {
-		s := segs[id]
-		if skip != nil && skip(s) {
-			continue
-		}
-		slots := bySeg[id]
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-		buf := make([]byte, s.Schema.RecordSize())
-		for _, slot := range slots {
-			if err := s.File.Read(slot, buf); err != nil {
-				return err
-			}
-			if !fn(buf, s, pos{Seg: id, Slot: slot}) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// ScanBranch implements core.Engine (Query 1).
-func (e *Engine) ScanBranch(branch vgraph.BranchID, fn core.ScanFunc) error {
-	return e.ScanBranchPushdown(branch, e.passSpec(e.env.BranchEpoch(branch)), fn)
-}
-
-// ScanCommit implements core.Engine: checkout by offset.
-func (e *Engine) ScanCommit(c *vgraph.Commit, fn core.ScanFunc) error {
-	return e.ScanCommitPushdown(c, e.passSpec(c.SchemaVer), fn)
-}
-
-// ScanMulti implements core.Engine (Query 4). This is the paper's
-// two-pass multi-branch scanner: the first pass resolves each branch's
-// live set from interval hash tables (shared ancestry resolved once via
-// the interval cache), the second pass reads the union sequentially and
-// emits each record copy with its branch membership.
-func (e *Engine) ScanMulti(branches []vgraph.BranchID, fn core.MultiScanFunc) error {
-	return e.ScanMultiPushdown(branches, e.passSpec(e.env.MaxBranchEpoch(branches)), fn)
-}
-
-// Diff implements core.Engine (Query 2). Version-first resolves both
-// branches' live sets (multiple passes over the shared ancestry, the
-// cost the paper attributes to this scheme) and emits the symmetric
-// difference of record copies. It shares the pushdown diff loop
-// through a match-all spec emitting under the newer of the two heads'
-// schemas.
-func (e *Engine) Diff(a, b vgraph.BranchID, fn core.DiffFunc) error {
-	return e.ScanDiffPushdown(a, b, e.passSpec(e.env.MaxBranchEpoch([]vgraph.BranchID{a, b})), fn)
-}
-
-// SegmentStats implements core.SegmentStatser: one summary per
-// lineage segment, zone maps included.
+// SegmentStats implements core.Engine: one summary per lineage
+// segment, zone maps included.
 func (e *Engine) SegmentStats() []store.SegmentStat {
 	e.mu.Lock()
 	defer e.mu.Unlock()

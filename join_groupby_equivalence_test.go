@@ -391,24 +391,6 @@ func TestJoinCorpusEquivalence(t *testing.T) {
 						want[j] = p.l.String() + " | " + p.r.String()
 					}
 					compareStreams(t, label+" greedy-vs-nested-loop", greedy, want, gErr, nil)
-
-					// The deprecated version-join terminal must agree with
-					// the general node it now wraps on which pairs join and
-					// in what order. (Record width can differ: the pair
-					// terminal reads both branches at their union schema
-					// epoch, while the general node compiles each leg at
-					// its own branch's epoch — b1 never grew "price".)
-					pairs, pErr := db.Query("r").Where(where).Join("master", "b1")
-					var old []string
-					for l, r := range pairs {
-						old = append(old, fmt.Sprintf("%s | pk=%d", l.String(), r.PK()))
-					}
-					tuples, tErr := mk().Tuples()
-					var niu []string
-					for tup := range tuples {
-						niu = append(niu, fmt.Sprintf("%s | pk=%d", tup[0].String(), tup[1].PK()))
-					}
-					compareStreams(t, label+" new-vs-deprecated", niu, old, tErr(), pErr())
 				}
 			})
 		}

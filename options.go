@@ -62,8 +62,7 @@ func WithTupleOrientedBitmaps(on bool) Option {
 }
 
 // WithScanWorkers sets the parallel scan pool size. The default (0)
-// takes the DECIBEL_SCAN_WORKERS environment variable, else GOMAXPROCS;
-// 1 disables parallel scans.
+// takes GOMAXPROCS; 1 disables parallel scans.
 func WithScanWorkers(n int) Option {
 	return func(c *config) { c.opt.ScanWorkers = n }
 }
@@ -72,9 +71,7 @@ func WithScanWorkers(n int) Option {
 // cache by resident key count (the sum of cached live-map sizes): n > 0
 // sets the budget, n < 0 disables the cache entirely (every resolution
 // re-walks the branch lineage — the pre-cache baseline, kept for
-// equivalence testing), and 0 (the default) takes the DECIBEL_VF_CACHE
-// environment variable ("off", "0" or a negative number disable; a
-// positive number is the budget) falling back to the engine default.
+// equivalence testing), and 0 (the default) takes the engine default.
 // Engines other than version-first ignore it.
 func WithLineageCache(n int) Option {
 	return func(c *config) { c.opt.VFLineageCache = n }

@@ -177,6 +177,28 @@ func randExpr(rng *rand.Rand, depth int) iquery.Expr {
 	}
 }
 
+// diffPostFilter is the reference for Compiled.Diff: the table's plain
+// diff materializes every differing record and the plan's predicate is
+// applied above it, instead of inside the diff's scan units. (The plans
+// here carry no projection.)
+func diffPostFilter(db *decibel.DB, plan iquery.Plan, c *iquery.Compiled, fn func(*record.Record) bool) error {
+	tbl, err := db.TableByName(plan.Table)
+	if err != nil {
+		return err
+	}
+	pred, err := iquery.CompileExprAt(plan.Where, tbl.History(), c.Epoch())
+	if err != nil {
+		return err
+	}
+	br := c.Branches()
+	return tbl.ScanDiff(br[0].ID, br[1].ID, func(rec *record.Record, inA bool) bool {
+		if !inA || (pred != nil && !pred(rec.Bytes())) {
+			return true
+		}
+		return fn(rec)
+	})
+}
+
 // runShape executes one plan in the given shape ("scan", "multi",
 // "diff", "diff-postfilter") and returns its sorted output lines, or
 // the error (plan-time errors like ErrColumnNotYetAdded included —
@@ -195,7 +217,7 @@ func runShape(db *decibel.DB, plan iquery.Plan, shape string) ([]string, error) 
 			return true
 		}
 		if shape == "diff-postfilter" {
-			err = c.DiffPostFilter(ctx, fn)
+			err = diffPostFilter(db, plan, c, fn)
 		} else {
 			err = c.Diff(ctx, fn)
 		}

@@ -1,0 +1,52 @@
+package decibel_test
+
+// Allocation ceilings for the two read paths the benchmark gates at a
+// 1% bound (allocs_per_read_op): a head point lookup and a sequential
+// Q1-shaped head scan. The dataset is the pruning dataset — several
+// segments across two schema epochs — so the per-unit costs (layout
+// conversion, zone checks) are part of the count. The ceilings are the
+// counts measured before the read paths were folded into one driver;
+// one more closure, sink or slice per read fails here before it fails
+// the benchmark gate.
+
+import (
+	"testing"
+
+	"decibel"
+)
+
+// readAllocCeilings is allocations per read, by engine.
+var readAllocCeilings = map[string]struct{ point, scan float64 }{
+	"hybrid":      {point: 24, scan: 176},
+	"tuple-first": {point: 24, scan: 167},
+}
+
+func TestReadAllocCeilings(t *testing.T) {
+	for engine, want := range readAllocCeilings {
+		t.Run(engine, func(t *testing.T) {
+			db := buildPruningDB(t, engine, decibel.WithScanWorkers(1))
+			drain := func(q *decibel.Query, wantRows int) func() {
+				return func() {
+					rows, errf := q.Rows()
+					n := 0
+					for range rows {
+						n++
+					}
+					if err := errf(); err != nil || n != wantRows {
+						t.Fatalf("%d rows (%v), want %d", n, err, wantRows)
+					}
+				}
+			}
+			point := drain(db.Query("r").On("master").Where(decibel.Col("id").Eq(int64(60))), 1)
+			scan := drain(db.Query("r").On("master").
+				Where(decibel.Col("v").Ge(int64(20)).And(decibel.Col("v").Lt(int64(120)))).
+				Select("v", "sku"), 100)
+			if got := testing.AllocsPerRun(50, point); got > want.point {
+				t.Errorf("point lookup: %.0f allocs/op, ceiling %.0f", got, want.point)
+			}
+			if got := testing.AllocsPerRun(50, scan); got > want.scan {
+				t.Errorf("head scan: %.0f allocs/op, ceiling %.0f", got, want.scan)
+			}
+		})
+	}
+}

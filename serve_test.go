@@ -21,6 +21,7 @@ import (
 
 	"decibel"
 	"decibel/client"
+	iquery "decibel/internal/query"
 )
 
 // newServeClient opens a products dataset on the engine, mounts a
@@ -356,6 +357,43 @@ func TestServeErrorCodes(t *testing.T) {
 				t.Fatalf("err = (%d, %q), want (%d, %q): %v", ce.Status, ce.Code, tc.status, tc.code, ce)
 			}
 		})
+	}
+}
+
+// TestServeOrderedLimitUsesOrderedVisit: a served orderBy+limit read —
+// which pins the head commit it resolved — returns exactly the facade's
+// rows and takes the facade's order-aware unit visit, skipping the
+// segments whose zone bound cannot reach the top-k instead of gathering
+// the whole commit scan.
+func TestServeOrderedLimitUsesOrderedVisit(t *testing.T) {
+	db := buildPruningDB(t, "hybrid")
+	ts := httptest.NewServer(decibel.NewServer(db).Handler())
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
+	for _, desc := range []bool{false, true} {
+		want, err := collectRows(db.Query("r").On("master").Select("v").OrderBy("v", desc).Limit(5).Rows())
+		if err != nil {
+			t.Fatal(err)
+		}
+		skips := iquery.CountOrderedSkips()
+		resp, err := c.Query(context.Background(), client.QueryRequest{
+			Table: "r", Branches: []string{"master"}, Select: []string{"v"},
+			OrderBy: "v", Desc: desc, Limit: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Rows) != len(want) {
+			t.Fatalf("desc=%v: served %d rows, facade %d", desc, len(resp.Rows), len(want))
+		}
+		for i, row := range resp.Rows {
+			if got := fmt.Sprintf("(pk=%d, v=%d)", rowInt(t, row, "id"), rowInt(t, row, "v")); got != want[i] {
+				t.Fatalf("desc=%v row %d: served %s, facade %s", desc, i, got, want[i])
+			}
+		}
+		if iquery.CountOrderedSkips() == skips {
+			t.Fatalf("desc=%v: the served read skipped no scan unit: it is not taking the ordered visit", desc)
+		}
 	}
 }
 
