@@ -570,7 +570,7 @@ func run(dir, engine, table string, args []string) error {
 		fmt.Printf("engine:         %s (registered: %s)\n", engine, strings.Join(decibel.Engines(), ", "))
 		fmt.Printf("records:        %d (%d live across heads)\n", st.Records, st.LiveRecords)
 		fmt.Printf("data bytes:     %d\n", st.DataBytes)
-		fmt.Printf("index bytes:    %d\n", st.IndexBytes)
+		fmt.Printf("index bytes:    %d (%d key-index entries)\n", st.IndexBytes, st.IndexEntries)
 		fmt.Printf("history bytes:  %d\n", st.CommitBytes)
 		fmt.Printf("segments:       %d\n", st.SegmentCount)
 		// stats <table>: per-segment zone-map summaries (what predicate

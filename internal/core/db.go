@@ -609,6 +609,7 @@ func (db *Database) Stats() (Stats, error) {
 		agg.Records += st.Records
 		agg.DataBytes += st.DataBytes
 		agg.IndexBytes += st.IndexBytes
+		agg.IndexEntries += st.IndexEntries
 		agg.CommitBytes += st.CommitBytes
 		agg.SegmentCount += st.SegmentCount
 		agg.LiveRecords += st.LiveRecords

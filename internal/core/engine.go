@@ -68,6 +68,7 @@ type Stats struct {
 	Records      int64 // record slots stored, dead copies included
 	DataBytes    int64 // heap/segment file bytes
 	IndexBytes   int64 // in-memory bitmap/index bytes (approximate)
+	IndexEntries int64 // record positions held by the tables' primary-key indexes
 	CommitBytes  int64 // on-disk commit history bytes
 	SegmentCount int   // number of heap/segment files
 	LiveRecords  int64 // records live in at least one branch head (approximate)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"decibel/internal/bitmap"
+	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/record"
@@ -20,6 +21,7 @@ type harness struct {
 	t      *testing.T
 	schema *record.Schema
 	dbs    map[string]*core.Database
+	opens  map[string]func() (*core.Database, error) // reopen in place
 	model  *Model
 	graph  *vgraph.Graph // graph of the first db (all evolve identically)
 	names  []string
@@ -36,8 +38,12 @@ func testSchema() *record.Schema {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
-	h := &harness{t: t, schema: testSchema(), dbs: make(map[string]*core.Database), model: NewModel(testSchema())}
-	opt := core.Options{PageSize: 4096, PoolPages: 16}
+	h := &harness{t: t, schema: testSchema(), dbs: make(map[string]*core.Database),
+		opens: make(map[string]func() (*core.Database, error)), model: NewModel(testSchema())}
+	// Manual compaction with a low small-segment threshold, so hybrid
+	// both merges runs of segments and leaves larger ones to compress.
+	opt := core.Options{PageSize: 4096, PoolPages: 16,
+		Compaction: compact.Options{Mode: compact.ModeManual, Compress: true, SmallRows: 24}}
 	for _, name := range []string{"tuple-first", "tuple-first-toriented", "version-first", "hybrid"} {
 		o := opt
 		if name == "tuple-first-toriented" {
@@ -50,7 +56,9 @@ func newHarness(t *testing.T) *harness {
 		case "hybrid":
 			factory = hy.Factory
 		}
-		db, err := core.Open(t.TempDir(), factory, o)
+		dir := t.TempDir()
+		h.opens[name] = func() (*core.Database, error) { return core.Open(dir, factory, o) }
+		db, err := h.opens[name]()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -118,6 +126,63 @@ func (h *harness) insert(b vgraph.BranchID, rec *record.Record) {
 		}
 	}
 	h.model.Insert(b, rec)
+}
+
+// reopen closes and reopens every engine; the model rolls uncommitted
+// changes back with them. Branches the model reports as MergedDirty are
+// committed first; those commits are returned.
+func (h *harness) reopen() []*vgraph.Commit {
+	var commits []*vgraph.Commit
+	for _, b := range h.model.MergedDirty() {
+		commits = append(commits, h.commit(b))
+	}
+	for _, n := range h.names {
+		if err := h.dbs[n].Close(); err != nil {
+			h.t.Fatalf("%s close: %v", n, err)
+		}
+		db, err := h.opens[n]()
+		if err != nil {
+			h.t.Fatalf("%s reopen: %v", n, err)
+		}
+		h.dbs[n] = db
+	}
+	h.graph = h.dbs[h.names[0]].Graph()
+	h.model.Reopen(h.graph)
+	return commits
+}
+
+// compact runs one compaction pass on every engine. It changes where
+// records are stored, never what any version holds, so the model has
+// nothing to do.
+func (h *harness) compact() {
+	for _, n := range h.names {
+		if _, err := h.dbs[n].Compact(); err != nil {
+			h.t.Fatalf("%s compact: %v", n, err)
+		}
+	}
+}
+
+// verifyLookups checks the primary-key index of every engine: for every
+// branch and every key ever written — present, deleted, reinserted,
+// adopted by a merge, inherited from a historical commit — a point
+// lookup returns exactly the version the model holds, or none.
+func (h *harness) verifyLookups() {
+	for _, n := range h.names {
+		tbl, _ := h.dbs[n].Table("t")
+		eng := tbl.Engine()
+		for _, br := range h.graph.Branches() {
+			want := h.model.BranchState(br.ID)
+			for _, pk := range h.model.Keys() {
+				buf, _, ok, err := eng.LookupPK(br.ID, pk)
+				if err != nil || !ok {
+					h.t.Fatalf("%s: LookupPK(%s, %d): served=%v err=%v", n, br.Name, pk, ok, err)
+				}
+				if w, live := want[pk]; live != (buf != nil) || string(buf) != w {
+					h.t.Errorf("%s: LookupPK(%s, %d) = %x, model has %x", n, br.Name, pk, buf, w)
+				}
+			}
+		}
+	}
 }
 
 func (h *harness) delete(b vgraph.BranchID, pk int64) {
@@ -330,9 +395,13 @@ func runWorkload(t *testing.T, seed int64, ops int, allowMerge bool, threeWay bo
 	_ = master
 
 	for op := 0; op < ops; op++ {
-		switch k := r.Intn(100); {
-		case k < 50: // insert
+		switch k := r.Intn(104); {
+		case k < 50: // insert: a new key, or one some branch wrote before
 			b := branches[r.Intn(len(branches))]
+			if nextPK > 1 && r.Intn(5) == 0 {
+				h.insert(b.ID, mkRec(h.schema, r, 1+r.Int63n(nextPK-1)))
+				break
+			}
 			h.insert(b.ID, mkRec(h.schema, r, nextPK))
 			nextPK++
 		case k < 70: // update existing
@@ -362,6 +431,10 @@ func runWorkload(t *testing.T, seed int64, ops int, allowMerge bool, threeWay bo
 			nb := h.branch(fmt.Sprintf("b%d", nextBranch), from)
 			nextBranch++
 			branches = append(branches, nb)
+		case k >= 102:
+			commits = append(commits, h.reopen()...)
+		case k >= 100:
+			h.compact()
 		default: // merge
 			if !allowMerge || len(branches) < 2 {
 				continue
@@ -378,6 +451,10 @@ func runWorkload(t *testing.T, seed int64, ops int, allowMerge bool, threeWay bo
 			mb, _ := h.graph.Branch(branches[i].ID)
 			mcommit, _ := h.graph.Commit(mb.Head)
 			commits = append(commits, mcommit)
+		}
+		h.verifyLookups()
+		if h.t.Failed() {
+			h.t.Fatalf("lookup divergence at op %d (seed %d)", op, seed)
 		}
 		if op%50 == 49 {
 			h.verify(r, commits)

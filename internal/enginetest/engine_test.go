@@ -1,6 +1,10 @@
 package enginetest
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"decibel/internal/core"
@@ -434,6 +438,115 @@ func TestEngineStats(t *testing.T) {
 			}
 			if st.SegmentCount < 1 {
 				t.Fatal("no segments")
+			}
+			if tc.name == "version-first" {
+				return // resolves keys from the lineage, keeps no key index
+			}
+			// The key index is one per table, not one per head: eight more
+			// heads over the same rows add no entry and only their bitmaps.
+			if st.IndexEntries != 50 {
+				t.Fatalf("index entries = %d under 1 head, want the 50 slots live in it", st.IndexEntries)
+			}
+			m, _ := db.Graph().Branch(master.ID)
+			for i := 0; i < 8; i++ {
+				if _, err := db.Branch(fmt.Sprintf("b%d", i), m.Head); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st9, err := db.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st9.LiveRecords != 9*50 || st9.IndexEntries != 50 {
+				t.Fatalf("9 heads: %d live records, %d index entries; want 450 and 50", st9.LiveRecords, st9.IndexEntries)
+			}
+			if st9.IndexBytes*2 > st.IndexBytes*3 {
+				t.Fatalf("index bytes grew %d -> %d with 8 forks of the same rows, want within 1.5x", st.IndexBytes, st9.IndexBytes)
+			}
+		})
+	}
+}
+
+// openFDs counts this process's open file descriptors.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	return len(ents)
+}
+
+// rewriteJSON loads a JSON object file, lets edit change it, and writes
+// it back.
+func rewriteJSON(t *testing.T, path string, edit func(map[string]any)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	edit(doc)
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedOpenClosesFiles: an open that fails half way — after the
+// segment files and commit logs are open — hands every descriptor back.
+func TestFailedOpenClosesFiles(t *testing.T) {
+	cases := []struct {
+		name    string
+		factory core.Factory
+		corrupt func(t *testing.T, dir string)
+	}{
+		{"hybrid: startSeq names a missing segment", hy.Factory, func(t *testing.T, dir string) {
+			rewriteJSON(t, filepath.Join(dir, "tables", "t", "segments.json"), func(doc map[string]any) {
+				doc["startSeq"].(map[string]any)["0:99"] = 0
+			})
+		}},
+		{"tuple-first: branch-point commit is missing", tf.Factory, func(t *testing.T, dir string) {
+			rewriteJSON(t, filepath.Join(dir, "graph.json"), func(doc map[string]any) {
+				for _, b := range doc["branches"].([]any) {
+					if b := b.(map[string]any); b["name"] == "dev" {
+						b["from"] = 9999
+					}
+				}
+			})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opt := core.Options{PageSize: 4096, PoolPages: 16}
+			db := openDB(t, dir, tc.factory, opt)
+			schema := testSchema()
+			db.CreateTable("t", schema)
+			master, _, _ := db.Init("init")
+			tbl, _ := db.Table("t")
+			tbl.Insert(master.ID, simpleRec(schema, 1, 1))
+			c1, _ := db.Commit(master.ID, "c1")
+			if _, err := db.Branch("dev", c1.ID); err != nil { // never committed to
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(t, dir)
+
+			before := openFDs(t)
+			if db, err := core.Open(dir, tc.factory, opt); err == nil {
+				db.Close()
+				t.Fatal("open of the corrupted dataset succeeded")
+			}
+			if after := openFDs(t); after != before {
+				t.Fatalf("failed open leaked descriptors: %d open before, %d after", before, after)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/vf"
@@ -39,11 +40,13 @@ func TestVFShrink(t *testing.T) {
 
 func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 	dir := t.TempDir()
-	db, err := core.Open(dir, vf.Factory, core.Options{PageSize: 4096, PoolPages: 16})
+	opt := core.Options{PageSize: 4096, PoolPages: 16,
+		Compaction: compact.Options{Mode: compact.ModeManual, Compress: true}}
+	db, err := core.Open(dir, vf.Factory, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
+	defer func() { db.Close() }()
 	schema := testSchema()
 	if _, err := db.CreateTable("t", schema); err != nil {
 		t.Fatal(err)
@@ -62,6 +65,15 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 	commits := []*vgraph.Commit{c0}
 	nextPK := int64(1)
 	nextBranch := 1
+	commit := func(op int, b vgraph.BranchID) {
+		c, err := db.Commit(b, "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		model.Commit(c)
+		commits = append(commits, c)
+		trace = append(trace, fmt.Sprintf("op%d commit branch=%d -> c%d", op, b, c.ID))
+	}
 
 	check := func() bool {
 		for _, br := range g.Branches() {
@@ -95,7 +107,26 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 	}
 
 	for op := 0; op < ops; op++ {
-		switch k := r.Intn(100); {
+		switch k := r.Intn(106); {
+		case k >= 103:
+			for _, b := range model.MergedDirty() {
+				commit(op, b)
+			}
+			trace = append(trace, fmt.Sprintf("op%d reopen", op))
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = core.Open(dir, vf.Factory, opt); err != nil {
+				t.Fatal(err)
+			}
+			g = db.Graph()
+			tbl, _ = db.Table("t")
+			model.Reopen(g)
+		case k >= 100:
+			trace = append(trace, fmt.Sprintf("op%d compact", op))
+			if _, err := db.Compact(); err != nil {
+				t.Fatal(err)
+			}
 		case k < 40:
 			b := branches[r.Intn(len(branches))]
 			rec := record.New(schema)
@@ -127,14 +158,7 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 				model.Delete(b.ID, pk)
 			}
 		case k < 78:
-			b := branches[r.Intn(len(branches))]
-			c, err := db.Commit(b.ID, "c")
-			if err != nil {
-				t.Fatal(err)
-			}
-			model.Commit(c)
-			commits = append(commits, c)
-			trace = append(trace, fmt.Sprintf("op%d commit branch=%d -> c%d", op, b.ID, c.ID))
+			commit(op, branches[r.Intn(len(branches))].ID)
 		case k < 90:
 			var from vgraph.CommitID
 			if r.Intn(3) == 0 {

@@ -342,9 +342,9 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 		return err
 	}
 
-	// Committed. Point the open-log cache at the rewritten logs, remap
-	// the pk indexes (deduping shared overlay-chain nodes), count the
-	// pass, and retire the replaced files.
+	// Committed. Point the open-log cache at the rewritten logs, move the
+	// version index's positions to the merged segment, count the pass,
+	// and retire the replaced files.
 	var oldLogs []logKey
 	for k := range removedSeq {
 		if l, ok := e.logs[k]; ok {
@@ -356,24 +356,15 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 	for b, l := range newLogs {
 		e.logs[logKey{Branch: b, Seg: newID}] = l
 	}
-	seen := make(map[*pkIndex]bool)
-	for _, idx := range e.pk {
-		for q := idx; q != nil && !seen[q]; q = q.parent {
-			seen[q] = true
-			for pk, p := range q.m {
-				if !inRun[p.Seg] {
-					continue
-				}
-				if np, ok := remap[p]; ok {
-					q.m[pk] = np
-				} else {
-					// The row was dropped: every branch has shadowed or
-					// deleted this entry, so it can only resolve dead.
-					q.m[pk] = deletedPos
-				}
-			}
+	e.vers.Rewrite(func(p pos) (pos, bool) {
+		if !inRun[p.Seg] {
+			return p, true
 		}
-	}
+		// A dropped row is live in no branch and in no recorded commit:
+		// nothing can make its position live again.
+		np, ok := remap[p]
+		return np, ok
+	})
 	var oldBytes int64
 	for _, s := range run {
 		oldBytes += s.File.DiskBytes()
@@ -394,8 +385,8 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 
 // compressLocked re-encodes every remaining frozen heap segment (heads
 // excluded) into compressed pages. Slot numbering is preserved — the
-// whole file re-encodes — so bitmaps, logs and pk indexes need no
-// changes; only the catalog entry's encoding tag and path move.
+// whole file re-encodes — so bitmaps, logs and the version index need
+// no changes; only the catalog entry's encoding tag and path move.
 func (e *Engine) compressLocked(opt compact.Options, st *compact.Stats) error {
 	heads := make(map[segID]bool, len(e.headSeg))
 	for _, id := range e.headSeg {

@@ -22,16 +22,14 @@ import (
 	"decibel/internal/vgraph"
 )
 
-// segID indexes the engine's segment table.
-type segID int
+// segID indexes the engine's segment table (store.Pos.Seg).
+type segID = int32
 
 // pos addresses one record copy.
-type pos struct {
-	Seg  segID
-	Slot int64
-}
+type pos = store.Pos
 
-var deletedPos = pos{Seg: -1, Slot: -1}
+// noPos is the position of a key with no live version.
+var noPos = pos{Seg: -1, Slot: -1}
 
 // hseg is one segment: a shared store segment (heap file, schema-
 // version id, zone map, freeze state) plus its local bitmap index,
@@ -78,7 +76,12 @@ type Engine struct {
 	byID    map[segID]*hseg
 	nextID  segID
 	headSeg map[vgraph.BranchID]segID
-	pk      map[vgraph.BranchID]*pkIndex
+	// vers is the table's primary-key index: every stored (segment,
+	// slot), by key. One index serves all branches; the per-(segment,
+	// branch) bitmaps say which version a branch sees. It relies on ids
+	// never being reused (above), so a position can never come to name
+	// a different record.
+	vers *store.VersionIndex
 
 	logs     map[logKey]*bitmap.CommitLog
 	startSeq map[logKey]int // branch commit seq at which the log begins
@@ -109,11 +112,21 @@ func Factory(env *core.Env) (core.Engine, error) {
 		st:       store.New(env.Pool, env.History()),
 		byID:     make(map[segID]*hseg),
 		headSeg:  make(map[vgraph.BranchID]segID),
-		pk:       make(map[vgraph.BranchID]*pkIndex),
 		logs:     make(map[logKey]*bitmap.CommitLog),
 		startSeq: make(map[logKey]int),
 	}
-	if err := e.recover(); err != nil {
+	err := e.recover()
+	if err == nil {
+		err = e.buildVersions()
+	}
+	if err != nil {
+		// Release everything the failed open has opened so far.
+		for _, s := range e.segs {
+			s.File.Close()
+		}
+		for _, l := range e.logs {
+			l.Close()
+		}
 		return nil, err
 	}
 	return e, nil
@@ -161,8 +174,8 @@ func (e *Engine) persistLocked() error {
 	return os.Rename(tmp, e.metaPath())
 }
 
-// recover reloads the catalog, restores each (branch, segment) bitmap
-// to its last committed snapshot, and rebuilds the primary-key indexes.
+// recover reloads the catalog and restores each (branch, segment)
+// bitmap to its last committed snapshot.
 func (e *Engine) recover() error {
 	data, err := os.ReadFile(e.metaPath())
 	if errors.Is(err, os.ErrNotExist) {
@@ -246,34 +259,54 @@ func (e *Engine) recover() error {
 			e.byID[id].local[br.ID] = bm
 		}
 	}
-	// Rebuild primary-key indexes from the restored bitmaps. Keys sit
-	// at a fixed offset in every schema version, so the rebuild reads
-	// raw buffers without converting them.
-	for _, br := range e.env.Graph.Branches() {
-		idx := newPKIndex()
-		e.pk[br.ID] = idx
-		for _, s := range e.segs {
-			bm, ok := s.local[br.ID]
-			if !ok {
-				continue
-			}
-			buf := make([]byte, s.Schema.RecordSize())
-			var scanErr error
-			bm.ForEach(func(slot int) bool {
-				if err := s.File.Read(int64(slot), buf); err != nil {
-					scanErr = err
-					return false
-				}
-				idx.set(record.PKOf(buf), pos{Seg: s.id, Slot: int64(slot)})
-				return true
-			})
-			if scanErr != nil {
-				return scanErr
-			}
-		}
-	}
 	e.sweepOrphans()
 	return nil
+}
+
+// buildVersions fills the version index in one sequential pass per
+// segment, a page at a time, independent of the number of branches. It
+// is the only place the engine reads records to index them. Every
+// stored slot is indexed, not only those live in some head: a slot
+// reachable only through a historical commit becomes live again when a
+// branch is created at that commit, and Branch must not have to scan
+// for it. Keys sit at a fixed offset in every schema version, so raw
+// buffers are read without converting them.
+func (e *Engine) buildVersions() error {
+	var total int64
+	for _, s := range e.segs {
+		total += s.File.Count()
+	}
+	e.vers = store.NewVersionIndex(int(total))
+	for _, s := range e.segs {
+		err := s.File.Scan(0, s.File.Count(), func(slot int64, buf []byte) bool {
+			e.vers.Push(record.PKOf(buf), pos{Seg: s.id, Slot: slot})
+			return true
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// livePos returns the position of pk's version live in the branch, or
+// noPos when the branch has none.
+func (e *Engine) livePos(branch vgraph.BranchID, pk int64) pos {
+	p, ok := e.vers.Find(pk, func(p pos) bool {
+		bm, ok := e.byID[p.Seg].local[branch]
+		return ok && bm.Get(int(p.Slot))
+	})
+	if !ok {
+		return noPos
+	}
+	return p
+}
+
+// clearLive unsets the branch's bit at p.
+func (e *Engine) clearLive(branch vgraph.BranchID, p pos) {
+	if bm, ok := e.byID[p.Seg].local[branch]; ok {
+		bm.Clear(int(p.Slot))
+	}
 }
 
 func (e *Engine) newSegmentLocked(owner vgraph.BranchID, cols int) (*hseg, error) {
@@ -299,7 +332,6 @@ func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 	}
 	s.local[master.ID] = bitmap.New(0)
 	e.headSeg[master.ID] = s.id
-	e.pk[master.ID] = newPKIndex()
 	return e.commitLocked(c0)
 }
 
@@ -329,24 +361,9 @@ func (e *Engine) Branch(child *vgraph.Branch, from *vgraph.Commit) error {
 	if err != nil {
 		return err
 	}
-	// Fast path: branching from the parent's current state clones the
-	// parent's per-segment bitmaps directly and forks the pk index.
-	current := make(map[segID]*bitmap.Bitmap)
-	for _, s := range e.segs {
-		if bm, ok := s.local[parent]; ok && bm.Any() {
-			current[s.id] = bm
-		}
-	}
-	atHead := len(snap) == len(current)
-	if atHead {
-		for id, bm := range current {
-			if sn, ok := snap[id]; !ok || !sn.Equal(bm) {
-				atHead = false
-				break
-			}
-		}
-	}
-
+	// The version index already holds every position the snapshot can
+	// name, so the bitmaps are all a branch needs — from a historical
+	// commit as much as from the head.
 	for id, bm := range snap {
 		e.byID[id].local[child.ID] = bm.Clone()
 	}
@@ -370,32 +387,6 @@ func (e *Engine) Branch(child *vgraph.Branch, from *vgraph.Commit) error {
 	nc.local[child.ID] = bitmap.New(0)
 	e.headSeg[child.ID] = nc.id
 
-	if atHead {
-		if pidx, ok := e.pk[parent]; ok {
-			a, b := pidx.fork()
-			e.pk[parent] = a
-			e.pk[child.ID] = b
-			return e.persistLocked()
-		}
-	}
-	idx := newPKIndex()
-	for id, bm := range snap {
-		s := e.byID[id]
-		buf := make([]byte, s.Schema.RecordSize())
-		var scanErr error
-		bm.ForEach(func(slot int) bool {
-			if err := s.File.Read(int64(slot), buf); err != nil {
-				scanErr = err
-				return false
-			}
-			idx.set(record.PKOf(buf), pos{Seg: id, Slot: int64(slot)})
-			return true
-		})
-		if scanErr != nil {
-			return scanErr
-		}
-	}
-	e.pk[child.ID] = idx
 	return e.persistLocked()
 }
 
@@ -515,23 +506,16 @@ func (e *Engine) writeHeadLocked(branch vgraph.BranchID) (*hseg, error) {
 }
 
 func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error {
-	idx, ok := e.pk[branch]
-	if !ok {
-		return fmt.Errorf("hy: unknown branch %d", branch)
-	}
 	s, err := e.writeHeadLocked(branch)
 	if err != nil {
 		return err
 	}
-	head := s.id
 	slot, err := e.st.Append(s.Segment, rec)
 	if err != nil {
 		return err
 	}
-	if old, ok := idx.get(rec.PK()); ok && old != deletedPos {
-		if bm, ok := e.byID[old.Seg].local[branch]; ok {
-			bm.Clear(int(old.Slot))
-		}
+	if old := e.livePos(branch, rec.PK()); old != noPos {
+		e.clearLive(branch, old)
 	}
 	bm := s.local[branch]
 	if bm == nil {
@@ -539,7 +523,7 @@ func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error 
 		s.local[branch] = bm
 	}
 	bm.Set(int(slot))
-	idx.set(rec.PK(), pos{Seg: head, Slot: slot})
+	e.vers.Push(rec.PK(), pos{Seg: s.id, Slot: slot})
 	return nil
 }
 
@@ -547,18 +531,12 @@ func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error 
 func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	idx, ok := e.pk[branch]
-	if !ok {
+	if _, ok := e.headSeg[branch]; !ok {
 		return fmt.Errorf("hy: unknown branch %d", branch)
 	}
-	old, ok := idx.get(pk)
-	if !ok || old == deletedPos {
-		return nil
+	if old := e.livePos(branch, pk); old != noPos {
+		e.clearLive(branch, old)
 	}
-	if bm, ok := e.byID[old.Seg].local[branch]; ok {
-		bm.Clear(int(old.Slot))
-	}
-	idx.set(pk, deletedPos)
 	return nil
 }
 
@@ -582,16 +560,17 @@ func (e *Engine) SegmentStats() []store.SegmentStat {
 func (e *Engine) Stats() (core.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := core.Stats{SegmentCount: len(e.segs)}
+	st := core.Stats{
+		IndexBytes:   e.vers.Bytes(),
+		IndexEntries: int64(e.vers.Len()),
+		SegmentCount: len(e.segs),
+	}
 	for _, s := range e.segs {
 		st.Records += s.File.Count()
 		st.DataBytes += s.File.SizeBytes()
 		for _, bm := range s.local {
 			st.IndexBytes += int64(bm.Len()+7) / 8
 		}
-	}
-	for _, idx := range e.pk {
-		st.IndexBytes += idx.bytes()
 	}
 	for _, b := range e.env.Graph.Branches() {
 		for _, s := range e.segs {

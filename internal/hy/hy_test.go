@@ -35,29 +35,6 @@ func rec(s *record.Schema, pk, v int64) *record.Record {
 	return r
 }
 
-func TestPKIndexPosFork(t *testing.T) {
-	p := newPKIndex()
-	p.set(1, pos{Seg: 2, Slot: 5})
-	a, b := p.fork()
-	a.set(1, pos{Seg: 3, Slot: 0})
-	if got := b.live(1); got != (pos{Seg: 2, Slot: 5}) {
-		t.Fatalf("sibling sees %v", got)
-	}
-	if got := a.live(1); got != (pos{Seg: 3, Slot: 0}) {
-		t.Fatalf("overlay lost write: %v", got)
-	}
-	a.set(1, deletedPos)
-	if a.live(1) != deletedPos {
-		t.Fatal("delete marker not live-resolved")
-	}
-	if b.live(99) != deletedPos {
-		t.Fatal("missing key not deletedPos")
-	}
-	if p.bytes() <= 0 || a.bytes() <= p.bytes() {
-		t.Fatal("bytes accounting wrong")
-	}
-}
-
 // TestSegmentLifecycle checks the branch operation's segment dance:
 // the parent's head freezes into an internal segment and both branches
 // get fresh heads (Section 3.4).
@@ -234,5 +211,64 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 	st, _ := e.Stats()
 	if st.Records != 1 {
 		t.Fatalf("merge copied records: %d stored", st.Records)
+	}
+}
+
+// TestLookupWalkLength pins the trade the shared version index makes: a
+// lookup costs one liveness probe per version of that key newer than
+// the branch's own. master rewrites one key 2000 times and resolves it
+// in a single probe; a sibling forked before the first rewrite still
+// gets its own version, after walking past master's; a key deleted on
+// a branch resolves absent there and nowhere else.
+func TestLookupWalkLength(t *testing.T) {
+	env, g := testEnv(t)
+	eng, _ := Factory(env)
+	defer eng.Close()
+	e := eng.(*Engine)
+	master, c0, _ := g.Init("init")
+	e.Init(master, c0)
+	e.Insert(master.ID, rec(env.Schema, 1, 0))
+	e.Insert(master.ID, rec(env.Schema, 2, 0))
+	c1, _ := g.NewCommit(master.ID, "c1")
+	e.Commit(c1)
+	sib, _ := g.NewBranch("sib", c1.ID)
+	if err := e.Branch(sib, c1); err != nil {
+		t.Fatal(err)
+	}
+	const updates = 2000
+	for v := int64(1); v <= updates; v++ {
+		if err := e.Insert(master.ID, rec(env.Schema, 1, v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Delete(sib.ID, 2)
+
+	lookup := func(b vgraph.BranchID, pk int64) (v int64, probes int, found bool) {
+		_, found = e.vers.Find(pk, func(p pos) bool {
+			probes++
+			bm, ok := e.byID[p.Seg].local[b]
+			return ok && bm.Get(int(p.Slot))
+		})
+		buf, _, ok, err := e.LookupPK(b, pk)
+		if err != nil || !ok || found != (buf != nil) {
+			t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
+		}
+		if found {
+			r, _ := record.FromBytes(env.Schema, buf)
+			v = r.Get(1)
+		}
+		return v, probes, found
+	}
+	if v, probes, ok := lookup(master.ID, 1); !ok || v != updates || probes != 1 {
+		t.Errorf("master: v=%d after %d probes (found=%v), want v=%d after 1", v, probes, ok, updates)
+	}
+	if v, probes, ok := lookup(sib.ID, 1); !ok || v != 0 || probes != updates+1 {
+		t.Errorf("sibling: v=%d after %d probes (found=%v), want its own v=0 after %d", v, probes, ok, updates+1)
+	}
+	if _, _, ok := lookup(sib.ID, 2); ok {
+		t.Error("key deleted on the sibling still resolves there")
+	}
+	if v, _, ok := lookup(master.ID, 2); !ok || v != 0 {
+		t.Errorf("sibling's delete leaked into master: v=%d found=%v", v, ok)
 	}
 }

@@ -98,8 +98,6 @@ func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core
 		return st, err
 	}
 
-	idxA := e.pk[into]
-	idxB := e.pk[other]
 	headSeg, err := e.writeHeadLocked(into)
 	if err != nil {
 		return st, err
@@ -127,11 +125,6 @@ func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core
 		}
 		bm.Set(int(p.Slot))
 	}
-	clearLive := func(branch vgraph.BranchID, p pos) {
-		if bm, ok := e.byID[p.Seg].local[branch]; ok {
-			bm.Clear(int(p.Slot))
-		}
-	}
 
 	for pk, en := range entries {
 		if en.changedA {
@@ -140,39 +133,35 @@ func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core
 		if en.changedB {
 			st.ChangedB++
 		}
-		posA := idxA.live(pk)
-		posB := idxB.live(pk)
+		posA := e.livePos(into, pk)
+		posB := e.livePos(other, pk)
 		switch {
 		case en.changedA && !en.changedB:
 			// Keep into's state.
 		case en.changedB && !en.changedA:
-			if posA != deletedPos {
-				clearLive(into, posA)
+			if posA != noPos {
+				e.clearLive(into, posA)
 			}
-			if posB != deletedPos {
+			if posB != noPos {
 				setLive(into, posB)
-				idxA.set(pk, posB)
-			} else {
-				idxA.set(pk, deletedPos)
 			}
 		default:
 			var recA, recB, base *record.Record
-			if posA != deletedPos {
+			if posA != noPos {
 				if recA, err = readAt(posA); err != nil {
 					return st, err
 				}
 			}
-			if posB != deletedPos {
+			if posB != noPos {
 				if recB, err = readAt(posB); err != nil {
 					return st, err
 				}
 			}
 			apply := func(rec *record.Record, deleted bool) error {
-				if posA != deletedPos {
-					clearLive(into, posA)
+				if posA != noPos {
+					e.clearLive(into, posA)
 				}
 				if deleted {
-					idxA.set(pk, deletedPos)
 					return nil
 				}
 				var p pos
@@ -187,10 +176,10 @@ func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core
 						return err
 					}
 					p = pos{Seg: head, Slot: slot}
+					e.vers.Push(pk, p)
 					st.Materialized++
 				}
 				setLive(into, p)
-				idxA.set(pk, p)
 				return nil
 			}
 			if kind == core.TwoWay {

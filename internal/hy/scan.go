@@ -18,17 +18,16 @@ import (
 // relation of Section 3.4); the scan driver in core prunes the rest by
 // zone map and evaluates the spec on the raw page buffer.
 
-// LookupPK implements core.Engine: the per-branch pk index maps the key
-// to its live (segment, slot) position.
+// LookupPK implements core.Engine: the version index lists the key's
+// (segment, slot) positions and the branch's bitmaps pick the live one.
 func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64) ([]byte, int, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	idx, ok := e.pk[branch]
-	if !ok {
+	if _, ok := e.headSeg[branch]; !ok {
 		return nil, 0, false, nil
 	}
-	p := idx.live(pk)
-	if p == deletedPos {
+	p := e.livePos(branch, pk)
+	if p == noPos {
 		return nil, 0, true, nil
 	}
 	s := e.byID[p.Seg]

@@ -1,0 +1,118 @@
+package store
+
+// Pos addresses one stored copy of a record: a slot of a segment.
+// Tuple-first numbers its whole heap with global slots and leaves Seg
+// zero; hybrid uses its segment ids.
+type Pos struct {
+	Seg  int32
+	Slot int64
+}
+
+// VersionIndex is the primary-key index of a table, shared by every
+// branch: for each key, the positions of its stored versions, newest
+// first. It does not know branches. Which version a branch sees is
+// decided by the liveness bitmaps the engine already keeps — a branch
+// has at most one version of a key live — so a lookup (Find) is one map
+// probe plus a walk that stops at the first position live in the
+// branch. Setting or clearing a liveness bit therefore is the index
+// update for updates, deletes, merges and branching; only a newly
+// appended slot is pushed.
+//
+// A lookup is O(versions of that key): a branch that holds the newest
+// version resolves from the map entry alone, a branch still on an old
+// version walks past the newer ones, a key absent from the branch walks
+// them all. Hybrid's merge compaction trims versions no bitmap or
+// commit reaches (Rewrite); tuple-first never drops a slot, so its
+// lists only grow.
+//
+// Invariant: a position is never reused while the process lives — heap
+// files truncate only at open, and a merged segment takes a fresh id —
+// so a position dead in every bitmap may stay in the index harmlessly:
+// no liveness test will ever accept it for a different record.
+//
+// Not safe for concurrent use; both engines reach it under their lock.
+type VersionIndex struct {
+	newest map[int64]version // pk -> its newest version
+	older  []version         // superseded versions, chained newest to oldest
+}
+
+// version is one position, 16 bytes, and the index in older of the
+// next older version of the same key (-1 ends the list).
+type version struct {
+	slot int64
+	seg  int32
+	next int32
+}
+
+func (v version) pos() Pos { return Pos{Seg: v.seg, Slot: v.slot} }
+
+// NewVersionIndex returns an empty index sized for up to n keys.
+func NewVersionIndex(n int) *VersionIndex {
+	return &VersionIndex{newest: make(map[int64]version, n)}
+}
+
+// Push records p as the newest stored version of pk.
+func (ix *VersionIndex) Push(pk int64, p Pos) {
+	next := int32(-1)
+	if prev, ok := ix.newest[pk]; ok {
+		next = int32(len(ix.older))
+		ix.older = append(ix.older, prev)
+	}
+	ix.newest[pk] = version{slot: p.Slot, seg: p.Seg, next: next}
+}
+
+// after returns the next older version of v's key.
+func (ix *VersionIndex) after(v version) (version, bool) {
+	if v.next < 0 {
+		return version{}, false
+	}
+	return ix.older[v.next], true
+}
+
+// Find walks pk's versions newest first and returns the first one live
+// accepts. live must not modify the index.
+func (ix *VersionIndex) Find(pk int64, live func(Pos) bool) (Pos, bool) {
+	for v, ok := ix.newest[pk]; ok; v, ok = ix.after(v) {
+		if live(v.pos()) {
+			return v.pos(), true
+		}
+	}
+	return Pos{}, false
+}
+
+// Rewrite passes every position through fn, which returns where the
+// version now lives, or false when it was dropped. Version order within
+// a key is kept; older is rebuilt without the dropped cells.
+func (ix *VersionIndex) Rewrite(fn func(Pos) (Pos, bool)) {
+	older := make([]version, 0, len(ix.older))
+	var kept []Pos // one key's surviving positions, newest first
+	for pk, v := range ix.newest {
+		kept = kept[:0]
+		for ok := true; ok; v, ok = ix.after(v) {
+			if p, keep := fn(v.pos()); keep {
+				kept = append(kept, p)
+			}
+		}
+		if len(kept) == 0 {
+			delete(ix.newest, pk)
+			continue
+		}
+		// Chain the survivors oldest first, so each knows its next.
+		next := int32(-1)
+		for i := len(kept) - 1; i > 0; i-- {
+			older = append(older, version{slot: kept[i].Slot, seg: kept[i].Seg, next: next})
+			next = int32(len(older) - 1)
+		}
+		ix.newest[pk] = version{slot: kept[0].Slot, seg: kept[0].Seg, next: next}
+	}
+	ix.older = older
+}
+
+// Len returns the number of positions held.
+func (ix *VersionIndex) Len() int { return len(ix.newest) + len(ix.older) }
+
+// Bytes approximates the index's memory footprint: a key and a version
+// per distinct key, a version per superseded one.
+func (ix *VersionIndex) Bytes() int64 {
+	return int64(len(ix.newest))*24 + int64(len(ix.older))*16
+}

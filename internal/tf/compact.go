@@ -19,8 +19,8 @@ func (e *Engine) extFilePath(i int, name string) string {
 
 // CompactSegments implements core.Engine for the tuple-first scheme.
 // The shared heap's slot numbers are global — every bitmap, commit
-// delta and pk index addresses them — so extents can never be merged
-// or have rows dropped; the pass re-encodes sealed extents into
+// delta and the version index address them — so extents can never be
+// merged or have rows dropped; the pass re-encodes sealed extents into
 // compressed pages under store.SwapCompressed's crash-safe protocol
 // (the extent-table rename is its commit point), preserving slot
 // numbering exactly. Rows past an extent's sealed count (torn appends

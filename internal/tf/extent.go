@@ -4,7 +4,7 @@ package tf
 // is a sequence of extents: fixed-width heap files managed by the
 // shared segment store (internal/store), each tagged with the number
 // of physical schema columns its records were encoded under. Slot
-// numbers — what the bitmap index and the primary-key indexes address
+// numbers — what the bitmap index and the version index address
 // — are global: an extent covers [base, base+count). A schema change
 // never rewrites a page; it just seals the current extent, and the
 // next insert under the wider layout opens a new one. Reads convert

@@ -16,6 +16,8 @@ import (
 type index interface {
 	// addBranch registers a branch whose initial liveness is bm.
 	addBranch(b vgraph.BranchID, bm *bitmap.Bitmap)
+	// has reports whether the branch was registered.
+	has(b vgraph.BranchID) bool
 	// appendTuple extends the index for one appended heap slot.
 	appendTuple(slot int64)
 	set(slot int64, b vgraph.BranchID)
@@ -47,6 +49,8 @@ func newBranchIndex() *branchIndex {
 func (ix *branchIndex) addBranch(b vgraph.BranchID, bm *bitmap.Bitmap) {
 	ix.cols[b] = bm.Clone()
 }
+
+func (ix *branchIndex) has(b vgraph.BranchID) bool { _, ok := ix.cols[b]; return ok }
 
 func (ix *branchIndex) appendTuple(int64) {} // columns grow lazily on Set
 
@@ -104,6 +108,8 @@ func (ix *tupleIndex) addBranch(b vgraph.BranchID, bm *bitmap.Bitmap) {
 		return true
 	})
 }
+
+func (ix *tupleIndex) has(b vgraph.BranchID) bool { _, ok := ix.cols[b]; return ok }
 
 func (ix *tupleIndex) appendTuple(slot int64) {
 	for int64(ix.m.NumTuples()) <= slot {
@@ -177,53 +183,4 @@ func (ix *tupleIndex) membership(slot int64, branches []vgraph.BranchID, dst *bi
 func (ix *tupleIndex) bytes() int64 {
 	// stride words per tuple * tuples * 8 bytes.
 	return int64(ix.m.NumTuples()) * int64((ix.m.NumBranches()+63)/64) * 8
-}
-
-// pkIndex is the per-branch primary-key index of Section 3.2 ("to
-// support efficient updates and deletes, we store a primary-key index
-// indicating the most recent version of each primary key in each
-// branch"). Branching shares structure: the parent's map freezes and
-// both branches continue in fresh overlay maps chained to it, making
-// branch creation O(1) in index size.
-type pkIndex struct {
-	m      map[int64]int64 // pk -> live slot, or -1 for deleted
-	parent *pkIndex
-}
-
-func newPKIndex() *pkIndex { return &pkIndex{m: make(map[int64]int64)} }
-
-// get returns the live slot of pk, or (-1, true) if deleted, or
-// (0, false) if never seen.
-func (p *pkIndex) get(pk int64) (int64, bool) {
-	for q := p; q != nil; q = q.parent {
-		if s, ok := q.m[pk]; ok {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-// live returns the live slot or -1 when absent or deleted.
-func (p *pkIndex) live(pk int64) int64 {
-	s, ok := p.get(pk)
-	if !ok || s < 0 {
-		return -1
-	}
-	return s
-}
-
-func (p *pkIndex) set(pk, slot int64) { p.m[pk] = slot }
-
-// fork freezes p and returns two overlays sharing it.
-func (p *pkIndex) fork() (*pkIndex, *pkIndex) {
-	return &pkIndex{m: make(map[int64]int64), parent: p},
-		&pkIndex{m: make(map[int64]int64), parent: p}
-}
-
-func (p *pkIndex) bytes() int64 {
-	var n int64
-	for q := p; q != nil; q = q.parent {
-		n += int64(len(q.m)) * 16
-	}
-	return n
 }

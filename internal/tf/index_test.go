@@ -9,58 +9,6 @@ import (
 	"decibel/internal/vgraph"
 )
 
-func TestPKIndexBasic(t *testing.T) {
-	p := newPKIndex()
-	if _, ok := p.get(1); ok {
-		t.Fatal("empty index has entries")
-	}
-	p.set(1, 100)
-	if s, ok := p.get(1); !ok || s != 100 {
-		t.Fatalf("get = %d, %v", s, ok)
-	}
-	if p.live(1) != 100 {
-		t.Fatal("live wrong")
-	}
-	p.set(1, -1) // delete marker
-	if p.live(1) != -1 {
-		t.Fatal("deleted key still live")
-	}
-	if s, ok := p.get(1); !ok || s != -1 {
-		t.Fatalf("deleted get = %d, %v", s, ok)
-	}
-	if p.live(99) != -1 {
-		t.Fatal("missing key live")
-	}
-}
-
-func TestPKIndexForkIsolation(t *testing.T) {
-	p := newPKIndex()
-	p.set(1, 10)
-	p.set(2, 20)
-	a, b := p.fork()
-	// Both see the frozen base.
-	if a.live(1) != 10 || b.live(2) != 20 {
-		t.Fatal("fork lost base entries")
-	}
-	// Writes to one overlay are invisible to the other.
-	a.set(1, 11)
-	if b.live(1) != 10 {
-		t.Fatal("overlay write leaked")
-	}
-	b.set(3, 30)
-	if a.live(3) != -1 {
-		t.Fatal("sibling write visible")
-	}
-	// Deeper chains still resolve.
-	c, d := a.fork()
-	if c.live(1) != 11 || d.live(2) != 20 {
-		t.Fatal("second-level fork lost entries")
-	}
-	if c.bytes() <= 0 {
-		t.Fatal("bytes accounting empty")
-	}
-}
-
 // Property: branchIndex and tupleIndex implement identical semantics.
 func TestQuickIndexLayoutsAgree(t *testing.T) {
 	f := func(seed int64) bool {

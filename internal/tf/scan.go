@@ -24,17 +24,16 @@ import (
 // (store.PageZones) and a bounded scan's walk skips page-sized chunks
 // inside the surviving extents.
 
-// LookupPK implements core.Engine: the per-branch pk index (Section
-// 3.2's update/delete index) maps the key to its live slot in the
-// shared heap.
+// LookupPK implements core.Engine: the version index (Section 3.2's
+// update/delete index, kept once for all branches) lists the key's
+// slots in the shared heap, and the branch's bitmap picks the live one.
 func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64) ([]byte, int, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	idx, ok := e.pk[branch]
-	if !ok {
+	if !e.idx.has(branch) {
 		return nil, 0, false, nil
 	}
-	slot := idx.live(pk)
+	slot := e.liveSlot(branch, pk)
 	if slot < 0 {
 		return nil, 0, true, nil
 	}

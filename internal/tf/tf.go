@@ -26,7 +26,10 @@ type Engine struct {
 
 	exts []*extent
 	idx  index
-	pk   map[vgraph.BranchID]*pkIndex
+	// vers is the table's primary-key index: every stored slot, by key,
+	// newest first (positions are {0, global slot}). One index serves
+	// all branches; e.idx says which version a branch sees.
+	vers *store.VersionIndex
 	logs map[vgraph.BranchID]*bitmap.CommitLog
 }
 
@@ -38,7 +41,6 @@ func Factory(env *core.Env) (core.Engine, error) {
 		env:  env,
 		hist: env.History(),
 		st:   store.New(env.Pool, env.History()),
-		pk:   make(map[vgraph.BranchID]*pkIndex),
 		logs: make(map[vgraph.BranchID]*bitmap.CommitLog),
 	}
 	if env.Opt.TupleOriented {
@@ -46,19 +48,27 @@ func Factory(env *core.Env) (core.Engine, error) {
 	} else {
 		e.idx = newBranchIndex()
 	}
-	if err := e.openExtents(); err != nil {
-		return nil, err
+	err := e.openExtents()
+	if err == nil {
+		err = e.recover()
 	}
-	if err := e.recover(); err != nil {
+	if err == nil {
+		err = e.buildVersions()
+	}
+	if err != nil {
 		e.closeFiles()
 		return nil, err
 	}
 	return e, nil
 }
 
+// closeFiles releases everything a failed open has opened so far.
 func (e *Engine) closeFiles() {
 	for _, x := range e.exts {
 		x.File.Close()
+	}
+	for _, l := range e.logs {
+		l.Close()
 	}
 }
 
@@ -85,8 +95,7 @@ func (e *Engine) openLog(b vgraph.BranchID) (*bitmap.CommitLog, error) {
 
 // recover rebuilds in-memory state from the commit history files after
 // a reopen: each branch's live bitmap is its last committed snapshot
-// (uncommitted modifications are rolled back, per Section 2.2.3), and
-// the per-branch primary-key indexes are rebuilt from the live bitmaps.
+// (uncommitted modifications are rolled back, per Section 2.2.3).
 func (e *Engine) recover() error {
 	if !e.env.Graph.Initialized() {
 		return nil
@@ -114,24 +123,45 @@ func (e *Engine) recover() error {
 			}
 		}
 		e.idx.addBranch(b.ID, bm)
-		idx := newPKIndex()
-		e.pk[b.ID] = idx
-		r := e.reader()
-		var scanErr error
-		bm.ForEach(func(slot int) bool {
-			buf, _, err := r.read(int64(slot))
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			idx.set(record.PKOf(buf), int64(slot))
+	}
+	return nil
+}
+
+// buildVersions fills the version index in one sequential pass over
+// the heap, a page at a time, independent of the number of branches.
+// It is the only place the engine reads records to index them. Every
+// stored slot is indexed, not only those live in some head: a slot
+// reachable only through a historical commit becomes live again when a
+// branch is created at that commit, and Branch must not have to scan
+// for it.
+func (e *Engine) buildVersions() error {
+	e.vers = store.NewVersionIndex(int(e.totalCount()))
+	for i, x := range e.exts {
+		// A sealed extent may hold torn appends past its sealed count;
+		// no global slot maps into them.
+		end := x.File.Count()
+		if i+1 < len(e.exts) {
+			end = e.exts[i+1].base - x.base
+		}
+		err := x.File.Scan(0, end, func(slot int64, buf []byte) bool {
+			e.vers.Push(record.PKOf(buf), store.Pos{Slot: x.base + slot})
 			return true
 		})
-		if scanErr != nil {
-			return scanErr
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// liveSlot returns the global slot of pk's version live in the branch,
+// or -1 when the branch has none.
+func (e *Engine) liveSlot(branch vgraph.BranchID, pk int64) int64 {
+	p, ok := e.vers.Find(pk, func(p store.Pos) bool { return e.idx.get(p.Slot, branch) })
+	if !ok {
+		return -1
+	}
+	return p.Slot
 }
 
 // Init implements core.Engine: registers the master branch and records
@@ -140,7 +170,6 @@ func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.idx.addBranch(master.ID, bitmap.New(0))
-	e.pk[master.ID] = newPKIndex()
 	return e.commitLocked(c0)
 }
 
@@ -160,33 +189,6 @@ func (e *Engine) Branch(child *vgraph.Branch, from *vgraph.Commit) error {
 		return fmt.Errorf("tf: branch from commit %d: %w", from.ID, err)
 	}
 	e.idx.addBranch(child.ID, snap)
-	// Fast path: branching from the parent's current state shares the
-	// primary-key index via overlays; a historical branch point rebuilds
-	// the child's index from the snapshot.
-	if cur := e.idx.column(parent); cur.Equal(snap) {
-		if parentIdx, ok := e.pk[parent]; ok {
-			a, b := parentIdx.fork()
-			e.pk[parent] = a
-			e.pk[child.ID] = b
-			return nil
-		}
-	}
-	idx := newPKIndex()
-	r := e.reader()
-	var scanErr error
-	snap.ForEach(func(slot int) bool {
-		buf, _, err := r.read(int64(slot))
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		idx.set(record.PKOf(buf), int64(slot))
-		return true
-	})
-	if scanErr != nil {
-		return scanErr
-	}
-	e.pk[child.ID] = idx
 	return nil
 }
 
@@ -244,8 +246,7 @@ func (e *Engine) InsertBatch(branch vgraph.BranchID, recs []*record.Record) erro
 }
 
 func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error {
-	idx, ok := e.pk[branch]
-	if !ok {
+	if !e.idx.has(branch) {
 		return fmt.Errorf("tf: unknown branch %d", branch)
 	}
 	// The branch writes at its head commit's schema generation; widen
@@ -258,11 +259,11 @@ func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error 
 		return err
 	}
 	e.idx.appendTuple(slot)
-	if old := idx.live(rec.PK()); old >= 0 {
+	if old := e.liveSlot(branch, rec.PK()); old >= 0 {
 		e.idx.clear(old, branch)
 	}
 	e.idx.set(slot, branch)
-	idx.set(rec.PK(), slot)
+	e.vers.Push(rec.PK(), store.Pos{Slot: slot})
 	return nil
 }
 
@@ -272,16 +273,12 @@ func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error 
 func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	idx, ok := e.pk[branch]
-	if !ok {
+	if !e.idx.has(branch) {
 		return fmt.Errorf("tf: unknown branch %d", branch)
 	}
-	old := idx.live(pk)
-	if old < 0 {
-		return nil
+	if old := e.liveSlot(branch, pk); old >= 0 {
+		e.idx.clear(old, branch)
 	}
-	e.idx.clear(old, branch)
-	idx.set(pk, -1)
 	return nil
 }
 
@@ -363,8 +360,6 @@ func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core
 	}
 	st.DiffBytes = int64(changedA.Count()+changedB.Count()) * recSize
 
-	idxA := e.pk[into]
-	idxB := e.pk[other]
 	mergeReader := e.reader()
 	readRec := func(slot int64) (*record.Record, error) {
 		rec, err := e.readRecAt(mergeReader, slot, epoch)
@@ -382,8 +377,8 @@ func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core
 		if en.changedB {
 			st.ChangedB++
 		}
-		slotA := idxA.live(pk)
-		slotB := idxB.live(pk)
+		slotA := e.liveSlot(into, pk)
+		slotB := e.liveSlot(other, pk)
 		switch {
 		case en.changedA && !en.changedB:
 			// Keep into's state: nothing to do.
@@ -394,12 +389,9 @@ func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core
 			}
 			if slotB >= 0 {
 				e.idx.set(slotB, into)
-				idxA.set(pk, slotB)
-			} else {
-				idxA.set(pk, -1)
 			}
 		default:
-			if err := e.resolveConflict(pk, slotA, slotB, en.lcaSlot, into, mc, kind, idxA, readRec, &st); err != nil {
+			if err := e.resolveConflict(pk, slotA, slotB, en.lcaSlot, into, mc, kind, readRec, &st); err != nil {
 				return st, err
 			}
 		}
@@ -409,7 +401,7 @@ func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core
 
 // resolveConflict handles a key modified in both branches since the
 // LCA. Caller holds e.mu.
-func (e *Engine) resolveConflict(pk, slotA, slotB, lcaSlot int64, into vgraph.BranchID, mc *vgraph.Commit, kind core.MergeKind, idxA *pkIndex, readRec func(int64) (*record.Record, error), st *core.MergeStats) error {
+func (e *Engine) resolveConflict(pk, slotA, slotB, lcaSlot int64, into vgraph.BranchID, mc *vgraph.Commit, kind core.MergeKind, readRec func(int64) (*record.Record, error), st *core.MergeStats) error {
 	var recA, recB, base *record.Record
 	var err error
 	if slotA >= 0 {
@@ -427,7 +419,6 @@ func (e *Engine) resolveConflict(pk, slotA, slotB, lcaSlot int64, into vgraph.Br
 			e.idx.clear(slotA, into)
 		}
 		if deleted {
-			idxA.set(pk, -1)
 			return nil
 		}
 		var slot int64
@@ -443,10 +434,10 @@ func (e *Engine) resolveConflict(pk, slotA, slotB, lcaSlot int64, into vgraph.Br
 				return err
 			}
 			e.idx.appendTuple(slot)
+			e.vers.Push(pk, store.Pos{Slot: slot})
 			st.Materialized++
 		}
 		e.idx.set(slot, into)
-		idxA.set(pk, slot)
 		return nil
 	}
 
@@ -501,17 +492,16 @@ func (e *Engine) Stats() (core.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := core.Stats{
-		IndexBytes:   e.idx.bytes(),
+		IndexBytes:   e.idx.bytes() + e.vers.Bytes(),
+		IndexEntries: int64(e.vers.Len()),
 		SegmentCount: len(e.exts),
 	}
 	for _, x := range e.exts {
 		st.Records += x.File.Count()
 		st.DataBytes += x.File.SizeBytes()
 	}
-	for b, idx := range e.pk {
-		st.IndexBytes += idx.bytes()
-		bm := e.idx.column(b)
-		st.LiveRecords += int64(bm.Count())
+	for _, b := range e.env.Graph.Branches() {
+		st.LiveRecords += int64(e.idx.column(b.ID).Count())
 	}
 	for _, l := range e.logs {
 		sz, err := l.Size()

@@ -1,8 +1,10 @@
 package decibel_test
 
-// Allocation ceilings for the two read paths the benchmark gates at a
-// 1% bound (allocs_per_read_op): a head point lookup and a sequential
-// Q1-shaped head scan. The dataset is the pruning dataset — several
+// Allocation ceilings for the read paths the benchmark gates at a 1%
+// bound (allocs_per_read_op): a head point lookup — of a key whose
+// newest version the branch holds, and of one another branch has since
+// rewritten, so the index walk passes versions the branch cannot see —
+// and a sequential Q1-shaped head scan. The dataset is the pruning dataset — several
 // segments across two schema epochs — so the per-unit costs (layout
 // conversion, zone checks) are part of the count. The ceilings are the
 // counts measured before the read paths were folded into one driver;
@@ -16,15 +18,30 @@ import (
 )
 
 // readAllocCeilings is allocations per read, by engine.
-var readAllocCeilings = map[string]struct{ point, scan float64 }{
-	"hybrid":      {point: 24, scan: 176},
-	"tuple-first": {point: 24, scan: 167},
+var readAllocCeilings = map[string]struct{ point, walk, scan float64 }{
+	"hybrid":      {point: 24, walk: 24, scan: 176},
+	"tuple-first": {point: 24, walk: 24, scan: 167},
 }
 
 func TestReadAllocCeilings(t *testing.T) {
 	for engine, want := range readAllocCeilings {
 		t.Run(engine, func(t *testing.T) {
 			db := buildPruningDB(t, engine, decibel.WithScanWorkers(1))
+			// b2 rewrites key 61 three times; master keeps the older copy.
+			for i := 0; i < 3; i++ {
+				if _, err := db.Commit("b2", func(tx *decibel.Tx) error {
+					tbl, err := db.TableByName("r")
+					if err != nil {
+						return err
+					}
+					rec := decibel.NewRecord(tbl.Schema())
+					rec.SetPK(61)
+					rec.Set(1, int64(1000+i))
+					return tx.Insert("r", rec)
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
 			drain := func(q *decibel.Query, wantRows int) func() {
 				return func() {
 					rows, errf := q.Rows()
@@ -38,11 +55,15 @@ func TestReadAllocCeilings(t *testing.T) {
 				}
 			}
 			point := drain(db.Query("r").On("master").Where(decibel.Col("id").Eq(int64(60))), 1)
+			walk := drain(db.Query("r").On("master").Where(decibel.Col("id").Eq(int64(61))), 1)
 			scan := drain(db.Query("r").On("master").
 				Where(decibel.Col("v").Ge(int64(20)).And(decibel.Col("v").Lt(int64(120)))).
 				Select("v", "sku"), 100)
 			if got := testing.AllocsPerRun(50, point); got > want.point {
 				t.Errorf("point lookup: %.0f allocs/op, ceiling %.0f", got, want.point)
+			}
+			if got := testing.AllocsPerRun(50, walk); got > want.walk {
+				t.Errorf("point lookup past newer versions: %.0f allocs/op, ceiling %.0f", got, want.walk)
 			}
 			if got := testing.AllocsPerRun(50, scan); got > want.scan {
 				t.Errorf("head scan: %.0f allocs/op, ceiling %.0f", got, want.scan)
