@@ -13,6 +13,7 @@ package decibel_test
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"decibel"
@@ -140,5 +141,184 @@ func TestRecoverTornLogAndUncommittedBranch(t *testing.T) {
 				t.Fatalf("wip after post-recovery commit: %d (%v)", n, err)
 			}
 		})
+	}
+}
+
+// The version graph's log record is a commit's commit point: it is
+// written after every engine has applied the commit. A crash in between
+// leaves the engines' files one commit (or merge) ahead of the graph,
+// and reopening must take the graph's word for it — every branch reads
+// exactly its last commit in the graph, and the branch goes on
+// committing. The opposite state, the graph ahead of the engines, no
+// order of writes produces; Open refuses it by name.
+
+// crashDataset builds master (rows 1..5 over two commits) and dev (one
+// more row, 6), and returns the closed dataset's directory.
+func crashDataset(t *testing.T, engine string) (dir string, schema *decibel.Schema) {
+	t.Helper()
+	dir = t.TempDir()
+	db, err := decibel.Open(dir, decibel.WithEngine(engine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema = decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+	if _, err := db.CreateTable("r", schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Init("init"); err != nil {
+		t.Fatal(err)
+	}
+	crashPut(t, db, schema, "master", 1, 2, 3)
+	crashPut(t, db, schema, "master", 4, 5)
+	if _, err := db.Branch("master", "dev"); err != nil {
+		t.Fatal(err)
+	}
+	crashPut(t, db, schema, "dev", 6)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, schema
+}
+
+func crashPut(t *testing.T, db *decibel.DB, schema *decibel.Schema, branch string, pks ...int64) {
+	t.Helper()
+	if _, err := db.Commit(branch, func(tx *decibel.Tx) error {
+		for _, pk := range pks {
+			rec := decibel.NewRecord(schema)
+			rec.SetPK(pk)
+			rec.Set(1, pk*10)
+			if err := tx.Insert("r", rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// expectRows checks that the branch holds exactly pks, each with the
+// value crashPut gave it.
+func expectRows(t *testing.T, db *decibel.DB, branch string, pks ...int64) {
+	t.Helper()
+	n, err := db.Query("r").On(branch).Count()
+	if err != nil || n != len(pks) {
+		t.Fatalf("%s holds %d rows (%v), want %v", branch, n, err, pks)
+	}
+	for _, pk := range pks {
+		n, err := db.Query("r").On(branch).Where(decibel.Col("id").Eq(pk).And(decibel.Col("v").Eq(pk * 10))).Count()
+		if err != nil || n != 1 {
+			t.Fatalf("%s: pk %d matches %d rows (%v)", branch, pk, n, err)
+		}
+	}
+}
+
+// graphFiles are the version graph's files in a dataset directory.
+var graphFiles = []string{"graph.json", "wal.log"}
+
+func TestReopenWithEnginesAheadOfGraph(t *testing.T) {
+	lost := map[string]func(t *testing.T, db *decibel.DB, schema *decibel.Schema){
+		"commit": func(t *testing.T, db *decibel.DB, schema *decibel.Schema) { crashPut(t, db, schema, "master", 7) },
+		"merge": func(t *testing.T, db *decibel.DB, _ *decibel.Schema) {
+			if _, _, err := db.Merge("master", "dev"); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for _, engine := range []string{"tuple-first", "hybrid", "version-first"} {
+		for name, op := range lost {
+			t.Run(engine+"/"+name, func(t *testing.T) {
+				dir, schema := crashDataset(t, engine)
+				saved := t.TempDir()
+				for _, f := range graphFiles {
+					copyFile(t, filepath.Join(dir, f), filepath.Join(saved, f))
+				}
+				db, err := decibel.Open(dir, decibel.WithEngine(engine))
+				if err != nil {
+					t.Fatal(err)
+				}
+				op(t, db, schema)
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				// The operation reached every engine file and not the graph.
+				for _, f := range graphFiles {
+					copyFile(t, filepath.Join(saved, f), filepath.Join(dir, f))
+				}
+
+				for round := 0; round < 2; round++ { // the repair must itself survive a reopen
+					db, err = decibel.Open(dir, decibel.WithEngine(engine))
+					if err != nil {
+						t.Fatalf("reopen %d: %v", round, err)
+					}
+					expectRows(t, db, "master", 1, 2, 3, 4, 5)
+					expectRows(t, db, "dev", 1, 2, 3, 4, 5, 6)
+					if n, err := db.Query("r").On("master").At(1).Count(); err != nil || n != 3 {
+						t.Fatalf("master@1 holds %d rows (%v), want 3", n, err)
+					}
+					if round == 0 {
+						if err := db.Close(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				defer db.Close()
+				crashPut(t, db, schema, "master", 8)
+				expectRows(t, db, "master", 1, 2, 3, 4, 5, 8)
+				if _, err := db.Branch("master", "next"); err != nil {
+					t.Fatalf("branch from the head: %v", err)
+				}
+				expectRows(t, db, "next", 1, 2, 3, 4, 5, 8)
+				if _, _, err := db.Merge("master", "dev"); err != nil {
+					t.Fatalf("merge after the repair: %v", err)
+				}
+				expectRows(t, db, "master", 1, 2, 3, 4, 5, 6, 8)
+			})
+		}
+	}
+}
+
+func TestOpenRefusesGraphAheadOfEngines(t *testing.T) {
+	for _, engine := range []string{"tuple-first", "hybrid", "version-first"} {
+		t.Run(engine, func(t *testing.T) {
+			dir, schema := crashDataset(t, engine)
+			saved := t.TempDir()
+			copyTree(t, filepath.Join(dir, "tables"), saved)
+			db, err := decibel.Open(dir, decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashPut(t, db, schema, "master", 7)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The engines' files lose the commit; the graph keeps it.
+			if err := os.RemoveAll(filepath.Join(dir, "tables")); err != nil {
+				t.Fatal(err)
+			}
+			copyTree(t, saved, filepath.Join(dir, "tables"))
+
+			db, err = decibel.Open(dir, decibel.WithEngine(engine))
+			if err == nil {
+				db.Close()
+				t.Fatal("opened a dataset whose engines lack a commit the graph has")
+			}
+			for _, want := range []string{`table "r"`, "branch 0", "4 commits in the version graph", "3 in the storage engine"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not say %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+func copyFile(t *testing.T, src, dst string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

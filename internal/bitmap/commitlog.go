@@ -32,8 +32,9 @@ import (
 //	file  := magic(0xD1) | entry*
 //	entry := kind(1 byte: 0 base, 1 composite) | len(uvarint) | RLE bytes | crc32(4 bytes LE)
 //
-// Entries are append-only; a torn final entry (e.g. after a crash) is
-// detected by length and truncated away on open. The trailing CRC-32
+// Entries are append-only, each written with one write; a torn final
+// entry (e.g. after a crash) is detected by length and truncated away
+// on open. The trailing CRC-32
 // (IEEE, over kind, length and payload) catches the case length
 // framing cannot: a write torn mid-entry whose tail is later overlaid
 // by other bytes can otherwise re-parse as a plausible entry and
@@ -46,6 +47,8 @@ type CommitLog struct {
 	path   string
 	f      *os.File
 	fanout int
+	end    int64  // file size: where the next entry goes
+	buf    []byte // reused entry buffer
 
 	// In-memory index of entry offsets, rebuilt on open.
 	base      []logEntry // base deltas, one per commit
@@ -58,8 +61,13 @@ type CommitLog struct {
 }
 
 type logEntry struct {
-	off  int64
+	off  int64 // of the RLE payload
 	size int
+}
+
+// start returns the file offset of the entry's kind byte.
+func (e logEntry) start() int64 {
+	return e.off - 1 - int64(len(binary.AppendUvarint(nil, uint64(e.size))))
 }
 
 // DefaultLayerFanout is the number of base deltas aggregated into one
@@ -139,9 +147,10 @@ func (cl *CommitLog) recover() error {
 		return fmt.Errorf("commitlog: %w", err)
 	}
 	if len(data) == 0 {
-		if _, err := cl.f.Write([]byte{logMagic}); err != nil {
+		if _, err := cl.f.WriteAt([]byte{logMagic}, 0); err != nil {
 			return fmt.Errorf("commitlog: %w", err)
 		}
+		cl.end = 1
 		return nil
 	}
 	if data[0] != logMagic {
@@ -172,13 +181,15 @@ func (cl *CommitLog) recover() error {
 			return fmt.Errorf("commitlog: truncating torn tail: %w", err)
 		}
 	}
-	if _, err := cl.f.Seek(valid, io.SeekStart); err != nil {
-		return err
-	}
-	// Re-establish the invariant len(composite) == len(base)/fanout: a
-	// crash between a base append and its boundary composite append can
-	// leave a complete run uncovered; recompute and append the missing
-	// composite entries now.
+	cl.end = valid
+	return cl.rebuildAcc()
+}
+
+// rebuildAcc re-establishes the invariant len(composite) ==
+// len(base)/fanout and the accumulator of the open run: a crash between
+// a base append and its boundary composite append can leave a complete
+// run uncovered; recompute and append the missing composite entries.
+func (cl *CommitLog) rebuildAcc() error {
 	cl.acc = New(0)
 	for i := len(cl.composite) * cl.fanout; i < len(cl.base); i++ {
 		bm, err := cl.readEntry(cl.base[i])
@@ -257,11 +268,9 @@ func (cl *CommitLog) NumCommits() int {
 
 // Size returns the on-disk size of the history file in bytes.
 func (cl *CommitLog) Size() (int64, error) {
-	st, err := cl.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.end, nil
 }
 
 // Append records a commit whose branch bitmap is cur, returning the
@@ -289,29 +298,50 @@ const crcSize = 4
 
 func (cl *CommitLog) writeEntry(kind byte, bm *Bitmap, index *[]logEntry) error {
 	payload := MarshalRLE(bm)
-	hdr := make([]byte, 0, 11)
-	hdr = append(hdr, kind)
-	hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-	crc := crc32.NewIEEE()
-	crc.Write(hdr)
-	crc.Write(payload)
-	var sum [crcSize]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	off, err := cl.f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return err
+	buf := append(cl.buf[:0], kind)
+	buf = binary.AppendUvarint(buf, uint64(len(payload)))
+	hdr := len(buf)
+	buf = append(buf, payload...)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	cl.buf = buf
+	if _, err := cl.f.WriteAt(buf, cl.end); err != nil {
+		return fmt.Errorf("commitlog: %w", err)
 	}
-	if _, err := cl.f.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := cl.f.Write(payload); err != nil {
-		return err
-	}
-	if _, err := cl.f.Write(sum[:]); err != nil {
-		return err
-	}
-	*index = append(*index, logEntry{off: off + int64(len(hdr)), size: len(payload)})
+	*index = append(*index, logEntry{off: cl.end + int64(hdr), size: len(payload)})
+	cl.end += int64(len(buf))
 	return nil
+}
+
+// Truncate drops every commit from index n on, leaving the log as it
+// was when it held n commits: Head is commit n-1's bitmap and the next
+// Append records commit n. The engines call it at open for commits the
+// version graph does not have — the graph's log record is the commit
+// point, so an entry past the graph's count belongs to a commit that
+// never happened.
+func (cl *CommitLog) Truncate(n int) error {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if n < 0 || n >= len(cl.base) {
+		return nil
+	}
+	// Composite k follows base entry (k+1)*fanout-1, so cutting the file
+	// at base entry n keeps exactly the n/fanout composites before it.
+	cut := cl.base[n].start()
+	if err := cl.f.Truncate(cut); err != nil {
+		return fmt.Errorf("commitlog: %w", err)
+	}
+	cl.end = cut
+	cl.base = cl.base[:n]
+	cl.composite = cl.composite[:min(len(cl.composite), n/cl.fanout)]
+	cl.last = New(0)
+	if n > 0 {
+		last, err := cl.checkoutLocked(n - 1)
+		if err != nil {
+			return err
+		}
+		cl.last = last
+	}
+	return cl.rebuildAcc()
 }
 
 func (cl *CommitLog) readEntry(e logEntry) (*Bitmap, error) {
@@ -334,6 +364,10 @@ func (cl *CommitLog) readEntry(e logEntry) (*Bitmap, error) {
 func (cl *CommitLog) Checkout(i int) (*Bitmap, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
+	return cl.checkoutLocked(i)
+}
+
+func (cl *CommitLog) checkoutLocked(i int) (*Bitmap, error) {
 	if i < 0 || i >= len(cl.base) {
 		return nil, fmt.Errorf("commitlog: commit %d out of range [0,%d)", i, len(cl.base))
 	}

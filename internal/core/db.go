@@ -16,7 +16,6 @@ import (
 	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
-	"decibel/internal/wal"
 )
 
 // Database is a Decibel dataset: a collection of relations versioned
@@ -31,10 +30,9 @@ type Database struct {
 	opt     Options
 	factory Factory
 
-	graph   *vgraph.Graph
-	pool    *heap.Pool
-	locks   *lock.Manager
-	journal *wal.Log
+	graph *vgraph.Graph
+	pool  *heap.Pool
+	locks *lock.Manager
 
 	tables map[string]*Table
 	order  []string // table creation order
@@ -120,11 +118,7 @@ func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) 
 	if err := os.MkdirAll(filepath.Join(dir, "tables"), 0o755); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	graph, err := vgraph.New(filepath.Join(dir, "graph.json"))
-	if err != nil {
-		return nil, err
-	}
-	journal, err := wal.Open(filepath.Join(dir, "wal.log"))
+	graph, err := vgraph.Open(dir, opt.Fsync)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +130,6 @@ func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) 
 		graph:       graph,
 		pool:        heap.NewPool(opt.PoolPages, opt.PageSize),
 		locks:       lock.NewManager(0),
-		journal:     journal,
 		tables:      make(map[string]*Table),
 		scanWorkers: workers,
 		scanSem:     make(chan struct{}, workers),
@@ -145,7 +138,7 @@ func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) 
 		for _, t := range db.Tables() {
 			t.engine.Close()
 		}
-		journal.Close()
+		graph.Close()
 		return nil, err
 	}
 	if opt.Compaction.Mode == compact.ModeAuto {
@@ -246,7 +239,7 @@ func (db *Database) attachTable(name string, hist *record.History) (*Table, erro
 	env := &Env{Dir: tdir, Schema: hist.VisibleAt(0), Hist: hist, Graph: db.graph, Pool: db.pool, Opt: db.opt}
 	eng, err := db.factory(env)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: table %q: %w", name, err)
 	}
 	t := &Table{name: name, hist: hist, engine: eng, db: db}
 	db.tables[name] = t
@@ -341,18 +334,34 @@ func (db *Database) Init(message string) (*vgraph.Branch, *vgraph.Commit, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := db.journalOp("init", message); err != nil {
+	err = db.applyCommitLocked(c0, func(t *Table) error { return t.engine.Init(master, c0) })
+	if err != nil {
 		return nil, nil, err
-	}
-	for _, name := range db.order {
-		if err := db.tables[name].engine.Init(master, c0); err != nil {
-			return nil, nil, err
-		}
 	}
 	return master, c0, nil
 }
 
-// Branch creates a named branch from any existing commit.
+// applyCommitLocked takes a commit the graph has so far created only in
+// memory, applies it to every relation and then publishes it: the
+// graph's log record is the commit point and is written last, so the
+// graph never names a commit an engine lacks. If an engine fails, or
+// the record cannot be written, the commit is taken back out of the
+// graph — head, commit count and next Seq as before — and whatever the
+// engines already logged for it is dropped by the next commit on the
+// branch, or by the next open.
+func (db *Database) applyCommitLocked(c *vgraph.Commit, apply func(*Table) error) error {
+	for _, name := range db.order {
+		if err := apply(db.tables[name]); err != nil {
+			db.graph.Abort(c)
+			return err
+		}
+	}
+	return db.graph.Publish(c)
+}
+
+// Branch creates a named branch from any existing commit. The graph
+// logs the branch before the engines see it: if they never do, the
+// branch is its branch point, which is how they recover it at open.
 func (db *Database) Branch(name string, from vgraph.CommitID) (*vgraph.Branch, error) {
 	if err := db.beginOp(); err != nil {
 		return nil, err
@@ -366,9 +375,6 @@ func (db *Database) Branch(name string, from vgraph.CommitID) (*vgraph.Branch, e
 	}
 	b, err := db.graph.NewBranch(name, from)
 	if err != nil {
-		return nil, err
-	}
-	if err := db.journalOp("branch", name); err != nil {
 		return nil, err
 	}
 	for _, tname := range db.order {
@@ -405,13 +411,8 @@ func (db *Database) Commit(branch vgraph.BranchID, message string) (*vgraph.Comm
 	if err != nil {
 		return nil, err
 	}
-	if err := db.journalOp("commit", message); err != nil {
+	if err := db.applyCommitLocked(c, func(t *Table) error { return t.engine.Commit(c) }); err != nil {
 		return nil, err
-	}
-	for _, tname := range db.order {
-		if err := db.tables[tname].engine.Commit(c); err != nil {
-			return nil, err
-		}
 	}
 	return c, nil
 }
@@ -446,9 +447,9 @@ func (db *Database) SchemaEpoch() int {
 // created stamped with the new epoch — from it onward the branch (and
 // every branch that later merges it) sees the evolved schema, while
 // reads at earlier commits keep resolving the schema as of then. The
-// catalog is persisted before the commit is created, so a crash
+// catalog is persisted before the commit is published, so a crash
 // between the two rolls the changes back on reopen (the epoch is never
-// referenced by any commit).
+// referenced by any commit) — and so does a commit that fails.
 func (db *Database) CommitSchema(branch vgraph.BranchID, message string, changes []SchemaChange) (*vgraph.Commit, error) {
 	if len(changes) == 0 {
 		return db.Commit(branch, message)
@@ -505,28 +506,15 @@ func (db *Database) CommitSchema(branch vgraph.BranchID, message string, changes
 		rollback()
 		return nil, err
 	}
-	if err := db.journalOp("schema", message); err != nil {
-		rollback()
-		return nil, err
-	}
 	c, err := db.graph.NewCommitSchema(branch, message, newEpoch)
+	if err == nil {
+		err = db.applyCommitLocked(c, func(t *Table) error { return t.engine.Commit(c) })
+	}
 	if err != nil {
 		rollback()
-		if serr := db.saveCatalogLocked(); serr != nil {
-			return nil, errors.Join(err, serr)
-		}
-		return nil, err
+		return nil, errors.Join(err, db.saveCatalogLocked())
 	}
 	db.epoch = newEpoch
-	for _, tname := range db.order {
-		if err := db.tables[tname].engine.Commit(c); err != nil {
-			// The schema changes and the commit are already durable; a
-			// failing engine hook leaves a torn commit, like any commit.
-			// Return the commit alongside the error so the session knows
-			// the queued changes were applied and must not be retried.
-			return c, err
-		}
-	}
 	return c, nil
 }
 
@@ -538,13 +526,9 @@ func (db *Database) Merge(into, other vgraph.BranchID, message string, kind Merg
 }
 
 // MergeContext is Merge bounded by a context. Cancellation is checked
-// before any state changes and between relations: each relation's
-// engine merge runs to completion, so the effective granularity is one
-// table. A merge aborted between relations returns ctx.Err() with the
-// merge commit already created and some relations merged — the same
-// partially-applied state a crash mid-merge leaves — so callers should
-// treat a canceled merge like a torn one and re-merge or discard the
-// branch.
+// once, before any state changes: a merge that has started runs through
+// every relation, because a merge commit that some relations applied
+// and others did not is what the commit point exists to rule out.
 func (db *Database) MergeContext(ctx context.Context, into, other vgraph.BranchID, message string, kind MergeKind, precedenceFirst bool) (*vgraph.Commit, MergeStats, error) {
 	var agg MergeStats
 	if err := ctx.Err(); err != nil {
@@ -565,33 +549,20 @@ func (db *Database) MergeContext(ctx context.Context, into, other vgraph.BranchI
 	if err != nil {
 		return nil, agg, err
 	}
-	if err := db.journalOp("merge", message); err != nil {
-		return nil, agg, err
-	}
-	for _, tname := range db.order {
-		if err := ctx.Err(); err != nil {
-			return nil, agg, err
-		}
-		st, err := db.tables[tname].engine.Merge(into, other, mc, kind)
-		if err != nil {
-			return nil, agg, err
-		}
+	err = db.applyCommitLocked(mc, func(t *Table) error {
+		st, err := t.engine.Merge(into, other, mc, kind)
 		agg.Conflicts += st.Conflicts
 		agg.ChangedA += st.ChangedA
 		agg.ChangedB += st.ChangedB
 		agg.DiffBytes += st.DiffBytes
 		agg.Materialized += st.Materialized
 		agg.TuplesScanned += st.TuplesScanned
+		return err
+	})
+	if err != nil {
+		return nil, MergeStats{}, err
 	}
 	return mc, agg, nil
-}
-
-func (db *Database) journalOp(op, detail string) error {
-	_, err := db.journal.AppendGroup([]byte(op + ":" + detail))
-	if err == nil && db.opt.Fsync {
-		return db.journal.Sync()
-	}
-	return err
 }
 
 // Stats aggregates storage statistics across relations.
@@ -694,8 +665,9 @@ func (db *Database) CloseContext(ctx context.Context) error {
 	return werr
 }
 
-// Close flushes and closes every engine and the journal. Close is
-// idempotent: calls after the first are no-ops returning nil.
+// Close flushes and closes every engine and checkpoints the version
+// graph. Close is idempotent: calls after the first are no-ops
+// returning nil.
 func (db *Database) Close() error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil
@@ -717,7 +689,7 @@ func (db *Database) Close() error {
 			first = err
 		}
 	}
-	if err := db.journal.Close(); err != nil && first == nil {
+	if err := db.graph.Close(); err != nil && first == nil {
 		first = err
 	}
 	return first

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"fmt"
+
 	"decibel/internal/bitmap"
 	"decibel/internal/compact"
 	"decibel/internal/heap"
@@ -143,10 +145,15 @@ type Options struct {
 type Factory func(env *Env) (Engine, error)
 
 // Engine is the storage-engine contract of Section 3. One Engine stores
-// one relation across all branches and versions. Version-graph
-// mutations are performed by the Database before the corresponding
-// engine hook runs, so engines may consult env.Graph for parents,
-// sequence numbers and LCAs.
+// one relation across all branches and versions. The Database advances
+// the version graph in memory before the corresponding engine hook
+// runs, so engines may consult env.Graph for parents, sequence numbers
+// and LCAs. On disk the order differs by operation: a branch is in the
+// graph's log before Branch runs, a commit only after Init, Commit or
+// Merge has returned on every relation. An engine must therefore open
+// on files that are ahead of the graph by one commit — and read every
+// branch as of its last commit in the graph — and on a branch it has
+// never seen, which is at its branch point.
 //
 // Write operations address branch heads ("it is expected that most
 // operations will occur on the heads of the branches"). Reads go
@@ -231,4 +238,24 @@ type Engine interface {
 
 	// Close flushes and releases all resources.
 	Close() error
+}
+
+// ReconcileLog brings a branch's commit history file into line with
+// the version graph, which says the file should hold want commits. The
+// graph's log record is a commit's commit point and is written after
+// the engines' own, so entries past want belong to a commit that never
+// happened — a crash, or an engine failure, came first — and are
+// dropped.
+func ReconcileLog(l *bitmap.CommitLog, branch vgraph.BranchID, want int) error {
+	if have := l.NumCommits(); have < want {
+		return BehindGraph(branch, want, have)
+	}
+	return l.Truncate(want)
+}
+
+// BehindGraph is the error for an engine that holds fewer commits of a
+// branch than the version graph. No order of events produces that, only
+// lost files, and the engine cannot serve commits it has no record of.
+func BehindGraph(branch vgraph.BranchID, graph, engine int) error {
+	return fmt.Errorf("branch %d has %d commits in the version graph but %d in the storage engine", branch, graph, engine)
 }

@@ -217,12 +217,11 @@ func (s *Session) CheckoutAt(branch string, seq int) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchBranch, branch)
 	}
-	for _, c := range s.db.graph.CommitsOnBranch(b.ID) {
-		if c.Seq == seq {
-			return s.CheckoutCommit(c.ID)
-		}
+	c, ok := s.db.graph.CommitAt(b.ID, seq)
+	if !ok {
+		return fmt.Errorf("%w: %s@%d", ErrNoSuchCommit, branch, seq)
 	}
-	return fmt.Errorf("%w: %s@%d", ErrNoSuchCommit, branch, seq)
+	return s.CheckoutCommit(c.ID)
 }
 
 // Branch returns the session's current branch (nil when detached at a
@@ -495,13 +494,6 @@ func (s *Session) CommitWorkContext(ctx context.Context, message string) (*vgrap
 	var c *vgraph.Commit
 	if len(s.pending) > 0 {
 		c, err = s.db.CommitSchema(b.ID, message, s.pending)
-		if c != nil {
-			// The schema commit is durable even if a later engine hook
-			// failed; clearing the queue here keeps a retried CommitWork
-			// from re-applying committed changes (which would fail with
-			// duplicate-column errors forever).
-			s.pending = nil
-		}
 	} else {
 		c, err = s.db.Commit(b.ID, message)
 	}

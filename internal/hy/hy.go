@@ -175,7 +175,10 @@ func (e *Engine) persistLocked() error {
 }
 
 // recover reloads the catalog and restores each (branch, segment)
-// bitmap to its last committed snapshot.
+// bitmap to its last committed snapshot. What is committed is the
+// version graph's call — its log record is written after the engines'
+// — so each history file first drops its entries past the graph's
+// count for the branch.
 func (e *Engine) recover() error {
 	data, err := os.ReadFile(e.metaPath())
 	if errors.Is(err, os.ErrNotExist) {
@@ -221,7 +224,6 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("hy: corrupt startSeq key %q", key)
 		}
 		k := logKey{Branch: b, Seg: s}
-		e.startSeq[k] = seq
 		l, err := e.openLog(k)
 		if err != nil {
 			return err
@@ -230,6 +232,16 @@ func (e *Engine) recover() error {
 		if !ok {
 			return fmt.Errorf("hy: corrupt catalog: log for missing segment %d", s)
 		}
+		keep := e.env.Graph.NumCommitsOn(b) - seq
+		if err := core.ReconcileLog(l, b, max(keep, 0)); err != nil {
+			return fmt.Errorf("hy: %w (segment %d, whose history starts at commit %d)", err, s, seq)
+		}
+		if keep <= 0 {
+			// The file's first entry was already past the graph: the
+			// branch has no committed state in this segment.
+			continue
+		}
+		e.startSeq[k] = seq
 		hs.local[b] = l.Head()
 	}
 	// Branches created but never committed to have no (branch, segment)
@@ -412,10 +424,10 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 		if l.NumCommits() == 0 {
 			e.startSeq[k] = c.Seq
 		}
-		want := c.Seq - e.startSeq[k]
-		if got := l.NumCommits(); got != want {
-			return fmt.Errorf("hy: commit seq %d maps to log entry %d but log has %d (branch %d seg %d)",
-				c.Seq, want, got, c.Branch, s.id)
+		// Entries from c.Seq on belong to a commit that an engine applied
+		// and the graph then took back.
+		if err := core.ReconcileLog(l, c.Branch, c.Seq-e.startSeq[k]); err != nil {
+			return fmt.Errorf("hy: %w (segment %d, whose history starts at commit %d)", err, s.id, e.startSeq[k])
 		}
 		if _, err := l.Append(bm); err != nil {
 			return err

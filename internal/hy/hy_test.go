@@ -11,10 +11,7 @@ import (
 
 func testEnv(t *testing.T) (*core.Env, *vgraph.Graph) {
 	t.Helper()
-	g, err := vgraph.New("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := vgraph.New()
 	schema := record.MustSchema(
 		record.Column{Name: "id", Type: record.Int64},
 		record.Column{Name: "v", Type: record.Int64},

@@ -138,13 +138,8 @@ func (p Plan) Compile(db *core.Database) (*Compiled, error) {
 		if p.AllHeads || len(c.branches) != 1 {
 			return nil, fmt.Errorf("%w: At() requires exactly one branch", core.ErrBadQuery)
 		}
-		for _, cm := range db.Graph().CommitsOnBranch(c.branches[0].ID) {
-			if cm.Seq == p.AtSeq {
-				c.commit = cm
-				break
-			}
-		}
-		if c.commit == nil {
+		var ok bool
+		if c.commit, ok = db.Graph().CommitAt(c.branches[0].ID, p.AtSeq); !ok {
 			return nil, fmt.Errorf("%w: %s@%d", core.ErrNoSuchCommit, c.branches[0].Name, p.AtSeq)
 		}
 	}

@@ -496,6 +496,6 @@ func (s *Server) branchResponse(b *vgraph.Branch) *client.BranchResponse {
 	return &client.BranchResponse{
 		Name:   b.Name,
 		Head:   uint64(head),
-		Commit: len(s.db.Graph().CommitsOnBranch(b.ID)),
+		Commit: s.db.Graph().NumCommitsOn(b.ID),
 	}
 }

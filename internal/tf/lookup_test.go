@@ -23,10 +23,7 @@ func TestLookupWalkLength(t *testing.T) {
 }
 
 func testLookupWalkLength(t *testing.T, tupleOriented bool) {
-	g, err := vgraph.New("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := vgraph.New()
 	schema := record.MustSchema(
 		record.Column{Name: "id", Type: record.Int64},
 		record.Column{Name: "v", Type: record.Int64},

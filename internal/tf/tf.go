@@ -95,15 +95,18 @@ func (e *Engine) openLog(b vgraph.BranchID) (*bitmap.CommitLog, error) {
 
 // recover rebuilds in-memory state from the commit history files after
 // a reopen: each branch's live bitmap is its last committed snapshot
-// (uncommitted modifications are rolled back, per Section 2.2.3).
+// (uncommitted modifications are rolled back, per Section 2.2.3). What
+// is committed is the version graph's call — its log record is written
+// after the engines' — so history entries past the graph's count for
+// the branch are dropped first.
 func (e *Engine) recover() error {
-	if !e.env.Graph.Initialized() {
-		return nil
-	}
 	for _, b := range e.env.Graph.Branches() {
 		l, err := e.openLog(b.ID)
 		if err != nil {
 			return err
+		}
+		if err := core.ReconcileLog(l, b.ID, e.env.Graph.NumCommitsOn(b.ID)); err != nil {
+			return fmt.Errorf("tf: %w", err)
 		}
 		bm := l.Head()
 		if l.NumCommits() == 0 && b.From != vgraph.None {
@@ -205,8 +208,10 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 	if err != nil {
 		return err
 	}
-	if got := log.NumCommits(); got != c.Seq {
-		return fmt.Errorf("tf: commit seq %d does not match log position %d on branch %d", c.Seq, got, c.Branch)
+	// Entries from c.Seq on belong to a commit that an engine applied
+	// and the graph then took back.
+	if err := core.ReconcileLog(log, c.Branch, c.Seq); err != nil {
+		return fmt.Errorf("tf: %w", err)
 	}
 	if _, err := log.Append(e.idx.column(c.Branch)); err != nil {
 		return err

@@ -183,7 +183,10 @@ func (e *Engine) persistLocked() error {
 }
 
 // recover loads the catalog and rolls back uncommitted appends by
-// truncating each segment to its last persisted count.
+// truncating each segment to the highest slot a commit or a link still
+// references. What is committed is the version graph's call — its log
+// record is written after the engines' — so a commit the catalog
+// records and the graph lacks is rolled back with the appends.
 func (e *Engine) recover() error {
 	data, err := os.ReadFile(e.metaPath())
 	if errors.Is(err, os.ErrNotExist) {
@@ -197,26 +200,6 @@ func (e *Engine) recover() error {
 		return fmt.Errorf("vf: corrupt catalog: %w", err)
 	}
 	sort.Slice(m.Segments, func(i, j int) bool { return m.Segments[i].ID < m.Segments[j].ID })
-	for _, sm := range m.Segments {
-		// The store resolves a zero Cols (catalog from before schema
-		// versioning) to the table's full layout, rolls back uncommitted
-		// appends past SafeCount, and restores — or rebuilds, for
-		// catalogs from before zone maps — the segment's zone map.
-		seg, err := e.st.Open(e.segFilePath(sm.ID, sm.Encoding), sm.SegMeta, sm.SafeCount)
-		if err != nil {
-			return fmt.Errorf("vf: segment %d: %w", sm.ID, err)
-		}
-		e.segs = append(e.segs, &segment{
-			Segment: seg, id: sm.ID, branch: sm.Branch,
-			hasLink: sm.HasLink, link: sm.Link, overrides: sm.Overrides,
-		})
-		if e.deltaTail != nil {
-			// The delta log is in-memory only: start it at the recovered
-			// count so the first commit after reopen records just its own
-			// window (older history resolves through the full walk).
-			e.deltaTail[sm.ID] = seg.File.Count()
-		}
-	}
 	e.byBranch = m.ByBranch
 	if e.byBranch == nil {
 		e.byBranch = make(map[vgraph.BranchID]segID)
@@ -225,7 +208,87 @@ func (e *Engine) recover() error {
 	if e.commits == nil {
 		e.commits = make(map[vgraph.CommitID]pos)
 	}
+	if err := e.reconcile(&m); err != nil {
+		return err
+	}
+	for _, sm := range m.Segments {
+		e.segs = append(e.segs, &segment{
+			id: sm.ID, branch: sm.Branch,
+			hasLink: sm.HasLink, link: sm.Link, overrides: sm.Overrides,
+		})
+	}
+	safe := e.safeCountsLocked()
+	for i, sm := range m.Segments {
+		// The store resolves a zero Cols (catalog from before schema
+		// versioning) to the table's full layout, rolls back appends past
+		// the safe count, and restores — or rebuilds, for catalogs from
+		// before zone maps — the segment's zone map.
+		seg, err := e.st.Open(e.segFilePath(sm.ID, sm.Encoding), sm.SegMeta, min(sm.SafeCount, safe[sm.ID]))
+		if err != nil {
+			for _, s := range e.segs[:i] {
+				s.File.Close()
+			}
+			return fmt.Errorf("vf: segment %d: %w", sm.ID, err)
+		}
+		e.segs[i].Segment = seg
+		if e.deltaTail != nil {
+			// The delta log is in-memory only: start it at the recovered
+			// count so the first commit after reopen records just its own
+			// window (older history resolves through the full walk).
+			e.deltaTail[sm.ID] = seg.File.Count()
+		}
+	}
 	e.sweepOrphans()
+	return nil
+}
+
+// reconcile brings the loaded catalog into line with the version graph.
+// The catalog can be ahead by the one commit or merge whose graph
+// record was never written: its offset is forgotten — which lowers the
+// segment's safe count, so its rows go too — and a merge's head
+// segment, which is then the newest segment, is dropped with the
+// branch back on the parent it came from. The graph ahead of the
+// catalog can only mean lost files, and is an error.
+func (e *Engine) reconcile(m *meta) error {
+	for _, b := range e.env.Graph.Branches() {
+		on := e.env.Graph.CommitsOnBranch(b.ID)
+		have := 0
+		for _, c := range on {
+			if _, ok := e.commits[c.ID]; ok {
+				have++
+			}
+		}
+		if have < len(on) {
+			return fmt.Errorf("vf: %w", core.BehindGraph(b.ID, len(on), have))
+		}
+	}
+	committed := make(map[segID]bool)
+	ahead := false
+	for id, p := range e.commits {
+		if _, ok := e.env.Graph.Commit(id); ok {
+			committed[p.Seg] = true
+		} else {
+			delete(e.commits, id)
+			ahead = true
+		}
+	}
+	n := len(m.Segments)
+	if !ahead || n == 0 {
+		return nil
+	}
+	d := m.Segments[n-1]
+	if !d.HasLink || !d.Link.IsMerge || committed[d.ID] || e.byBranch[d.Branch] != d.ID {
+		return nil
+	}
+	parent := &m.Segments[d.Link.ParentSeg]
+	if parent.Encoding == store.EncDCZ {
+		// Compressed since: it cannot take appends again. The merged head
+		// stays, as uncommitted work on the branch.
+		return nil
+	}
+	parent.Frozen = false
+	e.byBranch[d.Branch] = parent.ID
+	m.Segments = m.Segments[:n-1]
 	return nil
 }
 

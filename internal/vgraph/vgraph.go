@@ -2,19 +2,22 @@
 // directed acyclic graph of immutable versions (commits) plus the set
 // of named branches whose heads point into it. All three storage
 // engines "depend on a version graph recording the relationships
-// between the versions being available in memory" (Section 3); the
-// graph is updated and persisted on disk as part of each branch or
-// commit operation.
+// between the versions being available in memory" (Section 3).
+//
+// On disk the graph is a log with a checkpoint (log.go): every
+// operation appends one record to the dataset's write-ahead log, and
+// graph.json is a snapshot the log is replayed over at open — so a
+// commit costs one append, whatever the length of the history.
 package vgraph
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
+
+	"decibel/internal/wal"
 )
 
 // CommitID identifies a version. IDs are dense, starting at 1; 0 is
@@ -65,109 +68,137 @@ type Branch struct {
 	Active bool     `json:"active"` // benchmark strategies retire branches
 }
 
-// Graph is the in-memory version graph with on-disk persistence. All
-// methods are safe for concurrent use.
+// Graph is the in-memory version graph, durable through Open's log and
+// snapshot or memory-only through New. All methods are safe for
+// concurrent use.
 type Graph struct {
 	mu       sync.RWMutex
-	path     string // persistence file ("" = memory only)
 	commits  map[CommitID]*Commit
 	branches map[BranchID]*Branch
 	byName   map[string]BranchID
+	onBranch map[BranchID][]*Commit // the commits made on each branch, indexed by Seq
 	nextC    CommitID
 	nextB    BranchID
+
+	// Persistence (log.go); a nil log keeps the graph memory-only.
+	log      *wal.Log
+	snapPath string
+	fsync    bool
+	snapSize int64   // bytes of the snapshot the log sits on
+	pending  *Commit // in memory but not yet logged: see Publish
 }
 
-type graphFile struct {
-	Commits  []*Commit `json:"commits"`
-	Branches []*Branch `json:"branches"`
-}
-
-// New creates an empty graph persisted at path (empty string keeps the
-// graph memory-only). If the file exists, the graph is loaded from it.
-func New(path string) (*Graph, error) {
-	g := &Graph{
-		path:     path,
+// New creates an empty memory-only graph.
+func New() *Graph {
+	return &Graph{
 		commits:  make(map[CommitID]*Commit),
 		branches: make(map[BranchID]*Branch),
 		byName:   make(map[string]BranchID),
+		onBranch: make(map[BranchID][]*Commit),
 		nextC:    1,
 	}
-	if path != "" {
-		if data, err := os.ReadFile(path); err == nil {
-			if err := g.load(data); err != nil {
-				return nil, err
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("vgraph: %w", err)
-		}
-	}
-	return g, nil
 }
 
-func (g *Graph) load(data []byte) error {
-	var gf graphFile
-	if err := json.Unmarshal(data, &gf); err != nil {
-		return fmt.Errorf("vgraph: corrupt graph file: %w", err)
+// installBranch adds a branch to the in-memory graph; caller holds g.mu.
+func (g *Graph) installBranch(b *Branch) {
+	g.branches[b.ID] = b
+	g.byName[b.Name] = b.ID
+	g.nextB = b.ID + 1
+}
+
+// installCommit adds a commit as the new head of its branch; the init
+// commit brings the master branch with it. Caller holds g.mu.
+func (g *Graph) installCommit(c *Commit) {
+	if len(c.Parents) == 0 {
+		g.installBranch(&Branch{ID: c.Branch, Name: MasterName, Parent: c.Branch, Active: true})
 	}
-	for _, c := range gf.Commits {
-		g.commits[c.ID] = c
-		if c.ID >= g.nextC {
-			g.nextC = c.ID + 1
-		}
+	g.commits[c.ID] = c
+	g.onBranch[c.Branch] = append(g.onBranch[c.Branch], c)
+	g.branches[c.Branch].Head = c.ID
+	g.nextC = c.ID + 1
+}
+
+// beginCommitLocked installs a commit the caller has yet to Publish.
+func (g *Graph) beginCommitLocked(c *Commit) (*Commit, error) {
+	if g.pending != nil {
+		return nil, fmt.Errorf("vgraph: commit %d was neither published nor aborted", g.pending.ID)
 	}
-	for _, b := range gf.Branches {
-		g.branches[b.ID] = b
-		g.byName[b.Name] = b.ID
-		if b.ID >= g.nextB {
-			g.nextB = b.ID + 1
-		}
+	g.installCommit(c)
+	if g.log != nil {
+		g.pending = c
 	}
+	return c, nil
+}
+
+// Publish makes a commit returned by Init, NewCommit, NewCommitSchema
+// or NewMergeCommit durable: one log record, synced when the graph was
+// opened with fsync. Those calls only advance the graph in memory, so
+// that the storage engines can apply the commit first; the record is
+// the commit point, and is written only once every engine has returned
+// — the log never names a commit an engine lacks. If the append fails
+// the commit is aborted. On a memory-only graph Publish does nothing.
+func (g *Graph) Publish(c *Commit) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.log == nil {
+		return nil
+	}
+	if g.pending != c {
+		return fmt.Errorf("vgraph: commit %d is not pending", c.ID)
+	}
+	if err := g.appendLocked(wal.KindGraphCommit, c); err != nil {
+		g.abortLocked(c)
+		return err
+	}
+	g.pending = nil
+	g.checkpointIfGrownLocked()
 	return nil
 }
 
-// persistLocked writes the graph to disk; caller holds g.mu.
-func (g *Graph) persistLocked() error {
-	if g.path == "" {
-		return nil
+// Abort takes back the newest commit, as if it had never been created:
+// the branch head, the commit count and the next ID and Seq are what
+// they were. It is for a commit the engines failed to apply.
+func (g *Graph) Abort(c *Commit) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.abortLocked(c)
+}
+
+func (g *Graph) abortLocked(c *Commit) {
+	if g.commits[c.ID] != c || c.ID != g.nextC-1 {
+		return
 	}
-	gf := graphFile{}
-	for _, c := range g.commits {
-		gf.Commits = append(gf.Commits, c)
+	delete(g.commits, c.ID)
+	g.nextC = c.ID
+	if len(c.Parents) == 0 {
+		delete(g.onBranch, c.Branch)
+		delete(g.byName, g.branches[c.Branch].Name)
+		delete(g.branches, c.Branch)
+		g.nextB = c.Branch
+	} else {
+		g.onBranch[c.Branch] = g.onBranch[c.Branch][:c.Seq]
+		g.branches[c.Branch].Head = c.Parents[0]
 	}
-	for _, b := range g.branches {
-		gf.Branches = append(gf.Branches, b)
+	if g.pending == c {
+		g.pending = nil
 	}
-	sort.Slice(gf.Commits, func(i, j int) bool { return gf.Commits[i].ID < gf.Commits[j].ID })
-	sort.Slice(gf.Branches, func(i, j int) bool { return gf.Branches[i].ID < gf.Branches[j].ID })
-	data, err := json.Marshal(&gf)
-	if err != nil {
-		return fmt.Errorf("vgraph: %w", err)
-	}
-	tmp := g.path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("vgraph: %w", err)
-	}
-	return os.Rename(tmp, g.path)
 }
 
 // Init creates the master branch and its initial commit (Section 2.2.3
-// "Init"). It fails if the graph already has commits.
+// "Init"). It fails if the graph already has commits. The commit must
+// be Published.
 func (g *Graph) Init(message string) (*Branch, *Commit, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if len(g.commits) != 0 {
 		return nil, nil, errors.New("vgraph: already initialized")
 	}
-	b := &Branch{ID: g.nextB, Name: MasterName, Parent: g.nextB, Active: true}
-	g.nextB++
-	c := &Commit{ID: g.nextC, Branch: b.ID, Seq: 0, Message: message, Depth: 0, Time: time.Now().Unix()}
-	g.nextC++
-	b.Head = c.ID
-	g.commits[c.ID] = c
-	g.branches[b.ID] = b
-	g.byName[b.Name] = b.ID
-	cp := *b
-	return &cp, c, g.persistLocked()
+	c, err := g.beginCommitLocked(&Commit{ID: g.nextC, Branch: g.nextB, Message: message, Time: time.Now().Unix()})
+	if err != nil {
+		return nil, nil, err
+	}
+	master := *g.branches[c.Branch]
+	return &master, c, nil
 }
 
 // Initialized reports whether Init has run.
@@ -179,6 +210,8 @@ func (g *Graph) Initialized() bool {
 
 // NewBranch creates a branch named name rooted at commit from. Any
 // commit in any branch may serve as the branch point (Section 2.2.3).
+// The branch is logged before NewBranch returns, ahead of any engine
+// work: a branch with no engine state is its branch point.
 func (g *Graph) NewBranch(name string, from CommitID) (*Branch, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -190,17 +223,19 @@ func (g *Graph) NewBranch(name string, from CommitID) (*Branch, error) {
 		return nil, fmt.Errorf("vgraph: commit %d does not exist", from)
 	}
 	b := &Branch{ID: g.nextB, Name: name, Head: from, From: from, Parent: fc.Branch, Active: true}
-	g.nextB++
-	g.branches[b.ID] = b
-	g.byName[name] = b.ID
+	if err := g.appendLocked(wal.KindGraphBranch, b); err != nil {
+		return nil, err
+	}
+	g.installBranch(b)
+	g.checkpointIfGrownLocked()
 	cp := *b
-	return &cp, g.persistLocked()
+	return &cp, nil
 }
 
 // NewCommit appends a commit to the branch, advancing its head.
 // Commits are only allowed at branch heads (Section 2.2.3: "Commits are
 // not allowed to non-head versions of branches"), which this enforces
-// by construction.
+// by construction. The commit must be Published.
 func (g *Graph) NewCommit(branch BranchID, message string) (*Commit, error) {
 	return g.NewCommitSchema(branch, message, -1)
 }
@@ -220,20 +255,16 @@ func (g *Graph) NewCommitSchema(branch BranchID, message string, schemaVer int) 
 	if schemaVer < 0 {
 		schemaVer = head.SchemaVer
 	}
-	c := &Commit{
+	return g.beginCommitLocked(&Commit{
 		ID:        g.nextC,
 		Parents:   []CommitID{b.Head},
 		Branch:    branch,
-		Seq:       g.seqOnBranchLocked(branch),
+		Seq:       len(g.onBranch[branch]),
 		Message:   message,
 		Depth:     head.Depth + 1,
 		Time:      time.Now().Unix(),
 		SchemaVer: schemaVer,
-	}
-	g.nextC++
-	g.commits[c.ID] = c
-	b.Head = c.ID
-	return c, g.persistLocked()
+	})
 }
 
 // Head returns the branch's current head commit under the graph lock —
@@ -266,22 +297,11 @@ func (g *Graph) MaxSchemaVer() int {
 	return max
 }
 
-// seqOnBranchLocked counts prior commits made on the branch (the
-// branch's own commit log index; branch creation itself makes none).
-func (g *Graph) seqOnBranchLocked(branch BranchID) int {
-	n := 0
-	for _, c := range g.commits {
-		if c.Branch == branch {
-			n++
-		}
-	}
-	return n
-}
-
 // NewMergeCommit merges the head of branch other into branch into,
 // creating a commit with two parents whose first parent is into's head.
 // precedenceFirst selects the paper's default conflict policy (first
-// parent wins). The merged commit becomes the head of into.
+// parent wins). The merged commit becomes the head of into. The commit
+// must be Published.
 func (g *Graph) NewMergeCommit(into, other BranchID, message string, precedenceFirst bool) (*Commit, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -306,21 +326,17 @@ func (g *Graph) NewMergeCommit(into, other BranchID, message string, precedenceF
 	if osv := g.commits[bo.Head].SchemaVer; osv > sv {
 		sv = osv
 	}
-	c := &Commit{
+	return g.beginCommitLocked(&Commit{
 		ID:              g.nextC,
 		Parents:         []CommitID{bi.Head, bo.Head},
 		Branch:          into,
-		Seq:             g.seqOnBranchLocked(into),
+		Seq:             len(g.onBranch[into]),
 		Message:         message,
 		Depth:           d + 1,
 		Time:            time.Now().Unix(),
 		SchemaVer:       sv,
 		PrecedenceFirst: precedenceFirst,
-	}
-	g.nextC++
-	g.commits[c.ID] = c
-	bi.Head = c.ID
-	return c, g.persistLocked()
+	})
 }
 
 // SetActive marks a branch active or retired (benchmark strategies
@@ -332,8 +348,14 @@ func (g *Graph) SetActive(branch BranchID, active bool) error {
 	if !ok {
 		return fmt.Errorf("vgraph: branch %d does not exist", branch)
 	}
+	flagged := *b
+	flagged.Active = active
+	if err := g.appendLocked(wal.KindGraphBranch, &flagged); err != nil {
+		return err
+	}
 	b.Active = active
-	return g.persistLocked()
+	g.checkpointIfGrownLocked()
+	return nil
 }
 
 // Commit returns the commit with the given ID.
@@ -504,17 +526,30 @@ func (g *Graph) TopoOrder(roots ...CommitID) []CommitID {
 	return out
 }
 
-// BranchOf returns the branch whose head is the commit, if any.
+// BranchOf returns a branch whose head is the commit, if any: the
+// branch the commit was made on when that is still at it, else the
+// lowest-numbered branch created at the commit and not yet committed to.
 func (g *Graph) BranchOf(head CommitID) (*Branch, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for _, b := range g.branches {
-		if b.Head == head {
-			cp := *b
-			return &cp, true
+	c, ok := g.commits[head]
+	if !ok {
+		return nil, false
+	}
+	found := g.branches[c.Branch]
+	if found.Head != head {
+		found = nil
+		for _, b := range g.branches {
+			if b.Head == head && (found == nil || b.ID < found.ID) {
+				found = b
+			}
+		}
+		if found == nil {
+			return nil, false
 		}
 	}
-	return nil, false
+	cp := *found
+	return &cp, true
 }
 
 // CommitsOnBranch returns the commits made on the given branch in Seq
@@ -522,12 +557,24 @@ func (g *Graph) BranchOf(head CommitID) (*Branch, bool) {
 func (g *Graph) CommitsOnBranch(branch BranchID) []*Commit {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	var out []*Commit
-	for _, c := range g.commits {
-		if c.Branch == branch {
-			out = append(out, c)
-		}
+	return append([]*Commit(nil), g.onBranch[branch]...)
+}
+
+// NumCommitsOn returns the number of commits made on the branch: the
+// Seq its next commit will take.
+func (g *Graph) NumCommitsOn(branch BranchID) int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return len(g.onBranch[branch])
+}
+
+// CommitAt returns the seq'th commit made on the branch, zero-based.
+func (g *Graph) CommitAt(branch BranchID, seq int) (*Commit, bool) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	on := g.onBranch[branch]
+	if seq < 0 || seq >= len(on) {
+		return nil, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return on[seq], true
 }

@@ -2,17 +2,13 @@ package vgraph
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
 
 func initGraph(t *testing.T) (*Graph, *Branch, *Commit) {
 	t.Helper()
-	g, err := New("")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := New()
 	b, c, err := g.Init("init")
 	if err != nil {
 		t.Fatal(err)
@@ -219,48 +215,12 @@ func TestHeadsAndActive(t *testing.T) {
 	_ = master
 }
 
-func TestPersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "graph.json")
-	g, err := New(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	master, c0, err := g.Init("init")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, _ := g.NewBranch("dev", c0.ID)
-	g.NewCommit(dev.ID, "work")
-	mc, _ := g.NewMergeCommit(master.ID, dev.ID, "merge", false)
-
-	g2, err := New(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumCommits() != g.NumCommits() {
-		t.Fatalf("commit count after reload: %d != %d", g2.NumCommits(), g.NumCommits())
-	}
-	m2, ok := g2.BranchByName(MasterName)
-	if !ok || m2.Head != mc.ID {
-		t.Fatalf("master after reload = %+v", m2)
-	}
-	c, ok := g2.Commit(mc.ID)
-	if !ok || !c.IsMerge() || c.PrecedenceFirst {
-		t.Fatalf("merge commit after reload = %+v", c)
-	}
-	// New IDs continue past the loaded maximum.
-	cN, _ := g2.NewCommit(m2.ID, "post")
-	if cN.ID <= mc.ID {
-		t.Fatalf("new commit id %d not past %d", cN.ID, mc.ID)
-	}
-}
-
 // Property: for random graphs, the LCA is a common ancestor of both
 // inputs and no deeper common ancestor exists.
 func TestQuickLCAIsDeepestCommonAncestor(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		g, _ := New("")
+		g := New()
 		master, _, _ := g.Init("init")
 		branches := []BranchID{master.ID}
 		for op := 0; op < 40; op++ {

@@ -1,14 +1,17 @@
-// Package wal implements a minimal write-ahead log used to make Decibel
-// version-control operations (commit, branch, merge) atomically
-// visible, per Section 2.1: "fault tolerance and recovery can be done
-// by employing standard write-ahead logging techniques on writes".
+// Package wal implements the write-ahead log that makes Decibel's
+// version-control operations (commit, branch, merge) durable, per
+// Section 2.1: "fault tolerance and recovery can be done by employing
+// standard write-ahead logging techniques on writes".
 //
 // The log is a single append-only file of CRC-protected records:
 //
 //	record := lsn(uvarint) | kind(1) | len(uvarint) | payload | crc32(4)
 //
-// Replay stops at the first corrupt or torn record and truncates the
-// tail, so a crash mid-append never exposes a partial record.
+// Its one user is the version graph (internal/vgraph), which appends a
+// record per operation and replays them over its last snapshot at open;
+// the storage engines keep their own files and log nothing here. Replay
+// stops at the first corrupt or torn record and truncates the tail, so
+// a crash mid-append never exposes a partial record.
 package wal
 
 import (
@@ -20,17 +23,19 @@ import (
 	"sync"
 )
 
-// Kind tags the logical operation a record describes. The storage
-// engines define their own payload encodings; the WAL treats payloads
-// as opaque.
+// Kind tags what a record describes. The WAL treats payloads as opaque.
 type Kind byte
 
-// Well-known record kinds used by the engines.
+// Record kinds. Begin/Data/Commit frame an AppendGroup; datasets
+// written before the graph log hold only such groups (a journal of
+// "op:detail" strings nothing replays). The graph kinds carry the JSON
+// of one vgraph.Commit or vgraph.Branch.
 const (
-	KindBegin  Kind = 1 // begin of a multi-record atomic group
-	KindData   Kind = 2 // engine-specific payload
-	KindCommit Kind = 3 // end of group: the group is durable and applies
-	KindAbort  Kind = 4 // group abandoned
+	KindBegin       Kind = 1 // begin of a multi-record group
+	KindData        Kind = 2 // group payload
+	KindCommit      Kind = 3 // end of group
+	KindGraphCommit Kind = 5 // a new commit; implies its branch's new head
+	KindGraphBranch Kind = 6 // a created or re-flagged branch
 )
 
 // Record is one durable log record.
@@ -38,6 +43,7 @@ type Record struct {
 	LSN     uint64
 	Kind    Kind
 	Payload []byte
+	End     int64 // file offset just past the record (a valid Truncate size)
 }
 
 // Log is an append-only write-ahead log. Safe for concurrent use.
@@ -46,6 +52,7 @@ type Log struct {
 	f       *os.File
 	nextLSN uint64
 	size    int64
+	buf     []byte // reused encode buffer
 }
 
 // Open opens (creating if absent) the log at path and recovers its
@@ -69,15 +76,13 @@ func (l *Log) recover() error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	valid := 0
-	pos := 0
-	for pos < len(data) {
-		rec, n, err := decodeRecord(data[pos:])
+	for valid < len(data) {
+		rec, n, err := decodeRecord(data[valid:])
 		if err != nil {
 			break
 		}
 		l.nextLSN = rec.LSN + 1
-		pos += n
-		valid = pos
+		valid += n
 	}
 	if valid < len(data) {
 		if err := l.f.Truncate(int64(valid)); err != nil {
@@ -85,10 +90,11 @@ func (l *Log) recover() error {
 		}
 	}
 	l.size = int64(valid)
-	_, err = l.f.Seek(int64(valid), io.SeekStart)
-	return err
+	return nil
 }
 
+// decodeRecord decodes the record at the front of data; its payload
+// aliases data.
 func decodeRecord(data []byte) (Record, int, error) {
 	lsn, n1 := binary.Uvarint(data)
 	if n1 <= 0 {
@@ -105,7 +111,9 @@ func decodeRecord(data []byte) (Record, int, error) {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
 	pos += n2
-	if len(data) < pos+int(plen)+4 {
+	// Compared against the remaining length first: an absurd uvarint
+	// would overflow the addition below.
+	if plen > uint64(len(data)) || len(data) < pos+int(plen)+4 {
 		return Record{}, 0, io.ErrUnexpectedEOF
 	}
 	payload := data[pos : pos+int(plen)]
@@ -116,44 +124,64 @@ func decodeRecord(data []byte) (Record, int, error) {
 		return Record{}, 0, fmt.Errorf("wal: bad crc")
 	}
 	pos += 4
-	return Record{LSN: lsn, Kind: kind, Payload: append([]byte(nil), payload...)}, pos, nil
+	return Record{LSN: lsn, Kind: kind, Payload: payload}, pos, nil
 }
 
-// Append durably appends one record and returns its LSN. The record is
-// written but not fsynced; call Sync for durability.
+// encodeLocked appends one framed record to l.buf, taking the next LSN.
+func (l *Log) encodeLocked(kind Kind, payload []byte) {
+	start := len(l.buf)
+	l.buf = binary.AppendUvarint(l.buf, l.nextLSN)
+	l.buf = append(l.buf, byte(kind))
+	l.buf = binary.AppendUvarint(l.buf, uint64(len(payload)))
+	l.buf = append(l.buf, payload...)
+	l.buf = binary.LittleEndian.AppendUint32(l.buf, crc32.ChecksumIEEE(l.buf[start:]))
+	l.nextLSN++
+}
+
+// flushLocked writes l.buf at the end of the log with one write. On
+// failure the LSNs the buffer took are given back.
+func (l *Log) flushLocked(records uint64) error {
+	_, err := l.f.WriteAt(l.buf, l.size)
+	if err != nil {
+		l.nextLSN -= records
+		return fmt.Errorf("wal: %w", err)
+	}
+	l.size += int64(len(l.buf))
+	return nil
+}
+
+// Append appends one record with a single write and returns its LSN.
+// The record is written but not fsynced; call Sync for durability.
 func (l *Log) Append(kind Kind, payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lsn := l.nextLSN
-	buf := binary.AppendUvarint(nil, lsn)
-	buf = append(buf, byte(kind))
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	crc := crc32.ChecksumIEEE(buf)
-	buf = binary.LittleEndian.AppendUint32(buf, crc)
-	if _, err := l.f.WriteAt(buf, l.size); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	l.size += int64(len(buf))
-	l.nextLSN++
-	return lsn, nil
-}
-
-// AppendGroup atomically logs Begin, the payloads as Data records, and
-// Commit. On replay, a group without its Commit record is ignored.
-func (l *Log) AppendGroup(payloads ...[]byte) (uint64, error) {
-	if _, err := l.Append(KindBegin, nil); err != nil {
+	l.buf = l.buf[:0]
+	l.encodeLocked(kind, payload)
+	if err := l.flushLocked(1); err != nil {
 		return 0, err
 	}
-	for _, p := range payloads {
-		if _, err := l.Append(KindData, p); err != nil {
-			return 0, err
-		}
-	}
-	return l.Append(KindCommit, nil)
+	return l.nextLSN - 1, nil
 }
 
-// Replay calls fn for every complete record from the start of the log.
+// AppendGroup appends Begin, the payloads as Data records, and Commit
+// as one buffer with a single write, returning the Commit record's LSN.
+func (l *Log) AppendGroup(payloads ...[]byte) (uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.buf = l.buf[:0]
+	l.encodeLocked(KindBegin, nil)
+	for _, p := range payloads {
+		l.encodeLocked(KindData, p)
+	}
+	l.encodeLocked(KindCommit, nil)
+	if err := l.flushLocked(uint64(len(payloads)) + 2); err != nil {
+		return 0, err
+	}
+	return l.nextLSN - 1, nil
+}
+
+// Replay calls fn for every record from the start of the log. A
+// record's payload is only valid during the call.
 func (l *Log) Replay(fn func(Record) error) error {
 	l.mu.Lock()
 	size := l.size
@@ -168,37 +196,13 @@ func (l *Log) Replay(fn func(Record) error) error {
 		if err != nil {
 			return nil // torn tail: recovery already bounded size
 		}
+		pos += n
+		rec.End = int64(pos)
 		if err := fn(rec); err != nil {
 			return err
 		}
-		pos += n
 	}
 	return nil
-}
-
-// ReplayGroups calls fn once per committed group with its Data
-// payloads, skipping aborted or torn groups.
-func (l *Log) ReplayGroups(fn func(payloads [][]byte) error) error {
-	var cur [][]byte
-	inGroup := false
-	return l.Replay(func(r Record) error {
-		switch r.Kind {
-		case KindBegin:
-			cur, inGroup = nil, true
-		case KindData:
-			if inGroup {
-				cur = append(cur, r.Payload)
-			}
-		case KindCommit:
-			if inGroup {
-				inGroup = false
-				return fn(cur)
-			}
-		case KindAbort:
-			cur, inGroup = nil, false
-		}
-		return nil
-	})
 }
 
 // Size returns the log size in bytes.
@@ -211,14 +215,19 @@ func (l *Log) Size() int64 {
 // Sync fsyncs the log.
 func (l *Log) Sync() error { return l.f.Sync() }
 
-// Truncate discards the whole log (after a checkpoint).
-func (l *Log) Truncate() error {
+// Truncate cuts the log to its first size bytes, which must end on a
+// record boundary (a Record.End, or 0 to discard the whole log after a
+// checkpoint). LSNs keep counting up.
+func (l *Log) Truncate(size int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.f.Truncate(0); err != nil {
+	if size >= l.size {
+		return nil
+	}
+	if err := l.f.Truncate(size); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.size = 0
+	l.size = size
 	return nil
 }
 

@@ -118,44 +118,61 @@ func TestCorruptMiddleStopsReplay(t *testing.T) {
 	}
 }
 
-func TestGroups(t *testing.T) {
+// A group is framed as separate records but written as one buffer.
+func TestGroupIsOneBuffer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal")
 	l, _ := Open(path)
-	if _, err := l.AppendGroup([]byte("g1a"), []byte("g1b")); err != nil {
+	lsn, err := l.AppendGroup([]byte("g1a"), []byte("g1b"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// An unfinished group: begin + data without commit.
-	l.Append(KindBegin, nil)
-	l.Append(KindData, []byte("orphan"))
+	if lsn != 4 {
+		t.Fatalf("group of two payloads ended at lsn %d, want 4", lsn)
+	}
+	whole := l.Size()
 	l.Close()
 
+	// Begin, two Data, Commit — in order, each ending where the next starts.
 	l2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	var groups [][][]byte
-	l2.ReplayGroups(func(p [][]byte) error { groups = append(groups, p); return nil })
-	if len(groups) != 1 {
-		t.Fatalf("got %d committed groups, want 1", len(groups))
+	var kinds []Kind
+	var end int64
+	l2.Replay(func(r Record) error {
+		kinds = append(kinds, r.Kind)
+		if r.End <= end {
+			t.Fatalf("record end %d not past %d", r.End, end)
+		}
+		end = r.End
+		return nil
+	})
+	l2.Close()
+	if fmt.Sprint(kinds) != fmt.Sprint([]Kind{KindBegin, KindData, KindData, KindCommit}) || end != whole {
+		t.Fatalf("replayed kinds %v ending at %d of %d", kinds, end, whole)
 	}
-	if len(groups[0]) != 2 || string(groups[0][0]) != "g1a" {
-		t.Fatalf("group payloads: %v", groups[0])
-	}
-}
 
-func TestAbortedGroupSkipped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wal")
-	l, _ := Open(path)
-	l.Append(KindBegin, nil)
-	l.Append(KindData, []byte("doomed"))
-	l.Append(KindAbort, nil)
-	l.AppendGroup([]byte("kept"))
-	defer l.Close()
-	var groups [][][]byte
-	l.ReplayGroups(func(p [][]byte) error { groups = append(groups, p); return nil })
-	if len(groups) != 1 || string(groups[0][0]) != "kept" {
-		t.Fatalf("groups: %v", groups)
+	// A group torn anywhere inside its single buffer is cut back to the
+	// records that are whole.
+	data, _ := os.ReadFile(path)
+	for cut := 0; cut < len(data); cut++ {
+		os.WriteFile(path, data[:cut], 0o644)
+		l3, err := Open(path)
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		n := 0
+		l3.Replay(func(r Record) error {
+			if r.Kind != kinds[n] {
+				t.Fatalf("cut %d: record %d has kind %d", cut, n, r.Kind)
+			}
+			n++
+			return nil
+		})
+		if l3.Size() > int64(cut) {
+			t.Fatalf("cut %d: recovered size %d", cut, l3.Size())
+		}
+		l3.Close()
 	}
 }
 
@@ -164,15 +181,26 @@ func TestTruncate(t *testing.T) {
 	l, _ := Open(path)
 	defer l.Close()
 	l.Append(KindData, []byte("x"))
-	if err := l.Truncate(); err != nil {
+	first := l.Size()
+	l.Append(KindData, []byte("y"))
+	if err := l.Truncate(first); err != nil {
 		t.Fatal(err)
 	}
-	if l.Size() != 0 {
-		t.Fatalf("size after truncate = %d", l.Size())
+	var got []string
+	l.Replay(func(r Record) error { got = append(got, string(r.Payload)); return nil })
+	if len(got) != 1 || got[0] != "x" || l.Size() != first {
+		t.Fatalf("after truncating to the first record: %v, size %d", got, l.Size())
+	}
+	// Appends continue at the cut, with LSNs still counting up.
+	if lsn, err := l.Append(KindData, []byte("z")); err != nil || lsn != 3 {
+		t.Fatalf("append after truncate: lsn %d, %v", lsn, err)
+	}
+	if err := l.Truncate(0); err != nil {
+		t.Fatal(err)
 	}
 	count := 0
 	l.Replay(func(Record) error { count++; return nil })
-	if count != 0 {
+	if count != 0 || l.Size() != 0 {
 		t.Fatal("records survive truncate")
 	}
 }

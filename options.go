@@ -43,8 +43,13 @@ func WithPoolPages(pages int) Option {
 	return func(c *config) { c.opt.PoolPages = pages }
 }
 
-// WithFsync enables fsync on commit. It is off by default, matching
-// the paper's load phase.
+// WithFsync enables fsync on commit: the engines sync their commit logs
+// and heap files, and then the version graph syncs the commit's record
+// in its write-ahead log before Commit returns, so an acknowledged
+// commit survives a power loss in the graph as well as in the engines.
+// The graph's checkpoints sync the snapshot before renaming it into
+// place and the directory after. It is off by default, matching the
+// paper's load phase.
 func WithFsync(on bool) Option {
 	return func(c *config) { c.opt.Fsync = on }
 }
