@@ -11,12 +11,14 @@ package decibel_test
 // record of both.
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"decibel"
+	"decibel/internal/vgraph"
 )
 
 // tearCommitLogs appends garbage to every engine commit-history file
@@ -320,5 +322,121 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 	if err := os.WriteFile(dst, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The graph logs a branch before any engine runs — and, with several
+// relations, before the second relation's engine does — so a crash in
+// between leaves a branch the graph has and an engine has never seen.
+// Such a branch is at its branch point: it must read as that commit and
+// take writes like any other, on every relation, from the next open on.
+func TestReopenWithBranchNoEngineSaw(t *testing.T) {
+	for _, engine := range []string{"tuple-first", "hybrid", "version-first"} {
+		for _, tables := range [][]string{{"r"}, {"r", "s"}} {
+			t.Run(fmt.Sprintf("%s/%d-table", engine, len(tables)), func(t *testing.T) {
+				dir := t.TempDir()
+				schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+				open := func() *decibel.DB {
+					t.Helper()
+					db, err := decibel.Open(dir, decibel.WithEngine(engine))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return db
+				}
+				put := func(db *decibel.DB, branch string, pks ...int64) {
+					t.Helper()
+					if _, err := db.Commit(branch, func(tx *decibel.Tx) error {
+						for _, tbl := range tables {
+							for _, pk := range pks {
+								rec := decibel.NewRecord(schema)
+								rec.SetPK(pk)
+								rec.Set(1, pk*10)
+								if err := tx.Insert(tbl, rec); err != nil {
+									return err
+								}
+							}
+						}
+						return nil
+					}); err != nil {
+						t.Fatalf("write to %s: %v", branch, err)
+					}
+				}
+				expect := func(db *decibel.DB, branch string, pks ...int64) {
+					t.Helper()
+					for _, tbl := range tables {
+						var sum, want float64
+						n, err := db.Query(tbl).On(branch).Count()
+						if err == nil {
+							sum, err = db.Query(tbl).On(branch).Sum("id")
+						}
+						for _, pk := range pks {
+							want += float64(pk)
+						}
+						if err != nil || n != len(pks) || sum != want {
+							t.Fatalf("%s.%s holds %d rows with keys summing to %v (%v), want %v", branch, tbl, n, sum, err, pks)
+						}
+					}
+				}
+
+				db := open()
+				for _, tbl := range tables {
+					if _, err := db.CreateTable(tbl, schema); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, _, err := db.Init("init"); err != nil {
+					t.Fatal(err)
+				}
+				put(db, "master", 1, 2, 3)
+				if _, err := db.Branch("master", "dev"); err != nil {
+					t.Fatal(err)
+				}
+				put(db, "dev", 4)
+				put(db, "master", 5)
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				// Two branches reach the graph's log and nothing else: one
+				// at master's head, one at an older commit of it.
+				g, err := vgraph.Open(dir, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				master, _ := g.BranchByName("master")
+				older, _ := g.CommitAt(master.ID, 1)
+				if _, err := g.NewBranch("lost", master.Head); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := g.NewBranch("lost-older", older.ID); err != nil {
+					t.Fatal(err)
+				}
+				if err := g.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				db = open()
+				expect(db, "lost", 1, 2, 3, 5)
+				expect(db, "lost-older", 1, 2, 3)
+				put(db, "lost", 6)
+				put(db, "lost-older", 7)
+				expect(db, "lost", 1, 2, 3, 5, 6)
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				db = open()
+				defer db.Close()
+				expect(db, "lost", 1, 2, 3, 5, 6)
+				expect(db, "lost-older", 1, 2, 3, 7)
+				expect(db, "master", 1, 2, 3, 5)
+				expect(db, "dev", 1, 2, 3, 4)
+				if _, _, err := db.Merge("master", "lost"); err != nil {
+					t.Fatalf("merge of the recovered branch: %v", err)
+				}
+				expect(db, "master", 1, 2, 3, 5, 6)
+			})
+		}
 	}
 }

@@ -171,7 +171,7 @@ const Master = vgraph.MasterName
 
 // Open opens (or creates) the dataset at dir. With no options it uses
 // the hybrid engine and default tuning; see WithEngine, WithPageSize,
-// WithPoolPages, WithFsync and WithCommitFanout.
+// WithPoolPages and WithFsync.
 func Open(dir string, opts ...Option) (*DB, error) {
 	return OpenContext(context.Background(), dir, opts...)
 }

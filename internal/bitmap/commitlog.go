@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"decibel/internal/wal"
 )
 
 // CommitLog is the per-branch commit history file of Section 3.2. Each
@@ -23,8 +25,7 @@ import (
 // run (equivalently, snapshot[k*F] XOR snapshot[(k-1)*F]). Checkout of
 // commit i then replays i/F composite deltas plus at most F-1 base
 // deltas. The paper uses exactly two layers because that made checkout
-// "adequate (taking a few hundred ms)"; so do we, with the fanout
-// configurable.
+// "adequate (taking a few hundred ms)"; so do we.
 //
 // On-disk format, one file per (branch) or per (branch, segment): a
 // one-byte format marker followed by entries
@@ -71,7 +72,9 @@ func (e logEntry) start() int64 {
 }
 
 // DefaultLayerFanout is the number of base deltas aggregated into one
-// composite delta.
+// composite delta. A history file does not record the fanout it was
+// written with, and reading it with another returns wrong snapshots, so
+// every dataset uses this one.
 const DefaultLayerFanout = 16
 
 // OpenCommitLog opens (creating if necessary) the commit history file at
@@ -243,11 +246,9 @@ func (cl *CommitLog) migrateLegacy(data []byte) ([]byte, error) {
 	if err := os.WriteFile(cl.path+".pre-crc", data, 0o644); err != nil {
 		return nil, fmt.Errorf("commitlog: backing up legacy log: %w", err)
 	}
-	tmp := cl.path + ".tmp"
-	if err := os.WriteFile(tmp, out, 0o644); err != nil {
-		return nil, fmt.Errorf("commitlog: migrating legacy log: %w", err)
-	}
-	if err := os.Rename(tmp, cl.path); err != nil {
+	// Unsynced: the backup above holds the same entries until this file
+	// has been, by the first commit that syncs it.
+	if err := wal.ReplaceFile(cl.path, out, false); err != nil {
 		return nil, fmt.Errorf("commitlog: migrating legacy log: %w", err)
 	}
 	f, err := os.OpenFile(cl.path, os.O_RDWR, 0o644)

@@ -16,6 +16,7 @@ import (
 	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
+	"decibel/internal/wal"
 )
 
 // Database is a Decibel dataset: a collection of relations versioned
@@ -224,11 +225,7 @@ func (db *Database) saveCatalogLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := db.catalogPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, db.catalogPath())
+	return wal.ReplaceFile(db.catalogPath(), data, db.opt.Fsync)
 }
 
 func (db *Database) attachTable(name string, hist *record.History) (*Table, error) {
@@ -530,39 +527,34 @@ func (db *Database) Merge(into, other vgraph.BranchID, message string, kind Merg
 // every relation, because a merge commit that some relations applied
 // and others did not is what the commit point exists to rule out.
 func (db *Database) MergeContext(ctx context.Context, into, other vgraph.BranchID, message string, kind MergeKind, precedenceFirst bool) (*vgraph.Commit, MergeStats, error) {
-	var agg MergeStats
 	if err := ctx.Err(); err != nil {
-		return nil, agg, err
+		return nil, MergeStats{}, err
 	}
 	if err := db.beginOp(); err != nil {
-		return nil, agg, err
+		return nil, MergeStats{}, err
 	}
 	defer db.endOp()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, b := range []vgraph.BranchID{into, other} {
 		if _, ok := db.graph.Branch(b); !ok {
-			return nil, agg, fmt.Errorf("%w: id %d", ErrNoSuchBranch, b)
+			return nil, MergeStats{}, fmt.Errorf("%w: id %d", ErrNoSuchBranch, b)
 		}
 	}
 	mc, err := db.graph.NewMergeCommit(into, other, message, precedenceFirst)
 	if err != nil {
-		return nil, agg, err
-	}
-	err = db.applyCommitLocked(mc, func(t *Table) error {
-		st, err := t.engine.Merge(into, other, mc, kind)
-		agg.Conflicts += st.Conflicts
-		agg.ChangedA += st.ChangedA
-		agg.ChangedB += st.ChangedB
-		agg.DiffBytes += st.DiffBytes
-		agg.Materialized += st.Materialized
-		agg.TuplesScanned += st.TuplesScanned
-		return err
-	})
-	if err != nil {
 		return nil, MergeStats{}, err
 	}
-	return mc, agg, nil
+	// The LCA is found once, here, for every relation.
+	m, err := NewMerge(db.graph, into, other, mc, kind)
+	if err != nil {
+		db.graph.Abort(mc)
+		return nil, MergeStats{}, err
+	}
+	if err := db.applyCommitLocked(mc, func(t *Table) error { return t.engine.Merge(m) }); err != nil {
+		return nil, MergeStats{}, err
+	}
+	return mc, m.Stats, nil
 }
 
 // Stats aggregates storage statistics across relations.

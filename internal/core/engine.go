@@ -119,12 +119,23 @@ func (env *Env) BranchEpoch(b vgraph.BranchID) int {
 	return c.SchemaVer
 }
 
+// BranchPoint returns the commit a branch was created at. An engine
+// that has no committed state for a branch — it was never committed to,
+// or the engine never saw it: the graph logs a branch before the engines
+// run — recovers it at open as a branch from that commit.
+func (env *Env) BranchPoint(b *vgraph.Branch) (*vgraph.Commit, error) {
+	from, ok := env.Graph.Commit(b.From)
+	if !ok {
+		return nil, fmt.Errorf("recover branch %d: missing branch-point commit %d", b.ID, b.From)
+	}
+	return from, nil
+}
+
 // Options tunes storage behaviour. The zero value gives sensible
 // defaults (4 MB pages, branch-oriented bitmaps).
 type Options struct {
 	PageSize      int  // heap page size in bytes (0 = heap.DefaultPageSize)
 	PoolPages     int  // buffer pool capacity in pages (0 = 64)
-	CommitFanout  int  // commit-log composite layer fanout (0 = default)
 	TupleOriented bool // tuple-first: use the tuple-oriented bitmap matrix
 	Fsync         bool // fsync on commit (off for benchmarks, like the paper's load phase)
 	ScanWorkers   int  // parallel scan pool size (0 = GOMAXPROCS; 1 disables)
@@ -147,13 +158,14 @@ type Factory func(env *Env) (Engine, error)
 // Engine is the storage-engine contract of Section 3. One Engine stores
 // one relation across all branches and versions. The Database advances
 // the version graph in memory before the corresponding engine hook
-// runs, so engines may consult env.Graph for parents, sequence numbers
-// and LCAs. On disk the order differs by operation: a branch is in the
-// graph's log before Branch runs, a commit only after Init, Commit or
-// Merge has returned on every relation. An engine must therefore open
-// on files that are ahead of the graph by one commit — and read every
-// branch as of its last commit in the graph — and on a branch it has
-// never seen, which is at its branch point.
+// runs, so engines may consult env.Graph for parents and sequence
+// numbers (a merge's LCA is handed to them). On disk the order differs
+// by operation: a branch is in the graph's log before Branch runs, a
+// commit only after Init, Commit or Merge has returned on every
+// relation. An engine must therefore open on files that are ahead of
+// the graph by one commit — and read every branch as of its last commit
+// in the graph — and on a branch it has never seen, which it creates
+// then, at its branch point.
 //
 // Write operations address branch heads ("it is expected that most
 // operations will occur on the heads of the branches"). Reads go
@@ -211,12 +223,15 @@ type Engine interface {
 	// has none, say) and the caller must scan.
 	LookupPK(branch vgraph.BranchID, pk int64) (buf []byte, physCols int, ok bool, err error)
 
-	// Merge merges the head of branch other into branch into. mc is the
-	// already-created merge commit (its Parents are the two heads, its
-	// PrecedenceFirst selects the winning side). After Merge returns,
-	// the head of into reflects the merged state and mc is its
+	// Merge merges the head of branch m.Other into branch m.Into. The
+	// merge commit and its LCA are already in the graph. The engine finds
+	// the keys the merge must look at — those either side changed since
+	// the LCA, by whatever its storage mapping makes cheap — and passes
+	// each to m.Resolve with a MergeTarget over its storage; it reads
+	// neither the merge kind nor the precedence. After Merge returns,
+	// the head of m.Into reflects the merged state and m.Commit is its
 	// committed snapshot.
-	Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind MergeKind) (MergeStats, error)
+	Merge(m *Merge) error
 
 	// Stats reports the storage footprint.
 	Stats() (Stats, error)

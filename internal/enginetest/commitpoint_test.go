@@ -41,15 +41,15 @@ func (e *faulty) Commit(c *vgraph.Commit) error {
 	return e.Engine.Commit(c)
 }
 
-func (e *faulty) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core.MergeKind) (core.MergeStats, error) {
+func (e *faulty) Merge(m *core.Merge) error {
 	if e.table == "t" && e.f.inMerge != nil {
 		e.f.inMerge()
 	}
 	if err := e.f.failMerge; e.table == "u" && err != nil {
 		e.f.failMerge = nil
-		return core.MergeStats{}, err
+		return err
 	}
-	return e.Engine.Merge(into, other, mc, kind)
+	return e.Engine.Merge(m)
 }
 
 func faultyFactory(inner core.Factory, f *faults) core.Factory {

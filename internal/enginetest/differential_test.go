@@ -129,13 +129,8 @@ func (h *harness) insert(b vgraph.BranchID, rec *record.Record) {
 }
 
 // reopen closes and reopens every engine; the model rolls uncommitted
-// changes back with them. Branches the model reports as MergedDirty are
-// committed first; those commits are returned.
-func (h *harness) reopen() []*vgraph.Commit {
-	var commits []*vgraph.Commit
-	for _, b := range h.model.MergedDirty() {
-		commits = append(commits, h.commit(b))
-	}
+// changes back with them.
+func (h *harness) reopen() {
 	for _, n := range h.names {
 		if err := h.dbs[n].Close(); err != nil {
 			h.t.Fatalf("%s close: %v", n, err)
@@ -148,7 +143,6 @@ func (h *harness) reopen() []*vgraph.Commit {
 	}
 	h.graph = h.dbs[h.names[0]].Graph()
 	h.model.Reopen(h.graph)
-	return commits
 }
 
 // compact runs one compaction pass on every engine. It changes where
@@ -195,21 +189,30 @@ func (h *harness) delete(b vgraph.BranchID, pk int64) {
 	h.model.Delete(b, pk)
 }
 
+// merge merges on every engine and the model. The conflict count must be
+// the model's; the counts of changed keys and materialized records must
+// agree across the engines (the model compares bytes where engines
+// compare copies, so it has no say in those).
 func (h *harness) merge(into, other vgraph.BranchID, kind core.MergeKind, precFirst bool) {
-	var conflicts []int
+	var stats []core.MergeStats
 	var mc *vgraph.Commit
 	for _, n := range h.names {
 		c, st, err := h.dbs[n].Merge(into, other, "m", kind, precFirst)
 		if err != nil {
 			h.t.Fatalf("%s merge: %v", n, err)
 		}
-		conflicts = append(conflicts, st.Conflicts)
+		stats = append(stats, st)
 		mc = c
 	}
 	want := h.model.Merge(h.graph, into, other, mc, kind)
 	for i, n := range h.names {
-		if conflicts[i] != want {
-			h.t.Errorf("%s merge conflicts = %d, model says %d", n, conflicts[i], want)
+		st, first := stats[i], stats[0]
+		if st.Conflicts != want {
+			h.t.Errorf("%s merge conflicts = %d, model says %d", n, st.Conflicts, want)
+		}
+		if st.ChangedA != first.ChangedA || st.ChangedB != first.ChangedB || st.Materialized != first.Materialized {
+			h.t.Errorf("%s merge changedA/changedB/materialized = %d/%d/%d, %s says %d/%d/%d", n,
+				st.ChangedA, st.ChangedB, st.Materialized, h.names[0], first.ChangedA, first.ChangedB, first.Materialized)
 		}
 	}
 }
@@ -432,7 +435,7 @@ func runWorkload(t *testing.T, seed int64, ops int, allowMerge bool, threeWay bo
 			nextBranch++
 			branches = append(branches, nb)
 		case k >= 102:
-			commits = append(commits, h.reopen()...)
+			h.reopen()
 		case k >= 100:
 			h.compact()
 		default: // merge

@@ -212,6 +212,14 @@ func TestEngineUncommittedRollbackOnReopen(t *testing.T) {
 			tbl, _ := db.Table("t")
 			tbl.Insert(master.ID, simpleRec(schema, 1, 1))
 			db.Commit(master.ID, "v1")
+			// A merge takes its source's uncommitted rows into the merge
+			// commit; the source itself still loses them.
+			src, _ := db.BranchFromHead("src", "master")
+			dst, _ := db.BranchFromHead("dst", "master")
+			tbl.Insert(src.ID, simpleRec(schema, 3, 3)) // uncommitted
+			if _, _, err := db.Merge(dst.ID, src.ID, "merge", core.ThreeWay, true); err != nil {
+				t.Fatal(err)
+			}
 			tbl.Insert(master.ID, simpleRec(schema, 2, 2)) // uncommitted
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
@@ -223,6 +231,12 @@ func TestEngineUncommittedRollbackOnReopen(t *testing.T) {
 			got := scanPKs(t, db2, m.ID)
 			if len(got) != 1 || got[1] != 1 {
 				t.Fatalf("state after reopen = %v (want committed state only)", got)
+			}
+			if got := scanPKs(t, db2, src.ID); len(got) != 1 || got[1] != 1 {
+				t.Fatalf("merged-from branch after reopen = %v (want committed state only)", got)
+			}
+			if got := scanPKs(t, db2, dst.ID); len(got) != 2 || got[3] != 3 {
+				t.Fatalf("merged-into branch after reopen = %v (want the merge commit)", got)
 			}
 			// The reopened dataset accepts new writes and commits.
 			tbl2, _ := db2.Table("t")

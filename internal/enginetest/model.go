@@ -8,8 +8,6 @@
 package enginetest
 
 import (
-	"sort"
-
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/vgraph"
@@ -35,19 +33,15 @@ type Model struct {
 	commits  map[vgraph.CommitID]state
 	keys     []int64        // every key any branch ever inserted, in first-insert order
 	written  map[int64]bool // set of keys
-	// mergedDirty holds the branches merged into another since their
-	// last commit; see MergedDirty.
-	mergedDirty map[vgraph.BranchID]bool
 }
 
 // NewModel creates a reference model for the schema.
 func NewModel(schema *record.Schema) *Model {
 	return &Model{
-		schema:      schema,
-		branches:    make(map[vgraph.BranchID]state),
-		commits:     make(map[vgraph.CommitID]state),
-		written:     make(map[int64]bool),
-		mergedDirty: make(map[vgraph.BranchID]bool),
+		schema:   schema,
+		branches: make(map[vgraph.BranchID]state),
+		commits:  make(map[vgraph.CommitID]state),
+		written:  make(map[int64]bool),
 	}
 }
 
@@ -66,7 +60,6 @@ func (m *Model) Branch(child *vgraph.Branch, from *vgraph.Commit) {
 // Commit mirrors Database.Commit.
 func (m *Model) Commit(c *vgraph.Commit) {
 	m.commits[c.ID] = m.branches[c.Branch].clone()
-	delete(m.mergedDirty, c.Branch)
 }
 
 // Insert mirrors Table.Insert (upsert).
@@ -80,21 +73,6 @@ func (m *Model) Insert(b vgraph.BranchID, rec *record.Record) {
 
 // Keys returns every key any branch ever inserted.
 func (m *Model) Keys() []int64 { return m.keys }
-
-// MergedDirty returns, in id order, the branches merged into another
-// since their last commit. A merge reads its source branch's working
-// state, and version-first's merge link then keeps that branch's
-// uncommitted rows past a reopen where the bitmap engines (and Reopen)
-// drop them. A generator commits these branches before it reopens, so
-// that all engines agree.
-func (m *Model) MergedDirty() []vgraph.BranchID {
-	out := make([]vgraph.BranchID, 0, len(m.mergedDirty))
-	for b := range m.mergedDirty {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // Reopen mirrors closing and reopening the dataset: every branch falls
 // back to its head commit, uncommitted changes are gone.
@@ -217,6 +195,5 @@ func (m *Model) Merge(g *vgraph.Graph, into, other vgraph.BranchID, mc *vgraph.C
 	}
 	m.branches[into] = merged
 	m.commits[mc.ID] = merged.clone()
-	m.mergedDirty[other] = true
 	return conflicts
 }

@@ -109,9 +109,6 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 	for op := 0; op < ops; op++ {
 		switch k := r.Intn(106); {
 		case k >= 103:
-			for _, b := range model.MergedDirty() {
-				commit(op, b)
-			}
 			trace = append(trace, fmt.Sprintf("op%d reopen", op))
 			if err := db.Close(); err != nil {
 				t.Fatal(err)

@@ -215,7 +215,7 @@ func (e *Engine) mergeRunLocked(run []*hseg, opt compact.Options, st *compact.St
 	for b, r := range ranges {
 		path := e.logPath(logKey{Branch: b, Seg: newID})
 		os.Remove(path) // debris from an earlier crashed merge
-		nl, err := bitmap.OpenCommitLog(path, e.env.Opt.CommitFanout)
+		nl, err := bitmap.OpenCommitLog(path, bitmap.DefaultLayerFanout)
 		if err != nil {
 			sw.Abort()
 			return err

@@ -20,6 +20,7 @@ import (
 	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
+	"decibel/internal/wal"
 )
 
 // segID indexes the engine's segment table (store.Pos.Seg).
@@ -27,9 +28,6 @@ type segID = int32
 
 // pos addresses one record copy.
 type pos = store.Pos
-
-// noPos is the position of a key with no live version.
-var noPos = pos{Seg: -1, Slot: -1}
 
 // hseg is one segment: a shared store segment (heap file, schema-
 // version id, zone map, freeze state) plus its local bitmap index,
@@ -147,7 +145,7 @@ func (e *Engine) openLog(k logKey) (*bitmap.CommitLog, error) {
 	if l, ok := e.logs[k]; ok {
 		return l, nil
 	}
-	l, err := bitmap.OpenCommitLog(e.logPath(k), e.env.Opt.CommitFanout)
+	l, err := bitmap.OpenCommitLog(e.logPath(k), bitmap.DefaultLayerFanout)
 	if err != nil {
 		return nil, err
 	}
@@ -167,11 +165,10 @@ func (e *Engine) persistLocked() error {
 	if err != nil {
 		return fmt.Errorf("hy: %w", err)
 	}
-	tmp := e.metaPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := wal.ReplaceFile(e.metaPath(), data, e.env.Opt.Fsync); err != nil {
 		return fmt.Errorf("hy: %w", err)
 	}
-	return os.Rename(tmp, e.metaPath())
+	return nil
 }
 
 // recover reloads the catalog and restores each (branch, segment)
@@ -244,10 +241,8 @@ func (e *Engine) recover() error {
 		e.startSeq[k] = seq
 		hs.local[b] = l.Head()
 	}
-	// Branches created but never committed to have no (branch, segment)
-	// logs of their own; rebuild their per-segment liveness from the
-	// snapshot they branched at, recorded in the branch-point commit's
-	// own branch logs (the same reconstruction Branch performs).
+	// Branches never committed to have no (branch, segment) logs of
+	// their own: they are created again, at their branch point.
 	for _, br := range e.env.Graph.Branches() {
 		restored := false
 		for k := range e.startSeq {
@@ -259,16 +254,12 @@ func (e *Engine) recover() error {
 		if restored || br.From == vgraph.None {
 			continue
 		}
-		from, ok := e.env.Graph.Commit(br.From)
-		if !ok {
-			return fmt.Errorf("hy: recover branch %d: missing branch-point commit %d", br.ID, br.From)
-		}
-		snap, err := e.checkoutLocked(from.Branch, from.Seq)
+		from, err := e.env.BranchPoint(br)
 		if err != nil {
-			return fmt.Errorf("hy: recover branch %d: %w", br.ID, err)
+			return fmt.Errorf("hy: %w", err)
 		}
-		for id, bm := range snap {
-			e.byID[id].local[br.ID] = bm
+		if err := e.branchLocked(br.ID, from); err != nil {
+			return err
 		}
 	}
 	e.sweepOrphans()
@@ -302,14 +293,14 @@ func (e *Engine) buildVersions() error {
 }
 
 // livePos returns the position of pk's version live in the branch, or
-// noPos when the branch has none.
+// store.NoPos when the branch has none.
 func (e *Engine) livePos(branch vgraph.BranchID, pk int64) pos {
 	p, ok := e.vers.Find(pk, func(p pos) bool {
 		bm, ok := e.byID[p.Seg].local[branch]
 		return ok && bm.Get(int(p.Slot))
 	})
 	if !ok {
-		return noPos
+		return store.NoPos
 	}
 	return p
 }
@@ -319,6 +310,17 @@ func (e *Engine) clearLive(branch vgraph.BranchID, p pos) {
 	if bm, ok := e.byID[p.Seg].local[branch]; ok {
 		bm.Clear(int(p.Slot))
 	}
+}
+
+// setLive sets the branch's bit at a slot of s, creating the branch's
+// bitmap there when it first sees the segment.
+func (e *Engine) setLive(branch vgraph.BranchID, s *hseg, slot int64) {
+	bm := s.local[branch]
+	if bm == nil {
+		bm = bitmap.New(0)
+		s.local[branch] = bm
+	}
+	bm.Set(int(slot))
 }
 
 func (e *Engine) newSegmentLocked(owner vgraph.BranchID, cols int) (*hseg, error) {
@@ -367,17 +369,28 @@ func (e *Engine) branchSegmentsLocked(b vgraph.BranchID) []*hseg {
 func (e *Engine) Branch(child *vgraph.Branch, from *vgraph.Commit) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	parent := from.Branch
+	return e.branchLocked(child.ID, from)
+}
 
+// branchLocked is Branch, and how recover restores a branch that has no
+// commits of its own. Such a branch has lost its bitmaps, which are
+// rebuilt here as for a new branch; if the engine never saw it — the
+// graph logged it and the process died — it has no head segment either
+// and gets one, and the parent a fresh one, as a new branch does.
+func (e *Engine) branchLocked(child vgraph.BranchID, from *vgraph.Commit) error {
+	parent := from.Branch
 	snap, err := e.checkoutLocked(parent, from.Seq)
 	if err != nil {
-		return err
+		return fmt.Errorf("hy: branch %d from commit %d: %w", child, from.ID, err)
 	}
 	// The version index already holds every position the snapshot can
 	// name, so the bitmaps are all a branch needs — from a historical
 	// commit as much as from the head.
 	for id, bm := range snap {
-		e.byID[id].local[child.ID] = bm.Clone()
+		e.byID[id].local[child] = bm
+	}
+	if _, seen := e.headSeg[child]; seen {
+		return nil
 	}
 	// Freeze the parent's head and open fresh heads for both branches.
 	if old, ok := e.headSeg[parent]; ok {
@@ -392,12 +405,12 @@ func (e *Engine) Branch(child *vgraph.Branch, from *vgraph.Commit) error {
 	}
 	np.local[parent] = bitmap.New(0)
 	e.headSeg[parent] = np.id
-	nc, err := e.newSegmentLocked(child.ID, cols)
+	nc, err := e.newSegmentLocked(child, cols)
 	if err != nil {
 		return err
 	}
-	nc.local[child.ID] = bitmap.New(0)
-	e.headSeg[child.ID] = nc.id
+	nc.local[child] = bitmap.New(0)
+	e.headSeg[child] = nc.id
 
 	return e.persistLocked()
 }
@@ -526,15 +539,10 @@ func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error 
 	if err != nil {
 		return err
 	}
-	if old := e.livePos(branch, rec.PK()); old != noPos {
+	if old := e.livePos(branch, rec.PK()); old != store.NoPos {
 		e.clearLive(branch, old)
 	}
-	bm := s.local[branch]
-	if bm == nil {
-		bm = bitmap.New(0)
-		s.local[branch] = bm
-	}
-	bm.Set(int(slot))
+	e.setLive(branch, s, slot)
 	e.vers.Push(rec.PK(), pos{Seg: s.id, Slot: slot})
 	return nil
 }
@@ -546,7 +554,7 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	if _, ok := e.headSeg[branch]; !ok {
 		return fmt.Errorf("hy: unknown branch %d", branch)
 	}
-	if old := e.livePos(branch, pk); old != noPos {
+	if old := e.livePos(branch, pk); old != store.NoPos {
 		e.clearLive(branch, old)
 	}
 	return nil

@@ -186,7 +186,11 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 
 	devSeg := e.headSeg[dev.ID]
 	mc, _ := g.NewMergeCommit(master.ID, dev.ID, "merge", true)
-	if _, err := e.Merge(master.ID, dev.ID, mc, core.ThreeWay); err != nil {
+	m, err := core.NewMerge(g, master.ID, dev.ID, mc, core.ThreeWay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Merge(m); err != nil {
 		t.Fatal(err)
 	}
 	bm := e.segs[devSeg].local[master.ID]

@@ -1,226 +1,112 @@
 package hy
 
 import (
-	"fmt"
-
 	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
+	"decibel/internal/store"
 	"decibel/internal/vgraph"
 )
 
 // Merge implements core.Engine for the hybrid scheme (Section 3.4):
 // "as in tuple-first, the segment bitmaps can be leveraged (also
 // requiring the lowest common ancestor commit) to determine where the
-// conflicts are within the segment"; records adopted from the second
-// parent are marked live in the merged branch's bitmaps within their
-// containing segments, creating new bitmaps for the branch within a
-// segment if necessary; resolved conflict records are appended to the
-// merged branch's head segment.
-func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core.MergeKind) (core.MergeStats, error) {
+// conflicts are within the segment" — per segment, each head's local
+// bitmap XORed against the LCA's names the changed slots, their records
+// the changed keys. What becomes of each key is decided in core
+// (Merge.Resolve); here an adopted record is marked live in the merged
+// branch's bitmap within its containing segment, "creating new bitmaps
+// for the branch within a segment if necessary", and a resolved record
+// neither side holds is appended to the merged branch's head segment.
+func (e *Engine) Merge(m *core.Merge) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var st core.MergeStats
 
-	lcaID := e.env.Graph.LCA(mc.Parents[0], mc.Parents[1])
-	lcaCommit, ok := e.env.Graph.Commit(lcaID)
-	if !ok {
-		return st, fmt.Errorf("hy: merge has no common ancestor")
-	}
-	lcaSnap, err := e.checkoutLocked(lcaCommit.Branch, lcaCommit.Seq)
+	lcaSnap, err := e.checkoutLocked(m.LCA.Branch, m.LCA.Seq)
 	if err != nil {
-		return st, err
+		return err
 	}
-
 	// Rows from the two branches (and the LCA) may sit in segments of
-	// different schema versions; resolve everything under the merge
-	// commit's schema and make sure the head segment materialized
-	// results land in can hold the merged layout.
-	epoch := mc.SchemaVer
-	recSize := int64(e.hist.VisibleAt(epoch).RecordSize())
-	type entry struct {
-		lcaPos   pos
-		hasLCA   bool
-		changedA bool
-		changedB bool
-	}
-	entries := make(map[int64]*entry)
-	collect := func(branch vgraph.BranchID, isA bool) error {
+	// different schema versions; everything is resolved under the merge
+	// commit's schema.
+	recSize := int64(e.hist.VisibleAt(m.Commit.SchemaVer).RecordSize())
+
+	changed := make(core.ChangedKeys)
+	empty := bitmap.New(0)
+	for _, b := range []vgraph.BranchID{m.Into, m.Other} {
 		for _, s := range e.segs {
-			cur := s.local[branch]
-			lca := lcaSnap[s.id]
+			cur, lca := s.local[b], lcaSnap[s.id]
 			if cur == nil && lca == nil {
 				continue
 			}
 			if cur == nil {
-				cur = bitmap.New(0)
+				cur = empty
 			}
 			if lca == nil {
-				lca = bitmap.New(0)
+				lca = empty
 			}
-			x := bitmap.Xor(cur, lca)
 			buf := make([]byte, s.Schema.RecordSize())
-			var scanErr error
-			x.ForEach(func(slot int) bool {
-				if err := s.File.Read(int64(slot), buf); err != nil {
-					scanErr = err
+			var err error
+			bitmap.Xor(cur, lca).ForEach(func(slot int) bool {
+				if err = s.File.Read(int64(slot), buf); err != nil {
 					return false
 				}
-				st.TuplesScanned++
-				st.DiffBytes += recSize
-				pk := record.PKOf(buf)
-				en := entries[pk]
-				if en == nil {
-					en = &entry{}
-					entries[pk] = en
-				}
-				if isA {
-					en.changedA = true
-				} else {
-					en.changedB = true
-				}
-				if lca.Get(slot) {
-					en.lcaPos = pos{Seg: s.id, Slot: int64(slot)}
-					en.hasLCA = true
-				}
+				m.Stats.TuplesScanned++
+				m.Stats.DiffBytes += recSize
+				changed.Saw(record.PKOf(buf), pos{Seg: s.id, Slot: int64(slot)}, lca.Get(slot))
 				return true
 			})
-			if scanErr != nil {
-				return scanErr
+			if err != nil {
+				return err
 			}
 		}
-		return nil
-	}
-	if err := collect(into, true); err != nil {
-		return st, err
-	}
-	if err := collect(other, false); err != nil {
-		return st, err
 	}
 
-	headSeg, err := e.writeHeadLocked(into)
+	// Materialized results land in the head segment, rotated first if the
+	// merge commit's schema has outgrown it.
+	head, err := e.writeHeadLocked(m.Into)
 	if err != nil {
-		return st, err
+		return err
 	}
-	head := headSeg.id
-	readAt := func(p pos) (*record.Record, error) {
-		s := e.byID[p.Seg]
-		buf := make([]byte, s.Schema.RecordSize())
-		if err := s.File.Read(p.Slot, buf); err != nil {
-			return nil, err
-		}
-		cv, err := e.hist.Conv(s.Cols, epoch)
-		if err != nil {
-			return nil, err
-		}
-		st.TuplesScanned++
-		return cv.Materialize(buf), nil
+	if err := m.ResolveChanged(&mergeTarget{e: e, m: m, head: head}, changed, e.livePos); err != nil {
+		return err
 	}
-	setLive := func(branch vgraph.BranchID, p pos) {
-		s := e.byID[p.Seg]
-		bm := s.local[branch]
-		if bm == nil {
-			bm = bitmap.New(0)
-			s.local[branch] = bm
-		}
-		bm.Set(int(p.Slot))
-	}
+	return e.commitLocked(m.Commit)
+}
 
-	for pk, en := range entries {
-		if en.changedA {
-			st.ChangedA++
-		}
-		if en.changedB {
-			st.ChangedB++
-		}
-		posA := e.livePos(into, pk)
-		posB := e.livePos(other, pk)
-		switch {
-		case en.changedA && !en.changedB:
-			// Keep into's state.
-		case en.changedB && !en.changedA:
-			if posA != noPos {
-				e.clearLive(into, posA)
-			}
-			if posB != noPos {
-				setLive(into, posB)
-			}
-		default:
-			var recA, recB, base *record.Record
-			if posA != noPos {
-				if recA, err = readAt(posA); err != nil {
-					return st, err
-				}
-			}
-			if posB != noPos {
-				if recB, err = readAt(posB); err != nil {
-					return st, err
-				}
-			}
-			apply := func(rec *record.Record, deleted bool) error {
-				if posA != noPos {
-					e.clearLive(into, posA)
-				}
-				if deleted {
-					return nil
-				}
-				var p pos
-				switch {
-				case recA != nil && rec.Equal(recA):
-					p = posA
-				case recB != nil && rec.Equal(recB):
-					p = posB
-				default:
-					slot, err := e.st.Append(e.byID[head].Segment, rec)
-					if err != nil {
-						return err
-					}
-					p = pos{Seg: head, Slot: slot}
-					e.vers.Push(pk, p)
-					st.Materialized++
-				}
-				setLive(into, p)
-				return nil
-			}
-			if kind == core.TwoWay {
-				same := (recA == nil && recB == nil) || (recA != nil && recB != nil && recA.Equal(recB))
-				if !same {
-					st.Conflicts++
-				}
-				var err error
-				if mc.PrecedenceFirst {
-					if recA == nil {
-						err = apply(nil, true)
-					} else {
-						err = apply(recA, false)
-					}
-				} else if recB == nil {
-					err = apply(nil, true)
-				} else {
-					err = apply(recB, false)
-				}
-				if err != nil {
-					return st, err
-				}
-				continue
-			}
-			if en.hasLCA {
-				if base, err = readAt(en.lcaPos); err != nil {
-					return st, err
-				}
-			}
-			res := record.Merge3(base, recA, recB, mc.PrecedenceFirst)
-			if res.Conflict {
-				st.Conflicts++
-			}
-			if res.Deleted {
-				if err := apply(nil, true); err != nil {
-					return st, err
-				}
-			} else if err := apply(res.Record, false); err != nil {
-				return st, err
-			}
-		}
+// mergeTarget is the segments and the merged branch's local bitmaps as
+// core.MergeTarget. Caller holds e.mu.
+type mergeTarget struct {
+	e    *Engine
+	m    *core.Merge
+	head *hseg
+}
+
+func (t *mergeTarget) ReadAt(p pos) (*record.Record, error) {
+	t.m.Stats.TuplesScanned++
+	return t.e.st.ReadAt(t.e.byID[p.Seg].Segment, p.Slot, t.m.Commit.SchemaVer)
+}
+
+func (t *mergeTarget) Drop(k core.MergeKey) {
+	if k.A != store.NoPos {
+		t.e.clearLive(t.m.Into, k.A)
 	}
-	return st, e.commitLocked(mc)
+}
+
+func (t *mergeTarget) Adopt(k core.MergeKey, p pos) {
+	if p != k.A {
+		t.Drop(k)
+		t.e.setLive(t.m.Into, t.e.byID[p.Seg], p.Slot)
+	}
+}
+
+func (t *mergeTarget) Materialize(k core.MergeKey, rec *record.Record) error {
+	slot, err := t.e.st.Append(t.head.Segment, rec)
+	if err != nil {
+		return err
+	}
+	p := pos{Seg: t.head.id, Slot: slot}
+	t.e.vers.Push(k.PK, p)
+	t.Adopt(k, p)
+	return nil
 }

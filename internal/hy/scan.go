@@ -27,7 +27,7 @@ func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64) ([]byte, int, bool, 
 		return nil, 0, false, nil
 	}
 	p := e.livePos(branch, pk)
-	if p == noPos {
+	if p == store.NoPos {
 		return nil, 0, true, nil
 	}
 	s := e.byID[p.Seg]

@@ -2,11 +2,15 @@ package store
 
 // Pos addresses one stored copy of a record: a slot of a segment.
 // Tuple-first numbers its whole heap with global slots and leaves Seg
-// zero; hybrid uses its segment ids.
+// zero; hybrid and version-first use their segment ids. The JSON names
+// are those of version-first's catalog, which stores positions.
 type Pos struct {
-	Seg  int32
-	Slot int64
+	Seg  int32 `json:"seg"`
+	Slot int64 `json:"slot"`
 }
+
+// NoPos is the position of a key a version holds no copy of.
+var NoPos = Pos{Seg: -1, Slot: -1}
 
 // VersionIndex is the primary-key index of a table, shared by every
 // branch: for each key, the positions of its stored versions, newest

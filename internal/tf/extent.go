@@ -22,6 +22,7 @@ import (
 	"decibel/internal/heap"
 	"decibel/internal/record"
 	"decibel/internal/store"
+	"decibel/internal/wal"
 )
 
 // extent is one fixed-width run of the shared heap: a store segment
@@ -125,11 +126,10 @@ func (e *Engine) persistExtentsLocked() error {
 	if err != nil {
 		return fmt.Errorf("tf: %w", err)
 	}
-	tmp := e.extMetaPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := wal.ReplaceFile(e.extMetaPath(), data, e.env.Opt.Fsync); err != nil {
 		return fmt.Errorf("tf: %w", err)
 	}
-	return os.Rename(tmp, e.extMetaPath())
+	return nil
 }
 
 // lastExt returns the open tail extent.
@@ -202,21 +202,6 @@ func (r *extReader) read(slot int64) ([]byte, *extent, error) {
 		return nil, nil, err
 	}
 	return r.buf, x, nil
-}
-
-// readRecAt materializes the record at a global slot under the schema
-// visible at the given epoch (defaults filled for columns the record's
-// extent predates).
-func (e *Engine) readRecAt(r *extReader, slot int64, epoch int) (*record.Record, error) {
-	buf, x, err := r.read(slot)
-	if err != nil {
-		return nil, err
-	}
-	cv, err := e.hist.Conv(x.Cols, epoch)
-	if err != nil {
-		return nil, err
-	}
-	return cv.Materialize(buf), nil
 }
 
 // offsetBitmap adapts a global-slot bitmap to one extent's local slot

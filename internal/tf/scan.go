@@ -3,6 +3,7 @@ package tf
 import (
 	"decibel/internal/bitmap"
 	"decibel/internal/core"
+	"decibel/internal/store"
 	"decibel/internal/vgraph"
 )
 
@@ -33,11 +34,11 @@ func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64) ([]byte, int, bool, 
 	if !e.idx.has(branch) {
 		return nil, 0, false, nil
 	}
-	slot := e.liveSlot(branch, pk)
-	if slot < 0 {
+	p := e.livePos(branch, pk)
+	if p == store.NoPos {
 		return nil, 0, true, nil
 	}
-	buf, ext, err := e.reader().read(slot)
+	buf, ext, err := e.reader().read(p.Slot)
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -85,7 +85,7 @@ func (e *Engine) openLog(b vgraph.BranchID) (*bitmap.CommitLog, error) {
 	if l, ok := e.logs[b]; ok {
 		return l, nil
 	}
-	l, err := bitmap.OpenCommitLog(e.logPath(b), e.env.Opt.CommitFanout)
+	l, err := bitmap.OpenCommitLog(e.logPath(b), bitmap.DefaultLayerFanout)
 	if err != nil {
 		return nil, err
 	}
@@ -108,24 +108,19 @@ func (e *Engine) recover() error {
 		if err := core.ReconcileLog(l, b.ID, e.env.Graph.NumCommitsOn(b.ID)); err != nil {
 			return fmt.Errorf("tf: %w", err)
 		}
-		bm := l.Head()
-		if l.NumCommits() == 0 && b.From != vgraph.None {
-			// The branch was created but never committed to, so its own
-			// log is empty; its head is the snapshot it branched from,
-			// recorded in the log of the branch that made that commit.
-			from, ok := e.env.Graph.Commit(b.From)
-			if !ok {
-				return fmt.Errorf("tf: recover branch %d: missing branch-point commit %d", b.ID, b.From)
-			}
-			pl, err := e.openLog(from.Branch)
-			if err != nil {
-				return err
-			}
-			if bm, err = pl.Checkout(from.Seq); err != nil {
-				return fmt.Errorf("tf: recover branch %d: %w", b.ID, err)
-			}
+		if l.NumCommits() > 0 || b.From == vgraph.None {
+			e.idx.addBranch(b.ID, l.Head())
+			continue
 		}
-		e.idx.addBranch(b.ID, bm)
+		// The branch was never committed to, so its own log is empty: it
+		// is created again, at its branch point.
+		from, err := e.env.BranchPoint(b)
+		if err != nil {
+			return fmt.Errorf("tf: %w", err)
+		}
+		if err := e.branchLocked(b.ID, from); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -157,14 +152,14 @@ func (e *Engine) buildVersions() error {
 	return nil
 }
 
-// liveSlot returns the global slot of pk's version live in the branch,
-// or -1 when the branch has none.
-func (e *Engine) liveSlot(branch vgraph.BranchID, pk int64) int64 {
+// livePos returns the position (Slot the global slot) of pk's version
+// live in the branch, or store.NoPos when the branch has none.
+func (e *Engine) livePos(branch vgraph.BranchID, pk int64) store.Pos {
 	p, ok := e.vers.Find(pk, func(p store.Pos) bool { return e.idx.get(p.Slot, branch) })
 	if !ok {
-		return -1
+		return store.NoPos
 	}
-	return p.Slot
+	return p
 }
 
 // Init implements core.Engine: registers the master branch and records
@@ -182,16 +177,22 @@ func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 func (e *Engine) Branch(child *vgraph.Branch, from *vgraph.Commit) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	parent := from.Branch
-	log, err := e.openLog(parent)
+	return e.branchLocked(child.ID, from)
+}
+
+// branchLocked is Branch, and how recover restores a branch that has no
+// commits of its own: the snapshot comes from the log of the branch
+// that made commit from.
+func (e *Engine) branchLocked(child vgraph.BranchID, from *vgraph.Commit) error {
+	log, err := e.openLog(from.Branch)
 	if err != nil {
 		return err
 	}
 	snap, err := log.Checkout(from.Seq)
 	if err != nil {
-		return fmt.Errorf("tf: branch from commit %d: %w", from.ID, err)
+		return fmt.Errorf("tf: branch %d from commit %d: %w", child, from.ID, err)
 	}
-	e.idx.addBranch(child.ID, snap)
+	e.idx.addBranch(child, snap)
 	return nil
 }
 
@@ -264,8 +265,8 @@ func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error 
 		return err
 	}
 	e.idx.appendTuple(slot)
-	if old := e.liveSlot(branch, rec.PK()); old >= 0 {
-		e.idx.clear(old, branch)
+	if old := e.livePos(branch, rec.PK()); old != store.NoPos {
+		e.idx.clear(old.Slot, branch)
 	}
 	e.idx.set(slot, branch)
 	e.vers.Push(rec.PK(), store.Pos{Slot: slot})
@@ -281,203 +282,10 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	if !e.idx.has(branch) {
 		return fmt.Errorf("tf: unknown branch %d", branch)
 	}
-	if old := e.liveSlot(branch, pk); old >= 0 {
-		e.idx.clear(old, branch)
+	if old := e.livePos(branch, pk); old != store.NoPos {
+		e.idx.clear(old.Slot, branch)
 	}
 	return nil
-}
-
-// Merge implements core.Engine following Section 3.2: the LCA commit's
-// bitmap is restored and XORed against both branch heads to find the
-// records changed on each side; the changed keys are joined via hash
-// tables; conflicts are resolved tuple-level (two-way) or by a
-// field-level three-way merge against the common ancestor record.
-func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core.MergeKind) (core.MergeStats, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var st core.MergeStats
-
-	lcaID := e.env.Graph.LCA(mc.Parents[0], mc.Parents[1])
-	lcaCommit, ok := e.env.Graph.Commit(lcaID)
-	if !ok {
-		return st, fmt.Errorf("tf: merge has no common ancestor")
-	}
-	lcaLog, err := e.openLog(lcaCommit.Branch)
-	if err != nil {
-		return st, err
-	}
-	lcaBM, err := lcaLog.Checkout(lcaCommit.Seq)
-	if err != nil {
-		return st, err
-	}
-	// Rows from the two branches (and the LCA) may span schema
-	// versions; resolve everything under the merge commit's schema and
-	// make sure the tail extent can hold materialized results.
-	epoch := mc.SchemaVer
-	if err := e.ensureExtentLocked(e.hist.NumPhysAt(epoch)); err != nil {
-		return st, err
-	}
-
-	bmA := e.idx.column(into)
-	bmB := e.idx.column(other)
-	changedA := bitmap.Xor(bmA, lcaBM)
-	changedB := bitmap.Xor(bmB, lcaBM)
-
-	type entry struct {
-		lcaSlot  int64
-		changedA bool
-		changedB bool
-	}
-	entries := make(map[int64]*entry)
-	recSize := int64(e.hist.VisibleAt(epoch).RecordSize())
-	collect := func(changed *bitmap.Bitmap, isA bool) error {
-		r := e.reader()
-		var err error
-		changed.ForEach(func(slot int) bool {
-			var buf []byte
-			if buf, _, err = r.read(int64(slot)); err != nil {
-				return false
-			}
-			st.TuplesScanned++
-			pk := record.PKOf(buf)
-			en := entries[pk]
-			if en == nil {
-				en = &entry{lcaSlot: -1}
-				entries[pk] = en
-			}
-			if isA {
-				en.changedA = true
-			} else {
-				en.changedB = true
-			}
-			if lcaBM.Get(slot) {
-				en.lcaSlot = int64(slot)
-			}
-			return true
-		})
-		return err
-	}
-	if err := collect(changedA, true); err != nil {
-		return st, err
-	}
-	if err := collect(changedB, false); err != nil {
-		return st, err
-	}
-	st.DiffBytes = int64(changedA.Count()+changedB.Count()) * recSize
-
-	mergeReader := e.reader()
-	readRec := func(slot int64) (*record.Record, error) {
-		rec, err := e.readRecAt(mergeReader, slot, epoch)
-		if err != nil {
-			return nil, err
-		}
-		st.TuplesScanned++
-		return rec, nil
-	}
-
-	for pk, en := range entries {
-		if en.changedA {
-			st.ChangedA++
-		}
-		if en.changedB {
-			st.ChangedB++
-		}
-		slotA := e.liveSlot(into, pk)
-		slotB := e.liveSlot(other, pk)
-		switch {
-		case en.changedA && !en.changedB:
-			// Keep into's state: nothing to do.
-		case en.changedB && !en.changedA:
-			// Adopt other's state wholesale.
-			if slotA >= 0 {
-				e.idx.clear(slotA, into)
-			}
-			if slotB >= 0 {
-				e.idx.set(slotB, into)
-			}
-		default:
-			if err := e.resolveConflict(pk, slotA, slotB, en.lcaSlot, into, mc, kind, readRec, &st); err != nil {
-				return st, err
-			}
-		}
-	}
-	return st, e.commitLocked(mc)
-}
-
-// resolveConflict handles a key modified in both branches since the
-// LCA. Caller holds e.mu.
-func (e *Engine) resolveConflict(pk, slotA, slotB, lcaSlot int64, into vgraph.BranchID, mc *vgraph.Commit, kind core.MergeKind, readRec func(int64) (*record.Record, error), st *core.MergeStats) error {
-	var recA, recB, base *record.Record
-	var err error
-	if slotA >= 0 {
-		if recA, err = readRec(slotA); err != nil {
-			return err
-		}
-	}
-	if slotB >= 0 {
-		if recB, err = readRec(slotB); err != nil {
-			return err
-		}
-	}
-	apply := func(rec *record.Record, deleted bool) error {
-		if slotA >= 0 {
-			e.idx.clear(slotA, into)
-		}
-		if deleted {
-			return nil
-		}
-		var slot int64
-		switch {
-		case recA != nil && rec.Equal(recA):
-			slot = slotA
-		case recB != nil && rec.Equal(recB):
-			slot = slotB
-		default:
-			// Materialize the merged record at the end of the heap,
-			// widened to the tail extent's physical layout.
-			if slot, err = e.appendLocked(rec); err != nil {
-				return err
-			}
-			e.idx.appendTuple(slot)
-			e.vers.Push(pk, store.Pos{Slot: slot})
-			st.Materialized++
-		}
-		e.idx.set(slot, into)
-		return nil
-	}
-
-	if kind == core.TwoWay {
-		// Tuple-level: identical outcomes are not conflicts; otherwise
-		// the precedence branch's whole record (or deletion) wins.
-		same := (recA == nil && recB == nil) || (recA != nil && recB != nil && recA.Equal(recB))
-		if !same {
-			st.Conflicts++
-		}
-		if mc.PrecedenceFirst {
-			if recA == nil {
-				return apply(nil, true)
-			}
-			return apply(recA, false)
-		}
-		if recB == nil {
-			return apply(nil, true)
-		}
-		return apply(recB, false)
-	}
-
-	if lcaSlot >= 0 {
-		if base, err = readRec(lcaSlot); err != nil {
-			return err
-		}
-	}
-	res := record.Merge3(base, recA, recB, mc.PrecedenceFirst)
-	if res.Conflict {
-		st.Conflicts++
-	}
-	if res.Deleted {
-		return apply(nil, true)
-	}
-	return apply(res.Record, false)
 }
 
 // SegmentStats implements core.Engine: one summary per extent, zone

@@ -5,7 +5,7 @@ import (
 
 	"decibel/internal/core"
 	"decibel/internal/record"
-	"decibel/internal/vgraph"
+	"decibel/internal/store"
 )
 
 // Merge implements core.Engine for the version-first scheme (Section
@@ -19,212 +19,145 @@ import (
 // would wrongly outrank the other side's genuine change, and resolved
 // three-way records can equal the non-precedence side. The merge
 // therefore resolves the live sets of both heads and the LCA into
-// primary-key hash tables (the paper's multi-pass approach), computes
-// the desired per-key outcome, and records an override — pointing at an
-// existing record copy, preserving copy identity, or a deletion — for
-// exactly the keys where a pure scan would disagree. Resolved records
-// that match neither side are materialized into the new head segment,
-// "which must be scanned before either of its parents".
-func (e *Engine) Merge(into, other vgraph.BranchID, mc *vgraph.Commit, kind core.MergeKind) (core.MergeStats, error) {
+// primary-key hash tables (the paper's multi-pass approach), lets core
+// decide each key's outcome (Merge.Resolve), and records an override —
+// pointing at an existing record copy, preserving copy identity, or a
+// deletion — for exactly the keys where a pure scan would disagree.
+// Resolved records that match neither side are materialized into the
+// new head segment, "which must be scanned before either of its
+// parents".
+func (e *Engine) Merge(m *core.Merge) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var st core.MergeStats
 
-	sA, cutA, err := e.headLocked(into)
+	sA, cutA, err := e.headLocked(m.Into)
 	if err != nil {
-		return st, err
+		return err
 	}
-	sB, cutB, err := e.headLocked(other)
+	sB, cutB, err := e.headLocked(m.Other)
 	if err != nil {
-		return st, err
+		return err
 	}
-	lcaID := e.env.Graph.LCA(mc.Parents[0], mc.Parents[1])
-	lcaPos, ok := e.commits[lcaID]
+	lcaPos, ok := e.commits[m.LCA.ID]
 	if !ok {
-		return st, fmt.Errorf("vf: merge LCA commit %d has no recorded offset", lcaID)
+		return fmt.Errorf("vf: merge LCA commit %d has no recorded offset", m.LCA.ID)
 	}
 
 	// First pass(es): materialize the live sets of both heads and the
 	// LCA into primary-key hash tables (Section 3.3 merge).
 	liveA, err := e.resolveLive(pos{Seg: sA.id, Slot: cutA})
 	if err != nil {
-		return st, err
+		return err
 	}
 	liveB, err := e.resolveLive(pos{Seg: sB.id, Slot: cutB})
 	if err != nil {
-		return st, err
+		return err
 	}
 	liveL, err := e.resolveLive(lcaPos)
 	if err != nil {
-		return st, err
+		return err
 	}
 
 	// Create the merged head segment with its two branch points, at the
 	// physical layout of the merge commit's schema epoch (the newer of
 	// the two parents: rows inherited from the older side decode with
 	// defaults filled).
-	d, err := e.newSegmentLocked(into, e.hist.NumPhysAt(mc.SchemaVer))
+	d, err := e.newSegmentLocked(m.Into, e.hist.NumPhysAt(m.Commit.SchemaVer))
 	if err != nil {
-		return st, err
+		return err
 	}
 	d.hasLink = true
 	d.link = link{
-		ParentSeg: sA.id, ParentSlot: cutA, ParentCommit: mc.Parents[0],
+		ParentSeg: sA.id, ParentSlot: cutA, ParentCommit: m.Commit.Parents[0],
 		IsMerge:  true,
-		OtherSeg: sB.id, OtherSlot: cutB, OtherCommit: mc.Parents[1],
-		LCACommit: lcaID, PrecedenceFirst: mc.PrecedenceFirst,
+		OtherSeg: sB.id, OtherSlot: cutB, OtherCommit: m.Commit.Parents[1],
+		LCACommit: m.LCA.ID, PrecedenceFirst: m.Commit.PrecedenceFirst,
 	}
-	e.byBranch[into] = d.id
+	e.byBranch[m.Into] = d.id
 	sA.Freeze() // the old head becomes an internal, immutable file
 
 	// What a pure scan of the new lineage would yield, before any
 	// overrides or materialized records.
 	scanOut, err := e.resolveLive(pos{Seg: d.id, Slot: 0})
 	if err != nil {
-		return st, err
+		return err
 	}
 
-	changed := func(live map[int64]pos, pk int64) bool {
-		p, okNow := live[pk]
-		q, okLCA := liveL[pk]
-		return okNow != okLCA || (okNow && p != q)
-	}
-	union := make(map[int64]struct{})
-	for pk := range liveA {
-		union[pk] = struct{}{}
-	}
-	for pk := range liveB {
-		union[pk] = struct{}{}
-	}
-	for pk := range liveL {
-		union[pk] = struct{}{}
-	}
-	// Keys dead in both heads and the LCA can still surface from the
-	// composed lineage when chained merges re-rank an old live copy
-	// above the tombstone that killed it; include every key the pure
-	// scan yields so such resurrections get a deletion override.
-	for pk := range scanOut {
-		union[pk] = struct{}{}
-	}
-
-	// Records from the two sides (and the LCA) may be stored under
-	// different schema versions; resolve all of them under the merge
-	// commit's visible schema before comparing or three-way merging.
-	recSize := int64(e.hist.VisibleAt(mc.SchemaVer).RecordSize())
-	readAt := func(p pos) (*record.Record, error) {
-		s := e.segs[p.Seg]
-		buf := make([]byte, s.Schema.RecordSize())
-		if err := s.File.Read(p.Slot, buf); err != nil {
-			return nil, err
-		}
-		cv, err := e.hist.Conv(s.Cols, mc.SchemaVer)
-		if err != nil {
-			return nil, err
-		}
-		st.TuplesScanned++
-		return cv.Materialize(buf), nil
-	}
-	// ensure applies the desired outcome for pk: nothing if the pure
-	// scan already agrees, an override otherwise.
-	ensure := func(pk int64, want pos, deleted bool) {
-		got, live := scanOut[pk]
-		if deleted {
-			if live {
-				d.overrides = append(d.overrides, override{PK: pk, Deleted: true})
-			}
-			return
-		}
-		if !live || got != want {
-			d.overrides = append(d.overrides, override{PK: pk, Seg: want.Seg, Slot: want.Slot})
-		}
-	}
-
-	for pk := range union {
-		ca, cb := changed(liveA, pk), changed(liveB, pk)
-		if ca {
-			st.ChangedA++
-			st.DiffBytes += recSize
-		}
-		if cb {
-			st.ChangedB++
-			st.DiffBytes += recSize
-		}
-		var want pos
-		var deleted bool
-		switch {
-		case !ca && !cb, ca && !cb:
-			want, deleted = liveA[pk], false
-			if _, ok := liveA[pk]; !ok {
-				deleted = true
-			}
-		case cb && !ca:
-			want, deleted = liveB[pk], false
-			if _, ok := liveB[pk]; !ok {
-				deleted = true
-			}
-		default:
-			posA, okA := liveA[pk]
-			posB, okB := liveB[pk]
-			var recA, recB *record.Record
-			if okA {
-				if recA, err = readAt(posA); err != nil {
-					return st, err
-				}
-			}
-			if okB {
-				if recB, err = readAt(posB); err != nil {
-					return st, err
-				}
-			}
-			if kind == core.TwoWay {
-				same := (recA == nil && recB == nil) || (recA != nil && recB != nil && recA.Equal(recB))
-				if !same {
-					st.Conflicts++
-				}
-				if mc.PrecedenceFirst {
-					want, deleted = posA, !okA
-				} else {
-					want, deleted = posB, !okB
-				}
-				ensure(pk, want, deleted)
+	// Every key of the three live sets is resolved, changed or not: keys
+	// dead in both heads and the LCA can still surface from the composed
+	// lineage when chained merges re-rank an old live copy above the
+	// tombstone that killed it, so every key the pure scan yields is
+	// included too and such resurrections get a deletion override.
+	t := &mergeTarget{e: e, m: m, d: d, scanOut: scanOut}
+	recSize := int64(e.hist.VisibleAt(m.Commit.SchemaVer).RecordSize())
+	seen := make(map[int64]struct{}, len(liveA)+len(liveB))
+	for _, live := range []map[int64]pos{liveA, liveB, liveL, scanOut} {
+		for pk := range live {
+			if _, dup := seen[pk]; dup {
 				continue
 			}
-			var base *record.Record
-			if p, ok := liveL[pk]; ok {
-				if base, err = readAt(p); err != nil {
-					return st, err
-				}
+			seen[pk] = struct{}{}
+			k := core.MergeKey{PK: pk, A: posIn(liveA, pk), B: posIn(liveB, pk), LCA: posIn(liveL, pk)}
+			if k.A != k.LCA {
+				m.Stats.DiffBytes += recSize
 			}
-			res := record.Merge3(base, recA, recB, mc.PrecedenceFirst)
-			if res.Conflict {
-				st.Conflicts++
+			if k.B != k.LCA {
+				m.Stats.DiffBytes += recSize
 			}
-			switch {
-			case res.Deleted:
-				ensure(pk, pos{}, true)
-			case recA != nil && res.Record.Equal(recA):
-				ensure(pk, posA, false)
-			case recB != nil && res.Record.Equal(recB):
-				ensure(pk, posB, false)
-			default:
-				// Materialize the resolved record into the merged head
-				// segment; its own interval outranks everything below.
-				if err := e.appendLocked(d, res.Record); err != nil {
-					return st, err
-				}
-				st.Materialized++
-				// Appended records rank above overrides, so no override is
-				// needed — but the key may also be claimed by an override
-				// added for a different reason; appending is sufficient.
+			if err := m.Resolve(t, k); err != nil {
+				return err
 			}
-			continue
 		}
-		ensure(pk, want, deleted)
 	}
 	// The pure-scan resolution of the new head (scanOut) was computed —
 	// and possibly cached — before the override table above was filled;
 	// drop every resolution rooted at the merged segment so later reads
 	// re-resolve with the overrides in place.
 	e.invalidateResolvedLocked(d.id)
-	return st, e.commitLocked(mc)
+	return e.commitLocked(m.Commit)
+}
+
+// posIn returns the position a live set holds for pk, store.NoPos when
+// it holds none.
+func posIn(live map[int64]pos, pk int64) pos {
+	if p, ok := live[pk]; ok {
+		return p
+	}
+	return store.NoPos
+}
+
+// mergeTarget is the merged head segment d as core.MergeTarget: an
+// outcome is an entry in d's override table, and only where the pure
+// scan of the new lineage (scanOut) disagrees with it, or an append to
+// d, whose own interval outranks everything below. Caller holds e.mu.
+type mergeTarget struct {
+	e       *Engine
+	m       *core.Merge
+	d       *segment
+	scanOut map[int64]pos
+}
+
+// ReadAt reads under the merge commit's schema: the two sides and the
+// LCA may be stored under different schema versions.
+func (t *mergeTarget) ReadAt(p pos) (*record.Record, error) {
+	t.m.Stats.TuplesScanned++
+	return t.e.st.ReadAt(t.e.segs[p.Seg].Segment, p.Slot, t.m.Commit.SchemaVer)
+}
+
+func (t *mergeTarget) Adopt(k core.MergeKey, p pos) {
+	if got, live := t.scanOut[k.PK]; !live || got != p {
+		t.d.overrides = append(t.d.overrides, override{PK: k.PK, Seg: p.Seg, Slot: p.Slot})
+	}
+}
+
+func (t *mergeTarget) Drop(k core.MergeKey) {
+	if _, live := t.scanOut[k.PK]; live {
+		t.d.overrides = append(t.d.overrides, override{PK: k.PK, Deleted: true})
+	}
+}
+
+// Materialize appends to the merged head. Appended records rank above
+// overrides, so none is needed.
+func (t *mergeTarget) Materialize(_ core.MergeKey, rec *record.Record) error {
+	return t.e.appendLocked(t.d, rec)
 }

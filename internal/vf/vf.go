@@ -20,16 +20,14 @@ import (
 	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
+	"decibel/internal/wal"
 )
 
-// segID indexes the engine's segment table.
-type segID int
+// segID indexes the engine's segment table (store.Pos.Seg).
+type segID = int32
 
 // pos addresses one record copy: a segment and a slot within it.
-type pos struct {
-	Seg  segID `json:"seg"`
-	Slot int64 `json:"slot"`
-}
+type pos = store.Pos
 
 // link is a segment's parent pointer, written once at creation. Merge
 // segments carry two parents plus the recorded LCA and precedence.
@@ -162,24 +160,22 @@ func (e *Engine) persistLocked() error {
 	if err != nil {
 		return fmt.Errorf("vf: %w", err)
 	}
-	tmp := e.metaPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	// The rows the catalog's counts vouch for reach the files first.
+	for _, s := range e.segs {
+		var err error
+		if e.env.Opt.Fsync {
+			err = s.File.Sync()
+		} else {
+			err = s.File.Flush()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := wal.ReplaceFile(e.metaPath(), data, e.env.Opt.Fsync); err != nil {
 		return fmt.Errorf("vf: %w", err)
 	}
-	if e.env.Opt.Fsync {
-		for _, s := range e.segs {
-			if err := s.File.Sync(); err != nil {
-				return err
-			}
-		}
-	} else {
-		for _, s := range e.segs {
-			if err := s.File.Flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return os.Rename(tmp, e.metaPath())
+	return nil
 }
 
 // recover loads the catalog and rolls back uncommitted appends by
@@ -238,8 +234,61 @@ func (e *Engine) recover() error {
 			e.deltaTail[sm.ID] = seg.File.Count()
 		}
 	}
+	if err := e.recoverHeads(); err != nil {
+		return err
+	}
 	e.sweepOrphans()
 	return nil
+}
+
+// recoverHeads gives every branch of the graph a head segment that
+// holds nothing past the branch's last commit. A branch without one was
+// logged by the graph and never reached the engine; it is created now,
+// at its branch point. A head with rows past the last commit kept them
+// through the truncation above because a merge took the branch's
+// uncommitted rows and its link still pins them; a head is "the file's
+// current count", so the branch would go on reading what it never
+// committed. It moves to a fresh head linked at the committed count,
+// and the old segment stays a lineage parent for the merge to read.
+// Both are checks of in-memory tables; neither reads a row.
+func (e *Engine) recoverHeads() error {
+	changed := false
+	for _, b := range e.env.Graph.Branches() {
+		id, seen := e.byBranch[b.ID]
+		if !seen {
+			if b.From == vgraph.None {
+				continue
+			}
+			from, err := e.env.BranchPoint(b)
+			if err != nil {
+				return fmt.Errorf("vf: %w", err)
+			}
+			if err := e.branchLocked(b.ID, from); err != nil {
+				return err
+			}
+			changed = true
+			continue
+		}
+		s := e.segs[id]
+		var committed int64
+		if p, ok := e.commits[b.Head]; ok && p.Seg == id {
+			committed = p.Slot
+		}
+		if s.File.Count() > committed {
+			ns, err := e.newSegmentLocked(b.ID, s.Cols)
+			if err != nil {
+				return err
+			}
+			ns.hasLink = true
+			ns.link = link{ParentSeg: id, ParentSlot: committed, ParentCommit: b.Head}
+			e.byBranch[b.ID] = ns.id
+			changed = true
+		}
+	}
+	if !changed {
+		return nil
+	}
+	return e.persistLocked()
 }
 
 // reconcile brings the loaded catalog into line with the version graph.
@@ -326,18 +375,27 @@ func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 func (e *Engine) Branch(child *vgraph.Branch, from *vgraph.Commit) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.branchLocked(child.ID, from); err != nil {
+		return err
+	}
+	return e.persistLocked()
+}
+
+// branchLocked is Branch short of persisting the catalog; recover
+// creates the branches the engine never saw with it.
+func (e *Engine) branchLocked(child vgraph.BranchID, from *vgraph.Commit) error {
 	p, ok := e.commits[from.ID]
 	if !ok {
 		return fmt.Errorf("vf: commit %d has no recorded offset", from.ID)
 	}
-	s, err := e.newSegmentLocked(child.ID, e.hist.NumPhysAt(from.SchemaVer))
+	s, err := e.newSegmentLocked(child, e.hist.NumPhysAt(from.SchemaVer))
 	if err != nil {
 		return err
 	}
 	s.hasLink = true
 	s.link = link{ParentSeg: p.Seg, ParentSlot: p.Slot, ParentCommit: from.ID}
-	e.byBranch[child.ID] = s.id
-	return e.persistLocked()
+	e.byBranch[child] = s.id
+	return nil
 }
 
 // Commit implements core.Engine: "version-first supports commits by

@@ -230,44 +230,11 @@ func (g *Graph) checkpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("vgraph: %w", err)
 	}
-	if err := writeFileAtomic(g.snapPath, data, g.fsync); err != nil {
+	if err := wal.ReplaceFile(g.snapPath, data, g.fsync); err != nil {
 		return fmt.Errorf("vgraph: checkpoint: %w", err)
 	}
 	g.snapSize = int64(len(data))
 	return g.log.Truncate(0)
-}
-
-// writeFileAtomic replaces path with data through a temporary file and
-// a rename; with sync, the file is fsynced before the rename and the
-// directory after it, so the new contents survive a power loss.
-func writeFileAtomic(path string, data []byte, sync bool) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil && sync {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if !sync {
-		return nil
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // Close checkpoints the graph, so that the next Open reads one

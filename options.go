@@ -54,12 +54,6 @@ func WithFsync(on bool) Option {
 	return func(c *config) { c.opt.Fsync = on }
 }
 
-// WithCommitFanout sets the commit-log composite layer fanout
-// (0 = default).
-func WithCommitFanout(fanout int) Option {
-	return func(c *config) { c.opt.CommitFanout = fanout }
-}
-
 // WithTupleOrientedBitmaps switches the tuple-first engine to its
 // tuple-oriented bitmap matrix (the Section 3.1 layout ablation).
 func WithTupleOrientedBitmaps(on bool) Option {
