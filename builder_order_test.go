@@ -156,37 +156,3 @@ func TestOrderByLimit(t *testing.T) {
 		})
 	}
 }
-
-// TestAlterDetachedSession: queuing a schema change on a session
-// checked out at a historical commit must fail fast with a clear
-// sentinel (ErrSchemaChange wrapping ErrDetachedHead), not a generic
-// ErrNotAtHead at commit time.
-func TestAlterDetachedSession(t *testing.T) {
-	for _, engine := range facadeEngines {
-		t.Run(engine, func(t *testing.T) {
-			db := buildOrderDB(t, engine)
-			s, err := db.NewSession()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if err := s.CheckoutAt("master", 0); err != nil { // historical: init commit
-				t.Fatal(err)
-			}
-			err = s.AddColumn("r", decibel.Column{Name: "extra", Type: decibel.Int64}, nil)
-			if !errors.Is(err, decibel.ErrSchemaChange) || !errors.Is(err, decibel.ErrDetachedHead) {
-				t.Fatalf("AddColumn on detached session: %v", err)
-			}
-			if errors.Is(err, decibel.ErrNotAtHead) {
-				t.Fatalf("detached alter still surfaces ErrNotAtHead: %v", err)
-			}
-			err = s.DropColumn("r", "v")
-			if !errors.Is(err, decibel.ErrSchemaChange) || !errors.Is(err, decibel.ErrDetachedHead) {
-				t.Fatalf("DropColumn on detached session: %v", err)
-			}
-			if s.PendingSchemaChanges() != 0 {
-				t.Fatal("detached session queued schema changes")
-			}
-		})
-	}
-}

@@ -394,31 +394,35 @@ func run(dir, engine, table string, args []string) error {
 		if len(rest) != 1 {
 			return fmt.Errorf("checkout <branch>[@<n>]")
 		}
+		// A read of the branch head, or of its seq'th commit: the query
+		// builder's On(branch).At(seq) is the positional read.
 		branch, at, hasAt := strings.Cut(rest[0], "@")
-		s, err := db.NewSession()
+		b, err := db.BranchNamed(branch)
 		if err != nil {
 			return err
 		}
-		defer s.Close()
+		q := db.Query(table).On(branch)
+		id, _ := db.Graph().Head(b.ID)
+		c, _ := db.Graph().Commit(id)
 		if hasAt {
 			seq, err := strconv.Atoi(at)
 			if err != nil {
 				return fmt.Errorf("checkout %s: %q is not a commit number", rest[0], at)
 			}
-			if err := s.CheckoutAt(branch, seq); err != nil {
-				return err
+			var ok bool
+			if c, ok = db.Graph().CommitAt(b.ID, seq); !ok {
+				return fmt.Errorf("%w: %s", decibel.ErrNoSuchCommit, rest[0])
 			}
-		} else if err := s.Checkout(branch); err != nil {
-			return err
+			q = q.At(seq)
 		}
-		c := s.Commit()
 		fmt.Printf("checked out %s: commit %d (%q)\n", rest[0], c.ID, c.Message)
 		n := 0
-		if err := s.Scan(table, func(rec *decibel.Record) bool {
+		rows, rowsErr := q.Rows()
+		for rec := range rows {
 			fmt.Println(rec.String())
 			n++
-			return true
-		}); err != nil {
+		}
+		if err := rowsErr(); err != nil {
 			return err
 		}
 		fmt.Printf("%d records\n", n)
@@ -963,7 +967,7 @@ func parseValue(schema *decibel.Schema, col, raw string) (any, error) {
 }
 
 // runServe runs the HTTP/JSON serving layer over the open dataset
-// until SIGINT/SIGTERM, then drains in-flight requests and sessions
+// until SIGINT/SIGTERM, then drains in-flight requests and transactions
 // and closes the database (run's deferred Close is a no-op by then).
 func runServe(db *decibel.DB, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)

@@ -3,11 +3,15 @@ package main
 // CLI coverage for the join/group-by flags: the -join spec grammar,
 // the -agg list grammar, and select round-trips through run() whose
 // failure modes must surface the facade's sentinel errors (the same
-// taxonomy the server maps to stable wire codes).
+// taxonomy the server maps to stable wire codes); and checkout's
+// positional reads.
 
 import (
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"strings"
 	"testing"
 
 	"decibel"
@@ -184,5 +188,73 @@ func TestSelectJoinGroupCLI(t *testing.T) {
 		if err := sel(args...); err == nil {
 			t.Fatalf("select %v unexpectedly succeeded", args)
 		}
+	}
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// printed.
+func captureStdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	ferr := fn()
+	os.Stdout = stdout
+	w.Close()
+	return <-out, ferr
+}
+
+// TestCheckoutCLI: checkout prints a branch's head, or its n-th commit,
+// read through the query builder; a commit number past the branch's
+// history fails with ErrNoSuchCommit.
+func TestCheckoutCLI(t *testing.T) {
+	dir := t.TempDir()
+	engine := decibel.DefaultEngine
+	db, err := decibel.Open(dir, decibel.WithEngine(engine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+	if _, err := db.CreateTable("r", schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Init("init"); err != nil { // master@0: no records
+		t.Fatal(err)
+	}
+	for pk := int64(1); pk <= 2; pk++ { // master@1: one record, master@2: two
+		if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+			rec := decibel.NewRecord(schema)
+			rec.SetPK(pk)
+			return tx.Insert("r", rec)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		arg  string
+		want int
+	}{{"master@0", 0}, {"master@1", 1}, {"master", 2}} {
+		out, err := captureStdout(t, func() error { return run(dir, engine, "r", []string{"checkout", tc.arg}) })
+		if err != nil {
+			t.Fatalf("checkout %s: %v", tc.arg, err)
+		}
+		if !strings.HasPrefix(out, "checked out "+tc.arg+": commit ") || !strings.HasSuffix(out, fmt.Sprintf("\n%d records\n", tc.want)) {
+			t.Fatalf("checkout %s printed %q, want a header and %d records", tc.arg, out, tc.want)
+		}
+	}
+	if _, err := captureStdout(t, func() error { return run(dir, engine, "r", []string{"checkout", "master@99"}) }); !errors.Is(err, decibel.ErrNoSuchCommit) {
+		t.Fatalf("checkout master@99: err = %v, want ErrNoSuchCommit", err)
 	}
 }

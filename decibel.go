@@ -41,7 +41,8 @@
 // "version-first", "hybrid", with short aliases "tf", "vf", "hy");
 // importing this package links all three. Failure conditions worth
 // branching on are exposed as sentinel errors (ErrNoSuchBranch,
-// ErrSessionClosed, ...) tested with errors.Is.
+// ErrNoSuchTable, ErrNotAtHead, ErrSchemaChange, ...) tested with
+// errors.Is.
 //
 // The packages under internal/ are the engine-facing SPI and may change
 // freely; everything a consumer needs is re-exported here and in the
@@ -81,10 +82,6 @@ type DB struct {
 type (
 	// Table is one versioned relation inside a DB.
 	Table = core.Table
-
-	// Session captures a user's working position — the branch or
-	// commit their reads and writes address — under two-phase locking.
-	Session = core.Session
 
 	// Record is one fixed-width tuple; column 0 is the int64 primary key.
 	Record = record.Record

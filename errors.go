@@ -15,15 +15,13 @@ var (
 	// ErrNoSuchCommit reports a commit ID absent from the version graph.
 	ErrNoSuchCommit = core.ErrNoSuchCommit
 
-	// ErrDetachedHead reports a write attempted while the session is
-	// checked out at a historical commit rather than a branch head.
-	ErrDetachedHead = core.ErrDetachedHead
-
-	// ErrNotAtHead reports a write attempted while the session's branch
-	// has advanced past its checked-out commit.
+	// ErrNotAtHead reports a Tx write or commit after the branch head
+	// moved past the commit the transaction started from (only the
+	// lock-free db.Database.Commit can move it).
 	ErrNotAtHead = core.ErrNotAtHead
 
-	// ErrSessionClosed reports any operation on a closed session.
+	// ErrSessionClosed reports any operation on a Tx retained past its
+	// callback's return.
 	ErrSessionClosed = core.ErrSessionClosed
 
 	// ErrAlreadyInitialized reports Init on an initialized dataset, or

@@ -2,7 +2,7 @@ package decibel_test
 
 // Context-cancellation contract tests: every facade scan has a Context
 // form that aborts within one record of cancellation and reports
-// ctx.Err(), and the write path (CommitContext, session operations)
+// ctx.Err(), and the write path (CommitContext and its Tx operations)
 // refuses to start work under a canceled context.
 
 import (
@@ -123,11 +123,15 @@ func TestPreCanceledContext(t *testing.T) {
 	if _, err := decibel.OpenContext(ctx, t.TempDir()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("OpenContext: got %v, want context.Canceled", err)
 	}
+	before := db.Graph().NumCommits()
 	if _, err := db.CommitContext(ctx, "master", func(*decibel.Tx) error {
 		t.Fatal("callback ran under a canceled context")
 		return nil
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("CommitContext: got %v, want context.Canceled", err)
+	}
+	if got := db.Graph().NumCommits(); got != before {
+		t.Fatalf("canceled CommitContext committed: %d commits, want %d", got, before)
 	}
 	rows, scanErr := db.RowsContext(ctx, "r", "master")
 	for range rows {
@@ -148,27 +152,39 @@ func TestPreCanceledContext(t *testing.T) {
 		t.Fatalf("RowsMultiContext: got %v, want context.Canceled", err)
 	}
 
-	s, err := db.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	// Canceled inside the callback: the Tx's operations and the commit
+	// handoff refuse, and the write made before the cancel rolls back.
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
 	rec := decibel.NewRecord(tbl.Schema())
 	rec.SetPK(99)
-	if err := s.InsertContext(ctx, "r", rec); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Session.InsertContext: got %v, want context.Canceled", err)
+	if _, err := db.CommitContext(live, "master", func(tx *decibel.Tx) error {
+		if err := tx.Insert("r", rec); err != nil {
+			return err
+		}
+		stop()
+		if err := tx.Insert("r", rec); !errors.Is(err, context.Canceled) {
+			t.Errorf("Tx.Insert: got %v, want context.Canceled", err)
+		}
+		if err := tx.Scan("r", func(*decibel.Record) bool { return true }); !errors.Is(err, context.Canceled) {
+			t.Errorf("Tx.Scan: got %v, want context.Canceled", err)
+		}
+		return nil
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("CommitContext canceled in the callback: got %v, want context.Canceled", err)
 	}
-	if err := s.ScanContext(ctx, "r", func(*decibel.Record) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Session.ScanContext: got %v, want context.Canceled", err)
+	if got := db.Graph().NumCommits(); got != before {
+		t.Fatalf("canceled transaction committed: %d commits, want %d", got, before)
 	}
-	if _, err := s.CommitWorkContext(ctx, "msg"); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Session.CommitWorkContext: got %v, want context.Canceled", err)
+	if n, err := db.Query("r").On("master").Count(); err != nil || n != 10 {
+		t.Fatalf("head after the canceled transaction: %d records (%v), want the committed 10", n, err)
 	}
 }
 
-// TestCheckoutAt positions a session at historical commits by
-// branch-name-plus-sequence, the CLI's "checkout <branch>@<n>".
-func TestCheckoutAt(t *testing.T) {
+// TestQueryAtSeq reads historical commits by branch name plus
+// sequence number — the CLI's "checkout <branch>@<n>" — through the
+// query builder's On(branch).At(seq).
+func TestQueryAtSeq(t *testing.T) {
 	db, _ := openLarge(t, "hybrid", 3) // master@1 = three records
 	schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
 	if _, err := db.Commit("master", func(tx *decibel.Tx) error {
@@ -180,53 +196,19 @@ func TestCheckoutAt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := db.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	countAt := func(seq int) int {
-		t.Helper()
-		if err := s.CheckoutAt("master", seq); err != nil {
+	for seq, want := range []int{0, 3, 4} { // master@0 is the init commit
+		n, err := db.Query("r").On("master").At(seq).Count()
+		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		if err := s.Scan("r", func(*decibel.Record) bool { n++; return true }); err != nil {
-			t.Fatal(err)
+		if n != want {
+			t.Fatalf("master@%d has %d records, want %d", seq, n, want)
 		}
-		return n
 	}
-	if n := countAt(0); n != 0 {
-		t.Fatalf("master@0 has %d records, want 0 (init commit)", n)
+	if _, err := db.Query("r").On("nope").At(0).Count(); !errors.Is(err, decibel.ErrNoSuchBranch) {
+		t.Fatalf("missing branch: got %v, want ErrNoSuchBranch", err)
 	}
-	if n := countAt(1); n != 3 {
-		t.Fatalf("master@1 has %d records, want 3", n)
-	}
-	if n := countAt(2); n != 4 {
-		t.Fatalf("master@2 has %d records, want 4", n)
-	}
-
-	// Historical checkouts are read-only...
-	rec := decibel.NewRecord(schema)
-	rec.SetPK(100)
-	if err := s.CheckoutAt("master", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Insert("r", rec); !errors.Is(err, decibel.ErrNotAtHead) && !errors.Is(err, decibel.ErrDetachedHead) {
-		t.Fatalf("write at historical commit: got %v, want ErrNotAtHead/ErrDetachedHead", err)
-	}
-	// ...but checking out the newest commit re-attaches to the head.
-	if err := s.CheckoutAt("master", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Insert("r", rec); err != nil {
-		t.Fatalf("write after re-attaching at head: %v", err)
-	}
-
-	if err := s.CheckoutAt("nope", 0); !errors.Is(err, decibel.ErrNoSuchBranch) {
-		t.Fatalf("CheckoutAt missing branch: got %v, want ErrNoSuchBranch", err)
-	}
-	if err := s.CheckoutAt("master", 99); !errors.Is(err, decibel.ErrNoSuchCommit) {
-		t.Fatalf("CheckoutAt missing seq: got %v, want ErrNoSuchCommit", err)
+	if _, err := db.Query("r").On("master").At(99).Count(); !errors.Is(err, decibel.ErrNoSuchCommit) {
+		t.Fatalf("missing seq: got %v, want ErrNoSuchCommit", err)
 	}
 }

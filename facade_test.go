@@ -297,76 +297,45 @@ func TestSentinelErrors(t *testing.T) {
 		t.Fatalf("create after init: got %v, want ErrAlreadyInitialized", err)
 	}
 
-	// Session positioning errors.
+	// Transaction errors.
 	rec := decibel.NewRecord(tbl.Schema())
 	rec.SetPK(100)
 
-	detached, err := db.NewSession()
-	if err != nil {
+	// A Tx retained past its callback is closed.
+	var kept *decibel.Tx
+	if _, err := db.Commit("master", func(tx *decibel.Tx) error { kept = tx; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	defer detached.Close()
-	if err := detached.CheckoutCommit(decibel.CommitID(9999)); !errors.Is(err, decibel.ErrNoSuchCommit) {
-		t.Fatalf("checkout missing commit: got %v, want ErrNoSuchCommit", err)
+	if err := kept.Insert("r", rec); !errors.Is(err, decibel.ErrSessionClosed) {
+		t.Fatalf("Insert on a retained Tx: got %v, want ErrSessionClosed", err)
 	}
-	if err := detached.CheckoutCommit(decibel.CommitID(1)); err != nil { // init commit, not a head
-		t.Fatal(err)
+	if err := kept.Delete("r", 1); !errors.Is(err, decibel.ErrSessionClosed) {
+		t.Fatalf("Delete on a retained Tx: got %v, want ErrSessionClosed", err)
 	}
-	if err := detached.Insert("r", rec); !errors.Is(err, decibel.ErrDetachedHead) {
-		t.Fatalf("write while detached: got %v, want ErrDetachedHead", err)
+	if err := kept.Scan("r", func(*decibel.Record) bool { return true }); !errors.Is(err, decibel.ErrSessionClosed) {
+		t.Fatalf("Scan on a retained Tx: got %v, want ErrSessionClosed", err)
+	}
+	if err := kept.AddColumn("r", decibel.Column{Name: "late", Type: decibel.Int64}); !errors.Is(err, decibel.ErrSessionClosed) {
+		t.Fatalf("AddColumn on a retained Tx: got %v, want ErrSessionClosed", err)
 	}
 
-	stale, err := db.NewSession()
-	if err != nil {
-		t.Fatal(err)
+	// A write after the lock-free ID-based Commit moved the head under
+	// the transaction fails the at-head guard, and nothing commits.
+	before = db.Graph().NumCommits()
+	if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+		if _, err := db.Database.Commit(master.ID, "behind the transaction"); err != nil {
+			return err
+		}
+		return tx.Insert("r", rec)
+	}); !errors.Is(err, decibel.ErrNotAtHead) {
+		t.Fatalf("write behind a moved head: got %v, want ErrNotAtHead", err)
 	}
-	defer stale.Close()
-	if err := stale.Checkout("master"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Commit("master", func(*decibel.Tx) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := stale.Insert("r", rec); !errors.Is(err, decibel.ErrNotAtHead) {
-		t.Fatalf("write behind head: got %v, want ErrNotAtHead", err)
-	}
-	if err := stale.Checkout("nope"); !errors.Is(err, decibel.ErrNoSuchBranch) {
-		t.Fatalf("checkout missing branch: got %v, want ErrNoSuchBranch", err)
+	if got := db.Graph().NumCommits(); got != before+1 { // the lock-free commit only
+		t.Fatalf("%d commits after the refused transaction, want %d", got, before+1)
 	}
 
-	atHead, err := db.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer atHead.Close()
-	if err := atHead.Insert("nope", rec); !errors.Is(err, decibel.ErrNoSuchTable) {
+	if _, err := db.Commit("master", func(tx *decibel.Tx) error { return tx.Insert("nope", rec) }); !errors.Is(err, decibel.ErrNoSuchTable) {
 		t.Fatalf("insert into missing table: got %v, want ErrNoSuchTable", err)
-	}
-
-	// Every session method fails with ErrSessionClosed after Close.
-	closed, err := db.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed.Close()
-	closed.Close() // idempotent
-	if err := closed.Checkout("master"); !errors.Is(err, decibel.ErrSessionClosed) {
-		t.Fatalf("Checkout on closed session: got %v, want ErrSessionClosed", err)
-	}
-	if err := closed.CheckoutCommit(decibel.CommitID(1)); !errors.Is(err, decibel.ErrSessionClosed) {
-		t.Fatalf("CheckoutCommit on closed session: got %v, want ErrSessionClosed", err)
-	}
-	if err := closed.Insert("r", rec); !errors.Is(err, decibel.ErrSessionClosed) {
-		t.Fatalf("Insert on closed session: got %v, want ErrSessionClosed", err)
-	}
-	if err := closed.Delete("r", 1); !errors.Is(err, decibel.ErrSessionClosed) {
-		t.Fatalf("Delete on closed session: got %v, want ErrSessionClosed", err)
-	}
-	if err := closed.Scan("r", func(*decibel.Record) bool { return true }); !errors.Is(err, decibel.ErrSessionClosed) {
-		t.Fatalf("Scan on closed session: got %v, want ErrSessionClosed", err)
-	}
-	if _, err := closed.CommitWork("msg"); !errors.Is(err, decibel.ErrSessionClosed) {
-		t.Fatalf("CommitWork on closed session: got %v, want ErrSessionClosed", err)
 	}
 
 	// Database operations fail with ErrDatabaseClosed after Close.
@@ -376,8 +345,8 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := db.Commit("master", func(*decibel.Tx) error { return nil }); !errors.Is(err, decibel.ErrDatabaseClosed) {
 		t.Fatalf("Commit on closed db: got %v, want ErrDatabaseClosed", err)
 	}
-	if _, err := db.NewSession(); !errors.Is(err, decibel.ErrDatabaseClosed) {
-		t.Fatalf("NewSession on closed db: got %v, want ErrDatabaseClosed", err)
+	if _, err := db.Branch("master", "late"); !errors.Is(err, decibel.ErrDatabaseClosed) {
+		t.Fatalf("Branch on closed db: got %v, want ErrDatabaseClosed", err)
 	}
 	if err := db.Flush(); !errors.Is(err, decibel.ErrDatabaseClosed) {
 		t.Fatalf("Flush on closed db: got %v, want ErrDatabaseClosed", err)

@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -456,8 +457,9 @@ func (d *Dataset) loadCuration() error {
 				return err
 			}
 		}
+		parent, _ := d.DB.Graph().Branch(lb.parent)
 		t0 := time.Now()
-		mc, st, err := d.DB.Merge(lb.parent, lb.b.ID, "merge back", mergeKind, false)
+		mc, st, err := d.DB.MergeContext(context.Background(), parent.Name, lb.b.Name, "merge back", mergeKind, false)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,6 @@
 package core_test
 
-// Session and lock semantics are exercised end-to-end (with real
+// Transaction and lock semantics are exercised end-to-end (with real
 // engines) in internal/enginetest. This file covers pure core-level
 // behaviour that needs no engine: option defaults and the MergeKind
 // stringer, keeping core's public contract pinned.

@@ -38,8 +38,8 @@ type Database struct {
 	tables map[string]*Table
 	order  []string // table creation order
 
-	epoch   int // committed schema epoch (max SchemaVer across the graph)
-	nextTxn uint64
+	epoch   int           // committed schema epoch (max SchemaVer across the graph)
+	nextTxn atomic.Uint64 // lock owner ids (see admit)
 	closed  atomic.Bool
 
 	// Parallel scan pool: scanSem bounds the frozen-segment scan
@@ -52,9 +52,9 @@ type Database struct {
 	compactQuit chan struct{}
 	compactWG   sync.WaitGroup
 
-	// Session drain (CloseContext): draining refuses new sessions
+	// Admission drain (CloseContext): draining refuses new transactions
 	// while the active ones finish; sessWait is closed when the last
-	// active session closes, waking the drainer.
+	// active one leaves, waking the drainer.
 	draining atomic.Bool
 	sessMu   sync.Mutex
 	sessions int
@@ -382,16 +382,6 @@ func (db *Database) Branch(name string, from vgraph.CommitID) (*vgraph.Branch, e
 	return b, nil
 }
 
-// BranchFromHead creates a branch off the current head of an existing
-// branch.
-func (db *Database) BranchFromHead(name, parent string) (*vgraph.Branch, error) {
-	pb, ok := db.graph.BranchByName(parent)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchBranch, parent)
-	}
-	return db.Branch(name, pb.Head)
-}
-
 // Commit snapshots the branch's current state across all relations as a
 // new version.
 func (db *Database) Commit(branch vgraph.BranchID, message string) (*vgraph.Commit, error) {
@@ -438,16 +428,17 @@ func (db *Database) SchemaEpoch() int {
 	return db.epoch
 }
 
-// CommitSchema is Commit for a transaction carrying schema changes:
-// the changes are validated and applied to the catalog histories under
-// a new schema epoch, the catalog is persisted, and the commit is
-// created stamped with the new epoch — from it onward the branch (and
-// every branch that later merges it) sees the evolved schema, while
-// reads at earlier commits keep resolving the schema as of then. The
-// catalog is persisted before the commit is published, so a crash
-// between the two rolls the changes back on reopen (the epoch is never
-// referenced by any commit) — and so does a commit that fails.
-func (db *Database) CommitSchema(branch vgraph.BranchID, message string, changes []SchemaChange) (*vgraph.Commit, error) {
+// commitSchema is Commit for a transaction carrying schema changes
+// (Transact's commit; with none it is Commit): the changes are
+// validated and applied to the catalog histories under a new schema
+// epoch, the catalog is persisted, and the commit is created stamped
+// with the new epoch — from it onward the branch (and every branch that
+// later merges it) sees the evolved schema, while reads at earlier
+// commits keep resolving the schema as of then. The catalog is
+// persisted before the commit is published, so a crash between the two
+// rolls the changes back on reopen (the epoch is never referenced by
+// any commit) — and so does a commit that fails.
+func (db *Database) commitSchema(branch vgraph.BranchID, message string, changes []SchemaChange) (*vgraph.Commit, error) {
 	if len(changes) == 0 {
 		return db.Commit(branch, message)
 	}
@@ -515,18 +506,14 @@ func (db *Database) CommitSchema(branch vgraph.BranchID, message string, changes
 	return c, nil
 }
 
-// Merge merges the head of branch other into branch into across all
-// relations, committing the result as a merge version. precedenceFirst
-// selects whether into (true) or other (false) wins conflicts.
-func (db *Database) Merge(into, other vgraph.BranchID, message string, kind MergeKind, precedenceFirst bool) (*vgraph.Commit, MergeStats, error) {
-	return db.MergeContext(context.Background(), into, other, message, kind, precedenceFirst)
-}
-
-// MergeContext is Merge bounded by a context. Cancellation is checked
-// once, before any state changes: a merge that has started runs through
-// every relation, because a merge commit that some relations applied
-// and others did not is what the commit point exists to rule out.
-func (db *Database) MergeContext(ctx context.Context, into, other vgraph.BranchID, message string, kind MergeKind, precedenceFirst bool) (*vgraph.Commit, MergeStats, error) {
+// merge merges the head of branch other into branch into across all
+// relations, committing the result as a merge version (MergeContext's
+// work once it holds the locks). precedenceFirst selects whether into
+// (true) or other (false) wins conflicts. Cancellation is checked once,
+// before any state changes: a merge that has started runs through every
+// relation, because a merge commit that some relations applied and
+// others did not is what the commit point exists to rule out.
+func (db *Database) merge(ctx context.Context, into, other vgraph.BranchID, message string, kind MergeKind, precedenceFirst bool) (*vgraph.Commit, MergeStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, MergeStats{}, err
 	}
@@ -594,21 +581,21 @@ func (db *Database) Flush() error {
 	return nil
 }
 
-// addSession registers an open session for the drain bookkeeping;
-// it fails with ErrDatabaseClosed once the database is closed or a
-// CloseContext drain has begun.
+// addSession registers an admitted operation for the drain
+// bookkeeping; it fails with ErrDatabaseClosed once the database is
+// closed or a CloseContext drain has begun.
 func (db *Database) addSession() error {
 	db.sessMu.Lock()
 	defer db.sessMu.Unlock()
-	if db.closed.Load() || db.draining.Load() {
+	if !db.Admitting() {
 		return ErrDatabaseClosed
 	}
 	db.sessions++
 	return nil
 }
 
-// dropSession unregisters a session, waking a pending CloseContext
-// drain when the last one leaves.
+// dropSession unregisters an admitted operation, waking a pending
+// CloseContext drain when the last one leaves.
 func (db *Database) dropSession() {
 	db.sessMu.Lock()
 	db.sessions--
@@ -619,7 +606,8 @@ func (db *Database) dropSession() {
 	db.sessMu.Unlock()
 }
 
-// ActiveSessions reports the number of open sessions (the server's
+// ActiveSessions reports the number of admitted transactions, merges
+// and branch-from-head operations in flight (the server's
 // active-session gauge).
 func (db *Database) ActiveSessions() int {
 	db.sessMu.Lock()
@@ -627,9 +615,15 @@ func (db *Database) ActiveSessions() int {
 	return db.sessions
 }
 
-// CloseContext is a graceful Close: it stops admitting new sessions
+// Admitting reports whether the admission gate still lets new
+// transactions in: false once Close or a CloseContext drain has begun.
+func (db *Database) Admitting() bool {
+	return !db.closed.Load() && !db.draining.Load()
+}
+
+// CloseContext is a graceful Close: it stops admitting new transactions
 // (late arrivals get ErrDatabaseClosed), waits for the active ones to
-// close until ctx expires, then closes the database. In-flight scans
+// finish until ctx expires, then closes the database. In-flight scans
 // that passed the close guard always run to completion either way; a
 // drain timeout is reported as ctx.Err() after the close finishes.
 func (db *Database) CloseContext(ctx context.Context) error {

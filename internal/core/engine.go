@@ -1,9 +1,9 @@
-// Package core defines Decibel's public API: the Database/Session
-// facade (Section 2.2), the storage Engine contract that the
-// tuple-first, version-first, and hybrid schemes implement (Section 3),
-// and the versioned operations — branch, commit, checkout, diff, merge,
-// and the one scan driver every single- and multi-branch read runs
-// through.
+// Package core defines Decibel's public API: the Database and its one
+// write transaction, Tx (Section 2.2), the storage Engine contract that
+// the tuple-first, version-first, and hybrid schemes implement (Section
+// 3), and the versioned operations — branch, commit, checkout, diff,
+// merge, and the one scan driver every single- and multi-branch read
+// runs through.
 package core
 
 import (

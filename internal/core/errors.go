@@ -17,16 +17,14 @@ var (
 	// ErrNoSuchCommit reports a commit ID absent from the version graph.
 	ErrNoSuchCommit = errors.New("decibel: no such commit")
 
-	// ErrDetachedHead reports a write attempted while the session is
-	// checked out at a historical commit rather than a branch.
-	ErrDetachedHead = errors.New("decibel: session is detached at a historical commit")
-
-	// ErrNotAtHead reports a write attempted while the session's branch
-	// has advanced past the session's checked-out commit; commits are
-	// only allowed at branch heads (Section 2.2.3).
+	// ErrNotAtHead reports a transaction's write or commit after its
+	// branch's head moved past the commit the transaction started from
+	// (only a lock-free ID-based Commit can move it); commits are only
+	// allowed at branch heads (Section 2.2.3).
 	ErrNotAtHead = errors.New("decibel: session is not at the branch head")
 
-	// ErrSessionClosed reports any operation on a closed session.
+	// ErrSessionClosed reports any operation on a Tx after its
+	// callback returned.
 	ErrSessionClosed = errors.New("decibel: session closed")
 
 	// ErrAlreadyInitialized reports Init on an initialized dataset, or

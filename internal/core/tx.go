@@ -1,0 +1,401 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"iter"
+
+	"decibel/internal/lock"
+	"decibel/internal/record"
+	"decibel/internal/vgraph"
+)
+
+// This file is the one place a name-based write is made safe: which
+// branch locks are taken in which order, how the head is re-read under
+// the lock, how an aborted transaction's writes are reverted, and when
+// the locks are released — strict two-phase locking (Section 2.2.3:
+// "concurrent commits to a branch are prevented via the use of
+// two-phase locking"). The ID-based primitives (Commit, Branch) take no
+// branch lock; a transaction guards against them by checking, on every
+// write and at commit, that the head is still the one it read
+// (ErrNotAtHead).
+
+// admit passes the admission gate every locking operation passes —
+// refused with ErrDatabaseClosed once Close or a CloseContext drain has
+// begun, counted by ActiveSessions until leave — and returns the lock
+// owner id the operation's locks are taken under.
+func (db *Database) admit() (uint64, error) {
+	if err := db.beginOp(); err != nil {
+		return 0, err
+	}
+	defer db.endOp()
+	if err := db.addSession(); err != nil {
+		return 0, err
+	}
+	return db.nextTxn.Add(1), nil
+}
+
+// leave releases every lock txn holds and unregisters it from the
+// admission gate; a CloseContext drain waiting on the last operation
+// wakes here.
+func (db *Database) leave(txn uint64) {
+	db.locks.ReleaseAll(txn)
+	db.dropSession()
+}
+
+// lockBranch takes the named branch's lock for txn and returns the
+// branch with its head as read after the lock was granted: the head a
+// waiter sees is the one the previous holder produced. A canceled ctx
+// aborts the wait with ctx.Err().
+func (db *Database) lockBranch(ctx context.Context, txn uint64, name string, mode lock.Mode) (*vgraph.Branch, vgraph.CommitID, error) {
+	b, err := db.BranchNamed(name)
+	if err != nil {
+		return nil, vgraph.None, err
+	}
+	if err := db.locks.AcquireContext(ctx, txn, fmt.Sprintf("branch:%d", b.ID), mode); err != nil {
+		return nil, vgraph.None, err
+	}
+	head, _ := db.graph.Head(b.ID)
+	return b, head, nil
+}
+
+// Tx is one write transaction against a branch head, handed to the
+// callback of Transact: "the commit (or the branch) that the operations
+// the user issues will read or modify" (Section 2.2.3), always a head.
+// It holds the branch's exclusive lock until the callback's commit (or
+// abort) ends the transaction, and addresses tables by name.
+//
+// A Tx is only valid inside its callback; using it after the callback
+// returns yields ErrSessionClosed. It is not safe for concurrent use.
+type Tx struct {
+	ctx     context.Context
+	db      *Database
+	branch  *vgraph.Branch
+	head    vgraph.CommitID // the head read under the lock
+	closed  bool
+	message string
+	// pending collects schema changes queued with AddColumn/DropColumn;
+	// they take effect atomically at commit and are discarded on abort.
+	pending []SchemaChange
+	touched map[*Table]map[int64]struct{} // keys written, for rollback
+}
+
+// Transact runs fn as one transaction against the named branch's head
+// and, if fn returns nil, commits the branch — carrying the schema
+// changes fn queued, if any — making every write fn issued atomically
+// visible as the returned commit. The branch's exclusive lock is taken
+// once, before the head is read, and held for the span of the callback,
+// so concurrent transactions on one branch serialize while transactions
+// on different branches run in parallel.
+//
+// If fn, or the commit, fails, nothing is committed and the error is
+// returned: every key fn wrote is restored to its last committed state
+// before Transact returns, so an aborted transaction leaves no residue
+// on the branch head. Should that restoration itself fail, its error is
+// joined to the first; the head is then rolled back by recovery when
+// the dataset is next opened. Cancellation of ctx aborts the lock wait,
+// every Tx operation and the commit handoff with ctx.Err(); the commit
+// itself, once handed to the engines, is not interruptible.
+func (db *Database) Transact(ctx context.Context, branch string, fn func(*Tx) error) (*vgraph.Commit, error) {
+	txn, err := db.admit()
+	if err != nil {
+		return nil, err
+	}
+	defer db.leave(txn)
+	b, head, err := db.lockBranch(ctx, txn, branch, lock.Exclusive)
+	if err != nil {
+		return nil, err
+	}
+	tx := &Tx{ctx: ctx, db: db, branch: b, head: head, message: "commit on " + branch}
+	err = fn(tx)
+	tx.closed = true
+	if err == nil {
+		err = tx.committable()
+	}
+	if err == nil {
+		var c *vgraph.Commit
+		if c, err = db.commitSchema(b.ID, tx.message, tx.pending); err == nil {
+			return c, nil
+		}
+	}
+	if rbErr := tx.rollback(); rbErr != nil {
+		return nil, errors.Join(err, fmt.Errorf("decibel: rolling back aborted commit: %w", rbErr))
+	}
+	return nil, err
+}
+
+// committable is the guard the commit and every write pass: the
+// context is live and the branch head is still the one the transaction
+// read under its lock — only a lock-free ID-based Commit can move it.
+func (tx *Tx) committable() error {
+	if err := tx.ctx.Err(); err != nil {
+		return err
+	}
+	if head, _ := tx.db.graph.Head(tx.branch.ID); head != tx.head {
+		return fmt.Errorf("%w: %q moved from commit %d to %d under the transaction", ErrNotAtHead, tx.branch.Name, tx.head, head)
+	}
+	return nil
+}
+
+// table resolves a table for an operation inside the callback; writes
+// also pass committable.
+func (tx *Tx) table(name string, write bool) (*Table, error) {
+	if tx.closed {
+		return nil, ErrSessionClosed
+	}
+	if write {
+		if err := tx.committable(); err != nil {
+			return nil, err
+		}
+	}
+	return tx.db.TableByName(name)
+}
+
+// written returns the set of t's keys the transaction wrote, where
+// writes note their keys before they are made, for rollback should the
+// transaction abort. Noting a key the write then fails to touch is
+// harmless: reverting it restores the state it already has.
+func (tx *Tx) written(t *Table) map[int64]struct{} {
+	if tx.touched == nil {
+		tx.touched = make(map[*Table]map[int64]struct{})
+	}
+	keys := tx.touched[t]
+	if keys == nil {
+		keys = make(map[int64]struct{})
+		tx.touched[t] = keys
+	}
+	return keys
+}
+
+// rollback restores every key the transaction wrote to the branch's
+// last committed state: keys the head commit holds get their committed
+// record re-inserted, the rest are deleted. It runs under
+// context.WithoutCancel, so an abort caused by cancellation still
+// cleans up.
+func (tx *Tx) rollback() error {
+	if len(tx.touched) == 0 {
+		return nil
+	}
+	headID, _ := tx.db.graph.Head(tx.branch.ID)
+	head, ok := tx.db.graph.Commit(headID)
+	if !ok {
+		return fmt.Errorf("%w: commit %d", ErrNoSuchCommit, headID)
+	}
+	ctx := context.WithoutCancel(tx.ctx)
+	for t, keys := range tx.touched {
+		// Collect the committed versions first, then write: engines are
+		// not required to support mutation during an active scan.
+		var restore []*record.Record
+		if err := t.ScanCommitContext(ctx, head, func(rec *record.Record) bool {
+			if _, ok := keys[rec.PK()]; ok {
+				restore = append(restore, rec.Clone())
+				delete(keys, rec.PK())
+			}
+			return true
+		}); err != nil {
+			return err
+		}
+		for _, rec := range restore {
+			if err := t.Insert(tx.branch.ID, rec); err != nil {
+				return err
+			}
+		}
+		for pk := range keys {
+			if err := t.Delete(tx.branch.ID, pk); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Insert upserts a record into the transaction's branch head.
+func (tx *Tx) Insert(table string, rec *record.Record) error {
+	t, err := tx.table(table, true)
+	if err != nil {
+		return err
+	}
+	tx.written(t)[rec.PK()] = struct{}{}
+	return t.Insert(tx.branch.ID, rec)
+}
+
+// InsertBatch upserts a batch of records into the transaction's branch
+// head as one engine call, amortizing the per-record validation of
+// Insert — the fast path for bulk loads. On error a prefix of the batch
+// may have been applied; like every Tx write it is rolled back if the
+// transaction aborts.
+func (tx *Tx) InsertBatch(table string, recs []*record.Record) error {
+	t, err := tx.table(table, true)
+	if err != nil {
+		return err
+	}
+	keys := tx.written(t)
+	for _, rec := range recs {
+		keys[rec.PK()] = struct{}{}
+	}
+	return t.InsertBatch(tx.branch.ID, recs)
+}
+
+// Delete removes a primary key from the transaction's branch head.
+// Deleting an absent key is a no-op.
+func (tx *Tx) Delete(table string, pk int64) error {
+	t, err := tx.table(table, true)
+	if err != nil {
+		return err
+	}
+	tx.written(t)[pk] = struct{}{}
+	return t.Delete(tx.branch.ID, pk)
+}
+
+// Scan reads the transaction's view of a table: the branch head,
+// including the transaction's own uncommitted writes. It needs no lock
+// beyond the one the transaction holds.
+func (tx *Tx) Scan(table string, fn ScanFunc) error {
+	t, err := tx.table(table, false)
+	if err != nil {
+		return err
+	}
+	return t.ScanContext(tx.ctx, tx.branch.ID, fn)
+}
+
+// Rows iterates the transaction's view of a table.
+func (tx *Tx) Rows(table string) (iter.Seq[*record.Record], func() error) {
+	var err error
+	seq := func(yield func(*record.Record) bool) {
+		err = tx.Scan(table, func(rec *record.Record) bool { return yield(rec) })
+	}
+	return seq, func() error { return err }
+}
+
+// ColumnDefault carries the default value of a column added by
+// Tx.AddColumn; build one with Default.
+type ColumnDefault struct{ v any }
+
+// Default declares the value existing records show for a column added
+// after they were stored: integers for Int32/Int64 columns, floats
+// (or integers) for Float64, strings or []byte for Bytes. Omitting the
+// default yields the column type's zero value.
+func Default(v any) ColumnDefault { return ColumnDefault{v: v} }
+
+// AddColumn evolves the named table's schema: from the commit this
+// transaction produces, the table has the new column, appended after
+// every existing one. Records stored before the change are never
+// rewritten — reads fill the declared default — and reads of earlier
+// commits keep the schema as of then, so a query At a version
+// predating the column fails with ErrColumnNotYetAdded. Only the branch
+// this transaction commits to (and branches that later merge it) see
+// the new column; other branches keep their shape until they do, which
+// is how branched datasets diverge structurally.
+//
+// The change applies atomically at commit: inserts inside the same
+// transaction still write the old shape, and the column becomes
+// writable from the next transaction on the branch. An aborted
+// transaction discards it.
+//
+// Schema evolution forms one linear chain of versions per dataset: a
+// branch may only commit a schema change if its head has adopted every
+// earlier change (made them itself, or merged the branch that did).
+// Committing a change on a branch that diverged from the newest schema
+// fails with ErrSchemaChange — merge the evolving branch first.
+func (tx *Tx) AddColumn(table string, col record.Column, def ...ColumnDefault) error {
+	t, err := tx.table(table, true)
+	if err != nil {
+		return err
+	}
+	var v any
+	if len(def) > 0 {
+		v = def[0].v
+	}
+	// Validate eagerly so the caller hears about bad changes at queue
+	// time: name collisions (with the history and with other queued
+	// changes) and ill-typed defaults.
+	if _, _, exists := t.History().ColumnEpochs(col.Name); exists {
+		return fmt.Errorf("%w: column %q already exists in table %q", ErrSchemaChange, col.Name, table)
+	}
+	for _, ch := range tx.pending {
+		if ch.Table == table && ch.Add != nil && ch.Add.Name == col.Name {
+			return fmt.Errorf("%w: column %q already queued for table %q", ErrSchemaChange, col.Name, table)
+		}
+	}
+	if _, err := record.EncodeDefault(col, v); err != nil {
+		return fmt.Errorf("%w: %v", ErrSchemaChange, err)
+	}
+	tx.pending = append(tx.pending, SchemaChange{Table: table, Add: &col, Default: v})
+	return nil
+}
+
+// DropColumn queues a logical drop of the named column: from the
+// commit this transaction produces, the column disappears from the
+// table's visible schema. Stored records keep its bytes and reads at
+// earlier versions still see it; the name stays reserved. The primary
+// key cannot be dropped. Applies atomically at commit, like AddColumn.
+func (tx *Tx) DropColumn(table, column string) error {
+	t, err := tx.table(table, true)
+	if err != nil {
+		return err
+	}
+	if t.Schema().ColumnIndex(column) < 0 {
+		return fmt.Errorf("%w: no column %q in table %q", ErrSchemaChange, column, table)
+	}
+	if t.Schema().ColumnIndex(column) == 0 {
+		return fmt.Errorf("%w: cannot drop the primary key column %q", ErrSchemaChange, column)
+	}
+	for _, ch := range tx.pending {
+		if ch.Table == table && (ch.Drop == column || (ch.Add != nil && ch.Add.Name == column)) {
+			return fmt.Errorf("%w: column %q already has a queued change", ErrSchemaChange, column)
+		}
+	}
+	tx.pending = append(tx.pending, SchemaChange{Table: table, Drop: column})
+	return nil
+}
+
+// SetMessage sets the commit message recorded when the callback
+// returns successfully; without it the commit message names the branch.
+func (tx *Tx) SetMessage(message string) { tx.message = message }
+
+// Branch returns the name of the branch the transaction writes to.
+func (tx *Tx) Branch() string { return tx.branch.Name }
+
+// Context returns the context the transaction runs under.
+func (tx *Tx) Context() context.Context { return tx.ctx }
+
+// BranchFromHead creates a branch named name off the current head of
+// branch parent, holding parent's shared lock for the span so the
+// branch point cannot move under a concurrent transaction.
+func (db *Database) BranchFromHead(ctx context.Context, name, parent string) (*vgraph.Branch, error) {
+	txn, err := db.admit()
+	if err != nil {
+		return nil, err
+	}
+	defer db.leave(txn)
+	_, head, err := db.lockBranch(ctx, txn, parent, lock.Shared)
+	if err != nil {
+		return nil, err
+	}
+	return db.Branch(name, head)
+}
+
+// MergeContext merges the head of branch from into branch into across
+// every relation and commits the result as a merge version; intoWins
+// selects whether into (true) or from (false) wins conflicts. It takes
+// into's exclusive lock and then from's shared lock before reading
+// either head, so it serializes with transactions on both branches
+// instead of snapshotting a partial one. Cancellation is honored up to
+// the engines' merge, which then runs through every relation.
+func (db *Database) MergeContext(ctx context.Context, into, from, message string, kind MergeKind, intoWins bool) (*vgraph.Commit, MergeStats, error) {
+	txn, err := db.admit()
+	if err != nil {
+		return nil, MergeStats{}, err
+	}
+	defer db.leave(txn)
+	bi, _, err := db.lockBranch(ctx, txn, into, lock.Exclusive)
+	if err != nil {
+		return nil, MergeStats{}, err
+	}
+	bf, _, err := db.lockBranch(ctx, txn, from, lock.Shared)
+	if err != nil {
+		return nil, MergeStats{}, err
+	}
+	return db.merge(ctx, bi.ID, bf.ID, message, kind, intoWins)
+}

@@ -82,7 +82,7 @@ func twoTables(t *testing.T, dir string, factory core.Factory, opt core.Options)
 	if _, err := db.Commit(master.ID, "ten rows"); err != nil {
 		t.Fatal(err)
 	}
-	if dev, err = db.BranchFromHead("dev", "master"); err != nil {
+	if dev, err = db.BranchFromHead(context.Background(), "dev", "master"); err != nil {
 		t.Fatal(err)
 	}
 	put(t, db, dev.ID, 3, 333)
@@ -179,7 +179,7 @@ func TestFailedCommitLeavesNoCommit(t *testing.T) {
 			if c2.Seq != c.Seq+1 || c2.Parents[0] != c.ID {
 				t.Fatalf("commit after the reopen %+v does not follow %+v", c2, c)
 			}
-			if _, err := db.BranchFromHead("fromhead", "master"); err != nil {
+			if _, err := db.BranchFromHead(context.Background(), "fromhead", "master"); err != nil {
 				t.Fatalf("branch from the head: %v", err)
 			}
 			for _, table := range []string{"t", "u"} {
@@ -203,13 +203,13 @@ func TestMergeIsAllOrNothing(t *testing.T) {
 			// A context that is already done stops the merge before it starts.
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			if _, _, err := db.MergeContext(ctx, master.ID, dev.ID, "merge", core.ThreeWay, true); !errors.Is(err, context.Canceled) {
+			if _, _, err := db.MergeContext(ctx, master.Name, dev.Name, "merge", core.ThreeWay, true); !errors.Is(err, context.Canceled) {
 				t.Fatalf("merge under a cancelled context: %v", err)
 			}
 			// An engine failing on the second relation takes the merge
 			// commit back out of the graph.
 			f.failMerge = errors.New("disk full")
-			if _, _, err := db.MergeContext(context.Background(), master.ID, dev.ID, "merge", core.ThreeWay, true); err == nil {
+			if _, _, err := db.MergeContext(context.Background(), master.Name, dev.Name, "merge", core.ThreeWay, true); err == nil {
 				t.Fatal("merge succeeded over a failing engine")
 			}
 			if got := stateOf(db, master.ID); got != before {
@@ -231,7 +231,7 @@ func TestMergeIsAllOrNothing(t *testing.T) {
 			ctx, cancel = context.WithCancel(context.Background())
 			defer cancel()
 			f.inMerge = cancel
-			mc, _, err := db.MergeContext(ctx, master.ID, dev.ID, "merge", core.ThreeWay, true)
+			mc, _, err := db.MergeContext(ctx, master.Name, dev.Name, "merge", core.ThreeWay, true)
 			if err != nil {
 				t.Fatalf("merge cancelled from inside the first relation: %v", err)
 			}

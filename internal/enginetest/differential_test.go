@@ -197,7 +197,9 @@ func (h *harness) merge(into, other vgraph.BranchID, kind core.MergeKind, precFi
 	var stats []core.MergeStats
 	var mc *vgraph.Commit
 	for _, n := range h.names {
-		c, st, err := h.dbs[n].Merge(into, other, "m", kind, precFirst)
+		bi, _ := h.dbs[n].Graph().Branch(into)
+		bo, _ := h.dbs[n].Graph().Branch(other)
+		c, st, err := h.dbs[n].MergeContext(h.t.Context(), bi.Name, bo.Name, "m", kind, precFirst)
 		if err != nil {
 			h.t.Fatalf("%s merge: %v", n, err)
 		}

@@ -2,6 +2,7 @@ package enginetest
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -139,7 +140,7 @@ func TestEngineBranchIsolation(t *testing.T) {
 			tbl, _ := db.Table("t")
 			tbl.Insert(master.ID, simpleRec(schema, 1, 100))
 			db.Commit(master.ID, "c")
-			dev, err := db.BranchFromHead("dev", "master")
+			dev, err := db.BranchFromHead(t.Context(), "dev", "master")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,10 +215,10 @@ func TestEngineUncommittedRollbackOnReopen(t *testing.T) {
 			db.Commit(master.ID, "v1")
 			// A merge takes its source's uncommitted rows into the merge
 			// commit; the source itself still loses them.
-			src, _ := db.BranchFromHead("src", "master")
-			dst, _ := db.BranchFromHead("dst", "master")
+			src, _ := db.BranchFromHead(t.Context(), "src", "master")
+			dst, _ := db.BranchFromHead(t.Context(), "dst", "master")
 			tbl.Insert(src.ID, simpleRec(schema, 3, 3)) // uncommitted
-			if _, _, err := db.Merge(dst.ID, src.ID, "merge", core.ThreeWay, true); err != nil {
+			if _, _, err := db.MergeContext(t.Context(), dst.Name, src.Name, "merge", core.ThreeWay, true); err != nil {
 				t.Fatal(err)
 			}
 			tbl.Insert(master.ID, simpleRec(schema, 2, 2)) // uncommitted
@@ -267,7 +268,7 @@ func TestEngineReopenPreservesBranchesAndHistory(t *testing.T) {
 			tbl, _ := db.Table("t")
 			tbl.Insert(master.ID, simpleRec(schema, 1, 1))
 			c1, _ := db.Commit(master.ID, "v1")
-			dev, _ := db.BranchFromHead("dev", "master")
+			dev, _ := db.BranchFromHead(t.Context(), "dev", "master")
 			tbl.Insert(dev.ID, simpleRec(schema, 2, 2))
 			db.Commit(dev.ID, "dev v1")
 			tbl.Insert(master.ID, simpleRec(schema, 3, 3))
@@ -320,7 +321,7 @@ func TestEngineMergeAfterReopen(t *testing.T) {
 			tbl, _ := db.Table("t")
 			tbl.Insert(master.ID, simpleRec(schema, 1, 1))
 			db.Commit(master.ID, "base")
-			dev, _ := db.BranchFromHead("dev", "master")
+			dev, _ := db.BranchFromHead(t.Context(), "dev", "master")
 			tbl.Insert(dev.ID, simpleRec(schema, 2, 2))
 			db.Commit(dev.ID, "dev")
 			tbl.Insert(master.ID, simpleRec(schema, 3, 3))
@@ -331,7 +332,7 @@ func TestEngineMergeAfterReopen(t *testing.T) {
 			defer db2.Close()
 			m, _ := db2.Graph().BranchByName("master")
 			d, _ := db2.Graph().BranchByName("dev")
-			if _, st, err := db2.Merge(m.ID, d.ID, "merge", core.ThreeWay, true); err != nil {
+			if _, st, err := db2.MergeContext(t.Context(), m.Name, d.Name, "merge", core.ThreeWay, true); err != nil {
 				t.Fatal(err)
 			} else if st.Conflicts != 0 {
 				t.Fatalf("unexpected conflicts: %d", st.Conflicts)
@@ -369,7 +370,7 @@ func TestEngineMergeConflictPrecedence(t *testing.T) {
 					base.Set(2, 20)
 					tbl.Insert(master.ID, base)
 					db.Commit(master.ID, "base")
-					dev, _ := db.BranchFromHead("dev", "master")
+					dev, _ := db.BranchFromHead(t.Context(), "dev", "master")
 
 					// master changes col1, dev changes col1 (conflict) and
 					// col2 (mergeable in three-way).
@@ -381,7 +382,7 @@ func TestEngineMergeConflictPrecedence(t *testing.T) {
 					up2.Set(2, 22)
 					tbl.Insert(dev.ID, up2)
 
-					_, st, err := db.Merge(master.ID, dev.ID, "m", kind, precFirst)
+					_, st, err := db.MergeContext(t.Context(), master.Name, dev.Name, "m", kind, precFirst)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -534,6 +535,21 @@ func TestFailedOpenClosesFiles(t *testing.T) {
 				}
 			})
 		}},
+		{"version-first: branch point of an unseen branch is missing", vf.Factory, func(t *testing.T, dir string) {
+			// recover fails at recoverHeads, after every segment is open.
+			var dev string
+			rewriteJSON(t, filepath.Join(dir, "graph.json"), func(doc map[string]any) {
+				for _, b := range doc["branches"].([]any) {
+					if b := b.(map[string]any); b["name"] == "dev" {
+						b["from"] = 9999
+						dev = fmt.Sprint(b["id"])
+					}
+				}
+			})
+			rewriteJSON(t, filepath.Join(dir, "tables", "t", "segments.json"), func(doc map[string]any) {
+				delete(doc["byBranch"].(map[string]any), dev)
+			})
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -566,7 +582,10 @@ func TestFailedOpenClosesFiles(t *testing.T) {
 	}
 }
 
-// TestSessionWorkflow exercises the Session 2PL surface end to end.
+// TestSessionWorkflow exercises the write transaction end to end: two
+// Transact commits, a read of the first commit that does not see the
+// second, and the at-head guard that stops a transaction whose head the
+// lock-free ID-based Commit moved.
 func TestSessionWorkflow(t *testing.T) {
 	for _, tc := range engineCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -574,45 +593,41 @@ func TestSessionWorkflow(t *testing.T) {
 			defer db.Close()
 			schema := testSchema()
 			db.CreateTable("t", schema)
-			db.Init("init")
+			master, _, _ := db.Init("init")
+			insert := func(pk int64) func(*core.Tx) error {
+				return func(tx *core.Tx) error { return tx.Insert("t", simpleRec(schema, pk, pk)) }
+			}
+			c1, err := db.Transact(t.Context(), "master", insert(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Transact(t.Context(), "master", insert(2)); err != nil {
+				t.Fatal(err)
+			}
 
-			s, err := db.NewSession()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			if err := s.Insert("t", simpleRec(schema, 1, 1)); err != nil {
-				t.Fatal(err)
-			}
-			c1, err := s.CommitWork("v1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Insert("t", simpleRec(schema, 2, 2)); err != nil {
-				t.Fatal(err)
-			}
-			s.CommitWork("v2")
-
-			// A second session checks out the historical commit and reads
-			// the old state without seeing v2.
-			s2, err := db.NewSession()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s2.Close()
-			if err := s2.CheckoutCommit(c1.ID); err != nil {
-				t.Fatal(err)
-			}
+			// The first commit reads as it was, without the second's row.
+			tbl, _ := db.Table("t")
 			n := 0
-			if err := s2.Scan("t", func(*record.Record) bool { n++; return true }); err != nil {
+			rows, rowsErr := tbl.RowsAt(c1)
+			for range rows {
+				n++
+			}
+			if err := rowsErr(); err != nil {
 				t.Fatal(err)
 			}
 			if n != 1 {
-				t.Fatalf("historical session sees %d records, want 1", n)
+				t.Fatalf("commit v1 reads %d records, want 1", n)
 			}
-			// Writes from a detached historical position are rejected.
-			if err := s2.Insert("t", simpleRec(schema, 9, 9)); err == nil {
-				t.Fatal("write at non-head commit accepted")
+
+			// A write after the head moved under the transaction is refused.
+			_, err = db.Transact(t.Context(), "master", func(tx *core.Tx) error {
+				if _, err := db.Commit(master.ID, "behind the transaction"); err != nil {
+					return err
+				}
+				return tx.Insert("t", simpleRec(schema, 9, 9))
+			})
+			if !errors.Is(err, core.ErrNotAtHead) {
+				t.Fatalf("write behind a moved head: got %v, want ErrNotAtHead", err)
 			}
 		})
 	}
@@ -682,11 +697,11 @@ func TestMergeStatsThroughputFields(t *testing.T) {
 				tbl.Insert(master.ID, simpleRec(schema, pk, pk))
 			}
 			db.Commit(master.ID, "base")
-			dev, _ := db.BranchFromHead("dev", "master")
+			dev, _ := db.BranchFromHead(t.Context(), "dev", "master")
 			for pk := int64(21); pk <= 30; pk++ {
 				tbl.Insert(dev.ID, simpleRec(schema, pk, pk))
 			}
-			_, st, err := db.Merge(master.ID, dev.ID, "m", core.ThreeWay, true)
+			_, st, err := db.MergeContext(t.Context(), master.Name, dev.Name, "m", core.ThreeWay, true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,21 +49,13 @@ func TestSchemaEvolutionAcrossReopen(t *testing.T) {
 			if _, err := db.Commit(master.ID, "old-shape update"); err != nil {
 				t.Fatal(err)
 			}
-			// dev evolves the schema through a session commit.
-			s, err := db.NewSession()
-			if err != nil {
+			// dev evolves the schema through a transaction.
+			if _, err := db.Transact(t.Context(), "dev", func(tx *core.Tx) error {
+				tx.SetMessage("add extra")
+				return tx.AddColumn("t", record.Column{Name: "extra", Type: record.Int64}, core.Default(int64(77)))
+			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Checkout("dev"); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.AddColumn("t", record.Column{Name: "extra", Type: record.Int64}, int64(77)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := s.CommitWorkContext(t.Context(), "add extra"); err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
 			// dev writes the new shape: pk 2 gains an extra value while
 			// keeping the branch-point v (so the merge sees disjoint
 			// field changes on the two sides), pk 5 is brand new.
@@ -91,7 +83,7 @@ func TestSchemaEvolutionAcrossReopen(t *testing.T) {
 			}
 			// Merge dev into master: pk 2's qty changed on master, its
 			// extra on dev — a three-way merge across schema versions.
-			if _, _, err := db.Merge(master.ID, dev.ID, "merge dev", core.ThreeWay, true); err != nil {
+			if _, _, err := db.MergeContext(t.Context(), master.Name, dev.Name, "merge dev", core.ThreeWay, true); err != nil {
 				t.Fatal(err)
 			}
 			if err := db.Close(); err != nil {

@@ -187,7 +187,7 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 				kind = core.ThreeWay
 			}
 			prec := r.Intn(2) == 0
-			mc, _, err := db.Merge(branches[i].ID, branches[j].ID, "m", kind, prec)
+			mc, _, err := db.MergeContext(t.Context(), branches[i].Name, branches[j].Name, "m", kind, prec)
 			if err != nil {
 				t.Fatal(err)
 			}

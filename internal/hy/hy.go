@@ -514,7 +514,7 @@ func (e *Engine) writeHeadLocked(branch vgraph.BranchID) (*hseg, error) {
 	}
 	s := e.byID[head]
 	id := e.nextID
-	ns, rotated, err := e.st.WriteTarget(s.Segment, e.hist.NumPhysAt(e.env.BranchEpoch(branch)), true, e.segPath(id))
+	ns, rotated, err := e.st.WriteTarget(s.Segment, e.hist.NumPhysAt(e.env.BranchEpoch(branch)), e.segPath(id))
 	if err != nil {
 		return nil, err
 	}

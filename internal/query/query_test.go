@@ -54,7 +54,7 @@ func fixture(t *testing.T, factory core.Factory) (*core.Database, *core.Table, *
 		tbl.Insert(master.ID, rec(s, pk, pk))
 	}
 	db.Commit(master.ID, "base")
-	dev, err := db.BranchFromHead("dev", "master")
+	dev, err := db.BranchFromHead(context.Background(), "dev", "master")
 	if err != nil {
 		t.Fatal(err)
 	}

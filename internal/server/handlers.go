@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"net/http"
 
 	"decibel/client"
@@ -234,9 +233,9 @@ func aggKindOf(name string) (iquery.AggKind, error) {
 }
 
 // handleCommit is POST /v1/commit: one transaction against a branch
-// head, mirroring the facade's Commit(branch, fn) — the ops apply
-// under the branch's exclusive lock and commit atomically; any
-// failure rolls every touched key back to its committed state.
+// head through core's Transact — the ops apply under the branch's
+// exclusive lock and commit atomically; a failing op's error is the
+// response, and every key the ops touched is rolled back.
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) error {
 	var req client.CommitRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -245,72 +244,39 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) error {
 	if len(req.Ops) == 0 {
 		return badRequestf("commit has no ops")
 	}
-	ctx := r.Context()
-	sess, err := s.db.NewSession()
+	b, err := s.db.BranchNamed(req.Branch)
 	if err != nil {
 		return err
 	}
-	defer sess.Close()
-	if err := sess.CheckoutForWrite(ctx, req.Branch); err != nil {
-		return err
-	}
-	branchID := sess.Branch().ID
-
-	touched := make(map[string]map[int64]struct{})
-	note := func(table string, pk int64) {
-		if touched[table] == nil {
-			touched[table] = make(map[int64]struct{})
+	cm, err := s.db.Transact(r.Context(), req.Branch, func(tx *core.Tx) error {
+		if req.Message != "" {
+			tx.SetMessage(req.Message)
 		}
-		touched[table][pk] = struct{}{}
-	}
-	rollback := func() error {
-		rctx := context.WithoutCancel(ctx)
-		for table, pks := range touched {
-			keys := make([]int64, 0, len(pks))
-			for pk := range pks {
-				keys = append(keys, pk)
+		for _, op := range req.Ops {
+			var err error
+			switch op.Op {
+			case "insert":
+				var t *core.Table
+				if t, err = s.db.TableByName(op.Table); err == nil {
+					// Writes carry the schema of the branch's head epoch —
+					// not the globally newest one, which another branch's
+					// evolution may have advanced past this branch.
+					var rec *record.Record
+					if rec, err = buildRecord(t.SchemaAt(t.BranchEpoch(b.ID)), op.Values); err == nil {
+						err = tx.Insert(op.Table, rec)
+					}
+				}
+			case "delete":
+				err = tx.Delete(op.Table, op.PK)
+			default:
+				err = badRequestf("unknown op %q", op.Op)
 			}
-			if err := sess.Revert(rctx, table, keys); err != nil {
+			if err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-
-	for _, op := range req.Ops {
-		var err error
-		switch op.Op {
-		case "insert":
-			var t *core.Table
-			if t, err = s.db.TableByName(op.Table); err == nil {
-				// Writes carry the schema of the branch's head epoch —
-				// not the globally newest one, which another branch's
-				// evolution may have advanced past this branch.
-				var rec *record.Record
-				if rec, err = buildRecord(t.SchemaAt(t.BranchEpoch(branchID)), op.Values); err == nil {
-					note(op.Table, rec.PK())
-					err = sess.InsertContext(ctx, op.Table, rec)
-				}
-			}
-		case "delete":
-			note(op.Table, op.PK)
-			err = sess.DeleteContext(ctx, op.Table, op.PK)
-		default:
-			err = badRequestf("unknown op %q", op.Op)
-		}
-		if err != nil {
-			if rbErr := rollback(); rbErr != nil {
-				return rbErr
-			}
-			return err
-		}
-	}
-
-	message := req.Message
-	if message == "" {
-		message = "commit on " + req.Branch
-	}
-	cm, err := sess.CommitWorkContext(ctx, message)
+	})
 	if err != nil {
 		return err
 	}
@@ -319,8 +285,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleBranch is POST /v1/branch: create a branch from the current
-// head of another, holding the parent's shared lock for the span so
-// the branch point cannot move under a concurrent committer.
+// head of another (core holds the parent's shared lock for the span).
 func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) error {
 	var req client.BranchRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -329,24 +294,15 @@ func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) error {
 	if req.From == "" || req.Name == "" {
 		return badRequestf("branch needs from and name")
 	}
-	sess, err := s.db.NewSession()
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
-	if err := sess.AcquireBranch(r.Context(), req.From, false); err != nil {
-		return err
-	}
-	b, err := s.db.BranchFromHead(req.Name, req.From)
+	b, err := s.db.BranchFromHead(r.Context(), req.Name, req.From)
 	if err != nil {
 		return err
 	}
 	return reply(w, s.branchResponse(b))
 }
 
-// handleMerge is POST /v1/merge, mirroring the facade's Merge: the
-// target's exclusive lock, the source's shared lock, then the engines'
-// merge.
+// handleMerge is POST /v1/merge: core's name-based merge, which takes
+// the target's exclusive lock and the source's shared lock.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) error {
 	var req client.MergeRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -372,27 +328,7 @@ func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) error {
 	if message == "" {
 		message = "merge " + req.From + " into " + req.Into
 	}
-	ctx := r.Context()
-	sess, err := s.db.NewSession()
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
-	if err := sess.CheckoutForWrite(ctx, req.Into); err != nil {
-		return err
-	}
-	if err := sess.AcquireBranch(ctx, req.From, false); err != nil {
-		return err
-	}
-	bi, err := s.db.BranchNamed(req.Into)
-	if err != nil {
-		return err
-	}
-	bf, err := s.db.BranchNamed(req.From)
-	if err != nil {
-		return err
-	}
-	cm, stats, err := s.db.MergeContext(ctx, bi.ID, bf.ID, message, kind, intoWins)
+	cm, stats, err := s.db.MergeContext(r.Context(), req.Into, req.From, message, kind, intoWins)
 	if err != nil {
 		return err
 	}
@@ -414,32 +350,18 @@ func (s *Server) handleAlter(w http.ResponseWriter, r *http.Request) error {
 	if (req.Add == nil) == (req.Drop == "") {
 		return badRequestf("alter takes exactly one of add or drop")
 	}
-	ctx := r.Context()
-	sess, err := s.db.NewSession()
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
-	if err := sess.CheckoutForWrite(ctx, req.Branch); err != nil {
-		return err
-	}
-	var detail string
-	if req.Add != nil {
+	cm, err := s.db.Transact(r.Context(), req.Branch, func(tx *core.Tx) error {
+		if req.Drop != "" {
+			tx.SetMessage("alter " + req.Table + ": drop " + req.Drop)
+			return tx.DropColumn(req.Table, req.Drop)
+		}
 		col, def, err := parseColumnDef(req.Add)
 		if err != nil {
 			return err
 		}
-		if err := sess.AddColumn(req.Table, col, def); err != nil {
-			return err
-		}
-		detail = "add " + col.Name
-	} else {
-		if err := sess.DropColumn(req.Table, req.Drop); err != nil {
-			return err
-		}
-		detail = "drop " + req.Drop
-	}
-	cm, err := sess.CommitWorkContext(ctx, "alter "+req.Table+": "+detail)
+		tx.SetMessage("alter " + req.Table + ": add " + col.Name)
+		return tx.AddColumn(req.Table, col, core.Default(def))
+	})
 	if err != nil {
 		return err
 	}

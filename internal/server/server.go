@@ -6,10 +6,11 @@
 // resolves the branch's head commit once, at request start, and runs
 // pinned to that commit ID — commit history is immutable, so the scan
 // takes no branch locks and concurrent commits never move the data
-// under it. Writes serialize through the session commit path (the
-// branch's exclusive lock, strict 2PL), exactly like the embedded
-// facade. Request cancellation rides the per-request context: a
-// client disconnect aborts the scan within one record.
+// under it. Writes call core's Transact, BranchFromHead and
+// MergeContext — the same calls the embedded facade makes, so the lock
+// protocol and the abort rollback are core's alone. Request
+// cancellation rides the per-request context: a client disconnect
+// aborts the scan within one record.
 package server
 
 import (
@@ -68,7 +69,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Serve accepts connections on ln until ctx is canceled (the serve
 // subcommand wires SIGTERM/SIGINT into that), then shuts down
 // gracefully: stop accepting, drain in-flight requests, drain the
-// database's sessions and close it. Late arrivals during the drain
+// database's transactions and close it. Late arrivals during the drain
 // get 503 ErrDatabaseClosed rather than a hang.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	hs := &http.Server{
@@ -113,14 +114,12 @@ func (s *Server) count(h func(http.ResponseWriter, *http.Request) error) http.Ha
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// Probe liveness through the session gate so a draining or closed
+	// Probe liveness at the admission gate so a draining or closed
 	// database reports unhealthy.
-	sess, err := s.db.NewSession()
-	if err != nil {
+	if !s.db.Admitting() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	sess.Close()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }

@@ -302,26 +302,24 @@ func (s *Segment) AppendTombstone(pk int64) (int64, error) {
 	return s.AppendRaw(tomb.Bytes())
 }
 
-// WriteTarget is the shared rotation step of every engine's write
-// path: it returns s unchanged while its layout can hold records of
-// physical width need; otherwise it freezes s (when freeze is set —
-// hybrid freezes rotated heads like branch points, version-first
-// leaves them as plain lineage parents) and creates a successor at
-// newPath with the wider layout. rotated reports which happened, so
-// the engine can relink its bookkeeping (extent table, lineage link,
-// head-segment map) around the new segment.
-func (st *Store) WriteTarget(s *Segment, need int, freeze bool, newPath string) (ns *Segment, rotated bool, err error) {
+// WriteTarget is the rotation step of tuple-first's and hybrid's write
+// paths: it returns s unchanged while its layout can hold records of
+// physical width need; otherwise it freezes s (like a branch point) and
+// creates a successor at newPath with the wider layout. rotated reports
+// which happened, so the engine can relink its bookkeeping (extent
+// table, head-segment map) around the new segment. Version-first does
+// not freeze a rotated head — it stays a plain lineage parent — so it
+// rotates with NeedsRotation and Create directly.
+func (st *Store) WriteTarget(s *Segment, need int, newPath string) (ns *Segment, rotated bool, err error) {
 	if !s.NeedsRotation(need) {
 		return s, false, nil
 	}
-	if freeze {
-		// Flush first so the sealed segment's recorded row count is
-		// backed by the file on reopen.
-		if err := s.File.Flush(); err != nil {
-			return nil, false, err
-		}
-		s.Freeze()
+	// Flush first so the sealed segment's recorded row count is backed
+	// by the file on reopen.
+	if err := s.File.Flush(); err != nil {
+		return nil, false, err
 	}
+	s.Freeze()
 	ns, err = st.Create(newPath, need)
 	if err != nil {
 		return nil, false, err

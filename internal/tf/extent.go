@@ -158,7 +158,7 @@ func (e *Engine) totalCount() int64 {
 // rotation). Caller holds e.mu.
 func (e *Engine) ensureExtentLocked(cols int) error {
 	last := e.lastExt()
-	ns, rotated, err := e.st.WriteTarget(last.Segment, cols, true, e.extPath(len(e.exts)))
+	ns, rotated, err := e.st.WriteTarget(last.Segment, cols, e.extPath(len(e.exts)))
 	if err != nil || !rotated {
 		return err
 	}

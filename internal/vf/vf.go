@@ -128,6 +128,12 @@ func Factory(env *core.Env) (core.Engine, error) {
 		e.deltaTail = make(map[segID]int64)
 	}
 	if err := e.recover(); err != nil {
+		// Release every segment the failed open has opened so far.
+		for _, s := range e.segs {
+			if s.Segment != nil {
+				s.File.Close()
+			}
+		}
 		return nil, err
 	}
 	return e, nil
@@ -221,9 +227,6 @@ func (e *Engine) recover() error {
 		// before zone maps — the segment's zone map.
 		seg, err := e.st.Open(e.segFilePath(sm.ID, sm.Encoding), sm.SegMeta, min(sm.SafeCount, safe[sm.ID]))
 		if err != nil {
-			for _, s := range e.segs[:i] {
-				s.File.Close()
-			}
 			return fmt.Errorf("vf: segment %d: %w", sm.ID, err)
 		}
 		e.segs[i].Segment = seg
@@ -275,13 +278,9 @@ func (e *Engine) recoverHeads() error {
 			committed = p.Slot
 		}
 		if s.File.Count() > committed {
-			ns, err := e.newSegmentLocked(b.ID, s.Cols)
-			if err != nil {
+			if _, err := e.linkHeadLocked(b.ID, s.Cols, link{ParentSeg: id, ParentSlot: committed, ParentCommit: b.Head}); err != nil {
 				return err
 			}
-			ns.hasLink = true
-			ns.link = link{ParentSeg: id, ParentSlot: committed, ParentCommit: b.Head}
-			e.byBranch[b.ID] = ns.id
 			changed = true
 		}
 	}
@@ -355,6 +354,20 @@ func (e *Engine) newSegmentLocked(branch vgraph.BranchID, cols int) (*segment, e
 	return s, nil
 }
 
+// linkHeadLocked makes a fresh segment with cols columns the head of
+// branch, linked to its parent at (segment, slot, commit): a new
+// branch's branch point, or the old head a rotation leaves behind as an
+// ordinary lineage parent.
+func (e *Engine) linkHeadLocked(branch vgraph.BranchID, cols int, parent link) (*segment, error) {
+	s, err := e.newSegmentLocked(branch, cols)
+	if err != nil {
+		return nil, err
+	}
+	s.hasLink, s.link = true, parent
+	e.byBranch[branch] = s.id
+	return s, nil
+}
+
 // Init implements core.Engine.
 func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 	e.mu.Lock()
@@ -388,14 +401,8 @@ func (e *Engine) branchLocked(child vgraph.BranchID, from *vgraph.Commit) error 
 	if !ok {
 		return fmt.Errorf("vf: commit %d has no recorded offset", from.ID)
 	}
-	s, err := e.newSegmentLocked(child, e.hist.NumPhysAt(from.SchemaVer))
-	if err != nil {
-		return err
-	}
-	s.hasLink = true
-	s.link = link{ParentSeg: p.Seg, ParentSlot: p.Slot, ParentCommit: from.ID}
-	e.byBranch[child] = s.id
-	return nil
+	_, err := e.linkHeadLocked(child, e.hist.NumPhysAt(from.SchemaVer), link{ParentSeg: p.Seg, ParentSlot: p.Slot, ParentCommit: from.ID})
+	return err
 }
 
 // Commit implements core.Engine: "version-first supports commits by
@@ -435,39 +442,28 @@ func (e *Engine) headLocked(b vgraph.BranchID) (*segment, int64, error) {
 	return s, s.File.Count(), nil
 }
 
-// writeHeadLocked returns the branch's head segment, rotating it
-// through the shared store when a committed schema change has widened
-// the branch's storage generation since the segment was created: the
-// old head becomes an ordinary parent in the lineage (its pages are
-// never rewritten — and it is not frozen, unlike hybrid's rotated
-// heads, because future appends never target it anyway once byBranch
-// moves on) and a fresh segment at the new layout takes subsequent
-// appends.
+// writeHeadLocked returns the branch's head segment, rotating it when a
+// committed schema change has widened the branch's storage generation
+// since the segment was created: the old head becomes an ordinary
+// parent in the lineage (its pages are never rewritten — and it is not
+// frozen, unlike hybrid's and tuple-first's rotated segments, because
+// future appends never target it anyway once byBranch moves on) and a
+// fresh segment at the new layout takes subsequent appends.
 func (e *Engine) writeHeadLocked(branch vgraph.BranchID) (*segment, error) {
 	s, _, err := e.headLocked(branch)
 	if err != nil {
 		return nil, err
 	}
-	id := segID(len(e.segs))
-	ns, rotated, err := e.st.WriteTarget(s.Segment, e.hist.NumPhysAt(e.env.BranchEpoch(branch)), false, e.segPath(id))
+	need := e.hist.NumPhysAt(e.env.BranchEpoch(branch))
+	if !s.NeedsRotation(need) {
+		return s, nil
+	}
+	head, _ := e.env.Graph.Head(branch)
+	ns, err := e.linkHeadLocked(branch, need, link{ParentSeg: s.id, ParentSlot: s.File.Count(), ParentCommit: head})
 	if err != nil {
 		return nil, err
 	}
-	if !rotated {
-		return s, nil
-	}
-	var headCommit vgraph.CommitID
-	if b, ok := e.env.Graph.Branch(branch); ok {
-		headCommit = b.Head
-	}
-	vs := &segment{
-		Segment: ns, id: id, branch: branch,
-		hasLink: true,
-		link:    link{ParentSeg: s.id, ParentSlot: s.File.Count(), ParentCommit: headCommit},
-	}
-	e.segs = append(e.segs, vs)
-	e.byBranch[branch] = vs.id
-	return vs, e.persistLocked()
+	return ns, e.persistLocked()
 }
 
 // appendLocked encodes rec under the segment's physical layout

@@ -155,22 +155,15 @@ func verifyEvolution(t *testing.T, db *decibel.DB, engine string) {
 
 	// Historical reads keep the schema as of the commit: master@1
 	// predates the change, so its rows still have exactly two columns.
-	s, err := db.NewSession()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.CheckoutAt("master", 1); err != nil {
-		t.Fatalf("[%s] checkout master@1: %v", engine, err)
-	}
 	n := 0
-	if err := s.Scan("products", func(rec *decibel.Record) bool {
+	rows, rowsErr = db.Query("products").On("master").At(1).Rows()
+	for rec := range rows {
 		n++
 		if rec.Schema().NumColumns() != 2 {
 			t.Fatalf("[%s] master@1 row has %d columns, want 2", engine, rec.Schema().NumColumns())
 		}
-		return true
-	}); err != nil {
+	}
+	if err := rowsErr(); err != nil {
 		t.Fatalf("[%s] scan master@1: %v", engine, err)
 	}
 	if n != 5 {

@@ -1,11 +1,16 @@
 #!/bin/sh
-# loc.sh — the line counts every simplicity change here quotes, and one
-# structural check. Prints the non-test Go lines outside benchmark/, of
-# the three storage engines (internal/{tf,hy,vf}), and of their merge
-# code (internal/{tf,hy,vf}/merge.go). Exits non-zero if os.Rename( is
-# called from non-test Go code outside internal/wal: a file in a dataset
-# is replaced through wal.ReplaceFile, which syncs what WithFsync
-# promises, and through nothing else.
+# loc.sh — the line counts every simplicity change here quotes, and
+# three structural checks. Prints the non-test Go lines outside
+# benchmark/, of the three storage engines (internal/{tf,hy,vf}), and of
+# their merge code (internal/{tf,hy,vf}/merge.go). Exits non-zero if
+# os.Rename( is called from non-test Go code outside internal/wal: a
+# file in a dataset is replaced through wal.ReplaceFile, which syncs
+# what WithFsync promises, and through nothing else. Exits non-zero too
+# if a branch lock is taken — .Acquire( or .AcquireContext( — in
+# non-test Go code outside internal/core/tx.go and internal/lock, or if
+# NewSession( appears in any Go file: the write protocol (lock order,
+# head re-read under the lock, rollback of an aborted transaction) lives
+# in core's Tx and nowhere else.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,6 +28,21 @@ echo "internal/{tf,hy,vf}/merge.go:         $(cat internal/tf/merge.go internal/
 stray=$(grep -rln --include='*.go' 'os\.Rename(' . | grep -v '_test\.go$' | grep -v '^\./internal/wal/' || true)
 if [ -n "$stray" ]; then
     echo "os.Rename( outside internal/wal (use wal.ReplaceFile):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rln --include='*.go' '\.Acquire\(Context\)\?(' . | grep -v '_test\.go$' |
+    grep -v '^\./internal/core/tx\.go$' | grep -v '^\./internal/lock/' || true)
+if [ -n "$stray" ]; then
+    echo "branch locks taken outside internal/core/tx.go (use core's Transact / BranchFromHead / MergeContext):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rln --include='*.go' 'NewSession(' . || true)
+if [ -n "$stray" ]; then
+    echo "NewSession( is gone (use core's Transact):" >&2
     echo "$stray" >&2
     exit 1
 fi

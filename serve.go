@@ -46,7 +46,7 @@ func (s *Server) SetShutdownTimeout(d time.Duration) { s.inner.ShutdownTimeout =
 
 // Serve accepts connections on ln until ctx is canceled, then shuts
 // down gracefully: stop accepting, drain in-flight requests, drain
-// the database's sessions (late arrivals get ErrDatabaseClosed, never
+// the database's transactions (late arrivals get ErrDatabaseClosed, never
 // a hang) and close the database. The serve subcommand cancels ctx on
 // SIGTERM/SIGINT.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {

@@ -13,9 +13,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -355,6 +357,73 @@ func TestServeErrorCodes(t *testing.T) {
 			}
 			if ce.Status != tc.status || ce.Code != tc.code {
 				t.Fatalf("err = (%d, %q), want (%d, %q): %v", ce.Status, ce.Code, tc.status, tc.code, ce)
+			}
+		})
+	}
+}
+
+// TestServeAbortedCommitRollsBack: a served commit whose op fails is a
+// facade commit whose callback fails — the op's error is the response
+// (not a rollback's), the branch head is back at its committed rows and
+// no commit is added. An alter whose default does not fit its column
+// commits no schema change either.
+func TestServeAbortedCommitRollsBack(t *testing.T) {
+	for _, engine := range facadeEngines {
+		t.Run(engine, func(t *testing.T) {
+			db, c := newServeClient(t, engine)
+			ctx := context.Background()
+			if _, err := c.Commit(ctx, client.CommitRequest{Branch: "master", Ops: []client.Op{
+				insertOp(1, 10, 1.5, "one"), insertOp(2, 20, 2.5, "two"),
+			}}); err != nil {
+				t.Fatal(err)
+			}
+			headQty := func() map[int64]int64 {
+				t.Helper()
+				got := map[int64]int64{}
+				rows, rowsErr := db.Rows("products", "master")
+				for rec := range rows {
+					got[rec.PK()] = rec.Get(1)
+				}
+				if err := rowsErr(); err != nil {
+					t.Fatal(err)
+				}
+				return got
+			}
+			want := headQty()
+			commits := db.Graph().NumCommits()
+
+			_, err := c.Commit(ctx, client.CommitRequest{Branch: "master", Ops: []client.Op{
+				insertOp(3, 30, 3.5, "fresh"), // a fresh pk
+				insertOp(1, 99, 9.9, "upd"),   // an update of a committed pk
+				{Op: "insert", Table: "missing", Values: map[string]any{"id": 4}},
+			}})
+			var ce *client.Error
+			if !errors.As(err, &ce) || ce.Status != 404 || ce.Code != "no_such_table" || !strings.Contains(ce.Message, `"missing"`) {
+				t.Fatalf("aborted commit: err = %v, want 404 no_such_table naming \"missing\"", err)
+			}
+			if got := headQty(); !maps.Equal(got, want) {
+				t.Fatalf("head after the aborted commit = %v, want the committed %v", got, want)
+			}
+			if got := db.Graph().NumCommits(); got != commits {
+				t.Fatalf("aborted commit left %d commits, want %d", got, commits)
+			}
+
+			master, err := db.BranchNamed("master")
+			if err != nil {
+				t.Fatal(err)
+			}
+			head, _ := db.Graph().Head(master.ID)
+			before, _ := db.Graph().Commit(head)
+			if _, err := c.Alter(ctx, client.AlterRequest{Branch: "master", Table: "products",
+				Add: &client.ColumnDef{Name: "tiny", Type: "int32", Default: int64(1) << 40}}); err == nil {
+				t.Fatal("alter with an int32 default of 2^40 succeeded")
+			}
+			next, err := db.Commit("master", func(*decibel.Tx) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.SchemaVer != before.SchemaVer {
+				t.Fatalf("next commit's SchemaVer = %d after the refused alter, want %d", next.SchemaVer, before.SchemaVer)
 			}
 		})
 	}

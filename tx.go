@@ -2,165 +2,33 @@ package decibel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 
 	"decibel/internal/core"
 )
 
-// Tx is the handle a name-based Commit hands to its callback: a
-// single writer positioned at the target branch head, holding the
-// branch's exclusive lock under two-phase locking until the commit (or
-// the callback's error) ends the transaction. All Tx operations
-// address tables by name.
+// Tx is the handle a name-based Commit hands to its callback: a single
+// writer positioned at the target branch head, holding the branch's
+// exclusive lock under two-phase locking until the commit (or the
+// callback's error) ends the transaction. All Tx operations address
+// tables by name: Insert, InsertBatch, Delete, Scan/Rows (the head,
+// including the transaction's own writes), AddColumn, DropColumn,
+// SetMessage, Branch and Context.
 //
 // A Tx is only valid inside its callback; retaining it past the
 // callback's return yields ErrSessionClosed.
-type Tx struct {
-	ctx     context.Context
-	session *core.Session
-	branch  string
-	message string
-	touched map[string]map[int64]struct{} // table -> pks written, for rollback
-}
-
-// note records a write for rollback should the callback fail.
-func (tx *Tx) note(table string, pk int64) {
-	if tx.touched == nil {
-		tx.touched = make(map[string]map[int64]struct{})
-	}
-	pks := tx.touched[table]
-	if pks == nil {
-		pks = make(map[int64]struct{})
-		tx.touched[table] = pks
-	}
-	pks[pk] = struct{}{}
-}
-
-// rollback restores every key the transaction wrote to its last
-// committed state. It runs under context.WithoutCancel so an abort
-// caused by cancellation still cleans up.
-func (tx *Tx) rollback() error {
-	ctx := context.WithoutCancel(tx.ctx)
-	for table, pks := range tx.touched {
-		keys := make([]int64, 0, len(pks))
-		for pk := range pks {
-			keys = append(keys, pk)
-		}
-		if err := tx.session.Revert(ctx, table, keys); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Insert upserts a record into the transaction's branch head.
-func (tx *Tx) Insert(table string, rec *Record) error {
-	if err := tx.session.InsertContext(tx.ctx, table, rec); err != nil {
-		return err
-	}
-	tx.note(table, rec.PK())
-	return nil
-}
-
-// InsertBatch upserts a batch of records into the transaction's branch
-// head as one engine call, amortizing the per-record lock acquisition
-// and validation of Insert — the fast path for bulk loads. On error a
-// prefix of the batch may have been applied; like every Tx write it is
-// rolled back if the transaction aborts.
-func (tx *Tx) InsertBatch(table string, recs []*Record) error {
-	// Note every key before writing: a batch that fails part-way has
-	// applied an unknown prefix, and rollback must cover all of it
-	// (reverting an untouched key merely restores its committed state).
-	for _, rec := range recs {
-		tx.note(table, rec.PK())
-	}
-	return tx.session.InsertBatchContext(tx.ctx, table, recs)
-}
-
-// Delete removes a primary key from the transaction's branch head.
-// Deleting an absent key is a no-op.
-func (tx *Tx) Delete(table string, pk int64) error {
-	if err := tx.session.DeleteContext(tx.ctx, table, pk); err != nil {
-		return err
-	}
-	tx.note(table, pk)
-	return nil
-}
-
-// Scan reads the transaction's view of a table (the branch head,
-// including the transaction's own uncommitted writes).
-func (tx *Tx) Scan(table string, fn ScanFunc) error {
-	return tx.session.ScanContext(tx.ctx, table, fn)
-}
-
-// Rows iterates the transaction's view of a table.
-func (tx *Tx) Rows(table string) (iter.Seq[*Record], func() error) {
-	var err error
-	seq := func(yield func(*Record) bool) {
-		err = tx.Scan(table, func(rec *Record) bool { return yield(rec) })
-	}
-	return seq, func() error { return err }
-}
+type Tx = core.Tx
 
 // ColumnDefault carries the default value of a column added by
 // Tx.AddColumn; build one with Default.
-type ColumnDefault struct{ v any }
+type ColumnDefault = core.ColumnDefault
 
 // Default declares the value existing records show for a column added
 // after they were stored: integers for Int32/Int64 columns, floats
 // (or integers) for Float64, strings or []byte for Bytes. Omitting the
 // default yields the column type's zero value.
-func Default(v any) ColumnDefault { return ColumnDefault{v: v} }
-
-// AddColumn evolves the named table's schema: from the commit this
-// transaction produces, the table has the new column, appended after
-// every existing one. Records stored before the change are never
-// rewritten — reads fill the declared default — and reads of earlier
-// commits (RowsAt, Query...At) keep the schema as of then, so a query
-// At a version predating the column fails with ErrColumnNotYetAdded.
-// Only the branch this transaction commits to (and branches that later
-// merge it) see the new column; other branches keep their shape until
-// they do, which is how branched datasets diverge structurally.
-//
-// The change applies atomically at commit: inserts inside the same
-// transaction still write the old shape, and the column becomes
-// writable from the next transaction on the branch. An aborted
-// transaction discards it.
-//
-// Schema evolution forms one linear chain of versions per dataset: a
-// branch may only commit a schema change if its head has adopted every
-// earlier change (made them itself, or merged the branch that did).
-// Committing a change on a branch that diverged from the newest schema
-// fails with ErrSchemaChange — merge the evolving branch first.
-func (tx *Tx) AddColumn(table string, col Column, def ...ColumnDefault) error {
-	var v any
-	if len(def) > 0 {
-		v = def[0].v
-	}
-	return tx.session.AddColumn(table, col, v)
-}
-
-// DropColumn queues a logical drop of the named column: from the
-// commit this transaction produces, the column disappears from the
-// table's visible schema. Stored records keep its bytes and reads at
-// earlier versions still see it; the name stays reserved. The primary
-// key cannot be dropped.
-func (tx *Tx) DropColumn(table, column string) error {
-	return tx.session.DropColumn(table, column)
-}
-
-// Branch returns the name of the branch the transaction writes to.
-func (tx *Tx) Branch() string { return tx.branch }
-
-// Context returns the context the transaction runs under (the one
-// given to CommitContext, or context.Background() for Commit).
-func (tx *Tx) Context() context.Context { return tx.ctx }
-
-// SetMessage sets the commit message recorded when the callback
-// returns successfully; without it the commit message names the branch.
-func (tx *Tx) SetMessage(message string) { tx.message = message }
+func Default(v any) ColumnDefault { return core.Default(v) }
 
 // Commit runs fn as one transaction against the named branch's head
 // and, if fn returns nil, commits the branch — making every write fn
@@ -177,35 +45,14 @@ func (tx *Tx) SetMessage(message string) { tx.message = message }
 // joined to fn's; the head is then rolled back by the write-ahead log
 // when the dataset is next opened.)
 func (db *DB) Commit(branch string, fn func(*Tx) error) (*Commit, error) {
-	return db.CommitContext(context.Background(), branch, fn)
+	return db.Transact(context.Background(), branch, fn)
 }
 
 // CommitContext is Commit bounded by a context: lock waits, the
 // callback's Tx operations, and the final commit handoff all abort
 // with ctx.Err() once ctx is canceled.
 func (db *DB) CommitContext(ctx context.Context, branch string, fn func(*Tx) error) (*Commit, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s, err := db.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	// Take the branch's exclusive lock before reading its head so
-	// concurrent Commits to the same branch serialize instead of the
-	// loser failing ErrNotAtHead.
-	if err := s.CheckoutForWrite(ctx, branch); err != nil {
-		return nil, err
-	}
-	tx := &Tx{ctx: ctx, session: s, branch: branch, message: "commit on " + branch}
-	if err := fn(tx); err != nil {
-		if rbErr := tx.rollback(); rbErr != nil {
-			return nil, errors.Join(err, fmt.Errorf("decibel: rolling back aborted commit: %w", rbErr))
-		}
-		return nil, err
-	}
-	return s.CommitWorkContext(ctx, tx.message)
+	return db.Transact(ctx, branch, fn)
 }
 
 // Branch creates a new branch named name from the current head of
@@ -213,15 +60,7 @@ func (db *DB) CommitContext(ctx context.Context, branch string, fn func(*Tx) err
 // lock on from for the duration, so the branch point cannot move under
 // a concurrent committer.
 func (db *DB) Branch(from, name string) (*Branch, error) {
-	s, err := db.NewSession()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	if err := s.AcquireBranch(context.Background(), from, false); err != nil {
-		return nil, err
-	}
-	return db.Database.BranchFromHead(name, from)
+	return db.BranchFromHead(context.Background(), name, from)
 }
 
 // mergeConfig collects Merge options; the defaults are the paper's:
@@ -271,12 +110,10 @@ func (db *DB) Merge(into, from string, opts ...MergeOption) (*Commit, MergeStats
 }
 
 // MergeContext is Merge bounded by a context: the lock waits and the
-// per-relation engine merges honor cancellation, with one relation as
-// the granularity — large multi-table merges were the last long
-// uninterruptible operation. A merge canceled between relations leaves
-// the same partially-merged state a crash there would (the merge
-// commit exists, later tables are unmerged), so treat a canceled merge
-// like a torn one: re-merge or discard the branch.
+// start of the engines' merge honor cancellation. A merge that has
+// started runs through every relation, because a merge commit some
+// relations applied and others did not is what the commit point exists
+// to rule out.
 func (db *DB) MergeContext(ctx context.Context, into, from string, opts ...MergeOption) (*Commit, MergeStats, error) {
 	cfg := mergeConfig{
 		message:  fmt.Sprintf("merge %s into %s", from, into),
@@ -286,26 +123,7 @@ func (db *DB) MergeContext(ctx context.Context, into, from string, opts ...Merge
 	for _, o := range opts {
 		o(&cfg)
 	}
-	s, err := db.NewSession()
-	if err != nil {
-		return nil, MergeStats{}, err
-	}
-	defer s.Close()
-	if err := s.CheckoutForWrite(ctx, into); err != nil {
-		return nil, MergeStats{}, err
-	}
-	if err := s.AcquireBranch(ctx, from, false); err != nil {
-		return nil, MergeStats{}, err
-	}
-	bi, err := db.BranchNamed(into)
-	if err != nil {
-		return nil, MergeStats{}, err
-	}
-	bf, err := db.BranchNamed(from)
-	if err != nil {
-		return nil, MergeStats{}, err
-	}
-	return db.Database.MergeContext(ctx, bi.ID, bf.ID, cfg.message, cfg.kind, cfg.intoWins)
+	return db.Database.MergeContext(ctx, into, from, cfg.message, cfg.kind, cfg.intoWins)
 }
 
 // Rows iterates the records live at the named branch's head of the
