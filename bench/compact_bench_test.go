@@ -3,15 +3,14 @@ package bench_test
 // Compaction benchmarks: the cost of a pass and what it buys readers.
 //
 //   - BenchmarkCompactionPass measures one full compaction pass over
-//     the segment-bench dataset (8 frozen segments per engine): run
-//     merging + tombstone GC + page re-encoding, with the dataset
-//     rebuilt outside the timer each iteration since a pass is
-//     idempotent. merged/op, pages/op and reclaimed-B/op come from the
-//     pass stats, so the report shows the pass doing real work.
+//     the segment-bench dataset (8 frozen segments per engine): page
+//     re-encoding, with the dataset rebuilt outside the timer each
+//     iteration since a pass is idempotent. pages/op and
+//     reclaimed-B/op come from the pass stats, so the report shows the
+//     pass doing real work.
 //   - BenchmarkCompactedScan runs the same selective scan before and
 //     after a pass, so the raw/compacted pair shows what decoding
-//     compressed pages (and, on hybrid, scanning merged segments)
-//     costs or saves on the read path.
+//     compressed pages costs or saves on the read path.
 
 import (
 	"context"
@@ -23,10 +22,7 @@ import (
 )
 
 func compactBenchOpts() []decibel.Option {
-	return []decibel.Option{
-		decibel.WithCompaction("manual"),
-		decibel.WithCompactionThresholds(2, 1<<20),
-	}
+	return []decibel.Option{decibel.WithCompaction("manual")}
 }
 
 // loadCompactBench is the segment-bench dataset plus a schema widening
@@ -63,7 +59,7 @@ func BenchmarkCompactionPass(b *testing.B) {
 	for _, engine := range []string{"tf", "vf", "hy"} {
 		b.Run(engine, func(b *testing.B) {
 			b.ReportAllocs()
-			var merged, pages, reclaimed int64
+			var pages, reclaimed int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -74,17 +70,15 @@ func BenchmarkCompactionPass(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if st.SegmentsMerged == 0 && st.SegmentsCompressed == 0 {
+				if st.SegmentsCompressed == 0 {
 					b.Fatalf("pass did nothing: %+v", st)
 				}
-				merged += st.SegmentsMerged
 				pages += st.PagesCompressed
 				reclaimed += st.BytesReclaimed
 				db.Close()
 				b.StartTimer()
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(merged)/float64(b.N), "merged/op")
 			b.ReportMetric(float64(pages)/float64(b.N), "pages/op")
 			b.ReportMetric(float64(reclaimed)/float64(b.N), "reclaimed-B/op")
 		})
@@ -98,7 +92,7 @@ func BenchmarkCompactedScan(b *testing.B) {
 			if mode == "compacted" {
 				if st, err := db.Compact(); err != nil {
 					b.Fatal(err)
-				} else if st.SegmentsMerged == 0 && st.SegmentsCompressed == 0 {
+				} else if st.SegmentsCompressed == 0 {
 					b.Fatalf("pass did nothing: %+v", st)
 				}
 			}

@@ -23,9 +23,9 @@ import (
 )
 
 const (
-	joinBigRows   = 10000
-	joinMidRows   = 1000
-	joinSmallRows = 50
+	joinBigRows        = 10000
+	joinMidRows        = 1000
+	joinSmallTableRows = 50
 )
 
 // loadJoinBench builds three joinable tables in one version: big
@@ -70,14 +70,14 @@ func loadJoinBench(tb testing.TB, engine string) *decibel.DB {
 		for i := range recs {
 			rec := decibel.NewRecord(mid)
 			rec.SetPK(int64(i))
-			rec.Set(1, int64(i%joinSmallRows))
+			rec.Set(1, int64(i%joinSmallTableRows))
 			rec.Set(2, int64(i))
 			recs[i] = rec
 		}
 		if err := tx.InsertBatch("mid", recs); err != nil {
 			return err
 		}
-		recs = make([]*decibel.Record, joinSmallRows)
+		recs = make([]*decibel.Record, joinSmallTableRows)
 		for i := range recs {
 			rec := decibel.NewRecord(small)
 			rec.SetPK(int64(i))

@@ -94,9 +94,8 @@ commands:
                                                   by the named columns
                                -agg <list>        grouped aggregates, e.g.
                                                   count,sum:price,avg:price
-  compact                    run one compaction pass: merge runs of small
-                             frozen segments, drop unreachable tombstones,
-                             re-encode frozen segments as compressed pages
+  compact                    run one compaction pass: re-encode frozen
+                             segments as compressed pages
   serve                      serve the dataset over HTTP/JSON until
                              SIGINT/SIGTERM, then drain and close:
                                -addr <host:port>  listen address
@@ -229,6 +228,9 @@ func setColumn(rec *decibel.Record, schema *decibel.Schema, i int, v string) err
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			return fmt.Errorf("column %q: %w", c.Name, err)
+		}
+		if err := c.CheckInt(n); err != nil {
+			return err
 		}
 		rec.Set(i, n)
 	}
@@ -511,8 +513,8 @@ func run(dir, engine, table string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("compacted: %d segments merged, %d compressed, %d tombstones dropped, %d pages written, %d bytes reclaimed\n",
-			st.SegmentsMerged, st.SegmentsCompressed, st.TombstonesDropped, st.PagesCompressed, st.BytesReclaimed)
+		fmt.Printf("compacted: %d segments compressed, %d pages written, %d bytes reclaimed\n",
+			st.SegmentsCompressed, st.PagesCompressed, st.BytesReclaimed)
 		return nil
 
 	case "select":

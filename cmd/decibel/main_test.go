@@ -258,3 +258,45 @@ func TestCheckoutCLI(t *testing.T) {
 		t.Fatalf("checkout master@99: err = %v, want ErrNoSuchCommit", err)
 	}
 }
+
+// TestInsertRejectsInt32Overflow: an insert whose value does not fit an
+// int32 column fails naming the column, instead of committing the value
+// wrapped (4294967297 would store as 1); an in-range one commits.
+func TestInsertRejectsInt32Overflow(t *testing.T) {
+	dir := t.TempDir()
+	engine := decibel.DefaultEngine
+	cli := func(args ...string) error {
+		_, err := captureStdout(t, func() error { return run(dir, engine, "r", args) })
+		return err
+	}
+	if err := cli("init", "qty:int32"); err != nil {
+		t.Fatal(err)
+	}
+	for _, cmd := range [][]string{
+		{"insert", "master", "1", "4294967297"},
+		{"load", "master", "2:-2147483649"},
+	} {
+		if err := cli(cmd...); err == nil || !strings.Contains(err.Error(), `"qty"`) {
+			t.Fatalf("%v: err = %v, want an error naming \"qty\"", cmd, err)
+		}
+	}
+	if err := cli("insert", "master", "3", "2147483647"); err != nil {
+		t.Fatal(err)
+	}
+	db, err := decibel.Open(dir, decibel.WithEngine(engine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rows, errf := db.Rows("r", "master")
+	var got []string
+	for rec := range rows {
+		got = append(got, fmt.Sprintf("%d=%d", rec.PK(), rec.Get(1)))
+	}
+	if err := errf(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, " ") != "3=2147483647" {
+		t.Fatalf("master holds %v, want only 3=2147483647", got)
+	}
+}

@@ -30,10 +30,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 		for _, point := range []string{compact.FailAfterTemp, compact.FailBeforeUnlink} {
 			t.Run(engine+"/"+point, func(t *testing.T) {
 				dir := t.TempDir()
-				base := []decibel.Option{
-					decibel.WithCompaction("manual"),
-					decibel.WithCompactionThresholds(2, 4096),
-				}
+				base := []decibel.Option{decibel.WithCompaction("manual")}
 				built := buildPruningDBIn(t, dir, engine, base...)
 				if err := built.Close(); err != nil {
 					t.Fatal(err)
@@ -66,7 +63,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("clean compact after recovery: %v", err)
 				}
-				if point == compact.FailAfterTemp && st.SegmentsMerged == 0 && st.SegmentsCompressed == 0 {
+				if point == compact.FailAfterTemp && st.SegmentsCompressed == 0 {
 					t.Fatalf("pass after an after-temp crash found nothing to compact: %+v", st)
 				}
 				compareCompactionStreams(t, "post-compaction", captureCompactionStreams(t, db, corpus), want)

@@ -140,8 +140,8 @@ type (
 	SegmentStat = store.SegmentStat
 
 	// CompactionStats is what one compaction pass accomplished —
-	// segments merged and compressed, tombstones dropped, bytes
-	// reclaimed; returned by DB.Compact.
+	// segments compressed, pages written, bytes reclaimed; returned by
+	// DB.Compact.
 	CompactionStats = compact.Stats
 )
 

@@ -6,27 +6,20 @@
 // package is what the core layer, the facade options, the CLI and the
 // server all speak.
 //
-// A compaction pass over one table does up to three things, all on
-// frozen storage only:
+// A compaction pass over one table does one thing, the same in every
+// engine: frozen segments re-encode in place into per-column compressed
+// pages (store.EncDCZ) — dictionary for low-cardinality values,
+// delta+varint for int64 — read back transparently via the SegMeta
+// encoding tag. Slot numbering is preserved, so no bitmap, commit log
+// or version-index entry changes.
 //
-//   - merge: runs of small frozen segments with the same physical
-//     layout collapse into one larger segment with freshly tightened
-//     zone maps (hybrid engine).
-//   - gc: tombstoned rows unreachable from any branch head or recorded
-//     commit are dropped, and the bytes of physically unreferenced
-//     segments are reclaimed.
-//   - compress: frozen segments re-encode into per-column compressed
-//     pages (store.EncDCZ) — dictionary for low-cardinality values,
-//     delta+varint for int64 — read back transparently via the
-//     SegMeta encoding tag.
-//
-// Crash safety follows the catalog-swap discipline: new segment
-// content is written under fresh filenames and fsynced, the catalog is
-// written to a temp file, fsynced and renamed (the commit point), and
-// only then are replaced files unlinked — after the last pinned reader
-// drains. A crash before the rename leaves orphan files the engines
-// sweep on open; a crash after it leaves orphans of the old files,
-// swept the same way.
+// Crash safety follows the catalog-swap discipline of
+// store.SwapCompressed: new segment content is written under fresh
+// filenames and fsynced, the catalog is written to a temp file, fsynced
+// and renamed (the commit point), and only then are replaced files
+// unlinked — after the last pinned reader drains. A crash before the
+// rename leaves orphan files the engines sweep on open; a crash after
+// it leaves orphans of the old files, swept the same way.
 package compact
 
 import (
@@ -77,16 +70,6 @@ type Options struct {
 	Mode Mode
 	// Interval is the auto-mode ticker period (0 = a default).
 	Interval time.Duration
-	// MinRun is the smallest run of adjacent small frozen segments
-	// worth merging (0 = default 2).
-	MinRun int
-	// SmallRows is the row count under which a frozen segment counts
-	// as small, i.e. a merge candidate (0 = default 4096).
-	SmallRows int64
-	// Compress enables re-encoding frozen segments into compressed
-	// pages. Zero value is enabled via DefaultOptions; the facade
-	// exposes it as a toggle.
-	Compress bool
 	// FailPoint, when set to one of the Fail* constants, aborts the
 	// pass at that point for crash-injection tests.
 	FailPoint string
@@ -96,12 +79,6 @@ type Options struct {
 func (o Options) Defaults() Options {
 	if o.Interval <= 0 {
 		o.Interval = 5 * time.Second
-	}
-	if o.MinRun <= 0 {
-		o.MinRun = 2
-	}
-	if o.SmallRows <= 0 {
-		o.SmallRows = 4096
 	}
 	return o
 }
@@ -125,12 +102,8 @@ func FailPointErr(point string) error { return failPointError(point) }
 
 // Stats is what one compaction pass accomplished.
 type Stats struct {
-	// SegmentsMerged counts source segments folded into merged ones.
-	SegmentsMerged int64
 	// SegmentsCompressed counts segments re-encoded to compressed pages.
 	SegmentsCompressed int64
-	// TombstonesDropped counts tombstone rows physically removed.
-	TombstonesDropped int64
 	// PagesCompressed counts compressed pages written.
 	PagesCompressed int64
 	// BytesReclaimed is the net on-disk shrink: bytes of replaced
@@ -140,9 +113,7 @@ type Stats struct {
 
 // Add folds another pass's stats into s.
 func (s *Stats) Add(o Stats) {
-	s.SegmentsMerged += o.SegmentsMerged
 	s.SegmentsCompressed += o.SegmentsCompressed
-	s.TombstonesDropped += o.TombstonesDropped
 	s.PagesCompressed += o.PagesCompressed
 	s.BytesReclaimed += o.BytesReclaimed
 }
@@ -151,19 +122,17 @@ func (s *Stats) Add(o Stats) {
 func (s Stats) Zero() bool { return s == Stats{} }
 
 // Process-wide compaction counters (expvar "decibel.compactions",
-// ".segments_merged", ".bytes_reclaimed", ".compressed_pages"): the
+// ".bytes_reclaimed", ".compressed_pages"): the
 // server's smoke test asserts they move when a compaction is
 // triggered mid-load.
 var (
 	compactions     atomic.Int64
-	segmentsMerged  atomic.Int64
 	bytesReclaimed  atomic.Int64
 	compressedPages atomic.Int64
 )
 
 func init() {
 	expvar.Publish("decibel.compactions", expvar.Func(func() any { return compactions.Load() }))
-	expvar.Publish("decibel.segments_merged", expvar.Func(func() any { return segmentsMerged.Load() }))
 	expvar.Publish("decibel.bytes_reclaimed", expvar.Func(func() any { return bytesReclaimed.Load() }))
 	expvar.Publish("decibel.compressed_pages", expvar.Func(func() any { return compressedPages.Load() }))
 }
@@ -171,13 +140,6 @@ func init() {
 // CountRun folds one completed pass into the process-wide counters.
 func CountRun(s Stats) {
 	compactions.Add(1)
-	segmentsMerged.Add(s.SegmentsMerged)
 	bytesReclaimed.Add(s.BytesReclaimed)
 	compressedPages.Add(s.PagesCompressed)
-}
-
-// Counters returns the cumulative process-wide counter values
-// (compactions, segments merged, bytes reclaimed, compressed pages).
-func Counters() (runs, merged, reclaimed, pages int64) {
-	return compactions.Load(), segmentsMerged.Load(), bytesReclaimed.Load(), compressedPages.Load()
 }

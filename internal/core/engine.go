@@ -240,12 +240,11 @@ type Engine interface {
 	// and zone map, for diagnostics.
 	SegmentStats() []store.SegmentStat
 
-	// CompactSegments runs one compaction pass: merge runs of small
-	// frozen segments and drop rows no read can reach where the layout
-	// allows it (hybrid only — tuple-first and version-first pin
-	// physical slot numbering), and re-encode frozen segments into
-	// compressed pages, all under the crash-safe swap of
-	// store.SwapCompressed.
+	// CompactSegments runs one compaction pass: re-encode frozen
+	// segments into compressed pages in place — slot numbering
+	// preserved, so no bitmap, log or index entry changes — under the
+	// crash-safe swap of store.SwapCompressed. Database.Compact calls it
+	// only with compaction on.
 	CompactSegments(opt compact.Options) (compact.Stats, error)
 
 	// Flush writes buffered state to disk without closing.

@@ -40,10 +40,9 @@ func newHarness(t *testing.T) *harness {
 	t.Helper()
 	h := &harness{t: t, schema: testSchema(), dbs: make(map[string]*core.Database),
 		opens: make(map[string]func() (*core.Database, error)), model: NewModel(testSchema())}
-	// Manual compaction with a low small-segment threshold, so hybrid
-	// both merges runs of segments and leaves larger ones to compress.
+	// Manual compaction, so compaction steps re-encode frozen segments.
 	opt := core.Options{PageSize: 4096, PoolPages: 16,
-		Compaction: compact.Options{Mode: compact.ModeManual, Compress: true, SmallRows: 24}}
+		Compaction: compact.Options{Mode: compact.ModeManual}}
 	for _, name := range []string{"tuple-first", "tuple-first-toriented", "version-first", "hybrid"} {
 		o := opt
 		if name == "tuple-first-toriented" {

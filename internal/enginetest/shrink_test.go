@@ -41,7 +41,7 @@ func TestVFShrink(t *testing.T) {
 func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 	dir := t.TempDir()
 	opt := core.Options{PageSize: 4096, PoolPages: 16,
-		Compaction: compact.Options{Mode: compact.ModeManual, Compress: true}}
+		Compaction: compact.Options{Mode: compact.ModeManual}}
 	db, err := core.Open(dir, vf.Factory, opt)
 	if err != nil {
 		t.Fatal(err)

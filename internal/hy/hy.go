@@ -65,11 +65,11 @@ type Engine struct {
 
 	// segs is the segment table in scan order (the order every scan
 	// shape visits segments); byID resolves the stable segment ids that
-	// positions, logs and the catalog reference. The two diverge after
-	// a compaction merge: the merged segment takes a fresh id but sits
-	// at the run's position so scan output order is unchanged. nextID
-	// is the next unused id (ids are never reused, even after merges
-	// retire theirs).
+	// positions, logs and the catalog reference. The two diverge in
+	// datasets compacted before merge compaction was removed: a merged
+	// segment took a fresh id but sits at its run's position. nextID is
+	// the next unused id (ids are never reused, so those merged-away
+	// ids stay retired).
 	segs    []*hseg
 	byID    map[segID]*hseg
 	nextID  segID
@@ -188,9 +188,10 @@ func (e *Engine) recover() error {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return fmt.Errorf("hy: corrupt catalog: %w", err)
 	}
-	// Catalog order is scan order — after a compaction merge the slice
-	// is no longer sorted by id (the merged segment keeps its run's
-	// position under a fresh id), so it must not be re-sorted here.
+	// Catalog order is scan order — in datasets an older merge
+	// compaction touched it is not sorted by id (the merged segment
+	// kept its run's position under a fresh id), so it must not be
+	// re-sorted here.
 	for _, sm := range m.Segments {
 		// The store resolves a zero Cols (catalog from before schema
 		// versioning) to the full layout, re-freezes frozen segments and

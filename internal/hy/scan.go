@@ -93,8 +93,8 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 		if err != nil {
 			return nil, nil, err
 		}
-		// Segment-table order, like every other shape (ids alone no
-		// longer encode it after a compaction merge).
+		// Segment-table order, like every other shape (ids alone do not
+		// encode it in datasets an older merge compaction touched).
 		units = make([]core.ScanUnit, 0, len(snap))
 		for _, s := range e.segs {
 			if bm, ok := snap[s.id]; ok {

@@ -183,10 +183,10 @@ func EncodeDefault(c Column, v any) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("record: default %T does not fit %v column %q", v, c.Type, c.Name)
 		}
+		if err := c.CheckInt(n); err != nil {
+			return nil, err
+		}
 		if c.Type == Int32 {
-			if n < math.MinInt32 || n > math.MaxInt32 {
-				return nil, fmt.Errorf("record: default %d overflows INT column %q", n, c.Name)
-			}
 			binary.LittleEndian.PutUint32(buf, uint32(int32(n)))
 		} else {
 			binary.LittleEndian.PutUint64(buf, uint64(n))

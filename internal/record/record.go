@@ -89,6 +89,17 @@ func (c Column) Width() int {
 	return c.Type.Width()
 }
 
+// CheckInt reports an error naming the column when integer n does not
+// fit it: an Int32 column holds only int32 values, and Record.Set would
+// wrap the rest. Boundaries that take integers from outside — defaults,
+// served and CLI inserts — check before they set.
+func (c Column) CheckInt(n int64) error {
+	if c.Type == Int32 && (n < math.MinInt32 || n > math.MaxInt32) {
+		return fmt.Errorf("record: %d overflows INT column %q", n, c.Name)
+	}
+	return nil
+}
+
 // String renders the column as name + SQL-ish type.
 func (c Column) String() string {
 	if c.Type == Bytes {

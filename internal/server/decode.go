@@ -164,6 +164,9 @@ func buildRecord(sch *record.Schema, values map[string]any) (*record.Record, err
 			if !ok {
 				return nil, badRequestf("column %q wants an integer, got %T", col.Name, v)
 			}
+			if err := col.CheckInt(n); err != nil {
+				return nil, badRequestf("%v", err)
+			}
 			rec.Set(i, n)
 		case record.Float64:
 			f, ok := cv.(float64)

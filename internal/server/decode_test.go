@@ -1,0 +1,144 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"net/http/httptest"
+	"testing"
+
+	"decibel/client"
+	"decibel/internal/record"
+)
+
+// fuzzSchema has one column of each type a request value can land in.
+var fuzzSchema = record.MustSchema(
+	record.Column{Name: "id", Type: record.Int64},
+	record.Column{Name: "qty", Type: record.Int32},
+	record.Column{Name: "price", Type: record.Float64},
+	record.Column{Name: "sku", Type: record.Bytes, Size: 8},
+)
+
+// FuzzDecodeRequest throws arbitrary bytes at the request decoders: the
+// body decode of a query and a commit, the predicate translation and
+// the insert-record encoder. None may panic, and every record
+// buildRecord accepts must read back exactly the values it was given —
+// an integer wrapped to fit its column is a failure, not an encoding.
+func FuzzDecodeRequest(f *testing.F) {
+	at := 2
+	insert := func(values map[string]any) client.Op {
+		return client.Op{Op: "insert", Table: "r", Values: values}
+	}
+	// The bodies serve_test.go sends.
+	for _, req := range []any{
+		client.QueryRequest{Table: "products", Branches: []string{"master"}},
+		client.QueryRequest{Table: "products", Branches: []string{"master"},
+			Where:  &client.Expr{Col: "price", Op: "le", Val: 9.0},
+			Select: []string{"sku", "price"}, OrderBy: "price", Desc: true, Limit: 3},
+		client.QueryRequest{Table: "products", Branches: []string{"master"}, Agg: "sum", AggCol: "qty"},
+		client.QueryRequest{Table: "products", Diff: []string{"dev", "master"}},
+		client.QueryRequest{Table: "products", Heads: true, Agg: "count"},
+		client.QueryRequest{Table: "products", Branches: []string{"master"}, At: &at},
+		client.QueryRequest{Table: "products", Branches: []string{"master"},
+			Where: &client.Expr{Col: "qty", Op: "eq", Val: 1, And: []client.Expr{{Col: "qty", Op: "eq", Val: 1}}}},
+		client.QueryRequest{Table: "products", Branches: []string{"master"},
+			Where: &client.Expr{Not: &client.Expr{Or: []client.Expr{
+				{Col: "sku", Op: "prefix", Val: "sku-"}, {Col: "qty", Op: "lt", Val: 0}}}}},
+		client.CommitRequest{Branch: "master", Message: "ten products", Ops: []client.Op{
+			insert(map[string]any{"id": 1, "qty": 1, "price": 1.5, "sku": "sku-001"}),
+			insert(map[string]any{"id": 2, "qty": 2, "price": 3.0, "sku": "sku-002"}),
+		}},
+		client.CommitRequest{Branch: "master", Ops: []client.Op{{Op: "delete", Table: "products", PK: 3}}},
+		client.CommitRequest{Branch: "master", Ops: []client.Op{insert(map[string]any{"id": 1, "nope": 2})}},
+		client.CommitRequest{Branch: "master", Ops: []client.Op{insert(map[string]any{"qty": 2})}},
+		client.CommitRequest{Branch: "master", Ops: []client.Op{insert(map[string]any{"id": 1, "qty": int64(1)<<32 + 1})}},
+		client.CommitRequest{Branch: "master", Ops: []client.Op{insert(map[string]any{"id": 2, "qty": math.MaxInt32})}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		post := func(v any) error {
+			return decodeJSON(httptest.NewRequest("POST", "/", bytes.NewReader(body)), v)
+		}
+		var q client.QueryRequest
+		if post(&q) == nil {
+			decodeExpr(q.Where, fuzzSchema)
+		}
+		var c client.CommitRequest
+		if post(&c) != nil {
+			return
+		}
+		for _, op := range c.Ops {
+			if op.Op != "insert" {
+				continue
+			}
+			rec, err := buildRecord(fuzzSchema, op.Values)
+			if err != nil {
+				continue
+			}
+			for i := 0; i < fuzzSchema.NumColumns(); i++ {
+				col := fuzzSchema.Column(i)
+				if got, want := readBack(rec, i), given(t, col, op.Values[col.Name]); got != want {
+					t.Fatalf("column %q given %v reads back %v", col.Name, want, got)
+				}
+			}
+		}
+	})
+}
+
+// readBack returns column i of rec in the comparable form given uses.
+func readBack(rec *record.Record, i int) any {
+	switch rec.Schema().Column(i).Type {
+	case record.Float64:
+		return math.Float64bits(rec.GetFloat64(i))
+	case record.Bytes:
+		return string(rec.GetBytes(i))
+	}
+	return rec.Get(i)
+}
+
+// given returns the value an accepted request gave the column — its
+// type's zero when omitted — in the form readBack returns.
+func given(t *testing.T, col record.Column, v any) any {
+	t.Helper()
+	switch col.Type {
+	case record.Float64:
+		var f float64
+		if v != nil {
+			n, ok := v.(json.Number)
+			if !ok {
+				t.Fatalf("column %q accepted %T", col.Name, v)
+			}
+			var err error
+			if f, err = n.Float64(); err != nil {
+				t.Fatalf("column %q accepted %v: %v", col.Name, n, err)
+			}
+		}
+		return math.Float64bits(f)
+	case record.Bytes:
+		if v == nil {
+			return ""
+		}
+		s, ok := v.(string)
+		if !ok {
+			t.Fatalf("column %q accepted %T", col.Name, v)
+		}
+		return s
+	}
+	if v == nil {
+		return int64(0)
+	}
+	n, ok := v.(json.Number)
+	if !ok {
+		t.Fatalf("column %q accepted %T", col.Name, v)
+	}
+	i, err := n.Int64()
+	if err != nil {
+		t.Fatalf("column %q accepted %v: %v", col.Name, n, err)
+	}
+	return i
+}

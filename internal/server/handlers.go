@@ -395,9 +395,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	return reply(w, map[string]int64{
-		"segments_merged":     st.SegmentsMerged,
 		"segments_compressed": st.SegmentsCompressed,
-		"tombstones_dropped":  st.TombstonesDropped,
 		"pages_compressed":    st.PagesCompressed,
 		"bytes_reclaimed":     st.BytesReclaimed,
 	})

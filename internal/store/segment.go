@@ -370,7 +370,7 @@ type SegmentStat struct {
 	Encoding   string // "heap" or "dcz"
 	RawBytes   int64  // logical record bytes (rows * record size)
 	DiskBytes  int64  // bytes the segment file occupies on disk
-	Tombstones int64  // tombstone slots (reclaimable by compaction)
+	Tombstones int64  // tombstone slots (deletion markers)
 	// Version-first lineage shape (zero on other engines): the number
 	// of lineage steps a scan rooted at this segment's tip resolves
 	// through, and the size of the segment's merge override table.

@@ -25,14 +25,14 @@ var NoPos = Pos{Seg: -1, Slot: -1}
 // A lookup is O(versions of that key): a branch that holds the newest
 // version resolves from the map entry alone, a branch still on an old
 // version walks past the newer ones, a key absent from the branch walks
-// them all. Hybrid's merge compaction trims versions no bitmap or
-// commit reaches (Rewrite); tuple-first never drops a slot, so its
-// lists only grow.
+// them all. No engine drops a slot, so the lists only grow.
 //
 // Invariant: a position is never reused while the process lives — heap
-// files truncate only at open, and a merged segment takes a fresh id —
-// so a position dead in every bitmap may stay in the index harmlessly:
-// no liveness test will ever accept it for a different record.
+// files truncate only at open, and segment ids are never reused (in
+// hybrid datasets compacted before merge compaction was removed, a
+// merged segment holds a fresh id and its run's ids stay retired) — so
+// a position dead in every bitmap may stay in the index harmlessly: no
+// liveness test will ever accept it for a different record.
 //
 // Not safe for concurrent use; both engines reach it under their lock.
 type VersionIndex struct {
@@ -82,34 +82,6 @@ func (ix *VersionIndex) Find(pk int64, live func(Pos) bool) (Pos, bool) {
 		}
 	}
 	return Pos{}, false
-}
-
-// Rewrite passes every position through fn, which returns where the
-// version now lives, or false when it was dropped. Version order within
-// a key is kept; older is rebuilt without the dropped cells.
-func (ix *VersionIndex) Rewrite(fn func(Pos) (Pos, bool)) {
-	older := make([]version, 0, len(ix.older))
-	var kept []Pos // one key's surviving positions, newest first
-	for pk, v := range ix.newest {
-		kept = kept[:0]
-		for ok := true; ok; v, ok = ix.after(v) {
-			if p, keep := fn(v.pos()); keep {
-				kept = append(kept, p)
-			}
-		}
-		if len(kept) == 0 {
-			delete(ix.newest, pk)
-			continue
-		}
-		// Chain the survivors oldest first, so each knows its next.
-		next := int32(-1)
-		for i := len(kept) - 1; i > 0; i-- {
-			older = append(older, version{slot: kept[i].Slot, seg: kept[i].Seg, next: next})
-			next = int32(len(older) - 1)
-		}
-		ix.newest[pk] = version{slot: kept[0].Slot, seg: kept[0].Seg, next: next}
-	}
-	ix.older = older
 }
 
 // Len returns the number of positions held.

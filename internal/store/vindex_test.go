@@ -50,38 +50,6 @@ func TestVersionIndex(t *testing.T) {
 		t.Fatal("key live nowhere resolved")
 	}
 
-	// Rewrite: segment 1 is merged into segment 5; its slot 0 is
-	// dropped, slot 7 moves to slot 3. Order within the key survives,
-	// other segments are untouched.
-	ix.Rewrite(func(p Pos) (Pos, bool) {
-		switch {
-		case p.Seg != 1:
-			return p, true
-		case p.Slot == 7:
-			return Pos{Seg: 5, Slot: 3}, true
-		}
-		return Pos{}, false
-	})
-	if ix.Len() != 3 {
-		t.Fatalf("Len after rewrite = %d, want 3", ix.Len())
-	}
-	want = []Pos{{Seg: 5, Slot: 3}, {Seg: 0, Slot: 10}}
-	if got := versions(ix, 1); !reflect.DeepEqual(got, want) {
-		t.Fatalf("after rewrite %v, want %v", got, want)
-	}
-	if got := versions(ix, 2); !reflect.DeepEqual(got, []Pos{{Seg: 0, Slot: 11}}) {
-		t.Fatalf("untouched key moved: %v", got)
-	}
-	// A key whose every version was dropped disappears.
-	ix.Rewrite(func(p Pos) (Pos, bool) { return p, p.Seg != 0 || p.Slot != 11 })
-	if got := versions(ix, 2); got != nil || ix.Len() != 2 {
-		t.Fatalf("dropped key still has %v (Len %d)", got, ix.Len())
-	}
-	// Pushing after a rewrite still lands in front.
-	ix.Push(1, Pos{Seg: 6, Slot: 0})
-	if got := versions(ix, 1); got[0] != (Pos{Seg: 6, Slot: 0}) || len(got) != 3 {
-		t.Fatalf("push after rewrite: %v", got)
-	}
 	if ix.Bytes() <= 0 {
 		t.Fatal("Bytes is empty")
 	}

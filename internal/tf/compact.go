@@ -26,11 +26,7 @@ func (e *Engine) extFilePath(i int, name string) string {
 // numbering exactly. Rows past an extent's sealed count (torn appends
 // no global slot maps into) are not carried over.
 func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
-	opt = opt.Defaults()
 	var st compact.Stats
-	if opt.Mode == compact.ModeOff || !opt.Compress {
-		return st, nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var cands []store.Candidate

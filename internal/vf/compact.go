@@ -60,11 +60,7 @@ func (e *Engine) safeCountsLocked() map[segID]int64 {
 // another append), every row in it is committed (count == safe count)
 // and it is not already compressed.
 func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
-	opt = opt.Defaults()
 	var st compact.Stats
-	if opt.Mode == compact.ModeOff || !opt.Compress {
-		return st, nil
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 

@@ -91,7 +91,6 @@ func WithCompaction(mode string) Option {
 		default:
 			c.opt.Compaction.Mode = compact.ModeOff
 		}
-		c.opt.Compaction.Compress = c.opt.Compaction.Mode != compact.ModeOff
 	}
 }
 
@@ -110,14 +109,4 @@ func WithCompactionInterval(d time.Duration) Option {
 // An empty string (the default) disables injection.
 func WithCompactionFailPoint(point string) Option {
 	return func(c *config) { c.opt.Compaction.FailPoint = point }
-}
-
-// WithCompactionThresholds tunes what a merge pass considers worth
-// merging: runs of at least minRun adjacent frozen segments, each
-// under smallRows rows (0 keeps the respective default: 2 and 4096).
-func WithCompactionThresholds(minRun int, smallRows int64) Option {
-	return func(c *config) {
-		c.opt.Compaction.MinRun = minRun
-		c.opt.Compaction.SmallRows = smallRows
-	}
 }

@@ -1,16 +1,20 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# three structural checks. Prints the non-test Go lines outside
-# benchmark/, of the three storage engines (internal/{tf,hy,vf}), and of
-# their merge code (internal/{tf,hy,vf}/merge.go). Exits non-zero if
-# os.Rename( is called from non-test Go code outside internal/wal: a
-# file in a dataset is replaced through wal.ReplaceFile, which syncs
-# what WithFsync promises, and through nothing else. Exits non-zero too
+# four structural checks. Prints the non-test Go lines outside
+# benchmark/, of the three storage engines (internal/{tf,hy,vf}), of
+# their merge code (internal/{tf,hy,vf}/merge.go) and of compaction
+# (internal/{tf,hy,vf}/compact.go and internal/store/compact.go). Exits
+# non-zero if os.Rename( is called from non-test Go code outside
+# internal/wal: a file in a dataset is replaced through wal.ReplaceFile,
+# which syncs what WithFsync promises, and through nothing else. Exits non-zero too
 # if a branch lock is taken — .Acquire( or .AcquireContext( — in
 # non-test Go code outside internal/core/tx.go and internal/lock, or if
 # NewSession( appears in any Go file: the write protocol (lock order,
 # head re-read under the lock, rollback of an aborted transaction) lives
-# in core's Tx and nowhere else.
+# in core's Tx and nowhere else. Exits non-zero too if NewSwap(,
+# mergeRun or WithCompactionThresholds appears in non-test Go code: a
+# compaction pass re-encodes segments in place, and the crash-safe swap
+# is reached only through store.SwapCompressed.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,6 +28,7 @@ count() {
 echo "non-test Go lines outside benchmark/: $(count .)"
 echo "internal/{tf,hy,vf}:                  $(count internal/tf internal/hy internal/vf)"
 echo "internal/{tf,hy,vf}/merge.go:         $(cat internal/tf/merge.go internal/hy/merge.go internal/vf/merge.go | wc -l | tr -d ' ')"
+echo "internal/{tf,hy,vf,store}/compact.go: $(cat internal/tf/compact.go internal/hy/compact.go internal/vf/compact.go internal/store/compact.go | wc -l | tr -d ' ')"
 
 stray=$(grep -rln --include='*.go' 'os\.Rename(' . | grep -v '_test\.go$' | grep -v '^\./internal/wal/' || true)
 if [ -n "$stray" ]; then
@@ -43,6 +48,13 @@ fi
 stray=$(grep -rln --include='*.go' 'NewSession(' . || true)
 if [ -n "$stray" ]; then
     echo "NewSession( is gone (use core's Transact):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rlE --include='*.go' 'NewSwap\(|mergeRun|WithCompactionThresholds' . | grep -v '_test\.go$' || true)
+if [ -n "$stray" ]; then
+    echo "merge compaction is gone (a pass re-encodes in place through store.SwapCompressed):" >&2
     echo "$stray" >&2
     exit 1
 fi

@@ -58,9 +58,9 @@ var() {
     -clients "$CLIENTS" -duration "$DURATION" -commit-frac 0.2 -json "$OUT" &
 LOAD_PID=$!
 
-# Mid-load, trigger a compaction pass over the live dataset: segment
-# merges and page re-encoding must retire files under the 32 clients
-# without a single failed request.
+# Mid-load, trigger a compaction pass over the live dataset: page
+# re-encoding must retire files under the 32 clients without a single
+# failed request.
 sleep 2
 COMPACT_BEFORE="$(var decibel.compactions)"
 curl -fsS -X POST "http://$ADDR/v1/compact" >/dev/null

@@ -52,16 +52,14 @@ func TestConcurrentServingParallelScans(t *testing.T) {
 }
 
 // TestConcurrentServingAutoCompaction is the same stress run with the
-// compactor ticking aggressively in the background: segment merges,
-// tombstone GC and page compression retire segment files while the 32
-// clients read and write, so snapshot isolation and the reader-pinning
-// retire protocol are asserted against concurrent compaction (CI runs
-// this under -race).
+// compactor ticking aggressively in the background: page compression
+// retires segment files while the 32 clients read and write, so
+// snapshot isolation and the reader-pinning retire protocol are
+// asserted against concurrent compaction (CI runs this under -race).
 func TestConcurrentServingAutoCompaction(t *testing.T) {
 	runConcurrentServing(t,
 		decibel.WithCompaction("auto"),
-		decibel.WithCompactionInterval(5*time.Millisecond),
-		decibel.WithCompactionThresholds(2, 1<<20))
+		decibel.WithCompactionInterval(5*time.Millisecond))
 }
 
 func runConcurrentServing(t *testing.T, opts ...decibel.Option) {

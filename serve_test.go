@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"net"
 	"net/http/httptest"
 	"slices"
@@ -359,6 +360,48 @@ func TestServeErrorCodes(t *testing.T) {
 				t.Fatalf("err = (%d, %q), want (%d, %q): %v", ce.Status, ce.Code, tc.status, tc.code, ce)
 			}
 		})
+	}
+}
+
+// TestServeRejectsInt32Overflow: an insert whose value does not fit an
+// int32 column is a 400 bad_request naming the column and commits
+// nothing, instead of storing the value wrapped (4294967297 as 1).
+func TestServeRejectsInt32Overflow(t *testing.T) {
+	db, err := decibel.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.CreateTable("r", decibel.NewSchema().Int64("id").Int32("qty").MustBuild()); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Init("init"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(decibel.NewServer(db).Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	insert := func(pk, qty int64) error {
+		_, err := c.Commit(ctx, client.CommitRequest{Branch: "master", Ops: []client.Op{
+			{Op: "insert", Table: "r", Values: map[string]any{"id": pk, "qty": qty}}}})
+		return err
+	}
+	for _, qty := range []int64{1<<32 + 1, math.MinInt32 - 1} {
+		var ce *client.Error
+		if err := insert(1, qty); !errors.As(err, &ce) || ce.Status != 400 || ce.Code != "bad_request" || !strings.Contains(ce.Message, `"qty"`) {
+			t.Fatalf("qty %d: err = %v, want 400 bad_request naming \"qty\"", qty, err)
+		}
+	}
+	if err := insert(2, math.MaxInt32); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Query(ctx, client.QueryRequest{Table: "r", Branches: []string{"master"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Rows) != 1 || rowInt(t, resp.Rows[0], "id") != 2 || rowInt(t, resp.Rows[0], "qty") != math.MaxInt32 {
+		t.Fatalf("master holds %v, want only id 2 with qty %d", resp.Rows, math.MaxInt32)
 	}
 }
 
