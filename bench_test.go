@@ -143,6 +143,13 @@ func scanBranch(b *testing.B, d *bench.Dataset, br decibel.BranchID) int {
 	return drain(b, rows, errf)
 }
 
+// checkout reads one commit whole and returns the records scanned.
+func checkout(b *testing.B, d *bench.Dataset, c *decibel.Commit) int {
+	b.Helper()
+	rows, errf := benchDB(d).Query("r").On(branchName(b, d, c.Branch)).AtCommit(c.ID).Rows()
+	return drain(b, rows, errf)
+}
+
 // scanHeads runs Query 4 under a predicate and returns the records
 // scanned.
 func scanHeads(b *testing.B, d *bench.Dataset, where decibel.Expr) int {
@@ -452,11 +459,7 @@ func BenchmarkTable2(b *testing.B) {
 				r := rand.New(rand.NewSource(3))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					c := d.Commits[r.Intn(len(d.Commits))]
-					n := 0
-					if err := d.Table.ScanCommit(c, func(*decibel.Record) bool { n++; return true }); err != nil {
-						b.Fatal(err)
-					}
+					checkout(b, d, d.Commits[r.Intn(len(d.Commits))])
 				}
 			})
 		}
@@ -630,10 +633,7 @@ func decibelDeepLoad(b *testing.B, insertFrac float64, branches, opsPerBranch, c
 	for i := 0; i < nK; i++ {
 		c := d.Commits[r.Intn(len(d.Commits))]
 		t0 := time.Now()
-		n := 0
-		if err := d.Table.ScanCommit(c, func(*decibel.Record) bool { n++; return true }); err != nil {
-			b.Fatal(err)
-		}
+		checkout(b, d, c)
 		checkoutTotal += time.Since(t0)
 	}
 	st, _ := d.DB.Stats()

@@ -354,6 +354,42 @@ func (q *Query) DiffContext(ctx context.Context, a, b string) (iter.Seq[*Record]
 	return seq, func() error { return scanErr }
 }
 
+// Rows iterates the records live at the named branch's head of the
+// named table: db.Query(table).On(branch).Rows(). Name-resolution
+// failures surface through the trailing error accessor, like scan
+// errors.
+func (db *DB) Rows(table, branch string) (iter.Seq[*Record], func() error) {
+	return db.Query(table).On(branch).Rows()
+}
+
+// RowsContext is Rows bounded by a context: the sequence stops within
+// one record of ctx being canceled and the error accessor reports
+// ctx.Err().
+func (db *DB) RowsContext(ctx context.Context, table, branch string) (iter.Seq[*Record], func() error) {
+	return db.Query(table).On(branch).RowsContext(ctx)
+}
+
+// Diff iterates the symmetric difference between the heads of two
+// named branches of the named table, both sides in one pass: the bool
+// is true for records live in a but not b, false for the reverse.
+// Query(table).Diff(a, b) is the filtered, ordered positive side.
+func (db *DB) Diff(table, a, b string) (iter.Seq2[*Record, bool], func() error) {
+	return db.DiffContext(context.Background(), table, a, b)
+}
+
+// DiffContext is Diff bounded by a context.
+func (db *DB) DiffContext(ctx context.Context, table, a, b string) (iter.Seq2[*Record, bool], func() error) {
+	c, err := db.Query(table).pairCompile(a, b)
+	if err != nil {
+		return errSeq2[*Record, bool](err)
+	}
+	var scanErr error
+	seq := func(yield func(*Record, bool) bool) {
+		scanErr = c.SymDiff(ctx, yield)
+	}
+	return seq, func() error { return scanErr }
+}
+
 // pairCompile compiles the plan with the two given branches as its
 // scan set, rejecting queries that also configured On or Heads.
 func (q *Query) pairCompile(a, b string) (*iquery.Compiled, error) {

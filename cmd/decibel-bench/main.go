@@ -105,6 +105,13 @@ func timeScan(d *bench.Dataset, b *decibel.Branch) (time.Duration, int) {
 	return timeRows(query(d).On(b.Name).Rows())
 }
 
+// timeCheckout times reading one commit whole (a checkout).
+func timeCheckout(d *bench.Dataset, c *decibel.Commit) time.Duration {
+	b, _ := d.DB.Graph().Branch(c.Branch)
+	el, _ := timeRows(query(d).On(b.Name).AtCommit(c.ID).Rows())
+	return el
+}
+
 func timeHeads(d *bench.Dataset, where decibel.Expr) (time.Duration, int) {
 	t0 := time.Now()
 	n := 0
@@ -323,10 +330,7 @@ func table2() {
 			var checkoutTotal time.Duration
 			const nK = 20
 			for i := 0; i < nK; i++ {
-				c := d.Commits[r.Intn(len(d.Commits))]
-				t0 := time.Now()
-				check(d.Table.ScanCommit(c, func(*decibel.Record) bool { return true }))
-				checkoutTotal += time.Since(t0)
+				checkoutTotal += timeCheckout(d, d.Commits[r.Intn(len(d.Commits))])
 			}
 			st, _ := d.DB.Stats()
 			fmt.Printf("%-6s %-6s %-14.1f %-14s %-14s\n", s, e,
@@ -473,10 +477,7 @@ func gitTables(insertFrac float64, title string) {
 	var checkoutTotal time.Duration
 	const nK = 20
 	for i := 0; i < nK; i++ {
-		c := d.Commits[r.Intn(len(d.Commits))]
-		t0 := time.Now()
-		check(d.Table.ScanCommit(c, func(*decibel.Record) bool { return true }))
-		checkoutTotal += time.Since(t0)
+		checkoutTotal += timeCheckout(d, d.Commits[r.Intn(len(d.Commits))])
 	}
 	st, _ := d.DB.Stats()
 	fmt.Printf("%-20s %-10.1f %-10.1f %-12s %-12s %-12s\n", "Decibel (hybrid)",

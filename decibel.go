@@ -70,9 +70,11 @@ import (
 // together under one version graph. It embeds the ID-based core
 // database and layers the name-based workflow on top — Commit, Branch
 // and Merge address branches by name, so callers never handle raw
-// branch or commit IDs. The ID-based operations remain reachable
-// through the embedded Database (db.Database.Branch, ...) for tools
-// that already hold IDs.
+// branch or commit IDs. Every read is a query: Query builds one, and
+// Rows and Diff are its two shorthands (a historical commit is
+// Query(t).On(b).AtCommit(id)). The ID-based writes remain reachable
+// through the embedded Database (db.Database.Branch from any commit,
+// ...) for tools that already hold IDs.
 type DB struct {
 	*core.Database
 }
@@ -123,16 +125,6 @@ type (
 
 	// Stats reports a dataset's storage footprint.
 	Stats = core.Stats
-
-	// ScanFunc receives each record of a scan; returning false stops it.
-	ScanFunc = core.ScanFunc
-
-	// MultiScanFunc receives each record live in any scanned branch
-	// with its membership bitmap.
-	MultiScanFunc = core.MultiScanFunc
-
-	// DiffFunc receives diff records; inA marks the positive side.
-	DiffFunc = core.DiffFunc
 
 	// SegmentStat summarizes one storage segment — row count, schema
 	// version id, freeze state and per-column zone map — for

@@ -30,11 +30,9 @@ func main() {
 	if _, err := db.CreateTable("pois", schema); err != nil {
 		log.Fatal(err)
 	}
-	master, _, err := db.Init("canonical map")
-	if err != nil {
+	if _, _, err := db.Init("canonical map"); err != nil {
 		log.Fatal(err)
 	}
-	pois, _ := db.Table("pois")
 
 	add := func(pk, lat, lon, cat int64) *decibel.Record {
 		rec := decibel.NewRecord(schema)
@@ -115,7 +113,11 @@ func main() {
 
 	// Verify the merged canonical state: POI 7 keeps the hotfix
 	// position, POI 5 has both the geometry nudge and category 4.
-	pois.Scan(master.ID, func(rec *decibel.Record) bool {
+	rows, scanErr := db.Query("pois").On("master").
+		Where(decibel.Col("id").Ge(5).And(decibel.Col("id").Le(7))).
+		OrderBy("id", false).
+		Rows()
+	for rec := range rows {
 		switch rec.PK() {
 		case 5:
 			fmt.Printf("POI 5: lat=%d lon=%d category=%d (geometry + category merged)\n",
@@ -124,6 +126,8 @@ func main() {
 			fmt.Printf("POI 7: lat=%d lon=%d category=%d (hotfix preserved)\n",
 				rec.Get(1), rec.Get(2), rec.Get(3))
 		}
-		return true
-	})
+	}
+	if err := scanErr(); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -36,7 +36,6 @@ func main() {
 	if _, _, err := db.Init("event stream"); err != nil {
 		log.Fatal(err)
 	}
-	events, _ := db.Table("events")
 
 	ingest := func(message string, from, to int64) *decibel.Commit {
 		c, err := db.Commit("master", func(tx *decibel.Tx) error {
@@ -126,12 +125,8 @@ func main() {
 	fmt.Printf("alt strategy:    %d events after dropping outliers\n", nAlt)
 
 	// Reproducibility: re-read the exact day-1 snapshot at any time.
-	n := 0
-	day1, day1Err := events.RowsAt(snapshot)
-	for range day1 {
-		n++
-	}
-	if err := day1Err(); err != nil {
+	n, err := db.Query("events").On("master").AtCommit(snapshot.ID).Count()
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("day-1 snapshot:  %d events, immutable\n", n)

@@ -140,16 +140,12 @@ func TestPreCanceledContext(t *testing.T) {
 	if err := scanErr(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RowsContext: got %v, want context.Canceled", err)
 	}
-	master, err := db.BranchNamed("master")
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, atErr := tbl.RowsMultiContext(ctx, []decibel.BranchID{master.ID})
+	at, atErr := db.Query("r").Heads().AnnotatedContext(ctx)
 	for range at {
 		t.Fatal("canceled multi scan yielded a record")
 	}
 	if err := atErr(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RowsMultiContext: got %v, want context.Canceled", err)
+		t.Fatalf("AnnotatedContext: got %v, want context.Canceled", err)
 	}
 
 	// Canceled inside the callback: the Tx's operations and the commit
@@ -166,8 +162,12 @@ func TestPreCanceledContext(t *testing.T) {
 		if err := tx.Insert("r", rec); !errors.Is(err, context.Canceled) {
 			t.Errorf("Tx.Insert: got %v, want context.Canceled", err)
 		}
-		if err := tx.Scan("r", func(*decibel.Record) bool { return true }); !errors.Is(err, context.Canceled) {
-			t.Errorf("Tx.Scan: got %v, want context.Canceled", err)
+		rows, rowsErr := tx.Rows("r")
+		for range rows {
+			t.Error("Tx.Rows yielded a record under a canceled context")
+		}
+		if err := rowsErr(); !errors.Is(err, context.Canceled) {
+			t.Errorf("Tx.Rows: got %v, want context.Canceled", err)
 		}
 		return nil
 	}); !errors.Is(err, context.Canceled) {

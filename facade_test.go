@@ -69,8 +69,7 @@ func TestFacadeRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			dev, err := db.Branch("master", "dev")
-			if err != nil {
+			if _, err := db.Branch("master", "dev"); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := db.Commit("dev", func(tx *decibel.Tx) error {
@@ -138,11 +137,12 @@ func TestFacadeRoundTrip(t *testing.T) {
 				t.Fatalf("pk 5 qty = %d, want master's 1", byPK[5][1])
 			}
 
-			// RowsMulti sees the merged record set across both heads.
+			// A multi-branch scan sees the merged record set across both
+			// heads.
 			distinct := 0
-			multi, multiErr := products.RowsMulti([]decibel.BranchID{master.ID, dev.ID})
+			multi, multiErr := db.Query("products").On("master", "dev").Annotated()
 			for _, membership := range multi {
-				if membership.Count() == 0 {
+				if len(membership) == 0 {
 					t.Fatal("record with empty membership")
 				}
 				distinct++
@@ -179,15 +179,14 @@ func TestFacadeRoundTrip(t *testing.T) {
 			if got := db2.Graph().NumCommits(); got != nCommits {
 				t.Fatalf("reopened graph has %d commits, want %d", got, nCommits)
 			}
-			master2, err := db2.BranchNamed("master")
-			if err != nil {
+			if _, err := db2.BranchNamed("master"); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := db2.BranchNamed("dev"); err != nil {
 				t.Fatal(err)
 			}
 			n := 0
-			rows2, scanErr2 := products2.Rows(master2.ID)
+			rows2, scanErr2 := db2.Rows("products", "master")
 			for range rows2 {
 				n++
 			}
@@ -204,10 +203,10 @@ func TestFacadeRoundTrip(t *testing.T) {
 // TestIteratorEarlyBreak checks range-over-func scans stop cleanly
 // mid-iteration.
 func TestIteratorEarlyBreak(t *testing.T) {
-	db, products, master := openSeeded(t, "hybrid")
+	db, _, _ := openSeeded(t, "hybrid")
 	defer db.Close()
 	n := 0
-	rows, scanErr := products.Rows(master.ID)
+	rows, scanErr := db.Rows("r", "master")
 	for range rows {
 		n++
 		if n == 3 {
@@ -312,8 +311,12 @@ func TestSentinelErrors(t *testing.T) {
 	if err := kept.Delete("r", 1); !errors.Is(err, decibel.ErrSessionClosed) {
 		t.Fatalf("Delete on a retained Tx: got %v, want ErrSessionClosed", err)
 	}
-	if err := kept.Scan("r", func(*decibel.Record) bool { return true }); !errors.Is(err, decibel.ErrSessionClosed) {
-		t.Fatalf("Scan on a retained Tx: got %v, want ErrSessionClosed", err)
+	keptRows, keptErr := kept.Rows("r")
+	for range keptRows {
+		t.Fatal("Rows on a retained Tx yielded a record")
+	}
+	if err := keptErr(); !errors.Is(err, decibel.ErrSessionClosed) {
+		t.Fatalf("Rows on a retained Tx: got %v, want ErrSessionClosed", err)
 	}
 	if err := kept.AddColumn("r", decibel.Column{Name: "late", Type: decibel.Int64}); !errors.Is(err, decibel.ErrSessionClosed) {
 		t.Fatalf("AddColumn on a retained Tx: got %v, want ErrSessionClosed", err)
@@ -357,7 +360,7 @@ func TestSentinelErrors(t *testing.T) {
 	if err := tbl.Insert(master.ID, rec); !errors.Is(err, decibel.ErrDatabaseClosed) {
 		t.Fatalf("Insert on closed db: got %v, want ErrDatabaseClosed", err)
 	}
-	rows, scanErr := tbl.Rows(master.ID)
+	rows, scanErr := db.Rows("r", "master")
 	for range rows {
 		t.Fatal("scan on closed db yielded a record")
 	}

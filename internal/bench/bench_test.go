@@ -1,14 +1,16 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"decibel/internal/core"
 	"decibel/internal/hy"
-	"decibel/internal/record"
+	"decibel/internal/query"
 	"decibel/internal/tf"
 	"decibel/internal/vf"
+	"decibel/internal/vgraph"
 )
 
 func tinyConfig(s Strategy) Config {
@@ -25,6 +27,21 @@ func tinyConfig(s Strategy) Config {
 
 func testOpts() core.Options { return core.Options{PageSize: 4096, PoolPages: 32} }
 
+// liveCount counts the records live at a branch head, as a compiled
+// query.
+func liveCount(t *testing.T, d *Dataset, b *vgraph.Branch) int {
+	t.Helper()
+	c, err := query.Plan{Table: d.Table.Name(), Branches: []string{b.Name}, AtSeq: -1}.Compile(d.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := c.Aggregate(context.Background(), query.AggCount, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(n)
+}
+
 func TestLoadDeep(t *testing.T) {
 	d, err := Load(t.TempDir(), hy.Factory, testOpts(), tinyConfig(Deep))
 	if err != nil {
@@ -36,10 +53,7 @@ func TestLoadDeep(t *testing.T) {
 	}
 	// The deep tail sees all inserted keys (inherits every ancestor).
 	tail := d.TailBranch()
-	n := 0
-	if err := d.Table.Scan(tail.ID, func(*record.Record) bool { n++; return true }); err != nil {
-		t.Fatal(err)
-	}
+	n := liveCount(t, d, tail)
 	// 5 branches x 120 ops with ~20% updates: distinct keys below 600.
 	if n < 400 || n > 600 {
 		t.Fatalf("tail live records = %d", n)
@@ -49,8 +63,7 @@ func TestLoadDeep(t *testing.T) {
 	}
 	// Earlier branches must be smaller: no inserts after their fork.
 	first := d.Branches[0]
-	n0 := 0
-	d.Table.Scan(first.ID, func(*record.Record) bool { n0++; return true })
+	n0 := liveCount(t, d, first)
 	if n0 >= n {
 		t.Fatalf("root (%d) not smaller than tail (%d)", n0, n)
 	}
@@ -65,11 +78,9 @@ func TestLoadFlat(t *testing.T) {
 	if len(d.Children) != 4 {
 		t.Fatalf("children = %d", len(d.Children))
 	}
-	rootN := 0
-	d.Table.Scan(d.Mainline.ID, func(*record.Record) bool { rootN++; return true })
+	rootN := liveCount(t, d, d.Mainline)
 	child := d.RandomChild(rand.New(rand.NewSource(1)))
-	childN := 0
-	d.Table.Scan(child.ID, func(*record.Record) bool { childN++; return true })
+	childN := liveCount(t, d, child)
 	if childN <= rootN {
 		t.Fatalf("child (%d) should exceed root (%d)", childN, rootN)
 	}
@@ -94,8 +105,7 @@ func TestLoadScience(t *testing.T) {
 			t.Fatal("empty branch name")
 		}
 	}
-	n := 0
-	d.Table.Scan(y.ID, func(*record.Record) bool { n++; return true })
+	n := liveCount(t, d, y)
 	if n == 0 {
 		t.Fatal("youngest active branch is empty")
 	}
@@ -115,8 +125,7 @@ func TestLoadCuration(t *testing.T) {
 			t.Fatal("merge sample without timing")
 		}
 	}
-	n := 0
-	d.Table.Scan(d.Mainline.ID, func(*record.Record) bool { n++; return true })
+	n := liveCount(t, d, d.Mainline)
 	if n == 0 {
 		t.Fatal("mainline empty after curation load")
 	}
@@ -134,8 +143,7 @@ func TestLoadDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		d.Table.Scan(d.Mainline.ID, func(*record.Record) bool { n++; return true })
+		n := liveCount(t, d, d.Mainline)
 		counts[name] = [2]int{n, len(d.Commits)}
 		d.Close()
 	}
@@ -152,13 +160,11 @@ func TestTableWiseUpdate(t *testing.T) {
 	defer d.Close()
 	st0, _ := d.DB.Stats()
 	child := d.Children[0]
-	before := 0
-	d.Table.Scan(child.ID, func(*record.Record) bool { before++; return true })
+	before := liveCount(t, d, child)
 	if err := d.TableWiseUpdate(child.ID); err != nil {
 		t.Fatal(err)
 	}
-	after := 0
-	d.Table.Scan(child.ID, func(*record.Record) bool { after++; return true })
+	after := liveCount(t, d, child)
 	if after != before {
 		t.Fatalf("live count changed: %d -> %d", before, after)
 	}

@@ -67,12 +67,6 @@ type Table struct {
 	hist   *record.History
 	engine Engine
 	db     *Database
-
-	// passSpecs caches the stateless pass-through scan specs (no
-	// predicate, no projection) per schema epoch, so repeated plain
-	// scans do not rebuild them. Scoped to the table, it dies with the
-	// database instead of pinning the history process-wide.
-	passSpecs sync.Map // int (epoch) -> *ScanSpec
 }
 
 // catalog is the persisted table list with each table's full schema
@@ -695,7 +689,8 @@ func (t *Table) SchemaAt(epoch int) *record.Schema { return t.hist.VisibleAt(epo
 // History exposes the table's versioned schema history.
 func (t *Table) History() *record.History { return t.hist }
 
-// Engine exposes the underlying storage engine (benchmarks use this).
+// Engine exposes the underlying storage engine (the engine conformance
+// suite drives it directly).
 func (t *Table) Engine() Engine { return t.engine }
 
 // headEpoch returns the schema epoch of the branch's head commit — the
@@ -733,41 +728,6 @@ func (t *Table) MaxBranchEpoch(branches []vgraph.BranchID) int {
 // version ids and zone maps. This is what the CLI's `stats <table>`
 // renders.
 func (t *Table) SegmentStats() []store.SegmentStat { return t.engine.SegmentStats() }
-
-// passSpec returns the cached match-all, project-nothing scan spec for
-// one schema epoch. Specs without predicate or projection are
-// stateless, so one instance serves every scan at the same version.
-func (t *Table) passSpec(epoch int) *ScanSpec {
-	if sp, ok := t.passSpecs.Load(epoch); ok {
-		return sp.(*ScanSpec)
-	}
-	spec, err := NewScanSpecAt(t.hist, epoch, nil, nil)
-	if err != nil {
-		panic(err) // no projection: cannot fail
-	}
-	sp, _ := t.passSpecs.LoadOrStore(epoch, spec)
-	return sp.(*ScanSpec)
-}
-
-// scanAll runs a plain scan — every live record of the request, whole —
-// through the scan driver, sequentially. Records emit under the schema
-// of the addressed version: the commit's stamped epoch, else the newest
-// head epoch among the request's branches (rows from branches still on
-// older versions widen with defaults).
-func (t *Table) scanAll(ctx context.Context, req ScanRequest, fn UnitFunc) error {
-	var epoch int
-	switch req.Kind {
-	case ScanKindCommit:
-		epoch = req.Commit.SchemaVer
-	case ScanKindMulti:
-		epoch = t.MaxBranchEpoch(req.Branches)
-	case ScanKindDiff:
-		epoch = max(t.BranchEpoch(req.A), t.BranchEpoch(req.B))
-	default:
-		epoch = t.BranchEpoch(req.Branch)
-	}
-	return t.ScanUnitsContext(ctx, req, t.passSpec(epoch), fn, nil)
-}
 
 // checkWrite validates that a record's schema may be written to the
 // branch (every column visible at the branch head's schema epoch),
@@ -832,51 +792,4 @@ func (t *Table) InsertBatch(branch vgraph.BranchID, recs []*record.Record) error
 		}
 	}
 	return t.engine.InsertBatch(branch, recs)
-}
-
-// Scan emits the records live in a branch head (Query 1).
-func (t *Table) Scan(branch vgraph.BranchID, fn ScanFunc) error {
-	return t.ScanContext(context.Background(), branch, fn)
-}
-
-// ScanContext is Scan bounded by a context: the scan stops within one
-// record of ctx being canceled and returns ctx.Err().
-func (t *Table) ScanContext(ctx context.Context, branch vgraph.BranchID, fn ScanFunc) error {
-	return t.scanAll(ctx, ScanRequest{Kind: ScanKindBranch, Branch: branch},
-		func(rec *record.Record, _ UnitAux) bool { return fn(rec) })
-}
-
-// ScanCommit emits the records of a committed version (checkout read).
-func (t *Table) ScanCommit(c *vgraph.Commit, fn ScanFunc) error {
-	return t.ScanCommitContext(context.Background(), c, fn)
-}
-
-// ScanCommitContext is ScanCommit bounded by a context.
-func (t *Table) ScanCommitContext(ctx context.Context, c *vgraph.Commit, fn ScanFunc) error {
-	return t.scanAll(ctx, ScanRequest{Kind: ScanKindCommit, Commit: c},
-		func(rec *record.Record, _ UnitAux) bool { return fn(rec) })
-}
-
-// ScanMulti emits records live in any of the branches with membership
-// annotations (Query 4).
-func (t *Table) ScanMulti(branches []vgraph.BranchID, fn MultiScanFunc) error {
-	return t.ScanMultiContext(context.Background(), branches, fn)
-}
-
-// ScanMultiContext is ScanMulti bounded by a context.
-func (t *Table) ScanMultiContext(ctx context.Context, branches []vgraph.BranchID, fn MultiScanFunc) error {
-	return t.scanAll(ctx, ScanRequest{Kind: ScanKindMulti, Branches: branches},
-		func(rec *record.Record, aux UnitAux) bool { return fn(rec, aux.Member) })
-}
-
-// ScanDiff streams the symmetric difference of two branch heads
-// (Query 2) through a callback; Diff is the iterator form.
-func (t *Table) ScanDiff(a, b vgraph.BranchID, fn DiffFunc) error {
-	return t.ScanDiffContext(context.Background(), a, b, fn)
-}
-
-// ScanDiffContext is ScanDiff bounded by a context.
-func (t *Table) ScanDiffContext(ctx context.Context, a, b vgraph.BranchID, fn DiffFunc) error {
-	return t.scanAll(ctx, ScanRequest{Kind: ScanKindDiff, A: a, B: b},
-		func(rec *record.Record, aux UnitAux) bool { return fn(rec, aux.InA) })
 }

@@ -28,11 +28,6 @@ type ScanFunc func(rec *record.Record) bool
 // Query 4: "a list of records annotated with their active branches".
 type MultiScanFunc func(rec *record.Record, membership *bitmap.Bitmap) bool
 
-// DiffFunc receives the records of a diff(A, B). inA is true for the
-// positive difference (records in A but not in B) and false for the
-// negative difference (records in B but not in A).
-type DiffFunc func(rec *record.Record, inA bool) bool
-
 // MergeKind selects the conflict model of a merge.
 type MergeKind int
 

@@ -187,7 +187,7 @@ func (tx *Tx) rollback() error {
 		// Collect the committed versions first, then write: engines are
 		// not required to support mutation during an active scan.
 		var restore []*record.Record
-		if err := t.ScanCommitContext(ctx, head, func(rec *record.Record) bool {
+		if err := t.scanAll(ctx, ScanRequest{Kind: ScanKindCommit, Commit: head}, func(rec *record.Record) bool {
 			if _, ok := keys[rec.PK()]; ok {
 				restore = append(restore, rec.Clone())
 				delete(keys, rec.PK())
@@ -248,24 +248,40 @@ func (tx *Tx) Delete(table string, pk int64) error {
 	return t.Delete(tx.branch.ID, pk)
 }
 
-// Scan reads the transaction's view of a table: the branch head,
+// Rows iterates the transaction's view of a table: the branch head,
 // including the transaction's own uncommitted writes. It needs no lock
-// beyond the one the transaction holds.
-func (tx *Tx) Scan(table string, fn ScanFunc) error {
-	t, err := tx.table(table, false)
-	if err != nil {
-		return err
-	}
-	return t.ScanContext(tx.ctx, tx.branch.ID, fn)
-}
-
-// Rows iterates the transaction's view of a table.
+// beyond the one the transaction holds. Records may alias engine
+// buffers and must be Cloned to be retained; the trailing error
+// accessor is valid once iteration finishes.
 func (tx *Tx) Rows(table string) (iter.Seq[*record.Record], func() error) {
 	var err error
 	seq := func(yield func(*record.Record) bool) {
-		err = tx.Scan(table, func(rec *record.Record) bool { return yield(rec) })
+		var t *Table
+		if t, err = tx.table(table, false); err == nil {
+			err = t.scanAll(tx.ctx, ScanRequest{Kind: ScanKindBranch, Branch: tx.branch.ID}, yield)
+		}
 	}
 	return seq, func() error { return err }
+}
+
+// scanAll is the transaction's own read: every live record of the
+// branch head (Rows) or of a commit (rollback), whole, through the scan
+// driver on the calling goroutine. Records emit under the schema of the
+// addressed version — the head's epoch or the commit's stamped one.
+// Every other read is a compiled query (internal/query), which decides
+// its own epoch.
+func (t *Table) scanAll(ctx context.Context, req ScanRequest, fn func(*record.Record) bool) error {
+	var epoch int
+	if req.Kind == ScanKindCommit {
+		epoch = req.Commit.SchemaVer
+	} else {
+		epoch = t.BranchEpoch(req.Branch)
+	}
+	spec, err := NewScanSpecAt(t.hist, epoch, nil, nil)
+	if err != nil {
+		return err
+	}
+	return t.ScanUnitsContext(ctx, req, spec, func(rec *record.Record, _ UnitAux) bool { return fn(rec) }, nil)
 }
 
 // ColumnDefault carries the default value of a column added by

@@ -108,7 +108,7 @@ func rows(t *testing.T, db *core.Database, table string, b vgraph.BranchID) map[
 	t.Helper()
 	tbl, _ := db.Table(table)
 	out := make(map[int64]int64)
-	if err := tbl.Scan(b, func(rec *record.Record) bool {
+	if err := scanHead(tbl, b, func(rec *record.Record) bool {
 		out[rec.PK()] = rec.Get(1)
 		return true
 	}); err != nil {
@@ -185,7 +185,7 @@ func TestFailedCommitLeavesNoCommit(t *testing.T) {
 			for _, table := range []string{"t", "u"} {
 				tbl, _ := db.Table(table)
 				n := 0
-				if err := tbl.ScanCommit(c, func(*record.Record) bool { n++; return true }); err != nil || n != 11 {
+				if err := scanCommit(tbl, c, func(*record.Record) bool { n++; return true }); err != nil || n != 11 {
 					t.Fatalf("%s at the retried commit: %d rows (%v)", table, n, err)
 				}
 			}

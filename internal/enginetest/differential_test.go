@@ -222,7 +222,7 @@ func (h *harness) merge(into, other vgraph.BranchID, kind core.MergeKind, precFi
 func (h *harness) branchScanSet(db *core.Database, b vgraph.BranchID) map[string]bool {
 	tbl, _ := db.Table("t")
 	out := make(map[string]bool)
-	err := tbl.Scan(b, func(rec *record.Record) bool {
+	err := scanHead(tbl, b, func(rec *record.Record) bool {
 		out[string(rec.Bytes())] = true
 		return true
 	})
@@ -293,7 +293,7 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 		for _, n := range h.names {
 			tbl, _ := h.dbs[n].Table("t")
 			got := make(map[string]bool)
-			if err := tbl.ScanCommit(c, func(rec *record.Record) bool {
+			if err := scanCommit(tbl, c, func(rec *record.Record) bool {
 				got[string(rec.Bytes())] = true
 				return true
 			}); err != nil {
@@ -315,7 +315,7 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 		for _, n := range h.names {
 			tbl, _ := h.dbs[n].Table("t")
 			got := make(map[string]bool)
-			if err := tbl.ScanDiff(a, b, func(rec *record.Record, inA bool) bool {
+			if err := scanDiff(tbl, a, b, func(rec *record.Record, inA bool) bool {
 				side := "\x00B"
 				if inA {
 					side = "\x00A"
@@ -342,7 +342,7 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 		for i := range proj {
 			proj[i] = make(map[string]bool)
 		}
-		if err := tbl.ScanMulti(ids, func(rec *record.Record, member *bitmap.Bitmap) bool {
+		if err := scanMulti(tbl, ids, func(rec *record.Record, member *bitmap.Bitmap) bool {
 			if !member.Any() {
 				h.t.Errorf("%s: ScanMulti emitted record with empty membership", n)
 			}

@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/record"
@@ -46,11 +48,48 @@ func openDB(t *testing.T, dir string, factory core.Factory, opt core.Options) *c
 	return db
 }
 
+// The suites read through the one scan driver every query runs on —
+// Table.ScanUnitsContext, sequentially, with a match-all spec at the
+// read's schema epoch.
+func scanReq(tbl *core.Table, req core.ScanRequest, epoch int, fn core.UnitFunc) error {
+	spec, err := core.NewScanSpecAt(tbl.History(), epoch, nil, nil)
+	if err != nil {
+		return err
+	}
+	return tbl.ScanUnitsContext(context.Background(), req, spec, fn, nil)
+}
+
+// scanHead emits the records live at a branch head.
+func scanHead(tbl *core.Table, b vgraph.BranchID, fn func(*record.Record) bool) error {
+	return scanReq(tbl, core.ScanRequest{Kind: core.ScanKindBranch, Branch: b}, tbl.BranchEpoch(b),
+		func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
+}
+
+// scanCommit emits the records of a committed version.
+func scanCommit(tbl *core.Table, c *vgraph.Commit, fn func(*record.Record) bool) error {
+	return scanReq(tbl, core.ScanRequest{Kind: core.ScanKindCommit, Commit: c}, c.SchemaVer,
+		func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
+}
+
+// scanDiff emits the symmetric difference of two branch heads; inA
+// marks records live in a but not b.
+func scanDiff(tbl *core.Table, a, b vgraph.BranchID, fn func(rec *record.Record, inA bool) bool) error {
+	return scanReq(tbl, core.ScanRequest{Kind: core.ScanKindDiff, A: a, B: b}, max(tbl.BranchEpoch(a), tbl.BranchEpoch(b)),
+		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.InA) })
+}
+
+// scanMulti emits the records live in any of the branch heads with
+// their membership bitmap (bit i = branches[i]).
+func scanMulti(tbl *core.Table, branches []vgraph.BranchID, fn func(*record.Record, *bitmap.Bitmap) bool) error {
+	return scanReq(tbl, core.ScanRequest{Kind: core.ScanKindMulti, Branches: branches}, tbl.MaxBranchEpoch(branches),
+		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) })
+}
+
 func scanPKs(t *testing.T, db *core.Database, b vgraph.BranchID) map[int64]int64 {
 	t.Helper()
 	tbl, _ := db.Table("t")
 	out := make(map[int64]int64)
-	if err := tbl.Scan(b, func(rec *record.Record) bool {
+	if err := scanHead(tbl, b, func(rec *record.Record) bool {
 		out[rec.PK()] = rec.Get(1)
 		return true
 	}); err != nil {
@@ -107,7 +146,7 @@ func TestEngineBasicLifecycle(t *testing.T) {
 			}
 			// Historical checkout still sees the committed state.
 			snap := make(map[int64]int64)
-			if err := tbl.ScanCommit(c1, func(rec *record.Record) bool {
+			if err := scanCommit(tbl, c1, func(rec *record.Record) bool {
 				snap[rec.PK()] = rec.Get(1)
 				return true
 			}); err != nil {
@@ -293,7 +332,7 @@ func TestEngineReopenPreservesBranchesAndHistory(t *testing.T) {
 					t.Fatalf("commit %d missing after reopen", c.ID)
 				}
 				n := 0
-				if err := tbl2.ScanCommit(cc, func(*record.Record) bool { n++; return true }); err != nil {
+				if err := scanCommit(tbl2, cc, func(*record.Record) bool { n++; return true }); err != nil {
 					t.Fatal(err)
 				}
 				want := 1
@@ -390,7 +429,7 @@ func TestEngineMergeConflictPrecedence(t *testing.T) {
 						t.Fatalf("conflicts = %d, want 1", st.Conflicts)
 					}
 					var got *record.Record
-					tbl.Scan(master.ID, func(rec *record.Record) bool {
+					scanHead(tbl, master.ID, func(rec *record.Record) bool {
 						if rec.PK() == 1 {
 							got = rec.Clone()
 						}
@@ -608,11 +647,7 @@ func TestSessionWorkflow(t *testing.T) {
 			// The first commit reads as it was, without the second's row.
 			tbl, _ := db.Table("t")
 			n := 0
-			rows, rowsErr := tbl.RowsAt(c1)
-			for range rows {
-				n++
-			}
-			if err := rowsErr(); err != nil {
+			if err := scanCommit(tbl, c1, func(*record.Record) bool { n++; return true }); err != nil {
 				t.Fatal(err)
 			}
 			if n != 1 {
@@ -667,7 +702,7 @@ func TestDatabaseCatalogReload(t *testing.T) {
 	}
 	m, _ := db2.Graph().BranchByName("master")
 	n := 0
-	s2.Scan(m.ID, func(rec *record.Record) bool {
+	scanHead(s2, m.ID, func(rec *record.Record) bool {
 		if rec.PK() != 7 || rec.Get(1) != 70 {
 			t.Fatalf("bad record %v", rec)
 		}

@@ -94,9 +94,8 @@ func TestSchemaEvolutionAcrossReopen(t *testing.T) {
 			defer db.Close()
 			tbl, _ = db.Table("t")
 			// The pre-change commit still decodes in its own shape.
-			rowsAt, errAt := tbl.RowsAt(base)
 			n := 0
-			for rec := range rowsAt {
+			if err := scanCommit(tbl, base, func(rec *record.Record) bool {
 				n++
 				if rec.Schema().ColumnIndex("extra") >= 0 {
 					t.Fatal("pre-change commit row shows the later-added column")
@@ -105,8 +104,8 @@ func TestSchemaEvolutionAcrossReopen(t *testing.T) {
 					t.Fatalf("pre-change commit row has %d columns, want %d",
 						rec.Schema().NumColumns(), schema.NumColumns())
 				}
-			}
-			if err := errAt(); err != nil {
+				return true
+			}); err != nil {
 				t.Fatal(err)
 			}
 			if n != 4 {
@@ -120,16 +119,15 @@ func TestSchemaEvolutionAcrossReopen(t *testing.T) {
 			}
 			extra := make(map[int64]int64)
 			vals := make(map[int64]int64)
-			rows, rowsErr := tbl.Rows(mb.ID)
-			for rec := range rows {
+			if err := scanHead(tbl, mb.ID, func(rec *record.Record) bool {
 				i := rec.Schema().ColumnIndex("extra")
 				if i < 0 {
 					t.Fatalf("merged head row lacks extra: %v", rec)
 				}
 				extra[rec.PK()] = rec.Get(i)
 				vals[rec.PK()] = rec.Get(1)
-			}
-			if err := rowsErr(); err != nil {
+				return true
+			}); err != nil {
 				t.Fatal(err)
 			}
 			if len(extra) != 5 {

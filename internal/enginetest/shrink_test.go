@@ -79,7 +79,7 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 		for _, br := range g.Branches() {
 			want := stateSet(model.BranchState(br.ID))
 			got := make(map[string]bool)
-			tbl.Scan(br.ID, func(rec *record.Record) bool { got[string(rec.Bytes())] = true; return true })
+			scanHead(tbl, br.ID, func(rec *record.Record) bool { got[string(rec.Bytes())] = true; return true })
 			if !setsEqual(got, want) {
 				var missing, extra []int64
 				wantPK := map[int64]string{}
@@ -87,7 +87,7 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 					wantPK[pk] = v
 				}
 				gotPK := map[int64]bool{}
-				tbl.Scan(br.ID, func(rec *record.Record) bool { gotPK[rec.PK()] = true; return true })
+				scanHead(tbl, br.ID, func(rec *record.Record) bool { gotPK[rec.PK()] = true; return true })
 				for pk := range wantPK {
 					if !gotPK[pk] {
 						missing = append(missing, pk)

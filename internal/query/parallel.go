@@ -28,18 +28,17 @@ import (
 	"context"
 	"sort"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 )
 
-// bufRow is one record a scan unit retained: cloned, with whichever
-// annotation its shape needs, tagged with the unit-local arrival
-// sequence so trimmed output replays in scan order.
+// bufRow is one record a scan unit retained: cloned, with its
+// annotation (diff side, cloned membership), tagged with the unit-local
+// arrival sequence so trimmed output replays in scan order.
 type bufRow struct {
-	rec    *record.Record
-	member *bitmap.Bitmap
-	seq    int
+	rec *record.Record
+	aux core.UnitAux
+	seq int
 }
 
 // unitBuf buffers one unit's kept rows, pre-trimmed per the plan.
@@ -109,8 +108,8 @@ func (b *unitBuf) flush(emit func(bufRow) bool) bool {
 // keep filters on the unit annotation before a row counts — the diff
 // terminal's side selection; unit trims must count only kept rows.
 // In pool mode each unit buffers clones of its kept rows and replays
-// them through emit at flush — with their membership (the multi shape)
-// but not their diff side, which keep has already consumed.
+// them through emit at flush with their annotation: the membership of
+// the multi shape, the side of the symmetric diff.
 func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, emit core.UnitFunc) error {
 	fn := emit
 	if keep != nil {
@@ -126,9 +125,9 @@ func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(
 				if keep != nil && !keep(aux) {
 					return true
 				}
-				row := bufRow{rec: rec.Clone()}
+				row := bufRow{rec: rec.Clone(), aux: aux}
 				if aux.Member != nil {
-					row.member = aux.Member.Clone()
+					row.aux.Member = aux.Member.Clone()
 				}
 				return b.add(row)
 			},
@@ -137,7 +136,7 @@ func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(
 			// cancellation; the driver then surfaces ctx.Err().
 			Flush: func() bool {
 				return b.flush(func(row bufRow) bool {
-					return ctx.Err() == nil && emit(row.rec, core.UnitAux{Member: row.member})
+					return ctx.Err() == nil && emit(row.rec, row.aux)
 				})
 			},
 		}

@@ -378,6 +378,21 @@ func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
 		func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
+// SymDiff executes the symmetric diff of Branches()[0] and
+// Branches()[1] in one pass: inA is true for records live in the first
+// but not the second, false for the reverse. Predicate and projection
+// apply to both sides.
+func (c *Compiled) SymDiff(ctx context.Context, fn func(rec *record.Record, inA bool) bool) error {
+	if err := c.rowShape("Diff"); err != nil {
+		return err
+	}
+	if err := c.pair(); err != nil {
+		return err
+	}
+	return c.runRows(ctx, c.request(core.ScanKindDiff), nil,
+		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.InA) })
+}
+
 // keepInA selects the positive side of a diff partition.
 func keepInA(aux core.UnitAux) bool { return aux.InA }
 

@@ -18,6 +18,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"decibel"
@@ -207,5 +208,59 @@ func TestParallelScanEquivalence(t *testing.T) {
 	if scansAfter == scansBefore || unitsAfter == unitsBefore {
 		t.Fatalf("parallel executor never engaged (scans %d→%d, pool units %d→%d)",
 			scansBefore, scansAfter, unitsBefore, unitsAfter)
+	}
+}
+
+// TestParallelSymmetricDiff: DB.Diff streams both sides of the diff,
+// each record flagged with its side, through the query layer — so it
+// may fan out on the scan pool, where every unit buffers its rows until
+// the flush. The side must survive that buffering: the stream under
+// four workers equals the stream under one, record for record and side
+// for side, on the engines whose diffs partition into frozen units.
+func TestParallelSymmetricDiff(t *testing.T) {
+	pairs := [][2]string{{"master", "b1"}, {"b1", "master"}, {"b2", "b1"}, {"master", "b2"}}
+	diffs := func(t *testing.T, db *decibel.DB) []string {
+		t.Helper()
+		var out []string
+		for _, p := range pairs {
+			seq, errFn := db.Diff("r", p[0], p[1])
+			for rec, inA := range seq {
+				out = append(out, fmt.Sprintf("%s-%s inA=%v %s", p[0], p[1], inA, rec))
+			}
+			if err := errFn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	for _, engine := range []string{"version-first", "hybrid"} {
+		t.Run(engine, func(t *testing.T) {
+			dir := t.TempDir()
+			db := buildPruningDBIn(t, dir, engine, decibel.WithScanWorkers(4))
+			scansBefore, unitsBefore := core.ParallelScanCounters()
+			par := diffs(t, db)
+			scansAfter, unitsAfter := core.ParallelScanCounters()
+			if scansAfter == scansBefore || unitsAfter == unitsBefore {
+				t.Fatalf("DB.Diff never engaged the pool (scans %d→%d, pool units %d→%d)",
+					scansBefore, scansAfter, unitsBefore, unitsAfter)
+			}
+			sides := map[bool]bool{}
+			for _, line := range par {
+				sides[strings.Contains(line, "inA=true")] = true
+			}
+			if !sides[true] || !sides[false] {
+				t.Fatalf("diff stream lacks a side: %v", sides)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			seqDB, err := decibel.Open(dir, decibel.WithEngine(engine), decibel.WithScanWorkers(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer seqDB.Close()
+			compareStreams(t, engine, par, diffs(t, seqDB), nil, nil)
+		})
 	}
 }

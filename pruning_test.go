@@ -177,10 +177,10 @@ func randExpr(rng *rand.Rand, depth int) iquery.Expr {
 	}
 }
 
-// diffPostFilter is the reference for Compiled.Diff: the table's plain
-// diff materializes every differing record and the plan's predicate is
-// applied above it, instead of inside the diff's scan units. (The plans
-// here carry no projection.)
+// diffPostFilter is the reference for Compiled.Diff: the facade's plain
+// symmetric diff materializes every differing record and the plan's
+// predicate is applied above it, instead of inside the diff's scan
+// units. (The plans here carry no projection.)
 func diffPostFilter(db *decibel.DB, plan iquery.Plan, c *iquery.Compiled, fn func(*record.Record) bool) error {
 	tbl, err := db.TableByName(plan.Table)
 	if err != nil {
@@ -191,12 +191,13 @@ func diffPostFilter(db *decibel.DB, plan iquery.Plan, c *iquery.Compiled, fn fun
 		return err
 	}
 	br := c.Branches()
-	return tbl.ScanDiff(br[0].ID, br[1].ID, func(rec *record.Record, inA bool) bool {
-		if !inA || (pred != nil && !pred(rec.Bytes())) {
-			return true
+	diff, diffErr := db.Diff(plan.Table, br[0].Name, br[1].Name)
+	for rec, inA := range diff {
+		if inA && (pred == nil || pred(rec.Bytes())) && !fn(rec) {
+			break
 		}
-		return fn(rec)
-	})
+	}
+	return diffErr()
 }
 
 // runShape executes one plan in the given shape ("scan", "multi",

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# four structural checks. Prints the non-test Go lines outside
+# six structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}), of
 # their merge code (internal/{tf,hy,vf}/merge.go) and of compaction
 # (internal/{tf,hy,vf}/compact.go and internal/store/compact.go). Exits
@@ -14,7 +14,12 @@
 # in core's Tx and nowhere else. Exits non-zero too if NewSwap(,
 # mergeRun or WithCompactionThresholds appears in non-test Go code: a
 # compaction pass re-encodes segments in place, and the crash-safe swap
-# is reached only through store.SwapCompressed.
+# is reached only through store.SwapCompressed. Exits non-zero too if
+# internal/core declares a *Table method named Scan*, Rows* or Diff*
+# other than the scan driver ScanUnitsContext, or if .ScanCommit(,
+# .RowsAt( or .RowsMulti( (or a Context form) is called from non-test Go
+# code outside benchmark/: every read is a compiled query
+# (internal/query), and a transaction's own read is Tx.Rows.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,6 +60,22 @@ fi
 stray=$(grep -rlE --include='*.go' 'NewSwap\(|mergeRun|WithCompactionThresholds' . | grep -v '_test\.go$' || true)
 if [ -n "$stray" ]; then
     echo "merge compaction is gone (a pass re-encodes in place through store.SwapCompressed):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' '^func \([A-Za-z_]+ \*Table\) (Scan|Rows|Diff)' internal/core |
+    grep -v ') ScanUnitsContext(' || true)
+if [ -n "$stray" ]; then
+    echo "core.Table read methods are gone (read through a compiled query, internal/query):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rlE --include='*.go' '\.(ScanCommit|RowsAt|RowsMulti)(Context)?\(' . | grep -v '_test\.go$' |
+    grep -v '^\./benchmark/' || true)
+if [ -n "$stray" ]; then
+    echo "ID-based table reads are gone (use Query(t).On(b).AtCommit(id) / Heads / Annotated):" >&2
     echo "$stray" >&2
     exit 1
 fi

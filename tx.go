@@ -3,7 +3,6 @@ package decibel
 import (
 	"context"
 	"fmt"
-	"iter"
 
 	"decibel/internal/core"
 )
@@ -12,7 +11,7 @@ import (
 // writer positioned at the target branch head, holding the branch's
 // exclusive lock under two-phase locking until the commit (or the
 // callback's error) ends the transaction. All Tx operations address
-// tables by name: Insert, InsertBatch, Delete, Scan/Rows (the head,
+// tables by name: Insert, InsertBatch, Delete, Rows (the head,
 // including the transaction's own writes), AddColumn, DropColumn,
 // SetMessage, Branch and Context.
 //
@@ -124,46 +123,4 @@ func (db *DB) MergeContext(ctx context.Context, into, from string, opts ...Merge
 		o(&cfg)
 	}
 	return db.Database.MergeContext(ctx, into, from, cfg.message, cfg.kind, cfg.intoWins)
-}
-
-// Rows iterates the records live at the named branch's head of the
-// named table. Name-resolution failures surface through the trailing
-// error accessor, like scan errors.
-func (db *DB) Rows(table, branch string) (iter.Seq[*Record], func() error) {
-	return db.RowsContext(context.Background(), table, branch)
-}
-
-// RowsContext is Rows bounded by a context: the sequence stops within
-// one record of ctx being canceled and the error accessor reports
-// ctx.Err().
-func (db *DB) RowsContext(ctx context.Context, table, branch string) (iter.Seq[*Record], func() error) {
-	t, terr := db.TableByName(table)
-	if terr == nil {
-		var b *Branch
-		if b, terr = db.BranchNamed(branch); terr == nil {
-			return t.RowsContext(ctx, b.ID)
-		}
-	}
-	return func(func(*Record) bool) {}, func() error { return terr }
-}
-
-// Diff iterates the symmetric difference between the heads of two
-// named branches of the named table: the bool is true for records live
-// in a but not b, false for the reverse.
-func (db *DB) Diff(table, a, b string) (iter.Seq2[*Record, bool], func() error) {
-	return db.DiffContext(context.Background(), table, a, b)
-}
-
-// DiffContext is Diff bounded by a context.
-func (db *DB) DiffContext(ctx context.Context, table, a, b string) (iter.Seq2[*Record, bool], func() error) {
-	t, terr := db.TableByName(table)
-	if terr == nil {
-		var ba, bb *Branch
-		if ba, terr = db.BranchNamed(a); terr == nil {
-			if bb, terr = db.BranchNamed(b); terr == nil {
-				return t.DiffContext(ctx, ba.ID, bb.ID)
-			}
-		}
-	}
-	return func(func(*Record, bool) bool) {}, func() error { return terr }
 }
