@@ -166,7 +166,8 @@ type Factory func(env *Env) (Engine, error)
 // operations will occur on the heads of the branches"). Reads go
 // through exactly two methods: PartitionScan, which maps the requested
 // versions to stored record copies — the one thing the three schemes
-// differ in — and LookupPK, which resolves one key without a walk.
+// differ in — and LookupPK, which resolves one key of one version
+// without a walk.
 // Every loop above them lives in this package (scan.go).
 type Engine interface {
 	// Kind returns the scheme name: "tuple-first", "version-first" or
@@ -210,13 +211,15 @@ type Engine interface {
 	// drains. release is non-nil whenever err is nil.
 	PartitionScan(req ScanRequest) ([]ScanUnit, func(), error)
 
-	// LookupPK resolves one primary key against a branch head without
-	// a segment walk. It returns a private copy of the stored buffer of
-	// the key's live record and the physical column count it is laid
-	// out under; a nil buf means the key is not live in the branch.
-	// ok=false means the engine cannot answer from an index (the branch
-	// has none, say) and the caller must scan.
-	LookupPK(branch vgraph.BranchID, pk int64) (buf []byte, physCols int, ok bool, err error)
+	// LookupPK resolves one primary key in one version without a
+	// segment walk. req addresses the version: a branch head
+	// (ScanKindBranch) or a commit (ScanKindCommit). It returns a
+	// private copy of the stored buffer of the key's live record and the
+	// physical column count it is laid out under; a nil buf means the
+	// key is not live in that version. ok=false means the engine cannot
+	// answer without a scan — a multi-branch or diff request, or a
+	// version it does not know — and the caller must scan.
+	LookupPK(req ScanRequest, pk int64) (buf []byte, physCols int, ok bool, err error)
 
 	// Merge merges the head of branch m.Other into branch m.Into. The
 	// merge commit and its LCA are already in the graph. The engine finds

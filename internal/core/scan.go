@@ -194,8 +194,8 @@ type UnitSink struct {
 // frozen units its goroutines executed (expvar
 // "decibel.parallel_scans"/"decibel.scan_workers"). The equivalence
 // harness asserts these move, so a silently bypassed pool cannot pass.
-// pointLookups counts branch-head reads served from a primary-key
-// index instead of a segment scan ("decibel.point_lookups").
+// pointLookups counts single-version reads served by the engine's
+// LookupPK instead of a segment scan ("decibel.point_lookups").
 var (
 	parallelScans   atomic.Int64
 	parallelWorkers atomic.Int64
@@ -371,14 +371,15 @@ func (db *Database) runPool(ctx context.Context, spec *ScanSpec, units []ScanUni
 	return nil
 }
 
-// LookupPKContext serves a branch-head read whose predicate pins the
-// primary key to one value from the engine's key index, skipping the
-// segment walk. The spec's predicate and projection still run on the
-// looked-up record — the index only replaces the walk, never the
-// filter — so the result is exactly that of the scan it stands in for.
-// served=false (nothing emitted) means the engine cannot answer from
-// an index and the caller must scan.
-func (t *Table) LookupPKContext(ctx context.Context, branch vgraph.BranchID, pk int64, spec *ScanSpec, fn ScanFunc) (served bool, err error) {
+// LookupPKContext serves a single-version read — a branch head or a
+// commit, as req addresses it — whose predicate pins the primary key to
+// one value, through the engine's LookupPK instead of a segment walk.
+// The spec's predicate and projection still run on the looked-up
+// record — the lookup only replaces the walk, never the filter — so the
+// result is exactly that of the scan it stands in for. served=false
+// (nothing emitted) means the engine cannot answer without a scan and
+// the caller must scan.
+func (t *Table) LookupPKContext(ctx context.Context, req ScanRequest, pk int64, spec *ScanSpec, fn ScanFunc) (served bool, err error) {
 	if err := t.db.beginOp(); err != nil {
 		return false, err
 	}
@@ -386,13 +387,13 @@ func (t *Table) LookupPKContext(ctx context.Context, branch vgraph.BranchID, pk 
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	buf, physCols, ok, err := t.engine.LookupPK(branch, pk)
+	buf, physCols, ok, err := t.engine.LookupPK(req, pk)
 	if err != nil || !ok {
 		return false, err
 	}
 	pointLookups.Add(1)
 	if buf == nil {
-		return true, ctx.Err() // the key is not live in this branch
+		return true, ctx.Err() // the key is not live in this version
 	}
 	prep, err := spec.Prep(physCols)
 	if err != nil {

@@ -155,23 +155,35 @@ func (h *harness) compact() {
 	}
 }
 
-// verifyLookups checks the primary-key index of every engine: for every
-// branch and every key ever written — present, deleted, reinserted,
-// adopted by a merge, inherited from a historical commit — a point
-// lookup returns exactly the version the model holds, or none.
+// verifyLookups checks every engine's point lookup: for every branch
+// head and every commit in the graph, and every key ever written —
+// present, deleted, reinserted, adopted by a merge, inherited from a
+// historical commit — LookupPK returns exactly the version the model
+// holds there, or none.
 func (h *harness) verifyLookups() {
+	type version struct {
+		name string
+		req  core.ScanRequest
+		want state
+	}
+	var versions []version
+	for _, br := range h.graph.Branches() {
+		versions = append(versions, version{br.Name, core.ScanRequest{Kind: core.ScanKindBranch, Branch: br.ID}, h.model.BranchState(br.ID)})
+		for _, c := range h.graph.CommitsOnBranch(br.ID) {
+			versions = append(versions, version{fmt.Sprintf("commit %d", c.ID), core.ScanRequest{Kind: core.ScanKindCommit, Commit: c}, h.model.CommitState(c.ID)})
+		}
+	}
 	for _, n := range h.names {
 		tbl, _ := h.dbs[n].Table("t")
 		eng := tbl.Engine()
-		for _, br := range h.graph.Branches() {
-			want := h.model.BranchState(br.ID)
+		for _, v := range versions {
 			for _, pk := range h.model.Keys() {
-				buf, _, ok, err := eng.LookupPK(br.ID, pk)
+				buf, _, ok, err := eng.LookupPK(v.req, pk)
 				if err != nil || !ok {
-					h.t.Fatalf("%s: LookupPK(%s, %d): served=%v err=%v", n, br.Name, pk, ok, err)
+					h.t.Fatalf("%s: LookupPK(%s, %d): served=%v err=%v", n, v.name, pk, ok, err)
 				}
-				if w, live := want[pk]; live != (buf != nil) || string(buf) != w {
-					h.t.Errorf("%s: LookupPK(%s, %d) = %x, model has %x", n, br.Name, pk, buf, w)
+				if w, live := v.want[pk]; live != (buf != nil) || string(buf) != w {
+					h.t.Errorf("%s: LookupPK(%s, %d) = %x, model has %x", n, v.name, pk, buf, w)
 				}
 			}
 		}

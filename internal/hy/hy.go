@@ -296,14 +296,10 @@ func (e *Engine) buildVersions() error {
 // livePos returns the position of pk's version live in the branch, or
 // store.NoPos when the branch has none.
 func (e *Engine) livePos(branch vgraph.BranchID, pk int64) pos {
-	p, ok := e.vers.Find(pk, func(p pos) bool {
+	return e.vers.Find(pk, func(p pos) bool {
 		bm, ok := e.byID[p.Seg].local[branch]
 		return ok && bm.Get(int(p.Slot))
 	})
-	if !ok {
-		return store.NoPos
-	}
-	return p
 }
 
 // clearLive unsets the branch's bit at p.
@@ -462,23 +458,35 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 // commit seq.
 func (e *Engine) checkoutLocked(b vgraph.BranchID, seq int) (map[segID]*bitmap.Bitmap, error) {
 	out := make(map[segID]*bitmap.Bitmap)
-	for k, start := range e.startSeq {
-		if k.Branch != b || start > seq {
+	for k := range e.startSeq {
+		if k.Branch != b {
 			continue
 		}
-		l, err := e.openLog(k)
+		bm, err := e.segCheckoutLocked(k, seq)
 		if err != nil {
 			return nil, err
 		}
-		bm, err := l.Checkout(seq - start)
-		if err != nil {
-			return nil, err
-		}
-		if bm.Any() {
+		if bm != nil && bm.Any() {
 			out[k.Seg] = bm
 		}
 	}
 	return out, nil
+}
+
+// segCheckoutLocked reconstructs the liveness of branch k.Branch at
+// commit seq within segment k.Seg from that pair's history file, whose
+// entries begin at the branch's commit startSeq[k]; nil when the branch
+// had no committed state in the segment by then.
+func (e *Engine) segCheckoutLocked(k logKey, seq int) (*bitmap.Bitmap, error) {
+	start, ok := e.startSeq[k]
+	if !ok || start > seq {
+		return nil, nil
+	}
+	l, err := e.openLog(k)
+	if err != nil {
+		return nil, err
+	}
+	return l.Checkout(seq - start)
 }
 
 // Insert implements core.Engine: append to the branch's head segment,

@@ -6,6 +6,7 @@ import (
 	"decibel/internal/core"
 	"decibel/internal/heap"
 	"decibel/internal/record"
+	"decibel/internal/store"
 	"decibel/internal/vgraph"
 )
 
@@ -245,12 +246,12 @@ func TestLookupWalkLength(t *testing.T) {
 	e.Delete(sib.ID, 2)
 
 	lookup := func(b vgraph.BranchID, pk int64) (v int64, probes int, found bool) {
-		_, found = e.vers.Find(pk, func(p pos) bool {
+		found = e.vers.Find(pk, func(p pos) bool {
 			probes++
 			bm, ok := e.byID[p.Seg].local[b]
 			return ok && bm.Get(int(p.Slot))
-		})
-		buf, _, ok, err := e.LookupPK(b, pk)
+		}) != store.NoPos
+		buf, _, ok, err := e.LookupPK(core.ScanRequest{Kind: core.ScanKindBranch, Branch: b}, pk)
 		if err != nil || !ok || found != (buf != nil) {
 			t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
 		}

@@ -19,14 +19,27 @@ import (
 // zone map and evaluates the spec on the raw page buffer.
 
 // LookupPK implements core.Engine: the version index lists the key's
-// (segment, slot) positions and the branch's bitmaps pick the live one.
-func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64) ([]byte, int, bool, error) {
+// (segment, slot) positions and the version's bitmaps pick the live one
+// — the branch's local bitmaps for a head, the commit's checkouts for a
+// commit.
+func (e *Engine) LookupPK(req core.ScanRequest, pk int64) ([]byte, int, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.headSeg[branch]; !ok {
+	var p pos
+	switch req.Kind {
+	case core.ScanKindBranch:
+		if _, ok := e.headSeg[req.Branch]; !ok {
+			return nil, 0, false, nil
+		}
+		p = e.livePos(req.Branch, pk)
+	case core.ScanKindCommit:
+		var err error
+		if p, err = e.commitPosLocked(req.Commit, pk); err != nil {
+			return nil, 0, false, err
+		}
+	default:
 		return nil, 0, false, nil
 	}
-	p := e.livePos(branch, pk)
 	if p == store.NoPos {
 		return nil, 0, true, nil
 	}
@@ -36,6 +49,27 @@ func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64) ([]byte, int, bool, 
 		return nil, 0, false, err
 	}
 	return buf, s.Cols, true, nil
+}
+
+// commitPosLocked returns the position of pk's version live at commit
+// c, store.NoPos when it has none. The version index walk tests each
+// position against the commit's checkout of that position's segment;
+// a segment's checkout is taken at most once per call, and only for
+// the segments the key's versions live in. Caller holds e.mu.
+func (e *Engine) commitPosLocked(c *vgraph.Commit, pk int64) (pos, error) {
+	var err error
+	snaps := make(map[segID]*bitmap.Bitmap) // nil: no committed state of c.Branch there
+	p := e.vers.Find(pk, func(p pos) bool {
+		bm, taken := snaps[p.Seg]
+		if !taken {
+			if bm, err = e.segCheckoutLocked(logKey{Branch: c.Branch, Seg: p.Seg}, c.Seq); err != nil {
+				return true // stop the walk; the error is returned below
+			}
+			snaps[p.Seg] = bm
+		}
+		return bm != nil && bm.Get(int(p.Slot))
+	})
+	return p, err
 }
 
 // pinGroup tracks the segments a partition references: each is pinned

@@ -313,11 +313,11 @@ func (c *Compiled) run(ctx context.Context, req core.ScanRequest, spec *core.Sca
 }
 
 // Scan executes a single-version scan (Query 1): the branch head, or
-// the checked-out commit when the plan has AtSeq/AtCommit. A head scan
-// whose predicate pins the primary key to one value is served from the
-// engine's pk index (a point lookup) instead of a segment scan when
-// the engine can; the full predicate and projection still run on the
-// looked-up record, so the result is identical.
+// the checked-out commit when the plan has AtSeq/AtCommit. A scan whose
+// predicate pins the primary key to one value is served by the
+// engine's LookupPK (a point lookup) of that version instead of a
+// segment scan when the engine can; the full predicate and projection
+// still run on the looked-up record, so the result is identical.
 func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.rowShape("Rows"); err != nil {
 		return err
@@ -325,13 +325,14 @@ func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.single(); err != nil {
 		return err
 	}
-	if pk, ok := c.pointPK(); ok && c.commit == nil {
-		served, err := c.table.LookupPKContext(ctx, c.branches[0].ID, pk, c.execSpec(), fn)
+	req := c.request(c.shape())
+	if pk, ok := c.pointPK(); ok {
+		served, err := c.table.LookupPKContext(ctx, req, pk, c.execSpec(), fn)
 		if served || err != nil {
 			return err
 		}
 	}
-	return c.runRows(ctx, c.request(c.shape()), nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
+	return c.runRows(ctx, req, nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
 // pointPK reports whether the extracted bounds pin the primary key

@@ -74,14 +74,14 @@ func (ix *VersionIndex) after(v version) (version, bool) {
 }
 
 // Find walks pk's versions newest first and returns the first one live
-// accepts. live must not modify the index.
-func (ix *VersionIndex) Find(pk int64, live func(Pos) bool) (Pos, bool) {
+// accepts, NoPos when it accepts none. live must not modify the index.
+func (ix *VersionIndex) Find(pk int64, live func(Pos) bool) Pos {
 	for v, ok := ix.newest[pk]; ok; v, ok = ix.after(v) {
 		if live(v.pos()) {
-			return v.pos(), true
+			return v.pos()
 		}
 	}
-	return Pos{}, false
+	return NoPos
 }
 
 // Len returns the number of positions held.

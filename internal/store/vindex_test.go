@@ -17,7 +17,7 @@ func versions(ix *VersionIndex, pk int64) []Pos {
 
 func TestVersionIndex(t *testing.T) {
 	ix := NewVersionIndex(0)
-	if _, ok := ix.Find(1, func(Pos) bool { return true }); ok {
+	if ix.Find(1, func(Pos) bool { return true }) != NoPos {
 		t.Fatal("empty index resolves a key")
 	}
 	// Key 1 has three versions across two segments, key 2 one.
@@ -35,18 +35,18 @@ func TestVersionIndex(t *testing.T) {
 
 	// The walk stops at the first position the liveness test accepts.
 	seen := 0
-	p, ok := ix.Find(1, func(p Pos) bool {
+	p := ix.Find(1, func(p Pos) bool {
 		seen++
 		return p.Seg == 1 // accepts the newest, and would the second
 	})
-	if !ok || p != (Pos{Seg: 1, Slot: 7}) || seen != 1 {
-		t.Fatalf("Find = %v %v after %d probes, want newest after 1", p, ok, seen)
+	if p != (Pos{Seg: 1, Slot: 7}) || seen != 1 {
+		t.Fatalf("Find = %v after %d probes, want newest after 1", p, seen)
 	}
 	// A branch still on the oldest version walks past the newer ones.
-	if p, ok := ix.Find(1, func(p Pos) bool { return p.Seg == 0 }); !ok || p.Slot != 10 {
-		t.Fatalf("Find(oldest) = %v %v", p, ok)
+	if p := ix.Find(1, func(p Pos) bool { return p.Seg == 0 }); p != (Pos{Seg: 0, Slot: 10}) {
+		t.Fatalf("Find(oldest) = %v", p)
 	}
-	if _, ok := ix.Find(1, func(Pos) bool { return false }); ok {
+	if ix.Find(1, func(Pos) bool { return false }) != NoPos {
 		t.Fatal("key live nowhere resolved")
 	}
 

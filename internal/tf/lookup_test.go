@@ -63,11 +63,11 @@ func testLookupWalkLength(t *testing.T, tupleOriented bool) {
 	e.Delete(sib.ID, 2)
 
 	lookup := func(b vgraph.BranchID, pk int64) (v int64, probes int, found bool) {
-		_, found = e.vers.Find(pk, func(p store.Pos) bool {
+		found = e.vers.Find(pk, func(p store.Pos) bool {
 			probes++
 			return e.idx.get(p.Slot, b)
-		})
-		buf, _, ok, err := e.LookupPK(b, pk)
+		}) != store.NoPos
+		buf, _, ok, err := e.LookupPK(core.ScanRequest{Kind: core.ScanKindBranch, Branch: b}, pk)
 		if err != nil || !ok || found != (buf != nil) {
 			t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
 		}

@@ -27,14 +27,32 @@ import (
 
 // LookupPK implements core.Engine: the version index (Section 3.2's
 // update/delete index, kept once for all branches) lists the key's
-// slots in the shared heap, and the branch's bitmap picks the live one.
-func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64) ([]byte, int, bool, error) {
+// slots in the shared heap, and the version's bitmap picks the live
+// one — the branch's column for a head, one checkout of the committing
+// branch's history for a commit.
+func (e *Engine) LookupPK(req core.ScanRequest, pk int64) ([]byte, int, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.idx.has(branch) {
+	var p store.Pos
+	switch req.Kind {
+	case core.ScanKindBranch:
+		if !e.idx.has(req.Branch) {
+			return nil, 0, false, nil
+		}
+		p = e.livePos(req.Branch, pk)
+	case core.ScanKindCommit:
+		log, err := e.openLog(req.Commit.Branch)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		bm, err := log.Checkout(req.Commit.Seq)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		p = e.vers.Find(pk, func(p store.Pos) bool { return bm.Get(int(p.Slot)) })
+	default:
 		return nil, 0, false, nil
 	}
-	p := e.livePos(branch, pk)
 	if p == store.NoPos {
 		return nil, 0, true, nil
 	}

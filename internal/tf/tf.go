@@ -155,11 +155,7 @@ func (e *Engine) buildVersions() error {
 // livePos returns the position (Slot the global slot) of pk's version
 // live in the branch, or store.NoPos when the branch has none.
 func (e *Engine) livePos(branch vgraph.BranchID, pk int64) store.Pos {
-	p, ok := e.vers.Find(pk, func(p store.Pos) bool { return e.idx.get(p.Slot, branch) })
-	if !ok {
-		return store.NoPos
-	}
-	return p
+	return e.vers.Find(pk, func(p store.Pos) bool { return e.idx.get(p.Slot, branch) })
 }
 
 // Init implements core.Engine: registers the master branch and records

@@ -41,6 +41,10 @@ import (
 //     memoized per position so chained merges resolve shared
 //     sub-lineages (the LCA walks) once instead of once per merge
 //     level.
+//
+// Point lookups (LookupPK) resolve no live set and so touch neither
+// live-set tier: they probe the position's deduplicated step list —
+// memoized per position beside the rawLineage memo — for one key.
 
 // Cache counters (expvar decibel.vf.*). The equivalence harness
 // asserts hits move while the cache is enabled, so a silently bypassed

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"decibel/internal/record"
+	"decibel/internal/store"
 )
 
 // interval is a half-open slot range [From, To) of one segment. A
@@ -42,10 +43,28 @@ type override struct {
 	Deleted bool  `json:"deleted,omitempty"`
 }
 
+// claim is the position an override gives its key: the winning copy,
+// or store.NoPos for a deletion.
+func (ov override) claim() pos {
+	if ov.Deleted {
+		return store.NoPos
+	}
+	return pos{Seg: ov.Seg, Slot: ov.Slot}
+}
+
 // tableEntry is the newest state of one key within an interval.
 type tableEntry struct {
 	Slot      int64
 	Tombstone bool
+}
+
+// claim is the position an entry of an interval of segment seg gives
+// its key: the newest copy, or store.NoPos for a tombstone.
+func (en tableEntry) claim(seg segID) pos {
+	if en.Tombstone {
+		return store.NoPos
+	}
+	return pos{Seg: seg, Slot: en.Slot}
 }
 
 // intervalTable maps each primary key appearing in an interval to its
@@ -70,7 +89,14 @@ type intervalTable map[int64]tableEntry
 // rank. Proper range subtraction matters: after chained merges the same
 // segment can surface first as a middle slice and later as a wider
 // range whose upper part is still uncovered.
+//
+// The result is memoized beside rawLineage's, under the same validity
+// argument and the same invalidation, and is shared: callers must not
+// modify it.
 func (e *Engine) lineageAt(p pos) ([]step, error) {
+	if steps, ok := e.stepMemo[p]; ok {
+		return steps, nil
+	}
 	raw, err := e.rawLineage(p)
 	if err != nil {
 		return nil, err
@@ -97,11 +123,18 @@ func (e *Engine) lineageAt(p pos) ([]step, error) {
 		}
 		ss.add(iv.From, iv.To)
 	}
+	if e.stepMemo != nil {
+		if len(e.stepMemo) >= maxLineMemo {
+			clear(e.stepMemo)
+		}
+		e.stepMemo[p] = out
+	}
 	return out, nil
 }
 
-// maxLineMemo bounds the rawLineage memo; the map is cleared wholesale
-// when it fills (entries are cheap to recompute one level at a time).
+// maxLineMemo bounds each lineage memo (rawLineage's and lineageAt's);
+// a memo is cleared wholesale when it fills (entries are cheap to
+// recompute one level at a time).
 const maxLineMemo = 8192
 
 // rawLineage returns the rank-ordered steps, possibly overlapping,
@@ -227,7 +260,7 @@ func (e *Engine) table(iv interval) (intervalTable, error) {
 	if t, ok := e.cache[iv]; ok {
 		return t, nil
 	}
-	t := make(intervalTable)
+	t := make(intervalTable, iv.To-iv.From)
 	// Key extraction is schema-version-free: the primary key and the
 	// tombstone flag sit at fixed offsets in every physical layout.
 	err := e.segs[iv.Seg].File.Scan(iv.From, iv.To, func(slot int64, buf []byte) bool {
@@ -304,47 +337,90 @@ func (e *Engine) invalidateResolvedLocked(id segID) {
 			delete(e.lineMemo, p)
 		}
 	}
+	for p := range e.stepMemo {
+		if p.Seg == id {
+			delete(e.stepMemo, p)
+		}
+	}
 }
 
-// resolveLiveFull computes the live set with a full lineage walk: the
-// steps in rank order, first claim of a key wins, tombstones and
-// deletion overrides claim without contributing a live copy. Caller
+// Resolution rule (Section 3.3): the copy of a key live at a position
+// is the claim of the first lineage step, in rank order, that claims
+// the key; a tombstone or a deletion override claims it as absent
+// (store.NoPos). resolveLiveFull applies the rule to every key, claimAt
+// to one.
+
+// resolveLiveFull computes the live set with a full lineage walk. The
+// one map is sized for every claim the steps can make, first claims
+// win, and the keys claimed as absent are purged at the end. Caller
 // holds e.mu.
 func (e *Engine) resolveLiveFull(p pos) (map[int64]pos, error) {
 	lineage, err := e.lineageAt(p)
 	if err != nil {
 		return nil, err
 	}
-	live := make(map[int64]pos)
-	seen := make(map[int64]bool)
+	tables := make([]intervalTable, len(lineage))
+	n := 0
+	for i, st := range lineage {
+		if st.isOvr {
+			n += len(e.segs[st.ovr].overrides)
+			continue
+		}
+		if tables[i], err = e.table(st.iv); err != nil {
+			return nil, err
+		}
+		n += len(tables[i])
+	}
+	live := make(map[int64]pos, n)
+	for i, st := range lineage {
+		if st.isOvr {
+			for _, ov := range e.segs[st.ovr].overrides {
+				if _, claimed := live[ov.PK]; !claimed {
+					live[ov.PK] = ov.claim()
+				}
+			}
+			continue
+		}
+		for pk, en := range tables[i] {
+			if _, claimed := live[pk]; !claimed {
+				live[pk] = en.claim(st.iv.Seg)
+			}
+		}
+	}
+	for pk, q := range live {
+		if q == store.NoPos {
+			delete(live, pk)
+		}
+	}
+	return live, nil
+}
+
+// claimAt returns the copy of pk live at p, store.NoPos when it has
+// none, probing each lineage step for the one key instead of resolving
+// the live set. Caller holds e.mu.
+func (e *Engine) claimAt(p pos, pk int64) (pos, error) {
+	lineage, err := e.lineageAt(p)
+	if err != nil {
+		return pos{}, err
+	}
 	for _, st := range lineage {
 		if st.isOvr {
 			for _, ov := range e.segs[st.ovr].overrides {
-				if seen[ov.PK] {
-					continue
-				}
-				seen[ov.PK] = true
-				if !ov.Deleted {
-					live[ov.PK] = pos{Seg: ov.Seg, Slot: ov.Slot}
+				if ov.PK == pk {
+					return ov.claim(), nil
 				}
 			}
 			continue
 		}
 		t, err := e.table(st.iv)
 		if err != nil {
-			return nil, err
+			return pos{}, err
 		}
-		for pk, en := range t {
-			if seen[pk] {
-				continue
-			}
-			seen[pk] = true
-			if !en.Tombstone {
-				live[pk] = pos{Seg: st.iv.Seg, Slot: en.Slot}
-			}
+		if en, ok := t[pk]; ok {
+			return en.claim(st.iv.Seg), nil
 		}
 	}
-	return live, nil
+	return store.NoPos, nil
 }
 
 // stepEq reports whether two lineage steps are the same step: the same

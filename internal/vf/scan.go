@@ -26,23 +26,35 @@ import (
 // another append and are frozen units the scan pool may fan out; branch
 // heads stay on the caller's goroutine.
 
-// LookupPK implements core.Engine. Version-first has no per-branch key
-// index — the paper's scheme resolves liveness from the segment
-// lineage — so the lookup resolves the branch's live set (cached per
-// frozen interval) and reads the single record copy the key maps to.
-func (e *Engine) LookupPK(branch vgraph.BranchID, pk int64) ([]byte, int, bool, error) {
+// LookupPK implements core.Engine. Version-first has no key index —
+// the paper's scheme resolves liveness from the segment lineage — and
+// needs none for one key: the version's lineage steps (a branch head's
+// cut, or a commit's recorded offset) are probed in rank order, and the
+// first step that claims the key decides, exactly as it does for every
+// key of a resolved live set. No live set is built.
+func (e *Engine) LookupPK(req core.ScanRequest, pk int64) ([]byte, int, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s, cut, err := e.headLocked(branch)
-	if err != nil {
-		return nil, 0, false, nil // unknown branch: let the scan path report it
+	var at pos
+	switch req.Kind {
+	case core.ScanKindBranch:
+		var err error
+		if at, err = e.headPosLocked(req.Branch); err != nil {
+			return nil, 0, false, nil // unknown branch: let the scan path report it
+		}
+	case core.ScanKindCommit:
+		var ok bool
+		if at, ok = e.commits[req.Commit.ID]; !ok {
+			return nil, 0, false, nil // unknown commit: likewise
+		}
+	default:
+		return nil, 0, false, nil
 	}
-	live, err := e.resolveLive(pos{Seg: s.id, Slot: cut})
+	p, err := e.claimAt(at, pk)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	p, ok := live[pk]
-	if !ok {
+	if p == store.NoPos {
 		return nil, 0, true, nil
 	}
 	seg := e.segs[p.Seg]

@@ -94,7 +94,8 @@ type Engine struct {
 	cache map[intervalKey]intervalTable
 
 	// Lineage/live-set cache (see cache.go). lcache holds resolved live
-	// sets keyed by exact position; lineMemo memoizes rawLineage;
+	// sets keyed by exact position; lineMemo memoizes rawLineage and
+	// stepMemo lineageAt (the deduplicated steps point lookups probe);
 	// deltas is the per-segment log of per-commit RLE slot deltas with
 	// deltaTail the highest slot each segment's log covers. All nil/empty
 	// when the cache is disabled (Options.VFLineageCache < 0), which
@@ -104,6 +105,7 @@ type Engine struct {
 	lcache    *liveCache
 	pcache    *planCache
 	lineMemo  map[pos][]step
+	stepMemo  map[pos][]step
 	deltas    map[segID][]segDelta
 	deltaTail map[segID]int64
 }
@@ -124,6 +126,7 @@ func Factory(env *core.Env) (core.Engine, error) {
 		e.lcache = newLiveCache(budget)
 		e.pcache = newPlanCache(budget)
 		e.lineMemo = make(map[pos][]step)
+		e.stepMemo = make(map[pos][]step)
 		e.deltas = make(map[segID][]segDelta)
 		e.deltaTail = make(map[segID]int64)
 	}

@@ -4,12 +4,15 @@ package decibel_test
 // bound (allocs_per_read_op): a head point lookup — of a key whose
 // newest version the branch holds, and of one another branch has since
 // rewritten, so the index walk passes versions the branch cannot see —
-// and a sequential Q1-shaped head scan. The dataset is the pruning dataset — several
-// segments across two schema epochs — so the per-unit costs (layout
-// conversion, zone checks) are part of the count. The ceilings are the
-// counts measured before the read paths were folded into one driver;
-// one more closure, sink or slice per read fails here before it fails
-// the benchmark gate.
+// a point lookup pinned to a commit the key was rewritten after (the
+// served read's shape), and a sequential Q1-shaped head scan. The
+// dataset is the pruning dataset — several segments across two schema
+// epochs — so the per-unit costs (layout conversion, zone checks) are
+// part of the count. The tuple-first and hybrid head ceilings are the
+// counts measured before the read paths were folded into one driver,
+// the rest the counts measured when each path was added; one more
+// closure, sink or slice per read fails here before it fails the
+// benchmark gate.
 
 import (
 	"testing"
@@ -18,9 +21,10 @@ import (
 )
 
 // readAllocCeilings is allocations per read, by engine.
-var readAllocCeilings = map[string]struct{ point, walk, scan float64 }{
-	"hybrid":      {point: 24, walk: 24, scan: 176},
-	"tuple-first": {point: 24, walk: 24, scan: 167},
+var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit float64 }{
+	"hybrid":        {point: 24, walk: 24, scan: 176, atCommit: 29},
+	"tuple-first":   {point: 24, walk: 24, scan: 167, atCommit: 29},
+	"version-first": {point: 24, walk: 24, scan: 165, atCommit: 21},
 }
 
 func TestReadAllocCeilings(t *testing.T) {
@@ -28,8 +32,11 @@ func TestReadAllocCeilings(t *testing.T) {
 		t.Run(engine, func(t *testing.T) {
 			db := buildPruningDB(t, engine, decibel.WithScanWorkers(1))
 			// b2 rewrites key 61 three times; master keeps the older copy.
+			// pinned is b2's first rewrite: a read at it passes over the two
+			// later ones.
+			var pinned *decibel.Commit
 			for i := 0; i < 3; i++ {
-				if _, err := db.Commit("b2", func(tx *decibel.Tx) error {
+				c, err := db.Commit("b2", func(tx *decibel.Tx) error {
 					tbl, err := db.TableByName("r")
 					if err != nil {
 						return err
@@ -38,8 +45,12 @@ func TestReadAllocCeilings(t *testing.T) {
 					rec.SetPK(61)
 					rec.Set(1, int64(1000+i))
 					return tx.Insert("r", rec)
-				}); err != nil {
+				})
+				if err != nil {
 					t.Fatal(err)
+				}
+				if i == 0 {
+					pinned = c
 				}
 			}
 			drain := func(q *decibel.Query, wantRows int) func() {
@@ -56,6 +67,7 @@ func TestReadAllocCeilings(t *testing.T) {
 			}
 			point := drain(db.Query("r").On("master").Where(decibel.Col("id").Eq(int64(60))), 1)
 			walk := drain(db.Query("r").On("master").Where(decibel.Col("id").Eq(int64(61))), 1)
+			atCommit := drain(db.Query("r").On("b2").AtCommit(pinned.ID).Where(decibel.Col("id").Eq(int64(61))), 1)
 			scan := drain(db.Query("r").On("master").
 				Where(decibel.Col("v").Ge(int64(20)).And(decibel.Col("v").Lt(int64(120)))).
 				Select("v", "sku"), 100)
@@ -67,6 +79,9 @@ func TestReadAllocCeilings(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(50, scan); got > want.scan {
 				t.Errorf("head scan: %.0f allocs/op, ceiling %.0f", got, want.scan)
+			}
+			if got := testing.AllocsPerRun(50, atCommit); got > want.atCommit {
+				t.Errorf("point lookup at a commit: %.0f allocs/op, ceiling %.0f", got, want.atCommit)
 			}
 		})
 	}

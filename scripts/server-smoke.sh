@@ -2,10 +2,13 @@
 # server-smoke.sh — end-to-end smoke of the serving layer: build the
 # CLI and the load generator, init a dataset, start `decibel serve`,
 # drive ~5s of mixed read/commit traffic with 32 concurrent clients,
-# then assert zero errors, that the server's counters moved, and that
-# SIGTERM shuts the server down cleanly. A second, shorter phase serves
-# a version-first dataset and asserts the lineage cache engages
-# (decibel.vf.lineage_cache_hits moves) with zero errors.
+# then assert zero errors, that the server's counters moved — served
+# point reads included (decibel.point_lookups: every served read pins a
+# commit, so this is the commit-pinned lookup path) — and that SIGTERM
+# shuts the server down cleanly. A second, shorter phase serves a
+# version-first dataset and asserts that its point reads are served as
+# lookups and that the lineage cache still engages for its scans
+# (decibel.vf.lineage_cache_hits moves), with zero errors.
 #
 # Usage: sh scripts/server-smoke.sh [latency.json]
 #
@@ -54,6 +57,7 @@ var() {
 }
 
 # Mixed traffic; the loadgen exits non-zero if any operation failed.
+POINT_BEFORE="$(var decibel.point_lookups)"
 "$WORK/decibel-loadgen" -url "http://$ADDR" -table r -branch master \
     -clients "$CLIENTS" -duration "$DURATION" -commit-frac 0.2 -json "$OUT" &
 LOAD_PID=$!
@@ -92,8 +96,10 @@ echo "server-smoke: join tuples=$JOIN_COUNT groups=$GROUP_COUNT"
 REQUESTS="$(var decibel.server.requests)"
 COMMITS="$(var decibel.server.commits)"
 ERRORS="$(var decibel.server.errors)"
-echo "server-smoke: requests=$REQUESTS commits=$COMMITS errors=$ERRORS"
+POINT_AFTER="$(var decibel.point_lookups)"
+echo "server-smoke: requests=$REQUESTS commits=$COMMITS errors=$ERRORS point_lookups=$POINT_BEFORE->$POINT_AFTER"
 [ "$REQUESTS" -gt 0 ] || { echo "server-smoke: request counter never moved" >&2; exit 1; }
+[ "$POINT_AFTER" -gt "$POINT_BEFORE" ] || { echo "server-smoke: no served point read was a lookup" >&2; exit 1; }
 [ "$COMMITS" -gt 0 ] || { echo "server-smoke: commit counter never moved" >&2; exit 1; }
 [ "$ERRORS" -eq 0 ] || { echo "server-smoke: server counted $ERRORS errors" >&2; exit 1; }
 
@@ -105,9 +111,10 @@ if ! wait "$SRV_PID"; then
 fi
 SRV_PID=""
 
-# Version-first phase: serve a vf dataset and assert the lineage cache
-# engages under live traffic — repeated head resolutions must hit the
-# cache, so a silently disabled cache fails the smoke.
+# Version-first phase: serve a vf dataset and assert its point reads
+# are lookups and the lineage cache engages under live traffic —
+# repeated resolutions of the scans' versions must hit the cache, so a
+# silently disabled cache fails the smoke.
 VF_ADDR="${VF_ADDR:-127.0.0.1:18528}"
 VF_DURATION="${VF_DURATION:-2s}"
 
@@ -125,13 +132,16 @@ until curl -fsS "http://$VF_ADDR/healthz" >/dev/null 2>&1; do
     sleep 0.1
 done
 
+VF_POINT_BEFORE="$(var decibel.point_lookups "$VF_ADDR")"
 "$WORK/decibel-loadgen" -url "http://$VF_ADDR" -table r -branch master \
     -clients 8 -duration "$VF_DURATION" -commit-frac 0.2 -json "$WORK/vf-latency.json"
 
 VF_HITS="$(var decibel.vf.lineage_cache_hits "$VF_ADDR")"
 VF_ERRORS="$(var decibel.server.errors "$VF_ADDR")"
-echo "server-smoke: vf lineage_cache_hits=$VF_HITS errors=$VF_ERRORS"
+VF_POINT_AFTER="$(var decibel.point_lookups "$VF_ADDR")"
+echo "server-smoke: vf lineage_cache_hits=$VF_HITS errors=$VF_ERRORS point_lookups=$VF_POINT_BEFORE->$VF_POINT_AFTER"
 [ "$VF_HITS" -gt 0 ] || { echo "server-smoke: vf lineage cache never hit" >&2; exit 1; }
+[ "$VF_POINT_AFTER" -gt "$VF_POINT_BEFORE" ] || { echo "server-smoke: no served vf point read was a lookup" >&2; exit 1; }
 [ "$VF_ERRORS" -eq 0 ] || { echo "server-smoke: vf server counted $VF_ERRORS errors" >&2; exit 1; }
 
 kill -TERM "$SRV_PID"

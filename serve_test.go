@@ -509,6 +509,43 @@ func TestServeOrderedLimitUsesOrderedVisit(t *testing.T) {
 	}
 }
 
+// TestServePointReadAtCommit: a served point read is a lookup of the
+// commit it pins — the head resolved for the request, or an older
+// atCommit — so after a later rewrite the older pin still reads its
+// own version of the key, and the head read the new one.
+func TestServePointReadAtCommit(t *testing.T) {
+	for _, engine := range facadeEngines {
+		t.Run(engine, func(t *testing.T) {
+			_, c := newServeClient(t, engine)
+			ctx := context.Background()
+			old, err := c.Commit(ctx, client.CommitRequest{Branch: "master", Ops: []client.Op{insertOp(1, 10, 1, "old"), insertOp(2, 20, 2, "two")}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Commit(ctx, client.CommitRequest{Branch: "master", Ops: []client.Op{insertOp(1, 11, 1, "new")}}); err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				atCommit uint64
+				wantQty  int64
+			}{{old.Commit, 10}, {0, 11}} {
+				before := pointLookupCount(t)
+				resp, err := c.Query(ctx, client.QueryRequest{Table: "products", Branches: []string{"master"},
+					AtCommit: tc.atCommit, Where: &client.Expr{Col: "id", Op: "eq", Val: 1}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(resp.Rows) != 1 || rowInt(t, resp.Rows[0], "qty") != tc.wantQty {
+					t.Fatalf("atCommit=%d: rows %v, want pk 1 with qty %d", tc.atCommit, resp.Rows, tc.wantQty)
+				}
+				if pointLookupCount(t) == before {
+					t.Fatalf("atCommit=%d: the served point read scanned instead of looking the key up", tc.atCommit)
+				}
+			}
+		})
+	}
+}
+
 // TestQueryAtCommit covers the new builder verb directly on the
 // facade: pin a head, commit past it, re-read the pinned version.
 func TestQueryAtCommit(t *testing.T) {
