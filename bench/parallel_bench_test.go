@@ -215,6 +215,7 @@ func BenchmarkParallelDiff(b *testing.B) {
 					Table:      "s",
 					Branches:   []string{"pdev", decibel.Master},
 					AtSeq:      -1,
+					Diff:       true,
 					NoParallel: mode == "sequential",
 				}
 				warm, err := plan.Compile(db.Database)

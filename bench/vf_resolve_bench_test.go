@@ -196,7 +196,7 @@ func BenchmarkVFResolve(b *testing.B) {
 		b.Run("mergediff/"+mode, func(b *testing.B) {
 			db := loadDiffBench(b, "vf", opts...)
 			lo := int64(skipWaves/2) * skipStride
-			plan := iquery.Plan{Table: "s", Branches: []string{"dev", decibel.Master}, AtSeq: -1,
+			plan := iquery.Plan{Table: "s", Branches: []string{"dev", decibel.Master}, AtSeq: -1, Diff: true,
 				Where: iquery.Col("v").Ge(lo).And(iquery.Col("v").Lt(lo + skipStride))}
 			run(b, db, plan, skipWaveRows/10, true)
 		})

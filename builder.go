@@ -252,12 +252,19 @@ func (q *Query) fail(err error) {
 	}
 }
 
-// compile resolves the plan against the database.
-func (q *Query) compile() (*iquery.Compiled, error) {
+// compile resolves the plan against the database. The diff terminals
+// pass their two branches, which join the scan set and make the plan a
+// Diff.
+func (q *Query) compile(diff ...string) (*iquery.Compiled, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	return q.plan.Compile(q.db.Database)
+	p := q.plan
+	if diff != nil {
+		p.Branches = append(p.Branches[:len(p.Branches):len(p.Branches)], diff...)
+		p.Diff = true
+	}
+	return p.Compile(q.db.Database)
 }
 
 // errSeq returns an empty sequence carrying err.
@@ -310,25 +317,13 @@ func (q *Query) Annotated() (iter.Seq2[*Record, []string], func() error) {
 
 // AnnotatedContext is Annotated bounded by a context.
 func (q *Query) AnnotatedContext(ctx context.Context) (iter.Seq2[*Record, []string], func() error) {
-	if q.plan.OrderCol != "" || q.plan.Limit > 0 {
-		return errSeq2[*Record, []string](fmt.Errorf("%w: OrderBy/Limit do not apply to Annotated", ErrBadQuery))
-	}
 	c, err := q.compile()
 	if err != nil {
 		return errSeq2[*Record, []string](err)
 	}
-	branches := c.Branches()
-	names := make([]string, 0, len(branches))
 	var scanErr error
 	seq := func(yield func(*Record, []string) bool) {
-		scanErr = c.ScanMulti(ctx, func(rec *record.Record, member *Bitmap) bool {
-			names = names[:0]
-			member.ForEach(func(i int) bool {
-				names = append(names, branches[i].Name)
-				return true
-			})
-			return yield(rec, names)
-		})
+		scanErr = c.Annotated(ctx, yield)
 	}
 	return seq, func() error { return scanErr }
 }
@@ -343,7 +338,7 @@ func (q *Query) Diff(a, b string) (iter.Seq[*Record], func() error) {
 
 // DiffContext is Diff bounded by a context.
 func (q *Query) DiffContext(ctx context.Context, a, b string) (iter.Seq[*Record], func() error) {
-	c, err := q.pairCompile(a, b)
+	c, err := q.compile(a, b)
 	if err != nil {
 		return errSeq(err)
 	}
@@ -379,7 +374,7 @@ func (db *DB) Diff(table, a, b string) (iter.Seq2[*Record, bool], func() error) 
 
 // DiffContext is Diff bounded by a context.
 func (db *DB) DiffContext(ctx context.Context, table, a, b string) (iter.Seq2[*Record, bool], func() error) {
-	c, err := db.Query(table).pairCompile(a, b)
+	c, err := db.Query(table).compile(a, b)
 	if err != nil {
 		return errSeq2[*Record, bool](err)
 	}
@@ -388,17 +383,6 @@ func (db *DB) DiffContext(ctx context.Context, table, a, b string) (iter.Seq2[*R
 		scanErr = c.SymDiff(ctx, yield)
 	}
 	return seq, func() error { return scanErr }
-}
-
-// pairCompile compiles the plan with the two given branches as its
-// scan set, rejecting queries that also configured On or Heads.
-func (q *Query) pairCompile(a, b string) (*iquery.Compiled, error) {
-	if len(q.plan.Branches) > 0 || q.plan.AllHeads {
-		return nil, fmt.Errorf("%w: Diff names its versions directly; do not combine with On or Heads", ErrBadQuery)
-	}
-	plan := q.plan
-	plan.Branches = []string{a, b}
-	return plan.Compile(q.db.Database)
 }
 
 // Count runs the query and returns the number of matching records (a

@@ -146,7 +146,9 @@ func TestOrderByLimit(t *testing.T) {
 			if err := qErr(); !errors.Is(err, decibel.ErrBadQuery) {
 				t.Fatalf("projected-out order column: %v", err)
 			}
-			_, qErr2 := db.Query("r").Heads().OrderBy("id", false).Annotated()
+			annotated, qErr2 := db.Query("r").Heads().OrderBy("id", false).Annotated()
+			for range annotated {
+			}
 			if err := qErr2(); !errors.Is(err, decibel.ErrBadQuery) {
 				t.Fatalf("ordered Annotated: %v", err)
 			}

@@ -25,17 +25,22 @@ type Expr struct {
 	Not *Expr  `json:"not,omitempty"`
 }
 
-// QueryRequest is POST /v1/query: one query-builder invocation. Shape
-// selection follows the builder's rules — one branch is a
-// single-version scan, several (or Heads) a multi-branch scan, Diff a
-// positive diff between two heads; Agg folds instead of listing rows.
+// QueryRequest is POST /v1/query: one query-builder invocation. The
+// request names its terminal, first match wins: Agg the scalar fold,
+// GroupBy or Aggs the grouped fold, Join the joined tuples, Diff the
+// positive diff rows, several Branches or Heads the annotated
+// multi-branch rows, and otherwise the single-version rows. Which
+// combinations are legal is decided by the planner — Plan.Compile in
+// internal/query and the terminal it runs — exactly as for the
+// builder: an illegal one answers 400 bad_query, a body that cannot be
+// read as a request 400 bad_request.
 type QueryRequest struct {
 	Table    string   `json:"table"`
 	Branches []string `json:"branches,omitempty"` // On(...)
 	Heads    bool     `json:"heads,omitempty"`    // Heads()
 	At       *int     `json:"at,omitempty"`       // At(n): n-th commit on the branch
 	AtCommit uint64   `json:"atCommit,omitempty"` // AtCommit(id): pin an exact snapshot
-	Diff     []string `json:"diff,omitempty"`     // Diff(a, b): exactly two branches
+	Diff     []string `json:"diff,omitempty"`     // Diff(a, b): the diff's two sides, after Branches
 
 	Where   *Expr    `json:"where,omitempty"`
 	Select  []string `json:"select,omitempty"`
@@ -49,8 +54,7 @@ type QueryRequest struct {
 	// Join composes N-way equi-joins (the builder's JoinOn): each
 	// clause adds one relation joined to the ones before it. The root
 	// table is relation 0; tuples come back in the Tuples field, one
-	// row per relation in composition order. Join excludes diff/heads
-	// and orderBy/limit.
+	// row per relation in composition order.
 	Join []JoinClause `json:"join,omitempty"`
 
 	// DeclaredOrder pins join execution to the composed relation order
@@ -60,8 +64,7 @@ type QueryRequest struct {
 
 	// GroupBy makes the query a grouped aggregation over the named
 	// columns (the builder's GroupBy): groups come back in the Groups
-	// field in first-arrival order, folding Aggs per group. Excludes
-	// the scalar Agg and orderBy/limit.
+	// field in first-arrival order, folding Aggs per group.
 	GroupBy []string    `json:"groupBy,omitempty"`
 	Aggs    []AggClause `json:"aggs,omitempty"`
 }

@@ -60,8 +60,10 @@ commands:
   commit <branch> [message]  snapshot the branch head as a new version
   branch <name> <from>       create branch <name> from the head of <from>
   scan <branch>              print the records live at a branch head
+                             (select -branch <branch>)
   checkout <branch>[@<n>]    print the records of the n-th commit made on
-                             the branch (zero-based; no @<n> reads the head)
+                             the branch (zero-based; no @<n> reads the head;
+                             select -branch <branch> -at <n> under a header)
   diff <branchA> <branchB>   print the symmetric difference of two heads
   merge <into> <other> [two|three] [first|second]
                              merge <other> into <into> (default three-way,
@@ -140,36 +142,31 @@ func main() {
 func parseSchema(spec string) (*decibel.Schema, error) {
 	b := decibel.NewSchema().Int64("id")
 	for i, part := range strings.Split(spec, ",") {
-		name, typ, _ := strings.Cut(strings.TrimSpace(part), ":")
-		if i == 0 && name == "id" && (typ == "" || typ == "int64") {
-			continue
+		col, err := parseColumn(part)
+		if err != nil {
+			return nil, err
 		}
 		switch {
-		case typ == "" || typ == "int64":
-			b = b.Int64(name)
-		case typ == "int32":
-			b = b.Int32(name)
-		case typ == "float64":
-			b = b.Float64(name)
-		case strings.HasPrefix(typ, "bytes"):
-			size, err := strconv.Atoi(typ[len("bytes"):])
-			if err != nil {
-				return nil, fmt.Errorf("column %q: bytes type needs a size, e.g. bytes16", name)
-			}
-			b = b.Bytes(name, size)
+		case i == 0 && col.Name == "id" && col.Type == decibel.Int64: // the implicit key, spelled out
+		case col.Type == decibel.Int32:
+			b = b.Int32(col.Name)
+		case col.Type == decibel.Float64:
+			b = b.Float64(col.Name)
+		case col.Type == decibel.Bytes:
+			b = b.Bytes(col.Name, col.Size)
 		default:
-			return nil, fmt.Errorf("column %q: unknown type %q (want int32|int64|float64|bytes<N>)", name, typ)
+			b = b.Int64(col.Name)
 		}
 	}
 	return b.Build()
 }
 
-// parseColumn turns one "name:type" spec (same grammar as init) into a
-// column descriptor for alter add.
+// parseColumn turns one "name:type" spec into a column descriptor —
+// the type grammar of init and alter add.
 func parseColumn(spec string) (decibel.Column, error) {
 	name, typ, _ := strings.Cut(strings.TrimSpace(spec), ":")
 	if name == "" {
-		return decibel.Column{}, fmt.Errorf("alter add: empty column name")
+		return decibel.Column{}, fmt.Errorf("empty column name in %q", spec)
 	}
 	switch {
 	case typ == "" || typ == "int64":
@@ -189,52 +186,43 @@ func parseColumn(spec string) (decibel.Column, error) {
 	}
 }
 
-// parseColumnValue converts a textual default to the Go type the
-// column expects.
-func parseColumnValue(col decibel.Column, raw string) (any, error) {
+// parseValue converts a textual value to the Go value the column
+// holds — int64, float64, or the string itself for a byte string — for
+// inserted records, column defaults and predicates alike. Ranges and
+// capacities are checked where the value is encoded (Record.SetValue,
+// a column default), not here.
+func parseValue(col decibel.Column, raw string) (any, error) {
 	switch col.Type {
 	case decibel.Float64:
 		f, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
-			return nil, fmt.Errorf("default for %q: %w", col.Name, err)
+			return nil, fmt.Errorf("column %q: %w", col.Name, err)
 		}
 		return f, nil
 	case decibel.Bytes:
 		return raw, nil
-	default:
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("default for %q: %w", col.Name, err)
-		}
-		return n, nil
 	}
+	n, err := strconv.ParseInt(raw, 10, 64)
+	if err != nil {
+		return nil, fmt.Errorf("column %q: %w", col.Name, err)
+	}
+	return n, nil
 }
 
-// setColumn parses v according to the type of column i and stores it
-// into rec.
-func setColumn(rec *decibel.Record, schema *decibel.Schema, i int, v string) error {
-	switch c := schema.Column(i); c.Type {
-	case decibel.Float64:
-		f, err := strconv.ParseFloat(v, 64)
+// parseRecord builds a record of the schema from textual values in
+// column order; values past the last column are ignored.
+func parseRecord(schema *decibel.Schema, values []string) (*decibel.Record, error) {
+	rec := decibel.NewRecord(schema)
+	for i, raw := range values[:min(len(values), schema.NumColumns())] {
+		v, err := parseValue(schema.Column(i), raw)
 		if err != nil {
-			return fmt.Errorf("column %q: %w", c.Name, err)
+			return nil, err
 		}
-		rec.SetFloat64(i, f)
-	case decibel.Bytes:
-		if err := rec.SetBytes(i, []byte(v)); err != nil {
-			return err
+		if err := rec.SetValue(i, v); err != nil {
+			return nil, err
 		}
-	default:
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return fmt.Errorf("column %q: %w", c.Name, err)
-		}
-		if err := c.CheckInt(n); err != nil {
-			return err
-		}
-		rec.Set(i, n)
 	}
-	return nil
+	return rec, nil
 }
 
 func run(dir, engine, table string, args []string) error {
@@ -279,14 +267,9 @@ func run(dir, engine, table string, args []string) error {
 		if err != nil {
 			return err
 		}
-		rec := decibel.NewRecord(t.Schema())
-		for i, v := range rest[1:] {
-			if i >= t.Schema().NumColumns() {
-				break
-			}
-			if err := setColumn(rec, t.Schema(), i, v); err != nil {
-				return err
-			}
+		rec, err := parseRecord(t.Schema(), rest[1:])
+		if err != nil {
+			return err
 		}
 		c, err := db.Commit(rest[0], func(tx *decibel.Tx) error {
 			tx.SetMessage("insert pk " + rest[1])
@@ -308,14 +291,9 @@ func run(dir, engine, table string, args []string) error {
 		}
 		recs := make([]*decibel.Record, 0, len(rest)-1)
 		for _, spec := range rest[1:] {
-			rec := decibel.NewRecord(t.Schema())
-			for i, v := range strings.Split(spec, ":") {
-				if i >= t.Schema().NumColumns() {
-					break
-				}
-				if err := setColumn(rec, t.Schema(), i, v); err != nil {
-					return err
-				}
+			rec, err := parseRecord(t.Schema(), strings.Split(spec, ":"))
+			if err != nil {
+				return err
 			}
 			recs = append(recs, rec)
 		}
@@ -380,30 +358,20 @@ func run(dir, engine, table string, args []string) error {
 		if len(rest) != 1 {
 			return fmt.Errorf("scan <branch>")
 		}
-		n := 0
-		rows, scanErr := db.Rows(table, rest[0])
-		for rec := range rows {
-			fmt.Println(rec.String())
-			n++
-		}
-		if err := scanErr(); err != nil {
-			return err
-		}
-		fmt.Printf("%d records\n", n)
-		return nil
+		return runSelect(db, table, []string{"-branch", rest[0]})
 
 	case "checkout":
 		if len(rest) != 1 {
 			return fmt.Errorf("checkout <branch>[@<n>]")
 		}
-		// A read of the branch head, or of its seq'th commit: the query
-		// builder's On(branch).At(seq) is the positional read.
+		// A read of the branch head, or of its seq'th commit: select's
+		// -at is the positional read.
 		branch, at, hasAt := strings.Cut(rest[0], "@")
 		b, err := db.BranchNamed(branch)
 		if err != nil {
 			return err
 		}
-		q := db.Query(table).On(branch)
+		sel := []string{"-branch", branch}
 		id, _ := db.Graph().Head(b.ID)
 		c, _ := db.Graph().Commit(id)
 		if hasAt {
@@ -415,20 +383,10 @@ func run(dir, engine, table string, args []string) error {
 			if c, ok = db.Graph().CommitAt(b.ID, seq); !ok {
 				return fmt.Errorf("%w: %s", decibel.ErrNoSuchCommit, rest[0])
 			}
-			q = q.At(seq)
+			sel = append(sel, "-at", strconv.Itoa(seq))
 		}
 		fmt.Printf("checked out %s: commit %d (%q)\n", rest[0], c.ID, c.Message)
-		n := 0
-		rows, rowsErr := q.Rows()
-		for rec := range rows {
-			fmt.Println(rec.String())
-			n++
-		}
-		if err := rowsErr(); err != nil {
-			return err
-		}
-		fmt.Printf("%d records\n", n)
-		return nil
+		return runSelect(db, table, sel)
 
 	case "diff":
 		if len(rest) != 2 {
@@ -459,7 +417,7 @@ func run(dir, engine, table string, args []string) error {
 			}
 			var defs []decibel.ColumnDefault
 			if hasDef {
-				v, err := parseColumnValue(col, defRaw)
+				v, err := parseValue(col, defRaw)
 				if err != nil {
 					return err
 				}
@@ -676,7 +634,10 @@ func parseAggs(s string) ([]decibel.Agg, []string, error) {
 // runSelect implements the select command: a versioned query through
 // the facade's fluent builder, with branches, predicate and projection
 // taken from flags. An explicit positional argument overrides the
-// global -table flag.
+// global -table flag. The flags name one terminal, first match wins:
+// -diff the Diff, -group-by or -agg the Groups, -join the Tuples (the
+// Count with -count), -count the Count, several branches or -heads the
+// Annotated scan, and otherwise the Rows.
 func runSelect(db *decibel.DB, table string, args []string) error {
 	fs := flag.NewFlagSet("select", flag.ContinueOnError)
 	branches := fs.String("branch", "", "comma-separated branch name(s) to scan")
@@ -709,28 +670,16 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 	if err != nil {
 		return err
 	}
+	// Every flag goes into the query as given; the planner and the
+	// terminal the flags name decide whether the combination is legal.
 	q := db.Query(table)
-	multi := *heads
-	isDiff := *diff != ""
-	var diffA, diffB string
-	switch {
-	case isDiff && (*heads || *branches != "" || *at >= 0):
-		return fmt.Errorf("-diff cannot combine with -heads, -branch or -at")
-	case isDiff:
-		var ok bool
-		diffA, diffB, ok = strings.Cut(*diff, ",")
-		if !ok || diffA == "" || diffB == "" {
-			return fmt.Errorf("-diff wants two branch names: -diff a,b")
-		}
-	case *heads && *branches != "":
-		return fmt.Errorf("-heads and -branch are mutually exclusive")
-	case *heads:
+	if *heads {
 		q = q.Heads()
-	case *branches != "":
-		names := strings.Split(*branches, ",")
-		q = q.On(names...)
-		multi = len(names) > 1
-	default:
+	}
+	if *branches != "" {
+		q = q.On(strings.Split(*branches, ",")...)
+	}
+	if !*heads && *branches == "" && *diff == "" {
 		q = q.On(decibel.Master)
 	}
 	if *at >= 0 {
@@ -756,37 +705,51 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 	if *limit > 0 {
 		q = q.Limit(*limit)
 	}
-
-	if len(joins) > 0 {
-		if isDiff || *heads {
-			return fmt.Errorf("-join cannot combine with -diff or -heads")
+	for _, spec := range joins {
+		jq, key, err := parseJoin(db, spec)
+		if err != nil {
+			return err
 		}
-		for _, spec := range joins {
-			jq, key, err := parseJoin(db, spec)
-			if err != nil {
-				return err
-			}
-			q = q.JoinOn(jq, key)
-		}
-		if *declared {
-			q = q.DeclaredJoinOrder()
-		}
+		q = q.JoinOn(jq, key)
 	}
-	if *aggList != "" && *groupBy == "" {
-		return fmt.Errorf("-agg requires -group-by")
+	if *declared {
+		q = q.DeclaredJoinOrder()
 	}
-
+	var gcols []string
 	if *groupBy != "" {
-		if isDiff {
-			return fmt.Errorf("-group-by cannot combine with -diff")
+		gcols = strings.Split(*groupBy, ",")
+		q = q.GroupBy(gcols...)
+	}
+
+	n := 0
+	switch {
+	case *diff != "":
+		// The positive diff of Query 2, with -where evaluated inside the
+		// engines' XOR/lineage diff scans (predicate pushdown) and
+		// -cols/-order/-limit applied to the emitted side.
+		a, b, ok := strings.Cut(*diff, ",")
+		if !ok || a == "" || b == "" {
+			return fmt.Errorf("-diff wants two branch names: -diff a,b")
 		}
-		gcols := strings.Split(*groupBy, ",")
+		rows, qErr := q.Diff(a, b)
+		for rec := range rows {
+			if !*count {
+				fmt.Println(rec.String())
+			}
+			n++
+		}
+		if err := qErr(); err != nil {
+			return err
+		}
+		fmt.Printf("%d records in %s but not %s\n", n, a, b)
+		return nil
+
+	case *groupBy != "" || *aggList != "":
 		aggs, labels, err := parseAggs(*aggList)
 		if err != nil {
 			return err
 		}
-		groups, gErr := q.GroupBy(gcols...).Groups(aggs...)
-		n := 0
+		groups, gErr := q.Groups(aggs...)
 		for g := range groups {
 			parts := make([]string, 0, len(g.Key)+len(g.Aggs))
 			for i, v := range g.Key {
@@ -806,11 +769,9 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 		}
 		fmt.Printf("%d groups\n", n)
 		return nil
-	}
 
-	if len(joins) > 0 && !*count {
+	case len(joins) > 0 && !*count:
 		tuples, tErr := q.Tuples()
-		n := 0
 		for tup := range tuples {
 			parts := make([]string, len(tup))
 			for i, rec := range tup {
@@ -824,37 +785,13 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 		}
 		fmt.Printf("%d joined tuples\n", n)
 		return nil
-	}
 
-	if isDiff {
-		// The positive diff of Query 2, with -where evaluated inside the
-		// engines' XOR/lineage diff scans (predicate pushdown) and
-		// -cols/-order/-limit applied to the emitted side.
-		rows, qErr := q.Diff(diffA, diffB)
-		n := 0
-		for rec := range rows {
-			if !*count {
-				fmt.Println(rec.String())
-			}
-			n++
-		}
-		if err := qErr(); err != nil {
+	case *count:
+		if n, err = q.Count(); err != nil {
 			return err
 		}
-		fmt.Printf("%d records in %s but not %s\n", n, diffA, diffB)
-		return nil
-	}
 
-	if *count {
-		n, err := q.Count()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d records\n", n)
-		return nil
-	}
-	n := 0
-	if multi {
+	case *heads || strings.Contains(*branches, ","):
 		annotated, qErr := q.Annotated()
 		for rec, active := range annotated {
 			fmt.Printf("%s @ %s\n", rec.String(), strings.Join(active, ","))
@@ -863,7 +800,8 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 		if err := qErr(); err != nil {
 			return err
 		}
-	} else {
+
+	default:
 		rows, qErr := q.Rows()
 		for rec := range rows {
 			fmt.Println(rec.String())
@@ -916,10 +854,14 @@ func parseConjunct(schema *decibel.Schema, s string) (decibel.Expr, error) {
 			continue
 		}
 		name := strings.TrimSpace(s[:i])
-		raw := strings.TrimSpace(s[i+len(op):])
-		val, err := parseValue(schema, name, raw)
-		if err != nil {
-			return decibel.Expr{}, err
+		// An unknown column keeps the raw string, so the planner reports
+		// ErrNoSuchColumn with the right name.
+		var val any = strings.TrimSpace(s[i+len(op):])
+		if ci := schema.ColumnIndex(name); ci >= 0 {
+			var err error
+			if val, err = parseValue(schema.Column(ci), val.(string)); err != nil {
+				return decibel.Expr{}, err
+			}
 		}
 		col := decibel.Col(name)
 		switch op {
@@ -940,32 +882,6 @@ func parseConjunct(schema *decibel.Schema, s string) (decibel.Expr, error) {
 		}
 	}
 	return decibel.Expr{}, fmt.Errorf("cannot parse predicate %q (want col{=|!=|<|<=|>|>=|^=}value)", s)
-}
-
-// parseValue converts the textual value to the Go type the named
-// column's schema type expects; unknown columns pass the raw string
-// through so the builder reports ErrNoSuchColumn with the right name.
-func parseValue(schema *decibel.Schema, col, raw string) (any, error) {
-	i := schema.ColumnIndex(col)
-	if i < 0 {
-		return raw, nil
-	}
-	switch schema.Column(i).Type {
-	case decibel.Float64:
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return nil, fmt.Errorf("column %q: %w", col, err)
-		}
-		return f, nil
-	case decibel.Bytes:
-		return raw, nil
-	default:
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("column %q: %w", col, err)
-		}
-		return n, nil
-	}
 }
 
 // runServe runs the HTTP/JSON serving layer over the open dataset

@@ -176,14 +176,26 @@ func TestSelectJoinGroupCLI(t *testing.T) {
 		}
 	}
 
-	// Flag-level misuse is rejected before any query runs.
+	// Shape misuse reaches the planner, which rejects it with
+	// ErrBadQuery: the CLI keeps no shape rules of its own.
 	for _, args := range [][]string{
-		{"-branch", "master", "-agg", "count"},                         // -agg without -group-by
-		{"-diff", "master,dev", "-join", "users:user_id=id"},           // join over diff
-		{"-heads", "-join", "users:user_id=id"},                        // join over heads
-		{"-diff", "master,dev", "-group-by", "qty", "-agg", "count"},   // group over diff
+		{"-branch", "master", "-agg", "count"},                       // -agg without -group-by
+		{"-diff", "master,dev", "-join", "users:user_id=id"},         // join over diff
+		{"-heads", "-join", "users:user_id=id"},                      // join over heads
+		{"-diff", "master,dev", "-group-by", "qty", "-agg", "count"}, // group over diff
+		{"-heads", "-branch", "master"},                              // heads and branches
+		{"-diff", "master,dev", "-branch", "master"},                 // diff over branches
+		{"-diff", "master,dev", "-at", "0"},                          // diff of a commit
+	} {
+		if err := sel(args...); !errors.Is(err, decibel.ErrBadQuery) {
+			t.Fatalf("select %v: err = %v, want ErrBadQuery", args, err)
+		}
+	}
+	// Flag syntax errors fail before any query runs.
+	for _, args := range [][]string{
 		{"-branch", "master", "-join", "users"},                        // malformed spec
 		{"-branch", "master", "-group-by", "qty", "-agg", "median:id"}, // unknown aggregate
+		{"-diff", "master"}, // one diff side
 	} {
 		if err := sel(args...); err == nil {
 			t.Fatalf("select %v unexpectedly succeeded", args)

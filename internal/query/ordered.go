@@ -62,6 +62,9 @@ func CountOrderedSkips() int64 { return orderedSkips.Load() }
 // better); everything else takes the EmitOrdered gather above the plain
 // scan.
 func (c *Compiled) EmitRows(ctx context.Context, fn core.ScanFunc) error {
+	if err := c.rowShape("Rows", false); err != nil {
+		return err
+	}
 	kind := c.shape()
 	if c.orderedVisitApplies() {
 		if _, point := c.pointPK(); !point || kind != core.ScanKindBranch {
@@ -81,10 +84,10 @@ func (c *Compiled) EmitRows(ctx context.Context, fn core.ScanFunc) error {
 // (the diff partition's B-side units run but their rows fail the keep
 // filter, exactly as in the plain diff).
 func (c *Compiled) EmitDiffRows(ctx context.Context, fn core.ScanFunc) error {
+	if err := c.rowShape("Diff", true); err != nil {
+		return err
+	}
 	if c.orderedVisitApplies() {
-		if err := c.pair(); err != nil {
-			return err
-		}
 		return c.orderedVisit(ctx, c.request(core.ScanKindDiff), keepInA, fn)
 	}
 	return c.EmitOrdered(func(f core.ScanFunc) error { return c.Diff(ctx, f) }, fn)

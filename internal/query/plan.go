@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 
+	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/vgraph"
@@ -22,9 +23,17 @@ import (
 // predicate and column projection.
 type Plan struct {
 	Table    string   // relation name
-	Branches []string // scanned branches: 1 = single-version, 2 = diff/join, n = multi
+	Branches []string // scanned branches: 1 = single-version, n = multi (or, with Diff, the diff's two sides)
 	AllHeads bool     // multi-branch scan over every branch head (Query 4)
-	AtSeq    int      // >= 0: the AtSeq'th commit made on Branches[0] (historical read); -1 = head
+
+	// Diff makes the plan the positive diff of Query 2: the records live
+	// at Branches[0]'s head but not at Branches[1]'s. Only the diff
+	// terminals (Diff, SymDiff, EmitDiffRows) run a Diff plan, and they
+	// run nothing else. (Declared beside AllHeads, whose padding it
+	// takes: a Compiled, which embeds the plan, stays in its size class.)
+	Diff bool
+
+	AtSeq int // >= 0: the AtSeq'th commit made on Branches[0] (historical read); -1 = head
 
 	// AtCommit pins the read to an explicit commit ID (vgraph.None =
 	// unset). Unlike AtSeq it addresses any commit reachable from the
@@ -108,12 +117,29 @@ type Compiled struct {
 // failures wrap sentinel errors: core.ErrNoSuchTable,
 // core.ErrNoSuchBranch, core.ErrNoSuchCommit, core.ErrNoSuchColumn,
 // core.ErrTypeMismatch and core.ErrBadQuery.
+//
+// Compile and the Compiled terminals are the one place a query shape
+// is accepted or rejected: the facade's builder, the server and the CLI
+// translate their input into a Plan and call the terminal their caller
+// names, and an illegal combination fails here — or in a terminal that
+// does not run the plan's shape — with ErrBadQuery.
 func (p Plan) Compile(db *core.Database) (*Compiled, error) {
 	t, err := db.TableByName(p.Table)
 	if err != nil {
 		return nil, err
 	}
 	c := &Compiled{db: db, table: t, plan: p}
+
+	if p.Diff {
+		switch {
+		case p.AllHeads || len(p.Branches) != 2:
+			return nil, fmt.Errorf("%w: a diff reads exactly two branch heads, not Heads or more branches", core.ErrBadQuery)
+		case p.AtSeq >= 0 || p.AtCommit != vgraph.None:
+			return nil, fmt.Errorf("%w: a diff reads branch heads; At/AtCommit do not apply", core.ErrBadQuery)
+		case len(p.Joins) > 0 || len(p.GroupCols) > 0:
+			return nil, fmt.Errorf("%w: joins and GroupBy do not apply to a diff", core.ErrBadQuery)
+		}
+	}
 
 	if p.AllHeads {
 		if len(p.Branches) > 0 {
@@ -247,22 +273,19 @@ func (c *Compiled) single() error {
 	return nil
 }
 
-// rowShape rejects row/scalar terminals on plans composed with joins
-// or GroupBy — those run through the Tuples and Groups terminals.
-func (c *Compiled) rowShape(terminal string) error {
-	if c.join != nil {
+// rowShape rejects row terminals on plans composed with joins or
+// GroupBy — those run through the Tuples and Groups terminals — and
+// checks the plan is a Diff exactly when the terminal is a diff one.
+func (c *Compiled) rowShape(terminal string, diff bool) error {
+	switch {
+	case c.join != nil:
 		return fmt.Errorf("%w: %s does not apply to a join-composed query; use Tuples or Groups", core.ErrBadQuery, terminal)
-	}
-	if len(c.plan.GroupCols) > 0 {
+	case len(c.plan.GroupCols) > 0:
 		return fmt.Errorf("%w: %s does not apply to a grouped query; use Groups", core.ErrBadQuery, terminal)
-	}
-	return nil
-}
-
-// pair checks the plan addresses exactly two branch heads.
-func (c *Compiled) pair() error {
-	if c.plan.AllHeads || len(c.branches) != 2 || c.commit != nil {
-		return fmt.Errorf("%w: this terminal needs exactly two branch heads", core.ErrBadQuery)
+	case c.plan.Diff && !diff:
+		return fmt.Errorf("%w: %s does not apply to a diff; use Diff", core.ErrBadQuery, terminal)
+	case diff && !c.plan.Diff:
+		return fmt.Errorf("%w: %s needs a diff plan of two branch heads", core.ErrBadQuery, terminal)
 	}
 	return nil
 }
@@ -319,7 +342,7 @@ func (c *Compiled) run(ctx context.Context, req core.ScanRequest, spec *core.Sca
 // segment scan when the engine can; the full predicate and projection
 // still run on the looked-up record, so the result is identical.
 func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
-	if err := c.rowShape("Rows"); err != nil {
+	if err := c.rowShape("Rows", false); err != nil {
 		return err
 	}
 	if err := c.single(); err != nil {
@@ -355,7 +378,7 @@ func (c *Compiled) pointPK() (int64, bool) {
 // branches (or every head with AllHeads) as one engine pass; bit i of
 // the membership bitmap corresponds to Branches()[i].
 func (c *Compiled) ScanMulti(ctx context.Context, fn core.MultiScanFunc) error {
-	if err := c.rowShape("Annotated"); err != nil {
+	if err := c.rowShape("Annotated", false); err != nil {
 		return err
 	}
 	if c.commit != nil {
@@ -365,29 +388,44 @@ func (c *Compiled) ScanMulti(ctx context.Context, fn core.MultiScanFunc) error {
 		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) })
 }
 
-// Diff executes a positive diff (Query 2): records live in
-// Branches()[0] but not Branches()[1], with predicate, projection and
-// zone-map pruning applied inside the diff's scan units.
-func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
-	if err := c.rowShape("Diff"); err != nil {
+// Annotated executes the multi-branch scan of ScanMulti and passes each
+// record with the names of the scanned branches whose heads hold it —
+// the output shape of the paper's HEAD() query. The name slice is
+// reused across calls; copy it to retain it. The scan emits in storage
+// order, so OrderBy/Limit do not apply.
+func (c *Compiled) Annotated(ctx context.Context, fn func(rec *record.Record, branches []string) bool) error {
+	if err := c.noOrdering("Annotated"); err != nil {
 		return err
 	}
-	if err := c.pair(); err != nil {
+	branches := c.branches // not c.branches in the closure: it runs once per head a record is live in
+	names := make([]string, 0, len(branches))
+	return c.ScanMulti(ctx, func(rec *record.Record, member *bitmap.Bitmap) bool {
+		names = names[:0]
+		member.ForEach(func(i int) bool {
+			names = append(names, branches[i].Name)
+			return true
+		})
+		return fn(rec, names)
+	})
+}
+
+// Diff executes a positive diff (Query 2) of a Diff plan: records live
+// in Branches()[0] but not Branches()[1], with predicate, projection
+// and zone-map pruning applied inside the diff's scan units.
+func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
+	if err := c.rowShape("Diff", true); err != nil {
 		return err
 	}
 	return c.runRows(ctx, c.request(core.ScanKindDiff), keepInA,
 		func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
-// SymDiff executes the symmetric diff of Branches()[0] and
-// Branches()[1] in one pass: inA is true for records live in the first
-// but not the second, false for the reverse. Predicate and projection
-// apply to both sides.
+// SymDiff executes the symmetric diff of a Diff plan's Branches()[0]
+// and Branches()[1] in one pass: inA is true for records live in the
+// first but not the second, false for the reverse. Predicate and
+// projection apply to both sides.
 func (c *Compiled) SymDiff(ctx context.Context, fn func(rec *record.Record, inA bool) bool) error {
-	if err := c.rowShape("Diff"); err != nil {
-		return err
-	}
-	if err := c.pair(); err != nil {
+	if err := c.rowShape("Diff", true); err != nil {
 		return err
 	}
 	return c.runRows(ctx, c.request(core.ScanKindDiff), nil,
@@ -411,15 +449,18 @@ const (
 
 // Aggregate folds one numeric column (ignored for AggCount) over the
 // plan's scan — single-version, historical, or multi-branch (where
-// each record live in any head counts once). Empty Min/Max fail with
-// core.ErrNoRows. Integer columns are accumulated as int64 and
-// converted on return.
+// each record live in any head counts once); a diff is counted by
+// running its Diff terminal. Empty Min/Max fail with core.ErrNoRows.
+// Integer columns are accumulated as int64 and converted on return.
 func (c *Compiled) Aggregate(ctx context.Context, kind AggKind, col string) (float64, error) {
 	if err := c.noOrdering("aggregates"); err != nil {
 		return 0, err
 	}
 	if len(c.plan.GroupCols) > 0 {
 		return 0, fmt.Errorf("%w: scalar aggregates do not apply to a grouped query; use Groups", core.ErrBadQuery)
+	}
+	if c.plan.Diff {
+		return 0, fmt.Errorf("%w: scalar aggregates do not apply to a diff; count its Diff rows", core.ErrBadQuery)
 	}
 	if c.join != nil {
 		// Count is the one scalar fold defined over a join-composed

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -268,5 +269,70 @@ func TestCompiledReuse(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDiffPlanShapes: a plan says it is a diff, Compile accepts a Diff
+// only over exactly two branch heads, the diff terminals run nothing
+// but Diff plans, and every other row or scalar terminal refuses one —
+// a Count over the two heads would fold their union, not the diff.
+func TestDiffPlanShapes(t *testing.T) {
+	db := planFixture(t, factories()["hybrid"])
+	ctx := context.Background()
+	diff := Plan{Table: "r", Branches: []string{"dev", "master"}, AtSeq: -1, Diff: true}
+
+	for name, mut := range map[string]func(p *Plan){
+		"one branch": func(p *Plan) { p.Branches = p.Branches[:1] },
+		"three":      func(p *Plan) { p.Branches = append(p.Branches, "dev") },
+		"heads":      func(p *Plan) { p.Branches, p.AllHeads = nil, true },
+		"at":         func(p *Plan) { p.AtSeq = 0 },
+		"group by":   func(p *Plan) { p.GroupCols = []string{"v"} },
+		"join":       func(p *Plan) { p.Joins = []JoinLeg{{Plan: Plan{Table: "r", AtSeq: -1}, LeftCol: "id", RightCol: "id"}} },
+	} {
+		p := diff
+		mut(&p)
+		if _, err := p.Compile(db); !errors.Is(err, core.ErrBadQuery) {
+			t.Fatalf("%s: Compile err = %v, want ErrBadQuery", name, err)
+		}
+	}
+
+	c, err := diff.Compile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := func(*record.Record) bool { return true }
+	for name, run := range map[string]func() error{
+		"Scan":      func() error { return c.Scan(ctx, none) },
+		"EmitRows":  func() error { return c.EmitRows(ctx, none) },
+		"Annotated": func() error { return c.Annotated(ctx, func(*record.Record, []string) bool { return true }) },
+		"Count":     func() error { _, err := c.Aggregate(ctx, AggCount, ""); return err },
+	} {
+		if err := run(); !errors.Is(err, core.ErrBadQuery) {
+			t.Fatalf("%s over a diff: err = %v, want ErrBadQuery", name, err)
+		}
+	}
+	n := 0
+	if err := c.EmitDiffRows(ctx, func(*record.Record) bool { n++; return true }); err != nil || n != 2 {
+		t.Fatalf("EmitDiffRows = %d rows (%v), want 2", n, err)
+	}
+
+	multi := diff
+	multi.Diff = false
+	m, err := multi.Compile(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Diff(ctx, none); !errors.Is(err, core.ErrBadQuery) {
+		t.Fatalf("Diff over a two-branch multi plan: err = %v, want ErrBadQuery", err)
+	}
+	names := map[string]string{}
+	if err := m.Annotated(ctx, func(r *record.Record, branches []string) bool {
+		names[r.String()] = fmt.Sprint(branches)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 12 || names[rec(m.OutSchema(), 11, 11).String()] != "[dev]" || names[rec(m.OutSchema(), 10, 10).String()] != "[master]" {
+		t.Fatalf("Annotated = %v", names)
 	}
 }

@@ -119,7 +119,11 @@ func TestQ2PositiveDiff(t *testing.T) {
 			db, _, _, _ := fixture(t, f)
 			diff := func(a, b string) []int64 {
 				var pks []int64
-				err := compile(t, db, Expr{}, a, b).Diff(context.Background(), func(r *record.Record) bool {
+				c, err := Plan{Table: "r", Branches: []string{a, b}, AtSeq: -1, Diff: true}.Compile(db)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = c.Diff(context.Background(), func(r *record.Record) bool {
 					pks = append(pks, r.PK())
 					return true
 				})

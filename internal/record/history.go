@@ -166,25 +166,35 @@ func (h *History) Epoch() int {
 	return h.epoch
 }
 
-// EncodeDefault encodes a default value for the column: nil gives the
-// zero value; integers fit Int32/Int64, floats (or integers) fit
-// Float64, strings and []byte fit Bytes columns.
+// EncodeDefault encodes a Go value for the column, as an added column's
+// default; Record.SetValue encodes a record's values by the same rules.
+// nil gives the zero value; integers fit Int32/Int64 (range checked by
+// CheckInt), floats (or integers) fit Float64, strings and []byte fit
+// Bytes columns.
 func EncodeDefault(c Column, v any) ([]byte, error) {
 	buf := make([]byte, c.Width())
+	if err := encodeValue(c, v, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// encodeValue writes v's encoding for column c into buf (c.Width()
+// bytes). It validates v before writing, so a failure leaves buf as it
+// was.
+func encodeValue(c Column, v any, buf []byte) error {
 	if v == nil {
-		if c.Type == Bytes {
-			binary.LittleEndian.PutUint16(buf, 0)
-		}
-		return buf, nil
+		clear(buf)
+		return nil
 	}
 	switch c.Type {
 	case Int32, Int64:
 		n, ok := asDefInt(v)
 		if !ok {
-			return nil, fmt.Errorf("record: default %T does not fit %v column %q", v, c.Type, c.Name)
+			return fmt.Errorf("record: %T value does not fit %v column %q", v, c.Type, c.Name)
 		}
 		if err := c.CheckInt(n); err != nil {
-			return nil, err
+			return err
 		}
 		if c.Type == Int32 {
 			binary.LittleEndian.PutUint32(buf, uint32(int32(n)))
@@ -201,7 +211,7 @@ func EncodeDefault(c Column, v any) ([]byte, error) {
 		default:
 			n, ok := asDefInt(v)
 			if !ok {
-				return nil, fmt.Errorf("record: default %T does not fit DOUBLE column %q", v, c.Name)
+				return fmt.Errorf("record: %T value does not fit DOUBLE column %q", v, c.Name)
 			}
 			f = float64(n)
 		}
@@ -214,17 +224,17 @@ func EncodeDefault(c Column, v any) ([]byte, error) {
 		case string:
 			b = []byte(x)
 		default:
-			return nil, fmt.Errorf("record: default %T does not fit BYTES column %q", v, c.Name)
+			return fmt.Errorf("record: %T value does not fit BYTES column %q", v, c.Name)
 		}
 		if len(b) > c.Size {
-			return nil, fmt.Errorf("record: default of %d bytes exceeds capacity %d of column %q", len(b), c.Size, c.Name)
+			return fmt.Errorf("record: value of %d bytes exceeds capacity %d of column %q", len(b), c.Size, c.Name)
 		}
 		binary.LittleEndian.PutUint16(buf, uint16(len(b)))
-		copy(buf[bytesLenPrefix:], b)
+		clear(buf[bytesLenPrefix+copy(buf[bytesLenPrefix:], b):])
 	default:
-		return nil, fmt.Errorf("record: column %q has unknown type %d", c.Name, c.Type)
+		return fmt.Errorf("record: column %q has unknown type %d", c.Name, c.Type)
 	}
-	return buf, nil
+	return nil
 }
 
 func asDefInt(v any) (int64, bool) {

@@ -91,8 +91,8 @@ func (c Column) Width() int {
 
 // CheckInt reports an error naming the column when integer n does not
 // fit it: an Int32 column holds only int32 values, and Record.Set would
-// wrap the rest. Boundaries that take integers from outside — defaults,
-// served and CLI inserts — check before they set.
+// wrap the rest. Values from outside — defaults, served and CLI inserts
+// — are encoded through EncodeDefault or Record.SetValue, which check.
 func (c Column) CheckInt(n int64) error {
 	if c.Type == Int32 && (n < math.MinInt32 || n > math.MaxInt32) {
 		return fmt.Errorf("record: %d overflows INT column %q", n, c.Name)
@@ -429,6 +429,15 @@ func (r *Record) SetBytes(i int, v []byte) error {
 		payload[j] = 0
 	}
 	return nil
+}
+
+// SetValue stores the Go value v into column i through the encoder
+// behind EncodeDefault: integers fit Int32/Int64 columns (range
+// checked), floats or integers fit Float64, strings and []byte fit
+// Bytes, and nil is the type's zero value. A value that does not fit
+// fails naming the column and leaves the record unchanged.
+func (r *Record) SetValue(i int, v any) error {
+	return encodeValue(r.schema.cols[i], v, r.ColumnBytes(i))
 }
 
 // ColumnBytes returns the raw encoded bytes of column i (for a Bytes

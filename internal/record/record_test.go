@@ -2,6 +2,8 @@ package record
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -414,6 +416,49 @@ func TestBytesColumnRoundTrip(t *testing.T) {
 	}
 	if err := r.SetBytes(3, nil); err != nil || len(r.GetBytes(3)) != 0 {
 		t.Fatalf("empty value round trip: %v, %q", err, r.GetBytes(3))
+	}
+}
+
+// TestSetValue: SetValue encodes exactly what the typed setters do,
+// and a value that does not fit fails naming the column and leaves the
+// record unchanged.
+func TestSetValue(t *testing.T) {
+	s := typedSchema(t)
+	want := New(s)
+	want.SetPK(7)
+	want.Set(1, -3)
+	want.SetFloat64(2, 2.5)
+	if err := want.SetBytes(3, []byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	got := New(s)
+	if err := got.SetBytes(3, []byte("a longer tag")); err != nil { // must not leak
+		t.Fatal(err)
+	}
+	for i, v := range []any{int64(7), -3, 2.5, "hi"} {
+		if err := got.SetValue(i, v); err != nil {
+			t.Fatalf("SetValue(%d, %v): %v", i, v, err)
+		}
+	}
+	if !got.Equal(want) {
+		t.Fatalf("SetValue built %v, typed setters %v", got, want)
+	}
+	for _, tc := range []struct {
+		col int
+		v   any
+	}{
+		{1, int64(1) << 32},   // overflows the int32 column
+		{1, 1.5},              // a float in an integer column
+		{2, "3"},              // a string in a float column
+		{3, make([]byte, 17)}, // over the bytes capacity
+	} {
+		err := got.SetValue(tc.col, tc.v)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(s.Column(tc.col).Name)) || !got.Equal(want) {
+			t.Fatalf("column %d value %v: err = %v, record %v; want a rejection naming the column and no change", tc.col, tc.v, err, got)
+		}
+	}
+	if err := got.SetValue(1, nil); err != nil || got.Get(1) != 0 {
+		t.Fatalf("nil value: %v, %d; want the zero value", err, got.Get(1))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"decibel/client"
 	iquery "decibel/internal/query"
 	"decibel/internal/record"
+	"decibel/internal/vgraph"
 )
 
 // decodeJSON reads one request body. UseNumber keeps int64 column
@@ -61,6 +62,62 @@ func coerce(v any, t record.Type) (any, error) {
 		}
 	}
 	return v, nil // let the typed layer produce its sentinel error
+}
+
+// planOf translates a wire query into the logical plan it names, with
+// no database at hand: schemaOf returns a table's schema, against
+// which predicate values are coerced. Its own errors are bad_request —
+// a body that cannot be read as a query; whether the plan's shape is
+// legal is for Plan.Compile and the terminal to decide. Diff's branches
+// follow Branches in the plan's scan set, as the builder's Diff(a, b)
+// follows On.
+func planOf(req *client.QueryRequest, schemaOf func(table string) (*record.Schema, error)) (iquery.Plan, error) {
+	where, err := decodeWhere(req.Table, req.Where, schemaOf)
+	if err != nil {
+		return iquery.Plan{}, err
+	}
+	plan := iquery.Plan{
+		Table:     req.Table,
+		Branches:  req.Branches,
+		AllHeads:  req.Heads,
+		AtSeq:     -1,
+		AtCommit:  vgraph.CommitID(req.AtCommit),
+		Where:     where,
+		Cols:      req.Select,
+		OrderCol:  req.OrderBy,
+		OrderDesc: req.Desc,
+		Limit:     req.Limit,
+		NoReorder: req.DeclaredOrder,
+		GroupCols: req.GroupBy,
+	}
+	if req.At != nil {
+		plan.AtSeq = *req.At
+	}
+	if len(req.Diff) > 0 {
+		plan.Branches = append(req.Branches[:len(req.Branches):len(req.Branches)], req.Diff...)
+		plan.Diff = true
+	}
+	for _, jc := range req.Join {
+		jw, err := decodeWhere(jc.Table, jc.Where, schemaOf)
+		if err != nil {
+			return iquery.Plan{}, err
+		}
+		leg := iquery.Plan{Table: jc.Table, Where: jw, Cols: jc.Select, AtSeq: -1}
+		if jc.Branch != "" {
+			leg.Branches = []string{jc.Branch}
+		}
+		plan.Joins = append(plan.Joins, iquery.JoinLeg{Plan: leg, LeftCol: jc.On[0], RightCol: jc.On[1]})
+	}
+	return plan, nil
+}
+
+// decodeWhere decodes a table's wire predicate against its schema.
+func decodeWhere(table string, e *client.Expr, schemaOf func(string) (*record.Schema, error)) (iquery.Expr, error) {
+	sch, err := schemaOf(table)
+	if err != nil {
+		return iquery.Expr{}, err
+	}
+	return decodeExpr(e, sch)
 }
 
 // decodeExpr translates a wire predicate into the typed AST, coercing
@@ -154,36 +211,15 @@ func buildRecord(sch *record.Schema, values map[string]any) (*record.Record, err
 			}
 			continue
 		}
+		if v == nil {
+			return nil, badRequestf("column %q is null", col.Name) // SetValue would read nil as zero
+		}
 		cv, err := coerce(v, col.Type)
 		if err != nil {
 			return nil, err
 		}
-		switch col.Type {
-		case record.Int32, record.Int64:
-			n, ok := cv.(int64)
-			if !ok {
-				return nil, badRequestf("column %q wants an integer, got %T", col.Name, v)
-			}
-			if err := col.CheckInt(n); err != nil {
-				return nil, badRequestf("%v", err)
-			}
-			rec.Set(i, n)
-		case record.Float64:
-			f, ok := cv.(float64)
-			if !ok {
-				return nil, badRequestf("column %q wants a number, got %T", col.Name, v)
-			}
-			rec.SetFloat64(i, f)
-		case record.Bytes:
-			b, ok := cv.([]byte)
-			if !ok {
-				return nil, badRequestf("column %q wants a string, got %T", col.Name, v)
-			}
-			if err := rec.SetBytes(i, b); err != nil {
-				return nil, badRequestf("column %q: %v", col.Name, err)
-			}
-		default:
-			return nil, badRequestf("column %q has unsupported type", col.Name)
+		if err := rec.SetValue(i, cv); err != nil {
+			return nil, badRequestf("%v", err)
 		}
 	}
 	return rec, nil

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http/httptest"
 	"testing"
@@ -20,10 +21,12 @@ var fuzzSchema = record.MustSchema(
 )
 
 // FuzzDecodeRequest throws arbitrary bytes at the request decoders: the
-// body decode of a query and a commit, the predicate translation and
-// the insert-record encoder. None may panic, and every record
-// buildRecord accepts must read back exactly the values it was given —
-// an integer wrapped to fit its column is a failure, not an encoding.
+// body decode of a query and a commit, the query-to-plan translation
+// and the insert-record encoder. None may panic; every error the
+// translation returns must be bad_request (a shape error there would
+// mean a rule leaked out of the planner); and every record buildRecord
+// accepts must read back exactly the values it was given — an integer
+// wrapped to fit its column is a failure, not an encoding.
 func FuzzDecodeRequest(f *testing.F) {
 	at := 2
 	insert := func(values map[string]any) client.Op {
@@ -44,6 +47,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		client.QueryRequest{Table: "products", Branches: []string{"master"},
 			Where: &client.Expr{Not: &client.Expr{Or: []client.Expr{
 				{Col: "sku", Op: "prefix", Val: "sku-"}, {Col: "qty", Op: "lt", Val: 0}}}}},
+		client.QueryRequest{Table: "products", Diff: []string{"master"}},
+		client.QueryRequest{Table: "products", Diff: []string{"dev", "master"}, Agg: "count"},
+		client.QueryRequest{Table: "orders", Heads: true, Join: []client.JoinClause{
+			{Table: "users", On: [2]string{"user_id", "id"}, Where: &client.Expr{Col: "id", Op: "gt", Val: 2}}}},
+		client.QueryRequest{Table: "orders", Branches: []string{"master"}, GroupBy: []string{"qty"}, Agg: "count"},
+		client.QueryRequest{Table: "orders", Branches: []string{"master"}, Aggs: []client.AggClause{{Agg: "count"}}},
 		client.CommitRequest{Branch: "master", Message: "ten products", Ops: []client.Op{
 			insert(map[string]any{"id": 1, "qty": 1, "price": 1.5, "sku": "sku-001"}),
 			insert(map[string]any{"id": 2, "qty": 2, "price": 3.0, "sku": "sku-002"}),
@@ -66,7 +75,10 @@ func FuzzDecodeRequest(f *testing.F) {
 		}
 		var q client.QueryRequest
 		if post(&q) == nil {
-			decodeExpr(q.Where, fuzzSchema)
+			schemaOf := func(string) (*record.Schema, error) { return fuzzSchema, nil }
+			if _, err := planOf(&q, schemaOf); err != nil && !errors.Is(err, errBadRequest) {
+				t.Fatalf("planOf: %v is not bad_request", err)
+			}
 		}
 		var c client.CommitRequest
 		if post(&c) != nil {

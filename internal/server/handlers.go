@@ -2,16 +2,21 @@ package server
 
 import (
 	"net/http"
+	"slices"
 
 	"decibel/client"
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	iquery "decibel/internal/query"
 	"decibel/internal/record"
 	"decibel/internal/vgraph"
 )
 
-// handleQuery is POST /v1/query: one query-builder invocation.
+// handleQuery is POST /v1/query: one query-builder invocation. The
+// request translates into a plan (planOf) and runs the terminal it
+// names — agg the scalar Aggregate, groupBy or aggs the grouped
+// GroupScan, join the Tuples, diff the diff rows, several branches or
+// heads the Annotated scan, and otherwise the rows — and the planner
+// and that terminal alone decide whether the shape is legal.
 //
 // Snapshot isolation: a single-branch read resolves the branch's head
 // commit ID once, here, and compiles the plan pinned to it
@@ -26,77 +31,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 	if err := decodeJSON(r, &req); err != nil {
 		return err
 	}
-	t, err := s.db.TableByName(req.Table)
+	plan, err := planOf(&req, s.schemaOf)
 	if err != nil {
 		return err
-	}
-	where, err := decodeExpr(req.Where, t.Schema())
-	if err != nil {
-		return err
-	}
-	plan := iquery.Plan{
-		Table:     req.Table,
-		Where:     where,
-		Cols:      req.Select,
-		AtSeq:     -1,
-		OrderCol:  req.OrderBy,
-		OrderDesc: req.Desc,
-		Limit:     req.Limit,
-	}
-	isDiff := len(req.Diff) > 0
-	switch {
-	case isDiff:
-		if len(req.Diff) != 2 || len(req.Branches) > 0 || req.Heads {
-			return badRequestf("diff takes exactly two branches and excludes branches/heads")
-		}
-		plan.Branches = req.Diff
-	case req.Heads:
-		plan.AllHeads = true
-	default:
-		plan.Branches = req.Branches
-	}
-	if req.At != nil {
-		plan.AtSeq = *req.At
-	}
-	plan.AtCommit = vgraph.CommitID(req.AtCommit)
-
-	if len(req.Join) > 0 {
-		if isDiff || req.Heads {
-			return badRequestf("join does not combine with diff or heads")
-		}
-		for _, jc := range req.Join {
-			jt, err := s.db.TableByName(jc.Table)
-			if err != nil {
-				return err
-			}
-			jw, err := decodeExpr(jc.Where, jt.Schema())
-			if err != nil {
-				return err
-			}
-			leg := iquery.Plan{Table: jc.Table, Where: jw, Cols: jc.Select, AtSeq: -1}
-			if jc.Branch != "" {
-				leg.Branches = []string{jc.Branch}
-			}
-			plan.Joins = append(plan.Joins, iquery.JoinLeg{Plan: leg, LeftCol: jc.On[0], RightCol: jc.On[1]})
-		}
-		plan.NoReorder = req.DeclaredOrder
-	}
-	if len(req.Aggs) > 0 && len(req.GroupBy) == 0 {
-		return badRequestf("aggs require groupBy")
-	}
-	if len(req.GroupBy) > 0 {
-		if req.Agg != "" {
-			return badRequestf("agg and groupBy do not combine; use aggs")
-		}
-		if isDiff {
-			return badRequestf("groupBy does not combine with diff")
-		}
-		plan.GroupCols = req.GroupBy
 	}
 
 	resp := client.QueryResponse{}
 	// Pin single-branch head reads to the head resolved now.
-	if !isDiff && !req.Heads && len(plan.Branches) == 1 && plan.AtSeq < 0 {
+	if !plan.Diff && !plan.AllHeads && len(plan.Branches) == 1 && plan.AtSeq < 0 {
 		b, err := s.db.BranchNamed(plan.Branches[0])
 		if err != nil {
 			return err
@@ -118,8 +60,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	ctx := r.Context()
-
-	if req.Agg != "" {
+	row := func(rec *record.Record) bool {
+		resp.Rows = append(resp.Rows, rowOf(rec))
+		return true
+	}
+	switch {
+	case req.Agg != "":
 		kind, err := aggKindOf(req.Agg)
 		if err != nil {
 			return err
@@ -128,14 +74,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return err
 		}
-		resp.Agg, resp.Count = v, int(v)
-		if kind != iquery.AggCount {
-			resp.Count = 0
+		resp.Agg = v
+		if kind == iquery.AggCount {
+			resp.Count = int(v)
 		}
 		return reply(w, &resp)
-	}
-
-	if len(plan.GroupCols) > 0 {
+	case len(req.GroupBy) > 0 || len(req.Aggs) > 0:
 		specs := make([]iquery.AggSpec, len(req.Aggs))
 		for i, a := range req.Aggs {
 			kind, err := aggKindOf(a.Agg)
@@ -156,14 +100,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 			resp.Groups = append(resp.Groups, gw)
 			return true
 		})
-		if err != nil {
-			return err
-		}
-		resp.Count = len(resp.Groups)
-		return reply(w, &resp)
-	}
-
-	if len(plan.Joins) > 0 {
+	case len(req.Join) > 0:
 		err = c.JoinTuples(ctx, func(t iquery.JoinTuple) bool {
 			rows := make([]client.Row, len(t))
 			for i, rec := range t {
@@ -172,47 +109,33 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) error {
 			resp.Tuples = append(resp.Tuples, rows)
 			return true
 		})
-		if err != nil {
-			return err
-		}
-		resp.Count = len(resp.Tuples)
-		return reply(w, &resp)
-	}
-
-	multi := !isDiff && (req.Heads || len(plan.Branches) > 1)
-	switch {
-	case multi:
-		if plan.OrderCol != "" || plan.Limit > 0 {
-			return badRequestf("orderBy/limit do not apply to multi-branch (annotated) reads")
-		}
-		branches := c.Branches()
-		err = c.ScanMulti(ctx, func(rec *record.Record, member *bitmap.Bitmap) bool {
-			row := rowOf(rec)
-			names := make([]string, 0, 2)
-			member.ForEach(func(i int) bool {
-				names = append(names, branches[i].Name)
-				return true
-			})
-			row["_branches"] = names
-			resp.Rows = append(resp.Rows, row)
-			return true
-		})
-	case isDiff:
-		err = c.EmitDiffRows(ctx, func(rec *record.Record) bool {
-			resp.Rows = append(resp.Rows, rowOf(rec))
+	case plan.Diff:
+		err = c.EmitDiffRows(ctx, row)
+	case plan.AllHeads || len(plan.Branches) > 1:
+		err = c.Annotated(ctx, func(rec *record.Record, branches []string) bool {
+			out := rowOf(rec)
+			out["_branches"] = slices.Clone(branches)
+			resp.Rows = append(resp.Rows, out)
 			return true
 		})
 	default:
-		err = c.EmitRows(ctx, func(rec *record.Record) bool {
-			resp.Rows = append(resp.Rows, rowOf(rec))
-			return true
-		})
+		err = c.EmitRows(ctx, row)
 	}
 	if err != nil {
 		return err
 	}
-	resp.Count = len(resp.Rows)
+	resp.Count = len(resp.Rows) + len(resp.Tuples) + len(resp.Groups)
 	return reply(w, &resp)
+}
+
+// schemaOf returns the named table's newest schema, the one request
+// values are coerced against.
+func (s *Server) schemaOf(table string) (*record.Schema, error) {
+	t, err := s.db.TableByName(table)
+	if err != nil {
+		return nil, err
+	}
+	return t.Schema(), nil
 }
 
 // aggKindOf maps a wire aggregate name to its plan kind.

@@ -177,8 +177,11 @@ func errStatus(err error) (int, string) {
 	}
 }
 
-// errBadRequest marks protocol-level decode failures (malformed JSON,
-// unknown op names) distinct from the engine's sentinels.
+// errBadRequest marks protocol-level decode failures — a body that
+// cannot be read as a request (malformed JSON, unknown op names, a
+// value that does not fit its column) — distinct from the engine's
+// sentinels. A readable query whose shape the planner rejects is
+// core.ErrBadQuery (bad_query) instead.
 var errBadRequest = errors.New("bad request")
 
 func badRequestf(format string, args ...any) error {

@@ -116,8 +116,8 @@ func compareParallelSequential(t *testing.T, db *decibel.DB, where iquery.Expr, 
 		{iquery.Plan{Table: "r", Branches: []string{"master"}, AtSeq: 1, Where: where}, "scan"},
 		{iquery.Plan{Table: "r", AllHeads: true, AtSeq: -1, Where: where}, "multi"},
 		{iquery.Plan{Table: "r", Branches: []string{"master", "b1"}, AtSeq: -1, Where: where}, "multi"},
-		{iquery.Plan{Table: "r", Branches: []string{"master", "b1"}, AtSeq: -1, Where: where}, "diff"},
-		{iquery.Plan{Table: "r", Branches: []string{"b2", "master"}, AtSeq: -1, Where: where}, "diff"},
+		{iquery.Plan{Table: "r", Branches: []string{"master", "b1"}, AtSeq: -1, Where: where, Diff: true}, "diff"},
+		{iquery.Plan{Table: "r", Branches: []string{"b2", "master"}, AtSeq: -1, Where: where, Diff: true}, "diff"},
 	}
 	for j, sh := range shapes {
 		par := sh.plan

@@ -307,7 +307,7 @@ func TestZoneMapPruningProperty(t *testing.T) {
 					{iquery.Plan{Table: "r", Branches: []string{"b2"}, AtSeq: -1, Where: where}, "scan"},
 					{iquery.Plan{Table: "r", Branches: []string{"master"}, AtSeq: 0, Where: where}, "scan"}, // pre-evolution epoch
 					{iquery.Plan{Table: "r", Branches: []string{"master", "b1"}, AtSeq: -1, Where: where}, "multi"},
-					{iquery.Plan{Table: "r", Branches: []string{"master", "b1"}, AtSeq: -1, Where: where}, "diff"},
+					{iquery.Plan{Table: "r", Branches: []string{"master", "b1"}, AtSeq: -1, Where: where, Diff: true}, "diff"},
 				}
 			}
 			// A few fixed predicates guaranteeing the interesting edges:

@@ -1,9 +1,11 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# six structural checks. Prints the non-test Go lines outside
+# seven structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}), of
-# their merge code (internal/{tf,hy,vf}/merge.go) and of compaction
-# (internal/{tf,hy,vf}/compact.go and internal/store/compact.go). Exits
+# their merge code (internal/{tf,hy,vf}/merge.go), of compaction
+# (internal/{tf,hy,vf}/compact.go and internal/store/compact.go) and of
+# the three query front ends (cmd/decibel/main.go, internal/server and
+# builder.go). Exits
 # non-zero if os.Rename( is called from non-test Go code outside
 # internal/wal: a file in a dataset is replaced through wal.ReplaceFile,
 # which syncs what WithFsync promises, and through nothing else. Exits non-zero too
@@ -19,7 +21,12 @@
 # other than the scan driver ScanUnitsContext, or if .ScanCommit(,
 # .RowsAt( or .RowsMulti( (or a Context form) is called from non-test Go
 # code outside benchmark/: every read is a compiled query
-# (internal/query), and a transaction's own read is Tx.Rows.
+# (internal/query), and a transaction's own read is Tx.Rows. Exits
+# non-zero too if non-test Go in internal/server or cmd/decibel
+# matches combine|mutually exclusive|exactly two|require|do not
+# apply|excludes — the wording of a query-shape check: Plan.Compile and
+# the Compiled terminals decide every shape, and the server and the CLI
+# only translate into a plan and call the terminal their input names.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -34,6 +41,7 @@ echo "non-test Go lines outside benchmark/: $(count .)"
 echo "internal/{tf,hy,vf}:                  $(count internal/tf internal/hy internal/vf)"
 echo "internal/{tf,hy,vf}/merge.go:         $(cat internal/tf/merge.go internal/hy/merge.go internal/vf/merge.go | wc -l | tr -d ' ')"
 echo "internal/{tf,hy,vf,store}/compact.go: $(cat internal/tf/compact.go internal/hy/compact.go internal/vf/compact.go internal/store/compact.go | wc -l | tr -d ' ')"
+echo "query front ends (CLI, server, builder): $(count cmd/decibel/main.go internal/server builder.go)"
 
 stray=$(grep -rln --include='*.go' 'os\.Rename(' . | grep -v '_test\.go$' | grep -v '^\./internal/wal/' || true)
 if [ -n "$stray" ]; then
@@ -76,6 +84,14 @@ stray=$(grep -rlE --include='*.go' '\.(ScanCommit|RowsAt|RowsMulti)(Context)?\('
     grep -v '^\./benchmark/' || true)
 if [ -n "$stray" ]; then
     echo "ID-based table reads are gone (use Query(t).On(b).AtCommit(id) / Heads / Annotated):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'combine|mutually exclusive|exactly two|require|do not apply|excludes' internal/server cmd/decibel |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "query-shape checks outside internal/query (let Plan.Compile or the terminal reject the shape):" >&2
     echo "$stray" >&2
     exit 1
 fi

@@ -246,7 +246,7 @@ func TestServeJoinGroupErrorCodes(t *testing.T) {
 			r := client.QueryRequest{Table: "orders", Heads: true}
 			r.Join = []client.JoinClause{{Table: "users", On: [2]string{"user_id", "id"}}}
 			return r
-		}(), 400, "bad_request"},
+		}(), 400, "bad_query"},
 		{"groupby_unknown_column", func() client.QueryRequest {
 			r := root()
 			r.GroupBy = []string{"nope"}
@@ -268,13 +268,13 @@ func TestServeJoinGroupErrorCodes(t *testing.T) {
 			r := root()
 			r.Aggs = []client.AggClause{{Agg: "count"}}
 			return r
-		}(), 400, "bad_request"},
+		}(), 400, "bad_query"},
 		{"scalar_agg_with_groupby", func() client.QueryRequest {
 			r := root()
 			r.GroupBy = []string{"qty"}
 			r.Agg = "count"
 			return r
-		}(), 400, "bad_request"},
+		}(), 400, "bad_query"},
 		{"unknown_group_agg", func() client.QueryRequest {
 			r := root()
 			r.GroupBy = []string{"qty"}

@@ -315,7 +315,16 @@ func TestServeErrorCodes(t *testing.T) {
 		{"bad_query_diff_arity", func() error {
 			_, err := c.Query(ctx, client.QueryRequest{Table: "products", Diff: []string{"master"}})
 			return err
-		}, 400, "bad_request"},
+		}, 400, "bad_query"},
+		{"diff_with_agg", func() error {
+			// A scalar aggregate would fold the union of both heads, not
+			// the diff.
+			if _, err := c.Branch(ctx, "master", "dev"); err != nil {
+				return err
+			}
+			_, err := c.Query(ctx, client.QueryRequest{Table: "products", Diff: []string{"dev", "master"}, Agg: "count"})
+			return err
+		}, 400, "bad_query"},
 		{"bad_predicate_node", func() error {
 			_, err := c.Query(ctx, client.QueryRequest{Table: "products", Branches: []string{"master"},
 				Where: &client.Expr{Col: "qty", Op: "eq", Val: 1, And: []client.Expr{{Col: "qty", Op: "eq", Val: 1}}}})
