@@ -2,8 +2,7 @@
 // (Section 5): deterministic dataset generators for the deep, flat,
 // science and curation branching strategies, resolved over any
 // registered storage engine by name. The root bench_test.go harness
-// and the decibel-bench CLI drive their experiments through this
-// package.
+// drives the paper's experiments through this package.
 package bench
 
 import (

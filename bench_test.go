@@ -1,10 +1,12 @@
-// Package decibel_test is the benchmark harness that regenerates every
-// table and figure of the paper's evaluation (Section 5) at laptop
-// scale. Each BenchmarkFigureN / BenchmarkTableN corresponds to one
-// figure or table; sub-benchmark names carry the engine, strategy and
-// parameters, and custom metrics report the paper's units (sizes in
-// bytes, commit/checkout latencies, merge MB/s). EXPERIMENTS.md records
-// the paper-vs-measured comparison for each.
+// Package decibel_test holds the paper's evaluation harness, which
+// regenerates every table and figure of Section 5 at laptop scale. Each
+// BenchmarkFigureN / BenchmarkTableN corresponds to one figure or
+// table, and its doc comment states the shape the paper reports;
+// sub-benchmark names carry the engine, strategy and parameters, and
+// custom metrics report rows returned and the paper's units (sizes,
+// commit/checkout latencies, merge MB/s). Run one experiment with
+//
+//	go test -run=NONE -bench=BenchmarkFigure6a -benchtime=1x .
 //
 // Scale note: the paper loads 100 GB; we load megabytes with the same
 // record layout (fixed-width integer columns), update mix (20%), commit
@@ -165,6 +167,18 @@ func scanHeads(b *testing.B, d *bench.Dataset, where decibel.Expr) int {
 	return n
 }
 
+// benchRows times query b.N times and reports the rows one run returns,
+// so each latency reads against the result size behind it.
+func benchRows(b *testing.B, query func() int) {
+	b.Helper()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n = query()
+	}
+	b.ReportMetric(float64(n), "rows")
+}
+
 // BenchmarkFigure6a — Figure 6a: Query 1 (single-branch scan) on the
 // flat strategy as the branch count scales, total dataset size held
 // fixed. Expected shape: vf/hy latency falls with more (smaller)
@@ -179,10 +193,7 @@ func BenchmarkFigure6a(b *testing.B) {
 				d := getDataset(b, e, cfg)
 				r := rand.New(rand.NewSource(7))
 				child := d.RandomChild(r)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					scanBranch(b, d, child.ID)
-				}
+				benchRows(b, func() int { return scanBranch(b, d, child.ID) })
 			})
 		}
 	}
@@ -200,10 +211,7 @@ func BenchmarkFigure6b(b *testing.B) {
 			for _, e := range engines {
 				b.Run(fmt.Sprintf("%s/%s/branches=%d", e, strategy, branches), func(b *testing.B) {
 					d := getDataset(b, e, cfg)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						scanHeads(b, d, decibel.MatchAll())
-					}
+					benchRows(b, func() int { return scanHeads(b, d, decibel.MatchAll()) })
 				})
 			}
 		}
@@ -259,10 +267,7 @@ func BenchmarkFigure7(b *testing.B) {
 				d := getDataset(b, name, cfg)
 				r := rand.New(rand.NewSource(7))
 				br := figure7Target(d, c.target, r)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					scanBranch(b, d, br)
-				}
+				benchRows(b, func() int { return scanBranch(b, d, br) })
 			})
 		}
 		if c.strategy == bench.Flat {
@@ -273,10 +278,7 @@ func BenchmarkFigure7(b *testing.B) {
 				d := getDataset(b, "tf", ccfg)
 				r := rand.New(rand.NewSource(7))
 				br := figure7Target(d, c.target, r)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					scanBranch(b, d, br)
-				}
+				benchRows(b, func() int { return scanBranch(b, d, br) })
 			})
 		}
 	}
@@ -311,11 +313,10 @@ func BenchmarkFigure8(b *testing.B) {
 				r := rand.New(rand.NewSource(7))
 				x, y := figure8Pair(d, r)
 				q, xn, yn := benchDB(d).Query("r"), branchName(b, d, x), branchName(b, d, y)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				benchRows(b, func() int {
 					rows, errf := q.Diff(xn, yn)
-					drain(b, rows, errf)
-				}
+					return drain(b, rows, errf)
+				})
 			})
 		}
 	}
@@ -338,11 +339,10 @@ func BenchmarkFigure9(b *testing.B) {
 				db := benchDB(d)
 				q := db.Query("r").On(branchName(b, d, x)).Where(decibel.Col("c1").Lt(0)).
 					JoinOn(db.Query("r").On(branchName(b, d, y)), decibel.On("id", "id"))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
+				benchRows(b, func() int {
 					rows, errf := q.Tuples()
-					drain(b, rows, errf)
-				}
+					return drain(b, rows, errf)
+				})
 			})
 		}
 	}
@@ -361,10 +361,7 @@ func BenchmarkFigure10(b *testing.B) {
 				d := getDataset(b, e, cfg)
 				// c1 is uniform over int32: keep ~90%, "very non-selective".
 				pred := decibel.Col("c1").Ge(math.MinInt32 + (1<<32)/10)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					scanHeads(b, d, pred)
-				}
+				benchRows(b, func() int { return scanHeads(b, d, pred) })
 			})
 		}
 	}
@@ -480,6 +477,7 @@ func BenchmarkTable3(b *testing.B) {
 		for _, e := range engines {
 			b.Run(fmt.Sprintf("%s/%s", e, kind), func(b *testing.B) {
 				var mb, secs float64
+				merges := 0
 				for i := 0; i < b.N; i++ {
 					cfg := benchConfig(bench.Curation, branches, perBranch)
 					cfg.ThreeWayMerges = threeWay
@@ -493,11 +491,13 @@ func BenchmarkTable3(b *testing.B) {
 						mb += float64(m.Stats.DiffBytes) / (1 << 20)
 						secs += m.Elapsed.Seconds()
 					}
+					merges += len(d.Merges)
 					d.Close()
 				}
 				if secs > 0 {
 					b.ReportMetric(mb/secs, "merge-MB/s")
 				}
+				b.ReportMetric(float64(merges)/float64(b.N), "merges")
 			})
 		}
 	}
@@ -521,6 +521,7 @@ func BenchmarkTable5(b *testing.B) {
 						b.Fatal(err)
 					}
 					st, _ := d.DB.Stats()
+					b.ReportMetric(float64(d.LoadTime.Microseconds())/1000, "load-ms")
 					b.ReportMetric(float64(st.DataBytes)/(1<<20), "data-MB")
 					d.Close()
 					os.RemoveAll(dir)
@@ -604,8 +605,9 @@ func gitDeepLoad(b *testing.B, layout gitstore.Layout, format gitstore.Format, i
 }
 
 // decibelDeepLoad mirrors gitDeepLoad on the hybrid engine for the
-// Decibel rows of Tables 6 and 7.
-func decibelDeepLoad(b *testing.B, insertFrac float64, branches, opsPerBranch, commitEvery int) (commitAvg, checkoutAvg time.Duration, repoBytes int64) {
+// Decibel rows of Tables 6 and 7; its "repo" is the data plus the
+// commit histories.
+func decibelDeepLoad(b *testing.B, insertFrac float64, branches, opsPerBranch, commitEvery int) (commitAvg, checkoutAvg time.Duration, repoBytes, dataBytes int64) {
 	b.Helper()
 	cfg := benchConfig(bench.Deep, branches, opsPerBranch)
 	cfg.UpdateFrac = 1 - insertFrac
@@ -637,7 +639,7 @@ func decibelDeepLoad(b *testing.B, insertFrac float64, branches, opsPerBranch, c
 		checkoutTotal += time.Since(t0)
 	}
 	st, _ := d.DB.Stats()
-	return commitTotal / nC, checkoutTotal / nK, st.DataBytes + st.CommitBytes
+	return commitTotal / nC, checkoutTotal / nK, st.DataBytes + st.CommitBytes, st.DataBytes
 }
 
 // BenchmarkTable6 — Table 6: git-backed storage vs Decibel (hybrid) on
@@ -645,7 +647,17 @@ func decibelDeepLoad(b *testing.B, insertFrac float64, branches, opsPerBranch, c
 // checkout latencies orders of magnitude above Decibel's, repack
 // expensive, git repo smaller after repack (delta chains) while
 // Decibel trades space for speed.
-func BenchmarkTable6(b *testing.B) {
+func BenchmarkTable6(b *testing.B) { benchGitTable(b, 1.0) }
+
+// BenchmarkTable7 — Table 7: the update-heavy variant (50% updates) of
+// the git comparison. Expected shape: same orders-of-magnitude gap;
+// file-per-tuple checkouts degrade further as history accumulates
+// update blobs.
+func BenchmarkTable7(b *testing.B) { benchGitTable(b, 0.5) }
+
+// benchGitTable runs one git comparison: every git layout and format,
+// then Decibel, over the same deep load with insertFrac inserts.
+func benchGitTable(b *testing.B, insertFrac float64) {
 	const branches, opsPerBranch, commitEvery = 10, 300, 30
 	cases := []struct {
 		name   string
@@ -660,7 +672,7 @@ func BenchmarkTable6(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				commit, checkout, repo, data, repack := gitDeepLoad(b, c.layout, c.format, 1.0, branches, opsPerBranch, commitEvery)
+				commit, checkout, repo, data, repack := gitDeepLoad(b, c.layout, c.format, insertFrac, branches, opsPerBranch, commitEvery)
 				b.ReportMetric(float64(commit.Microseconds()), "commit-us")
 				b.ReportMetric(float64(checkout.Microseconds()), "checkout-us")
 				b.ReportMetric(float64(repo)/(1<<20), "repo-MB")
@@ -671,90 +683,11 @@ func BenchmarkTable6(b *testing.B) {
 	}
 	b.Run("decibel-hy", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			commit, checkout, repo := decibelDeepLoad(b, 1.0, branches, opsPerBranch, commitEvery)
+			commit, checkout, repo, data := decibelDeepLoad(b, insertFrac, branches, opsPerBranch, commitEvery)
 			b.ReportMetric(float64(commit.Microseconds()), "commit-us")
 			b.ReportMetric(float64(checkout.Microseconds()), "checkout-us")
 			b.ReportMetric(float64(repo)/(1<<20), "repo-MB")
+			b.ReportMetric(float64(data)/(1<<20), "data-MB")
 		}
 	})
-}
-
-// BenchmarkTable7 — Table 7: the update-heavy variant (50% updates) of
-// the git comparison. Expected shape: same orders-of-magnitude gap;
-// file-per-tuple checkouts degrade further as history accumulates
-// update blobs.
-func BenchmarkTable7(b *testing.B) {
-	const branches, opsPerBranch, commitEvery = 10, 300, 30
-	cases := []struct {
-		name   string
-		layout gitstore.Layout
-		format gitstore.Format
-	}{
-		{"git-1file-csv", gitstore.OneFile, gitstore.CSV},
-		{"git-filetup-csv", gitstore.FilePerTuple, gitstore.CSV},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				commit, checkout, repo, data, repack := gitDeepLoad(b, c.layout, c.format, 0.5, branches, opsPerBranch, commitEvery)
-				b.ReportMetric(float64(commit.Microseconds()), "commit-us")
-				b.ReportMetric(float64(checkout.Microseconds()), "checkout-us")
-				b.ReportMetric(float64(repo)/(1<<20), "repo-MB")
-				b.ReportMetric(float64(data)/(1<<20), "data-MB")
-				b.ReportMetric(repack.Seconds()*1000, "repack-ms")
-			}
-		})
-	}
-	b.Run("decibel-hy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			commit, checkout, repo := decibelDeepLoad(b, 0.5, branches, opsPerBranch, commitEvery)
-			b.ReportMetric(float64(commit.Microseconds()), "commit-us")
-			b.ReportMetric(float64(checkout.Microseconds()), "checkout-us")
-			b.ReportMetric(float64(repo)/(1<<20), "repo-MB")
-		}
-	})
-}
-
-// BenchmarkAblationBitmapLayout — Section 3.1 ablation: branch-oriented
-// vs tuple-oriented bitmaps in tuple-first. Single-branch scans must
-// favor branch-oriented (column materialization scans the whole matrix
-// in the tuple-oriented layout); the membership row lookups of
-// multi-branch scans are the tuple-oriented layout's strength.
-func BenchmarkAblationBitmapLayout(b *testing.B) {
-	const branches, perBranch = 20, 600
-	cfg := benchConfig(bench.Flat, branches, perBranch)
-	for _, tupleOriented := range []bool{false, true} {
-		name := "branch-oriented"
-		opt := benchOpts()
-		if tupleOriented {
-			name = "tuple-oriented"
-			opt.TupleOriented = true
-		}
-		b.Run("scan1/"+name, func(b *testing.B) {
-			dir := b.TempDir()
-			d, err := bench.Load(dir, "tf", opt, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer d.Close()
-			r := rand.New(rand.NewSource(7))
-			child := d.RandomChild(r)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				scanBranch(b, d, child.ID)
-			}
-		})
-		b.Run("scanheads/"+name, func(b *testing.B) {
-			dir := b.TempDir()
-			d, err := bench.Load(dir, "tf", opt, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer d.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				scanHeads(b, d, decibel.MatchAll())
-			}
-		})
-	}
 }

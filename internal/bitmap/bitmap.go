@@ -4,11 +4,10 @@
 // the paper.
 //
 // A Bitmap is a growable, dense bitset addressed by a non-negative bit
-// index. The tuple-first engine keeps one Bitmap per branch
-// (branch-oriented layout) or a packed matrix with one row per tuple
-// (tuple-oriented layout, see Matrix). The hybrid engine keeps one small
-// Bitmap per (segment, version) pair plus a global branch-to-segment
-// Bitmap.
+// index. The tuple-first engine keeps one Bitmap per branch (the
+// branch-oriented layout of Section 3.1). The hybrid engine keeps one
+// small Bitmap per (segment, version) pair plus a global
+// branch-to-segment Bitmap.
 package bitmap
 
 import (

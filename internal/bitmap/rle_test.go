@@ -163,6 +163,56 @@ func TestCommitLogAppendCheckout(t *testing.T) {
 	}
 }
 
+// The log copies in and copies out: once Append(bm) returns, mutating
+// bm, a Head result or a Checkout result changes no later Head or
+// Checkout. The tuple-first engine relies on both halves — it appends
+// its live branch columns, and adopts what Head and Checkout return as
+// columns it then mutates.
+func TestCommitLogCopiesInAndOut(t *testing.T) {
+	cl, err := OpenCommitLog(filepath.Join(t.TempDir(), "b.hist"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	bm := New(0)
+	var snaps []*Bitmap
+	for i := 0; i < 5; i++ {
+		bm.Set(3 * i)
+		if _, err := cl.Append(bm); err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, bm.Clone())
+	}
+	mutate := func(b *Bitmap) { b.Clear(0); b.Set(1); b.Set(1000) }
+	check := func(after string) {
+		t.Helper()
+		if !cl.Head().Equal(snaps[len(snaps)-1]) {
+			t.Fatalf("after mutating %s: Head changed", after)
+		}
+		for i, want := range snaps {
+			got, err := cl.Checkout(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("after mutating %s: Checkout(%d) changed", after, i)
+			}
+		}
+	}
+	mutate(bm)
+	check("the appended bitmap")
+	mutate(cl.Head())
+	check("a Head result")
+	for i := range snaps {
+		c, err := cl.Checkout(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(c)
+	}
+	check("Checkout results")
+}
+
 func TestCommitLogReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "b.hist")

@@ -127,13 +127,12 @@ func (env *Env) BranchPoint(b *vgraph.Branch) (*vgraph.Commit, error) {
 }
 
 // Options tunes storage behaviour. The zero value gives sensible
-// defaults (4 MB pages, branch-oriented bitmaps).
+// defaults, noted per field.
 type Options struct {
-	PageSize      int  // heap page size in bytes (0 = heap.DefaultPageSize)
-	PoolPages     int  // buffer pool capacity in pages (0 = 64)
-	TupleOriented bool // tuple-first: use the tuple-oriented bitmap matrix
-	Fsync         bool // fsync on commit (off for benchmarks, like the paper's load phase)
-	ScanWorkers   int  // parallel scan pool size (0 = GOMAXPROCS; 1 disables)
+	PageSize    int  // heap page size in bytes (0 = heap.DefaultPageSize)
+	PoolPages   int  // buffer pool capacity in pages (0 = 64)
+	Fsync       bool // fsync on commit (off for benchmarks, like the paper's load phase)
+	ScanWorkers int  // parallel scan pool size (0 = GOMAXPROCS; 1 disables)
 
 	// VFLineageCache bounds the version-first lineage/live-set cache by
 	// resident key count: >0 sets the budget, 0 takes the engine

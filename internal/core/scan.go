@@ -84,11 +84,10 @@ type ScanUnit struct {
 	// false. The spec is offered only for pruning below the segment
 	// (page zones); Walk never evaluates it per record.
 	Walk func(spec *ScanSpec, visit func(slot int64, buf []byte) bool) error
-	// Aux derives a record's annotation from its slot; nil for the
-	// plain shapes. live=false drops a record whose liveness the walk
-	// could not decide (tuple-oriented multi-branch membership is only
-	// known per row, and is looked up after the predicate).
-	Aux func(slot int64) (aux UnitAux, live bool)
+	// Aux derives a record's annotation — its diff side or its branch
+	// membership — from its slot; nil for the plain shapes. Liveness is
+	// the walk's alone: every slot Walk visits is live.
+	Aux func(slot int64) UnitAux
 }
 
 // UnitRunner is the one per-record body every scan shape of every
@@ -102,9 +101,9 @@ type UnitRunner struct {
 	fn    UnitFunc
 	visit func(slot int64, buf []byte) bool // the body, bound once
 
-	prep func(buf []byte) []byte          // current unit's conversion
-	aux  func(slot int64) (UnitAux, bool) // current unit's annotation
-	err  error                            // Apply failure
+	prep func(buf []byte) []byte  // current unit's conversion
+	aux  func(slot int64) UnitAux // current unit's annotation
+	err  error                    // Apply failure
 	stop bool
 }
 
@@ -133,10 +132,7 @@ func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner
 		}
 		var aux UnitAux
 		if r.aux != nil {
-			var live bool
-			if aux, live = r.aux(slot); !live {
-				return true
-			}
+			aux = r.aux(slot)
 		}
 		if (r.ctx != nil && r.ctx.Err() != nil) || !r.fn(rec, aux) {
 			r.stop = true

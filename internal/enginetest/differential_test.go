@@ -43,11 +43,7 @@ func newHarness(t *testing.T) *harness {
 	// Manual compaction, so compaction steps re-encode frozen segments.
 	opt := core.Options{PageSize: 4096, PoolPages: 16,
 		Compaction: compact.Options{Mode: compact.ModeManual}}
-	for _, name := range []string{"tuple-first", "tuple-first-toriented", "version-first", "hybrid"} {
-		o := opt
-		if name == "tuple-first-toriented" {
-			o.TupleOriented = true
-		}
+	for _, name := range []string{"tuple-first", "version-first", "hybrid"} {
 		factory := tf.Factory
 		switch name {
 		case "version-first":
@@ -56,7 +52,7 @@ func newHarness(t *testing.T) *harness {
 			factory = hy.Factory
 		}
 		dir := t.TempDir()
-		h.opens[name] = func() (*core.Database, error) { return core.Open(dir, factory, o) }
+		h.opens[name] = func() (*core.Database, error) { return core.Open(dir, factory, opt) }
 		db, err := h.opens[name]()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -25,15 +25,12 @@ func engineCases() []struct {
 	opt     core.Options
 } {
 	base := core.Options{PageSize: 4096, PoolPages: 16}
-	to := base
-	to.TupleOriented = true
 	return []struct {
 		name    string
 		factory core.Factory
 		opt     core.Options
 	}{
 		{"tuple-first", tf.Factory, base},
-		{"tuple-first-toriented", tf.Factory, to},
 		{"version-first", vf.Factory, base},
 		{"hybrid", hy.Factory, base},
 	}

@@ -1,11 +1,9 @@
 package enginetest
 
-// Core-level schema evolution across every engine configuration
-// (including the tuple-oriented tf index the facade never selects):
-// add a column with a default on one branch, commit on two diverging
-// branches, close/reopen, and verify historical reads decode without
-// rewrites and the three-way merge resolves rows from mixed schema
-// versions.
+// Core-level schema evolution across every engine: add a column with a
+// default on one branch, commit on two diverging branches,
+// close/reopen, and verify historical reads decode without rewrites
+// and the three-way merge resolves rows from mixed schema versions.
 
 import (
 	"testing"

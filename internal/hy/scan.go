@@ -89,7 +89,7 @@ func (g *pinGroup) release() {
 
 // unit pins one segment and builds its scan unit: a live-page walk
 // under bm, which was snapshotted under the engine lock.
-func (g *pinGroup) unit(s *hseg, bm *bitmap.Bitmap, aux func(slot int64) (core.UnitAux, bool)) core.ScanUnit {
+func (g *pinGroup) unit(s *hseg, bm *bitmap.Bitmap, aux func(slot int64) core.UnitAux) core.ScanUnit {
 	s.Segment.Pin()
 	g.pinned = append(g.pinned, s.Segment)
 	return core.ScanUnit{
@@ -154,8 +154,8 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 				continue
 			}
 			inA := colA.Clone()
-			units = append(units, g.unit(s, x, func(slot int64) (core.UnitAux, bool) {
-				return core.UnitAux{InA: inA.Get(int(slot))}, true
+			units = append(units, g.unit(s, x, func(slot int64) core.UnitAux {
+				return core.UnitAux{InA: inA.Get(int(slot))}
 			}))
 		}
 
@@ -175,11 +175,11 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 			// member is per-unit scratch: each parallel worker owns its
 			// unit's bitmap, and consumers clone what they retain.
 			member := bitmap.New(len(req.Branches))
-			units = append(units, g.unit(s, union, func(slot int64) (core.UnitAux, bool) {
+			units = append(units, g.unit(s, union, func(slot int64) core.UnitAux {
 				for i, col := range cols {
 					member.SetTo(i, col != nil && col.Get(int(slot)))
 				}
-				return core.UnitAux{Member: member}, true
+				return core.UnitAux{Member: member}
 			}))
 		}
 	}

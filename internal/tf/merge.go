@@ -37,7 +37,7 @@ func (e *Engine) Merge(m *core.Merge) error {
 	r := e.reader()
 	recSize := int64(e.hist.VisibleAt(epoch).RecordSize())
 	for _, b := range []vgraph.BranchID{m.Into, m.Other} {
-		x := bitmap.Xor(e.idx.column(b), lcaBM)
+		x := bitmap.Xor(e.column(b), lcaBM)
 		var err error
 		x.ForEach(func(slot int) bool {
 			var buf []byte
@@ -74,14 +74,14 @@ func (t *mergeTarget) ReadAt(p store.Pos) (*record.Record, error) {
 
 func (t *mergeTarget) Drop(k core.MergeKey) {
 	if k.A != store.NoPos {
-		t.e.idx.clear(k.A.Slot, t.m.Into)
+		t.e.cols[t.m.Into].Clear(int(k.A.Slot))
 	}
 }
 
 func (t *mergeTarget) Adopt(k core.MergeKey, p store.Pos) {
 	if p != k.A {
 		t.Drop(k)
-		t.e.idx.set(p.Slot, t.m.Into)
+		t.e.cols[t.m.Into].Set(int(p.Slot))
 	}
 }
 
@@ -92,7 +92,6 @@ func (t *mergeTarget) Materialize(k core.MergeKey, rec *record.Record) error {
 	if err != nil {
 		return err
 	}
-	t.e.idx.appendTuple(slot)
 	t.e.vers.Push(k.PK, store.Pos{Slot: slot})
 	t.Adopt(k, store.Pos{Slot: slot})
 	return nil

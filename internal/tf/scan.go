@@ -4,7 +4,6 @@ import (
 	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/store"
-	"decibel/internal/vgraph"
 )
 
 // The read SPI (core.Engine.PartitionScan and LookupPK). Tuple-first's
@@ -36,9 +35,6 @@ func (e *Engine) LookupPK(req core.ScanRequest, pk int64) ([]byte, int, bool, er
 	var p store.Pos
 	switch req.Kind {
 	case core.ScanKindBranch:
-		if !e.idx.has(req.Branch) {
-			return nil, 0, false, nil
-		}
 		p = e.livePos(req.Branch, pk)
 	case core.ScanKindCommit:
 		log, err := e.openLog(req.Commit.Branch)
@@ -67,7 +63,7 @@ func (e *Engine) LookupPK(req core.ScanRequest, pk int64) ([]byte, int, bool, er
 // liveness bitmap; aux sees global slots. Sealed extents are frozen
 // (immutable pages, immutable bitmapped prefix) and safe on any
 // goroutine.
-func extUnit(ext *extent, bm *bitmap.Bitmap, aux func(slot int64) (core.UnitAux, bool)) core.ScanUnit {
+func extUnit(ext *extent, bm *bitmap.Bitmap, aux func(slot int64) core.UnitAux) core.ScanUnit {
 	return core.ScanUnit{
 		Frozen:   ext.Frozen,
 		Zone:     ext.Zone(),
@@ -111,33 +107,10 @@ func walkExtent(ext *extent, bm *bitmap.Bitmap, spec *core.ScanSpec, visit func(
 	return nil
 }
 
-// tupleMultiUnit is the tuple-oriented multi-branch unit of one extent.
-// That layout has no cheap branch columns, so the walk visits the whole
-// extent and membership is looked up per row, under the engine lock,
-// for the rows that passed the predicate. Never frozen — the lock
-// round-trip per row serializes it anyway.
-func (e *Engine) tupleMultiUnit(ext *extent, branches []vgraph.BranchID) core.ScanUnit {
-	member := bitmap.New(len(branches))
-	return core.ScanUnit{
-		Zone:     ext.Zone(),
-		PhysCols: ext.Cols,
-		Aux: func(slot int64) (core.UnitAux, bool) {
-			e.mu.Lock()
-			e.idx.membership(slot, branches, member)
-			e.mu.Unlock()
-			return core.UnitAux{Member: member}, member.Any()
-		},
-		Walk: func(_ *core.ScanSpec, visit func(slot int64, buf []byte) bool) error {
-			return ext.File.Scan(0, ext.File.Count(), func(slot int64, buf []byte) bool {
-				return visit(ext.base+slot, buf)
-			})
-		},
-	}
-}
-
 // PartitionScan implements core.Engine: one unit per extent in global
 // slot order, with the branch/checkout bitmaps resolved under the
-// engine lock at partition time.
+// engine lock at partition time. Branch columns are copied there: the
+// heads keep changing once the lock drops.
 func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -145,15 +118,13 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 	// tail, which is never Frozen, still grows.
 	exts := e.exts
 	var (
-		bm   *bitmap.Bitmap                        // liveness over global slots
-		aux  func(slot int64) (core.UnitAux, bool) // diff side
-		cols []*bitmap.Bitmap                      // multi: the requested branch columns
+		bm   *bitmap.Bitmap                // liveness over global slots
+		aux  func(slot int64) core.UnitAux // diff side, or multi membership
+		cols []*bitmap.Bitmap              // multi: the requested branch columns
 	)
-	_, tupleOriented := e.idx.(*tupleIndex)
-	tupleMulti := tupleOriented && req.Kind == core.ScanKindMulti
 	switch req.Kind {
 	case core.ScanKindBranch:
-		bm = e.idx.column(req.Branch)
+		bm = e.column(req.Branch).Clone()
 
 	case core.ScanKindCommit:
 		log, err := e.openLog(req.Commit.Branch)
@@ -165,40 +136,33 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 		}
 
 	case core.ScanKindDiff:
-		colA := e.idx.column(req.A)
-		bm = bitmap.Xor(colA, e.idx.column(req.B))
-		aux = func(slot int64) (core.UnitAux, bool) {
-			return core.UnitAux{InA: colA.Get(int(slot))}, true
+		colA := e.column(req.A).Clone()
+		bm = bitmap.Xor(colA, e.column(req.B))
+		aux = func(slot int64) core.UnitAux {
+			return core.UnitAux{InA: colA.Get(int(slot))}
 		}
 
 	case core.ScanKindMulti:
-		if tupleMulti {
-			break
-		}
 		cols = make([]*bitmap.Bitmap, len(req.Branches))
 		bm = bitmap.New(0)
 		for i, b := range req.Branches {
-			cols[i] = e.idx.column(b)
+			cols[i] = e.column(b).Clone()
 			bm.Or(cols[i])
 		}
 	}
 	units := make([]core.ScanUnit, 0, len(exts))
 	for _, x := range exts {
-		switch {
-		case tupleMulti:
-			units = append(units, e.tupleMultiUnit(x, req.Branches))
-		case req.Kind == core.ScanKindMulti:
+		if req.Kind == core.ScanKindMulti {
 			// member is per-unit scratch so parallel workers never share.
 			member := bitmap.New(len(req.Branches))
-			units = append(units, extUnit(x, bm, func(slot int64) (core.UnitAux, bool) {
+			aux = func(slot int64) core.UnitAux {
 				for i := range cols {
 					member.SetTo(i, cols[i].Get(int(slot)))
 				}
-				return core.UnitAux{Member: member}, true
-			}))
-		default:
-			units = append(units, extUnit(x, bm, aux))
+				return core.UnitAux{Member: member}
+			}
 		}
+		units = append(units, extUnit(x, bm, aux))
 		// Pinned until release: a concurrent compaction swapping the
 		// extent's file retires the old one only after the pins drain.
 		x.Segment.Pin()

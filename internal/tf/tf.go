@@ -1,3 +1,9 @@
+// Package tf implements Decibel's tuple-first storage scheme (Section
+// 3.2): tuples from every branch live together in one shared heap file,
+// and a bitmap index — one bit per (tuple, branch) — records which
+// branches each tuple is live in. Of the two layouts Section 3.1 gives
+// that index, the engine keeps the branch-oriented one: one bitmap per
+// branch, each in its own block of memory.
 package tf
 
 import (
@@ -25,10 +31,12 @@ type Engine struct {
 	st   *store.Store
 
 	exts []*extent
-	idx  index
+	// cols is the bitmap index: each branch's liveness over global
+	// slots.
+	cols map[vgraph.BranchID]*bitmap.Bitmap
 	// vers is the table's primary-key index: every stored slot, by key,
 	// newest first (positions are {0, global slot}). One index serves
-	// all branches; e.idx says which version a branch sees.
+	// all branches; e.cols says which version a branch sees.
 	vers *store.VersionIndex
 	logs map[vgraph.BranchID]*bitmap.CommitLog
 }
@@ -41,12 +49,8 @@ func Factory(env *core.Env) (core.Engine, error) {
 		env:  env,
 		hist: env.History(),
 		st:   store.New(env.Pool, env.History()),
+		cols: make(map[vgraph.BranchID]*bitmap.Bitmap),
 		logs: make(map[vgraph.BranchID]*bitmap.CommitLog),
-	}
-	if env.Opt.TupleOriented {
-		e.idx = newTupleIndex()
-	} else {
-		e.idx = newBranchIndex()
 	}
 	err := e.openExtents()
 	if err == nil {
@@ -109,7 +113,7 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("tf: %w", err)
 		}
 		if l.NumCommits() > 0 || b.From == vgraph.None {
-			e.idx.addBranch(b.ID, l.Head())
+			e.cols[b.ID] = l.Head()
 			continue
 		}
 		// The branch was never committed to, so its own log is empty: it
@@ -152,10 +156,21 @@ func (e *Engine) buildVersions() error {
 	return nil
 }
 
+// column returns the branch's live bitmap — the engine's own, not a
+// copy — or an empty one for a branch the engine never registered.
+// Caller holds e.mu.
+func (e *Engine) column(b vgraph.BranchID) *bitmap.Bitmap {
+	if bm, ok := e.cols[b]; ok {
+		return bm
+	}
+	return bitmap.New(0)
+}
+
 // livePos returns the position (Slot the global slot) of pk's version
 // live in the branch, or store.NoPos when the branch has none.
 func (e *Engine) livePos(branch vgraph.BranchID, pk int64) store.Pos {
-	return e.vers.Find(pk, func(p store.Pos) bool { return e.idx.get(p.Slot, branch) })
+	bm := e.column(branch)
+	return e.vers.Find(pk, func(p store.Pos) bool { return bm.Get(int(p.Slot)) })
 }
 
 // Init implements core.Engine: registers the master branch and records
@@ -163,7 +178,7 @@ func (e *Engine) livePos(branch vgraph.BranchID, pk int64) store.Pos {
 func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.idx.addBranch(master.ID, bitmap.New(0))
+	e.cols[master.ID] = bitmap.New(0)
 	return e.commitLocked(c0)
 }
 
@@ -188,7 +203,7 @@ func (e *Engine) branchLocked(child vgraph.BranchID, from *vgraph.Commit) error 
 	if err != nil {
 		return fmt.Errorf("tf: branch %d from commit %d: %w", child, from.ID, err)
 	}
-	e.idx.addBranch(child, snap)
+	e.cols[child] = snap
 	return nil
 }
 
@@ -210,7 +225,7 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 	if err := core.ReconcileLog(log, c.Branch, c.Seq); err != nil {
 		return fmt.Errorf("tf: %w", err)
 	}
-	if _, err := log.Append(e.idx.column(c.Branch)); err != nil {
+	if _, err := log.Append(e.column(c.Branch)); err != nil {
 		return err
 	}
 	if e.env.Opt.Fsync {
@@ -248,7 +263,8 @@ func (e *Engine) InsertBatch(branch vgraph.BranchID, recs []*record.Record) erro
 }
 
 func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error {
-	if !e.idx.has(branch) {
+	col, ok := e.cols[branch]
+	if !ok {
 		return fmt.Errorf("tf: unknown branch %d", branch)
 	}
 	// The branch writes at its head commit's schema generation; widen
@@ -260,11 +276,10 @@ func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error 
 	if err != nil {
 		return err
 	}
-	e.idx.appendTuple(slot)
 	if old := e.livePos(branch, rec.PK()); old != store.NoPos {
-		e.idx.clear(old.Slot, branch)
+		col.Clear(int(old.Slot))
 	}
-	e.idx.set(slot, branch)
+	col.Set(int(slot))
 	e.vers.Push(rec.PK(), store.Pos{Slot: slot})
 	return nil
 }
@@ -275,11 +290,12 @@ func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error 
 func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.idx.has(branch) {
+	col, ok := e.cols[branch]
+	if !ok {
 		return fmt.Errorf("tf: unknown branch %d", branch)
 	}
 	if old := e.livePos(branch, pk); old != store.NoPos {
-		e.idx.clear(old.Slot, branch)
+		col.Clear(int(old.Slot))
 	}
 	return nil
 }
@@ -301,16 +317,19 @@ func (e *Engine) Stats() (core.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := core.Stats{
-		IndexBytes:   e.idx.bytes() + e.vers.Bytes(),
+		IndexBytes:   e.vers.Bytes(),
 		IndexEntries: int64(e.vers.Len()),
 		SegmentCount: len(e.exts),
+	}
+	for _, bm := range e.cols {
+		st.IndexBytes += int64(bm.Len()+7) / 8
 	}
 	for _, x := range e.exts {
 		st.Records += x.File.Count()
 		st.DataBytes += x.File.SizeBytes()
 	}
 	for _, b := range e.env.Graph.Branches() {
-		st.LiveRecords += int64(e.idx.column(b.ID).Count())
+		st.LiveRecords += int64(e.column(b.ID).Count())
 	}
 	for _, l := range e.logs {
 		sz, err := l.Size()

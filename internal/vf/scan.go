@@ -69,7 +69,7 @@ func (e *Engine) LookupPK(req core.ScanRequest, pk int64) ([]byte, int, bool, er
 // Slots are read in page runs: one heap.File.Scan per contiguous group
 // of listed slots on the same page, skipping the unlisted slots in
 // between, so each touched page is pinned once.
-func segUnit(s *segment, slots []int64, frozen bool, aux func(slot int64) (core.UnitAux, bool)) core.ScanUnit {
+func segUnit(s *segment, slots []int64, frozen bool, aux func(slot int64) core.UnitAux) core.ScanUnit {
 	return core.ScanUnit{
 		Frozen:   frozen,
 		Zone:     s.Zone(),
@@ -134,10 +134,10 @@ func sortedGroups(bySeg map[segID][]int64) []planGroup {
 // it is re-read per scan so a segment that froze since the plan was
 // built becomes eligible for parallel fan-out (and never the reverse).
 // auxFor, when non-nil, builds each segment's annotation func.
-func unitsFor(groups []planGroup, segs []*segment, heads map[segID]bool, auxFor func(id segID) func(slot int64) (core.UnitAux, bool)) []core.ScanUnit {
+func unitsFor(groups []planGroup, segs []*segment, heads map[segID]bool, auxFor func(id segID) func(slot int64) core.UnitAux) []core.ScanUnit {
 	units := make([]core.ScanUnit, 0, len(groups))
 	for _, g := range groups {
-		var aux func(slot int64) (core.UnitAux, bool)
+		var aux func(slot int64) core.UnitAux
 		if auxFor != nil {
 			aux = auxFor(g.id)
 		}
@@ -298,12 +298,12 @@ func (e *Engine) planLocked(req core.ScanRequest) (*planEntry, error) {
 	return e.singlePlanLocked(p)
 }
 
-func inA(segID) func(int64) (core.UnitAux, bool) {
-	return func(int64) (core.UnitAux, bool) { return core.UnitAux{InA: true}, true }
+func inA(segID) func(int64) core.UnitAux {
+	return func(int64) core.UnitAux { return core.UnitAux{InA: true} }
 }
 
-func inB(segID) func(int64) (core.UnitAux, bool) {
-	return func(int64) (core.UnitAux, bool) { return core.UnitAux{}, true }
+func inB(segID) func(int64) core.UnitAux {
+	return func(int64) core.UnitAux { return core.UnitAux{} }
 }
 
 // PartitionScan implements core.Engine: the live set is resolved under
@@ -323,9 +323,9 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 		// en.member is read-only once planned: per-pos bitmaps are safe
 		// to hand out across units.
 		member := en.member
-		return unitsFor(en.groups, segs, heads, func(id segID) func(int64) (core.UnitAux, bool) {
-			return func(slot int64) (core.UnitAux, bool) {
-				return core.UnitAux{Member: member[pos{Seg: id, Slot: slot}]}, true
+		return unitsFor(en.groups, segs, heads, func(id segID) func(int64) core.UnitAux {
+			return func(slot int64) core.UnitAux {
+				return core.UnitAux{Member: member[pos{Seg: id, Slot: slot}]}
 			}
 		}), release, nil
 	case core.ScanKindDiff:

@@ -54,12 +54,6 @@ func WithFsync(on bool) Option {
 	return func(c *config) { c.opt.Fsync = on }
 }
 
-// WithTupleOrientedBitmaps switches the tuple-first engine to its
-// tuple-oriented bitmap matrix (the Section 3.1 layout ablation).
-func WithTupleOrientedBitmaps(on bool) Option {
-	return func(c *config) { c.opt.TupleOriented = on }
-}
-
 // WithScanWorkers sets the parallel scan pool size. The default (0)
 // takes GOMAXPROCS; 1 disables parallel scans.
 func WithScanWorkers(n int) Option {

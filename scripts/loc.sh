@@ -1,11 +1,12 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# seven structural checks. Prints the non-test Go lines outside
+# nine structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}), of
 # their merge code (internal/{tf,hy,vf}/merge.go), of compaction
 # (internal/{tf,hy,vf}/compact.go and internal/store/compact.go) and of
 # the three query front ends (cmd/decibel/main.go, internal/server and
-# builder.go). Exits
+# builder.go), and the number of public options (func With* in
+# options.go). Exits
 # non-zero if os.Rename( is called from non-test Go code outside
 # internal/wal: a file in a dataset is replaced through wal.ReplaceFile,
 # which syncs what WithFsync promises, and through nothing else. Exits non-zero too
@@ -27,6 +28,10 @@
 # apply|excludes — the wording of a query-shape check: Plan.Compile and
 # the Compiled terminals decide every shape, and the server and the CLI
 # only translate into a plan and call the terminal their input names.
+# Exits non-zero too if TupleOriented, tupleIndex, tupleMultiUnit or
+# bitmap.Matrix appears in non-test Go code, or if cmd/decibel-bench/
+# exists: tuple-first keeps only the branch-oriented bitmap layout, and
+# bench_test.go is the one harness for the paper's experiments.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,6 +47,7 @@ echo "internal/{tf,hy,vf}:                  $(count internal/tf internal/hy inte
 echo "internal/{tf,hy,vf}/merge.go:         $(cat internal/tf/merge.go internal/hy/merge.go internal/vf/merge.go | wc -l | tr -d ' ')"
 echo "internal/{tf,hy,vf,store}/compact.go: $(cat internal/tf/compact.go internal/hy/compact.go internal/vf/compact.go internal/store/compact.go | wc -l | tr -d ' ')"
 echo "query front ends (CLI, server, builder): $(count cmd/decibel/main.go internal/server builder.go)"
+echo "public options (func With* in options.go): $(grep -c '^func With' options.go)"
 
 stray=$(grep -rln --include='*.go' 'os\.Rename(' . | grep -v '_test\.go$' | grep -v '^\./internal/wal/' || true)
 if [ -n "$stray" ]; then
@@ -93,5 +99,18 @@ stray=$(grep -rnE --include='*.go' 'combine|mutually exclusive|exactly two|requi
 if [ -n "$stray" ]; then
     echo "query-shape checks outside internal/query (let Plan.Compile or the terminal reject the shape):" >&2
     echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'TupleOriented|tupleIndex|tupleMultiUnit|bitmap\.Matrix' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "the tuple-oriented bitmap layout is gone (tuple-first keeps one column per branch):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+if [ -e cmd/decibel-bench ]; then
+    echo "cmd/decibel-bench is gone (bench_test.go's BenchmarkFigure*/BenchmarkTable* run the paper's experiments)" >&2
     exit 1
 fi
