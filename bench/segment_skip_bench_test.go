@@ -129,9 +129,9 @@ func BenchmarkSegmentSkipWhere(b *testing.B) {
 
 // loadDiffBench adds a dev branch to the segment-bench dataset whose
 // updates touch a slice of every wave, so the diff spans all segments.
-func loadDiffBench(tb testing.TB, engine string, opts ...decibel.Option) *decibel.DB {
+func loadDiffBench(tb testing.TB, engine string) *decibel.DB {
 	tb.Helper()
-	db := loadSegmentBench(tb, engine, opts...)
+	db := loadSegmentBench(tb, engine)
 	if _, err := db.Branch(decibel.Master, "dev"); err != nil {
 		tb.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 package bench_test
 
 // Version-first resolution benchmarks: the lineage shapes that make
-// the vf scheme's read cost interesting, each run cold (the lineage
-// cache disabled via WithLineageCache(-1), so every scan pays the full
-// lineage walk — the pre-cache baseline) and warm (the default cache,
-// so repeated scans hit cached resolutions and scan plans).
+// the vf scheme's read cost interesting, each scanned repeatedly with
+// the lineage cache warm, so repeated scans hit cached resolutions and
+// scan plans.
 //
 //   - BenchmarkVFResolve/chain: a 64-commit-deep single-branch history
 //     (each commit updates a slice of the table), scanned at the head.
@@ -33,21 +32,13 @@ const (
 	resolveFanRows      = 2048 // master rows before forking
 )
 
-// resolveModeOpts maps a mode label to the options that produce it.
-func resolveModeOpts(mode string) []decibel.Option {
-	if mode == "cold" {
-		return []decibel.Option{decibel.WithLineageCache(-1)}
-	}
-	return nil
-}
-
 // loadResolveChain builds a master whose head sits on top of
 // resolveChainCommits committed windows: a base load, then commits
 // each rewriting a rotating 1/8 slice of the table.
-func loadResolveChain(tb testing.TB, opts ...decibel.Option) *decibel.DB {
+func loadResolveChain(tb testing.TB) *decibel.DB {
 	tb.Helper()
-	db, err := decibel.Open(tb.TempDir(), append([]decibel.Option{decibel.WithEngine("vf"),
-		decibel.WithPageSize(256 << 10), decibel.WithPoolPages(128)}, opts...)...)
+	db, err := decibel.Open(tb.TempDir(), decibel.WithEngine("vf"),
+		decibel.WithPageSize(256<<10), decibel.WithPoolPages(128))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -92,10 +83,10 @@ func loadResolveChain(tb testing.TB, opts ...decibel.Option) *decibel.DB {
 
 // loadResolveFan forks resolveFanBranches branches off one master,
 // each committing updates to its own 1/32 slice plus a few new rows.
-func loadResolveFan(tb testing.TB, opts ...decibel.Option) *decibel.DB {
+func loadResolveFan(tb testing.TB) *decibel.DB {
 	tb.Helper()
-	db, err := decibel.Open(tb.TempDir(), append([]decibel.Option{decibel.WithEngine("vf"),
-		decibel.WithPageSize(256 << 10), decibel.WithPoolPages(128)}, opts...)...)
+	db, err := decibel.Open(tb.TempDir(), decibel.WithEngine("vf"),
+		decibel.WithPageSize(256<<10), decibel.WithPoolPages(128))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -146,7 +137,7 @@ func loadResolveFan(tb testing.TB, opts ...decibel.Option) *decibel.DB {
 	return db
 }
 
-// BenchmarkVFResolve measures the three lineage shapes cold and warm.
+// BenchmarkVFResolve measures warm scans of the three lineage shapes.
 func BenchmarkVFResolve(b *testing.B) {
 	ctx := context.Background()
 	run := func(b *testing.B, db *decibel.DB, plan iquery.Plan, wantRows int, diff bool) {
@@ -176,29 +167,26 @@ func BenchmarkVFResolve(b *testing.B) {
 		}
 	}
 
-	for _, mode := range []string{"cold", "warm"} {
-		opts := resolveModeOpts(mode)
-		b.Run("chain/"+mode, func(b *testing.B) {
-			db := loadResolveChain(b, opts...)
-			plan := iquery.Plan{Table: "r", Branches: []string{decibel.Master}, AtSeq: -1,
-				Where: iquery.Col("v").Ge(0)}
-			run(b, db, plan, resolveChainRows, false)
-		})
-		b.Run("fanout/"+mode, func(b *testing.B) {
-			db := loadResolveFan(b, opts...)
-			plan := iquery.Plan{Table: "r", AllHeads: true, AtSeq: -1,
-				Where: iquery.Col("v").Ge(0)}
-			// Union of record copies: master's originals stay live in
-			// master, plus each fork's rewritten slice and new rows.
-			want := resolveFanRows + resolveFanBranches*(resolveFanRows/32+4)
-			run(b, db, plan, want, false)
-		})
-		b.Run("mergediff/"+mode, func(b *testing.B) {
-			db := loadDiffBench(b, "vf", opts...)
-			lo := int64(skipWaves/2) * skipStride
-			plan := iquery.Plan{Table: "s", Branches: []string{"dev", decibel.Master}, AtSeq: -1, Diff: true,
-				Where: iquery.Col("v").Ge(lo).And(iquery.Col("v").Lt(lo + skipStride))}
-			run(b, db, plan, skipWaveRows/10, true)
-		})
-	}
+	b.Run("chain", func(b *testing.B) {
+		db := loadResolveChain(b)
+		plan := iquery.Plan{Table: "r", Branches: []string{decibel.Master}, AtSeq: -1,
+			Where: iquery.Col("v").Ge(0)}
+		run(b, db, plan, resolveChainRows, false)
+	})
+	b.Run("fanout", func(b *testing.B) {
+		db := loadResolveFan(b)
+		plan := iquery.Plan{Table: "r", AllHeads: true, AtSeq: -1,
+			Where: iquery.Col("v").Ge(0)}
+		// Union of record copies: master's originals stay live in
+		// master, plus each fork's rewritten slice and new rows.
+		want := resolveFanRows + resolveFanBranches*(resolveFanRows/32+4)
+		run(b, db, plan, want, false)
+	})
+	b.Run("mergediff", func(b *testing.B) {
+		db := loadDiffBench(b, "vf")
+		lo := int64(skipWaves/2) * skipStride
+		plan := iquery.Plan{Table: "s", Branches: []string{"dev", decibel.Master}, AtSeq: -1, Diff: true,
+			Where: iquery.Col("v").Ge(lo).And(iquery.Col("v").Lt(lo + skipStride))}
+		run(b, db, plan, skipWaveRows/10, true)
+	})
 }

@@ -225,6 +225,21 @@ func parseRecord(schema *decibel.Schema, values []string) (*decibel.Record, erro
 	return rec, nil
 }
 
+// branchSchema returns the table's schema at the branch's head epoch:
+// a write encodes under the schema its branch has reached, which
+// another branch's evolution may have moved past.
+func branchSchema(db *decibel.DB, table, branch string) (*decibel.Schema, error) {
+	t, err := db.TableByName(table)
+	if err != nil {
+		return nil, err
+	}
+	b, err := db.BranchNamed(branch)
+	if err != nil {
+		return nil, err
+	}
+	return t.SchemaAt(t.BranchEpoch(b.ID)), nil
+}
+
 func run(dir, engine, table string, args []string) error {
 	opts := []decibel.Option{decibel.WithEngine(engine)}
 	// compact runs a pass on demand; serve exposes POST /v1/compact.
@@ -263,11 +278,11 @@ func run(dir, engine, table string, args []string) error {
 		if len(rest) < 2 {
 			return fmt.Errorf("insert <branch> <pk> <values...>")
 		}
-		t, err := db.TableByName(table)
+		schema, err := branchSchema(db, table, rest[0])
 		if err != nil {
 			return err
 		}
-		rec, err := parseRecord(t.Schema(), rest[1:])
+		rec, err := parseRecord(schema, rest[1:])
 		if err != nil {
 			return err
 		}
@@ -285,13 +300,13 @@ func run(dir, engine, table string, args []string) error {
 		if len(rest) < 2 {
 			return fmt.Errorf("load <branch> <pk:v:...> ...")
 		}
-		t, err := db.TableByName(table)
+		schema, err := branchSchema(db, table, rest[0])
 		if err != nil {
 			return err
 		}
 		recs := make([]*decibel.Record, 0, len(rest)-1)
 		for _, spec := range rest[1:] {
-			rec, err := parseRecord(t.Schema(), strings.Split(spec, ":"))
+			rec, err := parseRecord(schema, strings.Split(spec, ":"))
 			if err != nil {
 				return err
 			}

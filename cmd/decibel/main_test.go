@@ -312,3 +312,40 @@ func TestInsertRejectsInt32Overflow(t *testing.T) {
 		t.Fatalf("master holds %v, want only 3=2147483647", got)
 	}
 }
+
+// TestWriteToBranchBehindSchema: insert and load on a branch whose head
+// predates the newest schema encode under the branch's own schema, as
+// /v1/commit does, instead of failing on a column the branch has not
+// added yet.
+func TestWriteToBranchBehindSchema(t *testing.T) {
+	dir := t.TempDir()
+	engine := decibel.DefaultEngine
+	for _, cmd := range [][]string{
+		{"init", "qty"},
+		{"insert", "master", "1", "5"},
+		{"branch", "dev", "master"},
+		{"alter", "master", "add", "price:float64=1.5"},
+		{"insert", "dev", "2", "7"},
+		{"load", "dev", "3:9"},
+	} {
+		if _, err := captureStdout(t, func() error { return run(dir, engine, "r", cmd) }); err != nil {
+			t.Fatalf("%v: %v", cmd, err)
+		}
+	}
+	db, err := decibel.Open(dir, decibel.WithEngine(engine))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rows, errf := db.Rows("r", "dev")
+	var got []string
+	for rec := range rows {
+		got = append(got, fmt.Sprintf("%d=%d/%d", rec.PK(), rec.Get(1), rec.Schema().NumColumns()))
+	}
+	if err := errf(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, " ") != "1=5/2 2=7/2 3=9/2" {
+		t.Fatalf("dev holds %v, want 1=5/2 2=7/2 3=9/2 (two columns: dev predates price)", got)
+	}
+}

@@ -134,11 +134,11 @@ type Options struct {
 	Fsync       bool // fsync on commit (off for benchmarks, like the paper's load phase)
 	ScanWorkers int  // parallel scan pool size (0 = GOMAXPROCS; 1 disables)
 
-	// VFLineageCache bounds the version-first lineage/live-set cache by
-	// resident key count: >0 sets the budget, 0 takes the engine
-	// default, and <0 disables the cache (every resolution takes the
-	// full lineage walk). Only the version-first engine consults it.
-	VFLineageCache int
+	// VFLineageCacheOff turns the version-first lineage/live-set cache
+	// off, so every resolution takes the full lineage walk: the
+	// reference the cache-equivalence tests compare against. Only the
+	// version-first engine consults it.
+	VFLineageCacheOff bool
 
 	// Compaction configures the background compaction subsystem; the
 	// zero value (compact.ModeOff) disables it entirely.

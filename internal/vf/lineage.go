@@ -280,16 +280,15 @@ func (e *Engine) table(iv interval) (intervalTable, error) {
 //
 // Resolution is tiered: an exact-position cache hit returns the cached
 // map; a miss with a cached base lower in the same segment clones the
-// base and overlays only the slot window between the two cuts (commit
-// windows apply through their recorded RLE deltas, gaps through
-// interval tables); a cold miss pays the full lineage walk and primes
-// the cache. With the cache disabled every call takes the full walk.
-// Caller holds e.mu.
+// base and overlays only the slot window between the two cuts, read
+// with one ascending scan; a cold miss pays the full lineage walk and
+// primes the cache. With the cache disabled every call takes the full
+// walk. Caller holds e.mu.
 func (e *Engine) resolveLive(p pos) (map[int64]pos, error) {
 	if e.lcache == nil {
 		return e.resolveLiveFull(p)
 	}
-	if m := e.lcache.get(p); m != nil {
+	if m, ok := e.lcache.get(p); ok {
 		vfCacheHits.Add(1)
 		return m, nil
 	}
@@ -297,13 +296,13 @@ func (e *Engine) resolveLive(p pos) (map[int64]pos, error) {
 	if int(p.Seg) >= len(e.segs) {
 		return nil, fmt.Errorf("vf: segment %d out of range", p.Seg)
 	}
-	if base := e.lcache.base(p.Seg, p.Slot); base != nil {
+	if at, base, ok := e.baseLocked(p); ok {
 		vfDeltaResolves.Add(1)
-		live := make(map[int64]pos, len(base.live)+int(p.Slot-base.pos.Slot)/2)
-		for pk, q := range base.live {
+		live := make(map[int64]pos, len(base)+int(p.Slot-at.Slot)/2)
+		for pk, q := range base {
 			live[pk] = q
 		}
-		if err := e.applyWindowLocked(live, p.Seg, base.pos.Slot, p.Slot); err != nil {
+		if err := e.overlayWindowLocked(live, p.Seg, at.Slot, p.Slot); err != nil {
 			return nil, err
 		}
 		e.lcache.put(p, live)
@@ -325,12 +324,10 @@ func (e *Engine) resolveLive(p pos) (map[int64]pos, error) {
 // holds e.mu.
 func (e *Engine) invalidateResolvedLocked(id segID) {
 	if e.lcache != nil {
-		e.lcache.invalidateSeg(id)
-	}
-	// Scan plans can reference any number of segments, so the plan tier
-	// is cleared wholesale rather than filtered by root.
-	if e.pcache != nil {
-		e.pcache.clear()
+		e.lcache.drop(func(p pos) bool { return p.Seg == id })
+		// Scan plans can reference any number of segments, so the plan
+		// tier is cleared wholesale rather than filtered by root.
+		e.pcache.drop(func(string) bool { return true })
 	}
 	for p := range e.lineMemo {
 		if p.Seg == id {

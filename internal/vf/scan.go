@@ -184,7 +184,7 @@ func pinAll(segs []*segment, groupLists ...[]planGroup) func() {
 // caching the result. build runs under e.mu, like the caller.
 func (e *Engine) planFor(key string, build func() (*planEntry, error)) (*planEntry, error) {
 	if e.pcache != nil {
-		if en := e.pcache.get(key); en != nil {
+		if en, ok := e.pcache.get(key); ok {
 			vfCacheHits.Add(1)
 			return en, nil
 		}
@@ -193,9 +193,8 @@ func (e *Engine) planFor(key string, build func() (*planEntry, error)) (*planEnt
 	if err != nil {
 		return nil, err
 	}
-	en.key = key
 	if e.pcache != nil {
-		e.pcache.put(en)
+		e.pcache.put(key, en)
 	}
 	return en, nil
 }

@@ -94,20 +94,16 @@ type Engine struct {
 	cache map[intervalKey]intervalTable
 
 	// Lineage/live-set cache (see cache.go). lcache holds resolved live
-	// sets keyed by exact position; lineMemo memoizes rawLineage and
-	// stepMemo lineageAt (the deduplicated steps point lookups probe);
-	// deltas is the per-segment log of per-commit RLE slot deltas with
-	// deltaTail the highest slot each segment's log covers. All nil/empty
-	// when the cache is disabled (Options.VFLineageCache < 0), which
-	// forces every resolution onto the full-walk baseline path.
-	// pcache is the scan-plan tier above lcache: grouped, sorted,
-	// scan-ready forms keyed by the exact resolved position vector.
-	lcache    *liveCache
-	pcache    *planCache
-	lineMemo  map[pos][]step
-	stepMemo  map[pos][]step
-	deltas    map[segID][]segDelta
-	deltaTail map[segID]int64
+	// sets keyed by exact position; pcache is the scan-plan tier above
+	// it, grouped, sorted, scan-ready forms keyed by the exact resolved
+	// position vector; lineMemo memoizes rawLineage and stepMemo
+	// lineageAt (the deduplicated steps point lookups probe). All nil
+	// when the cache is off (Options.VFLineageCacheOff, a test-only
+	// switch), which forces every resolution onto the full-walk path.
+	lcache   *lru[pos, map[int64]pos]
+	pcache   *lru[string, *planEntry]
+	lineMemo map[pos][]step
+	stepMemo map[pos][]step
 }
 
 func init() { core.RegisterEngine("version-first", Factory, "vf") }
@@ -122,13 +118,11 @@ func Factory(env *core.Env) (core.Engine, error) {
 		commits:  make(map[vgraph.CommitID]pos),
 		cache:    make(map[intervalKey]intervalTable),
 	}
-	if budget := resolveCacheBudget(env.Opt); budget > 0 {
-		e.lcache = newLiveCache(budget)
-		e.pcache = newPlanCache(budget)
+	if !env.Opt.VFLineageCacheOff {
+		e.lcache = newLRU[pos](cacheBudget, func(live map[int64]pos) int { return len(live) })
+		e.pcache = newLRU[string](cacheBudget, planWeight)
 		e.lineMemo = make(map[pos][]step)
 		e.stepMemo = make(map[pos][]step)
-		e.deltas = make(map[segID][]segDelta)
-		e.deltaTail = make(map[segID]int64)
 	}
 	if err := e.recover(); err != nil {
 		// Release every segment the failed open has opened so far.
@@ -233,12 +227,6 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("vf: segment %d: %w", sm.ID, err)
 		}
 		e.segs[i].Segment = seg
-		if e.deltaTail != nil {
-			// The delta log is in-memory only: start it at the recovered
-			// count so the first commit after reopen records just its own
-			// window (older history resolves through the full walk).
-			e.deltaTail[sm.ID] = seg.File.Count()
-		}
 	}
 	if err := e.recoverHeads(); err != nil {
 		return err
@@ -422,16 +410,7 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 	if !ok {
 		return fmt.Errorf("vf: unknown branch %d", c.Branch)
 	}
-	cut := e.segs[id].File.Count()
-	if e.deltas != nil {
-		// Record the commit's live-set delta (the RLE bitmap of newest-
-		// copy slots in the committed window) so later head resolutions
-		// extend a cached base instead of re-walking the lineage.
-		if err := e.recordDeltaLocked(id, cut); err != nil {
-			return err
-		}
-	}
-	e.commits[c.ID] = pos{Seg: id, Slot: cut}
+	e.commits[c.ID] = pos{Seg: id, Slot: e.segs[id].File.Count()}
 	return e.persistLocked()
 }
 

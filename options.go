@@ -60,16 +60,6 @@ func WithScanWorkers(n int) Option {
 	return func(c *config) { c.opt.ScanWorkers = n }
 }
 
-// WithLineageCache bounds the version-first engine's lineage/live-set
-// cache by resident key count (the sum of cached live-map sizes): n > 0
-// sets the budget, n < 0 disables the cache entirely (every resolution
-// re-walks the branch lineage — the pre-cache baseline, kept for
-// equivalence testing), and 0 (the default) takes the engine default.
-// Engines other than version-first ignore it.
-func WithLineageCache(n int) Option {
-	return func(c *config) { c.opt.VFLineageCache = n }
-}
-
 // WithCompaction enables the background compaction subsystem with page
 // compression on: "manual" runs a pass only on DB.Compact (or the CLI
 // `compact` subcommand / the server's /v1/compact endpoint), "auto"

@@ -1,8 +1,8 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# nine structural checks. Prints the non-test Go lines outside
-# benchmark/, of the three storage engines (internal/{tf,hy,vf}), of
-# their merge code (internal/{tf,hy,vf}/merge.go), of compaction
+# eleven structural checks. Prints the non-test Go lines outside
+# benchmark/, of the three storage engines (internal/{tf,hy,vf}) and of
+# version-first alone (internal/vf), of their merge code (internal/{tf,hy,vf}/merge.go), of compaction
 # (internal/{tf,hy,vf}/compact.go and internal/store/compact.go) and of
 # the three query front ends (cmd/decibel/main.go, internal/server and
 # builder.go), and the number of public options (func With* in
@@ -31,7 +31,13 @@
 # Exits non-zero too if TupleOriented, tupleIndex, tupleMultiUnit or
 # bitmap.Matrix appears in non-test Go code, or if cmd/decibel-bench/
 # exists: tuple-first keeps only the branch-oriented bitmap layout, and
-# bench_test.go is the one harness for the paper's experiments.
+# bench_test.go is the one harness for the paper's experiments. Exits
+# non-zero too if segDelta, recordDeltaLocked or WithLineageCache
+# appears in non-test Go code, or if non-test Go in internal/vf declares
+# a "prev, next" linked list of its own: version-first extends a cached
+# live set with one scan of the slot window (no per-commit delta log),
+# both its cache tiers are the one lru type on container/list, and the
+# cache has no public knob.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -44,6 +50,7 @@ count() {
 
 echo "non-test Go lines outside benchmark/: $(count .)"
 echo "internal/{tf,hy,vf}:                  $(count internal/tf internal/hy internal/vf)"
+echo "internal/vf:                          $(count internal/vf)"
 echo "internal/{tf,hy,vf}/merge.go:         $(cat internal/tf/merge.go internal/hy/merge.go internal/vf/merge.go | wc -l | tr -d ' ')"
 echo "internal/{tf,hy,vf,store}/compact.go: $(cat internal/tf/compact.go internal/hy/compact.go internal/vf/compact.go internal/store/compact.go | wc -l | tr -d ' ')"
 echo "query front ends (CLI, server, builder): $(count cmd/decibel/main.go internal/server builder.go)"
@@ -112,5 +119,20 @@ fi
 
 if [ -e cmd/decibel-bench ]; then
     echo "cmd/decibel-bench is gone (bench_test.go's BenchmarkFigure*/BenchmarkTable* run the paper's experiments)" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'segDelta|recordDeltaLocked|WithLineageCache' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "the vf delta log and its public knob are gone (incremental resolution scans the slot window):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'prev, next' internal/vf | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "internal/vf keeps one LRU (lru, on container/list); no hand-written list:" >&2
+    echo "$stray" >&2
     exit 1
 fi

@@ -4,7 +4,7 @@ package decibel_test
 // resolution tiers (exact-position live maps, incremental delta
 // resolution, scan-plan cache, lineage-delta diffs) are pure
 // optimizations — a cached engine must emit byte-identical streams to
-// an engine with the cache forced off (WithLineageCache(-1), the full
+// an engine with the cache forced off (WithoutLineageCache, the full
 // lineage-walk baseline), for every query shape, predicate, and both
 // executor paths. The test also asserts the cache actually engaged
 // (the hits counter moved), so a silently bypassed cache cannot pass.
@@ -21,7 +21,7 @@ import (
 
 func TestVFCacheEquivalence(t *testing.T) {
 	cached := buildPruningDB(t, "vf")
-	uncached := buildPruningDB(t, "vf", decibel.WithLineageCache(-1))
+	uncached := buildPruningDB(t, "vf", decibel.WithoutLineageCache())
 	hitsBefore, _, _, _ := vf.CacheCounters()
 
 	type shaped struct {
@@ -120,6 +120,48 @@ func TestVFCacheEquivalence(t *testing.T) {
 		for j, sh := range shapes(iquery.Col("v").Ge(0), false) {
 			check(t, sh.plan, sh.shape, fmt.Sprintf("post-write[%d] shape[%d]", round, j))
 		}
+	}
+
+	// One commit window holding every case the incremental overlay of a
+	// cached base must get right: a key updated twice (the later copy
+	// wins), a key deleted and re-inserted (the re-insert wins), and a key
+	// the base holds deleted (the tombstone wins over the base). The
+	// head reads above cached master's previous cut, so the first read
+	// below resolves incrementally from it.
+	_, _, _, deltasBefore := vf.CacheCounters()
+	for _, db := range []*decibel.DB{cached, uncached} {
+		if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+			tbl, err := db.TableByName("r")
+			if err != nil {
+				return err
+			}
+			upsert := func(pk, v int64) error {
+				rec := decibel.NewRecord(tbl.Schema())
+				rec.SetPK(pk)
+				rec.Set(1, v)
+				return tx.Insert("r", rec)
+			}
+			for _, op := range []func() error{
+				func() error { return upsert(30, 1030) },
+				func() error { return upsert(30, 2030) },
+				func() error { return tx.Delete("r", 40) },
+				func() error { return upsert(40, 1040) },
+				func() error { return tx.Delete("r", 41) },
+			} {
+				if err := op(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j, sh := range shapes(iquery.Col("v").Ge(0), false) {
+		check(t, sh.plan, sh.shape, fmt.Sprintf("overlay shape[%d]", j))
+	}
+	if _, _, _, deltasAfter := vf.CacheCounters(); deltasAfter == deltasBefore {
+		t.Fatalf("delta resolves did not move (%d): the overlay window was never applied", deltasBefore)
 	}
 
 	if hitsAfter, _, _, _ := vf.CacheCounters(); hitsAfter == hitsBefore {
