@@ -11,6 +11,9 @@ package bench_test
 //   - BenchmarkVFResolve/fanout: 16 branches forked off one master,
 //     each with its own updates, scanned with a multi-branch HEAD()
 //     query — k near-identical live sets resolved per request.
+//   - BenchmarkVFResolve/fanout-commit: the fanout shape with one fork
+//     committing a one-row update between scans (outside the timer),
+//     so every scan sees one changed head among k.
 //   - BenchmarkVFResolve/mergediff: the post-merge diff shape — a
 //     master assembled by repeated merges, a dev branch updating a
 //     slice of every wave, positive diff between the two heads.
@@ -140,11 +143,18 @@ func loadResolveFan(tb testing.TB) *decibel.DB {
 // BenchmarkVFResolve measures warm scans of the three lineage shapes.
 func BenchmarkVFResolve(b *testing.B) {
 	ctx := context.Background()
-	run := func(b *testing.B, db *decibel.DB, plan iquery.Plan, wantRows int, diff bool) {
+	// between, when non-nil, runs before every scan with the timer
+	// stopped.
+	run := func(b *testing.B, db *decibel.DB, plan iquery.Plan, wantRows int, diff bool, between func(i int)) {
 		b.Helper()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			if between != nil {
+				b.StopTimer()
+				between(i)
+				b.StartTimer()
+			}
 			c, err := plan.Compile(db.Database)
 			if err != nil {
 				b.Fatal(err)
@@ -171,22 +181,40 @@ func BenchmarkVFResolve(b *testing.B) {
 		db := loadResolveChain(b)
 		plan := iquery.Plan{Table: "r", Branches: []string{decibel.Master}, AtSeq: -1,
 			Where: iquery.Col("v").Ge(0)}
-		run(b, db, plan, resolveChainRows, false)
+		run(b, db, plan, resolveChainRows, false, nil)
 	})
+	fanPlan := iquery.Plan{Table: "r", AllHeads: true, AtSeq: -1,
+		Where: iquery.Col("v").Ge(0)}
+	// Union of record copies: master's originals stay live in master,
+	// plus each fork's rewritten slice and new rows.
+	fanWant := resolveFanRows + resolveFanBranches*(resolveFanRows/32+4)
 	b.Run("fanout", func(b *testing.B) {
+		run(b, loadResolveFan(b), fanPlan, fanWant, false, nil)
+	})
+	b.Run("fanout-commit", func(b *testing.B) {
 		db := loadResolveFan(b)
-		plan := iquery.Plan{Table: "r", AllHeads: true, AtSeq: -1,
-			Where: iquery.Col("v").Ge(0)}
-		// Union of record copies: master's originals stay live in
-		// master, plus each fork's rewritten slice and new rows.
-		want := resolveFanRows + resolveFanBranches*(resolveFanRows/32+4)
-		run(b, db, plan, want, false)
+		tbl, err := db.TableByName("r")
+		if err != nil {
+			b.Fatal(err)
+		}
+		// f0 rewrites a key of its own slice: the old copy was live in
+		// f0 alone, so the union keeps its size.
+		run(b, db, fanPlan, fanWant, false, func(i int) {
+			if _, err := db.Commit("f0", func(tx *decibel.Tx) error {
+				rec := decibel.NewRecord(tbl.Schema())
+				rec.SetPK(int64(i % (resolveFanRows / 32)))
+				rec.Set(1, int64(i))
+				return tx.Insert("r", rec)
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
 	})
 	b.Run("mergediff", func(b *testing.B) {
 		db := loadDiffBench(b, "vf")
 		lo := int64(skipWaves/2) * skipStride
 		plan := iquery.Plan{Table: "s", Branches: []string{"dev", decibel.Master}, AtSeq: -1, Diff: true,
 			Where: iquery.Col("v").Ge(lo).And(iquery.Col("v").Lt(lo + skipStride))}
-		run(b, db, plan, skipWaveRows/10, true)
+		run(b, db, plan, skipWaveRows/10, true, nil)
 	})
 }

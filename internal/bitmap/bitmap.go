@@ -111,6 +111,19 @@ func (b *Bitmap) Get(i int) bool {
 	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
+// Gather sets bit j of b, for every j < len(cols), to bit i of cols[j]
+// (a nil column reads as zero) and clears b's other bits: the row of a
+// column-per-version layout. b must be at least len(cols) bits long.
+func (b *Bitmap) Gather(cols []*Bitmap, i int) {
+	clear(b.words)
+	w, bit := i/wordBits, uint(i%wordBits)
+	for j, c := range cols {
+		if c != nil && w < len(c.words) && c.words[w]>>bit&1 != 0 {
+			b.words[j/wordBits] |= 1 << uint(j%wordBits)
+		}
+	}
+}
+
 // Count returns the number of set bits.
 func (b *Bitmap) Count() int {
 	c := 0

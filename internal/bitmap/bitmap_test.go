@@ -325,3 +325,37 @@ func BenchmarkBitmapNextSetSparse(b *testing.B) {
 		}
 	}
 }
+
+// Property: Gather equals one SetTo of Get per column, nil columns and
+// columns shorter than the bit index reading as zero, and clears bits a
+// previous row set.
+func TestQuickGatherVsGet(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		cols := make([]*Bitmap, 1+r.Intn(130))
+		for j := range cols {
+			if r.Intn(5) == 0 {
+				continue
+			}
+			cols[j] = New(r.Intn(200))
+			for i := 0; i < cols[j].Len(); i++ {
+				cols[j].SetTo(i, r.Intn(2) == 0)
+			}
+		}
+		got := New(len(cols))
+		for i := 0; i < 210; i++ {
+			got.Gather(cols, i)
+			want := New(len(cols))
+			for j, c := range cols {
+				want.SetTo(j, c != nil && c.Get(i))
+			}
+			if !got.Equal(want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -90,6 +90,64 @@ type ScanUnit struct {
 	Aux func(slot int64) UnitAux
 }
 
+// Pins tracks the segments a partition's units read: each is pinned
+// under the engine lock at partition time, and Release hands the pins
+// back once the scan's units have all finished, letting a concurrent
+// compaction retire replaced files only after every in-flight reader
+// drains.
+type Pins struct {
+	pinned []*store.Segment
+}
+
+// Release unpins every segment Unit pinned.
+func (p *Pins) Release() {
+	for _, sg := range p.pinned {
+		sg.Unpin()
+	}
+}
+
+// Unit pins one segment and builds its scan unit: a live-page walk
+// visiting only the slots set in bm. bm is a snapshot nobody mutates
+// once the engine lock drops, so units on pool goroutines may share it.
+func (p *Pins) Unit(s *store.Segment, frozen bool, bm *bitmap.Bitmap, aux func(slot int64) UnitAux) ScanUnit {
+	s.Pin()
+	p.pinned = append(p.pinned, s)
+	return ScanUnit{
+		Frozen:   frozen,
+		Zone:     s.Zone(),
+		PhysCols: s.Cols,
+		Aux:      aux,
+		Walk: func(_ *ScanSpec, visit func(slot int64, buf []byte) bool) error {
+			return s.File.ScanLive(bm, func(slot int64, buf []byte) bool {
+				return !bm.Get(int(slot)) || visit(slot, buf)
+			})
+		},
+	}
+}
+
+// The two combine rules every engine's multi-version shapes share: a
+// diff unit walks the XOR of the two sides' liveness and reads its side
+// from A's, and a multi-branch unit walks the OR of the k requested
+// versions' liveness and reads each row's membership from all k.
+
+// DiffAux annotates a diff unit's slots: a slot is on side A iff colA,
+// a snapshot nobody mutates, has it.
+func DiffAux(colA *bitmap.Bitmap) func(slot int64) UnitAux {
+	return func(slot int64) UnitAux { return UnitAux{InA: colA.Get(int(slot))} }
+}
+
+// MemberAux annotates a multi-branch unit's slots: bit i of a slot's
+// membership is set iff cols[i] (nil: no live slot there) has it. The
+// membership bitmap is scratch owned by the one unit the returned func
+// annotates, so each unit needs its own MemberAux.
+func MemberAux(cols []*bitmap.Bitmap) func(slot int64) UnitAux {
+	member := bitmap.New(len(cols))
+	return func(slot int64) UnitAux {
+		member.Gather(cols, int(slot))
+		return UnitAux{Member: member}
+	}
+}
+
 // UnitRunner is the one per-record body every scan shape of every
 // engine shares: convert the stored buffer to the spec's layout,
 // evaluate predicate and projection, annotate, deliver. One runner

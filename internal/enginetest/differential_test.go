@@ -312,7 +312,7 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 			}
 		}
 	}
-	// Diffs (sampled pairs).
+	// Diffs (sampled pairs): each (row, side) exactly once.
 	for i := 0; i < 4 && len(branches) >= 2; i++ {
 		a := branches[r.Intn(len(branches))].ID
 		b := branches[r.Intn(len(branches))].ID
@@ -322,33 +322,53 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 		want := h.model.Diff(a, b)
 		for _, n := range h.names {
 			tbl, _ := h.dbs[n].Table("t")
-			got := make(map[string]bool)
+			got := make(map[string]int)
 			if err := scanDiff(tbl, a, b, func(rec *record.Record, inA bool) bool {
 				side := "\x00B"
 				if inA {
 					side = "\x00A"
 				}
-				got[string(rec.Bytes())+side] = true
+				got[string(rec.Bytes())+side]++
 				return true
 			}); err != nil {
 				h.t.Fatalf("%s diff: %v", n, err)
 			}
-			if !setsEqual(got, want) {
-				h.t.Errorf("%s: diff(%d,%d) mismatch: %s", n, a, b, describeSetDiff(got, want))
+			if dup := repeated(got); dup > 0 {
+				h.t.Errorf("%s: diff(%d,%d) emitted %d (row, side) pairs more than once", n, a, b, dup)
+			}
+			if !setsEqual(keySet(got), want) {
+				h.t.Errorf("%s: diff(%d,%d) mismatch: %s", n, a, b, describeSetDiff(keySet(got), want))
 			}
 		}
 	}
-	// Multi-branch scan: per-branch projection must equal single scans.
+	// Multi-branch scans: each branch's projection must equal its single
+	// scan, with every row once. All branches in id order, then a random
+	// subset in random request order (its own source, so the workload's
+	// stream is untouched).
 	ids := make([]vgraph.BranchID, 0, len(branches))
 	for _, br := range branches {
 		ids = append(ids, br.ID)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	sub := rand.New(rand.NewSource(int64(len(commits))*7919 + int64(len(ids))))
+	subset := append([]vgraph.BranchID(nil), ids...)
+	sub.Shuffle(len(subset), func(i, j int) { subset[i], subset[j] = subset[j], subset[i] })
+	subset = subset[:1+sub.Intn(len(subset))]
+	for _, req := range [][]vgraph.BranchID{ids, subset} {
+		h.verifyMulti(req)
+	}
+}
+
+// verifyMulti checks one multi-branch scan of the branches, in request
+// order, on every engine: every emitted record is a member of some
+// requested branch, and each branch's projection holds its model state
+// with every row exactly once.
+func (h *harness) verifyMulti(ids []vgraph.BranchID) {
 	for _, n := range h.names {
 		tbl, _ := h.dbs[n].Table("t")
-		proj := make([]map[string]bool, len(ids))
+		proj := make([]map[string]int, len(ids))
 		for i := range proj {
-			proj[i] = make(map[string]bool)
+			proj[i] = make(map[string]int)
 		}
 		if err := scanMulti(tbl, ids, func(rec *record.Record, member *bitmap.Bitmap) bool {
 			if !member.Any() {
@@ -356,7 +376,7 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 			}
 			for i := range ids {
 				if member.Get(i) {
-					proj[i][string(rec.Bytes())] = true
+					proj[i][string(rec.Bytes())]++
 				}
 			}
 			return true
@@ -365,11 +385,34 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 		}
 		for i, id := range ids {
 			want := stateSet(h.model.BranchState(id))
-			if !setsEqual(proj[i], want) {
-				h.t.Errorf("%s: ScanMulti projection of branch %d mismatch: %s", n, id, describeSetDiff(proj[i], want))
+			if dup := repeated(proj[i]); dup > 0 {
+				h.t.Errorf("%s: ScanMulti%v projection of branch %d has %d rows more than once", n, ids, id, dup)
+			}
+			if !setsEqual(keySet(proj[i]), want) {
+				h.t.Errorf("%s: ScanMulti%v projection of branch %d mismatch: %s", n, ids, id, describeSetDiff(keySet(proj[i]), want))
 			}
 		}
 	}
+}
+
+// repeated returns how many keys a multiset holds more than once.
+func repeated(m map[string]int) int {
+	n := 0
+	for _, c := range m {
+		if c > 1 {
+			n++
+		}
+	}
+	return n
+}
+
+// keySet returns a multiset's distinct keys.
+func keySet(m map[string]int) map[string]bool {
+	out := make(map[string]bool, len(m))
+	for k := range m {
+		out[k] = true
+	}
+	return out
 }
 
 func setsEqual(a, b map[string]bool) bool {

@@ -72,39 +72,6 @@ func (e *Engine) commitPosLocked(c *vgraph.Commit, pk int64) (pos, error) {
 	return p, err
 }
 
-// pinGroup tracks the segments a partition references: each is pinned
-// under the engine lock at partition time, and the release func hands
-// the pins back once the scan's units have all finished, letting a
-// concurrent compaction retire replaced files only after every
-// in-flight reader drains.
-type pinGroup struct {
-	pinned []*store.Segment
-}
-
-func (g *pinGroup) release() {
-	for _, sg := range g.pinned {
-		sg.Unpin()
-	}
-}
-
-// unit pins one segment and builds its scan unit: a live-page walk
-// under bm, which was snapshotted under the engine lock.
-func (g *pinGroup) unit(s *hseg, bm *bitmap.Bitmap, aux func(slot int64) core.UnitAux) core.ScanUnit {
-	s.Segment.Pin()
-	g.pinned = append(g.pinned, s.Segment)
-	return core.ScanUnit{
-		Frozen:   s.Frozen,
-		Zone:     s.Zone(),
-		PhysCols: s.Cols,
-		Aux:      aux,
-		Walk: func(_ *core.ScanSpec, visit func(slot int64, buf []byte) bool) error {
-			return s.File.ScanLive(bm, func(slot int64, buf []byte) bool {
-				return !bm.Get(int(slot)) || visit(slot, buf)
-			})
-		},
-	}
-}
-
 // PartitionScan implements core.Engine: one unit per segment holding
 // live records of the request, in segment-table order, with all shared
 // state (bitmaps, checkout snapshots) captured under the engine lock.
@@ -112,14 +79,14 @@ func (g *pinGroup) unit(s *hseg, bm *bitmap.Bitmap, aux func(slot int64) core.Un
 func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	g := &pinGroup{}
+	pins := &core.Pins{}
 	var units []core.ScanUnit
 	switch req.Kind {
 	case core.ScanKindBranch:
 		segs := e.branchSegmentsLocked(req.Branch)
 		units = make([]core.ScanUnit, 0, len(segs))
 		for _, s := range segs {
-			units = append(units, g.unit(s, s.local[req.Branch].Clone(), nil))
+			units = append(units, pins.Unit(s.Segment, s.Frozen, s.local[req.Branch].Clone(), nil))
 		}
 
 	case core.ScanKindCommit:
@@ -132,7 +99,7 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 		units = make([]core.ScanUnit, 0, len(snap))
 		for _, s := range e.segs {
 			if bm, ok := snap[s.id]; ok {
-				units = append(units, g.unit(s, bm, nil))
+				units = append(units, pins.Unit(s.Segment, s.Frozen, bm, nil))
 			}
 		}
 
@@ -153,10 +120,7 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 			if !x.Any() {
 				continue
 			}
-			inA := colA.Clone()
-			units = append(units, g.unit(s, x, func(slot int64) core.UnitAux {
-				return core.UnitAux{InA: inA.Get(int(slot))}
-			}))
+			units = append(units, pins.Unit(s.Segment, s.Frozen, x, core.DiffAux(colA.Clone())))
 		}
 
 	case core.ScanKindMulti:
@@ -172,16 +136,8 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 			if !union.Any() {
 				continue
 			}
-			// member is per-unit scratch: each parallel worker owns its
-			// unit's bitmap, and consumers clone what they retain.
-			member := bitmap.New(len(req.Branches))
-			units = append(units, g.unit(s, union, func(slot int64) core.UnitAux {
-				for i, col := range cols {
-					member.SetTo(i, col != nil && col.Get(int(slot)))
-				}
-				return core.UnitAux{Member: member}
-			}))
+			units = append(units, pins.Unit(s.Segment, s.Frozen, union, core.MemberAux(cols)))
 		}
 	}
-	return units, g.release, nil
+	return units, pins.Release, nil
 }

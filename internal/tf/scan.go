@@ -138,9 +138,7 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 	case core.ScanKindDiff:
 		colA := e.column(req.A).Clone()
 		bm = bitmap.Xor(colA, e.column(req.B))
-		aux = func(slot int64) core.UnitAux {
-			return core.UnitAux{InA: colA.Get(int(slot))}
-		}
+		aux = core.DiffAux(colA)
 
 	case core.ScanKindMulti:
 		cols = make([]*bitmap.Bitmap, len(req.Branches))
@@ -153,14 +151,7 @@ func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), e
 	units := make([]core.ScanUnit, 0, len(exts))
 	for _, x := range exts {
 		if req.Kind == core.ScanKindMulti {
-			// member is per-unit scratch so parallel workers never share.
-			member := bitmap.New(len(req.Branches))
-			aux = func(slot int64) core.UnitAux {
-				for i := range cols {
-					member.SetTo(i, cols[i].Get(int(slot)))
-				}
-				return core.UnitAux{Member: member}
-			}
+			aux = core.MemberAux(cols)
 		}
 		units = append(units, extUnit(x, bm, aux))
 		// Pinned until release: a concurrent compaction swapping the

@@ -2,7 +2,6 @@ package vf
 
 import (
 	"container/list"
-	"encoding/binary"
 	"expvar"
 	"sync/atomic"
 
@@ -42,8 +41,9 @@ import (
 //     sub-lineages (the LCA walks) once instead of once per merge
 //     level.
 //
-// Point lookups (LookupPK) resolve no live set and so touch neither
-// live-set tier: they probe the position's deduplicated step list —
+// Scans read a resolved version through its scan plan, the second tier
+// (below). Point lookups (LookupPK) resolve no live set and so touch
+// neither tier: they probe the position's deduplicated step list —
 // memoized per position beside the rawLineage memo — for one key.
 
 // Cache counters (expvar decibel.vf.*). The equivalence harness
@@ -72,8 +72,8 @@ func CacheCounters() (hits, misses, evictions, deltaResolves int64) {
 
 // cacheBudget bounds each cache tier by resident weight: for the
 // live-set tier the total number of cached keys (the sum of live-map
-// sizes), for the plan tier the total number of cached slots and
-// membership entries — the quantities that actually occupy memory.
+// sizes), for the plan tier the total number of bitmap words — the
+// quantities that actually occupy memory.
 const cacheBudget = 1 << 18
 
 // lru is a least-recently-used cache bounded by a resident-weight
@@ -175,58 +175,48 @@ func (e *Engine) overlayWindowLocked(live map[int64]pos, id segID, from, to int6
 	})
 }
 
-// Scan-plan cache: the second cache tier, above the live-set cache.
-// Even with every resolution an exact-position hit, a scan still pays
-// to regroup the live map by segment, sort each segment's slots, and —
-// for multi-branch scans — rebuild the per-position membership bitmaps
-// (k live maps folded into one union map) on every request. All of
-// that is a pure function of the exact resolved positions, so the
-// grouped, sorted, scan-ready form is cached under the position vector
-// and a warm scan goes straight to pin + emit. Validity follows from
-// the same immutability argument as the live-set cache; the whole tier
-// is cleared by invalidateResolvedLocked (merge, compaction) since its
-// entries can span many segments, and entries keyed by superseded cuts
-// simply age out of the LRU.
+// Scan-plan cache: the second cache tier, above the live-set cache. A
+// scan reads a version as one slot bitmap per segment — the form
+// hybrid stores — and building that from a live map is one pass over
+// it, so the bitmaps are cached per exact position, each position's
+// plan built once from the live set it resolves to. A scan of k
+// versions combines k cached plans (see scan.go), so a commit on one of
+// k branches rebuilds one plan and reuses the other k-1. Validity
+// follows from the same immutability argument as the live-set cache,
+// and invalidateResolvedLocked drops a segment's plans with its live
+// sets. Cached bitmaps are read-only: units on pool goroutines share
+// them without cloning.
 
-// planGroup is one segment's share of a cached scan plan: the slots to
-// emit, ascending. The slice is shared and read-only once cached.
-type planGroup struct {
-	id    segID
-	slots []int64
-}
-
-// planEntry is one cached scan plan. groups is the only side for
-// single-position and multi-branch scans; diffs carry side B in
-// groupsB. member is the multi-branch membership map (position ->
-// branch bitmap), shared and read-only once cached.
+// planEntry is one position's scan plan: its live slots in each
+// segment, indexed by segment id (nil: none live there), and the
+// number of bitmap words they occupy, its cache weight.
 type planEntry struct {
-	groups  []planGroup
-	groupsB []planGroup
-	member  map[pos]*bitmap.Bitmap
+	segs  []*bitmap.Bitmap
+	words int
 }
 
-// planKey encodes a scan kind and its exact resolved positions. The
-// vector keeps request order, so multi-branch membership bit indexes
-// are part of the key and diff sides stay directional.
-func planKey(kind byte, ps ...pos) string {
-	b := make([]byte, 0, 1+len(ps)*12)
-	b = append(b, kind)
-	for _, p := range ps {
-		b = binary.LittleEndian.AppendUint32(b, uint32(p.Seg))
-		b = binary.LittleEndian.AppendUint64(b, uint64(p.Slot))
+// slots returns the plan's live-slot bitmap of the segment, nil when
+// it has none there.
+func (en *planEntry) slots(id segID) *bitmap.Bitmap {
+	if int(id) < len(en.segs) {
+		return en.segs[id]
 	}
-	return string(b)
+	return nil
 }
 
-// planWeight is a plan's resident weight: its slots plus its
-// membership entries.
-func planWeight(en *planEntry) int {
-	w := len(en.member)
-	for _, g := range en.groups {
-		w += len(g.slots)
+// newPlan builds the scan plan of a resolved live set in one pass, each
+// segment's bitmap sized to the segment's slot count so setting bits
+// never regrows it. Caller holds e.mu.
+func (e *Engine) newPlan(live map[int64]pos) *planEntry {
+	en := &planEntry{segs: make([]*bitmap.Bitmap, len(e.segs))}
+	for _, q := range live {
+		bm := en.segs[q.Seg]
+		if bm == nil {
+			bm = bitmap.New(int(e.segs[q.Seg].File.Count()))
+			en.segs[q.Seg] = bm
+			en.words += (bm.Len() + 63) / 64
+		}
+		bm.Set(int(q.Slot))
 	}
-	for _, g := range en.groupsB {
-		w += len(g.slots)
-	}
-	return w
+	return en
 }

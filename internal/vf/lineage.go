@@ -324,10 +324,9 @@ func (e *Engine) resolveLive(p pos) (map[int64]pos, error) {
 // holds e.mu.
 func (e *Engine) invalidateResolvedLocked(id segID) {
 	if e.lcache != nil {
-		e.lcache.drop(func(p pos) bool { return p.Seg == id })
-		// Scan plans can reference any number of segments, so the plan
-		// tier is cleared wholesale rather than filtered by root.
-		e.pcache.drop(func(string) bool { return true })
+		rooted := func(p pos) bool { return p.Seg == id }
+		e.lcache.drop(rooted)
+		e.pcache.drop(rooted)
 	}
 	for p := range e.lineMemo {
 		if p.Seg == id {
@@ -418,99 +417,6 @@ func (e *Engine) claimAt(p pos, pk int64) (pos, error) {
 		}
 	}
 	return store.NoPos, nil
-}
-
-// stepEq reports whether two lineage steps are the same step: the same
-// override table, or the same slot interval of the same segment.
-func stepEq(a, b step) bool {
-	if a.isOvr != b.isOvr {
-		return false
-	}
-	if a.isOvr {
-		return a.ovr == b.ovr
-	}
-	return a.iv == b.iv
-}
-
-// diffLiveLocked computes the two exclusive sides of diff(A, B) — the
-// record copies live in exactly one of the two positions — from the
-// lineage delta instead of a full comparison of both live maps.
-//
-// The two step lists share their ancestry as a common suffix. A key
-// not claimed by any step above that suffix resolves through the same
-// first-claiming suffix step on both sides, so its outcome is
-// identical and it cannot appear in the diff. The candidate set is
-// therefore the keys claimed by the non-common steps of either side —
-// for a branch freshly forked off an unchanged parent, just the keys
-// touched in the fork's own head — and only candidates pay the
-// per-key live-map comparison. Clipping can shorten the detected
-// suffix (the two sides subtract different coverage from shared
-// ranges), which only grows the candidate set, never drops a
-// differing key. Caller holds e.mu.
-func (e *Engine) diffLiveLocked(pa, pb pos) (onlyA, onlyB map[int64]pos, err error) {
-	la, err := e.resolveLive(pa)
-	if err != nil {
-		return nil, nil, err
-	}
-	lb, err := e.resolveLive(pb)
-	if err != nil {
-		return nil, nil, err
-	}
-	stepsA, err := e.lineageAt(pa)
-	if err != nil {
-		return nil, nil, err
-	}
-	stepsB, err := e.lineageAt(pb)
-	if err != nil {
-		return nil, nil, err
-	}
-	i, j := len(stepsA), len(stepsB)
-	for i > 0 && j > 0 && stepEq(stepsA[i-1], stepsB[j-1]) {
-		i--
-		j--
-	}
-	onlyA = make(map[int64]pos)
-	onlyB = make(map[int64]pos)
-	seen := make(map[int64]bool)
-	check := func(pk int64) {
-		if seen[pk] {
-			return
-		}
-		seen[pk] = true
-		qa, okA := la[pk]
-		qb, okB := lb[pk]
-		if okA && (!okB || qa != qb) {
-			onlyA[pk] = qa
-		}
-		if okB && (!okA || qa != qb) {
-			onlyB[pk] = qb
-		}
-	}
-	collect := func(steps []step) error {
-		for _, st := range steps {
-			if st.isOvr {
-				for _, ov := range e.segs[st.ovr].overrides {
-					check(ov.PK)
-				}
-				continue
-			}
-			t, err := e.table(st.iv)
-			if err != nil {
-				return err
-			}
-			for pk := range t {
-				check(pk)
-			}
-		}
-		return nil
-	}
-	if err := collect(stepsA[:i]); err != nil {
-		return nil, nil, err
-	}
-	if err := collect(stepsB[:j]); err != nil {
-		return nil, nil, err
-	}
-	return onlyA, onlyB, nil
 }
 
 // span is a half-open slot range.

@@ -2,7 +2,6 @@ package vf
 
 import (
 	"fmt"
-	"sort"
 
 	"decibel/internal/bitmap"
 	"decibel/internal/core"
@@ -13,18 +12,20 @@ import (
 
 // The read SPI (core.Engine.PartitionScan and LookupPK). Version-first
 // has no branch bitmaps — liveness comes from resolving segment
-// lineages — so a scan is partitioned by resolving the live set under
-// the engine lock (shared ancestry once, through the interval cache;
-// whole plans through the plan cache), grouping it by segment in id
-// order with slots ascending, and making each segment's group one unit
-// whose walk reads its slots page-run by page-run (one pin per touched
-// page instead of one locked File.Read per record). The scan driver in
-// core drops units whose zone maps exclude the spec's bounds and
-// evaluates the spec on the raw record buffer. Multi-branch scans keep
-// the paper's two-pass shape: the first pass is the partition, the
-// second the units. Segments that are no branch's head never take
-// another append and are frozen units the scan pool may fan out; branch
-// heads stay on the caller's goroutine.
+// lineages — but a resolved version is what hybrid stores: a set of
+// live slots per segment. So each position a scan reads resolves, under
+// the engine lock, into a scan plan of one slot bitmap per segment
+// (cached per position, see cache.go), and every shape partitions into
+// one unit per segment, in segment-id order, combining the plans the
+// way hybrid combines branch bitmaps: a branch or commit scan walks its
+// one plan, a diff the XOR of its two sides' plans (a position holds one
+// key, so the XOR is exactly the copies live on one side only) with the
+// side read from A's, and a multi-branch scan the OR of the k plans with
+// each row's membership read from all k. The scan driver in core drops
+// units whose zone maps exclude the spec's bounds and evaluates the spec
+// on the raw record buffer. Segments that are no branch's head never
+// take another append and are frozen units the scan pool may fan out;
+// branch heads stay on the caller's goroutine.
 
 // LookupPK implements core.Engine. Version-first has no key index —
 // the paper's scheme resolves liveness from the segment lineage — and
@@ -65,44 +66,6 @@ func (e *Engine) LookupPK(req core.ScanRequest, pk int64) ([]byte, int, bool, er
 	return buf, seg.Cols, true, nil
 }
 
-// segUnit builds the scan unit of one segment's live slots (ascending).
-// Slots are read in page runs: one heap.File.Scan per contiguous group
-// of listed slots on the same page, skipping the unlisted slots in
-// between, so each touched page is pinned once.
-func segUnit(s *segment, slots []int64, frozen bool, aux func(slot int64) core.UnitAux) core.ScanUnit {
-	return core.ScanUnit{
-		Frozen:   frozen,
-		Zone:     s.Zone(),
-		PhysCols: s.Cols,
-		Aux:      aux,
-		Walk: func(_ *core.ScanSpec, visit func(slot int64, buf []byte) bool) error {
-			per := int64(s.File.PerPage())
-			k, stopped := 0, false
-			listed := func(slot int64, buf []byte) bool {
-				if slot != slots[k] {
-					return true
-				}
-				k++
-				stopped = !visit(slot, buf)
-				return !stopped
-			}
-			for i := 0; i < len(slots) && !stopped; {
-				page := slots[i] / per
-				j := i + 1
-				for j < len(slots) && slots[j]/per == page {
-					j++
-				}
-				k = i
-				if err := s.File.Scan(slots[i], slots[j-1]+1, listed); err != nil {
-					return err
-				}
-				i = j
-			}
-			return nil
-		},
-	}
-}
-
 // headsLocked returns the set of segments currently serving as a
 // branch head — the only segments still taking appends. Caller holds
 // e.mu.
@@ -114,102 +77,26 @@ func (e *Engine) headsLocked() map[segID]bool {
 	return heads
 }
 
-// sortedGroups turns a per-segment slot bucketing into the canonical
-// scan-plan form: one group per segment, ids ascending, slots
-// ascending, mirroring the sequential emit order. This is the shape
-// the plan cache retains, so the grouping and sorting cost is paid
-// once per distinct position vector instead of once per scan.
-func sortedGroups(bySeg map[segID][]int64) []planGroup {
-	groups := make([]planGroup, 0, len(bySeg))
-	for id, slots := range bySeg {
-		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-		groups = append(groups, planGroup{id: id, slots: slots})
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
-	return groups
-}
-
-// unitsFor builds one scan unit per plan group. segs and heads were
-// snapshotted under e.mu; head status is never cached with the plan —
-// it is re-read per scan so a segment that froze since the plan was
-// built becomes eligible for parallel fan-out (and never the reverse).
-// auxFor, when non-nil, builds each segment's annotation func.
-func unitsFor(groups []planGroup, segs []*segment, heads map[segID]bool, auxFor func(id segID) func(slot int64) core.UnitAux) []core.ScanUnit {
-	units := make([]core.ScanUnit, 0, len(groups))
-	for _, g := range groups {
-		var aux func(slot int64) core.UnitAux
-		if auxFor != nil {
-			aux = auxFor(g.id)
-		}
-		units = append(units, segUnit(segs[g.id], g.slots, !heads[g.id], aux))
-	}
-	return units
-}
-
-// groupLive buckets a resolved live set by segment.
-func groupLive(live map[int64]pos) map[segID][]int64 {
-	bySeg := make(map[segID][]int64)
-	for _, p := range live {
-		bySeg[p.Seg] = append(bySeg[p.Seg], p.Slot)
-	}
-	return bySeg
-}
-
-// pinAll pins (under the engine lock, which the caller holds) every
-// segment a partition's units reference and returns the release func
-// handing the pins back; a concurrent compaction retires replaced
-// files only after the pins drain.
-func pinAll(segs []*segment, groupLists ...[]planGroup) func() {
-	var pinned []*store.Segment
-	seen := make(map[segID]bool)
-	for _, gs := range groupLists {
-		for _, g := range gs {
-			if seen[g.id] {
-				continue
-			}
-			seen[g.id] = true
-			segs[g.id].Segment.Pin()
-			pinned = append(pinned, segs[g.id].Segment)
-		}
-	}
-	return func() {
-		for _, sg := range pinned {
-			sg.Unpin()
-		}
-	}
-}
-
-// planFor looks up the scan-plan cache (counting a hit as a lineage
-// cache hit: the plan embeds the resolutions) and falls back to build,
-// caching the result. build runs under e.mu, like the caller.
-func (e *Engine) planFor(key string, build func() (*planEntry, error)) (*planEntry, error) {
+// planLocked returns the scan plan of one resolved position, from the
+// plan cache (a hit counts as a lineage cache hit: the plan embeds the
+// resolution) or built from the position's live set. Branch-head and
+// commit scans share it: same position, same plan. Caller holds e.mu.
+func (e *Engine) planLocked(p pos) (*planEntry, error) {
 	if e.pcache != nil {
-		if en, ok := e.pcache.get(key); ok {
+		if en, ok := e.pcache.get(p); ok {
 			vfCacheHits.Add(1)
 			return en, nil
 		}
 	}
-	en, err := build()
+	live, err := e.resolveLive(p)
 	if err != nil {
 		return nil, err
 	}
+	en := e.newPlan(live)
 	if e.pcache != nil {
-		e.pcache.put(key, en)
+		e.pcache.put(p, en)
 	}
 	return en, nil
-}
-
-// singlePlanLocked returns the scan plan of one resolved position
-// (branch-head and commit scans share it: same position, same plan).
-// Caller holds e.mu.
-func (e *Engine) singlePlanLocked(p pos) (*planEntry, error) {
-	return e.planFor(planKey('s', p), func() (*planEntry, error) {
-		live, err := e.resolveLive(p)
-		if err != nil {
-			return nil, err
-		}
-		return &planEntry{groups: sortedGroups(groupLive(live))}, nil
-	})
 }
 
 // headPosLocked returns the position a head scan of the branch
@@ -223,115 +110,95 @@ func (e *Engine) headPosLocked(b vgraph.BranchID) (pos, error) {
 	return pos{Seg: s.id, Slot: cut}, nil
 }
 
-// planLocked resolves the request's live set into a scan plan, exactly
-// as every read of those versions resolves it. Caller holds e.mu.
-func (e *Engine) planLocked(req core.ScanRequest) (*planEntry, error) {
+// plansLocked returns the plans of the positions the request reads, in
+// request order: the one version of a branch or commit scan, A then B
+// for a diff, the requested branches' heads for a multi-branch scan.
+// Caller holds e.mu.
+func (e *Engine) plansLocked(req core.ScanRequest) ([]*planEntry, error) {
+	var at []pos
+	var branches []vgraph.BranchID
 	switch req.Kind {
 	case core.ScanKindCommit:
 		p, ok := e.commits[req.Commit.ID]
 		if !ok {
 			return nil, fmt.Errorf("vf: commit %d has no recorded offset", req.Commit.ID)
 		}
-		return e.singlePlanLocked(p)
-
+		at = []pos{p}
 	case core.ScanKindMulti:
-		positions := make([]pos, len(req.Branches))
-		for i, b := range req.Branches {
-			p, err := e.headPosLocked(b)
-			if err != nil {
-				return nil, err
-			}
-			positions[i] = p
-		}
-		return e.planFor(planKey('m', positions...), func() (*planEntry, error) {
-			union := make(map[pos]*bitmap.Bitmap)
-			for i, p := range positions {
-				live, err := e.resolveLive(p)
-				if err != nil {
-					return nil, err
-				}
-				for _, q := range live {
-					m := union[q]
-					if m == nil {
-						m = bitmap.New(len(positions))
-						union[q] = m
-					}
-					m.Set(i)
-				}
-			}
-			bySeg := make(map[segID][]int64)
-			for q := range union {
-				bySeg[q.Seg] = append(bySeg[q.Seg], q.Slot)
-			}
-			return &planEntry{groups: sortedGroups(bySeg), member: union}, nil
-		})
-
+		branches = req.Branches
 	case core.ScanKindDiff:
-		pa, err := e.headPosLocked(req.A)
+		branches = []vgraph.BranchID{req.A, req.B}
+	default:
+		branches = []vgraph.BranchID{req.Branch}
+	}
+	for _, b := range branches {
+		p, err := e.headPosLocked(b)
 		if err != nil {
 			return nil, err
 		}
-		pb, err := e.headPosLocked(req.B)
-		if err != nil {
+		at = append(at, p)
+	}
+	plans := make([]*planEntry, len(at))
+	for i, p := range at {
+		var err error
+		if plans[i], err = e.planLocked(p); err != nil {
 			return nil, err
 		}
-		return e.planFor(planKey('d', pa, pb), func() (*planEntry, error) {
-			// The exclusive sides come from the lineage delta: only keys
-			// claimed by the non-shared steps of either branch are
-			// compared, so a diff's cost scales with what actually changed
-			// since the fork instead of the full live-set size.
-			onlyA, onlyB, err := e.diffLiveLocked(pa, pb)
-			if err != nil {
-				return nil, err
-			}
-			return &planEntry{
-				groups:  sortedGroups(groupLive(onlyA)),
-				groupsB: sortedGroups(groupLive(onlyB)),
-			}, nil
-		})
 	}
-	p, err := e.headPosLocked(req.Branch)
-	if err != nil {
-		return nil, err
-	}
-	return e.singlePlanLocked(p)
+	return plans, nil
 }
 
-func inA(segID) func(int64) core.UnitAux {
-	return func(int64) core.UnitAux { return core.UnitAux{InA: true} }
-}
-
-func inB(segID) func(int64) core.UnitAux {
-	return func(int64) core.UnitAux { return core.UnitAux{} }
-}
-
-// PartitionScan implements core.Engine: the live set is resolved under
-// the engine lock, then partitioned into per-segment units. Every
-// segment a unit references is pinned until release is called.
+// PartitionScan implements core.Engine: the request's plans are
+// resolved under the engine lock and combined into one unit per segment
+// with a live slot in any of them. Every segment a unit references is
+// pinned until release is called.
 func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	en, err := e.planLocked(req)
+	plans, err := e.plansLocked(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	segs, heads := e.segs, e.headsLocked()
-	release := pinAll(segs, en.groups, en.groupsB)
-	switch req.Kind {
-	case core.ScanKindMulti:
-		// en.member is read-only once planned: per-pos bitmaps are safe
-		// to hand out across units.
-		member := en.member
-		return unitsFor(en.groups, segs, heads, func(id segID) func(int64) core.UnitAux {
-			return func(slot int64) core.UnitAux {
-				return core.UnitAux{Member: member[pos{Seg: id, Slot: slot}]}
+	heads := e.headsLocked()
+	pins := &core.Pins{}
+	var units []core.ScanUnit
+	for _, s := range e.segs {
+		unit := func(bm *bitmap.Bitmap, aux func(slot int64) core.UnitAux) {
+			units = append(units, pins.Unit(s.Segment, !heads[s.id], bm, aux))
+		}
+		switch req.Kind {
+		case core.ScanKindDiff:
+			a, b := plans[0].slots(s.id), plans[1].slots(s.id)
+			if a == nil && b == nil {
+				continue
 			}
-		}), release, nil
-	case core.ScanKindDiff:
-		units := unitsFor(en.groups, segs, heads, inA)
-		return append(units, unitsFor(en.groupsB, segs, heads, inB)...), release, nil
+			if a == nil {
+				a = bitmap.New(0)
+			}
+			if b == nil {
+				b = bitmap.New(0)
+			}
+			if x := bitmap.Xor(a, b); x.Any() {
+				unit(x, core.DiffAux(a))
+			}
+		case core.ScanKindMulti:
+			cols := make([]*bitmap.Bitmap, len(plans))
+			union := bitmap.New(0)
+			for i, pl := range plans {
+				if cols[i] = pl.slots(s.id); cols[i] != nil {
+					union.Or(cols[i])
+				}
+			}
+			if union.Any() {
+				unit(union, core.MemberAux(cols))
+			}
+		default:
+			if bm := plans[0].slots(s.id); bm != nil {
+				unit(bm, nil)
+			}
+		}
 	}
-	return unitsFor(en.groups, segs, heads, nil), release, nil
+	return units, pins.Release, nil
 }
 
 // InsertBatch implements core.Engine: one lock acquisition and one head

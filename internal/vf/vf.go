@@ -95,13 +95,13 @@ type Engine struct {
 
 	// Lineage/live-set cache (see cache.go). lcache holds resolved live
 	// sets keyed by exact position; pcache is the scan-plan tier above
-	// it, grouped, sorted, scan-ready forms keyed by the exact resolved
-	// position vector; lineMemo memoizes rawLineage and stepMemo
-	// lineageAt (the deduplicated steps point lookups probe). All nil
+	// it, each position's live slots as one bitmap per segment;
+	// lineMemo memoizes rawLineage and stepMemo lineageAt (the
+	// deduplicated steps point lookups probe). All nil
 	// when the cache is off (Options.VFLineageCacheOff, a test-only
 	// switch), which forces every resolution onto the full-walk path.
 	lcache   *lru[pos, map[int64]pos]
-	pcache   *lru[string, *planEntry]
+	pcache   *lru[pos, *planEntry]
 	lineMemo map[pos][]step
 	stepMemo map[pos][]step
 }
@@ -120,7 +120,7 @@ func Factory(env *core.Env) (core.Engine, error) {
 	}
 	if !env.Opt.VFLineageCacheOff {
 		e.lcache = newLRU[pos](cacheBudget, func(live map[int64]pos) int { return len(live) })
-		e.pcache = newLRU[string](cacheBudget, planWeight)
+		e.pcache = newLRU[pos](cacheBudget, func(en *planEntry) int { return en.words })
 		e.lineMemo = make(map[pos][]step)
 		e.stepMemo = make(map[pos][]step)
 	}

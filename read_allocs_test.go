@@ -5,14 +5,15 @@ package decibel_test
 // newest version the branch holds, and of one another branch has since
 // rewritten, so the index walk passes versions the branch cannot see —
 // a point lookup pinned to a commit the key was rewritten after (the
-// served read's shape), and a sequential Q1-shaped head scan. The
+// served read's shape), a sequential Q1-shaped head scan, and a warm
+// HEAD() scan of every branch and a warm symmetric diff of two. The
 // dataset is the pruning dataset — several segments across two schema
 // epochs — so the per-unit costs (layout conversion, zone checks) are
 // part of the count. The tuple-first and hybrid head ceilings are the
 // counts measured before the read paths were folded into one driver,
 // the rest the counts measured when each path was added; one more
 // closure, sink or slice per read fails here before it fails the
-// benchmark gate.
+// benchmark gate; for the HEAD() and diff shapes, so does one per row.
 
 import (
 	"testing"
@@ -21,10 +22,10 @@ import (
 )
 
 // readAllocCeilings is allocations per read, by engine.
-var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit float64 }{
-	"hybrid":        {point: 24, walk: 24, scan: 176, atCommit: 29},
-	"tuple-first":   {point: 24, walk: 24, scan: 167, atCommit: 29},
-	"version-first": {point: 24, walk: 24, scan: 165, atCommit: 21},
+var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit, heads, diff float64 }{
+	"hybrid":        {point: 24, walk: 24, scan: 176, atCommit: 29, heads: 235, diff: 63},
+	"tuple-first":   {point: 24, walk: 24, scan: 167, atCommit: 29, heads: 207, diff: 46},
+	"version-first": {point: 24, walk: 24, scan: 165, atCommit: 21, heads: 223, diff: 58},
 }
 
 func TestReadAllocCeilings(t *testing.T) {
@@ -71,6 +72,26 @@ func TestReadAllocCeilings(t *testing.T) {
 			scan := drain(db.Query("r").On("master").
 				Where(decibel.Col("v").Ge(int64(20)).And(decibel.Col("v").Lt(int64(120)))).
 				Select("v", "sku"), 100)
+			heads := func() {
+				rows, errf := db.Query("r").Heads().Annotated()
+				n := 0
+				for range rows {
+					n++
+				}
+				if err := errf(); err != nil || n != 151 {
+					t.Fatalf("HEAD(): %d rows (%v), want 151", n, err)
+				}
+			}
+			diff := func() {
+				rows, errf := db.Diff("r", "b2", "master")
+				n := 0
+				for range rows {
+					n++
+				}
+				if err := errf(); err != nil || n != 7 {
+					t.Fatalf("diff: %d rows (%v), want 7", n, err)
+				}
+			}
 			if got := testing.AllocsPerRun(50, point); got > want.point {
 				t.Errorf("point lookup: %.0f allocs/op, ceiling %.0f", got, want.point)
 			}
@@ -82,6 +103,12 @@ func TestReadAllocCeilings(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(50, atCommit); got > want.atCommit {
 				t.Errorf("point lookup at a commit: %.0f allocs/op, ceiling %.0f", got, want.atCommit)
+			}
+			if got := testing.AllocsPerRun(50, heads); got > want.heads {
+				t.Errorf("HEAD() scan: %.0f allocs/op, ceiling %.0f", got, want.heads)
+			}
+			if got := testing.AllocsPerRun(50, diff); got > want.diff {
+				t.Errorf("diff: %.0f allocs/op, ceiling %.0f", got, want.diff)
 			}
 		})
 	}

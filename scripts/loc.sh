@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# eleven structural checks. Prints the non-test Go lines outside
+# twelve structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}) and of
 # version-first alone (internal/vf), of their merge code (internal/{tf,hy,vf}/merge.go), of compaction
 # (internal/{tf,hy,vf}/compact.go and internal/store/compact.go) and of
@@ -37,7 +37,11 @@
 # a "prev, next" linked list of its own: version-first extends a cached
 # live set with one scan of the slot window (no per-commit delta log),
 # both its cache tiers are the one lru type on container/list, and the
-# cache has no public knob.
+# cache has no public knob. Exits non-zero too if non-test Go in
+# internal/vf matches sortedGroups, diffLiveLocked, planGroup or
+# map[pos]*bitmap.Bitmap: a version-first scan plan is one slot bitmap
+# per segment cached per position, a HEAD() scan ORs k of them and a
+# diff XORs two, as hybrid combines its branch bitmaps.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -133,6 +137,14 @@ fi
 stray=$(grep -rnE --include='*.go' 'prev, next' internal/vf | grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "internal/vf keeps one LRU (lru, on container/list); no hand-written list:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'sortedGroups|diffLiveLocked|planGroup|map\[pos\]\*bitmap\.Bitmap' internal/vf |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "internal/vf scan plans are per-position slot bitmaps (HEAD() ORs them, a diff XORs two):" >&2
     echo "$stray" >&2
     exit 1
 fi

@@ -2,7 +2,7 @@ package decibel_test
 
 // Lineage-cache equivalence: the version-first engine's cached
 // resolution tiers (exact-position live maps, incremental delta
-// resolution, scan-plan cache, lineage-delta diffs) are pure
+// resolution, per-position scan plans) are pure
 // optimizations — a cached engine must emit byte-identical streams to
 // an engine with the cache forced off (WithoutLineageCache, the full
 // lineage-walk baseline), for every query shape, predicate, and both
