@@ -4,8 +4,8 @@ package bench_test
 //
 //   - BenchmarkJoin2Way: big ⋈ mid under greedy ordering vs the worst
 //     declared order (big first, so the hash side is the large
-//     relation). Greedy picks the small side at plan time from
-//     zone-map row estimates.
+//     relation; Plan.NoReorder pins it). Greedy picks the small side at
+//     plan time from zone-map row estimates.
 //   - BenchmarkJoin3Way: big ⋈ mid ⋈ small with a selective predicate
 //     on the smallest relation. The declared order is deliberately
 //     worst (largest first); the setup asserts both orders emit
@@ -16,10 +16,12 @@ package bench_test
 //     grouped path replaces.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"decibel"
+	iquery "decibel/internal/query"
 )
 
 const (
@@ -96,20 +98,35 @@ func loadJoinBench(tb testing.TB, engine string) *decibel.DB {
 	return db
 }
 
-// join3 composes the worst declared order — biggest first — so greedy
-// reordering has the most to win.
-func join3(db *decibel.DB) *decibel.Query {
-	return db.Query("big").On(decibel.Master).
-		JoinOn(db.Query("mid"), decibel.On("mid_id", "id")).
-		JoinOn(db.Query("small").Where(decibel.Col("v").Lt(5)), decibel.On("small_id", "id"))
+// joinPlan composes big ⋈ mid — and, with small, ⋈ small under a
+// selective predicate — in the worst declared order, biggest first, so
+// greedy reordering has the most to win; declared pins that order.
+func joinPlan(small, declared bool) iquery.Plan {
+	p := iquery.Plan{Table: "big", Branches: []string{decibel.Master}, AtSeq: -1, NoReorder: declared,
+		Joins: []iquery.JoinLeg{{Plan: iquery.Plan{Table: "mid", AtSeq: -1}, LeftCol: "mid_id", RightCol: "id"}}}
+	if small {
+		p.Joins = append(p.Joins, iquery.JoinLeg{
+			Plan:    iquery.Plan{Table: "small", AtSeq: -1, Where: iquery.Col("v").Lt(5)},
+			LeftCol: "small_id", RightCol: "id"})
+	}
+	return p
+}
+
+// compileJoin compiles a join plan against db.
+func compileJoin(tb testing.TB, db *decibel.DB, p iquery.Plan) *iquery.Compiled {
+	tb.Helper()
+	c, err := p.Compile(db.Database)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 // drainTuples runs the join and returns the formatted stream.
-func drainTuples(tb testing.TB, q *decibel.Query) []string {
+func drainTuples(tb testing.TB, db *decibel.DB, p iquery.Plan) []string {
 	tb.Helper()
-	tuples, errFn := q.Tuples()
 	var out []string
-	for tup := range tuples {
+	if err := compileJoin(tb, db, p).JoinTuples(context.Background(), func(tup iquery.JoinTuple) bool {
 		line := ""
 		for i, rec := range tup {
 			if i > 0 {
@@ -118,52 +135,50 @@ func drainTuples(tb testing.TB, q *decibel.Query) []string {
 			line += rec.String()
 		}
 		out = append(out, line)
-	}
-	if err := errFn(); err != nil {
+		return true
+	}); err != nil {
 		tb.Fatal(err)
 	}
 	return out
 }
 
+// benchJoinCount times compiling and counting the join in each order.
+func benchJoinCount(b *testing.B, engine string, db *decibel.DB, small bool, want int) {
+	for _, mode := range []string{"greedy", "declared-worst"} {
+		b.Run(fmt.Sprintf("%s/%s", engine, mode), func(b *testing.B) {
+			p := joinPlan(small, mode == "declared-worst")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n, err := compileJoin(b, db, p).Aggregate(context.Background(), iquery.AggCount, "")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if int(n) != want {
+					b.Fatalf("count = %d, want %d", int(n), want)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkJoin2Way(b *testing.B) {
 	for _, engine := range []string{"vf", "hy"} {
 		db := loadJoinBench(b, engine)
-		mk := func(declared bool) *decibel.Query {
-			q := db.Query("big").On(decibel.Master).
-				JoinOn(db.Query("mid"), decibel.On("mid_id", "id"))
-			if declared {
-				q = q.DeclaredJoinOrder()
+		for _, declared := range []bool{false, true} {
+			if n := len(drainTuples(b, db, joinPlan(false, declared))); n != joinBigRows { // warm
+				b.Fatalf("join emitted %d tuples, want %d", n, joinBigRows)
 			}
-			return q
 		}
-		for _, mode := range []string{"greedy", "declared-worst"} {
-			b.Run(fmt.Sprintf("%s/%s", engine, mode), func(b *testing.B) {
-				declared := mode == "declared-worst"
-				want := len(drainTuples(b, mk(declared))) // warm
-				if want != joinBigRows {
-					b.Fatalf("join emitted %d tuples, want %d", want, joinBigRows)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					n, err := mk(declared).Count()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if n != want {
-						b.Fatalf("count = %d, want %d", n, want)
-					}
-				}
-			})
-		}
+		benchJoinCount(b, engine, db, false, joinBigRows)
 	}
 }
 
 func BenchmarkJoin3Way(b *testing.B) {
 	for _, engine := range []string{"vf", "hy"} {
 		db := loadJoinBench(b, engine)
-		greedy := drainTuples(b, join3(db))
-		declared := drainTuples(b, join3(db).DeclaredJoinOrder())
+		greedy := drainTuples(b, db, joinPlan(true, false))
+		declared := drainTuples(b, db, joinPlan(true, true))
 		if len(greedy) != len(declared) {
 			b.Fatalf("greedy emitted %d tuples, declared %d", len(greedy), len(declared))
 		}
@@ -172,26 +187,7 @@ func BenchmarkJoin3Way(b *testing.B) {
 				b.Fatalf("tuple %d differs between orders:\n  greedy   %s\n  declared %s", i, greedy[i], declared[i])
 			}
 		}
-		for _, mode := range []string{"greedy", "declared-worst"} {
-			b.Run(fmt.Sprintf("%s/%s", engine, mode), func(b *testing.B) {
-				want := len(greedy)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					q := join3(db)
-					if mode == "declared-worst" {
-						q = q.DeclaredJoinOrder()
-					}
-					n, err := q.Count()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if n != want {
-						b.Fatalf("count = %d, want %d", n, want)
-					}
-				}
-			})
-		}
+		benchJoinCount(b, engine, db, true, len(greedy))
 	}
 }
 

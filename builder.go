@@ -79,6 +79,14 @@ func Max(col string) Agg { return Agg{Kind: iquery.AggMax, Col: col} }
 // Avg folds the named numeric column's mean per group.
 func Avg(col string) Agg { return Agg{Kind: iquery.AggAvg, Col: col} }
 
+// AggNamed returns the aggregate a name spells — count, sum, min, max
+// or avg, as the server's wire protocol names them — over col (ignored
+// by count); ok is false for any other name.
+func AggNamed(name, col string) (agg Agg, ok bool) {
+	kind, ok := iquery.AggKindNamed(name)
+	return Agg{Kind: kind, Col: col}, ok
+}
+
 // Query is a fluent, name-based versioned query over one table,
 // started with DB.Query. Configure it with On/At/Heads/Where/Select —
 // and compose relations with JoinOn and GroupBy — then run one
@@ -170,8 +178,10 @@ func (q *Query) Select(cols ...string) *Query {
 // ascending (desc flips the direction; NaN orders below every number).
 // The column must exist at the addressed version — unknown names fail
 // at plan time with ErrNoSuchColumn — and must survive Select. OrderBy
-// requires a gather, so combine it with Limit where possible: together
-// they run as a bounded top-k heap instead of a full sort.
+// alone gathers and sorts the whole result, so combine it with Limit
+// where possible: together they visit the segments most likely to rank
+// first, keep a bounded top-k heap, and skip segments whose zone maps
+// prove they cannot reach it.
 func (q *Query) OrderBy(col string, desc bool) *Query {
 	q.plan.OrderCol = col
 	q.plan.OrderDesc = desc
@@ -180,16 +190,16 @@ func (q *Query) OrderBy(col string, desc bool) *Query {
 
 // Limit caps the number of rows Rows/Diff emit. Without OrderBy the
 // scan simply stops early; with it, the query keeps the first n rows
-// of the ordered output via a top-k heap.
+// of the ordered output (see OrderBy).
 func (q *Query) Limit(n int) *Query {
 	q.plan.Limit = n
 	return q
 }
 
-// Sequential pins the query to the sequential scan path, bypassing the
-// database's parallel scan executor (see Open's WithScanWorkers). The
-// results are identical either way; this exists as the explicit
-// baseline for equivalence tests and benchmarks.
+// Sequential keeps the query off the database's parallel scan pool
+// (see Open's WithScanWorkers). The results are identical either way;
+// this exists as the explicit baseline for equivalence tests and
+// benchmarks.
 func (q *Query) Sequential() *Query {
 	q.plan.NoParallel = true
 	return q
@@ -202,11 +212,10 @@ func (q *Query) Sequential() *Query {
 // branch), and its predicate/projection push into its own scan. The
 // planner orders the relations greedily by zone-map row estimate —
 // smallest first, hash-build on the accumulated side, streaming-probe
-// the larger — unless DeclaredJoinOrder pins the composed order; the
-// joined tuples are identical either way, emitted in ascending
-// composite primary-key order through Tuples (or grouped through
-// GroupBy and Groups). other's configuration is captured at the
-// JoinOn call.
+// the larger. The joined tuples do not depend on that order: they emit
+// in ascending composite primary-key order through Tuples (or grouped
+// through GroupBy and Groups). other's configuration is captured at
+// the JoinOn call.
 func (q *Query) JoinOn(other *Query, key JoinKey) *Query {
 	if other == nil {
 		q.fail(fmt.Errorf("%w: JoinOn with a nil query", ErrBadQuery))
@@ -233,15 +242,6 @@ func (q *Query) JoinOn(other *Query, key JoinKey) *Query {
 // OrderBy or Limit.
 func (q *Query) GroupBy(cols ...string) *Query {
 	q.plan.GroupCols = append(q.plan.GroupCols, cols...)
-	return q
-}
-
-// DeclaredJoinOrder pins join execution to the order the relations
-// were composed in, bypassing the greedy zone-map ordering. Results
-// are identical; this exists as the explicit baseline for the
-// join-ordering benchmarks.
-func (q *Query) DeclaredJoinOrder() *Query {
-	q.plan.NoReorder = true
 	return q
 }
 

@@ -57,11 +57,6 @@ type QueryRequest struct {
 	// row per relation in composition order.
 	Join []JoinClause `json:"join,omitempty"`
 
-	// DeclaredOrder pins join execution to the composed relation order
-	// instead of the greedy zone-map ordering (the builder's
-	// DeclaredJoinOrder). Results are identical either way.
-	DeclaredOrder bool `json:"declaredOrder,omitempty"`
-
 	// GroupBy makes the query a grouped aggregation over the named
 	// columns (the builder's GroupBy): groups come back in the Groups
 	// field in first-arrival order, folding Aggs per group.

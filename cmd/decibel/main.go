@@ -90,8 +90,6 @@ commands:
                                                   matches t's col r (default l),
                                                   scanning t's branch b (default:
                                                   the query's); repeat for N-way
-                               -declared-order    pin joins to the declared order
-                                                  (skip greedy zone-map ordering)
                                -group-by a[,b]    group rows (or joined tuples)
                                                   by the named columns
                                -agg <list>        grouped aggregates, e.g.
@@ -627,20 +625,11 @@ func parseAggs(s string) ([]decibel.Agg, []string, error) {
 		if name != "count" && col == "" {
 			return nil, nil, fmt.Errorf("-agg %q wants a column: %s:col", part, name)
 		}
-		switch name {
-		case "count":
-			aggs = append(aggs, decibel.Count())
-		case "sum":
-			aggs = append(aggs, decibel.Sum(col))
-		case "min":
-			aggs = append(aggs, decibel.Min(col))
-		case "max":
-			aggs = append(aggs, decibel.Max(col))
-		case "avg":
-			aggs = append(aggs, decibel.Avg(col))
-		default:
+		agg, ok := decibel.AggNamed(name, col)
+		if !ok {
 			return nil, nil, fmt.Errorf("-agg %q: unknown aggregate %q", part, name)
 		}
+		aggs = append(aggs, agg)
 		labels = append(labels, part)
 	}
 	return aggs, labels, nil
@@ -666,7 +655,6 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 	count := fs.Bool("count", false, "print only the matching record count")
 	var joins multiFlag
 	fs.Var(&joins, "join", "equi-join another table: table:left_col[=right_col][@branch] (repeatable)")
-	declared := fs.Bool("declared-order", false, "pin joins to the declared order (skip greedy reordering)")
 	groupBy := fs.String("group-by", "", "comma-separated columns to group by")
 	aggList := fs.String("agg", "", "grouped aggregates: count,sum:col,min:col,max:col,avg:col")
 	// Accept "select <table> -flags" and "select -flags <table>".
@@ -726,9 +714,6 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 			return err
 		}
 		q = q.JoinOn(jq, key)
-	}
-	if *declared {
-		q = q.DeclaredJoinOrder()
 	}
 	var gcols []string
 	if *groupBy != "" {

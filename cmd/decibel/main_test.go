@@ -134,12 +134,11 @@ func TestSelectJoinGroupCLI(t *testing.T) {
 		return run(dir, engine, "orders", append([]string{"select"}, args...))
 	}
 
-	// Happy paths: joined tuples, joined count, declared order, grouped
-	// aggregates plain and over a join, branch-pinned leg.
+	// Happy paths: joined tuples, joined count, grouped aggregates plain
+	// and over a join, branch-pinned leg.
 	for _, args := range [][]string{
 		{"-branch", "master", "-join", "users:user_id=id"},
 		{"-branch", "master", "-join", "users:user_id=id", "-count"},
-		{"-branch", "master", "-join", "users:user_id=id", "-declared-order"},
 		{"-branch", "master", "-join", "users:user_id=id@dev"},
 		{"-branch", "master", "-group-by", "qty", "-agg", "count,sum:price,avg:price"},
 		{"-branch", "master", "-group-by", "qty"}, // DISTINCT

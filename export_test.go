@@ -6,3 +6,21 @@ package decibel
 func WithoutLineageCache() Option {
 	return func(c *config) { c.opt.VFLineageCacheOff = true }
 }
+
+// WithCompactionFailPoint injects a crash point into every compaction
+// pass: "after-temp" aborts after new segment files are written and
+// fsynced but before the catalog swap, "before-unlink" after the swap
+// but before replaced files are unlinked. The pass fails with an error
+// compact.ErrFailPoint recognizes and disk is left exactly as a crash
+// there would leave it — the crash-recovery tests reopen and verify.
+func WithCompactionFailPoint(point string) Option {
+	return func(c *config) { c.opt.Compaction.FailPoint = point }
+}
+
+// DeclaredJoinOrder pins join execution to the order the relations
+// were composed in, bypassing the greedy zone-map ordering: the
+// reference the join equivalence tests hold the greedy order to.
+func (q *Query) DeclaredJoinOrder() *Query {
+	q.plan.NoReorder = true
+	return q
+}

@@ -1,21 +1,24 @@
 package query
 
-// Grouped aggregation. A Plan with GroupCols buckets the scanned rows
-// by the named columns and folds per-group aggregates in one streaming
-// pass — bounded hash aggregation: the state is one accumulator per
-// distinct group, never the rows themselves. The fold pushes its own
-// projection into the scan's ScanSpec (only the group and aggregate
-// columns are decoded) and rides the parallel executor the same way
-// scalar aggregates do: per-worker partial folds merged in unit order,
-// so the parallel stream is byte-identical to the sequential one.
+// Aggregation: one fold for the scalar and the grouped terminals. A
+// Plan with GroupCols buckets the scanned rows by the named columns and
+// folds per-group aggregates in one streaming pass — bounded hash
+// aggregation: the state is one accumulator per distinct group, never
+// the rows themselves. A scalar aggregate (Count, Sum, Min, Max, Avg)
+// is the same fold with no group columns: one group, kept out of the
+// hash map so a row costs no lookup. The fold reads the source schema
+// (a projection would only copy each row) and rides the parallel
+// executor as one partial fold per scan unit, merged in unit order
+// (MADlib's transition/merge/final triple: observe, mergeFrom, value).
 //
 // Groups emit in first-arrival order — the order the sequential scan
 // first sees each distinct key. The parallel merge visits unit partials
 // in unit order and appends unseen keys as it goes, which reproduces
 // exactly that order (units partition the scan in sequential order).
-// The one caveat is inherited from scalar aggregates: a parallel float
-// Sum/Avg associates additions differently and can differ in the last
-// ulps on data where addition order matters.
+// Count, integer Sum, Min and Max merge exactly; a parallel float
+// Sum/Avg associates additions differently than the sequential fold,
+// so it can differ in the last ulps on data where addition order
+// matters (exact on the binary fractions the tests use).
 
 import (
 	"context"
@@ -26,6 +29,33 @@ import (
 	"decibel/internal/core"
 	"decibel/internal/record"
 )
+
+// AggKind selects an aggregate.
+type AggKind uint8
+
+// Aggregate kinds.
+const (
+	AggCount AggKind = iota
+	AggSum
+	AggMin
+	AggMax
+	AggAvg
+)
+
+// aggNames spells each kind the way the wire protocol's agg/aggs and
+// the CLI's -agg name it.
+var aggNames = [...]string{AggCount: "count", AggSum: "sum", AggMin: "min", AggMax: "max", AggAvg: "avg"}
+
+// AggKindNamed returns the kind an aggregate name (count, sum, min, max
+// or avg) spells; ok is false for any other name.
+func AggKindNamed(name string) (kind AggKind, ok bool) {
+	for k, n := range aggNames {
+		if n == name {
+			return AggKind(k), true
+		}
+	}
+	return 0, false
+}
 
 // AggSpec names one grouped aggregate: the fold kind and, for every
 // kind but AggCount, the column it folds.
@@ -44,9 +74,9 @@ type GroupRow struct {
 }
 
 // compileGroupBy resolves the plan's GroupCols. For a single-table
-// plan they resolve in the table schema (the fold projects them into
-// its own spec); for a join-composed plan they resolve across the
-// relations' output schemas in declaration order, first match wins.
+// plan they resolve in the table schema; for a join-composed plan they
+// resolve across the relations' output schemas in declaration order,
+// first match wins.
 func (c *Compiled) compileGroupBy() error {
 	p := c.plan
 	if p.OrderCol != "" || p.Limit > 0 {
@@ -87,8 +117,8 @@ func (c *Compiled) compileGroupBy() error {
 }
 
 // groupAggCol is one resolved aggregate: its fold kind and the source
-// column — an output-schema index (plus, for join plans, the relation
-// it lives in).
+// column — a table-schema index, or for join plans an output-schema
+// index of the relation rel.
 type groupAggCol struct {
 	kind    AggKind
 	rel     int // relation index; 0 for single-table plans
@@ -103,32 +133,40 @@ type groupKeyCol struct {
 	typ record.Type
 }
 
-// groupFold is the bounded hash-aggregation state: one accumulator per
-// distinct key, plus the first-arrival order the groups emit in. The
-// parallel path runs one fold per scan unit and merges them in unit
-// order, reproducing the sequential fold's emission exactly.
+// groupFold is the aggregation state: one accumulator per distinct
+// key, plus the first-arrival order the groups emit in. The parallel
+// path runs one fold per scan unit and merges them in unit order,
+// reproducing the sequential fold's emission exactly.
 type groupFold struct {
 	keys  []groupKeyCol
 	aggs  []groupAggCol
 	m     map[string]*groupAcc
 	order []string
 	buf   []byte
+	// all is a fold's one group when it has no key columns (a scalar
+	// aggregate), once the first row created it.
+	all *groupAcc
 }
 
 // groupAcc is one group's accumulator: the decoded key values and one
-// scalar partial per aggregate.
+// partial per aggregate.
 type groupAcc struct {
 	key   []any
 	parts []aggPart
 }
 
+// aggPart is one aggregate's partial over one group: a whole
+// sequential scan's, or one pooled unit's.
+type aggPart struct {
+	n          int
+	isum       int64
+	fsum       float64
+	fmin, fmax float64
+}
+
 func newGroupFold(keys []groupKeyCol, aggs []groupAggCol) *groupFold {
 	return &groupFold{keys: keys, aggs: aggs, m: make(map[string]*groupAcc)}
 }
-
-// fresh clones the fold's configuration with empty state — one per
-// parallel scan unit.
-func (g *groupFold) fresh() *groupFold { return newGroupFold(g.keys, g.aggs) }
 
 // encodeKey appends column k's value from rec to the hash key.
 func (g *groupFold) encodeKey(buf []byte, k groupKeyCol, rec *record.Record) []byte {
@@ -161,22 +199,26 @@ func keyValue(k groupKeyCol, rec *record.Record) any {
 // column to the record holding it — identity for single-table scans,
 // tuple indexing for joins.
 func (g *groupFold) observe(pick func(rel int) *record.Record) {
-	g.buf = g.buf[:0]
-	for _, k := range g.keys {
-		g.buf = g.encodeKey(g.buf, k, pick(k.rel))
-	}
-	acc := g.m[string(g.buf)]
+	acc := g.all
 	if acc == nil {
-		acc = &groupAcc{key: make([]any, len(g.keys)), parts: make([]aggPart, len(g.aggs))}
-		for i, k := range g.keys {
-			acc.key[i] = keyValue(k, pick(k.rel))
+		g.buf = g.buf[:0]
+		for _, k := range g.keys {
+			g.buf = g.encodeKey(g.buf, k, pick(k.rel))
 		}
-		key := string(g.buf)
-		g.m[key] = acc
-		g.order = append(g.order, key)
+		if acc = g.m[string(g.buf)]; acc == nil {
+			acc = &groupAcc{key: make([]any, len(g.keys)), parts: make([]aggPart, len(g.aggs))}
+			for i, k := range g.keys {
+				acc.key[i] = keyValue(k, pick(k.rel))
+			}
+			key := string(g.buf)
+			g.m[key] = acc
+			g.order = append(g.order, key)
+		}
+		if len(g.keys) == 0 {
+			g.all = acc
+		}
 	}
-	// aggPart.add, spelled out: it is too big to inline, and this loop
-	// runs once per aggregate per row.
+	// The transition step, inline: it runs once per aggregate per row.
 	for i, a := range g.aggs {
 		p := &acc.parts[i]
 		p.n++
@@ -231,6 +273,47 @@ func (g *groupFold) mergeFrom(p *groupFold) {
 	}
 }
 
+// merge folds a later partial into a running one.
+func (t *aggPart) merge(p *aggPart) {
+	if p.n == 0 {
+		return
+	}
+	if t.n == 0 {
+		*t = *p
+		return
+	}
+	t.n += p.n
+	t.isum += p.isum
+	t.fsum += p.fsum
+	if p.fmin < t.fmin {
+		t.fmin = p.fmin
+	}
+	if p.fmax > t.fmax {
+		t.fmax = p.fmax
+	}
+}
+
+// value is the aggregate's result over a non-empty partial.
+func (p *aggPart) value(a groupAggCol) float64 {
+	switch a.kind {
+	case AggCount:
+		return float64(p.n)
+	case AggSum:
+		if a.isFloat {
+			return p.fsum
+		}
+		return float64(p.isum)
+	case AggAvg:
+		if a.isFloat {
+			return p.fsum / float64(p.n)
+		}
+		return float64(p.isum) / float64(p.n)
+	case AggMin:
+		return p.fmin
+	}
+	return p.fmax
+}
+
 // emit replays the groups in first-arrival order. A group exists only
 // once a row arrived, so Min/Max/Avg never fold an empty group.
 func (g *groupFold) emit(fn func(*GroupRow) bool) {
@@ -238,27 +321,7 @@ func (g *groupFold) emit(fn func(*GroupRow) bool) {
 		acc := g.m[key]
 		row := &GroupRow{Key: acc.key, Aggs: make([]float64, len(g.aggs))}
 		for i, a := range g.aggs {
-			p := &acc.parts[i]
-			switch a.kind {
-			case AggCount:
-				row.Aggs[i] = float64(p.n)
-			case AggSum:
-				if a.isFloat {
-					row.Aggs[i] = p.fsum
-				} else {
-					row.Aggs[i] = float64(p.isum)
-				}
-			case AggAvg:
-				if a.isFloat {
-					row.Aggs[i] = p.fsum / float64(p.n)
-				} else {
-					row.Aggs[i] = float64(p.isum) / float64(p.n)
-				}
-			case AggMin:
-				row.Aggs[i] = p.fmin
-			default:
-				row.Aggs[i] = p.fmax
-			}
+			row.Aggs[i] = acc.parts[i].value(a)
 		}
 		if !fn(row) {
 			return
@@ -301,9 +364,47 @@ func (c *Compiled) resolveAggCol(a AggSpec) (groupAggCol, error) {
 	return out, nil
 }
 
+// fold runs the plan's scan shape (single-version, historical,
+// multi-branch — each record live in any head once — or a composed
+// join) through one fold of the plan's group columns and aggs.
+func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, error) {
+	keys := make([]groupKeyCol, len(c.groupIdx))
+	for i, col := range c.groupIdx {
+		if c.join != nil {
+			rel := c.groupRels[i]
+			keys[i] = groupKeyCol{rel: rel, col: col, typ: c.join.rels[rel].OutSchema().Column(col).Type}
+		} else {
+			keys[i] = groupKeyCol{col: col, typ: c.schema.Column(col).Type}
+		}
+	}
+	fold := newGroupFold(keys, aggs)
+	if c.join != nil {
+		return fold, c.join.run(ctx, c.plan.NoReorder, func(t JoinTuple) bool { fold.addTuple(t); return true })
+	}
+	// The spec carries only the predicate and its pruning bounds: a
+	// Select projection constrains the group columns at compile time but
+	// does not restrict what the fold reads.
+	spec, err := core.NewScanSpecAt(c.table.History(), c.epoch, c.pred, nil)
+	if err != nil {
+		return nil, err
+	}
+	spec.SetBounds(c.bounds)
+	// One fold, two drivers: in order straight into the total, or one
+	// fold per pooled unit merged in unit order — first-arrival emission
+	// order is preserved exactly either way.
+	return fold, c.run(ctx, c.request(c.shape()), spec,
+		func(rec *record.Record, _ core.UnitAux) bool { fold.add(rec); return true },
+		func(int, int) core.UnitSink {
+			p := newGroupFold(keys, aggs)
+			return core.UnitSink{
+				Fn:    func(rec *record.Record, _ core.UnitAux) bool { p.add(rec); return true },
+				Flush: func() bool { fold.mergeFrom(p); return true },
+			}
+		})
+}
+
 // GroupScan executes the grouped aggregation: one streaming pass over
-// the plan's scan shape (single-version, historical, multi-branch, or
-// a composed join), emitting one GroupRow per distinct key in
+// the plan's scan shape, emitting one GroupRow per distinct key in
 // first-arrival order. With no aggregates requested it degenerates to
 // DISTINCT over the group columns (every Aggs slice empty).
 func (c *Compiled) GroupScan(ctx context.Context, aggs []AggSpec, fn func(*GroupRow) bool) error {
@@ -318,76 +419,46 @@ func (c *Compiled) GroupScan(ctx context.Context, aggs []AggSpec, fn func(*Group
 		}
 		acols[i] = ac
 	}
-
-	if c.join != nil {
-		keys := make([]groupKeyCol, len(c.groupIdx))
-		for i := range c.groupIdx {
-			rel, col := c.groupRels[i], c.groupIdx[i]
-			keys[i] = groupKeyCol{rel: rel, col: col, typ: c.join.rels[rel].OutSchema().Column(col).Type}
-		}
-		fold := newGroupFold(keys, acols)
-		if err := c.join.run(ctx, c.plan.NoReorder, func(t JoinTuple) bool { fold.addTuple(t); return true }); err != nil {
-			return err
-		}
-		fold.emit(fn)
-		return nil
-	}
-
-	// The fold reads exactly the group and aggregate columns, so the
-	// scan spec projects them (plus the always-kept pk) and nothing
-	// else — engines with column stores decode only what the fold
-	// touches. The user's Select does not widen this: it constrains the
-	// group columns at compile time but the fold owns its projection,
-	// like scalar aggregates do.
-	proj := make([]int, 0, len(c.groupIdx)+len(acols))
-	seen := make(map[int]bool, cap(proj))
-	for _, ci := range c.groupIdx {
-		if !seen[ci] {
-			seen[ci] = true
-			proj = append(proj, ci)
-		}
-	}
-	for _, a := range acols {
-		if a.kind != AggCount && !seen[a.col] {
-			seen[a.col] = true
-			proj = append(proj, a.col)
-		}
-	}
-	spec, err := core.NewScanSpecAt(c.table.History(), c.epoch, c.pred, proj)
-	if err != nil {
-		return err
-	}
-	spec.SetBounds(c.bounds)
-	out := spec.Out()
-
-	keys := make([]groupKeyCol, len(c.groupIdx))
-	for i, ci := range c.groupIdx {
-		name := c.schema.Column(ci).Name
-		keys[i] = groupKeyCol{col: out.ColumnIndex(name), typ: c.schema.Column(ci).Type}
-	}
-	for i := range acols {
-		if acols[i].kind == AggCount {
-			continue
-		}
-		acols[i].col = out.ColumnIndex(c.schema.Column(acols[i].col).Name)
-	}
-
-	// One fold, two drivers: in order straight into the total, or one
-	// fold per pooled unit merged in unit order — first-arrival emission
-	// order is preserved exactly either way.
-	fold := newGroupFold(keys, acols)
-	err = c.run(ctx, c.request(c.shape()), spec,
-		func(rec *record.Record, _ core.UnitAux) bool { fold.add(rec); return true },
-		func(int, int) core.UnitSink {
-			p := fold.fresh()
-			return core.UnitSink{
-				Fn:    func(rec *record.Record, _ core.UnitAux) bool { p.add(rec); return true },
-				Flush: func() bool { fold.mergeFrom(p); return true },
-			}
-		})
+	fold, err := c.fold(ctx, acols)
 	if err != nil {
 		return err
 	}
 	fold.emit(fn)
 	return nil
+}
+
+// Aggregate folds one numeric column (ignored for AggCount) over the
+// plan's scan — single-version, historical, or multi-branch (where
+// each record live in any head counts once) — as the fold with no
+// group columns. Count is the one scalar fold over a join-composed
+// query (the number of joined tuples); a diff is counted by running its
+// Diff terminal. Empty Min/Max/Avg fail with core.ErrNoRows. Integer
+// columns are accumulated as int64 and converted on return.
+func (c *Compiled) Aggregate(ctx context.Context, kind AggKind, col string) (float64, error) {
+	if err := c.noOrdering("aggregates"); err != nil {
+		return 0, err
+	}
+	switch {
+	case len(c.plan.GroupCols) > 0:
+		return 0, fmt.Errorf("%w: scalar aggregates do not apply to a grouped query; use Groups", core.ErrBadQuery)
+	case c.plan.Diff:
+		return 0, fmt.Errorf("%w: scalar aggregates do not apply to a diff; count its Diff rows", core.ErrBadQuery)
+	case c.join != nil && kind != AggCount:
+		return 0, fmt.Errorf("%w: only Count folds over a join-composed query; use Groups for per-group aggregates", core.ErrBadQuery)
+	}
+	a, err := c.resolveAggCol(AggSpec{Kind: kind, Col: col})
+	if err != nil {
+		return 0, err
+	}
+	fold, err := c.fold(ctx, []groupAggCol{a})
+	if err != nil {
+		return 0, err
+	}
+	if len(fold.order) == 0 {
+		if kind == AggCount || kind == AggSum {
+			return 0, nil
+		}
+		return 0, fmt.Errorf("%w: %s over empty scan", core.ErrNoRows, col)
+	}
+	return fold.m[fold.order[0]].parts[0].value(a), nil
 }

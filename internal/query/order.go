@@ -1,14 +1,16 @@
 package query
 
-// OrderBy/Limit execution. Ordering requires a gather (engines emit in
-// storage order), so the executor picks the cheapest shape: Limit
-// alone streams and stops early; OrderBy alone gathers everything and
-// sorts; OrderBy+Limit keeps a bounded top-k heap so memory stays
-// O(limit) regardless of the scan size.
+// OrderBy/Limit execution. Engines emit in storage order, so each
+// combination runs one way: Limit alone streams and stops early;
+// OrderBy alone gathers everything and sorts it stably; OrderBy+Limit
+// takes the order-aware unit visit (ordered.go), whose bounded top-k
+// heap keeps memory O(limit) regardless of the scan size. A
+// single-version read whose predicate pins the primary key returns at
+// most one row, so it goes straight to the point lookup of Scan.
 
 import (
 	"bytes"
-	"container/heap"
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -73,42 +75,41 @@ func cmpFloatOrder(a, b float64) int {
 	return cmpF(a, b)
 }
 
-// seqRec is a gathered record tagged with its arrival position in the
-// scan stream. Ordering ties break by arrival order, which makes the
-// ordered output a deterministic function of the stream — the same
-// stable behavior the old SliceStable gave the no-limit gather, now
-// extended to the top-k heap so the parallel executor's per-unit
-// pre-trim (which ranks under the identical total order) composes
-// exactly.
-type seqRec struct {
-	rec *record.Record
-	seq int
+// EmitRows runs the plan's row terminal — the single-version scan, or
+// the multi-branch scan when the plan names several branches — with
+// OrderBy/Limit applied.
+func (c *Compiled) EmitRows(ctx context.Context, fn core.ScanFunc) error {
+	if err := c.rowShape("Rows", false); err != nil {
+		return err
+	}
+	kind := c.shape()
+	if _, point := c.pointPK(); point && kind != core.ScanKindMulti {
+		return c.Scan(ctx, fn)
+	}
+	return c.emitRows(ctx, c.request(kind), nil, fn)
 }
 
-// recHeap is a max-heap under the plan comparator (ties by arrival):
-// the root is the worst retained row, evicted when a better one
-// arrives.
-type recHeap struct {
-	recs []seqRec
-	cmp  func(a, b seqRec) int
+// EmitDiffRows runs the plan's positive-diff terminal with
+// OrderBy/Limit applied (under the ordered visit the diff partition's
+// B-side units run, but their rows fail the keep filter, exactly as in
+// the plain diff).
+func (c *Compiled) EmitDiffRows(ctx context.Context, fn core.ScanFunc) error {
+	if err := c.rowShape("Diff", true); err != nil {
+		return err
+	}
+	return c.emitRows(ctx, c.request(core.ScanKindDiff), keepInA, fn)
 }
 
-func (h *recHeap) Len() int           { return len(h.recs) }
-func (h *recHeap) Less(i, j int) bool { return h.cmp(h.recs[i], h.recs[j]) > 0 }
-func (h *recHeap) Swap(i, j int)      { h.recs[i], h.recs[j] = h.recs[j], h.recs[i] }
-func (h *recHeap) Push(x any)         { h.recs = append(h.recs, x.(seqRec)) }
-func (h *recHeap) Pop() any {
-	n := len(h.recs)
-	r := h.recs[n-1]
-	h.recs = h.recs[:n-1]
-	return r
-}
-
-// EmitOrdered drives one scan shape (single-version, multi-branch or
-// diff — whatever `scan` runs) and applies the plan's OrderBy/Limit to
-// its output before feeding fn.
-func (c *Compiled) EmitOrdered(scan func(core.ScanFunc) error, fn core.ScanFunc) error {
+// emitRows runs one row scan of req, keep selecting the rows that
+// count, and applies the plan's OrderBy/Limit to its output.
+func (c *Compiled) emitRows(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, fn core.ScanFunc) error {
 	limit := c.plan.Limit
+	if c.Ordered() && limit > 0 {
+		return c.orderedVisit(ctx, req, keep, fn)
+	}
+	scan := func(f core.ScanFunc) error {
+		return c.runRows(ctx, req, keep, func(rec *record.Record, _ core.UnitAux) bool { return f(rec) })
+	}
 	if !c.Ordered() {
 		if limit <= 0 {
 			return scan(fn)
@@ -123,49 +124,19 @@ func (c *Compiled) EmitOrdered(scan func(core.ScanFunc) error, fn core.ScanFunc)
 			return n < limit
 		})
 	}
-
+	// OrderBy alone: gather, then sort stably, so ties keep their
+	// arrival order.
+	var gathered []*record.Record
+	if err := scan(func(rec *record.Record) bool {
+		gathered = append(gathered, rec.Clone())
+		return true
+	}); err != nil {
+		return err
+	}
 	cmp := c.orderCmp()
-	scmp := func(a, b seqRec) int {
-		if d := cmp(a.rec, b.rec); d != 0 {
-			return d
-		}
-		return a.seq - b.seq
-	}
-	var gathered []seqRec
-	n := 0
-	if limit > 0 {
-		// Top-k: bounded heap of the best `limit` rows seen so far.
-		h := &recHeap{cmp: scmp}
-		err := scan(func(rec *record.Record) bool {
-			sr := seqRec{rec: rec, seq: n}
-			n++
-			if h.Len() < limit {
-				sr.rec = rec.Clone()
-				heap.Push(h, sr)
-			} else if scmp(sr, h.recs[0]) < 0 {
-				sr.rec = rec.Clone()
-				h.recs[0] = sr
-				heap.Fix(h, 0)
-			}
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		gathered = h.recs
-	} else {
-		err := scan(func(rec *record.Record) bool {
-			gathered = append(gathered, seqRec{rec: rec.Clone(), seq: n})
-			n++
-			return true
-		})
-		if err != nil {
-			return err
-		}
-	}
-	sort.Slice(gathered, func(i, j int) bool { return scmp(gathered[i], gathered[j]) < 0 })
-	for _, sr := range gathered {
-		if !fn(sr.rec) {
+	sort.SliceStable(gathered, func(i, j int) bool { return cmp(gathered[i], gathered[j]) < 0 })
+	for _, rec := range gathered {
+		if !fn(rec) {
 			return nil
 		}
 	}

@@ -1,23 +1,23 @@
 package query
 
-// Order-aware segment visiting for OrderBy+Limit plans. The gather in
-// EmitOrdered visits every segment in storage order and lets the top-k
-// heap discard what does not rank; this executor instead partitions the
-// scan into per-segment units (the same core.ScanUnit partition the
-// parallel executor fans out), visits them sorted by the order column's
-// zone bound — most favorable bound first — and, once the heap holds
-// `limit` rows, skips every unit whose bound proves it cannot beat the
+// Order-aware segment visiting: how every OrderBy+Limit row read runs.
+// The executor partitions the scan into per-segment units (the same
+// core.ScanUnit partition the parallel executor fans out), visits them
+// sorted by the order column's zone bound — most favorable bound first
+// — on the calling goroutine, and keeps the best `limit` rows in a
+// top-k heap (visitHeap, the package's only one). Once the heap is
+// full, it skips every unit whose bound proves it cannot beat the
 // heap's worst retained row.
 //
-// The output is byte-identical to the gather path. Ordering ties break
-// by arrival order there, and sequential arrival order is exactly
-// lexicographic (unit index, position within unit) — so the visitor
-// tags each retained row with that coordinate and compares it directly,
-// making the result independent of the permuted visit order. Skipping
-// is strict (a unit is skipped only when its best possible value is
-// strictly worse than the heap root): a unit whose bound merely ties
-// the root could hold a row with an earlier arrival coordinate that
-// wins the tie, so it must be visited.
+// The output is byte-identical to sorting the plain sequential stream
+// stably and cutting it at `limit`. Sequential arrival order is exactly
+// lexicographic (unit index, position within unit), so the visitor
+// tags each retained row with that coordinate and breaks ordering ties
+// by it, making the result independent of the permuted visit order.
+// Skipping is strict (a unit is skipped only when its best possible
+// value is strictly worse than the heap root): a unit whose bound
+// merely ties the root could hold a row with an earlier arrival
+// coordinate that wins the tie, so it must be visited.
 //
 // Units without a usable bound — mutable branch heads, segments whose
 // layout predates the order column, zones poisoned by NaN — sort first
@@ -25,7 +25,8 @@ package query
 // real rows before the bounded skip test starts paying off. Units whose
 // zone is empty (tombstones only) can emit nothing and are skipped
 // outright. The expvar counter decibel.ordered_skips totals the units
-// skipped either way.
+// skipped either way. A NoPrune plan visits every unit in storage
+// order and skips none.
 
 import (
 	"bytes"
@@ -35,7 +36,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 )
@@ -54,52 +54,6 @@ func init() {
 // order-aware visitor skipped (the expvar decibel.ordered_skips exposes
 // the same number).
 func CountOrderedSkips() int64 { return orderedSkips.Load() }
-
-// EmitRows runs the plan's row terminal — the single-version scan, or
-// the multi-branch scan when the plan names several branches — with
-// OrderBy/Limit applied. OrderBy+Limit plans take the order-aware unit
-// visit (except a point-pk head read, which the index fast path serves
-// better); everything else takes the EmitOrdered gather above the plain
-// scan.
-func (c *Compiled) EmitRows(ctx context.Context, fn core.ScanFunc) error {
-	if err := c.rowShape("Rows", false); err != nil {
-		return err
-	}
-	kind := c.shape()
-	if c.orderedVisitApplies() {
-		if _, point := c.pointPK(); !point || kind != core.ScanKindBranch {
-			return c.orderedVisit(ctx, c.request(kind), nil, fn)
-		}
-	}
-	return c.EmitOrdered(func(f core.ScanFunc) error {
-		if kind == core.ScanKindMulti {
-			return c.ScanMulti(ctx, func(rec *record.Record, _ *bitmap.Bitmap) bool { return f(rec) })
-		}
-		return c.Scan(ctx, f)
-	}, fn)
-}
-
-// EmitDiffRows runs the plan's positive-diff terminal with
-// OrderBy/Limit applied, as the order-aware unit visit when it applies
-// (the diff partition's B-side units run but their rows fail the keep
-// filter, exactly as in the plain diff).
-func (c *Compiled) EmitDiffRows(ctx context.Context, fn core.ScanFunc) error {
-	if err := c.rowShape("Diff", true); err != nil {
-		return err
-	}
-	if c.orderedVisitApplies() {
-		return c.orderedVisit(ctx, c.request(core.ScanKindDiff), keepInA, fn)
-	}
-	return c.EmitOrdered(func(f core.ScanFunc) error { return c.Diff(ctx, f) }, fn)
-}
-
-// orderedVisitApplies reports whether the plan opted into the ordered
-// visit: OrderBy+Limit set, and neither baseline flag — NoPrune
-// disables every zone-map-derived skip, NoParallel pins the plan to the
-// plain sequential walk.
-func (c *Compiled) orderedVisitApplies() bool {
-	return c.Ordered() && c.plan.Limit > 0 && !c.plan.NoPrune && !c.plan.NoParallel
-}
 
 // unitBound is the most favorable order-column value any emitted row of
 // one unit can carry, read from its segment's zone map: the zone lower
@@ -287,7 +241,9 @@ func (c *Compiled) orderedVisit(ctx context.Context, req core.ScanRequest, keep 
 	visits := make([]orderedVisitPlan, len(units))
 	for i, u := range units {
 		v := orderedVisitPlan{idx: i}
-		v.bound, v.bounded, v.empty = unitOrderBound(u, srcIdx, ctype, desc)
+		if !c.plan.NoPrune {
+			v.bound, v.bounded, v.empty = unitOrderBound(u, srcIdx, ctype, desc)
+		}
 		visits[i] = v
 	}
 	// Unbounded units first (they always run), then bounded units by

@@ -47,20 +47,22 @@ type Plan struct {
 
 	// OrderCol orders emitted rows by the named column ("" = storage
 	// order); OrderDesc flips the direction. Limit caps the number of
-	// emitted rows (0 = unlimited). With both set the executor keeps a
-	// top-k heap instead of gathering the full result.
+	// emitted rows (0 = unlimited). With both set the executor takes the
+	// ordered unit visit and its top-k heap instead of gathering the
+	// full result (ordered.go).
 	OrderCol  string
 	OrderDesc bool
 	Limit     int
 
-	// NoPrune disables zone-map segment pruning for this plan: the
+	// NoPrune disables every zone-map skip for this plan — segment
+	// pruning, the point lookup and the ordered visit's unit skips: the
 	// retained baseline the pruning benchmarks and the property tests
 	// measure the pruned paths against.
 	NoPrune bool
 
-	// NoParallel pins this plan to the sequential scan path even when
-	// the database's parallel executor would accept it: the baseline
-	// the equivalence tests and the parallel-scan benchmarks compare
+	// NoParallel keeps this plan off the scan pool even when the
+	// database's parallel executor would accept it: the baseline the
+	// equivalence tests and the parallel-scan benchmarks compare
 	// against.
 	NoParallel bool
 
@@ -434,110 +436,3 @@ func (c *Compiled) SymDiff(ctx context.Context, fn func(rec *record.Record, inA 
 
 // keepInA selects the positive side of a diff partition.
 func keepInA(aux core.UnitAux) bool { return aux.InA }
-
-// AggKind selects an aggregate terminal.
-type AggKind uint8
-
-// Aggregate kinds.
-const (
-	AggCount AggKind = iota
-	AggSum
-	AggMin
-	AggMax
-	AggAvg
-)
-
-// Aggregate folds one numeric column (ignored for AggCount) over the
-// plan's scan — single-version, historical, or multi-branch (where
-// each record live in any head counts once); a diff is counted by
-// running its Diff terminal. Empty Min/Max fail with core.ErrNoRows.
-// Integer columns are accumulated as int64 and converted on return.
-func (c *Compiled) Aggregate(ctx context.Context, kind AggKind, col string) (float64, error) {
-	if err := c.noOrdering("aggregates"); err != nil {
-		return 0, err
-	}
-	if len(c.plan.GroupCols) > 0 {
-		return 0, fmt.Errorf("%w: scalar aggregates do not apply to a grouped query; use Groups", core.ErrBadQuery)
-	}
-	if c.plan.Diff {
-		return 0, fmt.Errorf("%w: scalar aggregates do not apply to a diff; count its Diff rows", core.ErrBadQuery)
-	}
-	if c.join != nil {
-		// Count is the one scalar fold defined over a join-composed
-		// query: the number of joined tuples.
-		if kind != AggCount {
-			return 0, fmt.Errorf("%w: only Count folds over a join-composed query; use Groups for per-group aggregates", core.ErrBadQuery)
-		}
-		n := 0
-		if err := c.JoinTuples(ctx, func(JoinTuple) bool { n++; return true }); err != nil {
-			return 0, err
-		}
-		return float64(n), nil
-	}
-	schema := c.schema
-	ci := -1
-	isFloat := false
-	if kind != AggCount {
-		ci = schema.ColumnIndex(col)
-		if ci < 0 {
-			return 0, (colScope{schema: schema, hist: c.table.History(), epoch: c.epoch}).missing(col)
-		}
-		switch schema.Column(ci).Type {
-		case record.Int32, record.Int64:
-		case record.Float64:
-			isFloat = true
-		default:
-			return 0, fmt.Errorf("%w: aggregate over %v column %q", core.ErrTypeMismatch, schema.Column(ci).Type, col)
-		}
-	}
-	// Aggregates read the source schema, so the spec carries only the
-	// predicate (a Select projection does not restrict them) plus the
-	// pruning bounds derived from it.
-	spec, err := core.NewScanSpecAt(c.table.History(), c.epoch, c.pred, nil)
-	if err != nil {
-		return 0, err
-	}
-	spec.SetBounds(c.bounds)
-	// One fold, two drivers: in order straight into the total, or one
-	// partial per pooled unit merged in unit order.
-	ac := groupAggCol{kind: kind, col: ci, isFloat: isFloat}
-	var total aggPart
-	err = c.run(ctx, c.request(c.shape()), spec,
-		func(rec *record.Record, _ core.UnitAux) bool { total.add(ac, rec); return true },
-		func(int, int) core.UnitSink {
-			p := &aggPart{}
-			return core.UnitSink{
-				Fn:    func(rec *record.Record, _ core.UnitAux) bool { p.add(ac, rec); return true },
-				Flush: func() bool { total.merge(p); return true },
-			}
-		})
-	if err != nil {
-		return 0, err
-	}
-	n, isum, fsum, fmin, fmax := total.n, total.isum, total.fsum, total.fmin, total.fmax
-	switch kind {
-	case AggCount:
-		return float64(n), nil
-	case AggSum:
-		if isFloat {
-			return fsum, nil
-		}
-		return float64(isum), nil
-	case AggAvg:
-		if n == 0 {
-			return 0, fmt.Errorf("%w: %s over empty scan", core.ErrNoRows, col)
-		}
-		if isFloat {
-			return fsum / float64(n), nil
-		}
-		return float64(isum) / float64(n), nil
-	default:
-		if n == 0 {
-			return 0, fmt.Errorf("%w: %s over empty scan", core.ErrNoRows, col)
-		}
-		if kind == AggMin {
-			return fmin, nil
-		}
-		return fmax, nil
-	}
-}

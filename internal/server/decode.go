@@ -87,7 +87,6 @@ func planOf(req *client.QueryRequest, schemaOf func(table string) (*record.Schem
 		OrderCol:  req.OrderBy,
 		OrderDesc: req.Desc,
 		Limit:     req.Limit,
-		NoReorder: req.DeclaredOrder,
 		GroupCols: req.GroupBy,
 	}
 	if req.At != nil {

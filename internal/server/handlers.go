@@ -140,17 +140,8 @@ func (s *Server) schemaOf(table string) (*record.Schema, error) {
 
 // aggKindOf maps a wire aggregate name to its plan kind.
 func aggKindOf(name string) (iquery.AggKind, error) {
-	switch name {
-	case "count":
-		return iquery.AggCount, nil
-	case "sum":
-		return iquery.AggSum, nil
-	case "min":
-		return iquery.AggMin, nil
-	case "max":
-		return iquery.AggMax, nil
-	case "avg":
-		return iquery.AggAvg, nil
+	if kind, ok := iquery.AggKindNamed(name); ok {
+		return kind, nil
 	}
 	return 0, badRequestf("unknown aggregate %q", name)
 }

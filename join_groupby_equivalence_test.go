@@ -6,10 +6,12 @@ package decibel_test
 // sequential runs emit — byte-identical streams), and grouped
 // streaming aggregates must equal a post-hoc fold over the plain row
 // scan — across the pruning predicate corpus, the three engines, and
-// worker counts {1,2,8}. The harness also asserts the new shapes
-// respect Sequential()/Plan.NoParallel and that the parallel pool
-// actually engages for them, so a silently declined (or silently
-// engaged) path cannot pass.
+// worker counts {1,2,8}. The scalar aggregates are the grouped fold
+// with no group columns, so they are held to the same post-hoc fold
+// (and the join Count to the nested-loop reference). The harness also
+// asserts the new shapes respect Sequential()/Plan.NoParallel and that
+// the parallel pool actually engages for them, so a silently declined
+// (or silently engaged) path cannot pass.
 
 import (
 	"errors"
@@ -280,6 +282,9 @@ func TestJoinEquivalence3Way(t *testing.T) {
 						legRows(t, mkLeg("users", pc.uHas, pc.uWhere)),
 						legRows(t, mkLeg("items", pc.iHas, pc.iWhere)))
 					compareStreams(t, pc.label+" greedy-vs-nested-loop", greedy, fmtRef3(ref), gErr, nil)
+					if n, err := mk().Count(); err != nil || n != len(ref) {
+						t.Fatalf("%s: join Count = %d (%v), nested loop %d", pc.label, n, err, len(ref))
+					}
 
 					// Grouped join: group the 3-way tuples by the user's
 					// region, folding across relations (qty from orders,
@@ -397,6 +402,40 @@ func TestJoinCorpusEquivalence(t *testing.T) {
 	}
 }
 
+// scalarFold runs the five scalar terminals over one query shape,
+// formatted as refGroupFold formats the one group of a fold with no
+// group columns. An empty scan has no group: Count and Sum must answer
+// 0 and Min, Max and Avg ErrNoRows.
+func scalarFold(t *testing.T, label string, mk func() *decibel.Query) ([]string, error) {
+	t.Helper()
+	n, err := mk().Count()
+	if err != nil {
+		return nil, err
+	}
+	sum, err := mk().Sum("v")
+	if err != nil {
+		return nil, err
+	}
+	lo, loErr := mk().Min("price")
+	hi, hiErr := mk().Max("price")
+	avg, avgErr := mk().Avg("price")
+	if n == 0 {
+		for _, err := range []error{loErr, hiErr, avgErr} {
+			if !errors.Is(err, decibel.ErrNoRows) {
+				t.Fatalf("%s: Min/Max/Avg over an empty scan: %v, want ErrNoRows", label, err)
+			}
+		}
+		if sum != 0 {
+			t.Fatalf("%s: Sum over an empty scan = %v, want 0", label, sum)
+		}
+		return nil, nil
+	}
+	if err := errors.Join(loErr, hiErr, avgErr); err != nil {
+		return nil, err
+	}
+	return []string{formatGroup(nil, []float64{float64(n), sum, lo, hi, avg})}, nil
+}
+
 // refAgg mirrors one Agg for the post-hoc reference fold.
 type refAgg struct {
 	kind byte // c,s,m,M,a
@@ -503,12 +542,14 @@ func TestGroupByEquivalence(t *testing.T) {
 		label    string
 		branches []string
 		heads    bool
+		at       int // >= 0: At(at) on the one branch
 	}
 	shapes := []shape{
-		{"master", []string{"master"}, false},
-		{"b2", []string{"b2"}, false},
-		{"multi", []string{"master", "b1"}, false},
-		{"heads", nil, true},
+		{"master", []string{"master"}, false, -1},
+		{"b2", []string{"b2"}, false, -1},
+		{"at", []string{"master"}, false, 2},
+		{"multi", []string{"master", "b1"}, false, -1},
+		{"heads", nil, true, -1},
 	}
 	groupings := [][]string{{"price"}, {"sku"}, {"price", "sku"}}
 	for _, engine := range facadeEngines {
@@ -521,6 +562,7 @@ func TestGroupByEquivalence(t *testing.T) {
 					decibel.Col("price").Ge(7.5),
 					decibel.Col("sku").HasPrefix("c"),
 					decibel.Col("v").Ge(120).And(decibel.Col("sku").HasPrefix("b")),
+					decibel.Col("v").Lt(-1000), // empty scan
 				}
 				rng := rand.New(rand.NewSource(0x96f0))
 				for i := 0; i < 20; i++ {
@@ -533,7 +575,19 @@ func TestGroupByEquivalence(t *testing.T) {
 							if sh.heads {
 								return q.Heads()
 							}
-							return q.On(sh.branches...)
+							if q = q.On(sh.branches...); sh.at >= 0 {
+								q = q.At(sh.at)
+							}
+							return q
+						}
+						// The scalar aggregates: the fold with no group
+						// columns, against the same post-hoc fold.
+						label := fmt.Sprintf("pred[%d] %s scalar", pi, sh.label)
+						par, parErr := scalarFold(t, label, mk)
+						seq, seqErr := scalarFold(t, label, func() *decibel.Query { return mk().Sequential() })
+						compareStreams(t, label+" parallel-vs-sequential", par, seq, parErr, seqErr)
+						if seqErr == nil {
+							compareStreams(t, label+" streaming-vs-posthoc", seq, refGroupFold(legRows(t, mk()), nil, refs), nil, nil)
 						}
 						for gi, gcols := range groupings {
 							label := fmt.Sprintf("pred[%d] %s group[%d]", pi, sh.label, gi)

@@ -83,14 +83,3 @@ func WithCompaction(mode string) Option {
 func WithCompactionInterval(d time.Duration) Option {
 	return func(c *config) { c.opt.Compaction.Interval = d }
 }
-
-// WithCompactionFailPoint injects a crash point into every compaction
-// pass: "after-temp" aborts after new segment files are written and
-// fsynced but before the catalog swap, "before-unlink" after the swap
-// but before replaced files are unlinked. The pass fails with an error
-// compact.ErrFailPoint recognizes and disk is left exactly as a crash
-// there would leave it — the crash-recovery tests reopen and verify.
-// An empty string (the default) disables injection.
-func WithCompactionFailPoint(point string) Option {
-	return func(c *config) { c.opt.Compaction.FailPoint = point }
-}

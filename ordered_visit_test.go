@@ -1,13 +1,15 @@
 package decibel_test
 
-// Order-aware segment visiting: an OrderBy+Limit query visits scan
+// Order-aware segment visiting: every OrderBy+Limit query visits scan
 // units sorted by the order column's zone bound and skips units that
 // provably cannot reach the top-k — and its output must stay
-// byte-identical to the Sequential() gather baseline, including
-// arrival-order tie-breaks, for every engine, order column, direction,
-// limit and predicate. The test also asserts units were actually
-// skipped (decibel.ordered_skips moved), so a silently disabled visit
-// path cannot pass.
+// byte-identical to the same query without Limit (the OrderBy-only
+// stable gather, which shares no code with the visit's heap) cut to
+// `limit` rows, including arrival-order tie-breaks, for every engine,
+// order column, direction, limit and predicate. The test also asserts
+// units were actually skipped (decibel.ordered_skips moved), so a
+// silently disabled visit path cannot pass, and that Sequential()
+// queries take the same visit.
 
 import (
 	"fmt"
@@ -48,32 +50,44 @@ func TestOrderedVisitEquivalence(t *testing.T) {
 
 			run := func(q *decibel.Query) ([]string, error) { return collectRows(q.Rows()) }
 			diff := func(q *decibel.Query) ([]string, error) { return collectRows(q.Diff("master", "b1")) }
+			cut := func(rows []string, limit int) []string { return rows[:min(limit, len(rows))] }
 
 			for pi, where := range preds {
 				for _, o := range orders {
+					// Each shape's reference: the OrderBy-only gather, cut
+					// per limit below.
+					sorted := func(q *decibel.Query) *decibel.Query { return q.Where(where).OrderBy(o.col, o.desc) }
+					scanAll, scanErr := run(sorted(db.Query("r").On("master")))
+					atAll, atErr := run(sorted(db.Query("r").On("master").At(2)))
+					headsAll, headsErr := run(sorted(db.Query("r").Heads()))
+					diffAll, diffErr := diff(sorted(db.Query("r")))
 					for _, limit := range limits {
 						label := fmt.Sprintf("pred[%d] %s desc=%v limit=%d", pi, o.col, o.desc, limit)
-						build := func(q *decibel.Query) *decibel.Query {
-							return q.Where(where).OrderBy(o.col, o.desc).Limit(limit)
-						}
+						build := func(q *decibel.Query) *decibel.Query { return sorted(q).Limit(limit) }
 						// Single-branch head scan.
 						got, gotErr := run(build(db.Query("r").On("master")))
-						want, wantErr := run(build(db.Query("r").On("master")).Sequential())
-						compareStreams(t, label+" scan", got, want, gotErr, wantErr)
+						compareStreams(t, label+" scan", got, cut(scanAll, limit), gotErr, scanErr)
 						// Historical commit scan.
 						got, gotErr = run(build(db.Query("r").On("master").At(2)))
-						want, wantErr = run(build(db.Query("r").On("master").At(2)).Sequential())
-						compareStreams(t, label+" at", got, want, gotErr, wantErr)
+						compareStreams(t, label+" at", got, cut(atAll, limit), gotErr, atErr)
 						// Multi-branch heads scan.
 						got, gotErr = run(build(db.Query("r").Heads()))
-						want, wantErr = run(build(db.Query("r").Heads()).Sequential())
-						compareStreams(t, label+" heads", got, want, gotErr, wantErr)
+						compareStreams(t, label+" heads", got, cut(headsAll, limit), gotErr, headsErr)
 						// Positive diff.
 						got, gotErr = diff(build(db.Query("r")))
-						want, wantErr = diff(build(db.Query("r")).Sequential())
-						compareStreams(t, label+" diff", got, want, gotErr, wantErr)
+						compareStreams(t, label+" diff", got, cut(diffAll, limit), gotErr, diffErr)
 					}
 				}
+			}
+
+			// Sequential() keeps a query off the pool, not off the visit: a
+			// top-1 by v over the frozen segments still skips units.
+			before := iquery.CountOrderedSkips()
+			got, gotErr := run(db.Query("r").On("master").OrderBy("v", true).Limit(1).Sequential())
+			all, allErr := run(db.Query("r").On("master").OrderBy("v", true))
+			compareStreams(t, "sequential top-1", got, cut(all, 1), gotErr, allErr)
+			if iquery.CountOrderedSkips() == before {
+				t.Fatalf("a Sequential() OrderBy+Limit query skipped no unit (ordered_skips stuck at %d)", before)
 			}
 		})
 	}

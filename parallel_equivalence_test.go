@@ -128,9 +128,10 @@ func compareParallelSequential(t *testing.T, db *decibel.DB, where iquery.Expr, 
 		compareStreams(t, fmt.Sprintf("%s shape[%d:%s]", label, j, sh.shape), got, want, gotErr, wantErr)
 	}
 
-	// Facade shapes: OrderBy/Limit run the pre-trimmed parallel path
-	// under EmitOrdered, which must stay byte-identical (the order
-	// columns carry heavy duplication, so ties are exercised).
+	// Facade shapes: OrderBy alone gathers the pooled stream and Limit
+	// alone trims each pooled unit, which must stay byte-identical (the
+	// order columns carry heavy duplication, so ties are exercised);
+	// OrderBy+Limit takes the ordered visit either way.
 	type facadeShape struct {
 		name  string
 		build func(q *decibel.Query) *decibel.Query

@@ -106,6 +106,10 @@ func TestPointLookupFastPath(t *testing.T) {
 			check(db.Query("r").On("master").Where(decibel.Col("id").Eq(int64(7))).Select("v"), 1, 70, serves)
 			// A historical read is served too, from the commit's version.
 			check(db.Query("r").On("master").At(0).Where(decibel.Col("id").Eq(int64(7))), 0, 0, serves)
+			// One key yields at most one row, so OrderBy+Limit keep the
+			// lookup, at the head and at a commit.
+			check(db.Query("r").On("master").Where(decibel.Col("id").Eq(int64(7))).OrderBy("v", true).Limit(3), 1, 70, serves)
+			check(db.Query("r").On("master").At(1).Where(decibel.Col("id").Eq(int64(7))).OrderBy("v", false).Limit(1), 1, 70, serves)
 
 			// Deleted key: the index reflects the head.
 			if _, err := db.Commit("master", func(tx *decibel.Tx) error { return tx.Delete("r", 7) }); err != nil {

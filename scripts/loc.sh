@@ -1,8 +1,9 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# twelve structural checks. Prints the non-test Go lines outside
+# fifteen structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}) and of
-# version-first alone (internal/vf), of their merge code (internal/{tf,hy,vf}/merge.go), of compaction
+# version-first alone (internal/vf), of the query layer
+# (internal/query), of their merge code (internal/{tf,hy,vf}/merge.go), of compaction
 # (internal/{tf,hy,vf}/compact.go and internal/store/compact.go) and of
 # the three query front ends (cmd/decibel/main.go, internal/server and
 # builder.go), and the number of public options (func With* in
@@ -41,7 +42,15 @@
 # internal/vf matches sortedGroups, diffLiveLocked, planGroup or
 # map[pos]*bitmap.Bitmap: a version-first scan plan is one slot bitmap
 # per segment cached per position, a HEAD() scan ORs k of them and a
-# diff XORs two, as hybrid combines its branch bitmaps.
+# diff XORs two, as hybrid combines its branch bitmaps. Exits non-zero
+# too if non-test Go in internal/query matches recHeap, seqRec, cmpRows
+# or "func (p *aggPart) add": every OrderBy+Limit read takes the ordered
+# unit visit, whose heap is the query layer's only top-k, and a scalar
+# aggregate is the grouped fold with no group columns. Exits non-zero
+# too if options.go declares WithCompactionFailPoint (the fail point is
+# a test hook in export_test.go) or if DeclaredJoinOrder or
+# DeclaredOrder appears in non-test Go code: the declared join order is
+# an ablation, reached only through Plan.NoReorder.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -55,6 +64,7 @@ count() {
 echo "non-test Go lines outside benchmark/: $(count .)"
 echo "internal/{tf,hy,vf}:                  $(count internal/tf internal/hy internal/vf)"
 echo "internal/vf:                          $(count internal/vf)"
+echo "internal/query:                       $(count internal/query)"
 echo "internal/{tf,hy,vf}/merge.go:         $(cat internal/tf/merge.go internal/hy/merge.go internal/vf/merge.go | wc -l | tr -d ' ')"
 echo "internal/{tf,hy,vf,store}/compact.go: $(cat internal/tf/compact.go internal/hy/compact.go internal/vf/compact.go internal/store/compact.go | wc -l | tr -d ' ')"
 echo "query front ends (CLI, server, builder): $(count cmd/decibel/main.go internal/server builder.go)"
@@ -145,6 +155,26 @@ stray=$(grep -rnE --include='*.go' 'sortedGroups|diffLiveLocked|planGroup|map\[p
     grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "internal/vf scan plans are per-position slot bitmaps (HEAD() ORs them, a diff XORs two):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'recHeap|seqRec|cmpRows|func \(p \*aggPart\) add' internal/query |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "internal/query has one top-k (the ordered visit's heap) and one fold (the grouped fold; a scalar aggregate has no group columns):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+if grep -n '^func WithCompactionFailPoint' options.go >&2; then
+    echo "the compaction fail point is a test hook (export_test.go), not a public option" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'DeclaredJoinOrder|DeclaredOrder' . | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "the declared join order is an ablation (set Plan.NoReorder in a test or benchmark):" >&2
     echo "$stray" >&2
     exit 1
 fi

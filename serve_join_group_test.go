@@ -94,22 +94,6 @@ func TestServeJoinRoundTrip(t *testing.T) {
 				}
 			}
 
-			// DeclaredOrder pins execution order, never results.
-			declared, err := c.Query(ctx, func() client.QueryRequest { r := req; r.DeclaredOrder = true; return r }())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(declared.Tuples) != len(resp.Tuples) {
-				t.Fatalf("declared order returned %d tuples, greedy %d", len(declared.Tuples), len(resp.Tuples))
-			}
-			for i := range declared.Tuples {
-				for r := range declared.Tuples[i] {
-					if rowInt(t, declared.Tuples[i][r], "id") != rowInt(t, resp.Tuples[i][r], "id") {
-						t.Fatalf("declared order diverged from greedy at tuple %d relation %d", i, r)
-					}
-				}
-			}
-
 			// A leg pinned to another branch scans that branch's head: the
 			// alt branch deleted orders 0..29, so joining users against alt
 			// from a master root still works while rooting on alt shrinks.
