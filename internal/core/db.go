@@ -756,16 +756,9 @@ func (t *Table) checkWrite(branch vgraph.BranchID, s *record.Schema) error {
 	return fmt.Errorf("%w: %v", ErrSchemaChange, err)
 }
 
-// Insert upserts a record into a branch head.
+// Insert upserts a record into a branch head: a batch of one.
 func (t *Table) Insert(branch vgraph.BranchID, rec *record.Record) error {
-	if err := t.db.beginOp(); err != nil {
-		return err
-	}
-	defer t.db.endOp()
-	if err := t.checkWrite(branch, rec.Schema()); err != nil {
-		return err
-	}
-	return t.engine.Insert(branch, rec)
+	return t.InsertBatch(branch, []*record.Record{rec})
 }
 
 // Delete removes a key from a branch head.

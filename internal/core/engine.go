@@ -163,11 +163,13 @@ type Factory func(env *Env) (Engine, error)
 //
 // Write operations address branch heads ("it is expected that most
 // operations will occur on the heads of the branches"). Reads go
-// through exactly two methods: PartitionScan, which maps the requested
-// versions to stored record copies — the one thing the three schemes
-// differ in — and LookupPK, which resolves one key of one version
-// without a walk.
-// Every loop above them lives in this package (scan.go).
+// through exactly two methods, and neither sees a scan's shape: Live
+// says which slots of which slot space the requested versions hold —
+// the one thing the three schemes differ in — and LookupPK resolves one
+// key of one version without a walk. Everything built from those —
+// combining versions for a diff or a multi-branch scan, the unit walk,
+// the loops above it, and a merge's key discovery for the bitmap
+// engines (Merge.Changed) — lives in this package.
 type Engine interface {
 	// Kind returns the scheme name: "tuple-first", "version-first" or
 	// "hybrid".
@@ -184,50 +186,40 @@ type Engine interface {
 	// Commit snapshots the current state of c.Branch as version c.
 	Commit(c *vgraph.Commit) error
 
-	// Insert upserts a record into the head of a branch: a new record
-	// copy is appended and any previous copy with the same primary key
-	// stops being live in that branch (Decibel copies complete records
-	// on each update).
-	Insert(branch vgraph.BranchID, rec *record.Record) error
-
-	// InsertBatch is Insert for a batch under one acquisition of the
-	// engine's lock. On error a prefix of the batch may have been
-	// applied.
+	// InsertBatch upserts records into the head of a branch under one
+	// acquisition of the engine's lock: each record's copy is appended
+	// and any previous copy with the same primary key stops being live
+	// in that branch (Decibel copies complete records on each update).
+	// On error a prefix of the batch may have been applied.
 	InsertBatch(branch vgraph.BranchID, recs []*record.Record) error
 
 	// Delete removes the record with the given primary key from the
 	// branch head. Deleting an absent key is a no-op returning nil.
 	Delete(branch vgraph.BranchID, pk int64) error
 
-	// PartitionScan splits a scan into units in scan order — one per
-	// segment holding records of the request — snapshotting under the
-	// engine lock whatever decides liveness (bitmaps, checkouts,
-	// resolved lineages), so each unit then runs without further
-	// coordination. The returned release func must be called exactly
-	// once after the last unit finishes: it unpins the segments the
-	// partition references, which is what lets a concurrent compaction
-	// retire replaced segment files only after every in-flight reader
-	// drains. release is non-nil whenever err is nil.
-	PartitionScan(req ScanRequest) ([]ScanUnit, func(), error)
+	// Live calls fn, under the engine lock, with the engine's slot
+	// spaces that hold a live slot in any of the versions, in scan
+	// order, each with one liveness bitmap per version. Whatever fn
+	// keeps of a Mutable space's bitmaps it copies before returning; the
+	// lock is what makes the spaces one consistent snapshot.
+	Live(vs []Version, fn func([]SlotSpace) error) error
 
 	// LookupPK resolves one primary key in one version without a
-	// segment walk. req addresses the version: a branch head
-	// (ScanKindBranch) or a commit (ScanKindCommit). It returns a
-	// private copy of the stored buffer of the key's live record and the
-	// physical column count it is laid out under; a nil buf means the
-	// key is not live in that version. ok=false means the engine cannot
-	// answer without a scan — a multi-branch or diff request, or a
-	// version it does not know — and the caller must scan.
-	LookupPK(req ScanRequest, pk int64) (buf []byte, physCols int, ok bool, err error)
+	// segment walk. It returns a private copy of the stored buffer of
+	// the key's live record and the physical column count it is laid
+	// out under; a nil buf means the key is not live in that version.
+	// ok=false means the engine cannot answer without a scan — a version
+	// it does not know — and the caller must scan.
+	LookupPK(v Version, pk int64) (buf []byte, physCols int, ok bool, err error)
 
 	// Merge merges the head of branch m.Other into branch m.Into. The
 	// merge commit and its LCA are already in the graph. The engine finds
 	// the keys the merge must look at — those either side changed since
-	// the LCA, by whatever its storage mapping makes cheap — and passes
-	// each to m.Resolve with a MergeTarget over its storage; it reads
-	// neither the merge kind nor the precedence. After Merge returns,
-	// the head of m.Into reflects the merged state and m.Commit is its
-	// committed snapshot.
+	// the LCA: Merge.Changed over its slot spaces, or whatever else its
+	// storage mapping makes cheap — and passes each to m.Resolve with a
+	// MergeTarget over its storage; it reads neither the merge kind nor
+	// the precedence. After Merge returns, the head of m.Into reflects
+	// the merged state and m.Commit is its committed snapshot.
 	Merge(m *Merge) error
 
 	// Stats reports the storage footprint.

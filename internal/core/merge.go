@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"decibel/internal/bitmap"
 	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
@@ -127,21 +128,72 @@ func (m *Merge) Resolve(t MergeTarget, k MergeKey) error {
 	return nil
 }
 
-// ChangedKeys is how the engines that keep liveness bitmaps (tuple-first,
-// hybrid) name a merge's keys: XORing a head's bitmap against the LCA's
-// yields the slots live in exactly one of the two, and each such slot's
-// record a changed key. The map holds, per key, the LCA's copy — the
-// changed slot that was live there, if any.
+// ChangedKeys names a merge's keys for the engines that keep liveness
+// as slot bitmaps (tuple-first, hybrid): per key, the LCA's copy — the
+// changed slot that was live there, if any (see Changed).
 type ChangedKeys map[int64]store.Pos
 
-// Saw records one changed slot, p, which holds a copy of key pk: the
+// saw records one changed slot, p, which holds a copy of key pk: the
 // LCA's copy when the slot was live at the LCA, the head's otherwise.
-func (c ChangedKeys) Saw(pk int64, p store.Pos, atLCA bool) {
+func (c ChangedKeys) saw(pk int64, p store.Pos, atLCA bool) {
 	if atLCA {
 		c[pk] = p
 	} else if _, seen := c[pk]; !seen {
 		c[pk] = store.NoPos
 	}
+}
+
+// Versions returns the versions a merge's key discovery reads, in the
+// order Changed indexes them: Into's head, Other's head, the LCA.
+func (m *Merge) Versions() []Version {
+	return []Version{{Branch: m.Into}, {Branch: m.Other}, {Commit: m.LCA}}
+}
+
+// Changed finds the keys either side changed since the LCA (Section
+// 3.2): XORing a head's bitmap against the LCA's yields the slots live
+// in exactly one of the two, and each such slot's record a changed key.
+// spaces are an engine's slot spaces for m.Versions(), read under its
+// lock. Each changed slot is read on its own rather than by the unit
+// walk: the XOR is sparse, and the walk would visit every slot of each
+// page it touches. It counts the records it reads in TuplesScanned and
+// their bytes, at the merge commit's schema, in DiffBytes.
+func (m *Merge) Changed(hist *record.History, spaces []SlotSpace) (ChangedKeys, error) {
+	recSize := int64(hist.VisibleAt(m.Commit.SchemaVer).RecordSize())
+	changed := make(ChangedKeys)
+	for side := 0; side < 2; side++ {
+		for i := range spaces {
+			sp := &spaces[i]
+			head, lca := sp.Live[side], sp.Live[2]
+			if head == nil && lca == nil {
+				continue
+			}
+			lca = orEmpty(lca)
+			segs, seg := sp.Segs, -1
+			var buf []byte
+			var err error
+			bitmap.Xor(orEmpty(head), lca).ForEach(func(slot int) bool {
+				// Slots ascend, so the segment holding one only moves forward.
+				j := max(seg, 0)
+				for j+1 < len(segs) && int64(slot) >= segs[j+1].Base {
+					j++
+				}
+				if j != seg {
+					seg, buf = j, make([]byte, segs[j].Schema.RecordSize())
+				}
+				if err = segs[j].File.Read(int64(slot)-segs[j].Base, buf); err != nil {
+					return false
+				}
+				m.Stats.TuplesScanned++
+				m.Stats.DiffBytes += recSize
+				changed.saw(record.PKOf(buf), store.Pos{Seg: sp.ID, Slot: int64(slot)}, lca.Get(slot))
+				return true
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
+	return changed, nil
 }
 
 // ResolveChanged resolves every key of c. live returns where a branch

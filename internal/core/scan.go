@@ -13,17 +13,18 @@ import (
 	"decibel/internal/vgraph"
 )
 
-// The read path. An engine answers a scan by partitioning it
-// (Engine.PartitionScan): it snapshots, under its own lock, whatever
-// maps the requested versions to stored record copies — the one thing
-// the three schemes differ in — and returns one ScanUnit per segment,
-// in scan order. Everything above that is here and shared: the
-// per-record body (layout conversion, predicate, projection,
-// annotation, callback), the sequential loop over units, the bounded
-// worker pool that fans frozen units out, cancellation, and the point
-// lookup that replaces the walk when a predicate pins the primary key.
+// The read path. An engine answers a scan by saying, under its own
+// lock, which slots of which slot space the requested versions hold
+// (Engine.Live) — the one thing the three schemes differ in — and
+// Partition turns that into one ScanUnit per segment, in scan order.
+// Everything above that is here and shared: the per-record body
+// (layout conversion, predicate, projection, annotation, callback), the
+// sequential loop over units, the bounded worker pool that fans frozen
+// units out, cancellation, and the point lookup that replaces the walk
+// when a predicate pins the primary key.
 
-// ScanKind selects the scan shape a ScanRequest partitions.
+// ScanKind selects the scan shape a ScanRequest partitions: which
+// versions it reads and how their liveness combines.
 type ScanKind uint8
 
 const (
@@ -50,21 +51,22 @@ type ScanRequest struct {
 
 // UnitAux carries the per-record annotations of the non-plain callback
 // shapes: InA for diff scans, Member for multi-branch scans. Member is
-// per-unit scratch — like the record, it must be Cloned to be retained
-// across calls.
+// the runner's scratch — like the record, it must be Cloned to be
+// retained across calls.
 type UnitAux struct {
 	InA    bool
 	Member *bitmap.Bitmap
 }
 
 // UnitFunc receives each record one scan unit emits. The record (and
-// aux.Member) may alias engine buffers or per-unit scratch and must be
+// aux.Member) may alias engine buffers or runner scratch and must be
 // Cloned to be retained. Returning false stops the scan (in pool mode,
 // that unit — not its siblings).
 type UnitFunc func(rec *record.Record, aux UnitAux) bool
 
-// ScanUnit is one independently runnable slice of a partitioned scan —
-// in practice one segment's portion. It may be walked at most once. Frozen
+// ScanUnit is one independently runnable slice of a partitioned scan:
+// the walk of one segment under a liveness bitmap snapshotted at
+// partition time (see Partition). It may be walked at most once. Frozen
 // units touch only immutable storage and may run on any goroutine, each
 // with its own ScanSpec clone; non-frozen units (the mutable branch
 // heads) must run on the goroutine that partitioned the scan,
@@ -79,73 +81,10 @@ type ScanUnit struct {
 	Zone     *store.ZoneMap
 	PhysCols int
 
-	// Walk hands visit the stored buffer of every slot the unit's
-	// liveness snapshot marks live, in slot order, until visit returns
-	// false. The spec is offered only for pruning below the segment
-	// (page zones); Walk never evaluates it per record.
-	Walk func(spec *ScanSpec, visit func(slot int64, buf []byte) bool) error
-	// Aux derives a record's annotation — its diff side or its branch
-	// membership — from its slot; nil for the plain shapes. Liveness is
-	// the walk's alone: every slot Walk visits is live.
-	Aux func(slot int64) UnitAux
-}
-
-// Pins tracks the segments a partition's units read: each is pinned
-// under the engine lock at partition time, and Release hands the pins
-// back once the scan's units have all finished, letting a concurrent
-// compaction retire replaced files only after every in-flight reader
-// drains.
-type Pins struct {
-	pinned []*store.Segment
-}
-
-// Release unpins every segment Unit pinned.
-func (p *Pins) Release() {
-	for _, sg := range p.pinned {
-		sg.Unpin()
-	}
-}
-
-// Unit pins one segment and builds its scan unit: a live-page walk
-// visiting only the slots set in bm. bm is a snapshot nobody mutates
-// once the engine lock drops, so units on pool goroutines may share it.
-func (p *Pins) Unit(s *store.Segment, frozen bool, bm *bitmap.Bitmap, aux func(slot int64) UnitAux) ScanUnit {
-	s.Pin()
-	p.pinned = append(p.pinned, s)
-	return ScanUnit{
-		Frozen:   frozen,
-		Zone:     s.Zone(),
-		PhysCols: s.Cols,
-		Aux:      aux,
-		Walk: func(_ *ScanSpec, visit func(slot int64, buf []byte) bool) error {
-			return s.File.ScanLive(bm, func(slot int64, buf []byte) bool {
-				return !bm.Get(int(slot)) || visit(slot, buf)
-			})
-		},
-	}
-}
-
-// The two combine rules every engine's multi-version shapes share: a
-// diff unit walks the XOR of the two sides' liveness and reads its side
-// from A's, and a multi-branch unit walks the OR of the k requested
-// versions' liveness and reads each row's membership from all k.
-
-// DiffAux annotates a diff unit's slots: a slot is on side A iff colA,
-// a snapshot nobody mutates, has it.
-func DiffAux(colA *bitmap.Bitmap) func(slot int64) UnitAux {
-	return func(slot int64) UnitAux { return UnitAux{InA: colA.Get(int(slot))} }
-}
-
-// MemberAux annotates a multi-branch unit's slots: bit i of a slot's
-// membership is set iff cols[i] (nil: no live slot there) has it. The
-// membership bitmap is scratch owned by the one unit the returned func
-// annotates, so each unit needs its own MemberAux.
-func MemberAux(cols []*bitmap.Bitmap) func(slot int64) UnitAux {
-	member := bitmap.New(len(cols))
-	return func(slot int64) UnitAux {
-		member.Gather(cols, int(slot))
-		return UnitAux{Member: member}
-	}
+	seg  SpaceSeg
+	live *bitmap.Bitmap   // the slots the walk visits
+	side *bitmap.Bitmap   // diff: A's liveness, which a row's InA reads
+	cols []*bitmap.Bitmap // multi-branch: each version's liveness (nil: none)
 }
 
 // UnitRunner is the one per-record body every scan shape of every
@@ -159,10 +98,12 @@ type UnitRunner struct {
 	fn    UnitFunc
 	visit func(slot int64, buf []byte) bool // the body, bound once
 
-	prep func(buf []byte) []byte  // current unit's conversion
-	aux  func(slot int64) UnitAux // current unit's annotation
-	err  error                    // Apply failure
-	stop bool
+	prep      func(buf []byte) []byte // current unit's conversion
+	unit      *ScanUnit               // current unit
+	annotated bool                    // the current unit's rows carry a side or a membership
+	member    *bitmap.Bitmap          // multi-branch membership scratch
+	err       error                   // Apply failure
+	stop      bool
 }
 
 // NewUnitRunner binds the body to one scan: every live record that
@@ -189,8 +130,8 @@ func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner
 			return true
 		}
 		var aux UnitAux
-		if r.aux != nil {
-			aux = r.aux(slot)
+		if r.annotated {
+			aux = r.annotate(slot)
 		}
 		if (r.ctx != nil && r.ctx.Err() != nil) || !r.fn(rec, aux) {
 			r.stop = true
@@ -210,11 +151,25 @@ func (r *UnitRunner) Run(u *ScanUnit) error {
 	if err != nil {
 		return err
 	}
-	r.prep, r.aux = prep, u.Aux
-	if err := u.Walk(r.spec, r.visit); err != nil {
+	r.prep, r.unit, r.annotated = prep, u, u.side != nil || u.cols != nil
+	if u.cols != nil && (r.member == nil || r.member.Len() != len(u.cols)) {
+		r.member = bitmap.New(len(u.cols))
+	}
+	if err := walkSlots(u.seg, u.live, r.spec, r.visit); err != nil {
 		return err
 	}
 	return r.err
+}
+
+// annotate derives a row's annotation from its slot: its side in a
+// diff, its membership in a multi-branch scan. It stays out of the body
+// above, which runs for every row of every shape.
+func (r *UnitRunner) annotate(slot int64) UnitAux {
+	if u := r.unit; u.side != nil {
+		return UnitAux{InA: u.side.Get(int(slot))}
+	}
+	r.member.Gather(r.unit.cols, int(slot))
+	return UnitAux{Member: r.member}
 }
 
 // RunUnitsSequential drives a partition on the calling goroutine in
@@ -289,24 +244,23 @@ func resolveScanWorkers(opt Options) int {
 // scans disabled).
 func (db *Database) ScanWorkers() int { return db.scanWorkers }
 
-// partition opens a database operation and asks the engine for the
-// request's units — the one place a scan reaches the engine. On success
-// the caller must call release (unpinning the partition's segments, so
-// a concurrent compaction can retire replaced files) and then endOp,
-// once the last unit has finished.
-func (t *Table) partition(req ScanRequest) (units []ScanUnit, release func(), err error) {
+// partition opens a database operation and partitions the request —
+// the one place a scan reaches the engine. On success the caller must
+// unpin the units (so a concurrent compaction can retire replaced
+// files) and then end the operation, once the last unit has finished.
+func (t *Table) partition(req ScanRequest) ([]ScanUnit, error) {
 	if err := t.db.beginOp(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	units, release, err = t.engine.PartitionScan(req)
+	units, err := scanUnits(t.engine, req)
 	if err != nil {
 		t.db.endOp()
-		return nil, nil, err
+		return nil, err
 	}
-	return units, release, nil
+	return units, nil
 }
 
-// PartitionUnits exposes the engine's scan partition to executors that
+// PartitionUnits exposes the scan partition to executors that
 // choose their own visit order — the ordered visitor in internal/query
 // drives units in zone-sorted order with top-k early stop. release must
 // be called exactly once after the last unit finishes: it unpins the
@@ -314,11 +268,10 @@ func (t *Table) partition(req ScanRequest) (units []ScanUnit, release func(), er
 // ok is always true (every engine partitions); it is kept for callers
 // written when partitioning was optional.
 func (t *Table) PartitionUnits(req ScanRequest) (units []ScanUnit, release func(), ok bool, err error) {
-	units, rel, err := t.partition(req)
-	if err != nil {
+	if units, err = t.partition(req); err != nil {
 		return nil, nil, true, err
 	}
-	return units, func() { rel(); t.db.endOp() }, true, nil
+	return units, func() { unpin(units); t.db.endOp() }, true, nil
 }
 
 // ScanUnitsContext is the scan driver: it partitions the request once
@@ -332,12 +285,12 @@ func (t *Table) PartitionUnits(req ScanRequest) (units []ScanUnit, release func(
 // record of ctx being canceled and returns ctx.Err(); the first unit
 // error cancels its siblings.
 func (t *Table) ScanUnitsContext(ctx context.Context, req ScanRequest, spec *ScanSpec, fn UnitFunc, sink func(unit, total int) UnitSink) error {
-	units, release, err := t.partition(req)
+	units, err := t.partition(req)
 	if err != nil {
 		return err
 	}
 	defer t.db.endOp()
-	defer release()
+	defer unpin(units)
 	if sink != nil && t.db.scanWorkers > 1 && frozenUnits(units) >= 2 {
 		err = t.db.runPool(ctx, spec, units, sink)
 	} else {
@@ -431,9 +384,13 @@ func (db *Database) runPool(ctx context.Context, spec *ScanSpec, units []ScanUni
 // The spec's predicate and projection still run on the looked-up
 // record — the lookup only replaces the walk, never the filter — so the
 // result is exactly that of the scan it stands in for. served=false
-// (nothing emitted) means the engine cannot answer without a scan and
-// the caller must scan.
+// (nothing emitted) means the read must scan: it spans several versions
+// (a diff or multi-branch request), or the engine cannot answer
+// without a walk.
 func (t *Table) LookupPKContext(ctx context.Context, req ScanRequest, pk int64, spec *ScanSpec, fn ScanFunc) (served bool, err error) {
+	if req.Kind == ScanKindDiff || req.Kind == ScanKindMulti {
+		return false, nil
+	}
 	if err := t.db.beginOp(); err != nil {
 		return false, err
 	}
@@ -441,7 +398,11 @@ func (t *Table) LookupPKContext(ctx context.Context, req ScanRequest, pk int64, 
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	buf, physCols, ok, err := t.engine.LookupPK(req, pk)
+	v := Version{Branch: req.Branch}
+	if req.Kind == ScanKindCommit {
+		v = Version{Commit: req.Commit}
+	}
+	buf, physCols, ok, err := t.engine.LookupPK(v, pk)
 	if err != nil || !ok {
 		return false, err
 	}

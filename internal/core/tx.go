@@ -196,10 +196,8 @@ func (tx *Tx) rollback() error {
 		}); err != nil {
 			return err
 		}
-		for _, rec := range restore {
-			if err := t.Insert(tx.branch.ID, rec); err != nil {
-				return err
-			}
+		if err := t.InsertBatch(tx.branch.ID, restore); err != nil {
+			return err
 		}
 		for pk := range keys {
 			if err := t.Delete(tx.branch.ID, pk); err != nil {

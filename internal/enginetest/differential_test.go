@@ -159,14 +159,14 @@ func (h *harness) compact() {
 func (h *harness) verifyLookups() {
 	type version struct {
 		name string
-		req  core.ScanRequest
+		v    core.Version
 		want state
 	}
 	var versions []version
 	for _, br := range h.graph.Branches() {
-		versions = append(versions, version{br.Name, core.ScanRequest{Kind: core.ScanKindBranch, Branch: br.ID}, h.model.BranchState(br.ID)})
+		versions = append(versions, version{br.Name, core.Version{Branch: br.ID}, h.model.BranchState(br.ID)})
 		for _, c := range h.graph.CommitsOnBranch(br.ID) {
-			versions = append(versions, version{fmt.Sprintf("commit %d", c.ID), core.ScanRequest{Kind: core.ScanKindCommit, Commit: c}, h.model.CommitState(c.ID)})
+			versions = append(versions, version{fmt.Sprintf("commit %d", c.ID), core.Version{Commit: c}, h.model.CommitState(c.ID)})
 		}
 	}
 	for _, n := range h.names {
@@ -174,7 +174,7 @@ func (h *harness) verifyLookups() {
 		eng := tbl.Engine()
 		for _, v := range versions {
 			for _, pk := range h.model.Keys() {
-				buf, _, ok, err := eng.LookupPK(v.req, pk)
+				buf, _, ok, err := eng.LookupPK(v.v, pk)
 				if err != nil || !ok {
 					h.t.Fatalf("%s: LookupPK(%s, %d): served=%v err=%v", n, v.name, pk, ok, err)
 				}

@@ -40,15 +40,6 @@ type hseg struct {
 	local map[vgraph.BranchID]*bitmap.Bitmap
 }
 
-// liveCount returns the number of records live in the branch within
-// this segment (drives the global branch-segment bitmap).
-func (s *hseg) liveCount(b vgraph.BranchID) int {
-	if bm, ok := s.local[b]; ok {
-		return bm.Count()
-	}
-	return 0
-}
-
 // logKey identifies a per-(branch, segment) commit history file: "in
 // hybrid, each (branch, segment) has its own file" (Section 5.3).
 type logKey struct {
@@ -346,20 +337,6 @@ func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 	return e.commitLocked(c0)
 }
 
-// branchSegments returns the segments holding records live in the
-// branch, consulting the global branch-segment relation (bit-wise: a
-// segment qualifies if the branch's local bitmap there has any set
-// bit). This is the segment-skipping fast path of Section 3.4.
-func (e *Engine) branchSegmentsLocked(b vgraph.BranchID) []*hseg {
-	var out []*hseg
-	for _, s := range e.segs {
-		if bm, ok := s.local[b]; ok && bm.Any() {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // Branch implements core.Engine (Section 3.4): the parent's old head
 // freezes into an internal segment whose bitmap now carries both
 // branches; parent and child each get a fresh head segment.
@@ -489,16 +466,9 @@ func (e *Engine) segCheckoutLocked(k logKey, seq int) (*bitmap.Bitmap, error) {
 	return l.Checkout(seq - start)
 }
 
-// Insert implements core.Engine: append to the branch's head segment,
-// set its bit there, unset the previous copy's bit wherever it lives.
-func (e *Engine) Insert(branch vgraph.BranchID, rec *record.Record) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.insertLocked(branch, rec)
-}
-
-// InsertBatch implements core.Engine: one lock acquisition for the
-// whole batch.
+// InsertBatch implements core.Engine: each record is appended to the
+// branch's head segment and its bit set there, and the previous copy's
+// bit is unset wherever it lives.
 func (e *Engine) InsertBatch(branch vgraph.BranchID, recs []*record.Record) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -53,7 +53,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	}
 	oldHead := e.headSeg[master.ID]
 
-	e.Insert(master.ID, rec(env.Schema, 1, 1))
+	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, 1)})
 	c1, _ := g.NewCommit(master.ID, "c1")
 	e.Commit(c1)
 
@@ -83,7 +83,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	if _, err := s.File.Append(rec(env.Schema, 9, 9).Bytes()); err == nil {
 		t.Fatal("append to frozen segment succeeded")
 	}
-	if err := e.Insert(master.ID, rec(env.Schema, 2, 2)); err != nil {
+	if err := e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 2, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	if e.segs[e.headSeg[master.ID]].File.Count() != 1 {
@@ -100,19 +100,28 @@ func TestBranchSegmentSkipping(t *testing.T) {
 	e := eng.(*Engine)
 	master, c0, _ := g.Init("init")
 	e.Init(master, c0)
-	e.Insert(master.ID, rec(env.Schema, 1, 1))
+	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, 1)})
 	c1, _ := g.NewCommit(master.ID, "c1")
 	e.Commit(c1)
 	dev, _ := g.NewBranch("dev", c1.ID)
 	e.Branch(dev, c1)
 	// dev deletes the only record: no segment holds live dev records.
 	e.Delete(dev.ID, 1)
-	if segs := e.branchSegmentsLocked(dev.ID); len(segs) != 0 {
-		t.Fatalf("dev still maps to %d segments", len(segs))
+	units := func(b vgraph.BranchID) int {
+		t.Helper()
+		units, release, err := core.Partition(e, core.ScanRequest{Kind: core.ScanKindBranch, Branch: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		return len(units)
+	}
+	if n := units(dev.ID); n != 0 {
+		t.Fatalf("dev still maps to %d segments", n)
 	}
 	// master unaffected: one segment with its record.
-	if segs := e.branchSegmentsLocked(master.ID); len(segs) != 1 {
-		t.Fatalf("master maps to %d segments", len(segs))
+	if n := units(master.ID); n != 1 {
+		t.Fatalf("master maps to %d segments", n)
 	}
 }
 
@@ -127,7 +136,7 @@ func TestCheckoutStartSeq(t *testing.T) {
 	master, c0, _ := g.Init("init")
 	e.Init(master, c0)
 
-	e.Insert(master.ID, rec(env.Schema, 1, 1))
+	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, 1)})
 	c1, _ := g.NewCommit(master.ID, "c1")
 	e.Commit(c1)
 
@@ -135,7 +144,7 @@ func TestCheckoutStartSeq(t *testing.T) {
 	// the *next* master commit.
 	dev, _ := g.NewBranch("dev", c1.ID)
 	e.Branch(dev, c1)
-	e.Insert(master.ID, rec(env.Schema, 2, 2))
+	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 2, 2)})
 	c2, _ := g.NewCommit(master.ID, "c2")
 	e.Commit(c2)
 
@@ -181,7 +190,7 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 	e.Commit(c1)
 	dev, _ := g.NewBranch("dev", c1.ID)
 	e.Branch(dev, c1)
-	e.Insert(dev.ID, rec(env.Schema, 7, 70))
+	e.InsertBatch(dev.ID, []*record.Record{rec(env.Schema, 7, 70)})
 	c2, _ := g.NewCommit(dev.ID, "dev c")
 	e.Commit(c2)
 
@@ -200,7 +209,7 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 	}
 	// The record is now visible in master without copying it.
 	n := 0
-	units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindBranch, Branch: master.ID})
+	units, release, err := core.Partition(e, core.ScanRequest{Kind: core.ScanKindBranch, Branch: master.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +238,8 @@ func TestLookupWalkLength(t *testing.T) {
 	e := eng.(*Engine)
 	master, c0, _ := g.Init("init")
 	e.Init(master, c0)
-	e.Insert(master.ID, rec(env.Schema, 1, 0))
-	e.Insert(master.ID, rec(env.Schema, 2, 0))
+	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, 0)})
+	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 2, 0)})
 	c1, _ := g.NewCommit(master.ID, "c1")
 	e.Commit(c1)
 	sib, _ := g.NewBranch("sib", c1.ID)
@@ -239,7 +248,7 @@ func TestLookupWalkLength(t *testing.T) {
 	}
 	const updates = 2000
 	for v := int64(1); v <= updates; v++ {
-		if err := e.Insert(master.ID, rec(env.Schema, 1, v)); err != nil {
+		if err := e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, v)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +260,7 @@ func TestLookupWalkLength(t *testing.T) {
 			bm, ok := e.byID[p.Seg].local[b]
 			return ok && bm.Get(int(p.Slot))
 		}) != store.NoPos
-		buf, _, ok, err := e.LookupPK(core.ScanRequest{Kind: core.ScanKindBranch, Branch: b}, pk)
+		buf, _, ok, err := e.LookupPK(core.Version{Branch: b}, pk)
 		if err != nil || !ok || found != (buf != nil) {
 			t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
 		}

@@ -1,11 +1,9 @@
 package hy
 
 import (
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
-	"decibel/internal/vgraph"
 )
 
 // Merge implements core.Engine for the hybrid scheme (Section 3.4):
@@ -13,7 +11,7 @@ import (
 // requiring the lowest common ancestor commit) to determine where the
 // conflicts are within the segment" — per segment, each head's local
 // bitmap XORed against the LCA's names the changed slots, their records
-// the changed keys. What becomes of each key is decided in core
+// the changed keys (core's Merge.Changed). What becomes of each key is decided in core
 // (Merge.Resolve); here an adopted record is marked live in the merged
 // branch's bitmap within its containing segment, "creating new bitmaps
 // for the branch within a segment if necessary", and a resolved record
@@ -22,44 +20,13 @@ func (e *Engine) Merge(m *core.Merge) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	lcaSnap, err := e.checkoutLocked(m.LCA.Branch, m.LCA.Seq)
+	spaces, err := e.spacesLocked(m.Versions())
 	if err != nil {
 		return err
 	}
-	// Rows from the two branches (and the LCA) may sit in segments of
-	// different schema versions; everything is resolved under the merge
-	// commit's schema.
-	recSize := int64(e.hist.VisibleAt(m.Commit.SchemaVer).RecordSize())
-
-	changed := make(core.ChangedKeys)
-	empty := bitmap.New(0)
-	for _, b := range []vgraph.BranchID{m.Into, m.Other} {
-		for _, s := range e.segs {
-			cur, lca := s.local[b], lcaSnap[s.id]
-			if cur == nil && lca == nil {
-				continue
-			}
-			if cur == nil {
-				cur = empty
-			}
-			if lca == nil {
-				lca = empty
-			}
-			buf := make([]byte, s.Schema.RecordSize())
-			var err error
-			bitmap.Xor(cur, lca).ForEach(func(slot int) bool {
-				if err = s.File.Read(int64(slot), buf); err != nil {
-					return false
-				}
-				m.Stats.TuplesScanned++
-				m.Stats.DiffBytes += recSize
-				changed.Saw(record.PKOf(buf), pos{Seg: s.id, Slot: int64(slot)}, lca.Get(slot))
-				return true
-			})
-			if err != nil {
-				return err
-			}
-		}
+	changed, err := m.Changed(e.hist, spaces)
+	if err != nil {
+		return err
 	}
 
 	// Materialized results land in the head segment, rotated first if the

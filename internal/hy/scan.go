@@ -7,38 +7,32 @@ import (
 	"decibel/internal/vgraph"
 )
 
-// The read SPI (core.Engine.PartitionScan and LookupPK). Hybrid keeps
-// per-(segment, branch) bitmaps, so every scan shape partitions into
-// one unit per segment whose walk is the segment's live-page scan under
-// a bitmap snapshotted at partition time: the branch's local bitmap, a
-// checkout, the XOR of two branches', or — for a multi-branch scan —
-// the OR of the requested branches' local bitmaps, so each qualifying
-// segment is read once for all of them. Segments with no live record in
-// any requested branch never become units (the global branch-segment
-// relation of Section 3.4); the scan driver in core prunes the rest by
-// zone map and evaluates the spec on the raw page buffer.
+// The read SPI (core.Engine.Live and LookupPK). Hybrid keeps
+// per-(segment, branch) bitmaps, so each segment is a slot space and a
+// version is its bitmap there: the branch's local bitmap for a head,
+// the commit's checkout for a commit. Segments with no live record in
+// any requested version are left out (the global branch-segment
+// relation of Section 3.4), so a multi-branch scan reads each
+// qualifying segment once for all of them.
 
 // LookupPK implements core.Engine: the version index lists the key's
 // (segment, slot) positions and the version's bitmaps pick the live one
 // — the branch's local bitmaps for a head, the commit's checkouts for a
 // commit.
-func (e *Engine) LookupPK(req core.ScanRequest, pk int64) ([]byte, int, bool, error) {
+func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var p pos
-	switch req.Kind {
-	case core.ScanKindBranch:
-		if _, ok := e.headSeg[req.Branch]; !ok {
+	if v.Commit == nil {
+		if _, ok := e.headSeg[v.Branch]; !ok {
 			return nil, 0, false, nil
 		}
-		p = e.livePos(req.Branch, pk)
-	case core.ScanKindCommit:
+		p = e.livePos(v.Branch, pk)
+	} else {
 		var err error
-		if p, err = e.commitPosLocked(req.Commit, pk); err != nil {
+		if p, err = e.commitPosLocked(v.Commit, pk); err != nil {
 			return nil, 0, false, err
 		}
-	default:
-		return nil, 0, false, nil
 	}
 	if p == store.NoPos {
 		return nil, 0, true, nil
@@ -72,72 +66,51 @@ func (e *Engine) commitPosLocked(c *vgraph.Commit, pk int64) (pos, error) {
 	return p, err
 }
 
-// PartitionScan implements core.Engine: one unit per segment holding
-// live records of the request, in segment-table order, with all shared
-// state (bitmaps, checkout snapshots) captured under the engine lock.
-// Every segment a unit references is pinned until release is called.
-func (e *Engine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), error) {
+// Live implements core.Engine.
+func (e *Engine) Live(vs []core.Version, fn func([]core.SlotSpace) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	pins := &core.Pins{}
-	var units []core.ScanUnit
-	switch req.Kind {
-	case core.ScanKindBranch:
-		segs := e.branchSegmentsLocked(req.Branch)
-		units = make([]core.ScanUnit, 0, len(segs))
-		for _, s := range segs {
-			units = append(units, pins.Unit(s.Segment, s.Frozen, s.local[req.Branch].Clone(), nil))
-		}
+	spaces, err := e.spacesLocked(vs)
+	if err != nil {
+		return err
+	}
+	return fn(spaces)
+}
 
-	case core.ScanKindCommit:
-		snap, err := e.checkoutLocked(req.Commit.Branch, req.Commit.Seq)
-		if err != nil {
-			return nil, nil, err
+// spacesLocked returns, in segment-table order, the segments live in
+// any of the versions as slot spaces. A commit's checkout is taken once
+// for all segments. Caller holds e.mu.
+func (e *Engine) spacesLocked(vs []core.Version) ([]core.SlotSpace, error) {
+	snaps := make([]map[segID]*bitmap.Bitmap, len(vs))
+	mutable := false
+	for i, v := range vs {
+		if v.Commit == nil {
+			mutable = true
+			continue
 		}
-		// Segment-table order, like every other shape (ids alone do not
-		// encode it in datasets an older merge compaction touched).
-		units = make([]core.ScanUnit, 0, len(snap))
-		for _, s := range e.segs {
-			if bm, ok := snap[s.id]; ok {
-				units = append(units, pins.Unit(s.Segment, s.Frozen, bm, nil))
-			}
-		}
-
-	case core.ScanKindDiff:
-		for _, s := range e.segs {
-			colA, okA := s.local[req.A]
-			colB, okB := s.local[req.B]
-			if !okA && !okB {
-				continue
-			}
-			if colA == nil {
-				colA = bitmap.New(0)
-			}
-			if colB == nil {
-				colB = bitmap.New(0)
-			}
-			x := bitmap.Xor(colA, colB)
-			if !x.Any() {
-				continue
-			}
-			units = append(units, pins.Unit(s.Segment, s.Frozen, x, core.DiffAux(colA.Clone())))
-		}
-
-	case core.ScanKindMulti:
-		for _, s := range e.segs {
-			cols := make([]*bitmap.Bitmap, len(req.Branches))
-			union := bitmap.New(0)
-			for i, b := range req.Branches {
-				if bm, ok := s.local[b]; ok && bm.Any() {
-					cols[i] = bm.Clone()
-					union.Or(cols[i])
-				}
-			}
-			if !union.Any() {
-				continue
-			}
-			units = append(units, pins.Unit(s.Segment, s.Frozen, union, core.MemberAux(cols)))
+		var err error
+		if snaps[i], err = e.checkoutLocked(v.Commit.Branch, v.Commit.Seq); err != nil {
+			return nil, err
 		}
 	}
-	return units, pins.Release, nil
+	k := len(vs)
+	live := make([]*bitmap.Bitmap, len(e.segs)*k)
+	segs := make([]core.SpaceSeg, len(e.segs))
+	spaces := make([]core.SlotSpace, 0, len(e.segs))
+	for j, s := range e.segs {
+		row, held := live[j*k:(j+1)*k:(j+1)*k], false
+		for i, v := range vs {
+			if v.Commit == nil {
+				row[i] = s.local[v.Branch]
+			} else {
+				row[i] = snaps[i][s.id]
+			}
+			held = held || row[i] != nil
+		}
+		if held {
+			segs[j] = core.SpaceSeg{Segment: s.Segment, Frozen: s.Frozen}
+			spaces = append(spaces, core.SlotSpace{ID: s.id, Live: row, Segs: segs[j : j+1], Mutable: mutable})
+		}
+	}
+	return spaces, nil
 }

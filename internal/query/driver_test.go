@@ -15,15 +15,15 @@ import (
 	"decibel/internal/record"
 )
 
-// countingEngine counts the PartitionScan calls of the engine it wraps.
+// countingEngine counts the Live calls of the engine it wraps.
 type countingEngine struct {
 	core.Engine
 	partitions *atomic.Int64
 }
 
-func (e countingEngine) PartitionScan(req core.ScanRequest) ([]core.ScanUnit, func(), error) {
+func (e countingEngine) Live(vs []core.Version, fn func([]core.SlotSpace) error) error {
 	e.partitions.Add(1)
-	return e.Engine.PartitionScan(req)
+	return e.Engine.Live(vs, fn)
 }
 
 func TestPoolDeclinedScanPartitionsOnce(t *testing.T) {

@@ -19,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"decibel/internal/heap"
 	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/wal"
@@ -178,43 +177,4 @@ func (e *Engine) appendLocked(rec *record.Record) (int64, error) {
 		return 0, err
 	}
 	return last.base + slot, nil
-}
-
-// extReader reads raw record buffers by global slot, reusing one
-// scratch buffer per extent width.
-type extReader struct {
-	e   *Engine
-	ext *extent
-	buf []byte
-}
-
-func (e *Engine) reader() *extReader { return &extReader{e: e} }
-
-// read returns the raw stored buffer of a global slot and its extent.
-// The buffer is valid until the next read call.
-func (r *extReader) read(slot int64) ([]byte, *extent, error) {
-	x := r.e.extFor(slot)
-	if r.ext != x {
-		r.ext = x
-		r.buf = make([]byte, x.Schema.RecordSize())
-	}
-	if err := x.File.Read(slot-x.base, r.buf); err != nil {
-		return nil, nil, err
-	}
-	return r.buf, x, nil
-}
-
-// offsetBitmap adapts a global-slot bitmap to one extent's local slot
-// space for heap.File.ScanLive.
-type offsetBitmap struct {
-	bm   heap.Bitmapper
-	base int64
-}
-
-func (o offsetBitmap) NextSet(i int) int {
-	n := o.bm.NextSet(i + int(o.base))
-	if n < 0 {
-		return -1
-	}
-	return n - int(o.base)
 }

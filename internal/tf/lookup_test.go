@@ -29,7 +29,7 @@ func testLookupWalkLength(t *testing.T) {
 		r := record.New(schema)
 		r.SetPK(pk)
 		r.Set(1, v)
-		if err := e.Insert(b, r); err != nil {
+		if err := e.InsertBatch(b, []*record.Record{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -54,7 +54,7 @@ func testLookupWalkLength(t *testing.T) {
 			probes++
 			return e.cols[b].Get(int(p.Slot))
 		}) != store.NoPos
-		buf, _, ok, err := e.LookupPK(core.ScanRequest{Kind: core.ScanKindBranch, Branch: b}, pk)
+		buf, _, ok, err := e.LookupPK(core.Version{Branch: b}, pk)
 		if err != nil || !ok || found != (buf != nil) {
 			t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
 		}
@@ -109,12 +109,12 @@ func TestUnknownBranchReadsEmpty(t *testing.T) {
 	}
 	r := record.New(schema)
 	r.SetPK(1)
-	if err := e.Insert(master.ID, r); err != nil {
+	if err := e.InsertBatch(master.ID, []*record.Record{r}); err != nil {
 		t.Fatal(err)
 	}
 	const unknown vgraph.BranchID = 42
 
-	buf, _, ok, err := e.LookupPK(core.ScanRequest{Kind: core.ScanKindBranch, Branch: unknown}, 1)
+	buf, _, ok, err := e.LookupPK(core.Version{Branch: unknown}, 1)
 	if err != nil || !ok || buf != nil {
 		t.Fatalf("LookupPK on an unknown branch: buf=%v served=%v err=%v, want not live", buf != nil, ok, err)
 	}
@@ -127,7 +127,7 @@ func TestUnknownBranchReadsEmpty(t *testing.T) {
 		{Kind: core.ScanKindDiff, A: unknown, B: unknown},
 		{Kind: core.ScanKindMulti, Branches: []vgraph.BranchID{unknown}},
 	} {
-		units, release, err := e.PartitionScan(req)
+		units, release, err := core.Partition(e, req)
 		if err != nil {
 			t.Fatal(err)
 		}

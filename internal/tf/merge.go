@@ -1,57 +1,34 @@
 package tf
 
 import (
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
-	"decibel/internal/vgraph"
 )
 
 // Merge implements core.Engine following Section 3.2: the LCA commit's
 // bitmap is restored and XORed against both branch heads to find the
-// slots, and through their records the keys, changed on each side. What
-// becomes of each key is decided in core (Merge.Resolve); here an
-// outcome is a bit cleared and a bit set in the merged branch's column.
+// slots, and through their records the keys, changed on each side
+// (core's Merge.Changed). What becomes of each key is decided in core
+// (Merge.Resolve); here an outcome is a bit cleared and a bit set in the
+// merged branch's column.
 func (e *Engine) Merge(m *core.Merge) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	lcaLog, err := e.openLog(m.LCA.Branch)
-	if err != nil {
-		return err
-	}
-	lcaBM, err := lcaLog.Checkout(m.LCA.Seq)
-	if err != nil {
-		return err
-	}
 	// Rows from the two branches (and the LCA) may span schema
 	// versions; resolve everything under the merge commit's schema and
 	// make sure the tail extent can hold materialized results.
-	epoch := m.Commit.SchemaVer
-	if err := e.ensureExtentLocked(e.hist.NumPhysAt(epoch)); err != nil {
+	if err := e.ensureExtentLocked(e.hist.NumPhysAt(m.Commit.SchemaVer)); err != nil {
 		return err
 	}
-
-	changed := make(core.ChangedKeys)
-	r := e.reader()
-	recSize := int64(e.hist.VisibleAt(epoch).RecordSize())
-	for _, b := range []vgraph.BranchID{m.Into, m.Other} {
-		x := bitmap.Xor(e.column(b), lcaBM)
-		var err error
-		x.ForEach(func(slot int) bool {
-			var buf []byte
-			if buf, _, err = r.read(int64(slot)); err != nil {
-				return false
-			}
-			m.Stats.TuplesScanned++
-			changed.Saw(record.PKOf(buf), store.Pos{Slot: int64(slot)}, lcaBM.Get(slot))
-			return true
-		})
-		if err != nil {
-			return err
-		}
-		m.Stats.DiffBytes += int64(x.Count()) * recSize
+	sp, err := e.spaceLocked(m.Versions())
+	if err != nil {
+		return err
+	}
+	changed, err := m.Changed(e.hist, []core.SlotSpace{sp})
+	if err != nil {
+		return err
 	}
 	if err := m.ResolveChanged(&mergeTarget{e: e, m: m}, changed, e.livePos); err != nil {
 		return err

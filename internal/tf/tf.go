@@ -241,16 +241,8 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 	return nil
 }
 
-// Insert implements core.Engine (upsert: the previous copy's bit is
-// unset and the new copy appended at the end of the heap file).
-func (e *Engine) Insert(branch vgraph.BranchID, rec *record.Record) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.insertLocked(branch, rec)
-}
-
-// InsertBatch implements core.Engine: one lock acquisition and
-// one branch-index lookup for the whole batch.
+// InsertBatch implements core.Engine (upsert: each previous copy's bit
+// is unset and the new copy appended at the end of the heap file).
 func (e *Engine) InsertBatch(branch vgraph.BranchID, recs []*record.Record) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

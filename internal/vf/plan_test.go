@@ -71,7 +71,7 @@ func TestHeadsComposeCachedPlans(t *testing.T) {
 	e := tbl.Engine().(*Engine)
 	heads := func() []*planEntry {
 		t.Helper()
-		units, release, err := e.PartitionScan(core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids})
+		units, release, err := core.Partition(e, core.ScanRequest{Kind: core.ScanKindMulti, Branches: ids})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -459,18 +459,6 @@ func (e *Engine) appendLocked(s *segment, rec *record.Record) error {
 	return nil
 }
 
-// Insert implements core.Engine: "tuple inserts and updates are
-// appended to the end of the segment file for the updated branch".
-func (e *Engine) Insert(branch vgraph.BranchID, rec *record.Record) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, err := e.writeHeadLocked(branch)
-	if err != nil {
-		return err
-	}
-	return e.appendLocked(s, rec)
-}
-
 // Delete implements core.Engine: "when a tuple is deleted, we insert a
 // special record with a deleted header bit".
 func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {

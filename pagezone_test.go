@@ -3,12 +3,16 @@ package decibel_test
 // Tuple-first page-zone regression: tf's extents span every branch's
 // rows, so the extent-level zone map almost never prunes — per-page
 // zone maps restore skipping inside the extent. This test loads
-// sequential data over many small pages, runs a selective range scan,
-// and asserts pages were actually skipped while the results stay
-// identical to the unpruned baseline.
+// sequential data over many small pages into two extents (a schema
+// change between the loads opens the second, whose slots start past the
+// first's), changes rows on a branch, runs selective range reads of
+// every shape — a single-branch scan, a HEAD() scan with membership and
+// a symmetric diff — and asserts pages were actually skipped while each
+// result stays identical to its unpruned baseline.
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"decibel"
@@ -19,7 +23,7 @@ import (
 
 func TestTupleFirstPageZoneSkipping(t *testing.T) {
 	const rows = 2000
-	// Small pages: many page-zone chunks inside the single tf extent.
+	// Small pages: many page-zone chunks inside each tf extent.
 	db, err := decibel.Open(t.TempDir(),
 		decibel.WithEngine("tuple-first"), decibel.WithPageSize(2048))
 	if err != nil {
@@ -35,59 +39,113 @@ func TestTupleFirstPageZoneSkipping(t *testing.T) {
 	}
 	// Sequential values: each page holds a narrow contiguous v range, so
 	// a selective range predicate excludes most pages outright.
-	if _, err := db.Commit("master", func(tx *decibel.Tx) error {
-		recs := make([]*decibel.Record, 0, rows)
-		for pk := int64(0); pk < rows; pk++ {
-			rec := decibel.NewRecord(schema)
-			rec.SetPK(pk)
-			rec.Set(1, pk)
-			recs = append(recs, rec)
+	load := func(branch string, s *decibel.Schema, lo, hi int64, w int64) {
+		t.Helper()
+		if _, err := db.Commit(branch, func(tx *decibel.Tx) error {
+			recs := make([]*decibel.Record, 0, hi-lo)
+			for pk := lo; pk < hi; pk++ {
+				rec := decibel.NewRecord(s)
+				rec.SetPK(pk)
+				rec.Set(1, pk)
+				if s.NumColumns() > 2 {
+					rec.Set(2, w)
+				}
+				recs = append(recs, rec)
+			}
+			return tx.InsertBatch("r", recs)
+		}); err != nil {
+			t.Fatal(err)
 		}
-		return tx.InsertBatch("r", recs)
+	}
+	load("master", schema, 0, rows, 0)
+	if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+		return tx.AddColumn("r", decibel.Column{Name: "w", Type: decibel.Int64}, decibel.Default(int64(7)))
 	}); err != nil {
 		t.Fatal(err)
 	}
+	tbl, err := db.TableByName("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := tbl.Schema()
+	load("master", wide, rows, 2*rows, 1)
+	if stats := tbl.SegmentStats(); len(stats) != 2 || stats[0].Rows != rows {
+		t.Fatalf("want two extents, the first holding %d rows: %+v", rows, stats)
+	}
+	// dev rewrites ten keys of the range and deletes one; master
+	// rewrites another. Every new copy lands in the second extent.
+	if _, err := db.Branch("master", "dev"); err != nil {
+		t.Fatal(err)
+	}
+	load("dev", wide, 2*rows-10, 2*rows, 2)
+	if _, err := db.Commit("dev", func(tx *decibel.Tx) error { return tx.Delete("r", 2*rows-12) }); err != nil {
+		t.Fatal(err)
+	}
+	load("master", wide, 2*rows-20, 2*rows-19, 3)
 
-	run := func(noPrune bool) []string {
+	// The range lies wholly in the second extent; the first extent's
+	// zone excludes it, so every page skipped is a page of the second.
+	run := func(p iquery.Plan) []string {
 		t.Helper()
-		plan := iquery.Plan{
-			Table:    "r",
-			Branches: []string{"master"},
-			AtSeq:    -1,
-			Where:    iquery.Col("v").Ge(rows - 25),
-			NoPrune:  noPrune,
-		}
-		c, err := plan.Compile(db.Database)
+		p.Table, p.AtSeq, p.Where = "r", -1, iquery.Col("v").Ge(2*rows-25)
+		c, err := p.Compile(db.Database)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []string
-		if err := c.Scan(context.Background(), func(rec *record.Record) bool {
-			out = append(out, rec.String())
-			return true
-		}); err != nil {
+		switch {
+		case p.Diff:
+			err = c.SymDiff(context.Background(), func(rec *record.Record, inA bool) bool {
+				out = append(out, fmt.Sprintf("%s inA=%v", rec, inA))
+				return true
+			})
+		case p.AllHeads:
+			err = c.ScanMulti(context.Background(), func(rec *record.Record, member *decibel.Bitmap) bool {
+				out = append(out, fmt.Sprintf("%s master=%v dev=%v", rec, member.Get(0), member.Get(1)))
+				return true
+			})
+		default:
+			err = c.Scan(context.Background(), func(rec *record.Record) bool {
+				out = append(out, rec.String())
+				return true
+			})
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
 
-	_, skippedBefore := store.PageScanCounters()
-	got := run(false)
-	_, skippedAfter := store.PageScanCounters()
+	for _, tc := range []struct {
+		name string
+		plan iquery.Plan
+		rows int
+	}{
+		{"branch", iquery.Plan{Branches: []string{"dev"}}, 24},
+		// 13 keys both heads share, the old and new copies of the 10 dev
+		// rewrote and of the 1 master rewrote, and the key dev deleted.
+		{"heads", iquery.Plan{AllHeads: true}, 36},
+		{"diff", iquery.Plan{Branches: []string{"master", "dev"}, Diff: true}, 23},
+	} {
+		_, skippedBefore := store.PageScanCounters()
+		got := run(tc.plan)
+		_, skippedAfter := store.PageScanCounters()
 
-	want := run(true) // unpruned baseline scans every page
-	if len(got) != len(want) {
-		t.Fatalf("pruned scan emitted %d rows, unpruned %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: pruned %q unpruned %q", i, got[i], want[i])
+		tc.plan.NoPrune = true
+		want := run(tc.plan) // unpruned baseline scans every page
+		if len(got) != len(want) {
+			t.Fatalf("%s: pruned scan emitted %d rows, unpruned %d", tc.name, len(got), len(want))
 		}
-	}
-	if len(got) != 25 {
-		t.Fatalf("selective scan emitted %d rows, want 25", len(got))
-	}
-	if skippedAfter == skippedBefore {
-		t.Fatal("page zones never skipped a page: tf per-page pruning is not engaging")
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: row %d: pruned %q unpruned %q", tc.name, i, got[i], want[i])
+			}
+		}
+		if len(got) != tc.rows {
+			t.Fatalf("%s: selective scan emitted %d rows, want %d", tc.name, len(got), tc.rows)
+		}
+		if skippedAfter == skippedBefore {
+			t.Fatalf("%s: page zones never skipped a page: tf per-page pruning is not engaging", tc.name)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# fifteen structural checks. Prints the non-test Go lines outside
+# sixteen structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}) and of
 # version-first alone (internal/vf), of the query layer
 # (internal/query), of their merge code (internal/{tf,hy,vf}/merge.go), of compaction
@@ -50,7 +50,14 @@
 # too if options.go declares WithCompactionFailPoint (the fail point is
 # a test hook in export_test.go) or if DeclaredJoinOrder or
 # DeclaredOrder appears in non-test Go code: the declared join order is
-# an ablation, reached only through Plan.NoReorder.
+# an ablation, reached only through Plan.NoReorder. It also prints the
+# line counts of internal/core and of the engines' read code
+# (internal/{tf,hy,vf}/scan.go), and exits non-zero if non-test Go in
+# internal/{tf,hy,vf} matches ScanKind, DiffAux, MemberAux, core.Pins or
+# bitmap.Xor: an engine says which slots of which slot space each
+# version holds (Engine.Live), and the combine rules of a diff and a
+# multi-branch scan, the unit walk and a merge's XOR against the LCA
+# live once, in internal/core.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -65,6 +72,8 @@ echo "non-test Go lines outside benchmark/: $(count .)"
 echo "internal/{tf,hy,vf}:                  $(count internal/tf internal/hy internal/vf)"
 echo "internal/vf:                          $(count internal/vf)"
 echo "internal/query:                       $(count internal/query)"
+echo "internal/core:                        $(count internal/core)"
+echo "internal/{tf,hy,vf}/scan.go:          $(cat internal/tf/scan.go internal/hy/scan.go internal/vf/scan.go | wc -l | tr -d ' ')"
 echo "internal/{tf,hy,vf}/merge.go:         $(cat internal/tf/merge.go internal/hy/merge.go internal/vf/merge.go | wc -l | tr -d ' ')"
 echo "internal/{tf,hy,vf,store}/compact.go: $(cat internal/tf/compact.go internal/hy/compact.go internal/vf/compact.go internal/store/compact.go | wc -l | tr -d ' ')"
 echo "query front ends (CLI, server, builder): $(count cmd/decibel/main.go internal/server builder.go)"
@@ -175,6 +184,14 @@ fi
 stray=$(grep -rnE --include='*.go' 'DeclaredJoinOrder|DeclaredOrder' . | grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "the declared join order is an ablation (set Plan.NoReorder in a test or benchmark):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'ScanKind|DiffAux|MemberAux|core\.Pins|bitmap\.Xor' internal/tf internal/hy internal/vf |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "engines say which slots each version holds (Engine.Live); combining versions, the unit walk and merge key discovery live in internal/core:" >&2
     echo "$stray" >&2
     exit 1
 fi
