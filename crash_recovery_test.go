@@ -280,6 +280,157 @@ func TestReopenWithEnginesAheadOfGraph(t *testing.T) {
 	}
 }
 
+// A process kill leaves on disk what the open database has written and
+// nothing it still buffers; copying the open database's directory is
+// what a SIGKILL leaves. With fsync off, every acknowledged commit and
+// merge must be in it.
+func TestReopenAfterProcessKill(t *testing.T) {
+	ops := []struct {
+		name   string
+		op     func(t *testing.T, db *decibel.DB, schema *decibel.Schema)
+		master []int64
+	}{
+		{"commit", func(t *testing.T, db *decibel.DB, schema *decibel.Schema) {}, []int64{1, 2, 3, 4, 5}},
+		{"merge", func(t *testing.T, db *decibel.DB, schema *decibel.Schema) {
+			if _, err := db.Branch("master", "dev"); err != nil {
+				t.Fatal(err)
+			}
+			crashPut(t, db, schema, "dev", 6)
+			crashPut(t, db, schema, "master", 7)
+			if _, _, err := db.Merge("master", "dev"); err != nil {
+				t.Fatal(err)
+			}
+		}, []int64{1, 2, 3, 4, 5, 6, 7}},
+	}
+	for _, engine := range []string{"tuple-first", "hybrid", "version-first"} {
+		for _, tc := range ops {
+			t.Run(engine+"/"+tc.name, func(t *testing.T) {
+				dir := t.TempDir()
+				db, err := decibel.Open(dir, decibel.WithEngine(engine))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+				if _, err := db.CreateTable("r", schema); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := db.Init("init"); err != nil {
+					t.Fatal(err)
+				}
+				crashPut(t, db, schema, "master", 1, 2, 3)
+				crashPut(t, db, schema, "master", 4, 5)
+				tc.op(t, db, schema)
+
+				killed := t.TempDir()
+				copyTree(t, dir, killed)
+				kdb, err := decibel.Open(killed, decibel.WithEngine(engine))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer kdb.Close()
+				expectRows(t, kdb, "master", tc.master...)
+				for seq, want := range []int{3, 5} {
+					if n, err := kdb.Query("r").On("master").At(seq + 1).Count(); err != nil || n != want {
+						t.Fatalf("master@%d holds %d rows (%v), want %d", seq+1, n, err, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// dataFile returns the one data file of table r named name.
+func dataFile(t *testing.T, dir, name string) string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "tables", "*", name))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("data file %s: %v (%v)", name, paths, err)
+	}
+	return paths[0]
+}
+
+// A segment file holding fewer rows than its catalog vouches for has
+// lost committed rows; Open says so instead of reading the branch short.
+// Here version-first's frozen master segment loses its last row.
+func TestOpenRefusesSegmentShorterThanCatalog(t *testing.T) {
+	dir, _ := crashDataset(t, "version-first")
+	seg := dataFile(t, dir, "seg0.dat")
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()/5*4); err != nil { // rows 1..5, less one
+		t.Fatal(err)
+	}
+	db, err := decibel.Open(dir, decibel.WithEngine("version-first"))
+	if err == nil {
+		db.Close()
+		t.Fatal("opened a dataset whose segment lost a committed row")
+	}
+	if !strings.Contains(err.Error(), "holds 4 records, the catalog vouches for 5") {
+		t.Fatalf("error %q does not name the short segment", err)
+	}
+}
+
+// Tuple-first seals an extent at a count every global slot after it
+// builds on. Bytes past that count in the sealed extent's file — a torn
+// append — belong to no slot: Open cuts them off, and every row still
+// reads at its own slot.
+func TestReopenCutsSealedExtentTail(t *testing.T) {
+	dir := t.TempDir()
+	db, err := decibel.Open(dir, decibel.WithEngine("tuple-first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+	if _, err := db.CreateTable("r", schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Init("init"); err != nil {
+		t.Fatal(err)
+	}
+	crashPut(t, db, schema, "master", 1, 2, 3)
+	if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+		return tx.AddColumn("r", decibel.Int32Column("extra"), decibel.Default(7))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	crashPut(t, db, schema, "master", 4) // opens extent 1; extent 0 is sealed at 3
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ext0 := dataFile(t, dir, "data.heap")
+	fi, err := os.Stat(ext0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := fi.Size()
+	f, err := os.OpenFile(ext0, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, sealed/3)); err != nil { // one torn row
+		t.Fatal(err)
+	}
+	f.Close()
+
+	db, err = decibel.Open(dir, decibel.WithEngine("tuple-first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if fi, err = os.Stat(ext0); err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != sealed {
+		t.Fatalf("sealed extent is %d bytes after reopen, want %d", fi.Size(), sealed)
+	}
+	expectRows(t, db, "master", 1, 2, 3, 4)
+	crashPut(t, db, schema, "master", 5)
+	expectRows(t, db, "master", 1, 2, 3, 4, 5)
+}
+
 func TestOpenRefusesGraphAheadOfEngines(t *testing.T) {
 	for _, engine := range []string{"tuple-first", "hybrid", "version-first"} {
 		t.Run(engine, func(t *testing.T) {

@@ -13,13 +13,14 @@
 // encoding tag. Slot numbering is preserved, so no bitmap, commit log
 // or version-index entry changes.
 //
-// Crash safety follows the catalog-swap discipline of
-// store.SwapCompressed: new segment content is written under fresh
-// filenames and fsynced, the catalog is written to a temp file, fsynced
-// and renamed (the commit point), and only then are replaced files
-// unlinked — after the last pinned reader drains. A crash before the
-// rename leaves orphan files the engines sweep on open; a crash after
-// it leaves orphans of the old files, swept the same way.
+// Crash safety follows the catalog-swap discipline of the segment
+// catalog's one compaction loop (store.Catalog.Compact): new segment
+// content is written under fresh filenames and fsynced, the catalog is
+// written to a temp file and renamed (the commit point), and only then
+// are replaced files unlinked — after the last pinned reader drains. A
+// crash before the rename leaves orphan files the catalog sweeps on
+// open; a crash after it leaves orphans of the old files, swept the
+// same way.
 package compact
 
 import (

@@ -231,9 +231,10 @@ type Engine interface {
 
 	// CompactSegments runs one compaction pass: re-encode frozen
 	// segments into compressed pages in place — slot numbering
-	// preserved, so no bitmap, log or index entry changes — under the
-	// crash-safe swap of store.SwapCompressed. Database.Compact calls it
-	// only with compaction on.
+	// preserved, so no bitmap, log or index entry changes — through the
+	// segment catalog's crash-safe loop (store.Catalog.Compact), which
+	// the engine gives only which segments qualify. Database.Compact
+	// calls it only with compaction on.
 	CompactSegments(opt compact.Options) (compact.Stats, error)
 
 	// Flush writes buffered state to disk without closing.

@@ -29,6 +29,10 @@ type frame struct {
 	data  []byte
 	size  int // valid bytes (the final page of a file may be partial)
 	dirty bool
+	// from is the first byte written since the frame was last clean.
+	// Pages are append-only, so data[from:size] is all a write-back
+	// has to write.
+	from  int
 	pins  int
 	lru   *list.Element
 	owner *File
@@ -144,20 +148,6 @@ func (p *Pool) unpin(fr *frame) {
 	}
 }
 
-// flushFile writes back all dirty pages of one file.
-func (p *Pool) flushFile(f *File) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, fr := range p.frames {
-		if fr.key.file == f.poolID && fr.dirty {
-			if err := f.writePage(fr); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // dropFile removes all of one file's pages from the pool without
 // writing them back (used by Close after flush, and by delete).
 func (p *Pool) dropFile(f *File) {
@@ -188,6 +178,10 @@ type File struct {
 	perPage int
 	count   int64 // number of records, including any tombstones
 	frozen  bool  // appends rejected (hybrid internal segments freeze)
+	// dirtyFrom is the first page appended to since the last flush, -1
+	// when there is none: a flush looks up only the pages from there to
+	// the end, so flushing a clean file costs nothing.
+	dirtyFrom int64
 }
 
 // Open opens or creates the heap file at path with the given record
@@ -216,13 +210,14 @@ func Open(pool *Pool, path string, recSize int) (*File, error) {
 	pool.nextFile++
 	pool.mu.Unlock()
 	return &File{
-		pool:    pool,
-		path:    path,
-		f:       f,
-		poolID:  id,
-		recSize: recSize,
-		perPage: perPage,
-		count:   count,
+		pool:      pool,
+		path:      path,
+		f:         f,
+		poolID:    id,
+		recSize:   recSize,
+		perPage:   perPage,
+		count:     count,
+		dirtyFrom: -1,
 	}, nil
 }
 
@@ -264,14 +259,34 @@ func (f *File) Freeze() {
 	f.frozen = true
 }
 
-// writePage writes a frame back to disk. Caller holds the pool lock or
-// otherwise guarantees exclusive access to the frame.
+// writePage writes a frame's dirty suffix back to disk. Caller holds
+// the pool lock or otherwise guarantees exclusive access to the frame.
 func (f *File) writePage(fr *frame) error {
-	off := fr.key.page * int64(f.pool.pageSize)
-	if _, err := f.f.WriteAt(fr.data[:fr.size], off); err != nil {
+	off := fr.key.page*int64(f.pool.pageSize) + int64(fr.from)
+	if _, err := f.f.WriteAt(fr.data[fr.from:fr.size], off); err != nil {
 		return fmt.Errorf("heap: writing page %d of %s: %w", fr.key.page, f.path, err)
 	}
 	fr.dirty = false
+	return nil
+}
+
+// flushLocked writes back the dirty pages of the file: at most the
+// pages appended to since the last flush. Caller holds f.mu.
+func (f *File) flushLocked() error {
+	if f.dirtyFrom < 0 {
+		return nil
+	}
+	p := f.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for page := f.dirtyFrom; page*int64(f.perPage) < f.count; page++ {
+		if fr, ok := p.frames[pageKey{file: f.poolID, page: page}]; ok && fr.dirty {
+			if err := f.writePage(fr); err != nil {
+				return err
+			}
+		}
+	}
+	f.dirtyFrom = -1
 	return nil
 }
 
@@ -298,7 +313,12 @@ func (f *File) Append(rec []byte) (int64, error) {
 	if off+f.recSize > fr.size {
 		fr.size = off + f.recSize
 	}
-	fr.dirty = true
+	if !fr.dirty {
+		fr.dirty, fr.from = true, off
+	}
+	if f.dirtyFrom < 0 {
+		f.dirtyFrom = page
+	}
 	f.count++
 	return slot, nil
 }
@@ -371,7 +391,7 @@ func (f *File) Truncate(n int64) error {
 	if n < 0 || n > f.count {
 		return fmt.Errorf("heap: truncate to %d out of range [0,%d]", n, f.count)
 	}
-	if err := f.pool.flushFile(f); err != nil {
+	if err := f.flushLocked(); err != nil {
 		return err
 	}
 	f.pool.dropFile(f)
@@ -474,18 +494,23 @@ type Bitmapper interface {
 
 // Sync flushes dirty pages and fsyncs the file.
 func (f *File) Sync() error {
-	if err := f.pool.flushFile(f); err != nil {
+	if err := f.Flush(); err != nil {
 		return err
 	}
 	return f.f.Sync()
 }
 
-// Flush writes dirty pages without fsync (benchmark loads use this).
-func (f *File) Flush() error { return f.pool.flushFile(f) }
+// Flush writes dirty pages without fsync: what it writes survives a
+// crash of the process, not of the machine.
+func (f *File) Flush() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.flushLocked()
+}
 
 // Close flushes and closes the file, dropping its pages from the pool.
 func (f *File) Close() error {
-	if err := f.pool.flushFile(f); err != nil {
+	if err := f.Flush(); err != nil {
 		return err
 	}
 	f.pool.dropFile(f)

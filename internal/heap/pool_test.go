@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -407,5 +408,61 @@ func TestScanLiveSkipsDeadPages(t *testing.T) {
 	f.ScanLive(sliceBitmap{}, func(int64, []byte) bool { count++; return true })
 	if count != 0 {
 		t.Fatalf("empty live visited %d", count)
+	}
+}
+
+// TestFlushWritesOnlyNewBytes: a flush writes back what was appended
+// since the page was last clean, not the whole page. Bytes on disk
+// before it — here overwritten behind the pool's back — stay as they
+// are, and every appended record reaches the file.
+func TestFlushWritesOnlyNewBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.heap")
+	f, err := Open(newTestPool(), path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := int64(0); i < 3; i++ {
+		if _, err := f.Append(mkRec(64, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	marker := []byte("written behind the pool")
+	raw, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.WriteAt(marker, 0); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+	for i := int64(3); i < 5; i++ {
+		if _, err := f.Append(mkRec(64, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Flush(); err != nil { // clean: nothing to write
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != 5*64 {
+		t.Fatalf("file holds %d bytes, want %d", len(data), 5*64)
+	}
+	if !bytes.Equal(data[:len(marker)], marker) {
+		t.Fatalf("flush rewrote the page's clean prefix: %q", data[:len(marker)])
+	}
+	for i := int64(3); i < 5; i++ {
+		if got := data[i*64 : (i+1)*64]; !bytes.Equal(got, mkRec(64, i)) {
+			t.Fatalf("slot %d not on disk after flush", i)
+		}
 	}
 }

@@ -8,19 +8,17 @@
 package hy
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"decibel/internal/bitmap"
+	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
-	"decibel/internal/wal"
 )
 
 // segID indexes the engine's segment table (store.Pos.Seg).
@@ -29,13 +27,12 @@ type segID = int32
 // pos addresses one record copy.
 type pos = store.Pos
 
-// hseg is one segment: a shared store segment (heap file, schema-
-// version id, zone map, freeze state) plus its local bitmap index,
-// "one bitmap per (segment, branch) tracking only the set of branches
-// which inherit records contained in that segment".
+// hseg is one segment: its catalog entry (heap file, schema-version
+// id, zone map, freeze state) plus its local bitmap index, "one bitmap
+// per (segment, branch) tracking only the set of branches which inherit
+// records contained in that segment".
 type hseg struct {
-	*store.Segment
-	id    segID
+	store.Entry
 	owner vgraph.BranchID // branch whose head this segment is/was
 	local map[vgraph.BranchID]*bitmap.Bitmap
 }
@@ -54,14 +51,14 @@ type Engine struct {
 	hist *record.History
 	st   *store.Store
 
-	// segs is the segment table in scan order (the order every scan
+	// cat is the segment table in scan order (the order every scan
 	// shape visits segments); byID resolves the stable segment ids that
 	// positions, logs and the catalog reference. The two diverge in
 	// datasets compacted before merge compaction was removed: a merged
 	// segment took a fresh id but sits at its run's position. nextID is
 	// the next unused id (ids are never reused, so those merged-away
 	// ids stay retired).
-	segs    []*hseg
+	cat     *store.Catalog[*hseg]
 	byID    map[segID]*hseg
 	nextID  segID
 	headSeg map[vgraph.BranchID]segID
@@ -104,15 +101,16 @@ func Factory(env *core.Env) (core.Engine, error) {
 		logs:     make(map[logKey]*bitmap.CommitLog),
 		startSeq: make(map[logKey]int),
 	}
+	e.cat = store.NewCatalog[*hseg](e.st, env.Dir, env.Opt.Fsync, store.Layout{
+		File: "segments.json", Prefix: "seg", Heap: ".dat",
+	}, e.catalog)
 	err := e.recover()
 	if err == nil {
-		err = e.buildVersions()
+		e.vers, err = e.cat.Versions()
 	}
 	if err != nil {
 		// Release everything the failed open has opened so far.
-		for _, s := range e.segs {
-			s.File.Close()
-		}
+		e.cat.Close(false)
 		for _, l := range e.logs {
 			l.Close()
 		}
@@ -124,10 +122,6 @@ func Factory(env *core.Env) (core.Engine, error) {
 // Kind implements core.Engine.
 func (e *Engine) Kind() string { return "hybrid" }
 
-func (e *Engine) metaPath() string { return filepath.Join(e.env.Dir, "segments.json") }
-func (e *Engine) segPath(id segID) string {
-	return filepath.Join(e.env.Dir, fmt.Sprintf("seg%d.dat", id))
-}
 func (e *Engine) logPath(k logKey) string {
 	return filepath.Join(e.env.Dir, "commits", fmt.Sprintf("b%d_s%d.hist", k.Branch, k.Seg))
 }
@@ -144,22 +138,16 @@ func (e *Engine) openLog(k logKey) (*bitmap.CommitLog, error) {
 	return l, nil
 }
 
-func (e *Engine) persistLocked() error {
+// catalog is the catalog as segments.json holds it.
+func (e *Engine) catalog() any {
 	m := metaJSON{HeadSeg: e.headSeg, StartSeq: make(map[string]int)}
-	for _, s := range e.segs {
-		m.Segments = append(m.Segments, segMetaJSON{SegMeta: s.Meta(), ID: s.id, Owner: s.owner})
+	for _, s := range e.cat.Segs {
+		m.Segments = append(m.Segments, segMetaJSON{SegMeta: s.Meta(), ID: s.ID, Owner: s.owner})
 	}
 	for k, seq := range e.startSeq {
 		m.StartSeq[fmt.Sprintf("%d:%d", k.Branch, k.Seg)] = seq
 	}
-	data, err := json.Marshal(&m)
-	if err != nil {
-		return fmt.Errorf("hy: %w", err)
-	}
-	if err := wal.ReplaceFile(e.metaPath(), data, e.env.Opt.Fsync); err != nil {
-		return fmt.Errorf("hy: %w", err)
-	}
-	return nil
+	return &m
 }
 
 // recover reloads the catalog and restores each (branch, segment)
@@ -168,58 +156,48 @@ func (e *Engine) persistLocked() error {
 // — so each history file first drops its entries past the graph's
 // count for the branch.
 func (e *Engine) recover() error {
-	data, err := os.ReadFile(e.metaPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("hy: %w", err)
-	}
 	var m metaJSON
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("hy: corrupt catalog: %w", err)
+	if err := e.cat.Load(&m); err != nil || m.Segments == nil {
+		return err
 	}
 	// Catalog order is scan order — in datasets an older merge
 	// compaction touched it is not sorted by id (the merged segment
 	// kept its run's position under a fresh id), so it must not be
 	// re-sorted here.
 	for _, sm := range m.Segments {
-		// The store resolves a zero Cols (catalog from before schema
-		// versioning) to the full layout, re-freezes frozen segments and
-		// restores — or rebuilds, for catalogs from before zone maps —
-		// each segment's zone map.
-		seg, err := e.st.Open(e.segFilePath(sm.ID, sm.Encoding), sm.SegMeta, -1)
-		if err != nil {
-			return fmt.Errorf("hy: segment %d: %w", sm.ID, err)
-		}
-		s := &hseg{
-			Segment: seg, id: sm.ID, owner: sm.Owner,
-			local: make(map[vgraph.BranchID]*bitmap.Bitmap),
-		}
-		e.segs = append(e.segs, s)
-		e.byID[s.id] = s
-		if sm.ID >= e.nextID {
-			e.nextID = sm.ID + 1
-		}
+		s := &hseg{Entry: store.Entry{ID: sm.ID}, owner: sm.Owner, local: make(map[vgraph.BranchID]*bitmap.Bitmap)}
+		e.cat.Segs = append(e.cat.Segs, s)
+		e.byID[s.ID] = s
+		e.nextID = max(e.nextID, sm.ID+1)
 	}
+	// The store resolves a zero Cols (catalog from before schema
+	// versioning) to the full layout, re-freezes frozen segments and
+	// restores — or rebuilds, for catalogs from before zone maps — each
+	// segment's zone map. Every row is kept: the bitmaps say which are
+	// live.
+	if err := e.cat.Open(func(i int) (store.SegMeta, int64) { return m.Segments[i].SegMeta, -1 }); err != nil {
+		return fmt.Errorf("hy: %w", err)
+	}
+	e.sweepLogs()
 	e.headSeg = m.HeadSeg
 	if e.headSeg == nil {
 		e.headSeg = make(map[vgraph.BranchID]segID)
 	}
+	restored := make(map[vgraph.BranchID]bool)
 	for key, seq := range m.StartSeq {
 		var b vgraph.BranchID
 		var s segID
 		if _, err := fmt.Sscanf(key, "%d:%d", &b, &s); err != nil {
 			return fmt.Errorf("hy: corrupt startSeq key %q", key)
 		}
+		hs, ok := e.byID[s]
+		if !ok {
+			return fmt.Errorf("hy: corrupt catalog: log for missing segment %d", s)
+		}
 		k := logKey{Branch: b, Seg: s}
 		l, err := e.openLog(k)
 		if err != nil {
 			return err
-		}
-		hs, ok := e.byID[s]
-		if !ok {
-			return fmt.Errorf("hy: corrupt catalog: log for missing segment %d", s)
 		}
 		keep := e.env.Graph.NumCommitsOn(b) - seq
 		if err := core.ReconcileLog(l, b, max(keep, 0)); err != nil {
@@ -232,18 +210,12 @@ func (e *Engine) recover() error {
 		}
 		e.startSeq[k] = seq
 		hs.local[b] = l.Head()
+		restored[b] = true
 	}
 	// Branches never committed to have no (branch, segment) logs of
 	// their own: they are created again, at their branch point.
 	for _, br := range e.env.Graph.Branches() {
-		restored := false
-		for k := range e.startSeq {
-			if k.Branch == br.ID {
-				restored = true
-				break
-			}
-		}
-		if restored || br.From == vgraph.None {
+		if restored[br.ID] || br.From == vgraph.None {
 			continue
 		}
 		from, err := e.env.BranchPoint(br)
@@ -254,34 +226,31 @@ func (e *Engine) recover() error {
 			return err
 		}
 	}
-	e.sweepOrphans()
 	return nil
 }
 
-// buildVersions fills the version index in one sequential pass per
-// segment, a page at a time, independent of the number of branches. It
-// is the only place the engine reads records to index them. Every
-// stored slot is indexed, not only those live in some head: a slot
-// reachable only through a historical commit becomes live again when a
-// branch is created at that commit, and Branch must not have to scan
-// for it. Keys sit at a fixed offset in every schema version, so raw
-// buffers are read without converting them.
-func (e *Engine) buildVersions() error {
-	var total int64
-	for _, s := range e.segs {
-		total += s.File.Count()
+// sweepLogs removes the commit logs of segment ids the catalog does not
+// know, before any log is opened and before a new segment takes an id.
+// It matters for datasets from before merge compaction was removed: a
+// merge that crashed before its catalog rename left logs under the id
+// the next new segment takes, which would otherwise open stale
+// liveness.
+func (e *Engine) sweepLogs() {
+	logDir := filepath.Join(e.env.Dir, "commits")
+	ents, err := os.ReadDir(logDir)
+	if err != nil {
+		return
 	}
-	e.vers = store.NewVersionIndex(int(total))
-	for _, s := range e.segs {
-		err := s.File.Scan(0, s.File.Count(), func(slot int64, buf []byte) bool {
-			e.vers.Push(record.PKOf(buf), pos{Seg: s.id, Slot: slot})
-			return true
-		})
-		if err != nil {
-			return err
+	for _, ent := range ents {
+		var b vgraph.BranchID
+		var s segID
+		if n, err := fmt.Sscanf(ent.Name(), "b%d_s%d.hist", &b, &s); err != nil || n != 2 {
+			continue
+		}
+		if _, ok := e.byID[s]; !ok {
+			os.Remove(filepath.Join(logDir, ent.Name()))
 		}
 	}
-	return nil
 }
 
 // livePos returns the position of pk's version live in the branch, or
@@ -311,16 +280,16 @@ func (e *Engine) setLive(branch vgraph.BranchID, s *hseg, slot int64) {
 	bm.Set(int(slot))
 }
 
+// newSegmentLocked adds an empty head segment for owner, laid out for
+// cols columns, holding owner's (empty) bitmap.
 func (e *Engine) newSegmentLocked(owner vgraph.BranchID, cols int) (*hseg, error) {
-	id := e.nextID
-	seg, err := e.st.Create(e.segPath(id), cols)
-	if err != nil {
+	s := &hseg{Entry: store.Entry{ID: e.nextID}, owner: owner, local: make(map[vgraph.BranchID]*bitmap.Bitmap)}
+	if err := e.cat.Add(s, cols); err != nil {
 		return nil, err
 	}
-	s := &hseg{Segment: seg, id: id, owner: owner, local: make(map[vgraph.BranchID]*bitmap.Bitmap)}
-	e.segs = append(e.segs, s)
-	e.byID[id] = s
-	e.nextID = id + 1
+	s.local[owner] = bitmap.New(0)
+	e.byID[s.ID] = s
+	e.nextID++
 	return s, nil
 }
 
@@ -332,8 +301,7 @@ func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 	if err != nil {
 		return err
 	}
-	s.local[master.ID] = bitmap.New(0)
-	e.headSeg[master.ID] = s.id
+	e.headSeg[master.ID] = s.ID
 	return e.commitLocked(c0)
 }
 
@@ -377,16 +345,14 @@ func (e *Engine) branchLocked(child vgraph.BranchID, from *vgraph.Commit) error 
 	if err != nil {
 		return err
 	}
-	np.local[parent] = bitmap.New(0)
-	e.headSeg[parent] = np.id
+	e.headSeg[parent] = np.ID
 	nc, err := e.newSegmentLocked(child, cols)
 	if err != nil {
 		return err
 	}
-	nc.local[child] = bitmap.New(0)
-	e.headSeg[child] = nc.id
+	e.headSeg[child] = nc.ID
 
-	return e.persistLocked()
+	return e.cat.Save()
 }
 
 // Commit implements core.Engine: append each (branch, segment) local
@@ -398,12 +364,12 @@ func (e *Engine) Commit(c *vgraph.Commit) error {
 }
 
 func (e *Engine) commitLocked(c *vgraph.Commit) error {
-	for _, s := range e.segs {
+	for _, s := range e.cat.Segs {
 		bm, ok := s.local[c.Branch]
 		if !ok {
 			continue
 		}
-		k := logKey{Branch: c.Branch, Seg: s.id}
+		k := logKey{Branch: c.Branch, Seg: s.ID}
 		l, err := e.openLog(k)
 		if err != nil {
 			return err
@@ -414,7 +380,7 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 		// Entries from c.Seq on belong to a commit that an engine applied
 		// and the graph then took back.
 		if err := core.ReconcileLog(l, c.Branch, c.Seq-e.startSeq[k]); err != nil {
-			return fmt.Errorf("hy: %w (segment %d, whose history starts at commit %d)", err, s.id, e.startSeq[k])
+			return fmt.Errorf("hy: %w (segment %d, whose history starts at commit %d)", err, s.ID, e.startSeq[k])
 		}
 		if _, err := l.Append(bm); err != nil {
 			return err
@@ -423,12 +389,10 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 			if err := l.Sync(); err != nil {
 				return err
 			}
-			if err := s.File.Sync(); err != nil {
-				return err
-			}
 		}
 	}
-	return e.persistLocked()
+	// Saving flushes the rows the logs vouch for, on every head.
+	return e.cat.Save()
 }
 
 // checkoutLocked reconstructs the per-segment liveness of branch b at
@@ -492,21 +456,17 @@ func (e *Engine) writeHeadLocked(branch vgraph.BranchID) (*hseg, error) {
 		return nil, fmt.Errorf("hy: branch %d has no head segment", branch)
 	}
 	s := e.byID[head]
-	id := e.nextID
-	ns, rotated, err := e.st.WriteTarget(s.Segment, e.hist.NumPhysAt(e.env.BranchEpoch(branch)), e.segPath(id))
+	need := e.hist.NumPhysAt(e.env.BranchEpoch(branch))
+	if !s.NeedsRotation(need) {
+		return s, nil
+	}
+	s.Freeze()
+	hs, err := e.newSegmentLocked(branch, need)
 	if err != nil {
 		return nil, err
 	}
-	if !rotated {
-		return s, nil
-	}
-	hs := &hseg{Segment: ns, id: id, owner: branch, local: make(map[vgraph.BranchID]*bitmap.Bitmap)}
-	e.segs = append(e.segs, hs)
-	e.byID[id] = hs
-	e.nextID = id + 1
-	hs.local[branch] = bitmap.New(0)
-	e.headSeg[branch] = hs.id
-	return hs, e.persistLocked()
+	e.headSeg[branch] = hs.ID
+	return hs, e.cat.Save()
 }
 
 func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error {
@@ -522,7 +482,7 @@ func (e *Engine) insertLocked(branch vgraph.BranchID, rec *record.Record) error 
 		e.clearLive(branch, old)
 	}
 	e.setLive(branch, s, slot)
-	e.vers.Push(rec.PK(), pos{Seg: s.id, Slot: slot})
+	e.vers.Push(rec.PK(), pos{Seg: s.ID, Slot: slot})
 	return nil
 }
 
@@ -544,35 +504,34 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 func (e *Engine) SegmentStats() []store.SegmentStat {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]store.SegmentStat, 0, len(e.segs))
-	for _, s := range e.segs {
-		name := fmt.Sprintf("seg%d[owner=%d]", s.id, s.owner)
+	return e.cat.SegmentStats(func(s *hseg) string {
+		name := fmt.Sprintf("seg%d[owner=%d]", s.ID, s.owner)
 		if !s.Frozen {
 			name += "*" // open head segment
 		}
-		out = append(out, s.Stat(name))
-	}
-	return out
+		return name
+	})
 }
 
 // Stats implements core.Engine.
 func (e *Engine) Stats() (core.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	recs, data, _ := e.cat.Totals()
 	st := core.Stats{
+		Records:      recs,
+		DataBytes:    data,
 		IndexBytes:   e.vers.Bytes(),
 		IndexEntries: int64(e.vers.Len()),
-		SegmentCount: len(e.segs),
+		SegmentCount: len(e.cat.Segs),
 	}
-	for _, s := range e.segs {
-		st.Records += s.File.Count()
-		st.DataBytes += s.File.SizeBytes()
+	for _, s := range e.cat.Segs {
 		for _, bm := range s.local {
 			st.IndexBytes += int64(bm.Len()+7) / 8
 		}
 	}
 	for _, b := range e.env.Graph.Branches() {
-		for _, s := range e.segs {
+		for _, s := range e.cat.Segs {
 			if bm, ok := s.local[b.ID]; ok {
 				st.LiveRecords += int64(bm.Count())
 			}
@@ -588,33 +547,35 @@ func (e *Engine) Stats() (core.Stats, error) {
 	return st, nil
 }
 
+// CompactSegments implements core.Engine for the hybrid scheme: every
+// frozen segment that is no branch's head re-encodes into compressed
+// pages. Slot numbering is preserved — the whole file re-encodes — so
+// bitmaps, logs and the version index need no changes; only the catalog
+// entry's encoding tag and file move.
+func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	heads := make(map[segID]bool, len(e.headSeg))
+	for _, id := range e.headSeg {
+		heads[id] = true
+	}
+	return e.cat.Compact(opt, func(s *hseg) bool { return s.Frozen && !heads[s.ID] }, nil)
+}
+
 // Flush implements core.Engine.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, s := range e.segs {
-		if err := s.File.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.cat.Flush()
 }
 
 // Close implements core.Engine.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var first error
-	if err := e.persistLocked(); err != nil {
-		first = err
-	}
+	first := e.cat.Close(true)
 	for _, l := range e.logs {
 		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, s := range e.segs {
-		if err := s.File.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

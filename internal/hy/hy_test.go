@@ -48,8 +48,8 @@ func TestSegmentLifecycle(t *testing.T) {
 	if err := e.Init(master, c0); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.segs) != 1 {
-		t.Fatalf("segments after init = %d", len(e.segs))
+	if len(e.cat.Segs) != 1 {
+		t.Fatalf("segments after init = %d", len(e.cat.Segs))
 	}
 	oldHead := e.headSeg[master.ID]
 
@@ -62,10 +62,10 @@ func TestSegmentLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three segments now: frozen old head + two fresh heads.
-	if len(e.segs) != 3 {
-		t.Fatalf("segments after branch = %d", len(e.segs))
+	if len(e.cat.Segs) != 3 {
+		t.Fatalf("segments after branch = %d", len(e.cat.Segs))
 	}
-	if !e.segs[oldHead].Frozen {
+	if !e.cat.Segs[oldHead].Frozen {
 		t.Fatal("old parent head not frozen")
 	}
 	if e.headSeg[master.ID] == oldHead || e.headSeg[child.ID] == oldHead {
@@ -75,7 +75,7 @@ func TestSegmentLifecycle(t *testing.T) {
 		t.Fatal("parent and child share a head segment")
 	}
 	// The frozen segment's bitmap carries both branches.
-	s := e.segs[oldHead]
+	s := e.cat.Segs[oldHead]
 	if s.local[master.ID] == nil || s.local[child.ID] == nil {
 		t.Fatal("internal segment missing a branch bitmap")
 	}
@@ -86,7 +86,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	if err := e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 2, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if e.segs[e.headSeg[master.ID]].File.Count() != 1 {
+	if e.cat.Segs[e.headSeg[master.ID]].File.Count() != 1 {
 		t.Fatal("insert did not land in the new head segment")
 	}
 }
@@ -203,7 +203,7 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 	if err := e.Merge(m); err != nil {
 		t.Fatal(err)
 	}
-	bm := e.segs[devSeg].local[master.ID]
+	bm := e.cat.Segs[devSeg].local[master.ID]
 	if bm == nil || bm.Count() != 1 {
 		t.Fatal("master bitmap missing in dev's segment after merge")
 	}

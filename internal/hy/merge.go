@@ -72,7 +72,7 @@ func (t *mergeTarget) Materialize(k core.MergeKey, rec *record.Record) error {
 	if err != nil {
 		return err
 	}
-	p := pos{Seg: t.head.id, Slot: slot}
+	p := pos{Seg: t.head.ID, Slot: slot}
 	t.e.vers.Push(k.PK, p)
 	t.Adopt(k, p)
 	return nil

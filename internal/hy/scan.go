@@ -94,22 +94,22 @@ func (e *Engine) spacesLocked(vs []core.Version) ([]core.SlotSpace, error) {
 		}
 	}
 	k := len(vs)
-	live := make([]*bitmap.Bitmap, len(e.segs)*k)
-	segs := make([]core.SpaceSeg, len(e.segs))
-	spaces := make([]core.SlotSpace, 0, len(e.segs))
-	for j, s := range e.segs {
+	live := make([]*bitmap.Bitmap, len(e.cat.Segs)*k)
+	segs := make([]core.SpaceSeg, len(e.cat.Segs))
+	spaces := make([]core.SlotSpace, 0, len(e.cat.Segs))
+	for j, s := range e.cat.Segs {
 		row, held := live[j*k:(j+1)*k:(j+1)*k], false
 		for i, v := range vs {
 			if v.Commit == nil {
 				row[i] = s.local[v.Branch]
 			} else {
-				row[i] = snaps[i][s.id]
+				row[i] = snaps[i][s.ID]
 			}
 			held = held || row[i] != nil
 		}
 		if held {
 			segs[j] = core.SpaceSeg{Segment: s.Segment, Frozen: s.Frozen}
-			spaces = append(spaces, core.SlotSpace{ID: s.id, Live: row, Segs: segs[j : j+1], Mutable: mutable})
+			spaces = append(spaces, core.SlotSpace{ID: s.ID, Live: row, Segs: segs[j : j+1], Mutable: mutable})
 		}
 	}
 	return spaces, nil

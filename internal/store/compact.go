@@ -3,35 +3,32 @@ package store
 import (
 	"os"
 	"path/filepath"
-	"strings"
 
 	"decibel/internal/compact"
 )
 
-// Compaction mechanics shared by the three engines' passes: re-encoding
-// a frozen segment into the compressed page layout, the crash-safe swap
-// of the replacements into an engine's catalog (SwapCompressed), and
-// the orphan sweep that cleans up after a pass that died half way. The
-// engine's catalog rewrite — a temp file renamed over the catalog — is
-// the swap's commit point. A crash before it leaves the new files as
-// orphans, one after it leaves the old ones; SweepOrphans removes
-// either at the next open.
+// The one compaction loop, Catalog.Compact: segments re-encode into the
+// compressed page layout in place, slot numbering preserved, so no
+// bitmap, commit log or index entry changes. The swap is crash-safe:
+// the replacement files are written and fsynced in full first; the
+// catalog rewrite (Save, a temp file renamed over the catalog file) is
+// its commit point; the replaced files are unlinked last, each once its
+// pinned readers drain. A crash before the commit point leaves the new
+// files as orphans, one after it leaves the old ones; the catalog's
+// orphan sweep removes either at the next open.
 
 // Pages returns the number of compressed pages flushed so far; after
 // WriteFile it is the file's final page count.
 func (w *CompressedWriter) Pages() int { return len(w.index) }
 
-// compressSegment re-encodes the first count rows of segment s into a
-// compressed .dcz file at newPath (written and fsynced in full) and
-// opens it as a frozen replacement segment sharing s's schema-version
-// id. count normally equals s.File.Count(); tuple-first passes the
-// sealed extent length, dropping rows past the seal that no global
-// slot can address. The returned page count feeds the pass's
-// PagesCompressed stat.
-func (st *Store) compressSegment(s *Segment, newPath string, count int64) (*Segment, int, error) {
+// compress re-encodes segment s into a compressed .dcz file at newPath
+// (written and fsynced in full) and opens it as a frozen replacement
+// segment sharing s's schema-version id. The returned page count feeds
+// the pass's PagesCompressed stat.
+func (c *Catalog[S]) compress(s *Segment, newPath string) (*Segment, int, error) {
 	w := NewCompressedWriter(s.Schema, s.File.PerPage())
 	var aerr error
-	err := s.File.Scan(0, count, func(_ int64, rec []byte) bool {
+	err := s.File.Scan(0, s.File.Count(), func(_ int64, rec []byte) bool {
 		aerr = w.Append(rec)
 		return aerr == nil
 	})
@@ -44,7 +41,7 @@ func (st *Store) compressSegment(s *Segment, newPath string, count int64) (*Segm
 	if err := w.WriteFile(newPath); err != nil {
 		return nil, 0, err
 	}
-	ns, err := st.Open(newPath, SegMeta{Cols: s.Cols, Frozen: true, Encoding: EncDCZ, Zone: s.zone}, -1)
+	ns, err := c.open(newPath, SegMeta{Cols: s.Cols, Frozen: true, Encoding: EncDCZ, Zone: s.zone}, -1)
 	if err != nil {
 		os.Remove(newPath)
 		return nil, 0, err
@@ -52,111 +49,82 @@ func (st *Store) compressSegment(s *Segment, newPath string, count int64) (*Segm
 	return ns, w.Pages(), nil
 }
 
-// Candidate names one frozen segment to re-encode in place: Path is its
-// current data file, NewPath where the compressed replacement goes and
-// Count the rows to carry over.
-type Candidate struct {
-	Seg     *Segment
-	Path    string
-	NewPath string
-	Count   int64
-}
-
-// SwapCompressed re-encodes every candidate into compressed pages —
-// slot numbering preserved, so no bitmap, log or index changes — and
-// swaps the replacements into the engine's catalog. It is the only
-// crash-safe swap: the replacement files are written and fsynced in
-// full first; commit is the commit point; the replaced files are
-// unlinked last, each once its pinned readers drain.
+// Compact runs one compaction pass: every heap segment with rows that
+// eligible accepts re-encodes into compressed pages. The replacements
+// are installed in their entries under the engine's lock — in-flight
+// scans keep the pinned segments they took — and put back if Save
+// fails. installed, when not nil, runs for each replaced segment once
+// the swap has committed.
 //
-// commit receives the replacement segments, index-aligned with cands.
-// It must install them in the engine's in-memory tables copy-on-write
-// (in-flight scans hold the old ones and pinned the segments they
-// read) and persist the catalog, undoing its in-memory change if
-// persisting fails; on that error the new files are removed. Completed
-// swaps are counted into stats.
-//
-// opt.FailPoint stops the swap where a crash would: under
-// FailAfterTemp the new files are closed but left on disk and commit
-// never runs; under FailBeforeUnlink commit has run but the replaced
+// opt.FailPoint stops the pass where a crash would: under FailAfterTemp
+// the new files are closed but left on disk and the catalog is not
+// saved; under FailBeforeUnlink the catalog is saved but the replaced
 // files are not unlinked.
-func (st *Store) SwapCompressed(cands []Candidate, opt compact.Options, stats *compact.Stats, commit func(news []*Segment) error) error {
-	if len(cands) == 0 {
-		return nil
-	}
-	news := make([]*Segment, 0, len(cands))
+func (c *Catalog[S]) Compact(opt compact.Options, eligible func(S) bool, installed func(S)) (compact.Stats, error) {
+	var st compact.Stats
+	var at []S
+	var news []*Segment
+	var pages int64
 	// abort closes the replacements written so far and, unless a crash
 	// is being simulated, removes them: the swap did not happen.
 	abort := func(remove bool) {
-		for i, ns := range news {
+		for _, ns := range news {
 			ns.File.Close()
 			if remove {
-				os.Remove(cands[i].NewPath)
+				os.Remove(ns.File.Path())
 			}
 		}
 	}
-	var pages int64
-	for _, c := range cands {
-		ns, p, err := st.compressSegment(c.Seg, c.NewPath, c.Count)
+	for _, s := range c.Segs {
+		e := s.entry()
+		if e.Encoding == EncDCZ || e.File.Count() == 0 || !eligible(s) {
+			continue
+		}
+		ns, p, err := c.compress(e.Segment, filepath.Join(c.dir, c.fileName(e.ID, EncDCZ)))
 		if err != nil {
 			abort(true)
-			return err
+			return st, err
 		}
-		news = append(news, ns)
-		pages += int64(p)
+		at, news, pages = append(at, s), append(news, ns), pages+int64(p)
+	}
+	if len(at) == 0 {
+		return st, nil
 	}
 	if opt.FailPoint == compact.FailAfterTemp {
 		abort(false)
-		return compact.FailPointErr(opt.FailPoint)
+		return st, compact.FailPointErr(opt.FailPoint)
 	}
-	if err := commit(news); err != nil {
+	old := make([]Entry, len(at))
+	for k, s := range at {
+		e := s.entry()
+		old[k] = *e
+		e.Segment, e.Name = news[k], filepath.Base(news[k].File.Path())
+	}
+	if err := c.Save(); err != nil {
+		for k, s := range at {
+			*s.entry() = old[k]
+		}
 		abort(true)
-		return err
+		return st, err
 	}
-	stats.SegmentsCompressed += int64(len(cands))
-	stats.PagesCompressed += pages
-	for i, c := range cands {
-		stats.BytesReclaimed += c.Seg.File.DiskBytes() - news[i].File.DiskBytes()
+	st.SegmentsCompressed += int64(len(at))
+	st.PagesCompressed += pages
+	for k, s := range at {
+		st.BytesReclaimed += old[k].File.DiskBytes() - news[k].File.DiskBytes()
+		if installed != nil {
+			installed(s)
+		}
 	}
 	if opt.FailPoint == compact.FailBeforeUnlink {
-		return compact.FailPointErr(opt.FailPoint)
+		return st, compact.FailPointErr(opt.FailPoint)
 	}
 	// Each replaced file goes when its last pinned reader drains (see
 	// Segment.Retire).
-	for _, c := range cands {
-		c.Seg.Retire(func() {
-			c.Seg.File.Close()
-			os.Remove(c.Path)
+	for _, o := range old {
+		o.Retire(func() {
+			o.File.Close()
+			os.Remove(o.File.Path())
 		})
 	}
-	return nil
-}
-
-// SweepOrphans removes from an engine's directory the data files its
-// catalog does not reference — debris of a compaction (or crash) that
-// wrote replacement files without committing, or committed without
-// unlinking — plus stale catalog temp files. live is every segment the
-// loaded catalog references; data files are recognised by the engine's
-// name prefix and heap-file suffix (compressed ones end in .dcz on
-// every engine). Called once the catalog is loaded.
-func SweepOrphans(dir string, live []*Segment, prefix, heapSuffix string) {
-	keep := make(map[string]bool, len(live))
-	for _, s := range live {
-		keep[filepath.Base(s.File.Path())] = true
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range ents {
-		name := ent.Name()
-		if ent.IsDir() || keep[name] {
-			continue
-		}
-		dataFile := strings.HasPrefix(name, prefix) &&
-			(strings.HasSuffix(name, heapSuffix) || strings.HasSuffix(name, ".dcz"))
-		if dataFile || strings.HasSuffix(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
+	return st, nil
 }

@@ -10,6 +10,11 @@ import (
 	"decibel/internal/record"
 )
 
+// A segment is one fixed-width record file — a paged heap file, or once
+// compacted a compressed one — tagged with the physical schema layout
+// its records use and carrying their zone map. An engine's segments
+// form its Catalog (catalog.go).
+
 // Segment encodings. The empty string means heap (the legacy value:
 // catalogs written before page compression carry no tag and read
 // transparently as heap files).
@@ -47,10 +52,10 @@ type SegFile interface {
 }
 
 // SegMeta is the persisted, engine-independent part of a segment's
-// catalog entry. Engines embed it in their own catalog JSON (tf's
-// extent table, vf's and hy's segment lists) so the shared state —
-// the physical schema-version id, the freeze flag, the encoding tag
-// and the zone map — serializes alongside the engine-specific fields.
+// catalog entry. Each engine's catalog JSON (tf's extent table, vf's and
+// hy's segment lists) embeds it, so the shared state — the physical
+// schema-version id, the freeze flag, the encoding tag and the zone map
+// — serializes alongside the engine-specific fields.
 // Catalogs written before this layer existed lack the zone (and may
 // record Cols 0 for "full layout"); Open rebuilds transparently.
 type SegMeta struct {
@@ -62,9 +67,8 @@ type SegMeta struct {
 
 // Segment is one append target: a fixed-width heap file tagged with
 // the physical layout its records are encoded under, plus its zone
-// map. Engines embed *Segment in their per-scheme segment structs and
-// add layout-specific state (tf's global slot base, vf's lineage link,
-// hy's local bitmaps).
+// map. A catalog Entry embeds it; engines embed the Entry and add their
+// liveness state (vf's lineage link, hy's local bitmaps).
 type Segment struct {
 	File     SegFile
 	Cols     int            // physical schema columns records here are encoded with
@@ -84,12 +88,11 @@ type Segment struct {
 	cleanup func()
 }
 
-// Store owns the shared segment mechanics for one engine instance:
-// opening and creating segments against the table's schema history,
-// rotating append targets when the schema widens, and encoding records
+// Store opens and creates segments against the table's schema history
+// for one engine instance (its Catalog calls it) and encodes records
 // into a segment's physical layout. Mutating methods run under the
-// owning engine's lock (the Store has no lock of its own — the
-// append scratch buffer relies on the engine's).
+// owning engine's lock (the Store has no lock of its own — the append
+// scratch buffer relies on the engine's).
 type Store struct {
 	Pool *heap.Pool
 	Hist *record.History
@@ -150,12 +153,6 @@ func (st *Store) Open(path string, m SegMeta, safeCount int64) (*Segment, error)
 		return nil, err
 	}
 	return s, nil
-}
-
-// Create creates a fresh, empty segment at path with the physical
-// layout of cols columns.
-func (st *Store) Create(path string, cols int) (*Segment, error) {
-	return st.Open(path, SegMeta{Cols: cols}, -1)
 }
 
 // extendZone brings the segment's zone map up to the file's row count,
@@ -300,31 +297,6 @@ func (s *Segment) AppendTombstone(pk int64) (int64, error) {
 	tomb.SetPK(pk)
 	tomb.SetTombstone(true)
 	return s.AppendRaw(tomb.Bytes())
-}
-
-// WriteTarget is the rotation step of tuple-first's and hybrid's write
-// paths: it returns s unchanged while its layout can hold records of
-// physical width need; otherwise it freezes s (like a branch point) and
-// creates a successor at newPath with the wider layout. rotated reports
-// which happened, so the engine can relink its bookkeeping (extent
-// table, head-segment map) around the new segment. Version-first does
-// not freeze a rotated head — it stays a plain lineage parent — so it
-// rotates with NeedsRotation and Create directly.
-func (st *Store) WriteTarget(s *Segment, need int, newPath string) (ns *Segment, rotated bool, err error) {
-	if !s.NeedsRotation(need) {
-		return s, false, nil
-	}
-	// Flush first so the sealed segment's recorded row count is backed
-	// by the file on reopen.
-	if err := s.File.Flush(); err != nil {
-		return nil, false, err
-	}
-	s.Freeze()
-	ns, err = st.Create(newPath, need)
-	if err != nil {
-		return nil, false, err
-	}
-	return ns, true, nil
 }
 
 // Segment-scan counters: every zone-map pruning decision increments

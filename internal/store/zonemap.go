@@ -1,10 +1,11 @@
 // Package store is the shared segment layer beneath Decibel's three
 // physical designs. All of them store records in append-only fixed-
 // width heap files that freeze at branch points and rotate when the
-// schema widens; this package owns that lifecycle — opening, creating,
-// rotating and freezing segments, encoding records into a segment's
-// physical layout, and persisting per-segment metadata — so the
-// engines shrink to their layout-specific liveness and emit logic.
+// schema widens; this package owns them — one Catalog per engine holds
+// the segment table, names the files, saves the catalog file, opens and
+// sweeps, flushes, compacts and builds the version index — and encodes
+// records into a segment's physical layout, so the engines shrink to
+// which slots each version holds.
 //
 // The layer also maintains a sparse secondary index per segment: a
 // zone map recording each column's min/max (numeric) or prefix bounds

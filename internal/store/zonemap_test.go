@@ -162,7 +162,7 @@ func TestStoreOpenRebuildsZones(t *testing.T) {
 	st := New(pool, hist)
 
 	path := filepath.Join(dir, "seg0.dat")
-	seg, err := st.Create(path, schema.NumColumns())
+	seg, err := st.Open(path, SegMeta{Cols: schema.NumColumns()}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestStoreTruncateRebuildsZones(t *testing.T) {
 	st := New(heap.NewPool(8, 1<<16), hist)
 
 	path := filepath.Join(dir, "seg0.dat")
-	seg, err := st.Create(path, schema.NumColumns())
+	seg, err := st.Open(path, SegMeta{Cols: schema.NumColumns()}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

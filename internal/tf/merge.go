@@ -46,7 +46,7 @@ type mergeTarget struct {
 func (t *mergeTarget) ReadAt(p store.Pos) (*record.Record, error) {
 	x := t.e.extFor(p.Slot)
 	t.m.Stats.TuplesScanned++
-	return t.e.st.ReadAt(x.Segment, p.Slot-x.base, t.m.Commit.SchemaVer)
+	return t.e.st.ReadAt(x.Segment, p.Slot-x.Base, t.m.Commit.SchemaVer)
 }
 
 func (t *mergeTarget) Drop(k core.MergeKey) {

@@ -47,7 +47,7 @@ func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 	}
 	x := e.extFor(p.Slot)
 	buf := make([]byte, x.Schema.RecordSize())
-	if err := x.File.Read(p.Slot-x.base, buf); err != nil {
+	if err := x.File.Read(p.Slot-x.Base, buf); err != nil {
 		return nil, 0, false, err
 	}
 	return buf, x.Cols, true, nil
@@ -69,7 +69,7 @@ func (e *Engine) Live(vs []core.Version, fn func([]core.SlotSpace) error) error 
 // extents are immutable; only the tail, which is never Frozen, still
 // grows. Caller holds e.mu.
 func (e *Engine) spaceLocked(vs []core.Version) (core.SlotSpace, error) {
-	sp := core.SlotSpace{Live: make([]*bitmap.Bitmap, len(vs)), Segs: make([]core.SpaceSeg, len(e.exts))}
+	sp := core.SlotSpace{Live: make([]*bitmap.Bitmap, len(vs)), Segs: make([]core.SpaceSeg, len(e.cat.Segs))}
 	for i, v := range vs {
 		var err error
 		if sp.Live[i], err = e.liveLocked(v); err != nil {
@@ -77,8 +77,8 @@ func (e *Engine) spaceLocked(vs []core.Version) (core.SlotSpace, error) {
 		}
 		sp.Mutable = sp.Mutable || v.Commit == nil
 	}
-	for j, x := range e.exts {
-		sp.Segs[j] = core.SpaceSeg{Segment: x.Segment, Base: x.base, Frozen: x.Frozen}
+	for j, x := range e.cat.Segs {
+		sp.Segs[j] = core.SpaceSeg{Segment: x.Segment, Base: x.Base, Frozen: x.Frozen}
 	}
 	return sp, nil
 }

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"decibel/internal/bitmap"
+	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
@@ -19,18 +20,20 @@ import (
 )
 
 // Engine is the tuple-first storage engine. All branches share one
-// heap — a sequence of fixed-width extents managed by the shared
-// segment store, one per schema version the table has stored records
-// under (see extent.go); liveness is tracked by the bitmap index over
-// global slots; per-branch commit history files store RLE-compressed
-// XOR deltas of branch bitmaps.
+// heap — a sequence of fixed-width extents in the shared segment
+// catalog, one per schema version the table has stored records under
+// (see extent.go); liveness is tracked by the bitmap index over global
+// slots; per-branch commit history files store RLE-compressed XOR
+// deltas of branch bitmaps.
 type Engine struct {
 	mu   sync.Mutex
 	env  *core.Env
 	hist *record.History
 	st   *store.Store
 
-	exts []*extent
+	// cat holds the extents, chained into one slot space: an extent's
+	// Base is the global slot of its slot 0.
+	cat *store.Catalog[*store.Entry]
 	// cols is the bitmap index: each branch's liveness over global
 	// slots.
 	cols map[vgraph.BranchID]*bitmap.Bitmap
@@ -52,28 +55,26 @@ func Factory(env *core.Env) (core.Engine, error) {
 		cols: make(map[vgraph.BranchID]*bitmap.Bitmap),
 		logs: make(map[vgraph.BranchID]*bitmap.CommitLog),
 	}
+	e.cat = store.NewCatalog[*store.Entry](e.st, env.Dir, env.Opt.Fsync, store.Layout{
+		File: "extents.json", Prefix: "data.e", Heap: ".heap", First: "data.heap",
+		Chained: true,
+	}, e.extentTable)
 	err := e.openExtents()
 	if err == nil {
 		err = e.recover()
 	}
 	if err == nil {
-		err = e.buildVersions()
+		e.vers, err = e.cat.Versions()
 	}
 	if err != nil {
-		e.closeFiles()
+		// Release everything the failed open has opened so far.
+		e.cat.Close(false)
+		for _, l := range e.logs {
+			l.Close()
+		}
 		return nil, err
 	}
 	return e, nil
-}
-
-// closeFiles releases everything a failed open has opened so far.
-func (e *Engine) closeFiles() {
-	for _, x := range e.exts {
-		x.File.Close()
-	}
-	for _, l := range e.logs {
-		l.Close()
-	}
 }
 
 // Kind implements core.Engine.
@@ -123,33 +124,6 @@ func (e *Engine) recover() error {
 			return fmt.Errorf("tf: %w", err)
 		}
 		if err := e.branchLocked(b.ID, from); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// buildVersions fills the version index in one sequential pass over
-// the heap, a page at a time, independent of the number of branches.
-// It is the only place the engine reads records to index them. Every
-// stored slot is indexed, not only those live in some head: a slot
-// reachable only through a historical commit becomes live again when a
-// branch is created at that commit, and Branch must not have to scan
-// for it.
-func (e *Engine) buildVersions() error {
-	e.vers = store.NewVersionIndex(int(e.totalCount()))
-	for i, x := range e.exts {
-		// A sealed extent may hold torn appends past its sealed count;
-		// no global slot maps into them.
-		end := x.File.Count()
-		if i+1 < len(e.exts) {
-			end = e.exts[i+1].base - x.base
-		}
-		err := x.File.Scan(0, end, func(slot int64, buf []byte) bool {
-			e.vers.Push(record.PKOf(buf), store.Pos{Slot: x.base + slot})
-			return true
-		})
-		if err != nil {
 			return err
 		}
 	}
@@ -225,18 +199,15 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 	if err := core.ReconcileLog(log, c.Branch, c.Seq); err != nil {
 		return fmt.Errorf("tf: %w", err)
 	}
+	// The rows the entry vouches for reach the heap files first.
+	if err := e.cat.Flush(); err != nil {
+		return err
+	}
 	if _, err := log.Append(e.column(c.Branch)); err != nil {
 		return err
 	}
 	if e.env.Opt.Fsync {
-		if err := log.Sync(); err != nil {
-			return err
-		}
-		for _, x := range e.exts {
-			if err := x.File.Sync(); err != nil {
-				return err
-			}
-		}
+		return log.Sync()
 	}
 	return nil
 }
@@ -297,28 +268,25 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 func (e *Engine) SegmentStats() []store.SegmentStat {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]store.SegmentStat, 0, len(e.exts))
-	for i, x := range e.exts {
-		out = append(out, x.Stat(fmt.Sprintf("extent%d[base=%d]", i, x.base)))
-	}
-	return out
+	return e.cat.SegmentStats(func(x *store.Entry) string {
+		return fmt.Sprintf("extent%d[base=%d]", x.ID, x.Base)
+	})
 }
 
 // Stats implements core.Engine.
 func (e *Engine) Stats() (core.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	recs, data, _ := e.cat.Totals()
 	st := core.Stats{
+		Records:      recs,
+		DataBytes:    data,
 		IndexBytes:   e.vers.Bytes(),
 		IndexEntries: int64(e.vers.Len()),
-		SegmentCount: len(e.exts),
+		SegmentCount: len(e.cat.Segs),
 	}
 	for _, bm := range e.cols {
 		st.IndexBytes += int64(bm.Len()+7) / 8
-	}
-	for _, x := range e.exts {
-		st.Records += x.File.Count()
-		st.DataBytes += x.File.SizeBytes()
 	}
 	for _, b := range e.env.Graph.Branches() {
 		st.LiveRecords += int64(e.column(b.ID).Count())
@@ -333,35 +301,32 @@ func (e *Engine) Stats() (core.Stats, error) {
 	return st, nil
 }
 
+// CompactSegments implements core.Engine: the sealed extents, every one
+// but the tail, re-encode into compressed pages. The pass preserves slot
+// numbering, which every bitmap, commit delta and the version index
+// address globally; extents can never be merged or have rows dropped.
+func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.cat.Compact(opt, func(x *store.Entry) bool { return x.Frozen }, nil)
+}
+
 // Flush implements core.Engine. The extent table (and with it every
-// extent's zone map) is persisted alongside the data pages so the
-// maps survive reopen without a rebuild scan.
+// extent's zone map) is saved alongside the data pages so the maps
+// survive reopen without a rebuild scan.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, x := range e.exts {
-		if err := x.File.Flush(); err != nil {
-			return err
-		}
-	}
-	return e.persistExtentsLocked()
+	return e.cat.Save()
 }
 
 // Close implements core.Engine.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var first error
-	if err := e.persistExtentsLocked(); err != nil {
-		first = err
-	}
+	first := e.cat.Close(true)
 	for _, l := range e.logs {
 		if err := l.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, x := range e.exts {
-		if err := x.File.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

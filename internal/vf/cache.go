@@ -164,7 +164,7 @@ func (e *Engine) baseLocked(p pos) (pos, map[int64]pos, bool) {
 // already in live (newer slots of the same segment rank above all older
 // claims). Caller holds e.mu.
 func (e *Engine) overlayWindowLocked(live map[int64]pos, id segID, from, to int64) error {
-	return e.segs[id].File.Scan(from, to, func(slot int64, buf []byte) bool {
+	return e.cat.Segs[id].File.Scan(from, to, func(slot int64, buf []byte) bool {
 		pk := record.PKOf(buf)
 		if record.TombstoneOf(buf) {
 			delete(live, pk)
@@ -208,11 +208,11 @@ func (en *planEntry) slots(id segID) *bitmap.Bitmap {
 // segment's bitmap sized to the segment's slot count so setting bits
 // never regrows it. Caller holds e.mu.
 func (e *Engine) newPlan(live map[int64]pos) *planEntry {
-	en := &planEntry{segs: make([]*bitmap.Bitmap, len(e.segs))}
+	en := &planEntry{segs: make([]*bitmap.Bitmap, len(e.cat.Segs))}
 	for _, q := range live {
 		bm := en.segs[q.Seg]
 		if bm == nil {
-			bm = bitmap.New(int(e.segs[q.Seg].File.Count()))
+			bm = bitmap.New(int(e.cat.Segs[q.Seg].File.Count()))
 			en.segs[q.Seg] = bm
 			en.words += (bm.Len() + 63) / 64
 		}

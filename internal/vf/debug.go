@@ -16,20 +16,20 @@ func (e *Engine) DumpLineage(b vgraph.BranchID) string {
 	if err != nil {
 		return err.Error()
 	}
-	steps, err := e.lineageAt(pos{Seg: s.id, Slot: cut})
+	steps, err := e.lineageAt(pos{Seg: s.ID, Slot: cut})
 	if err != nil {
 		return err.Error()
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "branch %d head seg%d cut %d\n", b, s.id, cut)
+	fmt.Fprintf(&sb, "branch %d head seg%d cut %d\n", b, s.ID, cut)
 	for i, st := range steps {
 		if st.isOvr {
-			fmt.Fprintf(&sb, "  [%d] overrides of seg%d: %v\n", i, st.ovr, e.segs[st.ovr].overrides)
+			fmt.Fprintf(&sb, "  [%d] overrides of seg%d: %v\n", i, st.ovr, e.cat.Segs[st.ovr].overrides)
 		} else {
 			fmt.Fprintf(&sb, "  [%d] seg%d [%d,%d)\n", i, st.iv.Seg, st.iv.From, st.iv.To)
 		}
 	}
-	for _, sg := range e.segs {
+	for _, sg := range e.cat.Segs {
 		lk := ""
 		if sg.hasLink {
 			l := sg.link
@@ -40,7 +40,7 @@ func (e *Engine) DumpLineage(b vgraph.BranchID) string {
 				lk = fmt.Sprintf(" from(seg%d@%d c%d)", l.ParentSeg, l.ParentSlot, l.ParentCommit)
 			}
 		}
-		fmt.Fprintf(&sb, "  seg%d branch=%d count=%d ovr=%d%s\n", sg.id, sg.branch, sg.File.Count(), len(sg.overrides), lk)
+		fmt.Fprintf(&sb, "  seg%d branch=%d count=%d ovr=%d%s\n", sg.ID, sg.branch, sg.File.Count(), len(sg.overrides), lk)
 	}
 	return sb.String()
 }
@@ -50,7 +50,7 @@ func (e *Engine) DumpKey(pk int64) string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var sb strings.Builder
-	for _, s := range e.segs {
+	for _, s := range e.cat.Segs {
 		rec := record.New(s.Schema)
 		n := s.File.Count()
 		for slot := int64(0); slot < n; slot++ {
@@ -58,12 +58,12 @@ func (e *Engine) DumpKey(pk int64) string {
 				continue
 			}
 			if rec.PK() == pk {
-				fmt.Fprintf(&sb, "  copy seg%d@%d tomb=%v %v\n", s.id, slot, rec.Tombstone(), rec.String())
+				fmt.Fprintf(&sb, "  copy seg%d@%d tomb=%v %v\n", s.ID, slot, rec.Tombstone(), rec.String())
 			}
 		}
 		for _, ov := range s.overrides {
 			if ov.PK == pk {
-				fmt.Fprintf(&sb, "  override in seg%d -> seg%d@%d del=%v\n", s.id, ov.Seg, ov.Slot, ov.Deleted)
+				fmt.Fprintf(&sb, "  override in seg%d -> seg%d@%d del=%v\n", s.ID, ov.Seg, ov.Slot, ov.Deleted)
 			}
 		}
 	}

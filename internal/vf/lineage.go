@@ -164,10 +164,10 @@ func (e *Engine) rawLineage(p pos) ([]step, error) {
 // rawLineageUncached computes the rank-ordered steps from the segment
 // links; recursive calls go through the memoized rawLineage.
 func (e *Engine) rawLineageUncached(p pos) ([]step, error) {
-	if int(p.Seg) >= len(e.segs) {
+	if int(p.Seg) >= len(e.cat.Segs) {
 		return nil, fmt.Errorf("vf: segment %d out of range", p.Seg)
 	}
-	s := e.segs[p.Seg]
+	s := e.cat.Segs[p.Seg]
 	out := []step{{iv: interval{Seg: p.Seg, From: 0, To: p.Slot}}}
 	if len(s.overrides) > 0 {
 		out = append(out, step{ovr: p.Seg, isOvr: true})
@@ -263,7 +263,7 @@ func (e *Engine) table(iv interval) (intervalTable, error) {
 	t := make(intervalTable, iv.To-iv.From)
 	// Key extraction is schema-version-free: the primary key and the
 	// tombstone flag sit at fixed offsets in every physical layout.
-	err := e.segs[iv.Seg].File.Scan(iv.From, iv.To, func(slot int64, buf []byte) bool {
+	err := e.cat.Segs[iv.Seg].File.Scan(iv.From, iv.To, func(slot int64, buf []byte) bool {
 		t[record.PKOf(buf)] = tableEntry{Slot: slot, Tombstone: record.TombstoneOf(buf)}
 		return true
 	})
@@ -293,7 +293,7 @@ func (e *Engine) resolveLive(p pos) (map[int64]pos, error) {
 		return m, nil
 	}
 	vfCacheMisses.Add(1)
-	if int(p.Seg) >= len(e.segs) {
+	if int(p.Seg) >= len(e.cat.Segs) {
 		return nil, fmt.Errorf("vf: segment %d out of range", p.Seg)
 	}
 	if at, base, ok := e.baseLocked(p); ok {
@@ -359,7 +359,7 @@ func (e *Engine) resolveLiveFull(p pos) (map[int64]pos, error) {
 	n := 0
 	for i, st := range lineage {
 		if st.isOvr {
-			n += len(e.segs[st.ovr].overrides)
+			n += len(e.cat.Segs[st.ovr].overrides)
 			continue
 		}
 		if tables[i], err = e.table(st.iv); err != nil {
@@ -370,7 +370,7 @@ func (e *Engine) resolveLiveFull(p pos) (map[int64]pos, error) {
 	live := make(map[int64]pos, n)
 	for i, st := range lineage {
 		if st.isOvr {
-			for _, ov := range e.segs[st.ovr].overrides {
+			for _, ov := range e.cat.Segs[st.ovr].overrides {
 				if _, claimed := live[ov.PK]; !claimed {
 					live[ov.PK] = ov.claim()
 				}
@@ -401,7 +401,7 @@ func (e *Engine) claimAt(p pos, pk int64) (pos, error) {
 	}
 	for _, st := range lineage {
 		if st.isOvr {
-			for _, ov := range e.segs[st.ovr].overrides {
+			for _, ov := range e.cat.Segs[st.ovr].overrides {
 				if ov.PK == pk {
 					return ov.claim(), nil
 				}

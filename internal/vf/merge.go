@@ -45,11 +45,11 @@ func (e *Engine) Merge(m *core.Merge) error {
 
 	// First pass(es): materialize the live sets of both heads and the
 	// LCA into primary-key hash tables (Section 3.3 merge).
-	liveA, err := e.resolveLive(pos{Seg: sA.id, Slot: cutA})
+	liveA, err := e.resolveLive(pos{Seg: sA.ID, Slot: cutA})
 	if err != nil {
 		return err
 	}
-	liveB, err := e.resolveLive(pos{Seg: sB.id, Slot: cutB})
+	liveB, err := e.resolveLive(pos{Seg: sB.ID, Slot: cutB})
 	if err != nil {
 		return err
 	}
@@ -68,17 +68,17 @@ func (e *Engine) Merge(m *core.Merge) error {
 	}
 	d.hasLink = true
 	d.link = link{
-		ParentSeg: sA.id, ParentSlot: cutA, ParentCommit: m.Commit.Parents[0],
+		ParentSeg: sA.ID, ParentSlot: cutA, ParentCommit: m.Commit.Parents[0],
 		IsMerge:  true,
-		OtherSeg: sB.id, OtherSlot: cutB, OtherCommit: m.Commit.Parents[1],
+		OtherSeg: sB.ID, OtherSlot: cutB, OtherCommit: m.Commit.Parents[1],
 		LCACommit: m.LCA.ID, PrecedenceFirst: m.Commit.PrecedenceFirst,
 	}
-	e.byBranch[m.Into] = d.id
+	e.byBranch[m.Into] = d.ID
 	sA.Freeze() // the old head becomes an internal, immutable file
 
 	// What a pure scan of the new lineage would yield, before any
 	// overrides or materialized records.
-	scanOut, err := e.resolveLive(pos{Seg: d.id, Slot: 0})
+	scanOut, err := e.resolveLive(pos{Seg: d.ID, Slot: 0})
 	if err != nil {
 		return err
 	}
@@ -113,7 +113,7 @@ func (e *Engine) Merge(m *core.Merge) error {
 	// and possibly cached — before the override table above was filled;
 	// drop every resolution rooted at the merged segment so later reads
 	// re-resolve with the overrides in place.
-	e.invalidateResolvedLocked(d.id)
+	e.invalidateResolvedLocked(d.ID)
 	return e.commitLocked(m.Commit)
 }
 
@@ -141,7 +141,7 @@ type mergeTarget struct {
 // LCA may be stored under different schema versions.
 func (t *mergeTarget) ReadAt(p pos) (*record.Record, error) {
 	t.m.Stats.TuplesScanned++
-	return t.e.st.ReadAt(t.e.segs[p.Seg].Segment, p.Slot, t.m.Commit.SchemaVer)
+	return t.e.st.ReadAt(t.e.cat.Segs[p.Seg].Segment, p.Slot, t.m.Commit.SchemaVer)
 }
 
 func (t *mergeTarget) Adopt(k core.MergeKey, p pos) {

@@ -40,7 +40,7 @@ func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 	if p == store.NoPos {
 		return nil, 0, true, nil
 	}
-	seg := e.segs[p.Seg]
+	seg := e.cat.Segs[p.Seg]
 	buf := make([]byte, seg.Schema.RecordSize())
 	if err := seg.File.Read(p.Slot, buf); err != nil {
 		return nil, 0, false, err
@@ -89,7 +89,7 @@ func (e *Engine) headPosLocked(b vgraph.BranchID) (pos, error) {
 	if err != nil {
 		return pos{}, err
 	}
-	return pos{Seg: s.id, Slot: cut}, nil
+	return pos{Seg: s.ID, Slot: cut}, nil
 }
 
 // versionPosLocked returns the position a version resolves: a branch
@@ -121,18 +121,18 @@ func (e *Engine) Live(vs []core.Version, fn func([]core.SlotSpace) error) error 
 	}
 	heads := e.headsLocked()
 	k := len(vs)
-	live := make([]*bitmap.Bitmap, len(e.segs)*k)
-	segs := make([]core.SpaceSeg, len(e.segs))
-	spaces := make([]core.SlotSpace, 0, len(e.segs))
-	for j, s := range e.segs {
+	live := make([]*bitmap.Bitmap, len(e.cat.Segs)*k)
+	segs := make([]core.SpaceSeg, len(e.cat.Segs))
+	spaces := make([]core.SlotSpace, 0, len(e.cat.Segs))
+	for j, s := range e.cat.Segs {
 		row, held := live[j*k:(j+1)*k:(j+1)*k], false
 		for i, pl := range plans {
-			row[i] = pl.slots(s.id)
+			row[i] = pl.slots(s.ID)
 			held = held || row[i] != nil
 		}
 		if held {
-			segs[j] = core.SpaceSeg{Segment: s.Segment, Frozen: !heads[s.id]}
-			spaces = append(spaces, core.SlotSpace{ID: s.id, Live: row, Segs: segs[j : j+1]})
+			segs[j] = core.SpaceSeg{Segment: s.Segment, Frozen: !heads[s.ID]}
+			spaces = append(spaces, core.SlotSpace{ID: s.ID, Live: row, Segs: segs[j : j+1]})
 		}
 	}
 	return fn(spaces)

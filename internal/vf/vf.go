@@ -8,19 +8,15 @@
 package vf
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
+	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
-	"decibel/internal/wal"
 )
 
 // segID indexes the engine's segment table (store.Pos.Seg).
@@ -58,7 +54,7 @@ type segMeta struct {
 	Overrides []override      `json:"overrides,omitempty"`
 }
 
-// meta is the engine's persisted catalog, rewritten atomically on every
+// meta is the engine's persisted catalog, saved on every
 // version-control operation (commit, branch, merge), which are the
 // atomicity points of Section 2.2.3.
 type meta struct {
@@ -67,11 +63,10 @@ type meta struct {
 	Commits  map[vgraph.CommitID]pos   `json:"commits"`
 }
 
-// segment is the in-memory segment state: the shared store segment
-// plus version-first's lineage link.
+// segment is the in-memory segment state: the catalog entry plus
+// version-first's lineage link. Ids are positions in the table.
 type segment struct {
-	*store.Segment
-	id        segID
+	store.Entry
 	branch    vgraph.BranchID
 	hasLink   bool
 	link      link
@@ -85,7 +80,7 @@ type Engine struct {
 	hist *record.History
 	st   *store.Store
 
-	segs     []*segment
+	cat      *store.Catalog[*segment]
 	byBranch map[vgraph.BranchID]segID
 	commits  map[vgraph.CommitID]pos
 
@@ -124,13 +119,12 @@ func Factory(env *core.Env) (core.Engine, error) {
 		e.lineMemo = make(map[pos][]step)
 		e.stepMemo = make(map[pos][]step)
 	}
+	e.cat = store.NewCatalog[*segment](e.st, env.Dir, env.Opt.Fsync, store.Layout{
+		File: "segments.json", Prefix: "seg", Heap: ".dat",
+	}, e.catalog)
 	if err := e.recover(); err != nil {
 		// Release every segment the failed open has opened so far.
-		for _, s := range e.segs {
-			if s.Segment != nil {
-				s.File.Close()
-			}
-		}
+		e.cat.Close(false)
 		return nil, err
 	}
 	return e, nil
@@ -139,46 +133,52 @@ func Factory(env *core.Env) (core.Engine, error) {
 // Kind implements core.Engine.
 func (e *Engine) Kind() string { return "version-first" }
 
-func (e *Engine) metaPath() string { return filepath.Join(e.env.Dir, "segments.json") }
-func (e *Engine) segPath(id segID) string {
-	return filepath.Join(e.env.Dir, fmt.Sprintf("seg%d.dat", id))
-}
-
-// persistLocked writes the catalog atomically; caller holds e.mu.
-// A segment's SafeCount is the highest slot any commit or branch/merge
-// link references: appends beyond it are uncommitted and roll back on
-// reopen (Section 2.2.3 — updates are "rolled back if the client
-// crashes or disconnects before committing").
-func (e *Engine) persistLocked() error {
+// catalog is the catalog as segments.json holds it. A segment's
+// SafeCount is the highest slot any commit or branch/merge link
+// references: appends beyond it are uncommitted and roll back on reopen
+// (Section 2.2.3 — updates are "rolled back if the client crashes or
+// disconnects before committing"). Caller holds e.mu.
+func (e *Engine) catalog() any {
 	safe := e.safeCountsLocked()
 	m := meta{ByBranch: e.byBranch, Commits: e.commits}
-	for _, s := range e.segs {
+	for _, s := range e.cat.Segs {
 		m.Segments = append(m.Segments, segMeta{
 			SegMeta: s.Meta(),
-			ID:      s.id, Branch: s.branch, HasLink: s.hasLink, Link: s.link,
-			SafeCount: safe[s.id], Overrides: s.overrides,
+			ID:      s.ID, Branch: s.branch, HasLink: s.hasLink, Link: s.link,
+			SafeCount: safe[s.ID], Overrides: s.overrides,
 		})
 	}
-	data, err := json.Marshal(&m)
-	if err != nil {
-		return fmt.Errorf("vf: %w", err)
-	}
-	// The rows the catalog's counts vouch for reach the files first.
-	for _, s := range e.segs {
-		var err error
-		if e.env.Opt.Fsync {
-			err = s.File.Sync()
-		} else {
-			err = s.File.Flush()
-		}
-		if err != nil {
-			return err
+	return &m
+}
+
+// safeCountsLocked computes each segment's safe count — the highest
+// slot any commit, branch/merge link or override references. Appends
+// beyond it are uncommitted and roll back on reopen; compaction may
+// only touch segments whose whole file is safe. Caller holds e.mu.
+func (e *Engine) safeCountsLocked() map[segID]int64 {
+	safe := make(map[segID]int64, len(e.cat.Segs))
+	for _, p := range e.commits {
+		if p.Slot > safe[p.Seg] {
+			safe[p.Seg] = p.Slot
 		}
 	}
-	if err := wal.ReplaceFile(e.metaPath(), data, e.env.Opt.Fsync); err != nil {
-		return fmt.Errorf("vf: %w", err)
+	for _, s := range e.cat.Segs {
+		if !s.hasLink {
+			continue
+		}
+		if s.link.ParentSlot > safe[s.link.ParentSeg] {
+			safe[s.link.ParentSeg] = s.link.ParentSlot
+		}
+		if s.link.IsMerge && s.link.OtherSlot > safe[s.link.OtherSeg] {
+			safe[s.link.OtherSeg] = s.link.OtherSlot
+		}
+		for _, ov := range s.overrides {
+			if !ov.Deleted && ov.Slot+1 > safe[ov.Seg] {
+				safe[ov.Seg] = ov.Slot + 1
+			}
+		}
 	}
-	return nil
+	return safe
 }
 
 // recover loads the catalog and rolls back uncommitted appends by
@@ -187,16 +187,9 @@ func (e *Engine) persistLocked() error {
 // record is written after the engines' — so a commit the catalog
 // records and the graph lacks is rolled back with the appends.
 func (e *Engine) recover() error {
-	data, err := os.ReadFile(e.metaPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("vf: %w", err)
-	}
 	var m meta
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("vf: corrupt catalog: %w", err)
+	if err := e.cat.Load(&m); err != nil || m.Segments == nil {
+		return err
 	}
 	sort.Slice(m.Segments, func(i, j int) bool { return m.Segments[i].ID < m.Segments[j].ID })
 	e.byBranch = m.ByBranch
@@ -211,28 +204,24 @@ func (e *Engine) recover() error {
 		return err
 	}
 	for _, sm := range m.Segments {
-		e.segs = append(e.segs, &segment{
-			id: sm.ID, branch: sm.Branch,
+		e.cat.Segs = append(e.cat.Segs, &segment{
+			Entry: store.Entry{ID: sm.ID}, branch: sm.Branch,
 			hasLink: sm.HasLink, link: sm.Link, overrides: sm.Overrides,
 		})
 	}
+	// The store resolves a zero Cols (catalog from before schema
+	// versioning) to the table's full layout, rolls back appends past the
+	// safe count, and restores — or rebuilds, for catalogs from before
+	// zone maps — the segment's zone map.
 	safe := e.safeCountsLocked()
-	for i, sm := range m.Segments {
-		// The store resolves a zero Cols (catalog from before schema
-		// versioning) to the table's full layout, rolls back appends past
-		// the safe count, and restores — or rebuilds, for catalogs from
-		// before zone maps — the segment's zone map.
-		seg, err := e.st.Open(e.segFilePath(sm.ID, sm.Encoding), sm.SegMeta, min(sm.SafeCount, safe[sm.ID]))
-		if err != nil {
-			return fmt.Errorf("vf: segment %d: %w", sm.ID, err)
-		}
-		e.segs[i].Segment = seg
+	err := e.cat.Open(func(i int) (store.SegMeta, int64) {
+		sm := m.Segments[i]
+		return sm.SegMeta, min(sm.SafeCount, safe[sm.ID])
+	})
+	if err != nil {
+		return fmt.Errorf("vf: %w", err)
 	}
-	if err := e.recoverHeads(); err != nil {
-		return err
-	}
-	e.sweepOrphans()
-	return nil
+	return e.recoverHeads()
 }
 
 // recoverHeads gives every branch of the graph a head segment that
@@ -263,7 +252,7 @@ func (e *Engine) recoverHeads() error {
 			changed = true
 			continue
 		}
-		s := e.segs[id]
+		s := e.cat.Segs[id]
 		var committed int64
 		if p, ok := e.commits[b.Head]; ok && p.Seg == id {
 			committed = p.Slot
@@ -278,7 +267,7 @@ func (e *Engine) recoverHeads() error {
 	if !changed {
 		return nil
 	}
-	return e.persistLocked()
+	return e.cat.Save()
 }
 
 // reconcile brings the loaded catalog into line with the version graph.
@@ -335,13 +324,10 @@ func (e *Engine) reconcile(m *meta) error {
 // under the physical layout with cols columns (the segment's
 // schema-version id).
 func (e *Engine) newSegmentLocked(branch vgraph.BranchID, cols int) (*segment, error) {
-	id := segID(len(e.segs))
-	seg, err := e.st.Create(e.segPath(id), cols)
-	if err != nil {
+	s := &segment{Entry: store.Entry{ID: segID(len(e.cat.Segs))}, branch: branch}
+	if err := e.cat.Add(s, cols); err != nil {
 		return nil, err
 	}
-	s := &segment{Segment: seg, id: id, branch: branch}
-	e.segs = append(e.segs, s)
 	return s, nil
 }
 
@@ -355,7 +341,7 @@ func (e *Engine) linkHeadLocked(branch vgraph.BranchID, cols int, parent link) (
 		return nil, err
 	}
 	s.hasLink, s.link = true, parent
-	e.byBranch[branch] = s.id
+	e.byBranch[branch] = s.ID
 	return s, nil
 }
 
@@ -367,9 +353,9 @@ func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 	if err != nil {
 		return err
 	}
-	e.byBranch[master.ID] = s.id
-	e.commits[c0.ID] = pos{Seg: s.id, Slot: 0}
-	return e.persistLocked()
+	e.byBranch[master.ID] = s.ID
+	e.commits[c0.ID] = pos{Seg: s.ID, Slot: 0}
+	return e.cat.Save()
 }
 
 // Branch implements core.Engine: "we locate the current end of the
@@ -382,7 +368,7 @@ func (e *Engine) Branch(child *vgraph.Branch, from *vgraph.Commit) error {
 	if err := e.branchLocked(child.ID, from); err != nil {
 		return err
 	}
-	return e.persistLocked()
+	return e.cat.Save()
 }
 
 // branchLocked is Branch short of persisting the catalog; recover
@@ -410,8 +396,8 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 	if !ok {
 		return fmt.Errorf("vf: unknown branch %d", c.Branch)
 	}
-	e.commits[c.ID] = pos{Seg: id, Slot: e.segs[id].File.Count()}
-	return e.persistLocked()
+	e.commits[c.ID] = pos{Seg: id, Slot: e.cat.Segs[id].File.Count()}
+	return e.cat.Save()
 }
 
 // head returns the head segment of a branch and its current cut.
@@ -420,7 +406,7 @@ func (e *Engine) headLocked(b vgraph.BranchID) (*segment, int64, error) {
 	if !ok {
 		return nil, 0, fmt.Errorf("vf: unknown branch %d", b)
 	}
-	s := e.segs[id]
+	s := e.cat.Segs[id]
 	return s, s.File.Count(), nil
 }
 
@@ -441,11 +427,11 @@ func (e *Engine) writeHeadLocked(branch vgraph.BranchID) (*segment, error) {
 		return s, nil
 	}
 	head, _ := e.env.Graph.Head(branch)
-	ns, err := e.linkHeadLocked(branch, need, link{ParentSeg: s.id, ParentSlot: s.File.Count(), ParentCommit: head})
+	ns, err := e.linkHeadLocked(branch, need, link{ParentSeg: s.ID, ParentSlot: s.File.Count(), ParentCommit: head})
 	if err != nil {
 		return nil, err
 	}
-	return ns, e.persistLocked()
+	return ns, e.cat.Save()
 }
 
 // appendLocked encodes rec under the segment's physical layout
@@ -455,7 +441,7 @@ func (e *Engine) appendLocked(s *segment, rec *record.Record) error {
 	if _, err := e.st.Append(s.Segment, rec); err != nil {
 		return err
 	}
-	e.invalidateSeg(s.id)
+	e.invalidateSeg(s.ID)
 	return nil
 }
 
@@ -471,7 +457,7 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	if _, err := s.AppendTombstone(pk); err != nil {
 		return err
 	}
-	e.invalidateSeg(s.id)
+	e.invalidateSeg(s.ID)
 	return nil
 }
 
@@ -480,17 +466,15 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 func (e *Engine) SegmentStats() []store.SegmentStat {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]store.SegmentStat, 0, len(e.segs))
-	for _, s := range e.segs {
-		st := s.Stat(fmt.Sprintf("seg%d[branch=%d]", s.id, s.branch))
+	out := e.cat.SegmentStats(func(s *segment) string { return fmt.Sprintf("seg%d[branch=%d]", s.ID, s.branch) })
+	for i, s := range e.cat.Segs {
 		// The lineage shape behind the segment: how many steps a scan
 		// rooted at its tip walks (the cost the lineage cache
 		// amortizes) and how many merge overrides it carries.
-		if steps, err := e.lineageAt(pos{Seg: s.id, Slot: s.File.Count()}); err == nil {
-			st.LineageDepth = len(steps)
+		if steps, err := e.lineageAt(pos{Seg: s.ID, Slot: s.File.Count()}); err == nil {
+			out[i].LineageDepth = len(steps)
 		}
-		st.Overrides = len(s.overrides)
-		out = append(out, st)
+		out[i].Overrides = len(s.overrides)
 	}
 	return out
 }
@@ -499,18 +483,11 @@ func (e *Engine) SegmentStats() []store.SegmentStat {
 func (e *Engine) Stats() (core.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := core.Stats{SegmentCount: len(e.segs)}
-	for _, s := range e.segs {
-		st.Records += s.File.Count()
-		st.DataBytes += s.File.SizeBytes()
-	}
-	if fi, err := os.Stat(e.metaPath()); err == nil {
-		st.CommitBytes = fi.Size()
-	}
+	st := core.Stats{SegmentCount: len(e.cat.Segs)}
+	st.Records, st.DataBytes, st.CommitBytes = e.cat.Totals()
 	for _, b := range e.env.Graph.Branches() {
 		if id, ok := e.byBranch[b.ID]; ok {
-			s := e.segs[id]
-			live, err := e.resolveLive(pos{Seg: s.id, Slot: s.File.Count()})
+			live, err := e.resolveLive(pos{Seg: id, Slot: e.cat.Segs[id].File.Count()})
 			if err != nil {
 				return st, err
 			}
@@ -520,30 +497,41 @@ func (e *Engine) Stats() (core.Stats, error) {
 	return st, nil
 }
 
+// CompactSegments implements core.Engine for the version-first scheme.
+// Segment files ARE the version history here — a parent segment's byte
+// ranges are addressed by child branch points and commit offsets — so
+// slots can never be renumbered and physical merging is off the table;
+// the pass is compression-only. A segment qualifies when it is no
+// branch's head (it will never take another append) and every row in it
+// is committed (count == safe count).
+func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	heads := e.headsLocked()
+	safe := e.safeCountsLocked()
+	return e.cat.Compact(opt, func(s *segment) bool {
+		return !heads[s.ID] && s.File.Count() == safe[s.ID]
+	}, func(s *segment) {
+		// Compression preserves slot numbering, so cached resolutions
+		// pointing into replaced segments would stay readable; drop the
+		// entries rooted at them anyway so the cache's validity never
+		// depends on the re-encoder's internals. Interval tables keyed on
+		// the replaced segments are dropped for the same reason.
+		e.invalidateResolvedLocked(s.ID)
+		e.invalidateSeg(s.ID)
+	})
+}
+
 // Flush implements core.Engine.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, s := range e.segs {
-		if err := s.File.Flush(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.cat.Flush()
 }
 
 // Close implements core.Engine.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var first error
-	if err := e.persistLocked(); err != nil {
-		first = err
-	}
-	for _, s := range e.segs {
-		if err := s.File.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return e.cat.Close(true)
 }

@@ -49,7 +49,9 @@ func WithPoolPages(pages int) Option {
 // commit survives a power loss in the graph as well as in the engines.
 // The graph's checkpoints sync the snapshot before renaming it into
 // place and the directory after. It is off by default, matching the
-// paper's load phase.
+// paper's load phase; without it an acknowledged commit still survives
+// a crash of the process, whose writes all reach the files before
+// Commit returns, but not a power loss.
 func WithFsync(on bool) Option {
 	return func(c *config) { c.opt.Fsync = on }
 }

@@ -1,11 +1,11 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# sixteen structural checks. Prints the non-test Go lines outside
+# seventeen structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}) and of
-# version-first alone (internal/vf), of the query layer
-# (internal/query), of their merge code (internal/{tf,hy,vf}/merge.go), of compaction
-# (internal/{tf,hy,vf}/compact.go and internal/store/compact.go) and of
-# the three query front ends (cmd/decibel/main.go, internal/server and
+# version-first alone (internal/vf), of the shared segment store
+# (internal/store), of the query layer (internal/query), of their merge
+# code (internal/{tf,hy,vf}/merge.go), of compaction
+# (internal/store/compact.go) and of the three query front ends (cmd/decibel/main.go, internal/server and
 # builder.go), and the number of public options (func With* in
 # options.go). Exits
 # non-zero if os.Rename( is called from non-test Go code outside
@@ -18,7 +18,7 @@
 # in core's Tx and nowhere else. Exits non-zero too if NewSwap(,
 # mergeRun or WithCompactionThresholds appears in non-test Go code: a
 # compaction pass re-encodes segments in place, and the crash-safe swap
-# is reached only through store.SwapCompressed. Exits non-zero too if
+# is reached only through the segment catalog (store.Catalog.Compact). Exits non-zero too if
 # internal/core declares a *Table method named Scan*, Rows* or Diff*
 # other than the scan driver ScanUnitsContext, or if .ScanCommit(,
 # .RowsAt( or .RowsMulti( (or a Context form) is called from non-test Go
@@ -57,7 +57,13 @@
 # bitmap.Xor: an engine says which slots of which slot space each
 # version holds (Engine.Live), and the combine rules of a diff and a
 # multi-branch scan, the unit walk and a merge's XOR against the LCA
-# live once, in internal/core.
+# live once, in internal/core. Exits non-zero too if an engine package
+# has a compact.go, or if non-test Go in internal/{tf,hy,vf} matches
+# persistLocked, persistExtentsLocked, sweepOrphans, SweepOrphans,
+# SwapCompressed, segFilePath, extFilePath, buildVersions or
+# wal.ReplaceFile: an engine's segments, their file names, the catalog
+# file, the orphan sweep, the compaction loop and the version-index pass
+# live once, in internal/store's Catalog; an engine keeps only liveness.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -71,11 +77,12 @@ count() {
 echo "non-test Go lines outside benchmark/: $(count .)"
 echo "internal/{tf,hy,vf}:                  $(count internal/tf internal/hy internal/vf)"
 echo "internal/vf:                          $(count internal/vf)"
+echo "internal/store:                       $(count internal/store)"
 echo "internal/query:                       $(count internal/query)"
 echo "internal/core:                        $(count internal/core)"
 echo "internal/{tf,hy,vf}/scan.go:          $(cat internal/tf/scan.go internal/hy/scan.go internal/vf/scan.go | wc -l | tr -d ' ')"
 echo "internal/{tf,hy,vf}/merge.go:         $(cat internal/tf/merge.go internal/hy/merge.go internal/vf/merge.go | wc -l | tr -d ' ')"
-echo "internal/{tf,hy,vf,store}/compact.go: $(cat internal/tf/compact.go internal/hy/compact.go internal/vf/compact.go internal/store/compact.go | wc -l | tr -d ' ')"
+echo "internal/store/compact.go:            $(wc -l < internal/store/compact.go | tr -d ' ')"
 echo "query front ends (CLI, server, builder): $(count cmd/decibel/main.go internal/server builder.go)"
 echo "public options (func With* in options.go): $(grep -c '^func With' options.go)"
 
@@ -103,7 +110,7 @@ fi
 
 stray=$(grep -rlE --include='*.go' 'NewSwap\(|mergeRun|WithCompactionThresholds' . | grep -v '_test\.go$' || true)
 if [ -n "$stray" ]; then
-    echo "merge compaction is gone (a pass re-encodes in place through store.SwapCompressed):" >&2
+    echo "merge compaction is gone (a pass re-encodes in place through store.Catalog.Compact):" >&2
     echo "$stray" >&2
     exit 1
 fi
@@ -192,6 +199,15 @@ stray=$(grep -rnE --include='*.go' 'ScanKind|DiffAux|MemberAux|core\.Pins|bitmap
     grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "engines say which slots each version holds (Engine.Live); combining versions, the unit walk and merge key discovery live in internal/core:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(ls internal/tf/compact.go internal/hy/compact.go internal/vf/compact.go 2>/dev/null || true)
+stray="$stray$(grep -rnE --include='*.go' 'persistLocked|persistExtentsLocked|sweepOrphans|SweepOrphans|SwapCompressed|segFilePath|extFilePath|buildVersions|wal\.ReplaceFile' internal/tf internal/hy internal/vf |
+    grep -v '_test\.go:' || true)"
+if [ -n "$stray" ]; then
+    echo "engines keep only liveness; segments, file names, the catalog file, the sweep, compaction and the version index live in internal/store's Catalog:" >&2
     echo "$stray" >&2
     exit 1
 fi
