@@ -52,12 +52,14 @@ func (k MergeKind) String() string {
 // MergeStats summarizes a merge for the caller and the benchmark
 // harness (Table 3 reports merge throughput over the diffed bytes).
 type MergeStats struct {
-	Conflicts     int   // records with conflicting modifications
-	ChangedA      int   // records modified in the first branch since the LCA
-	ChangedB      int   // records modified in the second branch since the LCA
-	DiffBytes     int64 // bytes of records diffed between the branches
+	Conflicts int // records with conflicting modifications
+	ChangedA  int // records modified in the first branch since the LCA
+	ChangedB  int // records modified in the second branch since the LCA
+	// DiffBytes is one record size per slot in either head's XOR against
+	// the LCA: the same for every engine, as their copies are.
+	DiffBytes     int64
 	Materialized  int   // resolved records physically written by the merge
-	TuplesScanned int64 // records read to perform the merge
+	TuplesScanned int64 // records read: the XORs' slots (vf's Diverged too), both-changed copies
 }
 
 // Stats reports an engine's storage footprint.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"decibel/internal/bitmap"
 	"decibel/internal/record"
@@ -11,9 +12,10 @@ import (
 
 // Merge is one merge in progress: what Database.Merge resolves once and
 // hands to every relation's engine. The conflict policy of Section
-// 2.2.3 lives in Resolve and nowhere else; an engine only says which
-// keys to look at and where their copies are (MergeKey) and what an
-// outcome does to its storage (MergeTarget).
+// 2.2.3 lives in Resolve and nowhere else, and so does the discovery of
+// the keys it settles (Changed); an engine only says which slots the
+// versions hold (its slot spaces for Versions) and what an outcome does
+// to its storage (MergeTarget).
 type Merge struct {
 	Into, Other vgraph.BranchID
 	// Commit is the merge commit, already in the graph; records are
@@ -21,9 +23,9 @@ type Merge struct {
 	Commit *vgraph.Commit
 	// LCA is the lowest common ancestor of Commit's two parents.
 	LCA *vgraph.Commit
-	// Stats accumulates over the relations merged so far. Resolve counts
-	// Conflicts, ChangedA, ChangedB and Materialized; DiffBytes and
-	// TuplesScanned measure what an engine read, so engines count those.
+	// Stats accumulates over the relations merged so far: Resolve counts
+	// Conflicts, ChangedA, ChangedB and Materialized, and the reads of
+	// discovery and Resolve count DiffBytes and TuplesScanned.
 	Stats MergeStats
 
 	kind MergeKind
@@ -38,8 +40,8 @@ func NewMerge(g *vgraph.Graph, into, other vgraph.BranchID, mc *vgraph.Commit, k
 	return &Merge{Into: into, Other: other, Commit: mc, LCA: lca, kind: kind}, nil
 }
 
-// MergeKey is what an engine knows about one key: where the copy live
-// in Into's head (A), in Other's head (B) and at the LCA is stored,
+// MergeKey is one key a merge resolves and where the copy live in
+// Into's head (A), in Other's head (B) and at the LCA is stored,
 // store.NoPos where the version has none. A version holds at most one
 // copy of a key, so a side changed the key since the LCA exactly when
 // its position differs from the LCA's.
@@ -49,12 +51,8 @@ type MergeKey struct {
 }
 
 // MergeTarget is one relation's storage during a merge. Resolve calls
-// ReadAt only for keys both sides changed, and then exactly one of
-// Adopt, Drop and Materialize for every key it is given.
+// exactly one of Adopt, Drop and Materialize for every key.
 type MergeTarget interface {
-	// ReadAt returns the record stored at p under the merge commit's
-	// schema.
-	ReadAt(p store.Pos) (*record.Record, error)
 	// Adopt makes the existing copy at p (k.A or k.B) Into's copy of the
 	// key. No record is written: both branches then hold the same copy.
 	Adopt(k MergeKey, p store.Pos)
@@ -64,14 +62,152 @@ type MergeTarget interface {
 	Materialize(k MergeKey, rec *record.Record) error
 }
 
-// Resolve decides the outcome of one key and applies it to t. A key
+// Versions returns the versions a merge's key discovery reads, in the
+// order Changed indexes them: Into's head, Other's head, the LCA.
+func (m *Merge) Versions() []Version {
+	return []Version{{Branch: m.Into}, {Branch: m.Other}, {Commit: m.LCA}}
+}
+
+// MergeKeys is one relation's merge keys, as Changed finds them and
+// Resolve settles them; segs are the segments of the spaces walked, by
+// space id.
+type MergeKeys struct {
+	m    *Merge
+	hist *record.History
+	keys map[int64]MergeKey
+	segs map[int32][]SpaceSeg
+}
+
+// Changed finds the keys either side changed since the LCA (Section
+// 3.2): XORing a head's bitmap against the LCA's yields the slots live
+// in exactly one of the two, and each such slot's record a changed key.
+// spaces are an engine's slot spaces for m.Versions(), read under its
+// lock. A side's position of a key is its slot in the side's XOR that
+// the head holds; store.NoPos when the XOR shows only the LCA's copy;
+// the LCA's position when the key is not in the XOR at all.
+func (m *Merge) Changed(hist *record.History, spaces []SlotSpace) (*MergeKeys, error) {
+	ks := &MergeKeys{m: m, hist: hist, keys: make(map[int64]MergeKey), segs: make(map[int32][]SpaceSeg, len(spaces))}
+	in := make(map[int64]uint8) // bit s: side s's XOR showed the key
+	recSize := int64(hist.VisibleAt(m.Commit.SchemaVer).RecordSize())
+	for side := 0; side < 2; side++ {
+		err := ks.xor(spaces, side, 2, recSize, func(pk int64, p store.Pos, atLCA bool) {
+			k, ok := ks.keys[pk]
+			if !ok {
+				k = MergeKey{PK: pk, A: store.NoPos, B: store.NoPos, LCA: store.NoPos}
+			}
+			in[pk] |= 1 << side
+			switch {
+			case atLCA:
+				k.LCA = p
+			case side == 0:
+				k.A = p
+			default:
+				k.B = p
+			}
+			ks.keys[pk] = k
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	for pk, k := range ks.keys {
+		if in[pk]&1 == 0 {
+			k.A = k.LCA
+		}
+		if in[pk]&2 == 0 {
+			k.B = k.LCA
+		}
+		ks.keys[pk] = k
+	}
+	return ks, nil
+}
+
+// Diverged adds the keys whose copies differ between spaces' Live[0]
+// and Live[1] as keys neither side changed, each at Live[1]'s copy or
+// none; Changed's keys stay as they are. Version-first passes its
+// merged head's pure scan against Into's head: composing two lineages
+// can resurrect a key or hide Into's copy. It returns the keys Live[0]
+// holds at slots Live[1] lacks, and where.
+func (ks *MergeKeys) Diverged(spaces []SlotSpace) (map[int64]store.Pos, error) {
+	only := make(map[int64]store.Pos)
+	err := ks.xor(spaces, 0, 1, 0, func(pk int64, p store.Pos, inRef bool) {
+		k, known := ks.keys[pk]
+		if !inRef {
+			only[pk] = p
+			p = store.NoPos
+		}
+		// A changed key's positions differ from the LCA's.
+		if !known || (inRef && k.A == k.LCA && k.B == k.LCA) {
+			ks.keys[pk] = MergeKey{PK: pk, A: p, B: p, LCA: p}
+		}
+	})
+	return only, err
+}
+
+// xor hands saw the key of every slot set in exactly one of Live[h] and
+// Live[r], with its position and whether Live[r] holds it. Each slot is
+// read on its own rather than by the unit walk: the XOR is sparse, and
+// the walk would visit every slot of each page it touches. A read
+// counts in TuplesScanned, and size bytes in DiffBytes.
+func (ks *MergeKeys) xor(spaces []SlotSpace, h, r int, size int64, saw func(pk int64, p store.Pos, inRef bool)) error {
+	var buf []byte
+	for i := range spaces {
+		sp := &spaces[i]
+		head, ref := sp.Live[h], sp.Live[r]
+		if head == nil && ref == nil {
+			continue
+		}
+		ks.segs[sp.ID], ref = sp.Segs, orEmpty(ref)
+		var err error
+		bitmap.Xor(orEmpty(head), ref).ForEach(func(slot int) bool {
+			p := store.Pos{Seg: sp.ID, Slot: int64(slot)}
+			if buf, _, err = ks.readSlot(p, buf); err != nil {
+				return false
+			}
+			ks.m.Stats.DiffBytes += size
+			saw(record.PKOf(buf), p, ref.Get(slot))
+			return true
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readSlot reads the record at p into buf, grown as needed, and returns
+// it with the segment holding it. It counts in TuplesScanned.
+func (ks *MergeKeys) readSlot(p store.Pos, buf []byte) ([]byte, SpaceSeg, error) {
+	segs := ks.segs[p.Seg]
+	j := len(segs) - 1
+	for j > 0 && segs[j].Base > p.Slot {
+		j--
+	}
+	sg := segs[j]
+	n := sg.Schema.RecordSize()
+	buf = slices.Grow(buf[:0], n)[:n]
+	ks.m.Stats.TuplesScanned++
+	return buf, sg, sg.File.Read(p.Slot-sg.Base, buf)
+}
+
+// Resolve decides the outcome of every key and applies it to t. A key
 // only Other changed takes Other's state; a key only Into changed, or
-// neither (version-first hands those in, because composing two lineages
-// can resurrect them), keeps Into's. A key both changed is a tuple-level
-// two-way merge — the precedence branch's record or deletion wins
-// whole, and differing outcomes are a conflict — or a field-level
-// three-way merge against the LCA's record.
-func (m *Merge) Resolve(t MergeTarget, k MergeKey) error {
+// neither (Diverged's), keeps Into's. A key both changed is a
+// tuple-level two-way merge — the precedence branch's record or
+// deletion wins whole, and differing outcomes are a conflict — or a
+// field-level three-way merge against the LCA's record; only these
+// keys' records are read.
+func (ks *MergeKeys) Resolve(t MergeTarget) error {
+	for _, k := range ks.keys {
+		if err := ks.resolve(t, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (ks *MergeKeys) resolve(t MergeTarget, k MergeKey) error {
+	m := ks.m
 	changedA, changedB := k.A != k.LCA, k.B != k.LCA
 	if changedA {
 		m.Stats.ChangedA++
@@ -87,11 +223,11 @@ func (m *Merge) Resolve(t MergeTarget, k MergeKey) error {
 		take(t, k, side)
 		return nil
 	}
-	recA, err := readAt(t, k.A)
+	recA, err := ks.read(k.A)
 	if err != nil {
 		return err
 	}
-	recB, err := readAt(t, k.B)
+	recB, err := ks.read(k.B)
 	if err != nil {
 		return err
 	}
@@ -106,7 +242,7 @@ func (m *Merge) Resolve(t MergeTarget, k MergeKey) error {
 		take(t, k, side)
 		return nil
 	}
-	base, err := readAt(t, k.LCA)
+	base, err := ks.read(k.LCA)
 	if err != nil {
 		return err
 	}
@@ -128,86 +264,6 @@ func (m *Merge) Resolve(t MergeTarget, k MergeKey) error {
 	return nil
 }
 
-// ChangedKeys names a merge's keys for the engines that keep liveness
-// as slot bitmaps (tuple-first, hybrid): per key, the LCA's copy — the
-// changed slot that was live there, if any (see Changed).
-type ChangedKeys map[int64]store.Pos
-
-// saw records one changed slot, p, which holds a copy of key pk: the
-// LCA's copy when the slot was live at the LCA, the head's otherwise.
-func (c ChangedKeys) saw(pk int64, p store.Pos, atLCA bool) {
-	if atLCA {
-		c[pk] = p
-	} else if _, seen := c[pk]; !seen {
-		c[pk] = store.NoPos
-	}
-}
-
-// Versions returns the versions a merge's key discovery reads, in the
-// order Changed indexes them: Into's head, Other's head, the LCA.
-func (m *Merge) Versions() []Version {
-	return []Version{{Branch: m.Into}, {Branch: m.Other}, {Commit: m.LCA}}
-}
-
-// Changed finds the keys either side changed since the LCA (Section
-// 3.2): XORing a head's bitmap against the LCA's yields the slots live
-// in exactly one of the two, and each such slot's record a changed key.
-// spaces are an engine's slot spaces for m.Versions(), read under its
-// lock. Each changed slot is read on its own rather than by the unit
-// walk: the XOR is sparse, and the walk would visit every slot of each
-// page it touches. It counts the records it reads in TuplesScanned and
-// their bytes, at the merge commit's schema, in DiffBytes.
-func (m *Merge) Changed(hist *record.History, spaces []SlotSpace) (ChangedKeys, error) {
-	recSize := int64(hist.VisibleAt(m.Commit.SchemaVer).RecordSize())
-	changed := make(ChangedKeys)
-	for side := 0; side < 2; side++ {
-		for i := range spaces {
-			sp := &spaces[i]
-			head, lca := sp.Live[side], sp.Live[2]
-			if head == nil && lca == nil {
-				continue
-			}
-			lca = orEmpty(lca)
-			segs, seg := sp.Segs, -1
-			var buf []byte
-			var err error
-			bitmap.Xor(orEmpty(head), lca).ForEach(func(slot int) bool {
-				// Slots ascend, so the segment holding one only moves forward.
-				j := max(seg, 0)
-				for j+1 < len(segs) && int64(slot) >= segs[j+1].Base {
-					j++
-				}
-				if j != seg {
-					seg, buf = j, make([]byte, segs[j].Schema.RecordSize())
-				}
-				if err = segs[j].File.Read(int64(slot)-segs[j].Base, buf); err != nil {
-					return false
-				}
-				m.Stats.TuplesScanned++
-				m.Stats.DiffBytes += recSize
-				changed.saw(record.PKOf(buf), store.Pos{Seg: sp.ID, Slot: int64(slot)}, lca.Get(slot))
-				return true
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-	}
-	return changed, nil
-}
-
-// ResolveChanged resolves every key of c. live returns where a branch
-// head's copy of a key is, store.NoPos when it has none.
-func (m *Merge) ResolveChanged(t MergeTarget, c ChangedKeys, live func(b vgraph.BranchID, pk int64) store.Pos) error {
-	for pk, lca := range c {
-		k := MergeKey{PK: pk, A: live(m.Into, pk), B: live(m.Other, pk), LCA: lca}
-		if err := m.Resolve(t, k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // take gives Into the state one side holds: its copy, or no copy.
 func take(t MergeTarget, k MergeKey, side store.Pos) {
 	if side == store.NoPos {
@@ -217,10 +273,20 @@ func take(t MergeTarget, k MergeKey, side store.Pos) {
 	}
 }
 
-// readAt reads the record at p, nil when the version has no copy.
-func readAt(t MergeTarget, p store.Pos) (*record.Record, error) {
+// read returns the record at p under the merge commit's schema — the
+// sides and the LCA may be stored under different schema versions — and
+// nil when the version has no copy.
+func (ks *MergeKeys) read(p store.Pos) (*record.Record, error) {
 	if p == store.NoPos {
 		return nil, nil
 	}
-	return t.ReadAt(p)
+	buf, sg, err := ks.readSlot(p, nil)
+	if err != nil {
+		return nil, err
+	}
+	cv, err := ks.hist.Conv(sg.Cols, ks.m.Commit.SchemaVer)
+	if err != nil {
+		return nil, err
+	}
+	return cv.Materialize(buf), nil
 }

@@ -197,9 +197,9 @@ func (h *harness) delete(b vgraph.BranchID, pk int64) {
 }
 
 // merge merges on every engine and the model. The conflict count must be
-// the model's; the counts of changed keys and materialized records must
-// agree across the engines (the model compares bytes where engines
-// compare copies, so it has no say in those).
+// the model's; the counts of changed keys, materialized records and
+// diffed bytes must agree across the engines (the model compares bytes
+// where engines compare copies, so it has no say in those).
 func (h *harness) merge(into, other vgraph.BranchID, kind core.MergeKind, precFirst bool) {
 	var stats []core.MergeStats
 	var mc *vgraph.Commit
@@ -222,6 +222,9 @@ func (h *harness) merge(into, other vgraph.BranchID, kind core.MergeKind, precFi
 		if st.ChangedA != first.ChangedA || st.ChangedB != first.ChangedB || st.Materialized != first.Materialized {
 			h.t.Errorf("%s merge changedA/changedB/materialized = %d/%d/%d, %s says %d/%d/%d", n,
 				st.ChangedA, st.ChangedB, st.Materialized, h.names[0], first.ChangedA, first.ChangedB, first.Materialized)
+		}
+		if st.DiffBytes != first.DiffBytes {
+			h.t.Errorf("%s merge diff bytes = %d, %s says %d", n, st.DiffBytes, h.names[0], first.DiffBytes)
 		}
 	}
 }

@@ -3,7 +3,7 @@ package enginetest
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"decibel/internal/compact"
@@ -17,14 +17,17 @@ import (
 // many small seeded workloads; on failure it prints a minimal replay
 // trace. Version-first has the subtlest merge machinery (lineage
 // intervals plus overrides), so it gets this dedicated shrinker on top
-// of the cross-engine differential tests.
+// of the cross-engine differential tests. Every branch head is checked
+// after every operation, and after a merge the merge commit and both
+// its parents too, so a wrong override shows even once later writes
+// shadow it in the head.
 func TestVFShrink(t *testing.T) {
 	seeds := int64(40)
 	if !testing.Short() {
-		seeds = 150
+		seeds = 500
 	}
 	for seed := int64(0); seed < seeds; seed++ {
-		for _, ops := range []int{25, 50} {
+		for _, ops := range []int{25, 50, 100} {
 			trace, ok := tryVF(t, seed, ops)
 			if !ok {
 				t.Logf("seed=%d ops=%d FAILS; trace:", seed, ops)
@@ -75,31 +78,27 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 		trace = append(trace, fmt.Sprintf("op%d commit branch=%d -> c%d", op, b, c.ID))
 	}
 
+	diverges := func(name string, want state, scan func(func(*record.Record) bool) error) bool {
+		missing, extra, differ := divergence(t, want, scan)
+		if differ {
+			trace = append(trace, fmt.Sprintf("DIVERGE %s missing=%v extra=%v", name, missing, extra))
+		}
+		return differ
+	}
 	check := func() bool {
 		for _, br := range g.Branches() {
-			want := stateSet(model.BranchState(br.ID))
-			got := make(map[string]bool)
-			scanHead(tbl, br.ID, func(rec *record.Record) bool { got[string(rec.Bytes())] = true; return true })
-			if !setsEqual(got, want) {
-				var missing, extra []int64
-				wantPK := map[int64]string{}
-				for pk, v := range model.BranchState(br.ID) {
-					wantPK[pk] = v
-				}
-				gotPK := map[int64]bool{}
-				scanHead(tbl, br.ID, func(rec *record.Record) bool { gotPK[rec.PK()] = true; return true })
-				for pk := range wantPK {
-					if !gotPK[pk] {
-						missing = append(missing, pk)
-					}
-				}
-				for pk := range gotPK {
-					if _, ok := wantPK[pk]; !ok {
-						extra = append(extra, pk)
-					}
-				}
-				sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-				trace = append(trace, fmt.Sprintf("DIVERGE branch=%s missing=%v extra=%v", br.Name, missing, extra))
+			scan := func(fn func(*record.Record) bool) error { return scanHead(tbl, br.ID, fn) }
+			if diverges("branch="+br.Name, model.BranchState(br.ID), scan) {
+				return false
+			}
+		}
+		return true
+	}
+	checkMerge := func(mc *vgraph.Commit) bool {
+		for _, id := range []vgraph.CommitID{mc.ID, mc.Parents[0], mc.Parents[1]} {
+			c, _ := g.Commit(id)
+			scan := func(fn func(*record.Record) bool) error { return scanCommit(tbl, c, fn) }
+			if diverges(fmt.Sprintf("commit=c%d", id), model.CommitState(id), scan) {
 				return false
 			}
 		}
@@ -194,10 +193,39 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 			model.Merge(g, branches[i].ID, branches[j].ID, mc, kind)
 			commits = append(commits, mc)
 			trace = append(trace, fmt.Sprintf("op%d merge into=%d other=%d kind=%v precFirst=%v -> c%d", op, branches[i].ID, branches[j].ID, kind, prec, mc.ID))
+			if !checkMerge(mc) {
+				return trace, false
+			}
 		}
 		if !check() {
 			return trace, false
 		}
 	}
 	return trace, true
+}
+
+// divergence compares a version's scan with the model's state of it:
+// whether they differ, and the keys the scan lacks and has extra.
+func divergence(t *testing.T, want state, scan func(func(*record.Record) bool) error) (missing, extra []int64, differ bool) {
+	t.Helper()
+	got, gotPK := make(map[string]bool), make(map[int64]bool)
+	if err := scan(func(rec *record.Record) bool { got[string(rec.Bytes())], gotPK[rec.PK()] = true, true; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if setsEqual(got, stateSet(want)) {
+		return nil, nil, false
+	}
+	for pk := range want {
+		if !gotPK[pk] {
+			missing = append(missing, pk)
+		}
+	}
+	for pk := range gotPK {
+		if _, ok := want[pk]; !ok {
+			extra = append(extra, pk)
+		}
+	}
+	slices.Sort(missing)
+	slices.Sort(extra)
+	return missing, extra, true
 }

@@ -11,11 +11,12 @@ import (
 // requiring the lowest common ancestor commit) to determine where the
 // conflicts are within the segment" — per segment, each head's local
 // bitmap XORed against the LCA's names the changed slots, their records
-// the changed keys (core's Merge.Changed). What becomes of each key is decided in core
-// (Merge.Resolve); here an adopted record is marked live in the merged
-// branch's bitmap within its containing segment, "creating new bitmaps
-// for the branch within a segment if necessary", and a resolved record
-// neither side holds is appended to the merged branch's head segment.
+// the changed keys (core's Merge.Changed). What becomes of each key is
+// decided in core (MergeKeys.Resolve); here an adopted record is marked
+// live in the merged branch's bitmap within its containing segment,
+// "creating new bitmaps for the branch within a segment if necessary",
+// and a resolved record neither side holds is appended to the merged
+// branch's head segment.
 func (e *Engine) Merge(m *core.Merge) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -24,7 +25,7 @@ func (e *Engine) Merge(m *core.Merge) error {
 	if err != nil {
 		return err
 	}
-	changed, err := m.Changed(e.hist, spaces)
+	keys, err := m.Changed(e.hist, spaces)
 	if err != nil {
 		return err
 	}
@@ -35,7 +36,7 @@ func (e *Engine) Merge(m *core.Merge) error {
 	if err != nil {
 		return err
 	}
-	if err := m.ResolveChanged(&mergeTarget{e: e, m: m, head: head}, changed, e.livePos); err != nil {
+	if err := keys.Resolve(&mergeTarget{e: e, m: m, head: head}); err != nil {
 		return err
 	}
 	return e.commitLocked(m.Commit)
@@ -47,11 +48,6 @@ type mergeTarget struct {
 	e    *Engine
 	m    *core.Merge
 	head *hseg
-}
-
-func (t *mergeTarget) ReadAt(p pos) (*record.Record, error) {
-	t.m.Stats.TuplesScanned++
-	return t.e.st.ReadAt(t.e.byID[p.Seg].Segment, p.Slot, t.m.Commit.SchemaVer)
 }
 
 func (t *mergeTarget) Drop(k core.MergeKey) {

@@ -275,21 +275,6 @@ func (st *Store) Append(s *Segment, rec *record.Record) (int64, error) {
 	return s.AppendRaw(buf)
 }
 
-// ReadAt is the inverse of Append: it returns the record stored at a
-// slot of s as the schema of the given epoch sees it, with declared
-// defaults for the columns the segment predates.
-func (st *Store) ReadAt(s *Segment, slot int64, epoch int) (*record.Record, error) {
-	buf := make([]byte, s.Schema.RecordSize())
-	if err := s.File.Read(slot, buf); err != nil {
-		return nil, err
-	}
-	cv, err := st.Hist.Conv(s.Cols, epoch)
-	if err != nil {
-		return nil, err
-	}
-	return cv.Materialize(buf), nil
-}
-
 // AppendTombstone appends a deletion marker for pk in the segment's
 // layout (vf's delete path). Tombstones never enter the zone map.
 func (s *Segment) AppendTombstone(pk int64) (int64, error) {

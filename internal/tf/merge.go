@@ -10,15 +10,13 @@ import (
 // bitmap is restored and XORed against both branch heads to find the
 // slots, and through their records the keys, changed on each side
 // (core's Merge.Changed). What becomes of each key is decided in core
-// (Merge.Resolve); here an outcome is a bit cleared and a bit set in the
-// merged branch's column.
+// (MergeKeys.Resolve); here an outcome is a bit cleared and a bit set
+// in the merged branch's column.
 func (e *Engine) Merge(m *core.Merge) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	// Rows from the two branches (and the LCA) may span schema
-	// versions; resolve everything under the merge commit's schema and
-	// make sure the tail extent can hold materialized results.
+	// Materialized results need a tail extent at the merge's schema.
 	if err := e.ensureExtentLocked(e.hist.NumPhysAt(m.Commit.SchemaVer)); err != nil {
 		return err
 	}
@@ -26,11 +24,11 @@ func (e *Engine) Merge(m *core.Merge) error {
 	if err != nil {
 		return err
 	}
-	changed, err := m.Changed(e.hist, []core.SlotSpace{sp})
+	keys, err := m.Changed(e.hist, []core.SlotSpace{sp})
 	if err != nil {
 		return err
 	}
-	if err := m.ResolveChanged(&mergeTarget{e: e, m: m}, changed, e.livePos); err != nil {
+	if err := keys.Resolve(&mergeTarget{e: e, m: m}); err != nil {
 		return err
 	}
 	return e.commitLocked(m.Commit)
@@ -41,12 +39,6 @@ func (e *Engine) Merge(m *core.Merge) error {
 type mergeTarget struct {
 	e *Engine
 	m *core.Merge
-}
-
-func (t *mergeTarget) ReadAt(p store.Pos) (*record.Record, error) {
-	x := t.e.extFor(p.Slot)
-	t.m.Stats.TuplesScanned++
-	return t.e.st.ReadAt(x.Segment, p.Slot-x.Base, t.m.Commit.SchemaVer)
 }
 
 func (t *mergeTarget) Drop(k core.MergeKey) {

@@ -196,12 +196,18 @@ type planEntry struct {
 }
 
 // slots returns the plan's live-slot bitmap of the segment, nil when
-// it has none there.
+// it has none there (or id is store.NoPos's).
 func (en *planEntry) slots(id segID) *bitmap.Bitmap {
-	if int(id) < len(en.segs) {
+	if id >= 0 && int(id) < len(en.segs) {
 		return en.segs[id]
 	}
 	return nil
+}
+
+// has says whether the plan holds the slot at p, false for store.NoPos.
+func (en *planEntry) has(p pos) bool {
+	bm := en.slots(p.Seg)
+	return bm != nil && bm.Get(int(p.Slot))
 }
 
 // newPlan builds the scan plan of a resolved live set in one pass, each

@@ -1,31 +1,24 @@
 package vf
 
 import (
-	"fmt"
-
 	"decibel/internal/core"
 	"decibel/internal/record"
-	"decibel/internal/store"
 )
 
 // Merge implements core.Engine for the version-first scheme (Section
 // 3.3): "merging involves creating a new branch, a new child segment,
 // and branch points within each parent", with the recorded parent
-// priority ordering future scans.
-//
-// Scan-order precedence alone cannot express every outcome: a key whose
-// churn on one side nets out to "unchanged since the LCA" can still
-// leave copies or tombstones in that side's post-LCA intervals that
-// would wrongly outrank the other side's genuine change, and resolved
-// three-way records can equal the non-precedence side. The merge
-// therefore resolves the live sets of both heads and the LCA into
-// primary-key hash tables (the paper's multi-pass approach), lets core
-// decide each key's outcome (Merge.Resolve), and records an override —
-// pointing at an existing record copy, preserving copy identity, or a
-// deletion — for exactly the keys where a pure scan would disagree.
-// Resolved records that match neither side are materialized into the
-// new head segment, "which must be scanned before either of its
-// parents".
+// priority ordering future scans. Unlike the paper's multi-pass hash
+// tables, the keys are found as for the bitmap engines: core XORs each
+// head's scan plans against the LCA's (Merge.Changed). Scan-order
+// precedence alone cannot express every outcome — composing the two
+// lineages can resurrect a key or hide Into's copy, and a resolved
+// record can be the non-precedence side's — so the merged head's pure
+// scan is XORed against Into's head too (MergeKeys.Diverged), and an
+// override, an existing copy or a deletion, is recorded for exactly the
+// keys where the pure scan disagrees with the outcome. Records matching
+// neither side go into the new head segment, "which must be scanned
+// before either of its parents".
 func (e *Engine) Merge(m *core.Merge) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -38,22 +31,11 @@ func (e *Engine) Merge(m *core.Merge) error {
 	if err != nil {
 		return err
 	}
-	lcaPos, ok := e.commits[m.LCA.ID]
-	if !ok {
-		return fmt.Errorf("vf: merge LCA commit %d has no recorded offset", m.LCA.ID)
-	}
-
-	// First pass(es): materialize the live sets of both heads and the
-	// LCA into primary-key hash tables (Section 3.3 merge).
-	liveA, err := e.resolveLive(pos{Seg: sA.ID, Slot: cutA})
+	plans, err := e.plansLocked(m.Versions())
 	if err != nil {
 		return err
 	}
-	liveB, err := e.resolveLive(pos{Seg: sB.ID, Slot: cutB})
-	if err != nil {
-		return err
-	}
-	liveL, err := e.resolveLive(lcaPos)
+	keys, err := m.Changed(e.hist, e.spacesLocked(plans))
 	if err != nil {
 		return err
 	}
@@ -62,96 +44,55 @@ func (e *Engine) Merge(m *core.Merge) error {
 	// physical layout of the merge commit's schema epoch (the newer of
 	// the two parents: rows inherited from the older side decode with
 	// defaults filled).
-	d, err := e.newSegmentLocked(m.Into, e.hist.NumPhysAt(m.Commit.SchemaVer))
-	if err != nil {
-		return err
-	}
-	d.hasLink = true
-	d.link = link{
+	d, err := e.linkHeadLocked(m.Into, e.hist.NumPhysAt(m.Commit.SchemaVer), link{
 		ParentSeg: sA.ID, ParentSlot: cutA, ParentCommit: m.Commit.Parents[0],
 		IsMerge:  true,
 		OtherSeg: sB.ID, OtherSlot: cutB, OtherCommit: m.Commit.Parents[1],
 		LCACommit: m.LCA.ID, PrecedenceFirst: m.Commit.PrecedenceFirst,
-	}
-	e.byBranch[m.Into] = d.ID
-	sA.Freeze() // the old head becomes an internal, immutable file
-
-	// What a pure scan of the new lineage would yield, before any
-	// overrides or materialized records.
-	scanOut, err := e.resolveLive(pos{Seg: d.ID, Slot: 0})
+	})
 	if err != nil {
 		return err
 	}
+	sA.Freeze() // the old head becomes an internal, immutable file
 
-	// Every key of the three live sets is resolved, changed or not: keys
-	// dead in both heads and the LCA can still surface from the composed
-	// lineage when chained merges re-rank an old live copy above the
-	// tombstone that killed it, so every key the pure scan yields is
-	// included too and such resurrections get a deletion override.
-	t := &mergeTarget{e: e, m: m, d: d, scanOut: scanOut}
-	recSize := int64(e.hist.VisibleAt(m.Commit.SchemaVer).RecordSize())
-	seen := make(map[int64]struct{}, len(liveA)+len(liveB))
-	for _, live := range []map[int64]pos{liveA, liveB, liveL, scanOut} {
-		for pk := range live {
-			if _, dup := seen[pk]; dup {
-				continue
-			}
-			seen[pk] = struct{}{}
-			k := core.MergeKey{PK: pk, A: posIn(liveA, pk), B: posIn(liveB, pk), LCA: posIn(liveL, pk)}
-			if k.A != k.LCA {
-				m.Stats.DiffBytes += recSize
-			}
-			if k.B != k.LCA {
-				m.Stats.DiffBytes += recSize
-			}
-			if err := m.Resolve(t, k); err != nil {
-				return err
-			}
-		}
+	pure, err := e.planLocked(pos{Seg: d.ID})
+	if err != nil {
+		return err
 	}
-	// The pure-scan resolution of the new head (scanOut) was computed —
-	// and possibly cached — before the override table above was filled;
-	// drop every resolution rooted at the merged segment so later reads
-	// re-resolve with the overrides in place.
+	only, err := keys.Diverged(e.spacesLocked([]*planEntry{pure, plans[0]}))
+	if err != nil {
+		return err
+	}
+	if err := keys.Resolve(&mergeTarget{e: e, d: d, pure: pure, only: only}); err != nil {
+		return err
+	}
+	// The pure scan was resolved — and cached — before the override table
+	// was filled; drop every resolution rooted at the merged segment so
+	// later reads re-resolve with the overrides in place.
 	e.invalidateResolvedLocked(d.ID)
 	return e.commitLocked(m.Commit)
 }
 
-// posIn returns the position a live set holds for pk, store.NoPos when
-// it holds none.
-func posIn(live map[int64]pos, pk int64) pos {
-	if p, ok := live[pk]; ok {
-		return p
-	}
-	return store.NoPos
-}
-
 // mergeTarget is the merged head segment d as core.MergeTarget: an
-// outcome is an entry in d's override table, and only where the pure
-// scan of the new lineage (scanOut) disagrees with it, or an append to
-// d, whose own interval outranks everything below. Caller holds e.mu.
+// outcome is an override where the pure scan disagrees with it, or an
+// append to d, which outranks everything below. The pure scan holds a
+// key at only's slot, or at Into's copy if it holds that slot. Caller
+// holds e.mu.
 type mergeTarget struct {
-	e       *Engine
-	m       *core.Merge
-	d       *segment
-	scanOut map[int64]pos
-}
-
-// ReadAt reads under the merge commit's schema: the two sides and the
-// LCA may be stored under different schema versions.
-func (t *mergeTarget) ReadAt(p pos) (*record.Record, error) {
-	t.m.Stats.TuplesScanned++
-	return t.e.st.ReadAt(t.e.cat.Segs[p.Seg].Segment, p.Slot, t.m.Commit.SchemaVer)
+	e    *Engine
+	d    *segment
+	pure *planEntry
+	only map[int64]pos
 }
 
 func (t *mergeTarget) Adopt(k core.MergeKey, p pos) {
-	if got, live := t.scanOut[k.PK]; !live || got != p {
+	if !t.pure.has(p) {
 		t.d.overrides = append(t.d.overrides, override{PK: k.PK, Seg: p.Seg, Slot: p.Slot})
 	}
 }
 
 func (t *mergeTarget) Drop(k core.MergeKey) {
-	if _, live := t.scanOut[k.PK]; live {
+	if _, held := t.only[k.PK]; held || t.pure.has(k.A) {
 		t.d.overrides = append(t.d.overrides, override{PK: k.PK, Deleted: true})
 	}
 }

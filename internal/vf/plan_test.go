@@ -82,7 +82,7 @@ func TestHeadsComposeCachedPlans(t *testing.T) {
 		plans := make([]*planEntry, k)
 		for i, b := range ids {
 			e.mu.Lock()
-			p, err := e.headPosLocked(b)
+			p, err := e.versionPosLocked(core.Version{Branch: b})
 			e.mu.Unlock()
 			if err != nil {
 				t.Fatal(err)

@@ -81,22 +81,16 @@ func (e *Engine) planLocked(p pos) (*planEntry, error) {
 	return en, nil
 }
 
-// headPosLocked returns the position a head scan of the branch
-// resolves: its head segment, cut at the current append point. Caller
-// holds e.mu.
-func (e *Engine) headPosLocked(b vgraph.BranchID) (pos, error) {
-	s, cut, err := e.headLocked(b)
-	if err != nil {
-		return pos{}, err
-	}
-	return pos{Seg: s.ID, Slot: cut}, nil
-}
-
-// versionPosLocked returns the position a version resolves: a branch
-// head's cut or a commit's recorded offset. Caller holds e.mu.
+// versionPosLocked returns the position a version resolves: a branch's
+// head segment cut at its append point, or a commit's recorded offset.
+// Caller holds e.mu.
 func (e *Engine) versionPosLocked(v core.Version) (pos, error) {
 	if v.Commit == nil {
-		return e.headPosLocked(v.Branch)
+		s, cut, err := e.headLocked(v.Branch)
+		if err != nil {
+			return pos{}, err
+		}
+		return pos{Seg: s.ID, Slot: cut}, nil
 	}
 	p, ok := e.commits[v.Commit.ID]
 	if !ok {
@@ -109,18 +103,34 @@ func (e *Engine) versionPosLocked(v core.Version) (pos, error) {
 func (e *Engine) Live(vs []core.Version, fn func([]core.SlotSpace) error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	plans, err := e.plansLocked(vs)
+	if err != nil {
+		return err
+	}
+	return fn(e.spacesLocked(plans))
+}
+
+// plansLocked returns the scan plans of the versions. Caller holds e.mu.
+func (e *Engine) plansLocked(vs []core.Version) ([]*planEntry, error) {
 	plans := make([]*planEntry, len(vs))
 	for i, v := range vs {
 		p, err := e.versionPosLocked(v)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if plans[i], err = e.planLocked(p); err != nil {
-			return err
+			return nil, err
 		}
 	}
+	return plans, nil
+}
+
+// spacesLocked returns, in segment-table order, the segments where any
+// of the plans holds a slot, each a slot space whose bitmaps are the
+// plans'. Caller holds e.mu.
+func (e *Engine) spacesLocked(plans []*planEntry) []core.SlotSpace {
 	heads := e.headsLocked()
-	k := len(vs)
+	k := len(plans)
 	live := make([]*bitmap.Bitmap, len(e.cat.Segs)*k)
 	segs := make([]core.SpaceSeg, len(e.cat.Segs))
 	spaces := make([]core.SlotSpace, 0, len(e.cat.Segs))
@@ -135,7 +145,7 @@ func (e *Engine) Live(vs []core.Version, fn func([]core.SlotSpace) error) error 
 			spaces = append(spaces, core.SlotSpace{ID: s.ID, Live: row, Segs: segs[j : j+1]})
 		}
 	}
-	return fn(spaces)
+	return spaces
 }
 
 // InsertBatch implements core.Engine: "tuple inserts and updates are

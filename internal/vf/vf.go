@@ -333,8 +333,8 @@ func (e *Engine) newSegmentLocked(branch vgraph.BranchID, cols int) (*segment, e
 
 // linkHeadLocked makes a fresh segment with cols columns the head of
 // branch, linked to its parent at (segment, slot, commit): a new
-// branch's branch point, or the old head a rotation leaves behind as an
-// ordinary lineage parent.
+// branch's branch point, the old head a rotation leaves behind as an
+// ordinary lineage parent, or a merge's two parents.
 func (e *Engine) linkHeadLocked(branch vgraph.BranchID, cols int, parent link) (*segment, error) {
 	s, err := e.newSegmentLocked(branch, cols)
 	if err != nil {

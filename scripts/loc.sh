@@ -64,6 +64,12 @@
 # wal.ReplaceFile: an engine's segments, their file names, the catalog
 # file, the orphan sweep, the compaction loop and the version-index pass
 # live once, in internal/store's Catalog; an engine keeps only liveness.
+# Exits non-zero too if non-test Go in internal/{tf,hy,vf} matches
+# posIn, ResolveChanged, ChangedKeys or "func (t *mergeTarget) ReadAt",
+# or if internal/vf/merge.go calls resolveLive: every engine hands its
+# slot spaces for a merge's versions to core (Merge.Changed), which
+# finds the keys, completes their positions and reads the records it
+# resolves; version-first resolves no whole live set to merge.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -208,6 +214,15 @@ stray="$stray$(grep -rnE --include='*.go' 'persistLocked|persistExtentsLocked|sw
     grep -v '_test\.go:' || true)"
 if [ -n "$stray" ]; then
     echo "engines keep only liveness; segments, file names, the catalog file, the sweep, compaction and the version index live in internal/store's Catalog:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'posIn|ResolveChanged|ChangedKeys|func \(t \*mergeTarget\) ReadAt' internal/tf internal/hy internal/vf |
+    grep -v '_test\.go:' || true)
+stray="$stray$(grep -n 'resolveLive' internal/vf/merge.go || true)"
+if [ -n "$stray" ]; then
+    echo "merge keys are found and read in core (Merge.Changed, MergeKeys); an engine gives its slot spaces and applies outcomes:" >&2
     echo "$stray" >&2
     exit 1
 fi
