@@ -22,12 +22,12 @@ import (
 	"testing"
 
 	"decibel"
-	"decibel/internal/compact"
+	"decibel/internal/store"
 )
 
 func TestCompactionCrashRecovery(t *testing.T) {
 	for _, engine := range facadeEngines {
-		for _, point := range []string{compact.FailAfterTemp, compact.FailBeforeUnlink} {
+		for _, point := range []string{store.FailAfterTemp, store.FailBeforeUnlink} {
 			t.Run(engine+"/"+point, func(t *testing.T) {
 				dir := t.TempDir()
 				base := []decibel.Option{decibel.WithCompaction("manual")}
@@ -41,7 +41,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 					append([]decibel.Option{decibel.WithCompactionFailPoint(point)}, base...)...)
 				want := captureCompactionStreams(t, injected, corpus)
 
-				if _, err := injected.Compact(); !compact.ErrFailPoint(err) {
+				if _, err := injected.Compact(); !store.ErrFailPoint(err) {
 					t.Fatalf("injected pass returned %v, want a fail-point abort", err)
 				}
 				// Whichever window the pass died in, the in-memory state
@@ -63,7 +63,7 @@ func TestCompactionCrashRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatalf("clean compact after recovery: %v", err)
 				}
-				if point == compact.FailAfterTemp && st.SegmentsCompressed == 0 {
+				if point == store.FailAfterTemp && st.SegmentsCompressed == 0 {
 					t.Fatalf("pass after an after-temp crash found nothing to compact: %+v", st)
 				}
 				compareCompactionStreams(t, "post-compaction", captureCompactionStreams(t, db, corpus), want)
@@ -77,6 +77,34 @@ func TestCompactionCrashRecovery(t *testing.T) {
 				assertNoTempFiles(t, dir)
 			})
 		}
+	}
+}
+
+// TestFailedCompactionCounted: a pass that swapped its files and then
+// failed still reclaimed their bytes, and the process-wide counters
+// say so — they move by exactly the stats the failed pass returns.
+func TestFailedCompactionCounted(t *testing.T) {
+	for _, engine := range facadeEngines {
+		t.Run(engine, func(t *testing.T) {
+			dir := t.TempDir()
+			built := buildPruningDBIn(t, dir, engine)
+			if err := built.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db := buildReopen(t, dir, engine, decibel.WithCompaction("manual"),
+				decibel.WithCompactionFailPoint(store.FailBeforeUnlink))
+			reclaimed, pages := expvarInt(t, "decibel.bytes_reclaimed"), expvarInt(t, "decibel.compressed_pages")
+			st, err := db.Compact()
+			if !store.ErrFailPoint(err) || st.PagesCompressed == 0 || st.BytesReclaimed == 0 {
+				t.Fatalf("injected pass returned %+v, %v; want installed segments and a fail-point abort", st, err)
+			}
+			if got := expvarInt(t, "decibel.bytes_reclaimed") - reclaimed; got != st.BytesReclaimed {
+				t.Errorf("decibel.bytes_reclaimed moved by %d, the pass reclaimed %d", got, st.BytesReclaimed)
+			}
+			if got := expvarInt(t, "decibel.compressed_pages") - pages; got != st.PagesCompressed {
+				t.Errorf("decibel.compressed_pages moved by %d, the pass wrote %d", got, st.PagesCompressed)
+			}
+		})
 	}
 }
 

@@ -159,7 +159,7 @@ func TestCompactionScanEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("second compact: %v", err)
 			}
-			if !st2.Zero() {
+			if st2 != (decibel.CompactionStats{}) {
 				t.Fatalf("second pass was not a no-op: %+v", st2)
 			}
 

@@ -37,6 +37,11 @@
 // Every scan has a Context form (OpenContext, RowsContext, ...) that
 // aborts promptly with ctx.Err() when the context is canceled.
 //
+// Compaction, which the paper does not have, is one call: a dataset
+// opened WithCompaction("manual") re-encodes its frozen segments into
+// compressed pages on DB.Compact. There is no background loop; a caller
+// that wants periodic passes calls Compact from its own ticker.
+//
 // Storage engines register themselves by name ("tuple-first",
 // "version-first", "hybrid", with short aliases "tf", "vf", "hy");
 // importing this package links all three. Failure conditions worth
@@ -53,7 +58,6 @@ import (
 	"context"
 
 	"decibel/internal/bitmap"
-	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
@@ -134,7 +138,7 @@ type (
 	// CompactionStats is what one compaction pass accomplished —
 	// segments compressed, pages written, bytes reclaimed; returned by
 	// DB.Compact.
-	CompactionStats = compact.Stats
+	CompactionStats = store.CompactStats
 )
 
 // Column types. Int32 and Int64 are read and written with Record.Get

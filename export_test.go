@@ -11,10 +11,10 @@ func WithoutLineageCache() Option {
 // pass: "after-temp" aborts after new segment files are written and
 // fsynced but before the catalog swap, "before-unlink" after the swap
 // but before replaced files are unlinked. The pass fails with an error
-// compact.ErrFailPoint recognizes and disk is left exactly as a crash
+// store.ErrFailPoint recognizes and disk is left exactly as a crash
 // there would leave it — the crash-recovery tests reopen and verify.
 func WithCompactionFailPoint(point string) Option {
-	return func(c *config) { c.opt.Compaction.FailPoint = point }
+	return func(c *config) { c.opt.CompactionFailPoint = point }
 }
 
 // DeclaredJoinOrder pins join execution to the order the relations

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"decibel/internal/compact"
 	"decibel/internal/heap"
 	"decibel/internal/lock"
 	"decibel/internal/record"
@@ -46,11 +45,6 @@ type Database struct {
 	// goroutines all tables share; scanWorkers is its size.
 	scanWorkers int
 	scanSem     chan struct{}
-
-	// Auto-compaction loop (Options.Compaction.Mode == ModeAuto): Close
-	// signals quit and waits for the loop before closing engines.
-	compactQuit chan struct{}
-	compactWG   sync.WaitGroup
 
 	// Admission drain (CloseContext): draining refuses new transactions
 	// while the active ones finish; sessWait is closed when the last
@@ -135,9 +129,6 @@ func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) 
 		}
 		graph.Close()
 		return nil, err
-	}
-	if opt.Compaction.Mode == compact.ModeAuto {
-		db.startCompactor()
 	}
 	return db, nil
 }
@@ -651,13 +642,6 @@ func (db *Database) CloseContext(ctx context.Context) error {
 func (db *Database) Close() error {
 	if !db.closed.CompareAndSwap(false, true) {
 		return nil
-	}
-	// Stop the auto-compaction loop first: a pass that already passed
-	// beginOp drains below like any operation; once the flag is set no
-	// new pass can start.
-	if db.compactQuit != nil {
-		close(db.compactQuit)
-		db.compactWG.Wait()
 	}
 	// Drain: operations that passed beginOp before the flag flipped
 	// still hold the close-guard shared; wait for them to finish.

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"decibel/internal/bitmap"
-	"decibel/internal/compact"
 	"decibel/internal/heap"
 	"decibel/internal/record"
 	"decibel/internal/store"
@@ -142,9 +141,14 @@ type Options struct {
 	// version-first engine consults it.
 	VFLineageCacheOff bool
 
-	// Compaction configures the background compaction subsystem; the
-	// zero value (compact.ModeOff) disables it entirely.
-	Compaction compact.Options
+	// Compaction turns compaction on: Database.Compact runs a pass over
+	// every table. Off (the default), Compact is a no-op.
+	Compaction bool
+	// CompactionFailPoint, when set to store.FailAfterTemp or
+	// store.FailBeforeUnlink, aborts every compaction pass at that
+	// point, leaving disk as a crash there would: the crash-recovery
+	// tests' hook, never set outside them.
+	CompactionFailPoint string
 }
 
 // Factory constructs an engine rooted at env.Dir. Implemented by
@@ -237,7 +241,7 @@ type Engine interface {
 	// segment catalog's crash-safe loop (store.Catalog.Compact), which
 	// the engine gives only which segments qualify. Database.Compact
 	// calls it only with compaction on.
-	CompactSegments(opt compact.Options) (compact.Stats, error)
+	CompactSegments() (store.CompactStats, error)
 
 	// Flush writes buffered state to disk without closing.
 	Flush() error

@@ -2,7 +2,6 @@ package core
 
 import (
 	"decibel/internal/bitmap"
-	"decibel/internal/heap"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
 )
@@ -189,57 +188,66 @@ func combine(kind ScanKind, sp *SlotSpace) (u ScanUnit, ok bool) {
 	return u, true
 }
 
-// walkSlots hands visit every slot of sg set in bm — both in the
-// space's slot numbering — with its stored buffer, in slot order,
-// until visit returns false. When the segment keeps page zones and spec
-// (which may be nil) carries bounds, the page-sized chunks whose zones
-// exclude them are skipped; spec is never evaluated per record.
-func walkSlots(sg SpaceSeg, bm *bitmap.Bitmap, spec *ScanSpec, visit func(slot int64, buf []byte) bool) error {
-	base := sg.Base
-	var live heap.Bitmapper = bm
-	if base != 0 {
-		live = offsetBitmap{bm: bm, base: base}
-	}
-	pz := sg.Pages()
-	if pz == nil || spec == nil || !spec.HasBounds() {
-		return sg.File.ScanLive(live, func(slot int64, buf []byte) bool {
-			return !bm.Get(int(base+slot)) || visit(base+slot, buf)
-		})
-	}
-	stopped := false
-	local := func(slot int64, buf []byte) bool {
-		if !bm.Get(int(base + slot)) {
+// slotWalker walks one segment's live slots at a time (walkSlots). Its
+// page callback, bound once by bind, reads the walk's state through the
+// walker, so a runner that keeps one walks unit after unit without
+// allocating.
+type slotWalker struct {
+	bm      *bitmap.Bitmap
+	base    int64
+	visit   func(slot int64, buf []byte) bool
+	stopped bool
+	page    func(slot int64, buf []byte) bool // bound once: filters a page's slots by bm
+}
+
+// bind sets the visit callback every walk hands its live slots to.
+func (w *slotWalker) bind(visit func(slot int64, buf []byte) bool) {
+	w.visit = visit
+	w.page = func(slot int64, buf []byte) bool {
+		if !w.bm.Get(int(w.base + slot)) {
 			return true
 		}
-		stopped = !visit(base+slot, buf)
-		return !stopped
+		w.stopped = !w.visit(w.base+slot, buf)
+		return !w.stopped
 	}
-	// Any slot a liveness snapshot can mark live was appended — and
-	// folded into its page zone — before the snapshot was taken, so
-	// [0, NumChunks) covers every visitable slot.
-	chunk := pz.Chunk()
-	for p, n := 0, pz.NumChunks(); p < n && !stopped; p++ {
-		if z := pz.Zone(p); z != nil && spec.SkipPage(z, sg.Cols) {
-			continue
+}
+
+// walkSlots hands visit every slot of sg set in bm — both in the
+// space's slot numbering — with its stored buffer, in slot order,
+// until visit returns false. It reads only the pages that hold a set
+// bit: on branch-clustered data that skips the pages holding other
+// branches' records, the page-granularity benefit the paper attributes
+// to clustering (Section 5.5), while fully interleaved data degrades to
+// a whole-file scan. When the segment keeps page zones and spec (which
+// may be nil) carries bounds, a page whose zone excludes them is
+// skipped too; spec is never evaluated per record.
+func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap, spec *ScanSpec) error {
+	w.bm, w.base, w.stopped = bm, sg.Base, false
+	per := int64(sg.File.PerPage())
+	end := sg.Base + sg.File.Count()
+	var pz *store.PageZones
+	if spec != nil && spec.HasBounds() {
+		pz = sg.Pages()
+	}
+	for next := int64(bm.NextSet(int(sg.Base))); next >= 0 && next < end; {
+		p := (next - sg.Base) / per
+		// Page zones cover every slot a liveness snapshot can mark live:
+		// the slot was appended, and folded into its zone, before the
+		// snapshot was taken.
+		if z := pageZone(pz, p); z == nil || !spec.SkipPage(z, sg.Cols) {
+			if err := sg.File.Scan(p*per, (p+1)*per, w.page); err != nil || w.stopped {
+				return err
+			}
 		}
-		if err := sg.File.ScanLiveRange(live, int64(p)*chunk, int64(p+1)*chunk, local); err != nil {
-			return err
-		}
+		next = int64(bm.NextSet(int(sg.Base + (p+1)*per)))
 	}
 	return nil
 }
 
-// offsetBitmap adapts a space's slot bitmap to the local slot numbers
-// of a segment starting at base.
-type offsetBitmap struct {
-	bm   *bitmap.Bitmap
-	base int64
-}
-
-func (o offsetBitmap) NextSet(i int) int {
-	n := o.bm.NextSet(i + int(o.base))
-	if n < 0 {
-		return -1
+// pageZone returns zone p of pz, or nil when there is none to prune by.
+func pageZone(pz *store.PageZones, p int64) *store.ZoneMap {
+	if pz == nil {
+		return nil
 	}
-	return n - int(o.base)
+	return pz.Zone(int(p))
 }

@@ -93,10 +93,10 @@ type ScanUnit struct {
 // serves all the units of a scan that run on one goroutine, one Run at a
 // time, in whatever order its driver chooses.
 type UnitRunner struct {
-	ctx   context.Context // nil when the scan's context can never be canceled
-	spec  *ScanSpec
-	fn    UnitFunc
-	visit func(slot int64, buf []byte) bool // the body, bound once
+	ctx  context.Context // nil when the scan's context can never be canceled
+	spec *ScanSpec
+	fn   UnitFunc
+	walk slotWalker // visits the body, bound once
 
 	prep      func(buf []byte) []byte // current unit's conversion
 	unit      *ScanUnit               // current unit
@@ -117,7 +117,7 @@ func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner
 	}
 	// The body is a closure literal rather than a method value: it runs
 	// once per walked slot, and a method value would add a call to each.
-	r.visit = func(slot int64, buf []byte) bool {
+	r.walk.bind(func(slot int64, buf []byte) bool {
 		if r.prep != nil {
 			buf = r.prep(buf)
 		}
@@ -138,7 +138,7 @@ func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner
 			return false
 		}
 		return true
-	}
+	})
 	return r
 }
 
@@ -155,7 +155,7 @@ func (r *UnitRunner) Run(u *ScanUnit) error {
 	if u.cols != nil && (r.member == nil || r.member.Len() != len(u.cols)) {
 		r.member = bitmap.New(len(u.cols))
 	}
-	if err := walkSlots(u.seg, u.live, r.spec, r.visit); err != nil {
+	if err := r.walk.walkSlots(u.seg, u.live, r.spec); err != nil {
 		return err
 	}
 	return r.err

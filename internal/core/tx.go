@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"maps"
+	"slices"
 
 	"decibel/internal/lock"
 	"decibel/internal/record"
@@ -169,10 +171,10 @@ func (tx *Tx) written(t *Table) map[int64]struct{} {
 }
 
 // rollback restores every key the transaction wrote to the branch's
-// last committed state: keys the head commit holds get their committed
-// record re-inserted, the rest are deleted. It runs under
-// context.WithoutCancel, so an abort caused by cancellation still
-// cleans up.
+// last committed state: a point lookup of each key at the head commit
+// finds its committed record, which is re-inserted, or its absence, and
+// the key is deleted. It runs under context.WithoutCancel, so an abort
+// caused by cancellation still cleans up.
 func (tx *Tx) rollback() error {
 	if len(tx.touched) == 0 {
 		return nil
@@ -183,24 +185,30 @@ func (tx *Tx) rollback() error {
 		return fmt.Errorf("%w: commit %d", ErrNoSuchCommit, headID)
 	}
 	ctx := context.WithoutCancel(tx.ctx)
+	req := ScanRequest{Kind: ScanKindCommit, Commit: head}
 	for t, keys := range tx.touched {
-		// Collect the committed versions first, then write: engines are
-		// not required to support mutation during an active scan.
-		var restore []*record.Record
-		if err := t.scanAll(ctx, ScanRequest{Kind: ScanKindCommit, Commit: head}, func(rec *record.Record) bool {
-			if _, ok := keys[rec.PK()]; ok {
-				restore = append(restore, rec.Clone())
-				delete(keys, rec.PK())
+		spec, err := NewScanSpecAt(t.hist, head.SchemaVer, nil, nil)
+		if err != nil {
+			return err
+		}
+		for _, pk := range slices.Sorted(maps.Keys(keys)) {
+			var committed *record.Record
+			served, err := t.LookupPKContext(ctx, req, pk, spec, func(rec *record.Record) bool {
+				committed = rec
+				return true
+			})
+			if err != nil {
+				return err
 			}
-			return true
-		}); err != nil {
-			return err
-		}
-		if err := t.InsertBatch(tx.branch.ID, restore); err != nil {
-			return err
-		}
-		for pk := range keys {
-			if err := t.Delete(tx.branch.ID, pk); err != nil {
+			if !served {
+				return fmt.Errorf("core: table %q cannot look key %d up at commit %d", t.name, pk, head.ID)
+			}
+			if committed != nil {
+				err = t.Insert(tx.branch.ID, committed)
+			} else {
+				err = t.Delete(tx.branch.ID, pk)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -256,29 +264,22 @@ func (tx *Tx) Rows(table string) (iter.Seq[*record.Record], func() error) {
 	seq := func(yield func(*record.Record) bool) {
 		var t *Table
 		if t, err = tx.table(table, false); err == nil {
-			err = t.scanAll(tx.ctx, ScanRequest{Kind: ScanKindBranch, Branch: tx.branch.ID}, yield)
+			err = t.scanAll(tx.ctx, tx.branch.ID, yield)
 		}
 	}
 	return seq, func() error { return err }
 }
 
-// scanAll is the transaction's own read: every live record of the
-// branch head (Rows) or of a commit (rollback), whole, through the scan
-// driver on the calling goroutine. Records emit under the schema of the
-// addressed version — the head's epoch or the commit's stamped one.
-// Every other read is a compiled query (internal/query), which decides
-// its own epoch.
-func (t *Table) scanAll(ctx context.Context, req ScanRequest, fn func(*record.Record) bool) error {
-	var epoch int
-	if req.Kind == ScanKindCommit {
-		epoch = req.Commit.SchemaVer
-	} else {
-		epoch = t.BranchEpoch(req.Branch)
-	}
-	spec, err := NewScanSpecAt(t.hist, epoch, nil, nil)
+// scanAll is the transaction's own read (Rows): every live record of
+// the branch head, whole, under the head's schema epoch, through the
+// scan driver on the calling goroutine. Every other read is a compiled
+// query (internal/query), which decides its own epoch.
+func (t *Table) scanAll(ctx context.Context, branch vgraph.BranchID, fn func(*record.Record) bool) error {
+	spec, err := NewScanSpecAt(t.hist, t.BranchEpoch(branch), nil, nil)
 	if err != nil {
 		return err
 	}
+	req := ScanRequest{Kind: ScanKindBranch, Branch: branch}
 	return t.ScanUnitsContext(ctx, req, spec, func(rec *record.Record, _ UnitAux) bool { return fn(rec) }, nil)
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"decibel/internal/bitmap"
-	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/record"
@@ -42,7 +41,7 @@ func newHarness(t *testing.T) *harness {
 		opens: make(map[string]func() (*core.Database, error)), model: NewModel(testSchema())}
 	// Manual compaction, so compaction steps re-encode frozen segments.
 	opt := core.Options{PageSize: 4096, PoolPages: 16,
-		Compaction: compact.Options{Mode: compact.ModeManual}}
+		Compaction: true}
 	for _, name := range []string{"tuple-first", "version-first", "hybrid"} {
 		factory := tf.Factory
 		switch name {

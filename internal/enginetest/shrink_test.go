@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/vf"
@@ -44,7 +43,7 @@ func TestVFShrink(t *testing.T) {
 func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 	dir := t.TempDir()
 	opt := core.Options{PageSize: 4096, PoolPages: 16,
-		Compaction: compact.Options{Mode: compact.ModeManual}}
+		Compaction: true}
 	db, err := core.Open(dir, vf.Factory, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -411,87 +411,6 @@ func (f *File) Truncate(n int64) error {
 // PerPage returns the number of record slots per page.
 func (f *File) PerPage() int { return f.perPage }
 
-// ScanLive scans only the pages containing at least one set bit of
-// live (bit index = slot), calling fn for every slot of those pages.
-// On branch-clustered data this skips the pages holding other
-// branches' records — the page-granularity benefit the paper attributes
-// to clustering (Section 5.5) — while fully interleaved data degrades
-// to a whole-file scan.
-func (f *File) ScanLive(live Bitmapper, fn func(slot int64, rec []byte) bool) error {
-	f.mu.Lock()
-	count := f.count
-	f.mu.Unlock()
-	per := int64(f.perPage)
-	next := int64(live.NextSet(0))
-	for next >= 0 && next < count {
-		pageStart := (next / per) * per
-		pageEnd := pageStart + per
-		if pageEnd > count {
-			pageEnd = count
-		}
-		stop := false
-		err := f.Scan(pageStart, pageEnd, func(slot int64, rec []byte) bool {
-			if !fn(slot, rec) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if err != nil || stop {
-			return err
-		}
-		next = int64(live.NextSet(int(pageEnd)))
-	}
-	return nil
-}
-
-// ScanLiveRange is ScanLive restricted to slots in [from, to): only
-// pages of that window containing a set bit of live are visited. The
-// page-zone scans use it to drive one window per unpruned page chunk.
-func (f *File) ScanLiveRange(live Bitmapper, from, to int64, fn func(slot int64, rec []byte) bool) error {
-	f.mu.Lock()
-	count := f.count
-	f.mu.Unlock()
-	if to > count {
-		to = count
-	}
-	if from < 0 {
-		from = 0
-	}
-	per := int64(f.perPage)
-	next := int64(live.NextSet(int(from)))
-	for next >= 0 && next < to {
-		pageStart := (next / per) * per
-		if pageStart < from {
-			pageStart = from
-		}
-		pageEnd := (next/per + 1) * per
-		if pageEnd > to {
-			pageEnd = to
-		}
-		stop := false
-		err := f.Scan(pageStart, pageEnd, func(slot int64, rec []byte) bool {
-			if !fn(slot, rec) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if err != nil || stop {
-			return err
-		}
-		next = int64(live.NextSet(int(pageEnd)))
-	}
-	return nil
-}
-
-// Bitmapper is the minimal bitmap-iteration surface ScanLive needs,
-// satisfied by *bitmap.Bitmap (declared here to keep the heap layer
-// free of higher-level dependencies).
-type Bitmapper interface {
-	NextSet(i int) int
-}
-
 // Sync flushes dirty pages and fsyncs the file.
 func (f *File) Sync() error {
 	if err := f.Flush(); err != nil {

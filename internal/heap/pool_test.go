@@ -356,61 +356,6 @@ func BenchmarkHeapScan(b *testing.B) {
 	}
 }
 
-type sliceBitmap []int64
-
-func (s sliceBitmap) NextSet(i int) int {
-	for _, v := range s {
-		if v >= int64(i) {
-			return int(v)
-		}
-	}
-	return -1
-}
-
-func TestScanLiveSkipsDeadPages(t *testing.T) {
-	pool := NewPool(8, 1024) // 4 records of 256B per page
-	f, err := Open(pool, filepath.Join(t.TempDir(), "t.heap"), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	const n = 64 // 16 pages
-	for i := int64(0); i < n; i++ {
-		f.Append(mkRec(256, i))
-	}
-	// Live bits only on pages 0 and 10 (slots 1 and 41).
-	live := sliceBitmap{1, 41}
-	var visited []int64
-	if err := f.ScanLive(live, func(slot int64, rec []byte) bool {
-		visited = append(visited, slot)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// Whole pages 0 (slots 0-3) and 10 (slots 40-43) visited, nothing else.
-	want := []int64{0, 1, 2, 3, 40, 41, 42, 43}
-	if len(visited) != len(want) {
-		t.Fatalf("visited %v", visited)
-	}
-	for i := range want {
-		if visited[i] != want[i] {
-			t.Fatalf("visited %v, want %v", visited, want)
-		}
-	}
-	// Early stop works.
-	count := 0
-	f.ScanLive(live, func(int64, []byte) bool { count++; return count < 2 })
-	if count != 2 {
-		t.Fatalf("early stop visited %d", count)
-	}
-	// Empty bitmap: nothing visited.
-	count = 0
-	f.ScanLive(sliceBitmap{}, func(int64, []byte) bool { count++; return true })
-	if count != 0 {
-		t.Fatalf("empty live visited %d", count)
-	}
-}
-
 // TestFlushWritesOnlyNewBytes: a flush writes back what was appended
 // since the page was last clean, not the whole page. Bytes on disk
 // before it — here overwritten behind the pool's back — stay as they

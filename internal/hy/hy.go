@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"decibel/internal/bitmap"
-	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
@@ -101,7 +100,7 @@ func Factory(env *core.Env) (core.Engine, error) {
 		logs:     make(map[logKey]*bitmap.CommitLog),
 		startSeq: make(map[logKey]int),
 	}
-	e.cat = store.NewCatalog[*hseg](e.st, env.Dir, env.Opt.Fsync, store.Layout{
+	e.cat = store.NewCatalog[*hseg](e.st, env.Dir, env.Opt.Fsync, env.Opt.CompactionFailPoint, store.Layout{
 		File: "segments.json", Prefix: "seg", Heap: ".dat",
 	}, e.catalog)
 	err := e.recover()
@@ -552,14 +551,14 @@ func (e *Engine) Stats() (core.Stats, error) {
 // pages. Slot numbering is preserved — the whole file re-encodes — so
 // bitmaps, logs and the version index need no changes; only the catalog
 // entry's encoding tag and file move.
-func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
+func (e *Engine) CompactSegments() (store.CompactStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	heads := make(map[segID]bool, len(e.headSeg))
 	for _, id := range e.headSeg {
 		heads[id] = true
 	}
-	return e.cat.Compact(opt, func(s *hseg) bool { return s.Frozen && !heads[s.ID] }, nil)
+	return e.cat.Compact(func(s *hseg) bool { return s.Frozen && !heads[s.ID] }, nil)
 }
 
 // Flush implements core.Engine.

@@ -64,18 +64,21 @@ type Catalog[S Seg] struct {
 	// otherwise change it only through the catalog.
 	Segs []S
 
-	st    *Store
-	dir   string
-	fsync bool
-	lay   Layout
-	meta  func() any
+	st        *Store
+	dir       string
+	fsync     bool
+	failPoint string
+	lay       Layout
+	meta      func() any
 }
 
 // NewCatalog returns an empty catalog of the engine's segments in dir.
 // meta returns the engine's catalog as it is persisted; Save marshals it
-// to JSON. With fsync, Flush and Save sync what they write.
-func NewCatalog[S Seg](st *Store, dir string, fsync bool, lay Layout, meta func() any) *Catalog[S] {
-	return &Catalog[S]{st: st, dir: dir, fsync: fsync, lay: lay, meta: meta}
+// to JSON. With fsync, Flush and Save sync what they write. failPoint,
+// empty outside crash-injection tests, names where every Compact pass
+// aborts (FailAfterTemp, FailBeforeUnlink).
+func NewCatalog[S Seg](st *Store, dir string, fsync bool, failPoint string, lay Layout, meta func() any) *Catalog[S] {
+	return &Catalog[S]{st: st, dir: dir, fsync: fsync, failPoint: failPoint, lay: lay, meta: meta}
 }
 
 // fileName is the naming rule: the data file of segment id under enc.

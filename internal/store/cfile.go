@@ -29,7 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"decibel/internal/heap"
 	"decibel/internal/record"
 )
 
@@ -360,49 +359,6 @@ func (c *CompressedFile) Scan(from, to int64, fn func(slot int64, rec []byte) bo
 				return nil
 			}
 		}
-	}
-	return nil
-}
-
-// ScanLive scans only pages that contain at least one set bit in
-// live, page-skip granularity matching heap.File.ScanLive: fn still
-// sees every slot of a touched page.
-func (c *CompressedFile) ScanLive(live heap.Bitmapper, fn func(slot int64, rec []byte) bool) error {
-	return c.ScanLiveRange(live, 0, c.Count(), fn)
-}
-
-// ScanLiveRange is ScanLive restricted to [from, to).
-func (c *CompressedFile) ScanLiveRange(live heap.Bitmapper, from, to int64, fn func(slot int64, rec []byte) bool) error {
-	count := c.Count()
-	if to > count {
-		to = count
-	}
-	if from < 0 {
-		from = 0
-	}
-	per := int64(c.perPage)
-	next := int64(live.NextSet(int(from)))
-	for next >= 0 && next < to {
-		pageStart := (next / per) * per
-		if pageStart < from {
-			pageStart = from
-		}
-		pageEnd := (next/per + 1) * per
-		if pageEnd > to {
-			pageEnd = to
-		}
-		stop := false
-		err := c.Scan(pageStart, pageEnd, func(slot int64, rec []byte) bool {
-			if !fn(slot, rec) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if err != nil || stop {
-			return err
-		}
-		next = int64(live.NextSet(int(pageEnd)))
 	}
 	return nil
 }

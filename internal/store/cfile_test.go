@@ -152,57 +152,6 @@ func TestCompressedRoundTrip(t *testing.T) {
 	}
 }
 
-// sliceBitmap is a test heap.Bitmapper over explicit slot indexes.
-type sliceBitmap []int
-
-func (b sliceBitmap) NextSet(i int) int {
-	for _, s := range b {
-		if s >= i {
-			return s
-		}
-	}
-	return -1
-}
-
-func TestCompressedScanLive(t *testing.T) {
-	s := cTestSchema(t)
-	recs := cTestRecords(t, s, 200)
-	path := writeCompressed(t, s, recs, 32)
-	c, err := OpenCompressed(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Live bits in pages 0 and 4 only: the scan must touch exactly
-	// those pages' slot ranges (page-skip granularity, like heap).
-	live := sliceBitmap{3, 140}
-	var slots []int64
-	if err := c.ScanLive(live, func(slot int64, rec []byte) bool {
-		if !bytes.Equal(rec, recs[slot]) {
-			t.Fatalf("slot %d mismatch", slot)
-		}
-		slots = append(slots, slot)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(slots) != 64 || slots[0] != 0 || slots[31] != 31 || slots[32] != 128 || slots[63] != 159 {
-		t.Fatalf("ScanLive visited %d slots (first %v...), want pages [0,32) and [128,160)", len(slots), slots[:min(4, len(slots))])
-	}
-
-	var ranged []int64
-	if err := c.ScanLiveRange(live, 130, 150, func(slot int64, rec []byte) bool {
-		ranged = append(ranged, slot)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(ranged) != 20 || ranged[0] != 130 || ranged[19] != 149 {
-		t.Fatalf("ScanLiveRange visited %v, want [130,150)", ranged)
-	}
-}
-
 // TestCompressedCorruption flips every byte of a small file one at a
 // time: each corrupt copy must either fail to open, fail to scan, or
 // (if the flip is in logically-dead space) still return byte-exact

@@ -1,10 +1,10 @@
 package store
 
 import (
+	"expvar"
 	"os"
 	"path/filepath"
-
-	"decibel/internal/compact"
+	"sync/atomic"
 )
 
 // The one compaction loop, Catalog.Compact: segments re-encode into the
@@ -16,6 +16,73 @@ import (
 // pinned readers drain. A crash before the commit point leaves the new
 // files as orphans, one after it leaves the old ones; the catalog's
 // orphan sweep removes either at the next open.
+
+// CompactStats is what one compaction pass accomplished.
+type CompactStats struct {
+	// SegmentsCompressed counts segments re-encoded to compressed pages.
+	SegmentsCompressed int64
+	// PagesCompressed counts compressed pages written.
+	PagesCompressed int64
+	// BytesReclaimed is the net on-disk shrink: bytes of replaced
+	// files minus bytes of their replacements.
+	BytesReclaimed int64
+}
+
+// Add folds another pass's stats into s.
+func (s *CompactStats) Add(o CompactStats) {
+	s.SegmentsCompressed += o.SegmentsCompressed
+	s.PagesCompressed += o.PagesCompressed
+	s.BytesReclaimed += o.BytesReclaimed
+}
+
+// Fail points for crash-injection tests: a pass aborts (ErrFailPoint)
+// at the named point, leaving disk in the state a crash there would.
+const (
+	// FailAfterTemp aborts after new segment content is written and
+	// fsynced but before the catalog swap: the crash window where the
+	// new files are orphans.
+	FailAfterTemp = "after-temp"
+	// FailBeforeUnlink completes the pass (catalog swapped, in-memory
+	// state updated) but skips unlinking the replaced files: the crash
+	// window where the old files are orphans.
+	FailBeforeUnlink = "before-unlink"
+)
+
+type failPointError string
+
+func (e failPointError) Error() string {
+	return "store: compaction aborted at injected fail point " + string(e)
+}
+
+// ErrFailPoint reports whether err is a pass that aborted at an
+// injected fail point.
+func ErrFailPoint(err error) bool {
+	_, ok := err.(failPointError)
+	return ok
+}
+
+// Process-wide compaction counters (expvar "decibel.compactions",
+// ".bytes_reclaimed", ".compressed_pages"): the server's smoke test
+// asserts they move when a compaction is triggered mid-load.
+var (
+	compactions     atomic.Int64
+	bytesReclaimed  atomic.Int64
+	compressedPages atomic.Int64
+)
+
+func init() {
+	expvar.Publish("decibel.compactions", expvar.Func(func() any { return compactions.Load() }))
+	expvar.Publish("decibel.bytes_reclaimed", expvar.Func(func() any { return bytesReclaimed.Load() }))
+	expvar.Publish("decibel.compressed_pages", expvar.Func(func() any { return compressedPages.Load() }))
+}
+
+// CountCompaction folds one pass, over every table, into the
+// process-wide counters.
+func CountCompaction(s CompactStats) {
+	compactions.Add(1)
+	bytesReclaimed.Add(s.BytesReclaimed)
+	compressedPages.Add(s.PagesCompressed)
+}
 
 // Pages returns the number of compressed pages flushed so far; after
 // WriteFile it is the file's final page count.
@@ -56,12 +123,12 @@ func (c *Catalog[S]) compress(s *Segment, newPath string) (*Segment, int, error)
 // fails. installed, when not nil, runs for each replaced segment once
 // the swap has committed.
 //
-// opt.FailPoint stops the pass where a crash would: under FailAfterTemp
-// the new files are closed but left on disk and the catalog is not
-// saved; under FailBeforeUnlink the catalog is saved but the replaced
-// files are not unlinked.
-func (c *Catalog[S]) Compact(opt compact.Options, eligible func(S) bool, installed func(S)) (compact.Stats, error) {
-	var st compact.Stats
+// The catalog's fail point (NewCatalog) stops the pass where a crash
+// would: under FailAfterTemp the new files are closed but left on disk
+// and the catalog is not saved; under FailBeforeUnlink the catalog is
+// saved but the replaced files are not unlinked.
+func (c *Catalog[S]) Compact(eligible func(S) bool, installed func(S)) (CompactStats, error) {
+	var st CompactStats
 	var at []S
 	var news []*Segment
 	var pages int64
@@ -90,9 +157,9 @@ func (c *Catalog[S]) Compact(opt compact.Options, eligible func(S) bool, install
 	if len(at) == 0 {
 		return st, nil
 	}
-	if opt.FailPoint == compact.FailAfterTemp {
+	if c.failPoint == FailAfterTemp {
 		abort(false)
-		return st, compact.FailPointErr(opt.FailPoint)
+		return st, failPointError(c.failPoint)
 	}
 	old := make([]Entry, len(at))
 	for k, s := range at {
@@ -115,8 +182,8 @@ func (c *Catalog[S]) Compact(opt compact.Options, eligible func(S) bool, install
 			installed(s)
 		}
 	}
-	if opt.FailPoint == compact.FailBeforeUnlink {
-		return st, compact.FailPointErr(opt.FailPoint)
+	if c.failPoint == FailBeforeUnlink {
+		return st, failPointError(c.failPoint)
 	}
 	// Each replaced file goes when its last pinned reader drains (see
 	// Segment.Retire).

@@ -49,21 +49,8 @@ func (pz *PageZones) Update(schema *record.Schema, buf []byte) {
 	z.Update(schema, buf)
 }
 
-// Chunk returns the number of record slots each zone covers.
-func (pz *PageZones) Chunk() int64 { return pz.chunk }
-
-// NumChunks returns the number of zones built so far. Rows appended
-// after a liveness snapshot was taken can only add or widen zones, so a
-// scan driving its snapshot through [0, NumChunks()) sees every slot
-// its snapshot can mark live.
-func (pz *PageZones) NumChunks() int {
-	pz.mu.Lock()
-	defer pz.mu.Unlock()
-	return len(pz.zones)
-}
-
-// Zone returns the zone of chunk i (slots [i*Chunk, (i+1)*Chunk)), or
-// nil when out of range.
+// Zone returns the zone of chunk i (slots [i*chunk, (i+1)*chunk), the
+// file's page i), or nil when out of range.
 func (pz *PageZones) Zone(i int) *ZoneMap {
 	pz.mu.Lock()
 	defer pz.mu.Unlock()
@@ -99,7 +86,8 @@ func (s *Segment) Pages() *PageZones { return s.pages }
 
 // Page-scan counters, the page-granularity mirror of the segment
 // counters: every per-page pruning decision increments exactly one
-// (expvar "decibel.pages_scanned"/".pages_skipped").
+// (expvar "decibel.pages_scanned"/".pages_skipped"). A scan decides
+// only for pages that hold a live slot of its bitmap.
 var (
 	pagesScanned atomic.Int64
 	pagesSkipped atomic.Int64

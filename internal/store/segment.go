@@ -43,8 +43,6 @@ type SegFile interface {
 	Append(rec []byte) (int64, error)
 	Read(slot int64, dst []byte) error
 	Scan(from, to int64, fn func(slot int64, rec []byte) bool) error
-	ScanLive(live heap.Bitmapper, fn func(slot int64, rec []byte) bool) error
-	ScanLiveRange(live heap.Bitmapper, from, to int64, fn func(slot int64, rec []byte) bool) error
 	Truncate(n int64) error
 	Sync() error
 	Flush() error

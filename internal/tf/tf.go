@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"decibel/internal/bitmap"
-	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
@@ -55,7 +54,7 @@ func Factory(env *core.Env) (core.Engine, error) {
 		cols: make(map[vgraph.BranchID]*bitmap.Bitmap),
 		logs: make(map[vgraph.BranchID]*bitmap.CommitLog),
 	}
-	e.cat = store.NewCatalog[*store.Entry](e.st, env.Dir, env.Opt.Fsync, store.Layout{
+	e.cat = store.NewCatalog[*store.Entry](e.st, env.Dir, env.Opt.Fsync, env.Opt.CompactionFailPoint, store.Layout{
 		File: "extents.json", Prefix: "data.e", Heap: ".heap", First: "data.heap",
 		Chained: true,
 	}, e.extentTable)
@@ -305,10 +304,10 @@ func (e *Engine) Stats() (core.Stats, error) {
 // but the tail, re-encode into compressed pages. The pass preserves slot
 // numbering, which every bitmap, commit delta and the version index
 // address globally; extents can never be merged or have rows dropped.
-func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
+func (e *Engine) CompactSegments() (store.CompactStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.cat.Compact(opt, func(x *store.Entry) bool { return x.Frozen }, nil)
+	return e.cat.Compact(func(x *store.Entry) bool { return x.Frozen }, nil)
 }
 
 // Flush implements core.Engine. The extent table (and with it every

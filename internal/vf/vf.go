@@ -12,7 +12,6 @@ import (
 	"sort"
 	"sync"
 
-	"decibel/internal/compact"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
@@ -119,7 +118,7 @@ func Factory(env *core.Env) (core.Engine, error) {
 		e.lineMemo = make(map[pos][]step)
 		e.stepMemo = make(map[pos][]step)
 	}
-	e.cat = store.NewCatalog[*segment](e.st, env.Dir, env.Opt.Fsync, store.Layout{
+	e.cat = store.NewCatalog[*segment](e.st, env.Dir, env.Opt.Fsync, env.Opt.CompactionFailPoint, store.Layout{
 		File: "segments.json", Prefix: "seg", Heap: ".dat",
 	}, e.catalog)
 	if err := e.recover(); err != nil {
@@ -504,12 +503,12 @@ func (e *Engine) Stats() (core.Stats, error) {
 // the pass is compression-only. A segment qualifies when it is no
 // branch's head (it will never take another append) and every row in it
 // is committed (count == safe count).
-func (e *Engine) CompactSegments(opt compact.Options) (compact.Stats, error) {
+func (e *Engine) CompactSegments() (store.CompactStats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	heads := e.headsLocked()
 	safe := e.safeCountsLocked()
-	return e.cat.Compact(opt, func(s *segment) bool {
+	return e.cat.Compact(func(s *segment) bool {
 		return !heads[s.ID] && s.File.Count() == safe[s.ID]
 	}, func(s *segment) {
 		// Compression preserves slot numbering, so cached resolutions

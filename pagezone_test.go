@@ -72,12 +72,16 @@ func TestTupleFirstPageZoneSkipping(t *testing.T) {
 	if stats := tbl.SegmentStats(); len(stats) != 2 || stats[0].Rows != rows {
 		t.Fatalf("want two extents, the first holding %d rows: %+v", rows, stats)
 	}
-	// dev rewrites ten keys of the range and deletes one; master
-	// rewrites another. Every new copy lands in the second extent.
+	// dev rewrites ten keys of the range, and one far below it, and
+	// deletes one; master rewrites another. Every new copy lands in the
+	// second extent. The low key's old copy sits on a page whose zone
+	// excludes the range, so the diff, whose other live slots all lie on
+	// pages the range overlaps, has a live page for its zone to skip.
 	if _, err := db.Branch("master", "dev"); err != nil {
 		t.Fatal(err)
 	}
 	load("dev", wide, 2*rows-10, 2*rows, 2)
+	load("dev", wide, rows+100, rows+101, 2)
 	if _, err := db.Commit("dev", func(tx *decibel.Tx) error { return tx.Delete("r", 2*rows-12) }); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# seventeen structural checks. Prints the non-test Go lines outside
+# eighteen structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}) and of
 # version-first alone (internal/vf), of the shared segment store
 # (internal/store), of the query layer (internal/query), of their merge
@@ -69,7 +69,13 @@
 # or if internal/vf/merge.go calls resolveLive: every engine hands its
 # slot spaces for a merge's versions to core (Merge.Changed), which
 # finds the keys, completes their positions and reads the records it
-# resolves; version-first resolves no whole live set to merge.
+# resolves; version-first resolves no whole live set to merge. Exits
+# non-zero too if internal/compact/ exists, or if non-test Go matches
+# startCompactor, WithCompactionInterval, ModeAuto, ScanLive, Bitmapper
+# or offsetBitmap: compaction is one call (Database.Compact, on or off,
+# no background loop), its stats, counters and fail points live in
+# internal/store, and the live-page walk is written once, in core's
+# walkSlots, over SegFile.Scan.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -223,6 +229,19 @@ stray=$(grep -rnE --include='*.go' 'posIn|ResolveChanged|ChangedKeys|func \(t \*
 stray="$stray$(grep -n 'resolveLive' internal/vf/merge.go || true)"
 if [ -n "$stray" ]; then
     echo "merge keys are found and read in core (Merge.Changed, MergeKeys); an engine gives its slot spaces and applies outcomes:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+if [ -e internal/compact ]; then
+    echo "internal/compact is gone (compaction's stats, counters and fail points live in internal/store)" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'startCompactor|WithCompactionInterval|ModeAuto|ScanLive|Bitmapper|offsetBitmap' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "compaction is one call with no background loop, and the live-page walk is core's walkSlots over SegFile.Scan:" >&2
     echo "$stray" >&2
     exit 1
 fi

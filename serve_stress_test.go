@@ -40,7 +40,7 @@ func expvarInt(t *testing.T, name string) int64 {
 }
 
 func TestConcurrentServing(t *testing.T) {
-	runConcurrentServing(t)
+	runConcurrentServing(t, false)
 }
 
 // TestConcurrentServingParallelScans is the same stress run with the
@@ -48,21 +48,46 @@ func TestConcurrentServing(t *testing.T) {
 // segments out on the scan pool while writers commit, so snapshot
 // isolation and seq monotonicity are asserted against parallel reads.
 func TestConcurrentServingParallelScans(t *testing.T) {
-	runConcurrentServing(t, decibel.WithScanWorkers(4))
+	runConcurrentServing(t, false, decibel.WithScanWorkers(4))
 }
 
-// TestConcurrentServingAutoCompaction is the same stress run with the
-// compactor ticking aggressively in the background: page compression
+// TestConcurrentServingAutoCompaction is the same stress run with a
+// compaction pass every 5 ms until the writers finish: page compression
 // retires segment files while the 32 clients read and write, so
 // snapshot isolation and the reader-pinning retire protocol are
 // asserted against concurrent compaction (CI runs this under -race).
 func TestConcurrentServingAutoCompaction(t *testing.T) {
-	runConcurrentServing(t,
-		decibel.WithCompaction("auto"),
-		decibel.WithCompactionInterval(5*time.Millisecond))
+	runConcurrentServing(t, true)
 }
 
-func runConcurrentServing(t *testing.T, opts ...decibel.Option) {
+// compactEvery runs db.Compact every interval on a goroutine of its own
+// until the returned stop, which waits for the running pass, is called.
+// A pass error fails the test.
+func compactEvery(t *testing.T, db *decibel.DB, interval time.Duration) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				if _, err := db.Compact(); err != nil {
+					t.Errorf("compaction pass: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	return func() { close(quit); <-done }
+}
+
+// runConcurrentServing runs the stress against a database opened with
+// opts; compacting turns compaction on and runs a pass every 5 ms until
+// the writers finish.
+func runConcurrentServing(t *testing.T, compacting bool, opts ...decibel.Option) {
 	const (
 		keys       = 48
 		writers    = 8
@@ -70,6 +95,9 @@ func runConcurrentServing(t *testing.T, opts ...decibel.Option) {
 		cancelers  = 2 // writers+readers+cancelers = 32 concurrent clients
 		commitsPer = 12
 	)
+	if compacting {
+		opts = append(opts, decibel.WithCompaction("manual"))
+	}
 	db, err := decibel.Open(t.TempDir(), append([]decibel.Option{decibel.WithEngine("hybrid")}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -99,6 +127,10 @@ func runConcurrentServing(t *testing.T, opts ...decibel.Option) {
 		t.Fatal(err)
 	}
 
+	stopCompact := func() {}
+	if compacting {
+		stopCompact = compactEvery(t, db, 5*time.Millisecond)
+	}
 	errsBefore := expvarInt(t, "decibel.server.errors")
 	var (
 		genCtr      atomic.Int64
@@ -215,6 +247,7 @@ func runConcurrentServing(t *testing.T, opts ...decibel.Option) {
 	}
 
 	wg.Wait()
+	stopCompact()
 	if len(failures) > 0 {
 		t.Fatalf("%d failures, first: %s", len(failures), failures[0])
 	}

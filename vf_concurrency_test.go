@@ -4,7 +4,8 @@ package decibel_test
 // branch heads and pinned historical commits race writers that commit,
 // branch and merge (merges fill override tables after the first
 // resolution — the cache's one true invalidation hazard) while
-// auto-compaction replaces segment files underneath. Run with -race
+// a compaction pass every 5 ms replaces segment files underneath until
+// the writers finish. Run with -race
 // (the CI race matrix picks the test up by name). The pinned AtCommit
 // reader is the strong assertion: a committed version is immutable, so
 // every re-read must be byte-identical to the snapshot taken before
@@ -24,7 +25,7 @@ import (
 
 func TestConcurrentVFCacheInvalidation(t *testing.T) {
 	db, err := decibel.Open(t.TempDir(), decibel.WithEngine("vf"),
-		decibel.WithCompaction("auto"), decibel.WithCompactionInterval(5*time.Millisecond))
+		decibel.WithCompaction("manual"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +76,9 @@ func TestConcurrentVFCacheInvalidation(t *testing.T) {
 	}
 
 	var (
-		wg   sync.WaitGroup
-		done atomic.Bool
+		wg      sync.WaitGroup
+		writing sync.WaitGroup // the writer and the merger
+		done    atomic.Bool
 	)
 	errs := make(chan error, 16)
 	fail := func(err error) {
@@ -86,10 +88,14 @@ func TestConcurrentVFCacheInvalidation(t *testing.T) {
 		}
 	}
 
+	stopCompact := compactEvery(t, db, 5*time.Millisecond)
+
 	// Writer: committed updates marching over the base rows.
 	wg.Add(1)
+	writing.Add(1)
 	go func() {
 		defer wg.Done()
+		defer writing.Done()
 		for round := 0; round < 15; round++ {
 			if _, err := db.Commit("master", func(tx *decibel.Tx) error {
 				lo := (round * 20) % baseRows
@@ -109,8 +115,10 @@ func TestConcurrentVFCacheInvalidation(t *testing.T) {
 	// Merger: branch off master, change a private slice, merge back.
 	// Each merge invalidates the new head's cached resolutions.
 	wg.Add(1)
+	writing.Add(1)
 	go func() {
 		defer wg.Done()
+		defer writing.Done()
 		for i := 0; i < 8; i++ {
 			name := fmt.Sprintf("m%d", i)
 			if _, err := db.Branch("master", name); err != nil {
@@ -213,6 +221,8 @@ func TestConcurrentVFCacheInvalidation(t *testing.T) {
 		time.Sleep(400 * time.Millisecond)
 		done.Store(true)
 	}()
+	writing.Wait()
+	stopCompact()
 	<-writersDone
 	close(errs)
 	for err := range errs {
