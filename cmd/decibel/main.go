@@ -550,6 +550,7 @@ func run(dir, engine, table string, args []string) error {
 		fmt.Printf("index bytes:    %d (%d key-index entries)\n", st.IndexBytes, st.IndexEntries)
 		fmt.Printf("history bytes:  %d\n", st.CommitBytes)
 		fmt.Printf("segments:       %d\n", st.SegmentCount)
+		fmt.Printf("pool bytes:     %d\n", st.PoolBytes)
 		// stats <table>: per-segment zone-map summaries (what predicate
 		// pushdown prunes scans with).
 		if len(rest) == 1 {

@@ -549,6 +549,7 @@ func (db *Database) Stats() (Stats, error) {
 		agg.SegmentCount += st.SegmentCount
 		agg.LiveRecords += st.LiveRecords
 	}
+	agg.PoolBytes = db.pool.ResidentBytes()
 	return agg, nil
 }
 

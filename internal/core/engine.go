@@ -70,6 +70,7 @@ type Stats struct {
 	CommitBytes  int64 // on-disk commit history bytes
 	SegmentCount int   // number of heap/segment files
 	LiveRecords  int64 // records live in at least one branch head (approximate)
+	PoolBytes    int64 // buffer-pool frame bytes resident (Database.Stats; engines leave 0)
 }
 
 // Env is the shared environment a Database hands to its engines.

@@ -14,9 +14,10 @@ import (
 // the spec to every buffer a scan unit walks.
 //
 // A ScanSpec is single-use per scan: the projection reuses one scratch
-// record, so it must not be shared between concurrent scans. Records
-// produced by Apply alias either the engine's buffer or that scratch
-// record and must be Cloned to be retained, like every scan output.
+// record (and a Transient spec one view record), so it must not be
+// shared between concurrent scans. Records produced by Apply alias
+// either the engine's buffer or that scratch record and must be Cloned
+// to be retained, like every scan output.
 type ScanSpec struct {
 	// schema is the table schema visible at epoch; Prep converts
 	// buffers stored under older physical layouts into it before Pred
@@ -32,6 +33,9 @@ type ScanSpec struct {
 	cols    []int          // source column index per output column
 	out     *record.Schema // projected schema (nil = no projection)
 	scratch *record.Record
+	// view, set by Transient, is the record Apply rebinds to each row
+	// instead of allocating one (nil: allocate per row).
+	view *record.Record
 
 	// bounds are the planner's per-column interval constraints and
 	// visPhys the visible-to-physical column mapping they are resolved
@@ -111,8 +115,18 @@ func (sp *ScanSpec) Clone() *ScanSpec {
 	if sp.out != nil {
 		c.scratch = record.New(sp.out)
 	}
+	if sp.view != nil {
+		c.view = new(record.Record)
+	}
 	return &c
 }
+
+// Transient marks the spec's consumer as one that keeps no record past
+// its callback — the grouped fold, and the join, which clones what it
+// keeps. Apply then rebinds one view record per spec clone instead of
+// allocating a record per row. Consumers that keep what they are handed
+// (row terminals, a transaction's rollback) leave the spec unmarked.
+func (sp *ScanSpec) Transient() { sp.view = new(record.Record) }
 
 // Out returns the schema of the records the spec emits: the projected
 // schema when a projection is set, the table schema otherwise.
@@ -131,7 +145,13 @@ func (sp *ScanSpec) Apply(buf []byte) (*record.Record, error) {
 	if sp.Pred != nil && !sp.Pred(buf) {
 		return nil, nil
 	}
-	src, err := record.FromBytes(sp.schema, buf)
+	src := sp.view
+	var err error
+	if src != nil {
+		err = src.Reset(sp.schema, buf)
+	} else {
+		src, err = record.FromBytes(sp.schema, buf)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,13 @@
 // tuple payloads in heap files from this package: tuple-first uses one
 // shared file, version-first and hybrid use one segment file per
 // branch.
+//
+// A pool frame holds the bytes its page holds, not a page's worth: a
+// read miss allocates exactly the records the file's count puts on that
+// page, so a file's partial last page (every hybrid branch head's) costs
+// what it stores. Only Append grows a frame, once, to the full page.
+// The pool's memory bound is unchanged: capacity frames of at most one
+// page each.
 package heap
 
 import (
@@ -12,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultPageSize is the paper's 4 MB page size.
@@ -23,7 +31,12 @@ type pageKey struct {
 	page int64
 }
 
-// frame is one resident page.
+// frame is one resident page. data holds the page's records and no
+// more: a read miss sizes it to the records on the page, and Append
+// grows it to the full page the first time it needs room. Growth
+// replaces data under the pool lock, so readers index the slice get
+// handed them, never data itself; the old slice still holds every slot
+// a reader's count snapshot covers.
 type frame struct {
 	key   pageKey
 	data  []byte
@@ -50,11 +63,12 @@ type Pool struct {
 
 	// Statistics.
 	hits, misses, evictions int64
+	resident                int64 // bytes held by resident frames
 }
 
-// NewPool creates a pool holding up to capacity pages of pageSize
-// bytes. pageSize <= 0 selects DefaultPageSize; capacity <= 0 selects a
-// small default suitable for tests.
+// NewPool creates a pool holding up to capacity frames of at most
+// pageSize bytes each. pageSize <= 0 selects DefaultPageSize; capacity
+// <= 0 selects a small default suitable for tests.
 func NewPool(capacity, pageSize int) *Pool {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -73,6 +87,15 @@ func NewPool(capacity, pageSize int) *Pool {
 // PageSize returns the pool's page size in bytes.
 func (p *Pool) PageSize() int { return p.pageSize }
 
+// ResidentBytes returns the bytes the pool's resident frames hold:
+// at most capacity times the page size, and less wherever frames hold
+// partial pages.
+func (p *Pool) ResidentBytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.resident
+}
+
 // Stats returns cumulative hit/miss/eviction counters.
 func (p *Pool) Stats() (hits, misses, evictions int64) {
 	p.mu.Lock()
@@ -80,35 +103,51 @@ func (p *Pool) Stats() (hits, misses, evictions int64) {
 	return p.hits, p.misses, p.evictions
 }
 
-// get returns the pinned frame for (f, page), reading it from disk on a
-// miss. create indicates the page is being appended and may not exist
-// on disk yet.
-func (p *Pool) get(f *File, page int64, create bool) (*frame, error) {
+// get returns the pinned frame for (f, page) and its data as of the
+// call, reading the page from disk on a miss. A reader (create false)
+// must index the returned slice, not fr.data, which an Append may
+// replace; a read miss allocates exactly the bytes the file's record
+// count puts on the page. An appender (create true) gets a full page:
+// a miss allocates one and a hit on a shorter frame grows it.
+func (p *Pool) get(f *File, page int64, create bool) (*frame, []byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	key := pageKey{file: f.poolID, page: page}
 	if fr, ok := p.frames[key]; ok {
 		p.hits++
+		if create && len(fr.data) < p.pageSize {
+			data := make([]byte, p.pageSize)
+			copy(data, fr.data)
+			p.resident += int64(len(data) - len(fr.data))
+			fr.data = data
+		}
 		if fr.pins == 0 && fr.lru != nil {
 			p.lru.Remove(fr.lru)
 			fr.lru = nil
 		}
 		fr.pins++
-		return fr, nil
+		return fr, fr.data, nil
 	}
 	p.misses++
 	if err := p.evictLocked(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	fr := &frame{key: key, data: make([]byte, p.pageSize), pins: 1, owner: f}
-	off := page * int64(p.pageSize)
-	n, err := f.f.ReadAt(fr.data, off)
-	if err != nil && n == 0 && !create {
-		return nil, fmt.Errorf("heap: reading page %d of %s: %w", page, f.path, err)
+	// The bytes on disk for this page: every record the count holds on
+	// it. A page that is not resident has had all its appends written
+	// back (eviction writes a dirty frame before dropping it), and an
+	// append in flight on it would have it pinned.
+	held := int(min(max(f.count.Load()-page*int64(f.perPage), 0), int64(f.perPage))) * f.recSize
+	size := held
+	if create {
+		size = p.pageSize
 	}
-	fr.size = n
+	fr := &frame{key: key, data: make([]byte, size), size: held, pins: 1, owner: f}
+	if n, err := f.f.ReadAt(fr.data[:held], page*int64(p.pageSize)); n < held {
+		return nil, nil, fmt.Errorf("heap: reading page %d of %s: %d of %d bytes: %w", page, f.path, n, held, err)
+	}
 	p.frames[key] = fr
-	return fr, nil
+	p.resident += int64(size)
+	return fr, fr.data, nil
 }
 
 // evictLocked makes room for one more frame if the pool is full.
@@ -130,6 +169,7 @@ func (p *Pool) evictLocked() error {
 			}
 		}
 		delete(p.frames, fr.key)
+		p.resident -= int64(len(fr.data))
 		p.evictions++
 	}
 	return nil
@@ -159,6 +199,7 @@ func (p *Pool) dropFile(f *File) {
 				p.lru.Remove(fr.lru)
 			}
 			delete(p.frames, key)
+			p.resident -= int64(len(fr.data))
 		}
 	}
 }
@@ -176,8 +217,10 @@ type File struct {
 	poolID  uint64
 	recSize int
 	perPage int
-	count   int64 // number of records, including any tombstones
-	frozen  bool  // appends rejected (hybrid internal segments freeze)
+	// count is the number of records, including any tombstones. It
+	// changes under mu; the pool reads it without mu to size a miss.
+	count  atomic.Int64
+	frozen bool // appends rejected (hybrid internal segments freeze)
 	// dirtyFrom is the first page appended to since the last flush, -1
 	// when there is none: a flush looks up only the pages from there to
 	// the end, so flushing a clean file costs nothing.
@@ -209,27 +252,24 @@ func Open(pool *Pool, path string, recSize int) (*File, error) {
 	id := pool.nextFile
 	pool.nextFile++
 	pool.mu.Unlock()
-	return &File{
+	hf := &File{
 		pool:      pool,
 		path:      path,
 		f:         f,
 		poolID:    id,
 		recSize:   recSize,
 		perPage:   perPage,
-		count:     count,
 		dirtyFrom: -1,
-	}, nil
+	}
+	hf.count.Store(count)
+	return hf, nil
 }
 
 // Path returns the file's path.
 func (f *File) Path() string { return f.path }
 
 // Count returns the number of record slots written.
-func (f *File) Count() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.count
-}
+func (f *File) Count() int64 { return f.count.Load() }
 
 // RecordSize returns the fixed record size in bytes.
 func (f *File) RecordSize() int { return f.recSize }
@@ -279,7 +319,7 @@ func (f *File) flushLocked() error {
 	p := f.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for page := f.dirtyFrom; page*int64(f.perPage) < f.count; page++ {
+	for page := f.dirtyFrom; page*int64(f.perPage) < f.count.Load(); page++ {
 		if fr, ok := p.frames[pageKey{file: f.poolID, page: page}]; ok && fr.dirty {
 			if err := f.writePage(fr); err != nil {
 				return err
@@ -300,10 +340,10 @@ func (f *File) Append(rec []byte) (int64, error) {
 	if f.frozen {
 		return 0, fmt.Errorf("heap: %s is frozen", f.path)
 	}
-	slot := f.count
+	slot := f.count.Load()
 	page := slot / int64(f.perPage)
 	idx := int(slot % int64(f.perPage))
-	fr, err := f.pool.get(f, page, true)
+	fr, _, err := f.pool.get(f, page, true)
 	if err != nil {
 		return 0, err
 	}
@@ -319,7 +359,7 @@ func (f *File) Append(rec []byte) (int64, error) {
 	if f.dirtyFrom < 0 {
 		f.dirtyFrom = page
 	}
-	f.count++
+	f.count.Add(1)
 	return slot, nil
 }
 
@@ -329,20 +369,21 @@ func (f *File) Read(slot int64, dst []byte) error {
 	if len(dst) != f.recSize {
 		return fmt.Errorf("heap: dst is %d bytes, want %d", len(dst), f.recSize)
 	}
-	f.mu.Lock()
-	count := f.count
-	f.mu.Unlock()
+	count := f.count.Load()
 	if slot < 0 || slot >= count {
 		return fmt.Errorf("heap: slot %d out of range [0,%d)", slot, count)
 	}
 	page := slot / int64(f.perPage)
 	idx := int(slot % int64(f.perPage))
-	fr, err := f.pool.get(f, page, false)
+	fr, data, err := f.pool.get(f, page, false)
 	if err != nil {
 		return err
 	}
 	defer f.pool.unpin(fr)
-	copy(dst, fr.data[idx*f.recSize:(idx+1)*f.recSize])
+	if err := f.covers(data, page, idx+1); err != nil {
+		return err
+	}
+	copy(dst, data[idx*f.recSize:(idx+1)*f.recSize])
 	return nil
 }
 
@@ -351,28 +392,22 @@ func (f *File) Read(slot int64, dst []byte) error {
 // stops the scan early. Scan pins one page at a time, giving the
 // sequential I/O pattern of a branch scan.
 func (f *File) Scan(from, to int64, fn func(slot int64, rec []byte) bool) error {
-	f.mu.Lock()
-	count := f.count
-	f.mu.Unlock()
-	if to > count {
-		to = count
-	}
-	if from < 0 {
-		from = 0
-	}
+	to = min(to, f.count.Load())
+	from = max(from, 0)
 	for slot := from; slot < to; {
 		page := slot / int64(f.perPage)
-		fr, err := f.pool.get(f, page, false)
+		fr, data, err := f.pool.get(f, page, false)
 		if err != nil {
 			return err
 		}
-		end := (page + 1) * int64(f.perPage)
-		if end > to {
-			end = to
+		end := min((page+1)*int64(f.perPage), to)
+		if err := f.covers(data, page, int(end-page*int64(f.perPage))); err != nil {
+			f.pool.unpin(fr)
+			return err
 		}
 		for ; slot < end; slot++ {
 			idx := int(slot % int64(f.perPage))
-			if !fn(slot, fr.data[idx*f.recSize:(idx+1)*f.recSize]) {
+			if !fn(slot, data[idx*f.recSize:(idx+1)*f.recSize]) {
 				f.pool.unpin(fr)
 				return nil
 			}
@@ -388,8 +423,8 @@ func (f *File) Scan(from, to int64, fn func(slot int64, rec []byte) bool) error 
 func (f *File) Truncate(n int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n < 0 || n > f.count {
-		return fmt.Errorf("heap: truncate to %d out of range [0,%d]", n, f.count)
+	if count := f.count.Load(); n < 0 || n > count {
+		return fmt.Errorf("heap: truncate to %d out of range [0,%d]", n, count)
 	}
 	if err := f.flushLocked(); err != nil {
 		return err
@@ -404,7 +439,18 @@ func (f *File) Truncate(n int64) error {
 	if err := f.f.Truncate(size); err != nil {
 		return fmt.Errorf("heap: %w", err)
 	}
-	f.count = n
+	f.count.Store(n)
+	return nil
+}
+
+// covers checks that a page's frame data holds its first n slots. Only
+// Append grows a frame, and a read miss sizes it to the file's count, so
+// a reader finding fewer is an invariant violation, never a page to
+// zero-fill.
+func (f *File) covers(data []byte, page int64, n int) error {
+	if len(data) < n*f.recSize {
+		return fmt.Errorf("heap: page %d of %s holds %d bytes, reader needs %d", page, f.path, len(data), n*f.recSize)
+	}
 	return nil
 }
 

@@ -359,14 +359,16 @@ func BenchmarkHeapScan(b *testing.B) {
 // TestFlushWritesOnlyNewBytes: a flush writes back what was appended
 // since the page was last clean, not the whole page. Bytes on disk
 // before it — here overwritten behind the pool's back — stay as they
-// are, and every appended record reaches the file.
+// are, and every appended record reaches the file. The same holds
+// after a reopen, when the tail page's frame was read at the size of
+// its records and the appends grow it to the full page.
 func TestFlushWritesOnlyNewBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.heap")
 	f, err := Open(newTestPool(), path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer func() { f.Close() }()
 	for i := int64(0); i < 3; i++ {
 		if _, err := f.Append(mkRec(64, i)); err != nil {
 			t.Fatal(err)
@@ -376,14 +378,7 @@ func TestFlushWritesOnlyNewBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	marker := []byte("written behind the pool")
-	raw, err := os.OpenFile(path, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := raw.WriteAt(marker, 0); err != nil {
-		t.Fatal(err)
-	}
-	raw.Close()
+	writeBehind(t, path, marker, 0)
 	for i := int64(3); i < 5; i++ {
 		if _, err := f.Append(mkRec(64, i)); err != nil {
 			t.Fatal(err)
@@ -395,19 +390,266 @@ func TestFlushWritesOnlyNewBytes(t *testing.T) {
 	if err := f.Flush(); err != nil { // clean: nothing to write
 		t.Fatal(err)
 	}
+	checkFlushed(t, path, 5, 3, marker, 0)
+
+	// Reopened: the tail frame holds slots 0..4 only until appends grow it.
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pool := newTestPool()
+	if f, err = Open(pool, path, 64); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64)
+	if err := f.Read(4, buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.ResidentBytes(); got != 5*64 {
+		t.Fatalf("tail frame holds %d bytes after reopen, want %d", got, 5*64)
+	}
+	writeBehind(t, path, marker, 64)
+	for i := int64(5); i < 8; i++ {
+		if _, err := f.Append(mkRec(64, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pool.ResidentBytes(); got != 4096 {
+		t.Fatalf("appended frame holds %d bytes, want the 4096-byte page", got)
+	}
+	for i := int64(1); i < 8; i++ { // slot 0 reads the first marker
+		if err := f.Read(i, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, mkRec(64, i)) {
+			t.Fatalf("slot %d reads back wrong after the frame grew", i)
+		}
+	}
+	if err := f.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkFlushed(t, path, 8, 5, marker, 64)
+}
+
+// writeBehind overwrites the file at off without going through the pool.
+func writeBehind(t *testing.T, path string, b []byte, off int64) {
+	t.Helper()
+	raw, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkFlushed asserts the 64-byte-record file holds n records, the
+// marker still at off, and slots from..n-1 as appended.
+func checkFlushed(t *testing.T, path string, n, from int64, marker []byte, off int) {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != 5*64 {
-		t.Fatalf("file holds %d bytes, want %d", len(data), 5*64)
+	if int64(len(data)) != n*64 {
+		t.Fatalf("file holds %d bytes, want %d", len(data), n*64)
 	}
-	if !bytes.Equal(data[:len(marker)], marker) {
-		t.Fatalf("flush rewrote the page's clean prefix: %q", data[:len(marker)])
+	if !bytes.Equal(data[off:off+len(marker)], marker) {
+		t.Fatalf("flush rewrote the page's clean prefix: %q", data[off:off+len(marker)])
 	}
-	for i := int64(3); i < 5; i++ {
+	for i := from; i < n; i++ {
 		if got := data[i*64 : (i+1)*64]; !bytes.Equal(got, mkRec(64, i)) {
 			t.Fatalf("slot %d not on disk after flush", i)
+		}
+	}
+}
+
+// TestReadMissAllocatesWhatPageHolds: a read miss on a partial page
+// allocates the page's records, not the page; full pages stay full
+// frames, and closing the file releases them.
+func TestReadMissAllocatesWhatPageHolds(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.heap")
+	f, err := Open(newTestPool(), path, 64) // 64 slots per 4096-byte page
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 64+10; i++ {
+		if _, err := f.Append(mkRec(64, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pool := newTestPool()
+	if f, err = Open(pool, path, 64); err != nil {
+		t.Fatal(err)
+	}
+	err = f.Scan(64, 74, func(slot int64, rec []byte) bool {
+		if !bytes.Equal(rec, mkRec(64, slot)) {
+			t.Fatalf("slot %d payload mismatch", slot)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.ResidentBytes(); got != 10*64 {
+		t.Fatalf("partial tail page holds %d bytes, want %d", got, 10*64)
+	}
+	buf := make([]byte, 64)
+	if err := f.Read(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.ResidentBytes(); got != 64*64+10*64 {
+		t.Fatalf("full page plus tail hold %d bytes, want %d", got, 64*64+10*64)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pool.ResidentBytes(); got != 0 {
+		t.Fatalf("closed file still holds %d pool bytes", got)
+	}
+}
+
+// TestShortPageReadIsAnError: a file holding fewer bytes than its count
+// vouches for — cut behind the pool after Open — fails the read instead
+// of handing out zeroed records.
+func TestShortPageReadIsAnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.heap")
+	f, err := Open(newTestPool(), path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 10; i++ {
+		if _, err := f.Append(mkRec(64, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if f, err = Open(newTestPool(), path, 64); err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := os.Truncate(path, 5*64); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	err = f.Scan(0, 10, func(int64, []byte) bool { n++; return true })
+	if err == nil {
+		t.Fatalf("scan of a cut file yielded %d records and no error", n)
+	}
+	if err := f.Read(7, make([]byte, 64)); err == nil {
+		t.Fatal("read of a cut slot succeeded")
+	}
+}
+
+// TestTruncateThenReread: after Truncate drops the resident frames, the
+// boundary page reads back at its new size, and appends continue it.
+func TestTruncateThenReread(t *testing.T) {
+	pool := newTestPool()
+	f, err := Open(pool, filepath.Join(t.TempDir(), "t.heap"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := int64(0); i < 100; i++ {
+		if _, err := f.Append(mkRec(64, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Truncate(70); err != nil {
+		t.Fatal(err)
+	}
+	check := func(n int64) {
+		t.Helper()
+		seen := int64(0)
+		err := f.Scan(0, 1<<20, func(slot int64, rec []byte) bool {
+			if !bytes.Equal(rec, mkRec(64, slot)) {
+				t.Fatalf("slot %d payload mismatch", slot)
+			}
+			seen++
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen != n {
+			t.Fatalf("scan saw %d records, want %d", seen, n)
+		}
+	}
+	check(70)
+	if got := pool.ResidentBytes(); got != 64*64+6*64 {
+		t.Fatalf("after truncate the pool holds %d bytes, want %d", got, 64*64+6*64)
+	}
+	if err := f.Read(70, make([]byte, 64)); err == nil {
+		t.Fatal("read past the truncated end succeeded")
+	}
+	for i := int64(70); i < 80; i++ {
+		if _, err := f.Append(mkRec(64, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(80)
+}
+
+// TestScanWhileAppendGrowsFrame: readers scanning a tail frame read at
+// the size of its records keep seeing every slot of their snapshot while
+// Append grows the frame to the full page and fills further pages. Run
+// it under -race.
+func TestScanWhileAppendGrowsFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.heap")
+	f, err := Open(newTestPool(), path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 10; i++ {
+		if _, err := f.Append(mkRec(64, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		f, err := Open(NewPool(4, 4096), path, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Read(9, make([]byte, 64)); err != nil { // the 10-record frame
+			t.Fatal(err)
+		}
+		done := make(chan error)
+		go func() {
+			var bad error
+			for i := 0; i < 50 && bad == nil; i++ {
+				err := f.Scan(0, 1<<20, func(slot int64, rec []byte) bool {
+					if got := int64(binary.LittleEndian.Uint64(rec)); got != slot {
+						bad = fmt.Errorf("slot %d reads payload %d", slot, got)
+					}
+					return bad == nil
+				})
+				if err != nil {
+					bad = err
+				}
+			}
+			done <- bad
+		}()
+		for i := f.Count(); i < 10+150; i++ {
+			if _, err := f.Append(mkRec(64, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Truncate(10); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

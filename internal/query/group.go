@@ -383,12 +383,14 @@ func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, er
 	}
 	// The spec carries only the predicate and its pruning bounds: a
 	// Select projection constrains the group columns at compile time but
-	// does not restrict what the fold reads.
+	// does not restrict what the fold reads. The fold keeps no row, so
+	// the spec is Transient.
 	spec, err := core.NewScanSpecAt(c.table.History(), c.epoch, c.pred, nil)
 	if err != nil {
 		return nil, err
 	}
 	spec.SetBounds(c.bounds)
+	spec.Transient()
 	// One fold, two drivers: in order straight into the total, or one
 	// fold per pooled unit merged in unit order — first-arrival emission
 	// order is preserved exactly either way.

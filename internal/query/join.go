@@ -308,6 +308,14 @@ func joinKey(rec *record.Record, col int, bytesKey bool) string {
 	return string(b[:])
 }
 
+// scan streams relation r through its ordinary scan path. Both sides
+// clone what they keep — the build side every row, the probe side its
+// matches — so the relation's spec is Transient: one view record per
+// spec clone, not one allocation per row.
+func (jp *joinPlan) scan(ctx context.Context, r int, fn core.ScanFunc) error {
+	return jp.rels[r].scan(ctx, true, fn)
+}
+
 // run executes the join and emits the tuples in canonical order.
 func (jp *joinPlan) run(ctx context.Context, noReorder bool, fn func(JoinTuple) bool) error {
 	ord := jp.order(noReorder)
@@ -315,7 +323,7 @@ func (jp *joinPlan) run(ctx context.Context, noReorder bool, fn func(JoinTuple) 
 
 	// Materialize the first (smallest-estimate) relation.
 	var tuples []JoinTuple
-	err := jp.rels[ord[0]].Scan(ctx, func(rec *record.Record) bool {
+	err := jp.scan(ctx, ord[0], func(rec *record.Record) bool {
 		t := make(JoinTuple, n)
 		t[ord[0]] = rec.Clone()
 		tuples = append(tuples, t)
@@ -342,7 +350,7 @@ func (jp *joinPlan) run(ctx context.Context, noReorder bool, fn func(JoinTuple) 
 			build[k] = append(build[k], i)
 		}
 		var next []JoinTuple
-		err := jp.rels[r].Scan(ctx, func(rec *record.Record) bool {
+		err := jp.scan(ctx, r, func(rec *record.Record) bool {
 			idxs := build[joinKey(rec, first.newCol, first.bytesKey)]
 			if len(idxs) == 0 {
 				return true

@@ -108,7 +108,7 @@ func (c *Compiled) emitRows(ctx context.Context, req core.ScanRequest, keep func
 		return c.orderedVisit(ctx, req, keep, fn)
 	}
 	scan := func(f core.ScanFunc) error {
-		return c.runRows(ctx, req, keep, func(rec *record.Record, _ core.UnitAux) bool { return f(rec) })
+		return c.runRows(ctx, req, c.execSpec(), keep, func(rec *record.Record, _ core.UnitAux) bool { return f(rec) })
 	}
 	if !c.Ordered() {
 		if limit <= 0 {

@@ -26,13 +26,14 @@ type bufRow struct {
 	aux core.UnitAux
 }
 
-// runRows runs a row-emitting shape (branch, commit, multi or diff).
+// runRows runs a row-emitting shape (branch, commit, multi or diff)
+// under spec, one execution's clone of the compiled prototype.
 // keep filters on the unit annotation before a row counts — the diff
 // terminal's side selection; a unit's Limit counts only kept rows.
 // In pool mode each unit buffers clones of its kept rows and replays
 // them through emit at flush with their annotation: the membership of
 // the multi shape, the side of the symmetric diff.
-func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, emit core.UnitFunc) error {
+func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, spec *core.ScanSpec, keep func(core.UnitAux) bool, emit core.UnitFunc) error {
 	fn := emit
 	if keep != nil {
 		fn = func(rec *record.Record, aux core.UnitAux) bool { return !keep(aux) || emit(rec, aux) }
@@ -41,7 +42,7 @@ func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(
 	if !c.Ordered() {
 		limit = c.plan.Limit
 	}
-	return c.run(ctx, req, c.execSpec(), fn, func(int, int) core.UnitSink {
+	return c.run(ctx, req, spec, fn, func(int, int) core.UnitSink {
 		var rows []bufRow
 		return core.UnitSink{
 			Fn: func(rec *record.Record, aux core.UnitAux) bool {

@@ -344,6 +344,14 @@ func (c *Compiled) run(ctx context.Context, req core.ScanRequest, spec *core.Sca
 // segment scan when the engine can; the full predicate and projection
 // still run on the looked-up record, so the result is identical.
 func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
+	return c.scan(ctx, false, fn)
+}
+
+// scan is Scan, with the walk's spec Transient when the consumer keeps
+// no record it is handed (the join clones what it keeps). The point
+// lookup takes its own spec clone: one that goes no further than the
+// lookup costs no allocation.
+func (c *Compiled) scan(ctx context.Context, transient bool, fn core.ScanFunc) error {
 	if err := c.rowShape("Rows", false); err != nil {
 		return err
 	}
@@ -357,7 +365,11 @@ func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 			return err
 		}
 	}
-	return c.runRows(ctx, req, nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
+	spec := c.execSpec()
+	if transient {
+		spec.Transient()
+	}
+	return c.runRows(ctx, req, spec, nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
 // pointPK reports whether the extracted bounds pin the primary key
@@ -386,7 +398,7 @@ func (c *Compiled) ScanMulti(ctx context.Context, fn core.MultiScanFunc) error {
 	if c.commit != nil {
 		return fmt.Errorf("%w: At() cannot combine with a multi-branch scan", core.ErrBadQuery)
 	}
-	return c.runRows(ctx, c.request(core.ScanKindMulti), nil,
+	return c.runRows(ctx, c.request(core.ScanKindMulti), c.execSpec(), nil,
 		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) })
 }
 
@@ -418,7 +430,7 @@ func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.rowShape("Diff", true); err != nil {
 		return err
 	}
-	return c.runRows(ctx, c.request(core.ScanKindDiff), keepInA,
+	return c.runRows(ctx, c.request(core.ScanKindDiff), c.execSpec(), keepInA,
 		func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
@@ -430,7 +442,7 @@ func (c *Compiled) SymDiff(ctx context.Context, fn func(rec *record.Record, inA 
 	if err := c.rowShape("Diff", true); err != nil {
 		return err
 	}
-	return c.runRows(ctx, c.request(core.ScanKindDiff), nil,
+	return c.runRows(ctx, c.request(core.ScanKindDiff), c.execSpec(), nil,
 		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.InA) })
 }
 

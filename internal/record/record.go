@@ -306,10 +306,22 @@ func New(s *Schema) *Record {
 // FromBytes wraps an encoded record buffer. The buffer is used directly
 // (not copied); it must be exactly RecordSize bytes.
 func FromBytes(s *Schema, buf []byte) (*Record, error) {
-	if len(buf) != s.RecordSize() {
-		return nil, fmt.Errorf("record: buffer is %d bytes, schema needs %d", len(buf), s.RecordSize())
+	r := new(Record)
+	if err := r.Reset(s, buf); err != nil {
+		return nil, err
 	}
-	return &Record{schema: s, buf: buf}, nil
+	return r, nil
+}
+
+// Reset rebinds r to an encoded record buffer of schema s, used
+// directly like FromBytes's: a consumer that keeps no record past its
+// callback reuses one view for every row instead of allocating one.
+func (r *Record) Reset(s *Schema, buf []byte) error {
+	if len(buf) != s.RecordSize() {
+		return fmt.Errorf("record: buffer is %d bytes, schema needs %d", len(buf), s.RecordSize())
+	}
+	r.schema, r.buf = s, buf
+	return nil
 }
 
 // Schema returns the record's schema.

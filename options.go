@@ -33,7 +33,9 @@ func WithPageSize(bytes int) Option {
 	return func(c *config) { c.opt.PageSize = bytes }
 }
 
-// WithPoolPages sets the buffer pool capacity in pages (0 = default).
+// WithPoolPages sets the buffer pool capacity in frames (0 = default).
+// A frame holds at most one page and only as many bytes as its page
+// holds, so the pool's memory bound is still pages times the page size.
 func WithPoolPages(pages int) Option {
 	return func(c *config) { c.opt.PoolPages = pages }
 }

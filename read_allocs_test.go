@@ -6,14 +6,16 @@ package decibel_test
 // rewritten, so the index walk passes versions the branch cannot see —
 // a point lookup pinned to a commit the key was rewritten after (the
 // served read's shape), a sequential Q1-shaped head scan, and a warm
-// HEAD() scan of every branch and a warm symmetric diff of two. The
+// HEAD() scan of every branch, a warm symmetric diff of two, and a
+// scalar fold (Sum) over the head, whose rows the fold does not keep. The
 // dataset is the pruning dataset — several segments across two schema
 // epochs — so the per-unit costs (layout conversion, zone checks) are
 // part of the count. The tuple-first and hybrid head ceilings are the
 // counts measured before the read paths were folded into one driver,
 // the rest the counts measured when each path was added; one more
 // closure, sink or slice per read fails here before it fails the
-// benchmark gate; for the HEAD() and diff shapes, so does one per row.
+// benchmark gate; for the HEAD(), diff and fold shapes, so does one per
+// row.
 
 import (
 	"testing"
@@ -22,10 +24,10 @@ import (
 )
 
 // readAllocCeilings is allocations per read, by engine.
-var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit, heads, diff float64 }{
-	"hybrid":        {point: 24, walk: 24, scan: 176, atCommit: 29, heads: 235, diff: 63},
-	"tuple-first":   {point: 24, walk: 24, scan: 167, atCommit: 29, heads: 207, diff: 46},
-	"version-first": {point: 24, walk: 24, scan: 165, atCommit: 21, heads: 223, diff: 58},
+var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit, heads, diff, fold float64 }{
+	"hybrid":        {point: 24, walk: 24, scan: 176, atCommit: 29, heads: 235, diff: 63, fold: 41},
+	"tuple-first":   {point: 24, walk: 24, scan: 167, atCommit: 29, heads: 207, diff: 46, fold: 35},
+	"version-first": {point: 24, walk: 24, scan: 165, atCommit: 21, heads: 223, diff: 58, fold: 35},
 }
 
 func TestReadAllocCeilings(t *testing.T) {
@@ -92,6 +94,11 @@ func TestReadAllocCeilings(t *testing.T) {
 					t.Fatalf("diff: %d rows (%v), want 7", n, err)
 				}
 			}
+			fold := func() {
+				if sum, err := db.Query("r").On("master").Sum("v"); err != nil || sum == 0 {
+					t.Fatalf("Sum: %v (%v)", sum, err)
+				}
+			}
 			if got := testing.AllocsPerRun(50, point); got > want.point {
 				t.Errorf("point lookup: %.0f allocs/op, ceiling %.0f", got, want.point)
 			}
@@ -109,6 +116,9 @@ func TestReadAllocCeilings(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(50, diff); got > want.diff {
 				t.Errorf("diff: %.0f allocs/op, ceiling %.0f", got, want.diff)
+			}
+			if got := testing.AllocsPerRun(50, fold); got > want.fold {
+				t.Errorf("fold: %.0f allocs/op, ceiling %.0f", got, want.fold)
 			}
 		})
 	}
