@@ -35,10 +35,8 @@ import (
 var engines = []string{"vf", "tf", "hy"}
 
 // benchOpts is the storage tuning every benchmark engine runs with.
-// Scans are pinned to one goroutine: the paper's experiments compare
-// the schemes' storage costs, not how well a scan parallelizes.
 func benchOpts() bench.Options {
-	return bench.Options{PageSize: 64 << 10, PoolPages: 256, ScanWorkers: 1}
+	return bench.Options{PageSize: 64 << 10, PoolPages: 256}
 }
 
 // benchConfig mirrors the paper's knobs at reduced scale: 256-byte
@@ -98,10 +96,9 @@ func TestMain(m *testing.M) {
 		os.RemoveAll(dir)
 	}
 	dsMu.Unlock()
-	// Goroutine-leak gate: the parallel scan pool spawns per-scan
-	// goroutines only, so once every test's databases are closed the
-	// count must settle back to the pre-run baseline (small tolerance
-	// for lazily started runtime/testing goroutines).
+	// Goroutine-leak gate: once every test's databases are closed the
+	// goroutine count must settle back to the pre-run baseline (small
+	// tolerance for lazily started runtime/testing goroutines).
 	if code == 0 {
 		if got := settledGoroutines(baseline+4, 10*time.Second); got > baseline+4 {
 			fmt.Fprintf(os.Stderr, "goroutine leak: %d at start, %d after all tests settled\n", baseline, got)

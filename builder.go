@@ -196,14 +196,11 @@ func (q *Query) Limit(n int) *Query {
 	return q
 }
 
-// Sequential keeps the query off the database's parallel scan pool
-// (see Open's WithScanWorkers). The results are identical either way;
-// this exists as the explicit baseline for equivalence tests and
-// benchmarks.
-func (q *Query) Sequential() *Query {
-	q.plan.NoParallel = true
-	return q
-}
+// Sequential returns q unchanged: every scan runs on the calling
+// goroutine.
+//
+// Deprecated: kept only until benchmark/ladder.go stops calling it.
+func (q *Query) Sequential() *Query { return q }
 
 // JoinOn composes an N-way equi-join: the rows of other's table whose
 // key.Right column equals the key.Left column of the relations already
@@ -237,9 +234,9 @@ func (q *Query) JoinOn(other *Query, key JoinKey) *Query {
 // tuples) bucket by the named columns and the Groups terminal streams
 // one row per distinct key with the requested aggregates, in
 // first-arrival order. Grouping is bounded hash aggregation — state
-// per distinct group, not per row — pushed through the parallel
-// executor like the scalar aggregates. GroupBy cannot combine with
-// OrderBy or Limit.
+// per distinct group, not per row — folded as the scan delivers rows,
+// like the scalar aggregates. GroupBy cannot combine with OrderBy or
+// Limit.
 func (q *Query) GroupBy(cols ...string) *Query {
 	q.plan.GroupCols = append(q.plan.GroupCols, cols...)
 	return q

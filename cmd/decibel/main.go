@@ -529,7 +529,7 @@ func run(dir, engine, table string, args []string) error {
 			fmt.Printf("checkout any with: checkout %s@<n>\n", rest[0])
 			return nil
 		}
-		for _, b := range db.Graph().Branches() {
+		for _, b := range db.Branches() {
 			status := "active"
 			if !b.Active {
 				status = "retired"

@@ -16,7 +16,8 @@ import (
 	"time"
 
 	"decibel"
-	"decibel/internal/core"
+	iquery "decibel/internal/query"
+	"decibel/internal/record"
 )
 
 func TestConcurrentNameBasedCommits(t *testing.T) {
@@ -122,24 +123,22 @@ func TestConcurrentNameBasedCommits(t *testing.T) {
 	}
 }
 
-// TestConcurrentParallelScans: parallel scans racing committing
-// writers, branch creation and a schema-epoch rotation, on every
-// engine with the scan pool forced on. Writers commit whole batches to
-// their own branches, so any reader snapshot must contain only that
-// branch's writer and a whole number of batches (a torn snapshot shows
-// either a foreign writer id or a partial batch), and per-branch
-// visible counts never run backwards. Ends with a CloseContext drain
-// racing in-flight parallel scans.
-func TestConcurrentParallelScans(t *testing.T) {
+// TestConcurrentScans: scans racing committing writers, branch
+// creation and a schema-epoch rotation, on every engine. Writers commit
+// whole batches to their own branches, so any reader snapshot must
+// contain only that branch's writer and a whole number of batches (a
+// torn snapshot shows either a foreign writer id or a partial batch),
+// and per-branch visible counts never run backwards. Ends with a
+// CloseContext drain racing in-flight scans.
+func TestConcurrentScans(t *testing.T) {
 	const (
 		writers         = 4
 		commitsPer      = 6
 		recordsPerRound = 30
 	)
-	scansBefore, _ := core.ParallelScanCounters()
 	for _, engine := range facadeEngines {
 		t.Run(engine, func(t *testing.T) {
-			db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine), decibel.WithScanWorkers(4))
+			db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +214,7 @@ func TestConcurrentParallelScans(t *testing.T) {
 			}
 
 			// Readers: plain rows, ordered+limited rows, aggregates, diff
-			// and heads — all through the parallel executor.
+			// and heads.
 			for r := 0; r < 6; r++ {
 				wg.Add(1)
 				go func() {
@@ -287,7 +286,7 @@ func TestConcurrentParallelScans(t *testing.T) {
 				t.Fatalf("%d failures, first: %s", len(failures), failures[0])
 			}
 
-			// CloseContext drains in-flight parallel scans: fire scans and
+			// CloseContext drains in-flight scans: fire scans and
 			// close concurrently; scans either complete or fail with
 			// ErrDatabaseClosed, and the drain itself must succeed.
 			var rg sync.WaitGroup
@@ -306,7 +305,7 @@ func TestConcurrentParallelScans(t *testing.T) {
 				}()
 			}
 			if err := db.CloseContext(context.Background()); err != nil {
-				t.Fatalf("CloseContext during parallel scans: %v", err)
+				t.Fatalf("CloseContext during scans: %v", err)
 			}
 			rg.Wait()
 			if len(failures) > 0 {
@@ -314,9 +313,100 @@ func TestConcurrentParallelScans(t *testing.T) {
 			}
 		})
 	}
-	if scansAfter, _ := core.ParallelScanCounters(); scansAfter == scansBefore {
-		t.Fatal("stress run never engaged the parallel executor")
+}
+
+// TestConcurrentHeadsAndBranchCreation: a Heads() read racing branch
+// creation resolves only branches every engine already holds. Every
+// branch is cut from master and never written, so each branch the read
+// resolves must hold every master record; a branch the read sees before
+// its engine registered it reads as empty instead, or fails.
+func TestConcurrentHeadsAndBranchCreation(t *testing.T) {
+	const rows, branches = 40, 100
+	for _, engine := range facadeEngines {
+		t.Run(engine, func(t *testing.T) {
+			db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+			if _, err := db.CreateTable("r", schema); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := db.Init("init"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+				for pk := int64(1); pk <= rows; pk++ {
+					rec := decibel.NewRecord(schema)
+					rec.SetPK(pk)
+					if err := tx.Insert("r", rec); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			var (
+				stop    atomic.Bool
+				wg      sync.WaitGroup
+				mu      sync.Mutex
+				failure error
+			)
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						err := readAllHeads(db, rows)
+						if err != nil {
+							mu.Lock()
+							failure = errors.Join(failure, err)
+							mu.Unlock()
+							return
+						}
+					}
+				}()
+			}
+			for i := 0; i < branches; i++ {
+				if _, err := db.Branch("master", fmt.Sprintf("b%03d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			if failure != nil {
+				t.Fatal(failure)
+			}
+		})
 	}
+}
+
+// readAllHeads runs one Heads() read and checks that every record is
+// live in every branch it resolved, and that it saw all rows.
+func readAllHeads(db *decibel.DB, rows int) error {
+	c, err := iquery.Plan{Table: "r", AllHeads: true, AtSeq: -1}.Compile(db.Database)
+	if err != nil {
+		return err
+	}
+	n, resolved := 0, len(c.Branches())
+	var short error
+	if err := c.ScanMulti(context.Background(), func(rec *record.Record, member *decibel.Bitmap) bool {
+		n++
+		if got := member.Count(); got != resolved {
+			short = fmt.Errorf("record %d live in %d of the %d branches the read resolved", rec.PK(), got, resolved)
+			return false
+		}
+		return true
+	}); err != nil {
+		return err
+	}
+	if short == nil && n != rows {
+		short = fmt.Errorf("Heads() read %d records, want %d", n, rows)
+	}
+	return short
 }
 
 // TestConcurrentSameBranchCommits: many goroutines commit to ONE

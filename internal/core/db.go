@@ -26,6 +26,11 @@ import (
 type Database struct {
 	mu      sync.Mutex
 	closeMu sync.RWMutex // held shared for the span of every operation; exclusively by Close
+	// branchMu hides a new branch from BranchNamed and Branches until
+	// every engine holds it (the graph logs a branch before the engines
+	// see it); Branch holds it exclusively.
+	branchMu sync.RWMutex
+
 	dir     string
 	opt     Options
 	factory Factory
@@ -40,11 +45,6 @@ type Database struct {
 	epoch   int           // committed schema epoch (max SchemaVer across the graph)
 	nextTxn atomic.Uint64 // lock owner ids (see admit)
 	closed  atomic.Bool
-
-	// Parallel scan pool: scanSem bounds the frozen-segment scan
-	// goroutines all tables share; scanWorkers is its size.
-	scanWorkers int
-	scanSem     chan struct{}
 
 	// Admission drain (CloseContext): draining refuses new transactions
 	// while the active ones finish; sessWait is closed when the last
@@ -111,17 +111,14 @@ func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) 
 	if err != nil {
 		return nil, err
 	}
-	workers := resolveScanWorkers(opt)
 	db := &Database{
-		dir:         dir,
-		opt:         opt,
-		factory:     factory,
-		graph:       graph,
-		pool:        heap.NewPool(opt.PoolPages, opt.PageSize),
-		locks:       lock.NewManager(0),
-		tables:      make(map[string]*Table),
-		scanWorkers: workers,
-		scanSem:     make(chan struct{}, workers),
+		dir:     dir,
+		opt:     opt,
+		factory: factory,
+		graph:   graph,
+		pool:    heap.NewPool(opt.PoolPages, opt.PageSize),
+		locks:   lock.NewManager(0),
+		tables:  make(map[string]*Table),
 	}
 	if err := db.loadCatalogContext(ctx); err != nil {
 		for _, t := range db.Tables() {
@@ -290,11 +287,20 @@ func (db *Database) Graph() *vgraph.Graph { return db.graph }
 // BranchNamed resolves a branch name or returns an error wrapping
 // ErrNoSuchBranch.
 func (db *Database) BranchNamed(name string) (*vgraph.Branch, error) {
+	db.branchMu.RLock()
 	b, ok := db.graph.BranchByName(name)
+	db.branchMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchBranch, name)
 	}
 	return b, nil
+}
+
+// Branches returns every branch the engines hold, ordered by ID.
+func (db *Database) Branches() []*vgraph.Branch {
+	db.branchMu.RLock()
+	defer db.branchMu.RUnlock()
+	return db.graph.Branches()
 }
 
 // Init creates the master branch and the initial (empty) version of
@@ -351,6 +357,8 @@ func (db *Database) Branch(name string, from vgraph.CommitID) (*vgraph.Branch, e
 	defer db.endOp()
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.branchMu.Lock()
+	defer db.branchMu.Unlock()
 	fromCommit, ok := db.graph.Commit(from)
 	if !ok {
 		return nil, fmt.Errorf("%w: commit %d", ErrNoSuchCommit, from)

@@ -131,10 +131,9 @@ func (env *Env) BranchPoint(b *vgraph.Branch) (*vgraph.Commit, error) {
 // Options tunes storage behaviour. The zero value gives sensible
 // defaults, noted per field.
 type Options struct {
-	PageSize    int  // heap page size in bytes (0 = heap.DefaultPageSize)
-	PoolPages   int  // buffer pool capacity in pages (0 = 64)
-	Fsync       bool // fsync on commit (off for benchmarks, like the paper's load phase)
-	ScanWorkers int  // parallel scan pool size (0 = GOMAXPROCS; 1 disables)
+	PageSize  int  // heap page size in bytes (0 = heap.DefaultPageSize)
+	PoolPages int  // buffer pool capacity in pages (0 = 64)
+	Fsync     bool // fsync on commit (off for benchmarks, like the paper's load phase)
 
 	// VFLineageCacheOff turns the version-first lineage/live-set cache
 	// off, so every resolution takes the full lineage walk: the

@@ -67,8 +67,8 @@ type SpaceSeg struct {
 	// Base is the space's slot number of the segment's slot 0: nonzero
 	// only for tuple-first's later extents.
 	Base int64
-	// Frozen says the segment takes no more appends, so a unit over it
-	// may run on any goroutine.
+	// Frozen says the segment takes no more appends, so its zone map
+	// bounds every row a unit over it can visit.
 	Frozen bool
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"expvar"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"decibel/internal/bitmap"
@@ -19,9 +17,9 @@ import (
 // Partition turns that into one ScanUnit per segment, in scan order.
 // Everything above that is here and shared: the per-record body
 // (layout conversion, predicate, projection, annotation, callback), the
-// sequential loop over units, the bounded worker pool that fans frozen
-// units out, cancellation, and the point lookup that replaces the walk
-// when a predicate pins the primary key.
+// loop that runs the units in order on the calling goroutine,
+// cancellation, and the point lookup that replaces the walk when a
+// predicate pins the primary key.
 
 // ScanKind selects the scan shape a ScanRequest partitions: which
 // versions it reads and how their liveness combines.
@@ -60,17 +58,15 @@ type UnitAux struct {
 
 // UnitFunc receives each record one scan unit emits. The record (and
 // aux.Member) may alias engine buffers or runner scratch and must be
-// Cloned to be retained. Returning false stops the scan (in pool mode,
-// that unit — not its siblings).
+// Cloned to be retained. Returning false stops the scan.
 type UnitFunc func(rec *record.Record, aux UnitAux) bool
 
 // ScanUnit is one independently runnable slice of a partitioned scan:
 // the walk of one segment under a liveness bitmap snapshotted at
 // partition time (see Partition). It may be walked at most once. Frozen
-// units touch only immutable storage and may run on any goroutine, each
-// with its own ScanSpec clone; non-frozen units (the mutable branch
-// heads) must run on the goroutine that partitioned the scan,
-// preserving the engine's snapshot rules.
+// units touch only immutable storage, so their zone maps describe every
+// row the walk can visit; non-frozen units are the mutable branch heads,
+// whose zone maps an executor may not trust to skip or stop early.
 type ScanUnit struct {
 	Frozen bool
 	// Zone and PhysCols describe the unit's segment: its zone map (nil
@@ -90,8 +86,8 @@ type ScanUnit struct {
 // UnitRunner is the one per-record body every scan shape of every
 // engine shares: convert the stored buffer to the spec's layout,
 // evaluate predicate and projection, annotate, deliver. One runner
-// serves all the units of a scan that run on one goroutine, one Run at a
-// time, in whatever order its driver chooses.
+// serves all the units of a scan, one Run at a time, in whatever order
+// its driver chooses.
 type UnitRunner struct {
 	ctx  context.Context // nil when the scan's context can never be canceled
 	spec *ScanSpec
@@ -188,61 +184,17 @@ func runSequential(ctx context.Context, units []ScanUnit, spec *ScanSpec, fn Uni
 	return nil
 }
 
-// UnitSink buffers one unit's output in pool mode. Fn receives the
-// unit's records — from a pool goroutine for frozen units — and Flush
-// delivers the buffered output on the caller's goroutine once every
-// unit has joined; sinks are flushed in unit index order, and a Flush
-// returning false stops the remaining flushes (the scan's consumer
-// stopped).
-type UnitSink struct {
-	Fn    UnitFunc
-	Flush func() bool
-}
-
-// Parallel-scan counters: how many scans ran on the pool and how many
-// frozen units its goroutines executed (expvar
-// "decibel.parallel_scans"/"decibel.scan_workers"). The equivalence
-// harness asserts these move, so a silently bypassed pool cannot pass.
 // pointLookups counts single-version reads served by the engine's
 // LookupPK instead of a segment scan ("decibel.point_lookups").
-var (
-	parallelScans   atomic.Int64
-	parallelWorkers atomic.Int64
-	pointLookups    atomic.Int64
-)
+var pointLookups atomic.Int64
 
 func init() {
-	expvar.Publish("decibel.parallel_scans", expvar.Func(func() any { return parallelScans.Load() }))
-	expvar.Publish("decibel.scan_workers", expvar.Func(func() any { return parallelWorkers.Load() }))
 	expvar.Publish("decibel.point_lookups", expvar.Func(func() any { return pointLookups.Load() }))
-}
-
-// ParallelScanCounters returns the cumulative pool counters: scans
-// driven through it and frozen units run on pool goroutines.
-func ParallelScanCounters() (scans, workers int64) {
-	return parallelScans.Load(), parallelWorkers.Load()
 }
 
 // CountPointLookups returns the number of reads served via a
 // primary-key point lookup.
 func CountPointLookups() int64 { return pointLookups.Load() }
-
-// resolveScanWorkers picks the scan pool size: Options.ScanWorkers,
-// else GOMAXPROCS. A size of 1 disables the pool.
-func resolveScanWorkers(opt Options) int {
-	n := opt.ScanWorkers
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// ScanWorkers returns the database's scan pool size (1 = parallel
-// scans disabled).
-func (db *Database) ScanWorkers() int { return db.scanWorkers }
 
 // partition opens a database operation and partitions the request —
 // the one place a scan reaches the engine. On success the caller must
@@ -275,107 +227,20 @@ func (t *Table) PartitionUnits(req ScanRequest) (units []ScanUnit, release func(
 }
 
 // ScanUnitsContext is the scan driver: it partitions the request once
-// and runs the units. With at least two frozen units, a pool larger
-// than one and a sink factory, frozen units fan out on the database's
-// scan pool — each with its own spec clone and sink — while the mutable
-// heads run on the calling goroutine; sinks are then flushed in unit
-// order, making the stream identical to the sequential one. Otherwise
-// (sink nil pins this) the units run in order on the calling goroutine
-// straight into fn. Either way the scan stops within one delivered
-// record of ctx being canceled and returns ctx.Err(); the first unit
-// error cancels its siblings.
-func (t *Table) ScanUnitsContext(ctx context.Context, req ScanRequest, spec *ScanSpec, fn UnitFunc, sink func(unit, total int) UnitSink) error {
+// and runs the units in order on the calling goroutine, straight into
+// fn. The scan stops within one delivered record of ctx being canceled
+// and returns ctx.Err().
+func (t *Table) ScanUnitsContext(ctx context.Context, req ScanRequest, spec *ScanSpec, fn UnitFunc) error {
 	units, err := t.partition(req)
 	if err != nil {
 		return err
 	}
 	defer t.db.endOp()
 	defer unpin(units)
-	if sink != nil && t.db.scanWorkers > 1 && frozenUnits(units) >= 2 {
-		err = t.db.runPool(ctx, spec, units, sink)
-	} else {
-		err = runSequential(ctx, units, spec, fn)
-	}
-	if err != nil {
+	if err := runSequential(ctx, units, spec, fn); err != nil {
 		return err
 	}
 	return ctx.Err()
-}
-
-func frozenUnits(units []ScanUnit) int {
-	n := 0
-	for i := range units {
-		if units[i].Frozen {
-			n++
-		}
-	}
-	return n
-}
-
-// runPool executes a partition on the scan pool: frozen units on pool
-// goroutines, mutable ones inline, per-unit sinks flushed in order after
-// the join.
-func (db *Database) runPool(ctx context.Context, spec *ScanSpec, units []ScanUnit, sink func(unit, total int) UnitSink) error {
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	n := len(units)
-	sinks := make([]UnitSink, n)
-	for i := range units {
-		sinks[i] = sink(i, n)
-	}
-	parallelScans.Add(1)
-
-	errs := make([]error, n)
-	one := func(i int) {
-		if errs[i] = NewUnitRunner(cctx, spec.Clone(), sinks[i].Fn).Run(&units[i]); errs[i] != nil {
-			cancel()
-		}
-	}
-	var wg sync.WaitGroup
-	for i := range units {
-		if !units[i].Frozen {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			db.scanSem <- struct{}{}
-			defer func() { <-db.scanSem }()
-			if cctx.Err() != nil {
-				return
-			}
-			parallelWorkers.Add(1)
-			one(i)
-		}(i)
-	}
-	for i := range units {
-		if units[i].Frozen {
-			continue
-		}
-		if cctx.Err() != nil {
-			break
-		}
-		one(i)
-	}
-	wg.Wait()
-
-	// Surface the error of the earliest failing unit — the one the
-	// sequential scan would have hit first.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for i := range sinks {
-		if !sinks[i].Flush() {
-			return nil
-		}
-	}
-	return nil
 }
 
 // LookupPKContext serves a single-version read — a branch head or a

@@ -272,15 +272,15 @@ func (tx *Tx) Rows(table string) (iter.Seq[*record.Record], func() error) {
 
 // scanAll is the transaction's own read (Rows): every live record of
 // the branch head, whole, under the head's schema epoch, through the
-// scan driver on the calling goroutine. Every other read is a compiled
-// query (internal/query), which decides its own epoch.
+// scan driver. Every other read is a compiled query (internal/query),
+// which decides its own epoch.
 func (t *Table) scanAll(ctx context.Context, branch vgraph.BranchID, fn func(*record.Record) bool) error {
 	spec, err := NewScanSpecAt(t.hist, t.BranchEpoch(branch), nil, nil)
 	if err != nil {
 		return err
 	}
 	req := ScanRequest{Kind: ScanKindBranch, Branch: branch}
-	return t.ScanUnitsContext(ctx, req, spec, func(rec *record.Record, _ UnitAux) bool { return fn(rec) }, nil)
+	return t.ScanUnitsContext(ctx, req, spec, func(rec *record.Record, _ UnitAux) bool { return fn(rec) })
 }
 
 // ColumnDefault carries the default value of a column added by

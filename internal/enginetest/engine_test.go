@@ -46,14 +46,14 @@ func openDB(t *testing.T, dir string, factory core.Factory, opt core.Options) *c
 }
 
 // The suites read through the one scan driver every query runs on —
-// Table.ScanUnitsContext, sequentially, with a match-all spec at the
+// Table.ScanUnitsContext, with a match-all spec at the
 // read's schema epoch.
 func scanReq(tbl *core.Table, req core.ScanRequest, epoch int, fn core.UnitFunc) error {
 	spec, err := core.NewScanSpecAt(tbl.History(), epoch, nil, nil)
 	if err != nil {
 		return err
 	}
-	return tbl.ScanUnitsContext(context.Background(), req, spec, fn, nil)
+	return tbl.ScanUnitsContext(context.Background(), req, spec, fn)
 }
 
 // scanHead emits the records live at a branch head.

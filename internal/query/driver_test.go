@@ -1,9 +1,7 @@
 package query
 
-// The scan driver partitions a scan exactly once, whichever way it then
-// runs the units: a scan the pool declines (workers > 1 but no two
-// frozen units to overlap) must reach the engine's partitioner once, not
-// once to look and once more to run.
+// The scan driver partitions a scan exactly once: a scan reaches the
+// engine's partitioner once, not once to look and once more to run.
 
 import (
 	"context"
@@ -26,13 +24,13 @@ func (e countingEngine) Live(vs []core.Version, fn func([]core.SlotSpace) error)
 	return e.Engine.Live(vs, fn)
 }
 
-func TestPoolDeclinedScanPartitionsOnce(t *testing.T) {
+func TestScanPartitionsOnce(t *testing.T) {
 	var partitions atomic.Int64
 	factory := func(env *core.Env) (core.Engine, error) {
 		eng, err := hy.Factory(env)
 		return countingEngine{eng, &partitions}, err
 	}
-	db, err := core.Open(t.TempDir(), factory, core.Options{PageSize: 4096, PoolPages: 16, ScanWorkers: 4})
+	db, err := core.Open(t.TempDir(), factory, core.Options{PageSize: 4096, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,8 +44,6 @@ func TestPoolDeclinedScanPartitionsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One branch, never branched from: its only segment is the mutable
-	// head, so no scan of it has a frozen unit to hand the pool.
 	for pk := int64(1); pk <= 50; pk++ {
 		if err := tbl.Insert(master.ID, rec(s, pk, pk)); err != nil {
 			t.Fatal(err)
@@ -58,16 +54,12 @@ func TestPoolDeclinedScanPartitionsOnce(t *testing.T) {
 	}
 
 	c := compile(t, db, Col("v").Gt(10), "master")
-	scans0, _ := core.ParallelScanCounters()
 	partitions.Store(0)
 	n := 0
 	if err := c.Scan(context.Background(), func(*record.Record) bool { n++; return true }); err != nil || n != 40 {
 		t.Fatalf("%d rows (%v), want 40", n, err)
 	}
-	if scans, _ := core.ParallelScanCounters(); scans != scans0 {
-		t.Fatal("the pool took a scan with no frozen unit")
-	}
 	if got := partitions.Load(); got != 1 {
-		t.Fatalf("a pool-declined scan partitioned %d times, want 1", got)
+		t.Fatalf("a scan partitioned %d times, want 1", got)
 	}
 }

@@ -7,18 +7,9 @@ package query
 // the rows themselves. A scalar aggregate (Count, Sum, Min, Max, Avg)
 // is the same fold with no group columns: one group, kept out of the
 // hash map so a row costs no lookup. The fold reads the source schema
-// (a projection would only copy each row) and rides the parallel
-// executor as one partial fold per scan unit, merged in unit order
-// (MADlib's transition/merge/final triple: observe, mergeFrom, value).
-//
-// Groups emit in first-arrival order — the order the sequential scan
-// first sees each distinct key. The parallel merge visits unit partials
-// in unit order and appends unseen keys as it goes, which reproduces
-// exactly that order (units partition the scan in sequential order).
-// Count, integer Sum, Min and Max merge exactly; a parallel float
-// Sum/Avg associates additions differently than the sequential fold,
-// so it can differ in the last ulps on data where addition order
-// matters (exact on the binary fractions the tests use).
+// (a projection would only copy each row). Groups emit in first-arrival
+// order — the order the scan first sees each distinct key — and a float
+// Sum/Avg adds in scan order, so a query has one answer.
 
 import (
 	"context"
@@ -134,9 +125,7 @@ type groupKeyCol struct {
 }
 
 // groupFold is the aggregation state: one accumulator per distinct
-// key, plus the first-arrival order the groups emit in. The parallel
-// path runs one fold per scan unit and merges them in unit order,
-// reproducing the sequential fold's emission exactly.
+// key, plus the first-arrival order the groups emit in.
 type groupFold struct {
 	keys  []groupKeyCol
 	aggs  []groupAggCol
@@ -149,14 +138,13 @@ type groupFold struct {
 }
 
 // groupAcc is one group's accumulator: the decoded key values and one
-// partial per aggregate.
+// running state per aggregate.
 type groupAcc struct {
 	key   []any
 	parts []aggPart
 }
 
-// aggPart is one aggregate's partial over one group: a whole
-// sequential scan's, or one pooled unit's.
+// aggPart is one aggregate's running state over one group.
 type aggPart struct {
 	n          int
 	isum       int64
@@ -254,46 +242,7 @@ func (g *groupFold) addTuple(t JoinTuple) {
 	g.observe(func(rel int) *record.Record { return t[rel] })
 }
 
-// mergeFrom folds a later unit's partial into the running total,
-// appending keys the total has not seen in the partial's own arrival
-// order — with units visited in unit order this reproduces the
-// sequential first-arrival order.
-func (g *groupFold) mergeFrom(p *groupFold) {
-	for _, key := range p.order {
-		src := p.m[key]
-		dst := g.m[key]
-		if dst == nil {
-			g.m[key] = src
-			g.order = append(g.order, key)
-			continue
-		}
-		for i := range dst.parts {
-			dst.parts[i].merge(&src.parts[i])
-		}
-	}
-}
-
-// merge folds a later partial into a running one.
-func (t *aggPart) merge(p *aggPart) {
-	if p.n == 0 {
-		return
-	}
-	if t.n == 0 {
-		*t = *p
-		return
-	}
-	t.n += p.n
-	t.isum += p.isum
-	t.fsum += p.fsum
-	if p.fmin < t.fmin {
-		t.fmin = p.fmin
-	}
-	if p.fmax > t.fmax {
-		t.fmax = p.fmax
-	}
-}
-
-// value is the aggregate's result over a non-empty partial.
+// value is the aggregate's result over a non-empty group.
 func (p *aggPart) value(a groupAggCol) float64 {
 	switch a.kind {
 	case AggCount:
@@ -391,18 +340,8 @@ func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, er
 	}
 	spec.SetBounds(c.bounds)
 	spec.Transient()
-	// One fold, two drivers: in order straight into the total, or one
-	// fold per pooled unit merged in unit order — first-arrival emission
-	// order is preserved exactly either way.
-	return fold, c.run(ctx, c.request(c.shape()), spec,
-		func(rec *record.Record, _ core.UnitAux) bool { fold.add(rec); return true },
-		func(int, int) core.UnitSink {
-			p := newGroupFold(keys, aggs)
-			return core.UnitSink{
-				Fn:    func(rec *record.Record, _ core.UnitAux) bool { p.add(rec); return true },
-				Flush: func() bool { fold.mergeFrom(p); return true },
-			}
-		})
+	return fold, c.table.ScanUnitsContext(ctx, c.request(c.shape()), spec,
+		func(rec *record.Record, _ core.UnitAux) bool { fold.add(rec); return true })
 }
 
 // GroupScan executes the grouped aggregation: one streaming pass over

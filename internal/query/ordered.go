@@ -2,7 +2,7 @@ package query
 
 // Order-aware segment visiting: how every OrderBy+Limit row read runs.
 // The executor partitions the scan into per-segment units (the same
-// core.ScanUnit partition the parallel executor fans out), visits them
+// core.ScanUnit partition the scan driver runs in order), visits them
 // sorted by the order column's zone bound — most favorable bound first
 // — on the calling goroutine, and keeps the best `limit` rows in a
 // top-k heap (visitHeap, the package's only one). Once the heap is

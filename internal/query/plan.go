@@ -60,12 +60,6 @@ type Plan struct {
 	// measure the pruned paths against.
 	NoPrune bool
 
-	// NoParallel keeps this plan off the scan pool even when the
-	// database's parallel executor would accept it: the baseline the
-	// equivalence tests and the parallel-scan benchmarks compare
-	// against.
-	NoParallel bool
-
 	// Joins composes N-way equi-joins: each leg is a single-table
 	// sub-plan joined to the relations declared before it (the root
 	// plan is relation 0). The executor reorders the relations greedily
@@ -147,7 +141,7 @@ func (p Plan) Compile(db *core.Database) (*Compiled, error) {
 		if len(p.Branches) > 0 {
 			return nil, fmt.Errorf("%w: Heads() combined with explicit branches", core.ErrBadQuery)
 		}
-		c.branches = db.Graph().Branches()
+		c.branches = db.Branches()
 	} else {
 		if len(p.Branches) == 0 {
 			return nil, fmt.Errorf("%w: no branch given; use On or Heads", core.ErrBadQuery)
@@ -326,15 +320,16 @@ func (c *Compiled) request(kind core.ScanKind) core.ScanRequest {
 	return req
 }
 
-// run executes one scan through core's driver: fn receives the records
-// when the units run in order on this goroutine, the sinks when the
-// driver fans frozen units out on the scan pool (never, under the
-// plan's NoParallel).
-func (c *Compiled) run(ctx context.Context, req core.ScanRequest, spec *core.ScanSpec, fn core.UnitFunc, sink func(unit, total int) core.UnitSink) error {
-	if c.plan.NoParallel {
-		sink = nil
+// runRows runs a row-emitting shape (branch, commit, multi or diff)
+// under spec, one execution's clone of the compiled prototype, through
+// core's driver. keep filters on the unit annotation — the diff
+// terminal's side selection — before a row reaches emit.
+func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, spec *core.ScanSpec, keep func(core.UnitAux) bool, emit core.UnitFunc) error {
+	fn := emit
+	if keep != nil {
+		fn = func(rec *record.Record, aux core.UnitAux) bool { return !keep(aux) || emit(rec, aux) }
 	}
-	return c.table.ScanUnitsContext(ctx, req, spec, fn, sink)
+	return c.table.ScanUnitsContext(ctx, req, spec, fn)
 }
 
 // Scan executes a single-version scan (Query 1): the branch head, or

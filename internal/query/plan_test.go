@@ -125,7 +125,7 @@ func scanMultiRescan(c *Compiled) func(context.Context, core.MultiScanFunc) erro
 				}
 				en.member.Set(i)
 				return true
-			}, nil)
+			})
 			if err != nil {
 				return err
 			}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 
@@ -11,14 +12,28 @@ import (
 	"decibel/internal/vgraph"
 )
 
-// decodeJSON reads one request body. UseNumber keeps int64 column
-// values exact — JSON has one number type, Decibel has three, and the
-// schema decides which one each value becomes (see coerce).
+const maxBody = 16 << 20 // request body cap
+
+// decodeJSON reads one request body: exactly one JSON value, followed
+// by nothing but whitespace, in at most maxBody bytes. UseNumber keeps
+// int64 column values exact — JSON has one number type, Decibel has
+// three, and the schema decides which one each value becomes (see
+// coerce).
 func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+	body := &io.LimitedReader{R: r.Body, N: maxBody + 1}
+	dec := json.NewDecoder(body)
 	dec.UseNumber()
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, rest := dec.Token(); rest != io.EOF {
+			err = errors.New("data after the request's JSON value")
+		}
+	}
+	switch {
+	case body.N <= 0:
+		return badRequestf("request body exceeds %d MiB", maxBody>>20)
+	case err != nil:
 		return badRequestf("decoding body: %v", err)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"decibel/client"
@@ -100,6 +101,42 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDecodeJSONTrailingData: a body is one JSON value and nothing after it
+// but whitespace; anything else is bad_request.
+func TestDecodeJSONTrailingData(t *testing.T) {
+	for _, tc := range []struct {
+		body string
+		ok   bool
+	}{
+		{`{"table":"r"}`, true},
+		{"{\"table\":\"r\"}\n\t ", true},
+		{`{"table":"r"} {"table":"x","bogus":1} garbage`, false},
+		{`{"table":"r"}{"table":"x"}`, false},
+		{`{"table":"r"} garbage`, false},
+		{`{"table":"r"}}`, false},
+	} {
+		var q client.QueryRequest
+		err := decodeJSON(httptest.NewRequest("POST", "/", strings.NewReader(tc.body)), &q)
+		if tc.ok && (err != nil || q.Table != "r") {
+			t.Errorf("%q: table %q, err %v; want table r", tc.body, q.Table, err)
+		}
+		if !tc.ok && !errors.Is(err, errBadRequest) {
+			t.Errorf("%q: err %v, want bad_request", tc.body, err)
+		}
+	}
+}
+
+// TestDecodeJSONOversizeBody: a body over the cap is reported as too
+// large, not as the truncated JSON the cap would leave.
+func TestDecodeJSONOversizeBody(t *testing.T) {
+	body := `{"table":"` + strings.Repeat("r", maxBody) + `"}`
+	var q client.QueryRequest
+	err := decodeJSON(httptest.NewRequest("POST", "/", strings.NewReader(body)), &q)
+	if !errors.Is(err, errBadRequest) || !strings.Contains(err.Error(), "exceeds 16 MiB") {
+		t.Fatalf("oversize body: err %v, want bad_request exceeding 16 MiB", err)
+	}
 }
 
 // readBack returns column i of rec in the comparable form given uses.

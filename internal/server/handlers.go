@@ -317,7 +317,7 @@ func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) error {
 
 // handleBranches is GET /v1/branches.
 func (s *Server) handleBranches(w http.ResponseWriter, r *http.Request) error {
-	branches := s.db.Graph().Branches()
+	branches := s.db.Branches()
 	out := make([]client.BranchResponse, 0, len(branches))
 	for _, b := range branches {
 		out = append(out, *s.branchResponse(b))

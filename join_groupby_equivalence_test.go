@@ -2,16 +2,12 @@ package decibel_test
 
 // Equivalence harness for the relational-algebra generalization: the
 // greedy-ordered N-way join must emit exactly what a naive nested-loop
-// reference computes (and exactly what the declared-order and
-// sequential runs emit — byte-identical streams), and grouped
-// streaming aggregates must equal a post-hoc fold over the plain row
-// scan — across the pruning predicate corpus, the three engines, and
-// worker counts {1,2,8}. The scalar aggregates are the grouped fold
-// with no group columns, so they are held to the same post-hoc fold
-// (and the join Count to the nested-loop reference). The harness also
-// asserts the new shapes respect Sequential()/Plan.NoParallel and that
-// the parallel pool actually engages for them, so a silently declined
-// (or silently engaged) path cannot pass.
+// reference computes (and exactly what the declared-order run emits —
+// byte-identical streams), and grouped streaming aggregates must equal
+// a post-hoc fold over the plain row scan — across the pruning
+// predicate corpus and the three engines. The scalar aggregates are the
+// grouped fold with no group columns, so they are held to the same
+// post-hoc fold (and the join Count to the nested-loop reference).
 
 import (
 	"errors"
@@ -23,19 +19,18 @@ import (
 	"testing"
 
 	"decibel"
-	"decibel/internal/core"
 	iquery "decibel/internal/query"
 )
 
 // buildJoinDB loads three joinable tables — orders (400 rows),
 // users (40), items (15) — in two waves with a head-freezing branch
 // between them, so every engine has multiple frozen, zone-mapped
-// segments per table: what the greedy orderer estimates from and the
-// parallel executor fans out over. An "alt" branch diverges from
-// master by deleting some orders, for branch-targeted join legs.
-func buildJoinDB(t *testing.T, engine string, opts ...decibel.Option) *decibel.DB {
+// segments per table: what the greedy orderer estimates from. An "alt"
+// branch diverges from master by deleting some orders, for
+// branch-targeted join legs.
+func buildJoinDB(t *testing.T, engine string) *decibel.DB {
 	t.Helper()
-	db, err := decibel.Open(t.TempDir(), append([]decibel.Option{decibel.WithEngine(engine)}, opts...)...)
+	db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +169,7 @@ func formatGroup(key []any, aggs []float64) string {
 // legRows materializes one relation the naive reference joins over.
 func legRows(t *testing.T, q *decibel.Query) []*decibel.Record {
 	t.Helper()
-	rows, errFn := q.Sequential().Rows()
+	rows, errFn := q.Rows()
 	var out []*decibel.Record
 	for rec := range rows {
 		out = append(out, rec.Clone())
@@ -244,105 +239,99 @@ func TestJoinEquivalence3Way(t *testing.T) {
 			iWhere: decibel.Col("price").Gt(3), iHas: true},
 	}
 	for _, engine := range facadeEngines {
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", engine, workers), func(t *testing.T) {
-				db := buildJoinDB(t, engine, decibel.WithScanWorkers(workers))
-				for _, pc := range cases {
-					mk := func() *decibel.Query {
-						q := db.Query("orders").On("master")
-						if pc.oHas {
-							q = q.Where(pc.oWhere)
-						}
-						uq := db.Query("users")
-						if pc.uHas {
-							uq = uq.Where(pc.uWhere)
-						}
-						iq := db.Query("items")
-						if pc.iHas {
-							iq = iq.Where(pc.iWhere)
-						}
-						return q.JoinOn(uq, decibel.On("user_id", "id")).JoinOn(iq, decibel.On("item_id", "id"))
+		t.Run(engine, func(t *testing.T) {
+			db := buildJoinDB(t, engine)
+			for _, pc := range cases {
+				mk := func() *decibel.Query {
+					q := db.Query("orders").On("master")
+					if pc.oHas {
+						q = q.Where(pc.oWhere)
 					}
-
-					greedy, gErr := collectTuples(mk().Tuples())
-					declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
-					sequential, sErr := collectTuples(mk().Sequential().Tuples())
-					compareStreams(t, pc.label+" greedy-vs-declared", greedy, declared, gErr, dErr)
-					compareStreams(t, pc.label+" greedy-vs-sequential", greedy, sequential, gErr, sErr)
-
-					mkLeg := func(table string, has bool, w decibel.Expr) *decibel.Query {
-						q := db.Query(table).On("master")
-						if has {
-							q = q.Where(w)
-						}
-						return q
+					uq := db.Query("users")
+					if pc.uHas {
+						uq = uq.Where(pc.uWhere)
 					}
-					ref := nestedLoop3(
-						legRows(t, mkLeg("orders", pc.oHas, pc.oWhere)),
-						legRows(t, mkLeg("users", pc.uHas, pc.uWhere)),
-						legRows(t, mkLeg("items", pc.iHas, pc.iWhere)))
-					compareStreams(t, pc.label+" greedy-vs-nested-loop", greedy, fmtRef3(ref), gErr, nil)
-					if n, err := mk().Count(); err != nil || n != len(ref) {
-						t.Fatalf("%s: join Count = %d (%v), nested loop %d", pc.label, n, err, len(ref))
+					iq := db.Query("items")
+					if pc.iHas {
+						iq = iq.Where(pc.iWhere)
 					}
-
-					// Grouped join: group the 3-way tuples by the user's
-					// region, folding across relations (qty from orders,
-					// price from items), against a fold over the reference
-					// tuples in the same canonical order.
-					aggs := []decibel.Agg{decibel.Count(), decibel.Sum("qty"), decibel.Avg("price")}
-					got, gotErr := collectGroups(mk().GroupBy("region").Groups(aggs...))
-					seqG, seqGErr := collectGroups(mk().GroupBy("region").Sequential().Groups(aggs...))
-					compareStreams(t, pc.label+" grouped-join parallel-vs-sequential", got, seqG, gotErr, seqGErr)
-					type acc struct {
-						n    int
-						qsum int64
-						psum float64
-					}
-					m := map[int64]*acc{}
-					var order []int64
-					for _, r := range ref {
-						region := r.u.Get(1)
-						a := m[region]
-						if a == nil {
-							a = &acc{}
-							m[region] = a
-							order = append(order, region)
-						}
-						a.n++
-						a.qsum += r.o.Get(3)
-						a.psum += r.i.GetFloat64(1)
-					}
-					want := make([]string, len(order))
-					for i, region := range order {
-						a := m[region]
-						want[i] = formatGroup([]any{region},
-							[]float64{float64(a.n), float64(a.qsum), a.psum / float64(a.n)})
-					}
-					compareStreams(t, pc.label+" grouped-join-vs-ref", got, want, gotErr, nil)
+					return q.JoinOn(uq, decibel.On("user_id", "id")).JoinOn(iq, decibel.On("item_id", "id"))
 				}
 
-				// The greedy order must lead with the smallest-estimate
-				// relation — items (15 rows), not the declared root
-				// orders (400 rows).
-				c, err := iquery.Plan{Table: "orders", Branches: []string{"master"}, AtSeq: -1, Joins: []iquery.JoinLeg{
-					{Plan: iquery.Plan{Table: "users", AtSeq: -1}, LeftCol: "user_id", RightCol: "id"},
-					{Plan: iquery.Plan{Table: "items", AtSeq: -1}, LeftCol: "item_id", RightCol: "id"},
-				}}.Compile(db.Database)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ord, ests := c.JoinOrder(), c.JoinEstimates()
-				for i := range ests {
-					if ests[ord[0]] > ests[i] {
-						t.Fatalf("greedy order %v does not lead with the smallest estimate %v", ord, ests)
+				greedy, gErr := collectTuples(mk().Tuples())
+				declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
+				compareStreams(t, pc.label+" greedy-vs-declared", greedy, declared, gErr, dErr)
+
+				mkLeg := func(table string, has bool, w decibel.Expr) *decibel.Query {
+					q := db.Query(table).On("master")
+					if has {
+						q = q.Where(w)
 					}
+					return q
 				}
-				if ord[0] == 0 {
-					t.Fatalf("greedy order %v starts at the declared root despite estimates %v", ord, ests)
+				ref := nestedLoop3(
+					legRows(t, mkLeg("orders", pc.oHas, pc.oWhere)),
+					legRows(t, mkLeg("users", pc.uHas, pc.uWhere)),
+					legRows(t, mkLeg("items", pc.iHas, pc.iWhere)))
+				compareStreams(t, pc.label+" greedy-vs-nested-loop", greedy, fmtRef3(ref), gErr, nil)
+				if n, err := mk().Count(); err != nil || n != len(ref) {
+					t.Fatalf("%s: join Count = %d (%v), nested loop %d", pc.label, n, err, len(ref))
 				}
-			})
-		}
+
+				// Grouped join: group the 3-way tuples by the user's
+				// region, folding across relations (qty from orders,
+				// price from items), against a fold over the reference
+				// tuples in the same canonical order.
+				aggs := []decibel.Agg{decibel.Count(), decibel.Sum("qty"), decibel.Avg("price")}
+				got, gotErr := collectGroups(mk().GroupBy("region").Groups(aggs...))
+				type acc struct {
+					n    int
+					qsum int64
+					psum float64
+				}
+				m := map[int64]*acc{}
+				var order []int64
+				for _, r := range ref {
+					region := r.u.Get(1)
+					a := m[region]
+					if a == nil {
+						a = &acc{}
+						m[region] = a
+						order = append(order, region)
+					}
+					a.n++
+					a.qsum += r.o.Get(3)
+					a.psum += r.i.GetFloat64(1)
+				}
+				want := make([]string, len(order))
+				for i, region := range order {
+					a := m[region]
+					want[i] = formatGroup([]any{region},
+						[]float64{float64(a.n), float64(a.qsum), a.psum / float64(a.n)})
+				}
+				compareStreams(t, pc.label+" grouped-join-vs-ref", got, want, gotErr, nil)
+			}
+
+			// The greedy order must lead with the smallest-estimate
+			// relation — items (15 rows), not the declared root
+			// orders (400 rows).
+			c, err := iquery.Plan{Table: "orders", Branches: []string{"master"}, AtSeq: -1, Joins: []iquery.JoinLeg{
+				{Plan: iquery.Plan{Table: "users", AtSeq: -1}, LeftCol: "user_id", RightCol: "id"},
+				{Plan: iquery.Plan{Table: "items", AtSeq: -1}, LeftCol: "item_id", RightCol: "id"},
+			}}.Compile(db.Database)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ord, ests := c.JoinOrder(), c.JoinEstimates()
+			for i := range ests {
+				if ests[ord[0]] > ests[i] {
+					t.Fatalf("greedy order %v does not lead with the smallest estimate %v", ord, ests)
+				}
+			}
+			if ord[0] == 0 {
+				t.Fatalf("greedy order %v starts at the declared root despite estimates %v", ord, ests)
+			}
+		})
 	}
 }
 
@@ -352,53 +341,49 @@ func TestJoinEquivalence3Way(t *testing.T) {
 // nested-loop reference and the deprecated two-branch Join terminal.
 func TestJoinCorpusEquivalence(t *testing.T) {
 	for _, engine := range facadeEngines {
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", engine, workers), func(t *testing.T) {
-				db := buildPruningDB(t, engine, decibel.WithScanWorkers(workers))
-				rng := rand.New(rand.NewSource(0x10b5))
-				preds := []iquery.Expr{
-					decibel.Col("price").Lt(7.5),
-					decibel.Col("sku").HasPrefix("b"),
-					decibel.Col("v").Ge(120),
+		t.Run(engine, func(t *testing.T) {
+			db := buildPruningDB(t, engine)
+			rng := rand.New(rand.NewSource(0x10b5))
+			preds := []iquery.Expr{
+				decibel.Col("price").Lt(7.5),
+				decibel.Col("sku").HasPrefix("b"),
+				decibel.Col("v").Ge(120),
+			}
+			for i := 0; i < 15; i++ {
+				preds = append(preds, randExpr(rng, 2))
+			}
+			for i, where := range preds {
+				label := fmt.Sprintf("pred[%d]", i)
+				mk := func() *decibel.Query {
+					return db.Query("r").On("master").Where(where).
+						JoinOn(db.Query("r").On("b1"), decibel.On("id", "id"))
 				}
-				for i := 0; i < 15; i++ {
-					preds = append(preds, randExpr(rng, 2))
-				}
-				for i, where := range preds {
-					label := fmt.Sprintf("pred[%d]", i)
-					mk := func() *decibel.Query {
-						return db.Query("r").On("master").Where(where).
-							JoinOn(db.Query("r").On("b1"), decibel.On("id", "id"))
-					}
-					greedy, gErr := collectTuples(mk().Tuples())
-					declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
-					sequential, sErr := collectTuples(mk().Sequential().Tuples())
-					compareStreams(t, label+" greedy-vs-declared", greedy, declared, gErr, dErr)
-					compareStreams(t, label+" greedy-vs-sequential", greedy, sequential, gErr, sErr)
+				greedy, gErr := collectTuples(mk().Tuples())
+				declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
+				compareStreams(t, label+" greedy-vs-declared", greedy, declared, gErr, dErr)
 
-					// Nested loop over the two materialized sides.
-					left := legRows(t, db.Query("r").On("master").Where(where))
-					right := legRows(t, db.Query("r").On("b1"))
-					byPK := map[int64]*decibel.Record{}
-					for _, r := range right {
-						byPK[r.PK()] = r
-					}
-					type pair struct{ l, r *decibel.Record }
-					var ref []pair
-					for _, l := range left {
-						if r, ok := byPK[l.PK()]; ok {
-							ref = append(ref, pair{l, r})
-						}
-					}
-					sort.Slice(ref, func(a, b int) bool { return ref[a].l.PK() < ref[b].l.PK() })
-					want := make([]string, len(ref))
-					for j, p := range ref {
-						want[j] = p.l.String() + " | " + p.r.String()
-					}
-					compareStreams(t, label+" greedy-vs-nested-loop", greedy, want, gErr, nil)
+				// Nested loop over the two materialized sides.
+				left := legRows(t, db.Query("r").On("master").Where(where))
+				right := legRows(t, db.Query("r").On("b1"))
+				byPK := map[int64]*decibel.Record{}
+				for _, r := range right {
+					byPK[r.PK()] = r
 				}
-			})
-		}
+				type pair struct{ l, r *decibel.Record }
+				var ref []pair
+				for _, l := range left {
+					if r, ok := byPK[l.PK()]; ok {
+						ref = append(ref, pair{l, r})
+					}
+				}
+				sort.Slice(ref, func(a, b int) bool { return ref[a].l.PK() < ref[b].l.PK() })
+				want := make([]string, len(ref))
+				for j, p := range ref {
+					want[j] = p.l.String() + " | " + p.r.String()
+				}
+				compareStreams(t, label+" greedy-vs-nested-loop", greedy, want, gErr, nil)
+			}
+		})
 	}
 }
 
@@ -553,121 +538,105 @@ func TestGroupByEquivalence(t *testing.T) {
 	}
 	groupings := [][]string{{"price"}, {"sku"}, {"price", "sku"}}
 	for _, engine := range facadeEngines {
-		for _, workers := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", engine, workers), func(t *testing.T) {
-				db := buildPruningDB(t, engine, decibel.WithScanWorkers(workers))
-				preds := []iquery.Expr{
-					{},
-					decibel.Col("price").Lt(7.5),
-					decibel.Col("price").Ge(7.5),
-					decibel.Col("sku").HasPrefix("c"),
-					decibel.Col("v").Ge(120).And(decibel.Col("sku").HasPrefix("b")),
-					decibel.Col("v").Lt(-1000), // empty scan
-				}
-				rng := rand.New(rand.NewSource(0x96f0))
-				for i := 0; i < 20; i++ {
-					preds = append(preds, randExpr(rng, 2))
-				}
-				for pi, where := range preds {
-					for _, sh := range shapes {
-						mk := func() *decibel.Query {
-							q := db.Query("r").Where(where)
-							if sh.heads {
-								return q.Heads()
-							}
-							if q = q.On(sh.branches...); sh.at >= 0 {
-								q = q.At(sh.at)
-							}
-							return q
+		t.Run(engine, func(t *testing.T) {
+			db := buildPruningDB(t, engine)
+			preds := []iquery.Expr{
+				{},
+				decibel.Col("price").Lt(7.5),
+				decibel.Col("price").Ge(7.5),
+				decibel.Col("sku").HasPrefix("c"),
+				decibel.Col("v").Ge(120).And(decibel.Col("sku").HasPrefix("b")),
+				decibel.Col("v").Lt(-1000), // empty scan
+			}
+			rng := rand.New(rand.NewSource(0x96f0))
+			for i := 0; i < 20; i++ {
+				preds = append(preds, randExpr(rng, 2))
+			}
+			for pi, where := range preds {
+				for _, sh := range shapes {
+					mk := func() *decibel.Query {
+						q := db.Query("r").Where(where)
+						if sh.heads {
+							return q.Heads()
 						}
-						// The scalar aggregates: the fold with no group
-						// columns, against the same post-hoc fold.
-						label := fmt.Sprintf("pred[%d] %s scalar", pi, sh.label)
-						par, parErr := scalarFold(t, label, mk)
-						seq, seqErr := scalarFold(t, label, func() *decibel.Query { return mk().Sequential() })
-						compareStreams(t, label+" parallel-vs-sequential", par, seq, parErr, seqErr)
-						if seqErr == nil {
-							compareStreams(t, label+" streaming-vs-posthoc", seq, refGroupFold(legRows(t, mk()), nil, refs), nil, nil)
+						if q = q.On(sh.branches...); sh.at >= 0 {
+							q = q.At(sh.at)
 						}
-						for gi, gcols := range groupings {
-							label := fmt.Sprintf("pred[%d] %s group[%d]", pi, sh.label, gi)
-							par, parErr := collectGroups(mk().GroupBy(gcols...).Groups(aggs...))
-							seq, seqErr := collectGroups(mk().GroupBy(gcols...).Sequential().Groups(aggs...))
-							compareStreams(t, label+" parallel-vs-sequential", par, seq, parErr, seqErr)
-							if seqErr != nil {
-								continue
-							}
-							want := refGroupFold(legRows(t, mk()), gcols, refs)
-							compareStreams(t, label+" streaming-vs-posthoc", seq, want, seqErr, nil)
-						}
+						return q
+					}
+					// The scalar aggregates: the fold with no group
+					// columns, against the same post-hoc fold.
+					label := fmt.Sprintf("pred[%d] %s scalar", pi, sh.label)
+					got, gotErr := scalarFold(t, label, mk)
+					compareStreams(t, label+" streaming-vs-posthoc", got, refGroupFold(legRows(t, mk()), nil, refs), gotErr, nil)
+					for gi, gcols := range groupings {
+						label := fmt.Sprintf("pred[%d] %s group[%d]", pi, sh.label, gi)
+						got, gotErr := collectGroups(mk().GroupBy(gcols...).Groups(aggs...))
+						want := refGroupFold(legRows(t, mk()), gcols, refs)
+						compareStreams(t, label+" streaming-vs-posthoc", got, want, gotErr, nil)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestJoinGroupByPoolDiscipline asserts the fix of this PR's satellite:
-// joined and grouped scans must stay off the parallel pool under
-// Sequential()/Plan.NoParallel — strictly, per engine — and must engage
-// it when parallel-eligible. Engagement is asserted across the engine
-// set (like TestParallelScanEquivalence): whether a given scan
-// partitions into enough units is an engine property, but a pool that
-// never engages for the new shapes at all is a silently disabled path.
-func TestJoinGroupByPoolDiscipline(t *testing.T) {
-	var groupDelta, joinDelta int64
-	for _, engine := range facadeEngines {
-		t.Run(engine, func(t *testing.T) {
-			db := buildPruningDB(t, engine, decibel.WithScanWorkers(4))
-			jdb := buildJoinDB(t, engine, decibel.WithScanWorkers(4))
-
-			runGroup := func(db *decibel.DB, seq bool) {
-				t.Helper()
-				q := db.Query("r").On("master")
-				if seq {
-					q = q.Sequential()
-				}
-				groups, errFn := q.GroupBy("price").Groups(decibel.Count(), decibel.Avg("v"))
-				for range groups {
-				}
-				if err := errFn(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			runJoin := func(seq bool) {
-				t.Helper()
-				q := jdb.Query("orders").On("master")
-				if seq {
-					q = q.Sequential()
-				}
-				tuples, errFn := q.JoinOn(jdb.Query("users"), decibel.On("user_id", "id")).Tuples()
-				for range tuples {
-				}
-				if err := errFn(); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			before, _ := core.ParallelScanCounters()
-			runGroup(db, true)
-			runJoin(true)
-			after, _ := core.ParallelScanCounters()
-			if after != before {
-				t.Fatalf("Sequential() joined/grouped scans engaged the parallel pool (%d→%d scans)", before, after)
-			}
-			runGroup(db, false)
-			mid, _ := core.ParallelScanCounters()
-			groupDelta += mid - after
-			runJoin(false)
-			end, _ := core.ParallelScanCounters()
-			joinDelta += end - mid
-		})
+// TestFloatFoldIndependentOfWorkers: a float Sum adds in scan order, so
+// its answer is one value whatever the database was opened with. The
+// first frozen segment holds 1e16 and a later one 1 and 1: in scan
+// order each 1 rounds away (1e16+1 is a tie that rounds to even), while
+// summing the later segment first would keep its 2. Both answers must
+// be the in-order fold's.
+func TestFloatFoldIndependentOfWorkers(t *testing.T) {
+	db, err := decibel.Open(t.TempDir(), decibel.WithEngine("hybrid"), decibel.WithScanWorkers(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if groupDelta == 0 {
-		t.Fatalf("grouped scans never engaged the parallel pool on any engine")
+	defer db.Close()
+	s := decibel.NewSchema().Int64("id").Float64("v").MustBuild()
+	if _, err := db.CreateTable("r", s); err != nil {
+		t.Fatal(err)
 	}
-	if joinDelta == 0 {
-		t.Fatalf("joined scans never engaged the parallel pool on any engine")
+	if _, _, err := db.Init("init"); err != nil {
+		t.Fatal(err)
+	}
+	values := []float64{1e16, 1, 1}
+	pk := int64(0)
+	for i, wave := range [][]float64{values[:1], values[1:]} {
+		if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+			for _, v := range wave {
+				rec := decibel.NewRecord(s)
+				pk++
+				rec.SetPK(pk)
+				rec.SetFloat64(1, v)
+				if err := tx.Insert("r", rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Branching freezes master's head: each wave ends in its own
+		// frozen segment.
+		if _, err := db.Branch("master", fmt.Sprintf("freeze%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := 0.0
+	for _, v := range values {
+		want += v
+	}
+	if want != 1e16 {
+		t.Fatalf("in-order fold = %v, want 1e16", want)
+	}
+	sum, err := db.Query("r").On("master").Sum("v")
+	if err != nil || sum != want {
+		t.Fatalf("Sum = %v (%v), want %v", sum, err, want)
+	}
+	avg, err := db.Query("r").On("master").Avg("v")
+	if err != nil || avg != want/float64(len(values)) {
+		t.Fatalf("Avg = %v (%v), want %v", avg, err, want/float64(len(values)))
 	}
 }
 

@@ -53,11 +53,11 @@ func WithFsync(on bool) Option {
 	return func(c *config) { c.opt.Fsync = on }
 }
 
-// WithScanWorkers sets the parallel scan pool size. The default (0)
-// takes GOMAXPROCS; 1 disables parallel scans.
-func WithScanWorkers(n int) Option {
-	return func(c *config) { c.opt.ScanWorkers = n }
-}
+// WithScanWorkers does nothing: every scan runs on the calling goroutine.
+//
+// Deprecated: kept only until benchmark/workloads.go and
+// benchmark/ladder.go stop calling it.
+func WithScanWorkers(int) Option { return func(*config) {} }
 
 // WithCompaction turns compaction on with mode "manual": a pass, which
 // re-encodes frozen segments into compressed pages, runs on DB.Compact,

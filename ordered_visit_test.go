@@ -8,8 +8,7 @@ package decibel_test
 // `limit` rows, including arrival-order tie-breaks, for every engine,
 // order column, direction, limit and predicate. The test also asserts
 // units were actually skipped (decibel.ordered_skips moved), so a
-// silently disabled visit path cannot pass, and that Sequential()
-// queries take the same visit.
+// silently disabled visit path cannot pass.
 
 import (
 	"fmt"
@@ -80,18 +79,51 @@ func TestOrderedVisitEquivalence(t *testing.T) {
 				}
 			}
 
-			// Sequential() keeps a query off the pool, not off the visit: a
-			// top-1 by v over the frozen segments still skips units.
+			// A top-1 by v over the frozen segments skips units on every
+			// engine.
 			before := iquery.CountOrderedSkips()
-			got, gotErr := run(db.Query("r").On("master").OrderBy("v", true).Limit(1).Sequential())
+			got, gotErr := run(db.Query("r").On("master").OrderBy("v", true).Limit(1))
 			all, allErr := run(db.Query("r").On("master").OrderBy("v", true))
-			compareStreams(t, "sequential top-1", got, cut(all, 1), gotErr, allErr)
+			compareStreams(t, "top-1", got, cut(all, 1), gotErr, allErr)
 			if iquery.CountOrderedSkips() == before {
-				t.Fatalf("a Sequential() OrderBy+Limit query skipped no unit (ordered_skips stuck at %d)", before)
+				t.Fatalf("an OrderBy+Limit top-1 skipped no unit (ordered_skips stuck at %d)", before)
 			}
 		})
 	}
 	if skipsAfter := iquery.CountOrderedSkips(); skipsAfter == skipsBefore {
 		t.Fatalf("ordered visitor never skipped a unit (ordered_skips stuck at %d)", skipsBefore)
 	}
+}
+
+// compareStreams fails unless the two labeled runs produced identical
+// line streams (or identical errors).
+func compareStreams(t *testing.T, label string, got, want []string, gotErr, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: got err=%v, want err=%v", label, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%s: error mismatch: %v vs %v", label, gotErr, wantErr)
+		}
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d rows, want %d rows", label, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: row %d: got %q want %q", label, i, got[i], want[i])
+		}
+	}
+}
+
+// collectRows drains a facade Rows/Diff iterator into lines.
+func collectRows(seq func(func(*decibel.Record) bool), errFn func() error) ([]string, error) {
+	var out []string
+	seq(func(rec *decibel.Record) bool {
+		out = append(out, rec.String())
+		return true
+	})
+	return out, errFn()
 }

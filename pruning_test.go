@@ -205,6 +205,13 @@ func diffPostFilter(db *decibel.DB, plan iquery.Plan, c *iquery.Compiled, fn fun
 // the error (plan-time errors like ErrColumnNotYetAdded included —
 // pruned and unpruned runs must fail identically too).
 func runShape(db *decibel.DB, plan iquery.Plan, shape string) ([]string, error) {
+	out, err := collectShape(db, plan, shape)
+	sort.Strings(out)
+	return out, err
+}
+
+// collectShape is runShape with the output lines in emission order.
+func collectShape(db *decibel.DB, plan iquery.Plan, shape string) ([]string, error) {
 	c, err := plan.Compile(db.Database)
 	if err != nil {
 		return nil, err
@@ -242,7 +249,6 @@ func runShape(db *decibel.DB, plan iquery.Plan, shape string) ([]string, error) 
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(out)
 	return out, nil
 }
 

@@ -33,7 +33,7 @@ var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit, heads, d
 func TestReadAllocCeilings(t *testing.T) {
 	for engine, want := range readAllocCeilings {
 		t.Run(engine, func(t *testing.T) {
-			db := buildPruningDB(t, engine, decibel.WithScanWorkers(1))
+			db := buildPruningDB(t, engine)
 			// b2 rewrites key 61 three times; master keeps the older copy.
 			// pinned is b2's first rewrite: a read at it passes over the two
 			// later ones.

@@ -1,11 +1,9 @@
 package decibel_test
 
-// Parallel scan cancellation: canceling the context of a parallel scan
-// must surface context.Canceled, stop emission within one record, leave
-// no goroutine behind (the pool is semaphore-bounded with per-scan
-// goroutines, so an abandoned scan's workers drain on their own), and
-// leave the pool reusable for the next scan. The package-wide
-// goroutine-leak gate lives in TestMain (bench_test.go).
+// Scan cancellation: canceling the context of a scan must surface
+// context.Canceled, stop emission within one record, leave no goroutine
+// behind, and leave the database readable for the next scan. The
+// package-wide goroutine-leak gate lives in TestMain (bench_test.go).
 
 import (
 	"context"
@@ -31,11 +29,11 @@ func settledGoroutines(want int, wait time.Duration) int {
 	return n
 }
 
-func TestParallelScanCancellation(t *testing.T) {
+func TestScanCancellation(t *testing.T) {
 	for _, engine := range facadeEngines {
 		t.Run(engine, func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			db := buildPruningDB(t, engine, decibel.WithScanWorkers(4))
+			db := buildPruningDB(t, engine)
 
 			// A context canceled before the scan starts fails immediately
 			// with Canceled and emits nothing.
@@ -74,8 +72,8 @@ func TestParallelScanCancellation(t *testing.T) {
 				t.Fatalf("scan emitted %d rows after cancellation; want <= 2", after)
 			}
 
-			// Cancel racing the workers themselves: fire scans while a
-			// sibling goroutine cancels at a random point. Whatever the
+			// Cancel racing the scan itself: fire scans while a sibling
+			// goroutine cancels at a random point. Whatever the
 			// timing, the only acceptable outcomes are a complete result
 			// or context.Canceled.
 			want, err := db.Query("r").On("master").Count()
@@ -100,15 +98,15 @@ func TestParallelScanCancellation(t *testing.T) {
 				}
 			}
 
-			// The pool must be fully reusable after all of the above.
+			// The database must be fully readable after all of the above.
 			n, err := db.Query("r").On("master").Count()
 			if err != nil || n != want {
 				t.Fatalf("post-cancel scan: n=%d err=%v, want %d", n, err, want)
 			}
 
-			// No scan goroutine may outlive its scan: the pool has no
-			// persistent workers, so the count settles back to where the
-			// test started (small tolerance for lazy runtime goroutines).
+			// No goroutine may outlive its scan: the count settles back to
+			// where the test started (small tolerance for lazy runtime
+			// goroutines).
 			if got := settledGoroutines(before+3, 5*time.Second); got > before+3 {
 				t.Fatalf("goroutines leaked: %d before, %d after settling", before, got)
 			}
@@ -116,10 +114,10 @@ func TestParallelScanCancellation(t *testing.T) {
 	}
 }
 
-// TestParallelScanDeadline covers the other cancellation source: a
-// deadline expiring mid-scan surfaces context.DeadlineExceeded.
-func TestParallelScanDeadline(t *testing.T) {
-	db := buildPruningDB(t, "hybrid", decibel.WithScanWorkers(4))
+// TestScanDeadline covers the other cancellation source: a deadline
+// expiring mid-scan surfaces context.DeadlineExceeded.
+func TestScanDeadline(t *testing.T) {
+	db := buildPruningDB(t, "hybrid")
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Millisecond) // ensure expiry
@@ -128,6 +126,6 @@ func TestParallelScanDeadline(t *testing.T) {
 		t.Fatalf("expired deadline: err=%v, want DeadlineExceeded", err)
 	}
 	if _, err := db.Query("r").On("master").Count(); err != nil {
-		t.Fatalf("pool unusable after deadline: %v", err)
+		t.Fatalf("database unreadable after deadline: %v", err)
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# eighteen structural checks. Prints the non-test Go lines outside
+# twenty-one structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}) and of
 # version-first alone (internal/vf), of the shared segment store
 # (internal/store), of the query layer (internal/query), of their merge
@@ -75,7 +75,11 @@
 # or offsetBitmap: compaction is one call (Database.Compact, on or off,
 # no background loop), its stats, counters and fail points live in
 # internal/store, and the live-page walk is written once, in core's
-# walkSlots, over SegFile.Scan.
+# walkSlots, over SegFile.Scan. Exits non-zero too if non-test Go matches
+# runPool, UnitSink, NoParallel, ParallelScanCounters, scanSem or
+# mergeFrom: every scan runs its units in order on the calling
+# goroutine (core's ScanUnitsContext), so there is no scan pool, no
+# per-unit sink and no partial fold to merge.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -242,6 +246,14 @@ stray=$(grep -rnE --include='*.go' 'startCompactor|WithCompactionInterval|ModeAu
     grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "compaction is one call with no background loop, and the live-page walk is core's walkSlots over SegFile.Scan:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'runPool|UnitSink|NoParallel|ParallelScanCounters|scanSem|mergeFrom' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "the scan pool is gone (every scan runs its units in order on the calling goroutine):" >&2
     echo "$stray" >&2
     exit 1
 fi

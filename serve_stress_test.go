@@ -43,14 +43,6 @@ func TestConcurrentServing(t *testing.T) {
 	runConcurrentServing(t, false)
 }
 
-// TestConcurrentServingParallelScans is the same stress run with the
-// parallel scan executor forced on: every served read fans its frozen
-// segments out on the scan pool while writers commit, so snapshot
-// isolation and seq monotonicity are asserted against parallel reads.
-func TestConcurrentServingParallelScans(t *testing.T) {
-	runConcurrentServing(t, false, decibel.WithScanWorkers(4))
-}
-
 // TestConcurrentServingAutoCompaction is the same stress run with a
 // compaction pass every 5 ms until the writers finish: page compression
 // retires segment files while the 32 clients read and write, so
@@ -84,10 +76,10 @@ func compactEvery(t *testing.T, db *decibel.DB, interval time.Duration) (stop fu
 	return func() { close(quit); <-done }
 }
 
-// runConcurrentServing runs the stress against a database opened with
-// opts; compacting turns compaction on and runs a pass every 5 ms until
-// the writers finish.
-func runConcurrentServing(t *testing.T, compacting bool, opts ...decibel.Option) {
+// runConcurrentServing runs the stress against a hybrid database;
+// compacting turns compaction on and runs a pass every 5 ms until the
+// writers finish.
+func runConcurrentServing(t *testing.T, compacting bool) {
 	const (
 		keys       = 48
 		writers    = 8
@@ -95,10 +87,11 @@ func runConcurrentServing(t *testing.T, compacting bool, opts ...decibel.Option)
 		cancelers  = 2 // writers+readers+cancelers = 32 concurrent clients
 		commitsPer = 12
 	)
+	opts := []decibel.Option{decibel.WithEngine("hybrid")}
 	if compacting {
 		opts = append(opts, decibel.WithCompaction("manual"))
 	}
-	db, err := decibel.Open(t.TempDir(), append([]decibel.Option{decibel.WithEngine("hybrid")}, opts...)...)
+	db, err := decibel.Open(t.TempDir(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,7 @@ package decibel_test
 // resolution, per-position scan plans) are pure
 // optimizations — a cached engine must emit byte-identical streams to
 // an engine with the cache forced off (WithoutLineageCache, the full
-// lineage-walk baseline), for every query shape, predicate, and both
-// executor paths. The test also asserts the cache actually engaged
+// lineage-walk baseline), for every query shape and predicate. The test also asserts the cache actually engaged
 // (the hits counter moved), so a silently bypassed cache cannot pass.
 
 import (
@@ -28,10 +27,9 @@ func TestVFCacheEquivalence(t *testing.T) {
 		plan  iquery.Plan
 		shape string
 	}
-	shapes := func(where iquery.Expr, noParallel bool) []shaped {
+	shapes := func(where iquery.Expr) []shaped {
 		mkPlan := func(branches []string, atSeq int) iquery.Plan {
-			return iquery.Plan{Table: "r", Branches: branches, AtSeq: atSeq,
-				Where: where, NoParallel: noParallel}
+			return iquery.Plan{Table: "r", Branches: branches, AtSeq: atSeq, Where: where}
 		}
 		return []shaped{
 			{mkPlan([]string{"master"}, -1), "scan"},
@@ -75,19 +73,15 @@ func TestVFCacheEquivalence(t *testing.T) {
 		iquery.Col("v").Ge(120).And(iquery.Col("sku").HasPrefix("b")),
 	}
 	rng := rand.New(rand.NewSource(0xcac4ed))
-	for _, noParallel := range []bool{false, true} {
-		for i, where := range fixed {
-			for j, sh := range shapes(where, noParallel) {
-				check(t, sh.plan, sh.shape,
-					fmt.Sprintf("fixed[%d] shape[%d] noParallel=%v", i, j, noParallel))
-			}
+	for i, where := range fixed {
+		for j, sh := range shapes(where) {
+			check(t, sh.plan, sh.shape, fmt.Sprintf("fixed[%d] shape[%d]", i, j))
 		}
-		for i := 0; i < 40; i++ {
-			where := randExpr(rng, 2)
-			for j, sh := range shapes(where, noParallel) {
-				check(t, sh.plan, sh.shape,
-					fmt.Sprintf("rand[%d] shape[%d] noParallel=%v", i, j, noParallel))
-			}
+	}
+	for i := 0; i < 40; i++ {
+		where := randExpr(rng, 2)
+		for j, sh := range shapes(where) {
+			check(t, sh.plan, sh.shape, fmt.Sprintf("rand[%d] shape[%d]", i, j))
 		}
 	}
 
@@ -117,7 +111,7 @@ func TestVFCacheEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for j, sh := range shapes(iquery.Col("v").Ge(0), false) {
+		for j, sh := range shapes(iquery.Col("v").Ge(0)) {
 			check(t, sh.plan, sh.shape, fmt.Sprintf("post-write[%d] shape[%d]", round, j))
 		}
 	}
@@ -157,7 +151,7 @@ func TestVFCacheEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for j, sh := range shapes(iquery.Col("v").Ge(0), false) {
+	for j, sh := range shapes(iquery.Col("v").Ge(0)) {
 		check(t, sh.plan, sh.shape, fmt.Sprintf("overlay shape[%d]", j))
 	}
 	if _, _, _, deltasAfter := vf.CacheCounters(); deltasAfter == deltasBefore {
