@@ -5,9 +5,10 @@ package decibel_test
 // reference computes (and exactly what the declared-order run emits —
 // byte-identical streams), and grouped streaming aggregates must equal
 // a post-hoc fold over the plain row scan — across the pruning
-// predicate corpus and the three engines. The scalar aggregates are the
-// grouped fold with no group columns, so they are held to the same
-// post-hoc fold (and the join Count to the nested-loop reference).
+// predicate corpus, the three engines, and worker counts {1,2,8}. The
+// scalar aggregates are the grouped fold with no group columns, so they
+// are held to the same post-hoc fold (and the join Count to the
+// nested-loop reference).
 
 import (
 	"errors"
@@ -28,9 +29,9 @@ import (
 // segments per table: what the greedy orderer estimates from. An "alt"
 // branch diverges from master by deleting some orders, for
 // branch-targeted join legs.
-func buildJoinDB(t *testing.T, engine string) *decibel.DB {
+func buildJoinDB(t *testing.T, engine string, opts ...decibel.Option) *decibel.DB {
 	t.Helper()
-	db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine))
+	db, err := decibel.Open(t.TempDir(), append([]decibel.Option{decibel.WithEngine(engine)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,6 +223,12 @@ func fmtRef3(ref []refTuple3) []string {
 	return out
 }
 
+// equivalenceWorkers are the WithScanWorkers values each equivalence
+// test opens its database with. Every scan runs on the calling
+// goroutine, so the option is a no-op: each arm must give the same
+// answer as the others and as the reference.
+var equivalenceWorkers = []int{1, 2, 8}
+
 func TestJoinEquivalence3Way(t *testing.T) {
 	type preds struct {
 		label                  string
@@ -239,99 +246,101 @@ func TestJoinEquivalence3Way(t *testing.T) {
 			iWhere: decibel.Col("price").Gt(3), iHas: true},
 	}
 	for _, engine := range facadeEngines {
-		t.Run(engine, func(t *testing.T) {
-			db := buildJoinDB(t, engine)
-			for _, pc := range cases {
-				mk := func() *decibel.Query {
-					q := db.Query("orders").On("master")
-					if pc.oHas {
-						q = q.Where(pc.oWhere)
+		for _, workers := range equivalenceWorkers {
+			t.Run(fmt.Sprintf("%s/workers=%d", engine, workers), func(t *testing.T) {
+				db := buildJoinDB(t, engine, decibel.WithScanWorkers(workers))
+				for _, pc := range cases {
+					mk := func() *decibel.Query {
+						q := db.Query("orders").On("master")
+						if pc.oHas {
+							q = q.Where(pc.oWhere)
+						}
+						uq := db.Query("users")
+						if pc.uHas {
+							uq = uq.Where(pc.uWhere)
+						}
+						iq := db.Query("items")
+						if pc.iHas {
+							iq = iq.Where(pc.iWhere)
+						}
+						return q.JoinOn(uq, decibel.On("user_id", "id")).JoinOn(iq, decibel.On("item_id", "id"))
 					}
-					uq := db.Query("users")
-					if pc.uHas {
-						uq = uq.Where(pc.uWhere)
+
+					greedy, gErr := collectTuples(mk().Tuples())
+					declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
+					compareStreams(t, pc.label+" greedy-vs-declared", greedy, declared, gErr, dErr)
+
+					mkLeg := func(table string, has bool, w decibel.Expr) *decibel.Query {
+						q := db.Query(table).On("master")
+						if has {
+							q = q.Where(w)
+						}
+						return q
 					}
-					iq := db.Query("items")
-					if pc.iHas {
-						iq = iq.Where(pc.iWhere)
+					ref := nestedLoop3(
+						legRows(t, mkLeg("orders", pc.oHas, pc.oWhere)),
+						legRows(t, mkLeg("users", pc.uHas, pc.uWhere)),
+						legRows(t, mkLeg("items", pc.iHas, pc.iWhere)))
+					compareStreams(t, pc.label+" greedy-vs-nested-loop", greedy, fmtRef3(ref), gErr, nil)
+					if n, err := mk().Count(); err != nil || n != len(ref) {
+						t.Fatalf("%s: join Count = %d (%v), nested loop %d", pc.label, n, err, len(ref))
 					}
-					return q.JoinOn(uq, decibel.On("user_id", "id")).JoinOn(iq, decibel.On("item_id", "id"))
+
+					// Grouped join: group the 3-way tuples by the user's
+					// region, folding across relations (qty from orders,
+					// price from items), against a fold over the reference
+					// tuples in the same canonical order.
+					aggs := []decibel.Agg{decibel.Count(), decibel.Sum("qty"), decibel.Avg("price")}
+					got, gotErr := collectGroups(mk().GroupBy("region").Groups(aggs...))
+					type acc struct {
+						n    int
+						qsum int64
+						psum float64
+					}
+					m := map[int64]*acc{}
+					var order []int64
+					for _, r := range ref {
+						region := r.u.Get(1)
+						a := m[region]
+						if a == nil {
+							a = &acc{}
+							m[region] = a
+							order = append(order, region)
+						}
+						a.n++
+						a.qsum += r.o.Get(3)
+						a.psum += r.i.GetFloat64(1)
+					}
+					want := make([]string, len(order))
+					for i, region := range order {
+						a := m[region]
+						want[i] = formatGroup([]any{region},
+							[]float64{float64(a.n), float64(a.qsum), a.psum / float64(a.n)})
+					}
+					compareStreams(t, pc.label+" grouped-join-vs-ref", got, want, gotErr, nil)
 				}
 
-				greedy, gErr := collectTuples(mk().Tuples())
-				declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
-				compareStreams(t, pc.label+" greedy-vs-declared", greedy, declared, gErr, dErr)
-
-				mkLeg := func(table string, has bool, w decibel.Expr) *decibel.Query {
-					q := db.Query(table).On("master")
-					if has {
-						q = q.Where(w)
+				// The greedy order must lead with the smallest-estimate
+				// relation — items (15 rows), not the declared root
+				// orders (400 rows).
+				c, err := iquery.Plan{Table: "orders", Branches: []string{"master"}, AtSeq: -1, Joins: []iquery.JoinLeg{
+					{Plan: iquery.Plan{Table: "users", AtSeq: -1}, LeftCol: "user_id", RightCol: "id"},
+					{Plan: iquery.Plan{Table: "items", AtSeq: -1}, LeftCol: "item_id", RightCol: "id"},
+				}}.Compile(db.Database)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ord, ests := c.JoinOrder(), c.JoinEstimates()
+				for i := range ests {
+					if ests[ord[0]] > ests[i] {
+						t.Fatalf("greedy order %v does not lead with the smallest estimate %v", ord, ests)
 					}
-					return q
 				}
-				ref := nestedLoop3(
-					legRows(t, mkLeg("orders", pc.oHas, pc.oWhere)),
-					legRows(t, mkLeg("users", pc.uHas, pc.uWhere)),
-					legRows(t, mkLeg("items", pc.iHas, pc.iWhere)))
-				compareStreams(t, pc.label+" greedy-vs-nested-loop", greedy, fmtRef3(ref), gErr, nil)
-				if n, err := mk().Count(); err != nil || n != len(ref) {
-					t.Fatalf("%s: join Count = %d (%v), nested loop %d", pc.label, n, err, len(ref))
+				if ord[0] == 0 {
+					t.Fatalf("greedy order %v starts at the declared root despite estimates %v", ord, ests)
 				}
-
-				// Grouped join: group the 3-way tuples by the user's
-				// region, folding across relations (qty from orders,
-				// price from items), against a fold over the reference
-				// tuples in the same canonical order.
-				aggs := []decibel.Agg{decibel.Count(), decibel.Sum("qty"), decibel.Avg("price")}
-				got, gotErr := collectGroups(mk().GroupBy("region").Groups(aggs...))
-				type acc struct {
-					n    int
-					qsum int64
-					psum float64
-				}
-				m := map[int64]*acc{}
-				var order []int64
-				for _, r := range ref {
-					region := r.u.Get(1)
-					a := m[region]
-					if a == nil {
-						a = &acc{}
-						m[region] = a
-						order = append(order, region)
-					}
-					a.n++
-					a.qsum += r.o.Get(3)
-					a.psum += r.i.GetFloat64(1)
-				}
-				want := make([]string, len(order))
-				for i, region := range order {
-					a := m[region]
-					want[i] = formatGroup([]any{region},
-						[]float64{float64(a.n), float64(a.qsum), a.psum / float64(a.n)})
-				}
-				compareStreams(t, pc.label+" grouped-join-vs-ref", got, want, gotErr, nil)
-			}
-
-			// The greedy order must lead with the smallest-estimate
-			// relation — items (15 rows), not the declared root
-			// orders (400 rows).
-			c, err := iquery.Plan{Table: "orders", Branches: []string{"master"}, AtSeq: -1, Joins: []iquery.JoinLeg{
-				{Plan: iquery.Plan{Table: "users", AtSeq: -1}, LeftCol: "user_id", RightCol: "id"},
-				{Plan: iquery.Plan{Table: "items", AtSeq: -1}, LeftCol: "item_id", RightCol: "id"},
-			}}.Compile(db.Database)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ord, ests := c.JoinOrder(), c.JoinEstimates()
-			for i := range ests {
-				if ests[ord[0]] > ests[i] {
-					t.Fatalf("greedy order %v does not lead with the smallest estimate %v", ord, ests)
-				}
-			}
-			if ord[0] == 0 {
-				t.Fatalf("greedy order %v starts at the declared root despite estimates %v", ord, ests)
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -341,49 +350,51 @@ func TestJoinEquivalence3Way(t *testing.T) {
 // nested-loop reference and the deprecated two-branch Join terminal.
 func TestJoinCorpusEquivalence(t *testing.T) {
 	for _, engine := range facadeEngines {
-		t.Run(engine, func(t *testing.T) {
-			db := buildPruningDB(t, engine)
-			rng := rand.New(rand.NewSource(0x10b5))
-			preds := []iquery.Expr{
-				decibel.Col("price").Lt(7.5),
-				decibel.Col("sku").HasPrefix("b"),
-				decibel.Col("v").Ge(120),
-			}
-			for i := 0; i < 15; i++ {
-				preds = append(preds, randExpr(rng, 2))
-			}
-			for i, where := range preds {
-				label := fmt.Sprintf("pred[%d]", i)
-				mk := func() *decibel.Query {
-					return db.Query("r").On("master").Where(where).
-						JoinOn(db.Query("r").On("b1"), decibel.On("id", "id"))
+		for _, workers := range equivalenceWorkers {
+			t.Run(fmt.Sprintf("%s/workers=%d", engine, workers), func(t *testing.T) {
+				db := buildPruningDB(t, engine, decibel.WithScanWorkers(workers))
+				rng := rand.New(rand.NewSource(0x10b5))
+				preds := []iquery.Expr{
+					decibel.Col("price").Lt(7.5),
+					decibel.Col("sku").HasPrefix("b"),
+					decibel.Col("v").Ge(120),
 				}
-				greedy, gErr := collectTuples(mk().Tuples())
-				declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
-				compareStreams(t, label+" greedy-vs-declared", greedy, declared, gErr, dErr)
-
-				// Nested loop over the two materialized sides.
-				left := legRows(t, db.Query("r").On("master").Where(where))
-				right := legRows(t, db.Query("r").On("b1"))
-				byPK := map[int64]*decibel.Record{}
-				for _, r := range right {
-					byPK[r.PK()] = r
+				for i := 0; i < 15; i++ {
+					preds = append(preds, randExpr(rng, 2))
 				}
-				type pair struct{ l, r *decibel.Record }
-				var ref []pair
-				for _, l := range left {
-					if r, ok := byPK[l.PK()]; ok {
-						ref = append(ref, pair{l, r})
+				for i, where := range preds {
+					label := fmt.Sprintf("pred[%d]", i)
+					mk := func() *decibel.Query {
+						return db.Query("r").On("master").Where(where).
+							JoinOn(db.Query("r").On("b1"), decibel.On("id", "id"))
 					}
+					greedy, gErr := collectTuples(mk().Tuples())
+					declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
+					compareStreams(t, label+" greedy-vs-declared", greedy, declared, gErr, dErr)
+
+					// Nested loop over the two materialized sides.
+					left := legRows(t, db.Query("r").On("master").Where(where))
+					right := legRows(t, db.Query("r").On("b1"))
+					byPK := map[int64]*decibel.Record{}
+					for _, r := range right {
+						byPK[r.PK()] = r
+					}
+					type pair struct{ l, r *decibel.Record }
+					var ref []pair
+					for _, l := range left {
+						if r, ok := byPK[l.PK()]; ok {
+							ref = append(ref, pair{l, r})
+						}
+					}
+					sort.Slice(ref, func(a, b int) bool { return ref[a].l.PK() < ref[b].l.PK() })
+					want := make([]string, len(ref))
+					for j, p := range ref {
+						want[j] = p.l.String() + " | " + p.r.String()
+					}
+					compareStreams(t, label+" greedy-vs-nested-loop", greedy, want, gErr, nil)
 				}
-				sort.Slice(ref, func(a, b int) bool { return ref[a].l.PK() < ref[b].l.PK() })
-				want := make([]string, len(ref))
-				for j, p := range ref {
-					want[j] = p.l.String() + " | " + p.r.String()
-				}
-				compareStreams(t, label+" greedy-vs-nested-loop", greedy, want, gErr, nil)
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -538,46 +549,48 @@ func TestGroupByEquivalence(t *testing.T) {
 	}
 	groupings := [][]string{{"price"}, {"sku"}, {"price", "sku"}}
 	for _, engine := range facadeEngines {
-		t.Run(engine, func(t *testing.T) {
-			db := buildPruningDB(t, engine)
-			preds := []iquery.Expr{
-				{},
-				decibel.Col("price").Lt(7.5),
-				decibel.Col("price").Ge(7.5),
-				decibel.Col("sku").HasPrefix("c"),
-				decibel.Col("v").Ge(120).And(decibel.Col("sku").HasPrefix("b")),
-				decibel.Col("v").Lt(-1000), // empty scan
-			}
-			rng := rand.New(rand.NewSource(0x96f0))
-			for i := 0; i < 20; i++ {
-				preds = append(preds, randExpr(rng, 2))
-			}
-			for pi, where := range preds {
-				for _, sh := range shapes {
-					mk := func() *decibel.Query {
-						q := db.Query("r").Where(where)
-						if sh.heads {
-							return q.Heads()
+		for _, workers := range equivalenceWorkers {
+			t.Run(fmt.Sprintf("%s/workers=%d", engine, workers), func(t *testing.T) {
+				db := buildPruningDB(t, engine, decibel.WithScanWorkers(workers))
+				preds := []iquery.Expr{
+					{},
+					decibel.Col("price").Lt(7.5),
+					decibel.Col("price").Ge(7.5),
+					decibel.Col("sku").HasPrefix("c"),
+					decibel.Col("v").Ge(120).And(decibel.Col("sku").HasPrefix("b")),
+					decibel.Col("v").Lt(-1000), // empty scan
+				}
+				rng := rand.New(rand.NewSource(0x96f0))
+				for i := 0; i < 20; i++ {
+					preds = append(preds, randExpr(rng, 2))
+				}
+				for pi, where := range preds {
+					for _, sh := range shapes {
+						mk := func() *decibel.Query {
+							q := db.Query("r").Where(where)
+							if sh.heads {
+								return q.Heads()
+							}
+							if q = q.On(sh.branches...); sh.at >= 0 {
+								q = q.At(sh.at)
+							}
+							return q
 						}
-						if q = q.On(sh.branches...); sh.at >= 0 {
-							q = q.At(sh.at)
+						// The scalar aggregates: the fold with no group
+						// columns, against the same post-hoc fold.
+						label := fmt.Sprintf("pred[%d] %s scalar", pi, sh.label)
+						got, gotErr := scalarFold(t, label, mk)
+						compareStreams(t, label+" streaming-vs-posthoc", got, refGroupFold(legRows(t, mk()), nil, refs), gotErr, nil)
+						for gi, gcols := range groupings {
+							label := fmt.Sprintf("pred[%d] %s group[%d]", pi, sh.label, gi)
+							got, gotErr := collectGroups(mk().GroupBy(gcols...).Groups(aggs...))
+							want := refGroupFold(legRows(t, mk()), gcols, refs)
+							compareStreams(t, label+" streaming-vs-posthoc", got, want, gotErr, nil)
 						}
-						return q
-					}
-					// The scalar aggregates: the fold with no group
-					// columns, against the same post-hoc fold.
-					label := fmt.Sprintf("pred[%d] %s scalar", pi, sh.label)
-					got, gotErr := scalarFold(t, label, mk)
-					compareStreams(t, label+" streaming-vs-posthoc", got, refGroupFold(legRows(t, mk()), nil, refs), gotErr, nil)
-					for gi, gcols := range groupings {
-						label := fmt.Sprintf("pred[%d] %s group[%d]", pi, sh.label, gi)
-						got, gotErr := collectGroups(mk().GroupBy(gcols...).Groups(aggs...))
-						want := refGroupFold(legRows(t, mk()), gcols, refs)
-						compareStreams(t, label+" streaming-vs-posthoc", got, want, gotErr, nil)
 					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
