@@ -24,6 +24,11 @@ var (
 	// callback's return.
 	ErrSessionClosed = core.ErrSessionClosed
 
+	// ErrNestedTransaction reports a CommitContext, MergeContext or
+	// BranchFromHead call made with the context of a running Commit
+	// callback (tx.Context()), whichever branch it names.
+	ErrNestedTransaction = core.ErrNestedTransaction
+
 	// ErrAlreadyInitialized reports Init on an initialized dataset, or
 	// CreateTable after Init.
 	ErrAlreadyInitialized = core.ErrAlreadyInitialized

@@ -607,3 +607,161 @@ func TestMergeSerializesWithCommit(t *testing.T) {
 		t.Fatalf("master has %d records, want %d", n, 10+batch)
 	}
 }
+
+// TestOppositeMergesDoNotDeadlock: two merges of the same pair of
+// branches in opposite directions, each after a commit on its target,
+// race in a loop. Merge takes both branches' locks in branch-ID order,
+// so neither can hold one lock while waiting for the other: every call
+// must succeed, with no wait bounded by anything but the test's ctx.
+func TestOppositeMergesDoNotDeadlock(t *testing.T) {
+	const rounds = 200
+	for _, engine := range facadeEngines {
+		t.Run(engine, func(t *testing.T) {
+			db, _, _ := openSeeded(t, engine)
+			defer db.Close()
+			schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+			if _, err := db.Branch("master", "dev"); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+
+			var wg sync.WaitGroup
+			errs := make(chan error, 2)
+			for w, pair := range [][2]string{{"master", "dev"}, {"dev", "master"}} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					into, from := pair[0], pair[1]
+					for i := 0; i < rounds; i++ {
+						_, err := db.CommitContext(ctx, into, func(tx *decibel.Tx) error {
+							rec := decibel.NewRecord(schema)
+							rec.SetPK(int64(1000 + 2*i + w))
+							rec.Set(1, int64(i))
+							return tx.Insert("r", rec)
+						})
+						if err != nil {
+							errs <- fmt.Errorf("round %d: commit on %s: %w", i, into, err)
+							return
+						}
+						if _, _, err := db.MergeContext(ctx, into, from); err != nil {
+							errs <- fmt.Errorf("round %d: merge %s into %s: %w", i, from, into, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestNestedLockingCallFailsFast: a locking call made with a running
+// transaction's context fails at once with ErrNestedTransaction,
+// whichever branch it names — on its own branch it would otherwise
+// wait on itself — and the outer transaction still commits.
+func TestNestedLockingCallFailsFast(t *testing.T) {
+	for _, engine := range facadeEngines {
+		t.Run(engine, func(t *testing.T) {
+			db, _, _ := openSeeded(t, engine)
+			defer db.Close()
+			if _, err := db.Branch("master", "dev"); err != nil {
+				t.Fatal(err)
+			}
+			noop := func(*decibel.Tx) error { return nil }
+			_, err := db.Commit("master", func(tx *decibel.Tx) error {
+				ctx := tx.Context()
+				calls := []struct {
+					name string
+					call func() error
+				}{
+					{"CommitContext(master)", func() error { _, err := db.CommitContext(ctx, "master", noop); return err }},
+					{"CommitContext(dev)", func() error { _, err := db.CommitContext(ctx, "dev", noop); return err }},
+					{"MergeContext(master, dev)", func() error { _, _, err := db.MergeContext(ctx, "master", "dev"); return err }},
+					{"BranchFromHead(master)", func() error { _, err := db.BranchFromHead(ctx, "nested", "master"); return err }},
+				}
+				for _, c := range calls {
+					start := time.Now()
+					err := c.call()
+					if !errors.Is(err, decibel.ErrNestedTransaction) {
+						return fmt.Errorf("%s inside a transaction: %v, want ErrNestedTransaction", c.name, err)
+					}
+					if d := time.Since(start); d > 100*time.Millisecond {
+						return fmt.Errorf("%s took %v to fail, want under 100ms", c.name, d)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSelfMergeFails: merging a branch into itself names one lock
+// twice; Merge takes it once and fails in the version graph instead of
+// waiting on itself.
+func TestSelfMergeFails(t *testing.T) {
+	for _, engine := range facadeEngines {
+		t.Run(engine, func(t *testing.T) {
+			db, _, _ := openSeeded(t, engine)
+			defer db.Close()
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := db.Merge("master", "master")
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("self-merge succeeded")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("self-merge hung")
+			}
+			// The lock was released: the branch still takes commits.
+			if _, err := db.Commit("master", func(*decibel.Tx) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestLockWaitBoundedByContext: a commit waiting for a branch another
+// transaction holds gives up when its context does, with the context's
+// error; once the holder commits, the branch takes commits again.
+func TestLockWaitBoundedByContext(t *testing.T) {
+	db, _, _ := openSeeded(t, "hybrid")
+	defer db.Close()
+	noop := func(*decibel.Tx) error { return nil }
+	inTx := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := db.Commit("master", func(*decibel.Tx) error {
+			close(inTx)
+			<-release
+			return nil
+		})
+		done <- err
+	}()
+
+	<-inTx
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := db.CommitContext(ctx, "master", noop); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("commit waiting on a held branch: %v, want context.DeadlineExceeded", err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Commit("master", noop); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 
 	"decibel/internal/heap"
-	"decibel/internal/lock"
 	"decibel/internal/record"
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
@@ -37,14 +36,15 @@ type Database struct {
 
 	graph *vgraph.Graph
 	pool  *heap.Pool
-	locks *lock.Manager
+	// branchLocks maps a BranchID to its lock, a chan struct{} of
+	// capacity 1 (see lockBranches in tx.go).
+	branchLocks sync.Map
 
 	tables map[string]*Table
 	order  []string // table creation order
 
-	epoch   int           // committed schema epoch (max SchemaVer across the graph)
-	nextTxn atomic.Uint64 // lock owner ids (see admit)
-	closed  atomic.Bool
+	epoch  int // committed schema epoch (max SchemaVer across the graph)
+	closed atomic.Bool
 
 	// Admission drain (CloseContext): draining refuses new transactions
 	// while the active ones finish; sessWait is closed when the last
@@ -117,7 +117,6 @@ func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) 
 		factory: factory,
 		graph:   graph,
 		pool:    heap.NewPool(opt.PoolPages, opt.PageSize),
-		locks:   lock.NewManager(0),
 		tables:  make(map[string]*Table),
 	}
 	if err := db.loadCatalogContext(ctx); err != nil {

@@ -27,6 +27,13 @@ var (
 	// callback returned.
 	ErrSessionClosed = errors.New("decibel: session closed")
 
+	// ErrNestedTransaction reports a locking call (Transact,
+	// BranchFromHead, MergeContext) made with the context of a running
+	// transaction, whichever branch it names: a callback that took a
+	// second branch lock could form a lock cycle, and one that re-took
+	// its own would wait on itself.
+	ErrNestedTransaction = errors.New("decibel: locking call inside a transaction")
+
 	// ErrAlreadyInitialized reports Init on an initialized dataset, or
 	// CreateTable after Init has frozen the schema set.
 	ErrAlreadyInitialized = errors.New("decibel: dataset already initialized")

@@ -8,7 +8,6 @@ import (
 	"maps"
 	"slices"
 
-	"decibel/internal/lock"
 	"decibel/internal/record"
 	"decibel/internal/vgraph"
 )
@@ -22,51 +21,80 @@ import (
 // branch lock; a transaction guards against them by checking, on every
 // write and at commit, that the head is still the one it read
 // (ErrNotAtHead).
+//
+// Every lock is exclusive, one per branch, and every locking call takes
+// all of its locks at once, in branch-ID order, and releases them when
+// it returns. No two calls can therefore wait on each other in a cycle,
+// so a wait is bounded only by the caller's context. A call cannot add
+// a lock while it holds one: Transact marks its callback's context, and
+// a locking call made with that context fails with ErrNestedTransaction.
 
-// admit passes the admission gate every locking operation passes —
-// refused with ErrDatabaseClosed once Close or a CloseContext drain has
-// begun, counted by ActiveSessions until leave — and returns the lock
-// owner id the operation's locks are taken under.
-func (db *Database) admit() (uint64, error) {
+// heldBranch is the context key under which Transact records the name
+// of the branch its callback holds.
+type heldBranch struct{}
+
+// admit passes the admission gate every locking operation passes: a
+// ctx that already holds a branch fails with ErrNestedTransaction, and
+// once Close or a CloseContext drain has begun the operation is refused
+// with ErrDatabaseClosed. An admitted operation is counted by
+// ActiveSessions until its dropSession.
+func (db *Database) admit(ctx context.Context) error {
+	if held, ok := ctx.Value(heldBranch{}).(string); ok {
+		return fmt.Errorf("%w: the context holds branch %q", ErrNestedTransaction, held)
+	}
 	if err := db.beginOp(); err != nil {
-		return 0, err
+		return err
 	}
 	defer db.endOp()
-	if err := db.addSession(); err != nil {
-		return 0, err
-	}
-	return db.nextTxn.Add(1), nil
+	return db.addSession()
 }
 
-// leave releases every lock txn holds and unregisters it from the
-// admission gate; a CloseContext drain waiting on the last operation
-// wakes here.
-func (db *Database) leave(txn uint64) {
-	db.locks.ReleaseAll(txn)
-	db.dropSession()
-}
-
-// lockBranch takes the named branch's lock for txn and returns the
-// branch with its head as read after the lock was granted: the head a
-// waiter sees is the one the previous holder produced. A canceled ctx
-// aborts the wait with ctx.Err().
-func (db *Database) lockBranch(ctx context.Context, txn uint64, name string, mode lock.Mode) (*vgraph.Branch, vgraph.CommitID, error) {
-	b, err := db.BranchNamed(name)
-	if err != nil {
-		return nil, vgraph.None, err
+// lockBranches takes the locks of the named branches, each branch once
+// and in branch-ID order, and returns the branches in the order named
+// and the function that releases the locks. A branch's lock is a
+// channel of capacity 1, held by the goroutine whose send filled it:
+// blocked senders are granted it in arrival order. A canceled ctx
+// aborts the wait with ctx.Err(), releasing the locks already taken.
+func (db *Database) lockBranches(ctx context.Context, names ...string) ([]*vgraph.Branch, func(), error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
-	if err := db.locks.AcquireContext(ctx, txn, fmt.Sprintf("branch:%d", b.ID), mode); err != nil {
-		return nil, vgraph.None, err
+	bs := make([]*vgraph.Branch, len(names))
+	ids := make([]vgraph.BranchID, len(names))
+	for i, name := range names {
+		b, err := db.BranchNamed(name)
+		if err != nil {
+			return nil, nil, err
+		}
+		bs[i], ids[i] = b, b.ID
 	}
-	head, _ := db.graph.Head(b.ID)
-	return b, head, nil
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	var held []chan struct{}
+	unlock := func() {
+		for _, l := range held {
+			<-l
+		}
+	}
+	for _, id := range ids {
+		v, _ := db.branchLocks.LoadOrStore(id, make(chan struct{}, 1))
+		l := v.(chan struct{})
+		select {
+		case l <- struct{}{}:
+			held = append(held, l)
+		case <-ctx.Done():
+			unlock()
+			return nil, nil, ctx.Err()
+		}
+	}
+	return bs, unlock, nil
 }
 
 // Tx is one write transaction against a branch head, handed to the
 // callback of Transact: "the commit (or the branch) that the operations
 // the user issues will read or modify" (Section 2.2.3), always a head.
-// It holds the branch's exclusive lock until the callback's commit (or
-// abort) ends the transaction, and addresses tables by name.
+// It holds the branch's lock until the callback's commit (or abort)
+// ends the transaction, and addresses tables by name.
 //
 // A Tx is only valid inside its callback; using it after the callback
 // returns yields ErrSessionClosed. It is not safe for concurrent use.
@@ -86,10 +114,16 @@ type Tx struct {
 // Transact runs fn as one transaction against the named branch's head
 // and, if fn returns nil, commits the branch — carrying the schema
 // changes fn queued, if any — making every write fn issued atomically
-// visible as the returned commit. The branch's exclusive lock is taken
-// once, before the head is read, and held for the span of the callback,
-// so concurrent transactions on one branch serialize while transactions
+// visible as the returned commit. The branch's lock is taken once,
+// before the head is read, and held for the span of the callback, so
+// concurrent transactions on one branch serialize while transactions
 // on different branches run in parallel.
+//
+// fn must not make another locking call (Transact, BranchFromHead,
+// MergeContext): made with tx.Context() it fails at once with
+// ErrNestedTransaction; made with an unrelated context on the held
+// branch it waits, as a re-locked sync.Mutex does, until that context
+// ends.
 //
 // If fn, or the commit, fails, nothing is committed and the error is
 // returned: every key fn wrote is restored to its last committed state
@@ -100,15 +134,18 @@ type Tx struct {
 // every Tx operation and the commit handoff with ctx.Err(); the commit
 // itself, once handed to the engines, is not interruptible.
 func (db *Database) Transact(ctx context.Context, branch string, fn func(*Tx) error) (*vgraph.Commit, error) {
-	txn, err := db.admit()
+	if err := db.admit(ctx); err != nil {
+		return nil, err
+	}
+	defer db.dropSession()
+	bs, unlock, err := db.lockBranches(ctx, branch)
 	if err != nil {
 		return nil, err
 	}
-	defer db.leave(txn)
-	b, head, err := db.lockBranch(ctx, txn, branch, lock.Exclusive)
-	if err != nil {
-		return nil, err
-	}
+	defer unlock()
+	b := bs[0]
+	head, _ := db.graph.Head(b.ID)
+	ctx = context.WithValue(ctx, heldBranch{}, b.Name)
 	tx := &Tx{ctx: ctx, db: db, branch: b, head: head, message: "commit on " + branch}
 	err = fn(tx)
 	tx.closed = true
@@ -372,45 +409,46 @@ func (tx *Tx) SetMessage(message string) { tx.message = message }
 // Branch returns the name of the branch the transaction writes to.
 func (tx *Tx) Branch() string { return tx.branch.Name }
 
-// Context returns the context the transaction runs under.
+// Context returns the context the transaction runs under: Transact's
+// ctx, marked as holding the branch, so a locking call made with it
+// fails with ErrNestedTransaction.
 func (tx *Tx) Context() context.Context { return tx.ctx }
 
 // BranchFromHead creates a branch named name off the current head of
-// branch parent, holding parent's shared lock for the span so the
-// branch point cannot move under a concurrent transaction.
+// branch parent, holding parent's lock for the span so the branch point
+// cannot move under a concurrent transaction.
 func (db *Database) BranchFromHead(ctx context.Context, name, parent string) (*vgraph.Branch, error) {
-	txn, err := db.admit()
+	if err := db.admit(ctx); err != nil {
+		return nil, err
+	}
+	defer db.dropSession()
+	bs, unlock, err := db.lockBranches(ctx, parent)
 	if err != nil {
 		return nil, err
 	}
-	defer db.leave(txn)
-	_, head, err := db.lockBranch(ctx, txn, parent, lock.Shared)
-	if err != nil {
-		return nil, err
-	}
+	defer unlock()
+	head, _ := db.graph.Head(bs[0].ID)
 	return db.Branch(name, head)
 }
 
 // MergeContext merges the head of branch from into branch into across
 // every relation and commits the result as a merge version; intoWins
 // selects whether into (true) or from (false) wins conflicts. It takes
-// into's exclusive lock and then from's shared lock before reading
-// either head, so it serializes with transactions on both branches
-// instead of snapshotting a partial one. Cancellation is honored up to
-// the engines' merge, which then runs through every relation.
+// both branches' locks, in branch-ID order, before reading either head,
+// so it serializes with transactions on both branches instead of
+// snapshotting a partial one, and two merges of one pair in opposite
+// directions cannot deadlock. A self-merge locks its branch once and
+// fails in the version graph. Cancellation is honored up to the
+// engines' merge, which then runs through every relation.
 func (db *Database) MergeContext(ctx context.Context, into, from, message string, kind MergeKind, intoWins bool) (*vgraph.Commit, MergeStats, error) {
-	txn, err := db.admit()
+	if err := db.admit(ctx); err != nil {
+		return nil, MergeStats{}, err
+	}
+	defer db.dropSession()
+	bs, unlock, err := db.lockBranches(ctx, into, from)
 	if err != nil {
 		return nil, MergeStats{}, err
 	}
-	defer db.leave(txn)
-	bi, _, err := db.lockBranch(ctx, txn, into, lock.Exclusive)
-	if err != nil {
-		return nil, MergeStats{}, err
-	}
-	bf, _, err := db.lockBranch(ctx, txn, from, lock.Shared)
-	if err != nil {
-		return nil, MergeStats{}, err
-	}
-	return db.merge(ctx, bi.ID, bf.ID, message, kind, intoWins)
+	defer unlock()
+	return db.merge(ctx, bs[0].ID, bs[1].ID, message, kind, intoWins)
 }

@@ -199,7 +199,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleBranch is POST /v1/branch: create a branch from the current
-// head of another (core holds the parent's shared lock for the span).
+// head of another (core holds the parent's lock for the span).
 func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) error {
 	var req client.BranchRequest
 	if err := decodeJSON(r, &req); err != nil {
@@ -216,7 +216,7 @@ func (s *Server) handleBranch(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleMerge is POST /v1/merge: core's name-based merge, which takes
-// the target's exclusive lock and the source's shared lock.
+// the locks of both branches in branch-ID order.
 func (s *Server) handleMerge(w http.ResponseWriter, r *http.Request) error {
 	var req client.MergeRequest
 	if err := decodeJSON(r, &req); err != nil {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# twenty-one structural checks. Prints the non-test Go lines outside
+# twenty-three structural checks. Prints the non-test Go lines outside
 # benchmark/, of the three storage engines (internal/{tf,hy,vf}) and of
 # version-first alone (internal/vf), of the shared segment store
 # (internal/store), of the query layer (internal/query), of their merge
@@ -11,11 +11,16 @@
 # non-zero if os.Rename( is called from non-test Go code outside
 # internal/wal: a file in a dataset is replaced through wal.ReplaceFile,
 # which syncs what WithFsync promises, and through nothing else. Exits non-zero too
-# if a branch lock is taken — .Acquire( or .AcquireContext( — in
-# non-test Go code outside internal/core/tx.go and internal/lock, or if
-# NewSession( appears in any Go file: the write protocol (lock order,
-# head re-read under the lock, rollback of an aborted transaction) lives
-# in core's Tx and nowhere else. Exits non-zero too if NewSwap(,
+# if a branch lock is taken — lockBranches( — in non-test Go code
+# outside internal/core/tx.go, or if NewSession( appears in any Go file:
+# the write protocol (lock order, head re-read under the lock, rollback
+# of an aborted transaction) lives in core's Tx and nowhere else. Exits
+# non-zero too if internal/lock/ exists, or if non-test Go matches
+# lock.Manager, lock.Shared, lock.Exclusive, ErrTimeout, DefaultTimeout,
+# nextTxn or ReleaseAll: a branch lock is one exclusive channel per
+# branch, every call takes its locks in branch-ID order and releases
+# them when it returns, so there are no lock modes, no owner ids and no
+# deadlock timeout. Exits non-zero too if NewSwap(,
 # mergeRun or WithCompactionThresholds appears in non-test Go code: a
 # compaction pass re-encodes segments in place, and the crash-safe swap
 # is reached only through the segment catalog (store.Catalog.Compact). Exits non-zero too if
@@ -109,10 +114,23 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-stray=$(grep -rln --include='*.go' '\.Acquire\(Context\)\?(' . | grep -v '_test\.go$' |
-    grep -v '^\./internal/core/tx\.go$' | grep -v '^\./internal/lock/' || true)
+stray=$(grep -rln --include='*.go' 'lockBranches(' . | grep -v '_test\.go$' |
+    grep -v '^\./internal/core/tx\.go$' || true)
 if [ -n "$stray" ]; then
     echo "branch locks taken outside internal/core/tx.go (use core's Transact / BranchFromHead / MergeContext):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+if [ -e internal/lock ]; then
+    echo "internal/lock is gone (a branch lock is core's per-branch channel, taken by lockBranches)" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'lock\.Manager|lock\.Shared|lock\.Exclusive|ErrTimeout|DefaultTimeout|nextTxn|ReleaseAll' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "branch locks have no modes, owner ids or deadlock timeout (every call takes its locks in branch-ID order):" >&2
     echo "$stray" >&2
     exit 1
 fi

@@ -9,11 +9,11 @@ import (
 
 // Tx is the handle a name-based Commit hands to its callback: a single
 // writer positioned at the target branch head, holding the branch's
-// exclusive lock under two-phase locking until the commit (or the
-// callback's error) ends the transaction. All Tx operations address
-// tables by name: Insert, InsertBatch, Delete, Rows (the head,
-// including the transaction's own writes), AddColumn, DropColumn,
-// SetMessage, Branch and Context.
+// lock under two-phase locking until the commit (or the callback's
+// error) ends the transaction. All Tx operations address tables by
+// name: Insert, InsertBatch, Delete, Rows (the head, including the
+// transaction's own writes), AddColumn, DropColumn, SetMessage, Branch
+// and Context.
 //
 // A Tx is only valid inside its callback; retaining it past the
 // callback's return yields ErrSessionClosed.
@@ -32,10 +32,16 @@ func Default(v any) ColumnDefault { return core.Default(v) }
 // Commit runs fn as one transaction against the named branch's head
 // and, if fn returns nil, commits the branch — making every write fn
 // issued atomically visible as a new version whose *Commit is
-// returned. The branch's exclusive lock is held for the span of the
-// callback (strict two-phase locking), so concurrent Commits to the
-// same branch serialize while Commits to different branches proceed in
-// parallel.
+// returned. The branch's lock is held for the span of the callback
+// (strict two-phase locking), so concurrent Commits to the same branch
+// serialize while Commits to different branches proceed in parallel.
+//
+// fn must not Commit, Branch or Merge. A CommitContext, MergeContext
+// or BranchFromHead call made with tx.Context() fails at once with
+// ErrNestedTransaction, whichever branch it names. One made with an
+// unrelated context on the branch fn holds waits, as a re-locked
+// sync.Mutex does, until that context ends; a plain Commit or Merge of
+// that branch waits forever.
 //
 // If fn returns an error, nothing is committed and the error is
 // returned: every key fn wrote is restored to its last committed state
@@ -47,17 +53,18 @@ func (db *DB) Commit(branch string, fn func(*Tx) error) (*Commit, error) {
 	return db.Transact(context.Background(), branch, fn)
 }
 
-// CommitContext is Commit bounded by a context: lock waits, the
+// CommitContext is Commit bounded by a context: the lock wait, the
 // callback's Tx operations, and the final commit handoff all abort
-// with ctx.Err() once ctx is canceled.
+// with ctx.Err() once ctx is canceled. The lock wait has no other
+// bound.
 func (db *DB) CommitContext(ctx context.Context, branch string, fn func(*Tx) error) (*Commit, error) {
 	return db.Transact(ctx, branch, fn)
 }
 
 // Branch creates a new branch named name from the current head of
-// branch from, across every relation of the dataset. It holds a shared
-// lock on from for the duration, so the branch point cannot move under
-// a concurrent committer.
+// branch from, across every relation of the dataset. It holds from's
+// lock for the duration, so the branch point cannot move under a
+// concurrent committer.
 func (db *DB) Branch(from, name string) (*Branch, error) {
 	return db.BranchFromHead(context.Background(), name, from)
 }
@@ -99,11 +106,12 @@ func WithMergePrecedence(intoWins bool) MergeOption {
 // into winning conflicting fields; see WithMergeKind, WithMergePrecedence
 // and WithMergeMessage.
 //
-// Merge takes into's exclusive lock and from's shared lock before
+// Merge takes the locks of both branches, in branch-ID order, before
 // reading either head, so it serializes with name-based Commits on both
 // branches instead of snapshotting a concurrent transaction's partial
-// writes. Two merges locking the same pair of branches in opposite
-// directions resolve by the lock manager's deadlock timeout.
+// writes. Because every caller takes the pair in the same order, two
+// merges of the same branches in opposite directions cannot deadlock;
+// they run one after the other. Merging a branch into itself fails.
 func (db *DB) Merge(into, from string, opts ...MergeOption) (*Commit, MergeStats, error) {
 	return db.MergeContext(context.Background(), into, from, opts...)
 }
