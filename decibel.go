@@ -63,10 +63,10 @@ import (
 	"decibel/internal/store"
 	"decibel/internal/vgraph"
 
-	// Link the three storage engines into every facade consumer; each
-	// registers itself with the engine registry from init.
+	// Link the three storage engines into every facade consumer:
+	// internal/hy registers hybrid and tuple-first, internal/vf
+	// version-first, each from init.
 	_ "decibel/internal/hy"
-	_ "decibel/internal/tf"
 	_ "decibel/internal/vf"
 )
 

@@ -8,7 +8,6 @@ import (
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/query"
-	"decibel/internal/tf"
 	"decibel/internal/vf"
 	"decibel/internal/vgraph"
 )
@@ -70,7 +69,7 @@ func TestLoadDeep(t *testing.T) {
 }
 
 func TestLoadFlat(t *testing.T) {
-	d, err := Load(t.TempDir(), tf.Factory, testOpts(), tinyConfig(Flat))
+	d, err := Load(t.TempDir(), hy.TupleFirstFactory, testOpts(), tinyConfig(Flat))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +137,7 @@ func TestLoadCuration(t *testing.T) {
 func TestLoadDeterminism(t *testing.T) {
 	cfg := tinyConfig(Curation)
 	counts := map[string][2]int{}
-	for name, f := range map[string]core.Factory{"tf": tf.Factory, "vf": vf.Factory, "hy": hy.Factory} {
+	for name, f := range map[string]core.Factory{"tf": hy.TupleFirstFactory, "vf": vf.Factory, "hy": hy.Factory} {
 		d, err := Load(t.TempDir(), f, testOpts(), cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -152,7 +152,8 @@ type Options struct {
 }
 
 // Factory constructs an engine rooted at env.Dir. Implemented by
-// tf.Factory, vf.Factory and hy.Factory.
+// hy.Factory (hybrid), hy.TupleFirstFactory (tuple-first: the same
+// engine with one shared segment chain) and vf.Factory.
 type Factory func(env *Env) (Engine, error)
 
 // Engine is the storage-engine contract of Section 3. One Engine stores
@@ -243,7 +244,8 @@ type Engine interface {
 	// calls it only with compaction on.
 	CompactSegments() (store.CompactStats, error)
 
-	// Flush writes buffered state to disk without closing.
+	// Flush saves the catalog without closing: every segment's
+	// appended rows reach its file, then the catalog file is replaced.
 	Flush() error
 
 	// Close flushes and releases all resources.

@@ -10,7 +10,6 @@ import (
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/record"
-	"decibel/internal/tf"
 	"decibel/internal/vf"
 	"decibel/internal/vgraph"
 )
@@ -43,7 +42,7 @@ func newHarness(t *testing.T) *harness {
 	opt := core.Options{PageSize: 4096, PoolPages: 16,
 		Compaction: true}
 	for _, name := range []string{"tuple-first", "version-first", "hybrid"} {
-		factory := tf.Factory
+		factory := hy.TupleFirstFactory
 		switch name {
 		case "version-first":
 			factory = vf.Factory

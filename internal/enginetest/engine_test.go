@@ -13,7 +13,6 @@ import (
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/record"
-	"decibel/internal/tf"
 	"decibel/internal/vf"
 	"decibel/internal/vgraph"
 )
@@ -30,7 +29,7 @@ func engineCases() []struct {
 		factory core.Factory
 		opt     core.Options
 	}{
-		{"tuple-first", tf.Factory, base},
+		{"tuple-first", hy.TupleFirstFactory, base},
 		{"version-first", vf.Factory, base},
 		{"hybrid", hy.Factory, base},
 	}
@@ -562,7 +561,7 @@ func TestFailedOpenClosesFiles(t *testing.T) {
 				doc["startSeq"].(map[string]any)["0:99"] = 0
 			})
 		}},
-		{"tuple-first: branch-point commit is missing", tf.Factory, func(t *testing.T, dir string) {
+		{"tuple-first: branch-point commit is missing", hy.TupleFirstFactory, func(t *testing.T, dir string) {
 			rewriteJSON(t, filepath.Join(dir, "graph.json"), func(doc map[string]any) {
 				for _, b := range doc["branches"].([]any) {
 					if b := b.(map[string]any); b["name"] == "dev" {

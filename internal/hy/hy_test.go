@@ -76,7 +76,7 @@ func TestSegmentLifecycle(t *testing.T) {
 	}
 	// The frozen segment's bitmap carries both branches.
 	s := e.cat.Segs[oldHead]
-	if s.local[master.ID] == nil || s.local[child.ID] == nil {
+	if e.live[master.ID][oldHead] == nil || e.live[child.ID][oldHead] == nil {
 		t.Fatal("internal segment missing a branch bitmap")
 	}
 	// Appends to the frozen file fail; inserts route to the new heads.
@@ -203,7 +203,7 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 	if err := e.Merge(m); err != nil {
 		t.Fatal(err)
 	}
-	bm := e.cat.Segs[devSeg].local[master.ID]
+	bm := e.live[master.ID][devSeg]
 	if bm == nil || bm.Count() != 1 {
 		t.Fatal("master bitmap missing in dev's segment after merge")
 	}
@@ -225,6 +225,15 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 	}
 }
 
+// placements are the engine's two placements, by engine name.
+var placements = []struct {
+	name    string
+	factory core.Factory
+}{
+	{"tuple-first", TupleFirstFactory},
+	{"hybrid", Factory},
+}
+
 // TestLookupWalkLength pins the trade the shared version index makes: a
 // lookup costs one liveness probe per version of that key newer than
 // the branch's own. master rewrites one key 2000 times and resolves it
@@ -232,54 +241,112 @@ func TestMergeAdoptsIntoForeignSegment(t *testing.T) {
 // gets its own version, after walking past master's; a key deleted on
 // a branch resolves absent there and nowhere else.
 func TestLookupWalkLength(t *testing.T) {
-	env, g := testEnv(t)
-	eng, _ := Factory(env)
-	defer eng.Close()
-	e := eng.(*Engine)
-	master, c0, _ := g.Init("init")
-	e.Init(master, c0)
-	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, 0)})
-	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 2, 0)})
-	c1, _ := g.NewCommit(master.ID, "c1")
-	e.Commit(c1)
-	sib, _ := g.NewBranch("sib", c1.ID)
-	if err := e.Branch(sib, c1); err != nil {
-		t.Fatal(err)
-	}
-	const updates = 2000
-	for v := int64(1); v <= updates; v++ {
-		if err := e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, v)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.Delete(sib.ID, 2)
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			env, g := testEnv(t)
+			eng, err := pl.factory(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			e := eng.(*Engine)
+			master, c0, _ := g.Init("init")
+			e.Init(master, c0)
+			e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, 0)})
+			e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 2, 0)})
+			c1, _ := g.NewCommit(master.ID, "c1")
+			e.Commit(c1)
+			sib, _ := g.NewBranch("sib", c1.ID)
+			if err := e.Branch(sib, c1); err != nil {
+				t.Fatal(err)
+			}
+			const updates = 2000
+			for v := int64(1); v <= updates; v++ {
+				if err := e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, v)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.Delete(sib.ID, 2)
 
-	lookup := func(b vgraph.BranchID, pk int64) (v int64, probes int, found bool) {
-		found = e.vers.Find(pk, func(p pos) bool {
-			probes++
-			bm, ok := e.byID[p.Seg].local[b]
-			return ok && bm.Get(int(p.Slot))
-		}) != store.NoPos
-		buf, _, ok, err := e.LookupPK(core.Version{Branch: b}, pk)
-		if err != nil || !ok || found != (buf != nil) {
-			t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
-		}
-		if found {
-			r, _ := record.FromBytes(env.Schema, buf)
-			v = r.Get(1)
-		}
-		return v, probes, found
+			lookup := func(b vgraph.BranchID, pk int64) (v int64, probes int, found bool) {
+				found = e.vers.Find(pk, func(p pos) bool {
+					probes++
+					bm := e.live[b][p.Seg]
+					return bm != nil && bm.Get(int(p.Slot))
+				}) != store.NoPos
+				buf, _, ok, err := e.LookupPK(core.Version{Branch: b}, pk)
+				if err != nil || !ok || found != (buf != nil) {
+					t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
+				}
+				if found {
+					r, _ := record.FromBytes(env.Schema, buf)
+					v = r.Get(1)
+				}
+				return v, probes, found
+			}
+			if v, probes, ok := lookup(master.ID, 1); !ok || v != updates || probes != 1 {
+				t.Errorf("master: v=%d after %d probes (found=%v), want v=%d after 1", v, probes, ok, updates)
+			}
+			if v, probes, ok := lookup(sib.ID, 1); !ok || v != 0 || probes != updates+1 {
+				t.Errorf("sibling: v=%d after %d probes (found=%v), want its own v=0 after %d", v, probes, ok, updates+1)
+			}
+			if _, _, ok := lookup(sib.ID, 2); ok {
+				t.Error("key deleted on the sibling still resolves there")
+			}
+			if v, _, ok := lookup(master.ID, 2); !ok || v != 0 {
+				t.Errorf("sibling's delete leaked into master: v=%d found=%v", v, ok)
+			}
+		})
 	}
-	if v, probes, ok := lookup(master.ID, 1); !ok || v != updates || probes != 1 {
-		t.Errorf("master: v=%d after %d probes (found=%v), want v=%d after 1", v, probes, ok, updates)
-	}
-	if v, probes, ok := lookup(sib.ID, 1); !ok || v != 0 || probes != updates+1 {
-		t.Errorf("sibling: v=%d after %d probes (found=%v), want its own v=0 after %d", v, probes, ok, updates+1)
-	}
-	if _, _, ok := lookup(sib.ID, 2); ok {
-		t.Error("key deleted on the sibling still resolves there")
-	}
-	if v, _, ok := lookup(master.ID, 2); !ok || v != 0 {
-		t.Errorf("sibling's delete leaked into master: v=%d found=%v", v, ok)
+}
+
+// TestUnknownBranchReadsEmpty: a branch the engine never registered has
+// no bitmaps, and every read of it — a point lookup (served, not live),
+// a head scan, either side of a diff, a member of a multi-branch scan —
+// sees nothing live rather than panicking on the missing entry.
+func TestUnknownBranchReadsEmpty(t *testing.T) {
+	for _, pl := range placements {
+		t.Run(pl.name, func(t *testing.T) {
+			env, g := testEnv(t)
+			eng, err := pl.factory(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			e := eng.(*Engine)
+			master, c0, _ := g.Init("init")
+			if err := e.Init(master, c0); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, 1)}); err != nil {
+				t.Fatal(err)
+			}
+			const unknown vgraph.BranchID = 42
+
+			buf, _, ok, err := e.LookupPK(core.Version{Branch: unknown}, 1)
+			if err != nil || !ok || buf != nil {
+				t.Fatalf("LookupPK on an unknown branch: buf=%v served=%v err=%v, want not live", buf != nil, ok, err)
+			}
+			spec, err := core.NewScanSpecAt(e.hist, 0, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range []core.ScanRequest{
+				{Kind: core.ScanKindBranch, Branch: unknown},
+				{Kind: core.ScanKindDiff, A: unknown, B: unknown},
+				{Kind: core.ScanKindMulti, Branches: []vgraph.BranchID{unknown}},
+			} {
+				units, release, err := core.Partition(e, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := 0
+				err = core.RunUnitsSequential(units, spec, func(*record.Record, core.UnitAux) bool { n++; return true })
+				release()
+				if err != nil || n != 0 {
+					t.Errorf("scan kind %d over an unknown branch: %d rows, err %v; want none", req.Kind, n, err)
+				}
+			}
+		})
 	}
 }

@@ -1,22 +1,23 @@
 package hy
 
 import (
+	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
 )
 
-// Merge implements core.Engine for the hybrid scheme (Section 3.4):
-// "as in tuple-first, the segment bitmaps can be leveraged (also
-// requiring the lowest common ancestor commit) to determine where the
-// conflicts are within the segment" — per segment, each head's local
-// bitmap XORed against the LCA's names the changed slots, their records
-// the changed keys (core's Merge.Changed). What becomes of each key is
-// decided in core (MergeKeys.Resolve); here an adopted record is marked
-// live in the merged branch's bitmap within its containing segment,
-// "creating new bitmaps for the branch within a segment if necessary",
-// and a resolved record neither side holds is appended to the merged
-// branch's head segment.
+// Merge implements core.Engine following Sections 3.2 and 3.4: the LCA
+// commit's bitmaps are restored and XORed against both branch heads'
+// — per segment in hybrid, "as in tuple-first, the segment bitmaps can
+// be leveraged (also requiring the lowest common ancestor commit) to
+// determine where the conflicts are within the segment" — to find the
+// slots, and through their records the keys, changed on each side
+// (core's Merge.Changed). What becomes of each key is decided in core
+// (MergeKeys.Resolve); here an adopted record is marked live in the
+// merged branch's bitmap of its slot space, "creating new bitmaps for
+// the branch within a segment if necessary", and a resolved record
+// neither side holds is appended where the merged branch writes.
 func (e *Engine) Merge(m *core.Merge) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -30,45 +31,47 @@ func (e *Engine) Merge(m *core.Merge) error {
 		return err
 	}
 
-	// Materialized results land in the head segment, rotated first if the
-	// merge commit's schema has outgrown it.
-	head, err := e.writeHeadLocked(m.Into)
+	// Materialized results land where the merged branch writes, rotated
+	// first if the merge commit's schema has outgrown it.
+	seg, err := e.writeSegLocked(m.Into, e.hist.NumPhysAt(m.Commit.SchemaVer))
 	if err != nil {
 		return err
 	}
-	if err := keys.Resolve(&mergeTarget{e: e, m: m, head: head}); err != nil {
+	if err := keys.Resolve(&mergeTarget{e: e, live: e.branchLive(m.Into), seg: seg}); err != nil {
 		return err
 	}
 	return e.commitLocked(m.Commit)
 }
 
-// mergeTarget is the segments and the merged branch's local bitmaps as
+// mergeTarget is the segments and the merged branch's bitmaps as
 // core.MergeTarget. Caller holds e.mu.
 type mergeTarget struct {
 	e    *Engine
-	m    *core.Merge
-	head *hseg
+	live map[segID]*bitmap.Bitmap // the merged branch's
+	seg  *hseg                    // where the merged branch writes
 }
 
 func (t *mergeTarget) Drop(k core.MergeKey) {
 	if k.A != store.NoPos {
-		t.e.clearLive(t.m.Into, k.A)
+		clearLive(t.live, k.A)
 	}
 }
 
 func (t *mergeTarget) Adopt(k core.MergeKey, p pos) {
 	if p != k.A {
 		t.Drop(k)
-		t.e.setLive(t.m.Into, t.e.byID[p.Seg], p.Slot)
+		bitmapIn(t.live, p.Seg).Set(int(p.Slot))
 	}
 }
 
+// Materialize appends the merged record where the merged branch
+// writes, widened to that segment's physical layout.
 func (t *mergeTarget) Materialize(k core.MergeKey, rec *record.Record) error {
-	slot, err := t.e.st.Append(t.head.Segment, rec)
+	slot, err := t.e.st.Append(t.seg.Segment, rec)
 	if err != nil {
 		return err
 	}
-	p := pos{Seg: t.head.ID, Slot: slot}
+	p := t.e.at(t.seg, slot)
 	t.e.vers.Push(k.PK, p)
 	t.Adopt(k, p)
 	return nil

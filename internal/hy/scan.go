@@ -7,27 +7,29 @@ import (
 	"decibel/internal/vgraph"
 )
 
-// The read SPI (core.Engine.Live and LookupPK). Hybrid keeps
-// per-(segment, branch) bitmaps, so each segment is a slot space and a
-// version is its bitmap there: the branch's local bitmap for a head,
-// the commit's checkout for a commit. Segments with no live record in
-// any requested version are left out (the global branch-segment
-// relation of Section 3.4), so a multi-branch scan reads each
-// qualifying segment once for all of them.
+// The read SPI (core.Engine.Live and LookupPK). A version is its
+// bitmaps by slot space: the branch's own for a head, the commit's
+// checkouts for a commit. Hybrid's spaces are its segments, and those
+// with no live record in any requested version are left out (the global
+// branch-segment relation of Section 3.4), so a multi-branch scan reads
+// each qualifying segment once for all of them. Tuple-first's one space
+// is the chain of extents, each at its base slot. Because extents
+// rotate only on schema change, one extent typically spans every
+// branch's rows and its segment-level zone rarely prunes; a chained
+// catalog therefore also gives each extent an in-memory page-zone index
+// (store.PageZones), which core's unit walk uses to skip page-sized
+// chunks inside the surviving extents.
 
-// LookupPK implements core.Engine: the version index lists the key's
-// (segment, slot) positions and the version's bitmaps pick the live one
-// — the branch's local bitmaps for a head, the commit's checkouts for a
-// commit.
+// LookupPK implements core.Engine: the version index (Section 3.2's
+// update/delete index, kept once for all branches) lists the key's
+// positions, and the version's bitmaps pick the live one. A branch the
+// engine never registered holds nothing: the key is served, not live.
 func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var p pos
 	if v.Commit == nil {
-		if _, ok := e.headSeg[v.Branch]; !ok {
-			return nil, 0, false, nil
-		}
-		p = e.livePos(v.Branch, pk)
+		p = e.livePos(e.live[v.Branch], pk)
 	} else {
 		var err error
 		if p, err = e.commitPosLocked(v.Commit, pk); err != nil {
@@ -37,9 +39,9 @@ func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 	if p == store.NoPos {
 		return nil, 0, true, nil
 	}
-	s := e.byID[p.Seg]
+	s, slot := e.segAt(p)
 	buf := make([]byte, s.Schema.RecordSize())
-	if err := s.File.Read(p.Slot, buf); err != nil {
+	if err := s.File.Read(slot, buf); err != nil {
 		return nil, 0, false, err
 	}
 	return buf, s.Cols, true, nil
@@ -47,9 +49,9 @@ func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 
 // commitPosLocked returns the position of pk's version live at commit
 // c, store.NoPos when it has none. The version index walk tests each
-// position against the commit's checkout of that position's segment;
-// a segment's checkout is taken at most once per call, and only for
-// the segments the key's versions live in. Caller holds e.mu.
+// position against the commit's checkout of that position's slot
+// space; a space's checkout is taken at most once per call, and only
+// for the spaces the key's versions live in. Caller holds e.mu.
 func (e *Engine) commitPosLocked(c *vgraph.Commit, pk int64) (pos, error) {
 	var err error
 	snaps := make(map[segID]*bitmap.Bitmap) // nil: no committed state of c.Branch there
@@ -77,39 +79,52 @@ func (e *Engine) Live(vs []core.Version, fn func([]core.SlotSpace) error) error 
 	return fn(spaces)
 }
 
-// spacesLocked returns, in segment-table order, the segments live in
-// any of the versions as slot spaces. A commit's checkout is taken once
-// for all segments. Caller holds e.mu.
+// spacesLocked returns, in scan order, the slot spaces live in any of
+// the versions. A commit's checkout is taken once for all spaces.
+// Published segments are immutable; only heads (tuple-first's tail),
+// which are never Frozen, still grow. Caller holds e.mu.
 func (e *Engine) spacesLocked(vs []core.Version) ([]core.SlotSpace, error) {
-	snaps := make([]map[segID]*bitmap.Bitmap, len(vs))
+	var snaps []map[segID]*bitmap.Bitmap // allocated only when a version is a commit
 	mutable := false
 	for i, v := range vs {
 		if v.Commit == nil {
 			mutable = true
 			continue
 		}
+		if snaps == nil {
+			snaps = make([]map[segID]*bitmap.Bitmap, len(vs))
+		}
 		var err error
 		if snaps[i], err = e.checkoutLocked(v.Commit.Branch, v.Commit.Seq); err != nil {
 			return nil, err
 		}
 	}
-	k := len(vs)
-	live := make([]*bitmap.Bitmap, len(e.cat.Segs)*k)
 	segs := make([]core.SpaceSeg, len(e.cat.Segs))
-	spaces := make([]core.SlotSpace, 0, len(e.cat.Segs))
 	for j, s := range e.cat.Segs {
+		segs[j] = core.SpaceSeg{Segment: s.Segment, Base: s.Base, Frozen: s.Frozen}
+	}
+	n, k := len(segs), len(vs)
+	if e.chained {
+		n = 1
+	}
+	live := make([]*bitmap.Bitmap, n*k)
+	spaces := make([]core.SlotSpace, 0, n)
+	for j := 0; j < n; j++ {
+		id, in := e.cat.Segs[j].ID, segs[j:j+1]
+		if e.chained {
+			id, in = 0, segs
+		}
 		row, held := live[j*k:(j+1)*k:(j+1)*k], false
 		for i, v := range vs {
 			if v.Commit == nil {
-				row[i] = s.local[v.Branch]
+				row[i] = e.live[v.Branch][id]
 			} else {
-				row[i] = snaps[i][s.ID]
+				row[i] = snaps[i][id]
 			}
 			held = held || row[i] != nil
 		}
 		if held {
-			segs[j] = core.SpaceSeg{Segment: s.Segment, Frozen: s.Frozen}
-			spaces = append(spaces, core.SlotSpace{ID: s.ID, Live: row, Segs: segs[j : j+1], Mutable: mutable})
+			spaces = append(spaces, core.SlotSpace{ID: id, Live: row, Segs: in, Mutable: mutable})
 		}
 	}
 	return spaces, nil

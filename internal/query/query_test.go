@@ -13,7 +13,6 @@ import (
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/record"
-	"decibel/internal/tf"
 	"decibel/internal/vf"
 	"decibel/internal/vgraph"
 )
@@ -66,7 +65,7 @@ func fixture(t *testing.T, factory core.Factory) (*core.Database, *core.Table, *
 
 func factories() map[string]core.Factory {
 	return map[string]core.Factory{
-		"tuple-first":   tf.Factory,
+		"tuple-first":   hy.TupleFirstFactory,
 		"version-first": vf.Factory,
 		"hybrid":        hy.Factory,
 	}

@@ -23,9 +23,10 @@ import (
 // Entry is the catalog's part of one segment.
 type Entry struct {
 	*Segment
-	// ID names the segment: its Pos.Seg on hybrid and version-first, its
-	// place in the chain on tuple-first, and its file under the naming
-	// rule.
+	// ID names the segment and, under the naming rule, its file. On
+	// hybrid and version-first it is also the segment's slot space, its
+	// Pos.Seg; a chained catalog's segments (tuple-first's extents) are
+	// numbered in chain order and share slot space 0.
 	ID int32
 	// Base is the slot, in a chained catalog's one slot space, of the
 	// segment's slot 0; it is 0 in catalogs that are not chained.

@@ -50,10 +50,11 @@ type SegFile interface {
 }
 
 // SegMeta is the persisted, engine-independent part of a segment's
-// catalog entry. Each engine's catalog JSON (tf's extent table, vf's and
-// hy's segment lists) embeds it, so the shared state — the physical
-// schema-version id, the freeze flag, the encoding tag and the zone map
-// — serializes alongside the engine-specific fields.
+// catalog entry. Each engine's catalog JSON (tuple-first's extent
+// table, version-first's and hybrid's segment lists) embeds it, so the
+// shared state — the physical schema-version id, the freeze flag, the
+// encoding tag and the zone map — serializes alongside the
+// engine-specific fields.
 // Catalogs written before this layer existed lack the zone (and may
 // record Cols 0 for "full layout"); Open rebuilds transparently.
 type SegMeta struct {

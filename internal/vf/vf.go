@@ -521,11 +521,11 @@ func (e *Engine) CompactSegments() (store.CompactStats, error) {
 	})
 }
 
-// Flush implements core.Engine.
+// Flush implements core.Engine: it saves the catalog.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.cat.Flush()
+	return e.cat.Save()
 }
 
 // Close implements core.Engine.

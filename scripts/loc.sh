@@ -1,10 +1,11 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# twenty-three structural checks. Prints the non-test Go lines outside
-# benchmark/, of the three storage engines (internal/{tf,hy,vf}) and of
-# version-first alone (internal/vf), of the shared segment store
-# (internal/store), of the query layer (internal/query), of their merge
-# code (internal/{tf,hy,vf}/merge.go), of compaction
+# twenty-four structural checks. Prints the non-test Go lines outside
+# benchmark/, of the two storage engine packages (internal/{hy,vf}:
+# internal/hy is tuple-first and hybrid, one engine with two
+# placements) and of version-first alone (internal/vf), of the shared
+# segment store (internal/store), of the query layer (internal/query),
+# of their merge code (internal/{hy,vf}/merge.go), of compaction
 # (internal/store/compact.go) and of the three query front ends (cmd/decibel/main.go, internal/server and
 # builder.go), and the number of public options (func With* in
 # options.go). Exits
@@ -57,19 +58,19 @@
 # DeclaredOrder appears in non-test Go code: the declared join order is
 # an ablation, reached only through Plan.NoReorder. It also prints the
 # line counts of internal/core and of the engines' read code
-# (internal/{tf,hy,vf}/scan.go), and exits non-zero if non-test Go in
-# internal/{tf,hy,vf} matches ScanKind, DiffAux, MemberAux, core.Pins or
+# (internal/{hy,vf}/scan.go), and exits non-zero if non-test Go in
+# internal/{hy,vf} matches ScanKind, DiffAux, MemberAux, core.Pins or
 # bitmap.Xor: an engine says which slots of which slot space each
 # version holds (Engine.Live), and the combine rules of a diff and a
 # multi-branch scan, the unit walk and a merge's XOR against the LCA
 # live once, in internal/core. Exits non-zero too if an engine package
-# has a compact.go, or if non-test Go in internal/{tf,hy,vf} matches
+# has a compact.go, or if non-test Go in internal/{hy,vf} matches
 # persistLocked, persistExtentsLocked, sweepOrphans, SweepOrphans,
 # SwapCompressed, segFilePath, extFilePath, buildVersions or
 # wal.ReplaceFile: an engine's segments, their file names, the catalog
 # file, the orphan sweep, the compaction loop and the version-index pass
 # live once, in internal/store's Catalog; an engine keeps only liveness.
-# Exits non-zero too if non-test Go in internal/{tf,hy,vf} matches
+# Exits non-zero too if non-test Go in internal/{hy,vf} matches
 # posIn, ResolveChanged, ChangedKeys or "func (t *mergeTarget) ReadAt",
 # or if internal/vf/merge.go calls resolveLive: every engine hands its
 # slot spaces for a merge's versions to core (Merge.Changed), which
@@ -84,7 +85,9 @@
 # runPool, UnitSink, NoParallel, ParallelScanCounters, scanSem or
 # mergeFrom: every scan runs its units in order on the calling
 # goroutine (core's ScanUnitsContext), so there is no scan pool, no
-# per-unit sink and no partial fold to merge.
+# per-unit sink and no partial fold to merge. Exits non-zero too if
+# internal/tf/ exists: tuple-first is internal/hy's chained placement
+# (TupleFirstFactory), not a package of its own.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -96,13 +99,14 @@ count() {
 }
 
 echo "non-test Go lines outside benchmark/: $(count .)"
-echo "internal/{tf,hy,vf}:                  $(count internal/tf internal/hy internal/vf)"
+echo "internal/{hy,vf}:                     $(count internal/hy internal/vf)"
+echo "internal/hy:                          $(count internal/hy)"
 echo "internal/vf:                          $(count internal/vf)"
 echo "internal/store:                       $(count internal/store)"
 echo "internal/query:                       $(count internal/query)"
 echo "internal/core:                        $(count internal/core)"
-echo "internal/{tf,hy,vf}/scan.go:          $(cat internal/tf/scan.go internal/hy/scan.go internal/vf/scan.go | wc -l | tr -d ' ')"
-echo "internal/{tf,hy,vf}/merge.go:         $(cat internal/tf/merge.go internal/hy/merge.go internal/vf/merge.go | wc -l | tr -d ' ')"
+echo "internal/{hy,vf}/scan.go:             $(cat internal/hy/scan.go internal/vf/scan.go | wc -l | tr -d ' ')"
+echo "internal/{hy,vf}/merge.go:            $(cat internal/hy/merge.go internal/vf/merge.go | wc -l | tr -d ' ')"
 echo "internal/store/compact.go:            $(wc -l < internal/store/compact.go | tr -d ' ')"
 echo "query front ends (CLI, server, builder): $(count cmd/decibel/main.go internal/server builder.go)"
 echo "public options (func With* in options.go): $(grep -c '^func With' options.go)"
@@ -229,7 +233,7 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-stray=$(grep -rnE --include='*.go' 'ScanKind|DiffAux|MemberAux|core\.Pins|bitmap\.Xor' internal/tf internal/hy internal/vf |
+stray=$(grep -rnE --include='*.go' 'ScanKind|DiffAux|MemberAux|core\.Pins|bitmap\.Xor' internal/hy internal/vf |
     grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "engines say which slots each version holds (Engine.Live); combining versions, the unit walk and merge key discovery live in internal/core:" >&2
@@ -237,8 +241,8 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-stray=$(ls internal/tf/compact.go internal/hy/compact.go internal/vf/compact.go 2>/dev/null || true)
-stray="$stray$(grep -rnE --include='*.go' 'persistLocked|persistExtentsLocked|sweepOrphans|SweepOrphans|SwapCompressed|segFilePath|extFilePath|buildVersions|wal\.ReplaceFile' internal/tf internal/hy internal/vf |
+stray=$(ls internal/hy/compact.go internal/vf/compact.go 2>/dev/null || true)
+stray="$stray$(grep -rnE --include='*.go' 'persistLocked|persistExtentsLocked|sweepOrphans|SweepOrphans|SwapCompressed|segFilePath|extFilePath|buildVersions|wal\.ReplaceFile' internal/hy internal/vf |
     grep -v '_test\.go:' || true)"
 if [ -n "$stray" ]; then
     echo "engines keep only liveness; segments, file names, the catalog file, the sweep, compaction and the version index live in internal/store's Catalog:" >&2
@@ -246,7 +250,7 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
-stray=$(grep -rnE --include='*.go' 'posIn|ResolveChanged|ChangedKeys|func \(t \*mergeTarget\) ReadAt' internal/tf internal/hy internal/vf |
+stray=$(grep -rnE --include='*.go' 'posIn|ResolveChanged|ChangedKeys|func \(t \*mergeTarget\) ReadAt' internal/hy internal/vf |
     grep -v '_test\.go:' || true)
 stray="$stray$(grep -n 'resolveLive' internal/vf/merge.go || true)"
 if [ -n "$stray" ]; then
@@ -273,5 +277,10 @@ stray=$(grep -rnE --include='*.go' 'runPool|UnitSink|NoParallel|ParallelScanCoun
 if [ -n "$stray" ]; then
     echo "the scan pool is gone (every scan runs its units in order on the calling goroutine):" >&2
     echo "$stray" >&2
+    exit 1
+fi
+
+if [ -e internal/tf ]; then
+    echo "internal/tf is gone (tuple-first is internal/hy's chained placement, hy.TupleFirstFactory)" >&2
     exit 1
 fi
