@@ -239,64 +239,75 @@ var placements = []struct {
 // the branch's own. master rewrites one key 2000 times and resolves it
 // in a single probe; a sibling forked before the first rewrite still
 // gets its own version, after walking past master's; a key deleted on
-// a branch resolves absent there and nowhere else.
+// a branch resolves absent there and nowhere else. This is the hybrid
+// placement; TestTupleFirstLookupWalkLength runs the same check on the
+// tuple-first one.
 func TestLookupWalkLength(t *testing.T) {
-	for _, pl := range placements {
-		t.Run(pl.name, func(t *testing.T) {
-			env, g := testEnv(t)
-			eng, err := pl.factory(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer eng.Close()
-			e := eng.(*Engine)
-			master, c0, _ := g.Init("init")
-			e.Init(master, c0)
-			e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, 0)})
-			e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 2, 0)})
-			c1, _ := g.NewCommit(master.ID, "c1")
-			e.Commit(c1)
-			sib, _ := g.NewBranch("sib", c1.ID)
-			if err := e.Branch(sib, c1); err != nil {
-				t.Fatal(err)
-			}
-			const updates = 2000
-			for v := int64(1); v <= updates; v++ {
-				if err := e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, v)}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			e.Delete(sib.ID, 2)
+	checkLookupWalkLength(t, Factory)
+}
 
-			lookup := func(b vgraph.BranchID, pk int64) (v int64, probes int, found bool) {
-				found = e.vers.Find(pk, func(p pos) bool {
-					probes++
-					bm := e.live[b][p.Seg]
-					return bm != nil && bm.Get(int(p.Slot))
-				}) != store.NoPos
-				buf, _, ok, err := e.LookupPK(core.Version{Branch: b}, pk)
-				if err != nil || !ok || found != (buf != nil) {
-					t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
-				}
-				if found {
-					r, _ := record.FromBytes(env.Schema, buf)
-					v = r.Get(1)
-				}
-				return v, probes, found
-			}
-			if v, probes, ok := lookup(master.ID, 1); !ok || v != updates || probes != 1 {
-				t.Errorf("master: v=%d after %d probes (found=%v), want v=%d after 1", v, probes, ok, updates)
-			}
-			if v, probes, ok := lookup(sib.ID, 1); !ok || v != 0 || probes != updates+1 {
-				t.Errorf("sibling: v=%d after %d probes (found=%v), want its own v=0 after %d", v, probes, ok, updates+1)
-			}
-			if _, _, ok := lookup(sib.ID, 2); ok {
-				t.Error("key deleted on the sibling still resolves there")
-			}
-			if v, _, ok := lookup(master.ID, 2); !ok || v != 0 {
-				t.Errorf("sibling's delete leaked into master: v=%d found=%v", v, ok)
-			}
-		})
+// TestTupleFirstLookupWalkLength is TestLookupWalkLength on the
+// tuple-first placement. The subtest is named for the bitmap layout the
+// placement keeps: one liveness bitmap per branch.
+func TestTupleFirstLookupWalkLength(t *testing.T) {
+	t.Run("branch-oriented", func(t *testing.T) {
+		checkLookupWalkLength(t, TupleFirstFactory)
+	})
+}
+
+func checkLookupWalkLength(t *testing.T, factory core.Factory) {
+	env, g := testEnv(t)
+	eng, err := factory(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	e := eng.(*Engine)
+	master, c0, _ := g.Init("init")
+	e.Init(master, c0)
+	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, 0)})
+	e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 2, 0)})
+	c1, _ := g.NewCommit(master.ID, "c1")
+	e.Commit(c1)
+	sib, _ := g.NewBranch("sib", c1.ID)
+	if err := e.Branch(sib, c1); err != nil {
+		t.Fatal(err)
+	}
+	const updates = 2000
+	for v := int64(1); v <= updates; v++ {
+		if err := e.InsertBatch(master.ID, []*record.Record{rec(env.Schema, 1, v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Delete(sib.ID, 2)
+
+	lookup := func(b vgraph.BranchID, pk int64) (v int64, probes int, found bool) {
+		found = e.vers.Find(pk, func(p pos) bool {
+			probes++
+			bm := e.live[b][p.Seg]
+			return bm != nil && bm.Get(int(p.Slot))
+		}) != store.NoPos
+		buf, _, ok, err := e.LookupPK(core.Version{Branch: b}, pk)
+		if err != nil || !ok || found != (buf != nil) {
+			t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
+		}
+		if found {
+			r, _ := record.FromBytes(env.Schema, buf)
+			v = r.Get(1)
+		}
+		return v, probes, found
+	}
+	if v, probes, ok := lookup(master.ID, 1); !ok || v != updates || probes != 1 {
+		t.Errorf("master: v=%d after %d probes (found=%v), want v=%d after 1", v, probes, ok, updates)
+	}
+	if v, probes, ok := lookup(sib.ID, 1); !ok || v != 0 || probes != updates+1 {
+		t.Errorf("sibling: v=%d after %d probes (found=%v), want its own v=0 after %d", v, probes, ok, updates+1)
+	}
+	if _, _, ok := lookup(sib.ID, 2); ok {
+		t.Error("key deleted on the sibling still resolves there")
+	}
+	if v, _, ok := lookup(master.ID, 2); !ok || v != 0 {
+		t.Errorf("sibling's delete leaked into master: v=%d found=%v", v, ok)
 	}
 }
 
