@@ -135,10 +135,11 @@ type Options struct {
 	PoolPages int  // buffer pool capacity in pages (0 = 64)
 	Fsync     bool // fsync on commit (off for benchmarks, like the paper's load phase)
 
-	// VFLineageCacheOff turns the version-first lineage/live-set cache
-	// off, so every resolution takes the full lineage walk: the
-	// reference the cache-equivalence tests compare against. Only the
-	// version-first engine consults it.
+	// VFLineageCacheOff turns the version-first lineage cache off —
+	// its scan-plan cache, the plan derivations that build on it and the
+	// lineage memos — so every resolution takes the full lineage walk:
+	// the reference the cache-equivalence tests compare against. Only
+	// the version-first engine consults it.
 	VFLineageCacheOff bool
 
 	// Compaction turns compaction on: Database.Compact runs a pass over

@@ -76,7 +76,22 @@ type MergeKeys struct {
 	hist *record.History
 	keys map[int64]MergeKey
 	segs map[int32][]SpaceSeg
+
+	// scratch is what read reuses for a key's A, B and LCA copies: the
+	// stored record, its conversion to the merge commit's schema and
+	// the record over it. Resolve retains none of them past the key.
+	scratch [3]struct {
+		buf, conv []byte
+		rec       record.Record
+	}
 }
+
+// Indexes of MergeKeys.scratch.
+const (
+	readA = iota
+	readB
+	readLCA
+)
 
 // Changed finds the keys either side changed since the LCA (Section
 // 3.2): XORing a head's bitmap against the LCA's yields the slots live
@@ -223,11 +238,11 @@ func (ks *MergeKeys) resolve(t MergeTarget, k MergeKey) error {
 		take(t, k, side)
 		return nil
 	}
-	recA, err := ks.read(k.A)
+	recA, err := ks.read(readA, k.A)
 	if err != nil {
 		return err
 	}
-	recB, err := ks.read(k.B)
+	recB, err := ks.read(readB, k.B)
 	if err != nil {
 		return err
 	}
@@ -242,7 +257,7 @@ func (ks *MergeKeys) resolve(t MergeTarget, k MergeKey) error {
 		take(t, k, side)
 		return nil
 	}
-	base, err := ks.read(k.LCA)
+	base, err := ks.read(readLCA, k.LCA)
 	if err != nil {
 		return err
 	}
@@ -275,18 +290,26 @@ func take(t MergeTarget, k MergeKey, side store.Pos) {
 
 // read returns the record at p under the merge commit's schema — the
 // sides and the LCA may be stored under different schema versions — and
-// nil when the version has no copy.
-func (ks *MergeKeys) read(p store.Pos) (*record.Record, error) {
+// nil when the version has no copy. The record is scratch i's, valid
+// until the next read into it.
+func (ks *MergeKeys) read(i int, p store.Pos) (*record.Record, error) {
 	if p == store.NoPos {
 		return nil, nil
 	}
-	buf, sg, err := ks.readSlot(p, nil)
+	sc := &ks.scratch[i]
+	buf, sg, err := ks.readSlot(p, sc.buf)
 	if err != nil {
 		return nil, err
 	}
+	sc.buf = buf
 	cv, err := ks.hist.Conv(sg.Cols, ks.m.Commit.SchemaVer)
 	if err != nil {
 		return nil, err
 	}
-	return cv.Materialize(buf), nil
+	n := cv.Out().RecordSize()
+	sc.conv = slices.Grow(sc.conv[:0], n)[:n]
+	if err := sc.rec.Reset(cv.Out(), cv.Convert(buf, sc.conv)); err != nil {
+		return nil, err
+	}
+	return &sc.rec, nil
 }

@@ -406,3 +406,86 @@ func TestResolveUnchangedKey(t *testing.T) {
 		t.Errorf("stats %+v and reads %v, want %+v and none: an unchanged key counted", m.Stats, reads, want)
 	}
 }
+
+// memFile serves a segment's records from memory, so an allocation
+// count is the reader's own and not the buffer pool's.
+type memFile struct {
+	store.SegFile
+	recs [][]byte
+}
+
+func (f *memFile) Read(slot int64, dst []byte) error {
+	copy(dst, f.recs[slot])
+	return nil
+}
+
+// inMemory copies the space's records into a memFile and reads them
+// from there.
+func (sp *space) inMemory(t *testing.T) {
+	f := &memFile{SegFile: sp.seg.File}
+	for slot := range sp.seg.File.Count() {
+		buf := make([]byte, sp.seg.File.RecordSize())
+		if err := sp.seg.File.Read(slot, buf); err != nil {
+			t.Fatal(err)
+		}
+		f.recs = append(f.recs, buf)
+	}
+	sp.seg.File = f
+}
+
+// nopTarget applies no outcome.
+type nopTarget struct{}
+
+func (nopTarget) Adopt(core.MergeKey, store.Pos)                  {}
+func (nopTarget) Drop(core.MergeKey)                              {}
+func (nopTarget) Materialize(core.MergeKey, *record.Record) error { return nil }
+
+// TestResolveReadsWithoutAllocating checks that reading the records of
+// keys both sides changed reuses the same buffers and records: the
+// allocations of a Resolve do not grow with the number of such keys.
+func TestResolveReadsWithoutAllocating(t *testing.T) {
+	schema := record.MustSchema(record.Column{Name: "id", Type: record.Int64}, record.Column{Name: "a", Type: record.Int64})
+	allocs := func(n int) float64 {
+		g := vgraph.New()
+		master, _, _ := g.Init("init")
+		c1, _ := g.NewCommit(master.ID, "base")
+		dev, _ := g.NewBranch("dev", c1.ID)
+		mc, _ := g.NewMergeCommit(master.ID, dev.ID, "merge", true)
+		m, err := core.NewMerge(g, master.ID, dev.ID, mc, core.TwoWay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist := record.NewHistory(schema)
+		st := store.New(heap.NewPool(16, 4096), hist)
+		// Spaces of [into, other, LCA]: every key has a copy at the LCA
+		// and a new one on each side, so both sides changed it.
+		base, segA, segB := newSpace(t, st, 0, 3, nil), newSpace(t, st, 1, 3, nil), newSpace(t, st, 2, 3, nil)
+		for pk := int64(1); pk <= int64(n); pk++ {
+			for i, sp := range []*space{segA, segB, base} {
+				rec := record.New(schema)
+				rec.SetPK(pk)
+				rec.Set(1, int64(i))
+				sp.put(t, st, rec, i)
+			}
+		}
+		for _, sp := range []*space{base, segA, segB} {
+			sp.inMemory(t)
+		}
+		found, err := m.Changed(hist, slotSpaces(base, segA, segB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(5, func() {
+			if err := found.Resolve(nopTarget{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if m.Stats.Conflicts == 0 {
+			t.Fatal("no conflict: the keys' records were not read")
+		}
+		return got
+	}
+	if few, many := allocs(10), allocs(200); many > few {
+		t.Errorf("Resolve allocated %.0f times over 10 both-changed keys and %.0f over 200", few, many)
+	}
+}

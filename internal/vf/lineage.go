@@ -168,10 +168,7 @@ func (e *Engine) rawLineageUncached(p pos) ([]step, error) {
 		return nil, fmt.Errorf("vf: segment %d out of range", p.Seg)
 	}
 	s := e.cat.Segs[p.Seg]
-	out := []step{{iv: interval{Seg: p.Seg, From: 0, To: p.Slot}}}
-	if len(s.overrides) > 0 {
-		out = append(out, step{ovr: p.Seg, isOvr: true})
-	}
+	out := e.ownSteps(p)
 	if !s.hasLink {
 		return out, nil
 	}
@@ -184,15 +181,36 @@ func (e *Engine) rawLineageUncached(p pos) ([]step, error) {
 		return append(out, parent...), nil
 	}
 
-	// Merge: split both parents into their post-LCA unique parts and the
-	// shared pre-LCA lineage.
-	lcaPos, ok := e.commits[l.LCACommit]
-	if !ok {
-		return nil, fmt.Errorf("vf: merge LCA commit %d has no recorded offset", l.LCACommit)
-	}
-	common, err := e.rawLineage(lcaPos)
+	parts, common, err := e.mergeParts(l)
 	if err != nil {
 		return nil, err
+	}
+	out = append(out, parts...)
+	return append(out, common...), nil
+}
+
+// ownSteps returns the steps a segment ranks above its link: its own
+// records below p's cut, then its merge overrides, if any.
+func (e *Engine) ownSteps(p pos) []step {
+	out := []step{{iv: interval{Seg: p.Seg, From: 0, To: p.Slot}}}
+	if len(e.cat.Segs[p.Seg].overrides) > 0 {
+		out = append(out, step{ovr: p.Seg, isOvr: true})
+	}
+	return out
+}
+
+// mergeParts splits a merge link's lineage below its segment's own
+// steps into the two parents' post-LCA parts, concatenated in
+// precedence order, and the shared lineage of the LCA beneath them. A
+// parent's part is its raw lineage clipped to what the LCA's does not
+// cover.
+func (e *Engine) mergeParts(l link) (parts, common []step, err error) {
+	lcaPos, ok := e.commits[l.LCACommit]
+	if !ok {
+		return nil, nil, fmt.Errorf("vf: merge LCA commit %d has no recorded offset", l.LCACommit)
+	}
+	if common, err = e.rawLineage(lcaPos); err != nil {
+		return nil, nil, err
 	}
 	coverage := make(map[segID]int64) // max 'To' covered by common, per segment
 	for _, st := range common {
@@ -200,8 +218,7 @@ func (e *Engine) rawLineageUncached(p pos) ([]step, error) {
 			coverage[st.iv.Seg] = st.iv.To
 		}
 	}
-	clip := func(steps []step) []step {
-		var u []step
+	clip := func(u []step, steps []step) []step {
 		for _, st := range steps {
 			if st.isOvr {
 				// An override ranks chronologically before its segment's
@@ -225,21 +242,16 @@ func (e *Engine) rawLineageUncached(p pos) ([]step, error) {
 	}
 	first, err := e.rawLineage(pos{Seg: l.ParentSeg, Slot: l.ParentSlot})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	second, err := e.rawLineage(pos{Seg: l.OtherSeg, Slot: l.OtherSlot})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	uniqFirst, uniqSecond := clip(first), clip(second)
-	if l.PrecedenceFirst {
-		out = append(out, uniqFirst...)
-		out = append(out, uniqSecond...)
-	} else {
-		out = append(out, uniqSecond...)
-		out = append(out, uniqFirst...)
+	if !l.PrecedenceFirst {
+		first, second = second, first
 	}
-	return append(out, common...), nil
+	return clip(clip(nil, first), second), common, nil
 }
 
 // invalidateSeg drops cached tables whose interval touches the segment
@@ -274,48 +286,6 @@ func (e *Engine) table(iv interval) (intervalTable, error) {
 	return t, nil
 }
 
-// resolveLive returns the live set (pk -> record copy position) of the
-// version at p. The returned map is SHARED with the cache and with
-// other callers — it must be treated as read-only.
-//
-// Resolution is tiered: an exact-position cache hit returns the cached
-// map; a miss with a cached base lower in the same segment clones the
-// base and overlays only the slot window between the two cuts, read
-// with one ascending scan; a cold miss pays the full lineage walk and
-// primes the cache. With the cache disabled every call takes the full
-// walk. Caller holds e.mu.
-func (e *Engine) resolveLive(p pos) (map[int64]pos, error) {
-	if e.lcache == nil {
-		return e.resolveLiveFull(p)
-	}
-	if m, ok := e.lcache.get(p); ok {
-		vfCacheHits.Add(1)
-		return m, nil
-	}
-	vfCacheMisses.Add(1)
-	if int(p.Seg) >= len(e.cat.Segs) {
-		return nil, fmt.Errorf("vf: segment %d out of range", p.Seg)
-	}
-	if at, base, ok := e.baseLocked(p); ok {
-		vfDeltaResolves.Add(1)
-		live := make(map[int64]pos, len(base)+int(p.Slot-at.Slot)/2)
-		for pk, q := range base {
-			live[pk] = q
-		}
-		if err := e.overlayWindowLocked(live, p.Seg, at.Slot, p.Slot); err != nil {
-			return nil, err
-		}
-		e.lcache.put(p, live)
-		return live, nil
-	}
-	live, err := e.resolveLiveFull(p)
-	if err != nil {
-		return nil, err
-	}
-	e.lcache.put(p, live)
-	return live, nil
-}
-
 // invalidateResolvedLocked drops every cached resolution and memoized
 // lineage rooted at the segment. Two callers: Merge, whose new head
 // segment gains overrides after its first resolution; and compaction,
@@ -323,10 +293,8 @@ func (e *Engine) resolveLive(p pos) (map[int64]pos, error) {
 // drop is conservative rather than required — see cache.go). Caller
 // holds e.mu.
 func (e *Engine) invalidateResolvedLocked(id segID) {
-	if e.lcache != nil {
-		rooted := func(p pos) bool { return p.Seg == id }
-		e.lcache.drop(rooted)
-		e.pcache.drop(rooted)
+	if e.pcache != nil {
+		e.pcache.drop(func(p pos) bool { return p.Seg == id })
 	}
 	for p := range e.lineMemo {
 		if p.Seg == id {
@@ -343,45 +311,20 @@ func (e *Engine) invalidateResolvedLocked(id segID) {
 // Resolution rule (Section 3.3): the copy of a key live at a position
 // is the claim of the first lineage step, in rank order, that claims
 // the key; a tombstone or a deletion override claims it as absent
-// (store.NoPos). resolveLiveFull applies the rule to every key, claimAt
-// to one.
+// (store.NoPos). firstClaimsLocked applies the rule to every key of a
+// step list, claimAt and rebaseLocked (cache.go) to one key at a time.
 
-// resolveLiveFull computes the live set with a full lineage walk. The
-// one map is sized for every claim the steps can make, first claims
-// win, and the keys claimed as absent are purged at the end. Caller
-// holds e.mu.
+// resolveLiveFull computes the live set with a full lineage walk: every
+// key's first claim, with the keys claimed as absent purged at the end.
+// Caller holds e.mu.
 func (e *Engine) resolveLiveFull(p pos) (map[int64]pos, error) {
 	lineage, err := e.lineageAt(p)
 	if err != nil {
 		return nil, err
 	}
-	tables := make([]intervalTable, len(lineage))
-	n := 0
-	for i, st := range lineage {
-		if st.isOvr {
-			n += len(e.cat.Segs[st.ovr].overrides)
-			continue
-		}
-		if tables[i], err = e.table(st.iv); err != nil {
-			return nil, err
-		}
-		n += len(tables[i])
-	}
-	live := make(map[int64]pos, n)
-	for i, st := range lineage {
-		if st.isOvr {
-			for _, ov := range e.cat.Segs[st.ovr].overrides {
-				if _, claimed := live[ov.PK]; !claimed {
-					live[ov.PK] = ov.claim()
-				}
-			}
-			continue
-		}
-		for pk, en := range tables[i] {
-			if _, claimed := live[pk]; !claimed {
-				live[pk] = en.claim(st.iv.Seg)
-			}
-		}
+	live, err := e.firstClaimsLocked(lineage)
+	if err != nil {
+		return nil, err
 	}
 	for pk, q := range live {
 		if q == store.NoPos {
@@ -389,6 +332,56 @@ func (e *Engine) resolveLiveFull(p pos) (map[int64]pos, error) {
 		}
 	}
 	return live, nil
+}
+
+// tablesLocked returns the key tables of the steps, nil at an override
+// step. Caller holds e.mu.
+func (e *Engine) tablesLocked(steps []step) ([]intervalTable, error) {
+	tables := make([]intervalTable, len(steps))
+	for i, st := range steps {
+		if !st.isOvr && st.iv.From < st.iv.To {
+			var err error
+			if tables[i], err = e.table(st.iv); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return tables, nil
+}
+
+// firstClaimsLocked maps every key the steps claim to its first claim,
+// store.NoPos for a key claimed as absent. The one map is sized for
+// every claim the steps can make. Caller holds e.mu.
+func (e *Engine) firstClaimsLocked(steps []step) (map[int64]pos, error) {
+	tables, err := e.tablesLocked(steps)
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for i, st := range steps {
+		if st.isOvr {
+			n += len(e.cat.Segs[st.ovr].overrides)
+		} else {
+			n += len(tables[i])
+		}
+	}
+	claims := make(map[int64]pos, n)
+	for i, st := range steps {
+		if st.isOvr {
+			for _, ov := range e.cat.Segs[st.ovr].overrides {
+				if _, claimed := claims[ov.PK]; !claimed {
+					claims[ov.PK] = ov.claim()
+				}
+			}
+			continue
+		}
+		for pk, en := range tables[i] {
+			if _, claimed := claims[pk]; !claimed {
+				claims[pk] = en.claim(st.iv.Seg)
+			}
+		}
+	}
+	return claims, nil
 }
 
 // claimAt returns the copy of pk live at p, store.NoPos when it has
@@ -400,23 +393,33 @@ func (e *Engine) claimAt(p pos, pk int64) (pos, error) {
 		return pos{}, err
 	}
 	for _, st := range lineage {
-		if st.isOvr {
-			for _, ov := range e.cat.Segs[st.ovr].overrides {
-				if ov.PK == pk {
-					return ov.claim(), nil
-				}
+		var t intervalTable
+		if !st.isOvr {
+			if t, err = e.table(st.iv); err != nil {
+				return pos{}, err
 			}
-			continue
 		}
-		t, err := e.table(st.iv)
-		if err != nil {
-			return pos{}, err
-		}
-		if en, ok := t[pk]; ok {
-			return en.claim(st.iv.Seg), nil
+		if q, ok := e.stepClaim(st, t, pk); ok {
+			return q, nil
 		}
 	}
 	return store.NoPos, nil
+}
+
+// stepClaim returns the claim one step, with key table t (nil for an
+// override step), makes on pk, and whether it makes one. Caller holds
+// e.mu.
+func (e *Engine) stepClaim(st step, t intervalTable, pk int64) (pos, bool) {
+	if st.isOvr {
+		for _, ov := range e.cat.Segs[st.ovr].overrides {
+			if ov.PK == pk {
+				return ov.claim(), true
+			}
+		}
+		return pos{}, false
+	}
+	en, ok := t[pk]
+	return en.claim(st.iv.Seg), ok
 }
 
 // span is a half-open slot range.

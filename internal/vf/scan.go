@@ -59,26 +59,47 @@ func (e *Engine) headsLocked() map[segID]bool {
 	return heads
 }
 
-// planLocked returns the scan plan of one resolved position, from the
-// plan cache (a hit counts as a lineage cache hit: the plan embeds the
-// resolution) or built from the position's live set. Branch-head and
-// commit scans share it: same position, same plan. Caller holds e.mu.
+// planLocked returns the scan plan of one position: from the plan cache
+// (a hit counts as a lineage cache hit: the plan embeds the
+// resolution), derived from a base plan, or built from a full lineage
+// walk's live set. Branch-head and commit scans share it: same
+// position, same plan. With the cache off every plan takes the full
+// walk. Caller holds e.mu.
 func (e *Engine) planLocked(p pos) (*planEntry, error) {
-	if e.pcache != nil {
-		if en, ok := e.pcache.get(p); ok {
-			vfCacheHits.Add(1)
-			return en, nil
+	if e.pcache == nil {
+		return e.walkPlanLocked(p)
+	}
+	if en, ok := e.pcache.get(p); ok {
+		vfCacheHits.Add(1)
+		return en, nil
+	}
+	vfCacheMisses.Add(1)
+	if int(p.Seg) >= len(e.cat.Segs) {
+		return nil, fmt.Errorf("vf: segment %d out of range", p.Seg)
+	}
+	en, err := e.derivePlanLocked(p)
+	switch {
+	case err != nil:
+		return nil, err
+	case en != nil:
+		vfDeltaResolves.Add(1)
+	default:
+		if en, err = e.walkPlanLocked(p); err != nil {
+			return nil, err
 		}
 	}
-	live, err := e.resolveLive(p)
+	e.pcache.put(p, en)
+	return en, nil
+}
+
+// walkPlanLocked builds the plan of p from a full lineage walk. Caller
+// holds e.mu.
+func (e *Engine) walkPlanLocked(p pos) (*planEntry, error) {
+	live, err := e.resolveLiveFull(p)
 	if err != nil {
 		return nil, err
 	}
-	en := e.newPlan(live)
-	if e.pcache != nil {
-		e.pcache.put(p, en)
-	}
-	return en, nil
+	return e.newPlan(live), nil
 }
 
 // versionPosLocked returns the position a version resolves: a branch's

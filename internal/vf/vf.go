@@ -87,17 +87,17 @@ type Engine struct {
 	// entries for a segment are dropped when it takes new appends.
 	cache map[intervalKey]intervalTable
 
-	// Lineage/live-set cache (see cache.go). lcache holds resolved live
-	// sets keyed by exact position; pcache is the scan-plan tier above
-	// it, each position's live slots as one bitmap per segment;
-	// lineMemo memoizes rawLineage and stepMemo lineageAt (the
-	// deduplicated steps point lookups probe). All nil
-	// when the cache is off (Options.VFLineageCacheOff, a test-only
-	// switch), which forces every resolution onto the full-walk path.
-	lcache   *lru[pos, map[int64]pos]
+	// Scan-plan cache (see cache.go): pcache holds each position's live
+	// slots as one bitmap per segment; lineMemo memoizes rawLineage and
+	// stepMemo lineageAt (the deduplicated steps point lookups probe).
+	// All nil when the cache is off (Options.VFLineageCacheOff, a
+	// test-only switch), which forces every resolution onto the
+	// full-walk path. derived counts the plans derived from each kind of
+	// base.
 	pcache   *lru[pos, *planEntry]
 	lineMemo map[pos][]step
 	stepMemo map[pos][]step
+	derived  [baseKinds]int
 }
 
 func init() { core.RegisterEngine("version-first", Factory, "vf") }
@@ -113,7 +113,6 @@ func Factory(env *core.Env) (core.Engine, error) {
 		cache:    make(map[intervalKey]intervalTable),
 	}
 	if !env.Opt.VFLineageCacheOff {
-		e.lcache = newLRU[pos](cacheBudget, func(live map[int64]pos) int { return len(live) })
 		e.pcache = newLRU[pos](cacheBudget, func(en *planEntry) int { return en.words })
 		e.lineMemo = make(map[pos][]step)
 		e.stepMemo = make(map[pos][]step)
@@ -486,11 +485,15 @@ func (e *Engine) Stats() (core.Stats, error) {
 	st.Records, st.DataBytes, st.CommitBytes = e.cat.Totals()
 	for _, b := range e.env.Graph.Branches() {
 		if id, ok := e.byBranch[b.ID]; ok {
-			live, err := e.resolveLive(pos{Seg: id, Slot: e.cat.Segs[id].File.Count()})
+			en, err := e.planLocked(pos{Seg: id, Slot: e.cat.Segs[id].File.Count()})
 			if err != nil {
 				return st, err
 			}
-			st.LiveRecords += int64(len(live))
+			for _, bm := range en.segs {
+				if bm != nil {
+					st.LiveRecords += int64(bm.Count())
+				}
+			}
 		}
 	}
 	return st, nil

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# twenty-four structural checks. Prints the non-test Go lines outside
+# twenty-five structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -41,10 +41,15 @@
 # bench_test.go is the one harness for the paper's experiments. Exits
 # non-zero too if segDelta, recordDeltaLocked or WithLineageCache
 # appears in non-test Go code, or if non-test Go in internal/vf declares
-# a "prev, next" linked list of its own: version-first extends a cached
-# live set with one scan of the slot window (no per-commit delta log),
-# both its cache tiers are the one lru type on container/list, and the
-# cache has no public knob. Exits non-zero too if non-test Go in
+# a "prev, next" linked list of its own: version-first derives a moved
+# head's plan from its previous cut's with one scan of the slot window
+# (no per-commit delta log), its plan cache is the one lru type on
+# container/list, and the cache has no public knob. Exits non-zero too
+# if non-test Go matches lru[pos, map[int64]pos], resolveLive(,
+# baseLocked( or overlayWindowLocked(: version-first caches only scan
+# plans, and a miss derives its plan from a cached base plan or takes
+# the full walk, whose live map is transient — there is no live-map
+# tier to clone. Exits non-zero too if non-test Go in
 # internal/vf matches sortedGroups, diffLiveLocked, planGroup or
 # map[pos]*bitmap.Bitmap: a version-first scan plan is one slot bitmap
 # per segment cached per position, a HEAD() scan ORs k of them and a
@@ -201,6 +206,14 @@ fi
 stray=$(grep -rnE --include='*.go' 'prev, next' internal/vf | grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "internal/vf keeps one LRU (lru, on container/list); no hand-written list:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'lru\[pos, map\[int64\]pos\]|(^|[^[:alnum:]_])(resolveLive|baseLocked|overlayWindowLocked)\(' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "internal/vf caches only scan plans (a miss derives from a cached base plan or walks the lineage); no live-map tier:" >&2
     echo "$stray" >&2
     exit 1
 fi

@@ -1,12 +1,15 @@
 package decibel_test
 
-// Lineage-cache equivalence: the version-first engine's cached
-// resolution tiers (exact-position live maps, incremental delta
-// resolution, per-position scan plans) are pure
-// optimizations — a cached engine must emit byte-identical streams to
-// an engine with the cache forced off (WithoutLineageCache, the full
-// lineage-walk baseline), for every query shape and predicate. The test also asserts the cache actually engaged
-// (the hits counter moved), so a silently bypassed cache cannot pass.
+// Lineage-cache equivalence: the version-first engine's plan cache —
+// per-position scan plans, each a hit, derived from a base plan (a
+// cached cut of the same segment, a plain branch point's parent, or a
+// merge's LCA) or built by a full walk, plus the lineage memos — is a
+// pure optimization. A cached engine must emit byte-identical streams
+// to an engine with the cache forced off (WithoutLineageCache, the full
+// lineage-walk baseline), for every query shape and predicate, across
+// commits, merges and a branch of a branch. The test also asserts the
+// cache engaged (the hits and delta-resolve counters moved), so a
+// silently bypassed cache cannot pass.
 
 import (
 	"fmt"
@@ -156,6 +159,86 @@ func TestVFCacheEquivalence(t *testing.T) {
 	}
 	if _, _, _, deltasAfter := vf.CacheCounters(); deltasAfter == deltasBefore {
 		t.Fatalf("delta resolves did not move (%d): the overlay window was never applied", deltasBefore)
+	}
+
+	// write commits the same transaction on both databases: upserts of
+	// keys (v = pk + bump) and deletes.
+	write := func(branch string, bump int64, upserts []int64, deletes ...int64) {
+		t.Helper()
+		for _, db := range []*decibel.DB{cached, uncached} {
+			tbl, err := db.TableByName("r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := db.BranchNamed(branch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := tbl.SchemaAt(tbl.BranchEpoch(b.ID)) // b1 and b3 stay at epoch 0
+			if _, err := db.Commit(branch, func(tx *decibel.Tx) error {
+				for _, pk := range upserts {
+					rec := decibel.NewRecord(s)
+					rec.SetPK(pk)
+					rec.Set(1, pk+bump)
+					if err := rec.SetBytes(2, []byte(fmt.Sprintf("m%03d", pk))); err != nil {
+						return err
+					}
+					if err := tx.Insert("r", rec); err != nil {
+						return err
+					}
+				}
+				for _, pk := range deletes {
+					if err := tx.Delete("r", pk); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	merge := func(into, from string, opts ...decibel.MergeOption) {
+		t.Helper()
+		for _, db := range []*decibel.DB{cached, uncached} {
+			if _, _, err := db.Merge(into, from, opts...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// A merge round: b1 and master both changed keys since b1 forked
+	// (master deleted 10-14 and rewrote 30), so merged heads resolve
+	// through their LCA's plan with conflicts and override tables in
+	// play, in both directions and with both precedences.
+	write("b1", 1000, []int64{10, 11, 30, 31, 300, 301}, 5, 41)
+	merge("master", "b1", decibel.WithMergeKind(decibel.TwoWay), decibel.WithMergePrecedence(false))
+	write("b2", 2000, []int64{12, 30, 120, 302}, 101)
+	merge("b2", "master")
+	write("master", 3000, []int64{31, 303}, 11)
+	for j, sh := range shapes(iquery.Col("v").Ge(0)) {
+		check(t, sh.plan, sh.shape, fmt.Sprintf("merge shape[%d]", j))
+	}
+
+	// A branch-of-branch round: b3 forks b1, a branch itself, and
+	// rewrites keys b1 and master also changed; its head resolves through
+	// b1's plan at the branch point.
+	for _, db := range []*decibel.DB{cached, uncached} {
+		if _, err := db.Branch("b1", "b3"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("b3", 4000, []int64{10, 31, 304}, 300, 20)
+	write("b1", 5000, []int64{31, 305})
+	for i, where := range fixed {
+		for j, sh := range append(shapes(where),
+			shaped{iquery.Plan{Table: "r", Branches: []string{"b3"}, AtSeq: -1, Where: where}, "scan"},
+			shaped{iquery.Plan{Table: "r", Branches: []string{"b3", "b1", "master"}, AtSeq: -1, Where: where}, "multi"},
+			shaped{iquery.Plan{Table: "r", Branches: []string{"b3", "b1"}, AtSeq: -1, Where: where}, "diff"},
+			shaped{iquery.Plan{Table: "r", Branches: []string{"b1", "b3"}, AtSeq: -1, Where: where}, "diff"},
+		) {
+			check(t, sh.plan, sh.shape, fmt.Sprintf("branch-of-branch fixed[%d] shape[%d]", i, j))
+		}
 	}
 
 	if hitsAfter, _, _, _ := vf.CacheCounters(); hitsAfter == hitsBefore {

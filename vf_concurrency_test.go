@@ -230,7 +230,7 @@ func TestConcurrentVFCacheInvalidation(t *testing.T) {
 	}
 
 	// One compaction pass after the dust settles, then the pinned view
-	// must still match (compaction clears the cache tiers; the re-read
+	// must still match (compaction drops the cached plans; the re-read
 	// resolves fresh against the replaced files).
 	if _, err := db.Compact(); err != nil {
 		t.Fatal(err)
