@@ -280,9 +280,10 @@ func errSeq1[T any](err error) (iter.Seq[T], func() error) {
 // Rows runs the query and iterates its records: the single-version
 // scan of Query 1 (On one branch, optionally At a historical commit),
 // or — with several branches or Heads — each record live in any
-// scanned head exactly once. Records may alias engine buffers and must
-// be Cloned to be retained. The trailing error accessor is valid once
-// iteration finishes.
+// scanned head exactly once. A yielded record may alias a buffer-pool
+// frame: its bytes may be overwritten once the iteration step returns
+// (the pool reuses an evicted page's frame), so Clone a record to keep
+// it. The trailing error accessor is valid once iteration finishes.
 func (q *Query) Rows() (iter.Seq[*Record], func() error) {
 	return q.RowsContext(context.Background())
 }
@@ -306,8 +307,9 @@ func (q *Query) RowsContext(ctx context.Context) (iter.Seq[*Record], func() erro
 // Heads) and iterates each live record together with the names of the
 // branches whose heads contain it — the output shape of the paper's
 // HEAD() query. The scan is one engine pass over the union of the
-// branches' bitmaps. The yielded name slice is reused across
-// iterations; copy it to retain it.
+// branches' bitmaps. As with Rows, a yielded record's bytes may be
+// overwritten once the iteration step returns; Clone it to keep it. The
+// yielded name slice is reused across iterations; copy it to retain it.
 func (q *Query) Annotated() (iter.Seq2[*Record, []string], func() error) {
 	return q.AnnotatedContext(context.Background())
 }
@@ -328,7 +330,9 @@ func (q *Query) AnnotatedContext(ctx context.Context) (iter.Seq2[*Record, []stri
 // Diff runs the positive diff of Query 2: the records live at branch
 // a's head but not at branch b's, with Where and Select applied to the
 // emitted records. Diff provides the two versions itself; combining it
-// with On or Heads is an error.
+// with On or Heads is an error. As with Rows, a yielded record's bytes
+// may be overwritten once the iteration step returns; Clone it to keep
+// it.
 func (q *Query) Diff(a, b string) (iter.Seq[*Record], func() error) {
 	return q.DiffContext(context.Background(), a, b)
 }
@@ -349,7 +353,8 @@ func (q *Query) DiffContext(ctx context.Context, a, b string) (iter.Seq[*Record]
 // Rows iterates the records live at the named branch's head of the
 // named table: db.Query(table).On(branch).Rows(). Name-resolution
 // failures surface through the trailing error accessor, like scan
-// errors.
+// errors. A yielded record's bytes may be overwritten once the
+// iteration step returns; Clone it to keep it.
 func (db *DB) Rows(table, branch string) (iter.Seq[*Record], func() error) {
 	return db.Query(table).On(branch).Rows()
 }
@@ -364,7 +369,9 @@ func (db *DB) RowsContext(ctx context.Context, table, branch string) (iter.Seq[*
 // Diff iterates the symmetric difference between the heads of two
 // named branches of the named table, both sides in one pass: the bool
 // is true for records live in a but not b, false for the reverse.
-// Query(table).Diff(a, b) is the filtered, ordered positive side.
+// Query(table).Diff(a, b) is the filtered, ordered positive side. A
+// yielded record's bytes may be overwritten once the iteration step
+// returns; Clone it to keep it.
 func (db *DB) Diff(table, a, b string) (iter.Seq2[*Record, bool], func() error) {
 	return db.DiffContext(context.Background(), table, a, b)
 }

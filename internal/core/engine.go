@@ -17,8 +17,10 @@ import (
 )
 
 // ScanFunc receives each record of a scan; returning false stops the
-// scan. The record may alias engine buffers and must not be retained
-// across calls (Clone it to keep it).
+// scan. The record may alias a buffer-pool frame or scratch: its bytes
+// are valid only until fn returns, and may be overwritten once the scan
+// moves on (the pool reuses an evicted page's frame for the next miss).
+// Clone it to keep it.
 type ScanFunc func(rec *record.Record) bool
 
 // MultiScanFunc receives each record live in at least one of the
@@ -70,7 +72,7 @@ type Stats struct {
 	CommitBytes  int64 // on-disk commit history bytes
 	SegmentCount int   // number of heap/segment files
 	LiveRecords  int64 // records live in at least one branch head (approximate)
-	PoolBytes    int64 // buffer-pool frame bytes resident (Database.Stats; engines leave 0)
+	PoolBytes    int64 // capacity of resident buffer-pool frames (Database.Stats; engines leave 0)
 }
 
 // Env is the shared environment a Database hands to its engines.

@@ -57,8 +57,10 @@ type UnitAux struct {
 }
 
 // UnitFunc receives each record one scan unit emits. The record (and
-// aux.Member) may alias engine buffers or runner scratch and must be
-// Cloned to be retained. Returning false stops the scan.
+// aux.Member) may alias a buffer-pool frame or runner scratch: its bytes
+// are valid only until fn returns, after which the frame may be reused
+// for another page. Clone it to keep it. Returning false stops the
+// scan.
 type UnitFunc func(rec *record.Record, aux UnitAux) bool
 
 // ScanUnit is one independently runnable slice of a partitioned scan:
@@ -248,7 +250,9 @@ func (t *Table) ScanUnitsContext(ctx context.Context, req ScanRequest, spec *Sca
 // one value, through the engine's LookupPK instead of a segment walk.
 // The spec's predicate and projection still run on the looked-up
 // record — the lookup only replaces the walk, never the filter — so the
-// result is exactly that of the scan it stands in for. served=false
+// result is exactly that of the scan it stands in for. fn's record is
+// valid only until fn returns, as a scan's is: it may alias the spec's
+// scratch, which the next read through the spec overwrites. served=false
 // (nothing emitted) means the read must scan: it spans several versions
 // (a diff or multi-branch request), or the engine cannot answer
 // without a walk.

@@ -293,8 +293,9 @@ func (tx *Tx) Delete(table string, pk int64) error {
 
 // Rows iterates the transaction's view of a table: the branch head,
 // including the transaction's own uncommitted writes. It needs no lock
-// beyond the one the transaction holds. Records may alias engine
-// buffers and must be Cloned to be retained; the trailing error
+// beyond the one the transaction holds. A yielded record may alias a
+// buffer-pool frame: its bytes may be overwritten once the iteration
+// step returns, so Clone a record to keep it. The trailing error
 // accessor is valid once iteration finishes.
 func (tx *Tx) Rows(table string) (iter.Seq[*record.Record], func() error) {
 	var err error

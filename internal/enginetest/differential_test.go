@@ -34,12 +34,13 @@ func testSchema() *record.Schema {
 	)
 }
 
-func newHarness(t *testing.T) *harness {
+// newHarness opens every engine over pools of poolPages 4 KiB frames.
+func newHarness(t *testing.T, poolPages int) *harness {
 	t.Helper()
 	h := &harness{t: t, schema: testSchema(), dbs: make(map[string]*core.Database),
 		opens: make(map[string]func() (*core.Database, error)), model: NewModel(testSchema())}
 	// Manual compaction, so compaction steps re-encode frozen segments.
-	opt := core.Options{PageSize: 4096, PoolPages: 16,
+	opt := core.Options{PageSize: 4096, PoolPages: poolPages,
 		Compaction: true}
 	for _, name := range []string{"tuple-first", "version-first", "hybrid"} {
 		factory := hy.TupleFirstFactory
@@ -438,10 +439,15 @@ func mkRec(schema *record.Schema, r *rand.Rand, pk int64) *record.Record {
 	return rec
 }
 
-// runWorkload drives a seeded random versioned workload and verifies
-// continuously.
+// runWorkload drives a seeded random versioned workload through engines
+// with a 16-frame pool and verifies continuously.
 func runWorkload(t *testing.T, seed int64, ops int, allowMerge bool, threeWay bool) {
-	h := newHarness(t)
+	runWorkloadPool(t, seed, 16, ops, allowMerge, threeWay)
+}
+
+// runWorkloadPool is runWorkload over pools of poolPages frames.
+func runWorkloadPool(t *testing.T, seed int64, poolPages, ops int, allowMerge bool, threeWay bool) {
+	h := newHarness(t, poolPages)
 	r := rand.New(rand.NewSource(seed))
 	master, c0 := h.init()
 	commits := []*vgraph.Commit{c0}
@@ -539,6 +545,20 @@ func TestDifferentialTwoWayMerges(t *testing.T) {
 
 func TestDifferentialThreeWayMerges(t *testing.T) {
 	runWorkload(t, 4, 300, true, true)
+}
+
+// TestDifferentialTinyPool runs the merge workloads through two-frame
+// pools of 4 KiB pages, so nearly every page access evicts a frame and
+// reuses its buffer: scans, diffs, HEAD(), merges, point lookups,
+// compaction and reopen all read while frames are recycled. A consumer
+// that keeps a page's bytes past its pin reads another page's records
+// there and diverges from the model.
+func TestDifferentialTinyPool(t *testing.T) {
+	for _, threeWay := range []bool{false, true} {
+		t.Run(fmt.Sprintf("threeWay=%v", threeWay), func(t *testing.T) {
+			runWorkloadPool(t, 5, 2, 300, true, threeWay)
+		})
+	}
 }
 
 func TestDifferentialManySeedsTwoWay(t *testing.T) {

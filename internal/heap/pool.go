@@ -7,15 +7,22 @@
 // branch.
 //
 // A pool frame holds the bytes its page holds, not a page's worth: a
-// read miss allocates exactly the records the file's count puts on that
+// read miss reads exactly the records the file's count puts on that
 // page, so a file's partial last page (every hybrid branch head's) costs
 // what it stores. Only Append grows a frame, once, to the full page.
 // The pool's memory bound is unchanged: capacity frames of at most one
 // page each.
+//
+// A miss reuses the frame it evicts, buffer included: the victim's
+// buffer is re-sliced to the new page's bytes whenever its capacity
+// suffices, and the LRU is intrusive (links in the frame), so neither a
+// miss nor a pin/unpin cycle allocates. Frame bytes are therefore valid
+// only while the frame is pinned: the slice a Scan callback sees may
+// hold another page's records once the callback returns, and a consumer
+// that keeps a record past its callback copies it.
 package heap
 
 import (
-	"container/list"
 	"fmt"
 	"os"
 	"sync"
@@ -33,10 +40,11 @@ type pageKey struct {
 
 // frame is one resident page. data holds the page's records and no
 // more: a read miss sizes it to the records on the page, and Append
-// grows it to the full page the first time it needs room. Growth
-// replaces data under the pool lock, so readers index the slice get
-// handed them, never data itself; the old slice still holds every slot
-// a reader's count snapshot covers.
+// grows it to the full page the first time it needs room — in place
+// when its buffer's capacity allows, by swapping in a new buffer
+// otherwise. Growth changes data under the pool lock, so readers index
+// the slice get handed them, never data itself; that slice still holds
+// every slot a reader's count snapshot covers.
 type frame struct {
 	key   pageKey
 	data  []byte
@@ -45,9 +53,13 @@ type frame struct {
 	// from is the first byte written since the frame was last clean.
 	// Pages are append-only, so data[from:size] is all a write-back
 	// has to write.
-	from  int
-	pins  int
-	lru   *list.Element
+	from int
+	pins int
+	// prev and next link an unpinned frame into the pool's LRU ring;
+	// both are nil while the frame is pinned.
+	prev, next *frame
+	// owner is nil once dropFile has removed the frame: a frame dropped
+	// while pinned never rejoins the ring.
 	owner *File
 }
 
@@ -58,12 +70,14 @@ type Pool struct {
 	pageSize int
 	capacity int
 	frames   map[pageKey]*frame
-	lru      *list.List // unpinned frames, front = most recent
+	// lru is the sentinel of the ring of unpinned frames: lru.next is
+	// the most recently unpinned, lru.prev the eviction victim.
+	lru      frame
 	nextFile uint64
 
 	// Statistics.
 	hits, misses, evictions int64
-	resident                int64 // bytes held by resident frames
+	resident                int64 // capacity of resident frames' buffers
 }
 
 // NewPool creates a pool holding up to capacity frames of at most
@@ -76,20 +90,22 @@ func NewPool(capacity, pageSize int) *Pool {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &Pool{
+	p := &Pool{
 		pageSize: pageSize,
 		capacity: capacity,
 		frames:   make(map[pageKey]*frame),
-		lru:      list.New(),
 	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p
 }
 
 // PageSize returns the pool's page size in bytes.
 func (p *Pool) PageSize() int { return p.pageSize }
 
-// ResidentBytes returns the bytes the pool's resident frames hold:
+// ResidentBytes returns the capacity of the resident frames' buffers:
 // at most capacity times the page size, and less wherever frames hold
-// partial pages.
+// partial pages in buffers of their size. A recycled full-page buffer
+// holding a partial page counts in full.
 func (p *Pool) ResidentBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -103,12 +119,27 @@ func (p *Pool) Stats() (hits, misses, evictions int64) {
 	return p.hits, p.misses, p.evictions
 }
 
+// pushFront links fr into the LRU ring as its most recent frame.
+func (p *Pool) pushFront(fr *frame) {
+	fr.prev, fr.next = &p.lru, p.lru.next
+	fr.prev.next, fr.next.prev = fr, fr
+}
+
+// unlink removes fr from the LRU ring.
+func unlink(fr *frame) {
+	fr.prev.next, fr.next.prev = fr.next, fr.prev
+	fr.prev, fr.next = nil, nil
+}
+
 // get returns the pinned frame for (f, page) and its data as of the
 // call, reading the page from disk on a miss. A reader (create false)
 // must index the returned slice, not fr.data, which an Append may
-// replace; a read miss allocates exactly the bytes the file's record
-// count puts on the page. An appender (create true) gets a full page:
-// a miss allocates one and a hit on a shorter frame grows it.
+// replace; a read miss holds exactly the bytes the file's record count
+// puts on the page. An appender (create true) gets a full page: a miss
+// holds one, its bytes past the page's records zeroed, and a hit on a
+// shorter frame grows it. A miss reuses the evicted frame and its
+// buffer, and allocates only while the pool is not full or when the
+// victim's buffer is too small.
 func (p *Pool) get(f *File, page int64, create bool) (*frame, []byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -116,20 +147,17 @@ func (p *Pool) get(f *File, page int64, create bool) (*frame, []byte, error) {
 	if fr, ok := p.frames[key]; ok {
 		p.hits++
 		if create && len(fr.data) < p.pageSize {
-			data := make([]byte, p.pageSize)
-			copy(data, fr.data)
-			p.resident += int64(len(data) - len(fr.data))
-			fr.data = data
+			p.growLocked(fr)
 		}
-		if fr.pins == 0 && fr.lru != nil {
-			p.lru.Remove(fr.lru)
-			fr.lru = nil
+		if fr.next != nil {
+			unlink(fr)
 		}
 		fr.pins++
 		return fr, fr.data, nil
 	}
 	p.misses++
-	if err := p.evictLocked(); err != nil {
+	fr, err := p.evictLocked()
+	if err != nil {
 		return nil, nil, err
 	}
 	// The bytes on disk for this page: every record the count holds on
@@ -141,38 +169,68 @@ func (p *Pool) get(f *File, page int64, create bool) (*frame, []byte, error) {
 	if create {
 		size = p.pageSize
 	}
-	fr := &frame{key: key, data: make([]byte, size), size: held, pins: 1, owner: f}
-	if n, err := f.f.ReadAt(fr.data[:held], page*int64(p.pageSize)); n < held {
+	var data []byte
+	switch {
+	case fr == nil:
+		fr = new(frame)
+		data = make([]byte, size)
+	case cap(fr.data) >= size:
+		data = fr.data[:size]
+		clear(data[held:])
+	default:
+		data = make([]byte, size)
+	}
+	if n, err := f.f.ReadAt(data[:held], page*int64(p.pageSize)); n < held {
 		return nil, nil, fmt.Errorf("heap: reading page %d of %s: %d of %d bytes: %w", page, f.path, n, held, err)
 	}
+	*fr = frame{key: key, data: data, size: held, pins: 1, owner: f}
 	p.frames[key] = fr
-	p.resident += int64(size)
-	return fr, fr.data, nil
+	p.resident += int64(cap(data))
+	return fr, data, nil
 }
 
-// evictLocked makes room for one more frame if the pool is full.
-func (p *Pool) evictLocked() error {
+// growLocked extends a frame to the full page, its new bytes zeroed: in
+// place when its buffer's capacity allows, in a new buffer otherwise.
+// Readers holding the shorter slice index only bytes it already had.
+// Caller holds p.mu.
+func (p *Pool) growLocked(fr *frame) {
+	if cap(fr.data) >= p.pageSize {
+		data := fr.data[:p.pageSize]
+		clear(data[len(fr.data):])
+		fr.data = data
+		return
+	}
+	data := make([]byte, p.pageSize)
+	copy(data, fr.data)
+	p.resident += int64(cap(data) - cap(fr.data))
+	fr.data = data
+}
+
+// evictLocked makes room for one more frame if the pool is full. It
+// returns the last frame it evicted, no longer resident and its buffer
+// free for reuse, or nil when it evicted none.
+func (p *Pool) evictLocked() (*frame, error) {
+	var victim *frame
 	for len(p.frames) >= p.capacity {
-		el := p.lru.Back()
-		if el == nil {
+		fr := p.lru.prev
+		if fr == &p.lru {
 			// Every frame is pinned; allow temporary over-subscription
 			// rather than deadlocking. This matches the usual steal
 			// policy for scan-heavy workloads.
-			return nil
+			break
 		}
-		fr := el.Value.(*frame)
-		p.lru.Remove(el)
-		fr.lru = nil
 		if fr.dirty {
 			if err := fr.owner.writePage(fr); err != nil {
-				return err
+				return nil, err
 			}
 		}
+		unlink(fr)
 		delete(p.frames, fr.key)
-		p.resident -= int64(len(fr.data))
+		p.resident -= int64(cap(fr.data))
 		p.evictions++
+		victim = fr
 	}
-	return nil
+	return victim, nil
 }
 
 // unpin releases one pin on the frame.
@@ -183,8 +241,8 @@ func (p *Pool) unpin(fr *frame) {
 	if fr.pins < 0 {
 		panic("heap: unpin without pin")
 	}
-	if fr.pins == 0 {
-		fr.lru = p.lru.PushFront(fr)
+	if fr.pins == 0 && fr.owner != nil {
+		p.pushFront(fr)
 	}
 }
 
@@ -195,11 +253,12 @@ func (p *Pool) dropFile(f *File) {
 	defer p.mu.Unlock()
 	for key, fr := range p.frames {
 		if key.file == f.poolID {
-			if fr.lru != nil {
-				p.lru.Remove(fr.lru)
+			if fr.next != nil {
+				unlink(fr)
 			}
 			delete(p.frames, key)
-			p.resident -= int64(len(fr.data))
+			p.resident -= int64(cap(fr.data))
+			fr.owner = nil
 		}
 	}
 }
@@ -388,7 +447,9 @@ func (f *File) Read(slot int64, dst []byte) error {
 }
 
 // Scan calls fn for every slot in [from, to) in ascending order with a
-// buffer that aliases the page; fn must not retain it. Returning false
+// buffer that aliases the page. The buffer is valid only until fn
+// returns: once the page is unpinned an eviction may reuse its frame
+// for another page, so fn copies whatever it keeps. Returning false
 // stops the scan early. Scan pins one page at a time, giving the
 // sequential I/O pattern of a branch scan.
 func (f *File) Scan(from, to int64, fn func(slot int64, rec []byte) bool) error {

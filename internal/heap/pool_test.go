@@ -653,3 +653,139 @@ func TestScanWhileAppendGrowsFrame(t *testing.T) {
 		}
 	}
 }
+
+// TestEvictedFramesAreReused: once the pool is full, a miss takes over
+// the frame it evicts, buffer included, and the LRU's links live in the
+// frames, so scanning a file four times the pool's capacity allocates
+// nothing per page and a Read of a resident page allocates nothing.
+func TestEvictedFramesAreReused(t *testing.T) {
+	const capacity, pages, recSize = 4, 16, 64
+	pool := NewPool(capacity, 4096)
+	f, err := Open(pool, filepath.Join(t.TempDir(), "t.heap"), recSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	n := int64(pages * f.PerPage())
+	for i := int64(0); i < n; i++ {
+		if _, err := f.Append(mkRec(recSize, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var bad error
+	visit := func(slot int64, rec []byte) bool {
+		if got := int64(binary.LittleEndian.Uint64(rec)); got != slot || rec[recSize-1] != byte(slot) {
+			bad = fmt.Errorf("slot %d reads payload %d", slot, got)
+		}
+		return bad == nil
+	}
+	scan := func() {
+		if err := f.Scan(0, n, visit); err != nil || bad != nil {
+			t.Fatal(err, bad)
+		}
+	}
+	scan() // fills the pool
+	_, m0, _ := pool.Stats()
+	if allocs := testing.AllocsPerRun(5, scan); allocs != 0 {
+		t.Errorf("scanning %d pages through %d frames: %.1f allocs per scan, want 0", pages, capacity, allocs)
+	}
+	if _, m1, _ := pool.Stats(); m1-m0 < 5*pages {
+		t.Fatalf("%d misses over 6 scans of %d pages; the scans did not evict", m1-m0, pages)
+	}
+	if got, limit := pool.ResidentBytes(), int64(capacity*4096); got > limit {
+		t.Fatalf("pool holds %d bytes, bound %d", got, limit)
+	}
+	dst, want := make([]byte, recSize), mkRec(recSize, n-1)
+	read := func() {
+		if err := f.Read(n-1, dst); err != nil || !bytes.Equal(dst, want) {
+			t.Fatalf("read of the resident last page: %v", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Errorf("Read of a resident page: %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestRecycledFramesUnderConcurrency: through a two-frame pool, where
+// nearly every access evicts and reuses a frame, concurrent Scan and
+// Read readers of a file an appender keeps growing, and a scanner of a
+// second file, see every record's exact bytes. Run it under -race.
+func TestRecycledFramesUnderConcurrency(t *testing.T) {
+	const recSize = 64
+	pool := NewPool(2, 4096)
+	dir := t.TempDir()
+	grown, err := Open(pool, filepath.Join(dir, "grown.heap"), recSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grown.Close()
+	other, err := Open(pool, filepath.Join(dir, "other.heap"), recSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	for i := int64(0); i < 10; i++ {
+		if _, err := grown.Append(mkRec(recSize, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const otherN = 5 * 64 // five pages
+	for i := int64(0); i < otherN; i++ {
+		if _, err := other.Append(mkRec(recSize, 1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rounds, total := 30, int64(8*64)
+	if testing.Short() {
+		rounds, total = 10, 4*64
+	}
+	check := func(slot, base int64, rec []byte) error {
+		if !bytes.Equal(rec, mkRec(recSize, base+slot)) {
+			return fmt.Errorf("slot %d reads payload %d, want %d", slot, int64(binary.LittleEndian.Uint64(rec)), base+slot)
+		}
+		return nil
+	}
+	errs := make(chan error, 4)
+	scanner := func(f *File, base int64) {
+		var bad error
+		for r := 0; r < rounds && bad == nil; r++ {
+			err := f.Scan(0, 1<<20, func(slot int64, rec []byte) bool {
+				bad = check(slot, base, rec)
+				return bad == nil
+			})
+			if err != nil {
+				bad = err
+			}
+		}
+		errs <- bad
+	}
+	go scanner(grown, 0)
+	go scanner(other, 1000)
+	go func() {
+		var bad error
+		rng := rand.New(rand.NewSource(1))
+		dst := make([]byte, recSize)
+		for r := 0; r < rounds*64 && bad == nil; r++ {
+			slot := rng.Int63n(grown.Count())
+			if bad = grown.Read(slot, dst); bad == nil {
+				bad = check(slot, 0, dst)
+			}
+		}
+		errs <- bad
+	}()
+	go func() {
+		var bad error
+		for i := grown.Count(); i < total && bad == nil; i++ {
+			_, bad = grown.Append(mkRec(recSize, i))
+		}
+		errs <- bad
+	}()
+	for i := 0; i < 4; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, ev := pool.Stats(); ev == 0 {
+		t.Fatal("no evictions: the pool never recycled a frame")
+	}
+}

@@ -23,7 +23,7 @@ func mergedHyRender(t *testing.T, q *decibel.Query) string {
 	rows, errf := q.Rows()
 	var recs []*decibel.Record
 	for rec := range rows {
-		recs = append(recs, rec)
+		recs = append(recs, rec.Clone())
 	}
 	if err := errf(); err != nil {
 		t.Fatal(err)

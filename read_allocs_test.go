@@ -12,10 +12,12 @@ package decibel_test
 // epochs — so the per-unit costs (layout conversion, zone checks) are
 // part of the count. The tuple-first and hybrid head ceilings are the
 // counts measured before the read paths were folded into one driver,
-// the rest the counts measured when each path was added; one more
-// closure, sink or slice per read fails here before it fails the
-// benchmark gate; for the HEAD(), diff and fold shapes, so does one per
-// row.
+// the rest the counts measured when each path was added (the
+// commit-pinned lookup and the tuple-first and version-first folds
+// lowered to the counts measured once a pool pin stopped allocating);
+// one more closure, sink or slice per read fails here before it fails
+// the benchmark gate; for the HEAD(), diff and fold shapes, so does one
+// per row.
 
 import (
 	"testing"
@@ -25,9 +27,9 @@ import (
 
 // readAllocCeilings is allocations per read, by engine.
 var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit, heads, diff, fold float64 }{
-	"hybrid":        {point: 24, walk: 24, scan: 176, atCommit: 29, heads: 235, diff: 63, fold: 41},
-	"tuple-first":   {point: 24, walk: 24, scan: 167, atCommit: 29, heads: 207, diff: 46, fold: 35},
-	"version-first": {point: 24, walk: 24, scan: 165, atCommit: 21, heads: 223, diff: 58, fold: 35},
+	"hybrid":        {point: 24, walk: 24, scan: 176, atCommit: 28, heads: 235, diff: 63, fold: 41},
+	"tuple-first":   {point: 24, walk: 24, scan: 167, atCommit: 28, heads: 207, diff: 46, fold: 33},
+	"version-first": {point: 24, walk: 24, scan: 165, atCommit: 20, heads: 223, diff: 58, fold: 32},
 }
 
 func TestReadAllocCeilings(t *testing.T) {
@@ -121,5 +123,58 @@ func TestReadAllocCeilings(t *testing.T) {
 				t.Errorf("fold: %.0f allocs/op, ceiling %.0f", got, want.fold)
 			}
 		})
+	}
+}
+
+// TestScanLargerThanPoolAllocCeiling: a version-first head scan over a
+// segment eight times the buffer pool — the shape of a benchmark
+// workload whose data outgrows its pool — misses on every page, and a
+// miss reuses the frame it evicts. A fold keeps no row, so its
+// allocations are per scan, not per row or per page; one allocation
+// per miss (a fresh frame buffer, a list element) fails the ceiling.
+func TestScanLargerThanPoolAllocCeiling(t *testing.T) {
+	const pageSize, poolPages, pages = 4096, 4, 32
+	db, err := decibel.Open(t.TempDir(), decibel.WithEngine("version-first"),
+		decibel.WithPageSize(pageSize), decibel.WithPoolPages(poolPages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+	if _, err := db.CreateTable("r", schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Init("init"); err != nil {
+		t.Fatal(err)
+	}
+	rows := int64(pages * (pageSize / schema.RecordSize()))
+	if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+		recs := make([]*decibel.Record, rows)
+		for pk := range rows {
+			recs[pk] = decibel.NewRecord(schema)
+			recs[pk].SetPK(pk)
+			recs[pk].Set(1, pk)
+		}
+		return tx.InsertBatch("r", recs)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := float64(rows * (rows - 1) / 2)
+	fold := func() {
+		if sum, err := db.Query("r").On("master").Sum("v"); err != nil || sum != want {
+			t.Fatalf("Sum: %v (%v), want %v", sum, err, want)
+		}
+	}
+	fold()
+	const ceiling = 30 // measured; the frame-per-miss pool made 126
+	if got := testing.AllocsPerRun(20, fold); got > ceiling {
+		t.Errorf("head fold over %d pages through %d frames: %.0f allocs/op, ceiling %d", pages, poolPages, got, ceiling)
+	}
+	st, err := db.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PoolBytes > poolPages*pageSize {
+		t.Fatalf("pool holds %d bytes, bound %d", st.PoolBytes, poolPages*pageSize)
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# twenty-five structural checks. Prints the non-test Go lines outside
+# twenty-six structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -92,7 +92,10 @@
 # goroutine (core's ScanUnitsContext), so there is no scan pool, no
 # per-unit sink and no partial fold to merge. Exits non-zero too if
 # internal/tf/ exists: tuple-first is internal/hy's chained placement
-# (TupleFirstFactory), not a package of its own.
+# (TupleFirstFactory), not a package of its own. Exits non-zero too if
+# internal/heap imports container/list: the buffer pool's LRU is
+# intrusive (prev/next links in the frames), so a pin/unpin cycle and a
+# miss that reuses its victim's frame allocate nothing.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -295,5 +298,12 @@ fi
 
 if [ -e internal/tf ]; then
     echo "internal/tf is gone (tuple-first is internal/hy's chained placement, hy.TupleFirstFactory)" >&2
+    exit 1
+fi
+
+stray=$(grep -rn --include='*.go' '"container/list"' internal/heap | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "internal/heap's LRU is intrusive (frame prev/next links); no container/list:" >&2
+    echo "$stray" >&2
     exit 1
 fi
