@@ -551,6 +551,7 @@ func run(dir, engine, table string, args []string) error {
 		fmt.Printf("history bytes:  %d\n", st.CommitBytes)
 		fmt.Printf("segments:       %d\n", st.SegmentCount)
 		fmt.Printf("pool bytes:     %d\n", st.PoolBytes)
+		fmt.Printf("page cache:     %d\n", st.PageCacheBytes)
 		// stats <table>: per-segment zone-map summaries (what predicate
 		// pushdown prunes scans with).
 		if len(rest) == 1 {

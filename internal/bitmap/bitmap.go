@@ -111,6 +111,24 @@ func (b *Bitmap) Get(i int) bool {
 	return b.words[i/wordBits]&(1<<uint(i%wordBits)) != 0
 }
 
+// Word returns bits [i, i+64) as one word, bit k holding bit i+k; bits
+// at or past the length read as zero. A walk combines it with other
+// per-slot masks 64 slots at a time.
+func (b *Bitmap) Word(i int) uint64 {
+	if i < 0 || i >= b.n {
+		return 0
+	}
+	wi, s := i/wordBits, uint(i%wordBits)
+	w := b.words[wi] >> s
+	if s != 0 && wi+1 < len(b.words) {
+		w |= b.words[wi+1] << (wordBits - s)
+	}
+	if rest := b.n - i; rest < wordBits {
+		w &= 1<<uint(rest) - 1
+	}
+	return w
+}
+
 // Gather sets bit j of b, for every j < len(cols), to bit i of cols[j]
 // (a nil column reads as zero) and clears b's other bits: the row of a
 // column-per-version layout. b must be at least len(cols) bits long.

@@ -555,6 +555,7 @@ func (db *Database) Stats() (Stats, error) {
 		agg.CommitBytes += st.CommitBytes
 		agg.SegmentCount += st.SegmentCount
 		agg.LiveRecords += st.LiveRecords
+		agg.PageCacheBytes += st.PageCacheBytes
 	}
 	agg.PoolBytes = db.pool.ResidentBytes()
 	return agg, nil

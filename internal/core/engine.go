@@ -73,6 +73,9 @@ type Stats struct {
 	SegmentCount int   // number of heap/segment files
 	LiveRecords  int64 // records live in at least one branch head (approximate)
 	PoolBytes    int64 // capacity of resident buffer-pool frames (Database.Stats; engines leave 0)
+	// PageCacheBytes is what the decoded dcz page caches keep resident:
+	// every decoded page's rows plus its dict and const planes.
+	PageCacheBytes int64
 }
 
 // Env is the shared environment a Database hands to its engines.

@@ -197,7 +197,11 @@ type slotWalker struct {
 	base    int64
 	visit   func(slot int64, buf []byte) bool
 	stopped bool
-	page    func(slot int64, buf []byte) bool // bound once: filters a page's slots by bm
+	// usePlanes says the current unit's dcz pages walk by planes
+	// (walkPlanes) through the scan's program.
+	usePlanes bool
+	planes    *planeProg
+	page      func(slot int64, buf []byte) bool // bound once: filters a page's slots by bm
 }
 
 // bind sets the visit callback every walk hands its live slots to.
@@ -220,7 +224,9 @@ func (w *slotWalker) bind(visit func(slot int64, buf []byte) bool) {
 // to clustering (Section 5.5), while fully interleaved data degrades to
 // a whole-file scan. When the segment keeps page zones and spec (which
 // may be nil) carries bounds, a page whose zone excludes them is
-// skipped too; spec is never evaluated per record.
+// skipped too; spec is never evaluated per record. With usePlanes set,
+// a page of a dcz segment visits only the live slots its planes do not
+// rule out (planes.go).
 func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap, spec *ScanSpec) error {
 	w.bm, w.base, w.stopped = bm, sg.Base, false
 	per := int64(sg.File.PerPage())
@@ -229,14 +235,27 @@ func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap, spec *ScanSpec) e
 	if spec != nil && spec.HasBounds() {
 		pz = sg.Pages()
 	}
+	var cf *store.CompressedFile
+	if w.usePlanes {
+		cf, _ = sg.File.(*store.CompressedFile)
+	}
 	for next := int64(bm.NextSet(int(sg.Base))); next >= 0 && next < end; {
 		p := (next - sg.Base) / per
 		// Page zones cover every slot a liveness snapshot can mark live:
 		// the slot was appended, and folded into its zone, before the
 		// snapshot was taken.
 		if z := pageZone(pz, p); z == nil || !spec.SkipPage(z, sg.Cols) {
-			if err := sg.File.Scan(p*per, (p+1)*per, w.page); err != nil || w.stopped {
-				return err
+			handled := false
+			if cf != nil {
+				var err error
+				if handled, err = w.walkPlanes(cf, p, per, end); err != nil || w.stopped {
+					return err
+				}
+			}
+			if !handled {
+				if err := sg.File.Scan(p*per, (p+1)*per, w.page); err != nil || w.stopped {
+					return err
+				}
 			}
 		}
 		next = int64(bm.NextSet(int(sg.Base + (p+1)*per)))

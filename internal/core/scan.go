@@ -95,12 +95,15 @@ type UnitRunner struct {
 	spec *ScanSpec
 	fn   UnitFunc
 	walk slotWalker // visits the body, bound once
+	// planes, when set, yields the predicate's plane program, built into
+	// walk.planes when the scan first meets a dcz page (planes.go).
+	planes PlaneSource
 
 	prep      func(buf []byte) []byte // current unit's conversion
 	unit      *ScanUnit               // current unit
-	annotated bool                    // the current unit's rows carry a side or a membership
 	member    *bitmap.Bitmap          // multi-branch membership scratch
 	err       error                   // Apply failure
+	annotated bool                    // the current unit's rows carry a side or a membership
 	stop      bool
 }
 
@@ -140,6 +143,13 @@ func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner
 	return r
 }
 
+// UsePlanes hands the runner the plane pre-filter of the spec's
+// predicate: the dcz pages of units stored in the spec's target layout
+// then visit only the rows their planes do not rule out. src must
+// describe the same predicate as the spec's, which still decides every
+// row visited.
+func (r *UnitRunner) UsePlanes(src PlaneSource) { r.planes = src }
+
 // Run executes one unit: zone-map pruning, layout prep, then the walk.
 func (r *UnitRunner) Run(u *ScanUnit) error {
 	if r.spec.SkipSegment(u.Zone, u.PhysCols) {
@@ -150,6 +160,16 @@ func (r *UnitRunner) Run(u *ScanUnit) error {
 		return err
 	}
 	r.prep, r.unit, r.annotated = prep, u, u.side != nil || u.cols != nil
+	// A converted layout moves the columns the planes are matched at.
+	r.walk.usePlanes = r.planes != nil && prep == nil && u.seg.Encoding == store.EncDCZ
+	if r.walk.usePlanes && r.walk.planes == nil {
+		nodes := r.planes.PlaneNodes()
+		if nodes == nil {
+			r.planes, r.walk.usePlanes = nil, false
+		} else {
+			r.walk.planes = newPlaneProg(nodes, r.spec.schema.RecordSize())
+		}
+	}
 	if u.cols != nil && (r.member == nil || r.member.Len() != len(u.cols)) {
 		r.member = bitmap.New(len(u.cols))
 	}
@@ -173,11 +193,12 @@ func (r *UnitRunner) annotate(slot int64) UnitAux {
 // RunUnitsSequential drives a partition on the calling goroutine in
 // unit order, sharing one spec, until fn returns false.
 func RunUnitsSequential(units []ScanUnit, spec *ScanSpec, fn UnitFunc) error {
-	return runSequential(context.Background(), units, spec, fn)
+	return runSequential(context.Background(), units, spec, nil, fn)
 }
 
-func runSequential(ctx context.Context, units []ScanUnit, spec *ScanSpec, fn UnitFunc) error {
+func runSequential(ctx context.Context, units []ScanUnit, spec *ScanSpec, planes PlaneSource, fn UnitFunc) error {
 	r := NewUnitRunner(ctx, spec, fn)
+	r.UsePlanes(planes)
 	for i := range units {
 		if err := r.Run(&units[i]); err != nil || r.stop {
 			return err
@@ -230,16 +251,17 @@ func (t *Table) PartitionUnits(req ScanRequest) (units []ScanUnit, release func(
 
 // ScanUnitsContext is the scan driver: it partitions the request once
 // and runs the units in order on the calling goroutine, straight into
-// fn. The scan stops within one delivered record of ctx being canceled
-// and returns ctx.Err().
-func (t *Table) ScanUnitsContext(ctx context.Context, req ScanRequest, spec *ScanSpec, fn UnitFunc) error {
+// fn. planes, which may be nil, is the plane pre-filter of the spec's
+// predicate (UnitRunner.UsePlanes). The scan stops within one delivered
+// record of ctx being canceled and returns ctx.Err().
+func (t *Table) ScanUnitsContext(ctx context.Context, req ScanRequest, spec *ScanSpec, planes PlaneSource, fn UnitFunc) error {
 	units, err := t.partition(req)
 	if err != nil {
 		return err
 	}
 	defer t.db.endOp()
 	defer unpin(units)
-	if err := runSequential(ctx, units, spec, fn); err != nil {
+	if err := runSequential(ctx, units, spec, planes, fn); err != nil {
 		return err
 	}
 	return ctx.Err()

@@ -122,11 +122,17 @@ func (sp *ScanSpec) Clone() *ScanSpec {
 }
 
 // Transient marks the spec's consumer as one that keeps no record past
-// its callback — the grouped fold, and the join, which clones what it
+// its callback — the query row terminals, whose records are valid until
+// the step returns, the grouped fold, and the join, which clones what it
 // keeps. Apply then rebinds one view record per spec clone instead of
-// allocating a record per row. Consumers that keep what they are handed
-// (row terminals, a transaction's rollback) leave the spec unmarked.
-func (sp *ScanSpec) Transient() { sp.view = new(record.Record) }
+// allocating a record per row. A consumer that keeps what it is handed
+// (a transaction's rollback) leaves the spec unmarked. A projecting
+// spec needs no view: its output is already the one scratch record.
+func (sp *ScanSpec) Transient() {
+	if sp.out == nil {
+		sp.view = new(record.Record)
+	}
+}
 
 // Out returns the schema of the records the spec emits: the projected
 // schema when a projection is set, the table schema otherwise.
@@ -145,28 +151,26 @@ func (sp *ScanSpec) Apply(buf []byte) (*record.Record, error) {
 	if sp.Pred != nil && !sp.Pred(buf) {
 		return nil, nil
 	}
-	src := sp.view
-	var err error
-	if src != nil {
-		err = src.Reset(sp.schema, buf)
-	} else {
-		src, err = record.FromBytes(sp.schema, buf)
+	if sp.out != nil {
+		return sp.project(buf)
 	}
-	if err != nil {
-		return nil, err
+	if sp.view != nil {
+		return sp.view, sp.view.Reset(sp.schema, buf)
 	}
-	if sp.out == nil {
-		return src, nil
-	}
-	return sp.project(src), nil
+	return record.FromBytes(sp.schema, buf)
 }
 
-// project copies the projected columns of src into the scratch record.
-func (sp *ScanSpec) project(src *record.Record) *record.Record {
-	dst := sp.scratch
-	dst.Bytes()[0] = src.Bytes()[0] // header flags (tombstone)
-	for i, c := range sp.cols {
-		copy(dst.ColumnBytes(i), src.ColumnBytes(c))
+// project copies the projected columns of buf into the scratch record.
+func (sp *ScanSpec) project(buf []byte) (*record.Record, error) {
+	if len(buf) != sp.schema.RecordSize() {
+		return nil, fmt.Errorf("record: buffer is %d bytes, schema needs %d", len(buf), sp.schema.RecordSize())
 	}
-	return dst
+	dst := sp.scratch
+	dst.Bytes()[0] = buf[0] // header flags (tombstone)
+	for i, c := range sp.cols {
+		col := dst.ColumnBytes(i)
+		off := sp.schema.ColumnOffset(c)
+		copy(col, buf[off:off+len(col)])
+	}
+	return dst, nil
 }

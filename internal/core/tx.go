@@ -318,7 +318,7 @@ func (t *Table) scanAll(ctx context.Context, branch vgraph.BranchID, fn func(*re
 		return err
 	}
 	req := ScanRequest{Kind: ScanKindBranch, Branch: branch}
-	return t.ScanUnitsContext(ctx, req, spec, func(rec *record.Record, _ UnitAux) bool { return fn(rec) })
+	return t.ScanUnitsContext(ctx, req, spec, nil, func(rec *record.Record, _ UnitAux) bool { return fn(rec) })
 }
 
 // ColumnDefault carries the default value of a column added by

@@ -52,7 +52,7 @@ func scanReq(tbl *core.Table, req core.ScanRequest, epoch int, fn core.UnitFunc)
 	if err != nil {
 		return err
 	}
-	return tbl.ScanUnitsContext(context.Background(), req, spec, fn)
+	return tbl.ScanUnitsContext(context.Background(), req, spec, nil, fn)
 }
 
 // scanHead emits the records live at a branch head.

@@ -703,11 +703,12 @@ func (e *Engine) Stats() (core.Stats, error) {
 	defer e.mu.Unlock()
 	recs, data, _ := e.cat.Totals()
 	st := core.Stats{
-		Records:      recs,
-		DataBytes:    data,
-		IndexBytes:   e.vers.Bytes(),
-		IndexEntries: int64(e.vers.Len()),
-		SegmentCount: len(e.cat.Segs),
+		Records:        recs,
+		DataBytes:      data,
+		IndexBytes:     e.vers.Bytes(),
+		IndexEntries:   int64(e.vers.Len()),
+		SegmentCount:   len(e.cat.Segs),
+		PageCacheBytes: e.cat.DecodedBytes(),
 	}
 	for _, m := range e.live {
 		for _, bm := range m {

@@ -340,7 +340,7 @@ func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, er
 	}
 	spec.SetBounds(c.bounds)
 	spec.Transient()
-	return fold, c.table.ScanUnitsContext(ctx, c.request(c.shape()), spec,
+	return fold, c.table.ScanUnitsContext(ctx, c.request(c.shape()), spec, c,
 		func(rec *record.Record, _ core.UnitAux) bool { fold.add(rec); return true })
 }
 

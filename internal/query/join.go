@@ -309,10 +309,9 @@ func joinKey(rec *record.Record, col int, bytesKey bool) string {
 
 // scan streams relation r through its ordinary scan path. Both sides
 // clone what they keep — the build side every row, the probe side its
-// matches — so the relation's spec is Transient: one view record per
-// spec clone, not one allocation per row.
+// matches.
 func (jp *joinPlan) scan(ctx context.Context, r int, fn core.ScanFunc) error {
-	return jp.rels[r].scan(ctx, true, fn)
+	return jp.rels[r].Scan(ctx, fn)
 }
 
 // run executes the join and emits the tuples in canonical order.

@@ -277,7 +277,7 @@ func (c *Compiled) orderedVisit(ctx context.Context, req core.ScanRequest, keep 
 	worse := boundWorse(ctype, desc, c.orderIdx)
 	h := &visitHeap{cmp: vcmp}
 	// One runner serves every visited unit.
-	runner := core.NewUnitRunner(ctx, c.execSpec(), func(rec *record.Record, aux core.UnitAux) bool {
+	runner := core.NewUnitRunner(ctx, c.walkSpec(), func(rec *record.Record, aux core.UnitAux) bool {
 		if keep != nil && !keep(aux) {
 			return true
 		}
@@ -293,6 +293,7 @@ func (c *Compiled) orderedVisit(ctx context.Context, req core.ScanRequest, keep 
 		}
 		return true
 	})
+	runner.UsePlanes(c)
 	skipped := 0
 	for _, v := range visits {
 		if err := ctx.Err(); err != nil {

@@ -261,6 +261,23 @@ func (c *Compiled) Epoch() int { return c.epoch }
 // prototype, cloned so each run owns its projection scratch.
 func (c *Compiled) execSpec() *core.ScanSpec { return c.proto.Clone() }
 
+// walkSpec is execSpec for a walk whose consumer keeps no record past
+// its step: every row terminal, whose records are valid until the step
+// returns (Clone to keep), the join, which clones what it keeps, and
+// the ordered visit's top-k heap, which does too.
+func (c *Compiled) walkSpec() *core.ScanSpec {
+	sp := c.proto.Clone()
+	sp.Transient()
+	return sp
+}
+
+// PlaneNodes implements core.PlaneSource for the plan's predicate
+// (planeProgram). A scan asks for it when it first meets a dcz page,
+// so the reads that never do compile nothing more than the plan.
+func (c *Compiled) PlaneNodes() []core.PlaneNode {
+	return planeProgram(c.plan.Where, colScope{schema: c.schema})
+}
+
 // single checks the plan addresses exactly one version.
 func (c *Compiled) single() error {
 	if c.plan.AllHeads || len(c.branches) != 1 {
@@ -321,15 +338,15 @@ func (c *Compiled) request(kind core.ScanKind) core.ScanRequest {
 }
 
 // runRows runs a row-emitting shape (branch, commit, multi or diff)
-// under spec, one execution's clone of the compiled prototype, through
-// core's driver. keep filters on the unit annotation — the diff
+// through core's driver, under one execution's walk spec and the plan's
+// plane pre-filter. keep filters on the unit annotation — the diff
 // terminal's side selection — before a row reaches emit.
-func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, spec *core.ScanSpec, keep func(core.UnitAux) bool, emit core.UnitFunc) error {
+func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, emit core.UnitFunc) error {
 	fn := emit
 	if keep != nil {
 		fn = func(rec *record.Record, aux core.UnitAux) bool { return !keep(aux) || emit(rec, aux) }
 	}
-	return c.table.ScanUnitsContext(ctx, req, spec, fn)
+	return c.table.ScanUnitsContext(ctx, req, c.walkSpec(), c, fn)
 }
 
 // Scan executes a single-version scan (Query 1): the branch head, or
@@ -338,15 +355,10 @@ func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, spec *core
 // engine's LookupPK (a point lookup) of that version instead of a
 // segment scan when the engine can; the full predicate and projection
 // still run on the looked-up record, so the result is identical.
+//
+// The point lookup runs a plain spec clone, which allocates no view
+// record when it projects; the walk runs a Transient one.
 func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
-	return c.scan(ctx, false, fn)
-}
-
-// scan is Scan, with the walk's spec Transient when the consumer keeps
-// no record it is handed (the join clones what it keeps). The point
-// lookup takes its own spec clone: one that goes no further than the
-// lookup costs no allocation.
-func (c *Compiled) scan(ctx context.Context, transient bool, fn core.ScanFunc) error {
 	if err := c.rowShape("Rows", false); err != nil {
 		return err
 	}
@@ -360,11 +372,7 @@ func (c *Compiled) scan(ctx context.Context, transient bool, fn core.ScanFunc) e
 			return err
 		}
 	}
-	spec := c.execSpec()
-	if transient {
-		spec.Transient()
-	}
-	return c.runRows(ctx, req, spec, nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
+	return c.runRows(ctx, req, nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
 // pointPK reports whether the extracted bounds pin the primary key
@@ -393,7 +401,7 @@ func (c *Compiled) ScanMulti(ctx context.Context, fn core.MultiScanFunc) error {
 	if c.commit != nil {
 		return fmt.Errorf("%w: At() cannot combine with a multi-branch scan", core.ErrBadQuery)
 	}
-	return c.runRows(ctx, c.request(core.ScanKindMulti), c.execSpec(), nil,
+	return c.runRows(ctx, c.request(core.ScanKindMulti), nil,
 		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) })
 }
 
@@ -425,7 +433,7 @@ func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.rowShape("Diff", true); err != nil {
 		return err
 	}
-	return c.runRows(ctx, c.request(core.ScanKindDiff), c.execSpec(), keepInA,
+	return c.runRows(ctx, c.request(core.ScanKindDiff), keepInA,
 		func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
@@ -437,7 +445,7 @@ func (c *Compiled) SymDiff(ctx context.Context, fn func(rec *record.Record, inA 
 	if err := c.rowShape("Diff", true); err != nil {
 		return err
 	}
-	return c.runRows(ctx, c.request(core.ScanKindDiff), c.execSpec(), nil,
+	return c.runRows(ctx, c.request(core.ScanKindDiff), nil,
 		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.InA) })
 }
 

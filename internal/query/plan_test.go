@@ -115,7 +115,7 @@ func scanMultiRescan(c *Compiled) func(context.Context, core.MultiScanFunc) erro
 		var order []string
 		for i, b := range c.branches {
 			req := core.ScanRequest{Kind: core.ScanKindBranch, Branch: b.ID}
-			err := c.table.ScanUnitsContext(ctx, req, c.execSpec(), func(rec *record.Record, _ core.UnitAux) bool {
+			err := c.table.ScanUnitsContext(ctx, req, c.execSpec(), nil, func(rec *record.Record, _ core.UnitAux) bool {
 				key := string(rec.Bytes())
 				en := merged[key]
 				if en == nil {

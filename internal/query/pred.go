@@ -233,6 +233,75 @@ func compileNode(e Expr, sc colScope) (RawPredicate, error) {
 	}
 }
 
+// planeProgram splits e into the postfix steps of core's plane
+// pre-filter (core.PlaneSource): each maximal subtree whose leaves all
+// read one column becomes one PlaneCol step, its Match that subtree
+// compiled exactly as compileNode compiles it, so a dcz page evaluates
+// it once per distinct value of the column instead of once per row —
+// `cat ∈ S`, eight Eq leaves, is one table. nil when e reads no column,
+// or does not compile (which Compile has already ruled out).
+func planeProgram(e Expr, sc colScope) []core.PlaneNode {
+	if col, one := e.column(); one && col == "" {
+		return nil
+	}
+	nodes, err := appendPlaneNodes(nil, e, sc)
+	if err != nil {
+		return nil
+	}
+	return nodes
+}
+
+func appendPlaneNodes(nodes []core.PlaneNode, e Expr, sc colScope) ([]core.PlaneNode, error) {
+	switch col, one := e.column(); {
+	case one && col == "":
+		return append(nodes, core.PlaneNode{Op: core.PlaneTrue}), nil
+	case one:
+		match, err := compileNode(e, sc)
+		if err != nil {
+			return nil, err
+		}
+		i := sc.schema.ColumnIndex(col)
+		return append(nodes, core.PlaneNode{Op: core.PlaneCol, Off: sc.schema.ColumnOffset(i),
+			Width: sc.schema.Column(i).Width(), Match: match}), nil
+	}
+	for _, k := range e.kids {
+		var err error
+		if nodes, err = appendPlaneNodes(nodes, k, sc); err != nil {
+			return nil, err
+		}
+	}
+	switch e.kind {
+	case exprAnd:
+		return append(nodes, core.PlaneNode{Op: core.PlaneAnd, N: len(e.kids)}), nil
+	case exprOr:
+		return append(nodes, core.PlaneNode{Op: core.PlaneOr, N: len(e.kids)}), nil
+	case exprNot:
+		return append(nodes, core.PlaneNode{Op: core.PlaneNot}), nil
+	}
+	return nil, fmt.Errorf("%w: unknown expression node", core.ErrBadQuery)
+}
+
+// column returns the one column every leaf of e reads ("" when e reads
+// none); one is false when its leaves read several.
+func (e Expr) column() (col string, one bool) {
+	if e.isAll() {
+		return "", true
+	}
+	if e.kind == exprLeaf {
+		return e.col, true
+	}
+	for _, k := range e.kids {
+		c, ok := k.column()
+		if !ok || (c != "" && col != "" && c != col) {
+			return "", false
+		}
+		if c != "" {
+			col = c
+		}
+	}
+	return col, true
+}
+
 func compileLeaf(e Expr, sc colScope) (RawPredicate, error) {
 	s := sc.schema
 	i := s.ColumnIndex(e.col)

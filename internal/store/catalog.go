@@ -277,6 +277,18 @@ func (c *Catalog[S]) Totals() (records, dataBytes, fileBytes int64) {
 	return records, dataBytes, fileBytes
 }
 
+// DecodedBytes returns what the catalog's dcz segments keep resident in
+// their decoded-page caches (CompressedFile.CachedBytes).
+func (c *Catalog[S]) DecodedBytes() int64 {
+	var n int64
+	for _, s := range c.Segs {
+		if cf, ok := s.entry().File.(*CompressedFile); ok {
+			n += cf.CachedBytes()
+		}
+	}
+	return n
+}
+
 // SegmentStats summarizes every segment, in scan order, under the name
 // label gives it.
 func (c *Catalog[S]) SegmentStats(label func(S) string) []SegmentStat {

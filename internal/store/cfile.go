@@ -15,8 +15,9 @@ package store
 //	index   npages × (u64 off | u32 len | u32 crc) | u32 crc(entries)
 //	pages   page blocks (cpage.go) at their absolute offsets
 //
-// Pages decode lazily on first touch and are cached decoded via
-// atomic pointers, so concurrent scans share the work without a lock.
+// Pages decode lazily on first touch and are cached decoded — rows
+// plus copies of their dict and const planes (Page) — via atomic
+// pointers, so concurrent scans share the work without a lock.
 // Every read path re-validates CRCs and the block structure; a torn
 // or corrupted file surfaces as an error, never as wrong records.
 
@@ -161,7 +162,7 @@ type CompressedFile struct {
 	total    int64 // records physically in the file
 	fileSize int64
 	index    []cIndexEntry
-	cache    []atomic.Pointer[[]byte]
+	cache    []atomic.Pointer[Page]
 
 	mu    sync.Mutex
 	count int64 // logical count, <= total (lowered by Truncate)
@@ -251,15 +252,16 @@ func readCompressed(f *os.File, path string) (*CompressedFile, error) {
 		count:    count,
 		fileSize: fileSize,
 		index:    index,
-		cache:    make([]atomic.Pointer[[]byte], npages),
+		cache:    make([]atomic.Pointer[Page], npages),
 	}, nil
 }
 
-// page returns page i fully decoded (record-major), decoding and
-// caching it on first touch.
-func (c *CompressedFile) page(i int) ([]byte, error) {
+// Page returns page i decoded — its rows record-major, and its dict
+// and const planes — decoding and caching it on first touch. The page
+// is shared and read-only.
+func (c *CompressedFile) Page(i int) (*Page, error) {
 	if p := c.cache[i].Load(); p != nil {
-		return *p, nil
+		return p, nil
 	}
 	e := c.index[i]
 	raw := make([]byte, e.len)
@@ -277,9 +279,25 @@ func (c *CompressedFile) page(i int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dcz: %s: page %d: %w", c.path, i, err)
 	}
-	c.cache[i].Store(&dec)
 	pageDecodes.Add(1)
+	// Concurrent first touches may both decode; the first stored wins,
+	// so the cache holds one copy of every page.
+	if !c.cache[i].CompareAndSwap(nil, dec) {
+		return c.cache[i].Load(), nil
+	}
 	return dec, nil
+}
+
+// CachedBytes returns the memory the decoded-page cache keeps resident:
+// every cached page's rows and plane values and codes.
+func (c *CompressedFile) CachedBytes() int64 {
+	var n int64
+	for i := range c.cache {
+		if p := c.cache[i].Load(); p != nil {
+			n += p.Bytes()
+		}
+	}
+	return n
 }
 
 // Path returns the file's path.
@@ -323,12 +341,12 @@ func (c *CompressedFile) Read(slot int64, dst []byte) error {
 	if slot < 0 || slot >= count {
 		return fmt.Errorf("dcz: slot %d out of range [0,%d)", slot, count)
 	}
-	p, err := c.page(int(slot / int64(c.perPage)))
+	p, err := c.Page(int(slot / int64(c.perPage)))
 	if err != nil {
 		return err
 	}
 	idx := int(slot % int64(c.perPage))
-	copy(dst, p[idx*c.recSize:(idx+1)*c.recSize])
+	copy(dst, p.Rows[idx*c.recSize:(idx+1)*c.recSize])
 	return nil
 }
 
@@ -345,10 +363,11 @@ func (c *CompressedFile) Scan(from, to int64, fn func(slot int64, rec []byte) bo
 	}
 	per := int64(c.perPage)
 	for slot := from; slot < to; {
-		p, err := c.page(int(slot / per))
+		pg, err := c.Page(int(slot / per))
 		if err != nil {
 			return err
 		}
+		p := pg.Rows
 		end := (slot/per + 1) * per
 		if end > to {
 			end = to

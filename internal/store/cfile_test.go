@@ -189,13 +189,17 @@ func TestCompressedCorruption(t *testing.T) {
 
 // FuzzCompressedPage throws arbitrary bytes at the page decoder. The
 // decoder must never panic, and on success must produce exactly
-// rows×recSize bytes. Round-trips of valid pages are seeded so the
-// fuzzer starts from structurally interesting corpora.
+// rows×recSize bytes. The codec feeds two readers — the rows and the
+// plane pre-filter's codes — so every dict and const plane it keeps
+// must reproduce the decoded rows: values[codes[r]] (a const plane's
+// one value) is row r's bytes at the plane's [off, off+width). Round-
+// trips of valid pages are seeded so the fuzzer starts from
+// structurally interesting corpora.
 func FuzzCompressedPage(f *testing.F) {
-	seed := func(recSize, perPage, n int) []byte {
+	seed := func(recSize, perPage, n int, mod byte) []byte {
 		data := make([]byte, n*recSize)
 		for i := range data {
-			data[i] = byte(i * 31)
+			data[i] = byte(i*31) % mod
 		}
 		planes := []cplane{{0, 1}}
 		for at := 1; at < recSize; at += 8 {
@@ -207,9 +211,11 @@ func FuzzCompressedPage(f *testing.F) {
 		}
 		return encodePage(nil, data, n, recSize, planes)
 	}
-	f.Add(seed(25, 16, 16), uint16(25))
-	f.Add(seed(9, 16, 5), uint16(9))
-	f.Add(seed(64, 8, 8), uint16(64))
+	f.Add(seed(25, 16, 16, 255), uint16(25))
+	f.Add(seed(9, 16, 5, 255), uint16(9))
+	f.Add(seed(64, 8, 8, 255), uint16(64))
+	f.Add(seed(17, 32, 32, 2), uint16(17)) // dict planes
+	f.Add(seed(9, 4, 4, 1), uint16(9))     // const planes
 	f.Add([]byte{}, uint16(8))
 	f.Fuzz(func(t *testing.T, blk []byte, recSize16 uint16) {
 		recSize := int(recSize16%512) + 1
@@ -217,20 +223,109 @@ func FuzzCompressedPage(f *testing.F) {
 		if maxRows < 1 {
 			maxRows = 1
 		}
-		out, err := decodePage(blk, recSize, maxRows, -1)
+		pg, err := decodePage(blk, recSize, maxRows, -1)
 		if err != nil {
 			return
 		}
+		out := pg.Rows
 		if len(out) == 0 || len(out)%recSize != 0 || len(out) > maxRows*recSize {
 			t.Fatalf("decodePage returned %d bytes for recSize %d, maxRows %d", len(out), recSize, maxRows)
 		}
+		rows := len(out) / recSize
+		for _, pl := range pg.Planes {
+			if pl.Off < 0 || pl.Width <= 0 || pl.Off+pl.Width > recSize {
+				t.Fatalf("plane at [%d,+%d) outside a %d-byte record", pl.Off, pl.Width, recSize)
+			}
+			if pl.Codes == nil && len(pl.Values) != pl.Width {
+				t.Fatalf("const plane holds %d bytes, width %d", len(pl.Values), pl.Width)
+			}
+			if pl.Codes != nil && len(pl.Codes) != rows {
+				t.Fatalf("dict plane holds %d codes for %d rows", len(pl.Codes), rows)
+			}
+			for r := 0; r < rows; r++ {
+				code := 0
+				if pl.Codes != nil {
+					code = int(pl.Codes[r])
+				}
+				if (code+1)*pl.Width > len(pl.Values) {
+					t.Fatalf("row %d code %d past %d values", r, code, len(pl.Values)/pl.Width)
+				}
+				got := pl.Values[code*pl.Width : (code+1)*pl.Width]
+				if want := out[r*recSize+pl.Off : r*recSize+pl.Off+pl.Width]; !bytes.Equal(got, want) {
+					t.Fatalf("row %d plane [%d,+%d): code %d gives %x, row holds %x", r, pl.Off, pl.Width, code, got, want)
+				}
+			}
+		}
+		if got := pg.Bytes(); got < int64(len(out)) {
+			t.Fatalf("page reports %d resident bytes, rows alone hold %d", got, len(out))
+		}
 		// Successful decode must be deterministic and re-encodable: a
 		// second decode of the same block yields identical bytes.
-		out2, err := decodePage(blk, recSize, maxRows, len(out)/recSize)
-		if err != nil || !bytes.Equal(out, out2) {
+		pg2, err := decodePage(blk, recSize, maxRows, rows)
+		if err != nil || !bytes.Equal(out, pg2.Rows) || len(pg.Planes) != len(pg2.Planes) {
 			t.Fatalf("unstable decode: %v", err)
 		}
 	})
+}
+
+// TestCachedBytes: a compressed file's decoded-page cache is empty
+// after open and holds exactly the pages a read touched.
+func TestCachedBytes(t *testing.T) {
+	s, err := record.NewSchema(
+		record.Column{Name: "id", Type: record.Int64},
+		record.Column{Name: "cat", Type: record.Int32},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewCompressedWriter(s, 64)
+	for i := 0; i < 200; i++ {
+		r := record.New(s)
+		r.Set(0, int64(i))
+		r.Set(1, int64(i%3))
+		if err := w.Append(r.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "c.dcz")
+	if err := w.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCompressed(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if got := c.CachedBytes(); got != 0 {
+		t.Fatalf("%d cached bytes after open, want 0", got)
+	}
+	if err := c.Read(70, make([]byte, s.RecordSize())); err != nil {
+		t.Fatal(err)
+	}
+	p1, err := c.Page(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p1.Planes) == 0 || p1.Bytes() <= int64(len(p1.Rows)) {
+		t.Fatalf("page 1 keeps %d planes in %d bytes beside %d row bytes", len(p1.Planes), p1.Bytes(), len(p1.Rows))
+	}
+	if got := c.CachedBytes(); got != p1.Bytes() {
+		t.Fatalf("%d cached bytes after reading page 1, want %d", got, p1.Bytes())
+	}
+	if err := c.Scan(0, c.Count(), func(int64, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for i := 0; i < 4; i++ {
+		pg, err := c.Page(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += pg.Bytes()
+	}
+	if got := c.CachedBytes(); got != want {
+		t.Fatalf("%d cached bytes after a full scan, want %d", got, want)
+	}
 }
 
 // TestCompressedWriterPicksEncodings sanity-checks that the writer

@@ -152,12 +152,46 @@ func encodeDelta(col []byte, rows int) []byte {
 	return p
 }
 
+// Page is one decoded page of a dcz file: its rows, record-major, and
+// the dict- and const-encoded planes the block stored them in, kept so
+// a predicate can decide a whole column of the page by its distinct
+// values (core's plane pre-filter) before any row is touched.
+type Page struct {
+	// Rows holds the page's records back to back, RecordSize bytes each.
+	Rows []byte
+	// Planes are the page's dict and const planes in record order; a
+	// raw or delta plane has no entry.
+	Planes []Plane
+}
+
+// Plane is one dict- or const-encoded byte range of a page's records.
+type Plane struct {
+	Off, Width int
+	// Values holds the plane's distinct values, Width bytes each: one
+	// for a const plane, up to 256 for a dict plane.
+	Values []byte
+	// Codes holds, for a dict plane, row r's index into Values at
+	// Codes[r]; a const plane has none.
+	Codes []byte
+}
+
+// Bytes returns the memory the page keeps resident: its rows and its
+// planes' values and codes.
+func (p *Page) Bytes() int64 {
+	n := int64(cap(p.Rows))
+	for i := range p.Planes {
+		n += int64(len(p.Planes[i].Values) + len(p.Planes[i].Codes))
+	}
+	return n
+}
+
 // decodePage decodes one page block into a freshly allocated
-// rows*recSize record-major buffer. maxRows bounds the row count
-// (perPage); wantRows, when >= 0, is the exact row count the caller
-// expects from the file header. Every structural invariant is checked
-// so corrupted input errors instead of misdecoding.
-func decodePage(blk []byte, recSize, maxRows, wantRows int) ([]byte, error) {
+// rows*recSize record-major buffer, keeping copies of its dict and const
+// planes beside it. maxRows bounds the row count (perPage); wantRows,
+// when >= 0, is the exact row count the caller expects from the file
+// header. Every structural invariant is checked so corrupted input
+// errors instead of misdecoding.
+func decodePage(blk []byte, recSize, maxRows, wantRows int) (*Page, error) {
 	if len(blk) < 6 {
 		return nil, fmt.Errorf("dcz: page block truncated (%d bytes)", len(blk))
 	}
@@ -174,7 +208,9 @@ func decodePage(blk []byte, recSize, maxRows, wantRows int) ([]byte, error) {
 	}
 	out := make([]byte, rows*recSize)
 	blk = blk[6:]
-	cur := 0 // next record byte offset a plane must cover
+	var keep []Plane // dict and const planes, aliasing blk until copied out
+	kept := 0        // their values' and codes' bytes
+	cur := 0         // next record byte offset a plane must cover
 	for pi := 0; pi < nplanes; pi++ {
 		if len(blk) < 13 {
 			return nil, fmt.Errorf("dcz: plane %d header truncated", pi)
@@ -190,8 +226,19 @@ func decodePage(blk []byte, recSize, maxRows, wantRows int) ([]byte, error) {
 		if plen < 0 || plen > len(blk) {
 			return nil, fmt.Errorf("dcz: plane %d payload truncated (%d of %d bytes)", pi, len(blk), plen)
 		}
-		if err := decodePlane(out, enc, blk[:plen], rows, recSize, off, width); err != nil {
+		payload := blk[:plen]
+		if err := decodePlane(out, enc, payload, rows, recSize, off, width); err != nil {
 			return nil, fmt.Errorf("dcz: plane %d: %w", pi, err)
+		}
+		switch enc {
+		case cEncConst:
+			keep = append(keep, Plane{Off: off, Width: width, Values: payload})
+			kept += width
+		case cEncDict:
+			ndict := int(binary.LittleEndian.Uint16(payload[0:2]))
+			values := payload[2 : 2+ndict*width]
+			keep = append(keep, Plane{Off: off, Width: width, Values: values, Codes: payload[2+ndict*width:]})
+			kept += len(values) + rows
 		}
 		blk = blk[plen:]
 		cur += width
@@ -202,7 +249,20 @@ func decodePage(blk []byte, recSize, maxRows, wantRows int) ([]byte, error) {
 	if len(blk) != 0 {
 		return nil, fmt.Errorf("dcz: %d trailing bytes after last plane", len(blk))
 	}
-	return out, nil
+	// The planes outlive the block: copy them into one buffer.
+	slab := make([]byte, 0, kept)
+	for i := range keep {
+		p := &keep[i]
+		at := len(slab)
+		slab = append(slab, p.Values...)
+		p.Values = slab[at:len(slab):len(slab)]
+		if p.Codes != nil {
+			at = len(slab)
+			slab = append(slab, p.Codes...)
+			p.Codes = slab[at:len(slab):len(slab)]
+		}
+	}
+	return &Page{Rows: out, Planes: keep}, nil
 }
 
 // decodePlane scatters one plane's payload into the record-major out

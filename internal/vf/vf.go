@@ -481,7 +481,7 @@ func (e *Engine) SegmentStats() []store.SegmentStat {
 func (e *Engine) Stats() (core.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := core.Stats{SegmentCount: len(e.cat.Segs)}
+	st := core.Stats{SegmentCount: len(e.cat.Segs), PageCacheBytes: e.cat.DecodedBytes()}
 	st.Records, st.DataBytes, st.CommitBytes = e.cat.Totals()
 	for _, b := range e.env.Graph.Branches() {
 		if id, ok := e.byBranch[b.ID]; ok {

@@ -10,14 +10,10 @@ package decibel_test
 // scalar fold (Sum) over the head, whose rows the fold does not keep. The
 // dataset is the pruning dataset — several segments across two schema
 // epochs — so the per-unit costs (layout conversion, zone checks) are
-// part of the count. The tuple-first and hybrid head ceilings are the
-// counts measured before the read paths were folded into one driver,
-// the rest the counts measured when each path was added (the
-// commit-pinned lookup and the tuple-first and version-first folds
-// lowered to the counts measured once a pool pin stopped allocating);
-// one more closure, sink or slice per read fails here before it fails
-// the benchmark gate; for the HEAD(), diff and fold shapes, so does one
-// per row.
+// part of the count. Every ceiling is the count measured once the row
+// terminals stopped allocating a record per row, plus at most one: one
+// more closure, sink or slice per read fails here before it fails the
+// benchmark gate, and so does one per row.
 
 import (
 	"testing"
@@ -25,11 +21,49 @@ import (
 	"decibel"
 )
 
-// readAllocCeilings is allocations per read, by engine.
+// readAllocCeilings is allocations per read, by engine: measured + 1,
+// or the measured count itself where an earlier ceiling already was
+// (the commit-pinned lookups, the tuple-first and version-first folds).
 var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit, heads, diff, fold float64 }{
-	"hybrid":        {point: 24, walk: 24, scan: 176, atCommit: 28, heads: 235, diff: 63, fold: 41},
-	"tuple-first":   {point: 24, walk: 24, scan: 167, atCommit: 28, heads: 207, diff: 46, fold: 33},
-	"version-first": {point: 24, walk: 24, scan: 165, atCommit: 20, heads: 223, diff: 58, fold: 32},
+	"hybrid":        {point: 23, walk: 23, scan: 58, atCommit: 28, heads: 61, diff: 46, fold: 38},
+	"tuple-first":   {point: 23, walk: 23, scan: 54, atCommit: 28, heads: 49, diff: 36, fold: 33},
+	"version-first": {point: 23, walk: 23, scan: 53, atCommit: 20, heads: 48, diff: 39, fold: 32},
+}
+
+// planeScanAllocCeiling is the allocations of a `k ∈ S` head scan of a
+// compacted hybrid table, whose dcz pages the plane pre-filter decides
+// (the plane program is built once per scan, 12 of the count): measured
+// + 1.
+const planeScanAllocCeiling = 68
+
+// TestPlaneScanAllocCeiling: the plane pre-filter's cost is per scan —
+// its steps, tables and stack — never per page or per row.
+func TestPlaneScanAllocCeiling(t *testing.T) {
+	db := buildPlaneDB(t, t.TempDir(), "hybrid", true)
+	in := decibel.Col("k").Eq(0).Or(decibel.Col("k").Eq(7)).Or(decibel.Col("k").Eq(1 << 30))
+	q := db.Query("r").On("master").Where(in)
+	want := 0
+	rows, errf := q.Rows()
+	for range rows {
+		want++
+	}
+	if err := errf(); err != nil || want == 0 {
+		t.Fatalf("%d rows (%v)", want, err)
+	}
+	scan := func() {
+		rows, errf := q.Rows()
+		n := 0
+		for range rows {
+			n++
+		}
+		if err := errf(); err != nil || n != want {
+			t.Fatalf("%d rows (%v), want %d", n, err, want)
+		}
+	}
+	got := testing.AllocsPerRun(50, scan)
+	if got > planeScanAllocCeiling {
+		t.Errorf("k ∈ S scan of dcz pages: %.0f allocs/op, ceiling %d", got, planeScanAllocCeiling)
+	}
 }
 
 func TestReadAllocCeilings(t *testing.T) {
