@@ -7,7 +7,7 @@ package bench_test
 //
 //   - BenchmarkVFResolve/chain: a 64-commit-deep single-branch history
 //     (each commit updates a slice of the table), scanned at the head.
-//     Deep histories are where per-commit interval tables pile up.
+//     Deep histories are where a lineage has the most steps to rank.
 //   - BenchmarkVFResolve/fanout: 16 branches forked off one master,
 //     each with its own updates, scanned with a multi-branch HEAD()
 //     query — k near-identical live sets resolved per request.

@@ -142,9 +142,9 @@ type Options struct {
 
 	// VFLineageCacheOff turns the version-first lineage cache off —
 	// its scan-plan cache, the plan derivations that build on it and the
-	// lineage memos — so every resolution takes the full lineage walk:
-	// the reference the cache-equivalence tests compare against. Only
-	// the version-first engine consults it.
+	// lineage memos — so every plan takes the full lineage walk, which
+	// reads no version index: the reference the cache-equivalence tests
+	// compare against. Only the version-first engine consults it.
 	VFLineageCacheOff bool
 
 	// Compaction turns compaction on: Database.Compact runs a pass over

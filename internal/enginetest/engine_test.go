@@ -489,11 +489,9 @@ func TestEngineStats(t *testing.T) {
 			if st.SegmentCount < 1 {
 				t.Fatal("no segments")
 			}
-			if tc.name == "version-first" {
-				return // resolves keys from the lineage, keeps no key index
-			}
 			// The key index is one per table, not one per head: eight more
-			// heads over the same rows add no entry and only their bitmaps.
+			// heads over the same rows add no entry and only their bitmaps
+			// (version-first keeps none per head).
 			if st.IndexEntries != 50 {
 				t.Fatalf("index entries = %d under 1 head, want the 50 slots live in it", st.IndexEntries)
 			}

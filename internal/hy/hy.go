@@ -152,7 +152,7 @@ func open(env *core.Env, chained bool) (core.Engine, error) {
 	e.cat = store.NewCatalog[*hseg](e.st, env.Dir, env.Opt.Fsync, env.Opt.CompactionFailPoint, lay, e.catalog)
 	err := e.recover()
 	if err == nil {
-		e.vers, err = e.cat.Versions()
+		e.vers, err = e.cat.Versions(nil)
 	}
 	if err != nil {
 		// Release everything the failed open has opened so far.

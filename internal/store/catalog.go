@@ -236,12 +236,15 @@ func (c *Catalog[S]) Save() error {
 
 // Versions builds the version index in one sequential pass over every
 // stored record, a page at a time, independent of the number of
-// branches. Every stored slot is indexed, not only those live in some
+// branches, and calls tomb, when it is not nil, with the position of
+// every tombstone (version-first's deletes; the bitmap engines store
+// none). Every stored slot is indexed, not only those live in some
 // head: a slot reachable only through a historical commit becomes live
 // again when a branch is created at that commit, and creating it must
-// not have to scan for it. Keys sit at a fixed offset in every schema
-// version, so raw buffers are read without converting them.
-func (c *Catalog[S]) Versions() (*VersionIndex, error) {
+// not have to scan for it. Keys and the tombstone flag sit at fixed
+// offsets in every schema version, so raw buffers are read without
+// converting them.
+func (c *Catalog[S]) Versions(tomb func(Pos)) (*VersionIndex, error) {
 	var total int64
 	for _, s := range c.Segs {
 		total += s.entry().File.Count()
@@ -254,7 +257,11 @@ func (c *Catalog[S]) Versions() (*VersionIndex, error) {
 			at = Pos{Slot: e.Base}
 		}
 		err := e.File.Scan(0, e.File.Count(), func(slot int64, buf []byte) bool {
-			ix.Push(record.PKOf(buf), Pos{Seg: at.Seg, Slot: at.Slot + slot})
+			p := Pos{Seg: at.Seg, Slot: at.Slot + slot}
+			ix.Push(record.PKOf(buf), p)
+			if tomb != nil && record.TombstoneOf(buf) {
+				tomb(p)
+			}
 			return true
 		})
 		if err != nil {

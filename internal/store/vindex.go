@@ -14,13 +14,16 @@ var NoPos = Pos{Seg: -1, Slot: -1}
 
 // VersionIndex is the primary-key index of a table, shared by every
 // branch: for each key, the positions of its stored versions, newest
-// first. It does not know branches. Which version a branch sees is
-// decided by the liveness bitmaps the engine already keeps — a branch
-// has at most one version of a key live — so a lookup (Find) is one map
-// probe plus a walk that stops at the first position live in the
-// branch. Setting or clearing a liveness bit therefore is the index
-// update for updates, deletes, merges and branching; only a newly
-// appended slot is pushed.
+// first. It does not know branches; the liveness each engine already
+// keeps decides which version a branch sees, so only a newly appended
+// slot is pushed. Tuple-first and hybrid keep liveness bitmaps, where a
+// branch holds at most one version of a key, so a lookup (Find) is one
+// map probe plus a walk that stops at the first position live in the
+// branch, and setting or clearing a bit is the index update for
+// updates, deletes, merges and branching. Version-first ranks a key's
+// positions by the lineage step that holds them (the first-ranked step
+// wins, within a step the first position met); its tombstones are
+// positions too, which Catalog.Versions reports.
 //
 // A lookup is O(versions of that key): a branch that holds the newest
 // version resolves from the map entry alone, a branch still on an old
@@ -31,10 +34,10 @@ var NoPos = Pos{Seg: -1, Slot: -1}
 // files truncate only at open, and segment ids are never reused (in
 // hybrid datasets compacted before merge compaction was removed, a
 // merged segment holds a fresh id and its run's ids stay retired) — so
-// a position dead in every bitmap may stay in the index harmlessly: no
+// a position no version holds may stay in the index harmlessly: no
 // liveness test will ever accept it for a different record.
 //
-// Not safe for concurrent use; both engines reach it under their lock.
+// Not safe for concurrent use; every engine reaches it under its lock.
 type VersionIndex struct {
 	newest map[int64]version // pk -> its newest version
 	older  []version         // superseded versions, chained newest to oldest
@@ -82,6 +85,20 @@ func (ix *VersionIndex) Find(pk int64, live func(Pos) bool) Pos {
 		}
 	}
 	return NoPos
+}
+
+// Each calls fn once per key with the key's positions, newest first:
+// every position pushed is visited exactly once. ps is reused between
+// calls. fn must not modify the index.
+func (ix *VersionIndex) Each(fn func(pk int64, ps []Pos)) {
+	var ps []Pos
+	for pk, v := range ix.newest {
+		ps = append(ps[:0], v.pos())
+		for v, ok := ix.after(v); ok; v, ok = ix.after(v) {
+			ps = append(ps, v.pos())
+		}
+		fn(pk, ps)
+	}
 }
 
 // Len returns the number of positions held.

@@ -7,19 +7,17 @@ import (
 	"sync/atomic"
 
 	"decibel/internal/bitmap"
-	"decibel/internal/record"
 	"decibel/internal/store"
 )
 
 // Scan-plan cache. Version-first's read cost is dominated by
 // resolution: a version's live set is the first claim of every key over
-// its lineage, and a full walk folds every step's key table into a
-// pk -> position map. A scan reads a resolved version as one slot
-// bitmap per segment — the form hybrid stores, its scan plan — so the
-// plans are what the cache keeps, one per exact position, bounded by
-// the bitmap words they occupy. A scan of k versions combines k cached
-// plans (see scan.go), so a commit on one of k branches resolves one
-// position and reuses the other k-1 plans.
+// its lineage (the rule in lineage.go). A scan reads a resolved version
+// as one slot bitmap per segment — the form hybrid stores, its scan
+// plan — so the plans are what the cache keeps, one per exact position,
+// bounded by the bitmap words they occupy. A scan of k versions
+// combines k cached plans (see scan.go), so a commit on one of k
+// branches resolves one position and reuses the other k-1 plans.
 //
 // Validity rests on the scheme's append-only physics: the resolution of
 // a position (seg, slot) depends only on record slots below it, on
@@ -41,7 +39,8 @@ import (
 // A miss derives the plan from a base plan when it can
 // (derivePlanLocked). If lineage(p) is extra ++ lineage(base) for a
 // few extra steps, then, first claims winning, p's plan is base's with
-// every key the extra steps claim moved from its claim in base to its
+// every key the extra steps claim moved from its copy in base (the one
+// of the key's copies in the version index that base holds) to its
 // first claim among them. Three bases qualify:
 //   - the highest cached cut of p's own segment, with the slot window
 //     between the two cuts as the extra step;
@@ -51,16 +50,16 @@ import (
 //   - a merge segment's LCA position, only when its plan is already
 //     cached, below the segment's own steps and the two parents'
 //     post-LCA parts (mergeParts). Derivation never recurses through a
-//     merge link: a key's claim in the base is probed step by step, and
-//     a main branch heading a deep merge chain would pay that chain's
-//     depth per key at every level.
+//     merge link: each level of a deep merge chain would scan both
+//     parents' post-LCA parts, which nest, so a main branch heading the
+//     chain would rescan its slots once per level.
 //
-// Anything else pays the full walk (resolveLiveFull), its map only
-// transient. The lineage memos (lineage.go) keep a position's raw and
-// deduplicated step lists, so chained merges resolve shared
-// sub-lineages (the LCA walks) once instead of once per merge level.
-// Point lookups (LookupPK) build no plan: they probe the position's
-// deduplicated step list for one key.
+// Anything else takes one pass over the version index
+// (indexPlanLocked), whatever the lineage's depth. The lineage memos
+// (lineage.go) keep a position's raw and deduplicated step lists, so
+// chained merges resolve shared sub-lineages (the LCA walks) once
+// instead of once per merge level. Point lookups (LookupPK) build no
+// plan: they rank one key's copies by the step that holds them.
 
 // Cache counters (expvar decibel.vf.*). The equivalence harness
 // asserts hits move while the cache is enabled, so a silently bypassed
@@ -176,21 +175,72 @@ func (en *planEntry) has(p pos) bool {
 	return bm != nil && bm.Get(int(p.Slot))
 }
 
-// newPlan builds the scan plan of a resolved live set in one pass, each
-// segment's bitmap sized to the segment's slot count so setting bits
-// never regrows it. Caller holds e.mu.
-func (e *Engine) newPlan(live map[int64]pos) *planEntry {
-	en := &planEntry{segs: make([]*bitmap.Bitmap, len(e.cat.Segs))}
-	for _, q := range live {
-		bm := en.segs[q.Seg]
-		if bm == nil {
-			bm = bitmap.New(int(e.cat.Segs[q.Seg].File.Count()))
-			en.segs[q.Seg] = bm
-			en.words += (bm.Len() + 63) / 64
-		}
-		bm.Set(int(q.Slot))
+// addSlot sets q's slot in a plan being built, sizing a segment's
+// bitmap to the segment's slot count when it is first touched, so
+// setting bits never regrows it. Caller holds e.mu.
+func (e *Engine) addSlot(en *planEntry, q pos) {
+	bm := en.segs[q.Seg]
+	if bm == nil {
+		bm = bitmap.New(int(e.cat.Segs[q.Seg].File.Count()))
+		en.segs[q.Seg] = bm
+		en.words += (bm.Len() + 63) / 64
 	}
-	return en
+	bm.Set(int(q.Slot))
+}
+
+// indexPlanLocked builds the plan of p in one pass over the version
+// index, applying the resolution rule to every key's copies: the copy
+// in the first-ranked step of p's lineage wins, and within a step the
+// first copy met (the index lists them newest first); an override step
+// ranked earlier wins over both, and a tombstone claims absence. Bits
+// are set as keys are decided, with no live map between. Caller holds
+// e.mu.
+func (e *Engine) indexPlanLocked(p pos) (*planEntry, error) {
+	steps, err := e.lineageAt(p)
+	if err != nil {
+		return nil, err
+	}
+	// Each segment's interval steps, and each key's first override
+	// claim, with the rank of the step that makes it.
+	type ranked struct {
+		from, to int64
+		rank     int
+	}
+	type claim struct {
+		at   pos
+		rank int
+	}
+	spans := make([][]ranked, len(e.cat.Segs))
+	ovrs := make(map[int64]claim)
+	for i, st := range steps {
+		if !st.isOvr {
+			spans[st.iv.Seg] = append(spans[st.iv.Seg], ranked{st.iv.From, st.iv.To, i})
+			continue
+		}
+		for _, ov := range e.cat.Segs[st.ovr].overrides {
+			if _, ok := ovrs[ov.PK]; !ok {
+				ovrs[ov.PK] = claim{ov.claim(), i}
+			}
+		}
+	}
+	en := &planEntry{segs: make([]*bitmap.Bitmap, len(e.cat.Segs))}
+	e.vers.Each(func(pk int64, copies []pos) {
+		best := claim{store.NoPos, len(steps)}
+		if c, ok := ovrs[pk]; ok {
+			best = c
+		}
+		for _, q := range copies {
+			for _, sp := range spans[q.Seg] {
+				if sp.rank < best.rank && sp.from <= q.Slot && q.Slot < sp.to {
+					best = claim{q, sp.rank}
+				}
+			}
+		}
+		if best.at != store.NoPos && !e.isDead(best.at) {
+			e.addSlot(en, best.at)
+		}
+	})
+	return en, nil
 }
 
 // baseKind is the kind of base a plan was derived from (see the rule at
@@ -217,7 +267,7 @@ func (e *Engine) derivePlanLocked(p pos) (*planEntry, error) {
 	switch {
 	case base != nil:
 		kind = baseCut
-		claims, err = e.windowClaimsLocked(p.Seg, at.Slot, p.Slot)
+		claims, err = e.firstClaimsLocked([]step{{iv: interval{Seg: p.Seg, From: at.Slot, To: p.Slot}}})
 	case !s.hasLink:
 		return nil, nil
 	case !s.link.IsMerge:
@@ -242,12 +292,8 @@ func (e *Engine) derivePlanLocked(p pos) (*planEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	en, err := e.rebaseLocked(at, base, claims)
-	if err != nil {
-		return nil, err
-	}
 	e.derived[kind]++
-	return en, nil
+	return e.rebaseLocked(base, claims), nil
 }
 
 // cachedCutLocked returns the cached plan of p's segment with the
@@ -268,33 +314,13 @@ func (e *Engine) cachedCutLocked(p pos) (pos, *planEntry) {
 	return best.key, best.val
 }
 
-// windowClaimsLocked maps every key of the segment's slot window [from,
-// to) to its newest copy there, store.NoPos for a tombstone, with one
-// ascending scan. Caller holds e.mu.
-func (e *Engine) windowClaimsLocked(id segID, from, to int64) (map[int64]pos, error) {
-	claims := make(map[int64]pos)
-	err := e.cat.Segs[id].File.Scan(from, to, func(slot int64, buf []byte) bool {
-		claims[record.PKOf(buf)] = tableEntry{Slot: slot, Tombstone: record.TombstoneOf(buf)}.claim(id)
-		return true
-	})
-	return claims, err
-}
-
-// rebaseLocked returns base, the plan of at, with every key of claims
-// moved from its claim at at to the claim given: the plan of a position
-// whose lineage ranks the steps that make claims above at's. Touched
-// bitmaps are copied on write, sized to their segment's slot count, and
-// dropped when left empty, so an empty bitmap never becomes a slot
-// space. Caller holds e.mu.
-func (e *Engine) rebaseLocked(at pos, base *planEntry, claims map[int64]pos) (*planEntry, error) {
-	lineage, err := e.lineageAt(at)
-	if err != nil {
-		return nil, err
-	}
-	tables, err := e.tablesLocked(lineage)
-	if err != nil {
-		return nil, err
-	}
+// rebaseLocked returns base with every key of claims moved from its
+// copy in base — the one the version index lists that base holds — to
+// the claim given: the plan of a position whose lineage ranks the steps
+// that make claims above base's. Touched bitmaps are copied on write,
+// sized to their segment's slot count, and dropped when left empty, so
+// an empty bitmap never becomes a slot space. Caller holds e.mu.
+func (e *Engine) rebaseLocked(base *planEntry, claims map[int64]pos) *planEntry {
 	en := &planEntry{segs: make([]*bitmap.Bitmap, len(e.cat.Segs))}
 	copy(en.segs, base.segs)
 	owned := make([]bool, len(en.segs))
@@ -310,13 +336,7 @@ func (e *Engine) rebaseLocked(at pos, base *planEntry, claims map[int64]pos) (*p
 		return en.segs[id]
 	}
 	for pk, to := range claims {
-		from := store.NoPos
-		for i, st := range lineage {
-			if q, ok := e.stepClaim(st, tables[i], pk); ok {
-				from = q
-				break
-			}
-		}
+		from := e.vers.Find(pk, base.has)
 		if from == to {
 			continue
 		}
@@ -334,5 +354,5 @@ func (e *Engine) rebaseLocked(at pos, base *planEntry, claims map[int64]pos) (*p
 			en.words += (bm.Len() + 63) / 64
 		}
 	}
-	return en, nil
+	return en
 }

@@ -45,22 +45,21 @@ func (e *Engine) DumpLineage(b vgraph.BranchID) string {
 	return sb.String()
 }
 
-// DumpKey renders every physical copy of a primary key for diagnostics.
+// DumpKey renders the copies and tombstones of a primary key, newest
+// first as the version index lists them, and the merge overrides that
+// name it, for diagnostics.
 func (e *Engine) DumpKey(pk int64) string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var sb strings.Builder
-	for _, s := range e.cat.Segs {
-		rec := record.New(s.Schema)
-		n := s.File.Count()
-		for slot := int64(0); slot < n; slot++ {
-			if err := s.File.Read(slot, rec.Bytes()); err != nil {
-				continue
-			}
-			if rec.PK() == pk {
-				fmt.Fprintf(&sb, "  copy seg%d@%d tomb=%v %v\n", s.ID, slot, rec.Tombstone(), rec.String())
-			}
+	e.vers.Find(pk, func(q pos) bool {
+		rec := record.New(e.cat.Segs[q.Seg].Schema)
+		if e.cat.Segs[q.Seg].File.Read(q.Slot, rec.Bytes()) == nil {
+			fmt.Fprintf(&sb, "  copy seg%d@%d tomb=%v %v\n", q.Seg, q.Slot, e.isDead(q), rec.String())
 		}
+		return false
+	})
+	for _, s := range e.cat.Segs {
 		for _, ov := range s.overrides {
 			if ov.PK == pk {
 				fmt.Fprintf(&sb, "  override in seg%d -> seg%d@%d del=%v\n", s.ID, ov.Seg, ov.Slot, ov.Deleted)

@@ -137,9 +137,10 @@ func addDerived(a, b [baseKinds]int) [baseKinds]int {
 	return a
 }
 
-// checkPlans requires every cached plan to equal, bit for bit, the plan
-// a full lineage walk builds, and to hold no empty bitmap. The walk
-// runs on fresh lineage memos, so a stale memo cannot agree with
+// checkPlans requires every cached plan, and the plan one pass over the
+// version index builds at the same position, to equal, bit for bit,
+// the plan a full lineage walk builds, and to hold no empty bitmap. The
+// walk runs on fresh lineage memos, so a stale memo cannot agree with
 // itself.
 func checkPlans(t *testing.T, e *Engine, after string) {
 	t.Helper()
@@ -150,18 +151,23 @@ func checkPlans(t *testing.T, e *Engine, after string) {
 	defer func() { e.lineMemo, e.stepMemo = lineMemo, stepMemo }()
 	for p, el := range e.pcache.entries {
 		got := el.Value.(*lruEntry[pos, *planEntry]).val
-		live, err := e.resolveLiveFull(p)
+		want, err := e.resolveLiveFull(p)
 		if err != nil {
 			t.Fatalf("after %s: %v: %v", after, p, err)
 		}
-		want := e.newPlan(live)
-		for id := range e.cat.Segs {
-			g, w := got.slots(segID(id)), want.slots(segID(id))
-			if g != nil && !g.Any() {
-				t.Fatalf("after %s: plan at %v holds an empty bitmap for segment %d", after, p, id)
-			}
-			if (g == nil) != (w == nil) || (g != nil && !g.Equal(w)) {
-				t.Fatalf("after %s: plan at %v, segment %d: cached %v, full walk %v", after, p, id, slotsOf(g), slotsOf(w))
+		indexed, err := e.indexPlanLocked(p)
+		if err != nil {
+			t.Fatalf("after %s: %v: %v", after, p, err)
+		}
+		for name, got := range map[string]*planEntry{"cached": got, "index-built": indexed} {
+			for id := range e.cat.Segs {
+				g, w := got.slots(segID(id)), want.slots(segID(id))
+				if g != nil && !g.Any() {
+					t.Fatalf("after %s: %s plan at %v holds an empty bitmap for segment %d", after, name, p, id)
+				}
+				if (g == nil) != (w == nil) || (g != nil && !g.Equal(w)) {
+					t.Fatalf("after %s: %s plan at %v, segment %d: %v, full walk %v", after, name, p, id, slotsOf(g), slotsOf(w))
+				}
 			}
 		}
 	}
@@ -177,8 +183,8 @@ func slotsOf(bm *bitmap.Bitmap) []int {
 // TestDerivedPlansMatchFullWalk runs seeded random histories — commits
 // and deletes, branches from heads and from commits, branches of
 // branches, merges of both kinds and precedences, compaction and reopen
-// — and after every operation compares every cached plan with a full
-// lineage walk. Each kind of base must have derived a plan, and the
+// — and after every operation compares every cached plan, and an
+// index-built plan at the same position, with a full lineage walk. Each kind of base must have derived a plan, and the
 // merges must have left overrides.
 func TestDerivedPlansMatchFullWalk(t *testing.T) {
 	const ops = 300

@@ -3,6 +3,7 @@ package vf
 import (
 	"fmt"
 
+	"decibel/internal/bitmap"
 	"decibel/internal/record"
 	"decibel/internal/store"
 )
@@ -18,8 +19,6 @@ type interval struct {
 	Seg      segID
 	From, To int64
 }
-
-type intervalKey = interval
 
 // step is one element of a lineage: either a slot interval or a merged
 // segment's override table. Overrides are the merge-time resolutions a
@@ -51,27 +50,6 @@ func (ov override) claim() pos {
 	}
 	return pos{Seg: ov.Seg, Slot: ov.Slot}
 }
-
-// tableEntry is the newest state of one key within an interval.
-type tableEntry struct {
-	Slot      int64
-	Tombstone bool
-}
-
-// claim is the position an entry of an interval of segment seg gives
-// its key: the newest copy, or store.NoPos for a tombstone.
-func (en tableEntry) claim(seg segID) pos {
-	if en.Tombstone {
-		return store.NoPos
-	}
-	return pos{Seg: seg, Slot: en.Slot}
-}
-
-// intervalTable maps each primary key appearing in an interval to its
-// newest copy in that interval. This is the "in-memory hash table ...
-// for each portion of each segment file" of the paper's multi-branch
-// scanner; single-branch scans reuse the same tables through the cache.
-type intervalTable map[int64]tableEntry
 
 // lineageAt computes the ordered step list for the version at p.
 //
@@ -254,38 +232,6 @@ func (e *Engine) mergeParts(l link) (parts, common []step, err error) {
 	return clip(clip(nil, first), second), common, nil
 }
 
-// invalidateSeg drops cached tables whose interval touches the segment
-// (head segments grow; their open-ended tables go stale).
-func (e *Engine) invalidateSeg(id segID) {
-	for k := range e.cache {
-		if k.Seg == id {
-			delete(e.cache, k)
-		}
-	}
-}
-
-// table returns the interval's key table, building and caching it with
-// one sequential scan of the slot range. Within an interval the newest
-// copy of a key wins (updates append new copies; deletes append
-// tombstones).
-func (e *Engine) table(iv interval) (intervalTable, error) {
-	if t, ok := e.cache[iv]; ok {
-		return t, nil
-	}
-	t := make(intervalTable, iv.To-iv.From)
-	// Key extraction is schema-version-free: the primary key and the
-	// tombstone flag sit at fixed offsets in every physical layout.
-	err := e.cat.Segs[iv.Seg].File.Scan(iv.From, iv.To, func(slot int64, buf []byte) bool {
-		t[record.PKOf(buf)] = tableEntry{Slot: slot, Tombstone: record.TombstoneOf(buf)}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.cache[iv] = t
-	return t, nil
-}
-
 // invalidateResolvedLocked drops every cached resolution and memoized
 // lineage rooted at the segment. Two callers: Merge, whose new head
 // segment gains overrides after its first resolution; and compaction,
@@ -310,116 +256,74 @@ func (e *Engine) invalidateResolvedLocked(id segID) {
 
 // Resolution rule (Section 3.3): the copy of a key live at a position
 // is the claim of the first lineage step, in rank order, that claims
-// the key; a tombstone or a deletion override claims it as absent
-// (store.NoPos). firstClaimsLocked applies the rule to every key of a
-// step list, claimAt and rebaseLocked (cache.go) to one key at a time.
+// the key, and an interval step claims it with its newest copy there; a
+// tombstone or a deletion override claims it as absent (store.NoPos).
+// firstClaimsLocked applies the rule by scanning the steps' slots;
+// claimLocked (scan.go) and indexPlanLocked (cache.go) apply it to the
+// copies the version index lists, newest first, so within a step the
+// first copy met wins.
 
-// resolveLiveFull computes the live set with a full lineage walk: every
-// key's first claim, with the keys claimed as absent purged at the end.
-// Caller holds e.mu.
-func (e *Engine) resolveLiveFull(p pos) (map[int64]pos, error) {
+// resolveLiveFull builds the plan of p with a full lineage walk, every
+// key's first claim that is not absent: the scanning reference the
+// cache-off switch and the plan tests hold the cache and the version
+// index to. Caller holds e.mu.
+func (e *Engine) resolveLiveFull(p pos) (*planEntry, error) {
 	lineage, err := e.lineageAt(p)
 	if err != nil {
 		return nil, err
 	}
-	live, err := e.firstClaimsLocked(lineage)
+	claims, err := e.firstClaimsLocked(lineage)
 	if err != nil {
 		return nil, err
 	}
-	for pk, q := range live {
-		if q == store.NoPos {
-			delete(live, pk)
+	en := &planEntry{segs: make([]*bitmap.Bitmap, len(e.cat.Segs))}
+	for _, q := range claims {
+		if q != store.NoPos {
+			e.addSlot(en, q)
 		}
 	}
-	return live, nil
-}
-
-// tablesLocked returns the key tables of the steps, nil at an override
-// step. Caller holds e.mu.
-func (e *Engine) tablesLocked(steps []step) ([]intervalTable, error) {
-	tables := make([]intervalTable, len(steps))
-	for i, st := range steps {
-		if !st.isOvr && st.iv.From < st.iv.To {
-			var err error
-			if tables[i], err = e.table(st.iv); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return tables, nil
+	return en, nil
 }
 
 // firstClaimsLocked maps every key the steps claim to its first claim,
-// store.NoPos for a key claimed as absent. The one map is sized for
-// every claim the steps can make. Caller holds e.mu.
+// store.NoPos for a key claimed as absent. The steps are applied last
+// to first, each interval scanned in ascending slot order, and every
+// claim overwrites the one before it: what is left for a key is its
+// newest copy in the first step that claims it. Key extraction is
+// schema-version-free: the primary key and the tombstone flag sit at
+// fixed offsets in every physical layout. Caller holds e.mu.
 func (e *Engine) firstClaimsLocked(steps []step) (map[int64]pos, error) {
-	tables, err := e.tablesLocked(steps)
-	if err != nil {
-		return nil, err
-	}
 	n := 0
-	for i, st := range steps {
+	for _, st := range steps {
 		if st.isOvr {
 			n += len(e.cat.Segs[st.ovr].overrides)
 		} else {
-			n += len(tables[i])
+			n += int(st.iv.To - st.iv.From)
 		}
 	}
 	claims := make(map[int64]pos, n)
-	for i, st := range steps {
+	for i := len(steps) - 1; i >= 0; i-- {
+		st := steps[i]
 		if st.isOvr {
-			for _, ov := range e.cat.Segs[st.ovr].overrides {
-				if _, claimed := claims[ov.PK]; !claimed {
-					claims[ov.PK] = ov.claim()
-				}
+			ovs := e.cat.Segs[st.ovr].overrides
+			for j := len(ovs) - 1; j >= 0; j-- {
+				claims[ovs[j].PK] = ovs[j].claim()
 			}
 			continue
 		}
-		for pk, en := range tables[i] {
-			if _, claimed := claims[pk]; !claimed {
-				claims[pk] = en.claim(st.iv.Seg)
+		err := e.cat.Segs[st.iv.Seg].File.Scan(st.iv.From, st.iv.To, func(slot int64, buf []byte) bool {
+			q := pos{Seg: st.iv.Seg, Slot: slot}
+			if record.TombstoneOf(buf) {
+				q = store.NoPos
 			}
+			claims[record.PKOf(buf)] = q
+			return true
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return claims, nil
-}
-
-// claimAt returns the copy of pk live at p, store.NoPos when it has
-// none, probing each lineage step for the one key instead of resolving
-// the live set. Caller holds e.mu.
-func (e *Engine) claimAt(p pos, pk int64) (pos, error) {
-	lineage, err := e.lineageAt(p)
-	if err != nil {
-		return pos{}, err
-	}
-	for _, st := range lineage {
-		var t intervalTable
-		if !st.isOvr {
-			if t, err = e.table(st.iv); err != nil {
-				return pos{}, err
-			}
-		}
-		if q, ok := e.stepClaim(st, t, pk); ok {
-			return q, nil
-		}
-	}
-	return store.NoPos, nil
-}
-
-// stepClaim returns the claim one step, with key table t (nil for an
-// override step), makes on pk, and whether it makes one. Caller holds
-// e.mu.
-func (e *Engine) stepClaim(st step, t intervalTable, pk int64) (pos, bool) {
-	if st.isOvr {
-		for _, ov := range e.cat.Segs[st.ovr].overrides {
-			if ov.PK == pk {
-				return ov.claim(), true
-			}
-		}
-		return pos{}, false
-	}
-	en, ok := t[pk]
-	return en.claim(st.iv.Seg), ok
 }
 
 // span is a half-open slot range.

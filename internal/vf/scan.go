@@ -20,12 +20,12 @@ import (
 // that are no branch's head never take another append and are frozen;
 // branch heads are not.
 
-// LookupPK implements core.Engine. Version-first has no key index —
-// the paper's scheme resolves liveness from the segment lineage — and
-// needs none for one key: the version's lineage steps (a branch head's
-// cut, or a commit's recorded offset) are probed in rank order, and the
-// first step that claims the key decides, exactly as it does for every
-// key of a resolved live set. No live set is built.
+// LookupPK implements core.Engine. The key's copies come from the
+// version index, newest first, and are ranked by the step of the
+// version's lineage (a branch head's cut, or a commit's recorded
+// offset) that holds them: the first step that claims the key decides,
+// exactly as it does for every key of a resolved plan. No plan is
+// built.
 func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -33,10 +33,17 @@ func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 	if err != nil {
 		return nil, 0, false, nil // unknown version: let the scan path report it
 	}
-	p, err := e.claimAt(at, pk)
+	steps, err := e.lineageAt(at)
 	if err != nil {
 		return nil, 0, false, err
 	}
+	var held [8]pos
+	copies := held[:0]
+	e.vers.Find(pk, func(q pos) bool {
+		copies = append(copies, q)
+		return false
+	})
+	p := e.claimLocked(steps, pk, copies)
 	if p == store.NoPos {
 		return nil, 0, true, nil
 	}
@@ -46,6 +53,32 @@ func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 		return nil, 0, false, err
 	}
 	return buf, seg.Cols, true, nil
+}
+
+// claimLocked returns the copy of pk live at the lineage steps,
+// store.NoPos when it has none: the claim of the first step that makes
+// one, an override of pk or the first of copies (pk's, newest first)
+// in the step's interval, absent if a tombstone. Caller holds e.mu.
+func (e *Engine) claimLocked(steps []step, pk int64, copies []pos) pos {
+	for _, st := range steps {
+		if st.isOvr {
+			for _, ov := range e.cat.Segs[st.ovr].overrides {
+				if ov.PK == pk {
+					return ov.claim()
+				}
+			}
+			continue
+		}
+		for _, q := range copies {
+			if q.Seg == st.iv.Seg && st.iv.From <= q.Slot && q.Slot < st.iv.To {
+				if e.isDead(q) {
+					return store.NoPos
+				}
+				return q
+			}
+		}
+	}
+	return store.NoPos
 }
 
 // headsLocked returns the set of segments currently serving as a
@@ -61,13 +94,13 @@ func (e *Engine) headsLocked() map[segID]bool {
 
 // planLocked returns the scan plan of one position: from the plan cache
 // (a hit counts as a lineage cache hit: the plan embeds the
-// resolution), derived from a base plan, or built from a full lineage
-// walk's live set. Branch-head and commit scans share it: same
-// position, same plan. With the cache off every plan takes the full
-// walk. Caller holds e.mu.
+// resolution), derived from a base plan, or built by one pass over the
+// version index. Branch-head and commit scans share it: same position,
+// same plan. With the cache off every plan takes the full lineage walk
+// instead. Caller holds e.mu.
 func (e *Engine) planLocked(p pos) (*planEntry, error) {
 	if e.pcache == nil {
-		return e.walkPlanLocked(p)
+		return e.resolveLiveFull(p)
 	}
 	if en, ok := e.pcache.get(p); ok {
 		vfCacheHits.Add(1)
@@ -84,22 +117,12 @@ func (e *Engine) planLocked(p pos) (*planEntry, error) {
 	case en != nil:
 		vfDeltaResolves.Add(1)
 	default:
-		if en, err = e.walkPlanLocked(p); err != nil {
+		if en, err = e.indexPlanLocked(p); err != nil {
 			return nil, err
 		}
 	}
 	e.pcache.put(p, en)
 	return en, nil
-}
-
-// walkPlanLocked builds the plan of p from a full lineage walk. Caller
-// holds e.mu.
-func (e *Engine) walkPlanLocked(p pos) (*planEntry, error) {
-	live, err := e.resolveLiveFull(p)
-	if err != nil {
-		return nil, err
-	}
-	return e.newPlan(live), nil
 }
 
 // versionPosLocked returns the position a version resolves: a branch's

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"sync"
 
+	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/store"
@@ -83,9 +84,10 @@ type Engine struct {
 	byBranch map[vgraph.BranchID]segID
 	commits  map[vgraph.CommitID]pos
 
-	// cache holds resolved per-interval key tables for frozen intervals;
-	// entries for a segment are dropped when it takes new appends.
-	cache map[intervalKey]intervalTable
+	// vers indexes every stored copy and tombstone by key, newest first
+	// (store.VersionIndex); dead marks each segment's tombstone slots.
+	vers *store.VersionIndex
+	dead []bitmap.Bitmap
 
 	// Scan-plan cache (see cache.go): pcache holds each position's live
 	// slots as one bitmap per segment; lineMemo memoizes rawLineage and
@@ -110,7 +112,6 @@ func Factory(env *core.Env) (core.Engine, error) {
 		st:       store.New(env.Pool, env.History()),
 		byBranch: make(map[vgraph.BranchID]segID),
 		commits:  make(map[vgraph.CommitID]pos),
-		cache:    make(map[intervalKey]intervalTable),
 	}
 	if !env.Opt.VFLineageCacheOff {
 		e.pcache = newLRU[pos](cacheBudget, func(en *planEntry) int { return en.words })
@@ -120,7 +121,11 @@ func Factory(env *core.Env) (core.Engine, error) {
 	e.cat = store.NewCatalog[*segment](e.st, env.Dir, env.Opt.Fsync, env.Opt.CompactionFailPoint, store.Layout{
 		File: "segments.json", Prefix: "seg", Heap: ".dat",
 	}, e.catalog)
-	if err := e.recover(); err != nil {
+	err := e.recover()
+	if err == nil {
+		e.vers, err = e.cat.Versions(e.markDead)
+	}
+	if err != nil {
 		// Release every segment the failed open has opened so far.
 		e.cat.Close(false)
 		return nil, err
@@ -436,10 +441,11 @@ func (e *Engine) writeHeadLocked(branch vgraph.BranchID) (*segment, error) {
 // (widening older-schema records with declared defaults) and appends
 // it through the store, which folds it into the zone map.
 func (e *Engine) appendLocked(s *segment, rec *record.Record) error {
-	if _, err := e.st.Append(s.Segment, rec); err != nil {
+	slot, err := e.st.Append(s.Segment, rec)
+	if err != nil {
 		return err
 	}
-	e.invalidateSeg(s.ID)
+	e.vers.Push(rec.PK(), pos{Seg: s.ID, Slot: slot})
 	return nil
 }
 
@@ -452,11 +458,27 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.AppendTombstone(pk); err != nil {
+	slot, err := s.AppendTombstone(pk)
+	if err != nil {
 		return err
 	}
-	e.invalidateSeg(s.ID)
+	p := pos{Seg: s.ID, Slot: slot}
+	e.vers.Push(pk, p)
+	e.markDead(p)
 	return nil
+}
+
+// markDead records that the slot at p holds a tombstone.
+func (e *Engine) markDead(p pos) {
+	for int(p.Seg) >= len(e.dead) {
+		e.dead = append(e.dead, bitmap.Bitmap{})
+	}
+	e.dead[p.Seg].Set(int(p.Slot))
+}
+
+// isDead says whether the slot at p holds a tombstone.
+func (e *Engine) isDead(p pos) bool {
+	return int(p.Seg) < len(e.dead) && e.dead[p.Seg].Get(int(p.Slot))
 }
 
 // SegmentStats implements core.Engine: one summary per lineage
@@ -481,8 +503,16 @@ func (e *Engine) SegmentStats() []store.SegmentStat {
 func (e *Engine) Stats() (core.Stats, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st := core.Stats{SegmentCount: len(e.cat.Segs), PageCacheBytes: e.cat.DecodedBytes()}
+	st := core.Stats{
+		SegmentCount:   len(e.cat.Segs),
+		PageCacheBytes: e.cat.DecodedBytes(),
+		IndexBytes:     e.vers.Bytes(),
+		IndexEntries:   int64(e.vers.Len()),
+	}
 	st.Records, st.DataBytes, st.CommitBytes = e.cat.Totals()
+	for i := range e.dead {
+		st.IndexBytes += int64(e.dead[i].Len()+7) / 8
+	}
 	for _, b := range e.env.Graph.Branches() {
 		if id, ok := e.byBranch[b.ID]; ok {
 			en, err := e.planLocked(pos{Seg: id, Slot: e.cat.Segs[id].File.Count()})
@@ -515,12 +545,11 @@ func (e *Engine) CompactSegments() (store.CompactStats, error) {
 		return !heads[s.ID] && s.File.Count() == safe[s.ID]
 	}, func(s *segment) {
 		// Compression preserves slot numbering, so cached resolutions
-		// pointing into replaced segments would stay readable; drop the
-		// entries rooted at them anyway so the cache's validity never
-		// depends on the re-encoder's internals. Interval tables keyed on
-		// the replaced segments are dropped for the same reason.
+		// pointing into replaced segments — and the version index's
+		// positions — stay readable; drop the plans rooted at them anyway
+		// so the cache's validity never depends on the re-encoder's
+		// internals.
 		e.invalidateResolvedLocked(s.ID)
-		e.invalidateSeg(s.ID)
 	})
 }
 

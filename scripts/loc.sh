@@ -95,7 +95,11 @@
 # (TupleFirstFactory), not a package of its own. Exits non-zero too if
 # internal/heap imports container/list: the buffer pool's LRU is
 # intrusive (prev/next links in the frames), so a pin/unpin cycle and a
-# miss that reuses its victim's frame allocate nothing.
+# miss that reuses its victim's frame allocate nothing. Exits non-zero
+# too if non-test Go in internal/vf matches intervalTable, tableEntry,
+# tablesLocked, invalidateSeg, claimAt( or stepClaim: version-first
+# resolves keys through the table's shared store.VersionIndex, as
+# hybrid does, and keeps no per-interval key tables of its own.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -304,6 +308,14 @@ fi
 stray=$(grep -rn --include='*.go' '"container/list"' internal/heap | grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "internal/heap's LRU is intrusive (frame prev/next links); no container/list:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'intervalTable|tableEntry|tablesLocked|invalidateSeg|claimAt\(|stepClaim' internal/vf |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "internal/vf resolves keys through the shared store.VersionIndex; no per-interval key tables:" >&2
     echo "$stray" >&2
     exit 1
 fi
