@@ -26,17 +26,24 @@ import (
 	"time"
 
 	"decibel"
-	"decibel/bench"
-	"decibel/gitstore"
+	"decibel/internal/bench"
+	"decibel/internal/core"
+	"decibel/internal/gitstore"
 )
 
-// engines under comparison, in the paper's order (short registry
+// engines under comparison, in the paper's order (short engine
 // aliases).
 var engines = []string{"vf", "tf", "hy"}
 
-// benchOpts is the storage tuning every benchmark engine runs with.
-func benchOpts() bench.Options {
-	return bench.Options{PageSize: 64 << 10, PoolPages: 256}
+// loadDataset builds a dataset at dir with the named engine (a name or
+// alias, as WithEngine takes) under the storage tuning every benchmark
+// engine runs with.
+func loadDataset(dir, engine string, cfg bench.Config) (*bench.Dataset, error) {
+	factory, err := decibel.EngineFactory(engine)
+	if err != nil {
+		return nil, err
+	}
+	return bench.Load(dir, factory, core.Options{PageSize: 64 << 10, PoolPages: 256}, cfg)
 }
 
 // benchConfig mirrors the paper's knobs at reduced scale: 256-byte
@@ -77,7 +84,7 @@ func getDataset(b *testing.B, engine string, cfg bench.Config) *bench.Dataset {
 		b.Fatal(err)
 	}
 	dsDirs = append(dsDirs, dir)
-	d, err := bench.Load(dir, engine, benchOpts(), cfg)
+	d, err := loadDataset(dir, engine, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -379,7 +386,7 @@ func BenchmarkFigure11(b *testing.B) {
 				cfg := benchConfig(strategy, branches, perBranch)
 				cfg.Seed = 99
 				dir := b.TempDir()
-				d, err := bench.Load(dir, e, benchOpts(), cfg)
+				d, err := loadDataset(dir, e, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -480,7 +487,7 @@ func BenchmarkTable3(b *testing.B) {
 					cfg.ThreeWayMerges = threeWay
 					cfg.Seed = int64(100 + i)
 					dir := b.TempDir()
-					d, err := bench.Load(dir, e, benchOpts(), cfg)
+					d, err := loadDataset(dir, e, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -513,7 +520,7 @@ func BenchmarkTable5(b *testing.B) {
 					cfg := benchConfig(strategy, branches, perBranch)
 					cfg.Seed = int64(i + 1)
 					dir := b.TempDir()
-					d, err := bench.Load(dir, e, benchOpts(), cfg)
+					d, err := loadDataset(dir, e, cfg)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -610,7 +617,7 @@ func decibelDeepLoad(b *testing.B, insertFrac float64, branches, opsPerBranch, c
 	cfg.UpdateFrac = 1 - insertFrac
 	cfg.CommitEvery = commitEvery
 	dir := b.TempDir()
-	d, err := bench.Load(dir, "hy", benchOpts(), cfg)
+	d, err := loadDataset(dir, "hy", cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

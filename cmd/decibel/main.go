@@ -1,7 +1,7 @@
 // Command decibel is a small CLI over a Decibel dataset: init, branch,
 // commit, insert, delete, scan, checkout, diff, merge and log against a
-// dataset directory, with a choice of storage engine resolved through
-// the engine registry. Branches and historical versions are always
+// dataset directory, with a choice of storage engine by name or alias
+// (decibel.Engines). Branches and historical versions are always
 // addressed by name — the CLI is written entirely against the
 // name-based facade API.
 //
@@ -544,7 +544,7 @@ func run(dir, engine, table string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("engine:         %s (registered: %s)\n", engine, strings.Join(decibel.Engines(), ", "))
+		fmt.Printf("engine:         %s (engines: %s)\n", engine, strings.Join(decibel.Engines(), ", "))
 		fmt.Printf("records:        %d (%d live across heads)\n", st.Records, st.LiveRecords)
 		fmt.Printf("data bytes:     %d\n", st.DataBytes)
 		fmt.Printf("index bytes:    %d (%d key-index entries)\n", st.IndexBytes, st.IndexEntries)

@@ -42,32 +42,29 @@
 // compressed pages on DB.Compact. There is no background loop; a caller
 // that wants periodic passes calls Compact from its own ticker.
 //
-// Storage engines register themselves by name ("tuple-first",
+// The three storage engines are chosen by name ("tuple-first",
 // "version-first", "hybrid", with short aliases "tf", "vf", "hy");
-// importing this package links all three. Failure conditions worth
+// Engines lists them. Failure conditions worth
 // branching on are exposed as sentinel errors (ErrNoSuchBranch,
 // ErrNoSuchTable, ErrNotAtHead, ErrSchemaChange, ...) tested with
 // errors.Is.
 //
 // The packages under internal/ are the engine-facing SPI and may change
-// freely; everything a consumer needs is re-exported here and in the
-// decibel/bench and decibel/gitstore companion packages.
+// freely; everything a consumer needs is re-exported here.
 package decibel
 
 import (
 	"context"
+	"fmt"
+	"strings"
 
 	"decibel/internal/bitmap"
 	"decibel/internal/core"
+	"decibel/internal/hy"
 	"decibel/internal/record"
 	"decibel/internal/store"
+	"decibel/internal/vf"
 	"decibel/internal/vgraph"
-
-	// Link the three storage engines into every facade consumer:
-	// internal/hy registers hybrid and tuple-first, internal/vf
-	// version-first, each from init.
-	_ "decibel/internal/hy"
-	_ "decibel/internal/vf"
 )
 
 // DB is an open Decibel dataset: a collection of relations versioned
@@ -176,7 +173,7 @@ func Open(dir string, opts ...Option) (*DB, error) {
 // opened dataset is released and ctx.Err() returned.
 func OpenContext(ctx context.Context, dir string, opts ...Option) (*DB, error) {
 	cfg := newConfig(opts)
-	factory, err := core.LookupEngine(cfg.engine)
+	factory, err := lookupEngine(cfg.engine)
 	if err != nil {
 		return nil, err
 	}
@@ -187,9 +184,37 @@ func OpenContext(ctx context.Context, dir string, opts ...Option) (*DB, error) {
 	return &DB{Database: cdb}, nil
 }
 
-// Engines returns the canonical names of all registered storage
-// engines, sorted.
-func Engines() []string { return core.EngineNames() }
+// engines are the paper's three storage schemes (Sections 3.2–3.4),
+// each under its canonical name and short alias, sorted by name.
+// Tuple-first is hybrid's engine with its segments chained into one.
+var engines = [...]struct {
+	name, alias string
+	factory     core.Factory
+}{
+	{"hybrid", "hy", hy.Factory},
+	{"tuple-first", "tf", hy.TupleFirstFactory},
+	{"version-first", "vf", vf.Factory},
+}
+
+// lookupEngine resolves an engine name or alias. An unknown name
+// returns an error wrapping ErrUnknownEngine that lists the engines.
+func lookupEngine(name string) (core.Factory, error) {
+	for _, e := range engines {
+		if name == e.name || name == e.alias {
+			return e.factory, nil
+		}
+	}
+	return nil, fmt.Errorf("%w %q (engines: %s)", ErrUnknownEngine, name, strings.Join(Engines(), ", "))
+}
+
+// Engines returns the canonical names of the storage engines, sorted.
+func Engines() []string {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.name
+	}
+	return names
+}
 
 // NewRecord allocates an empty record of the schema.
 func NewRecord(s *Schema) *Record { return record.New(s) }

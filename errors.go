@@ -1,6 +1,10 @@
 package decibel
 
-import "decibel/internal/core"
+import (
+	"errors"
+
+	"decibel/internal/core"
+)
 
 // Sentinel errors. Every operation that fails for one of these reasons
 // returns an error wrapping the sentinel, so callers branch with
@@ -33,8 +37,9 @@ var (
 	// CreateTable after Init.
 	ErrAlreadyInitialized = core.ErrAlreadyInitialized
 
-	// ErrUnknownEngine reports an engine name absent from the registry.
-	ErrUnknownEngine = core.ErrUnknownEngine
+	// ErrUnknownEngine reports an engine name that is none of Engines'
+	// names or their aliases.
+	ErrUnknownEngine = errors.New("decibel: unknown engine")
 
 	// ErrDatabaseClosed reports an operation on a closed DB.
 	ErrDatabaseClosed = core.ErrDatabaseClosed

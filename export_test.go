@@ -1,5 +1,12 @@
 package decibel
 
+import "decibel/internal/core"
+
+// EngineFactory resolves an engine name or alias as Open does: the
+// paper harness (bench_test.go) loads its datasets through
+// internal/bench, which takes the factory itself.
+func EngineFactory(name string) (core.Factory, error) { return lookupEngine(name) }
+
 // WithoutLineageCache turns the version-first lineage cache off, so
 // every resolution re-walks the branch lineage: the reference the
 // cache-equivalence tests compare a cached engine against.

@@ -1,25 +1,58 @@
 package decibel_test
 
 // Facade contract tests: the full git-like round trip of Section 2.2
-// driven purely through the public decibel package on every registered
-// engine, plus errors.Is assertions for each sentinel error.
+// driven purely through the public decibel package on every engine,
+// plus errors.Is assertions for each sentinel error.
 
 import (
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"decibel"
 )
 
-// facadeEngines are the canonical registry names the round trip runs on.
+// facadeEngines are the canonical engine names the round trip runs on.
 var facadeEngines = []string{"tuple-first", "version-first", "hybrid"}
 
+// TestEnginesRegistered: Engines lists the three schemes, every
+// canonical name and alias opens a table on the engine of that name,
+// and any other name fails with ErrUnknownEngine, listing the three.
 func TestEnginesRegistered(t *testing.T) {
 	got := decibel.Engines()
 	want := []string{"hybrid", "tuple-first", "version-first"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("Engines() = %v, want %v", got, want)
+	}
+	for _, c := range []struct{ name, kind string }{
+		{"hybrid", "hybrid"}, {"hy", "hybrid"},
+		{"tuple-first", "tuple-first"}, {"tf", "tuple-first"},
+		{"version-first", "version-first"}, {"vf", "version-first"},
+	} {
+		db, err := decibel.Open(t.TempDir(), decibel.WithEngine(c.name))
+		if err != nil {
+			t.Fatalf("Open(%q): %v", c.name, err)
+		}
+		tbl, err := db.CreateTable("t", decibel.NewSchema().Int64("id").MustBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind := tbl.Engine().Kind(); kind != c.kind {
+			t.Errorf("WithEngine(%q) opened a %s table, want %s", c.name, kind, c.kind)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := decibel.Open(t.TempDir(), decibel.WithEngine("btree"))
+	if !errors.Is(err, decibel.ErrUnknownEngine) {
+		t.Fatalf("unknown engine: got %v, want ErrUnknownEngine", err)
+	}
+	for _, name := range want {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-engine error %q does not list %s", err, name)
+		}
 	}
 }
 

@@ -221,9 +221,9 @@ type Engine interface {
 	// segment walk. It returns a private copy of the stored buffer of
 	// the key's live record and the physical column count it is laid
 	// out under; a nil buf means the key is not live in that version.
-	// ok=false means the engine cannot answer without a scan — a version
-	// it does not know — and the caller must scan.
-	LookupPK(v Version, pk int64) (buf []byte, physCols int, ok bool, err error)
+	// A version the engine cannot address answers as Live does: nothing
+	// live, or Live's error.
+	LookupPK(v Version, pk int64) (buf []byte, physCols int, err error)
 
 	// Merge merges the head of branch m.Other into branch m.Into. The
 	// merge commit and its LCA are already in the graph. The engine finds

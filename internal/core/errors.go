@@ -38,9 +38,6 @@ var (
 	// CreateTable after Init has frozen the schema set.
 	ErrAlreadyInitialized = errors.New("decibel: dataset already initialized")
 
-	// ErrUnknownEngine reports an engine name absent from the registry.
-	ErrUnknownEngine = errors.New("decibel: unknown engine")
-
 	// ErrDatabaseClosed reports an operation on a closed Database.
 	ErrDatabaseClosed = errors.New("decibel: database closed")
 

@@ -267,53 +267,43 @@ func (t *Table) ScanUnitsContext(ctx context.Context, req ScanRequest, spec *Sca
 	return ctx.Err()
 }
 
-// LookupPKContext serves a single-version read — a branch head or a
-// commit, as req addresses it — whose predicate pins the primary key to
-// one value, through the engine's LookupPK instead of a segment walk.
-// The spec's predicate and projection still run on the looked-up
-// record — the lookup only replaces the walk, never the filter — so the
-// result is exactly that of the scan it stands in for. fn's record is
-// valid only until fn returns, as a scan's is: it may alias the spec's
-// scratch, which the next read through the spec overwrites. served=false
-// (nothing emitted) means the read must scan: it spans several versions
-// (a diff or multi-branch request), or the engine cannot answer
-// without a walk.
-func (t *Table) LookupPKContext(ctx context.Context, req ScanRequest, pk int64, spec *ScanSpec, fn ScanFunc) (served bool, err error) {
-	if req.Kind == ScanKindDiff || req.Kind == ScanKindMulti {
-		return false, nil
-	}
+// LookupPKContext serves a read of one version — a branch head or a
+// commit — whose predicate pins the primary key to one value, through
+// the engine's LookupPK instead of a segment walk. The spec's predicate
+// and projection still run on the looked-up record — the lookup only
+// replaces the walk, never the filter — so the result is exactly that
+// of the scan it stands in for. fn's record is valid only until fn
+// returns, as a scan's is: it may alias the spec's scratch, which the
+// next read through the spec overwrites.
+func (t *Table) LookupPKContext(ctx context.Context, v Version, pk int64, spec *ScanSpec, fn ScanFunc) error {
 	if err := t.db.beginOp(); err != nil {
-		return false, err
+		return err
 	}
 	defer t.db.endOp()
 	if err := ctx.Err(); err != nil {
-		return false, err
+		return err
 	}
-	v := Version{Branch: req.Branch}
-	if req.Kind == ScanKindCommit {
-		v = Version{Commit: req.Commit}
-	}
-	buf, physCols, ok, err := t.engine.LookupPK(v, pk)
-	if err != nil || !ok {
-		return false, err
+	buf, physCols, err := t.engine.LookupPK(v, pk)
+	if err != nil {
+		return err
 	}
 	pointLookups.Add(1)
 	if buf == nil {
-		return true, ctx.Err() // the key is not live in this version
+		return ctx.Err() // the key is not live in this version
 	}
 	prep, err := spec.Prep(physCols)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if prep != nil {
 		buf = prep(buf)
 	}
 	rec, err := spec.Apply(buf)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if rec != nil {
 		fn(rec)
 	}
-	return true, ctx.Err()
+	return ctx.Err()
 }

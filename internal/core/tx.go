@@ -222,7 +222,6 @@ func (tx *Tx) rollback() error {
 		return fmt.Errorf("%w: commit %d", ErrNoSuchCommit, headID)
 	}
 	ctx := context.WithoutCancel(tx.ctx)
-	req := ScanRequest{Kind: ScanKindCommit, Commit: head}
 	for t, keys := range tx.touched {
 		spec, err := NewScanSpecAt(t.hist, head.SchemaVer, nil, nil)
 		if err != nil {
@@ -230,15 +229,12 @@ func (tx *Tx) rollback() error {
 		}
 		for _, pk := range slices.Sorted(maps.Keys(keys)) {
 			var committed *record.Record
-			served, err := t.LookupPKContext(ctx, req, pk, spec, func(rec *record.Record) bool {
+			err := t.LookupPKContext(ctx, Version{Commit: head}, pk, spec, func(rec *record.Record) bool {
 				committed = rec
 				return true
 			})
 			if err != nil {
 				return err
-			}
-			if !served {
-				return fmt.Errorf("core: table %q cannot look key %d up at commit %d", t.name, pk, head.ID)
 			}
 			if committed != nil {
 				err = t.Insert(tx.branch.ID, committed)

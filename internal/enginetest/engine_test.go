@@ -746,3 +746,126 @@ func TestMergeStatsThroughputFields(t *testing.T) {
 		})
 	}
 }
+
+// TestLookupPKUnknownBranch: a point lookup of a branch the engine
+// never registered returns what a scan of that branch returns — no row
+// on hybrid and tuple-first, the scan's own error on version-first —
+// so the query layer serves every pinned-key read by lookup and never
+// needs the scan as a fallback.
+func TestLookupPKUnknownBranch(t *testing.T) {
+	for _, tc := range engineCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openDB(t, t.TempDir(), tc.factory, tc.opt)
+			defer db.Close()
+			schema := testSchema()
+			if _, err := db.CreateTable("t", schema); err != nil {
+				t.Fatal(err)
+			}
+			master, _, err := db.Init("init")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ := db.Table("t")
+			if err := tbl.Insert(master.ID, simpleRec(schema, 1, 10)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Commit(master.ID, "one row"); err != nil {
+				t.Fatal(err)
+			}
+			const unknown vgraph.BranchID = 42
+			rows := 0
+			scanErr := scanHead(tbl, unknown, func(*record.Record) bool { rows++; return true })
+			if rows != 0 {
+				t.Fatalf("scan of an unknown branch emitted %d rows", rows)
+			}
+			buf, _, err := tbl.Engine().LookupPK(core.Version{Branch: unknown}, 1)
+			if buf != nil || fmt.Sprint(err) != fmt.Sprint(scanErr) {
+				t.Fatalf("LookupPK of an unknown branch: row=%v err=%v; the scan returned err=%v", buf != nil, err, scanErr)
+			}
+			if wantErr := tc.name == "version-first"; (err != nil) != wantErr {
+				t.Fatalf("LookupPK of an unknown branch: err=%v, want an error: %v", err, wantErr)
+			}
+		})
+	}
+}
+
+// indexBytesPerEntry is TestIndexBytesPerEntry's ceiling by engine: the
+// measured IndexBytes per entry (22.50 tuple-first, 22.10
+// version-first, 22.48 hybrid) plus at least a quarter byte, rounded up
+// to a half.
+var indexBytesPerEntry = map[string]float64{"tuple-first": 23, "version-first": 22.5, "hybrid": 23}
+
+// TestIndexBytesPerEntry bounds the resident key index on a history of
+// a few thousand stored records — inserts, updates and deletes on two
+// branches and a merge: the index holds one entry per stored slot
+// (version-first's tombstones included), and IndexBytes — the index
+// plus the engine's resident bitmaps — per entry stays under the
+// engine's ceiling.
+func TestIndexBytesPerEntry(t *testing.T) {
+	for _, tc := range engineCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openDB(t, t.TempDir(), tc.factory, tc.opt)
+			defer db.Close()
+			schema := testSchema()
+			if _, err := db.CreateTable("t", schema); err != nil {
+				t.Fatal(err)
+			}
+			master, _, err := db.Init("init")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ := db.Table("t")
+			put := func(b vgraph.BranchID, from, to, v int64) {
+				t.Helper()
+				recs := make([]*record.Record, 0, to-from)
+				for pk := from; pk < to; pk++ {
+					recs = append(recs, simpleRec(schema, pk, v))
+				}
+				if err := tbl.InsertBatch(b, recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			del := func(b vgraph.BranchID, from, to int64) {
+				t.Helper()
+				for pk := from; pk < to; pk++ {
+					if err := tbl.Delete(b, pk); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			commit := func(b vgraph.BranchID) {
+				t.Helper()
+				if _, err := db.Commit(b, "c"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put(master.ID, 0, 2000, 1)
+			commit(master.ID)
+			dev, err := db.BranchFromHead(t.Context(), "dev", "master")
+			if err != nil {
+				t.Fatal(err)
+			}
+			put(master.ID, 0, 400, 2)
+			del(master.ID, 1900, 2000)
+			commit(master.ID)
+			put(dev.ID, 1000, 1300, 3)
+			put(dev.ID, 2000, 2500, 3)
+			del(dev.ID, 1500, 1550)
+			commit(dev.ID)
+			if _, _, err := db.MergeContext(t.Context(), "master", "dev", "merge", core.ThreeWay, true); err != nil {
+				t.Fatal(err)
+			}
+			st, err := db.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.IndexEntries != st.Records {
+				t.Fatalf("index entries = %d, want the %d stored slots", st.IndexEntries, st.Records)
+			}
+			if per := float64(st.IndexBytes) / float64(st.IndexEntries); per > indexBytesPerEntry[tc.name] {
+				t.Fatalf("%d index bytes for %d entries: %.2f B/entry, ceiling %.2f",
+					st.IndexBytes, st.IndexEntries, per, indexBytesPerEntry[tc.name])
+			}
+		})
+	}
+}

@@ -121,11 +121,6 @@ type extFile struct {
 	Extents []extMeta `json:"extents"`
 }
 
-func init() {
-	core.RegisterEngine("hybrid", Factory, "hy")
-	core.RegisterEngine("tuple-first", TupleFirstFactory, "tf")
-}
-
 // Factory builds a hybrid engine; it satisfies core.Factory.
 func Factory(env *core.Env) (core.Engine, error) { return open(env, false) }
 

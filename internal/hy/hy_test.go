@@ -287,9 +287,9 @@ func checkLookupWalkLength(t *testing.T, factory core.Factory) {
 			bm := e.live[b][p.Seg]
 			return bm != nil && bm.Get(int(p.Slot))
 		}) != store.NoPos
-		buf, _, ok, err := e.LookupPK(core.Version{Branch: b}, pk)
-		if err != nil || !ok || found != (buf != nil) {
-			t.Fatalf("LookupPK(%d, %d): buf=%v served=%v err=%v, index found=%v", b, pk, buf != nil, ok, err, found)
+		buf, _, err := e.LookupPK(core.Version{Branch: b}, pk)
+		if err != nil || found != (buf != nil) {
+			t.Fatalf("LookupPK(%d, %d): buf=%v err=%v, index found=%v", b, pk, buf != nil, err, found)
 		}
 		if found {
 			r, _ := record.FromBytes(env.Schema, buf)
@@ -312,8 +312,8 @@ func checkLookupWalkLength(t *testing.T, factory core.Factory) {
 }
 
 // TestUnknownBranchReadsEmpty: a branch the engine never registered has
-// no bitmaps, and every read of it — a point lookup (served, not live),
-// a head scan, either side of a diff, a member of a multi-branch scan —
+// no bitmaps, and every read of it — a point lookup (not live), a head
+// scan, either side of a diff, a member of a multi-branch scan —
 // sees nothing live rather than panicking on the missing entry.
 func TestUnknownBranchReadsEmpty(t *testing.T) {
 	for _, pl := range placements {
@@ -334,9 +334,9 @@ func TestUnknownBranchReadsEmpty(t *testing.T) {
 			}
 			const unknown vgraph.BranchID = 42
 
-			buf, _, ok, err := e.LookupPK(core.Version{Branch: unknown}, 1)
-			if err != nil || !ok || buf != nil {
-				t.Fatalf("LookupPK on an unknown branch: buf=%v served=%v err=%v, want not live", buf != nil, ok, err)
+			buf, _, err := e.LookupPK(core.Version{Branch: unknown}, 1)
+			if err != nil || buf != nil {
+				t.Fatalf("LookupPK on an unknown branch: buf=%v err=%v, want not live", buf != nil, err)
 			}
 			spec, err := core.NewScanSpecAt(e.hist, 0, nil, nil)
 			if err != nil {

@@ -23,8 +23,9 @@ import (
 // LookupPK implements core.Engine: the version index (Section 3.2's
 // update/delete index, kept once for all branches) lists the key's
 // positions, and the version's bitmaps pick the live one. A branch the
-// engine never registered holds nothing: the key is served, not live.
-func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
+// engine never registered holds nothing: the key is not live, as a scan
+// of that branch finds no row.
+func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var p pos
@@ -33,18 +34,18 @@ func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 	} else {
 		var err error
 		if p, err = e.commitPosLocked(v.Commit, pk); err != nil {
-			return nil, 0, false, err
+			return nil, 0, err
 		}
 	}
 	if p == store.NoPos {
-		return nil, 0, true, nil
+		return nil, 0, nil
 	}
 	s, slot := e.segAt(p)
 	buf := make([]byte, s.Schema.RecordSize())
 	if err := s.File.Read(slot, buf); err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
-	return buf, s.Cols, true, nil
+	return buf, s.Cols, nil
 }
 
 // commitPosLocked returns the position of pk's version live at commit

@@ -353,8 +353,8 @@ func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(
 // the checked-out commit when the plan has AtSeq/AtCommit. A scan whose
 // predicate pins the primary key to one value is served by the
 // engine's LookupPK (a point lookup) of that version instead of a
-// segment scan when the engine can; the full predicate and projection
-// still run on the looked-up record, so the result is identical.
+// segment scan; the full predicate and projection still run on the
+// looked-up record, so the result is identical.
 //
 // The point lookup runs a plain spec clone, which allocates no view
 // record when it projects; the walk runs a Transient one.
@@ -365,14 +365,11 @@ func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.single(); err != nil {
 		return err
 	}
-	req := c.request(c.shape())
 	if pk, ok := c.pointPK(); ok {
-		served, err := c.table.LookupPKContext(ctx, req, pk, c.execSpec(), fn)
-		if served || err != nil {
-			return err
-		}
+		v := core.Version{Branch: c.branches[0].ID, Commit: c.commit}
+		return c.table.LookupPKContext(ctx, v, pk, c.execSpec(), fn)
 	}
-	return c.runRows(ctx, req, nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
+	return c.runRows(ctx, c.request(c.shape()), nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
 // pointPK reports whether the extracted bounds pin the primary key

@@ -26,16 +26,16 @@ import (
 // offset) that holds them: the first step that claims the key decides,
 // exactly as it does for every key of a resolved plan. No plan is
 // built.
-func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
+func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	at, err := e.versionPosLocked(v)
 	if err != nil {
-		return nil, 0, false, nil // unknown version: let the scan path report it
+		return nil, 0, err
 	}
 	steps, err := e.lineageAt(at)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
 	var held [8]pos
 	copies := held[:0]
@@ -45,14 +45,14 @@ func (e *Engine) LookupPK(v core.Version, pk int64) ([]byte, int, bool, error) {
 	})
 	p := e.claimLocked(steps, pk, copies)
 	if p == store.NoPos {
-		return nil, 0, true, nil
+		return nil, 0, nil
 	}
 	seg := e.cat.Segs[p.Seg]
 	buf := make([]byte, seg.Schema.RecordSize())
 	if err := seg.File.Read(p.Slot, buf); err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
-	return buf, seg.Cols, true, nil
+	return buf, seg.Cols, nil
 }
 
 // claimLocked returns the copy of pk live at the lineage steps,

@@ -102,8 +102,6 @@ type Engine struct {
 	derived  [baseKinds]int
 }
 
-func init() { core.RegisterEngine("version-first", Factory, "vf") }
-
 // Factory builds a version-first engine; it satisfies core.Factory.
 func Factory(env *core.Env) (core.Engine, error) {
 	e := &Engine{

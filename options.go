@@ -22,7 +22,7 @@ func newConfig(opts []Option) config {
 // Option configures Open.
 type Option func(*config)
 
-// WithEngine selects the storage engine by registered name or alias:
+// WithEngine selects the storage engine by name or alias:
 // "tuple-first"/"tf", "version-first"/"vf" or "hybrid"/"hy".
 func WithEngine(name string) Option {
 	return func(c *config) { c.engine = name }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# twenty-six structural checks. Prints the non-test Go lines outside
+# twenty-nine structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -99,7 +99,13 @@
 # too if non-test Go in internal/vf matches intervalTable, tableEntry,
 # tablesLocked, invalidateSeg, claimAt( or stepClaim: version-first
 # resolves keys through the table's shared store.VersionIndex, as
-# hybrid does, and keeps no per-interval key tables of its own.
+# hybrid does, and keeps no per-interval key tables of its own. Exits
+# non-zero too if bench/ or gitstore/ exists at the root, or if
+# non-test Go matches RegisterEngine(, LookupEngine( or EngineNames(:
+# the three engines are one static name/alias table in the facade
+# (decibel.go), and the paper harness (bench_test.go) imports
+# internal/bench and internal/gitstore itself, through no public
+# wrapper.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -316,6 +322,18 @@ stray=$(grep -rnE --include='*.go' 'intervalTable|tableEntry|tablesLocked|invali
     grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "internal/vf resolves keys through the shared store.VersionIndex; no per-interval key tables:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+if [ -e bench ] || [ -e gitstore ]; then
+    echo "the decibel/bench and decibel/gitstore wrappers are gone (bench_test.go imports internal/bench and internal/gitstore)" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'RegisterEngine\(|LookupEngine\(|EngineNames\(' . | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "the engine registry is gone (the engines are one static table in decibel.go):" >&2
     echo "$stray" >&2
     exit 1
 fi
