@@ -138,8 +138,14 @@ func (q *Query) Heads() *Query {
 
 // At addresses a historical version: the seq'th commit made on the
 // query's single branch, zero-based (the CLI's "branch@seq"
-// time-travel). Requires exactly one On branch.
+// time-travel). Requires exactly one On branch. A negative seq names no
+// commit: the terminals fail with ErrNoSuchCommit, as for a seq past
+// the branch's last commit.
 func (q *Query) At(seq int) *Query {
+	if seq < 0 {
+		q.fail(fmt.Errorf("%w: commit number %d", ErrNoSuchCommit, seq))
+		return q
+	}
 	q.plan.AtSeq = seq
 	return q
 }

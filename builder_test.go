@@ -10,6 +10,7 @@ package decibel_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"iter"
 	"slices"
 	"sort"
@@ -360,6 +361,18 @@ func TestQueryBuilderPlanErrors(t *testing.T) {
 
 	_, err = db.Query("products").On("master").At(99).Count()
 	check(err, decibel.ErrNoSuchCommit, "missing commit seq")
+
+	// A negative commit number names no commit either; it must not read
+	// the head, whatever the terminal.
+	for _, seq := range []int{-1, -3} {
+		_, err = db.Query("products").On("master").At(seq).Count()
+		check(err, decibel.ErrNoSuchCommit, fmt.Sprintf("At(%d).Count", seq))
+		rows, qErr := db.Query("products").At(seq).On("master").Rows()
+		for range rows {
+			t.Fatalf("At(%d).Rows yielded a row", seq)
+		}
+		check(qErr(), decibel.ErrNoSuchCommit, fmt.Sprintf("At(%d).Rows", seq))
+	}
 
 	_, err = db.Query("products").Heads().At(1).Count()
 	check(err, decibel.ErrBadQuery, "At with Heads")

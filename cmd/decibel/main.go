@@ -648,7 +648,7 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 	fs := flag.NewFlagSet("select", flag.ContinueOnError)
 	branches := fs.String("branch", "", "comma-separated branch name(s) to scan")
 	heads := fs.Bool("heads", false, "scan every branch head (HEAD() query)")
-	at := fs.Int("at", -1, "historical commit seq on the single branch")
+	at := fs.Int("at", 0, "historical commit seq on the single branch (unset: the head)")
 	diff := fs.String("diff", "", "a,b: positive diff — records live at a's head but not b's (-where/-cols apply)")
 	where := fs.String("where", "", "predicate: conjuncts joined by &&, each col{=|!=|<|<=|>|>=|^=}value")
 	cols := fs.String("cols", "", "comma-separated columns to project")
@@ -687,9 +687,13 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 	if !*heads && *branches == "" && *diff == "" {
 		q = q.On(decibel.Master)
 	}
-	if *at >= 0 {
-		q = q.At(*at)
-	}
+	// An explicit -at is a historical read even when negative: At
+	// reports that it names no commit.
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "at" {
+			q = q.At(*at)
+		}
+	})
 	if *where != "" {
 		expr, err := parseWhere(t.Schema(), *where)
 		if err != nil {

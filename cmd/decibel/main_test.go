@@ -225,7 +225,8 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 
 // TestCheckoutCLI: checkout prints a branch's head, or its n-th commit,
 // read through the query builder; a commit number past the branch's
-// history fails with ErrNoSuchCommit.
+// history or below zero fails with ErrNoSuchCommit, through checkout and
+// through select's -at alike.
 func TestCheckoutCLI(t *testing.T) {
 	dir := t.TempDir()
 	engine := decibel.DefaultEngine
@@ -265,8 +266,16 @@ func TestCheckoutCLI(t *testing.T) {
 			t.Fatalf("checkout %s printed %q, want a header and %d records", tc.arg, out, tc.want)
 		}
 	}
-	if _, err := captureStdout(t, func() error { return run(dir, engine, "r", []string{"checkout", "master@99"}) }); !errors.Is(err, decibel.ErrNoSuchCommit) {
-		t.Fatalf("checkout master@99: err = %v, want ErrNoSuchCommit", err)
+	for _, args := range [][]string{
+		{"checkout", "master@99"},
+		{"checkout", "master@-1"},
+		{"select", "-at", "99"},
+		{"select", "-at", "-3"},
+		{"select", "-at", "-1"},
+	} {
+		if _, err := captureStdout(t, func() error { return run(dir, engine, "r", args) }); !errors.Is(err, decibel.ErrNoSuchCommit) {
+			t.Fatalf("%v: err = %v, want ErrNoSuchCommit", args, err)
+		}
 	}
 }
 

@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"strings"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/record"
@@ -114,9 +113,6 @@ type (
 
 	// Graph is the version graph: commits, branches, heads, LCAs.
 	Graph = vgraph.Graph
-
-	// Bitmap annotates multi-branch scan results with branch membership.
-	Bitmap = bitmap.Bitmap
 
 	// MergeKind selects the conflict model of a merge (TwoWay, ThreeWay).
 	MergeKind = core.MergeKind

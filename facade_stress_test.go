@@ -393,9 +393,9 @@ func readAllHeads(db *decibel.DB, rows int) error {
 	}
 	n, resolved := 0, len(c.Branches())
 	var short error
-	if err := c.ScanMulti(context.Background(), func(rec *record.Record, member *decibel.Bitmap) bool {
+	if err := c.Annotated(context.Background(), func(rec *record.Record, branches []string) bool {
 		n++
-		if got := member.Count(); got != resolved {
+		if got := len(branches); got != resolved {
 			short = fmt.Errorf("record %d live in %d of the %d branches the read resolved", rec.PK(), got, resolved)
 			return false
 		}

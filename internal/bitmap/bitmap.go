@@ -11,8 +11,6 @@
 package bitmap
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/bits"
 )
@@ -169,17 +167,6 @@ func (b *Bitmap) Clone() *Bitmap {
 	return nb
 }
 
-// CopyFrom makes b an exact copy of other, reusing b's storage.
-func (b *Bitmap) CopyFrom(other *Bitmap) {
-	if cap(b.words) < len(other.words) {
-		b.words = make([]uint64, len(other.words))
-	} else {
-		b.words = b.words[:len(other.words)]
-	}
-	copy(b.words, other.words)
-	b.n = other.n
-}
-
 // Equal reports whether the two bitmaps have identical logical contents.
 // Bitmaps of different lengths are equal if all bits beyond the shorter
 // length are zero in the longer one.
@@ -238,14 +225,6 @@ func (b *Bitmap) Xor(other *Bitmap) {
 	}
 }
 
-// AndNot replaces b with b AND NOT other (set difference).
-func (b *Bitmap) AndNot(other *Bitmap) {
-	n := min(len(b.words), len(other.words))
-	for i := 0; i < n; i++ {
-		b.words[i] &^= other.words[i]
-	}
-}
-
 // And returns a new bitmap a AND b without modifying the inputs.
 func And(a, c *Bitmap) *Bitmap { r := a.Clone(); r.And(c); return r }
 
@@ -254,9 +233,6 @@ func Or(a, c *Bitmap) *Bitmap { r := a.Clone(); r.Or(c); return r }
 
 // Xor returns a new bitmap a XOR b without modifying the inputs.
 func Xor(a, c *Bitmap) *Bitmap { r := a.Clone(); r.Xor(c); return r }
-
-// AndNot returns a new bitmap a AND NOT b without modifying the inputs.
-func AndNot(a, c *Bitmap) *Bitmap { r := a.Clone(); r.AndNot(c); return r }
 
 // NextSet returns the index of the first set bit at or after i, or -1 if
 // none exists. It is the building block for branch scans that emit all
@@ -315,50 +291,4 @@ func (b *Bitmap) String() string {
 		return true
 	})
 	return s + "}"
-}
-
-// binary layout: u64 length-in-bits, then ceil(n/64) little-endian words.
-const serialHeader = 8
-
-// MarshalBinary encodes the bitmap in its dense binary form.
-func (b *Bitmap) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, serialHeader+8*len(b.words))
-	binary.LittleEndian.PutUint64(buf, uint64(b.n))
-	for i, w := range b.words {
-		binary.LittleEndian.PutUint64(buf[serialHeader+8*i:], w)
-	}
-	return buf, nil
-}
-
-// UnmarshalBinary decodes a bitmap previously encoded with
-// MarshalBinary.
-func (b *Bitmap) UnmarshalBinary(data []byte) error {
-	if len(data) < serialHeader {
-		return errors.New("bitmap: short buffer")
-	}
-	n := int(binary.LittleEndian.Uint64(data))
-	nw := wordsFor(n)
-	if len(data) != serialHeader+8*nw {
-		return fmt.Errorf("bitmap: bad buffer size %d for %d bits", len(data), n)
-	}
-	b.n = n
-	b.words = make([]uint64, nw)
-	for i := range b.words {
-		b.words[i] = binary.LittleEndian.Uint64(data[serialHeader+8*i:])
-	}
-	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

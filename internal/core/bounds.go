@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"expvar"
 	"math"
 
 	"decibel/internal/record"
@@ -46,6 +47,17 @@ func (sp *ScanSpec) SetBounds(bs []Bound) {
 // unavailable or disabled).
 func (sp *ScanSpec) Bounds() []Bound { return sp.bounds }
 
+// Pruning counters: every SkipSegment call increments exactly one of
+// the segment pair and every SkipPage call one of the page pair, so a
+// selective scan's skipping is observable. A scan decides pages only
+// for pages that hold a live slot of its bitmap.
+var (
+	segmentsScanned = expvar.NewInt("decibel.segments_scanned")
+	segmentsSkipped = expvar.NewInt("decibel.segments_skipped")
+	pagesScanned    = expvar.NewInt("decibel.pages_scanned")
+	pagesSkipped    = expvar.NewInt("decibel.pages_skipped")
+)
+
 // SkipSegment reports whether a segment's zone map proves that no
 // record stored in it can satisfy the spec's bounds — physCols is the
 // segment's physical column count, and columns the segment predates
@@ -55,9 +67,9 @@ func (sp *ScanSpec) Bounds() []Bound { return sp.bounds }
 func (sp *ScanSpec) SkipSegment(z *store.ZoneMap, physCols int) bool {
 	skip := sp.skipSegment(z, physCols)
 	if skip {
-		store.CountSegmentSkipped()
+		segmentsSkipped.Add(1)
 	} else {
-		store.CountSegmentScanned()
+		segmentsScanned.Add(1)
 	}
 	return skip
 }
@@ -81,9 +93,9 @@ func (sp *ScanSpec) ExcludesSegment(z *store.ZoneMap, physCols int) bool {
 func (sp *ScanSpec) SkipPage(z *store.ZoneMap, physCols int) bool {
 	skip := sp.skipSegment(z, physCols)
 	if skip {
-		store.CountPageSkipped()
+		pagesSkipped.Add(1)
 	} else {
-		store.CountPageScanned()
+		pagesScanned.Add(1)
 	}
 	return skip
 }

@@ -1,6 +1,18 @@
 package core
 
-import "decibel/internal/store"
+import (
+	"expvar"
+
+	"decibel/internal/store"
+)
+
+// Process-wide compaction counters: the server's smoke test asserts
+// they move when a compaction is triggered mid-load.
+var (
+	compactions     = expvar.NewInt("decibel.compactions")
+	bytesReclaimed  = expvar.NewInt("decibel.bytes_reclaimed")
+	compressedPages = expvar.NewInt("decibel.compressed_pages")
+)
 
 // Compact runs one compaction pass over every relation
 // (Engine.CompactSegments), returning the aggregated stats. With
@@ -27,6 +39,8 @@ func (db *Database) Compact() (store.CompactStats, error) {
 			break
 		}
 	}
-	store.CountCompaction(agg)
+	compactions.Add(1)
+	bytesReclaimed.Add(agg.BytesReclaimed)
+	compressedPages.Add(agg.PagesCompressed)
 	return agg, err
 }

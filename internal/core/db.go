@@ -413,13 +413,6 @@ type SchemaChange struct {
 	Drop string
 }
 
-// SchemaEpoch returns the committed schema epoch of the dataset.
-func (db *Database) SchemaEpoch() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.epoch
-}
-
 // commitSchema is Commit for a transaction carrying schema changes
 // (Transact's commit; with none it is Commit): the changes are
 // validated and applied to the catalog histories under a new schema

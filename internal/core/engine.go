@@ -23,12 +23,6 @@ import (
 // Clone it to keep it.
 type ScanFunc func(rec *record.Record) bool
 
-// MultiScanFunc receives each record live in at least one of the
-// scanned branches, annotated with a membership bitmap whose bit i
-// corresponds to the i-th requested branch. This is the output shape of
-// Query 4: "a list of records annotated with their active branches".
-type MultiScanFunc func(rec *record.Record, membership *bitmap.Bitmap) bool
-
 // MergeKind selects the conflict model of a merge.
 type MergeKind int
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"expvar"
-	"sync/atomic"
 
 	"decibel/internal/bitmap"
 	"decibel/internal/record"
@@ -208,16 +207,8 @@ func runSequential(ctx context.Context, units []ScanUnit, spec *ScanSpec, planes
 }
 
 // pointLookups counts single-version reads served by the engine's
-// LookupPK instead of a segment scan ("decibel.point_lookups").
-var pointLookups atomic.Int64
-
-func init() {
-	expvar.Publish("decibel.point_lookups", expvar.Func(func() any { return pointLookups.Load() }))
-}
-
-// CountPointLookups returns the number of reads served via a
-// primary-key point lookup.
-func CountPointLookups() int64 { return pointLookups.Load() }
+// LookupPK instead of a segment scan.
+var pointLookups = expvar.NewInt("decibel.point_lookups")
 
 // partition opens a database operation and partitions the request —
 // the one place a scan reaches the engine. On success the caller must

@@ -374,7 +374,7 @@ func (h *harness) verifyMulti(ids []vgraph.BranchID) {
 		}
 		if err := scanMulti(tbl, ids, func(rec *record.Record, member *bitmap.Bitmap) bool {
 			if !member.Any() {
-				h.t.Errorf("%s: ScanMulti emitted record with empty membership", n)
+				h.t.Errorf("%s: multi-branch scan emitted record with empty membership", n)
 			}
 			for i := range ids {
 				if member.Get(i) {
@@ -388,10 +388,10 @@ func (h *harness) verifyMulti(ids []vgraph.BranchID) {
 		for i, id := range ids {
 			want := stateSet(h.model.BranchState(id))
 			if dup := repeated(proj[i]); dup > 0 {
-				h.t.Errorf("%s: ScanMulti%v projection of branch %d has %d rows more than once", n, ids, id, dup)
+				h.t.Errorf("%s: multi-branch scan %v projection of branch %d has %d rows more than once", n, ids, id, dup)
 			}
 			if !setsEqual(keySet(proj[i]), want) {
-				h.t.Errorf("%s: ScanMulti%v projection of branch %d mismatch: %s", n, ids, id, describeSetDiff(keySet(proj[i]), want))
+				h.t.Errorf("%s: multi-branch scan %v projection of branch %d mismatch: %s", n, ids, id, describeSetDiff(keySet(proj[i]), want))
 			}
 		}
 	}

@@ -373,7 +373,7 @@ func (c *Compiled) GroupScan(ctx context.Context, aggs []AggSpec, fn func(*Group
 // each record live in any head counts once) — as the fold with no
 // group columns. Count is the one scalar fold over a join-composed
 // query (the number of joined tuples); a diff is counted by running its
-// Diff terminal. Empty Min/Max/Avg fail with core.ErrNoRows. Integer
+// diff terminal (EmitDiffRows). Empty Min/Max/Avg fail with core.ErrNoRows. Integer
 // columns are accumulated as int64 and converted on return.
 func (c *Compiled) Aggregate(ctx context.Context, kind AggKind, col string) (float64, error) {
 	if err := c.noOrdering("aggregates"); err != nil {

@@ -100,7 +100,7 @@ func (c *Compiled) compileJoins(db *core.Database) error {
 		if len(lp.Branches) == 0 {
 			lp.Branches = []string{c.branches[0].Name} // inherit the root's branch
 		}
-		// The baseline flag spans the whole composed query.
+		// The no-pruning reference flag spans the whole composed query.
 		lp.NoPrune = p.NoPrune
 		rc, err := lp.Compile(db)
 		if err != nil {

@@ -34,7 +34,6 @@ import (
 	"context"
 	"expvar"
 	"sort"
-	"sync/atomic"
 
 	"decibel/internal/core"
 	"decibel/internal/record"
@@ -42,18 +41,7 @@ import (
 
 // orderedSkips counts scan units the ordered visitor skipped — by zone
 // bound against the top-k heap root, or because their zone was empty.
-var orderedSkips atomic.Int64
-
-func init() {
-	expvar.Publish("decibel.ordered_skips", expvar.Func(func() any {
-		return orderedSkips.Load()
-	}))
-}
-
-// CountOrderedSkips returns the cumulative number of scan units the
-// order-aware visitor skipped (the expvar decibel.ordered_skips exposes
-// the same number).
-func CountOrderedSkips() int64 { return orderedSkips.Load() }
+var orderedSkips = expvar.NewInt("decibel.ordered_skips")
 
 // unitBound is the most favorable order-column value any emitted row of
 // one unit can carry, read from its segment's zone map: the zone lower

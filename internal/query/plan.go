@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 	"decibel/internal/vgraph"
@@ -28,7 +27,7 @@ type Plan struct {
 
 	// Diff makes the plan the positive diff of Query 2: the records live
 	// at Branches[0]'s head but not at Branches[1]'s. Only the diff
-	// terminals (Diff, SymDiff, EmitDiffRows) run a Diff plan, and they
+	// terminals (SymDiff, EmitDiffRows) run a Diff plan, and they
 	// run nothing else. (Declared beside AllHeads, whose padding it
 	// takes: a Compiled, which embeds the plan, stays in its size class.)
 	Diff bool
@@ -56,8 +55,7 @@ type Plan struct {
 
 	// NoPrune disables every zone-map skip for this plan — segment
 	// pruning, the point lookup and the ordered visit's unit skips: the
-	// retained baseline the pruning benchmarks and the property tests
-	// measure the pruned paths against.
+	// reference the pruning property tests hold the pruned paths to.
 	NoPrune bool
 
 	// Joins composes N-way equi-joins: each leg is a single-table
@@ -68,8 +66,8 @@ type Plan struct {
 	Joins []JoinLeg
 
 	// NoReorder pins the join execution to the declared relation order,
-	// bypassing the greedy zone-map ordering: the baseline the
-	// join-ordering benchmarks compare against.
+	// bypassing the greedy zone-map ordering: the reference the join
+	// equivalence tests hold the greedy order to.
 	NoReorder bool
 
 	// GroupCols makes the plan a grouped aggregation: rows bucket by
@@ -377,7 +375,7 @@ func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 // that the scan is a point lookup. Bounds are conservative, so a point
 // bound never excludes a matching record; the full predicate re-runs on
 // the record the index yields. NoPrune plans extract no bounds and keep
-// the scan path (the benchmark baseline).
+// the scan path (the reference the pruning tests compare against).
 func (c *Compiled) pointPK() (int64, bool) {
 	for i := range c.bounds {
 		b := &c.bounds[i]
@@ -388,50 +386,33 @@ func (c *Compiled) pointPK() (int64, bool) {
 	return 0, false
 }
 
-// ScanMulti executes a multi-branch scan (Query 4) over the plan's
-// branches (or every head with AllHeads) as one engine pass; bit i of
-// the membership bitmap corresponds to Branches()[i].
-func (c *Compiled) ScanMulti(ctx context.Context, fn core.MultiScanFunc) error {
+// Annotated executes a multi-branch scan (Query 4) over the plan's
+// branches (or every head with Heads) as one engine pass, and passes
+// each record with the names of the scanned branches whose heads hold
+// it — the output shape of the paper's HEAD() query, "a list of records
+// annotated with their active branches". The name slice is reused
+// across calls; copy it to retain it. The scan emits in storage order,
+// so OrderBy/Limit do not apply.
+func (c *Compiled) Annotated(ctx context.Context, fn func(rec *record.Record, branches []string) bool) error {
+	if err := c.noOrdering("Annotated"); err != nil {
+		return err
+	}
 	if err := c.rowShape("Annotated", false); err != nil {
 		return err
 	}
 	if c.commit != nil {
 		return fmt.Errorf("%w: At() cannot combine with a multi-branch scan", core.ErrBadQuery)
 	}
-	return c.runRows(ctx, c.request(core.ScanKindMulti), nil,
-		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.Member) })
-}
-
-// Annotated executes the multi-branch scan of ScanMulti and passes each
-// record with the names of the scanned branches whose heads hold it —
-// the output shape of the paper's HEAD() query. The name slice is
-// reused across calls; copy it to retain it. The scan emits in storage
-// order, so OrderBy/Limit do not apply.
-func (c *Compiled) Annotated(ctx context.Context, fn func(rec *record.Record, branches []string) bool) error {
-	if err := c.noOrdering("Annotated"); err != nil {
-		return err
-	}
 	branches := c.branches // not c.branches in the closure: it runs once per head a record is live in
 	names := make([]string, 0, len(branches))
-	return c.ScanMulti(ctx, func(rec *record.Record, member *bitmap.Bitmap) bool {
+	return c.runRows(ctx, c.request(core.ScanKindMulti), nil, func(rec *record.Record, aux core.UnitAux) bool {
 		names = names[:0]
-		member.ForEach(func(i int) bool {
+		aux.Member.ForEach(func(i int) bool {
 			names = append(names, branches[i].Name)
 			return true
 		})
 		return fn(rec, names)
 	})
-}
-
-// Diff executes a positive diff (Query 2) of a Diff plan: records live
-// in Branches()[0] but not Branches()[1], with predicate, projection
-// and zone-map pruning applied inside the diff's scan units.
-func (c *Compiled) Diff(ctx context.Context, fn core.ScanFunc) error {
-	if err := c.rowShape("Diff", true); err != nil {
-		return err
-	}
-	return c.runRows(ctx, c.request(core.ScanKindDiff), keepInA,
-		func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
 // SymDiff executes the symmetric diff of a Diff plan's Branches()[0]

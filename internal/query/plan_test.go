@@ -7,7 +7,6 @@ import (
 	"sort"
 	"testing"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/record"
 )
@@ -99,31 +98,31 @@ func TestCompileExprRawBuffer(t *testing.T) {
 	}
 }
 
-// scanMultiRescan is the reference for Compiled.ScanMulti: one
+// annotatedRescan is the reference for Compiled.Annotated: one
 // independent scan per branch, merged in memory, instead of the engines'
 // single pass under the union of the branches' liveness.
-func scanMultiRescan(c *Compiled) func(context.Context, core.MultiScanFunc) error {
-	return func(ctx context.Context, fn core.MultiScanFunc) error {
+func annotatedRescan(c *Compiled) func(context.Context, func(*record.Record, []string) bool) error {
+	return func(ctx context.Context, fn func(*record.Record, []string) bool) error {
 		type entry struct {
-			rec    *record.Record
-			member *bitmap.Bitmap
+			rec      *record.Record
+			branches []string
 		}
 		// Merge by record contents, not primary key: an updated key is
 		// live as different copies in different branches and each copy
-		// keeps its own membership, matching what the single pass emits.
+		// keeps its own branches, matching what the single pass emits.
 		merged := make(map[string]*entry)
 		var order []string
-		for i, b := range c.branches {
+		for _, b := range c.branches {
 			req := core.ScanRequest{Kind: core.ScanKindBranch, Branch: b.ID}
 			err := c.table.ScanUnitsContext(ctx, req, c.execSpec(), nil, func(rec *record.Record, _ core.UnitAux) bool {
 				key := string(rec.Bytes())
 				en := merged[key]
 				if en == nil {
-					en = &entry{rec: rec.Clone(), member: bitmap.New(len(c.branches))}
+					en = &entry{rec: rec.Clone()}
 					merged[key] = en
 					order = append(order, key)
 				}
-				en.member.Set(i)
+				en.branches = append(en.branches, b.Name)
 				return true
 			})
 			if err != nil {
@@ -131,7 +130,7 @@ func scanMultiRescan(c *Compiled) func(context.Context, core.MultiScanFunc) erro
 			}
 		}
 		for _, key := range order {
-			if en := merged[key]; !fn(en.rec, en.member) {
+			if en := merged[key]; !fn(en.rec, en.branches) {
 				return nil
 			}
 		}
@@ -140,19 +139,20 @@ func scanMultiRescan(c *Compiled) func(context.Context, core.MultiScanFunc) erro
 }
 
 // TestScanMultiPushdownMatchesRescan checks the single-pass execution
-// and the per-branch rescan reference agree record-for-record on every
-// engine, with and without a predicate.
+// of the multi-branch scan (Annotated) and the per-branch rescan
+// reference agree record-for-record on every engine, with and without a
+// predicate.
 func TestScanMultiPushdownMatchesRescan(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) {
 			db := planFixture(t, f)
 			for _, where := range []Expr{{}, Col("v").Lt(8)} {
 				plan := Plan{Table: "r", AllHeads: true, AtSeq: -1, Where: where}
-				collect := func(scan func(context.Context, core.MultiScanFunc) error) map[int64]string {
+				collect := func(scan func(context.Context, func(*record.Record, []string) bool) error) map[int64]string {
 					t.Helper()
 					out := map[int64]string{}
-					err := scan(context.Background(), func(rec *record.Record, m *bitmap.Bitmap) bool {
-						out[rec.Get(1)*1000+rec.PK()] = m.String()
+					err := scan(context.Background(), func(rec *record.Record, branches []string) bool {
+						out[rec.Get(1)*1000+rec.PK()] = fmt.Sprint(branches)
 						return true
 					})
 					if err != nil {
@@ -164,12 +164,12 @@ func TestScanMultiPushdownMatchesRescan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				push := collect(c1.ScanMulti)
+				push := collect(c1.Annotated)
 				c2, err := plan.Compile(db)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rescan := collect(scanMultiRescan(c2))
+				rescan := collect(annotatedRescan(c2))
 				if len(push) == 0 || len(push) != len(rescan) {
 					t.Fatalf("pushdown %d records, rescan %d", len(push), len(rescan))
 				}
@@ -322,8 +322,8 @@ func TestDiffPlanShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Diff(ctx, none); !errors.Is(err, core.ErrBadQuery) {
-		t.Fatalf("Diff over a two-branch multi plan: err = %v, want ErrBadQuery", err)
+	if err := m.EmitDiffRows(ctx, none); !errors.Is(err, core.ErrBadQuery) {
+		t.Fatalf("EmitDiffRows over a two-branch multi plan: err = %v, want ErrBadQuery", err)
 	}
 	names := map[string]string{}
 	if err := m.Annotated(ctx, func(r *record.Record, branches []string) bool {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"decibel/internal/bitmap"
 	"decibel/internal/core"
 	"decibel/internal/hy"
 	"decibel/internal/record"
@@ -122,7 +121,7 @@ func TestQ2PositiveDiff(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				err = c.Diff(context.Background(), func(r *record.Record) bool {
+				err = c.EmitDiffRows(context.Background(), func(r *record.Record) bool {
 					pks = append(pks, r.PK())
 					return true
 				})
@@ -195,15 +194,14 @@ func TestQ4HeadScan(t *testing.T) {
 			}
 			perBranch := map[string]int{}
 			rows := 0
-			err = c.ScanMulti(context.Background(), func(_ *record.Record, member *bitmap.Bitmap) bool {
+			err = c.Annotated(context.Background(), func(_ *record.Record, branches []string) bool {
 				rows++
-				if !member.Any() {
+				if len(branches) == 0 {
 					t.Fatal("record with no active branches")
 				}
-				member.ForEach(func(i int) bool {
-					perBranch[c.Branches()[i].Name]++
-					return true
-				})
+				for _, name := range branches {
+					perBranch[name]++
+				}
 				return true
 			})
 			if err != nil {

@@ -54,7 +54,7 @@ type History struct {
 	physByCount map[int]*Schema // physical column count -> schema
 	visByEpoch  map[int]*Schema // clamped epoch -> visible schema
 	convs       map[convKey]*Conv
-	storage     map[storageKey]*storageConv
+	storage     map[storageKey]*Conv
 	writable    map[writableKey]error
 }
 
@@ -79,7 +79,7 @@ func NewHistory(base *Schema) *History {
 		physByCount: make(map[int]*Schema),
 		visByEpoch:  make(map[int]*Schema),
 		convs:       make(map[convKey]*Conv),
-		storage:     make(map[storageKey]*storageConv),
+		storage:     make(map[storageKey]*Conv),
 		writable:    make(map[writableKey]error),
 	}
 	for i := 0; i < base.NumColumns(); i++ {
@@ -372,7 +372,7 @@ func (h *History) invalidateLocked() {
 	h.physByCount = make(map[int]*Schema)
 	h.visByEpoch = make(map[int]*Schema)
 	h.convs = make(map[convKey]*Conv)
-	h.storage = make(map[storageKey]*storageConv)
+	h.storage = make(map[storageKey]*Conv)
 	h.writable = make(map[writableKey]error)
 }
 
@@ -428,16 +428,6 @@ func (h *History) PhysByCount(n int) (*Schema, error) {
 	}
 	h.physByCount[n] = s
 	return s, nil
-}
-
-// PhysLatest returns the current physical schema (every column ever
-// added, dropped ones included).
-func (h *History) PhysLatest() *Schema {
-	s, err := h.PhysByCount(h.PhysCols())
-	if err != nil {
-		panic(err) // the full physical layout always forms a valid schema
-	}
-	return s
 }
 
 // VisibleAt returns the schema visible as of a schema epoch: columns
@@ -533,17 +523,38 @@ func (h *History) ColumnEpochs(name string) (addedIn, droppedIn int, ok bool) {
 	return 0, 0, false
 }
 
-// Conv converts stored record buffers from one physical layout to one
-// visible schema. Identity conversions (the common case: data written
-// at the current epoch) are free; otherwise Convert copies the shared
-// prefix columns and fills declared defaults for columns the stored
-// buffer predates.
+// Conv converts record buffers from one layout to another: on read,
+// from a physical layout to a visible schema (History.Conv); on write,
+// from the caller's schema to a physical layout (StorageBytes).
+// Identity conversions (the common case: data written and read at the
+// current epoch) are free; otherwise Convert copies the columns both
+// layouts share and fills declared defaults for the columns the source
+// lacks.
 type Conv struct {
 	out      *Schema
 	identity bool
 	srcOff   []int    // per output column: byte offset in the source buffer, or -1
 	width    []int    // per output column: encoded width
 	defaults [][]byte // per output column: default bytes when srcOff < 0 (nil = zeros)
+}
+
+// newConv starts a conversion from src to out: the identity when the
+// two are equal, otherwise one with every output column's width set
+// and no source (srcOff -1) for the caller to fill in.
+func newConv(out, src *Schema) *Conv {
+	cv := &Conv{out: out, identity: out.Equal(src)}
+	if cv.identity {
+		return cv
+	}
+	n := out.NumColumns()
+	cv.srcOff = make([]int, n)
+	cv.width = make([]int, n)
+	cv.defaults = make([][]byte, n)
+	for i := range n {
+		cv.width[i] = out.Column(i).Width()
+		cv.srcOff[i] = -1
+	}
+	return cv
 }
 
 // Out returns the schema Convert's output buffers are encoded under.
@@ -621,15 +632,10 @@ func (h *History) Conv(physCols, epoch int) (*Conv, error) {
 	if cv, ok := h.convs[key]; ok {
 		return cv, nil
 	}
-	cv = &Conv{out: out, identity: out.Equal(src)}
+	cv = newConv(out, src)
 	if !cv.identity {
-		cv.srcOff = make([]int, out.NumColumns())
-		cv.width = make([]int, out.NumColumns())
-		cv.defaults = make([][]byte, out.NumColumns())
 		for i := 0; i < out.NumColumns(); i++ {
 			c := out.Column(i)
-			cv.width[i] = c.Width()
-			cv.srcOff[i] = -1
 			for j := 0; j < physCols; j++ {
 				if h.cols[j].col.Name == c.Name {
 					cv.srcOff[i] = src.ColumnOffset(j)
@@ -651,15 +657,6 @@ func (h *History) Conv(physCols, epoch int) (*Conv, error) {
 	return cv, nil
 }
 
-// storageConv widens a user-visible record into one physical layout.
-type storageConv struct {
-	identity bool
-	out      *Schema
-	srcOff   []int
-	width    []int
-	defaults [][]byte
-}
-
 // StorageBytes encodes rec — built under any schema this history has
 // produced (a current or older visible schema, or a physical layout) —
 // into the physical layout with physCols columns, filling declared
@@ -670,40 +667,20 @@ type storageConv struct {
 func (h *History) StorageBytes(rec *Record, physCols int, dst []byte) ([]byte, error) {
 	src := rec.Schema()
 	h.mu.RLock()
-	sc, ok := h.storage[storageKey{src: src, physCols: physCols}]
+	cv, ok := h.storage[storageKey{src: src, physCols: physCols}]
 	h.mu.RUnlock()
 	if !ok {
 		var err error
-		sc, err = h.buildStorageConv(src, physCols)
-		if err != nil {
+		if cv, err = h.buildStorageConv(src, physCols); err != nil {
 			return nil, err
 		}
 	}
-	if sc.identity {
-		return rec.Bytes(), nil
-	}
-	buf := rec.Bytes()
-	dst[0] = buf[0]
-	pos := HeaderSize
-	for i, off := range sc.srcOff {
-		w := sc.width[i]
-		out := dst[pos : pos+w]
-		switch {
-		case off >= 0:
-			copy(out, buf[off:off+w])
-		case sc.defaults[i] != nil:
-			copy(out, sc.defaults[i])
-		default:
-			for j := range out {
-				out[j] = 0
-			}
-		}
-		pos += w
-	}
-	return dst, nil
+	return cv.Convert(rec.Bytes(), dst), nil
 }
 
-func (h *History) buildStorageConv(src *Schema, physCols int) (*storageConv, error) {
+// buildStorageConv builds the write-side Conv: from the caller's
+// schema into the physical layout with physCols columns.
+func (h *History) buildStorageConv(src *Schema, physCols int) (*Conv, error) {
 	out, err := h.PhysByCount(physCols)
 	if err != nil {
 		return nil, err
@@ -711,31 +688,26 @@ func (h *History) buildStorageConv(src *Schema, physCols int) (*storageConv, err
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	key := storageKey{src: src, physCols: physCols}
-	if sc, ok := h.storage[key]; ok {
-		return sc, nil
+	if cv, ok := h.storage[key]; ok {
+		return cv, nil
 	}
 	// The cache is keyed by caller schema pointers, which nothing forces
 	// to be pointer-stable; bound it so callers that build a fresh
 	// Schema per batch cannot grow it without limit.
 	if len(h.storage) >= schemaCacheLimit {
-		h.storage = make(map[storageKey]*storageConv)
+		h.storage = make(map[storageKey]*Conv)
 	}
-	sc := &storageConv{out: out, identity: out.Equal(src)}
-	if !sc.identity {
-		sc.srcOff = make([]int, out.NumColumns())
-		sc.width = make([]int, out.NumColumns())
-		sc.defaults = make([][]byte, out.NumColumns())
+	cv := newConv(out, src)
+	if !cv.identity {
 		for i := 0; i < out.NumColumns(); i++ {
 			c := out.Column(i)
-			sc.width[i] = c.Width()
-			sc.srcOff[i] = -1
 			if j := src.ColumnIndex(c.Name); j >= 0 {
 				if src.Column(j) != c {
 					return nil, fmt.Errorf("record: column %q changed shape between schema versions", c.Name)
 				}
-				sc.srcOff[i] = src.ColumnOffset(j)
+				cv.srcOff[i] = src.ColumnOffset(j)
 			} else {
-				sc.defaults[i] = h.cols[i].def
+				cv.defaults[i] = h.cols[i].def
 			}
 		}
 		// Every source column must land somewhere in the target layout,
@@ -746,8 +718,8 @@ func (h *History) buildStorageConv(src *Schema, physCols int) (*storageConv, err
 			}
 		}
 	}
-	h.storage[key] = sc
-	return sc, nil
+	h.storage[key] = cv
+	return cv, nil
 }
 
 // CheckWritable reports whether records built under schema s may be

@@ -156,12 +156,16 @@ func TestHistoryStorageBytes(t *testing.T) {
 	rec := New(oldVis)
 	rec.SetPK(5)
 	rec.Set(1, 11)
-	dst := make([]byte, h.PhysLatest().RecordSize())
+	phys, err := h.PhysByCount(h.PhysCols())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, phys.RecordSize())
 	buf, err := h.StorageBytes(rec, 3, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := FromBytes(h.PhysLatest(), buf)
+	wide, err := FromBytes(phys, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +173,7 @@ func TestHistoryStorageBytes(t *testing.T) {
 		t.Fatalf("widened record wrong: %v", wide)
 	}
 	// A record already at the physical layout passes through untouched.
-	cur := New(h.PhysLatest())
+	cur := New(phys)
 	cur.SetPK(6)
 	got, err := h.StorageBytes(cur, 3, dst)
 	if err != nil {

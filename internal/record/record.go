@@ -232,53 +232,6 @@ func (s *Schema) Equal(o *Schema) bool {
 	return true
 }
 
-// MarshalBinary encodes the schema (for the dataset catalog file).
-func (s *Schema) MarshalBinary() ([]byte, error) {
-	buf := binary.AppendUvarint(nil, uint64(len(s.cols)))
-	for _, c := range s.cols {
-		buf = append(buf, byte(c.Type))
-		buf = binary.AppendUvarint(buf, uint64(c.Size))
-		buf = binary.AppendUvarint(buf, uint64(len(c.Name)))
-		buf = append(buf, c.Name...)
-	}
-	return buf, nil
-}
-
-// UnmarshalSchema decodes a schema from the front of data, returning it
-// and the number of bytes consumed.
-func UnmarshalSchema(data []byte) (*Schema, int, error) {
-	n, used := binary.Uvarint(data)
-	if used <= 0 {
-		return nil, 0, errors.New("record: truncated schema header")
-	}
-	pos := used
-	cols := make([]Column, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if pos >= len(data) {
-			return nil, 0, errors.New("record: truncated schema column")
-		}
-		typ := Type(data[pos])
-		pos++
-		size, used := binary.Uvarint(data[pos:])
-		if used <= 0 {
-			return nil, 0, errors.New("record: truncated schema size")
-		}
-		pos += used
-		l, used := binary.Uvarint(data[pos:])
-		if used <= 0 || pos+used+int(l) > len(data) {
-			return nil, 0, errors.New("record: truncated schema name")
-		}
-		pos += used
-		cols = append(cols, Column{Name: string(data[pos : pos+int(l)]), Type: typ, Size: int(size)})
-		pos += int(l)
-	}
-	s, err := NewSchema(cols...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, pos, nil
-}
-
 // PKOf reads the primary key straight from an encoded record buffer.
 // Column 0 is Int64 at a fixed offset in every schema version (the
 // physical layout only appends columns), so key extraction never needs

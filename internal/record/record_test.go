@@ -122,26 +122,6 @@ func TestRecordCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSchemaMarshalRoundTrip(t *testing.T) {
-	s := testSchema(t)
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, used, err := UnmarshalSchema(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != len(data) || !got.Equal(s) {
-		t.Fatal("schema round trip mismatch")
-	}
-	for cut := 0; cut < len(data); cut++ {
-		if _, _, err := UnmarshalSchema(data[:cut]); err == nil {
-			t.Fatalf("truncated schema at %d accepted", cut)
-		}
-	}
-}
-
 func TestDiffFields(t *testing.T) {
 	s := testSchema(t)
 	a := New(s)
@@ -480,24 +460,6 @@ func TestTypedAccessorPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestTypedSchemaMarshalRoundTrip(t *testing.T) {
-	s := typedSchema(t)
-	data, err := s.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, used, err := UnmarshalSchema(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if used != len(data) || !got.Equal(s) {
-		t.Fatal("typed schema round trip mismatch")
-	}
-	if got.Column(3).Size != 16 {
-		t.Fatalf("bytes size lost: %d", got.Column(3).Size)
 	}
 }
 

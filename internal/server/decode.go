@@ -3,10 +3,12 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 
 	"decibel/client"
+	"decibel/internal/core"
 	iquery "decibel/internal/query"
 	"decibel/internal/record"
 	"decibel/internal/vgraph"
@@ -82,8 +84,10 @@ func coerce(v any, t record.Type) (any, error) {
 // planOf translates a wire query into the logical plan it names, with
 // no database at hand: schemaOf returns a table's schema, against
 // which predicate values are coerced. Its own errors are bad_request —
-// a body that cannot be read as a query; whether the plan's shape is
-// legal is for Plan.Compile and the terminal to decide. Diff's branches
+// a body that cannot be read as a query — except a negative "at", which
+// names no commit (no_such_commit, as the builder's At reports it);
+// whether the plan's shape is legal is for Plan.Compile and the
+// terminal to decide. Diff's branches
 // follow Branches in the plan's scan set, as the builder's Diff(a, b)
 // follows On.
 func planOf(req *client.QueryRequest, schemaOf func(table string) (*record.Schema, error)) (iquery.Plan, error) {
@@ -105,6 +109,9 @@ func planOf(req *client.QueryRequest, schemaOf func(table string) (*record.Schem
 		GroupCols: req.GroupBy,
 	}
 	if req.At != nil {
+		if *req.At < 0 {
+			return iquery.Plan{}, fmt.Errorf("%w: commit number %d", core.ErrNoSuchCommit, *req.At)
+		}
 		plan.AtSeq = *req.At
 	}
 	if len(req.Diff) > 0 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"decibel/client"
+	"decibel/internal/core"
 	"decibel/internal/record"
 )
 
@@ -25,11 +26,12 @@ var fuzzSchema = record.MustSchema(
 // body decode of a query and a commit, the query-to-plan translation
 // and the insert-record encoder. None may panic; every error the
 // translation returns must be bad_request (a shape error there would
-// mean a rule leaked out of the planner); and every record buildRecord
+// mean a rule leaked out of the planner) or, for a negative "at",
+// no_such_commit; and every record buildRecord
 // accepts must read back exactly the values it was given — an integer
 // wrapped to fit its column is a failure, not an encoding.
 func FuzzDecodeRequest(f *testing.F) {
-	at := 2
+	at, neg := 2, -2
 	insert := func(values map[string]any) client.Op {
 		return client.Op{Op: "insert", Table: "r", Values: values}
 	}
@@ -43,6 +45,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		client.QueryRequest{Table: "products", Diff: []string{"dev", "master"}},
 		client.QueryRequest{Table: "products", Heads: true, Agg: "count"},
 		client.QueryRequest{Table: "products", Branches: []string{"master"}, At: &at},
+		client.QueryRequest{Table: "products", Branches: []string{"master"}, At: &neg},
 		client.QueryRequest{Table: "products", Branches: []string{"master"},
 			Where: &client.Expr{Col: "qty", Op: "eq", Val: 1, And: []client.Expr{{Col: "qty", Op: "eq", Val: 1}}}},
 		client.QueryRequest{Table: "products", Branches: []string{"master"},
@@ -77,8 +80,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		var q client.QueryRequest
 		if post(&q) == nil {
 			schemaOf := func(string) (*record.Schema, error) { return fuzzSchema, nil }
-			if _, err := planOf(&q, schemaOf); err != nil && !errors.Is(err, errBadRequest) {
-				t.Fatalf("planOf: %v is not bad_request", err)
+			if _, err := planOf(&q, schemaOf); err != nil && !errors.Is(err, errBadRequest) && !errors.Is(err, core.ErrNoSuchCommit) {
+				t.Fatalf("planOf: %v is neither bad_request nor no_such_commit", err)
 			}
 		}
 		var c client.CommitRequest

@@ -33,14 +33,10 @@ import (
 	"decibel/internal/record"
 )
 
-// pageDecodes counts compressed pages decoded across every open file
-// (expvar "decibel.compressed_page_decodes"); the cache makes repeat
-// scans of the same page free, which this counter makes observable.
-var pageDecodes atomic.Int64
-
-func init() {
-	expvar.Publish("decibel.compressed_page_decodes", expvar.Func(func() any { return pageDecodes.Load() }))
-}
+// pageDecodes counts compressed pages decoded across every open file;
+// the cache makes repeat scans of the same page free, which this
+// counter makes observable.
+var pageDecodes = expvar.NewInt("decibel.compressed_page_decodes")
 
 const (
 	dczMagic      = "DCZ1"

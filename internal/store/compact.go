@@ -1,10 +1,8 @@
 package store
 
 import (
-	"expvar"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 )
 
 // The one compaction loop, Catalog.Compact: segments re-encode into the
@@ -59,29 +57,6 @@ func (e failPointError) Error() string {
 func ErrFailPoint(err error) bool {
 	_, ok := err.(failPointError)
 	return ok
-}
-
-// Process-wide compaction counters (expvar "decibel.compactions",
-// ".bytes_reclaimed", ".compressed_pages"): the server's smoke test
-// asserts they move when a compaction is triggered mid-load.
-var (
-	compactions     atomic.Int64
-	bytesReclaimed  atomic.Int64
-	compressedPages atomic.Int64
-)
-
-func init() {
-	expvar.Publish("decibel.compactions", expvar.Func(func() any { return compactions.Load() }))
-	expvar.Publish("decibel.bytes_reclaimed", expvar.Func(func() any { return bytesReclaimed.Load() }))
-	expvar.Publish("decibel.compressed_pages", expvar.Func(func() any { return compressedPages.Load() }))
-}
-
-// CountCompaction folds one pass, over every table, into the
-// process-wide counters.
-func CountCompaction(s CompactStats) {
-	compactions.Add(1)
-	bytesReclaimed.Add(s.BytesReclaimed)
-	compressedPages.Add(s.PagesCompressed)
 }
 
 // Pages returns the number of compressed pages flushed so far; after

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"expvar"
 	"sync"
-	"sync/atomic"
 
 	"decibel/internal/record"
 )
@@ -83,28 +81,3 @@ func (s *Segment) EnablePageZones() error {
 // Pages returns the segment's page-zone index, or nil when the engine
 // did not enable one.
 func (s *Segment) Pages() *PageZones { return s.pages }
-
-// Page-scan counters, the page-granularity mirror of the segment
-// counters: every per-page pruning decision increments exactly one
-// (expvar "decibel.pages_scanned"/".pages_skipped"). A scan decides
-// only for pages that hold a live slot of its bitmap.
-var (
-	pagesScanned atomic.Int64
-	pagesSkipped atomic.Int64
-)
-
-func init() {
-	expvar.Publish("decibel.pages_scanned", expvar.Func(func() any { return pagesScanned.Load() }))
-	expvar.Publish("decibel.pages_skipped", expvar.Func(func() any { return pagesSkipped.Load() }))
-}
-
-// CountPageScanned records a page chunk a pruning decision let through.
-func CountPageScanned() { pagesScanned.Add(1) }
-
-// CountPageSkipped records a page chunk a page zone pruned.
-func CountPageSkipped() { pagesSkipped.Add(1) }
-
-// PageScanCounters returns the cumulative page-pruning counters.
-func PageScanCounters() (scanned, skipped int64) {
-	return pagesScanned.Load(), pagesSkipped.Load()
-}

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"expvar"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"decibel/internal/heap"
 	"decibel/internal/record"
@@ -281,32 +279,6 @@ func (s *Segment) AppendTombstone(pk int64) (int64, error) {
 	tomb.SetPK(pk)
 	tomb.SetTombstone(true)
 	return s.AppendRaw(tomb.Bytes())
-}
-
-// Segment-scan counters: every zone-map pruning decision increments
-// exactly one of them, so a selective scan's segment skipping is
-// observable (expvar "decibel.segments_scanned"/".segments_skipped",
-// and per-op deltas in the bench harness).
-var (
-	segsScanned atomic.Int64
-	segsSkipped atomic.Int64
-)
-
-func init() {
-	expvar.Publish("decibel.segments_scanned", expvar.Func(func() any { return segsScanned.Load() }))
-	expvar.Publish("decibel.segments_skipped", expvar.Func(func() any { return segsSkipped.Load() }))
-}
-
-// CountSegmentScanned records a segment that a pruning decision let
-// through to a page-level scan.
-func CountSegmentScanned() { segsScanned.Add(1) }
-
-// CountSegmentSkipped records a segment a zone map pruned entirely.
-func CountSegmentSkipped() { segsSkipped.Add(1) }
-
-// SegmentScanCounters returns the cumulative pruning counters.
-func SegmentScanCounters() (scanned, skipped int64) {
-	return segsScanned.Load(), segsSkipped.Load()
 }
 
 // ColZoneStat is one formatted zone-map entry for diagnostics.

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"expvar"
 	"fmt"
-	"sync/atomic"
 
 	"decibel/internal/bitmap"
 	"decibel/internal/store"
@@ -61,29 +60,16 @@ import (
 // instead of once per merge level. Point lookups (LookupPK) build no
 // plan: they rank one key's copies by the step that holds them.
 
-// Cache counters (expvar decibel.vf.*). The equivalence harness
-// asserts hits move while the cache is enabled, so a silently bypassed
-// cache cannot pass.
+// Plan-cache counters: exact-position hits, misses, LRU evictions and
+// misses served by deriving the plan from a base plan. The equivalence
+// harness asserts hits move while the cache is enabled, so a silently
+// bypassed cache cannot pass.
 var (
-	vfCacheHits      atomic.Int64
-	vfCacheMisses    atomic.Int64
-	vfCacheEvictions atomic.Int64
-	vfDeltaResolves  atomic.Int64
+	vfCacheHits      = expvar.NewInt("decibel.vf.lineage_cache_hits")
+	vfCacheMisses    = expvar.NewInt("decibel.vf.lineage_cache_misses")
+	vfCacheEvictions = expvar.NewInt("decibel.vf.lineage_cache_evictions")
+	vfDeltaResolves  = expvar.NewInt("decibel.vf.delta_resolves")
 )
-
-func init() {
-	expvar.Publish("decibel.vf.lineage_cache_hits", expvar.Func(func() any { return vfCacheHits.Load() }))
-	expvar.Publish("decibel.vf.lineage_cache_misses", expvar.Func(func() any { return vfCacheMisses.Load() }))
-	expvar.Publish("decibel.vf.lineage_cache_evictions", expvar.Func(func() any { return vfCacheEvictions.Load() }))
-	expvar.Publish("decibel.vf.delta_resolves", expvar.Func(func() any { return vfDeltaResolves.Load() }))
-}
-
-// CacheCounters returns the cumulative plan-cache counters:
-// exact-position hits, misses, LRU evictions and misses served by
-// deriving the plan from a base plan.
-func CacheCounters() (hits, misses, evictions, deltaResolves int64) {
-	return vfCacheHits.Load(), vfCacheMisses.Load(), vfCacheEvictions.Load(), vfDeltaResolves.Load()
-}
 
 // cacheBudget bounds the plan cache by resident weight: the total
 // number of bitmap words its plans occupy.

@@ -35,10 +35,10 @@ func TestLRU(t *testing.T) {
 		if _, ok := c.get("a"); !ok { // a is now more recent than b
 			t.Fatal("a missing")
 		}
-		_, _, before, _ := CacheCounters()
+		before := vfCacheEvictions.Value()
 		c.put("c", make([]int, 4)) // 12 > 10: b goes
 		expect(t, c, 8, "c", "a")
-		if _, _, after, _ := CacheCounters(); after != before+1 {
+		if after := vfCacheEvictions.Value(); after != before+1 {
 			t.Fatalf("evictions moved by %d, want 1", after-before)
 		}
 		if _, ok := c.get("b"); ok {

@@ -345,7 +345,7 @@ func (s *spanSet) subtract(from, to int64) []span {
 			break
 		}
 		if sp.from > cur {
-			out = append(out, span{from: cur, to: minI64(sp.from, to)})
+			out = append(out, span{from: cur, to: min(sp.from, to)})
 		}
 		if sp.to > cur {
 			cur = sp.to
@@ -390,11 +390,4 @@ func (s *spanSet) add(from, to int64) {
 		merged = append(merged, span{from, to})
 	}
 	s.spans = merged
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -131,9 +131,3 @@ func TestQuickSpanSetVsModel(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMinI64(t *testing.T) {
-	if minI64(3, 5) != 3 || minI64(5, 3) != 3 || minI64(-1, 1) != -1 {
-		t.Fatal("minI64 wrong")
-	}
-}

@@ -96,10 +96,10 @@ func TestHeadsComposeCachedPlans(t *testing.T) {
 
 	before := heads()
 	put(ids[2], 7, 700)
-	_, missesBefore, _, _ := CacheCounters()
+	missesBefore := vfCacheMisses.Value()
 	cachedBefore := len(e.pcache.entries)
 	after := heads()
-	_, missesAfter, _, _ := CacheCounters()
+	missesAfter := vfCacheMisses.Value()
 	for i := range ids {
 		if same := after[i] == before[i]; same != (i != 2) {
 			t.Errorf("branch %d: plan reused = %v, want %v", ids[i], same, i != 2)

@@ -489,7 +489,6 @@ func TestReadersDuringLoggedCommits(t *testing.T) {
 						return
 					}
 					head, _ := g.Head(b.ID)
-					g.BranchOf(head)
 					g.LCA(head, c0.ID)
 				}
 			}

@@ -425,13 +425,8 @@ func (g *Graph) NumCommits() int {
 	return len(g.commits)
 }
 
-// Ancestors returns the set of all ancestors of c, including c itself.
-func (g *Graph) Ancestors(c CommitID) map[CommitID]bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.ancestorsLocked(c)
-}
-
+// ancestorsLocked returns the set of all ancestors of c, including c
+// itself; the caller holds g.mu.
 func (g *Graph) ancestorsLocked(c CommitID) map[CommitID]bool {
 	seen := make(map[CommitID]bool)
 	stack := []CommitID{c}
@@ -449,11 +444,6 @@ func (g *Graph) ancestorsLocked(c CommitID) map[CommitID]bool {
 		stack = append(stack, cm.Parents...)
 	}
 	return seen
-}
-
-// IsAncestor reports whether a is an ancestor of b (or equal).
-func (g *Graph) IsAncestor(a, b CommitID) bool {
-	return g.Ancestors(b)[a]
 }
 
 // LCA returns the lowest common ancestor of two commits: the common
@@ -475,81 +465,6 @@ func (g *Graph) LCA(a, b CommitID) CommitID {
 		}
 	}
 	return best
-}
-
-// FirstParentChain returns the chain of commits from c to the init
-// commit following first parents only: the linear history of the
-// branch line c sits on, youngest first.
-func (g *Graph) FirstParentChain(c CommitID) []CommitID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	var out []CommitID
-	for c != None {
-		cm, ok := g.commits[c]
-		if !ok {
-			break
-		}
-		out = append(out, c)
-		if len(cm.Parents) == 0 {
-			break
-		}
-		c = cm.Parents[0]
-	}
-	return out
-}
-
-// TopoOrder returns every ancestor of the given commits (deduplicated)
-// in a topological order where parents precede children. Version-first
-// multi-branch scans visit segments in the reverse of this order.
-func (g *Graph) TopoOrder(roots ...CommitID) []CommitID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	state := make(map[CommitID]int) // 0 new, 1 visiting, 2 done
-	var out []CommitID
-	var visit func(CommitID)
-	visit = func(id CommitID) {
-		if state[id] != 0 {
-			return
-		}
-		state[id] = 1
-		if cm, ok := g.commits[id]; ok {
-			for _, p := range cm.Parents {
-				visit(p)
-			}
-		}
-		state[id] = 2
-		out = append(out, id)
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-	return out
-}
-
-// BranchOf returns a branch whose head is the commit, if any: the
-// branch the commit was made on when that is still at it, else the
-// lowest-numbered branch created at the commit and not yet committed to.
-func (g *Graph) BranchOf(head CommitID) (*Branch, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	c, ok := g.commits[head]
-	if !ok {
-		return nil, false
-	}
-	found := g.branches[c.Branch]
-	if found.Head != head {
-		found = nil
-		for _, b := range g.branches {
-			if b.Head == head && (found == nil || b.ID < found.ID) {
-				found = b
-			}
-		}
-		if found == nil {
-			return nil, false
-		}
-	}
-	cp := *found
-	return &cp, true
 }
 
 // CommitsOnBranch returns the commits made on the given branch in Seq

@@ -143,58 +143,6 @@ func TestLCAAfterMerge(t *testing.T) {
 	}
 }
 
-func TestIsAncestor(t *testing.T) {
-	g, master, c0 := initGraph(t)
-	c1, _ := g.NewCommit(master.ID, "1")
-	dev, _ := g.NewBranch("dev", c0.ID)
-	cd, _ := g.NewCommit(dev.ID, "d")
-	if !g.IsAncestor(c0.ID, c1.ID) || !g.IsAncestor(c0.ID, cd.ID) {
-		t.Fatal("root not ancestor of descendants")
-	}
-	if g.IsAncestor(c1.ID, cd.ID) || g.IsAncestor(cd.ID, c1.ID) {
-		t.Fatal("siblings reported as ancestors")
-	}
-}
-
-func TestFirstParentChain(t *testing.T) {
-	g, master, c0 := initGraph(t)
-	c1, _ := g.NewCommit(master.ID, "1")
-	dev, _ := g.NewBranch("dev", c1.ID)
-	g.NewCommit(dev.ID, "d")
-	mc, _ := g.NewMergeCommit(master.ID, dev.ID, "merge", true)
-	chain := g.FirstParentChain(mc.ID)
-	want := []CommitID{mc.ID, c1.ID, c0.ID}
-	if len(chain) != len(want) {
-		t.Fatalf("chain = %v", chain)
-	}
-	for i := range want {
-		if chain[i] != want[i] {
-			t.Fatalf("chain = %v, want %v", chain, want)
-		}
-	}
-}
-
-func TestTopoOrder(t *testing.T) {
-	g, master, c0 := initGraph(t)
-	dev, _ := g.NewBranch("dev", c0.ID)
-	cm, _ := g.NewCommit(master.ID, "m")
-	cd, _ := g.NewCommit(dev.ID, "d")
-	mc, _ := g.NewMergeCommit(master.ID, dev.ID, "merge", true)
-	order := g.TopoOrder(mc.ID, cd.ID)
-	pos := make(map[CommitID]int)
-	for i, id := range order {
-		if _, dup := pos[id]; dup {
-			t.Fatalf("duplicate %d in topo order %v", id, order)
-		}
-		pos[id] = i
-	}
-	for _, pair := range [][2]CommitID{{c0.ID, cm.ID}, {c0.ID, cd.ID}, {cm.ID, mc.ID}, {cd.ID, mc.ID}} {
-		if pos[pair[0]] >= pos[pair[1]] {
-			t.Fatalf("topo order violated for %v: %v", pair, order)
-		}
-	}
-}
-
 func TestHeadsAndActive(t *testing.T) {
 	g, master, c0 := initGraph(t)
 	dev, _ := g.NewBranch("dev", c0.ID)
@@ -249,12 +197,14 @@ func TestQuickLCAIsDeepestCommonAncestor(t *testing.T) {
 		if lca == None {
 			return false // every pair shares the init commit
 		}
-		if !g.IsAncestor(lca, a) || !g.IsAncestor(lca, b) {
+		g.mu.RLock()
+		aa, ba := g.ancestorsLocked(a), g.ancestorsLocked(b)
+		g.mu.RUnlock()
+		if !aa[lca] || !ba[lca] {
 			return false
 		}
 		lc, _ := g.Commit(lca)
-		aa := g.Ancestors(a)
-		for id := range g.Ancestors(b) {
+		for id := range ba {
 			if aa[id] {
 				c, _ := g.Commit(id)
 				if c.Depth > lc.Depth {

@@ -20,7 +20,7 @@ import (
 )
 
 func TestOrderedVisitEquivalence(t *testing.T) {
-	skipsBefore := iquery.CountOrderedSkips()
+	skipsBefore := expvarInt(t, "decibel.ordered_skips")
 	for _, engine := range facadeEngines {
 		t.Run(engine, func(t *testing.T) {
 			db := buildPruningDB(t, engine)
@@ -81,16 +81,16 @@ func TestOrderedVisitEquivalence(t *testing.T) {
 
 			// A top-1 by v over the frozen segments skips units on every
 			// engine.
-			before := iquery.CountOrderedSkips()
+			before := expvarInt(t, "decibel.ordered_skips")
 			got, gotErr := run(db.Query("r").On("master").OrderBy("v", true).Limit(1))
 			all, allErr := run(db.Query("r").On("master").OrderBy("v", true))
 			compareStreams(t, "top-1", got, cut(all, 1), gotErr, allErr)
-			if iquery.CountOrderedSkips() == before {
+			if expvarInt(t, "decibel.ordered_skips") == before {
 				t.Fatalf("an OrderBy+Limit top-1 skipped no unit (ordered_skips stuck at %d)", before)
 			}
 		})
 	}
-	if skipsAfter := iquery.CountOrderedSkips(); skipsAfter == skipsBefore {
+	if skipsAfter := expvarInt(t, "decibel.ordered_skips"); skipsAfter == skipsBefore {
 		t.Fatalf("ordered visitor never skipped a unit (ordered_skips stuck at %d)", skipsBefore)
 	}
 }

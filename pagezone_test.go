@@ -18,7 +18,6 @@ import (
 	"decibel"
 	iquery "decibel/internal/query"
 	"decibel/internal/record"
-	"decibel/internal/store"
 )
 
 func TestTupleFirstPageZoneSkipping(t *testing.T) {
@@ -104,8 +103,8 @@ func TestTupleFirstPageZoneSkipping(t *testing.T) {
 				return true
 			})
 		case p.AllHeads:
-			err = c.ScanMulti(context.Background(), func(rec *record.Record, member *decibel.Bitmap) bool {
-				out = append(out, fmt.Sprintf("%s master=%v dev=%v", rec, member.Get(0), member.Get(1)))
+			err = c.Annotated(context.Background(), func(rec *record.Record, branches []string) bool {
+				out = append(out, fmt.Sprintf("%s %v", rec, branches))
 				return true
 			})
 		default:
@@ -131,9 +130,9 @@ func TestTupleFirstPageZoneSkipping(t *testing.T) {
 		{"heads", iquery.Plan{AllHeads: true}, 36},
 		{"diff", iquery.Plan{Branches: []string{"master", "dev"}, Diff: true}, 23},
 	} {
-		_, skippedBefore := store.PageScanCounters()
+		skippedBefore := expvarInt(t, "decibel.pages_skipped")
 		got := run(tc.plan)
-		_, skippedAfter := store.PageScanCounters()
+		skippedAfter := expvarInt(t, "decibel.pages_skipped")
 
 		tc.plan.NoPrune = true
 		want := run(tc.plan) // unpruned baseline scans every page

@@ -10,28 +10,13 @@ package decibel_test
 // absent and deleted keys read back empty.
 
 import (
-	"expvar"
 	"fmt"
 	"slices"
-	"strconv"
 	"testing"
 
 	"decibel"
 	iquery "decibel/internal/query"
 )
-
-func pointLookupCount(t *testing.T) int64 {
-	t.Helper()
-	v := expvar.Get("decibel.point_lookups")
-	if v == nil {
-		t.Fatal("decibel.point_lookups not published")
-	}
-	n, err := strconv.ParseInt(v.String(), 10, 64)
-	if err != nil {
-		t.Fatalf("decibel.point_lookups = %q: %v", v.String(), err)
-	}
-	return n
-}
 
 func TestPointLookupFastPath(t *testing.T) {
 	for _, engine := range facadeEngines {
@@ -65,7 +50,7 @@ func TestPointLookupFastPath(t *testing.T) {
 			// All three engines serve the fast path (version-first probes
 			// its lineage instead of a pk index).
 			serves := true
-			expect := pointLookupCount(t)
+			expect := expvarInt(t, "decibel.point_lookups")
 			// check runs one query and asserts both the result and
 			// whether the point-lookup counter moved.
 			check := func(q *decibel.Query, wantRows int, wantV int64, served bool) {
@@ -89,7 +74,7 @@ func TestPointLookupFastPath(t *testing.T) {
 				if served {
 					expect++
 				}
-				if got := pointLookupCount(t); got != expect {
+				if got := expvarInt(t, "decibel.point_lookups"); got != expect {
 					t.Fatalf("point_lookups = %d, want %d (served=%v)", got, expect, served)
 				}
 			}
@@ -216,12 +201,12 @@ func TestPointLookupAtCommit(t *testing.T) {
 					label := fmt.Sprintf("%s seq=%d commit=%d pk=%d", v.branch, v.seq, v.commit, pk)
 					plan := iquery.Plan{Table: "r", Branches: []string{v.branch}, AtSeq: v.seq, AtCommit: v.commit,
 						Where: decibel.Col("id").Eq(pk)}
-					before := pointLookupCount(t)
+					before := expvarInt(t, "decibel.point_lookups")
 					got, err := runShape(db, plan, "scan")
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if n := pointLookupCount(t) - before; n != 1 {
+					if n := expvarInt(t, "decibel.point_lookups") - before; n != 1 {
 						t.Fatalf("%s: %d point lookups served, want 1", label, n)
 					}
 					plan.NoPrune = true

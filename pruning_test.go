@@ -18,7 +18,6 @@ import (
 	"decibel"
 	iquery "decibel/internal/query"
 	"decibel/internal/record"
-	"decibel/internal/store"
 )
 
 // buildPruningDB loads a small dataset engineered to spread values
@@ -177,7 +176,7 @@ func randExpr(rng *rand.Rand, depth int) iquery.Expr {
 	}
 }
 
-// diffPostFilter is the reference for Compiled.Diff: the facade's plain
+// diffPostFilter is the reference for the diff terminal: the facade's plain
 // symmetric diff materializes every differing record and the plan's
 // predicate is applied above it, instead of inside the diff's scan
 // units. (The plans here carry no projection.)
@@ -227,17 +226,11 @@ func collectShape(db *decibel.DB, plan iquery.Plan, shape string) ([]string, err
 		if shape == "diff-postfilter" {
 			err = diffPostFilter(db, plan, c, fn)
 		} else {
-			err = c.Diff(ctx, fn)
+			err = c.EmitDiffRows(ctx, fn)
 		}
 	case "multi":
-		err = c.ScanMulti(ctx, func(rec *record.Record, m *decibel.Bitmap) bool {
-			key := rec.String() + " @"
-			for i := 0; i < len(c.Branches()); i++ {
-				if m.Get(i) {
-					key += fmt.Sprintf("%d,", i)
-				}
-			}
-			out = append(out, key)
+		err = c.Annotated(ctx, func(rec *record.Record, branches []string) bool {
+			out = append(out, fmt.Sprintf("%s @%v", rec, branches))
 			return true
 		})
 	default:
@@ -297,7 +290,7 @@ func comparePrunedUnpruned(t *testing.T, db *decibel.DB, plan iquery.Plan, shape
 }
 
 func TestZoneMapPruningProperty(t *testing.T) {
-	scannedBefore, skippedBefore := store.SegmentScanCounters()
+	scannedBefore, skippedBefore := expvarInt(t, "decibel.segments_scanned"), expvarInt(t, "decibel.segments_skipped")
 	for _, engine := range facadeEngines {
 		t.Run(engine, func(t *testing.T) {
 			db := buildPruningDB(t, engine)
@@ -340,7 +333,7 @@ func TestZoneMapPruningProperty(t *testing.T) {
 			}
 		})
 	}
-	scannedAfter, skippedAfter := store.SegmentScanCounters()
+	scannedAfter, skippedAfter := expvarInt(t, "decibel.segments_scanned"), expvarInt(t, "decibel.segments_skipped")
 	if skippedAfter == skippedBefore {
 		t.Fatalf("pruning never skipped a segment (scanned %d→%d): zone maps are not engaging",
 			scannedBefore, scannedAfter)

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# twenty-nine structural checks. Prints the non-test Go lines outside
+# thirty-one structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -84,7 +84,7 @@
 # non-zero too if internal/compact/ exists, or if non-test Go matches
 # startCompactor, WithCompactionInterval, ModeAuto, ScanLive, Bitmapper
 # or offsetBitmap: compaction is one call (Database.Compact, on or off,
-# no background loop), its stats, counters and fail points live in
+# no background loop), its stats and fail points live in
 # internal/store, and the live-page walk is written once, in core's
 # walkSlots, over SegFile.Scan. Exits non-zero too if non-test Go matches
 # runPool, UnitSink, NoParallel, ParallelScanCounters, scanSem or
@@ -105,7 +105,16 @@
 # the three engines are one static name/alias table in the facade
 # (decibel.go), and the paper harness (bench_test.go) imports
 # internal/bench and internal/gitstore itself, through no public
-# wrapper.
+# wrapper. Exits non-zero too if non-test Go matches SchemaEpoch(,
+# TopoOrder(, FirstParentChain(, IsAncestor(, BranchOf(,
+# UnmarshalSchema(, PhysLatest(, ScanMulti(, MultiScanFunc,
+# CacheCounters(, SegmentScanCounters(, PageScanCounters(,
+# CountOrderedSkips( or CountPointLookups(: an exported name that only
+# tests called is gone, and a multi-branch scan is Compiled.Annotated.
+# Exits non-zero too if non-test Go calls expvar.Publish( outside
+# internal/server: every process-global counter is one expvar.NewInt
+# declared in the package that increments it, read by its published
+# name; the server's active-sessions gauge is the one expvar.Func.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -286,7 +295,7 @@ if [ -n "$stray" ]; then
 fi
 
 if [ -e internal/compact ]; then
-    echo "internal/compact is gone (compaction's stats, counters and fail points live in internal/store)" >&2
+    echo "internal/compact is gone (compaction's stats and fail points live in internal/store)" >&2
     exit 1
 fi
 
@@ -334,6 +343,21 @@ fi
 stray=$(grep -rnE --include='*.go' 'RegisterEngine\(|LookupEngine\(|EngineNames\(' . | grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "the engine registry is gone (the engines are one static table in decibel.go):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'SchemaEpoch\(|TopoOrder\(|FirstParentChain\(|IsAncestor\(|BranchOf\(|UnmarshalSchema\(|PhysLatest\(|ScanMulti\(|MultiScanFunc|CacheCounters\(|SegmentScanCounters\(|PageScanCounters\(|CountOrderedSkips\(|CountPointLookups\(' . |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "names only tests called are gone (a multi-branch scan is Compiled.Annotated; tests read counters by published name):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rn --include='*.go' 'expvar\.Publish(' . | grep -v '_test\.go:' | grep -v '^\./internal/server/' || true)
+if [ -n "$stray" ]; then
+    echo "a process-global counter is one expvar.NewInt in the package that increments it (only internal/server's gauge publishes a Func):" >&2
     echo "$stray" >&2
     exit 1
 fi

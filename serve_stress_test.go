@@ -13,10 +13,8 @@ package decibel_test
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,19 +23,6 @@ import (
 	"decibel"
 	"decibel/client"
 )
-
-func expvarInt(t *testing.T, name string) int64 {
-	t.Helper()
-	v := expvar.Get(name)
-	if v == nil {
-		t.Fatalf("expvar %q not published", name)
-	}
-	n, err := strconv.ParseInt(v.String(), 10, 64)
-	if err != nil {
-		t.Fatalf("expvar %q = %q: %v", name, v.String(), err)
-	}
-	return n
-}
 
 func TestConcurrentServing(t *testing.T) {
 	runConcurrentServing(t, false)

@@ -24,7 +24,6 @@ import (
 
 	"decibel"
 	"decibel/client"
-	iquery "decibel/internal/query"
 )
 
 // newServeClient opens a products dataset on the engine, mounts a
@@ -312,6 +311,18 @@ func TestServeErrorCodes(t *testing.T) {
 				Where: &client.Expr{Col: "price", Op: "prefix", Val: "x"}})
 			return err
 		}, 400, "type_mismatch"},
+		{"no_such_commit", func() error {
+			at := 99
+			_, err := c.Query(ctx, client.QueryRequest{Table: "products", Branches: []string{"master"}, At: &at})
+			return err
+		}, 404, "no_such_commit"},
+		{"negative_at", func() error {
+			// A negative commit number names no commit; it must not
+			// read the head.
+			at := -3
+			_, err := c.Query(ctx, client.QueryRequest{Table: "products", Branches: []string{"master"}, At: &at})
+			return err
+		}, 404, "no_such_commit"},
 		{"bad_query_diff_arity", func() error {
 			_, err := c.Query(ctx, client.QueryRequest{Table: "products", Diff: []string{"master"}})
 			return err
@@ -496,7 +507,7 @@ func TestServeOrderedLimitUsesOrderedVisit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		skips := iquery.CountOrderedSkips()
+		skips := expvarInt(t, "decibel.ordered_skips")
 		resp, err := c.Query(context.Background(), client.QueryRequest{
 			Table: "r", Branches: []string{"master"}, Select: []string{"v"},
 			OrderBy: "v", Desc: desc, Limit: 5,
@@ -512,7 +523,7 @@ func TestServeOrderedLimitUsesOrderedVisit(t *testing.T) {
 				t.Fatalf("desc=%v row %d: served %s, facade %s", desc, i, got, want[i])
 			}
 		}
-		if iquery.CountOrderedSkips() == skips {
+		if expvarInt(t, "decibel.ordered_skips") == skips {
 			t.Fatalf("desc=%v: the served read skipped no scan unit: it is not taking the ordered visit", desc)
 		}
 	}
@@ -538,7 +549,7 @@ func TestServePointReadAtCommit(t *testing.T) {
 				atCommit uint64
 				wantQty  int64
 			}{{old.Commit, 10}, {0, 11}} {
-				before := pointLookupCount(t)
+				before := expvarInt(t, "decibel.point_lookups")
 				resp, err := c.Query(ctx, client.QueryRequest{Table: "products", Branches: []string{"master"},
 					AtCommit: tc.atCommit, Where: &client.Expr{Col: "id", Op: "eq", Val: 1}})
 				if err != nil {
@@ -547,7 +558,7 @@ func TestServePointReadAtCommit(t *testing.T) {
 				if len(resp.Rows) != 1 || rowInt(t, resp.Rows[0], "qty") != tc.wantQty {
 					t.Fatalf("atCommit=%d: rows %v, want pk 1 with qty %d", tc.atCommit, resp.Rows, tc.wantQty)
 				}
-				if pointLookupCount(t) == before {
+				if expvarInt(t, "decibel.point_lookups") == before {
 					t.Fatalf("atCommit=%d: the served point read scanned instead of looking the key up", tc.atCommit)
 				}
 			}

@@ -18,13 +18,12 @@ import (
 
 	"decibel"
 	iquery "decibel/internal/query"
-	"decibel/internal/vf"
 )
 
 func TestVFCacheEquivalence(t *testing.T) {
 	cached := buildPruningDB(t, "vf")
 	uncached := buildPruningDB(t, "vf", decibel.WithoutLineageCache())
-	hitsBefore, _, _, _ := vf.CacheCounters()
+	hitsBefore := expvarInt(t, "decibel.vf.lineage_cache_hits")
 
 	type shaped struct {
 		plan  iquery.Plan
@@ -125,7 +124,7 @@ func TestVFCacheEquivalence(t *testing.T) {
 	// the base holds deleted (the tombstone wins over the base). The
 	// head reads above cached master's previous cut, so the first read
 	// below resolves incrementally from it.
-	_, _, _, deltasBefore := vf.CacheCounters()
+	deltasBefore := expvarInt(t, "decibel.vf.delta_resolves")
 	for _, db := range []*decibel.DB{cached, uncached} {
 		if _, err := db.Commit("master", func(tx *decibel.Tx) error {
 			tbl, err := db.TableByName("r")
@@ -157,7 +156,7 @@ func TestVFCacheEquivalence(t *testing.T) {
 	for j, sh := range shapes(iquery.Col("v").Ge(0)) {
 		check(t, sh.plan, sh.shape, fmt.Sprintf("overlay shape[%d]", j))
 	}
-	if _, _, _, deltasAfter := vf.CacheCounters(); deltasAfter == deltasBefore {
+	if deltasAfter := expvarInt(t, "decibel.vf.delta_resolves"); deltasAfter == deltasBefore {
 		t.Fatalf("delta resolves did not move (%d): the overlay window was never applied", deltasBefore)
 	}
 
@@ -241,7 +240,7 @@ func TestVFCacheEquivalence(t *testing.T) {
 		}
 	}
 
-	if hitsAfter, _, _, _ := vf.CacheCounters(); hitsAfter == hitsBefore {
+	if hitsAfter := expvarInt(t, "decibel.vf.lineage_cache_hits"); hitsAfter == hitsBefore {
 		t.Fatalf("lineage cache hits did not move (%d): the cache is not engaging", hitsBefore)
 	}
 }

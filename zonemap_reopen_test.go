@@ -17,7 +17,6 @@ import (
 	"decibel"
 	iquery "decibel/internal/query"
 	"decibel/internal/record"
-	"decibel/internal/store"
 )
 
 // segmentZoned reports whether any segment stat carries a non-empty
@@ -70,14 +69,14 @@ func TestZoneMapsSurviveReopen(t *testing.T) {
 			// Pruned scans stay correct, and pruning engages on the
 			// reopened dataset (the maps came back usable, persisted or
 			// rebuilt).
-			_, skippedBefore := store.SegmentScanCounters()
+			skippedBefore := expvarInt(t, "decibel.segments_skipped")
 			if got := scanWhere(t, db, iquery.Col("v").Ge(100)); got != 50 {
 				t.Fatalf("v>=100 after reopen = %d rows, want 50", got)
 			}
 			if got := scanWhere(t, db, iquery.Col("v").Lt(10)); got != 10 {
 				t.Fatalf("v<10 after reopen = %d rows, want 10", got)
 			}
-			if _, skippedAfter := store.SegmentScanCounters(); skippedAfter == skippedBefore && engine != "tuple-first" {
+			if skippedAfter := expvarInt(t, "decibel.segments_skipped"); skippedAfter == skippedBefore && engine != "tuple-first" {
 				// tf keeps one extent per schema epoch, so a two-extent heap
 				// may legitimately have nothing to skip for one predicate;
 				// segment-per-branch engines must skip here.
