@@ -212,13 +212,15 @@ func (q *Query) Sequential() *Query { return q }
 // key.Right column equals the key.Left column of the relations already
 // in the query. Each JoinOn adds one relation; other carries its own
 // branch, Where and Select (a leg without On inherits this query's
-// branch), and its predicate/projection push into its own scan. The
-// planner orders the relations greedily by zone-map row estimate —
-// smallest first, hash-build on the accumulated side, streaming-probe
-// the larger. The joined tuples do not depend on that order: they emit
-// in ascending composite primary-key order through Tuples (or grouped
-// through GroupBy and Groups). other's configuration is captured at
-// the JoinOn call.
+// branch), and its predicate/projection push into its own scan. A
+// primary-key join of two versions of one table (the paper's Query 3)
+// reads both from one snapshot and each record they share once.
+// Otherwise the planner orders the relations greedily by zone-map row
+// estimate — smallest first, hash-build on the accumulated side,
+// streaming-probe the larger. The joined tuples do not depend on the
+// path or the order: they emit in ascending composite primary-key
+// order through Tuples (or grouped through GroupBy and Groups). other's
+// configuration is captured at the JoinOn call.
 func (q *Query) JoinOn(other *Query, key JoinKey) *Query {
 	if other == nil {
 		q.fail(fmt.Errorf("%w: JoinOn with a nil query", ErrBadQuery))
@@ -457,9 +459,9 @@ func (q *Query) agg(ctx context.Context, kind iquery.AggKind, col string) (float
 
 // Tuples runs the composed join (JoinOn) and iterates its joined
 // tuples — one record per relation, in composition order, emitted in
-// ascending composite primary-key order. Tuple records are cloned:
-// safe to retain across iterations. The trailing error accessor is
-// valid once iteration finishes.
+// ascending composite primary-key order. Tuple records are copies the
+// join owns: safe to retain across iterations. The trailing error
+// accessor is valid once iteration finishes.
 func (q *Query) Tuples() (iter.Seq[JoinTuple], func() error) {
 	return q.TuplesContext(context.Background())
 }

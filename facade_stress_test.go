@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -763,5 +764,138 @@ func TestLockWaitBoundedByContext(t *testing.T) {
 	}
 	if _, err := db.Commit("master", noop); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentVersionJoin: a version join reads both of its versions
+// from one liveness snapshot. A writer flips branch r between two
+// committed states of the keys it shares with branch l: in state A r
+// holds l's own copies of keys 0..shared-1 (v = pk), in state B copies
+// of its own (v = pk+1). To B is a commit on r; back to A is a commit on
+// l rewriting those keys with unchanged values, then a two-way merge of
+// l into r that l wins, which makes r adopt l's new copies. Readers join
+// l ⋈ r on the key meanwhile, and every result must be the reference
+// join at A or at B. A join whose walks each took their own snapshot
+// stages l's rows as l-only under B, finds nothing r-only under A, and
+// loses the shared keys.
+func TestConcurrentVersionJoin(t *testing.T) {
+	const (
+		rows    = 2000
+		shared  = 200
+		flips   = 24
+		readers = 3
+	)
+	for _, engine := range facadeEngines {
+		t.Run(engine, func(t *testing.T) {
+			db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+			if _, err := db.CreateTable("r", schema); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := db.Init("init"); err != nil {
+				t.Fatal(err)
+			}
+			put := func(branch string, n, dv int64) error {
+				_, err := db.Commit(branch, func(tx *decibel.Tx) error {
+					recs := make([]*decibel.Record, n)
+					for pk := range n {
+						recs[pk] = decibel.NewRecord(schema)
+						recs[pk].SetPK(pk)
+						recs[pk].Set(1, pk+dv)
+					}
+					return tx.InsertBatch("r", recs)
+				})
+				return err
+			}
+			if err := put("master", rows, 0); err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range []string{"l", "r"} {
+				if _, err := db.Branch("master", b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The reference joins: every key pairs v = pk with r's v, which
+			// is pk+1 for the shared keys in state B.
+			ref := func(dv int64) string {
+				var sb strings.Builder
+				for pk := int64(0); pk < rows; pk++ {
+					rv := pk
+					if pk < shared {
+						rv += dv
+					}
+					fmt.Fprintf(&sb, "%d:%d:%d;", pk, pk, rv)
+				}
+				return sb.String()
+			}
+			stateA, stateB := ref(0), ref(1)
+
+			var (
+				wg      sync.WaitGroup
+				done    atomic.Bool
+				joins   atomic.Int64
+				mu      sync.Mutex
+				torn    []string
+				readErr error
+			)
+			for range readers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var sb strings.Builder
+					for !done.Load() {
+						sb.Reset()
+						tuples, errf := db.Query("r").On("l").
+							JoinOn(db.Query("r").On("r"), decibel.On("id", "id")).Tuples()
+						for tup := range tuples {
+							fmt.Fprintf(&sb, "%d:%d:%d;", tup[0].PK(), tup[0].Get(1), tup[1].Get(1))
+						}
+						mu.Lock()
+						if err := errf(); err != nil && readErr == nil {
+							readErr = err
+						}
+						if got := sb.String(); got != stateA && got != stateB && len(torn) < 3 {
+							torn = append(torn, got[:min(len(got), 200)])
+						}
+						mu.Unlock()
+						joins.Add(1)
+					}
+				}()
+			}
+			var writeErr error
+			for i := 0; i < flips && writeErr == nil; i++ {
+				if writeErr = put("r", shared, 1); writeErr != nil {
+					break
+				}
+				if writeErr = put("l", shared, 0); writeErr != nil {
+					break
+				}
+				_, _, writeErr = db.Merge("r", "l", decibel.WithMergeKind(decibel.TwoWay), decibel.WithMergePrecedence(false))
+			}
+			done.Store(true)
+			wg.Wait()
+			if writeErr != nil {
+				t.Fatal(writeErr)
+			}
+			if readErr != nil {
+				t.Fatal(readErr)
+			}
+			if len(torn) > 0 {
+				t.Fatalf("%d joins; results at neither state, e.g. %q", joins.Load(), torn)
+			}
+			// The flips end in state A, where r shares l's copies again.
+			tuples, errf := db.Query("r").On("l").JoinOn(db.Query("r").On("r"), decibel.On("id", "id")).Tuples()
+			var sb strings.Builder
+			for tup := range tuples {
+				fmt.Fprintf(&sb, "%d:%d:%d;", tup[0].PK(), tup[0].Get(1), tup[1].Get(1))
+			}
+			if err := errf(); err != nil || sb.String() != stateA {
+				t.Fatalf("after the flips: %v, want state A", err)
+			}
+		})
 	}
 }

@@ -207,6 +207,15 @@ func (b *Bitmap) And(other *Bitmap) {
 	}
 }
 
+// AndNot replaces b with b AND NOT other: the bits of b that other
+// does not set.
+func (b *Bitmap) AndNot(other *Bitmap) {
+	n := min(len(b.words), len(other.words))
+	for i := 0; i < n; i++ {
+		b.words[i] &^= other.words[i]
+	}
+}
+
 // Or replaces b with b OR other, growing b if needed.
 func (b *Bitmap) Or(other *Bitmap) {
 	b.align(other)

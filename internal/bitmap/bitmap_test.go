@@ -113,6 +113,16 @@ func TestBooleanOps(t *testing.T) {
 	if got := Xor(a, b).Slots(); !equalInts(got, []int{1, 7, 200}) {
 		t.Errorf("xor = %v", got)
 	}
+	andNot := a.Clone()
+	andNot.AndNot(b)
+	if got := andNot.Slots(); !equalInts(got, []int{1, 200}) {
+		t.Errorf("and not = %v", got)
+	}
+	shortNot := b.Clone()
+	shortNot.AndNot(a) // a's words past b's end take nothing away
+	if got := shortNot.Slots(); !equalInts(got, []int{7}) {
+		t.Errorf("and not (shorter) = %v", got)
+	}
 }
 
 func TestEqualDifferentLengths(t *testing.T) {

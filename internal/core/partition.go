@@ -129,15 +129,20 @@ func buildUnits(kind ScanKind, spaces []SlotSpace) []ScanUnit {
 	}
 	units := make([]ScanUnit, 0, n)
 	for i := range spaces {
-		u, ok := combine(kind, &spaces[i])
-		if !ok {
-			continue
+		if u, ok := combine(kind, &spaces[i]); ok {
+			units = appendUnits(units, u, spaces[i].Segs)
 		}
-		for _, sg := range spaces[i].Segs {
-			sg.Pin()
-			u.seg, u.Frozen, u.Zone, u.PhysCols = sg, sg.Frozen, sg.Zone(), sg.Cols
-			units = append(units, u)
-		}
+	}
+	return units
+}
+
+// appendUnits appends one unit per segment, each u over that segment,
+// pinned.
+func appendUnits(units []ScanUnit, u ScanUnit, segs []SpaceSeg) []ScanUnit {
+	for _, sg := range segs {
+		sg.Pin()
+		u.seg, u.Frozen, u.Zone, u.PhysCols = sg, sg.Frozen, sg.Zone(), sg.Cols
+		units = append(units, u)
 	}
 	return units
 }

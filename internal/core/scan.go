@@ -51,6 +51,8 @@ type ScanRequest struct {
 // the runner's scratch — like the record, it must be Cloned to be
 // retained across calls.
 type UnitAux struct {
+	// InA says the unit's side bitmap holds the row's slot: diff side
+	// A's, or in a version pair's first walk the second version's.
 	InA    bool
 	Member *bitmap.Bitmap
 }

@@ -121,9 +121,19 @@ func (sp *ScanSpec) Clone() *ScanSpec {
 	return &c
 }
 
+// whole returns a Transient spec with sp's predicate and bounds and no
+// projection: its rows are views of the whole walked buffer. A version
+// pair walks its left version under it, so that a row can be read
+// through the right version's spec too (pair.go).
+func (sp *ScanSpec) whole() *ScanSpec {
+	c := *sp
+	c.cols, c.out, c.scratch, c.view = nil, nil, nil, new(record.Record)
+	return &c
+}
+
 // Transient marks the spec's consumer as one that keeps no record past
 // its callback — the query row terminals, whose records are valid until
-// the step returns, the grouped fold, and the join, which clones what it
+// the step returns, the grouped fold, and the join, which copies what it
 // keeps. Apply then rebinds one view record per spec clone instead of
 // allocating a record per row. A consumer that keeps what it is handed
 // (a transaction's rollback) leaves the spec unmarked. A projecting

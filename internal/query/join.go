@@ -7,27 +7,33 @@ package query
 // zone-map bounds pushed into each relation's own ScanSpec path) plus
 // the equi-join edges between them.
 //
-// Execution is a left-deep hash-join pipeline over a greedy relation
-// order (janus-datalog's "greedy beats optimal" result, seeded by the
-// zone maps instead of a cost model): start at the relation with the
-// smallest zone-map row estimate, then repeatedly take the cheapest
-// relation connected to the joined set. The accumulated intermediate —
-// grown from the smallest relations — is the hash-build side at every
-// step, and each newly added relation streams through its ordinary scan
-// path as the probe side, so the largest relations are never
-// materialized beyond their matching rows.
+// A primary-key join of two versions of one table — the paper's Query
+// 3 — runs as a version join (runVersions): both versions read from one
+// liveness snapshot, a record both hold read once, and only the keys
+// whose copies differ matched by key. Every other join is a left-deep
+// hash-join pipeline over a greedy relation order (janus-datalog's
+// "greedy beats optimal" result, seeded by the zone maps instead of a
+// cost model): start at the relation with the smallest zone-map row
+// estimate, then repeatedly take the cheapest relation connected to the
+// joined set. The accumulated intermediate — grown from the smallest
+// relations — is the hash-build side at every step, and each newly
+// added relation streams through its ordinary scan path as the probe
+// side, so the largest relations are never materialized beyond their
+// matching rows.
 //
 // Tuples emit in ascending composite primary-key order (relation
-// declaration order), a total order over the output that does not
-// depend on the execution order — greedy and declared-order runs emit
-// byte-identical streams, which is what the ordering benchmarks and
-// the equivalence harness assert.
+// declaration order), a total order over the output that depends on
+// neither the path nor the execution order — greedy and declared-order
+// runs emit byte-identical streams, which is what the equivalence
+// harness asserts.
 
 import (
+	"bytes"
+	"cmp"
 	"context"
-	"encoding/binary"
+	"expvar"
 	"fmt"
-	"sort"
+	"slices"
 
 	"decibel/internal/core"
 	"decibel/internal/record"
@@ -45,8 +51,8 @@ type JoinLeg struct {
 }
 
 // JoinTuple is one joined output row: one record per relation, in
-// declaration order (index 0 is the root table). Records are cloned —
-// safe to retain.
+// declaration order (index 0 is the root table). Its records are
+// copies the join owns — safe to retain.
 type JoinTuple []*record.Record
 
 // joinEdge is one compiled equi-join condition between two relations,
@@ -58,11 +64,16 @@ type joinEdge struct {
 }
 
 // joinPlan is the compiled join: the relations in declaration order,
-// the edges between them, and the zone-map row estimate per relation.
+// the edges between them, each relation's primary-key column in its
+// output schema and, for a hash join, the zone-map row estimate per
+// relation. versions marks a version join (versionJoin), which has no
+// relation order and so no estimates.
 type joinPlan struct {
-	rels  []*Compiled
-	edges []joinEdge
-	ests  []int64
+	rels     []*Compiled
+	edges    []joinEdge
+	pkCols   []int
+	ests     []int64
+	versions bool
 }
 
 // compileJoins resolves the plan's join legs: each leg compiles as its
@@ -87,6 +98,8 @@ func (c *Compiled) compileJoins(db *core.Database) error {
 	rels[0] = &root
 
 	edges := make([]joinEdge, 0, len(p.Joins))
+	pkCols := make([]int, 1, len(p.Joins)+1)
+	pkCols[0] = root.pkCol()
 	for _, leg := range p.Joins {
 		lp := leg.Plan
 		switch {
@@ -133,10 +146,34 @@ func (c *Compiled) compileJoins(db *core.Database) error {
 			bytesKey: lBytes,
 		})
 		rels = append(rels, rc)
+		pkCols = append(pkCols, rc.pkCol())
 	}
-	c.join = &joinPlan{rels: rels, edges: edges}
-	c.join.estimate()
+	c.join = &joinPlan{rels: rels, edges: edges, pkCols: pkCols}
+	if c.join.versions = c.join.versionJoin(); !c.join.versions {
+		c.join.estimate()
+	}
 	return nil
+}
+
+// pkCol returns the primary key's column index in the plan's output
+// schema: 0 unless a Select lists it elsewhere (a projection always
+// keeps it).
+func (c *Compiled) pkCol() int {
+	return c.OutSchema().ColumnIndex(c.schema.Column(0).Name)
+}
+
+// versionJoin reports whether the join is a version join: two
+// relations on one table, each leg one version (a branch head or a
+// pinned commit, which every leg is), joined by one edge on the primary
+// key at one schema epoch, so that one stored buffer reads as either
+// leg's row.
+func (jp *joinPlan) versionJoin() bool {
+	if len(jp.rels) != 2 || len(jp.edges) != 1 {
+		return false
+	}
+	l, r, e := jp.rels[0], jp.rels[1], jp.edges[0]
+	return l.table == r.table && l.epoch == r.epoch &&
+		e.leftCol == jp.pkCols[0] && e.rightCol == jp.pkCols[1]
 }
 
 // findJoinCol resolves a join-key (or group-by) column name against
@@ -296,32 +333,69 @@ func (jp *joinPlan) orient(r int, in []bool) []probeKey {
 	return keys
 }
 
-// joinKey encodes one key column value for hashing: integers as their
-// 8-byte form, byte strings by content.
-func joinKey(rec *record.Record, col int, bytesKey bool) string {
-	if bytesKey {
-		return string(rec.GetBytes(col))
-	}
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(rec.Get(col)))
-	return string(b[:])
+// keyIndex is a hash-join step's build side: the accumulated tuples
+// indexed by one key. A map holds each key's last tuple and next[i] the
+// tuple before i with tuple i's key (-1 ends the chain). Integer keys
+// hash as themselves; only byte-string keys are strings.
+type keyIndex struct {
+	ints map[int64]int32
+	strs map[string]int32
+	next []int32
 }
 
-// scan streams relation r through its ordinary scan path. Both sides
-// clone what they keep — the build side every row, the probe side its
-// matches.
-func (jp *joinPlan) scan(ctx context.Context, r int, fn core.ScanFunc) error {
-	return jp.rels[r].Scan(ctx, fn)
+func newKeyIndex(tuples []JoinTuple, k probeKey) *keyIndex {
+	x := &keyIndex{next: make([]int32, len(tuples))}
+	if k.bytesKey {
+		x.strs = make(map[string]int32, len(tuples))
+	} else {
+		x.ints = make(map[int64]int32, len(tuples))
+	}
+	for i, t := range tuples {
+		prev, ok := int32(0), false
+		if k.bytesKey {
+			key := string(t[k.rel].GetBytes(k.relCol))
+			prev, ok = x.strs[key]
+			x.strs[key] = int32(i)
+		} else {
+			key := t[k.rel].Get(k.relCol)
+			prev, ok = x.ints[key]
+			x.ints[key] = int32(i)
+		}
+		if !ok {
+			prev = -1
+		}
+		x.next[i] = prev
+	}
+	return x
+}
+
+// first returns the last tuple whose key equals rec's column col, or
+// -1 when none does.
+func (x *keyIndex) first(rec *record.Record, col int) int32 {
+	var i int32
+	var ok bool
+	if x.strs != nil {
+		i, ok = x.strs[string(rec.GetBytes(col))]
+	} else {
+		i, ok = x.ints[rec.Get(col)]
+	}
+	if !ok {
+		return -1
+	}
+	return i
 }
 
 // run executes the join and emits the tuples in canonical order.
 func (jp *joinPlan) run(ctx context.Context, noReorder bool, fn func(JoinTuple) bool) error {
+	if jp.versions {
+		return jp.runVersions(ctx, fn)
+	}
 	ord := jp.order(noReorder)
 	n := len(jp.rels)
 
 	// Materialize the first (smallest-estimate) relation.
 	var tuples []JoinTuple
-	err := jp.scan(ctx, ord[0], func(rec *record.Record) bool {
+	err := jp.rels[ord[0]].Scan(ctx, func(rec *record.Record) bool {
 		t := make(JoinTuple, n)
 		t[ord[0]] = rec.Clone()
 		tuples = append(tuples, t)
@@ -342,19 +416,11 @@ func (jp *joinPlan) run(ctx context.Context, noReorder bool, fn func(JoinTuple) 
 		// Hash-build over the accumulated side (grown from the smallest
 		// relations), streaming-probe the new one through its ordinary
 		// scan path — matching rows are the only ones materialized.
-		build := make(map[string][]int, len(tuples))
-		for i, t := range tuples {
-			k := joinKey(t[first.rel], first.relCol, first.bytesKey)
-			build[k] = append(build[k], i)
-		}
+		build := newKeyIndex(tuples, first)
 		var next []JoinTuple
-		err := jp.scan(ctx, r, func(rec *record.Record) bool {
-			idxs := build[joinKey(rec, first.newCol, first.bytesKey)]
-			if len(idxs) == 0 {
-				return true
-			}
+		err := jp.rels[r].Scan(ctx, func(rec *record.Record) bool {
 			var cloned *record.Record
-			for _, i := range idxs {
+			for i := build.first(rec, first.newCol); i >= 0; i = build.next[i] {
 				t := tuples[i]
 				if !matchExtra(t, rec, extra) {
 					continue
@@ -380,14 +446,13 @@ func (jp *joinPlan) run(ctx context.Context, noReorder bool, fn func(JoinTuple) 
 	// in relation declaration order. Each relation holds at most one
 	// live record per key per version, so the composite is a unique,
 	// execution-order-independent total order.
-	sort.Slice(tuples, func(i, j int) bool {
-		a, b := tuples[i], tuples[j]
-		for r := 0; r < n; r++ {
-			if d := a[r].PK() - b[r].PK(); d != 0 {
-				return d < 0
+	slices.SortFunc(tuples, func(a, b JoinTuple) int {
+		for r, col := range jp.pkCols {
+			if c := cmp.Compare(a[r].Get(col), b[r].Get(col)); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	for _, t := range tuples {
 		if !fn(t) {
@@ -402,17 +467,110 @@ func (jp *joinPlan) run(ctx context.Context, noReorder bool, fn func(JoinTuple) 
 // joins it to more than one earlier relation).
 func matchExtra(t JoinTuple, rec *record.Record, extra []probeKey) bool {
 	for _, k := range extra {
-		if joinKey(t[k.rel], k.relCol, k.bytesKey) != joinKey(rec, k.newCol, k.bytesKey) {
+		a := t[k.rel]
+		if k.bytesKey {
+			if !bytes.Equal(a.GetBytes(k.relCol), rec.GetBytes(k.newCol)) {
+				return false
+			}
+		} else if a.Get(k.relCol) != rec.Get(k.newCol) {
 			return false
 		}
 	}
 	return true
 }
 
+// versionJoins counts the joins run as a version join.
+var versionJoins = expvar.NewInt("decibel.version_joins")
+
+// keyedPair is one version-join output tuple, with its key.
+type keyedPair struct {
+	pk   int64
+	l, r *record.Record
+}
+
+// runVersions executes a version join over one liveness snapshot of
+// both versions (core.Table.PairContext). A row both versions hold
+// arrives read through both legs' specs and is a joined pair as it
+// stands; a row only the left version holds is staged by key, and a row
+// only the right one holds probes the staged rows — a key both versions
+// hold at different copies. The pairs' records are copied into slabs
+// the join never reuses, so a tuple is safe to retain, and the tuples
+// are windows of one array, emitted sorted by key: the canonical order.
+func (jp *joinPlan) runVersions(ctx context.Context, fn func(JoinTuple) bool) error {
+	versionJoins.Add(1)
+	l, r := jp.rels[0], jp.rels[1]
+	lPK, rPK := jp.pkCols[0], jp.pkCols[1]
+	var (
+		lSlab, rSlab recSlab
+		pairs        []keyedPair
+		staged       map[int64]int32 // left-only row's key → its index in lone (no pointers to scan)
+		lone         []*record.Record
+	)
+	legs := [2]core.PairLeg{
+		{V: l.version(), Spec: l.walkSpec(), Planes: l},
+		{V: r.version(), Spec: r.walkSpec(), Planes: r},
+	}
+	err := l.table.PairContext(ctx, legs, func(lrec, rrec *record.Record) {
+		switch {
+		case rrec == nil:
+			if staged == nil {
+				staged = make(map[int64]int32)
+			}
+			staged[lrec.Get(lPK)] = int32(len(lone))
+			lone = append(lone, lSlab.copy(lrec))
+		case lrec == nil:
+			pk := rrec.Get(rPK)
+			if i, ok := staged[pk]; ok {
+				pairs = append(pairs, keyedPair{pk: pk, l: lone[i], r: rSlab.copy(rrec)})
+			}
+		default:
+			pairs = append(pairs, keyedPair{pk: lrec.Get(lPK), l: lSlab.copy(lrec), r: rSlab.copy(rrec)})
+		}
+	})
+	if err != nil {
+		return err
+	}
+	slices.SortFunc(pairs, func(a, b keyedPair) int { return cmp.Compare(a.pk, b.pk) })
+	flat := make([]*record.Record, 2*len(pairs))
+	for i, p := range pairs {
+		t := flat[2*i : 2*i+2 : 2*i+2]
+		t[0], t[1] = p.l, p.r
+		if !fn(t) {
+			return nil
+		}
+	}
+	return ctx.Err()
+}
+
+// recSlab copies records into chunks it never reuses. Each copy is a
+// view (record.Reset) over its chunk's bytes, so a caller may keep it,
+// and chunks double: n copies allocate O(log n) times, not n.
+type recSlab struct {
+	recs []record.Record
+	buf  []byte
+}
+
+// copy returns a copy of rec that the slab owns. Every record a slab
+// copies has one schema.
+func (s *recSlab) copy(rec *record.Record) *record.Record {
+	src := rec.Bytes()
+	if len(s.recs) == cap(s.recs) {
+		n := max(64, 2*cap(s.recs))
+		s.recs = make([]record.Record, 0, n)
+		s.buf = make([]byte, 0, n*len(src))
+	}
+	off := len(s.buf)
+	s.buf = append(s.buf, src...)
+	s.recs = s.recs[:len(s.recs)+1]
+	v := &s.recs[len(s.recs)-1]
+	_ = v.Reset(rec.Schema(), s.buf[off:len(s.buf):len(s.buf)]) // src's size: cannot fail
+	return v
+}
+
 // JoinTuples executes the plan's composed join: each emitted tuple
 // holds one record per relation in declaration order, streamed in
-// ascending composite primary-key order. Records are cloned — safe to
-// retain across iterations.
+// ascending composite primary-key order. The records are copies the
+// join owns — safe to retain across iterations.
 func (c *Compiled) JoinTuples(ctx context.Context, fn func(JoinTuple) bool) error {
 	if c.join == nil {
 		return fmt.Errorf("%w: Tuples needs a join-composed query (Join with a join key)", core.ErrBadQuery)
@@ -425,16 +583,18 @@ func (c *Compiled) JoinTuples(ctx context.Context, fn func(JoinTuple) bool) erro
 
 // JoinOrder exposes the relation execution order the planner chose —
 // indices into the declaration order, for tests and benchmarks that
-// assert the greedy ordering engaged. Nil for non-join plans.
+// assert the greedy ordering engaged. Nil for non-join plans and for a
+// version join, which has no relation order.
 func (c *Compiled) JoinOrder() []int {
-	if c.join == nil {
+	if c.join == nil || c.join.versions {
 		return nil
 	}
 	return c.join.order(c.plan.NoReorder)
 }
 
 // JoinEstimates exposes the per-relation zone-map row estimates the
-// greedy order was derived from. Nil for non-join plans.
+// greedy order was derived from. Nil for non-join plans and for a
+// version join, which reads none.
 func (c *Compiled) JoinEstimates() []int64 {
 	if c.join == nil {
 		return nil

@@ -261,7 +261,7 @@ func (c *Compiled) execSpec() *core.ScanSpec { return c.proto.Clone() }
 
 // walkSpec is execSpec for a walk whose consumer keeps no record past
 // its step: every row terminal, whose records are valid until the step
-// returns (Clone to keep), the join, which clones what it keeps, and
+// returns (Clone to keep), the join, which copies what it keeps, and
 // the ordered visit's top-k heap, which does too.
 func (c *Compiled) walkSpec() *core.ScanSpec {
 	sp := c.proto.Clone()
@@ -364,10 +364,15 @@ func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 		return err
 	}
 	if pk, ok := c.pointPK(); ok {
-		v := core.Version{Branch: c.branches[0].ID, Commit: c.commit}
-		return c.table.LookupPKContext(ctx, v, pk, c.execSpec(), fn)
+		return c.table.LookupPKContext(ctx, c.version(), pk, c.execSpec(), fn)
 	}
 	return c.runRows(ctx, c.request(c.shape()), nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
+}
+
+// version is the one version a single-version plan reads: its pinned
+// commit, or its branch's head.
+func (c *Compiled) version() core.Version {
+	return core.Version{Branch: c.branches[0].ID, Commit: c.commit}
 }
 
 // pointPK reports whether the extracted bounds pin the primary key

@@ -344,11 +344,51 @@ func TestJoinEquivalence3Way(t *testing.T) {
 	}
 }
 
-// TestJoinCorpusEquivalence runs the version-join configuration of the
-// general node — the same table's two branch heads joined on the
-// primary key — under the pruning predicate corpus, against both a
-// nested-loop reference and the deprecated two-branch Join terminal.
+// join3AllocCeilings is the allocations of the unfiltered 3-way join
+// of buildJoinDB (400 tuples), by engine: measured + 1. The hash join
+// keys integers as themselves and chains a key's tuples in one array;
+// a string per build row or a list per key made 2,951–2,969.
+var join3AllocCeilings = map[string]float64{"hybrid": 1902, "tuple-first": 1890, "version-first": 1884}
+
+func TestJoin3WayAllocCeiling(t *testing.T) {
+	for engine, ceiling := range join3AllocCeilings {
+		t.Run(engine, func(t *testing.T) {
+			db := buildJoinDB(t, engine)
+			join := func() {
+				tuples, errf := db.Query("orders").On("master").
+					JoinOn(db.Query("users"), decibel.On("user_id", "id")).
+					JoinOn(db.Query("items"), decibel.On("item_id", "id")).Tuples()
+				n := 0
+				for range tuples {
+					n++
+				}
+				if err := errf(); err != nil || n != 400 {
+					t.Fatalf("%d tuples (%v), want 400", n, err)
+				}
+			}
+			if got := testing.AllocsPerRun(20, join); got > ceiling {
+				t.Errorf("3-way join: %.0f allocs/op, ceiling %.0f", got, ceiling)
+			}
+		})
+	}
+}
+
+// TestJoinCorpusEquivalence joins the same table's branch heads on the
+// primary key under the pruning predicate corpus, against a nested-loop
+// reference. master and b1 sit at different schema epochs, so that join
+// runs as a hash join; master and b2 share one, so theirs runs as a
+// version join (TestVersionJoinEquivalence), once with the predicate on
+// the left leg only and once with another corpus predicate on the right.
 func TestJoinCorpusEquivalence(t *testing.T) {
+	rights := []struct {
+		branch  string
+		where   bool // the right leg takes a predicate of its own
+		version bool // runs as a version join
+	}{
+		{"b1", false, false},
+		{"b2", false, true},
+		{"b2", true, true},
+	}
 	for _, engine := range facadeEngines {
 		for _, workers := range equivalenceWorkers {
 			t.Run(fmt.Sprintf("%s/workers=%d", engine, workers), func(t *testing.T) {
@@ -363,35 +403,296 @@ func TestJoinCorpusEquivalence(t *testing.T) {
 					preds = append(preds, randExpr(rng, 2))
 				}
 				for i, where := range preds {
-					label := fmt.Sprintf("pred[%d]", i)
-					mk := func() *decibel.Query {
-						return db.Query("r").On("master").Where(where).
-							JoinOn(db.Query("r").On("b1"), decibel.On("id", "id"))
-					}
-					greedy, gErr := collectTuples(mk().Tuples())
-					declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
-					compareStreams(t, label+" greedy-vs-declared", greedy, declared, gErr, dErr)
-
-					// Nested loop over the two materialized sides.
-					left := legRows(t, db.Query("r").On("master").Where(where))
-					right := legRows(t, db.Query("r").On("b1"))
-					byPK := map[int64]*decibel.Record{}
-					for _, r := range right {
-						byPK[r.PK()] = r
-					}
-					type pair struct{ l, r *decibel.Record }
-					var ref []pair
-					for _, l := range left {
-						if r, ok := byPK[l.PK()]; ok {
-							ref = append(ref, pair{l, r})
+					// A row both versions hold is one buffer: the right
+					// predicate must differ from the left's to judge it.
+					rwhere := preds[len(preds)-1-i]
+					for _, rt := range rights {
+						label := fmt.Sprintf("pred[%d] master-%s where-right=%v", i, rt.branch, rt.where)
+						rightQ := func() *decibel.Query {
+							q := db.Query("r").On(rt.branch)
+							if rt.where {
+								q = q.Where(rwhere)
+							}
+							return q
 						}
+						mk := func() *decibel.Query {
+							return db.Query("r").On("master").Where(where).
+								JoinOn(rightQ(), decibel.On("id", "id"))
+						}
+						before := expvarInt(t, "decibel.version_joins")
+						greedy, gErr := collectTuples(mk().Tuples())
+						declared, dErr := collectTuples(mk().DeclaredJoinOrder().Tuples())
+						ran := expvarInt(t, "decibel.version_joins") - before
+						if want := map[bool]int64{true: 2, false: 0}[rt.version]; ran != want {
+							t.Fatalf("%s: %d version joins ran, want %d", label, ran, want)
+						}
+						compareStreams(t, label+" greedy-vs-declared", greedy, declared, gErr, dErr)
+
+						// Nested loop over the two materialized sides.
+						left := legRows(t, db.Query("r").On("master").Where(where))
+						right := legRows(t, rightQ())
+						byPK := map[int64]*decibel.Record{}
+						for _, r := range right {
+							byPK[r.PK()] = r
+						}
+						type pair struct{ l, r *decibel.Record }
+						var ref []pair
+						for _, l := range left {
+							if r, ok := byPK[l.PK()]; ok {
+								ref = append(ref, pair{l, r})
+							}
+						}
+						sort.Slice(ref, func(a, b int) bool { return ref[a].l.PK() < ref[b].l.PK() })
+						want := make([]string, len(ref))
+						for j, p := range ref {
+							want[j] = p.l.String() + " | " + p.r.String()
+						}
+						compareStreams(t, label+" greedy-vs-nested-loop", greedy, want, gErr, nil)
 					}
-					sort.Slice(ref, func(a, b int) bool { return ref[a].l.PK() < ref[b].l.PK() })
-					want := make([]string, len(ref))
-					for j, p := range ref {
-						want[j] = p.l.String() + " | " + p.r.String()
+				}
+			})
+		}
+	}
+}
+
+// buildVersionJoinDB loads one table r (id, v, sku) whose branches
+// share most record copies and differ where a version join must match
+// copies by key. master loads keys 0..299 (master@1), adds a column w
+// (master@2) and loads 300..399 (master@3), so its rows sit in two
+// layouts. dev, branched from it, rewrites keys 10..39, deletes 50..69,
+// re-inserts 55..59 and adds 400..419; master then rewrites 100..129
+// and deletes 200..204. So each head holds copies of shared keys the
+// other does not, on both sides of a deleted and re-inserted key too.
+// wide, branched from master, adds another column and rewrites key 7:
+// it sits at a later schema epoch. compact re-encodes the frozen
+// segments into dcz pages.
+func buildVersionJoinDB(t *testing.T, engine string, compact bool, opts ...decibel.Option) *decibel.DB {
+	t.Helper()
+	db, err := decibel.Open(t.TempDir(), append([]decibel.Option{decibel.WithEngine(engine),
+		decibel.WithPageSize(4096), decibel.WithCompaction("manual")}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	schema := decibel.NewSchema().Int64("id").Int64("v").Bytes("sku", 8).MustBuild()
+	if _, err := db.CreateTable("r", schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Init("init"); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(branch string, fn func(tx *decibel.Tx) error) {
+		t.Helper()
+		if _, err := db.Commit(branch, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := func(lo, hi, dv int64) func(tx *decibel.Tx) error {
+		return func(tx *decibel.Tx) error {
+			tbl, err := db.TableByName("r")
+			if err != nil {
+				return err
+			}
+			for pk := lo; pk < hi; pk++ {
+				rec := decibel.NewRecord(tbl.Schema())
+				rec.SetPK(pk)
+				rec.Set(1, pk+dv)
+				if err := rec.SetBytes(2, []byte(fmt.Sprintf("%c%03d", 'a'+pk%3, pk))); err != nil {
+					return err
+				}
+				if err := tx.Insert("r", rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	del := func(lo, hi int64) func(tx *decibel.Tx) error {
+		return func(tx *decibel.Tx) error {
+			for pk := lo; pk < hi; pk++ {
+				if err := tx.Delete("r", pk); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	commit("master", put(0, 300, 0))
+	commit("master", func(tx *decibel.Tx) error {
+		return tx.AddColumn("r", decibel.Column{Name: "w", Type: decibel.Int64}, decibel.Default(int64(9)))
+	})
+	commit("master", put(300, 400, 0))
+	if _, err := db.Branch("master", "dev"); err != nil {
+		t.Fatal(err)
+	}
+	commit("dev", put(10, 40, 1000))
+	commit("dev", del(50, 70))
+	commit("dev", put(55, 60, 2000))
+	commit("dev", put(400, 420, 0))
+	commit("master", put(100, 130, 500))
+	commit("master", del(200, 205))
+	if _, err := db.Branch("master", "wide"); err != nil {
+		t.Fatal(err)
+	}
+	commit("wide", func(tx *decibel.Tx) error {
+		return tx.AddColumn("r", decibel.Column{Name: "price", Type: decibel.Float64}, decibel.Default(1.5))
+	})
+	commit("wide", put(7, 8, 3000))
+	if compact {
+		st, err := db.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.PagesCompressed == 0 {
+			t.Fatalf("compaction wrote no dcz page: %+v", st)
+		}
+	}
+	return db
+}
+
+// recLine renders every column of a record by name, whatever the
+// projection put first (Record.String reads column 0 as the key).
+func recLine(rec *decibel.Record) string {
+	sch := rec.Schema()
+	parts := make([]string, sch.NumColumns())
+	for i := range parts {
+		c := sch.Column(i)
+		switch c.Type {
+		case decibel.Float64:
+			parts[i] = fmt.Sprintf("%s=%g", c.Name, rec.GetFloat64(i))
+		case decibel.Bytes:
+			parts[i] = fmt.Sprintf("%s=%q", c.Name, rec.GetBytes(i))
+		default:
+			parts[i] = fmt.Sprintf("%s=%d", c.Name, rec.Get(i))
+		}
+	}
+	return "(" + strings.Join(parts, " ") + ")"
+}
+
+// recID reads a record's id column wherever its projection put it.
+func recID(rec *decibel.Record) int64 { return rec.Get(rec.Schema().ColumnIndex("id")) }
+
+// pkJoinLines is the nested-loop reference of a primary-key join of
+// two materialized legs, sorted by key, one line per pair.
+func pkJoinLines(left, right []*decibel.Record) []string {
+	type pair struct{ l, r *decibel.Record }
+	var ref []pair
+	for _, l := range left {
+		for _, r := range right {
+			if recID(l) == recID(r) {
+				ref = append(ref, pair{l, r})
+			}
+		}
+	}
+	sort.Slice(ref, func(a, b int) bool { return recID(ref[a].l) < recID(ref[b].l) })
+	out := make([]string, len(ref))
+	for i, p := range ref {
+		out[i] = recLine(p.l) + " | " + recLine(p.r)
+	}
+	return out
+}
+
+// tupleLines drains a Tuples iterator through recLine.
+func tupleLines(seq iter.Seq[decibel.JoinTuple], errFn func() error) ([]string, error) {
+	var out []string
+	for tup := range seq {
+		parts := make([]string, len(tup))
+		for i, rec := range tup {
+			parts[i] = recLine(rec)
+		}
+		out = append(out, strings.Join(parts, " | "))
+	}
+	return out, errFn()
+}
+
+// TestVersionJoinEquivalence holds the version join — a primary-key
+// join of two versions of one table at one schema epoch, read from one
+// snapshot of both — to the nested-loop reference over the two legs'
+// own rows: predicates on either leg, keys pinned to one value on
+// either leg or both, projections that move or omit the key, commits
+// on either leg, one branch on both sides, keys whose
+// copies differ (rewritten, deleted and re-inserted), dcz pages, and a
+// two-frame pool under version-first. Legs at different schema epochs
+// run the hash join, which must give the same answer;
+// decibel.version_joins says which path ran.
+func TestVersionJoinEquivalence(t *testing.T) {
+	type leg struct {
+		branch string
+		at     int          // -1: the head
+		where  decibel.Expr // the zero Expr matches every row
+		cols   []string
+	}
+	all := decibel.Expr{}
+	head := func(b string) leg { return leg{branch: b, at: -1} }
+	cases := []struct {
+		label       string
+		left, right leg
+		version     bool // runs as a version join
+	}{
+		{"heads", head("master"), head("dev"), true},
+		{"left-pred", leg{"master", -1, decibel.Col("v").Lt(int64(150)), nil}, head("dev"), true},
+		{"right-pred", head("master"), leg{"dev", -1, decibel.Col("sku").HasPrefix("b"), nil}, true},
+		{"both-preds", leg{"dev", -1, decibel.Col("v").Ge(int64(20)), nil},
+			leg{"master", -1, decibel.Col("v").Lt(int64(560)).And(decibel.Col("sku").HasPrefix("a").Not()), nil}, true},
+		{"id-last", leg{"master", -1, all, []string{"v", "id"}}, leg{"dev", -1, all, []string{"v", "sku", "id"}}, true},
+		{"id-omitted", leg{"dev", -1, decibel.Col("v").Gt(int64(30)), []string{"v"}}, leg{"master", -1, all, []string{"sku"}}, true},
+		{"left-at", leg{"master", 3, all, nil}, head("dev"), true},
+		{"right-at", head("dev"), leg{"master", 3, decibel.Col("v").Ge(int64(5)), nil}, true},
+		{"both-at", leg{"master", 1, decibel.Col("sku").HasPrefix("a"), nil}, leg{"master", 1, decibel.Col("v").Lt(int64(120)), nil}, true},
+		{"same-branch", head("master"), head("master"), true},
+		{"same-branch-at", leg{"master", 3, decibel.Col("sku").HasPrefix("c"), nil}, head("master"), true},
+		{"left-point", leg{"master", -1, decibel.Col("id").Eq(int64(120)), nil}, head("dev"), true},
+		{"right-point", head("master"), leg{"dev", -1, decibel.Col("id").Eq(int64(57)), nil}, true},
+		{"both-point", leg{"master", 3, decibel.Col("id").Eq(int64(250)), nil}, leg{"dev", -1, decibel.Col("id").Eq(int64(250)), nil}, true},
+		{"epochs", head("wide"), leg{"master", -1, decibel.Col("v").Lt(int64(300)), nil}, false},
+		{"epochs-at", leg{"master", 1, all, nil}, head("dev"), false},
+		{"epochs-id-last", leg{"wide", -1, all, []string{"v", "price", "id"}}, head("master"), false},
+	}
+	query := func(db *decibel.DB, l leg) *decibel.Query {
+		q := db.Query("r").On(l.branch)
+		if l.at >= 0 {
+			q = q.At(l.at)
+		}
+		q = q.Where(l.where)
+		if l.cols != nil {
+			q = q.Select(l.cols...)
+		}
+		return q
+	}
+	configs := []struct {
+		label   string
+		engines []string
+		compact bool
+		opts    []decibel.Option
+	}{
+		{"raw", facadeEngines, false, nil},
+		{"dcz", facadeEngines, true, nil},
+		{"tiny-pool", []string{"version-first"}, false, []decibel.Option{decibel.WithPoolPages(2)}},
+	}
+	for _, cfg := range configs {
+		for _, engine := range cfg.engines {
+			t.Run(cfg.label+"/"+engine, func(t *testing.T) {
+				db := buildVersionJoinDB(t, engine, cfg.compact, cfg.opts...)
+				for _, tc := range cases {
+					mk := func() *decibel.Query {
+						return query(db, tc.left).JoinOn(query(db, tc.right), decibel.On("id", "id"))
 					}
-					compareStreams(t, label+" greedy-vs-nested-loop", greedy, want, gErr, nil)
+					before := expvarInt(t, "decibel.version_joins")
+					got, gErr := tupleLines(mk().Tuples())
+					declared, dErr := tupleLines(mk().DeclaredJoinOrder().Tuples())
+					ran := expvarInt(t, "decibel.version_joins") - before
+					if want := map[bool]int64{true: 2, false: 0}[tc.version]; ran != want {
+						t.Fatalf("%s: %d version joins ran, want %d", tc.label, ran, want)
+					}
+					want := pkJoinLines(legRows(t, query(db, tc.left)), legRows(t, query(db, tc.right)))
+					if len(want) == 0 {
+						t.Fatalf("%s: the reference joins nothing", tc.label)
+					}
+					compareStreams(t, tc.label+" vs nested loop", got, want, gErr, nil)
+					compareStreams(t, tc.label+" declared order", declared, want, dErr, nil)
+					if n, err := mk().Count(); err != nil || n != len(want) {
+						t.Fatalf("%s: Count = %d (%v), want %d", tc.label, n, err, len(want))
+					}
 				}
 			})
 		}

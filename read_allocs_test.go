@@ -212,3 +212,78 @@ func TestScanLargerThanPoolAllocCeiling(t *testing.T) {
 		t.Fatalf("pool holds %d bytes, bound %d", st.PoolBytes, poolPages*pageSize)
 	}
 }
+
+// versionJoinAllocCeilings is the allocations of a version join of
+// 1,000 rows, by engine: measured + 1.
+var versionJoinAllocCeilings = map[string]float64{"hybrid": 118, "tuple-first": 116, "version-first": 115}
+
+// versionJoinGrowth bounds what eight times the rows may add to a
+// version join's allocations: the doublings of the buffers it grows
+// (two record slabs, the pair list, the staged rows and their key
+// table, three doublings each), never an allocation per row — 7,000
+// more rows at one each would add 7,000.
+const versionJoinGrowth = 32
+
+// TestVersionJoinAllocCeiling: a version join copies its output into
+// slabs and windows one flat tuple array, so its allocations do not
+// follow its row count. master holds n keys; dev rewrites every 16th,
+// so the join matches those by key and the rest by shared copy.
+func TestVersionJoinAllocCeiling(t *testing.T) {
+	for engine, ceiling := range versionJoinAllocCeilings {
+		t.Run(engine, func(t *testing.T) {
+			allocs := func(n int64) float64 {
+				db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+				if _, err := db.CreateTable("r", schema); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := db.Init("init"); err != nil {
+					t.Fatal(err)
+				}
+				put := func(branch string, step, dv int64) {
+					t.Helper()
+					if _, err := db.Commit(branch, func(tx *decibel.Tx) error {
+						recs := make([]*decibel.Record, 0, n/step)
+						for pk := int64(0); pk < n; pk += step {
+							rec := decibel.NewRecord(schema)
+							rec.SetPK(pk)
+							rec.Set(1, pk+dv)
+							recs = append(recs, rec)
+						}
+						return tx.InsertBatch("r", recs)
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				put("master", 1, 0)
+				if _, err := db.Branch("master", "dev"); err != nil {
+					t.Fatal(err)
+				}
+				put("dev", 16, 1)
+				join := func() {
+					tuples, errf := db.Query("r").On("master").
+						JoinOn(db.Query("r").On("dev"), decibel.On("id", "id")).Tuples()
+					got := int64(0)
+					for range tuples {
+						got++
+					}
+					if err := errf(); err != nil || got != n {
+						t.Fatalf("%d tuples (%v), want %d", got, err, n)
+					}
+				}
+				return testing.AllocsPerRun(20, join)
+			}
+			small, large := allocs(1000), allocs(8000)
+			if small > ceiling {
+				t.Errorf("version join of 1,000 rows: %.0f allocs/op, ceiling %.0f", small, ceiling)
+			}
+			if large-small > versionJoinGrowth {
+				t.Errorf("version join: %.0f allocs/op at 1,000 rows, %.0f at 8,000; growth bound %d", small, large, versionJoinGrowth)
+			}
+		})
+	}
+}

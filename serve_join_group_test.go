@@ -279,3 +279,53 @@ func TestServeJoinGroupErrorCodes(t *testing.T) {
 		})
 	}
 }
+
+// TestServeVersionJoin: a served Q3 — one table's branch joined to
+// another branch on the key — runs as a version join although the
+// server pins its root leg to the head commit it resolved (the join leg
+// reads the live head), and returns the facade's tuples.
+func TestServeVersionJoin(t *testing.T) {
+	for _, engine := range facadeEngines {
+		t.Run(engine, func(t *testing.T) {
+			db := buildVersionJoinDB(t, engine, false)
+			ts := httptest.NewServer(decibel.NewServer(db).Handler())
+			t.Cleanup(ts.Close)
+			c := client.New(ts.URL)
+
+			before := expvarInt(t, "decibel.version_joins")
+			resp, err := c.Query(context.Background(), client.QueryRequest{
+				Table: "r", Branches: []string{"master"}, Select: []string{"v", "sku"},
+				Where: &client.Expr{Col: "v", Op: "lt", Val: 350},
+				Join: []client.JoinClause{{Table: "r", Branch: "dev", On: [2]string{"id", "id"},
+					Where: &client.Expr{Col: "sku", Op: "prefix", Val: "a"}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ran := expvarInt(t, "decibel.version_joins") - before; ran != 1 {
+				t.Fatalf("served Q3 ran %d version joins, want 1", ran)
+			}
+			tuples, errFn := db.Query("r").On("master").Select("v", "sku").Where(decibel.Col("v").Lt(int64(350))).
+				JoinOn(db.Query("r").On("dev").Where(decibel.Col("sku").HasPrefix("a")), decibel.On("id", "id")).Tuples()
+			var local []decibel.JoinTuple
+			for tup := range tuples {
+				local = append(local, tup)
+			}
+			if err := errFn(); err != nil {
+				t.Fatal(err)
+			}
+			if len(local) == 0 || len(resp.Tuples) != len(local) {
+				t.Fatalf("wire %d tuples, facade %d", len(resp.Tuples), len(local))
+			}
+			for i, wt := range resp.Tuples {
+				for r, row := range wt {
+					rec := local[i][r]
+					if rowInt(t, row, "id") != rec.PK() || rowInt(t, row, "v") != rec.Get(1) ||
+						row["sku"] != string(rec.GetBytes(rec.Schema().ColumnIndex("sku"))) {
+						t.Fatalf("tuple %d relation %d: wire %v, facade %v", i, r, row, rec)
+					}
+				}
+			}
+		})
+	}
+}
