@@ -173,8 +173,9 @@ func (q *Query) Where(e Expr) *Query {
 }
 
 // Select projects the output to the named columns. The primary key
-// column is always retained (prepended when not listed) because
-// Decibel addresses records by key across versions.
+// column is always retained, and always first (prepended when not
+// listed, moved to the front when listed later), because Decibel
+// addresses records by key across versions.
 func (q *Query) Select(cols ...string) *Query {
 	q.plan.Cols = append(q.plan.Cols, cols...)
 	return q

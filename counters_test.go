@@ -4,8 +4,11 @@ import (
 	"expvar"
 	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"testing"
+
+	"decibel"
 )
 
 // expvarInt reads the process-global counter published under name,
@@ -53,5 +56,93 @@ func TestPublishedCounters(t *testing.T) {
 		for _, m := range found {
 			expvarInt(t, string(m[1]))
 		}
+	}
+}
+
+// TestHeadReadsReadNoCommitLog: a read pinned to a branch's newest
+// commit — the shape of every served read — and a merge whose common
+// ancestor is that commit take the branch's bitmaps from memory and
+// read no commit-log entry. A read of an older commit replays entries
+// and returns the rows the head held then.
+func TestHeadReadsReadNoCommitLog(t *testing.T) {
+	for _, engine := range []string{"hybrid", "tuple-first"} {
+		t.Run(engine, func(t *testing.T) {
+			db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+			if _, err := db.CreateTable("r", schema); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := db.Init("init"); err != nil {
+				t.Fatal(err)
+			}
+			read := func(q *decibel.Query) []string {
+				t.Helper()
+				rows, errf := q.Rows()
+				var out []string
+				for rec := range rows {
+					out = append(out, rec.String())
+				}
+				if err := errf(); err != nil {
+					t.Fatal(err)
+				}
+				slices.Sort(out)
+				return out
+			}
+			// Each commit inserts key i and rewrites key i/2, so every
+			// commit changes what an older one held.
+			put := func(branch string, i int64) *decibel.Commit {
+				t.Helper()
+				c, err := db.Commit(branch, func(tx *decibel.Tx) error {
+					for _, kv := range [][2]int64{{i, i}, {i / 2, 100 * i}} {
+						rec := decibel.NewRecord(schema)
+						rec.SetPK(kv[0])
+						rec.Set(1, kv[1])
+						if err := tx.Insert("r", rec); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			var head *decibel.Commit
+			var atFive []string
+			for i := int64(1); i <= 40; i++ {
+				if head = put("master", i); head.Seq == 5 {
+					atFive = read(db.Query("r").On("master"))
+				}
+			}
+			entries := func() int64 { return expvarInt(t, "decibel.commitlog_entries_read") }
+			before := entries()
+			if got := read(db.Query("r").On("master").AtCommit(head.ID).Where(decibel.Col("id").Eq(int64(7)))); len(got) != 1 {
+				t.Fatalf("point lookup at head: %v", got)
+			}
+			if got, want := read(db.Query("r").On("master").AtCommit(head.ID)), read(db.Query("r").On("master")); !slices.Equal(got, want) {
+				t.Fatalf("scan at head: %d rows, head read %d", len(got), len(want))
+			}
+			if _, err := db.Branch("master", "dev"); err != nil {
+				t.Fatal(err)
+			}
+			put("dev", 41)
+			if _, _, err := db.Merge("master", "dev"); err != nil {
+				t.Fatal(err)
+			}
+			if d := entries() - before; d != 0 {
+				t.Fatalf("reads at master's newest commit and a merge from it read %d commit-log entries", d)
+			}
+			if got := read(db.Query("r").On("master").At(5)); !slices.Equal(got, atFive) {
+				t.Fatalf("At(5): %v, want %v", got, atFive)
+			}
+			if entries() == before {
+				t.Fatal("At(5) read no commit-log entry: the counter does not count replays")
+			}
+		})
 	}
 }

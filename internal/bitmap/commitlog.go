@@ -3,6 +3,7 @@ package bitmap
 import (
 	"encoding/binary"
 	"errors"
+	"expvar"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -15,17 +16,22 @@ import (
 
 // CommitLog is the per-branch commit history file of Section 3.2. Each
 // commit appends the RLE-compressed XOR delta between the branch's
-// bitmap at this commit and at the previous commit. Checkout replays
-// deltas from the start, XOR-ing each in sequence to recreate the
-// snapshot.
+// bitmap at this commit and at the previous commit. Checkout of an
+// older commit replays deltas from the start, XOR-ing each in sequence
+// to recreate the snapshot.
 //
 // To bound the replay chain, runs of base deltas are aggregated into a
 // higher layer of composite deltas: every LayerFanout base deltas, the
 // log also appends one composite delta that is the XOR of that whole
 // run (equivalently, snapshot[k*F] XOR snapshot[(k-1)*F]). Checkout of
 // commit i then replays i/F composite deltas plus at most F-1 base
-// deltas. The paper uses exactly two layers because that made checkout
-// "adequate (taking a few hundred ms)"; so do we.
+// deltas, each read through one reused buffer and XOR-decoded straight
+// into the snapshot. The paper uses exactly two layers because that
+// made checkout "adequate (taking a few hundred ms)"; so do we. The
+// newest commit is not replayed at all: the log keeps its bitmap in
+// memory for the next Append's delta, and Checkout copies it out. A
+// read pinned to a branch's head — every served read, and every merge
+// whose common ancestor is a head — reads no file.
 //
 // On-disk format, one file per (branch) or per (branch, segment): a
 // one-byte format marker followed by entries
@@ -55,8 +61,9 @@ type CommitLog struct {
 	base      []logEntry // base deltas, one per commit
 	composite []logEntry // composite deltas, one per fanout run
 
-	// State for appending: bitmap at last commit, and XOR accumulator
-	// for the composite layer.
+	// State for appending: bitmap at last commit (also what Checkout of
+	// the newest commit copies), and XOR accumulator for the composite
+	// layer.
 	last *Bitmap
 	acc  *Bitmap
 }
@@ -104,23 +111,24 @@ func OpenCommitLog(path string, fanout int) (*CommitLog, error) {
 // marker doubles as the format detector.
 const logMagic = 0xD1
 
-// parseEntry decodes one entry at the front of rest. It returns the
-// entry's total encoded length (0 when rest holds no complete, valid
-// entry — a torn or corrupt tail).
-func parseEntry(rest []byte, withCRC bool) (kind byte, payloadOff int64, payload []byte, bm *Bitmap, total int64) {
+// parseEntry validates one entry at the front of rest: its framing,
+// its CRC (withCRC) and its RLE payload, which it walks without
+// decoding. It returns the entry's total encoded length (0 when rest
+// holds no complete, valid entry — a torn or corrupt tail).
+func parseEntry(rest []byte, withCRC bool) (kind byte, payloadOff int64, payload []byte, total int64) {
 	if len(rest) < 1 {
-		return 0, 0, nil, nil, 0
+		return 0, 0, nil, 0
 	}
 	kind = rest[0]
 	plen, n := binary.Uvarint(rest[1:])
 	if n <= 0 || kind > 1 {
-		return 0, 0, nil, nil, 0
+		return 0, 0, nil, 0
 	}
 	// A payload cannot extend past the buffer; checking against the
 	// remaining length up front also rejects absurd uvarint values that
 	// would overflow the int64 arithmetic below.
 	if plen > uint64(len(rest)) {
-		return 0, 0, nil, nil, 0
+		return 0, 0, nil, 0
 	}
 	hdr := int64(1 + n)
 	total = hdr + int64(plen)
@@ -128,17 +136,16 @@ func parseEntry(rest []byte, withCRC bool) (kind byte, payloadOff int64, payload
 		total += crcSize
 	}
 	if int64(len(rest)) < total {
-		return 0, 0, nil, nil, 0 // torn entry
+		return 0, 0, nil, 0 // torn entry
 	}
 	payload = rest[hdr : hdr+int64(plen)]
 	if withCRC && binary.LittleEndian.Uint32(rest[hdr+int64(plen):]) != crc32.ChecksumIEEE(rest[:hdr+int64(plen)]) {
-		return 0, 0, nil, nil, 0 // corrupt entry: treat like a torn tail
+		return 0, 0, nil, 0 // corrupt entry: treat like a torn tail
 	}
-	bm, used, err := DecodeRLE(payload)
-	if err != nil || used != int(plen) {
-		return 0, 0, nil, nil, 0
+	if used, err := xorRLE(nil, payload); err != nil || used != int(plen) {
+		return 0, 0, nil, 0
 	}
-	return kind, hdr, payload, bm, total
+	return kind, hdr, payload, total
 }
 
 // recover scans the file, indexing entries and truncating a torn tail.
@@ -165,14 +172,18 @@ func (cl *CommitLog) recover() error {
 	pos := int64(1) // past the format marker
 	valid := pos
 	for int(pos) < len(data) {
-		kind, payloadOff, payload, bm, total := parseEntry(data[pos:], true)
+		kind, payloadOff, payload, total := parseEntry(data[pos:], true)
 		if total == 0 {
 			break
 		}
 		e := logEntry{off: pos + payloadOff, size: len(payload)}
 		if kind == 0 {
 			cl.base = append(cl.base, e)
-			cl.last.Xor(bm)
+			// parseEntry has walked the payload: this walk cannot fail
+			// halfway and leave last holding part of it.
+			if _, err := xorRLE(cl.last, payload); err != nil {
+				return fmt.Errorf("commitlog: %w", err)
+			}
 		} else {
 			cl.composite = append(cl.composite, e)
 		}
@@ -195,11 +206,9 @@ func (cl *CommitLog) recover() error {
 func (cl *CommitLog) rebuildAcc() error {
 	cl.acc = New(0)
 	for i := len(cl.composite) * cl.fanout; i < len(cl.base); i++ {
-		bm, err := cl.readEntry(cl.base[i])
-		if err != nil {
+		if err := cl.xorEntry(cl.acc, cl.base[i]); err != nil {
 			return err
 		}
-		cl.acc.Xor(bm)
 		if (i+1)%cl.fanout == 0 {
 			if err := cl.writeEntry(1, cl.acc, &cl.composite); err != nil {
 				return err
@@ -224,7 +233,7 @@ func (cl *CommitLog) migrateLegacy(data []byte) ([]byte, error) {
 	entries := 0
 	pos := int64(0)
 	for int(pos) < len(data) {
-		kind, _, payload, _, total := parseEntry(data[pos:], false)
+		kind, _, payload, total := parseEntry(data[pos:], false)
 		if total == 0 {
 			break // torn legacy tail: dropped, like recovery would
 		}
@@ -345,26 +354,40 @@ func (cl *CommitLog) Truncate(n int) error {
 	return cl.rebuildAcc()
 }
 
-func (cl *CommitLog) readEntry(e logEntry) (*Bitmap, error) {
-	buf := make([]byte, e.size)
-	if _, err := cl.f.ReadAt(buf, e.off); err != nil {
-		return nil, fmt.Errorf("commitlog: %w", err)
+// xorEntry reads entry e through cl.buf and XORs its bitmap into dst.
+func (cl *CommitLog) xorEntry(dst *Bitmap, e logEntry) error {
+	if cap(cl.buf) < e.size {
+		cl.buf = make([]byte, e.size)
 	}
-	bm, used, err := DecodeRLE(buf)
+	buf := cl.buf[:e.size]
+	if _, err := cl.f.ReadAt(buf, e.off); err != nil {
+		return fmt.Errorf("commitlog: %w", err)
+	}
+	used, err := xorRLE(dst, buf)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if used != e.size {
-		return nil, errors.New("commitlog: trailing bytes in entry")
+		return errors.New("commitlog: trailing bytes in entry")
 	}
-	return bm, nil
+	return nil
 }
 
-// Checkout reconstructs the branch bitmap snapshot at commit index i by
-// XOR-ing i/fanout composite deltas and the remaining base deltas.
+// entriesRead counts the entries checkouts read from history files: a
+// read pinned to a branch's newest commit adds none.
+var entriesRead = expvar.NewInt("decibel.commitlog_entries_read")
+
+// Checkout returns a copy of the branch bitmap snapshot at commit index
+// i, which the caller owns. The newest commit's is copied from memory;
+// an older one is rebuilt by XOR-ing i/fanout composite deltas and the
+// remaining base deltas from the file.
 func (cl *CommitLog) Checkout(i int) (*Bitmap, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
+	// Not in checkoutLocked: Truncate resets last and rebuilds it there.
+	if i >= 0 && i == len(cl.base)-1 {
+		return cl.last.Clone(), nil
+	}
 	return cl.checkoutLocked(i)
 }
 
@@ -377,19 +400,16 @@ func (cl *CommitLog) checkoutLocked(i int) (*Bitmap, error) {
 	if full > len(cl.composite) {
 		full = len(cl.composite)
 	}
+	entriesRead.Add(int64(full + i + 1 - full*cl.fanout))
 	for c := 0; c < full; c++ {
-		bm, err := cl.readEntry(cl.composite[c])
-		if err != nil {
+		if err := cl.xorEntry(out, cl.composite[c]); err != nil {
 			return nil, err
 		}
-		out.Xor(bm)
 	}
 	for b := full * cl.fanout; b <= i; b++ {
-		bm, err := cl.readEntry(cl.base[b])
-		if err != nil {
+		if err := cl.xorEntry(out, cl.base[b]); err != nil {
 			return nil, err
 		}
-		out.Xor(bm)
 	}
 	return out, nil
 }

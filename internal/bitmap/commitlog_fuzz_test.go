@@ -12,7 +12,8 @@ import (
 // arbitrary junk (a torn append of a commit that never completed).
 // Reopening must never fail, must preserve a prefix of the committed
 // history, and every surviving commit must check out to exactly the
-// snapshot originally appended.
+// snapshot originally appended, the newest one's copy from memory
+// equal to its replay from the file.
 func FuzzCommitLogTornTail(f *testing.F) {
 	f.Add(uint8(3), int64(-1), []byte{})
 	f.Add(uint8(5), int64(10), []byte{})
@@ -106,6 +107,9 @@ func FuzzCommitLogTornTail(f *testing.F) {
 			}
 			if got > 0 && !re.Head().Equal(snaps[got-1]) {
 				t.Fatalf("head diverged: %v != %v", re.Head(), snaps[got-1])
+			}
+			if got > 0 {
+				checkNewestReplays(t, re, snaps[got-1])
 			}
 		}
 		// The recovered log must keep accepting appends.

@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -187,5 +188,37 @@ func TestCommitLogAbsurdLengthDoesNotPanic(t *testing.T) {
 	defer log.Close()
 	if got := log.NumCommits(); got != 0 {
 		t.Fatalf("recovered %d commits from garbage, want 0", got)
+	}
+}
+
+// TestCommitLogAbsurdBitmapLengthDoesNotPanic: an entry whose framing
+// and CRC hold but whose RLE header claims 2^63 bits is a corrupt
+// entry — cut away as a torn tail in a current-format log, no
+// decodable entry in a legacy one — not a makeslice panic.
+func TestCommitLogAbsurdBitmapLengthDoesNotPanic(t *testing.T) {
+	payload := binary.AppendUvarint(binary.AppendUvarint(nil, 1<<63), 1<<2|runZero)
+	entry := binary.AppendUvarint([]byte{0}, uint64(len(payload)))
+	entry = append(entry, payload...)
+	current := binary.LittleEndian.AppendUint32(append([]byte{logMagic}, entry...), crc32.ChecksumIEEE(entry))
+	for _, data := range [][]byte{current, entry} {
+		path := filepath.Join(t.TempDir(), "b0.hist")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		log, err := OpenCommitLog(path, 4)
+		if data[0] != logMagic {
+			if err == nil {
+				log.Close()
+				t.Fatal("a legacy file with no decodable entry was opened")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("open with an absurd bitmap length: %v", err)
+		}
+		if got := log.NumCommits(); got != 0 {
+			t.Fatalf("recovered %d commits from a corrupt entry, want 0", got)
+		}
+		log.Close()
 	}
 }

@@ -62,6 +62,9 @@ func TestCommitLogTruncate(t *testing.T) {
 			if cl.NumCommits() != n || !cl.Head().Equal(ref.Head()) {
 				t.Fatalf("Truncate(%d): %d commits, head %v", n, cl.NumCommits(), cl.Head())
 			}
+			if n > 0 {
+				checkNewestReplays(t, cl, snaps[n-1])
+			}
 			if _, err := cl.Checkout(n); err == nil && n < total {
 				t.Fatalf("Truncate(%d): commit %d still checks out", n, n)
 			}
@@ -114,6 +117,7 @@ func TestCommitLogTornEntryAtEveryByte(t *testing.T) {
 		if n != total-1 && n != total {
 			t.Fatalf("cut at %d: %d commits", cut, n)
 		}
+		checkNewestReplays(t, cl, snaps[n-1])
 		for i := 0; i < n; i++ {
 			if got, err := cl.Checkout(i); err != nil || !got.Equal(snaps[i]) {
 				t.Fatalf("cut at %d: checkout %d wrong (%v)", cut, i, err)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Word-aligned run-length encoding for bitmaps, used to compress the
@@ -70,47 +71,72 @@ func AppendRLE(dst []byte, b *Bitmap) []byte {
 // MarshalRLE returns the RLE encoding of b.
 func MarshalRLE(b *Bitmap) []byte { return AppendRLE(nil, b) }
 
-// DecodeRLE decodes one RLE-encoded bitmap from the front of data,
-// returning the bitmap and the number of bytes consumed.
-func DecodeRLE(data []byte) (*Bitmap, int, error) {
+// xorRLE XORs the RLE-encoded bitmap at the front of data into dst —
+// dst.Xor of its decoding, without the decoded copy — and returns the
+// number of bytes consumed. Zero runs are skipped; a nil dst only
+// validates. It rejects a truncated or out-of-range header, a
+// truncated token stream, a run of zero words or one past the encoded
+// length, an unknown token kind and truncated literals. On error dst
+// may hold part of the payload.
+func xorRLE(dst *Bitmap, data []byte) (int, error) {
 	nBits, pos := binary.Uvarint(data)
 	if pos <= 0 {
-		return nil, 0, errors.New("bitmap: truncated RLE header")
+		return 0, errors.New("bitmap: truncated RLE header")
 	}
-	need := wordsFor(int(nBits))
-	words := make([]uint64, 0, need)
-	for len(words) < need {
-		tok, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, 0, errors.New("bitmap: truncated RLE stream")
+	if nBits > maxRLEBits {
+		return 0, fmt.Errorf("bitmap: RLE length %d out of range", nBits)
+	}
+	n := int(nBits)
+	need := wordsFor(n)
+	var words []uint64
+	if dst != nil {
+		if n > dst.n {
+			dst.Resize(n)
 		}
-		pos += n
+		words = dst.words
+	}
+	tail := ^uint64(0) // the bits of the last word inside the length
+	if r := n % wordBits; r != 0 {
+		tail = 1<<uint(r) - 1
+	}
+	for w := 0; w < need; {
+		tok, k := binary.Uvarint(data[pos:])
+		if k <= 0 {
+			return 0, errors.New("bitmap: truncated RLE stream")
+		}
+		pos += k
 		count := int(tok >> 2)
-		if count == 0 || len(words)+count > need {
-			return nil, 0, fmt.Errorf("bitmap: bad RLE run length %d", count)
+		if count == 0 || count > need-w {
+			return 0, fmt.Errorf("bitmap: bad RLE run length %d", count)
 		}
-		switch tok & 3 {
+		kind := tok & 3
+		switch kind {
 		case runZero:
-			for i := 0; i < count; i++ {
-				words = append(words, 0)
+		case runOne, literals:
+			if kind == literals && len(data[pos:]) < 8*count {
+				return 0, errors.New("bitmap: truncated RLE literals")
 			}
-		case runOne:
-			for i := 0; i < count; i++ {
-				words = append(words, ^uint64(0))
-			}
-		case literals:
-			if len(data[pos:]) < 8*count {
-				return nil, 0, errors.New("bitmap: truncated RLE literals")
-			}
-			for i := 0; i < count; i++ {
-				words = append(words, binary.LittleEndian.Uint64(data[pos:]))
-				pos += 8
+			for i := w; i < w+count; i++ {
+				v := ^uint64(0)
+				if kind == literals {
+					v = binary.LittleEndian.Uint64(data[pos:])
+					pos += 8
+				}
+				if i == need-1 {
+					v &= tail
+				}
+				if words != nil {
+					words[i] ^= v
+				}
 			}
 		default:
-			return nil, 0, fmt.Errorf("bitmap: bad RLE token kind %d", tok&3)
+			return 0, fmt.Errorf("bitmap: bad RLE token kind %d", kind)
 		}
+		w += count
 	}
-	b := &Bitmap{words: words, n: int(nBits)}
-	b.clearTail()
-	return b, pos, nil
+	return pos, nil
 }
+
+// maxRLEBits is the largest bit length a header may carry: one whose
+// word count still fits in an int.
+const maxRLEBits = math.MaxInt - (wordBits - 1)

@@ -1,6 +1,9 @@
 package bitmap
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -98,7 +101,124 @@ func TestRLETruncatedInputs(t *testing.T) {
 			// of a valid stream (decode is deterministic in word count).
 			t.Fatalf("truncated input at %d decoded without error", cut)
 		}
+		if _, err := xorRLE(nil, enc[:cut]); err == nil {
+			t.Fatalf("truncated input at %d validated without error", cut)
+		}
+		if _, err := xorRLE(New(100), enc[:cut]); err == nil {
+			t.Fatalf("truncated input at %d XOR-decoded without error", cut)
+		}
 	}
+}
+
+// xorRLEMismatch says how xorRLE, validating (nil dst) and XOR-ing into
+// a copy of dst, departs from XOR-ing DecodeRLE's result into dst: in
+// what it accepts, in the bytes it consumes, in the bitmap it leaves
+// and in that bitmap's length. "" when it does not.
+func xorRLEMismatch(dst *Bitmap, data []byte) string {
+	ref, refUsed, refErr := DecodeRLE(data)
+	for _, into := range []*Bitmap{nil, dst.Clone()} {
+		used, err := xorRLE(into, data)
+		if (err == nil) != (refErr == nil) {
+			return fmt.Sprintf("xorRLE(dst=%v) err %v; DecodeRLE err %v", into != nil, err, refErr)
+		}
+		if err != nil {
+			continue
+		}
+		if used != refUsed {
+			return fmt.Sprintf("xorRLE(dst=%v) consumed %d bytes; DecodeRLE %d", into != nil, used, refUsed)
+		}
+		if want := Xor(dst, ref); into != nil && (!into.Equal(want) || into.Len() != want.Len()) {
+			return fmt.Sprintf("xorRLE left %v (%d bits); Xor(dst, decoded) is %v (%d bits)", into, into.Len(), want, want.Len())
+		}
+	}
+	return ""
+}
+
+// rleCases are encodings DecodeRLE accepts — every run kind, lengths
+// off a word boundary, a literal or a one-run ending past the length —
+// and some it rejects.
+func rleCases() [][]byte {
+	var out [][]byte
+	b := New(10000)
+	for i := 0; i < 10000; i += 3 {
+		b.Set(i)
+	}
+	sparse := New(1<<16 + 5)
+	sparse.Set(5)
+	sparse.Set(1 << 16)
+	ones := New(130)
+	for i := 0; i < 130; i++ {
+		ones.Set(i)
+	}
+	for _, bm := range []*Bitmap{New(0), New(1), New(67), b, sparse, ones} {
+		out = append(out, MarshalRLE(bm))
+	}
+	tok := func(count, kind uint64) []byte { return binary.AppendUvarint(nil, count<<2|kind) }
+	hdr := func(n uint64) []byte { return binary.AppendUvarint(nil, n) }
+	cat := func(parts ...[]byte) []byte {
+		var s []byte
+		for _, p := range parts {
+			s = append(s, p...)
+		}
+		return s
+	}
+	lit := binary.LittleEndian.AppendUint64(nil, ^uint64(0)>>1)
+	out = append(out,
+		cat(hdr(70), tok(1, runOne), tok(1, literals), lit), // both ending words carry bits past 70
+		cat(hdr(70), tok(2, literals), lit, lit, []byte{9}), // trailing byte: not consumed
+		cat(hdr(128), tok(0, runZero), tok(2, runZero)),     // zero-length run
+		cat(hdr(128), tok(3, runOne)),                       // run past the length
+		cat(hdr(128), tok(2, 3)),                            // unknown kind
+		cat(hdr(128), tok(2, literals), lit),                // truncated literals
+		cat(hdr(128), tok(1, runZero)),                      // truncated stream
+		hdr(maxRLEBits+1),                                   // length out of range
+		cat(hdr(1<<63), tok(1, runZero)),                    // length past int
+		[]byte{0x80},                                        // truncated header
+		nil,
+	)
+	return out
+}
+
+// TestXorRLEMatchesDecode: the walk checkout and recovery use accepts
+// exactly the encodings the reference decoder accepts, and XORs into a
+// destination shorter, longer or as long as the encoded bitmap what
+// Xor(dst, decoded) would.
+func TestXorRLEMatchesDecode(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	fill := func(n int) *Bitmap {
+		b := New(n)
+		for i := 0; i < n; i += 1 + r.Intn(3) {
+			b.Set(i)
+		}
+		return b
+	}
+	dsts := []*Bitmap{New(0), fill(70), fill(130), fill(20000)}
+	for i, data := range rleCases() {
+		for _, dst := range dsts {
+			if msg := xorRLEMismatch(dst, data); msg != "" {
+				t.Fatalf("case %d, dst of %d bits: %s", i, dst.Len(), msg)
+			}
+		}
+	}
+}
+
+// FuzzXorRLE holds xorRLE to the reference decoder on arbitrary input
+// and destination.
+func FuzzXorRLE(f *testing.F) {
+	for _, data := range rleCases() {
+		f.Add(data, uint16(100), int64(1))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, dstBits uint16, seed int64) {
+		// The reference decoder allocates the length a header claims
+		// before it reads a run: keep the claims this process can hold.
+		if n, k := binary.Uvarint(data); k > 0 && n > 1<<20 && n <= maxRLEBits {
+			t.Skip()
+		}
+		dst := randomBitmap(rand.New(rand.NewSource(seed)), int(dstBits)+1)
+		if msg := xorRLEMismatch(dst, data); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }
 
 func TestQuickRLERoundTrip(t *testing.T) {
@@ -110,6 +230,27 @@ func TestQuickRLERoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkNewestReplays fails unless Checkout of cl's newest commit — a
+// copy of the bitmap the log keeps in memory — equals want and the
+// replay of that commit's deltas from the file.
+func checkNewestReplays(t *testing.T, cl *CommitLog, want *Bitmap) {
+	t.Helper()
+	n := cl.NumCommits()
+	got, err := cl.Checkout(n - 1)
+	if err != nil {
+		t.Fatalf("Checkout(%d): %v", n-1, err)
+	}
+	cl.mu.Lock()
+	replay, err := cl.checkoutLocked(n - 1)
+	cl.mu.Unlock()
+	if err != nil {
+		t.Fatalf("replay of commit %d: %v", n-1, err)
+	}
+	if !got.Equal(replay) || !got.Equal(want) {
+		t.Fatalf("newest commit %d: Checkout %v, replay %v, want %v", n-1, got, replay, want)
 	}
 }
 
@@ -139,6 +280,7 @@ func TestCommitLogAppendCheckout(t *testing.T) {
 			t.Fatalf("commit id = %d, want %d", id, c)
 		}
 		snaps = append(snaps, cur.Clone())
+		checkNewestReplays(t, cl, cur)
 	}
 	if cl.NumCommits() != 25 {
 		t.Fatalf("NumCommits = %d", cl.NumCommits())
@@ -241,6 +383,7 @@ func TestCommitLogReopen(t *testing.T) {
 	if cl2.NumCommits() != 10 {
 		t.Fatalf("reopened NumCommits = %d", cl2.NumCommits())
 	}
+	checkNewestReplays(t, cl2, snaps[9])
 	for c, want := range snaps {
 		got, err := cl2.Checkout(c)
 		if err != nil {
@@ -379,4 +522,53 @@ func BenchmarkCommitLogCheckout(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// DecodeRLE is the reference decoder the tests hold xorRLE to: it
+// decodes one RLE-encoded bitmap from the front of data into a new
+// bitmap, returning it and the number of bytes consumed.
+func DecodeRLE(data []byte) (*Bitmap, int, error) {
+	nBits, pos := binary.Uvarint(data)
+	if pos <= 0 {
+		return nil, 0, errors.New("bitmap: truncated RLE header")
+	}
+	if nBits > maxRLEBits {
+		return nil, 0, fmt.Errorf("bitmap: RLE length %d out of range", nBits)
+	}
+	need := wordsFor(int(nBits))
+	words := make([]uint64, 0, need)
+	for len(words) < need {
+		tok, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			return nil, 0, errors.New("bitmap: truncated RLE stream")
+		}
+		pos += n
+		count := int(tok >> 2)
+		if count == 0 || len(words)+count > need {
+			return nil, 0, fmt.Errorf("bitmap: bad RLE run length %d", count)
+		}
+		switch tok & 3 {
+		case runZero:
+			for i := 0; i < count; i++ {
+				words = append(words, 0)
+			}
+		case runOne:
+			for i := 0; i < count; i++ {
+				words = append(words, ^uint64(0))
+			}
+		case literals:
+			if len(data[pos:]) < 8*count {
+				return nil, 0, errors.New("bitmap: truncated RLE literals")
+			}
+			for i := 0; i < count; i++ {
+				words = append(words, binary.LittleEndian.Uint64(data[pos:]))
+				pos += 8
+			}
+		default:
+			return nil, 0, fmt.Errorf("bitmap: bad RLE token kind %d", tok&3)
+		}
+	}
+	b := &Bitmap{words: words, n: int(nBits)}
+	b.clearTail()
+	return b, pos, nil
 }

@@ -48,22 +48,23 @@ type ScanSpec struct {
 // NewScanSpecAt builds a spec whose target schema is the one visible
 // at the given schema epoch of the table's history. pred may be nil
 // (match all). cols lists the projected column indices; nil keeps every
-// column. The primary key (column 0) is always part of the projection —
-// it is prepended when absent — because Decibel addresses records by
-// key across versions.
+// column. The primary key (column 0) is always the projection's first
+// column — prepended when absent, moved to the front when listed later —
+// because Decibel addresses records by key across versions and a
+// record's key is its column 0.
 func NewScanSpecAt(hist *record.History, epoch int, pred func([]byte) bool, cols []int) (*ScanSpec, error) {
 	sp := &ScanSpec{schema: hist.VisibleAt(epoch), Pred: pred, hist: hist, epoch: epoch}
 	if cols == nil {
 		return sp, nil
 	}
-	need0 := true
-	for _, c := range cols {
-		if c == 0 {
-			need0 = false
+	if len(cols) == 0 || cols[0] != 0 {
+		keyFirst := append(make([]int, 0, len(cols)+1), 0)
+		for _, c := range cols {
+			if c != 0 {
+				keyFirst = append(keyFirst, c)
+			}
 		}
-	}
-	if need0 {
-		cols = append([]int{0}, cols...)
+		cols = keyFirst
 	}
 	outCols := make([]record.Column, len(cols))
 	for i, c := range cols {

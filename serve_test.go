@@ -9,6 +9,7 @@ package decibel_test
 // name.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -489,6 +490,62 @@ func TestServeAbortedCommitRollsBack(t *testing.T) {
 				t.Fatalf("next commit's SchemaVer = %d after the refused alter, want %d", next.SchemaVer, before.SchemaVer)
 			}
 		})
+	}
+}
+
+// TestSelectKeepsKeyFirst: a projection that lists the key after other
+// columns still keys its records by id, moved to the front, and one
+// whose first listed column is not an Int64 reads at all. Every
+// projection reads each column by name as the full row holds it, and
+// served rows, keyed by column name, do not depend on the order either.
+func TestSelectKeepsKeyFirst(t *testing.T) {
+	db := buildVersionJoinDB(t, "hybrid", false)
+	full := map[int64]*decibel.Record{}
+	rows, errf := db.Query("r").On("master").Rows()
+	for rec := range rows {
+		full[rec.PK()] = rec.Clone()
+	}
+	if err := errf(); err != nil || len(full) == 0 {
+		t.Fatalf("%d rows (%v)", len(full), err)
+	}
+	ts := httptest.NewServer(decibel.NewServer(db).Handler())
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
+	served := func(sel []string) map[int64]string {
+		t.Helper()
+		resp, err := c.Query(context.Background(), client.QueryRequest{Table: "r", Branches: []string{"master"}, Select: sel})
+		if err != nil {
+			t.Fatalf("served Select%q: %v", sel, err)
+		}
+		out := make(map[int64]string, len(resp.Rows))
+		for _, row := range resp.Rows {
+			out[rowInt(t, row, "id")] = fmt.Sprint(row)
+		}
+		return out
+	}
+	for _, sel := range [][]string{{"v", "id"}, {"sku", "id"}, {"sku", "v"}, {"id", "sku", "v"}} {
+		rows, errf := db.Query("r").On("master").Select(sel...).Rows()
+		n := 0
+		for rec := range rows {
+			n++
+			want := full[rec.PK()]
+			if want == nil || rec.Schema().Column(0).Name != "id" {
+				t.Fatalf("Select%q: record %v is not keyed by id", sel, rec)
+			}
+			for _, name := range sel {
+				got := rec.ColumnBytes(rec.Schema().ColumnIndex(name))
+				if !bytes.Equal(got, want.ColumnBytes(want.Schema().ColumnIndex(name))) {
+					t.Fatalf("Select%q: key %d column %s differs from the full row", sel, rec.PK(), name)
+				}
+			}
+		}
+		if err := errf(); err != nil || n != len(full) {
+			t.Fatalf("Select%q: %d rows (%v), want %d", sel, n, err, len(full))
+		}
+		idFirst := append([]string{"id"}, slices.DeleteFunc(slices.Clone(sel), func(s string) bool { return s == "id" })...)
+		if got, want := served(sel), served(idFirst); !maps.Equal(got, want) {
+			t.Fatalf("served Select%q differs from Select%q", sel, idFirst)
+		}
 	}
 }
 
