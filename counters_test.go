@@ -146,3 +146,70 @@ func TestHeadReadsReadNoCommitLog(t *testing.T) {
 		})
 	}
 }
+
+// TestPageCounters: decibel.pages_scanned and decibel.pages_skipped
+// count the pages a scan's walk meets holding a live slot, the same on
+// every engine: a page whose planes rule out every row is skipped, and
+// every other is scanned. A scan of heap pages scans each of its live
+// pages; a predicate the const planes of compacted pages exclude skips
+// them.
+func TestPageCounters(t *testing.T) {
+	read := func(t *testing.T, q *decibel.Query) (rows int, scanned, skipped int64) {
+		t.Helper()
+		s0, k0 := expvarInt(t, "decibel.pages_scanned"), expvarInt(t, "decibel.pages_skipped")
+		it, errf := q.Rows()
+		for range it {
+			rows++
+		}
+		if err := errf(); err != nil {
+			t.Fatal(err)
+		}
+		return rows, expvarInt(t, "decibel.pages_scanned") - s0, expvarInt(t, "decibel.pages_skipped") - k0
+	}
+	t.Run("heap", func(t *testing.T) {
+		const rows, pageSize = 2000, 2048
+		db, err := decibel.Open(t.TempDir(), decibel.WithEngine("hybrid"), decibel.WithPageSize(pageSize))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+		if _, err := db.CreateTable("r", schema); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := db.Init("init"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+			for pk := int64(0); pk < rows; pk++ {
+				rec := decibel.NewRecord(schema)
+				rec.SetPK(pk)
+				rec.Set(1, pk)
+				if err := tx.Insert("r", rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		per := pageSize / schema.RecordSize()
+		pages := int64((rows + per - 1) / per)
+		if n, scanned, skipped := read(t, db.Query("r").On("master")); n != rows || scanned != pages || skipped != 0 {
+			t.Fatalf("heap scan: %d rows, %d pages scanned, %d skipped; want %d, %d, 0", n, scanned, skipped, rows, pages)
+		}
+	})
+	t.Run("dcz", func(t *testing.T) {
+		// c is pk/200: keys 200..399 hold c = 1, and master deleted 200..219.
+		q := func(db *decibel.DB) *decibel.Query {
+			return db.Query("r").On("master").Where(decibel.Col("c").Eq(int64(1)))
+		}
+		n, _, skipped := read(t, q(buildPlaneDB(t, t.TempDir(), "hybrid", true)))
+		if n != 180 || skipped == 0 {
+			t.Fatalf("c = 1 on compacted pages: %d rows, %d pages skipped; want 180 rows and a page skipped", n, skipped)
+		}
+		if n, _, skipped := read(t, q(buildPlaneDB(t, t.TempDir(), "hybrid", false))); n != 180 || skipped != 0 {
+			t.Fatalf("c = 1 on heap pages: %d rows, %d pages skipped; want 180 and 0", n, skipped)
+		}
+	})
+}

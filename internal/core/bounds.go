@@ -47,10 +47,11 @@ func (sp *ScanSpec) SetBounds(bs []Bound) {
 // unavailable or disabled).
 func (sp *ScanSpec) Bounds() []Bound { return sp.bounds }
 
-// Pruning counters: every SkipSegment call increments exactly one of
-// the segment pair and every SkipPage call one of the page pair, so a
-// selective scan's skipping is observable. A scan decides pages only
-// for pages that hold a live slot of its bitmap.
+// Scan counters. Every SkipSegment call increments exactly one of the
+// segment pair, so a selective scan's segment pruning is observable.
+// The page pair counts the pages the unit walk meets holding a live
+// slot (walkSlots): a dcz page whose planes ruled out every row, so the
+// walk visited none, is skipped, and every other is scanned.
 var (
 	segmentsScanned = expvar.NewInt("decibel.segments_scanned")
 	segmentsSkipped = expvar.NewInt("decibel.segments_skipped")
@@ -74,10 +75,6 @@ func (sp *ScanSpec) SkipSegment(z *store.ZoneMap, physCols int) bool {
 	return skip
 }
 
-// HasBounds reports whether the spec carries any pruning bounds —
-// scans consult it before paying for per-page zone checks.
-func (sp *ScanSpec) HasBounds() bool { return len(sp.bounds) > 0 }
-
 // ExcludesSegment is SkipSegment's verdict without the side effects:
 // it does not feed the segment-scan counters. The join planner uses it
 // for cardinality estimates — counting the rows of the segments a
@@ -85,19 +82,6 @@ func (sp *ScanSpec) HasBounds() bool { return len(sp.bounds) > 0 }
 // pruning counters must not move.
 func (sp *ScanSpec) ExcludesSegment(z *store.ZoneMap, physCols int) bool {
 	return sp.skipSegment(z, physCols)
-}
-
-// SkipPage is SkipSegment at page granularity: z is one chunk of a
-// segment's PageZones index. It feeds the shared page-scan counters
-// instead of the segment ones.
-func (sp *ScanSpec) SkipPage(z *store.ZoneMap, physCols int) bool {
-	skip := sp.skipSegment(z, physCols)
-	if skip {
-		pagesSkipped.Add(1)
-	} else {
-		pagesScanned.Add(1)
-	}
-	return skip
 }
 
 func (sp *ScanSpec) skipSegment(z *store.ZoneMap, physCols int) bool {

@@ -207,6 +207,9 @@ type slotWalker struct {
 	usePlanes bool
 	planes    *planeProg
 	page      func(slot int64, buf []byte) bool // bound once: filters a page's slots by bm
+	// scanned and skipped count the current walk's live pages: skipped
+	// those whose planes ruled out every row, scanned the rest.
+	scanned, skipped int64
 }
 
 // bind sets the visit callback every walk hands its live slots to.
@@ -227,40 +230,33 @@ func (w *slotWalker) bind(visit func(slot int64, buf []byte) bool) {
 // bit: on branch-clustered data that skips the pages holding other
 // branches' records, the page-granularity benefit the paper attributes
 // to clustering (Section 5.5), while fully interleaved data degrades to
-// a whole-file scan. When the segment keeps page zones and spec (which
-// may be nil) carries bounds, a page whose zone excludes them is
-// skipped too; spec is never evaluated per record. With usePlanes set,
-// a page of a dcz segment visits only the live slots its planes do not
-// rule out (planes.go).
-func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap, spec *ScanSpec) error {
-	w.bm, w.base, w.stopped = bm, sg.Base, false
+// a whole-file scan. Each such page is walked one way: with usePlanes
+// set, a page of a dcz segment visits only the live slots its planes do
+// not rule out (planes.go); every other page visits its live slots as
+// rows. The walk adds its live pages to the page counters once, when
+// it ends.
+func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap) error {
+	w.bm, w.base, w.stopped, w.scanned, w.skipped = bm, sg.Base, false, 0, 0
+	defer w.count()
 	per := int64(sg.File.PerPage())
 	end := sg.Base + sg.File.Count()
-	var pz *store.PageZones
-	if spec != nil && spec.HasBounds() {
-		pz = sg.Pages()
-	}
 	var cf *store.CompressedFile
 	if w.usePlanes {
 		cf, _ = sg.File.(*store.CompressedFile)
 	}
 	for next := int64(bm.NextSet(int(sg.Base))); next >= 0 && next < end; {
 		p := (next - sg.Base) / per
-		// Page zones cover every slot a liveness snapshot can mark live:
-		// the slot was appended, and folded into its zone, before the
-		// snapshot was taken.
-		if z := pageZone(pz, p); z == nil || !spec.SkipPage(z, sg.Cols) {
-			handled := false
-			if cf != nil {
-				var err error
-				if handled, err = w.walkPlanes(cf, p, per, end); err != nil || w.stopped {
-					return err
-				}
+		handled := false
+		if cf != nil {
+			var err error
+			if handled, err = w.walkPlanes(cf, p, per, end); err != nil || w.stopped {
+				return err
 			}
-			if !handled {
-				if err := sg.File.Scan(p*per, (p+1)*per, w.page); err != nil || w.stopped {
-					return err
-				}
+		}
+		if !handled {
+			w.scanned++
+			if err := sg.File.Scan(p*per, (p+1)*per, w.page); err != nil || w.stopped {
+				return err
 			}
 		}
 		next = int64(bm.NextSet(int(sg.Base + (p+1)*per)))
@@ -268,10 +264,12 @@ func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap, spec *ScanSpec) e
 	return nil
 }
 
-// pageZone returns zone p of pz, or nil when there is none to prune by.
-func pageZone(pz *store.PageZones, p int64) *store.ZoneMap {
-	if pz == nil {
-		return nil
+// count adds the walk's live pages to the published page counters.
+func (w *slotWalker) count() {
+	if w.scanned != 0 {
+		pagesScanned.Add(w.scanned)
 	}
-	return pz.Zone(int(p))
+	if w.skipped != 0 {
+		pagesSkipped.Add(w.skipped)
+	}
 }

@@ -190,8 +190,9 @@ func (p *planeProg) word(at, n int) uint64 {
 
 // walkPlanes walks page p of cf — per slots a page, the segment's slots
 // ending at end in the space's numbering — by its planes: it visits the
-// live slots the planes do not rule out. handled is false when the
-// planes rule out no row of the page, which then walks as rows.
+// live slots the planes do not rule out, and counts the page skipped
+// when that is none of them. handled is false when the planes rule out
+// no row of the page, which then walks as rows.
 func (w *slotWalker) walkPlanes(cf *store.CompressedFile, p, per, end int64) (handled bool, err error) {
 	pg, err := cf.Page(int(p))
 	if err != nil {
@@ -203,11 +204,17 @@ func (w *slotWalker) walkPlanes(cf *store.CompressedFile, p, per, end int64) (ha
 	}
 	if !pp.dict {
 		// Every step is constant on the page: it matches all or none.
-		return pp.word(0, 0) == 0, nil
+		if pp.word(0, 0) != 0 {
+			return false, nil
+		}
+		w.skipped++
+		return true, nil
 	}
 	first := w.base + p*per
 	rows := int(min(per, end-first))
 	rs := cf.RecordSize()
+	visited := false
+words:
 	for at := 0; at < rows; at += 64 {
 		n := min(64, rows-at)
 		live := w.bm.Word(int(first) + at)
@@ -219,11 +226,17 @@ func (w *slotWalker) walkPlanes(cf *store.CompressedFile, p, per, end int64) (ha
 		}
 		for live &= pp.word(at, n); live != 0; live &= live - 1 {
 			r := at + bits.TrailingZeros64(live)
+			visited = true
 			if !w.visit(first+int64(r), pg.Rows[r*rs:(r+1)*rs]) {
 				w.stopped = true
-				return true, nil
+				break words
 			}
 		}
+	}
+	if visited {
+		w.scanned++
+	} else {
+		w.skipped++
 	}
 	return true, nil
 }

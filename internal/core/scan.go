@@ -174,7 +174,7 @@ func (r *UnitRunner) Run(u *ScanUnit) error {
 	if u.cols != nil && (r.member == nil || r.member.Len() != len(u.cols)) {
 		r.member = bitmap.New(len(u.cols))
 	}
-	if err := r.walk.walkSlots(u.seg, u.live, r.spec); err != nil {
+	if err := r.walk.walkSlots(u.seg, u.live); err != nil {
 		return err
 	}
 	return r.err

@@ -15,10 +15,10 @@ import (
 // each qualifying segment once for all of them. Tuple-first's one space
 // is the chain of extents, each at its base slot. Because extents
 // rotate only on schema change, one extent typically spans every
-// branch's rows and its segment-level zone rarely prunes; a chained
-// catalog therefore also gives each extent an in-memory page-zone index
-// (store.PageZones), which core's unit walk uses to skip page-sized
-// chunks inside the surviving extents.
+// branch's rows and its segment-level zone rarely prunes; what spares a
+// tuple-first read the other branches' records is its bitmap, which
+// core's unit walk follows to read only the pages holding a live slot
+// (the clustering benefit of Section 5.5).
 
 // LookupPK implements core.Engine: the version index (Section 3.2's
 // update/delete index, kept once for all branches) lists the key's

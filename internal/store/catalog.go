@@ -51,9 +51,8 @@ type Layout struct {
 	// heap file, named before the rule (tuple-first's "data.heap").
 	Prefix, Heap, First string
 	// Chained catalogs number the slots of all segments in one space,
-	// each segment starting where the one before it ends, and give every
-	// segment page-granularity zones (tuple-first's shared heap).
-	// Otherwise each segment is a slot space of its own.
+	// each segment starting where the one before it ends (tuple-first's
+	// shared heap). Otherwise each segment is a slot space of its own.
 	Chained bool
 }
 
@@ -127,7 +126,7 @@ func (c *Catalog[S]) Open(meta func(i int) (m SegMeta, keep int64)) error {
 	for i, s := range c.Segs {
 		e := s.entry()
 		m, keep := meta(i)
-		seg, err := c.open(c.path(e, m.Encoding), m, keep)
+		seg, err := c.st.Open(c.path(e, m.Encoding), m, keep)
 		if err != nil {
 			return fmt.Errorf("segment %d: %w", e.ID, err)
 		}
@@ -138,18 +137,6 @@ func (c *Catalog[S]) Open(meta func(i int) (m SegMeta, keep int64)) error {
 	}
 	c.sweep()
 	return nil
-}
-
-// open opens a data file of the table, with page zones in a chained
-// catalog.
-func (c *Catalog[S]) open(path string, m SegMeta, keep int64) (*Segment, error) {
-	seg, err := c.st.Open(path, m, keep)
-	if err == nil && c.lay.Chained {
-		if err = seg.EnablePageZones(); err != nil {
-			seg.File.Close()
-		}
-	}
-	return seg, err
 }
 
 // base is the slot entry i starts at: in a chained catalog, where entry
@@ -192,7 +179,7 @@ func (c *Catalog[S]) sweep() {
 // and appends s to the table. The file is named here, once.
 func (c *Catalog[S]) Add(s S, cols int) error {
 	e := s.entry()
-	seg, err := c.open(c.path(e, EncHeap), SegMeta{Cols: cols}, -1)
+	seg, err := c.st.Open(c.path(e, EncHeap), SegMeta{Cols: cols}, -1)
 	if err != nil {
 		return err
 	}

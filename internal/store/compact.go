@@ -83,7 +83,7 @@ func (c *Catalog[S]) compress(s *Segment, newPath string) (*Segment, int, error)
 	if err := w.WriteFile(newPath); err != nil {
 		return nil, 0, err
 	}
-	ns, err := c.open(newPath, SegMeta{Cols: s.Cols, Frozen: true, Encoding: EncDCZ, Zone: s.zone}, -1)
+	ns, err := c.st.Open(newPath, SegMeta{Cols: s.Cols, Frozen: true, Encoding: EncDCZ, Zone: s.zone}, -1)
 	if err != nil {
 		os.Remove(newPath)
 		return nil, 0, err

@@ -73,7 +73,6 @@ type Segment struct {
 	Frozen   bool
 	Encoding string // "" (heap), EncHeap or EncDCZ
 	zone     *ZoneMap
-	pages    *PageZones // optional page-granularity zones (EnablePageZones)
 
 	// Reader pinning: scans that snapshot the segment table outside the
 	// engine lock pin each segment they will read; compaction retires
@@ -251,9 +250,6 @@ func (s *Segment) AppendRaw(buf []byte) (int64, error) {
 		return 0, err
 	}
 	s.zone.Update(s.Schema, buf)
-	if s.pages != nil {
-		s.pages.Update(s.Schema, buf)
-	}
 	return slot, nil
 }
 

@@ -294,11 +294,10 @@ func planeKinds(t *testing.T, dir string) (dict, konst map[int]int) {
 // keeps resident — none before a compaction pass, and once a scan has
 // read every page, each page's rows plus its plane values and codes.
 // A reopen decodes every page at once: the open's key-version pass
-// reads every segment.
+// reads every segment. A compaction pass decodes none of the pages it
+// writes.
 func TestPageCacheBytes(t *testing.T) {
-	dir := t.TempDir()
-	db := buildPlaneDB(t, dir, "hybrid", false)
-	cached := func() int64 {
+	cached := func(t *testing.T, db *decibel.DB) int64 {
 		t.Helper()
 		st, err := db.Stats()
 		if err != nil {
@@ -306,32 +305,91 @@ func TestPageCacheBytes(t *testing.T) {
 		}
 		return st.PageCacheBytes
 	}
-	if got := cached(); got != 0 {
-		t.Fatalf("page cache holds %d bytes before any segment is compacted, want 0", got)
-	}
-	if _, err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	rows, errf := db.Query("r").Heads().Annotated()
-	n := 0
-	for range rows {
-		n++
-	}
-	if err := errf(); err != nil || n == 0 {
-		t.Fatalf("HEAD(): %d rows (%v)", n, err)
-	}
-	var want int64
-	dczPages(t, dir, func(pg *store.Page) { want += pg.Bytes() })
-	if got := cached(); want == 0 || got != want {
-		t.Fatalf("page cache holds %d bytes after a scan of every page, want %d", got, want)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db = buildReopen(t, dir, "hybrid", decibel.WithPageSize(4096))
-	if got := cached(); got != want {
-		t.Fatalf("page cache holds %d bytes after reopen, want %d", got, want)
-	}
+	t.Run("hybrid", func(t *testing.T) {
+		dir := t.TempDir()
+		db := buildPlaneDB(t, dir, "hybrid", false)
+		if got := cached(t, db); got != 0 {
+			t.Fatalf("page cache holds %d bytes before any segment is compacted, want 0", got)
+		}
+		if _, err := db.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		rows, errf := db.Query("r").Heads().Annotated()
+		n := 0
+		for range rows {
+			n++
+		}
+		if err := errf(); err != nil || n == 0 {
+			t.Fatalf("HEAD(): %d rows (%v)", n, err)
+		}
+		var want int64
+		dczPages(t, dir, func(pg *store.Page) { want += pg.Bytes() })
+		if got := cached(t, db); want == 0 || got != want {
+			t.Fatalf("page cache holds %d bytes after a scan of every page, want %d", got, want)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db = buildReopen(t, dir, "hybrid", decibel.WithPageSize(4096))
+		if got := cached(t, db); got != want {
+			t.Fatalf("page cache holds %d bytes after reopen, want %d", got, want)
+		}
+	})
+	// Tuple-first's first extent freezes once a wider row lands past
+	// it; the pass that compacts it reads the heap pages and writes dcz
+	// pages, and decodes none of them.
+	t.Run("tuple-first", func(t *testing.T) {
+		db, err := decibel.Open(t.TempDir(), decibel.WithEngine("tuple-first"),
+			decibel.WithPageSize(2048), decibel.WithCompaction("manual"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+		if _, err := db.CreateTable("r", schema); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := db.Init("init"); err != nil {
+			t.Fatal(err)
+		}
+		insert := func(lo, hi int64) {
+			t.Helper()
+			if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+				tbl, err := db.TableByName("r")
+				if err != nil {
+					return err
+				}
+				for pk := lo; pk < hi; pk++ {
+					rec := decibel.NewRecord(tbl.Schema())
+					rec.SetPK(pk)
+					rec.Set(1, pk)
+					if err := tx.Insert("r", rec); err != nil {
+						return err
+					}
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		insert(0, 2000)
+		if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+			return tx.AddColumn("r", decibel.Column{Name: "w", Type: decibel.Int64}, decibel.Default(int64(7)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		insert(2000, 2001)
+		st, err := db.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SegmentsCompressed != 1 {
+			t.Fatalf("compaction compressed %d extents, want the frozen one: %+v", st.SegmentsCompressed, st)
+		}
+		if got := cached(t, db); got != 0 {
+			t.Fatalf("page cache holds %d bytes right after compaction, want 0", got)
+		}
+	})
 }
 
 // TestPlaneFilterMatchesHeapPages runs on hybrid, whose branch points

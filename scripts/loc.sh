@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# thirty-one structural checks. Prints the non-test Go lines outside
+# thirty-two structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -115,6 +115,10 @@
 # internal/server: every process-global counter is one expvar.NewInt
 # declared in the package that increments it, read by its published
 # name; the server's active-sessions gauge is the one expvar.Func.
+# Exits non-zero too if non-test Go matches PageZones, EnablePageZones,
+# SkipPage or pageZone(: tuple-first keeps no per-page zone index, and
+# the unit walk decides each page holding a live slot once, by its dcz
+# planes or by its rows; zone maps prune whole segments only.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -358,6 +362,13 @@ fi
 stray=$(grep -rn --include='*.go' 'expvar\.Publish(' . | grep -v '_test\.go:' | grep -v '^\./internal/server/' || true)
 if [ -n "$stray" ]; then
     echo "a process-global counter is one expvar.NewInt in the package that increments it (only internal/server's gauge publishes a Func):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'PageZones|EnablePageZones|SkipPage|pageZone\(' . | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "tuple-first's page zones are gone (zone maps prune segments; the walk decides each live page by its planes or its rows):" >&2
     echo "$stray" >&2
     exit 1
 fi
