@@ -92,7 +92,7 @@ type ScanUnit struct {
 // serves all the units of a scan, one Run at a time, in whatever order
 // its driver chooses.
 type UnitRunner struct {
-	ctx  context.Context // nil when the scan's context can never be canceled
+	done <-chan struct{} // the scan context's Done; nil when it can never be canceled
 	spec *ScanSpec
 	fn   UnitFunc
 	walk slotWalker // visits the body, bound once
@@ -110,13 +110,11 @@ type UnitRunner struct {
 
 // NewUnitRunner binds the body to one scan: every live record that
 // satisfies the spec goes to fn, until fn returns false or ctx is
-// canceled (checked once per delivered record; contexts that can never
-// be canceled are not consulted).
+// canceled (polled once per delivered record, without a lock: ctx.Err
+// takes the context's mutex; contexts that can never be canceled are
+// not consulted).
 func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner {
-	r := &UnitRunner{spec: spec, fn: fn}
-	if ctx.Done() != nil {
-		r.ctx = ctx
-	}
+	r := &UnitRunner{spec: spec, fn: fn, done: ctx.Done()}
 	// The body is a closure literal rather than a method value: it runs
 	// once per walked slot, and a method value would add a call to each.
 	r.walk.bind(func(slot int64, buf []byte) bool {
@@ -135,7 +133,15 @@ func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner
 		if r.annotated {
 			aux = r.annotate(slot)
 		}
-		if (r.ctx != nil && r.ctx.Err() != nil) || !r.fn(rec, aux) {
+		if r.done != nil {
+			select {
+			case <-r.done:
+				r.stop = true
+				return false
+			default:
+			}
+		}
+		if !r.fn(rec, aux) {
 			r.stop = true
 			return false
 		}

@@ -3,13 +3,20 @@ package query
 // Aggregation: one fold for the scalar and the grouped terminals. A
 // Plan with GroupCols buckets the scanned rows by the named columns and
 // folds per-group aggregates in one streaming pass — bounded hash
-// aggregation: the state is one accumulator per distinct group, never
-// the rows themselves. A scalar aggregate (Count, Sum, Min, Max, Avg)
-// is the same fold with no group columns: one group, kept out of the
-// hash map so a row costs no lookup. The fold reads the source schema
-// (a projection would only copy each row). Groups emit in first-arrival
-// order — the order the scan first sees each distinct key — and a float
-// Sum/Avg adds in scan order, so a query has one answer.
+// aggregation: the state is one row count and one window of aggregate
+// states per distinct group, never the rows themselves. Key and
+// aggregate columns are resolved once per query into handles (relation,
+// byte offset, type) against the schema the rows arrive in, and read
+// straight from each record's bytes: the source schema for a single
+// table, whose rows the fold takes as one-relation tuples (a
+// projection would only copy each row), each relation's output schema
+// for a join. A single integer or float key finds its group number by
+// its raw bits, any other key by its encoding. A scalar aggregate
+// (Count, Sum, Min, Max, Avg) is the same fold with no group columns:
+// one group and no table, so a row costs no lookup. Groups emit in
+// first-arrival order — the order the scan first sees each distinct
+// key — and a float Sum/Avg adds in scan order, so a query has one
+// answer.
 
 import (
 	"context"
@@ -64,10 +71,7 @@ type GroupRow struct {
 	Aggs []float64
 }
 
-// compileGroupBy resolves the plan's GroupCols. For a single-table
-// plan they resolve in the table schema; for a join-composed plan they
-// resolve across the relations' output schemas in declaration order,
-// first match wins.
+// compileGroupBy resolves the plan's GroupCols to column handles.
 func (c *Compiled) compileGroupBy() error {
 	p := c.plan
 	if p.OrderCol != "" || p.Limit > 0 {
@@ -80,197 +84,244 @@ func (c *Compiled) compileGroupBy() error {
 		}
 		seen[name] = true
 	}
-	c.groupIdx = make([]int, len(p.GroupCols))
-	if c.join != nil {
-		c.groupRels = make([]int, len(p.GroupCols))
-		for i, name := range p.GroupCols {
-			ri, ci, _, err := findJoinCol(c.join.rels, name)
-			if err != nil {
-				return err
-			}
-			c.groupRels[i] = ri
-			c.groupIdx[i] = ci
-		}
-		return nil
-	}
-	scope := colScope{schema: c.schema, hist: c.table.History(), epoch: c.epoch}
+	c.groupKeys = make([]colHandle, len(p.GroupCols))
 	for i, name := range p.GroupCols {
-		ci := c.schema.ColumnIndex(name)
-		if ci < 0 {
-			return scope.missing(name)
+		ref, err := c.colNamed(name)
+		if err != nil {
+			return err
 		}
-		if c.cols != nil && c.proto.Out().ColumnIndex(name) < 0 {
+		if c.join == nil && c.cols != nil && c.proto.Out().ColumnIndex(name) < 0 {
 			return fmt.Errorf("%w: GroupBy column %q is not part of the Select projection", core.ErrBadQuery, name)
 		}
-		c.groupIdx[i] = ci
+		c.groupKeys[i] = ref
 	}
 	return nil
 }
 
-// groupAggCol is one resolved aggregate: its fold kind and the source
-// column — a table-schema index, or for join plans an output-schema
-// index of the relation rel.
+// colNamed resolves a key or aggregate column to its handle: in the
+// table schema for a single-table plan, across the relations' output
+// schemas (declaration order, first match wins) for a join-composed
+// one.
+func (c *Compiled) colNamed(name string) (colHandle, error) {
+	if c.join != nil {
+		ri, ci, _, err := findJoinCol(c.join.rels, name)
+		if err != nil {
+			return colHandle{}, err
+		}
+		return handleOf(ri, c.join.rels[ri].OutSchema(), ci), nil
+	}
+	ci := c.schema.ColumnIndex(name)
+	if ci < 0 {
+		return colHandle{}, (colScope{schema: c.schema, hist: c.table.History(), epoch: c.epoch}).missing(name)
+	}
+	return handleOf(0, c.schema, ci), nil
+}
+
+// colHandle is one key or aggregate column resolved against the schema
+// its records arrive in: the relation of a row (0 for a single table,
+// whose one record is a one-relation row), the column's byte offset in
+// the encoded record, its type, and a Bytes column's capacity. The fold
+// reads a column straight from rec.Bytes() through it.
+type colHandle struct {
+	rel  int
+	off  int
+	typ  record.Type
+	size int
+}
+
+func handleOf(rel int, s *record.Schema, ci int) colHandle {
+	c := s.Column(ci)
+	return colHandle{rel: rel, off: s.ColumnOffset(ci), typ: c.Type, size: c.Size}
+}
+
+// bits is an Int32, Int64 or Float64 column's value as its 8 raw bits:
+// an Int32 sign-extended, a Float64 as stored (math.Float64bits).
+func (r colHandle) bits(b []byte) uint64 {
+	if r.typ == record.Int32 {
+		return uint64(int32(binary.LittleEndian.Uint32(b[r.off:])))
+	}
+	return binary.LittleEndian.Uint64(b[r.off:])
+}
+
+// bytes is a Bytes column's value, aliasing b.
+func (r colHandle) bytes(b []byte) []byte {
+	n := min(int(binary.LittleEndian.Uint16(b[r.off:])), r.size) // clamp a corrupt length prefix
+	return b[r.off+2 : r.off+2+n]
+}
+
+// encode appends the column's value to a group key.
+func (r colHandle) encode(buf, b []byte) []byte {
+	if r.typ == record.Bytes {
+		v := r.bytes(b)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
+		return append(buf, v...)
+	}
+	return binary.LittleEndian.AppendUint64(buf, r.bits(b))
+}
+
+// value decodes the column's value for an emitted GroupRow.
+func (r colHandle) value(b []byte) any {
+	switch r.typ {
+	case record.Float64:
+		return math.Float64frombits(r.bits(b))
+	case record.Bytes:
+		return append([]byte(nil), r.bytes(b)...)
+	}
+	return int64(r.bits(b))
+}
+
+// groupAggCol is one resolved aggregate: its fold kind and, for every
+// kind but AggCount, its numeric source column.
 type groupAggCol struct {
 	kind    AggKind
-	rel     int // relation index; 0 for single-table plans
-	col     int
+	col     colHandle
 	isFloat bool
 }
 
-// groupKeyCol is one resolved group-by column.
-type groupKeyCol struct {
-	rel int
-	col int
-	typ record.Type
-}
-
-// groupFold is the aggregation state: one accumulator per distinct
-// key, plus the first-arrival order the groups emit in.
+// groupFold is the aggregation state. Groups are numbered in
+// first-arrival order; group g's state is its row count n[g] (shared by
+// Count and Avg), its key values key[g*len(keys):] and its aggregates'
+// states parts[g*len(aggs):]. A single Int32, Int64 or Float64 key
+// finds its group by the key's raw bits, any other key shape by its
+// encoding, and a fold with no key columns (a scalar aggregate) has one
+// group and no table.
 type groupFold struct {
-	keys  []groupKeyCol
+	keys  []colHandle
 	aggs  []groupAggCol
-	m     map[string]*groupAcc
-	order []string
+	bits  map[uint64]int32
+	strs  map[string]int32
 	buf   []byte
-	// all is a fold's one group when it has no key columns (a scalar
-	// aggregate), once the first row created it.
-	all *groupAcc
-}
-
-// groupAcc is one group's accumulator: the decoded key values and one
-// running state per aggregate.
-type groupAcc struct {
+	n     []int64
 	key   []any
 	parts []aggPart
+	one   [1]*record.Record // a single-table row as a one-relation row
 }
 
-// aggPart is one aggregate's running state over one group.
+// aggPart is one aggregate's running state over one group: an integer
+// Sum or Avg adds into i, a float one into f, and Min and Max keep the
+// extreme so far in f.
 type aggPart struct {
-	n          int
-	isum       int64
-	fsum       float64
-	fmin, fmax float64
+	i int64
+	f float64
 }
 
-func newGroupFold(keys []groupKeyCol, aggs []groupAggCol) *groupFold {
-	return &groupFold{keys: keys, aggs: aggs, m: make(map[string]*groupAcc)}
-}
-
-// encodeKey appends column k's value from rec to the hash key.
-func (g *groupFold) encodeKey(buf []byte, k groupKeyCol, rec *record.Record) []byte {
-	switch k.typ {
-	case record.Float64:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rec.GetFloat64(k.col)))
-	case record.Bytes:
-		b := rec.GetBytes(k.col)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b)))
-		buf = append(buf, b...)
-	default:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(rec.Get(k.col)))
+func newGroupFold(keys []colHandle, aggs []groupAggCol) *groupFold {
+	g := &groupFold{keys: keys, aggs: aggs}
+	switch {
+	case len(keys) == 1 && keys[0].typ != record.Bytes:
+		g.bits = make(map[uint64]int32)
+	case len(keys) > 0:
+		g.strs = make(map[string]int32)
 	}
-	return buf
+	return g
 }
 
-// keyValue decodes column k's value from rec for the emitted GroupRow.
-func keyValue(k groupKeyCol, rec *record.Record) any {
-	switch k.typ {
-	case record.Float64:
-		return rec.GetFloat64(k.col)
-	case record.Bytes:
-		return append([]byte(nil), rec.GetBytes(k.col)...)
-	default:
-		return rec.Get(k.col)
-	}
-}
-
-// observe folds one row into its group. pick maps a key or aggregate
-// column to the record holding it — identity for single-table scans,
-// tuple indexing for joins.
-func (g *groupFold) observe(pick func(rel int) *record.Record) {
-	acc := g.all
-	if acc == nil {
+// add folds one row: a join tuple, or a single table's record as the
+// one-relation row g.one.
+func (g *groupFold) add(row []*record.Record) {
+	gi := 0
+	switch {
+	case g.bits != nil:
+		k := g.keys[0]
+		v := k.bits(row[k.rel].Bytes())
+		i, ok := g.bits[v]
+		if !ok {
+			i = g.newGroup(row)
+			g.bits[v] = i
+		}
+		gi = int(i)
+	case g.strs != nil:
 		g.buf = g.buf[:0]
 		for _, k := range g.keys {
-			g.buf = g.encodeKey(g.buf, k, pick(k.rel))
+			g.buf = k.encode(g.buf, row[k.rel].Bytes())
 		}
-		if acc = g.m[string(g.buf)]; acc == nil {
-			acc = &groupAcc{key: make([]any, len(g.keys)), parts: make([]aggPart, len(g.aggs))}
-			for i, k := range g.keys {
-				acc.key[i] = keyValue(k, pick(k.rel))
-			}
-			key := string(g.buf)
-			g.m[key] = acc
-			g.order = append(g.order, key)
+		i, ok := g.strs[string(g.buf)]
+		if !ok {
+			i = g.newGroup(row)
+			g.strs[string(g.buf)] = i
 		}
-		if len(g.keys) == 0 {
-			g.all = acc
-		}
+		gi = int(i)
+	case len(g.n) == 0:
+		g.newGroup(row)
 	}
+	g.n[gi]++
+	first := g.n[gi] == 1
+	parts := g.parts[gi*len(g.aggs) : (gi+1)*len(g.aggs)]
 	// The transition step, inline: it runs once per aggregate per row.
-	for i, a := range g.aggs {
-		p := &acc.parts[i]
-		p.n++
+	for i := range g.aggs {
+		a, p := &g.aggs[i], &parts[i]
 		if a.kind == AggCount {
 			continue
 		}
-		rec := pick(a.rel)
-		var v float64
-		if a.isFloat {
-			v = rec.GetFloat64(a.col)
-			p.fsum += v
-		} else {
-			iv := rec.Get(a.col)
-			p.isum += iv
-			v = float64(iv)
-		}
-		if p.n == 1 || v < p.fmin {
-			p.fmin = v
-		}
-		if p.n == 1 || v > p.fmax {
-			p.fmax = v
+		v := a.col.bits(row[a.col.rel].Bytes())
+		switch {
+		case a.kind == AggMin:
+			if f := a.num(v); first || f < p.f {
+				p.f = f
+			}
+		case a.kind == AggMax:
+			if f := a.num(v); first || f > p.f {
+				p.f = f
+			}
+		case a.isFloat:
+			p.f += math.Float64frombits(v)
+		default:
+			p.i += int64(v)
 		}
 	}
 }
 
-// add folds one single-table row.
-func (g *groupFold) add(rec *record.Record) {
-	g.observe(func(int) *record.Record { return rec })
+// num is the aggregate column's value, from its raw bits, as Min and
+// Max compare it.
+func (a *groupAggCol) num(v uint64) float64 {
+	if a.isFloat {
+		return math.Float64frombits(v)
+	}
+	return float64(int64(v))
 }
 
-// addTuple folds one joined tuple.
-func (g *groupFold) addTuple(t JoinTuple) {
-	g.observe(func(rel int) *record.Record { return t[rel] })
+// newGroup opens the next group with row's key values.
+func (g *groupFold) newGroup(row []*record.Record) int32 {
+	for _, k := range g.keys {
+		g.key = append(g.key, k.value(row[k.rel].Bytes()))
+	}
+	g.n = append(g.n, 0)
+	for range g.aggs { // not append(g.parts, make(...)...): under -race that allocates the make
+		g.parts = append(g.parts, aggPart{})
+	}
+	return int32(len(g.n) - 1)
 }
 
-// value is the aggregate's result over a non-empty group.
-func (p *aggPart) value(a groupAggCol) float64 {
+// value is aggregate i's result over group gi, which is never empty.
+func (g *groupFold) value(gi, i int) float64 {
+	a, p, n := g.aggs[i], g.parts[gi*len(g.aggs)+i], g.n[gi]
+	sum := float64(p.i)
+	if a.isFloat {
+		sum = p.f
+	}
 	switch a.kind {
 	case AggCount:
-		return float64(p.n)
+		return float64(n)
 	case AggSum:
-		if a.isFloat {
-			return p.fsum
-		}
-		return float64(p.isum)
+		return sum
 	case AggAvg:
-		if a.isFloat {
-			return p.fsum / float64(p.n)
-		}
-		return float64(p.isum) / float64(p.n)
-	case AggMin:
-		return p.fmin
+		return sum / float64(n)
 	}
-	return p.fmax
+	return p.f
 }
 
 // emit replays the groups in first-arrival order. A group exists only
 // once a row arrived, so Min/Max/Avg never fold an empty group.
 func (g *groupFold) emit(fn func(*GroupRow) bool) {
-	for _, key := range g.order {
-		acc := g.m[key]
-		row := &GroupRow{Key: acc.key, Aggs: make([]float64, len(g.aggs))}
-		for i, a := range g.aggs {
-			row.Aggs[i] = acc.parts[i].value(a)
+	nk, na := len(g.keys), len(g.aggs)
+	rows := make([]GroupRow, len(g.n))
+	aggs := make([]float64, len(g.n)*na)
+	for gi := range rows {
+		row := &rows[gi]
+		row.Key = g.key[gi*nk : (gi+1)*nk : (gi+1)*nk]
+		row.Aggs = aggs[gi*na : (gi+1)*na : (gi+1)*na]
+		for i := range row.Aggs {
+			row.Aggs[i] = g.value(gi, i)
 		}
 		if !fn(row) {
 			return
@@ -278,9 +329,7 @@ func (g *groupFold) emit(fn func(*GroupRow) bool) {
 	}
 }
 
-// resolveAggCol validates one aggregate's kind and source column. For
-// single-table plans the column resolves in the table schema; for join
-// plans across the relations' output schemas.
+// resolveAggCol validates one aggregate's kind and source column.
 func (c *Compiled) resolveAggCol(a AggSpec) (groupAggCol, error) {
 	if a.Kind > AggAvg {
 		return groupAggCol{}, fmt.Errorf("%w: unknown aggregate kind %d", core.ErrBadQuery, a.Kind)
@@ -288,47 +337,31 @@ func (c *Compiled) resolveAggCol(a AggSpec) (groupAggCol, error) {
 	if a.Kind == AggCount {
 		return groupAggCol{kind: AggCount}, nil
 	}
-	var t record.Type
-	out := groupAggCol{kind: a.Kind}
-	if c.join != nil {
-		ri, ci, ct, err := findJoinCol(c.join.rels, a.Col)
-		if err != nil {
-			return groupAggCol{}, err
-		}
-		out.rel, out.col, t = ri, ci, ct
-	} else {
-		ci := c.schema.ColumnIndex(a.Col)
-		if ci < 0 {
-			return groupAggCol{}, (colScope{schema: c.schema, hist: c.table.History(), epoch: c.epoch}).missing(a.Col)
-		}
-		out.col, t = ci, c.schema.Column(ci).Type
+	col, err := c.colNamed(a.Col)
+	if err != nil {
+		return groupAggCol{}, err
 	}
-	switch t {
+	out := groupAggCol{kind: a.Kind, col: col}
+	switch out.col.typ {
 	case record.Int32, record.Int64:
 	case record.Float64:
 		out.isFloat = true
 	default:
-		return groupAggCol{}, fmt.Errorf("%w: aggregate over %v column %q", core.ErrTypeMismatch, t, a.Col)
+		return groupAggCol{}, fmt.Errorf("%w: aggregate over %v column %q", core.ErrTypeMismatch, out.col.typ, a.Col)
 	}
 	return out, nil
 }
 
 // fold runs the plan's scan shape (single-version, historical,
 // multi-branch — each record live in any head once — or a composed
-// join) through one fold of the plan's group columns and aggs.
+// join) through one fold of the plan's group columns and aggs. A
+// single table's rows arrive in c.schema (the spec converts older
+// layouts), a join's tuples in each relation's output schema: the
+// schemas the column handles were resolved against.
 func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, error) {
-	keys := make([]groupKeyCol, len(c.groupIdx))
-	for i, col := range c.groupIdx {
-		if c.join != nil {
-			rel := c.groupRels[i]
-			keys[i] = groupKeyCol{rel: rel, col: col, typ: c.join.rels[rel].OutSchema().Column(col).Type}
-		} else {
-			keys[i] = groupKeyCol{col: col, typ: c.schema.Column(col).Type}
-		}
-	}
-	fold := newGroupFold(keys, aggs)
+	fold := newGroupFold(c.groupKeys, aggs)
 	if c.join != nil {
-		return fold, c.join.run(ctx, c.plan.NoReorder, func(t JoinTuple) bool { fold.addTuple(t); return true })
+		return fold, c.join.run(ctx, c.plan.NoReorder, func(t JoinTuple) bool { fold.add(t); return true })
 	}
 	// The spec carries only the predicate and its pruning bounds: a
 	// Select projection constrains the group columns at compile time but
@@ -341,7 +374,7 @@ func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, er
 	spec.SetBounds(c.bounds)
 	spec.Transient()
 	return fold, c.table.ScanUnitsContext(ctx, c.request(c.shape()), spec, c,
-		func(rec *record.Record, _ core.UnitAux) bool { fold.add(rec); return true })
+		func(rec *record.Record, _ core.UnitAux) bool { fold.one[0] = rec; fold.add(fold.one[:]); return true })
 }
 
 // GroupScan executes the grouped aggregation: one streaming pass over
@@ -395,11 +428,11 @@ func (c *Compiled) Aggregate(ctx context.Context, kind AggKind, col string) (flo
 	if err != nil {
 		return 0, err
 	}
-	if len(fold.order) == 0 {
+	if len(fold.n) == 0 {
 		if kind == AggCount || kind == AggSum {
 			return 0, nil
 		}
 		return 0, fmt.Errorf("%w: %s over empty scan", core.ErrNoRows, col)
 	}
-	return fold.m[fold.order[0]].parts[0].value(a), nil
+	return fold.value(0, 0), nil
 }

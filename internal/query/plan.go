@@ -99,12 +99,10 @@ type Compiled struct {
 	orderIdx int            // OrderCol's index in the output schema; -1 = unordered
 	join     *joinPlan      // non-nil when the plan composes joins
 
-	// GroupCols resolved: schema column indices for a single-table plan;
-	// for a join-composed plan groupRels names the relation each group
-	// column comes from and groupIdx its index in that relation's output
-	// schema (groupRels is nil for single-table plans).
-	groupIdx  []int
-	groupRels []int
+	// groupKeys is GroupCols resolved: handles into the table schema
+	// for a single-table plan, into the relations' output schemas for a
+	// join-composed one.
+	groupKeys []colHandle
 }
 
 // Compile resolves and validates the plan against db. All validation

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -848,7 +849,9 @@ func TestGroupByEquivalence(t *testing.T) {
 		{"multi", []string{"master", "b1"}, false, -1},
 		{"heads", nil, true, -1},
 	}
-	groupings := [][]string{{"price"}, {"sku"}, {"price", "sku"}}
+	// v is an Int64 key with one group per row, so the group table grows
+	// through every size a scan reaches.
+	groupings := [][]string{{"price"}, {"sku"}, {"price", "sku"}, {"v"}, {"v", "sku"}}
 	for _, engine := range facadeEngines {
 		for _, workers := range equivalenceWorkers {
 			t.Run(fmt.Sprintf("%s/workers=%d", engine, workers), func(t *testing.T) {
@@ -891,6 +894,85 @@ func TestGroupByEquivalence(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestGroupKeySemantics pins what a group key is. An Int32 key groups
+// by its value, negative ones included, and emits it as an int64. A
+// Float64 key groups by its bits: -0.0 and +0.0 are two groups, and two
+// NaNs with one bit pattern are one group, though neither pair compares
+// as a Go map[float64] key would. Groups emit in first-arrival order.
+func TestGroupKeySemantics(t *testing.T) {
+	db, err := decibel.Open(t.TempDir(), decibel.WithEngine("hybrid"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := decibel.NewSchema().Int64("id").Int32("k").Float64("f").MustBuild()
+	if _, err := db.CreateTable("r", s); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := db.Init("init"); err != nil {
+		t.Fatal(err)
+	}
+	nan := math.Float64frombits(0x7ff8000000000001)
+	rows := []struct {
+		k int64
+		f float64
+	}{{-3, 0}, {math.MinInt32, math.Copysign(0, -1)}, {-3, nan}, {7, nan}, {math.MinInt32, 0}, {7, 1.5}}
+	if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+		for i, r := range rows {
+			rec := decibel.NewRecord(s)
+			rec.SetPK(int64(i))
+			rec.Set(1, r.k)
+			rec.SetFloat64(2, r.f)
+			if err := tx.Insert("r", rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	type group struct {
+		key any
+		n   float64
+	}
+	groups := func(col string) []group {
+		t.Helper()
+		seq, errf := db.Query("r").On("master").GroupBy(col).Groups(decibel.Count())
+		var out []group
+		for g := range seq {
+			out = append(out, group{g.Key[0], g.Aggs[0]})
+		}
+		if err := errf(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ints := groups("k")
+	wantInts := []group{{int64(-3), 2}, {int64(math.MinInt32), 2}, {int64(7), 2}}
+	if fmt.Sprint(ints) != fmt.Sprint(wantInts) {
+		t.Errorf("GroupBy(Int32 k) = %v, want %v", ints, wantInts)
+	}
+	floats := groups("f")
+	bits := make([]uint64, len(floats))
+	for i, g := range floats {
+		f, ok := g.key.(float64)
+		if !ok {
+			t.Fatalf("Float64 key %v is a %T", g.key, g.key)
+		}
+		bits[i] = math.Float64bits(f)
+	}
+	wantBits := []uint64{0, 1 << 63, 0x7ff8000000000001, math.Float64bits(1.5)}
+	wantN := []float64{2, 1, 2, 1}
+	if len(floats) != len(wantBits) {
+		t.Fatalf("GroupBy(Float64 f) = %v, want %d groups", floats, len(wantBits))
+	}
+	for i := range floats {
+		if bits[i] != wantBits[i] || floats[i].n != wantN[i] {
+			t.Errorf("float group %d: bits %#x count %v, want %#x count %v", i, bits[i], floats[i].n, wantBits[i], wantN[i])
 		}
 	}
 }

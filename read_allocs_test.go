@@ -24,15 +24,16 @@ import (
 
 // readAllocCeilings is allocations per read, by engine: measured + 1,
 // or the measured count itself where an earlier ceiling already was
-// (version-first's older-commit lookup, the tuple-first and
-// version-first folds). A commit-log checkout reads its entries through
-// one buffer and XORs them in place: hybrid's and tuple-first's
-// older-commit lookups fell from 28 to 22 when it stopped decoding a
-// bitmap per entry.
+// (version-first's older-commit lookup). A commit-log checkout reads its
+// entries through one buffer and XORs them in place: hybrid's and
+// tuple-first's older-commit lookups fell from 28 to 22 when it stopped
+// decoding a bitmap per entry. The folds fell by three, to 34, 30 and
+// 29, when a scalar aggregate's one group stopped costing a key table,
+// a group pointer and an order entry.
 var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit, atNewest, heads, diff, fold float64 }{
-	"hybrid":        {point: 23, walk: 23, scan: 58, atCommit: 23, atNewest: 23, heads: 61, diff: 46, fold: 38},
-	"tuple-first":   {point: 23, walk: 23, scan: 54, atCommit: 23, atNewest: 23, heads: 49, diff: 36, fold: 33},
-	"version-first": {point: 23, walk: 23, scan: 53, atCommit: 20, atNewest: 21, heads: 48, diff: 39, fold: 32},
+	"hybrid":        {point: 23, walk: 23, scan: 58, atCommit: 23, atNewest: 23, heads: 61, diff: 46, fold: 35},
+	"tuple-first":   {point: 23, walk: 23, scan: 54, atCommit: 23, atNewest: 23, heads: 49, diff: 36, fold: 31},
+	"version-first": {point: 23, walk: 23, scan: 53, atCommit: 20, atNewest: 21, heads: 48, diff: 39, fold: 30},
 }
 
 // planeScanAllocCeiling is the allocations of a `k ∈ S` head scan of a
@@ -210,7 +211,7 @@ func TestScanLargerThanPoolAllocCeiling(t *testing.T) {
 		}
 	}
 	fold()
-	const ceiling = 30 // measured; the frame-per-miss pool made 126
+	const ceiling = 27 // measured; the frame-per-miss pool made 126
 	if got := testing.AllocsPerRun(20, fold); got > ceiling {
 		t.Errorf("head fold over %d pages through %d frames: %.0f allocs/op, ceiling %d", pages, poolPages, got, ceiling)
 	}
@@ -293,6 +294,77 @@ func TestVersionJoinAllocCeiling(t *testing.T) {
 			}
 			if large-small > versionJoinGrowth {
 				t.Errorf("version join: %.0f allocs/op at 1,000 rows, %.0f at 8,000; growth bound %d", small, large, versionJoinGrowth)
+			}
+		})
+	}
+}
+
+// groupFoldAllocCeilings is the allocations of a GroupBy of 1,000 rows
+// into 24 groups, by engine: measured + 1. A fold that kept a map entry
+// keyed by an encoded string, a pointer, a key slice and an order entry
+// per group, and built each emitted row apart, made 194–195.
+var groupFoldAllocCeilings = map[string]float64{"hybrid": 66, "tuple-first": 66, "version-first": 65}
+
+// groupFoldGrowth bounds what eight times the rows, into the same 24
+// groups, may add to a grouped fold's allocations. The fold's slabs
+// double per group, so 24 groups double them the same number of times
+// at any row count, and the scan allocates per scan: nothing may be
+// added — 7,000 more rows at one allocation each would add 7,000.
+const groupFoldGrowth = 0
+
+// TestGroupFoldAllocCeiling: a grouped fold's state is one entry per
+// group in its key table and one window per group of its flat count and
+// aggregate slabs, so its allocations follow its groups, not its rows.
+// The key is an Int32 column, as the benchmark's GroupBy is.
+func TestGroupFoldAllocCeiling(t *testing.T) {
+	for engine, ceiling := range groupFoldAllocCeilings {
+		t.Run(engine, func(t *testing.T) {
+			allocs := func(n int64) float64 {
+				db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				schema := decibel.NewSchema().Int64("id").Int32("cat").Float64("amt").Int64("qty").MustBuild()
+				if _, err := db.CreateTable("r", schema); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := db.Init("init"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+					recs := make([]*decibel.Record, n)
+					for pk := range n {
+						recs[pk] = decibel.NewRecord(schema)
+						recs[pk].SetPK(pk)
+						recs[pk].Set(1, pk%24)
+						recs[pk].SetFloat64(2, float64(pk)/8)
+						recs[pk].Set(3, pk%7)
+					}
+					return tx.InsertBatch("r", recs)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				group := func() {
+					rows, errf := db.Query("r").On("master").GroupBy("cat").
+						Groups(decibel.Count(), decibel.Sum("amt"), decibel.Avg("qty"))
+					got, rowsIn := 0, 0.0
+					for g := range rows {
+						got++
+						rowsIn += g.Aggs[0]
+					}
+					if err := errf(); err != nil || got != 24 || rowsIn != float64(n) {
+						t.Fatalf("%d groups of %v rows (%v), want 24 of %d", got, rowsIn, err, n)
+					}
+				}
+				return testing.AllocsPerRun(20, group)
+			}
+			small, large := allocs(1000), allocs(8000)
+			if small > ceiling {
+				t.Errorf("GroupBy of 1,000 rows: %.0f allocs/op, ceiling %.0f", small, ceiling)
+			}
+			if large-small > groupFoldGrowth {
+				t.Errorf("GroupBy: %.0f allocs/op at 1,000 rows, %.0f at 8,000; growth bound %d", small, large, groupFoldGrowth)
 			}
 		})
 	}

@@ -51,6 +51,13 @@ func TestScanCancellation(t *testing.T) {
 			if _, err := db.Query("r").On("master").CountContext(pre); !errors.Is(err, context.Canceled) {
 				t.Fatalf("pre-canceled aggregate did not fail with Canceled")
 			}
+			groups, groupsErr := db.Query("r").On("master").GroupBy("v").GroupsContext(pre, decibel.Count())
+			for g := range groups {
+				t.Fatalf("pre-canceled grouped fold emitted group %v", g.Key)
+			}
+			if err := groupsErr(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("pre-canceled grouped fold: err=%v, want context.Canceled", err)
+			}
 
 			// Canceling mid-iteration: the stream must stop within one
 			// record of the cancel and the error accessor must report it.

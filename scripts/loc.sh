@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# thirty-two structural checks. Prints the non-test Go lines outside
+# thirty-three structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -58,6 +58,11 @@
 # or "func (p *aggPart) add": every OrderBy+Limit read takes the ordered
 # unit visit, whose heap is the query layer's only top-k, and a scalar
 # aggregate is the grouped fold with no group columns. Exits non-zero
+# too if non-test Go in internal/query matches map[string]*groupAcc or
+# "func(rel int) *record.Record": the fold reads its columns through
+# handles resolved once per scan, with no per-row closure to pick a
+# row's record, and finds a group's index in an integer-keyed or
+# string-keyed table, with no pointer per group. Exits non-zero
 # too if options.go declares WithCompactionFailPoint (the fail point is
 # a test hook in export_test.go) or if DeclaredJoinOrder or
 # DeclaredOrder appears in non-test Go code: the declared join order is
@@ -256,6 +261,14 @@ stray=$(grep -rnE --include='*.go' 'recHeap|seqRec|cmpRows|func \(p \*aggPart\) 
     grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "internal/query has one top-k (the ordered visit's heap) and one fold (the grouped fold; a scalar aggregate has no group columns):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'map\[string\]\*groupAcc|func\(rel int\) \*record\.Record' internal/query |
+    grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "the grouped fold reads columns through resolved handles into a group index table (no per-row pick closure, no group pointers):" >&2
     echo "$stray" >&2
     exit 1
 fi

@@ -123,35 +123,39 @@ func TestServeGroupByRoundTrip(t *testing.T) {
 			db, c := newJoinServeClient(t, engine)
 			ctx := context.Background()
 
-			// Single-table grouping.
-			resp, err := c.Query(ctx, client.QueryRequest{
-				Table: "orders", Branches: []string{"master"},
-				GroupBy: []string{"qty"},
-				Aggs:    []client.AggClause{{Agg: "count"}, {Agg: "sum", Col: "item_id"}, {Agg: "avg", Col: "user_id"}},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			groups, errFn := db.Query("orders").On("master").GroupBy("qty").
-				Groups(decibel.Count(), decibel.Sum("item_id"), decibel.Avg("user_id"))
-			var local []string
-			for g := range groups {
-				local = append(local, formatGroup(g.Key, g.Aggs))
-			}
-			if err := errFn(); err != nil {
-				t.Fatal(err)
-			}
-			if resp.Count != len(resp.Groups) || len(resp.Groups) != len(local) {
-				t.Fatalf("wire count=%d groups=%d, facade %d", resp.Count, len(resp.Groups), len(local))
-			}
-			for i, g := range resp.Groups {
-				keys := make([]any, len(g.Key))
-				for k, v := range g.Key {
-					keys[k] = wireKey(v)
+			// Single-table groupings by integer keys: qty (5 groups),
+			// user_id (40, so the group table grows) and the two together,
+			// a key of two columns.
+			for _, gcols := range [][]string{{"qty"}, {"user_id"}, {"user_id", "qty"}} {
+				resp, err := c.Query(ctx, client.QueryRequest{
+					Table: "orders", Branches: []string{"master"},
+					GroupBy: gcols,
+					Aggs: []client.AggClause{{Agg: "count"}, {Agg: "sum", Col: "item_id"}, {Agg: "avg", Col: "user_id"},
+						{Agg: "min", Col: "item_id"}, {Agg: "max", Col: "id"}},
+				})
+				if err != nil {
+					t.Fatal(err)
 				}
-				got := formatGroup(keys, g.Aggs)
-				if got != local[i] {
-					t.Fatalf("group %d: wire %q, facade %q", i, got, local[i])
+				groups, errFn := db.Query("orders").On("master").GroupBy(gcols...).
+					Groups(decibel.Count(), decibel.Sum("item_id"), decibel.Avg("user_id"), decibel.Min("item_id"), decibel.Max("id"))
+				var local []string
+				for g := range groups {
+					local = append(local, formatGroup(g.Key, g.Aggs))
+				}
+				if err := errFn(); err != nil {
+					t.Fatal(err)
+				}
+				if resp.Count != len(resp.Groups) || len(resp.Groups) != len(local) {
+					t.Fatalf("%v: wire count=%d groups=%d, facade %d", gcols, resp.Count, len(resp.Groups), len(local))
+				}
+				for i, g := range resp.Groups {
+					keys := make([]any, len(g.Key))
+					for k, v := range g.Key {
+						keys[k] = wireKey(v)
+					}
+					if got := formatGroup(keys, g.Aggs); got != local[i] {
+						t.Fatalf("%v: group %d: wire %q, facade %q", gcols, i, got, local[i])
+					}
 				}
 			}
 
