@@ -11,17 +11,18 @@ import (
 
 // Closing a dataset rewrites each engine's segment catalog
 // (extents.json, segments.json). Its format is fixed: the rewrite of a
-// catalog written by an older build is, byte for byte, the file it
-// read — same keys, same key order, same zone maps.
+// catalog this format's writers wrote is, byte for byte, the file it
+// read — same keys, same key order, same zone maps — and the dataset's
+// catalog.json, which only CreateTable and schema changes write, stays
+// as it was.
 func TestCatalogRoundTripsByteIdentical(t *testing.T) {
-	for _, tc := range []struct{ fixture, engine, file string }{
-		{"pre_graphlog/tf", "tf", "extents.json"},
-		{"pre_graphlog/hy", "hy", "segments.json"},
-		{"pre_graphlog/vf", "vf", "segments.json"},
-		{"merged_hy/hy", "hy", "segments.json"},
+	for _, tc := range []struct{ engine, file string }{
+		{"tf", "extents.json"},
+		{"hy", "segments.json"},
+		{"vf", "segments.json"},
 	} {
-		t.Run(tc.fixture, func(t *testing.T) {
-			src := filepath.Join("testdata", filepath.FromSlash(tc.fixture))
+		t.Run("format1/"+tc.engine, func(t *testing.T) {
+			src := filepath.Join("testdata", "format1", tc.engine)
 			dir := t.TempDir()
 			copyTree(t, src, dir)
 			db, err := decibel.Open(dir, decibel.WithEngine(tc.engine), decibel.WithPageSize(512))
@@ -31,17 +32,50 @@ func TestCatalogRoundTripsByteIdentical(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join(src, "tables", "r", tc.file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(filepath.Join(dir, "tables", "r", tc.file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s after a round trip (%d bytes):\n%s\nwant (%d bytes):\n%s", tc.file, len(got), got, len(want), want)
+			for _, file := range []string{filepath.Join("tables", "r", tc.file), "catalog.json"} {
+				want, err := os.ReadFile(filepath.Join(src, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(filepath.Join(dir, file))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s after a round trip (%d bytes):\n%s\nwant (%d bytes):\n%s", file, len(got), got, len(want), want)
+				}
 			}
 		})
 	}
+
+	// A hybrid catalog this session's pass rewrote — a commit over the
+	// fixture's .dcz segments, a branch freezing it, a pass re-encoding
+	// it — round-trips too.
+	t.Run("compacted/hy", func(t *testing.T) {
+		dir := t.TempDir()
+		copyTree(t, filepath.Join("testdata", "format1", "hy"), dir)
+		db := format1Open(t, dir, "hy")
+		format1Put(t, db, "master", []int64{9, 90, 99})
+		if _, err := db.Branch("master", "next"); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := db.Compact(); err != nil || st.SegmentsCompressed == 0 {
+			t.Fatalf("the pass: %+v, %v", st, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		file := filepath.Join(dir, "tables", "r", "segments.json")
+		want := readFile(t, file)
+		if bytes.Equal(want, readFile(t, filepath.Join("testdata", "format1", "hy", "tables", "r", "segments.json"))) {
+			t.Fatal("the commit and the pass left segments.json as the fixture's")
+		}
+		db = format1Open(t, dir, "hy")
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := readFile(t, file); !bytes.Equal(got, want) {
+			t.Fatalf("segments.json after a round trip (%d bytes):\n%s\nwant (%d bytes):\n%s", len(got), got, len(want), want)
+		}
+	})
 }

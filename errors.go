@@ -69,4 +69,10 @@ var (
 	// ErrSchemaChange reports an invalid Tx.AddColumn/DropColumn request
 	// (duplicate column, bad default, dropping the primary key, ...).
 	ErrSchemaChange = core.ErrSchemaChange
+
+	// ErrDatasetFormat reports a dataset Open will not read: its
+	// catalog.json carries no format version (it was written before the
+	// format was versioned) or a newer one. Open leaves its files as
+	// they are; docs/FORMAT.md describes the format.
+	ErrDatasetFormat = core.ErrDatasetFormat
 )

@@ -10,8 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"decibel/internal/wal"
 )
 
 // CommitLog is the per-branch commit history file of Section 3.2. Each
@@ -46,9 +44,9 @@ import (
 // framing cannot: a write torn mid-entry whose tail is later overlaid
 // by other bytes can otherwise re-parse as a plausible entry and
 // silently corrupt every snapshot from that commit on (found by
-// FuzzCommitLogTornTail). Files from before the checksum era lack the
-// marker (their first byte is an entry kind, 0 or 1) and are migrated
-// to the current format on open instead of failing the CRC check.
+// FuzzCommitLogTornTail). A non-empty file whose first byte is not the
+// marker is no commit log of this format: open refuses it and leaves
+// it as it is.
 type CommitLog struct {
 	mu     sync.Mutex
 	path   string
@@ -106,16 +104,14 @@ func OpenCommitLog(path string, fanout int) (*CommitLog, error) {
 	return cl, nil
 }
 
-// logMagic marks a checksummed log file. Legacy (pre-checksum) files
-// start directly with an entry whose kind byte is 0 or 1, so the
-// marker doubles as the format detector.
+// logMagic is a commit log's first byte.
 const logMagic = 0xD1
 
 // parseEntry validates one entry at the front of rest: its framing,
-// its CRC (withCRC) and its RLE payload, which it walks without
-// decoding. It returns the entry's total encoded length (0 when rest
-// holds no complete, valid entry — a torn or corrupt tail).
-func parseEntry(rest []byte, withCRC bool) (kind byte, payloadOff int64, payload []byte, total int64) {
+// its CRC and its RLE payload, which it walks without decoding. It
+// returns the entry's total encoded length (0 when rest holds no
+// complete, valid entry — a torn or corrupt tail).
+func parseEntry(rest []byte) (kind byte, payloadOff int64, payload []byte, total int64) {
 	if len(rest) < 1 {
 		return 0, 0, nil, 0
 	}
@@ -131,15 +127,12 @@ func parseEntry(rest []byte, withCRC bool) (kind byte, payloadOff int64, payload
 		return 0, 0, nil, 0
 	}
 	hdr := int64(1 + n)
-	total = hdr + int64(plen)
-	if withCRC {
-		total += crcSize
-	}
+	total = hdr + int64(plen) + crcSize
 	if int64(len(rest)) < total {
 		return 0, 0, nil, 0 // torn entry
 	}
 	payload = rest[hdr : hdr+int64(plen)]
-	if withCRC && binary.LittleEndian.Uint32(rest[hdr+int64(plen):]) != crc32.ChecksumIEEE(rest[:hdr+int64(plen)]) {
+	if binary.LittleEndian.Uint32(rest[hdr+int64(plen):]) != crc32.ChecksumIEEE(rest[:hdr+int64(plen)]) {
 		return 0, 0, nil, 0 // corrupt entry: treat like a torn tail
 	}
 	if used, err := xorRLE(nil, payload); err != nil || used != int(plen) {
@@ -149,8 +142,8 @@ func parseEntry(rest []byte, withCRC bool) (kind byte, payloadOff int64, payload
 }
 
 // recover scans the file, indexing entries and truncating a torn tail.
-// Legacy files without the format marker are rewritten in the current
-// checksummed format first.
+// A file without the format marker is refused before anything is
+// written to it.
 func (cl *CommitLog) recover() error {
 	data, err := io.ReadAll(cl.f)
 	if err != nil {
@@ -164,15 +157,12 @@ func (cl *CommitLog) recover() error {
 		return nil
 	}
 	if data[0] != logMagic {
-		var err error
-		if data, err = cl.migrateLegacy(data); err != nil {
-			return err
-		}
+		return fmt.Errorf("commitlog: %s does not start with the format marker; refusing to open it", cl.path)
 	}
 	pos := int64(1) // past the format marker
 	valid := pos
 	for int(pos) < len(data) {
-		kind, payloadOff, payload, total := parseEntry(data[pos:], true)
+		kind, payloadOff, payload, total := parseEntry(data[pos:])
 		if total == 0 {
 			break
 		}
@@ -217,56 +207,6 @@ func (cl *CommitLog) rebuildAcc() error {
 		}
 	}
 	return nil
-}
-
-// migrateLegacy rewrites a pre-checksum log file in the current format
-// (marker plus per-entry CRC) and returns the new file contents. The
-// original bytes are preserved at <path>.pre-crc and the rewrite goes
-// through a temp file and rename, so neither a crash mid-migration nor
-// a misidentified file loses data. A file that yields no decodable
-// legacy entries at all is refused rather than rewritten: it is far
-// more likely a current-format log with a damaged marker byte (or
-// foreign data) than a legacy log, and destroying it would reintroduce
-// the silent-corruption class the CRC exists to catch.
-func (cl *CommitLog) migrateLegacy(data []byte) ([]byte, error) {
-	out := []byte{logMagic}
-	entries := 0
-	pos := int64(0)
-	for int(pos) < len(data) {
-		kind, _, payload, total := parseEntry(data[pos:], false)
-		if total == 0 {
-			break // torn legacy tail: dropped, like recovery would
-		}
-		hdr := make([]byte, 0, 11)
-		hdr = append(hdr, kind)
-		hdr = binary.AppendUvarint(hdr, uint64(len(payload)))
-		crc := crc32.NewIEEE()
-		crc.Write(hdr)
-		crc.Write(payload)
-		out = append(out, hdr...)
-		out = append(out, payload...)
-		out = binary.LittleEndian.AppendUint32(out, crc.Sum32())
-		pos += total
-		entries++
-	}
-	if entries == 0 {
-		return nil, fmt.Errorf("commitlog: %s has no format marker and no decodable legacy entries; refusing to rewrite it", cl.path)
-	}
-	if err := os.WriteFile(cl.path+".pre-crc", data, 0o644); err != nil {
-		return nil, fmt.Errorf("commitlog: backing up legacy log: %w", err)
-	}
-	// Unsynced: the backup above holds the same entries until this file
-	// has been, by the first commit that syncs it.
-	if err := wal.ReplaceFile(cl.path, out, false); err != nil {
-		return nil, fmt.Errorf("commitlog: migrating legacy log: %w", err)
-	}
-	f, err := os.OpenFile(cl.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("commitlog: reopening migrated log: %w", err)
-	}
-	cl.f.Close()
-	cl.f = f
-	return out, nil
 }
 
 // NumCommits returns the number of commits recorded.

@@ -1,6 +1,7 @@
 package bitmap
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,10 +11,11 @@ import (
 // absorb: a valid log of nCommits snapshots whose file is then either
 // truncated at an arbitrary byte (a torn final write) or extended with
 // arbitrary junk (a torn append of a commit that never completed).
-// Reopening must never fail, must preserve a prefix of the committed
-// history, and every surviving commit must check out to exactly the
-// snapshot originally appended, the newest one's copy from memory
-// equal to its replay from the file.
+// While the file keeps its format marker, reopening must never fail,
+// must preserve a prefix of the committed history, and every surviving
+// commit must check out to exactly the snapshot originally appended,
+// the newest one's copy from memory equal to its replay from the file;
+// a file that lost the marker is refused and left as it is.
 func FuzzCommitLogTornTail(f *testing.F) {
 	f.Add(uint8(3), int64(-1), []byte{})
 	f.Add(uint8(5), int64(10), []byte{})
@@ -71,46 +73,47 @@ func FuzzCommitLogTornTail(f *testing.F) {
 		}
 
 		// If the corruption destroyed the format marker (a truncation to
-		// zero followed by junk), the file is no longer a new-format log:
-		// recovery reads it as best-effort legacy data, so the
-		// prefix-preservation contract only applies while the marker
-		// survives. Opening and appending must work either way.
+		// zero followed by junk), the file is no longer a commit log: open
+		// refuses it and leaves it as it is. While the marker survives,
+		// open never fails and keeps a prefix of the history.
 		onDisk, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		inFormat := len(onDisk) > 0 && onDisk[0] == logMagic
-
 		re, err := OpenCommitLog(path, 4)
-		if err != nil {
-			if inFormat {
-				t.Fatalf("reopen after torn tail: %v", err)
+		if len(onDisk) > 0 && onDisk[0] != logMagic {
+			if err == nil {
+				re.Close()
+				t.Fatal("a file without the format marker opened")
 			}
-			// Out-of-format files (marker destroyed) may be refused
-			// outright — that is the non-destructive failure mode.
+			after, rerr := os.ReadFile(path)
+			if rerr != nil || !bytes.Equal(after, onDisk) {
+				t.Fatalf("refused file changed on disk (%v)", rerr)
+			}
 			return
+		}
+		if err != nil {
+			t.Fatalf("reopen after torn tail: %v", err)
 		}
 		defer re.Close()
 		got := re.NumCommits()
-		if inFormat {
-			if got > n {
-				t.Fatalf("recovered %d commits from a log of %d", got, n)
+		if got > n {
+			t.Fatalf("recovered %d commits from a log of %d", got, n)
+		}
+		for i := 0; i < got; i++ {
+			bm, err := re.Checkout(i)
+			if err != nil {
+				t.Fatalf("checkout %d of %d: %v", i, got, err)
 			}
-			for i := 0; i < got; i++ {
-				bm, err := re.Checkout(i)
-				if err != nil {
-					t.Fatalf("checkout %d of %d: %v", i, got, err)
-				}
-				if !bm.Equal(snaps[i]) {
-					t.Fatalf("commit %d snapshot diverged after recovery: %v != %v", i, bm, snaps[i])
-				}
+			if !bm.Equal(snaps[i]) {
+				t.Fatalf("commit %d snapshot diverged after recovery: %v != %v", i, bm, snaps[i])
 			}
-			if got > 0 && !re.Head().Equal(snaps[got-1]) {
-				t.Fatalf("head diverged: %v != %v", re.Head(), snaps[got-1])
-			}
-			if got > 0 {
-				checkNewestReplays(t, re, snaps[got-1])
-			}
+		}
+		if got > 0 && !re.Head().Equal(snaps[got-1]) {
+			t.Fatalf("head diverged: %v != %v", re.Head(), snaps[got-1])
+		}
+		if got > 0 {
+			checkNewestReplays(t, re, snaps[got-1])
 		}
 		// The recovered log must keep accepting appends.
 		cur = re.Head()

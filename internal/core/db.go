@@ -63,12 +63,22 @@ type Table struct {
 	db     *Database
 }
 
-// catalog is the persisted table list with each table's full schema
-// history: the ordered physical columns annotated with the schema
-// epoch that added (and, for logical drops, hid) them, plus encoded
-// defaults for columns added after table creation.
+// formatVersion is the dataset format this build writes and the only
+// one it opens (docs/FORMAT.md). Any change to the layout of a dataset
+// file bumps it.
+const formatVersion = 1
+
+// catalog is the persisted dataset format version, heap page size and
+// table list with each table's full schema history: the ordered
+// physical columns annotated with the schema epoch that added (and,
+// for logical drops, hid) them, plus encoded defaults for columns added
+// after table creation.
 type catalog struct {
-	Tables []catalogTable `json:"tables"`
+	Format int `json:"format"`
+	// PageSize is the heap page size the segment files are laid out
+	// in; a reopen uses it, whatever Options.PageSize says.
+	PageSize int            `json:"pageSize"`
+	Tables   []catalogTable `json:"tables"`
 }
 
 type catalogTable struct {
@@ -96,13 +106,22 @@ func Open(dir string, factory Factory, opt Options) (*Database, error) {
 // OpenContext is Open bounded by a context: cancellation is checked
 // before the open starts and between tables during catalog reload
 // (each table's engine recovery runs to completion), and already-opened
-// resources are released on abort.
+// resources are released on abort. The catalog's format version is
+// checked first: a dataset of another format fails with
+// ErrDatasetFormat before any of its files is opened or written.
 func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) (*Database, error) {
 	if factory == nil {
 		return nil, errors.New("core: nil engine factory")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	cat, err := readCatalog(dir)
+	if err != nil {
+		return nil, err
+	}
+	if cat.PageSize > 0 {
+		opt.PageSize = cat.PageSize
 	}
 	if err := os.MkdirAll(filepath.Join(dir, "tables"), 0o755); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -119,7 +138,7 @@ func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) 
 		pool:    heap.NewPool(opt.PoolPages, opt.PageSize),
 		tables:  make(map[string]*Table),
 	}
-	if err := db.loadCatalogContext(ctx); err != nil {
+	if err := db.loadCatalogContext(ctx, cat); err != nil {
 		for _, t := range db.Tables() {
 			t.engine.Close()
 		}
@@ -129,7 +148,31 @@ func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) 
 	return db, nil
 }
 
-func (db *Database) catalogPath() string { return filepath.Join(db.dir, "catalog.json") }
+func catalogPath(dir string) string { return filepath.Join(dir, "catalog.json") }
+
+// readCatalog reads and checks the dataset's catalog: an empty catalog
+// when there is none (a new dataset), ErrDatasetFormat when it carries
+// no format version — it was written before there was one — or another
+// version than formatVersion.
+func readCatalog(dir string) (*catalog, error) {
+	path := catalogPath(dir)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return &catalog{}, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	var cat catalog
+	if err := json.Unmarshal(data, &cat); err != nil {
+		return nil, fmt.Errorf("core: corrupt catalog: %w", err)
+	}
+	if cat.Format != formatVersion {
+		return nil, fmt.Errorf("%w: %s is at format %d (0: written before datasets had a format version); this build reads format %d",
+			ErrDatasetFormat, path, cat.Format, formatVersion)
+	}
+	return &cat, nil
+}
 
 // beginOp opens an operation against the database: it takes the
 // close-guard shared and fails with ErrDatabaseClosed once Close has
@@ -147,18 +190,7 @@ func (db *Database) beginOp() error {
 // endOp closes an operation opened with beginOp.
 func (db *Database) endOp() { db.closeMu.RUnlock() }
 
-func (db *Database) loadCatalogContext(ctx context.Context) error {
-	data, err := os.ReadFile(db.catalogPath())
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	var cat catalog
-	if err := json.Unmarshal(data, &cat); err != nil {
-		return fmt.Errorf("core: corrupt catalog: %w", err)
-	}
+func (db *Database) loadCatalogContext(ctx context.Context, cat *catalog) error {
 	// Schema changes replay from the commit log: the committed schema
 	// epoch is the newest SchemaVer any commit carries, and catalog
 	// entries from epochs beyond it belong to changes whose commit never
@@ -190,7 +222,7 @@ func (db *Database) loadCatalogContext(ctx context.Context) error {
 }
 
 func (db *Database) saveCatalogLocked() error {
-	var cat catalog
+	cat := catalog{Format: formatVersion, PageSize: db.pool.PageSize()}
 	for _, name := range db.order {
 		t := db.tables[name]
 		ct := catalogTable{Name: name}
@@ -206,7 +238,7 @@ func (db *Database) saveCatalogLocked() error {
 	if err != nil {
 		return err
 	}
-	return wal.ReplaceFile(db.catalogPath(), data, db.opt.Fsync)
+	return wal.ReplaceFile(catalogPath(db.dir), data, db.opt.Fsync)
 }
 
 func (db *Database) attachTable(name string, hist *record.History) (*Table, error) {

@@ -130,7 +130,7 @@ func (env *Env) BranchPoint(b *vgraph.Branch) (*vgraph.Commit, error) {
 // Options tunes storage behaviour. The zero value gives sensible
 // defaults, noted per field.
 type Options struct {
-	PageSize  int  // heap page size in bytes (0 = heap.DefaultPageSize)
+	PageSize  int  // a new dataset's heap page size in bytes (0 = heap.DefaultPageSize); an existing one keeps its catalog's
 	PoolPages int  // buffer pool capacity in pages (0 = 64)
 	Fsync     bool // fsync on commit (off for benchmarks, like the paper's load phase)
 

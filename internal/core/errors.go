@@ -68,4 +68,9 @@ var (
 	// ErrSchemaChange reports an invalid schema-change request (duplicate
 	// column, bad default, dropping the primary key, ...).
 	ErrSchemaChange = errors.New("decibel: invalid schema change")
+
+	// ErrDatasetFormat reports a dataset whose catalog.json carries no
+	// format version, or another one than this build reads; the open
+	// touches none of its files.
+	ErrDatasetFormat = errors.New("decibel: unsupported dataset format")
 )

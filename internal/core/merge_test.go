@@ -84,7 +84,7 @@ type space struct {
 }
 
 func newSpace(t *testing.T, st *store.Store, id int32, versions int, reads map[int64]int) *space {
-	seg, err := st.Open(filepath.Join(t.TempDir(), fmt.Sprintf("seg%d", id)), store.SegMeta{}, -1)
+	seg, err := st.Open(filepath.Join(t.TempDir(), fmt.Sprintf("seg%d", id)), store.SegMeta{Cols: st.Hist.PhysCols()}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestPlanesDecideRowsBeforePredicate(t *testing.T) {
 	if err := w.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	sg, err := st.Open(path, store.SegMeta{Encoding: store.EncDCZ, Frozen: true}, -1)
+	sg, err := st.Open(path, store.SegMeta{Cols: st.Hist.PhysCols(), Encoding: store.EncDCZ, Frozen: true}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func walkSegs(t *testing.T) map[string]SpaceSeg {
 	hist := record.NewHistory(schema)
 	st := store.New(heap.NewPool(16, 512), hist)
 	dir := t.TempDir()
-	hp, err := st.Open(filepath.Join(dir, "seg.dat"), store.SegMeta{}, -1)
+	hp, err := st.Open(filepath.Join(dir, "seg.dat"), store.SegMeta{Cols: st.Hist.PhysCols()}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func walkSegs(t *testing.T) map[string]SpaceSeg {
 	if err := w.WriteFile(dczPath); err != nil {
 		t.Fatal(err)
 	}
-	dcz, err := st.Open(dczPath, store.SegMeta{Encoding: store.EncDCZ, Frozen: true}, -1)
+	dcz, err := st.Open(dczPath, store.SegMeta{Cols: st.Hist.PhysCols(), Encoding: store.EncDCZ, Frozen: true}, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ package hy
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -30,7 +29,8 @@ import (
 )
 
 // segID indexes the engine's segment table, and names a slot space
-// (store.Pos.Seg): a hybrid segment's own id, 0 for tuple-first's chain.
+// (store.Pos.Seg): a hybrid segment's own id, its position in the
+// table; 0 for tuple-first's chain.
 type segID = int32
 
 // pos addresses one record copy.
@@ -68,23 +68,17 @@ type Engine struct {
 	chained bool
 
 	// cat is the segment table in scan order (the order every scan
-	// shape visits segments); byID resolves the stable segment ids that
-	// hybrid's positions, logs and catalog reference. The two diverge in
-	// hybrid datasets compacted before merge compaction was removed: a
-	// merged segment took a fresh id but sits at its run's position.
-	// nextID is the next unused id (ids are never reused, so those
-	// merged-away ids stay retired).
+	// shape visits segments). A segment's id is its position in it, so
+	// the id a hybrid position, log or catalog entry names indexes it.
 	cat     *store.Catalog[*hseg]
-	byID    map[segID]*hseg
-	nextID  segID
 	headSeg map[vgraph.BranchID]segID // hybrid only
 	// live is the bitmap index: each branch's live slots by slot space.
 	// Every branch the engine knows has an entry, possibly empty.
 	live map[vgraph.BranchID]map[segID]*bitmap.Bitmap
 	// vers is the table's primary-key index: every stored position, by
 	// key, newest first. One index serves all branches; e.live says
-	// which version a branch sees. It relies on ids never being reused
-	// (above), so a position can never come to name a different record.
+	// which version a branch sees. Segments are only ever appended to
+	// the table, so a position can never come to name a different record.
 	vers *store.VersionIndex
 
 	logs     map[logKey]*bitmap.CommitLog
@@ -92,8 +86,8 @@ type Engine struct {
 }
 
 // Hybrid's persisted catalog (segments.json): the shared store state
-// (cols — 0 in pre-versioning catalogs, meaning the full layout —,
-// frozen flag, zone map) plus the ownership fields.
+// (cols, frozen flag, zone map) plus the ownership fields; segment i
+// is listed at position i.
 type segMetaJSON struct {
 	store.SegMeta
 	ID    segID           `json:"id"`
@@ -134,7 +128,6 @@ func open(env *core.Env, chained bool) (core.Engine, error) {
 		hist:     env.History(),
 		st:       store.New(env.Pool, env.History()),
 		chained:  chained,
-		byID:     make(map[segID]*hseg),
 		headSeg:  make(map[vgraph.BranchID]segID),
 		live:     make(map[vgraph.BranchID]map[segID]*bitmap.Bitmap),
 		logs:     make(map[logKey]*bitmap.CommitLog),
@@ -219,19 +212,15 @@ func (e *Engine) catalog() any {
 // hybrid table the engine has not saved yet has no segments (Init adds
 // the first) and nothing to restore: load returns nil.
 //
-// Tuple-first datasets from before schema versioning have no
-// extents.json and exactly one extent at the table's full layout; every
-// extent but the tail is sealed, whatever the file says, and keeps its
-// sealed count: no slot of the chain maps past it. Each branch has one
-// log, begun at its first commit. Catalogs from before zone maps have
-// no persisted zones, which the store rebuilds from the files, and
-// every row is kept: the bitmaps say which are live.
+// A tuple-first table the engine has not saved yet has no extents.json
+// and one extent, data.heap, at the table's layout: the chain's first.
+// Every extent but the tail is sealed, whatever the file says, and
+// keeps its sealed count: no slot of the chain maps past it. Each
+// branch has one log, begun at its first commit. Every row is kept:
+// the bitmaps say which are live.
 func (e *Engine) load() (map[logKey]int, error) {
 	add := func(id segID, owner vgraph.BranchID, name string) {
-		s := &hseg{Entry: store.Entry{ID: id, Name: name}, owner: owner}
-		e.cat.Segs = append(e.cat.Segs, s)
-		e.byID[id] = s
-		e.nextID = max(e.nextID, id+1)
+		e.cat.Segs = append(e.cat.Segs, &hseg{Entry: store.Entry{ID: id, Name: name}, owner: owner})
 	}
 	starts := make(map[logKey]int)
 	if e.chained {
@@ -265,10 +254,7 @@ func (e *Engine) load() (map[logKey]int, error) {
 	if err := e.cat.Load(&m); err != nil || m.Segments == nil {
 		return nil, err
 	}
-	// Catalog order is scan order — in datasets an older merge
-	// compaction touched it is not sorted by id (the merged segment
-	// kept its run's position under a fresh id), so it must not be
-	// re-sorted here.
+	// The catalog's Open refuses an id listed at another position.
 	for _, sm := range m.Segments {
 		add(sm.ID, sm.Owner, "")
 	}
@@ -283,7 +269,7 @@ func (e *Engine) load() (map[logKey]int, error) {
 		if _, err := fmt.Sscanf(key, "%d:%d", &k.Branch, &k.Seg); err != nil {
 			return nil, e.errorf("corrupt startSeq key %q", key)
 		}
-		if _, ok := e.byID[k.Seg]; !ok {
+		if k.Seg < 0 || int(k.Seg) >= len(e.cat.Segs) {
 			return nil, e.errorf("corrupt catalog: log for missing segment %d", k.Seg)
 		}
 		starts[k] = seq
@@ -301,7 +287,6 @@ func (e *Engine) recover() error {
 	if err != nil || starts == nil {
 		return err
 	}
-	e.sweepLogs()
 	for k, seq := range starts {
 		l, err := e.openLog(k)
 		if err != nil {
@@ -338,30 +323,6 @@ func (e *Engine) recover() error {
 		}
 	}
 	return nil
-}
-
-// sweepLogs removes the hybrid commit logs of segment ids the catalog
-// does not know, before any log is opened and before a new segment takes
-// an id. It matters for datasets from before merge compaction was
-// removed: a merge that crashed before its catalog rename left logs
-// under the id the next new segment takes, which would otherwise open
-// stale liveness. Tuple-first's per-branch log names never match.
-func (e *Engine) sweepLogs() {
-	logDir := filepath.Join(e.env.Dir, "commits")
-	ents, err := os.ReadDir(logDir)
-	if err != nil {
-		return
-	}
-	for _, ent := range ents {
-		var b vgraph.BranchID
-		var s segID
-		if n, err := fmt.Sscanf(ent.Name(), "b%d_s%d.hist", &b, &s); err != nil || n != 2 {
-			continue
-		}
-		if _, ok := e.byID[s]; !ok {
-			os.Remove(filepath.Join(logDir, ent.Name()))
-		}
-	}
 }
 
 // branchLive returns the branch's bitmaps by slot space, registering
@@ -401,7 +362,7 @@ func (e *Engine) at(s *hseg, slot int64) pos {
 // finds tuple-first's.
 func (e *Engine) segAt(p pos) (*hseg, int64) {
 	if !e.chained {
-		return e.byID[p.Seg], p.Slot
+		return e.cat.Segs[p.Seg], p.Slot
 	}
 	segs := e.cat.Segs
 	i := len(segs) - 1
@@ -436,15 +397,13 @@ func clearLive(live map[segID]*bitmap.Bitmap, p pos) {
 // head segment for owner in hybrid, holding owner's (empty) bitmap, the
 // chain's new tail in tuple-first.
 func (e *Engine) newSegmentLocked(owner vgraph.BranchID, cols int) (*hseg, error) {
-	s := &hseg{Entry: store.Entry{ID: e.nextID}, owner: owner}
+	s := &hseg{Entry: store.Entry{ID: segID(len(e.cat.Segs))}, owner: owner}
 	if err := e.cat.Add(s, cols); err != nil {
 		return nil, err
 	}
 	if !e.chained {
 		bitmapIn(e.branchLive(owner), s.ID)
 	}
-	e.byID[s.ID] = s
-	e.nextID++
 	return s, nil
 }
 
@@ -495,7 +454,7 @@ func (e *Engine) branchLocked(child vgraph.BranchID, from *vgraph.Commit) error 
 	}
 	// Freeze the parent's head and open fresh heads for both branches.
 	if old, ok := e.headSeg[parent]; ok {
-		e.byID[old].Freeze()
+		e.cat.Segs[old].Freeze()
 	}
 	// Both fresh heads start at the branch point's storage generation;
 	// a later schema change rotates them lazily on first write.
@@ -618,7 +577,7 @@ func (e *Engine) writeSegLocked(branch vgraph.BranchID, cols int) (*hseg, error)
 	if e.chained {
 		s = e.cat.Segs[len(e.cat.Segs)-1]
 	} else if head, ok := e.headSeg[branch]; ok {
-		s = e.byID[head]
+		s = e.cat.Segs[head]
 	} else {
 		return nil, e.errorf("branch %d has no head segment", branch)
 	}

@@ -23,10 +23,10 @@ import (
 // Entry is the catalog's part of one segment.
 type Entry struct {
 	*Segment
-	// ID names the segment and, under the naming rule, its file. On
-	// hybrid and version-first it is also the segment's slot space, its
-	// Pos.Seg; a chained catalog's segments (tuple-first's extents) are
-	// numbered in chain order and share slot space 0.
+	// ID is the segment's position in the catalog's Segs, and names,
+	// under the naming rule, its file. On hybrid and version-first it is
+	// also the segment's slot space, its Pos.Seg; a chained catalog's
+	// segments (tuple-first's extents) share slot space 0.
 	ID int32
 	// Base is the slot, in a chained catalog's one slot space, of the
 	// segment's slot 0; it is 0 in catalogs that are not chained.
@@ -120,11 +120,16 @@ func (c *Catalog[S]) Load(v any) error {
 // Open opens the data file of every entry in Segs, in order. meta(i)
 // gives entry i's shared state and the rows it keeps: appends past keep
 // were never vouched for and roll back, and a file holding fewer rows
-// than keep has lost some, which is an error; -1 keeps every row. Once
-// the table is open, the data files it does not list are removed.
+// than keep has lost some, which is an error; -1 keeps every row. An
+// entry whose ID is not its position is a corrupt catalog, refused
+// before its file is opened. Once the table is open, the data files it
+// does not list are removed.
 func (c *Catalog[S]) Open(meta func(i int) (m SegMeta, keep int64)) error {
 	for i, s := range c.Segs {
 		e := s.entry()
+		if e.ID != int32(i) {
+			return fmt.Errorf("corrupt catalog %s: segment %d is listed at position %d", c.lay.File, e.ID, i)
+		}
 		m, keep := meta(i)
 		seg, err := c.st.Open(c.path(e, m.Encoding), m, keep)
 		if err != nil {

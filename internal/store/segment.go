@@ -13,9 +13,8 @@ import (
 // its records use and carrying their zone map. An engine's segments
 // form its Catalog (catalog.go).
 
-// Segment encodings. The empty string means heap (the legacy value:
-// catalogs written before page compression carry no tag and read
-// transparently as heap files).
+// Segment encodings. The empty string means heap: a catalog entry
+// records no tag for a heap segment.
 const (
 	// EncHeap is the uncompressed paged heap-file layout.
 	EncHeap = "heap"
@@ -52,9 +51,8 @@ type SegFile interface {
 // table, version-first's and hybrid's segment lists) embeds it, so the
 // shared state — the physical schema-version id, the freeze flag, the
 // encoding tag and the zone map — serializes alongside the
-// engine-specific fields.
-// Catalogs written before this layer existed lack the zone (and may
-// record Cols 0 for "full layout"); Open rebuilds transparently.
+// engine-specific fields. A missing zone, or one covering fewer rows
+// than the file holds, is extended at Open.
 type SegMeta struct {
 	Cols     int      `json:"cols,omitempty"`
 	Frozen   bool     `json:"frozen,omitempty"`
@@ -102,19 +100,15 @@ func New(pool *heap.Pool, hist *record.History) *Store {
 }
 
 // Open opens (or creates) the segment whose heap file lives at path,
-// restoring the shared state from m. A non-positive m.Cols means the
-// catalog predates schema versioning and the segment uses the table's
-// full physical layout. safeCount >= 0 rolls back uncommitted appends
-// by truncating the file past it (vf's recovery contract); pass -1 to
-// keep every record. The zone map is restored from m.Zone and extended
-// over any rows it does not cover — which rebuilds it wholesale for
-// catalogs from before zone maps existed.
+// restoring the shared state from m; m.Cols, the segment's physical
+// column count, must name a layout of the table's history.
+// safeCount >= 0 rolls back uncommitted appends by truncating the file
+// past it (vf's recovery contract); pass -1 to keep every record. The
+// zone map is restored from m.Zone and extended over any rows it does
+// not cover: rows appended after the catalog was last saved, or all of
+// them when the entry has no zone.
 func (st *Store) Open(path string, m SegMeta, safeCount int64) (*Segment, error) {
-	cols := m.Cols
-	if cols <= 0 {
-		cols = st.Hist.PhysCols()
-	}
-	schema, err := st.Hist.PhysByCount(cols)
+	schema, err := st.Hist.PhysByCount(m.Cols)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +134,7 @@ func (st *Store) Open(path string, m SegMeta, safeCount int64) (*Segment, error)
 			return nil, err
 		}
 	}
-	s := &Segment{File: f, Cols: cols, Schema: schema, Encoding: m.Encoding, zone: m.Zone}
+	s := &Segment{File: f, Cols: m.Cols, Schema: schema, Encoding: m.Encoding, zone: m.Zone}
 	if m.Frozen {
 		s.Freeze()
 	}

@@ -9,7 +9,6 @@ package vf
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"decibel/internal/bitmap"
@@ -41,9 +40,9 @@ type link struct {
 }
 
 // segMeta is the persisted description of one segment: the shared
-// store state (schema-version id — 0 in catalogs from before schema
-// versioning, meaning the table's full layout — and the zone map)
-// plus version-first's lineage fields.
+// store state (schema-version id, freeze flag, encoding and zone map)
+// plus version-first's lineage fields. Segment i is listed at
+// position i.
 type segMeta struct {
 	store.SegMeta
 	ID        segID           `json:"id"`
@@ -192,7 +191,6 @@ func (e *Engine) recover() error {
 	if err := e.cat.Load(&m); err != nil || m.Segments == nil {
 		return err
 	}
-	sort.Slice(m.Segments, func(i, j int) bool { return m.Segments[i].ID < m.Segments[j].ID })
 	e.byBranch = m.ByBranch
 	if e.byBranch == nil {
 		e.byBranch = make(map[vgraph.BranchID]segID)
@@ -210,10 +208,9 @@ func (e *Engine) recover() error {
 			hasLink: sm.HasLink, link: sm.Link, overrides: sm.Overrides,
 		})
 	}
-	// The store resolves a zero Cols (catalog from before schema
-	// versioning) to the table's full layout, rolls back appends past the
-	// safe count, and restores — or rebuilds, for catalogs from before
-	// zone maps — the segment's zone map.
+	// The catalog refuses an id listed at another position; the store
+	// rolls back appends past the safe count and extends each zone map
+	// over the rows it does not cover.
 	safe := e.safeCountsLocked()
 	err := e.cat.Open(func(i int) (store.SegMeta, int64) {
 		sm := m.Segments[i]

@@ -45,10 +45,10 @@ var errBadRecord = errors.New("vgraph: log record does not fit the graph")
 // truncation replays those) changes nothing; a torn tail has been cut
 // by the log's CRC; a record that does not fit — it can only be
 // corruption the CRC missed — ends the replay and is cut off with
-// everything after it; records of other kinds (datasets written before
-// the graph log hold a journal of them) are skipped. With fsync, every
-// operation syncs its record before returning, and a checkpoint syncs
-// the snapshot before renaming it and the directory after.
+// everything after it; records of other kinds (no dataset writer
+// appends any) are skipped. With fsync, every operation syncs its
+// record before returning, and a checkpoint syncs the snapshot before
+// renaming it and the directory after.
 func Open(dir string, fsync bool) (*Graph, error) {
 	g := New()
 	g.snapPath = filepath.Join(dir, snapshotName)

@@ -26,10 +26,9 @@ import (
 // Kind tags what a record describes. The WAL treats payloads as opaque.
 type Kind byte
 
-// Record kinds. Begin/Data/Commit frame an AppendGroup; datasets
-// written before the graph log hold only such groups (a journal of
-// "op:detail" strings nothing replays). The graph kinds carry the JSON
-// of one vgraph.Commit or vgraph.Branch.
+// Record kinds. Begin/Data/Commit frame an AppendGroup, which no
+// dataset writer appends; the version graph's replay skips them. The
+// graph kinds carry the JSON of one vgraph.Commit or vgraph.Branch.
 const (
 	KindBegin       Kind = 1 // begin of a multi-record group
 	KindData        Kind = 2 // group payload

@@ -28,7 +28,9 @@ func WithEngine(name string) Option {
 	return func(c *config) { c.engine = name }
 }
 
-// WithPageSize sets the heap page size in bytes (0 = default).
+// WithPageSize sets the heap page size in bytes of a new dataset
+// (0 = default). The segment files are laid out in it, so the dataset
+// records it and every later Open uses the recorded size.
 func WithPageSize(bytes int) Option {
 	return func(c *config) { c.opt.PageSize = bytes }
 }

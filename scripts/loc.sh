@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# thirty-three structural checks. Prints the non-test Go lines outside
+# thirty-four structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -123,7 +123,13 @@
 # Exits non-zero too if non-test Go matches PageZones, EnablePageZones,
 # SkipPage or pageZone(: tuple-first keeps no per-page zone index, and
 # the unit walk decides each page holding a live slot once, by its dcz
-# planes or by its rows; zone maps prune whole segments only.
+# planes or by its rows; zone maps prune whole segments only. Exits
+# non-zero too if non-test Go matches migrateLegacy, sweepLogs or
+# pre-crc, or if non-test Go in internal/hy declares byID: a dataset
+# is opened only at the format version its catalog.json names
+# (docs/FORMAT.md), so no reader of an older layout is kept — not the
+# pre-checksum commit-log migration, nor the sweep and id map hybrid
+# kept for datasets merge compaction touched.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -382,6 +388,14 @@ fi
 stray=$(grep -rnE --include='*.go' 'PageZones|EnablePageZones|SkipPage|pageZone\(' . | grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "tuple-first's page zones are gone (zone maps prune segments; the walk decides each live page by its planes or its rows):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'migrateLegacy|sweepLogs|pre-crc' . | grep -v '_test\.go:' || true)
+stray="$stray$(grep -rnE --include='*.go' '(^|[^[:alnum:]_])byID([^[:alnum:]_]|$)' internal/hy | grep -v '_test\.go:' || true)"
+if [ -n "$stray" ]; then
+    echo "readers of older dataset formats are gone (open checks catalog.json's format version; a hybrid segment's id is its position):" >&2
     echo "$stray" >&2
     exit 1
 fi
