@@ -10,29 +10,25 @@ import (
 )
 
 // Closing a dataset rewrites each engine's segment catalog
-// (extents.json, segments.json). Its format is fixed: the rewrite of a
+// (segments.json). Its format is fixed: the rewrite of a
 // catalog this format's writers wrote is, byte for byte, the file it
 // read — same keys, same key order, same zone maps — and the dataset's
 // catalog.json, which only CreateTable and schema changes write, stays
 // as it was.
 func TestCatalogRoundTripsByteIdentical(t *testing.T) {
-	for _, tc := range []struct{ engine, file string }{
-		{"tf", "extents.json"},
-		{"hy", "segments.json"},
-		{"vf", "segments.json"},
-	} {
-		t.Run("format1/"+tc.engine, func(t *testing.T) {
-			src := filepath.Join("testdata", "format1", tc.engine)
+	for _, engine := range format2Engines {
+		t.Run("format2/"+engine, func(t *testing.T) {
+			src := filepath.Join("testdata", "format2", engine)
 			dir := t.TempDir()
 			copyTree(t, src, dir)
-			db, err := decibel.Open(dir, decibel.WithEngine(tc.engine), decibel.WithPageSize(512))
+			db, err := decibel.Open(dir, decibel.WithEngine(engine), decibel.WithPageSize(512))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			for _, file := range []string{filepath.Join("tables", "r", tc.file), "catalog.json"} {
+			for _, file := range []string{filepath.Join("tables", "r", "segments.json"), "catalog.json"} {
 				want, err := os.ReadFile(filepath.Join(src, file))
 				if err != nil {
 					t.Fatal(err)
@@ -53,9 +49,9 @@ func TestCatalogRoundTripsByteIdentical(t *testing.T) {
 	// it — round-trips too.
 	t.Run("compacted/hy", func(t *testing.T) {
 		dir := t.TempDir()
-		copyTree(t, filepath.Join("testdata", "format1", "hy"), dir)
-		db := format1Open(t, dir, "hy")
-		format1Put(t, db, "master", []int64{9, 90, 99})
+		copyTree(t, filepath.Join("testdata", "format2", "hy"), dir)
+		db := format2Open(t, dir, "hy")
+		format2Put(t, db, "master", []int64{9, 90, 99})
 		if _, err := db.Branch("master", "next"); err != nil {
 			t.Fatal(err)
 		}
@@ -67,10 +63,10 @@ func TestCatalogRoundTripsByteIdentical(t *testing.T) {
 		}
 		file := filepath.Join(dir, "tables", "r", "segments.json")
 		want := readFile(t, file)
-		if bytes.Equal(want, readFile(t, filepath.Join("testdata", "format1", "hy", "tables", "r", "segments.json"))) {
+		if bytes.Equal(want, readFile(t, filepath.Join("testdata", "format2", "hy", "tables", "r", "segments.json"))) {
 			t.Fatal("the commit and the pass left segments.json as the fixture's")
 		}
-		db = format1Open(t, dir, "hy")
+		db = format2Open(t, dir, "hy")
 		if err := db.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -1,9 +1,10 @@
 // Command decibel is a small CLI over a Decibel dataset: init, branch,
 // commit, insert, delete, scan, checkout, diff, merge and log against a
-// dataset directory, with a choice of storage engine by name or alias
-// (decibel.Engines). Branches and historical versions are always
-// addressed by name — the CLI is written entirely against the
-// name-based facade API.
+// dataset directory. A new dataset's storage engine is chosen by name
+// or alias (decibel.Engines); the dataset records it, and every later
+// invocation opens the recorded one. Branches and historical versions
+// are always addressed by name — the CLI is written entirely against
+// the name-based facade API.
 //
 // Usage:
 //
@@ -109,14 +110,14 @@ commands:
 
 flags:
   -dir <path>     dataset directory (default "decibel-data")
-  -engine <name>  storage engine (default "` + decibel.DefaultEngine + `")
+  -engine <name>  engine of a new dataset (default "` + decibel.DefaultEngine + `")
   -table <name>   table name (default "r")
 `
 
 func main() {
 	dir := flag.String("dir", "decibel-data", "dataset directory")
 	engine := flag.String("engine", decibel.DefaultEngine,
-		"storage engine: "+strings.Join(decibel.Engines(), " | "))
+		"engine of a new dataset: "+strings.Join(decibel.Engines(), " | "))
 	table := flag.String("table", "r", "table name")
 	flag.Usage = func() { fmt.Fprint(os.Stderr, usageText) }
 	flag.Parse()
@@ -544,7 +545,7 @@ func run(dir, engine, table string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("engine:         %s (engines: %s)\n", engine, strings.Join(decibel.Engines(), ", "))
+		fmt.Printf("engine:         %s (engines: %s)\n", db.Engine(), strings.Join(decibel.Engines(), ", "))
 		fmt.Printf("records:        %d (%d live across heads)\n", st.Records, st.LiveRecords)
 		fmt.Printf("data bytes:     %d\n", st.DataBytes)
 		fmt.Printf("index bytes:    %d (%d key-index entries)\n", st.IndexBytes, st.IndexEntries)

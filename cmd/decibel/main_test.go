@@ -357,3 +357,28 @@ func TestWriteToBranchBehindSchema(t *testing.T) {
 		t.Fatalf("dev holds %v, want 1=5/2 2=7/2 3=9/2 (two columns: dev predates price)", got)
 	}
 }
+
+// TestStatsPrintsRecordedEngine: a dataset made with -engine vf is
+// opened as version-first by every later invocation, whatever -engine
+// says: stats names the recorded engine and counts its live rows, and a
+// scan under another -engine reads them.
+func TestStatsPrintsRecordedEngine(t *testing.T) {
+	dir := t.TempDir()
+	cli := func(engine string, args ...string) string {
+		t.Helper()
+		out, err := captureStdout(t, func() error { return run(dir, engine, "r", args) })
+		if err != nil {
+			t.Fatalf("%s %v: %v", engine, args, err)
+		}
+		return out
+	}
+	cli("vf", "init", "qty")
+	cli("vf", "load", "master", "1:10", "2:20", "3:30")
+	out := cli(decibel.DefaultEngine, "stats")
+	if !strings.Contains(out, "engine:         version-first ") || !strings.Contains(out, "(3 live across heads)") {
+		t.Fatalf("stats without -engine vf:\n%s", out)
+	}
+	if out := cli("tf", "scan", "master"); !strings.Contains(out, "3 records") {
+		t.Fatalf("scan under -engine tf:\n%s", out)
+	}
+}

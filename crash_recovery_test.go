@@ -280,6 +280,114 @@ func TestReopenWithEnginesAheadOfGraph(t *testing.T) {
 	}
 }
 
+// A commit that starts a new commit log — a branch's first — writes the
+// log before the graph records the commit. A kill in between leaves the
+// log beside a graph and catalogs that never heard of it; the commit
+// is lost, and the branch must take the same commit again and keep it
+// across the next reopen.
+func TestReopenKeepsCommitAfterUnsavedLogStart(t *testing.T) {
+	for _, engine := range []string{"tuple-first", "hybrid", "version-first"} {
+		t.Run(engine, func(t *testing.T) {
+			dir, schema := crashDataset(t, engine)
+			db, err := decibel.Open(dir, decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Branch("master", "feat"); err != nil {
+				t.Fatal(err)
+			}
+			saved := t.TempDir()
+			catalogs := append([]string{"catalog.json", filepath.Join("tables", "r", "segments.json")}, graphFiles...)
+			for _, f := range catalogs {
+				copyFile(t, filepath.Join(dir, f), filepath.Join(saved, filepath.Base(f)))
+			}
+			crashPut(t, db, schema, "feat", 9)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range catalogs {
+				copyFile(t, filepath.Join(saved, filepath.Base(f)), filepath.Join(dir, f))
+			}
+
+			db, err = decibel.Open(dir, decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			expectRows(t, db, "feat", 1, 2, 3, 4, 5)
+			crashPut(t, db, schema, "feat", 7)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db, err = decibel.Open(dir, decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			expectRows(t, db, "feat", 1, 2, 3, 4, 5, 7)
+			expectRows(t, db, "master", 1, 2, 3, 4, 5)
+		})
+	}
+}
+
+// Init writes the engines' files before the graph records the init
+// commit. A kill in between leaves a dataset whose tables have files and
+// whose graph has no commit; the init must run again and hold.
+func TestReopenAfterUnrecordedInit(t *testing.T) {
+	for _, engine := range []string{"tuple-first", "hybrid", "version-first"} {
+		t.Run(engine, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := decibel.Open(dir, decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			schema := decibel.NewSchema().Int64("id").Int64("v").MustBuild()
+			if _, err := db.CreateTable("r", schema); err != nil {
+				t.Fatal(err)
+			}
+			// The graph's files as they were before the init; a missing
+			// one is put back as missing.
+			saved := make(map[string][]byte)
+			for _, f := range graphFiles {
+				if data, err := os.ReadFile(filepath.Join(dir, f)); err == nil {
+					saved[f] = data
+				}
+			}
+			if _, _, err := db.Init("init"); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range graphFiles {
+				os.Remove(filepath.Join(dir, f))
+				if data, ok := saved[f]; ok {
+					if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			db, err = decibel.Open(dir, decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := db.Init("init again"); err != nil {
+				t.Fatal(err)
+			}
+			crashPut(t, db, schema, "master", 1, 2)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db, err = decibel.Open(dir, decibel.WithEngine(engine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			expectRows(t, db, "master", 1, 2)
+		})
+	}
+}
+
 // A process kill leaves on disk what the open database has written and
 // nothing it still buffers; copying the open database's directory is
 // what a SIGKILL leaves. With fsync off, every acknowledged commit and
@@ -400,7 +508,7 @@ func TestReopenCutsSealedExtentTail(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ext0 := dataFile(t, dir, "data.heap")
+	ext0 := dataFile(t, dir, "seg0.dat")
 	fi, err := os.Stat(ext0)
 	if err != nil {
 		t.Fatal(err)

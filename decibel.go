@@ -155,9 +155,10 @@ const (
 // of record for the evolving dataset".
 const Master = vgraph.MasterName
 
-// Open opens (or creates) the dataset at dir. With no options it uses
-// the hybrid engine and default tuning; see WithEngine, WithPageSize,
-// WithPoolPages and WithFsync.
+// Open opens (or creates) the dataset at dir. A dataset is opened by
+// the engine it was created with, which its catalog records; a new one
+// is created with the hybrid engine unless WithEngine names another.
+// See also WithPageSize, WithPoolPages and WithFsync.
 func Open(dir string, opts ...Option) (*DB, error) {
 	return OpenContext(context.Background(), dir, opts...)
 }
@@ -169,11 +170,7 @@ func Open(dir string, opts ...Option) (*DB, error) {
 // opened dataset is released and ctx.Err() returned.
 func OpenContext(ctx context.Context, dir string, opts ...Option) (*DB, error) {
 	cfg := newConfig(opts)
-	factory, err := lookupEngine(cfg.engine)
-	if err != nil {
-		return nil, err
-	}
-	cdb, err := core.OpenContext(ctx, dir, factory, cfg.opt)
+	cdb, err := core.OpenContext(ctx, dir, cfg.engine, lookupEngine, cfg.opt)
 	if err != nil {
 		return nil, err
 	}

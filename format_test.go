@@ -1,9 +1,11 @@
 package decibel_test
 
-// The dataset format (docs/FORMAT.md): catalog.json carries format 1,
-// Open refuses any other before it touches a file, and testdata/format1
-// holds one dataset per engine written by this format's writers (see
-// its README for the script and the answers).
+// The dataset format (docs/FORMAT.md): catalog.json carries format 2
+// and the dataset's engine, Open refuses any other format before it
+// touches a file and opens the recorded engine whatever it is asked
+// for, and testdata/format2 holds one dataset per engine written by
+// this format's writers (see its README for the script and the
+// answers).
 
 import (
 	"bytes"
@@ -22,14 +24,14 @@ import (
 	"decibel"
 )
 
-var writeFixtures = flag.Bool("write-fixtures", false, "rewrite testdata/format1 with this tree's writers")
+var writeFixtures = flag.Bool("write-fixtures", false, "rewrite testdata/format2 with this tree's writers")
 
-// format1Engines are the engines testdata/format1 holds a dataset of,
+// format2Engines are the engines testdata/format2 holds a dataset of,
 // by short name.
-var format1Engines = []string{"tf", "hy", "vf"}
+var format2Engines = []string{"tf", "hy", "vf"}
 
-// format1Open opens dir as every format-1 fixture is written and read.
-func format1Open(t *testing.T, dir, engine string) *decibel.DB {
+// format2Open opens dir as every format-2 fixture is written and read.
+func format2Open(t *testing.T, dir, engine string) *decibel.DB {
 	t.Helper()
 	db, err := decibel.Open(dir, decibel.WithEngine(engine), decibel.WithPageSize(512),
 		decibel.WithCompaction("manual"))
@@ -39,10 +41,10 @@ func format1Open(t *testing.T, dir, engine string) *decibel.DB {
 	return db
 }
 
-// format1Put commits, on branch, the rows pk=v (and w, when given) of
+// format2Put commits, on branch, the rows pk=v (and w, when given) of
 // kv, taken in pairs — or triples when the schema has three columns —
 // and deletes del.
-func format1Put(t *testing.T, db *decibel.DB, branch string, kv []int64, del ...int64) {
+func format2Put(t *testing.T, db *decibel.DB, branch string, kv []int64, del ...int64) {
 	t.Helper()
 	tbl, err := db.TableByName("r")
 	if err != nil {
@@ -72,25 +74,25 @@ func format1Put(t *testing.T, db *decibel.DB, branch string, kv []int64, del ...
 	}
 }
 
-// writeFormat1 writes testdata/format1's script into dir (empty).
-func writeFormat1(t *testing.T, dir, engine string) {
+// writeFormat2 writes testdata/format2's script into dir (empty).
+func writeFormat2(t *testing.T, dir, engine string) {
 	t.Helper()
-	db := format1Open(t, dir, engine)
+	db := format2Open(t, dir, engine)
 	if _, err := db.CreateTable("r", decibel.NewSchema().Int64("id").Int64("v").MustBuild()); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := db.Init("init"); err != nil {
 		t.Fatal(err)
 	}
-	format1Put(t, db, "master", []int64{1, 10, 2, 20, 3, 30})
-	format1Put(t, db, "master", []int64{4, 40, 5, 50})
+	format2Put(t, db, "master", []int64{1, 10, 2, 20, 3, 30})
+	format2Put(t, db, "master", []int64{4, 40, 5, 50})
 	if _, err := db.Branch("master", "dev"); err != nil {
 		t.Fatal(err)
 	}
-	format1Put(t, db, "dev", []int64{6, 60})
-	format1Put(t, db, "dev", []int64{2, 22})
-	format1Put(t, db, "master", []int64{7, 70})
-	format1Put(t, db, "master", nil, 1)
+	format2Put(t, db, "dev", []int64{6, 60})
+	format2Put(t, db, "dev", []int64{2, 22})
+	format2Put(t, db, "master", []int64{7, 70})
+	format2Put(t, db, "master", nil, 1)
 	if _, _, err := db.Merge("master", "dev"); err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +101,11 @@ func writeFormat1(t *testing.T, dir, engine string) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	format1Put(t, db, "master", []int64{8, 80, 88})
+	format2Put(t, db, "master", []int64{8, 80, 88})
 	if _, err := db.Branch("master", "idle"); err != nil {
 		t.Fatal(err)
 	}
-	if engine == "hy" {
+	if engine != "vf" {
 		st, err := db.Compact()
 		if err != nil {
 			t.Fatal(err)
@@ -169,8 +171,8 @@ func renderRows(t *testing.T, q *decibel.Query) string {
 	return strings.Join(out, " ")
 }
 
-// format1Answers is testdata/format1/README.md's table.
-const format1Answers = `master: 2=22,5 3=30,5 4=40,5 5=50,5 6=60,5 7=70,5 8=80,88
+// format2Answers is testdata/format2/README.md's table.
+const format2Answers = `master: 2=22,5 3=30,5 4=40,5 5=50,5 6=60,5 7=70,5 8=80,88
 dev: 1=10 2=22 3=30 4=40 5=50 6=60
 idle: 2=22,5 3=30,5 4=40,5 5=50,5 6=60,5 7=70,5 8=80,88
 diff: master only [7 8], dev only [1]
@@ -203,25 +205,25 @@ func checkPoints(t *testing.T, db *decibel.DB, branches []string, keys []int64) 
 	}
 }
 
-// TestOpensFormat1Dataset: each format-1 fixture opens and answers as
+// TestOpensFormat2Dataset: each format-2 fixture opens and answers as
 // its README says, as does a dataset this tree writes with the same
-// script; it then takes a commit and a compaction pass, and answers the
-// same after a reopen.
-func TestOpensFormat1Dataset(t *testing.T) {
-	for _, engine := range format1Engines {
+// script; it then takes a schema change, a commit, a branch and a
+// compaction pass, and answers the same after a reopen.
+func TestOpensFormat2Dataset(t *testing.T) {
+	for _, engine := range format2Engines {
 		t.Run(engine, func(t *testing.T) {
-			fixture := filepath.Join("testdata", "format1", engine)
+			fixture := filepath.Join("testdata", "format2", engine)
 			fresh := t.TempDir()
-			writeFormat1(t, fresh, engine)
+			writeFormat2(t, fresh, engine)
 			if *writeFixtures {
 				if err := os.RemoveAll(fixture); err != nil {
 					t.Fatal(err)
 				}
 				copyTree(t, fresh, fixture)
 			}
-			db := format1Open(t, fresh, engine)
-			if got := answers(t, db); got != format1Answers {
-				t.Fatalf("a dataset written by the script answers:\n%s\nwant:\n%s", got, format1Answers)
+			db := format2Open(t, fresh, engine)
+			if got := answers(t, db); got != format2Answers {
+				t.Fatalf("a dataset written by the script answers:\n%s\nwant:\n%s", got, format2Answers)
 			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
@@ -229,17 +231,23 @@ func TestOpensFormat1Dataset(t *testing.T) {
 
 			dir := t.TempDir()
 			copyTree(t, fixture, dir)
-			db = format1Open(t, dir, engine)
-			if got := answers(t, db); got != format1Answers {
-				t.Fatalf("answers:\n%s\nwant:\n%s", got, format1Answers)
+			db = format2Open(t, dir, engine)
+			if got := answers(t, db); got != format2Answers {
+				t.Fatalf("answers:\n%s\nwant:\n%s", got, format2Answers)
 			}
 			branches := []string{"master", "dev", "idle"}
 			keys := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9}
 			checkPoints(t, db, branches, keys)
 
-			format1Put(t, db, "master", []int64{9, 90, 99})
-			// Branching freezes hybrid's master head, giving the pass a
-			// heap segment to re-encode.
+			// A schema change and a row at the wider layout freeze a heap
+			// segment on every engine (the fixture's pass left none on
+			// tuple-first), giving the pass one to re-encode.
+			if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+				return tx.AddColumn("r", decibel.Int64Column("x"), decibel.Default(0))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			format2Put(t, db, "master", []int64{9, 90, 99, 0})
 			if _, err := db.Branch("master", "next"); err != nil {
 				t.Fatal(err)
 			}
@@ -251,14 +259,14 @@ func TestOpensFormat1Dataset(t *testing.T) {
 				t.Fatalf("the pass compressed nothing: %+v", st)
 			}
 			want := strings.NewReplacer("8=80,88\ndev", "8=80,88 9=90,99\ndev", "only [7 8]", "only [7 8 9]").
-				Replace(format1Answers) + "master@8: 8 rows\n"
+				Replace(format2Answers) + "master@8: 7 rows\nmaster@9: 8 rows\n"
 			if got := answers(t, db); got != want {
 				t.Fatalf("after a commit and a pass:\n%s\nwant:\n%s", got, want)
 			}
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			db = format1Open(t, dir, engine)
+			db = format2Open(t, dir, engine)
 			defer db.Close()
 			if got := answers(t, db); got != want {
 				t.Fatalf("after a reopen:\n%s\nwant:\n%s", got, want)
@@ -268,17 +276,45 @@ func TestOpensFormat1Dataset(t *testing.T) {
 	}
 }
 
-// TestHybridMergesOverCompressedSegments: on the format-1 hybrid
+// TestOpenUsesRecordedEngine: a dataset is opened by the engine its
+// catalog records, whatever WithEngine names. Each fixture, opened under
+// each engine's name, answers as its README says; after Close it
+// reopens and answers the same.
+func TestOpenUsesRecordedEngine(t *testing.T) {
+	recorded := map[string]string{"tf": "tuple-first", "hy": "hybrid", "vf": "version-first"}
+	for _, engine := range format2Engines {
+		for _, asked := range decibel.Engines() {
+			t.Run(engine+"/as-"+asked, func(t *testing.T) {
+				dir := t.TempDir()
+				copyTree(t, filepath.Join("testdata", "format2", engine), dir)
+				for round := 0; round < 2; round++ {
+					db := format2Open(t, dir, asked)
+					if got := db.Engine(); got != recorded[engine] {
+						t.Fatalf("open %d: engine %q, want %q", round, got, recorded[engine])
+					}
+					if got := answers(t, db); got != format2Answers {
+						t.Fatalf("open %d answers:\n%s\nwant:\n%s", round, got, format2Answers)
+					}
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestHybridMergesOverCompressedSegments: on the format-2 hybrid
 // fixture, whose frozen segments are .dcz files, commits on two
 // branches and a merge of one into the other read through those
 // segments; a pass then re-encodes the heap segment a branch freezes,
 // leaves the .dcz ones alone, and the answers hold across a reopen.
 func TestHybridMergesOverCompressedSegments(t *testing.T) {
 	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "format1", "hy"), dir)
-	db := format1Open(t, dir, "hy")
-	format1Put(t, db, "idle", []int64{10, 100, 1, 5, 55, 5}, 3)
-	format1Put(t, db, "master", []int64{11, 110, 11})
+	copyTree(t, filepath.Join("testdata", "format2", "hy"), dir)
+	db := format2Open(t, dir, "hy")
+	format2Put(t, db, "idle", []int64{10, 100, 1, 5, 55, 5}, 3)
+	format2Put(t, db, "master", []int64{11, 110, 11})
 	if _, st, err := db.Merge("master", "idle"); err != nil || st.Conflicts != 0 {
 		t.Fatalf("merge: %+v, %v", st, err)
 	}
@@ -302,7 +338,7 @@ func TestHybridMergesOverCompressedSegments(t *testing.T) {
 		t.Fatalf("the pass compressed nothing: %+v", st)
 	}
 	for _, p := range dczBefore {
-		src := filepath.Join("testdata", "format1", "hy", "tables", "r", filepath.Base(p))
+		src := filepath.Join("testdata", "format2", "hy", "tables", "r", filepath.Base(p))
 		if !bytes.Equal(readFile(t, p), readFile(t, src)) {
 			t.Errorf("the pass rewrote %s", filepath.Base(p))
 		}
@@ -329,7 +365,7 @@ next: 10=100,1 11=110,11 2=22,5 4=40,5 5=55,5 6=60,5 7=70,5 8=80,88
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	db = format1Open(t, dir, "hy")
+	db = format2Open(t, dir, "hy")
 	defer db.Close()
 	if got := heads(); got != want {
 		t.Fatalf("after a reopen:\n%s\nwant:\n%s", got, want)
@@ -348,7 +384,7 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // TestCatalogCarriesFormat: a new dataset's catalog.json, and the one a
-// schema change rewrites, hold format 1.
+// schema change rewrites, hold format 2 and the dataset's engine.
 func TestCatalogCarriesFormat(t *testing.T) {
 	dir := t.TempDir()
 	db, err := decibel.Open(dir)
@@ -362,8 +398,8 @@ func TestCatalogCarriesFormat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Contains(data, []byte(`"format":1`)) {
-			t.Fatalf("catalog.json %s: %s, want \"format\":1", when, data)
+		if !bytes.Contains(data, []byte(`"format":2,"engine":"hybrid"`)) {
+			t.Fatalf("catalog.json %s: %s, want \"format\":2,\"engine\":\"hybrid\"", when, data)
 		}
 	}
 	if _, err := db.CreateTable("r", decibel.NewSchema().Int64("id").Int64("v").MustBuild()); err != nil {
@@ -385,7 +421,7 @@ func TestCatalogCarriesFormat(t *testing.T) {
 // size a dataset was created with, which its catalog records; a reopen
 // that asks for another page size still reads them in the recorded one.
 func TestReopenKeepsPageSize(t *testing.T) {
-	for _, engine := range format1Engines {
+	for _, engine := range format2Engines {
 		t.Run(engine, func(t *testing.T) {
 			dir := t.TempDir()
 			db, err := decibel.Open(dir, decibel.WithEngine(engine), decibel.WithPageSize(512))
@@ -402,7 +438,7 @@ func TestReopenKeepsPageSize(t *testing.T) {
 			for pk := int64(1); pk <= 100; pk++ {
 				kv = append(kv, pk, pk*10)
 			}
-			format1Put(t, db, "master", kv)
+			format2Put(t, db, "master", kv)
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -475,23 +511,25 @@ func editCatalog(t *testing.T, path string, edit func(map[string]any)) {
 }
 
 // TestOpenRefusesOtherFormats: a dataset whose catalog.json carries no
-// format version, or format 2, fails Open with ErrDatasetFormat on
-// every engine and keeps every file byte for byte. Each copy has a torn
-// record at the end of its graph log, which an Open that got as far as
-// the graph would cut off (the control case shows it does).
+// format version, format 1 (the format before engines were recorded)
+// or format 3, fails Open with ErrDatasetFormat on every engine and
+// keeps every file byte for byte. Each copy has a torn record at the
+// end of its graph log, which an Open that got as far as the graph
+// would cut off (the control case, format 2, shows it does).
 func TestOpenRefusesOtherFormats(t *testing.T) {
-	for _, engine := range format1Engines {
+	for _, engine := range format2Engines {
 		for _, tc := range []struct {
 			name string
 			edit func(map[string]any)
 		}{
 			{"no format", func(doc map[string]any) { delete(doc, "format") }},
-			{"format 2", func(doc map[string]any) { doc["format"] = 2 }},
-			{"format 1", nil},
+			{"format 1", func(doc map[string]any) { doc["format"] = 1 }},
+			{"format 3", func(doc map[string]any) { doc["format"] = 3 }},
+			{"format 2", nil},
 		} {
 			t.Run(engine+"/"+tc.name, func(t *testing.T) {
 				dir := t.TempDir()
-				copyTree(t, filepath.Join("testdata", "format1", engine), dir)
+				copyTree(t, filepath.Join("testdata", "format2", engine), dir)
 				log, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_WRONLY|os.O_APPEND, 0)
 				if err != nil {
 					t.Fatal(err)
@@ -543,7 +581,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 // a corrupt catalog.
 func TestHybridRefusesMisplacedSegmentIDs(t *testing.T) {
 	dir := t.TempDir()
-	copyTree(t, filepath.Join("testdata", "format1", "hy"), dir)
+	copyTree(t, filepath.Join("testdata", "format2", "hy"), dir)
 	path := filepath.Join(dir, "tables", "r", "segments.json")
 	editCatalog(t, path, func(doc map[string]any) {
 		segs := doc["segments"].([]any)

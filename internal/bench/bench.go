@@ -137,7 +137,8 @@ type MergeSample struct {
 // Load builds a dataset at dir with the given engine and configuration.
 func Load(dir string, factory core.Factory, opt core.Options, cfg Config) (*Dataset, error) {
 	start := time.Now()
-	db, err := core.Open(dir, factory, opt)
+	// A new dataset: factory's engine creates it.
+	db, err := core.Open(dir, "", func(string) (core.Factory, error) { return factory, nil }, opt)
 	if err != nil {
 		return nil, err
 	}

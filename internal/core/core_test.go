@@ -18,7 +18,7 @@ func TestMergeKindString(t *testing.T) {
 }
 
 func TestOpenRejectsNilFactory(t *testing.T) {
-	if _, err := core.Open(t.TempDir(), nil, core.Options{}); err == nil {
-		t.Fatal("nil factory accepted")
+	if _, err := core.Open(t.TempDir(), "hybrid", nil, core.Options{}); err == nil {
+		t.Fatal("nil engine lookup accepted")
 	}
 }

@@ -33,6 +33,9 @@ type Database struct {
 	dir     string
 	opt     Options
 	factory Factory
+	// engine is the Kind of the dataset's engine, which catalog.json
+	// records.
+	engine string
 
 	graph *vgraph.Graph
 	pool  *heap.Pool
@@ -66,15 +69,18 @@ type Table struct {
 // formatVersion is the dataset format this build writes and the only
 // one it opens (docs/FORMAT.md). Any change to the layout of a dataset
 // file bumps it.
-const formatVersion = 1
+const formatVersion = 2
 
-// catalog is the persisted dataset format version, heap page size and
-// table list with each table's full schema history: the ordered
-// physical columns annotated with the schema epoch that added (and,
-// for logical drops, hid) them, plus encoded defaults for columns added
-// after table creation.
+// catalog is the persisted dataset format version, engine, heap page
+// size and table list with each table's full schema history: the
+// ordered physical columns annotated with the schema epoch that added
+// (and, for logical drops, hid) them, plus encoded defaults for columns
+// added after table creation.
 type catalog struct {
 	Format int `json:"format"`
+	// Engine is the Kind of the engine that wrote the dataset; a reopen
+	// opens it, whatever engine it asks for.
+	Engine string `json:"engine"`
 	// PageSize is the heap page size the segment files are laid out
 	// in; a reopen uses it, whatever Options.PageSize says.
 	PageSize int            `json:"pageSize"`
@@ -95,12 +101,13 @@ type catalogColumn struct {
 	Default   []byte `json:"default,omitempty"`   // encoded default for added columns
 }
 
-// Open opens (or creates) the dataset at dir using the given storage
-// engine factory. Existing tables are reloaded from the catalog;
-// committed state is recovered and uncommitted modifications are rolled
-// back by the engines.
-func Open(dir string, factory Factory, opt Options) (*Database, error) {
-	return OpenContext(context.Background(), dir, factory, opt)
+// Open opens (or creates) the dataset at dir. The engine its catalog
+// records opens it; a new dataset is created with the named one.
+// Existing tables are reloaded from the catalog; committed state is
+// recovered and uncommitted modifications are rolled back by the
+// engines.
+func Open(dir, engine string, engines Engines, opt Options) (*Database, error) {
+	return OpenContext(context.Background(), dir, engine, engines, opt)
 }
 
 // OpenContext is Open bounded by a context: cancellation is checked
@@ -109,14 +116,21 @@ func Open(dir string, factory Factory, opt Options) (*Database, error) {
 // resources are released on abort. The catalog's format version is
 // checked first: a dataset of another format fails with
 // ErrDatasetFormat before any of its files is opened or written.
-func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) (*Database, error) {
-	if factory == nil {
-		return nil, errors.New("core: nil engine factory")
+func OpenContext(ctx context.Context, dir, engine string, engines Engines, opt Options) (*Database, error) {
+	if engines == nil {
+		return nil, errors.New("core: nil engine lookup")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cat, err := readCatalog(dir)
+	if err != nil {
+		return nil, err
+	}
+	if cat.Engine != "" {
+		engine = cat.Engine
+	}
+	factory, err := engines(engine)
 	if err != nil {
 		return nil, err
 	}
@@ -134,6 +148,7 @@ func OpenContext(ctx context.Context, dir string, factory Factory, opt Options) 
 		dir:     dir,
 		opt:     opt,
 		factory: factory,
+		engine:  engine,
 		graph:   graph,
 		pool:    heap.NewPool(opt.PoolPages, opt.PageSize),
 		tables:  make(map[string]*Table),
@@ -153,7 +168,7 @@ func catalogPath(dir string) string { return filepath.Join(dir, "catalog.json") 
 // readCatalog reads and checks the dataset's catalog: an empty catalog
 // when there is none (a new dataset), ErrDatasetFormat when it carries
 // no format version — it was written before there was one — or another
-// version than formatVersion.
+// version than formatVersion, and an error when it names no engine.
 func readCatalog(dir string) (*catalog, error) {
 	path := catalogPath(dir)
 	data, err := os.ReadFile(path)
@@ -170,6 +185,9 @@ func readCatalog(dir string) (*catalog, error) {
 	if cat.Format != formatVersion {
 		return nil, fmt.Errorf("%w: %s is at format %d (0: written before datasets had a format version); this build reads format %d",
 			ErrDatasetFormat, path, cat.Format, formatVersion)
+	}
+	if cat.Engine == "" {
+		return nil, fmt.Errorf("core: corrupt catalog: %s names no engine", path)
 	}
 	return &cat, nil
 }
@@ -222,7 +240,7 @@ func (db *Database) loadCatalogContext(ctx context.Context, cat *catalog) error 
 }
 
 func (db *Database) saveCatalogLocked() error {
-	cat := catalog{Format: formatVersion, PageSize: db.pool.PageSize()}
+	cat := catalog{Format: formatVersion, Engine: db.engine, PageSize: db.pool.PageSize()}
 	for _, name := range db.order {
 		t := db.tables[name]
 		ct := catalogTable{Name: name}
@@ -251,6 +269,7 @@ func (db *Database) attachTable(name string, hist *record.History) (*Table, erro
 	if err != nil {
 		return nil, fmt.Errorf("core: table %q: %w", name, err)
 	}
+	db.engine = eng.Kind()
 	t := &Table{name: name, hist: hist, engine: eng, db: db}
 	db.tables[name] = t
 	db.order = append(db.order, name)
@@ -310,6 +329,14 @@ func (db *Database) Tables() []*Table {
 		out = append(out, db.tables[n])
 	}
 	return out
+}
+
+// Engine returns the name of the dataset's engine: the one its catalog
+// records, or, for a new dataset, the one it is created with.
+func (db *Database) Engine() string {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.engine
 }
 
 // Graph exposes the version graph (read-mostly: heads, LCA, ancestry).

@@ -156,6 +156,11 @@ type Options struct {
 // engine with one shared segment chain) and vf.Factory.
 type Factory func(env *Env) (Engine, error)
 
+// Engines resolves an engine name to its factory: the name a new
+// dataset is created with, or the one a dataset's catalog.json records,
+// the Kind of the engine that wrote it.
+type Engines func(name string) (Factory, error)
+
 // Engine is the storage-engine contract of Section 3. One Engine stores
 // one relation across all branches and versions. The Database advances
 // the version graph in memory before the corresponding engine hook
@@ -179,7 +184,7 @@ type Factory func(env *Env) (Engine, error)
 // engines (Merge.Changed) — lives in this package.
 type Engine interface {
 	// Kind returns the scheme name: "tuple-first", "version-first" or
-	// "hybrid".
+	// "hybrid". catalog.json records it, and every open looks it up.
 	Kind() string
 
 	// Init prepares storage for the initial master branch and its empty

@@ -51,7 +51,7 @@ func newHarness(t *testing.T, poolPages int) *harness {
 			factory = hy.Factory
 		}
 		dir := t.TempDir()
-		h.opens[name] = func() (*core.Database, error) { return core.Open(dir, factory, opt) }
+		h.opens[name] = func() (*core.Database, error) { return core.Open(dir, "", only(factory), opt) }
 		db, err := h.opens[name]()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

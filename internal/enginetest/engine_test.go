@@ -35,9 +35,15 @@ func engineCases() []struct {
 	}
 }
 
+// only is the engine lookup that opens every dataset with factory's
+// engine: a test opens only datasets it wrote with that engine.
+func only(factory core.Factory) core.Engines {
+	return func(string) (core.Factory, error) { return factory, nil }
+}
+
 func openDB(t *testing.T, dir string, factory core.Factory, opt core.Options) *core.Database {
 	t.Helper()
-	db, err := core.Open(dir, factory, opt)
+	db, err := core.Open(dir, "", only(factory), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,10 +560,11 @@ func TestFailedOpenClosesFiles(t *testing.T) {
 		factory core.Factory
 		corrupt func(t *testing.T, dir string)
 	}{
-		{"hybrid: startSeq names a missing segment", hy.Factory, func(t *testing.T, dir string) {
-			rewriteJSON(t, filepath.Join(dir, "tables", "t", "segments.json"), func(doc map[string]any) {
-				doc["startSeq"].(map[string]any)["0:99"] = 0
-			})
+		{"hybrid: a commit log names a missing segment", hy.Factory, func(t *testing.T, dir string) {
+			// Listed after the table's own logs, which are open by then.
+			if err := os.WriteFile(filepath.Join(dir, "tables", "t", "commits", "b0_s99_0.hist"), []byte{0xD1}, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}},
 		{"tuple-first: branch-point commit is missing", hy.TupleFirstFactory, func(t *testing.T, dir string) {
 			rewriteJSON(t, filepath.Join(dir, "graph.json"), func(doc map[string]any) {
@@ -604,7 +611,7 @@ func TestFailedOpenClosesFiles(t *testing.T) {
 			tc.corrupt(t, dir)
 
 			before := openFDs(t)
-			if db, err := core.Open(dir, tc.factory, opt); err == nil {
+			if db, err := core.Open(dir, "", only(tc.factory), opt); err == nil {
 				db.Close()
 				t.Fatal("open of the corrupted dataset succeeded")
 			}

@@ -44,7 +44,7 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 	dir := t.TempDir()
 	opt := core.Options{PageSize: 4096, PoolPages: 16,
 		Compaction: true}
-	db, err := core.Open(dir, vf.Factory, opt)
+	db, err := core.Open(dir, "", only(vf.Factory), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if db, err = core.Open(dir, vf.Factory, opt); err != nil {
+			if db, err = core.Open(dir, "", only(vf.Factory), opt); err != nil {
 				t.Fatal(err)
 			}
 			g = db.Graph()

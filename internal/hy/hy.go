@@ -17,7 +17,9 @@
 package hy
 
 import (
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 
@@ -36,7 +38,7 @@ type segID = int32
 // pos addresses one record copy.
 type pos = store.Pos
 
-// hseg is one segment: its catalog entry (heap file, schema-version id,
+// hseg is one segment: its catalog entry (data file, schema-version id,
 // zone map, freeze state, base slot in the chain) and, in hybrid, the
 // branch whose head it is or was.
 type hseg struct {
@@ -44,12 +46,20 @@ type hseg struct {
 	owner vgraph.BranchID
 }
 
-// logKey identifies a commit history file: one per branch in
-// tuple-first, one per (branch, segment) in hybrid — "in hybrid, each
-// (branch, segment) has its own file" (Section 5.3).
+// logKey identifies a commit history file: one per (branch, slot
+// space) — one per branch in tuple-first, whose chain is one space, and
+// one per (branch, segment) in hybrid: "in hybrid, each (branch,
+// segment) has its own file" (Section 5.3).
 type logKey struct {
 	Branch vgraph.BranchID
 	Seg    segID
+}
+
+// hlog is one commit history file and the branch commit seq of its
+// first entry, which its name carries.
+type hlog struct {
+	*bitmap.CommitLog
+	start int
 }
 
 // Engine is the tuple-first and the hybrid storage engine.
@@ -62,9 +72,8 @@ type Engine struct {
 	// chained is tuple-first's placement: one shared chain of extents,
 	// slot space 0, whose tail takes every branch's writes. Otherwise
 	// (hybrid) each segment is a slot space and each branch writes to
-	// its head segment. It selects the catalog file, the log file names,
-	// the segment a write goes to and whether a branch operation freezes
-	// the parent's head.
+	// its head segment. It selects the segment a write goes to and
+	// whether a branch operation freezes the parent's head.
 	chained bool
 
 	// cat is the segment table in scan order (the order every scan
@@ -81,38 +90,22 @@ type Engine struct {
 	// the table, so a position can never come to name a different record.
 	vers *store.VersionIndex
 
-	logs     map[logKey]*bitmap.CommitLog
-	startSeq map[logKey]int // branch commit seq at which the log begins
+	logs map[logKey]*hlog
 }
 
-// Hybrid's persisted catalog (segments.json): the shared store state
-// (cols, frozen flag, zone map) plus the ownership fields; segment i
-// is listed at position i.
+// segMetaJSON is one entry of segments.json: the shared store state
+// (cols, frozen flag, zone map), the segment's id and owner and, once
+// it is frozen, its row count. Segment i is listed at position i.
 type segMetaJSON struct {
 	store.SegMeta
 	ID    segID           `json:"id"`
 	Owner vgraph.BranchID `json:"owner"`
+	Count int64           `json:"count,omitempty"`
 }
 
 type metaJSON struct {
 	Segments []segMetaJSON             `json:"segments"`
-	HeadSeg  map[vgraph.BranchID]segID `json:"headSeg"`
-	StartSeq map[string]int            `json:"startSeq"` // "branch:seg" -> seq
-}
-
-// Tuple-first's persisted extent table (extents.json): the shared store
-// state plus a sealed extent's final slot count (0 and unused for the
-// open tail, whose count comes from the file length) and, for rewritten
-// extents, the data file basename (empty = the naming rule). Every log
-// starts at its branch's first commit, so no startSeq is saved.
-type extMeta struct {
-	store.SegMeta
-	Count int64  `json:"count,omitempty"`
-	Name  string `json:"name,omitempty"`
-}
-
-type extFile struct {
-	Extents []extMeta `json:"extents"`
+	HeadSeg  map[vgraph.BranchID]segID `json:"headSeg,omitempty"`
 }
 
 // Factory builds a hybrid engine; it satisfies core.Factory.
@@ -124,20 +117,15 @@ func TupleFirstFactory(env *core.Env) (core.Engine, error) { return open(env, tr
 
 func open(env *core.Env, chained bool) (core.Engine, error) {
 	e := &Engine{
-		env:      env,
-		hist:     env.History(),
-		st:       store.New(env.Pool, env.History()),
-		chained:  chained,
-		headSeg:  make(map[vgraph.BranchID]segID),
-		live:     make(map[vgraph.BranchID]map[segID]*bitmap.Bitmap),
-		logs:     make(map[logKey]*bitmap.CommitLog),
-		startSeq: make(map[logKey]int),
+		env:     env,
+		hist:    env.History(),
+		st:      store.New(env.Pool, env.History()),
+		chained: chained,
+		headSeg: make(map[vgraph.BranchID]segID),
+		live:    make(map[vgraph.BranchID]map[segID]*bitmap.Bitmap),
+		logs:    make(map[logKey]*hlog),
 	}
-	lay := store.Layout{File: "segments.json", Prefix: "seg", Heap: ".dat"}
-	if chained {
-		lay = store.Layout{File: "extents.json", Prefix: "data.e", Heap: ".heap", First: "data.heap", Chained: true}
-	}
-	e.cat = store.NewCatalog[*hseg](e.st, env.Dir, env.Opt.Fsync, env.Opt.CompactionFailPoint, lay, e.catalog)
+	e.cat = store.NewCatalog[*hseg](e.st, env.Dir, env.Opt.Fsync, env.Opt.CompactionFailPoint, chained, e.catalog)
 	err := e.recover()
 	if err == nil {
 		e.vers, err = e.cat.Versions(nil)
@@ -165,143 +153,118 @@ func (e *Engine) errorf(format string, a ...any) error {
 	return fmt.Errorf("%s: %w", e.Kind(), fmt.Errorf(format, a...))
 }
 
-func (e *Engine) logPath(k logKey) string {
-	name := fmt.Sprintf("b%d_s%d.hist", k.Branch, k.Seg)
-	if e.chained {
-		name = fmt.Sprintf("b%d.hist", k.Branch)
-	}
-	return filepath.Join(e.env.Dir, "commits", name)
+// logName names the commit log of k whose first entry is the branch's
+// commit start.
+func logName(k logKey, start int) string {
+	return fmt.Sprintf("b%d_s%d_%d.hist", k.Branch, k.Seg, start)
 }
 
-func (e *Engine) openLog(k logKey) (*bitmap.CommitLog, error) {
-	if l, ok := e.logs[k]; ok {
-		return l, nil
-	}
-	l, err := bitmap.OpenCommitLog(e.logPath(k), bitmap.DefaultLayerFanout)
+// openLog opens (creating it when new) k's commit log whose first entry
+// is the branch's commit start.
+func (e *Engine) openLog(k logKey, start int) (*hlog, error) {
+	cl, err := bitmap.OpenCommitLog(filepath.Join(e.env.Dir, "commits", logName(k, start)), bitmap.DefaultLayerFanout)
 	if err != nil {
 		return nil, err
 	}
+	l := &hlog{CommitLog: cl, start: start}
 	e.logs[k] = l
 	return l, nil
 }
 
-// catalog is the catalog as extents.json or segments.json holds it.
+// catalog is the catalog as segments.json holds it.
 func (e *Engine) catalog() any {
-	if e.chained {
-		ef := extFile{Extents: make([]extMeta, len(e.cat.Segs))}
-		for i, x := range e.cat.Segs {
-			ef.Extents[i] = extMeta{SegMeta: x.Meta(), Name: x.Name}
-			if x.Frozen {
-				ef.Extents[i].Count = x.File.Count()
-			}
-		}
-		return &ef
-	}
-	m := metaJSON{HeadSeg: e.headSeg, StartSeq: make(map[string]int)}
+	m := metaJSON{HeadSeg: e.headSeg}
 	for _, s := range e.cat.Segs {
-		m.Segments = append(m.Segments, segMetaJSON{SegMeta: s.Meta(), ID: s.ID, Owner: s.owner})
-	}
-	for k, seq := range e.startSeq {
-		m.StartSeq[fmt.Sprintf("%d:%d", k.Branch, k.Seg)] = seq
+		sm := segMetaJSON{SegMeta: s.Meta(), ID: s.ID, Owner: s.owner}
+		if s.Frozen {
+			sm.Count = s.File.Count()
+		}
+		m.Segments = append(m.Segments, sm)
 	}
 	return &m
 }
 
-// load reads the catalog file, opens every segment it lists and returns
-// the commit logs to restore with the commit seq each begins at. A
-// hybrid table the engine has not saved yet has no segments (Init adds
-// the first) and nothing to restore: load returns nil.
-//
-// A tuple-first table the engine has not saved yet has no extents.json
-// and one extent, data.heap, at the table's layout: the chain's first.
-// Every extent but the tail is sealed, whatever the file says, and
-// keeps its sealed count: no slot of the chain maps past it. Each
-// branch has one log, begun at its first commit. Every row is kept:
-// the bitmaps say which are live.
-func (e *Engine) load() (map[logKey]int, error) {
-	add := func(id segID, owner vgraph.BranchID, name string) {
-		e.cat.Segs = append(e.cat.Segs, &hseg{Entry: store.Entry{ID: id, Name: name}, owner: owner})
-	}
-	starts := make(map[logKey]int)
-	if e.chained {
-		var ef extFile
-		if err := e.cat.Load(&ef); err != nil {
-			return nil, e.errorf("%w", err)
-		}
-		exts := ef.Extents
-		if len(exts) == 0 {
-			exts = []extMeta{{SegMeta: store.SegMeta{Cols: e.hist.PhysCols()}}}
-		}
-		for i, x := range exts {
-			add(segID(i), 0, x.Name)
-		}
-		err := e.cat.Open(func(i int) (store.SegMeta, int64) {
-			x := exts[i]
-			if x.Frozen = i < len(exts)-1; x.Frozen {
-				return x.SegMeta, x.Count
-			}
-			return x.SegMeta, -1
-		})
-		if err != nil {
-			return nil, e.errorf("extent table: %w", err)
-		}
-		for _, b := range e.env.Graph.Branches() {
-			starts[logKey{Branch: b.ID}] = 0
-		}
-		return starts, nil
-	}
+// load reads the catalog file and opens every segment it lists; a table
+// the engine has not saved yet has none (Init adds the first). A frozen
+// segment keeps the row count its entry records — no slot after it
+// builds on more, in tuple-first's chain or a frozen hybrid segment —
+// and a file holding fewer rows fails the open. An open segment keeps
+// every row: the bitmaps say which are live.
+func (e *Engine) load() error {
 	var m metaJSON
-	if err := e.cat.Load(&m); err != nil || m.Segments == nil {
-		return nil, err
+	if err := e.cat.Load(&m); err != nil {
+		return e.errorf("%w", err)
 	}
 	// The catalog's Open refuses an id listed at another position.
 	for _, sm := range m.Segments {
-		add(sm.ID, sm.Owner, "")
+		e.cat.Segs = append(e.cat.Segs, &hseg{Entry: store.Entry{ID: sm.ID}, owner: sm.Owner})
 	}
-	if err := e.cat.Open(func(i int) (store.SegMeta, int64) { return m.Segments[i].SegMeta, -1 }); err != nil {
-		return nil, e.errorf("%w", err)
+	err := e.cat.Open(func(i int) (store.SegMeta, int64) {
+		sm := m.Segments[i]
+		if sm.Frozen {
+			return sm.SegMeta, sm.Count
+		}
+		return sm.SegMeta, -1
+	})
+	if err != nil {
+		return e.errorf("%w", err)
 	}
 	if m.HeadSeg != nil {
 		e.headSeg = m.HeadSeg
 	}
-	for key, seq := range m.StartSeq {
-		var k logKey
-		if _, err := fmt.Sscanf(key, "%d:%d", &k.Branch, &k.Seg); err != nil {
-			return nil, e.errorf("corrupt startSeq key %q", key)
-		}
-		if k.Seg < 0 || int(k.Seg) >= len(e.cat.Segs) {
-			return nil, e.errorf("corrupt catalog: log for missing segment %d", k.Seg)
-		}
-		starts[k] = seq
-	}
-	return starts, nil
+	return nil
 }
 
 // recover reloads the catalog and restores each branch's bitmaps to
 // their last committed snapshot (uncommitted modifications are rolled
 // back, per Section 2.2.3). What is committed is the version graph's
-// call — its log record is written after the engines' — so each history
-// file first drops its entries past the graph's count for the branch.
+// call — its log record is written after the engines' — so each commit
+// log in commits/ is reconciled with the graph's count for its branch:
+// a log whose first commit the graph does not hold is removed, and
+// every other drops its entries past the count.
 func (e *Engine) recover() error {
-	starts, err := e.load()
-	if err != nil || starts == nil {
+	if err := e.load(); err != nil || len(e.cat.Segs) == 0 {
 		return err
 	}
-	for k, seq := range starts {
-		l, err := e.openLog(k)
+	dir := filepath.Join(e.env.Dir, "commits")
+	ents, err := os.ReadDir(dir)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return e.errorf("%w", err)
+	}
+	for _, ent := range ents {
+		var k logKey
+		var start int
+		name := ent.Name()
+		if _, err := fmt.Sscanf(name, "b%d_s%d_%d.hist", &k.Branch, &k.Seg, &start); err != nil || logName(k, start) != name {
+			return e.errorf("commits/%s is not a commit log name", name)
+		}
+		// Only an init the graph never recorded leaves logs of a branch
+		// the graph does not hold, removed below with the other logs
+		// such a commit began.
+		if _, ok := e.env.Graph.Branch(k.Branch); !ok && e.env.Graph.Initialized() {
+			return e.errorf("commit log %s names branch %d, which the version graph does not hold", name, k.Branch)
+		}
+		if k.Seg < 0 || int(k.Seg) >= len(e.cat.Segs) || e.chained && k.Seg != 0 {
+			return e.errorf("corrupt dataset: commit log %s names slot space %d, which the table does not have", name, k.Seg)
+		}
+		if _, dup := e.logs[k]; dup {
+			return e.errorf("corrupt dataset: two commit logs of branch %d in segment %d", k.Branch, k.Seg)
+		}
+		n := e.env.Graph.NumCommitsOn(k.Branch)
+		if start >= n {
+			// Begun by a commit the graph never recorded.
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return e.errorf("%w", err)
+			}
+			continue
+		}
+		l, err := e.openLog(k, start)
 		if err != nil {
 			return err
 		}
-		keep := e.env.Graph.NumCommitsOn(k.Branch) - seq
-		if err := core.ReconcileLog(l, k.Branch, max(keep, 0)); err != nil {
-			return e.errorf("%w (%s, whose history starts at commit %d)", err, filepath.Base(e.logPath(k)), seq)
+		if err := core.ReconcileLog(l.CommitLog, k.Branch, n-start); err != nil {
+			return e.errorf("%w (%s)", err, name)
 		}
-		if keep <= 0 {
-			// The file's first entry was already past the graph: the
-			// branch has no committed state there.
-			continue
-		}
-		e.startSeq[k] = seq
 		e.branchLive(k.Branch)[k.Seg] = l.Head()
 	}
 	// Branches never committed to have no logs of their own: they are
@@ -408,16 +371,25 @@ func (e *Engine) newSegmentLocked(owner vgraph.BranchID, cols int) (*hseg, error
 }
 
 // Init implements core.Engine: records the (empty) init commit, which
-// registers the master branch, after giving it a head segment in hybrid.
+// registers the master branch, after giving the table its first segment
+// — master's head in hybrid, the chain's first extent in tuple-first —
+// unless an init the graph never recorded already has.
 func (e *Engine) Init(master *vgraph.Branch, c0 *vgraph.Commit) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.chained {
+	if len(e.cat.Segs) == 0 {
 		s, err := e.newSegmentLocked(master.ID, e.hist.PhysCols())
 		if err != nil {
 			return err
 		}
-		e.headSeg[master.ID] = s.ID
+		if !e.chained {
+			e.headSeg[master.ID] = s.ID
+		}
+		if err := e.cat.Save(); err != nil {
+			return err
+		}
+	} else if !e.chained {
+		bitmapIn(e.branchLive(master.ID), e.headSeg[master.ID])
 	}
 	return e.commitLocked(c0)
 }
@@ -482,23 +454,23 @@ func (e *Engine) Commit(c *vgraph.Commit) error {
 
 func (e *Engine) commitLocked(c *vgraph.Commit) error {
 	if e.chained {
-		// A tuple-first log holds every commit of its branch, from the
-		// first: its start is never saved.
+		// A tuple-first branch's one log holds every commit of the
+		// branch, from its first.
 		bitmapIn(e.branchLive(c.Branch), 0)
 	}
 	for id, bm := range e.live[c.Branch] {
 		k := logKey{Branch: c.Branch, Seg: id}
-		l, err := e.openLog(k)
-		if err != nil {
-			return err
-		}
-		if l.NumCommits() == 0 {
-			e.startSeq[k] = c.Seq
+		l, ok := e.logs[k]
+		if !ok {
+			var err error
+			if l, err = e.openLog(k, c.Seq); err != nil {
+				return err
+			}
 		}
 		// Entries from c.Seq on belong to a commit that an engine applied
 		// and the graph then took back.
-		if err := core.ReconcileLog(l, c.Branch, c.Seq-e.startSeq[k]); err != nil {
-			return e.errorf("%w (%s, whose history starts at commit %d)", err, filepath.Base(e.logPath(k)), e.startSeq[k])
+		if err := core.ReconcileLog(l.CommitLog, c.Branch, c.Seq-l.start); err != nil {
+			return e.errorf("%w (%s)", err, logName(k, l.start))
 		}
 		if _, err := l.Append(bm); err != nil {
 			return err
@@ -509,19 +481,15 @@ func (e *Engine) commitLocked(c *vgraph.Commit) error {
 			}
 		}
 	}
-	// The rows the entries vouch for reach the segment files; hybrid
-	// saves its catalog, whose startSeq the new logs extend.
-	if e.chained {
-		return e.cat.Flush()
-	}
-	return e.cat.Save()
+	// The rows the entries vouch for reach the segment files.
+	return e.cat.Flush()
 }
 
 // checkoutLocked reconstructs the liveness of branch b at commit seq,
 // by slot space; spaces where the branch held nothing are left out.
 func (e *Engine) checkoutLocked(b vgraph.BranchID, seq int) (map[segID]*bitmap.Bitmap, error) {
 	out := make(map[segID]*bitmap.Bitmap)
-	for k := range e.startSeq {
+	for k := range e.logs {
 		if k.Branch != b {
 			continue
 		}
@@ -537,19 +505,14 @@ func (e *Engine) checkoutLocked(b vgraph.BranchID, seq int) (map[segID]*bitmap.B
 }
 
 // segCheckoutLocked reconstructs the liveness of branch k.Branch at
-// commit seq within slot space k.Seg from that pair's history file,
-// whose entries begin at the branch's commit startSeq[k]; nil when the
-// branch had no committed state in the space by then.
+// commit seq within slot space k.Seg from that pair's history file;
+// nil when the branch had no committed state in the space by then.
 func (e *Engine) segCheckoutLocked(k logKey, seq int) (*bitmap.Bitmap, error) {
-	start, ok := e.startSeq[k]
-	if !ok || start > seq {
+	l, ok := e.logs[k]
+	if !ok || l.start > seq {
 		return nil, nil
 	}
-	l, err := e.openLog(k)
-	if err != nil {
-		return nil, err
-	}
-	return l.Checkout(seq - start)
+	return l.Checkout(seq - l.start)
 }
 
 // InsertBatch implements core.Engine (upsert): each record is appended
@@ -701,6 +664,8 @@ func (e *Engine) CompactSegments() (store.CompactStats, error) {
 
 // Flush implements core.Engine: it saves the catalog, every segment's
 // zone map included, so the maps survive reopen without a rebuild scan.
+// Between saves, which come only when the segment table changes, the
+// maps may lag the commits; open extends them.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

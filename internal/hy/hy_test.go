@@ -150,8 +150,8 @@ func TestCheckoutStartSeq(t *testing.T) {
 
 	newHead := e.headSeg[master.ID]
 	k := logKey{Branch: master.ID, Seg: newHead}
-	if start, ok := e.startSeq[k]; !ok || start != c2.Seq {
-		t.Fatalf("new head history startSeq = %d, want %d", start, c2.Seq)
+	if l, ok := e.logs[k]; !ok || l.start != c2.Seq {
+		t.Fatalf("new head history does not start at commit %d: %v", c2.Seq, l)
 	}
 	// Checkout at c1: only the original segment contributes.
 	snap, err := e.checkoutLocked(master.ID, c1.Seq)

@@ -30,7 +30,7 @@ func TestScanPartitionsOnce(t *testing.T) {
 		eng, err := hy.Factory(env)
 		return countingEngine{eng, &partitions}, err
 	}
-	db, err := core.Open(t.TempDir(), factory, core.Options{PageSize: 4096, PoolPages: 16})
+	db, err := core.Open(t.TempDir(), "", only(factory), core.Options{PageSize: 4096, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

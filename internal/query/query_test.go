@@ -34,7 +34,7 @@ func rec(s *record.Schema, pk, v int64) *record.Record {
 // with pk 3 updated (v=33), pk 10 deleted, pk 11 added.
 func fixture(t *testing.T, factory core.Factory) (*core.Database, *core.Table, *vgraph.Branch, *vgraph.Branch) {
 	t.Helper()
-	db, err := core.Open(t.TempDir(), factory, core.Options{PageSize: 4096, PoolPages: 16})
+	db, err := core.Open(t.TempDir(), "", only(factory), core.Options{PageSize: 4096, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +60,12 @@ func fixture(t *testing.T, factory core.Factory) (*core.Database, *core.Table, *
 	tbl.Delete(dev.ID, 10)
 	tbl.Insert(dev.ID, rec(s, 11, 11))
 	return db, tbl, master, dev
+}
+
+// only is the engine lookup that opens every dataset with factory's
+// engine: a test opens only datasets it wrote with that engine.
+func only(factory core.Factory) core.Engines {
+	return func(string) (core.Factory, error) { return factory, nil }
 }
 
 func factories() map[string]core.Factory {

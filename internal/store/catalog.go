@@ -4,8 +4,8 @@ package store
 // except which slots each version holds, which is all the three schemes
 // differ in. An engine embeds Entry in its segment struct next to its
 // liveness state and hands the catalog its persisted form (marshaled as
-// is, so each engine keeps its file format) and the rows each segment
-// keeps.
+// is into segments.json) and the rows each segment keeps. Segment id's
+// data file is seg<id>.dat, or seg<id>.dcz once compressed.
 
 import (
 	"encoding/json"
@@ -31,9 +31,6 @@ type Entry struct {
 	// Base is the slot, in a chained catalog's one slot space, of the
 	// segment's slot 0; it is 0 in catalogs that are not chained.
 	Base int64
-	// Name is the data file's name as the catalog file records it; ""
-	// means the naming rule's.
-	Name string
 }
 
 func (e *Entry) entry() *Entry { return e }
@@ -41,20 +38,6 @@ func (e *Entry) entry() *Entry { return e }
 // Seg is the type of a catalog's entries: an engine's segment struct
 // embedding Entry, or *Entry itself.
 type Seg interface{ entry() *Entry }
-
-// Layout is what differs between the engines' catalogs.
-type Layout struct {
-	// File is the catalog file: "extents.json" or "segments.json".
-	File string
-	// The naming rule: segment id's data file is Prefix+id+Heap, or
-	// Prefix+id+".dcz" once compressed. First, when set, is segment 0's
-	// heap file, named before the rule (tuple-first's "data.heap").
-	Prefix, Heap, First string
-	// Chained catalogs number the slots of all segments in one space,
-	// each segment starting where the one before it ends (tuple-first's
-	// shared heap). Otherwise each segment is a slot space of its own.
-	Chained bool
-}
 
 // Catalog is one engine's table of segments. Its methods run under the
 // engine's lock; readers outside the lock hold a pinned *Segment, never
@@ -68,43 +51,40 @@ type Catalog[S Seg] struct {
 	dir       string
 	fsync     bool
 	failPoint string
-	lay       Layout
-	meta      func() any
+	// chained catalogs number the slots of all segments in one space,
+	// each segment starting where the one before it ends (tuple-first's
+	// chain of extents). Otherwise each segment is a slot space of its
+	// own.
+	chained bool
+	meta    func() any
 }
 
-// NewCatalog returns an empty catalog of the engine's segments in dir.
-// meta returns the engine's catalog as it is persisted; Save marshals it
-// to JSON. With fsync, Flush and Save sync what they write. failPoint,
-// empty outside crash-injection tests, names where every Compact pass
-// aborts (FailAfterTemp, FailBeforeUnlink).
-func NewCatalog[S Seg](st *Store, dir string, fsync bool, failPoint string, lay Layout, meta func() any) *Catalog[S] {
-	return &Catalog[S]{st: st, dir: dir, fsync: fsync, failPoint: failPoint, lay: lay, meta: meta}
+// catalogFile is every engine's catalog file.
+const catalogFile = "segments.json"
+
+// NewCatalog returns an empty catalog of the engine's segments in dir,
+// chained (see Catalog.chained) or not. meta returns the engine's
+// catalog as it is persisted; Save marshals it to JSON. With fsync,
+// Flush and Save sync what they write. failPoint, empty outside
+// crash-injection tests, names where every Compact pass aborts
+// (FailAfterTemp, FailBeforeUnlink).
+func NewCatalog[S Seg](st *Store, dir string, fsync bool, failPoint string, chained bool, meta func() any) *Catalog[S] {
+	return &Catalog[S]{st: st, dir: dir, fsync: fsync, failPoint: failPoint, chained: chained, meta: meta}
 }
 
-// fileName is the naming rule: the data file of segment id under enc.
-func (c *Catalog[S]) fileName(id int32, enc string) string {
-	switch {
-	case enc == EncDCZ:
-		return c.lay.Prefix + strconv.Itoa(int(id)) + ".dcz"
-	case id == 0 && c.lay.First != "":
-		return c.lay.First
+// path is the naming rule: the data file of segment id under enc.
+func (c *Catalog[S]) path(id int32, enc string) string {
+	ext := ".dat"
+	if enc == EncDCZ {
+		ext = ".dcz"
 	}
-	return c.lay.Prefix + strconv.Itoa(int(id)) + c.lay.Heap
-}
-
-// path returns the data file of e under enc: its recorded name, or the
-// rule's.
-func (c *Catalog[S]) path(e *Entry, enc string) string {
-	if e.Name != "" {
-		return filepath.Join(c.dir, e.Name)
-	}
-	return filepath.Join(c.dir, c.fileName(e.ID, enc))
+	return filepath.Join(c.dir, "seg"+strconv.Itoa(int(id))+ext)
 }
 
 // Load reads the catalog file into v, which it leaves as it is when
 // there is none: the engine has not saved one yet.
 func (c *Catalog[S]) Load(v any) error {
-	data, err := os.ReadFile(filepath.Join(c.dir, c.lay.File))
+	data, err := os.ReadFile(filepath.Join(c.dir, catalogFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil
 	}
@@ -112,7 +92,7 @@ func (c *Catalog[S]) Load(v any) error {
 		err = json.Unmarshal(data, v)
 	}
 	if err != nil {
-		return fmt.Errorf("catalog %s: %w", c.lay.File, err)
+		return fmt.Errorf("catalog %s: %w", catalogFile, err)
 	}
 	return nil
 }
@@ -128,10 +108,10 @@ func (c *Catalog[S]) Open(meta func(i int) (m SegMeta, keep int64)) error {
 	for i, s := range c.Segs {
 		e := s.entry()
 		if e.ID != int32(i) {
-			return fmt.Errorf("corrupt catalog %s: segment %d is listed at position %d", c.lay.File, e.ID, i)
+			return fmt.Errorf("corrupt catalog %s: segment %d is listed at position %d", catalogFile, e.ID, i)
 		}
 		m, keep := meta(i)
-		seg, err := c.st.Open(c.path(e, m.Encoding), m, keep)
+		seg, err := c.st.Open(c.path(e.ID, m.Encoding), m, keep)
 		if err != nil {
 			return fmt.Errorf("segment %d: %w", e.ID, err)
 		}
@@ -147,7 +127,7 @@ func (c *Catalog[S]) Open(meta func(i int) (m SegMeta, keep int64)) error {
 // base is the slot entry i starts at: in a chained catalog, where entry
 // i-1 ends.
 func (c *Catalog[S]) base(i int) int64 {
-	if i == 0 || !c.lay.Chained {
+	if i == 0 || !c.chained {
 		return 0
 	}
 	prev := c.Segs[i-1].entry()
@@ -172,8 +152,8 @@ func (c *Catalog[S]) sweep() {
 		if ent.IsDir() || keep[name] {
 			continue
 		}
-		data := name == c.lay.First || strings.HasPrefix(name, c.lay.Prefix) &&
-			(strings.HasSuffix(name, c.lay.Heap) || strings.HasSuffix(name, ".dcz"))
+		data := strings.HasPrefix(name, "seg") &&
+			(strings.HasSuffix(name, ".dat") || strings.HasSuffix(name, ".dcz"))
 		if data || strings.HasSuffix(name, ".tmp") {
 			os.Remove(filepath.Join(c.dir, name))
 		}
@@ -184,7 +164,7 @@ func (c *Catalog[S]) sweep() {
 // and appends s to the table. The file is named here, once.
 func (c *Catalog[S]) Add(s S, cols int) error {
 	e := s.entry()
-	seg, err := c.st.Open(c.path(e, EncHeap), SegMeta{Cols: cols}, -1)
+	seg, err := c.st.Open(c.path(e.ID, EncHeap), SegMeta{Cols: cols}, -1)
 	if err != nil {
 		return err
 	}
@@ -223,7 +203,7 @@ func (c *Catalog[S]) Save() error {
 	if err := c.Flush(); err != nil {
 		return err
 	}
-	return wal.ReplaceFile(filepath.Join(c.dir, c.lay.File), data, c.fsync)
+	return wal.ReplaceFile(filepath.Join(c.dir, catalogFile), data, c.fsync)
 }
 
 // Versions builds the version index in one sequential pass over every
@@ -245,7 +225,7 @@ func (c *Catalog[S]) Versions(tomb func(Pos)) (*VersionIndex, error) {
 	for _, s := range c.Segs {
 		e := s.entry()
 		at := Pos{Seg: e.ID}
-		if c.lay.Chained {
+		if c.chained {
 			at = Pos{Slot: e.Base}
 		}
 		err := e.File.Scan(0, e.File.Count(), func(slot int64, buf []byte) bool {
@@ -270,7 +250,7 @@ func (c *Catalog[S]) Totals() (records, dataBytes, fileBytes int64) {
 		records += s.entry().File.Count()
 		dataBytes += s.entry().File.SizeBytes()
 	}
-	if fi, err := os.Stat(filepath.Join(c.dir, c.lay.File)); err == nil {
+	if fi, err := os.Stat(filepath.Join(c.dir, catalogFile)); err == nil {
 		fileBytes = fi.Size()
 	}
 	return records, dataBytes, fileBytes

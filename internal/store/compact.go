@@ -1,9 +1,6 @@
 package store
 
-import (
-	"os"
-	"path/filepath"
-)
+import "os"
 
 // The one compaction loop, Catalog.Compact: segments re-encode into the
 // compressed page layout in place, slot numbering preserved, so no
@@ -122,7 +119,7 @@ func (c *Catalog[S]) Compact(eligible func(S) bool, installed func(S)) (CompactS
 		if e.Encoding == EncDCZ || e.File.Count() == 0 || !eligible(s) {
 			continue
 		}
-		ns, p, err := c.compress(e.Segment, filepath.Join(c.dir, c.fileName(e.ID, EncDCZ)))
+		ns, p, err := c.compress(e.Segment, c.path(e.ID, EncDCZ))
 		if err != nil {
 			abort(true)
 			return st, err
@@ -140,7 +137,7 @@ func (c *Catalog[S]) Compact(eligible func(S) bool, installed func(S)) (CompactS
 	for k, s := range at {
 		e := s.entry()
 		old[k] = *e
-		e.Segment, e.Name = news[k], filepath.Base(news[k].File.Path())
+		e.Segment = news[k]
 	}
 	if err := c.Save(); err != nil {
 		for k, s := range at {

@@ -47,8 +47,7 @@ type SegFile interface {
 }
 
 // SegMeta is the persisted, engine-independent part of a segment's
-// catalog entry. Each engine's catalog JSON (tuple-first's extent
-// table, version-first's and hybrid's segment lists) embeds it, so the
+// catalog entry. Each engine's segments.json embeds it, so the
 // shared state — the physical schema-version id, the freeze flag, the
 // encoding tag and the zone map — serializes alongside the
 // engine-specific fields. A missing zone, or one covering fewer rows

@@ -98,7 +98,7 @@ func TestVersionIndexEach(t *testing.T) {
 func TestCatalogVersionsTombstones(t *testing.T) {
 	schema := testSchema(t)
 	st := New(heap.NewPool(8, 1<<16), record.NewHistory(schema))
-	cat := NewCatalog[*Entry](st, t.TempDir(), false, "", Layout{File: "segments.json", Prefix: "seg", Heap: ".dat"}, nil)
+	cat := NewCatalog[*Entry](st, t.TempDir(), false, "", false, nil)
 	defer cat.Close(false)
 	var tombs []Pos
 	for id := int32(0); id < 2; id++ {

@@ -17,13 +17,17 @@ func cachedPlan(e *Engine, p pos) *planEntry {
 	return nil
 }
 
+// only is the engine lookup that opens every dataset with this
+// package's engine: a test opens only datasets it wrote.
+func only(string) (core.Factory, error) { return Factory, nil }
+
 // TestHeadsComposeCachedPlans checks that a multi-branch scan is a
 // composition of per-position plans: after a commit on one of k
 // branches, the next HEAD() resolves exactly one new position and
 // reuses the other k-1 cached plans as they are.
 func TestHeadsComposeCachedPlans(t *testing.T) {
 	const k = 4
-	db, err := core.Open(t.TempDir(), Factory, core.Options{PageSize: 4096, PoolPages: 16})
+	db, err := core.Open(t.TempDir(), "", only, core.Options{PageSize: 4096, PoolPages: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,9 +115,7 @@ func Factory(env *core.Env) (core.Engine, error) {
 		e.lineMemo = make(map[pos][]step)
 		e.stepMemo = make(map[pos][]step)
 	}
-	e.cat = store.NewCatalog[*segment](e.st, env.Dir, env.Opt.Fsync, env.Opt.CompactionFailPoint, store.Layout{
-		File: "segments.json", Prefix: "seg", Heap: ".dat",
-	}, e.catalog)
+	e.cat = store.NewCatalog[*segment](e.st, env.Dir, env.Opt.Fsync, env.Opt.CompactionFailPoint, false, e.catalog)
 	err := e.recover()
 	if err == nil {
 		e.vers, err = e.cat.Versions(e.markDead)

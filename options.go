@@ -2,8 +2,9 @@ package decibel
 
 import "decibel/internal/core"
 
-// DefaultEngine is the storage engine Open uses when WithEngine is not
-// given. The hybrid scheme is the paper's headline design (Section 3.4).
+// DefaultEngine is the storage engine Open creates a dataset with when
+// WithEngine is not given. The hybrid scheme is the paper's headline
+// design (Section 3.4).
 const DefaultEngine = "hybrid"
 
 type config struct {
@@ -22,8 +23,10 @@ func newConfig(opts []Option) config {
 // Option configures Open.
 type Option func(*config)
 
-// WithEngine selects the storage engine by name or alias:
-// "tuple-first"/"tf", "version-first"/"vf" or "hybrid"/"hy".
+// WithEngine selects the storage engine of a new dataset by name or
+// alias: "tuple-first"/"tf", "version-first"/"vf" or "hybrid"/"hy". An
+// existing dataset records its engine, and a reopen uses the recorded
+// one whatever WithEngine says.
 func WithEngine(name string) Option {
 	return func(c *config) { c.engine = name }
 }

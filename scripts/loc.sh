@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# thirty-four structural checks. Prints the non-test Go lines outside
+# thirty-five structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -129,7 +129,11 @@
 # is opened only at the format version its catalog.json names
 # (docs/FORMAT.md), so no reader of an older layout is kept — not the
 # pre-checksum commit-log migration, nor the sweep and id map hybrid
-# kept for datasets merge compaction touched.
+# kept for datasets merge compaction touched. Exits non-zero too if
+# non-test Go matches extents.json, data.heap, extMeta or StartSeq:
+# tuple-first and hybrid share one layout (segments.json, seg<id>.dat
+# and .dcz, commit logs named by their first commit), so neither keeps
+# a catalog file, a file name or a persisted log start of its own.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -396,6 +400,13 @@ stray=$(grep -rnE --include='*.go' 'migrateLegacy|sweepLogs|pre-crc' . | grep -v
 stray="$stray$(grep -rnE --include='*.go' '(^|[^[:alnum:]_])byID([^[:alnum:]_]|$)' internal/hy | grep -v '_test\.go:' || true)"
 if [ -n "$stray" ]; then
     echo "readers of older dataset formats are gone (open checks catalog.json's format version; a hybrid segment's id is its position):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'extents\.json|data\.heap|extMeta|StartSeq' . | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "tuple-first and hybrid share one on-disk layout (segments.json, seg<id>.dat|.dcz, logs b<branch>_s<space>_<first>.hist):" >&2
     echo "$stray" >&2
     exit 1
 fi

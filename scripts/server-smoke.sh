@@ -8,7 +8,10 @@
 # shuts the server down cleanly. A second, shorter phase serves a
 # version-first dataset and asserts that its point reads are served as
 # lookups and that the lineage cache still engages for its scans
-# (decibel.vf.lineage_cache_hits moves), with zero errors.
+# (decibel.vf.lineage_cache_hits moves), with zero errors. It serves
+# the dataset without -engine, so the cache hits also show that the
+# engine the dataset recorded opened it; after shutdown, stats must
+# name that engine.
 #
 # Usage: sh scripts/server-smoke.sh [latency.json]
 #
@@ -119,7 +122,7 @@ VF_ADDR="${VF_ADDR:-127.0.0.1:18528}"
 VF_DURATION="${VF_DURATION:-2s}"
 
 "$WORK/decibel" -dir "$WORK/data-vf" -engine vf init qty,price:float64,sku:bytes8
-"$WORK/decibel" -dir "$WORK/data-vf" -engine vf serve -addr "$VF_ADDR" &
+"$WORK/decibel" -dir "$WORK/data-vf" serve -addr "$VF_ADDR" &
 SRV_PID=$!
 
 i=0
@@ -150,4 +153,8 @@ if ! wait "$SRV_PID"; then
     exit 1
 fi
 SRV_PID=""
+"$WORK/decibel" -dir "$WORK/data-vf" stats | grep -Eq '^engine: +version-first ' || {
+    echo "server-smoke: stats does not name the recorded engine version-first" >&2
+    exit 1
+}
 echo "server-smoke: ok"

@@ -99,14 +99,12 @@ func TestZoneMapsLegacyRebuild(t *testing.T) {
 			}()
 
 			stripped := 0
-			for _, name := range []string{"extents.json", "segments.json"} {
-				matches, err := filepath.Glob(filepath.Join(dir, "tables", "*", name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, path := range matches {
-					stripped += stripZones(t, path)
-				}
+			matches, err := filepath.Glob(filepath.Join(dir, "tables", "*", "segments.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range matches {
+				stripped += stripZones(t, path)
 			}
 			if stripped == 0 {
 				t.Fatal("no zone entries found to strip — persistence broken?")
