@@ -130,7 +130,8 @@ func main() {
 		return
 	}
 	if err := run(*dir, *engine, *table, flag.Args()); err != nil {
-		fmt.Fprintln(os.Stderr, "decibel:", err)
+		// The facade's errors already name the program.
+		fmt.Fprintln(os.Stderr, "decibel:", strings.TrimPrefix(err.Error(), "decibel: "))
 		os.Exit(1)
 	}
 }
@@ -240,13 +241,7 @@ func branchSchema(db *decibel.DB, table, branch string) (*decibel.Schema, error)
 }
 
 func run(dir, engine, table string, args []string) error {
-	opts := []decibel.Option{decibel.WithEngine(engine)}
-	// compact runs a pass on demand; serve exposes POST /v1/compact.
-	// Both need the subsystem enabled in manual mode.
-	if args[0] == "compact" || args[0] == "serve" {
-		opts = append(opts, decibel.WithCompaction("manual"))
-	}
-	db, err := decibel.Open(dir, opts...)
+	db, err := decibel.Open(dir, decibel.WithEngine(engine))
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -380,5 +381,26 @@ func TestStatsPrintsRecordedEngine(t *testing.T) {
 	}
 	if out := cli("tf", "scan", "master"); !strings.Contains(out, "3 records") {
 		t.Fatalf("scan under -engine tf:\n%s", out)
+	}
+}
+
+// TestErrorPrefixOnce runs the CLI's main in a child process of the
+// test binary: an error that already names the program, like the
+// facade's unknown-engine error, is printed with one "decibel:" prefix.
+func TestErrorPrefixOnce(t *testing.T) {
+	if args := os.Getenv("DECIBEL_CLI_ARGS"); args != "" {
+		os.Args = append([]string{"decibel"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestErrorPrefixOnce$")
+	cmd.Env = append(os.Environ(), "DECIBEL_CLI_ARGS=-dir "+t.TempDir()+" -engine bogus init a")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("-engine bogus init a: exit %v, want status 1; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "unknown engine") || strings.Count(string(out), "decibel:") != 1 {
+		t.Fatalf("want one \"decibel:\" before the unknown-engine error, got:\n%s", out)
 	}
 }

@@ -184,3 +184,18 @@ func buildReopen(t *testing.T, dir, engine string, opts ...decibel.Option) *deci
 	t.Cleanup(func() { db.Close() })
 	return db
 }
+
+// TestCompactNeedsNoOption: Compact runs a pass on a dataset opened
+// without WithCompaction. A hybrid branch freezes master's head
+// segment, which the pass then compresses.
+func TestCompactNeedsNoOption(t *testing.T) {
+	db, _, _ := openSeeded(t, "hybrid")
+	defer db.Close()
+	if _, err := db.Branch("master", "dev"); err != nil {
+		t.Fatal(err)
+	}
+	st, err := db.Compact()
+	if err != nil || st.SegmentsCompressed == 0 {
+		t.Fatalf("Compact without the option: %+v, %v; want a compressed segment", st, err)
+	}
+}

@@ -37,10 +37,10 @@
 // Every scan has a Context form (OpenContext, RowsContext, ...) that
 // aborts promptly with ctx.Err() when the context is canceled.
 //
-// Compaction, which the paper does not have, is one call: a dataset
-// opened WithCompaction("manual") re-encodes its frozen segments into
-// compressed pages on DB.Compact. There is no background loop; a caller
-// that wants periodic passes calls Compact from its own ticker.
+// Compaction, which the paper does not have, is one call: DB.Compact
+// re-encodes a dataset's frozen segments into compressed pages. There
+// is no background loop; a caller that wants periodic passes calls
+// Compact from its own ticker.
 //
 // The three storage engines are chosen by name ("tuple-first",
 // "version-first", "hybrid", with short aliases "tf", "vf", "hy");

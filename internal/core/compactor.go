@@ -15,17 +15,13 @@ var (
 )
 
 // Compact runs one compaction pass over every relation
-// (Engine.CompactSegments), returning the aggregated stats. With
-// compaction off it is a no-op. A pass error stops at the failing
-// table and returns it with the stats accumulated so far. Every pass
-// feeds the process-wide expvar counters with what it installed, a
-// failed one included: a table whose catalog swap committed before the
-// error has reclaimed its bytes.
+// (Engine.CompactSegments), returning the aggregated stats. A pass
+// error stops at the failing table and returns it with the stats
+// accumulated so far. Every pass feeds the process-wide expvar counters
+// with what it installed, a failed one included: a table whose catalog
+// swap committed before the error has reclaimed its bytes.
 func (db *Database) Compact() (store.CompactStats, error) {
 	var agg store.CompactStats
-	if !db.opt.Compaction {
-		return agg, nil
-	}
 	if err := db.beginOp(); err != nil {
 		return agg, err
 	}

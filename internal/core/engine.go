@@ -141,9 +141,6 @@ type Options struct {
 	// compare against. Only the version-first engine consults it.
 	VFLineageCacheOff bool
 
-	// Compaction turns compaction on: Database.Compact runs a pass over
-	// every table. Off (the default), Compact is a no-op.
-	Compaction bool
 	// CompactionFailPoint, when set to store.FailAfterTemp or
 	// store.FailBeforeUnlink, aborts every compaction pass at that
 	// point, leaving disk as a crash there would: the crash-recovery
@@ -174,7 +171,9 @@ type Engines func(name string) (Factory, error)
 // then, at its branch point.
 //
 // Write operations address branch heads ("it is expected that most
-// operations will occur on the heads of the branches"). Reads go
+// operations will occur on the heads of the branches"), and the engine
+// that stored a head's uncommitted writes is the one that undoes them
+// (Rollback), as it does at open. Reads go
 // through exactly two methods, and neither sees a scan's shape: Live
 // says which slots of which slot space the requested versions hold —
 // the one thing the three schemes differ in — and LookupPK resolves one
@@ -208,6 +207,11 @@ type Engine interface {
 	// Delete removes the record with the given primary key from the
 	// branch head. Deleting an absent key is a no-op returning nil.
 	Delete(branch vgraph.BranchID, pk int64) error
+
+	// Rollback returns the branch head to commit to — its last commit,
+	// as the version graph holds it — undoing every write made to the
+	// head since: what an aborted transaction leaves behind.
+	Rollback(branch vgraph.BranchID, to *vgraph.Commit) error
 
 	// Live calls fn, under the engine lock, with the engine's slot
 	// spaces that hold a live slot in any of the versions, in scan
@@ -245,8 +249,7 @@ type Engine interface {
 	// segments into compressed pages in place — slot numbering
 	// preserved, so no bitmap, log or index entry changes — through the
 	// segment catalog's crash-safe loop (store.Catalog.Compact), which
-	// the engine gives only which segments qualify. Database.Compact
-	// calls it only with compaction on.
+	// the engine gives only which segments qualify.
 	CompactSegments() (store.CompactStats, error)
 
 	// Flush saves the catalog without closing: every segment's

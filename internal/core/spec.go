@@ -13,11 +13,11 @@ import (
 // predicates down to the raw form; the scan driver (scan.go) applies
 // the spec to every buffer a scan unit walks.
 //
-// A ScanSpec is single-use per scan: the projection reuses one scratch
-// record (and a Transient spec one view record), so it must not be
-// shared between concurrent scans. Records produced by Apply alias
-// either the engine's buffer or that scratch record and must be Cloned
-// to be retained, like every scan output.
+// A ScanSpec is single-use per scan: Apply hands out one record per
+// spec — the projection's scratch record, or a view it rebinds to each
+// row — so it must not be shared between concurrent scans. Records
+// produced by Apply alias the engine's buffer or that scratch record
+// and must be Cloned to be retained, like every scan output.
 type ScanSpec struct {
 	// schema is the table schema visible at epoch; Prep converts
 	// buffers stored under older physical layouts into it before Pred
@@ -33,8 +33,8 @@ type ScanSpec struct {
 	cols    []int          // source column index per output column
 	out     *record.Schema // projected schema (nil = no projection)
 	scratch *record.Record
-	// view, set by Transient, is the record Apply rebinds to each row
-	// instead of allocating one (nil: allocate per row).
+	// view is the record Apply rebinds to each row when the spec does
+	// not project, allocated by the first such row.
 	view *record.Record
 
 	// bounds are the planner's per-column interval constraints and
@@ -108,41 +108,26 @@ func (sp *ScanSpec) Prep(physCols int) (func(buf []byte) []byte, error) {
 }
 
 // Clone returns a spec sharing the compiled predicate, schema history
-// and resolved projection, but with its own projection scratch record
-// — the only stateful piece of a spec. Cloning per execution is what
+// and resolved projection, but with its own scratch or view record —
+// the only stateful piece of a spec. Cloning per execution is what
 // lets a compiled plan be reused instead of re-planned.
 func (sp *ScanSpec) Clone() *ScanSpec {
 	c := *sp
+	c.view = nil
 	if sp.out != nil {
 		c.scratch = record.New(sp.out)
-	}
-	if sp.view != nil {
-		c.view = new(record.Record)
 	}
 	return &c
 }
 
-// whole returns a Transient spec with sp's predicate and bounds and no
+// whole returns a spec with sp's predicate and bounds and no
 // projection: its rows are views of the whole walked buffer. A version
 // pair walks its left version under it, so that a row can be read
 // through the right version's spec too (pair.go).
 func (sp *ScanSpec) whole() *ScanSpec {
 	c := *sp
-	c.cols, c.out, c.scratch, c.view = nil, nil, nil, new(record.Record)
+	c.cols, c.out, c.scratch, c.view = nil, nil, nil, nil
 	return &c
-}
-
-// Transient marks the spec's consumer as one that keeps no record past
-// its callback — the query row terminals, whose records are valid until
-// the step returns, the grouped fold, and the join, which copies what it
-// keeps. Apply then rebinds one view record per spec clone instead of
-// allocating a record per row. A consumer that keeps what it is handed
-// (a transaction's rollback) leaves the spec unmarked. A projecting
-// spec needs no view: its output is already the one scratch record.
-func (sp *ScanSpec) Transient() {
-	if sp.out == nil {
-		sp.view = new(record.Record)
-	}
 }
 
 // Out returns the schema of the records the spec emits: the projected
@@ -165,10 +150,10 @@ func (sp *ScanSpec) Apply(buf []byte) (*record.Record, error) {
 	if sp.out != nil {
 		return sp.project(buf)
 	}
-	if sp.view != nil {
-		return sp.view, sp.view.Reset(sp.schema, buf)
+	if sp.view == nil {
+		sp.view = new(record.Record)
 	}
-	return record.FromBytes(sp.schema, buf)
+	return sp.view, sp.view.Reset(sp.schema, buf)
 }
 
 // project copies the projected columns of buf into the scratch record.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"maps"
 	"slices"
 
 	"decibel/internal/record"
@@ -14,8 +13,9 @@ import (
 
 // This file is the one place a name-based write is made safe: which
 // branch locks are taken in which order, how the head is re-read under
-// the lock, how an aborted transaction's writes are reverted, and when
-// the locks are released — strict two-phase locking (Section 2.2.3:
+// the lock, when an aborted transaction is handed to the engines to
+// undo (Engine.Rollback), and when the locks are released — strict
+// two-phase locking (Section 2.2.3:
 // "concurrent commits to a branch are prevented via the use of
 // two-phase locking"). The ID-based primitives (Commit, Branch) take no
 // branch lock; a transaction guards against them by checking, on every
@@ -108,7 +108,6 @@ type Tx struct {
 	// pending collects schema changes queued with AddColumn/DropColumn;
 	// they take effect atomically at commit and are discarded on abort.
 	pending []SchemaChange
-	touched map[*Table]map[int64]struct{} // keys written, for rollback
 }
 
 // Transact runs fn as one transaction against the named branch's head
@@ -126,11 +125,14 @@ type Tx struct {
 // ends.
 //
 // If fn, or the commit, fails, nothing is committed and the error is
-// returned: every key fn wrote is restored to its last committed state
-// before Transact returns, so an aborted transaction leaves no residue
-// on the branch head. Should that restoration itself fail, its error is
-// joined to the first; the head is then rolled back by recovery when
-// the dataset is next opened. Cancellation of ctx aborts the lock wait,
+// returned: before Transact returns, every table's engine returns the
+// branch head to its last commit (Engine.Rollback), so an aborted
+// transaction leaves no residue on the head. That undoes every
+// uncommitted write on the branch, not only fn's: one made through the
+// ID-based Table.Insert or Delete before the transaction goes too.
+// Should the rollback itself fail, its error is joined to the first;
+// the head is then rolled back by recovery when the dataset is next
+// opened. Cancellation of ctx aborts the lock wait,
 // every Tx operation and the commit handoff with ctx.Err(); the commit
 // itself, once handed to the engines, is not interruptible.
 func (db *Database) Transact(ctx context.Context, branch string, fn func(*Tx) error) (*vgraph.Commit, error) {
@@ -191,62 +193,25 @@ func (tx *Tx) table(name string, write bool) (*Table, error) {
 	return tx.db.TableByName(name)
 }
 
-// written returns the set of t's keys the transaction wrote, where
-// writes note their keys before they are made, for rollback should the
-// transaction abort. Noting a key the write then fails to touch is
-// harmless: reverting it restores the state it already has.
-func (tx *Tx) written(t *Table) map[int64]struct{} {
-	if tx.touched == nil {
-		tx.touched = make(map[*Table]map[int64]struct{})
-	}
-	keys := tx.touched[t]
-	if keys == nil {
-		keys = make(map[int64]struct{})
-		tx.touched[t] = keys
-	}
-	return keys
-}
-
-// rollback restores every key the transaction wrote to the branch's
-// last committed state: a point lookup of each key at the head commit
-// finds its committed record, which is re-inserted, or its absence, and
-// the key is deleted. It runs under context.WithoutCancel, so an abort
-// caused by cancellation still cleans up.
+// rollback returns the branch head of every table to the branch's last
+// commit, each through the engine that stored the writes, under the
+// close guard like every engine call. Every table is rolled back even
+// if one fails; the errors are joined.
 func (tx *Tx) rollback() error {
-	if len(tx.touched) == 0 {
-		return nil
-	}
 	headID, _ := tx.db.graph.Head(tx.branch.ID)
 	head, ok := tx.db.graph.Commit(headID)
 	if !ok {
 		return fmt.Errorf("%w: commit %d", ErrNoSuchCommit, headID)
 	}
-	ctx := context.WithoutCancel(tx.ctx)
-	for t, keys := range tx.touched {
-		spec, err := NewScanSpecAt(t.hist, head.SchemaVer, nil, nil)
-		if err != nil {
-			return err
-		}
-		for _, pk := range slices.Sorted(maps.Keys(keys)) {
-			var committed *record.Record
-			err := t.LookupPKContext(ctx, Version{Commit: head}, pk, spec, func(rec *record.Record) bool {
-				committed = rec
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			if committed != nil {
-				err = t.Insert(tx.branch.ID, committed)
-			} else {
-				err = t.Delete(tx.branch.ID, pk)
-			}
-			if err != nil {
-				return err
-			}
-		}
+	if err := tx.db.beginOp(); err != nil {
+		return err
 	}
-	return nil
+	defer tx.db.endOp()
+	var errs []error
+	for _, t := range tx.db.Tables() {
+		errs = append(errs, t.engine.Rollback(tx.branch.ID, head))
+	}
+	return errors.Join(errs...)
 }
 
 // Insert upserts a record into the transaction's branch head.
@@ -255,7 +220,6 @@ func (tx *Tx) Insert(table string, rec *record.Record) error {
 	if err != nil {
 		return err
 	}
-	tx.written(t)[rec.PK()] = struct{}{}
 	return t.Insert(tx.branch.ID, rec)
 }
 
@@ -269,10 +233,6 @@ func (tx *Tx) InsertBatch(table string, recs []*record.Record) error {
 	if err != nil {
 		return err
 	}
-	keys := tx.written(t)
-	for _, rec := range recs {
-		keys[rec.PK()] = struct{}{}
-	}
 	return t.InsertBatch(tx.branch.ID, recs)
 }
 
@@ -283,7 +243,6 @@ func (tx *Tx) Delete(table string, pk int64) error {
 	if err != nil {
 		return err
 	}
-	tx.written(t)[pk] = struct{}{}
 	return t.Delete(tx.branch.ID, pk)
 }
 

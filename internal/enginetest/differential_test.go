@@ -39,9 +39,7 @@ func newHarness(t *testing.T, poolPages int) *harness {
 	t.Helper()
 	h := &harness{t: t, schema: testSchema(), dbs: make(map[string]*core.Database),
 		opens: make(map[string]func() (*core.Database, error)), model: NewModel(testSchema())}
-	// Manual compaction, so compaction steps re-encode frozen segments.
-	opt := core.Options{PageSize: 4096, PoolPages: poolPages,
-		Compaction: true}
+	opt := core.Options{PageSize: 4096, PoolPages: poolPages}
 	for _, name := range []string{"tuple-first", "version-first", "hybrid"} {
 		factory := hy.TupleFirstFactory
 		switch name {
@@ -276,23 +274,6 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 			got := h.branchScanSet(h.dbs[n], br.ID)
 			if !setsEqual(got, want) {
 				h.t.Errorf("%s: branch %s scan mismatch: %s", n, br.Name, describeSetDiff(got, want))
-				if n == "version-first" {
-					tbl, _ := h.dbs[n].Table("t")
-					eng := tbl.Engine().(*vf.Engine)
-					h.t.Log(eng.DumpLineage(br.ID))
-					for k := range got {
-						if !want[k] {
-							rec, _ := record.FromBytes(h.schema, []byte(k))
-							h.t.Logf("extra pk=%d:\n%s", rec.PK(), eng.DumpKey(rec.PK()))
-						}
-					}
-					for k := range want {
-						if !got[k] {
-							rec, _ := record.FromBytes(h.schema, []byte(k))
-							h.t.Logf("missing pk=%d:\n%s", rec.PK(), eng.DumpKey(rec.PK()))
-						}
-					}
-				}
 			}
 		}
 	}

@@ -42,8 +42,7 @@ func TestVFShrink(t *testing.T) {
 
 func tryVF(t *testing.T, seed int64, ops int) ([]string, bool) {
 	dir := t.TempDir()
-	opt := core.Options{PageSize: 4096, PoolPages: 16,
-		Compaction: true}
+	opt := core.Options{PageSize: 4096, PoolPages: 16}
 	db, err := core.Open(dir, "", only(vf.Factory), opt)
 	if err != nil {
 		t.Fatal(err)

@@ -412,15 +412,10 @@ func (e *Engine) Branch(child *vgraph.Branch, from *vgraph.Commit) error {
 // the graph logged it and the process died — it has no head segment
 // either and gets one, and the parent a fresh one, as a new branch does.
 func (e *Engine) branchLocked(child vgraph.BranchID, from *vgraph.Commit) error {
-	parent := from.Branch
-	snap, err := e.checkoutLocked(parent, from.Seq)
-	if err != nil {
+	if err := e.rollbackLocked(child, from); err != nil {
 		return e.errorf("branch %d from commit %d: %w", child, from.ID, err)
 	}
-	// The version index already holds every position the snapshot can
-	// name, so the bitmaps are all a branch needs — from a historical
-	// commit as much as from the head.
-	e.live[child] = snap
+	parent := from.Branch
 	if _, seen := e.headSeg[child]; seen || e.chained {
 		return nil
 	}
@@ -442,6 +437,35 @@ func (e *Engine) branchLocked(child vgraph.BranchID, from *vgraph.Commit) error 
 	}
 	e.headSeg[child] = nc.ID
 	return e.cat.Save()
+}
+
+// Rollback implements core.Engine. The rows written since to stay in
+// the segments as dead slots. In the usual abort, to is the branch's
+// newest commit, whose bitmaps the logs keep in memory, so no file is
+// read or written.
+func (e *Engine) Rollback(branch vgraph.BranchID, to *vgraph.Commit) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.rollbackLocked(branch, to)
+}
+
+// rollbackLocked sets b's bitmaps to their snapshot at commit to — b's
+// own, or its branch point on the parent — as a new branch, a branch
+// recreated at open and an aborted transaction all get them. The
+// version index already holds every position a snapshot can name. Each
+// log of b keeps a bitmap, empty or not: b's next commit appends to it.
+func (e *Engine) rollbackLocked(b vgraph.BranchID, to *vgraph.Commit) error {
+	snap, err := e.checkoutLocked(to.Branch, to.Seq)
+	if err != nil {
+		return err
+	}
+	for k := range e.logs {
+		if k.Branch == b {
+			bitmapIn(snap, k.Seg)
+		}
+	}
+	e.live[b] = snap
+	return nil
 }
 
 // Commit implements core.Engine: append each of the branch's bitmaps'

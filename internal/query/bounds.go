@@ -81,7 +81,7 @@ func boundsLeaf(e Expr, sc colScope) boundSet {
 	b := &core.Bound{Col: i, Type: c.Type}
 	switch c.Type {
 	case record.Int32, record.Int64:
-		v, ok := asInt64(e.val)
+		v, ok := record.AsInt64(e.val)
 		if !ok {
 			return nil
 		}
@@ -107,7 +107,7 @@ func boundsLeaf(e Expr, sc colScope) boundSet {
 			return nil
 		}
 	case record.Float64:
-		v, ok := asFloat64(e.val)
+		v, ok := record.AsFloat64(e.val)
 		if !ok || math.IsNaN(v) {
 			return nil
 		}
@@ -123,7 +123,7 @@ func boundsLeaf(e Expr, sc colScope) boundSet {
 			return nil
 		}
 	case record.Bytes:
-		v, ok := asBytes(e.val)
+		v, ok := record.AsBytes(e.val)
 		if !ok {
 			return nil
 		}

@@ -365,14 +365,12 @@ func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, er
 	}
 	// The spec carries only the predicate and its pruning bounds: a
 	// Select projection constrains the group columns at compile time but
-	// does not restrict what the fold reads. The fold keeps no row, so
-	// the spec is Transient.
+	// does not restrict what the fold reads.
 	spec, err := core.NewScanSpecAt(c.table.History(), c.epoch, c.pred, nil)
 	if err != nil {
 		return nil, err
 	}
 	spec.SetBounds(c.bounds)
-	spec.Transient()
 	return fold, c.table.ScanUnitsContext(ctx, c.request(c.shape()), spec, c,
 		func(rec *record.Record, _ core.UnitAux) bool { fold.one[0] = rec; fold.add(fold.one[:]); return true })
 }

@@ -507,8 +507,8 @@ func (jp *joinPlan) runVersions(ctx context.Context, fn func(JoinTuple) bool) er
 		lone         []*record.Record
 	)
 	legs := [2]core.PairLeg{
-		{V: l.version(), Spec: l.walkSpec(), Planes: l},
-		{V: r.version(), Spec: r.walkSpec(), Planes: r},
+		{V: l.version(), Spec: l.execSpec(), Planes: l},
+		{V: r.version(), Spec: r.execSpec(), Planes: r},
 	}
 	err := l.table.PairContext(ctx, legs, func(lrec, rrec *record.Record) {
 		switch {

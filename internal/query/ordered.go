@@ -265,7 +265,7 @@ func (c *Compiled) orderedVisit(ctx context.Context, req core.ScanRequest, keep 
 	worse := boundWorse(ctype, desc, c.orderIdx)
 	h := &visitHeap{cmp: vcmp}
 	// One runner serves every visited unit.
-	runner := core.NewUnitRunner(ctx, c.walkSpec(), func(rec *record.Record, aux core.UnitAux) bool {
+	runner := core.NewUnitRunner(ctx, c.execSpec(), func(rec *record.Record, aux core.UnitAux) bool {
 		if keep != nil && !keep(aux) {
 			return true
 		}

@@ -254,18 +254,8 @@ func (c *Compiled) OutSchema() *record.Schema { return c.proto.Out() }
 func (c *Compiled) Epoch() int { return c.epoch }
 
 // execSpec returns the scan spec for one execution: the compiled
-// prototype, cloned so each run owns its projection scratch.
+// prototype, cloned so each run owns its scratch or view record.
 func (c *Compiled) execSpec() *core.ScanSpec { return c.proto.Clone() }
-
-// walkSpec is execSpec for a walk whose consumer keeps no record past
-// its step: every row terminal, whose records are valid until the step
-// returns (Clone to keep), the join, which copies what it keeps, and
-// the ordered visit's top-k heap, which does too.
-func (c *Compiled) walkSpec() *core.ScanSpec {
-	sp := c.proto.Clone()
-	sp.Transient()
-	return sp
-}
 
 // PlaneNodes implements core.PlaneSource for the plan's predicate
 // (planeProgram). A scan asks for it when it first meets a dcz page,
@@ -342,7 +332,7 @@ func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(
 	if keep != nil {
 		fn = func(rec *record.Record, aux core.UnitAux) bool { return !keep(aux) || emit(rec, aux) }
 	}
-	return c.table.ScanUnitsContext(ctx, req, c.walkSpec(), c, fn)
+	return c.table.ScanUnitsContext(ctx, req, c.execSpec(), c, fn)
 }
 
 // Scan executes a single-version scan (Query 1): the branch head, or
@@ -351,9 +341,6 @@ func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(
 // engine's LookupPK (a point lookup) of that version instead of a
 // segment scan; the full predicate and projection still run on the
 // looked-up record, so the result is identical.
-//
-// The point lookup runs a plain spec clone, which allocates no view
-// record when it projects; the walk runs a Transient one.
 func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.rowShape("Rows", false); err != nil {
 		return err

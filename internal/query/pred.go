@@ -315,7 +315,7 @@ func compileLeaf(e Expr, sc colScope) (RawPredicate, error) {
 		if e.op == OpPrefix {
 			return nil, fmt.Errorf("%w: prefix match on %v column %q", core.ErrTypeMismatch, c.Type, e.col)
 		}
-		want, ok := asInt64(e.val)
+		want, ok := record.AsInt64(e.val)
 		if !ok {
 			return nil, fmt.Errorf("%w: %v column %q compared to %T", core.ErrTypeMismatch, c.Type, e.col, e.val)
 		}
@@ -333,7 +333,7 @@ func compileLeaf(e Expr, sc colScope) (RawPredicate, error) {
 		if e.op == OpPrefix {
 			return nil, fmt.Errorf("%w: prefix match on DOUBLE column %q", core.ErrTypeMismatch, e.col)
 		}
-		want, ok := asFloat64(e.val)
+		want, ok := record.AsFloat64(e.val)
 		if !ok {
 			return nil, fmt.Errorf("%w: DOUBLE column %q compared to %T", core.ErrTypeMismatch, e.col, e.val)
 		}
@@ -343,7 +343,7 @@ func compileLeaf(e Expr, sc colScope) (RawPredicate, error) {
 		}, nil
 
 	case record.Bytes:
-		want, ok := asBytes(e.val)
+		want, ok := record.AsBytes(e.val)
 		if !ok {
 			return nil, fmt.Errorf("%w: BYTES column %q compared to %T", core.ErrTypeMismatch, e.col, e.val)
 		}
@@ -399,53 +399,5 @@ func floatCmp(op Op) func(a, b float64) bool {
 		return func(a, b float64) bool { return a > b }
 	default:
 		return func(a, b float64) bool { return a >= b }
-	}
-}
-
-func asInt64(v any) (int64, bool) {
-	switch n := v.(type) {
-	case int:
-		return int64(n), true
-	case int8:
-		return int64(n), true
-	case int16:
-		return int64(n), true
-	case int32:
-		return int64(n), true
-	case int64:
-		return n, true
-	case uint8:
-		return int64(n), true
-	case uint16:
-		return int64(n), true
-	case uint32:
-		return int64(n), true
-	default:
-		return 0, false
-	}
-}
-
-func asFloat64(v any) (float64, bool) {
-	switch n := v.(type) {
-	case float64:
-		return n, true
-	case float32:
-		return float64(n), true
-	default:
-		if i, ok := asInt64(v); ok {
-			return float64(i), true
-		}
-		return 0, false
-	}
-}
-
-func asBytes(v any) ([]byte, bool) {
-	switch b := v.(type) {
-	case []byte:
-		return b, true
-	case string:
-		return []byte(b), true
-	default:
-		return nil, false
 	}
 }

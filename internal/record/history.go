@@ -189,7 +189,7 @@ func encodeValue(c Column, v any, buf []byte) error {
 	}
 	switch c.Type {
 	case Int32, Int64:
-		n, ok := asDefInt(v)
+		n, ok := AsInt64(v)
 		if !ok {
 			return fmt.Errorf("record: %T value does not fit %v column %q", v, c.Type, c.Name)
 		}
@@ -202,28 +202,14 @@ func encodeValue(c Column, v any, buf []byte) error {
 			binary.LittleEndian.PutUint64(buf, uint64(n))
 		}
 	case Float64:
-		var f float64
-		switch x := v.(type) {
-		case float64:
-			f = x
-		case float32:
-			f = float64(x)
-		default:
-			n, ok := asDefInt(v)
-			if !ok {
-				return fmt.Errorf("record: %T value does not fit DOUBLE column %q", v, c.Name)
-			}
-			f = float64(n)
+		f, ok := AsFloat64(v)
+		if !ok {
+			return fmt.Errorf("record: %T value does not fit DOUBLE column %q", v, c.Name)
 		}
 		binary.LittleEndian.PutUint64(buf, math.Float64bits(f))
 	case Bytes:
-		var b []byte
-		switch x := v.(type) {
-		case []byte:
-			b = x
-		case string:
-			b = []byte(x)
-		default:
+		b, ok := AsBytes(v)
+		if !ok {
 			return fmt.Errorf("record: %T value does not fit BYTES column %q", v, c.Name)
 		}
 		if len(b) > c.Size {
@@ -237,7 +223,11 @@ func encodeValue(c Column, v any, buf []byte) error {
 	return nil
 }
 
-func asDefInt(v any) (int64, bool) {
+// AsInt64, AsFloat64 and AsBytes are the one coercion of a Go value to
+// a column type's value, shared by every writer (defaults, SetValue)
+// and the query layer's predicate literals. AsInt64 takes the signed
+// integer types and the unsigned ones narrower than 64 bits.
+func AsInt64(v any) (int64, bool) {
 	switch n := v.(type) {
 	case int:
 		return int64(n), true
@@ -258,6 +248,29 @@ func asDefInt(v any) (int64, bool) {
 	default:
 		return 0, false
 	}
+}
+
+// AsFloat64 takes float64, float32 and every integer AsInt64 takes.
+func AsFloat64(v any) (float64, bool) {
+	switch n := v.(type) {
+	case float64:
+		return n, true
+	case float32:
+		return float64(n), true
+	}
+	i, ok := AsInt64(v)
+	return float64(i), ok
+}
+
+// AsBytes takes []byte and string.
+func AsBytes(v any) ([]byte, bool) {
+	switch b := v.(type) {
+	case []byte:
+		return b, true
+	case string:
+		return []byte(b), true
+	}
+	return nil, false
 }
 
 // AddColumn appends a column at the given epoch with a default value

@@ -299,10 +299,9 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) error {
 }
 
 // handleCompact is POST /v1/compact: run one compaction pass over the
-// whole dataset and report what it accomplished. With compaction
-// disabled on the database the pass is a no-op returning zeros. The
-// pass runs inline on the request — concurrent reads keep serving off
-// their pinned segment snapshots throughout.
+// whole dataset and report what it accomplished. The pass runs inline
+// on the request — concurrent reads keep serving off their pinned
+// segment snapshots throughout.
 func (s *Server) handleCompact(w http.ResponseWriter, r *http.Request) error {
 	st, err := s.db.Compact()
 	if err != nil {

@@ -27,7 +27,7 @@ type deriveHistory struct {
 }
 
 func (h *deriveHistory) open() {
-	db, err := core.Open(h.dir, "", only, core.Options{PageSize: 4096, PoolPages: 16, Compaction: true})
+	db, err := core.Open(h.dir, "", only, core.Options{PageSize: 4096, PoolPages: 16})
 	if err != nil {
 		h.t.Fatal(err)
 	}

@@ -9,6 +9,8 @@ package vf
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"decibel/internal/bitmap"
@@ -451,6 +453,11 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	if err != nil {
 		return err
 	}
+	return e.tombstoneLocked(s, pk)
+}
+
+// tombstoneLocked appends a tombstone for pk to segment s.
+func (e *Engine) tombstoneLocked(s *segment, pk int64) error {
 	slot, err := s.AppendTombstone(pk)
 	if err != nil {
 		return err
@@ -458,6 +465,55 @@ func (e *Engine) Delete(branch vgraph.BranchID, pk int64) error {
 	p := pos{Seg: s.ID, Slot: slot}
 	e.vers.Push(pk, p)
 	e.markDead(p)
+	return nil
+}
+
+// Rollback implements core.Engine. Segment files only grow, and a
+// position is never reused while the process lives, so the head is not
+// cut back: each key written since to gets to's copy appended, or a
+// tombstone where to holds none. The keys are those of the head's slots
+// past to's offset when to lies in the head segment, of all its slots
+// otherwise (a fresh branch, or a head rotated or relinked since).
+func (e *Engine) Rollback(branch vgraph.BranchID, to *vgraph.Commit) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s, cut, err := e.headLocked(branch)
+	if err != nil {
+		return err
+	}
+	at, err := e.versionPosLocked(core.Version{Commit: to})
+	if err != nil {
+		return err
+	}
+	from := int64(0)
+	if at.Seg == s.ID {
+		from = at.Slot
+	}
+	dead := make(map[int64]bool) // by each key's newest write
+	err = s.File.Scan(from, cut, func(_ int64, buf []byte) bool {
+		dead[record.PKOf(buf)] = record.TombstoneOf(buf)
+		return true
+	})
+	if err != nil || len(dead) == 0 {
+		return err
+	}
+	plan, err := e.planLocked(at)
+	if err != nil {
+		return err
+	}
+	for _, pk := range slices.Sorted(maps.Keys(dead)) {
+		if p := e.vers.Find(pk, plan.has); p != store.NoPos {
+			rec := record.New(e.cat.Segs[p.Seg].Schema)
+			if err = e.cat.Segs[p.Seg].File.Read(p.Slot, rec.Bytes()); err == nil {
+				err = e.appendLocked(s, rec)
+			}
+		} else if !dead[pk] {
+			err = e.tombstoneLocked(s, pk)
+		}
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -64,12 +64,9 @@ func WithFsync(on bool) Option {
 // benchmark/ladder.go stop calling it.
 func WithScanWorkers(int) Option { return func(*config) {} }
 
-// WithCompaction turns compaction on with mode "manual": a pass, which
-// re-encodes frozen segments into compressed pages, runs on DB.Compact,
-// the CLI's `compact` subcommand or the server's /v1/compact endpoint.
-// Any other mode, "off" (the default) included, leaves compaction off
-// and DB.Compact a no-op. For periodic passes, call DB.Compact from a
-// time.Ticker.
-func WithCompaction(mode string) Option {
-	return func(c *config) { c.opt.Compaction = mode == "manual" }
-}
+// WithCompaction does nothing: DB.Compact runs a pass on every
+// dataset, whatever the option says.
+//
+// Deprecated: kept only until benchmark/workloads.go and
+// benchmark/ladder.go stop calling it.
+func WithCompaction(string) Option { return func(*config) {} }

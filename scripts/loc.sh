@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# thirty-five structural checks. Prints the non-test Go lines outside
+# thirty-six structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -14,8 +14,9 @@
 # which syncs what WithFsync promises, and through nothing else. Exits non-zero too
 # if a branch lock is taken — lockBranches( — in non-test Go code
 # outside internal/core/tx.go, or if NewSession( appears in any Go file:
-# the write protocol (lock order, head re-read under the lock, rollback
-# of an aborted transaction) lives in core's Tx and nowhere else. Exits
+# the write protocol (lock order, head re-read under the lock, handing
+# an aborted transaction to the engines to undo) lives in core's Tx and
+# nowhere else. Exits
 # non-zero too if internal/lock/ exists, or if non-test Go matches
 # lock.Manager, lock.Shared, lock.Exclusive, ErrTimeout, DefaultTimeout,
 # nextTxn or ReleaseAll: a branch lock is one exclusive channel per
@@ -134,6 +135,13 @@
 # tuple-first and hybrid share one layout (segments.json, seg<id>.dat
 # and .dcz, commit logs named by their first commit), so neither keeps
 # a catalog file, a file name or a persisted log start of its own.
+# Exits non-zero too if non-test Go matches tx.touched, "func (tx *Tx)
+# written", Opt.Compaction or Options.Compaction, "func asDefInt" or
+# "func asInt64(": a transaction keeps no write set (the engine that
+# stored an aborted transaction undoes it, Engine.Rollback), compaction
+# has no mode (Compact runs a pass on any dataset), and a Go value is
+# coerced to a column type's value once, by record.AsInt64, AsFloat64
+# and AsBytes.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -407,6 +415,13 @@ fi
 stray=$(grep -rnE --include='*.go' 'extents\.json|data\.heap|extMeta|StartSeq' . | grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "tuple-first and hybrid share one on-disk layout (segments.json, seg<id>.dat|.dcz, logs b<branch>_s<space>_<first>.hist):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'tx\.touched|func \(tx \*Tx\) written|Opt(ions)?\.Compaction\b|func asDefInt|func asInt64\(' . | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "an aborted transaction is undone by its engines (Engine.Rollback), compaction has no mode, and value coercion is record.As*:" >&2
     echo "$stray" >&2
     exit 1
 fi
