@@ -727,8 +727,8 @@ func runSelect(db *decibel.DB, table string, args []string) error {
 	switch {
 	case *diff != "":
 		// The positive diff of Query 2, with -where evaluated inside the
-		// engines' XOR/lineage diff scans (predicate pushdown) and
-		// -cols/-order/-limit applied to the emitted side.
+		// scan units that walk a AND NOT b (predicate pushdown) and
+		// -cols/-order/-limit applied to their rows.
 		a, b, ok := strings.Cut(*diff, ",")
 		if !ok || a == "" || b == "" {
 			return fmt.Errorf("-diff wants two branch names: -diff a,b")

@@ -11,10 +11,12 @@ import (
 // expresses a version the same way — one bitmap of live slots per slot
 // space — that mapping is all an engine answers (Engine.Live). Turning
 // the bitmaps of the versions a scan reads into scan units is done
-// here, once: a single version walks its bitmap, a diff the XOR of its
-// two sides' with the side read from A's, a multi-branch scan the OR of
-// the k versions' with each row's membership read from all k. A merge's
-// key discovery is the same XOR, against the LCA (Merge.Changed).
+// here, once: a single version walks its bitmap; a positive diff
+// (Query 2) walks A AND NOT B, so no slot of B's alone is visited; a
+// symmetric diff walks the XOR of its two sides' with the side read
+// from A's; a multi-branch scan walks the OR of the k versions' with
+// each row's membership read from all k. A merge's key discovery is
+// the same XOR, against the LCA (Merge.Changed).
 
 // Version is one version a read addresses: Commit when it is set, the
 // head of Branch otherwise.
@@ -25,13 +27,13 @@ type Version struct {
 
 // versions returns the versions the request reads, in the order the
 // combine rules index them: the one version of a branch or commit
-// scan, A then B for a diff, the requested heads for a multi-branch
-// scan.
+// scan, A then B for either diff, the requested heads for a
+// multi-branch scan.
 func (r ScanRequest) versions() []Version {
 	switch r.Kind {
 	case ScanKindCommit:
 		return []Version{{Commit: r.Commit}}
-	case ScanKindDiff:
+	case ScanKindDiff, ScanKindPositiveDiff:
 		return []Version{{Branch: r.A}, {Branch: r.B}}
 	case ScanKindMulti:
 		vs := make([]Version, len(r.Branches))
@@ -165,6 +167,18 @@ func combine(kind ScanKind, sp *SlotSpace) (u ScanUnit, ok bool) {
 		u.side = empty
 		if a != nil {
 			u.side = sp.keep(a)
+		}
+	case ScanKindPositiveDiff:
+		a := sp.Live[0]
+		if a == nil {
+			return u, false
+		}
+		u.live = a.Clone()
+		if b := sp.Live[1]; b != nil {
+			u.live.AndNot(b)
+		}
+		if !u.live.Any() {
+			return u, false
 		}
 	case ScanKindMulti:
 		for i, bm := range sp.Live {

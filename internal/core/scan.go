@@ -31,8 +31,12 @@ const (
 	ScanKindCommit
 	// ScanKindMulti is a multi-branch scan with membership (Query 4).
 	ScanKindMulti
-	// ScanKindDiff is a symmetric branch diff (Query 2).
+	// ScanKindDiff is a symmetric branch diff: the records live in
+	// exactly one of A and B, each marked with its side.
 	ScanKindDiff
+	// ScanKindPositiveDiff is the positive diff of Query 2: the records
+	// live in A but not in B.
+	ScanKindPositiveDiff
 )
 
 // ScanRequest names one scan for partitioning: the shape plus the
@@ -43,16 +47,16 @@ type ScanRequest struct {
 	Branch   vgraph.BranchID   // ScanKindBranch
 	Commit   *vgraph.Commit    // ScanKindCommit
 	Branches []vgraph.BranchID // ScanKindMulti
-	A, B     vgraph.BranchID   // ScanKindDiff
+	A, B     vgraph.BranchID   // ScanKindDiff, ScanKindPositiveDiff
 }
 
 // UnitAux carries the per-record annotations of the non-plain callback
-// shapes: InA for diff scans, Member for multi-branch scans. Member is
-// the runner's scratch — like the record, it must be Cloned to be
-// retained across calls.
+// shapes: InA for symmetric diff scans, Member for multi-branch scans.
+// Member is the runner's scratch — like the record, it must be Cloned
+// to be retained across calls.
 type UnitAux struct {
-	// InA says the unit's side bitmap holds the row's slot: diff side
-	// A's, or in a version pair's first walk the second version's.
+	// InA says the unit's side bitmap holds the row's slot: a symmetric
+	// diff's A's, or in a version pair's first walk the second version's.
 	InA    bool
 	Member *bitmap.Bitmap
 }

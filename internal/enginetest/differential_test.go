@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"decibel/internal/bitmap"
@@ -295,7 +296,8 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 			}
 		}
 	}
-	// Diffs (sampled pairs): each (row, side) exactly once.
+	// Diffs (sampled pairs): each (row, side) exactly once; the
+	// positive diff is the A side alone, each row once.
 	for i := 0; i < 4 && len(branches) >= 2; i++ {
 		a := branches[r.Intn(len(branches))].ID
 		b := branches[r.Intn(len(branches))].ID
@@ -303,6 +305,12 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 			continue
 		}
 		want := h.model.Diff(a, b)
+		wantA := make(map[string]bool)
+		for k := range want {
+			if row, ok := strings.CutSuffix(k, "\x00A"); ok {
+				wantA[row] = true
+			}
+		}
 		for _, n := range h.names {
 			tbl, _ := h.dbs[n].Table("t")
 			got := make(map[string]int)
@@ -321,6 +329,19 @@ func (h *harness) verify(r *rand.Rand, commits []*vgraph.Commit) {
 			}
 			if !setsEqual(keySet(got), want) {
 				h.t.Errorf("%s: diff(%d,%d) mismatch: %s", n, a, b, describeSetDiff(keySet(got), want))
+			}
+			gotA := make(map[string]int)
+			if err := scanPositiveDiff(tbl, a, b, func(rec *record.Record) bool {
+				gotA[string(rec.Bytes())]++
+				return true
+			}); err != nil {
+				h.t.Fatalf("%s positive diff: %v", n, err)
+			}
+			if dup := repeated(gotA); dup > 0 {
+				h.t.Errorf("%s: positive diff(%d,%d) emitted %d rows more than once", n, a, b, dup)
+			}
+			if !setsEqual(keySet(gotA), wantA) {
+				h.t.Errorf("%s: positive diff(%d,%d) mismatch: %s", n, a, b, describeSetDiff(keySet(gotA), wantA))
 			}
 		}
 	}

@@ -80,6 +80,12 @@ func scanDiff(tbl *core.Table, a, b vgraph.BranchID, fn func(rec *record.Record,
 		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.InA) })
 }
 
+// scanPositiveDiff emits the records live in a's head but not b's.
+func scanPositiveDiff(tbl *core.Table, a, b vgraph.BranchID, fn func(*record.Record) bool) error {
+	return scanReq(tbl, core.ScanRequest{Kind: core.ScanKindPositiveDiff, A: a, B: b}, max(tbl.BranchEpoch(a), tbl.BranchEpoch(b)),
+		func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
+}
+
 // scanMulti emits the records live in any of the branch heads with
 // their membership bitmap (bit i = branches[i]).
 func scanMulti(tbl *core.Table, branches []vgraph.BranchID, fn func(*record.Record, *bitmap.Bitmap) bool) error {

@@ -86,29 +86,28 @@ func (c *Compiled) EmitRows(ctx context.Context, fn core.ScanFunc) error {
 	if _, point := c.pointPK(); point && kind != core.ScanKindMulti {
 		return c.Scan(ctx, fn)
 	}
-	return c.emitRows(ctx, c.request(kind), nil, fn)
+	return c.emitRows(ctx, c.request(kind), fn)
 }
 
 // EmitDiffRows runs the plan's positive-diff terminal with
-// OrderBy/Limit applied (under the ordered visit the diff partition's
-// B-side units run, but their rows fail the keep filter, exactly as in
-// the plain diff).
+// OrderBy/Limit applied. Its partition walks A AND NOT B, so only the
+// rows the diff returns are read: no slot live in B alone is visited.
 func (c *Compiled) EmitDiffRows(ctx context.Context, fn core.ScanFunc) error {
 	if err := c.rowShape("Diff", true); err != nil {
 		return err
 	}
-	return c.emitRows(ctx, c.request(core.ScanKindDiff), keepInA, fn)
+	return c.emitRows(ctx, c.request(core.ScanKindPositiveDiff), fn)
 }
 
-// emitRows runs one row scan of req, keep selecting the rows that
-// count, and applies the plan's OrderBy/Limit to its output.
-func (c *Compiled) emitRows(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, fn core.ScanFunc) error {
+// emitRows runs one row scan of req and applies the plan's
+// OrderBy/Limit to its output.
+func (c *Compiled) emitRows(ctx context.Context, req core.ScanRequest, fn core.ScanFunc) error {
 	limit := c.plan.Limit
 	if c.Ordered() && limit > 0 {
-		return c.orderedVisit(ctx, req, keep, fn)
+		return c.orderedVisit(ctx, req, fn)
 	}
 	scan := func(f core.ScanFunc) error {
-		return c.runRows(ctx, req, keep, func(rec *record.Record, _ core.UnitAux) bool { return f(rec) })
+		return c.runRows(ctx, req, func(rec *record.Record, _ core.UnitAux) bool { return f(rec) })
 	}
 	if !c.Ordered() {
 		if limit <= 0 {

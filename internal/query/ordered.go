@@ -184,7 +184,7 @@ func boundWorse(ctype record.Type, desc bool, orderIdx int) func(bound unitBound
 }
 
 // visitRec is one retained row tagged with its sequential arrival
-// coordinate: (unit index, position among the unit's kept rows).
+// coordinate: (unit index, position among the rows the unit delivered).
 type visitRec struct {
 	rec  *record.Record
 	unit int
@@ -214,7 +214,7 @@ func (h *visitHeap) Pop() any {
 
 // orderedVisit drives one OrderBy+Limit row terminal as an order-aware
 // unit walk.
-func (c *Compiled) orderedVisit(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, fn core.ScanFunc) error {
+func (c *Compiled) orderedVisit(ctx context.Context, req core.ScanRequest, fn core.ScanFunc) error {
 	units, release, _, err := c.table.PartitionUnits(req)
 	if err != nil {
 		return err
@@ -264,18 +264,19 @@ func (c *Compiled) orderedVisit(ctx context.Context, req core.ScanRequest, keep 
 	}
 	worse := boundWorse(ctype, desc, c.orderIdx)
 	h := &visitHeap{cmp: vcmp}
-	// One runner serves every visited unit.
-	runner := core.NewUnitRunner(ctx, c.execSpec(), func(rec *record.Record, aux core.UnitAux) bool {
-		if keep != nil && !keep(aux) {
-			return true
-		}
+	// One runner serves every visited unit. Only a filling heap clones:
+	// a row that displaces the root is copied into the evicted root's
+	// record, whose bytes fit, since every row of the visit is laid out
+	// in the spec's output schema.
+	runner := core.NewUnitRunner(ctx, c.execSpec(), func(rec *record.Record, _ core.UnitAux) bool {
 		r := visitRec{rec: rec, unit: h.unit, seq: h.seq}
 		h.seq++
 		if h.Len() < limit {
 			r.rec = rec.Clone()
 			heap.Push(h, r)
 		} else if vcmp(r, h.recs[0]) < 0 {
-			r.rec = rec.Clone()
+			r.rec = h.recs[0].rec
+			copy(r.rec.Bytes(), rec.Bytes())
 			h.recs[0] = r
 			heap.Fix(h, 0)
 		}

@@ -317,22 +317,17 @@ func (c *Compiled) request(kind core.ScanKind) core.ScanRequest {
 		for i, b := range c.branches {
 			req.Branches[i] = b.ID
 		}
-	case core.ScanKindDiff:
+	case core.ScanKindDiff, core.ScanKindPositiveDiff:
 		req.A, req.B = c.branches[0].ID, c.branches[1].ID
 	}
 	return req
 }
 
-// runRows runs a row-emitting shape (branch, commit, multi or diff)
-// through core's driver, under one execution's walk spec and the plan's
-// plane pre-filter. keep filters on the unit annotation — the diff
-// terminal's side selection — before a row reaches emit.
-func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, keep func(core.UnitAux) bool, emit core.UnitFunc) error {
-	fn := emit
-	if keep != nil {
-		fn = func(rec *record.Record, aux core.UnitAux) bool { return !keep(aux) || emit(rec, aux) }
-	}
-	return c.table.ScanUnitsContext(ctx, req, c.execSpec(), c, fn)
+// runRows runs a row-emitting shape (branch, commit, multi or either
+// diff) through core's driver, under one execution's walk spec and the
+// plan's plane pre-filter.
+func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, emit core.UnitFunc) error {
+	return c.table.ScanUnitsContext(ctx, req, c.execSpec(), c, emit)
 }
 
 // Scan executes a single-version scan (Query 1): the branch head, or
@@ -351,7 +346,7 @@ func (c *Compiled) Scan(ctx context.Context, fn core.ScanFunc) error {
 	if pk, ok := c.pointPK(); ok {
 		return c.table.LookupPKContext(ctx, c.version(), pk, c.execSpec(), fn)
 	}
-	return c.runRows(ctx, c.request(c.shape()), nil, func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
+	return c.runRows(ctx, c.request(c.shape()), func(rec *record.Record, _ core.UnitAux) bool { return fn(rec) })
 }
 
 // version is the one version a single-version plan reads: its pinned
@@ -395,7 +390,7 @@ func (c *Compiled) Annotated(ctx context.Context, fn func(rec *record.Record, br
 	}
 	branches := c.branches // not c.branches in the closure: it runs once per head a record is live in
 	names := make([]string, 0, len(branches))
-	return c.runRows(ctx, c.request(core.ScanKindMulti), nil, func(rec *record.Record, aux core.UnitAux) bool {
+	return c.runRows(ctx, c.request(core.ScanKindMulti), func(rec *record.Record, aux core.UnitAux) bool {
 		names = names[:0]
 		aux.Member.ForEach(func(i int) bool {
 			names = append(names, branches[i].Name)
@@ -413,9 +408,6 @@ func (c *Compiled) SymDiff(ctx context.Context, fn func(rec *record.Record, inA 
 	if err := c.rowShape("Diff", true); err != nil {
 		return err
 	}
-	return c.runRows(ctx, c.request(core.ScanKindDiff), nil,
+	return c.runRows(ctx, c.request(core.ScanKindDiff),
 		func(rec *record.Record, aux core.UnitAux) bool { return fn(rec, aux.InA) })
 }
-
-// keepInA selects the positive side of a diff partition.
-func keepInA(aux core.UnitAux) bool { return aux.InA }

@@ -7,9 +7,9 @@ package decibel_test
 // a point lookup pinned to a commit the key was rewritten after, one
 // pinned to the branch's newest commit (the served read's shape), whose
 // bitmaps come from memory, a sequential Q1-shaped head scan, and a warm
-// HEAD() scan of every branch, a warm symmetric diff of two, and a
-// scalar fold (Sum) over the head, whose rows the fold does not keep. The
-// dataset is the pruning dataset — several segments across two schema
+// HEAD() scan of every branch, a warm symmetric diff of two, the
+// positive diff of the same two, and a scalar fold (Sum) over the
+// head, whose rows the fold does not keep. The dataset is the pruning dataset — several segments across two schema
 // epochs — so the per-unit costs (layout conversion, zone checks) are
 // part of the count. Every ceiling is the count measured once the row
 // terminals stopped allocating a record per row, plus at most one: one
@@ -29,11 +29,13 @@ import (
 // tuple-first's older-commit lookups fell from 28 to 22 when it stopped
 // decoding a bitmap per entry. The folds fell by three, to 34, 30 and
 // 29, when a scalar aggregate's one group stopped costing a key table,
-// a group pointer and an order entry.
-var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit, atNewest, heads, diff, fold float64 }{
-	"hybrid":        {point: 23, walk: 23, scan: 58, atCommit: 23, atNewest: 23, heads: 61, diff: 46, fold: 35},
-	"tuple-first":   {point: 23, walk: 23, scan: 54, atCommit: 23, atNewest: 23, heads: 49, diff: 36, fold: 31},
-	"version-first": {point: 23, walk: 23, scan: 53, atCommit: 20, atNewest: 21, heads: 48, diff: 39, fold: 30},
+// a group pointer and an order entry. The positive diff (Query.Diff)
+// walks A AND NOT B: at 47, 37 and 40 allocations when it walked the
+// XOR and dropped B's rows, 38, 34 and 39 since.
+var readAllocCeilings = map[string]struct{ point, walk, scan, atCommit, atNewest, heads, diff, posDiff, fold float64 }{
+	"hybrid":        {point: 23, walk: 23, scan: 58, atCommit: 23, atNewest: 23, heads: 61, diff: 46, posDiff: 39, fold: 35},
+	"tuple-first":   {point: 23, walk: 23, scan: 54, atCommit: 23, atNewest: 23, heads: 49, diff: 36, posDiff: 35, fold: 31},
+	"version-first": {point: 23, walk: 23, scan: 53, atCommit: 20, atNewest: 21, heads: 48, diff: 39, posDiff: 40, fold: 30},
 }
 
 // planeScanAllocCeiling is the allocations of a `k ∈ S` head scan of a
@@ -138,6 +140,16 @@ func TestReadAllocCeilings(t *testing.T) {
 					t.Fatalf("diff: %d rows (%v), want 7", n, err)
 				}
 			}
+			posDiff := func() {
+				rows, errf := db.Query("r").Diff("b2", "master")
+				n := 0
+				for range rows {
+					n++
+				}
+				if err := errf(); err != nil || n != 6 {
+					t.Fatalf("positive diff: %d rows (%v), want 6", n, err)
+				}
+			}
 			fold := func() {
 				if sum, err := db.Query("r").On("master").Sum("v"); err != nil || sum == 0 {
 					t.Fatalf("Sum: %v (%v)", sum, err)
@@ -163,6 +175,9 @@ func TestReadAllocCeilings(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(50, diff); got > want.diff {
 				t.Errorf("diff: %.0f allocs/op, ceiling %.0f", got, want.diff)
+			}
+			if got := testing.AllocsPerRun(50, posDiff); got > want.posDiff {
+				t.Errorf("positive diff: %.0f allocs/op, ceiling %.0f", got, want.posDiff)
 			}
 			if got := testing.AllocsPerRun(50, fold); got > want.fold {
 				t.Errorf("fold: %.0f allocs/op, ceiling %.0f", got, want.fold)
@@ -365,6 +380,63 @@ func TestGroupFoldAllocCeiling(t *testing.T) {
 			}
 			if large-small > groupFoldGrowth {
 				t.Errorf("GroupBy: %.0f allocs/op at 1,000 rows, %.0f at 8,000; growth bound %d", small, large, groupFoldGrowth)
+			}
+		})
+	}
+}
+
+// TestOrderedTopKAllocCeiling: an OrderBy+Limit read over rows stored
+// in the reverse of the order it asks for displaces the heap's root on
+// nearly every row. The displacing row is copied into the evicted
+// root's record, so the read's allocations do not grow with the rows
+// it passes: a read over 4N rows makes as many as one over N, within
+// one.
+func TestOrderedTopKAllocCeiling(t *testing.T) {
+	const n = 1000
+	for _, engine := range []string{"hybrid", "tuple-first", "version-first"} {
+		t.Run(engine, func(t *testing.T) {
+			allocs := func(count int64) float64 {
+				db, err := decibel.Open(t.TempDir(), decibel.WithEngine(engine))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				schema := decibel.NewSchema().Int64("id").Int64("ts").MustBuild()
+				if _, err := db.CreateTable("r", schema); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := db.Init("init"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := db.Commit("master", func(tx *decibel.Tx) error {
+					recs := make([]*decibel.Record, count)
+					for pk := range count {
+						recs[pk] = decibel.NewRecord(schema)
+						recs[pk].SetPK(pk)
+						recs[pk].Set(1, pk)
+					}
+					return tx.InsertBatch("r", recs)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				q := db.Query("r").On("master").OrderBy("ts", true).Limit(10)
+				return testing.AllocsPerRun(20, func() {
+					rows, errf := q.Rows()
+					want := count - 1
+					for rec := range rows {
+						if rec.Get(1) != want {
+							t.Fatalf("ts %d, want %d", rec.Get(1), want)
+						}
+						want--
+					}
+					if err := errf(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			small, large := allocs(n), allocs(4*n)
+			if large > small+1 {
+				t.Errorf("top 10 of %d rows: %.0f allocs/op; of %d rows: %.0f", n, small, 4*n, large)
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# thirty-six structural checks. Prints the non-test Go lines outside
+# thirty-seven structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -141,7 +141,10 @@
 # stored an aborted transaction undoes it, Engine.Rollback), compaction
 # has no mode (Compact runs a pass on any dataset), and a Go value is
 # coerced to a column type's value once, by record.AsInt64, AsFloat64
-# and AsBytes.
+# and AsBytes. Exits non-zero too if non-test Go matches keepInA or
+# "keep func(core.UnitAux) bool": a positive diff partitions as A AND
+# NOT B (core.ScanKindPositiveDiff), so it walks only the rows it
+# returns, and no row filter drops the other side's rows after a walk.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -422,6 +425,13 @@ fi
 stray=$(grep -rnE --include='*.go' 'tx\.touched|func \(tx \*Tx\) written|Opt(ions)?\.Compaction\b|func asDefInt|func asInt64\(' . | grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "an aborted transaction is undone by its engines (Engine.Rollback), compaction has no mode, and value coercion is record.As*:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'keepInA|keep func\(core\.UnitAux\) bool' . | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "a positive diff walks A AND NOT B (core.ScanKindPositiveDiff); no row filter drops B's rows after the walk:" >&2
     echo "$stray" >&2
     exit 1
 fi
