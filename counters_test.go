@@ -213,3 +213,27 @@ func TestPageCounters(t *testing.T) {
 		}
 	})
 }
+
+// TestPlaneFoldedRows: decibel.plane_folded_rows counts the rows a fold
+// takes from dcz pages whole. A GroupBy over a compacted table folds
+// rows by planes; over the same writes never compacted it folds none.
+func TestPlaneFoldedRows(t *testing.T) {
+	fold := func(t *testing.T, db *decibel.DB) (groups int, folded int64) {
+		t.Helper()
+		f0 := expvarInt(t, "decibel.plane_folded_rows")
+		rows, errf := db.Query("r").On("master").GroupBy("k").Groups(decibel.Count(), decibel.Sum("t"))
+		for range rows {
+			groups++
+		}
+		if err := errf(); err != nil {
+			t.Fatal(err)
+		}
+		return groups, expvarInt(t, "decibel.plane_folded_rows") - f0
+	}
+	if n, folded := fold(t, buildPlaneDB(t, t.TempDir(), "hybrid", true)); n == 0 || folded == 0 {
+		t.Fatalf("GroupBy over compacted pages: %d groups, %d rows folded by planes; want both > 0", n, folded)
+	}
+	if n, folded := fold(t, buildPlaneDB(t, t.TempDir(), "hybrid", false)); n == 0 || folded != 0 {
+		t.Fatalf("GroupBy over heap pages: %d groups, %d rows folded by planes; want > 0 and 0", n, folded)
+	}
+}

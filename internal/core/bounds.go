@@ -51,12 +51,15 @@ func (sp *ScanSpec) Bounds() []Bound { return sp.bounds }
 // segment pair, so a selective scan's segment pruning is observable.
 // The page pair counts the pages the unit walk meets holding a live
 // slot (walkSlots): a dcz page whose planes ruled out every row, so the
-// walk visited none, is skipped, and every other is scanned.
+// walk visited none, is skipped, and every other is scanned. Folded rows
+// counts the rows a fold took from dcz pages whole (foldPage) rather
+// than one at a time: it stays 0 over heap pages.
 var (
 	segmentsScanned = expvar.NewInt("decibel.segments_scanned")
 	segmentsSkipped = expvar.NewInt("decibel.segments_skipped")
 	pagesScanned    = expvar.NewInt("decibel.pages_scanned")
 	pagesSkipped    = expvar.NewInt("decibel.pages_skipped")
+	planeFoldedRows = expvar.NewInt("decibel.plane_folded_rows")
 )
 
 // SkipSegment reports whether a segment's zone map proves that no

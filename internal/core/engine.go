@@ -68,7 +68,8 @@ type Stats struct {
 	LiveRecords  int64 // records live in at least one branch head (approximate)
 	PoolBytes    int64 // capacity of resident buffer-pool frames (Database.Stats; engines leave 0)
 	// PageCacheBytes is what the decoded dcz page caches keep resident:
-	// every decoded page's rows plus its dict and const planes.
+	// every decoded page's rows plus the page block its planes point
+	// into.
 	PageCacheBytes int64
 }
 

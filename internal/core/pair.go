@@ -63,7 +63,7 @@ func (t *Table) PairContext(ctx context.Context, legs [2]PairLeg, fn PairFunc) e
 	// projection is applied here rather than in the walk.
 	lspec, rspec := legs[0].Spec, legs[1].Spec
 	var ferr error
-	err = runSequential(ctx, left, lspec.whole(), legs[0].Planes, func(rec *record.Record, aux UnitAux) bool {
+	err = runSequential(ctx, left, lspec.whole(), legs[0].Planes, nil, func(rec *record.Record, aux UnitAux) bool {
 		l, r := rec, (*record.Record)(nil)
 		if lspec.out != nil {
 			if l, ferr = lspec.project(rec.Bytes()); ferr != nil {
@@ -87,7 +87,7 @@ func (t *Table) PairContext(ctx context.Context, legs [2]PairLeg, fn PairFunc) e
 	if err != nil {
 		return err
 	}
-	err = runSequential(ctx, right, rspec, legs[1].Planes,
+	err = runSequential(ctx, right, rspec, legs[1].Planes, nil,
 		func(rec *record.Record, _ UnitAux) bool { fn(nil, rec); return true })
 	if err != nil {
 		return err

@@ -221,9 +221,17 @@ type slotWalker struct {
 	usePlanes bool
 	planes    *planeProg
 	page      func(slot int64, buf []byte) bool // bound once: filters a page's slots by bm
+	// fold, when set, takes the current unit's dcz pages whole
+	// (foldPage), with pred deciding the rows their planes leave
+	// undecided and done, when not nil, polled once a page.
+	fold PageSink
+	pred func(buf []byte) bool
+	done <-chan struct{}
+	sel  []uint64 // foldPage's selection words
 	// scanned and skipped count the current walk's live pages: skipped
-	// those whose planes ruled out every row, scanned the rest.
-	scanned, skipped int64
+	// those whose planes ruled out every row, scanned the rest; folded
+	// counts the rows it handed to fold.
+	scanned, skipped, folded int64
 }
 
 // bind sets the visit callback every walk hands its live slots to.
@@ -246,16 +254,17 @@ func (w *slotWalker) bind(visit func(slot int64, buf []byte) bool) {
 // to clustering (Section 5.5), while fully interleaved data degrades to
 // a whole-file scan. Each such page is walked one way: with usePlanes
 // set, a page of a dcz segment visits only the live slots its planes do
-// not rule out (planes.go); every other page visits its live slots as
-// rows. The walk adds its live pages to the page counters once, when
-// it ends.
+// not rule out (planes.go); with fold set, a page of a dcz segment goes
+// to fold whole (foldPage); every other page visits its live slots as
+// rows. The walk adds its live pages and folded rows to the counters
+// once, when it ends.
 func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap) error {
-	w.bm, w.base, w.stopped, w.scanned, w.skipped = bm, sg.Base, false, 0, 0
+	w.bm, w.base, w.stopped, w.scanned, w.skipped, w.folded = bm, sg.Base, false, 0, 0, 0
 	defer w.count()
 	per := int64(sg.File.PerPage())
 	end := sg.Base + sg.File.Count()
 	var cf *store.CompressedFile
-	if w.usePlanes {
+	if w.usePlanes || w.fold != nil {
 		cf, _ = sg.File.(*store.CompressedFile)
 	}
 	for next := int64(bm.NextSet(int(sg.Base))); next >= 0 && next < end; {
@@ -263,7 +272,12 @@ func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap) error {
 		handled := false
 		if cf != nil {
 			var err error
-			if handled, err = w.walkPlanes(cf, p, per, end); err != nil || w.stopped {
+			if w.fold != nil {
+				handled, err = true, w.foldPage(cf, p, per, end)
+			} else {
+				handled, err = w.walkPlanes(cf, p, per, end)
+			}
+			if err != nil || w.stopped {
 				return err
 			}
 		}
@@ -278,12 +292,16 @@ func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap) error {
 	return nil
 }
 
-// count adds the walk's live pages to the published page counters.
+// count adds the walk's live pages and folded rows to the published
+// counters.
 func (w *slotWalker) count() {
 	if w.scanned != 0 {
 		pagesScanned.Add(w.scanned)
 	}
 	if w.skipped != 0 {
 		pagesSkipped.Add(w.skipped)
+	}
+	if w.folded != 0 {
+		planeFoldedRows.Add(w.folded)
 	}
 }

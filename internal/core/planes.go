@@ -13,13 +13,16 @@ import (
 // planes before any row is touched: each subtree is evaluated once per
 // distinct value of its column into a 256-entry table (once in all for
 // a const plane), and the tables combine 64 rows at a time through the
-// predicate's And/Or/Not. Only the live rows the planes do not rule out
-// are visited, and the full row predicate still decides each of them.
+// predicate's And/Or/Not. A row walk visits only the live rows the
+// planes do not rule out, and the full row predicate still decides
+// each of them. A fold (UnitRunner.UsePages) visits no row: it takes
+// the page whole, with the rows the planes prove to match, and those
+// they leave undecided that the row predicate accepts.
 //
 // The logic is three-valued, like a zone map's: a subtree over a raw or
 // delta plane — or a column the page has no plane for — is unknown, so
 // a row is dropped only when the planes prove the predicate false on
-// it. Correctness never depends on this path.
+// it, and taken unchecked only when they prove it true.
 
 // PlaneOp is one step of a plane program.
 type PlaneOp uint8
@@ -104,8 +107,8 @@ func (p *planeProg) prepare(pg *store.Page) bool {
 		lf := &p.leaves[li]
 		li++
 		lf.codes, lf.t = nil, tri{may: ^uint64(0)}
-		pl := findPlane(pg.Planes, nd.Off, nd.Width)
-		if pl == nil {
+		pl, raw := pg.Column(nd.Off, nd.Width)
+		if pl == nil || raw {
 			continue
 		}
 		decided = true
@@ -135,19 +138,11 @@ func (p *planeProg) match(nd *PlaneNode, v []byte) bool {
 	return nd.Match(p.rec)
 }
 
-func findPlane(pls []store.Plane, off, width int) *store.Plane {
-	for i := range pls {
-		if pls[i].Off == off && pls[i].Width == width {
-			return &pls[i]
-		}
-	}
-	return nil
-}
-
-// word returns the rows [at, at+n) of the prepared page that the planes
-// do not rule out, row at+k as bit k. Without a dict step the result is
+// word returns what the planes decide of the rows [at, at+n) of the
+// prepared page, row at+k as bit k: may holds the rows they do not rule
+// out, must those they prove match. Without a dict step the result is
 // the same for every word: all rows or none.
-func (p *planeProg) word(at, n int) uint64 {
+func (p *planeProg) word(at, n int) tri {
 	sp, li := 0, 0
 	for i := range p.nodes {
 		nd := &p.nodes[i]
@@ -185,7 +180,7 @@ func (p *planeProg) word(at, n int) uint64 {
 			sp++
 		}
 	}
-	return p.stack[0].may
+	return p.stack[0]
 }
 
 // walkPlanes walks page p of cf — per slots a page, the segment's slots
@@ -204,7 +199,7 @@ func (w *slotWalker) walkPlanes(cf *store.CompressedFile, p, per, end int64) (ha
 	}
 	if !pp.dict {
 		// Every step is constant on the page: it matches all or none.
-		if pp.word(0, 0) != 0 {
+		if pp.word(0, 0).may != 0 {
 			return false, nil
 		}
 		w.skipped++
@@ -224,7 +219,7 @@ words:
 		if live == 0 {
 			continue
 		}
-		for live &= pp.word(at, n); live != 0; live &= live - 1 {
+		for live &= pp.word(at, n).may; live != 0; live &= live - 1 {
 			r := at + bits.TrailingZeros64(live)
 			visited = true
 			if !w.visit(first+int64(r), pg.Rows[r*rs:(r+1)*rs]) {
@@ -239,4 +234,73 @@ words:
 		w.skipped++
 	}
 	return true, nil
+}
+
+// foldPage hands page p of cf — numbered as in walkPlanes — whole to the
+// walk's fold, as 64-row selection words: the live rows the planes do
+// not rule out, less those the row predicate rejects where the planes
+// leave a row undecided. A page whose planes rule out every live row is
+// counted skipped and not handed over, as is a page no selected row
+// is left in.
+func (w *slotWalker) foldPage(cf *store.CompressedFile, p, per, end int64) error {
+	pg, err := cf.Page(int(p))
+	if err != nil {
+		return err
+	}
+	pp := w.planes
+	if pp != nil && !pp.prepare(pg) {
+		pp = nil // no step is decided by a plane: the predicate decides every row
+	}
+	first := w.base + p*per
+	rows := int(min(per, end-first))
+	rs := cf.RecordSize()
+	if nw := (rows + 63) / 64; cap(w.sel) < nw {
+		w.sel = make([]uint64, 0, nw)
+	}
+	sel := w.sel[:0]
+	visited, n := false, 0
+	for at := 0; at < rows; at += 64 {
+		k := min(64, rows-at)
+		word := w.bm.Word(int(first) + at)
+		if k < 64 {
+			word &= 1<<uint(k) - 1
+		}
+		open := word // the rows the row predicate decides
+		if pp != nil {
+			t := pp.word(at, k)
+			word &= t.may
+			open = word &^ t.must
+		}
+		visited = visited || word != 0
+		if w.pred != nil {
+			for ; open != 0; open &= open - 1 {
+				b := bits.TrailingZeros64(open)
+				if r := at + b; !w.pred(pg.Rows[r*rs : (r+1)*rs]) {
+					word &^= 1 << uint(b)
+				}
+			}
+		}
+		sel = append(sel, word)
+		n += bits.OnesCount64(word)
+	}
+	w.sel = sel
+	if !visited {
+		w.skipped++
+		return nil
+	}
+	w.scanned++
+	if n == 0 {
+		return nil
+	}
+	if w.done != nil {
+		select {
+		case <-w.done:
+			w.stopped = true
+			return nil
+		default:
+		}
+	}
+	w.folded += int64(n)
+	w.stopped = !w.fold.AddPage(pg, sel)
+	return nil
 }

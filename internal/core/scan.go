@@ -90,6 +90,16 @@ type ScanUnit struct {
 	cols []*bitmap.Bitmap // multi-branch: each version's liveness (nil: none)
 }
 
+// PageSink takes a scan's dcz pages whole (UnitRunner.UsePages): one
+// page of a unit stored in the spec's target layout, and sel, the rows
+// of it the scan selects — live in the unit and satisfying the spec's
+// predicate — row r as bit r%64 of sel[r/64]. The page is shared and
+// read-only; sel is valid only until AddPage returns. Returning false
+// stops the scan.
+type PageSink interface {
+	AddPage(pg *store.Page, sel []uint64) bool
+}
+
 // UnitRunner is the one per-record body every scan shape of every
 // engine shares: convert the stored buffer to the spec's layout,
 // evaluate predicate and projection, annotate, deliver. One runner
@@ -103,6 +113,7 @@ type UnitRunner struct {
 	// planes, when set, yields the predicate's plane program, built into
 	// walk.planes when the scan first meets a dcz page (planes.go).
 	planes PlaneSource
+	pages  PageSink // set by UsePages
 
 	prep      func(buf []byte) []byte // current unit's conversion
 	unit      *ScanUnit               // current unit
@@ -119,6 +130,7 @@ type UnitRunner struct {
 // not consulted).
 func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner {
 	r := &UnitRunner{spec: spec, fn: fn, done: ctx.Done()}
+	r.walk.done, r.walk.pred = r.done, spec.Pred
 	// The body is a closure literal rather than a method value: it runs
 	// once per walked slot, and a method value would add a call to each.
 	r.walk.bind(func(slot int64, buf []byte) bool {
@@ -161,6 +173,13 @@ func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner
 // row visited.
 func (r *UnitRunner) UsePlanes(src PlaneSource) { r.planes = src }
 
+// UsePages hands the dcz pages of units stored in the spec's target
+// layout to sink whole, in place of their rows (foldPage): no row of
+// such a page reaches fn, the spec's projection or a row's annotation,
+// so only a scan that reads none of them may use it. The scan stops
+// within one page of its context being canceled.
+func (r *UnitRunner) UsePages(sink PageSink) { r.pages = sink }
+
 // Run executes one unit: zone-map pruning, layout prep, then the walk.
 func (r *UnitRunner) Run(u *ScanUnit) error {
 	if r.spec.SkipSegment(u.Zone, u.PhysCols) {
@@ -171,8 +190,14 @@ func (r *UnitRunner) Run(u *ScanUnit) error {
 		return err
 	}
 	r.prep, r.unit, r.annotated = prep, u, u.side != nil || u.cols != nil
-	// A converted layout moves the columns the planes are matched at.
-	r.walk.usePlanes = r.planes != nil && prep == nil && u.seg.Encoding == store.EncDCZ
+	// A converted layout moves the columns the planes are matched at,
+	// and those a page sink reads.
+	dcz := prep == nil && u.seg.Encoding == store.EncDCZ
+	r.walk.usePlanes = r.planes != nil && dcz
+	r.walk.fold = nil
+	if dcz {
+		r.walk.fold = r.pages
+	}
 	if r.walk.usePlanes && r.walk.planes == nil {
 		nodes := r.planes.PlaneNodes()
 		if nodes == nil {
@@ -187,6 +212,7 @@ func (r *UnitRunner) Run(u *ScanUnit) error {
 	if err := r.walk.walkSlots(u.seg, u.live); err != nil {
 		return err
 	}
+	r.stop = r.stop || r.walk.stopped
 	return r.err
 }
 
@@ -204,12 +230,13 @@ func (r *UnitRunner) annotate(slot int64) UnitAux {
 // RunUnitsSequential drives a partition on the calling goroutine in
 // unit order, sharing one spec, until fn returns false.
 func RunUnitsSequential(units []ScanUnit, spec *ScanSpec, fn UnitFunc) error {
-	return runSequential(context.Background(), units, spec, nil, fn)
+	return runSequential(context.Background(), units, spec, nil, nil, fn)
 }
 
-func runSequential(ctx context.Context, units []ScanUnit, spec *ScanSpec, planes PlaneSource, fn UnitFunc) error {
+func runSequential(ctx context.Context, units []ScanUnit, spec *ScanSpec, planes PlaneSource, pages PageSink, fn UnitFunc) error {
 	r := NewUnitRunner(ctx, spec, fn)
 	r.UsePlanes(planes)
+	r.UsePages(pages)
 	for i := range units {
 		if err := r.Run(&units[i]); err != nil || r.stop {
 			return err
@@ -255,16 +282,18 @@ func (t *Table) PartitionUnits(req ScanRequest) (units []ScanUnit, release func(
 // ScanUnitsContext is the scan driver: it partitions the request once
 // and runs the units in order on the calling goroutine, straight into
 // fn. planes, which may be nil, is the plane pre-filter of the spec's
-// predicate (UnitRunner.UsePlanes). The scan stops within one delivered
-// record of ctx being canceled and returns ctx.Err().
-func (t *Table) ScanUnitsContext(ctx context.Context, req ScanRequest, spec *ScanSpec, planes PlaneSource, fn UnitFunc) error {
+// predicate (UnitRunner.UsePlanes); pages, which may be nil, takes the
+// dcz pages whole instead of fn (UnitRunner.UsePages). The scan stops
+// within one delivered record or page of ctx being canceled and
+// returns ctx.Err().
+func (t *Table) ScanUnitsContext(ctx context.Context, req ScanRequest, spec *ScanSpec, planes PlaneSource, pages PageSink, fn UnitFunc) error {
 	units, err := t.partition(req)
 	if err != nil {
 		return err
 	}
 	defer t.db.endOp()
 	defer unpin(units)
-	if err := runSequential(ctx, units, spec, planes, fn); err != nil {
+	if err := runSequential(ctx, units, spec, planes, pages, fn); err != nil {
 		return err
 	}
 	return ctx.Err()

@@ -17,15 +17,28 @@ package query
 // first-arrival order — the order the scan first sees each distinct
 // key — and a float Sum/Avg adds in scan order, so a query has one
 // answer.
+//
+// A fold over a single table with no key or one Int32, Int64 or
+// Float64 key also takes the dcz pages stored in its layout whole
+// (AddPage, core.PageSink): it reads the key and aggregate columns from
+// the page's dict, const and raw planes, and a delta column from the
+// rows at its offset, 64 selected rows and one column at a time,
+// without visiting a row. Groups still open in first-arrival order and
+// each group's float sum still adds in slot order, so both paths give
+// one answer. Heap pages, converted layouts, joins and Bytes or
+// multi-column keys take the row path.
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"unsafe"
 
 	"decibel/internal/core"
 	"decibel/internal/record"
+	"decibel/internal/store"
 )
 
 // AggKind selects an aggregate.
@@ -137,10 +150,24 @@ func handleOf(rel int, s *record.Schema, ci int) colHandle {
 // bits is an Int32, Int64 or Float64 column's value as its 8 raw bits:
 // an Int32 sign-extended, a Float64 as stored (math.Float64bits).
 func (r colHandle) bits(b []byte) uint64 {
+	return loadBits(b[r.off:], r.width())
+}
+
+// width is a numeric column's width in the record.
+func (r colHandle) width() int {
 	if r.typ == record.Int32 {
-		return uint64(int32(binary.LittleEndian.Uint32(b[r.off:])))
+		return 4
 	}
-	return binary.LittleEndian.Uint64(b[r.off:])
+	return 8
+}
+
+// loadBits reads the value of a numeric column of the given width from
+// the front of b as its raw bits (colHandle.bits).
+func loadBits(b []byte, width int) uint64 {
+	if width == 4 {
+		return uint64(int32(binary.LittleEndian.Uint32(b)))
+	}
+	return binary.LittleEndian.Uint64(b)
 }
 
 // bytes is a Bytes column's value, aliasing b.
@@ -159,15 +186,27 @@ func (r colHandle) encode(buf, b []byte) []byte {
 	return binary.LittleEndian.AppendUint64(buf, r.bits(b))
 }
 
-// value decodes the column's value for an emitted GroupRow.
-func (r colHandle) value(b []byte) any {
-	switch r.typ {
-	case record.Float64:
-		return math.Float64frombits(r.bits(b))
-	case record.Bytes:
-		return append([]byte(nil), r.bytes(b)...)
+// decode reads the column's value for an emitted GroupRow from the
+// front of an encoded key (encode), aliasing it, and returns the rest
+// of the key. An empty Bytes value is nil.
+func (r colHandle) decode(enc []byte) (any, []byte) {
+	if r.typ != record.Bytes {
+		return r.value(binary.LittleEndian.Uint64(enc)), enc[8:]
 	}
-	return int64(r.bits(b))
+	n := int(binary.LittleEndian.Uint32(enc))
+	if n == 0 {
+		return []byte(nil), enc[4:]
+	}
+	return enc[4 : 4+n : 4+n], enc[4+n:]
+}
+
+// value is a numeric column's value, from its raw bits, for an emitted
+// GroupRow.
+func (r colHandle) value(v uint64) any {
+	if r.typ == record.Float64 {
+		return math.Float64frombits(v)
+	}
+	return int64(v)
 }
 
 // groupAggCol is one resolved aggregate: its fold kind and, for every
@@ -183,18 +222,27 @@ type groupAggCol struct {
 // Count and Avg), its key values key[g*len(keys):] and its aggregates'
 // states parts[g*len(aggs):]. A single Int32, Int64 or Float64 key
 // finds its group by the key's raw bits, any other key shape by its
-// encoding, and a fold with no key columns (a scalar aggregate) has one
-// group and no table.
+// encoding, which each new group copies once into slab: the key
+// table's string and the group's emitted key values point into it. A
+// fold with no key columns (a scalar aggregate) has one group and no
+// table.
 type groupFold struct {
 	keys  []colHandle
 	aggs  []groupAggCol
 	bits  map[uint64]int32
 	strs  map[string]int32
 	buf   []byte
+	slab  []byte
 	n     []int64
 	key   []any
 	parts []aggPart
 	one   [1]*record.Record // a single-table row as a one-relation row
+
+	// recSize is a single table's record size, which AddPage reads a
+	// column inside the page's rows by; cols are AddPage's views of
+	// the current page's aggregate columns, then its key column.
+	recSize int
+	cols    []pageCol
 }
 
 // aggPart is one aggregate's running state over one group: an integer
@@ -219,17 +267,18 @@ func newGroupFold(keys []colHandle, aggs []groupAggCol) *groupFold {
 // add folds one row: a join tuple, or a single table's record as the
 // one-relation row g.one.
 func (g *groupFold) add(row []*record.Record) {
-	gi := 0
+	var gi int32
 	switch {
 	case g.bits != nil:
 		k := g.keys[0]
 		v := k.bits(row[k.rel].Bytes())
 		i, ok := g.bits[v]
 		if !ok {
-			i = g.newGroup(row)
+			g.key = append(g.key, k.value(v))
+			i = g.rowGroup(row)
 			g.bits[v] = i
 		}
-		gi = int(i)
+		gi = i
 	case g.strs != nil:
 		g.buf = g.buf[:0]
 		for _, k := range g.keys {
@@ -237,16 +286,14 @@ func (g *groupFold) add(row []*record.Record) {
 		}
 		i, ok := g.strs[string(g.buf)]
 		if !ok {
-			i = g.newGroup(row)
-			g.strs[string(g.buf)] = i
+			i = g.keyGroup(row)
 		}
-		gi = int(i)
+		gi = i
 	case len(g.n) == 0:
-		g.newGroup(row)
+		g.rowGroup(row)
 	}
 	g.n[gi]++
-	first := g.n[gi] == 1
-	parts := g.parts[gi*len(g.aggs) : (gi+1)*len(g.aggs)]
+	parts := g.parts[int(gi)*len(g.aggs) : (int(gi)+1)*len(g.aggs)]
 	// The transition step, inline: it runs once per aggregate per row.
 	for i := range g.aggs {
 		a, p := &g.aggs[i], &parts[i]
@@ -256,11 +303,11 @@ func (g *groupFold) add(row []*record.Record) {
 		v := a.col.bits(row[a.col.rel].Bytes())
 		switch {
 		case a.kind == AggMin:
-			if f := a.num(v); first || f < p.f {
+			if f := a.num(v); f < p.f {
 				p.f = f
 			}
 		case a.kind == AggMax:
-			if f := a.num(v); first || f > p.f {
+			if f := a.num(v); f > p.f {
 				p.f = f
 			}
 		case a.isFloat:
@@ -280,16 +327,215 @@ func (a *groupAggCol) num(v uint64) float64 {
 	return float64(int64(v))
 }
 
-// newGroup opens the next group with row's key values.
-func (g *groupFold) newGroup(row []*record.Record) int32 {
-	for _, k := range g.keys {
-		g.key = append(g.key, k.value(row[k.rel].Bytes()))
-	}
+// newGroup opens the next group, whose key values are already in g.key.
+// Its Min and Max states start at the value of the row that opens it,
+// value(i) for aggregate i, so a later row replaces one only by
+// comparing (NaN included) as it would have with the opening row.
+func (g *groupFold) newGroup(value func(i int) uint64) int32 {
 	g.n = append(g.n, 0)
-	for range g.aggs { // not append(g.parts, make(...)...): under -race that allocates the make
-		g.parts = append(g.parts, aggPart{})
+	for i := range g.aggs { // not append(g.parts, make(...)...): under -race that allocates the make
+		var p aggPart
+		if a := &g.aggs[i]; a.kind == AggMin || a.kind == AggMax {
+			p.f = a.num(value(i))
+		}
+		g.parts = append(g.parts, p)
 	}
 	return int32(len(g.n) - 1)
+}
+
+// rowGroup opens the next group at row.
+func (g *groupFold) rowGroup(row []*record.Record) int32 {
+	return g.newGroup(func(i int) uint64 {
+		c := g.aggs[i].col
+		return c.bits(row[c.rel].Bytes())
+	})
+}
+
+// keyGroup opens the next group at row for the encoded key in g.buf:
+// the key is copied once into the slab, which the key table's string
+// and the group's key values alias. The slab's bytes are never written
+// again: a longer slab is a new array.
+func (g *groupFold) keyGroup(row []*record.Record) int32 {
+	at := len(g.slab)
+	g.slab = append(g.slab, g.buf...)
+	enc := g.slab[at:len(g.slab):len(g.slab)]
+	rest := enc
+	for _, k := range g.keys {
+		var v any
+		v, rest = k.decode(rest)
+		g.key = append(g.key, v)
+	}
+	i := g.rowGroup(row)
+	g.strs[unsafe.String(unsafe.SliceData(enc), len(enc))] = i
+	return i
+}
+
+// pageCol is one key or aggregate column of the dcz page a fold takes
+// whole, read as the page block stored it: a dict plane's codes and
+// values, a const plane's value, a raw plane's column, or — for a
+// delta-encoded column, which keeps no plane — the column inside the
+// page's rows.
+type pageCol struct {
+	codes  []byte // dict: row r holds value codes[r]
+	values []byte // dict and const: the plane's values, width bytes each
+	col    []byte // raw and delta: row r's value at col[r*stride:]
+	stride int
+	width  int
+}
+
+// use points c at column h of pg, whose records are recSize bytes.
+func (c *pageCol) use(pg *store.Page, h colHandle, recSize int) {
+	*c = pageCol{width: h.width()}
+	switch pl, raw := pg.Column(h.off, c.width); {
+	case pl == nil:
+		c.col, c.stride = pg.Rows[h.off:], recSize
+	case raw:
+		c.col, c.stride = pl.Values, c.width
+	default:
+		c.codes, c.values = pl.Codes, pl.Values
+	}
+}
+
+// at is row r's value as its raw bits (colHandle.bits).
+func (c *pageCol) at(r int) uint64 {
+	switch {
+	case c.codes != nil:
+		return loadBits(c.values[int(c.codes[r])*c.width:], c.width)
+	case c.col == nil:
+		return loadBits(c.values, c.width)
+	}
+	return loadBits(c.col[r*c.stride:], c.width)
+}
+
+// gather loads the values of rows into dst, one column at a time.
+func (c *pageCol) gather(rows []int32, dst []uint64) {
+	switch {
+	case c.codes != nil:
+		for j, r := range rows {
+			dst[j] = loadBits(c.values[int(c.codes[r])*c.width:], c.width)
+		}
+	case c.col == nil:
+		v := loadBits(c.values, c.width)
+		for j := range rows {
+			dst[j] = v
+		}
+	default:
+		for j, r := range rows {
+			dst[j] = loadBits(c.col[int(r)*c.stride:], c.width)
+		}
+	}
+}
+
+// AddPage folds the rows sel selects of a single table's dcz page, 64
+// at a time and a column at a time, without visiting a row
+// (core.PageSink). A single key column maps each dict code of the page
+// to its group once, in row order, so groups still open in
+// first-arrival order; every group's aggregates take its rows in slot
+// order, so a float sum adds exactly as the row path does. Only a fold
+// with no key columns or a single Int32, Int64 or Float64 one takes
+// pages.
+func (g *groupFold) AddPage(pg *store.Page, sel []uint64) bool {
+	na := len(g.aggs)
+	if g.cols == nil {
+		g.cols = make([]pageCol, na+1)
+	}
+	for i := range g.aggs {
+		if g.aggs[i].kind != AggCount {
+			g.cols[i].use(pg, g.aggs[i].col, g.recSize)
+		}
+	}
+	kc := &g.cols[na]
+	var codeGroup [256]int32 // a dict key's group per code; -1 until its first row
+	if g.bits != nil {
+		kc.use(pg, g.keys[0], g.recSize)
+		for c := 0; c*kc.width < len(kc.values); c++ {
+			codeGroup[c] = -1
+		}
+	}
+	var rows, gids [64]int32
+	var vals [64]uint64
+	for wi, w := range sel {
+		n := 0
+		for ; w != 0; w &= w - 1 {
+			rows[n] = int32(wi*64 + bits.TrailingZeros64(w))
+			n++
+		}
+		if n == 0 {
+			continue
+		}
+		rs, gs := rows[:n], gids[:n]
+		switch {
+		case g.bits == nil:
+			if len(g.n) == 0 {
+				g.pageGroup(int(rs[0]))
+			}
+			clear(gs)
+		case kc.codes != nil:
+			for j, r := range rs {
+				c := kc.codes[r]
+				if codeGroup[c] < 0 {
+					codeGroup[c] = g.keyBitsGroup(kc.at(int(r)), int(r))
+				}
+				gs[j] = codeGroup[c]
+			}
+		default:
+			for j, r := range rs {
+				gs[j] = g.keyBitsGroup(kc.at(int(r)), int(r))
+			}
+		}
+		for _, gi := range gs {
+			g.n[gi]++
+		}
+		for i := range g.aggs {
+			a := &g.aggs[i]
+			if a.kind == AggCount {
+				continue
+			}
+			vs := vals[:n]
+			g.cols[i].gather(rs, vs)
+			parts := g.parts[i:] // group gi's state at parts[gi*na]
+			switch {
+			case a.kind == AggMin:
+				for j, v := range vs {
+					if p, f := &parts[int(gs[j])*na], a.num(v); f < p.f {
+						p.f = f
+					}
+				}
+			case a.kind == AggMax:
+				for j, v := range vs {
+					if p, f := &parts[int(gs[j])*na], a.num(v); f > p.f {
+						p.f = f
+					}
+				}
+			case a.isFloat:
+				for j, v := range vs {
+					parts[int(gs[j])*na].f += math.Float64frombits(v)
+				}
+			default:
+				for j, v := range vs {
+					parts[int(gs[j])*na].i += int64(v)
+				}
+			}
+		}
+	}
+	return true
+}
+
+// keyBitsGroup returns the group of a single numeric key's raw bits v,
+// opening it at row r of the current page when v is new.
+func (g *groupFold) keyBitsGroup(v uint64, r int) int32 {
+	i, ok := g.bits[v]
+	if !ok {
+		g.key = append(g.key, g.keys[0].value(v))
+		i = g.pageGroup(r)
+		g.bits[v] = i
+	}
+	return i
+}
+
+// pageGroup opens the next group at row r of the current page.
+func (g *groupFold) pageGroup(r int) int32 {
+	return g.newGroup(func(i int) uint64 { return g.cols[i].at(r) })
 }
 
 // value is aggregate i's result over group gi, which is never empty.
@@ -371,7 +617,11 @@ func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, er
 		return nil, err
 	}
 	spec.SetBounds(c.bounds)
-	return fold, c.table.ScanUnitsContext(ctx, c.request(c.shape()), spec, c,
+	var pages core.PageSink
+	if fold.strs == nil {
+		fold.recSize, pages = c.schema.RecordSize(), fold
+	}
+	return fold, c.table.ScanUnitsContext(ctx, c.request(c.shape()), spec, c, pages,
 		func(rec *record.Record, _ core.UnitAux) bool { fold.one[0] = rec; fold.add(fold.one[:]); return true })
 }
 

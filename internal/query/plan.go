@@ -11,6 +11,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"decibel/internal/core"
 	"decibel/internal/record"
@@ -103,6 +104,13 @@ type Compiled struct {
 	// for a single-table plan, into the relations' output schemas for a
 	// join-composed one.
 	groupKeys []colHandle
+
+	// planes is the predicate's plane program (PlaneNodes): built when
+	// the first scan meets a dcz page, then shared by every later scan,
+	// row walk or fold, of this Compiled. Building it at Compile would
+	// cost a read that never meets a dcz page, a point lookup say, an
+	// allocation.
+	planes atomic.Value // []core.PlaneNode
 }
 
 // Compile resolves and validates the plan against db. All validation
@@ -258,10 +266,16 @@ func (c *Compiled) Epoch() int { return c.epoch }
 func (c *Compiled) execSpec() *core.ScanSpec { return c.proto.Clone() }
 
 // PlaneNodes implements core.PlaneSource for the plan's predicate
-// (planeProgram). A scan asks for it when it first meets a dcz page,
-// so the reads that never do compile nothing more than the plan.
+// (planeProgram), building it on the first call. A scan asks for it
+// when it first meets a dcz page, so the reads that never do compile
+// nothing more than the plan.
 func (c *Compiled) PlaneNodes() []core.PlaneNode {
-	return planeProgram(c.plan.Where, colScope{schema: c.schema})
+	if p := c.planes.Load(); p != nil {
+		return p.([]core.PlaneNode)
+	}
+	nodes := planeProgram(c.plan.Where, colScope{schema: c.schema}, c.pred)
+	c.planes.Store(nodes) // a concurrent first call builds an equal program
+	return nodes
 }
 
 // single checks the plan addresses exactly one version.
@@ -327,7 +341,7 @@ func (c *Compiled) request(kind core.ScanKind) core.ScanRequest {
 // diff) through core's driver, under one execution's walk spec and the
 // plan's plane pre-filter.
 func (c *Compiled) runRows(ctx context.Context, req core.ScanRequest, emit core.UnitFunc) error {
-	return c.table.ScanUnitsContext(ctx, req, c.execSpec(), c, emit)
+	return c.table.ScanUnitsContext(ctx, req, c.execSpec(), c, nil, emit)
 }
 
 // Scan executes a single-version scan (Query 1): the branch head, or

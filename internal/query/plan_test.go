@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"decibel/internal/core"
 	"decibel/internal/record"
@@ -114,7 +115,7 @@ func annotatedRescan(c *Compiled) func(context.Context, func(*record.Record, []s
 		var order []string
 		for _, b := range c.branches {
 			req := core.ScanRequest{Kind: core.ScanKindBranch, Branch: b.ID}
-			err := c.table.ScanUnitsContext(ctx, req, c.execSpec(), nil, func(rec *record.Record, _ core.UnitAux) bool {
+			err := c.table.ScanUnitsContext(ctx, req, c.execSpec(), nil, nil, func(rec *record.Record, _ core.UnitAux) bool {
 				key := string(rec.Bytes())
 				en := merged[key]
 				if en == nil {
@@ -334,5 +335,15 @@ func TestDiffPlanShapes(t *testing.T) {
 	}
 	if len(names) != 12 || names[rec(m.OutSchema(), 11, 11).String()] != "[dev]" || names[rec(m.OutSchema(), 10, 10).String()] != "[master]" {
 		t.Fatalf("Annotated = %v", names)
+	}
+}
+
+// TestCompiledSizeClass: every compiled query allocates one Compiled,
+// so a field that moves it past the 448-byte size class costs each
+// query more memory. The plane program's cache (planes, an atomic.Value
+// of 16 B) took it from 424 B to 440 B.
+func TestCompiledSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Compiled{}); n > 448 {
+		t.Fatalf("Compiled is %d B, past the 448-byte size class", n)
 	}
 }

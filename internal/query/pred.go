@@ -238,11 +238,19 @@ func compileNode(e Expr, sc colScope) (RawPredicate, error) {
 // read one column becomes one PlaneCol step, its Match that subtree
 // compiled exactly as compileNode compiles it, so a dcz page evaluates
 // it once per distinct value of the column instead of once per row —
-// `cat ∈ S`, eight Eq leaves, is one table. nil when e reads no column,
-// or does not compile (which Compile has already ruled out).
-func planeProgram(e Expr, sc colScope) []core.PlaneNode {
-	if col, one := e.column(); one && col == "" {
+// `cat ∈ S`, eight Eq leaves, is one table. whole is e compiled
+// (compileExprScope): when e reads one column, it is the one step's
+// Match. nil when e reads no column, or does not compile (which Compile
+// has already ruled out).
+func planeProgram(e Expr, sc colScope, whole RawPredicate) []core.PlaneNode {
+	col, one := e.column()
+	switch {
+	case one && col == "":
 		return nil
+	case one:
+		i := sc.schema.ColumnIndex(col)
+		return []core.PlaneNode{{Op: core.PlaneCol, Off: sc.schema.ColumnOffset(i),
+			Width: sc.schema.Column(i).Width(), Match: whole}}
 	}
 	nodes, err := appendPlaneNodes(nil, e, sc)
 	if err != nil {

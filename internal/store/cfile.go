@@ -16,8 +16,8 @@ package store
 //	pages   page blocks (cpage.go) at their absolute offsets
 //
 // Pages decode lazily on first touch and are cached decoded — rows
-// plus copies of their dict and const planes (Page) — via atomic
-// pointers, so concurrent scans share the work without a lock.
+// plus the page block their dict, const and raw planes point into
+// (Page) — via atomic pointers, so concurrent scans share the work without a lock.
 // Every read path re-validates CRCs and the block structure; a torn
 // or corrupted file surfaces as an error, never as wrong records.
 
@@ -252,8 +252,8 @@ func readCompressed(f *os.File, path string) (*CompressedFile, error) {
 	}, nil
 }
 
-// Page returns page i decoded — its rows record-major, and its dict
-// and const planes — decoding and caching it on first touch. The page
+// Page returns page i decoded — its rows record-major, and its dict,
+// const and raw planes — decoding and caching it on first touch. The page
 // is shared and read-only.
 func (c *CompressedFile) Page(i int) (*Page, error) {
 	if p := c.cache[i].Load(); p != nil {
@@ -285,7 +285,7 @@ func (c *CompressedFile) Page(i int) (*Page, error) {
 }
 
 // CachedBytes returns the memory the decoded-page cache keeps resident:
-// every cached page's rows and plane values and codes.
+// every cached page's rows and page block (Page.Bytes).
 func (c *CompressedFile) CachedBytes() int64 {
 	var n int64
 	for i := range c.cache {

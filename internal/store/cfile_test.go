@@ -256,13 +256,24 @@ func FuzzCompressedPage(f *testing.F) {
 				}
 			}
 		}
+		for _, pl := range pg.Raw {
+			if pl.Off < 0 || pl.Width <= 0 || pl.Off+pl.Width > recSize || pl.Codes != nil || len(pl.Values) != rows*pl.Width {
+				t.Fatalf("raw plane at [%d,+%d) holds %d bytes for %d rows", pl.Off, pl.Width, len(pl.Values), rows)
+			}
+			for r := 0; r < rows; r++ {
+				got := pl.Values[r*pl.Width : (r+1)*pl.Width]
+				if want := out[r*recSize+pl.Off : r*recSize+pl.Off+pl.Width]; !bytes.Equal(got, want) {
+					t.Fatalf("row %d raw plane [%d,+%d) gives %x, row holds %x", r, pl.Off, pl.Width, got, want)
+				}
+			}
+		}
 		if got := pg.Bytes(); got < int64(len(out)) {
 			t.Fatalf("page reports %d resident bytes, rows alone hold %d", got, len(out))
 		}
 		// Successful decode must be deterministic and re-encodable: a
 		// second decode of the same block yields identical bytes.
 		pg2, err := decodePage(blk, recSize, maxRows, rows)
-		if err != nil || !bytes.Equal(out, pg2.Rows) || len(pg.Planes) != len(pg2.Planes) {
+		if err != nil || !bytes.Equal(out, pg2.Rows) || len(pg.Planes) != len(pg2.Planes) || len(pg.Raw) != len(pg2.Raw) {
 			t.Fatalf("unstable decode: %v", err)
 		}
 	})

@@ -4,7 +4,8 @@ package store
 // holds up to perPage records transposed into per-plane columns: one
 // plane per byte range of the record layout (the header byte and each
 // column), each plane independently encoded with whichever of four
-// encodings is smallest for its data. Planes are self-describing —
+// encodings is smallest for its data (delta by at least a byte a row:
+// encodePlane). Planes are self-describing —
 // they carry their own byte offset and width — so the decoder needs no
 // schema and can fully validate a block in isolation, which is what
 // makes the format fuzzable: a torn or corrupted page must fail one of
@@ -84,9 +85,13 @@ func encodePage(dst []byte, data []byte, rows, recSize int, planes []cplane) []b
 }
 
 // encodePlane picks the smallest encoding for one transposed column of
-// rows values of the given width. col is reused by the caller; the
-// returned payload aliases it only for cEncRaw, which the caller
-// appends before the next plane overwrites it.
+// rows values of the given width, except that delta must be smaller by
+// at least a byte a row: a reader takes a raw, const or dict plane's
+// values in place, and must decode a delta plane's varints one by one
+// (a grouped fold reads a delta column from the rows instead). col is
+// reused by the caller; the returned payload aliases it only for
+// cEncRaw, which the caller appends before the next plane overwrites
+// it.
 func encodePlane(col []byte, rows, width int) (byte, []byte) {
 	bestEnc, best := byte(cEncRaw), col
 
@@ -97,7 +102,7 @@ func encodePlane(col []byte, rows, width int) (byte, []byte) {
 		bestEnc, best = cEncDict, p
 	}
 	if width == 8 {
-		if p := encodeDelta(col, rows); len(p) < len(best) {
+		if p := encodeDelta(col, rows); len(p)+rows <= len(best) {
 			bestEnc, best = cEncDelta, p
 		}
 	}
@@ -153,41 +158,64 @@ func encodeDelta(col []byte, rows int) []byte {
 }
 
 // Page is one decoded page of a dcz file: its rows, record-major, and
-// the dict- and const-encoded planes the block stored them in, kept so
-// a predicate can decide a whole column of the page by its distinct
-// values (core's plane pre-filter) before any row is touched.
+// the planes the block stored them in, kept so that a reader can take a
+// column of the page as the block encoded it. Core's plane pre-filter
+// decides a predicate by the dict and const planes' distinct values
+// before any row is touched, and a grouped fold reads its key and
+// aggregate columns from the planes without visiting a row. The planes
+// alias the page block, which the page keeps; a delta plane has no
+// entry, so its column is read from Rows.
 type Page struct {
 	// Rows holds the page's records back to back, RecordSize bytes each.
 	Rows []byte
-	// Planes are the page's dict and const planes in record order; a
-	// raw or delta plane has no entry.
+	// Planes are the page's dict and const planes in record order.
 	Planes []Plane
+	// Raw are the page's raw planes in record order: each one's Values
+	// holds every row's value, Width bytes each, in row order.
+	Raw []Plane
+	// block is the page block the planes point into.
+	block []byte
 }
 
-// Plane is one dict- or const-encoded byte range of a page's records.
+// Plane is one dict-, const- or raw-encoded byte range of a page's
+// records.
 type Plane struct {
 	Off, Width int
-	// Values holds the plane's distinct values, Width bytes each: one
-	// for a const plane, up to 256 for a dict plane.
+	// Values holds a dict or const plane's distinct values, Width bytes
+	// each: one for a const plane, up to 256 for a dict plane. A raw
+	// plane's holds every row's value (see Page.Raw).
 	Values []byte
 	// Codes holds, for a dict plane, row r's index into Values at
-	// Codes[r]; a const plane has none.
+	// Codes[r]; a const or raw plane has none.
 	Codes []byte
 }
 
-// Bytes returns the memory the page keeps resident: its rows and its
-// planes' values and codes.
-func (p *Page) Bytes() int64 {
-	n := int64(cap(p.Rows))
+// Column returns the plane that stores the byte range [off, off+width)
+// of the page's records, and whether it is a raw plane (Page.Raw); nil
+// when no plane has exactly that range, as for a delta-encoded column.
+func (p *Page) Column(off, width int) (pl *Plane, raw bool) {
 	for i := range p.Planes {
-		n += int64(len(p.Planes[i].Values) + len(p.Planes[i].Codes))
+		if p.Planes[i].Off == off && p.Planes[i].Width == width {
+			return &p.Planes[i], false
+		}
 	}
-	return n
+	for i := range p.Raw {
+		if p.Raw[i].Off == off && p.Raw[i].Width == width {
+			return &p.Raw[i], true
+		}
+	}
+	return nil, false
+}
+
+// Bytes returns the memory the page keeps resident: its rows and the
+// page block its planes point into.
+func (p *Page) Bytes() int64 {
+	return int64(cap(p.Rows) + cap(p.block))
 }
 
 // decodePage decodes one page block into a freshly allocated
-// rows*recSize record-major buffer, keeping copies of its dict and const
-// planes beside it. maxRows bounds the row count (perPage); wantRows,
+// rows*recSize record-major buffer. The page keeps blk, which its dict,
+// const and raw planes point into: the caller must not reuse it. maxRows bounds the row count (perPage); wantRows,
 // when >= 0, is the exact row count the caller expects from the file
 // header. Every structural invariant is checked so corrupted input
 // errors instead of misdecoding.
@@ -207,10 +235,9 @@ func decodePage(blk []byte, recSize, maxRows, wantRows int) (*Page, error) {
 		return nil, fmt.Errorf("dcz: page has no planes")
 	}
 	out := make([]byte, rows*recSize)
+	pg := &Page{Rows: out, block: blk}
 	blk = blk[6:]
-	var keep []Plane // dict and const planes, aliasing blk until copied out
-	kept := 0        // their values' and codes' bytes
-	cur := 0         // next record byte offset a plane must cover
+	cur := 0 // next record byte offset a plane must cover
 	for pi := 0; pi < nplanes; pi++ {
 		if len(blk) < 13 {
 			return nil, fmt.Errorf("dcz: plane %d header truncated", pi)
@@ -231,14 +258,14 @@ func decodePage(blk []byte, recSize, maxRows, wantRows int) (*Page, error) {
 			return nil, fmt.Errorf("dcz: plane %d: %w", pi, err)
 		}
 		switch enc {
+		case cEncRaw:
+			pg.Raw = append(pg.Raw, Plane{Off: off, Width: width, Values: payload})
 		case cEncConst:
-			keep = append(keep, Plane{Off: off, Width: width, Values: payload})
-			kept += width
+			pg.Planes = append(pg.Planes, Plane{Off: off, Width: width, Values: payload})
 		case cEncDict:
 			ndict := int(binary.LittleEndian.Uint16(payload[0:2]))
 			values := payload[2 : 2+ndict*width]
-			keep = append(keep, Plane{Off: off, Width: width, Values: values, Codes: payload[2+ndict*width:]})
-			kept += len(values) + rows
+			pg.Planes = append(pg.Planes, Plane{Off: off, Width: width, Values: values, Codes: payload[2+ndict*width:]})
 		}
 		blk = blk[plen:]
 		cur += width
@@ -249,20 +276,7 @@ func decodePage(blk []byte, recSize, maxRows, wantRows int) (*Page, error) {
 	if len(blk) != 0 {
 		return nil, fmt.Errorf("dcz: %d trailing bytes after last plane", len(blk))
 	}
-	// The planes outlive the block: copy them into one buffer.
-	slab := make([]byte, 0, kept)
-	for i := range keep {
-		p := &keep[i]
-		at := len(slab)
-		slab = append(slab, p.Values...)
-		p.Values = slab[at:len(slab):len(slab)]
-		if p.Codes != nil {
-			at = len(slab)
-			slab = append(slab, p.Codes...)
-			p.Codes = slab[at:len(slab):len(slab)]
-		}
-	}
-	return &Page{Rows: out, Planes: keep}, nil
+	return pg, nil
 }
 
 // decodePlane scatters one plane's payload into the record-major out

@@ -292,7 +292,8 @@ func planeKinds(t *testing.T, dir string) (dict, konst map[int]int) {
 
 // TestPageCacheBytes: Stats reports the decoded dcz pages a dataset
 // keeps resident — none before a compaction pass, and once a scan has
-// read every page, each page's rows plus its plane values and codes.
+// read every page, each page's rows plus the page block its planes
+// point into.
 // A reopen decodes every page at once: the open's key-version pass
 // reads every segment. A compaction pass decodes none of the pages it
 // writes.
