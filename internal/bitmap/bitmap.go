@@ -113,16 +113,16 @@ func (b *Bitmap) Get(i int) bool {
 // at or past the length read as zero. A walk combines it with other
 // per-slot masks 64 slots at a time.
 func (b *Bitmap) Word(i int) uint64 {
-	if i < 0 || i >= b.n {
+	if uint(i) >= uint(b.n) { // i < 0 too
 		return 0
 	}
-	wi, s := i/wordBits, uint(i%wordBits)
+	wi, s := uint(i)/wordBits, uint(i)%wordBits
 	w := b.words[wi] >> s
-	if s != 0 && wi+1 < len(b.words) {
-		w |= b.words[wi+1] << (wordBits - s)
+	if wi+1 < uint(len(b.words)) {
+		w |= b.words[wi+1] << (wordBits - s) // a shift by wordBits is 0
 	}
-	if rest := b.n - i; rest < wordBits {
-		w &= 1<<uint(rest) - 1
+	if rest := uint(b.n - i); rest < wordBits {
+		w &= 1<<rest - 1
 	}
 	return w
 }

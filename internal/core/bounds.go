@@ -50,10 +50,11 @@ func (sp *ScanSpec) Bounds() []Bound { return sp.bounds }
 // Scan counters. Every SkipSegment call increments exactly one of the
 // segment pair, so a selective scan's segment pruning is observable.
 // The page pair counts the pages the unit walk meets holding a live
-// slot (walkSlots): a dcz page whose planes ruled out every row, so the
-// walk visited none, is skipped, and every other is scanned. Folded rows
-// counts the rows a fold took from dcz pages whole (foldPage) rather
-// than one at a time: it stays 0 over heap pages.
+// slot (walk.go): a dcz page whose planes ruled out every row, so the
+// walk selected none, is skipped, and every other is scanned. Folded
+// rows counts the rows a page sink took from dcz pages stored in the
+// scan's layout, which it reads by their planes: it stays 0 over heap
+// pages and converted ones.
 var (
 	segmentsScanned = expvar.NewInt("decibel.segments_scanned")
 	segmentsSkipped = expvar.NewInt("decibel.segments_skipped")

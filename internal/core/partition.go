@@ -206,102 +206,3 @@ func combine(kind ScanKind, sp *SlotSpace) (u ScanUnit, ok bool) {
 	}
 	return u, true
 }
-
-// slotWalker walks one segment's live slots at a time (walkSlots). Its
-// page callback, bound once by bind, reads the walk's state through the
-// walker, so a runner that keeps one walks unit after unit without
-// allocating.
-type slotWalker struct {
-	bm      *bitmap.Bitmap
-	base    int64
-	visit   func(slot int64, buf []byte) bool
-	stopped bool
-	// usePlanes says the current unit's dcz pages walk by planes
-	// (walkPlanes) through the scan's program.
-	usePlanes bool
-	planes    *planeProg
-	page      func(slot int64, buf []byte) bool // bound once: filters a page's slots by bm
-	// fold, when set, takes the current unit's dcz pages whole
-	// (foldPage), with pred deciding the rows their planes leave
-	// undecided and done, when not nil, polled once a page.
-	fold PageSink
-	pred func(buf []byte) bool
-	done <-chan struct{}
-	sel  []uint64 // foldPage's selection words
-	// scanned and skipped count the current walk's live pages: skipped
-	// those whose planes ruled out every row, scanned the rest; folded
-	// counts the rows it handed to fold.
-	scanned, skipped, folded int64
-}
-
-// bind sets the visit callback every walk hands its live slots to.
-func (w *slotWalker) bind(visit func(slot int64, buf []byte) bool) {
-	w.visit = visit
-	w.page = func(slot int64, buf []byte) bool {
-		if !w.bm.Get(int(w.base + slot)) {
-			return true
-		}
-		w.stopped = !w.visit(w.base+slot, buf)
-		return !w.stopped
-	}
-}
-
-// walkSlots hands visit every slot of sg set in bm — both in the
-// space's slot numbering — with its stored buffer, in slot order,
-// until visit returns false. It reads only the pages that hold a set
-// bit: on branch-clustered data that skips the pages holding other
-// branches' records, the page-granularity benefit the paper attributes
-// to clustering (Section 5.5), while fully interleaved data degrades to
-// a whole-file scan. Each such page is walked one way: with usePlanes
-// set, a page of a dcz segment visits only the live slots its planes do
-// not rule out (planes.go); with fold set, a page of a dcz segment goes
-// to fold whole (foldPage); every other page visits its live slots as
-// rows. The walk adds its live pages and folded rows to the counters
-// once, when it ends.
-func (w *slotWalker) walkSlots(sg SpaceSeg, bm *bitmap.Bitmap) error {
-	w.bm, w.base, w.stopped, w.scanned, w.skipped, w.folded = bm, sg.Base, false, 0, 0, 0
-	defer w.count()
-	per := int64(sg.File.PerPage())
-	end := sg.Base + sg.File.Count()
-	var cf *store.CompressedFile
-	if w.usePlanes || w.fold != nil {
-		cf, _ = sg.File.(*store.CompressedFile)
-	}
-	for next := int64(bm.NextSet(int(sg.Base))); next >= 0 && next < end; {
-		p := (next - sg.Base) / per
-		handled := false
-		if cf != nil {
-			var err error
-			if w.fold != nil {
-				handled, err = true, w.foldPage(cf, p, per, end)
-			} else {
-				handled, err = w.walkPlanes(cf, p, per, end)
-			}
-			if err != nil || w.stopped {
-				return err
-			}
-		}
-		if !handled {
-			w.scanned++
-			if err := sg.File.Scan(p*per, (p+1)*per, w.page); err != nil || w.stopped {
-				return err
-			}
-		}
-		next = int64(bm.NextSet(int(sg.Base + (p+1)*per)))
-	}
-	return nil
-}
-
-// count adds the walk's live pages and folded rows to the published
-// counters.
-func (w *slotWalker) count() {
-	if w.scanned != 0 {
-		pagesScanned.Add(w.scanned)
-	}
-	if w.skipped != 0 {
-		pagesSkipped.Add(w.skipped)
-	}
-	if w.folded != 0 {
-		planeFoldedRows.Add(w.folded)
-	}
-}

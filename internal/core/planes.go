@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math/bits"
-
-	"decibel/internal/store"
-)
+import "decibel/internal/store"
 
 // The plane pre-filter. A decoded dcz page keeps its dict- and
 // const-encoded planes beside its rows (store.Page): for each such
@@ -13,11 +9,11 @@ import (
 // planes before any row is touched: each subtree is evaluated once per
 // distinct value of its column into a 256-entry table (once in all for
 // a const plane), and the tables combine 64 rows at a time through the
-// predicate's And/Or/Not. A row walk visits only the live rows the
-// planes do not rule out, and the full row predicate still decides
-// each of them. A fold (UnitRunner.UsePages) visits no row: it takes
-// the page whole, with the rows the planes prove to match, and those
-// they leave undecided that the row predicate accepts.
+// predicate's And/Or/Not. The unit walk (walk.go) ANDs them into the
+// page's selection words: a row the planes rule out is dropped, one
+// they prove is selected unchecked, and the row predicate decides only
+// the rows they leave undecided, whichever consumer — the row emitter
+// or a page sink — then reads the words.
 //
 // The logic is three-valued, like a zone map's: a subtree over a raw or
 // delta plane — or a column the page has no plane for — is unknown, so
@@ -181,126 +177,4 @@ func (p *planeProg) word(at, n int) tri {
 		}
 	}
 	return p.stack[0]
-}
-
-// walkPlanes walks page p of cf — per slots a page, the segment's slots
-// ending at end in the space's numbering — by its planes: it visits the
-// live slots the planes do not rule out, and counts the page skipped
-// when that is none of them. handled is false when the planes rule out
-// no row of the page, which then walks as rows.
-func (w *slotWalker) walkPlanes(cf *store.CompressedFile, p, per, end int64) (handled bool, err error) {
-	pg, err := cf.Page(int(p))
-	if err != nil {
-		return true, err
-	}
-	pp := w.planes
-	if !pp.prepare(pg) {
-		return false, nil
-	}
-	if !pp.dict {
-		// Every step is constant on the page: it matches all or none.
-		if pp.word(0, 0).may != 0 {
-			return false, nil
-		}
-		w.skipped++
-		return true, nil
-	}
-	first := w.base + p*per
-	rows := int(min(per, end-first))
-	rs := cf.RecordSize()
-	visited := false
-words:
-	for at := 0; at < rows; at += 64 {
-		n := min(64, rows-at)
-		live := w.bm.Word(int(first) + at)
-		if n < 64 {
-			live &= 1<<uint(n) - 1
-		}
-		if live == 0 {
-			continue
-		}
-		for live &= pp.word(at, n).may; live != 0; live &= live - 1 {
-			r := at + bits.TrailingZeros64(live)
-			visited = true
-			if !w.visit(first+int64(r), pg.Rows[r*rs:(r+1)*rs]) {
-				w.stopped = true
-				break words
-			}
-		}
-	}
-	if visited {
-		w.scanned++
-	} else {
-		w.skipped++
-	}
-	return true, nil
-}
-
-// foldPage hands page p of cf — numbered as in walkPlanes — whole to the
-// walk's fold, as 64-row selection words: the live rows the planes do
-// not rule out, less those the row predicate rejects where the planes
-// leave a row undecided. A page whose planes rule out every live row is
-// counted skipped and not handed over, as is a page no selected row
-// is left in.
-func (w *slotWalker) foldPage(cf *store.CompressedFile, p, per, end int64) error {
-	pg, err := cf.Page(int(p))
-	if err != nil {
-		return err
-	}
-	pp := w.planes
-	if pp != nil && !pp.prepare(pg) {
-		pp = nil // no step is decided by a plane: the predicate decides every row
-	}
-	first := w.base + p*per
-	rows := int(min(per, end-first))
-	rs := cf.RecordSize()
-	if nw := (rows + 63) / 64; cap(w.sel) < nw {
-		w.sel = make([]uint64, 0, nw)
-	}
-	sel := w.sel[:0]
-	visited, n := false, 0
-	for at := 0; at < rows; at += 64 {
-		k := min(64, rows-at)
-		word := w.bm.Word(int(first) + at)
-		if k < 64 {
-			word &= 1<<uint(k) - 1
-		}
-		open := word // the rows the row predicate decides
-		if pp != nil {
-			t := pp.word(at, k)
-			word &= t.may
-			open = word &^ t.must
-		}
-		visited = visited || word != 0
-		if w.pred != nil {
-			for ; open != 0; open &= open - 1 {
-				b := bits.TrailingZeros64(open)
-				if r := at + b; !w.pred(pg.Rows[r*rs : (r+1)*rs]) {
-					word &^= 1 << uint(b)
-				}
-			}
-		}
-		sel = append(sel, word)
-		n += bits.OnesCount64(word)
-	}
-	w.sel = sel
-	if !visited {
-		w.skipped++
-		return nil
-	}
-	w.scanned++
-	if n == 0 {
-		return nil
-	}
-	if w.done != nil {
-		select {
-		case <-w.done:
-			w.stopped = true
-			return nil
-		default:
-		}
-	}
-	w.folded += int64(n)
-	w.stopped = !w.fold.AddPage(pg, sel)
-	return nil
 }

@@ -18,8 +18,9 @@ type planeNodes []PlaneNode
 func (p planeNodes) PlaneNodes() []PlaneNode { return p }
 
 // TestPlanesDecideRowsBeforePredicate: on a dcz segment the row
-// predicate runs only on the live rows the planes pass — a dict plane
-// rules rows out by code, a const plane a whole page, a delta plane
+// predicate runs only on the live rows the planes leave undecided —
+// neither ruled out nor proven: a dict plane decides rows by code, a
+// const plane a whole page, a delta plane
 // nothing — and the rows emitted are exactly those a walk without the
 // planes emits.
 func TestPlanesDecideRowsBeforePredicate(t *testing.T) {
@@ -75,14 +76,16 @@ func TestPlanesDecideRowsBeforePredicate(t *testing.T) {
 		name  string
 		pred  func(buf []byte) bool
 		nodes planeNodes
-		// visits counts the live rows the planes cannot rule out.
-		visits func(i int64) bool
+		// visits counts the live rows the planes cannot rule out, and
+		// proves, of those, the rows they prove match (nil: none).
+		visits, proves func(i int64) bool
 	}{
 		{
 			name:   "cat in {3,4} (dict)",
 			pred:   func(b []byte) bool { return cat(b) == 3 || cat(b) == 4 },
 			nodes:  planeNodes{leaf(1, func(v int64) bool { return v == 3 || v == 4 })},
 			visits: func(i int64) bool { return i%10 == 3 || i%10 == 4 },
+			proves: func(int64) bool { return true },
 		},
 		{
 			name: "k = 2 (const)",
@@ -91,6 +94,7 @@ func TestPlanesDecideRowsBeforePredicate(t *testing.T) {
 				leaf(2, func(v int64) bool { return v == 2 }),
 			},
 			visits: func(i int64) bool { return i/per == 2 },
+			proves: func(int64) bool { return true },
 		},
 		{
 			name: "not(cat = 3) and id < 500 (dict, delta)",
@@ -121,6 +125,7 @@ func TestPlanesDecideRowsBeforePredicate(t *testing.T) {
 				{Op: PlaneOr, N: 2},
 			},
 			visits: func(i int64) bool { return i%10 == 1 || i/per >= 8 },
+			proves: func(int64) bool { return true },
 		},
 		{
 			name: "id > 10 or true (delta, true)",
@@ -164,7 +169,7 @@ func TestPlanesDecideRowsBeforePredicate(t *testing.T) {
 			}
 			wantCalls := 0
 			for i := int64(0); i < rows; i++ {
-				if live.Get(int(i)) && tc.visits(i) {
+				if live.Get(int(i)) && tc.visits(i) && (tc.proves == nil || !tc.proves(i)) {
 					wantCalls++
 				}
 			}

@@ -14,11 +14,12 @@ import (
 // lock, which slots of which slot space the requested versions hold
 // (Engine.Live) — the one thing the three schemes differ in — and
 // Partition turns that into one ScanUnit per segment, in scan order.
-// Everything above that is here and shared: the per-record body
-// (layout conversion, predicate, projection, annotation, callback), the
-// loop that runs the units in order on the calling goroutine,
-// cancellation, and the point lookup that replaces the walk when a
-// predicate pins the primary key.
+// Everything above that is here and shared: the unit walk (walk.go:
+// liveness, planes, layout conversion, predicate), its two consumers
+// (the row emitter — projection, annotation, callback — and a page
+// sink), the loop that runs the units in order on the calling
+// goroutine, cancellation, and the point lookup that replaces the walk
+// when a predicate pins the primary key.
 
 // ScanKind selects the scan shape a ScanRequest partitions: which
 // versions it reads and how their liveness combines.
@@ -90,135 +91,114 @@ type ScanUnit struct {
 	cols []*bitmap.Bitmap // multi-branch: each version's liveness (nil: none)
 }
 
-// PageSink takes a scan's dcz pages whole (UnitRunner.UsePages): one
-// page of a unit stored in the spec's target layout, and sel, the rows
-// of it the scan selects — live in the unit and satisfying the spec's
-// predicate — row r as bit r%64 of sel[r/64]. The page is shared and
-// read-only; sel is valid only until AddPage returns. Returning false
-// stops the scan.
+// PageSink takes a scan's pages whole (UnitRunner.UsePages): one page
+// of a unit, its rows in the spec's target layout, and sel, the rows of
+// it the scan selects — live in the unit and satisfying the spec's
+// predicate — row r as bit r%64 of sel[r/64]. A dcz page stored in the
+// target layout comes with its planes; a heap page, or a page converted
+// from an older layout, comes as its rows alone, and its rows outside
+// sel may hold anything. The page is shared and read-only, and valid,
+// like sel, only until AddPage returns. Returning false stops the scan.
 type PageSink interface {
 	AddPage(pg *store.Page, sel []uint64) bool
 }
 
-// UnitRunner is the one per-record body every scan shape of every
-// engine shares: convert the stored buffer to the spec's layout,
-// evaluate predicate and projection, annotate, deliver. One runner
-// serves all the units of a scan, one Run at a time, in whatever order
-// its driver chooses.
+// UnitRunner is the one body every scan shape of every engine shares:
+// the page walk (walk.go) — liveness, planes, layout conversion,
+// predicate — and then either a page sink or the row emitter, which
+// projects, annotates and delivers each selected row. One runner serves
+// all the units of a scan, one Run at a time, in whatever order its
+// driver chooses.
 type UnitRunner struct {
 	done <-chan struct{} // the scan context's Done; nil when it can never be canceled
 	spec *ScanSpec
 	fn   UnitFunc
-	walk slotWalker // visits the body, bound once
 	// planes, when set, yields the predicate's plane program, built into
-	// walk.planes when the scan first meets a dcz page (planes.go).
+	// prog when the scan first meets a dcz unit (planes.go).
 	planes PlaneSource
+	prog   *planeProg
 	pages  PageSink // set by UsePages
 
-	prep      func(buf []byte) []byte // current unit's conversion
-	unit      *ScanUnit               // current unit
-	member    *bitmap.Bitmap          // multi-branch membership scratch
-	err       error                   // Apply failure
-	annotated bool                    // the current unit's rows carry a side or a membership
+	conv      *record.Conv   // current unit's conversion; nil when it is stored in the spec's layout
+	unit      *ScanUnit      // current unit
+	member    *bitmap.Bitmap // multi-branch membership scratch
+	err       error          // emission failure
+	annotated bool           // the current unit's rows carry a side or a membership
 	stop      bool
+	walk      pageWalk
 }
 
 // NewUnitRunner binds the body to one scan: every live record that
 // satisfies the spec goes to fn, until fn returns false or ctx is
-// canceled (polled once per delivered record, without a lock: ctx.Err
-// takes the context's mutex; contexts that can never be canceled are
-// not consulted).
+// canceled (polled once per delivered record or page, without a lock:
+// ctx.Err takes the context's mutex; contexts that can never be
+// canceled are not consulted).
 func NewUnitRunner(ctx context.Context, spec *ScanSpec, fn UnitFunc) *UnitRunner {
 	r := &UnitRunner{spec: spec, fn: fn, done: ctx.Done()}
-	r.walk.done, r.walk.pred = r.done, spec.Pred
-	// The body is a closure literal rather than a method value: it runs
-	// once per walked slot, and a method value would add a call to each.
-	r.walk.bind(func(slot int64, buf []byte) bool {
-		if r.prep != nil {
-			buf = r.prep(buf)
-		}
-		rec, err := r.spec.Apply(buf)
-		if err != nil {
-			r.err = err
-			return false
-		}
-		if rec == nil {
-			return true
-		}
-		var aux UnitAux
-		if r.annotated {
-			aux = r.annotate(slot)
-		}
-		if r.done != nil {
-			select {
-			case <-r.done:
-				r.stop = true
-				return false
-			default:
-			}
-		}
-		if !r.fn(rec, aux) {
+	r.walk.heap = r.heapPage
+	return r
+}
+
+// emit hands one selected row, slot in the target layout, to fn:
+// projected, annotated, after a poll of the context. It reports whether
+// the walk goes on.
+func (r *UnitRunner) emit(slot int64, buf []byte) bool {
+	rec, err := r.spec.emit(buf)
+	if err != nil {
+		r.err, r.stop = err, true
+		return false
+	}
+	var aux UnitAux
+	if r.annotated {
+		aux = r.annotate(slot)
+	}
+	if r.done != nil {
+		select {
+		case <-r.done:
 			r.stop = true
 			return false
+		default:
 		}
-		return true
-	})
-	return r
+	}
+	r.stop = !r.fn(rec, aux)
+	return !r.stop
 }
 
 // UsePlanes hands the runner the plane pre-filter of the spec's
 // predicate: the dcz pages of units stored in the spec's target layout
-// then visit only the rows their planes do not rule out. src must
-// describe the same predicate as the spec's, which still decides every
-// row visited.
+// then run the row predicate only on the rows their planes leave
+// undecided. src must describe the same predicate as the spec's.
 func (r *UnitRunner) UsePlanes(src PlaneSource) { r.planes = src }
 
-// UsePages hands the dcz pages of units stored in the spec's target
-// layout to sink whole, in place of their rows (foldPage): no row of
-// such a page reaches fn, the spec's projection or a row's annotation,
-// so only a scan that reads none of them may use it. The scan stops
-// within one page of its context being canceled.
+// UsePages hands every page the walk selects a row of to sink whole,
+// in place of its rows: no row reaches fn, the spec's projection or a
+// row's annotation, so only a scan that reads none of them may use it.
+// The scan stops within one page of its context being canceled.
 func (r *UnitRunner) UsePages(sink PageSink) { r.pages = sink }
 
-// Run executes one unit: zone-map pruning, layout prep, then the walk.
+// Run executes one unit: zone-map pruning, the conversion of its
+// layout, then the walk.
 func (r *UnitRunner) Run(u *ScanUnit) error {
 	if r.spec.SkipSegment(u.Zone, u.PhysCols) {
 		return nil
 	}
-	prep, err := r.spec.Prep(u.PhysCols)
+	conv, err := r.spec.conv(u.PhysCols)
 	if err != nil {
 		return err
 	}
-	r.prep, r.unit, r.annotated = prep, u, u.side != nil || u.cols != nil
-	// A converted layout moves the columns the planes are matched at,
-	// and those a page sink reads.
-	dcz := prep == nil && u.seg.Encoding == store.EncDCZ
-	r.walk.usePlanes = r.planes != nil && dcz
-	r.walk.fold = nil
-	if dcz {
-		r.walk.fold = r.pages
-	}
-	if r.walk.usePlanes && r.walk.planes == nil {
-		nodes := r.planes.PlaneNodes()
-		if nodes == nil {
-			r.planes, r.walk.usePlanes = nil, false
-		} else {
-			r.walk.planes = newPlaneProg(nodes, r.spec.schema.RecordSize())
-		}
-	}
+	r.conv, r.unit, r.annotated = conv, u, u.side != nil || u.cols != nil
 	if u.cols != nil && (r.member == nil || r.member.Len() != len(u.cols)) {
 		r.member = bitmap.New(len(u.cols))
 	}
-	if err := r.walk.walkSlots(u.seg, u.live); err != nil {
+	if err := r.walkSlots(u.seg, u.live); err != nil {
 		return err
 	}
-	r.stop = r.stop || r.walk.stopped
 	return r.err
 }
 
 // annotate derives a row's annotation from its slot: its side in a
-// diff, its membership in a multi-branch scan. It stays out of the body
-// above, which runs for every row of every shape.
+// diff, its membership in a multi-branch scan. It stays out of the
+// emitter above, which runs for every row of every shape.
 func (r *UnitRunner) annotate(slot int64) UnitAux {
 	if u := r.unit; u.side != nil {
 		return UnitAux{InA: u.side.Get(int(slot))}
@@ -323,12 +303,12 @@ func (t *Table) LookupPKContext(ctx context.Context, v Version, pk int64, spec *
 	if buf == nil {
 		return ctx.Err() // the key is not live in this version
 	}
-	prep, err := spec.Prep(physCols)
+	cv, err := spec.conv(physCols)
 	if err != nil {
 		return err
 	}
-	if prep != nil {
-		buf = prep(buf)
+	if cv != nil {
+		buf = cv.Convert(buf, cv.NewScratch())
 	}
 	rec, err := spec.Apply(buf)
 	if err != nil {

@@ -10,18 +10,19 @@ import (
 // record, before anything is materialized: a predicate over the raw
 // encoded buffer and a column projection applied to the records that
 // survive it. The planner in internal/query compiles name-based typed
-// predicates down to the raw form; the scan driver (scan.go) applies
-// the spec to every buffer a scan unit walks.
+// predicates down to the raw form; the unit walk (walk.go) runs the
+// predicate on every page's undecided rows, and the row emitter
+// projects the rows it selects.
 //
-// A ScanSpec is single-use per scan: Apply hands out one record per
-// spec — the projection's scratch record, or a view it rebinds to each
-// row — so it must not be shared between concurrent scans. Records
-// produced by Apply alias the engine's buffer or that scratch record
-// and must be Cloned to be retained, like every scan output.
+// A ScanSpec is single-use per scan: it hands out one record per spec
+// — the projection's scratch record, or a view it rebinds to each row —
+// so it must not be shared between concurrent scans. Its records alias
+// the engine's buffer or that scratch record and must be Cloned to be
+// retained, like every scan output.
 type ScanSpec struct {
-	// schema is the table schema visible at epoch; Prep converts
-	// buffers stored under older physical layouts into it before Pred
-	// or Apply see them.
+	// schema is the table schema visible at epoch; the walk converts
+	// buffers stored under older physical layouts into it (conv) before
+	// Pred or the projection see them.
 	schema *record.Schema
 	hist   *record.History
 	epoch  int
@@ -33,8 +34,8 @@ type ScanSpec struct {
 	cols    []int          // source column index per output column
 	out     *record.Schema // projected schema (nil = no projection)
 	scratch *record.Record
-	// view is the record Apply rebinds to each row when the spec does
-	// not project, allocated by the first such row.
+	// view is the record rebound to each row when the spec does not
+	// project, allocated by the first such row.
 	view *record.Record
 
 	// bounds are the planner's per-column interval constraints and
@@ -87,24 +88,16 @@ func NewScanSpecAt(hist *record.History, epoch int, pred func([]byte) bool, cols
 // at.
 func (sp *ScanSpec) Epoch() int { return sp.epoch }
 
-// Prep returns the conversion for buffers stored under the physical
-// layout with physCols columns — defaults filled, columns projected to
-// the epoch's view, the stored pages untouched — or nil when they are
-// already in the spec's target layout (the common case; the driver then
-// skips the call per record). Each returned function owns a fresh
-// scratch buffer, so Prep itself does not make the spec stateful; the
-// converted buffer it returns is only valid until the next call of that
-// same function.
-func (sp *ScanSpec) Prep(physCols int) (func(buf []byte) []byte, error) {
+// conv returns the conversion of buffers stored under the physical
+// layout with physCols columns into the spec's target layout — defaults
+// filled, columns projected to the epoch's view, the stored pages
+// untouched — or nil when they are already in it (the common case).
+func (sp *ScanSpec) conv(physCols int) (*record.Conv, error) {
 	cv, err := sp.hist.Conv(physCols, sp.epoch)
-	if err != nil {
+	if err != nil || cv.Identity() {
 		return nil, err
 	}
-	if cv.Identity() {
-		return nil, nil
-	}
-	scratch := cv.NewScratch()
-	return func(buf []byte) []byte { return cv.Convert(buf, scratch) }, nil
+	return cv, nil
 }
 
 // Clone returns a spec sharing the compiled predicate, schema history
@@ -139,14 +132,22 @@ func (sp *ScanSpec) Out() *record.Schema {
 	return sp.schema
 }
 
-// Apply evaluates the spec against one encoded record buffer. It
-// returns nil when the predicate filters the record out; otherwise the
-// (possibly projected) record, which aliases buf or the spec's scratch
-// record and must not be retained across calls.
+// Apply evaluates the spec against one encoded record buffer, for the
+// reads of a single record (LookupPKContext, a version pair's right
+// side); a scan's walk runs the predicate itself. It returns nil when
+// the predicate filters the record out; otherwise the (possibly
+// projected) record, which aliases buf or the spec's scratch record
+// and must not be retained across calls.
 func (sp *ScanSpec) Apply(buf []byte) (*record.Record, error) {
 	if sp.Pred != nil && !sp.Pred(buf) {
 		return nil, nil
 	}
+	return sp.emit(buf)
+}
+
+// emit is Apply past the predicate: the record of a row the scan
+// already selected (UnitRunner.emit).
+func (sp *ScanSpec) emit(buf []byte) (*record.Record, error) {
 	if sp.out != nil {
 		return sp.project(buf)
 	}

@@ -450,31 +450,46 @@ func (f *File) Read(slot int64, dst []byte) error {
 // buffer that aliases the page. The buffer is valid only until fn
 // returns: once the page is unpinned an eviction may reuse its frame
 // for another page, so fn copies whatever it keeps. Returning false
-// stops the scan early. Scan pins one page at a time, giving the
-// sequential I/O pattern of a branch scan.
+// stops the scan early. Scan pins one page at a time (ReadPage), giving
+// the sequential I/O pattern of a branch scan.
 func (f *File) Scan(from, to int64, fn func(slot int64, rec []byte) bool) error {
 	to = min(to, f.count.Load())
-	from = max(from, 0)
-	for slot := from; slot < to; {
-		page := slot / int64(f.perPage)
-		fr, data, err := f.pool.get(f, page, false)
-		if err != nil {
-			return err
-		}
-		end := min((page+1)*int64(f.perPage), to)
-		if err := f.covers(data, page, int(end-page*int64(f.perPage))); err != nil {
-			f.pool.unpin(fr)
-			return err
-		}
-		for ; slot < end; slot++ {
-			idx := int(slot % int64(f.perPage))
-			if !fn(slot, data[idx*f.recSize:(idx+1)*f.recSize]) {
-				f.pool.unpin(fr)
-				return nil
+	per := int64(f.perPage)
+	stop := false
+	for slot := max(from, 0); slot < to && !stop; {
+		page, next := slot/per, slot
+		err := f.ReadPage(page, func(rows []byte) {
+			end := min((page+1)*per, to, page*per+int64(len(rows)/f.recSize))
+			for ; next < end && !stop; next++ {
+				at := int(next-page*per) * f.recSize
+				stop = !fn(next, rows[at:at+f.recSize])
 			}
+		})
+		if err != nil || next == slot { // a truncated file ends the scan
+			return err
 		}
-		f.pool.unpin(fr)
+		slot = next
 	}
+	return nil
+}
+
+// ReadPage calls fn with the records on page p, back to back, as many
+// as the file's count puts there (none past the last page): the page
+// is pinned for the call, and the slice is valid only until fn returns.
+func (f *File) ReadPage(p int64, fn func(rows []byte)) error {
+	n := min(int64(f.perPage), f.count.Load()-p*int64(f.perPage))
+	if p < 0 || n <= 0 {
+		return nil
+	}
+	fr, data, err := f.pool.get(f, p, false)
+	if err != nil {
+		return err
+	}
+	defer f.pool.unpin(fr)
+	if err := f.covers(data, p, int(n)); err != nil {
+		return err
+	}
+	fn(data[:int(n)*f.recSize])
 	return nil
 }
 

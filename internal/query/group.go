@@ -18,15 +18,16 @@ package query
 // key — and a float Sum/Avg adds in scan order, so a query has one
 // answer.
 //
-// A fold over a single table with no key or one Int32, Int64 or
-// Float64 key also takes the dcz pages stored in its layout whole
-// (AddPage, core.PageSink): it reads the key and aggregate columns from
-// the page's dict, const and raw planes, and a delta column from the
-// rows at its offset, 64 selected rows and one column at a time,
-// without visiting a row. Groups still open in first-arrival order and
-// each group's float sum still adds in slot order, so both paths give
-// one answer. Heap pages, converted layouts, joins and Bytes or
-// multi-column keys take the row path.
+// A fold over a single table takes every page the scan selects a row
+// of whole (AddPage, core.PageSink), 64 selected rows and one column at
+// a time, without visiting a row: a dcz page stored in its layout is
+// read from its dict, const and raw planes, and from the rows at a
+// delta column's offset; a heap page, or a page converted from an older
+// layout, from its rows. A single numeric key maps each selected row to
+// its group by its raw bits (a dict key by code, once a page), any
+// other key by its encoding, built from the row. Groups open in
+// first-arrival order and each group's float sum adds in slot order.
+// A join's tuples fold one at a time (add).
 
 import (
 	"context"
@@ -236,11 +237,11 @@ type groupFold struct {
 	n     []int64
 	key   []any
 	parts []aggPart
-	one   [1]*record.Record // a single-table row as a one-relation row
 
 	// recSize is a single table's record size, which AddPage reads a
-	// column inside the page's rows by; cols are AddPage's views of
-	// the current page's aggregate columns, then its key column.
+	// row or a column inside the page's rows by; cols are AddPage's
+	// views of the current page's aggregate columns, then its key
+	// column.
 	recSize int
 	cols    []pageCol
 }
@@ -264,8 +265,7 @@ func newGroupFold(keys []colHandle, aggs []groupAggCol) *groupFold {
 	return g
 }
 
-// add folds one row: a join tuple, or a single table's record as the
-// one-relation row g.one.
+// add folds one join tuple.
 func (g *groupFold) add(row []*record.Record) {
 	var gi int32
 	switch {
@@ -286,7 +286,9 @@ func (g *groupFold) add(row []*record.Record) {
 		}
 		i, ok := g.strs[string(g.buf)]
 		if !ok {
-			i = g.keyGroup(row)
+			k := g.slabKey()
+			i = g.rowGroup(row)
+			g.strs[k] = i
 		}
 		gi = i
 	case len(g.n) == 0:
@@ -351,11 +353,12 @@ func (g *groupFold) rowGroup(row []*record.Record) int32 {
 	})
 }
 
-// keyGroup opens the next group at row for the encoded key in g.buf:
-// the key is copied once into the slab, which the key table's string
-// and the group's key values alias. The slab's bytes are never written
+// slabKey takes the new encoded key in g.buf for the group about to
+// open: it copies the key once into the slab, appends its values to
+// g.key and returns the key table's key. The table's string and the
+// group's key values alias the slab, whose bytes are never written
 // again: a longer slab is a new array.
-func (g *groupFold) keyGroup(row []*record.Record) int32 {
+func (g *groupFold) slabKey() string {
 	at := len(g.slab)
 	g.slab = append(g.slab, g.buf...)
 	enc := g.slab[at:len(g.slab):len(g.slab)]
@@ -365,16 +368,14 @@ func (g *groupFold) keyGroup(row []*record.Record) int32 {
 		v, rest = k.decode(rest)
 		g.key = append(g.key, v)
 	}
-	i := g.rowGroup(row)
-	g.strs[unsafe.String(unsafe.SliceData(enc), len(enc))] = i
-	return i
+	return unsafe.String(unsafe.SliceData(enc), len(enc))
 }
 
-// pageCol is one key or aggregate column of the dcz page a fold takes
-// whole, read as the page block stored it: a dict plane's codes and
-// values, a const plane's value, a raw plane's column, or — for a
-// delta-encoded column, which keeps no plane — the column inside the
-// page's rows.
+// pageCol is one key or aggregate column of the page a fold takes
+// whole, read as the page holds it: a dict plane's codes and values, a
+// const plane's value, a raw plane's column, or — for a page with no
+// plane of it: a delta-encoded column, a heap or converted page — the
+// column inside the page's rows.
 type pageCol struct {
 	codes  []byte // dict: row r holds value codes[r]
 	values []byte // dict and const: the plane's values, width bytes each
@@ -426,14 +427,12 @@ func (c *pageCol) gather(rows []int32, dst []uint64) {
 	}
 }
 
-// AddPage folds the rows sel selects of a single table's dcz page, 64
-// at a time and a column at a time, without visiting a row
-// (core.PageSink). A single key column maps each dict code of the page
-// to its group once, in row order, so groups still open in
-// first-arrival order; every group's aggregates take its rows in slot
-// order, so a float sum adds exactly as the row path does. Only a fold
-// with no key columns or a single Int32, Int64 or Float64 one takes
-// pages.
+// AddPage folds the rows sel selects of a single table's page, 64 at a
+// time and a column at a time (core.PageSink). A single numeric key
+// maps each dict code of the page to its group once, in row order, and
+// any other key encodes each selected row's key from the page's rows,
+// so groups open in first-arrival order; every group's aggregates take
+// its rows in slot order, so a float sum adds in scan order.
 func (g *groupFold) AddPage(pg *store.Page, sel []uint64) bool {
 	na := len(g.aggs)
 	if g.cols == nil {
@@ -465,11 +464,25 @@ func (g *groupFold) AddPage(pg *store.Page, sel []uint64) bool {
 		}
 		rs, gs := rows[:n], gids[:n]
 		switch {
-		case g.bits == nil:
+		case len(g.keys) == 0:
 			if len(g.n) == 0 {
 				g.pageGroup(int(rs[0]))
 			}
 			clear(gs)
+		case g.strs != nil:
+			for j, r := range rs {
+				g.buf = g.buf[:0]
+				for _, k := range g.keys {
+					g.buf = k.encode(g.buf, pg.Rows[int(r)*g.recSize:])
+				}
+				i, ok := g.strs[string(g.buf)]
+				if !ok {
+					k := g.slabKey()
+					i = g.pageGroup(int(r))
+					g.strs[k] = i
+				}
+				gs[j] = i
+			}
 		case kc.codes != nil:
 			for j, r := range rs {
 				c := kc.codes[r]
@@ -601,7 +614,7 @@ func (c *Compiled) resolveAggCol(a AggSpec) (groupAggCol, error) {
 // fold runs the plan's scan shape (single-version, historical,
 // multi-branch — each record live in any head once — or a composed
 // join) through one fold of the plan's group columns and aggs. A
-// single table's rows arrive in c.schema (the spec converts older
+// single table's pages arrive in c.schema (the walk converts older
 // layouts), a join's tuples in each relation's output schema: the
 // schemas the column handles were resolved against.
 func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, error) {
@@ -617,12 +630,8 @@ func (c *Compiled) fold(ctx context.Context, aggs []groupAggCol) (*groupFold, er
 		return nil, err
 	}
 	spec.SetBounds(c.bounds)
-	var pages core.PageSink
-	if fold.strs == nil {
-		fold.recSize, pages = c.schema.RecordSize(), fold
-	}
-	return fold, c.table.ScanUnitsContext(ctx, c.request(c.shape()), spec, c, pages,
-		func(rec *record.Record, _ core.UnitAux) bool { fold.one[0] = rec; fold.add(fold.one[:]); return true })
+	fold.recSize = c.schema.RecordSize()
+	return fold, c.table.ScanUnitsContext(ctx, c.request(c.shape()), spec, c, fold, nil)
 }
 
 // GroupScan executes the grouped aggregation: one streaming pass over

@@ -350,31 +350,35 @@ func (c *CompressedFile) Read(slot int64, dst []byte) error {
 // count. The rec slice aliases the decoded page cache and is only
 // valid during the callback, same contract as heap.File.Scan.
 func (c *CompressedFile) Scan(from, to int64, fn func(slot int64, rec []byte) bool) error {
-	count := c.Count()
-	if to > count {
-		to = count
-	}
-	if from < 0 {
-		from = 0
-	}
-	per := int64(c.perPage)
-	for slot := from; slot < to; {
+	to, per := min(to, c.Count()), int64(c.perPage)
+	for slot := max(from, 0); slot < to; {
 		pg, err := c.Page(int(slot / per))
 		if err != nil {
 			return err
 		}
-		p := pg.Rows
-		end := (slot/per + 1) * per
-		if end > to {
-			end = to
-		}
-		for ; slot < end; slot++ {
-			idx := int(slot % per)
-			if !fn(slot, p[idx*c.recSize:(idx+1)*c.recSize]) {
+		for end := min((slot/per+1)*per, to); slot < end; slot++ {
+			at := int(slot%per) * c.recSize
+			if !fn(slot, pg.Rows[at:at+c.recSize]) {
 				return nil
 			}
 		}
 	}
+	return nil
+}
+
+// ReadPage calls fn with page p's records decoded, back to back, as
+// many as the logical count puts there (none past the last page): the
+// rows of the cached Page, shared and read-only.
+func (c *CompressedFile) ReadPage(p int64, fn func(rows []byte)) error {
+	n := min(int64(c.perPage), c.Count()-p*int64(c.perPage))
+	if p < 0 || n <= 0 {
+		return nil
+	}
+	pg, err := c.Page(int(p))
+	if err != nil {
+		return err
+	}
+	fn(pg.Rows[:int(n)*c.recSize])
 	return nil
 }
 

@@ -40,6 +40,7 @@ type SegFile interface {
 	Append(rec []byte) (int64, error)
 	Read(slot int64, dst []byte) error
 	Scan(from, to int64, fn func(slot int64, rec []byte) bool) error
+	ReadPage(p int64, fn func(rows []byte)) error
 	Truncate(n int64) error
 	Sync() error
 	Flush() error

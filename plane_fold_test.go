@@ -1,15 +1,17 @@
 package decibel_test
 
-// The fold over dcz planes against the row path. Two datasets take the
-// same writes; one is compacted, so a fold over it takes its frozen
-// segments' dcz pages whole — keys and aggregates read from dict, const
-// and raw planes and from delta-encoded columns inside the rows — while
-// the other folds every row one at a time. The compacted table then
-// gets raw head rows, so one fold mixes pages and rows. Every aggregate,
+// The fold over dcz planes against the fold over heap pages and a
+// post-hoc reference. Two datasets take the same writes; one is
+// compacted, so a fold over it takes its frozen segments' dcz pages
+// whole — keys and aggregates read from dict, const and raw planes and
+// from delta-encoded columns inside the rows — while the other folds
+// heap pages, read from their rows. The compacted table then gets raw
+// head rows, so one fold mixes both kinds of page. Every aggregate,
 // every key shape and predicates the planes decide fully, partly or
 // not at all must give the same groups, in the same order, with every
-// float bit for bit, before and after an AddColumn moves the table to a
-// layout its stored pages must be converted to.
+// float bit for bit, on both datasets and as a fold of the rows the
+// same reads return, before and after an AddColumn moves the table to
+// a layout its stored pages must be converted to.
 
 import (
 	"context"
@@ -152,9 +154,23 @@ func foldValue(v any) string {
 	return fmt.Sprintf("i%v", v)
 }
 
+// foldScalar spells a scalar aggregate's result: its value, or its
+// error, an empty scan's ErrNoRows by name.
+func foldScalar(v float64, err error) string {
+	switch {
+	case errors.Is(err, decibel.ErrNoRows):
+		return "no rows"
+	case err != nil:
+		return "ERR " + err.Error()
+	}
+	return foldValue(v)
+}
+
 // foldStreams runs every fold the test crosses over db and returns each
 // result, labeled, in emission order; an error is part of its stream.
-func foldStreams(t *testing.T, db *decibel.DB) map[string][]string {
+// With posthoc set, each result is instead the reference fold
+// (refFold) of the rows the same read returns.
+func foldStreams(t *testing.T, db *decibel.DB, posthoc bool) map[string][]string {
 	t.Helper()
 	aggCols := []string{"k", "q", "f", "g", "t", "c"}
 	aggs := []decibel.Agg{decibel.Count()}
@@ -181,8 +197,16 @@ func foldStreams(t *testing.T, db *decibel.DB) map[string][]string {
 	out := map[string][]string{}
 	for rn, read := range reads {
 		for wn, where := range wheres {
+			var rows []*decibel.Record
+			if posthoc {
+				rows = legRows(t, read().Where(where))
+			}
 			for _, key := range keys {
 				label := fmt.Sprintf("%s %s by %v", rn, wn, key)
+				if posthoc {
+					out[label] = refFold(rows, key, aggCols)
+					continue
+				}
 				seq, errf := read().Where(where).GroupBy(key...).Groups(aggs...)
 				var got []string
 				for g := range seq {
@@ -203,10 +227,13 @@ func foldStreams(t *testing.T, db *decibel.DB) map[string][]string {
 			for _, c := range aggCols {
 				q := read().Where(where)
 				label := fmt.Sprintf("%s %s scalar %s", rn, wn, c)
+				if posthoc {
+					out[label] = refScalars(rows, c)
+					continue
+				}
 				var got []string
 				for _, fn := range []func(string) (float64, error){q.Sum, q.Min, q.Max, q.Avg} {
-					v, err := fn(c)
-					got = append(got, foldValue(v), fmt.Sprint(err))
+					got = append(got, foldScalar(fn(c)))
 				}
 				n, err := q.Count()
 				out[label] = append(got, fmt.Sprint(n, err))
@@ -216,9 +243,111 @@ func foldStreams(t *testing.T, db *decibel.DB) map[string][]string {
 	return out
 }
 
+// refAcc is one reference group's state for one column: its values'
+// sum, as an int64 for an integer column, and their extremes.
+type refAcc struct {
+	isum     int64
+	fsum     float64
+	min, max float64
+}
+
+// add folds one row's value of col, the group's n-th, into a.
+func (a *refAcc) add(rec *decibel.Record, col string, n int) {
+	sc := rec.Schema()
+	ci := sc.ColumnIndex(col)
+	var f float64
+	if sc.Column(ci).Type == decibel.Float64 {
+		f = rec.GetFloat64(ci)
+		a.fsum += f
+	} else {
+		a.isum += rec.Get(ci)
+		f = float64(rec.Get(ci))
+	}
+	if n == 1 || f < a.min {
+		a.min = f
+	}
+	if n == 1 || f > a.max {
+		a.max = f
+	}
+}
+
+// results spells the Sum, Min, Max and Avg of n values of col.
+func (a *refAcc) results(rec *decibel.Record, col string, n int) []string {
+	sum := float64(a.isum)
+	if sc := rec.Schema(); sc.Column(sc.ColumnIndex(col)).Type == decibel.Float64 {
+		sum = a.fsum
+	}
+	return []string{foldValue(sum), foldValue(a.min), foldValue(a.max), foldValue(sum / float64(n))}
+}
+
+// refFold is the reference for a grouped fold over rows: groups keyed
+// by every bit of their key values, in first-arrival order, with
+// Count, then Sum, Min, Max and Avg of every column of cols, each
+// folded in row order. It reads the rows a scan returns, not pages.
+func refFold(rows []*decibel.Record, key, cols []string) []string {
+	type group struct {
+		spelled string
+		first   *decibel.Record
+		n       int
+		accs    []refAcc
+	}
+	groups := map[string]*group{}
+	var order []*group
+	for _, rec := range rows {
+		sc := rec.Schema()
+		k := ""
+		for _, col := range key {
+			ci := sc.ColumnIndex(col)
+			switch sc.Column(ci).Type {
+			case decibel.Float64:
+				k += foldValue(rec.GetFloat64(ci)) + " "
+			case decibel.Bytes:
+				k += foldValue(rec.GetBytes(ci)) + " "
+			default:
+				k += foldValue(rec.Get(ci)) + " "
+			}
+		}
+		g := groups[k]
+		if g == nil {
+			g = &group{spelled: k, first: rec, accs: make([]refAcc, len(cols))}
+			groups[k] = g
+			order = append(order, g)
+		}
+		g.n++
+		for i, col := range cols {
+			g.accs[i].add(rec, col, g.n)
+		}
+	}
+	out := make([]string, len(order))
+	for j, g := range order {
+		row := g.spelled + " " + foldValue(float64(g.n))
+		for i, col := range cols {
+			for _, v := range g.accs[i].results(g.first, col, g.n) {
+				row += " " + v
+			}
+		}
+		out[j] = row
+	}
+	return out
+}
+
+// refScalars is the reference for the scalar aggregates of col over
+// rows, spelled as foldStreams spells them.
+func refScalars(rows []*decibel.Record, col string) []string {
+	if len(rows) == 0 {
+		return []string{foldValue(0.0), "no rows", "no rows", "no rows", "0 <nil>"}
+	}
+	var a refAcc
+	for i, rec := range rows {
+		a.add(rec, col, i+1)
+	}
+	return append(a.results(rows[0], col, len(rows)), fmt.Sprint(len(rows), nil))
+}
+
 // TestGroupByPlaneFold: on every engine, a fold that takes compacted
-// pages whole answers as the row path does over the same writes never
-// compacted.
+// pages whole answers as a fold over heap pages does over the same
+// writes never compacted, and both answer as a post-hoc fold of the
+// rows their reads return.
 func TestGroupByPlaneFold(t *testing.T) {
 	for _, engine := range facadeEngines {
 		t.Run(engine, func(t *testing.T) {
@@ -252,11 +381,11 @@ func TestGroupByPlaneFold(t *testing.T) {
 			compare := func(phase string) {
 				t.Helper()
 				f0 := expvarInt(t, "decibel.plane_folded_rows")
-				want := foldStreams(t, rowDB)
+				want := foldStreams(t, rowDB, false)
 				if n := expvarInt(t, "decibel.plane_folded_rows") - f0; n != 0 {
 					t.Fatalf("%s: %d rows of the uncompacted dataset folded by planes", phase, n)
 				}
-				got := foldStreams(t, dczDB)
+				got := foldStreams(t, dczDB, false)
 				if expvarInt(t, "decibel.plane_folded_rows") == f0 {
 					t.Fatalf("%s: no row of the compacted dataset folded by planes", phase)
 				}
@@ -264,6 +393,18 @@ func TestGroupByPlaneFold(t *testing.T) {
 					if g := got[label]; !slices.Equal(g, w) {
 						t.Fatalf("%s: %s: planes gave %d groups, rows %d\nplanes: %.400q\nrows:   %.400q",
 							phase, label, len(g), len(w), g, w)
+					}
+				}
+				for name, folds := range map[string]map[string][]string{"uncompacted": want, "compacted": got} {
+					db := rowDB
+					if name == "compacted" {
+						db = dczDB
+					}
+					for label, ref := range foldStreams(t, db, true) {
+						if g := folds[label]; !slices.Equal(g, ref) {
+							t.Fatalf("%s: %s dataset: %s: fold gave %d groups, post-hoc fold %d\nfold: %.400q\nref:  %.400q",
+								phase, name, label, len(g), len(ref), g, ref)
+						}
 					}
 				}
 			}

@@ -1,6 +1,6 @@
 #!/bin/sh
 # loc.sh — the line counts every simplicity change here quotes, and
-# thirty-seven structural checks. Prints the non-test Go lines outside
+# thirty-eight structural checks. Prints the non-test Go lines outside
 # benchmark/, of the two storage engine packages (internal/{hy,vf}:
 # internal/hy is tuple-first and hybrid, one engine with two
 # placements) and of version-first alone (internal/vf), of the shared
@@ -92,7 +92,7 @@
 # or offsetBitmap: compaction is one call (Database.Compact, on or off,
 # no background loop), its stats and fail points live in
 # internal/store, and the live-page walk is written once, in core's
-# walkSlots, over SegFile.Scan. Exits non-zero too if non-test Go matches
+# walkSlots, a page at a time. Exits non-zero too if non-test Go matches
 # runPool, UnitSink, NoParallel, ParallelScanCounters, scanSem or
 # mergeFrom: every scan runs its units in order on the calling
 # goroutine (core's ScanUnitsContext), so there is no scan pool, no
@@ -145,6 +145,10 @@
 # "keep func(core.UnitAux) bool": a positive diff partitions as A AND
 # NOT B (core.ScanKindPositiveDiff), so it walks only the rows it
 # returns, and no row filter drops the other side's rows after a walk.
+# Exits non-zero too if non-test Go matches walkPlanes, foldPage or
+# fold.one: every live page takes core's one page walk (walk.go) into
+# 64-row selection words, read by one row emitter or one page sink, and
+# a single-table fold takes every page whole (groupFold.AddPage).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -340,7 +344,7 @@ fi
 stray=$(grep -rnE --include='*.go' 'startCompactor|WithCompactionInterval|ModeAuto|ScanLive|Bitmapper|offsetBitmap' . |
     grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
-    echo "compaction is one call with no background loop, and the live-page walk is core's walkSlots over SegFile.Scan:" >&2
+    echo "compaction is one call with no background loop, and the live-page walk is core's walkSlots:" >&2
     echo "$stray" >&2
     exit 1
 fi
@@ -432,6 +436,13 @@ fi
 stray=$(grep -rnE --include='*.go' 'keepInA|keep func\(core\.UnitAux\) bool' . | grep -v '_test\.go:' || true)
 if [ -n "$stray" ]; then
     echo "a positive diff walks A AND NOT B (core.ScanKindPositiveDiff); no row filter drops B's rows after the walk:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
+stray=$(grep -rnE --include='*.go' 'walkPlanes|foldPage|fold\.one\b' . | grep -v '_test\.go:' || true)
+if [ -n "$stray" ]; then
+    echo "every live page takes core's one page walk (walk.go), and a single-table fold takes every page whole (AddPage):" >&2
     echo "$stray" >&2
     exit 1
 fi
